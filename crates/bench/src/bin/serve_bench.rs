@@ -603,7 +603,10 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
     }
     // Seal the interregnum records so catch-up serves them from real
     // segments and the demotion barrier covers them.
-    node2.service().checkpoint_now().expect("interregnum checkpoint");
+    node2
+        .service()
+        .checkpoint_now()
+        .expect("interregnum checkpoint");
 
     let restart_at = Instant::now();
     let rejoiner = ClusterNode::start(mk_config(1, true)).expect("restart killed node");
@@ -629,8 +632,7 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
                     && rejoiner.map().primary_of(0) == Some(1)
                     && rejoiner.epoch() == node2.epoch();
                 if converged {
-                    *rebalanced_after.lock().unwrap() =
-                        Some(restart_at.elapsed().as_secs_f64());
+                    *rebalanced_after.lock().unwrap() = Some(restart_at.elapsed().as_secs_f64());
                     break;
                 }
                 if Instant::now() >= hard {
@@ -712,8 +714,7 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
         .lock()
         .unwrap()
         .expect("rejoiner never took shard 0 back within 60 s");
-    let (catchup_decisions, catchup_elapsed) =
-        catchup_best.expect("at least one catch-up round");
+    let (catchup_decisions, catchup_elapsed) = catchup_best.expect("at least one catch-up round");
 
     // Zero lost records across the rebalance: everything the emergency
     // primary acked during the interregnum reached the rejoiner's

@@ -228,10 +228,11 @@ pub fn apply_cold_records(
         // Overlap with what we already hold is only possible at the
         // chunk's lowest timestamp (our cursor): collect our own tie run
         // there, from both stores, and drop re-sent copies.
-        let mut own: std::collections::HashSet<(u64, u64, FileId)> = std::collections::HashSet::new();
+        let mut own: std::collections::HashSet<(u64, u64, FileId)> =
+            std::collections::HashSet::new();
         let tie_pred = |s: &StoredRecord| s.timestamp_micros == min_ts && pred(s);
         for (ts, r, fid) in replica
-            .export_matching(min_ts, true, 0, &tie_pred)?
+            .export_matching(min_ts, true, 0, tie_pred)?
             .0
             .iter()
             .map(|s| (s.timestamp_micros, s.record.access_number, s.record.fid))
@@ -240,7 +241,7 @@ pub fn apply_cold_records(
         }
         if let Some(store) = service {
             for (ts, r, fid) in store
-                .export_matching(min_ts, true, 0, &tie_pred)?
+                .export_matching(min_ts, true, 0, tie_pred)?
                 .0
                 .iter()
                 .map(|s| (s.timestamp_micros, s.record.access_number, s.record.fid))
@@ -462,7 +463,7 @@ mod tests {
         let chunk = build_chunk(
             &CatchUpReq {
                 after_seq: 2,
-                ..req.clone()
+                ..req
             },
             Some(&service),
             None,
@@ -476,7 +477,7 @@ mod tests {
         let chunk = build_chunk(
             &CatchUpReq {
                 after_seq: 3,
-                ..req.clone()
+                ..req
             },
             Some(&service),
             None,

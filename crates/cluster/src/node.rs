@@ -235,7 +235,10 @@ impl ClusterCore {
 
     fn mark_seen(&self, node: u64) {
         let now = self.now_micros();
-        self.repair.lock().expect("repair lock").mark_seen(node, now);
+        self.repair
+            .lock()
+            .expect("repair lock")
+            .mark_seen(node, now);
     }
 
     /// Peers (other than us) silent for longer than `deadline` that
@@ -344,7 +347,10 @@ impl ClusterCore {
     /// replica store. Segments at or under the manifest floor are
     /// deleted unreplayed by the absorb — re-sent segments are
     /// exactly-once by construction.
-    fn apply_ship(replica: &mut ReplicaState, ship: &wire::SegmentShip) -> Result<(), std::io::Error> {
+    fn apply_ship(
+        replica: &mut ReplicaState,
+        ship: &wire::SegmentShip,
+    ) -> Result<(), std::io::Error> {
         let dest = geomancy_replaydb::segment_path(&replica.wal_dir, ship.shard as usize, ship.seq);
         let tmp = replica
             .wal_dir
@@ -461,10 +467,11 @@ impl ClusterHandler for ClusterCore {
             return encode_catch_up_ack(WireStatus::BadRequest, 0, None);
         };
         self.mark_seen(done.node_id);
-        self.repair
-            .lock()
-            .expect("repair lock")
-            .record_done(done.node_id, done.shard, done.floor_seq);
+        self.repair.lock().expect("repair lock").record_done(
+            done.node_id,
+            done.shard,
+            done.floor_seq,
+        );
         encode_catch_up_ack(WireStatus::Ok, self.epoch(), None)
     }
 }
@@ -616,24 +623,24 @@ impl ClusterNode {
 
         // Seal hook: runs on the checkpoint actor's worker in the
         // absorb window, while the sealed segment file still exists.
-        // Read the bytes (and record count) synchronously, hand them to
-        // the shipper thread and the catch-up retainer, return.
+        // Read the bytes synchronously (the record count comes with the
+        // seal: nothing is decoded here), hand them to the shipper thread
+        // and the catch-up retainer, return.
         let (seal_tx, seal_rx) = mpsc::channel::<SealedSeg>();
-        let hook = SealHook(Arc::new(move |shard: usize, seq: u64, path: &Path| {
-            let Ok(bytes) = std::fs::read(path) else {
-                return;
-            };
-            let records = geomancy_replaydb::recover(path)
-                .map(|(_, replayed)| replayed)
-                .unwrap_or(0);
-            retainer.insert(shard as u32, seq, bytes.clone());
-            let _ = seal_tx.send(SealedSeg {
-                shard: shard as u32,
-                seq,
-                records,
-                bytes,
-            });
-        }));
+        let hook = SealHook(Arc::new(
+            move |shard: usize, seq: u64, records: u64, path: &Path| {
+                let Ok(bytes) = std::fs::read(path) else {
+                    return;
+                };
+                retainer.insert(shard as u32, seq, bytes.clone());
+                let _ = seal_tx.send(SealedSeg {
+                    shard: shard as u32,
+                    seq,
+                    records,
+                    bytes,
+                });
+            },
+        ));
 
         let service = Arc::new(PlacementService::start(ServeConfig {
             shards: config.shards as usize,
@@ -1216,13 +1223,9 @@ fn pull_shard_inner(
             } else {
                 0
             };
-            let after_ts = catchup::shard_cursor(
-                &replica.store,
-                service.as_deref(),
-                core.shards,
-                shard,
-            )
-            .unwrap_or(0);
+            let after_ts =
+                catchup::shard_cursor(&replica.store, service.as_deref(), core.shards, shard)
+                    .unwrap_or(0);
             (after_seq, after_ts)
         };
         let req = wire::CatchUpReq {

@@ -233,7 +233,11 @@ mod tests {
         // Floors meet the barrier: flip, epoch bump, preferred ring.
         state.record_done(1, 3, 2);
         let step = state.plan_demotion(&map, 2, 1, 1_200_000, deadline);
-        let DemotionStep::Demote { candidate: 1, map: healed } = step else {
+        let DemotionStep::Demote {
+            candidate: 1,
+            map: healed,
+        } = step
+        else {
             panic!("expected Demote, got {step:?}");
         };
         assert_eq!(healed.epoch, map.epoch + 1);

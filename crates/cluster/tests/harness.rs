@@ -13,7 +13,7 @@
 //! catch-up / demotion protocol itself is what these tests exercise.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -91,7 +91,7 @@ impl NodeState {
     /// running real store recovery on whatever the last incarnation
     /// left on disk.
     fn open(
-        root: &PathBuf,
+        root: &Path,
         id: u64,
         peers: &[(u64, String)],
         shards: u32,
@@ -231,7 +231,13 @@ impl SimNet {
 
 /// The server half: decode with the real codecs, run the protocol
 /// logic, encode the reply with the real codecs.
-fn handle(state: &mut NodeState, kind: FrameKind, payload: &[u8], now: u64, shards: u32) -> Vec<u8> {
+fn handle(
+    state: &mut NodeState,
+    kind: FrameKind,
+    payload: &[u8],
+    now: u64,
+    shards: u32,
+) -> Vec<u8> {
     match kind {
         FrameKind::Heartbeat => {
             let (peer, _epoch, addr) = decode_heartbeat_addr(payload).expect("heartbeat");
@@ -269,7 +275,9 @@ fn handle(state: &mut NodeState, kind: FrameKind, payload: &[u8], now: u64, shar
         FrameKind::CatchUpDone => {
             let done = decode_catch_up_done(payload).expect("catch-up done");
             state.repair.mark_seen(done.node_id, now);
-            state.repair.record_done(done.node_id, done.shard, done.floor_seq);
+            state
+                .repair
+                .record_done(done.node_id, done.shard, done.floor_seq);
             encode_catch_up_ack(WireStatus::Ok, state.map.epoch, None)
         }
         FrameKind::ShipSegment => {
@@ -284,7 +292,12 @@ fn handle(state: &mut NodeState, kind: FrameKind, payload: &[u8], now: u64, shar
 /// ships are applied only in order, from the shard's recorded origin.
 fn handle_ship(state: &mut NodeState, ship: &SegmentShip, now: u64, shards: u32) -> Vec<u8> {
     if ship.epoch < state.map.epoch {
-        return encode_ship_ack(WireStatus::WrongEpoch, ship.shard, ship.seq, Some(&state.map));
+        return encode_ship_ack(
+            WireStatus::WrongEpoch,
+            ship.shard,
+            ship.seq,
+            Some(&state.map),
+        );
     }
     state.repair.mark_seen(ship.from_node, now);
     let shard = ship.shard;
@@ -488,13 +501,9 @@ fn pull_chunks(net: &SimNet, id: u64, shard: u32, primary: u64, now: u64) -> Pul
         } else {
             0
         };
-        let after_ts = catchup::shard_cursor(
-            &s.replica_store,
-            Some(&s.service_store),
-            shards,
-            shard,
-        )
-        .expect("cursor");
+        let after_ts =
+            catchup::shard_cursor(&s.replica_store, Some(&s.service_store), shards, shard)
+                .expect("cursor");
         (after_seq, after_ts)
     }) else {
         return PullOutcome::Stalled;
@@ -868,12 +877,7 @@ impl Cluster {
                 s.service_store
                     .absorb_segments(&s.wal_dir, shards as usize, None)
                     .expect("absorb");
-                (
-                    s.map.epoch,
-                    seq,
-                    bytes,
-                    s.map.replicas_of(shard).to_vec(),
-                )
+                (s.map.epoch, seq, bytes, s.map.replicas_of(shard).to_vec())
             })
             .expect("owner alive");
         let mut all_acked = true;
@@ -1129,7 +1133,10 @@ fn ship_gap_heals_through_seq_mode_catch_up() {
     assert!(!c.ingest(0, 10), "dropped ship cannot ack");
     assert!(!c.ingest(0, 10), "dropped ship cannot ack");
     c.clear_drops();
-    assert!(!c.ingest(0, 10), "gapped ship must be rejected, not applied");
+    assert!(
+        !c.ingest(0, 10),
+        "gapped ship must be rejected, not applied"
+    );
     assert!(c.with(replica, |s| s.ship_rejects).unwrap() >= 1);
     // The replica flagged the shard dirty; its next pull rounds walk the
     // retained segments (seq mode) back to the primary's floor.

@@ -194,9 +194,16 @@ fn pipeline_across_demotion_epoch_bump_lands_exactly_once() {
         let b = batch(10);
         ingest_until_landed(&client, i * 1_000_000, &b, deadline);
     }
-    n1.as_ref().unwrap().service().checkpoint_now().expect("checkpoint");
+    n1.as_ref()
+        .unwrap()
+        .service()
+        .checkpoint_now()
+        .expect("checkpoint");
     while n1.as_ref().unwrap().shipped().is_empty() {
-        assert!(Instant::now() < deadline, "shard 0 segment never ship-acked");
+        assert!(
+            Instant::now() < deadline,
+            "shard 0 segment never ship-acked"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     let n1_first_life = n1.as_ref().unwrap().service().metrics().ingested_records;
@@ -221,9 +228,8 @@ fn pipeline_across_demotion_epoch_bump_lands_exactly_once() {
         let b = batch(10);
         ingest_until_landed(&client, (200 + mid_flip_batches) * 1_000_000, &b, deadline);
         mid_flip_batches += 1;
-        let flipped = n2.demotions() >= 1
-            && n1.map().primary_of(0) == Some(1)
-            && n1.epoch() == n2.epoch();
+        let flipped =
+            n2.demotions() >= 1 && n1.map().primary_of(0) == Some(1) && n1.epoch() == n2.epoch();
         if flipped {
             break;
         }
@@ -254,7 +260,11 @@ fn pipeline_across_demotion_epoch_bump_lands_exactly_once() {
         + n2.service().metrics().ingested_records
         + n3.service().metrics().ingested_records;
     assert_eq!(landed, sent, "every record exactly once");
-    assert_eq!(n3.service().metrics().ingested_records, 0, "node 3 never owned shard 0");
+    assert_eq!(
+        n3.service().metrics().ingested_records,
+        0,
+        "node 3 never owned shard 0"
+    );
 
     n1.shutdown();
     n2.shutdown();

@@ -6,7 +6,9 @@
 //! accesses for each of the storage devices" as training batches.
 //!
 //! The paper backs this component with SQLite; this crate provides the same
-//! query contract over an in-memory log with JSON snapshots ([`persist`]).
+//! query contract over an in-memory log with JSON snapshots ([`persist`])
+//! and a binary write-ahead log ([`wal`]) whose packed record image
+//! ([`codec`]) is the one the paged store's pages use too.
 //!
 //! # Examples
 //!
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod codec;
 pub mod db;
 pub mod persist;
 pub mod wal;
@@ -37,8 +40,10 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 
 pub use db::{LayoutEvent, ReplayDb, StoredRecord};
-pub use persist::{from_json, load, save, to_json, PersistError};
-pub use wal::{list_segments, recover, recover_for_append, segment_path, shard_path, WalWriter};
+pub use persist::{from_json, load, save, to_json, FormatError, PersistError};
+pub use wal::{
+    list_segments, read_segment, recover, recover_for_append, segment_path, shard_path, WalWriter,
+};
 
 /// A thread-safe handle to a shared ReplayDB, for deployments where the
 /// interface daemon and the DRL engine run on separate threads.

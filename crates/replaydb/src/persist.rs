@@ -10,20 +10,63 @@ use std::path::Path;
 
 use crate::db::ReplayDb;
 
-/// Errors raised while saving or loading a snapshot.
+/// Errors raised while saving, loading, appending or replaying persisted
+/// state (JSON snapshots here, the binary log in [`crate::wal`]).
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Snapshot was not valid JSON for a `ReplayDb`.
-    Format(serde_json::Error),
+    /// The file's contents are not what this build writes.
+    Format(FormatError),
+}
+
+/// What was wrong with a persisted file's contents.
+#[derive(Debug)]
+pub enum FormatError {
+    /// A snapshot was not valid JSON for a `ReplayDb`.
+    Json(serde_json::Error),
+    /// The WAL frame at byte `offset` failed its checksum and a valid frame
+    /// follows it: corruption inside the log, not a torn tail.
+    WalFrame {
+        /// Byte offset of the bad frame.
+        offset: u64,
+    },
+    /// The file is a JSON-lines WAL, the format before binary frames; this
+    /// build does not read it.
+    LegacyJsonWal,
+}
+
+impl std::fmt::Display for FormatError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FormatError::Json(e) => write!(f, "{e}"),
+            FormatError::WalFrame { offset } => {
+                write!(
+                    f,
+                    "WAL frame at byte {offset} fails its checksum before the tail"
+                )
+            }
+            FormatError::LegacyJsonWal => {
+                f.write_str("JSON-lines WAL (pre-binary format) is not supported")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FormatError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FormatError::Json(e) => Some(e),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
-            PersistError::Format(e) => write!(f, "snapshot format invalid: {e}"),
+            PersistError::Io(e) => write!(f, "persistence i/o failed: {e}"),
+            PersistError::Format(e) => write!(f, "persisted format invalid: {e}"),
         }
     }
 }
@@ -45,7 +88,7 @@ impl From<std::io::Error> for PersistError {
 
 impl From<serde_json::Error> for PersistError {
     fn from(e: serde_json::Error) -> Self {
-        PersistError::Format(e)
+        PersistError::Format(FormatError::Json(e))
     }
 }
 

@@ -1,44 +1,49 @@
-//! Write-ahead persistence: an append-only record log on disk.
+//! Write-ahead persistence: an append-only binary record log on disk.
 //!
 //! JSON snapshots ([`crate::persist`]) rewrite the whole database; the WAL
 //! appends each batch as it arrives — the durability mode a live
-//! deployment wants (the paper's SQLite plays this role). One JSON object
-//! per line; recovery replays the file and tolerates a truncated tail
-//! (a crash mid-append loses at most the final line).
+//! deployment wants (the paper's SQLite plays this role). A log (and a
+//! sealed segment, which is a renamed log) is a run of fixed-width frames
+//! and nothing else, so `n` records are exactly `n * FRAME_LEN` bytes:
+//!
+//! ```text
+//! offset  size  field
+//! 0       64    packed record ([`crate::codec`]: timestamp + fields)
+//! 64      8     FNV-1a of bytes 0..64 (LE u64)
+//! ```
+//!
+//! Recovery keeps the *committed prefix*: every frame before the first one
+//! that fails its checksum. What follows is a torn tail — a partial final
+//! frame, or whole frames a crash left half-written — and is dropped, as
+//! long as no valid frame comes after it; a bad frame with a valid frame
+//! behind it is corruption inside the log and an error. A crash
+//! mid-append therefore loses at most the frames of the one `write` it
+//! interrupted, and never a frame written before it.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// A replayed WAL: the rebuilt database, how many entries replayed, and
-/// where the committed prefix of the file ends.
-struct Replayed {
-    db: ReplayDb,
-    replayed: u64,
-    /// Byte offset just past the last committed entry — the length to
-    /// truncate the file to before appending to it again (everything
-    /// beyond is a torn tail from a crash mid-append).
-    committed_bytes: u64,
-}
-
 use geomancy_sim::record::AccessRecord;
-use serde::{Deserialize, Serialize};
 
-use crate::db::ReplayDb;
-use crate::persist::PersistError;
+use crate::codec::{fnv1a, get_u64, pack_record, put_u64, unpack_record, RECORD_LEN};
+use crate::db::{ReplayDb, StoredRecord};
+use crate::persist::{FormatError, PersistError};
 
-/// One WAL line: a record and its ingest timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct WalEntry {
-    t: u64,
-    r: AccessRecord,
-}
+/// Bytes per WAL frame: one packed record plus its checksum.
+pub const FRAME_LEN: usize = RECORD_LEN + 8;
+
+/// How every line of the JSON-lines WAL this format replaced began.
+const LEGACY_JSON_PREFIX: &[u8] = b"{\"t\":";
 
 /// An open write-ahead log.
 #[derive(Debug)]
 pub struct WalWriter {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
+    /// Reused encode buffer: a batch is framed here and reaches the file
+    /// in one `write_all`.
+    buf: Vec<u8>,
     appended: u64,
 }
 
@@ -53,7 +58,8 @@ impl WalWriter {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(WalWriter {
             path,
-            writer: BufWriter::new(file),
+            file,
+            buf: Vec::new(),
             appended: 0,
         })
     }
@@ -72,82 +78,71 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns an I/O or serialization error.
+    /// Returns an I/O error.
     pub fn append(
         &mut self,
         timestamp_micros: u64,
         record: AccessRecord,
     ) -> Result<(), PersistError> {
-        let line = serde_json::to_string(&WalEntry {
-            t: timestamp_micros,
-            r: record,
-        })?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.appended += 1;
-        Ok(())
+        self.append_batch(timestamp_micros, std::slice::from_ref(&record))
     }
 
-    /// Appends a batch sharing one timestamp.
+    /// Appends a batch sharing one timestamp: the batch is framed into the
+    /// writer's buffer and handed to the OS in one `write_all`.
     ///
     /// # Errors
     ///
-    /// Returns an I/O or serialization error.
+    /// Returns an I/O error.
     pub fn append_batch(
         &mut self,
         timestamp_micros: u64,
         records: &[AccessRecord],
     ) -> Result<(), PersistError> {
-        for &r in records {
-            self.append(timestamp_micros, r)?;
+        self.buf.clear();
+        self.buf.resize(records.len() * FRAME_LEN, 0);
+        for (frame, &record) in self.buf.chunks_exact_mut(FRAME_LEN).zip(records) {
+            let stored = StoredRecord {
+                timestamp_micros,
+                record,
+            };
+            pack_record(frame, 0, &stored);
+            let sum = fnv1a(&frame[..RECORD_LEN]);
+            put_u64(frame, RECORD_LEN, sum);
         }
+        self.file.write_all(&self.buf)?;
+        self.appended += records.len() as u64;
         Ok(())
     }
 
-    /// Flushes buffered lines to the OS.
-    ///
-    /// **Durability contract:** this hands the buffered bytes to the
-    /// kernel but does *not* fsync — the lines survive a process crash,
-    /// but a power loss or kernel panic may still lose them. Callers that
-    /// need the stronger guarantee (checkpoint boundaries, segment seals)
-    /// must use [`WalWriter::sync`] / [`WalWriter::flush_and_sync`], which
-    /// follow the flush with `File::sync_data`.
+    /// Does nothing: every append already reached the OS. Kept for the
+    /// callers that pair each append with a flush.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the flush fails.
+    /// Never fails.
     pub fn flush(&mut self) -> Result<(), PersistError> {
-        self.writer.flush()?;
         Ok(())
     }
 
-    /// Flushes buffered lines and fsyncs them to stable storage
-    /// (`File::sync_data`) — the durable counterpart of
-    /// [`WalWriter::flush`]. The checkpointer calls this before a WAL is
-    /// sealed into a segment, so the segment's contents are on disk before
-    /// the store ever considers absorbing them.
+    /// Fsyncs the log to stable storage (`File::sync_data`).
+    ///
+    /// **Durability contract:** an append hands its frames to the kernel
+    /// but does *not* fsync — they survive a process crash, but a power
+    /// loss or kernel panic may still lose them. Callers that need the
+    /// stronger guarantee call this; [`WalWriter::seal_to`] does, so a
+    /// segment's contents are on disk before the store ever considers
+    /// absorbing them.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the flush or fsync fails.
+    /// Returns an I/O error if the fsync fails.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
-    }
-
-    /// Alias for [`WalWriter::sync`], named for call sites that want the
-    /// two-step contract spelled out.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the flush or fsync fails.
-    pub fn flush_and_sync(&mut self) -> Result<(), PersistError> {
-        self.sync()
     }
 
     /// Seals this log into `segment` and starts a fresh, empty log at the
-    /// same path: fsync the pending lines ([`WalWriter::sync`]), rename
+    /// same path: fsync the pending frames ([`WalWriter::sync`]), rename
     /// the file to `segment`, fsync the parent directory so the rename
     /// itself is durable, then reopen a new file. Returns the number of
     /// entries appended through this writer since it was opened or last
@@ -156,7 +151,7 @@ impl WalWriter {
     /// The shard actor (the log's single-threaded owner) calls this when
     /// the checkpointer asks for the WAL to rotate; renaming rather than
     /// copying means the sealed segment is byte-identical to the WAL and
-    /// replayable with [`recover`].
+    /// readable with [`read_segment`] and [`recover`].
     ///
     /// # Errors
     ///
@@ -170,11 +165,10 @@ impl WalWriter {
             // resurrect an already-absorbed segment as the live WAL.
             File::open(dir)?.sync_all()?;
         }
-        let file = OpenOptions::new()
+        self.file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
-        self.writer = BufWriter::new(file);
         let sealed = self.appended;
         self.appended = 0;
         Ok(sealed)
@@ -184,8 +178,8 @@ impl WalWriter {
 /// Path of shard `shard`'s WAL inside `dir` (`shard-<i>.wal`).
 ///
 /// The serving layer gives each ingest shard its own append-only log so
-/// shards never contend on one file and a crash loses at most one line per
-/// shard.
+/// shards never contend on one file and a crash tears at most one append
+/// per shard.
 pub fn shard_path(dir: impl AsRef<Path>, shard: usize) -> PathBuf {
     dir.as_ref().join(format!("shard-{shard}.wal"))
 }
@@ -256,89 +250,82 @@ pub fn recover_shards(
     Ok(out)
 }
 
-/// Replays a WAL into a fresh [`ReplayDb`]. An entry is *committed* only
-/// if its line is newline-terminated and parses; a malformed or
-/// unterminated final line (crash mid-append) is tolerated and dropped,
-/// while malformed lines elsewhere are errors. Returns the database and
-/// the number of entries replayed.
+/// Decodes the committed prefix of a log image into `sink`, oldest frame
+/// first, and returns the prefix's length in bytes (see the module docs
+/// for what counts as committed, torn, and corrupt).
+fn decode(bytes: &[u8], mut sink: impl FnMut(StoredRecord)) -> Result<usize, PersistError> {
+    let valid = |frame: &[u8]| fnv1a(&frame[..RECORD_LEN]) == get_u64(frame, RECORD_LEN);
+    let mut frames = bytes.chunks_exact(FRAME_LEN);
+    if bytes.starts_with(LEGACY_JSON_PREFIX) && !frames.clone().next().is_some_and(valid) {
+        return Err(PersistError::Format(FormatError::LegacyJsonWal));
+    }
+    let mut committed = 0;
+    while let Some(frame) = frames.next() {
+        if !valid(frame) {
+            if frames.any(valid) {
+                let offset = committed as u64;
+                return Err(PersistError::Format(FormatError::WalFrame { offset }));
+            }
+            break;
+        }
+        sink(unpack_record(frame, 0));
+        committed += FRAME_LEN;
+    }
+    Ok(committed)
+}
+
+/// Appends the committed records of the log or sealed segment at `path`
+/// to `out`, oldest first, and returns how many there were — the
+/// checkpointer's reader: no database is built, the records land in the
+/// vector the store sorts into pages.
+///
+/// # Errors
+///
+/// Returns an I/O error, or a format error for corruption before the tail.
+pub fn read_segment(
+    path: impl AsRef<Path>,
+    out: &mut Vec<StoredRecord>,
+) -> Result<u64, PersistError> {
+    let bytes = std::fs::read(path)?;
+    out.reserve(bytes.len() / FRAME_LEN);
+    Ok((decode(&bytes, |s| out.push(s))? / FRAME_LEN) as u64)
+}
+
+/// Replays a WAL into a fresh [`ReplayDb`], dropping a torn tail.
+/// Returns the database and the number of entries replayed.
 ///
 /// To recover a log you intend to keep appending to, use
 /// [`recover_for_append`] instead — it also truncates the torn tail so
-/// the next append starts on a fresh line.
+/// the next append starts on a frame boundary.
 ///
 /// # Errors
 ///
 /// Returns an I/O error, or a format error for corruption before the tail.
 pub fn recover(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
-    let r = replay(path)?;
-    Ok((r.db, r.replayed))
+    let mut db = ReplayDb::new();
+    let bytes = std::fs::read(path)?;
+    let committed = decode(&bytes, |s| db.insert(s.timestamp_micros, s.record))?;
+    Ok((db, (committed / FRAME_LEN) as u64))
 }
 
 /// Recovers like [`recover`], then truncates the log to the end of its
 /// committed prefix. Without the truncation, reopening the log in append
-/// mode after a torn-tail crash would concatenate the first new entry onto
-/// the partial line — producing a malformed line in the *middle* of the
-/// file, which a later recovery rightly rejects as corruption.
+/// mode after a torn-tail crash would write every new frame behind the
+/// torn bytes — off the frame grid, where the next recovery cannot tell
+/// them from more torn tail and drops them.
 ///
 /// # Errors
 ///
 /// Returns an I/O error, or a format error for corruption before the tail.
 pub fn recover_for_append(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
     let path = path.as_ref();
-    let r = replay(path)?;
+    let (db, replayed) = recover(path)?;
     let file = OpenOptions::new().write(true).open(path)?;
-    if file.metadata()?.len() > r.committed_bytes {
-        file.set_len(r.committed_bytes)?;
+    if file.metadata()?.len() > replayed * FRAME_LEN as u64 {
+        file.set_len(replayed * FRAME_LEN as u64)?;
         file.sync_all()?;
     }
-    Ok((r.db, r.replayed))
-}
-
-/// The shared replay scan behind [`recover`] and [`recover_for_append`].
-fn replay(path: impl AsRef<Path>) -> Result<Replayed, PersistError> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut db = ReplayDb::new();
-    let mut replayed = 0u64;
-    let mut committed_bytes = 0u64;
-    let mut pos = 0u64;
-    let mut pending_error: Option<serde_json::Error> = None;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        pos += n as u64;
-        // Only a newline-terminated line is committed: an unterminated
-        // final line — even one that happens to parse — is a tail the
-        // crash interrupted, so it is dropped rather than replayed (it
-        // would be truncated away by `recover_for_append` anyway).
-        let terminated = line.ends_with('\n');
-        if line.trim().is_empty() {
-            continue;
-        }
-        // A parse failure is only acceptable on the *last* non-empty line.
-        if let Some(e) = pending_error.take() {
-            return Err(PersistError::Format(e));
-        }
-        match serde_json::from_str::<WalEntry>(line.trim_end()) {
-            Ok(entry) if terminated => {
-                db.insert(entry.t, entry.r);
-                replayed += 1;
-                committed_bytes = pos;
-            }
-            Ok(_) => {}
-            Err(e) => pending_error = Some(e),
-        }
-    }
-    // A trailing partial line is dropped silently (crash tolerance).
-    Ok(Replayed {
-        db,
-        replayed,
-        committed_bytes,
-    })
+    Ok((db, replayed))
 }
 
 #[cfg(test)]
@@ -405,94 +392,117 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Writes `n` records as two batches and returns the log's bytes.
+    fn write_log(path: &Path, n: u64) -> Vec<u8> {
+        std::fs::remove_file(path).ok();
+        let mut wal = WalWriter::open(path).unwrap();
+        let records: Vec<AccessRecord> = (0..n).map(rec).collect();
+        let (a, b) = records.split_at(records.len() / 2);
+        wal.append_batch(0, a).unwrap();
+        wal.append_batch(1, b).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes.len(), n as usize * FRAME_LEN);
+        bytes
+    }
+
     #[test]
-    fn truncated_tail_is_tolerated() {
-        let path = temp_path("truncated.wal");
-        std::fs::remove_file(&path).ok();
-        {
+    fn tail_torn_at_any_byte_recovers_the_committed_prefix() {
+        // A crash can stop an append after any byte of its last frame.
+        // Wherever it stops: recovery returns exactly the frames before
+        // it, recover_for_append cuts the file back to them, and an
+        // append after that restart replays behind them (the
+        // crash-restart cycle must not leave a frame off the grid).
+        let path = temp_path("torn.wal");
+        let bytes = write_log(&path, 5);
+        let prefix = 4 * FRAME_LEN;
+        for cut in prefix..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (db, replayed) = recover(&path).unwrap();
+            assert_eq!(replayed, 4, "cut at byte {cut}");
+            let numbers: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
+            assert_eq!(numbers, [0, 1, 2, 3], "cut at byte {cut}");
+
+            let (_, replayed) = recover_for_append(&path).unwrap();
+            assert_eq!(replayed, 4);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), prefix as u64);
             let mut wal = WalWriter::open(&path).unwrap();
-            wal.append(0, rec(0)).unwrap();
-            wal.append(1, rec(1)).unwrap();
-            wal.flush().unwrap();
+            wal.append_batch(9, &[rec(7), rec(8)]).unwrap();
+            let (db, replayed) = recover(&path).unwrap();
+            assert_eq!(replayed, 6, "cut at byte {cut}");
+            let numbers: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
+            assert_eq!(numbers, [0, 1, 2, 3, 7, 8]);
         }
-        // Simulate a crash mid-append: chop the file mid-line.
-        let contents = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &contents[..contents.len() - 20]).unwrap();
-        let (db, replayed) = recover(&path).unwrap();
-        assert_eq!(replayed, 1);
-        assert_eq!(db.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn torn_tail_then_append_recovers_everything() {
-        // The crash-restart cycle: a torn tail must not corrupt the line
-        // the first post-restart append writes, and the NEXT recovery must
-        // see every committed entry plus the new one.
-        let path = temp_path("torn_append.wal");
-        std::fs::remove_file(&path).ok();
-        {
-            let mut wal = WalWriter::open(&path).unwrap();
-            wal.append(0, rec(0)).unwrap();
-            wal.append(1, rec(1)).unwrap();
-            wal.flush().unwrap();
+    fn checksum_failing_tail_is_dropped_and_truncated() {
+        // Whole frames a crash left half-written (right length, wrong
+        // contents) are a torn tail too, however many of them there are.
+        let path = temp_path("badtail.wal");
+        let mut bytes = write_log(&path, 6);
+        for frame in 4..6 {
+            bytes[frame * FRAME_LEN + 9] ^= 0x40;
         }
-        // Crash mid-append: chop the file mid-line.
-        let contents = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &contents[..contents.len() - 20]).unwrap();
-        // Restart: recover for append, then keep writing.
-        let (db, replayed) = recover_for_append(&path).unwrap();
-        assert_eq!(replayed, 1);
-        assert_eq!(db.len(), 1);
-        {
-            let mut wal = WalWriter::open(&path).unwrap();
-            wal.append(2, rec(2)).unwrap();
-            wal.flush().unwrap();
-        }
-        // Second restart: both the surviving prefix and the post-restart
-        // entry replay cleanly (no malformed line mid-file).
-        let (db, replayed) = recover(&path).unwrap();
-        assert_eq!(replayed, 2);
-        assert_eq!(db.len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn unterminated_final_line_is_not_committed() {
-        // A final line that parses but lacks its newline was interrupted
-        // before the terminator landed: it is dropped, not replayed, and
-        // recover_for_append trims it so the file stays append-safe.
-        let path = temp_path("unterminated.wal");
-        std::fs::remove_file(&path).ok();
-        {
-            let mut wal = WalWriter::open(&path).unwrap();
-            wal.append(0, rec(0)).unwrap();
-            wal.append(1, rec(1)).unwrap();
-            wal.flush().unwrap();
-        }
-        let contents = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, contents.trim_end()).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
         let (_, replayed) = recover(&path).unwrap();
-        assert_eq!(replayed, 1);
-        let (_, replayed) = recover_for_append(&path).unwrap();
-        assert_eq!(replayed, 1);
-        assert!(std::fs::read_to_string(&path).unwrap().ends_with('\n'));
+        assert_eq!(replayed, 4);
+        let mut out = vec![];
+        assert_eq!(read_segment(&path, &mut out).unwrap(), 4);
+        assert_eq!(out.len(), 4);
+        recover_for_append(&path).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            4 * FRAME_LEN as u64
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corruption_before_tail_is_an_error() {
+        // One flipped bit in any frame but the last, record or checksum:
+        // a valid frame follows it, so this is not a tail.
         let path = temp_path("corrupt.wal");
-        std::fs::remove_file(&path).ok();
-        {
-            let mut wal = WalWriter::open(&path).unwrap();
-            wal.append(0, rec(0)).unwrap();
-            wal.flush().unwrap();
+        let bytes = write_log(&path, 4);
+        for frame in 0..3 {
+            for at in [0, RECORD_LEN - 1, RECORD_LEN, FRAME_LEN - 1] {
+                let mut bad = bytes.clone();
+                bad[frame * FRAME_LEN + at] ^= 1;
+                std::fs::write(&path, &bad).unwrap();
+                let offset = (frame * FRAME_LEN) as u64;
+                for result in [recover(&path), recover_for_append(&path)] {
+                    assert!(matches!(
+                        result,
+                        Err(PersistError::Format(FormatError::WalFrame { offset: o })) if o == offset
+                    ));
+                }
+                assert!(read_segment(&path, &mut vec![]).is_err());
+                // The refused file is left as it was found.
+                assert_eq!(std::fs::read(&path).unwrap(), bad);
+            }
         }
-        let mut contents = std::fs::read_to_string(&path).unwrap();
-        contents.insert_str(0, "not json at all\n");
-        std::fs::write(&path, contents).unwrap();
-        assert!(matches!(recover(&path), Err(PersistError::Format(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn json_lines_wal_is_refused_by_name() {
+        // The format this one replaced. It must not read as a torn tail
+        // (an empty database), whether it holds one line or many.
+        let line = "{\"t\":5,\"r\":{\"access_number\":0,\"fid\":1,\"fsid\":0,\"rb\":100,\
+                    \"wb\":0,\"ots\":0,\"otms\":0,\"cts\":1,\"ctms\":0}}\n";
+        let path = temp_path("legacy.wal");
+        for lines in [1, 3] {
+            std::fs::write(&path, line.repeat(lines)).unwrap();
+            for result in [recover(&path), recover_for_append(&path)] {
+                let err = result.unwrap_err();
+                assert!(matches!(
+                    err,
+                    PersistError::Format(FormatError::LegacyJsonWal)
+                ));
+                assert!(err.to_string().contains("JSON-lines"));
+            }
+            assert!(read_segment(&path, &mut vec![]).is_err());
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -536,7 +546,7 @@ mod tests {
         assert_eq!(replayed, 1);
         assert_eq!(db.len(), 1);
         wal.append(1, rec(1)).unwrap();
-        wal.flush_and_sync().unwrap();
+        wal.sync().unwrap();
         let (_, replayed) = recover(&path).unwrap();
         assert_eq!(replayed, 2);
         std::fs::remove_file(&path).ok();
@@ -559,6 +569,12 @@ mod tests {
         let (seg_db, seg_n) = recover(segment_path(&dir, 0, 1)).unwrap();
         assert_eq!(seg_n, 2);
         assert_eq!(seg_db.len(), 2);
+        let mut records = Vec::new();
+        assert_eq!(
+            read_segment(segment_path(&dir, 0, 1), &mut records).unwrap(),
+            2
+        );
+        assert_eq!(records, seg_db.records().copied().collect::<Vec<_>>());
         wal.append(2, rec(2)).unwrap();
         wal.flush().unwrap();
         let (db, n) = recover(&path).unwrap();

@@ -59,8 +59,12 @@ pub(crate) enum CheckpointMsg {
         reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>,
     },
     /// One shard's seal reply for the in-flight cycle (`seq` 0 = that
-    /// shard had nothing to seal).
-    Sealed { shard: usize, seq: u64 },
+    /// shard had nothing to seal; else the segment holds `records`).
+    Sealed {
+        shard: usize,
+        seq: u64,
+        records: u64,
+    },
 }
 
 /// Handle to the checkpointer actor.
@@ -127,8 +131,9 @@ impl Checkpointer {
 /// An in-flight cycle's gathered state.
 struct Collect {
     reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>,
-    /// Per-shard sealed segment sequence (`Some(0)` = nothing to seal).
-    seals: Vec<Option<u64>>,
+    /// Per-shard sealed segment `(seq, records)` (`seq` 0 = nothing to
+    /// seal).
+    seals: Vec<Option<(u64, u64)>>,
     got: usize,
 }
 
@@ -167,12 +172,16 @@ impl Actor for CheckpointActor {
                     self.start_cycle(reply);
                 }
             }
-            CheckpointMsg::Sealed { shard, seq } => {
+            CheckpointMsg::Sealed {
+                shard,
+                seq,
+                records,
+            } => {
                 let Some(collect) = self.collecting.as_mut() else {
                     return; // stale reply from an abandoned cycle
                 };
                 if collect.seals[shard].is_none() {
-                    collect.seals[shard] = Some(seq);
+                    collect.seals[shard] = Some((seq, records));
                     collect.got += 1;
                 }
                 if collect.got == self.shard_count {
@@ -215,8 +224,12 @@ impl CheckpointActor {
             let home = me.clone();
             if addr
                 .send_now(ShardMsg::SealWal {
-                    reply: Box::new(move |shard, seq| {
-                        let _ = home.send_now(CheckpointMsg::Sealed { shard, seq });
+                    reply: Box::new(move |shard, seq, records| {
+                        let _ = home.send_now(CheckpointMsg::Sealed {
+                            shard,
+                            seq,
+                            records,
+                        });
                     }),
                 })
                 .is_err()
@@ -232,24 +245,21 @@ impl CheckpointActor {
     /// gauges, then trim the hot tails.
     fn finish_cycle(&mut self) {
         let collect = self.collecting.take().expect("cycle in flight");
-        let any_sealed = collect
-            .seals
-            .iter()
-            .any(|s| matches!(s, Some(seq) if *seq > 0));
+        // The segments this cycle cut, as `(shard, seq, records)`.
+        let sealed: Vec<(usize, u64, u64)> = (collect.seals.iter().enumerate())
+            .filter_map(|(shard, seal)| seal.map(|(seq, records)| (shard, seq, records)))
+            .filter(|&(_, seq, _)| seq > 0)
+            .collect();
         // Surface every sealed segment to the shipping hook *before*
         // absorption deletes it — the bytes on disk are the replica's
         // exactly-once unit of replication.
         if let Some(hook) = &self.seal_hook {
-            for (shard, seal) in collect.seals.iter().enumerate() {
-                if let Some(seq) = seal {
-                    if *seq > 0 {
-                        let path = geomancy_replaydb::wal::segment_path(&self.wal_dir, shard, *seq);
-                        (hook.0)(shard, *seq, &path);
-                    }
-                }
+            for &(shard, seq, records) in &sealed {
+                let path = geomancy_replaydb::wal::segment_path(&self.wal_dir, shard, seq);
+                (hook.0)(shard, seq, records, &path);
             }
         }
-        let outcome = if any_sealed {
+        let outcome = if !sealed.is_empty() {
             let started = Instant::now();
             let mut store = self.store.write();
             match store.absorb_segments(&self.wal_dir, self.shard_count, None) {

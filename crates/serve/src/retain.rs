@@ -96,9 +96,7 @@ impl SegmentRetainer {
         let Some(m) = inner.segments.get(&shard) else {
             return false;
         };
-        let held = m
-            .range(after_seq + 1..=up_to_seq)
-            .count() as u64;
+        let held = m.range(after_seq + 1..=up_to_seq).count() as u64;
         held == up_to_seq - after_seq
     }
 

@@ -65,7 +65,7 @@ impl AdmissionConfig {
 /// the store is filled by absorbing sealed shard WAL segments.
 #[derive(Debug, Clone)]
 pub struct StoreSettings {
-    /// Directory holding `pages.bin`, `index.json`, and the manifest.
+    /// Directory holding `pages.bin`, `index.log`, and the manifest.
     pub dir: PathBuf,
     /// Fixed page size in bytes (4–64 KiB).
     pub page_size: usize,
@@ -128,16 +128,18 @@ pub struct ServeConfig {
     pub trainer: TrainerConfig,
     /// Stable cluster node id reported in metrics (0 = single-node).
     pub node_id: u64,
-    /// Called with each sealed WAL segment `(shard, seq, path)` after the
-    /// checkpointer seals it and *before* absorption deletes it — the
-    /// window in which a cluster node reads the bytes for WAL shipping.
-    /// The hook runs on the checkpoint actor's worker: keep it to a file
-    /// read plus a channel send.
+    /// Called with each sealed WAL segment `(shard, seq, records, path)`
+    /// after the checkpointer seals it and *before* absorption deletes it
+    /// — the window in which a cluster node reads the bytes for WAL
+    /// shipping. `records` is the shard's own count of what it sealed, so
+    /// the hook never decodes the segment. It runs on the checkpoint
+    /// actor's worker: keep it to a file read plus a channel send.
     pub seal_hook: Option<SealHook>,
 }
 
-/// Callback signature for [`SealHook`]: `(shard, seq, segment_path)`.
-pub type SealFn = dyn Fn(usize, u64, &std::path::Path) + Send + Sync;
+/// Callback signature for [`SealHook`]: `(shard, seq, records,
+/// segment_path)`.
+pub type SealFn = dyn Fn(usize, u64, u64, &std::path::Path) + Send + Sync;
 
 /// Observer for sealed WAL segments (see [`ServeConfig::seal_hook`]).
 #[derive(Clone)]

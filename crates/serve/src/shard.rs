@@ -12,9 +12,10 @@
 //! [`ShardSet::ingest`] path simply waits.
 //!
 //! Durability mirrors the daemon's WAL story, but per shard: each actor
-//! appends to its own `shard-<i>.wal`, so a crash loses at most one
-//! partial line per shard and recovery rebuilds exactly the per-shard
-//! databases (see [`geomancy_replaydb::wal::recover_shards`]).
+//! appends each batch to its own `shard-<i>.wal` as binary frames in one
+//! write, so a crash tears at most the batch being appended on each shard
+//! and recovery rebuilds exactly the per-shard databases (see
+//! [`geomancy_replaydb::wal::recover_shards`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -85,10 +86,11 @@ pub(crate) enum ShardMsg {
         reply: Box<dyn FnOnce(SnapshotDelta) + Send>,
     },
     /// Seal the active WAL into a numbered segment for the checkpointer
-    /// to absorb. Replies `(shard, seq)`; `seq == 0` means the WAL held
-    /// nothing (or the shard runs memory-only) and no segment was cut.
+    /// to absorb. Replies `(shard, seq, records)`; `seq == 0` means the
+    /// WAL held nothing (or the shard runs memory-only) and no segment was
+    /// cut, otherwise `records` is how many the segment holds.
     SealWal {
-        reply: Box<dyn FnOnce(usize, u64) + Send>,
+        reply: Box<dyn FnOnce(usize, u64, u64) + Send>,
     },
     /// Drop all but the newest `keep` records from the in-memory
     /// database — sent by the checkpointer after the trimmed records'
@@ -145,7 +147,6 @@ impl Actor for ShardActor {
                 if let Some(w) = &mut self.wal {
                     w.append_batch(ts, &records)
                         .expect("shard WAL append failed");
-                    w.flush().expect("shard WAL flush failed");
                     self.wal_records += records.len() as u64;
                     self.metrics
                         .wal_pending_records
@@ -171,30 +172,23 @@ impl Actor for ShardActor {
                 });
             }
             ShardMsg::SealWal { reply } => {
-                let seq = match (&mut self.wal, &self.wal_dir) {
+                let (seq, records) = match (&mut self.wal, &self.wal_dir) {
                     (Some(w), Some(dir)) if self.wal_records > 0 => {
                         let seq = self.next_seq;
                         w.seal_to(geomancy_replaydb::wal::segment_path(dir, self.shard, seq))
                             .expect("shard WAL seal failed");
                         self.next_seq += 1;
-                        self.wal_records = 0;
-                        seq
+                        (seq, std::mem::take(&mut self.wal_records))
                     }
-                    _ => 0,
+                    _ => (0, 0),
                 };
-                reply(self.shard, seq);
+                reply(self.shard, seq, records);
             }
             ShardMsg::TrimHot { keep } => {
                 if self.db.len() > keep {
                     self.db.compact(keep);
                 }
             }
-        }
-    }
-
-    fn on_stop(&mut self, _ctx: &mut Ctx<'_>) {
-        if let Some(w) = &mut self.wal {
-            let _ = w.flush();
         }
     }
 }
@@ -281,8 +275,8 @@ impl ShardSet {
                     let path = shard_path(dir, i);
                     // `recover_for_append` also truncates a torn tail left
                     // by a crash mid-append, so the append-mode reopen
-                    // below starts on a fresh line instead of gluing the
-                    // first new entry onto the partial one.
+                    // below starts on a frame boundary instead of writing
+                    // the first new frame behind the torn bytes.
                     let (db, recovered) = if path.exists() {
                         geomancy_replaydb::wal::recover_for_append(&path)
                             .expect("shard WAL recovery failed")

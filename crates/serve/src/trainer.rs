@@ -650,7 +650,7 @@ mod tests {
                     }
                 }
                 ShardMsg::Batch { .. } => panic!("fake shard killed by test"),
-                ShardMsg::SealWal { reply } => reply(self.shard, 0),
+                ShardMsg::SealWal { reply } => reply(self.shard, 0, 0),
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use geomancy_replaydb::wal::{recover_shards, shard_path};
+use geomancy_replaydb::wal::{recover_shards, shard_path, FRAME_LEN};
 use geomancy_replaydb::ReplayDb;
 use geomancy_serve::{shard_of, ServeMetrics, ShardSet};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
@@ -157,20 +157,25 @@ fn crash_truncated_wal_tail_recovers_prefix() {
     drive(&set, 200, 5);
     let live = set.shutdown();
 
-    // Simulate a crash mid-append on shard 0: chop the last 25 bytes.
+    // Simulate a crash mid-append on one shard: the write stopped 25
+    // bytes short, inside the log's last frame.
     let victim = (0..SHARDS)
         .find(|&i| live[i].len() > 1)
         .expect("some shard has data");
     let path = shard_path(&dir, victim);
     let contents = std::fs::read(&path).unwrap();
+    assert_eq!(contents.len(), live[victim].len() * FRAME_LEN);
     std::fs::write(&path, &contents[..contents.len() - 25]).unwrap();
 
     let recovered = recover_shards(&dir, SHARDS).unwrap();
     for (i, ((rdb, _), ldb)) in recovered.iter().zip(&live).enumerate() {
         if i == victim {
-            // The victim loses at most the records of its torn tail, and
-            // what remains is an exact prefix of the live log.
-            assert!(rdb.len() < ldb.len(), "truncation lost nothing?");
+            // The loss bound of fixed-width frames: a tear inside the last
+            // frame costs exactly that one record — every frame before it
+            // is whole and checksummed — and what remains is an exact
+            // prefix of the live log. (A crash can tear at most the frames
+            // of the one batch write it interrupted.)
+            assert_eq!(rdb.len(), ldb.len() - 1, "one torn frame, one record");
             let live_prefix: Vec<_> = ldb.records().take(rdb.len()).collect();
             let rec_rows: Vec<_> = rdb.records().collect();
             assert_eq!(rec_rows, live_prefix, "recovered tail is not a prefix");
@@ -184,9 +189,9 @@ fn crash_truncated_wal_tail_recovers_prefix() {
 #[test]
 fn restart_after_torn_tail_survives_a_second_restart() {
     // The full crash cycle: torn tail → restart (spawn over the same WAL
-    // dir) → ingest more → restart again. The second spawn must not see a
-    // malformed line glued together from the torn tail and the first
-    // post-restart append, and the post-restart record must be durable.
+    // dir) → ingest more → restart again. The second spawn must not find
+    // the first post-restart frame written behind the torn bytes, off the
+    // frame grid, and the post-restart record must be durable.
     let dir = temp_dir("crash_restart");
     let set = ShardSet::spawn(
         SHARDS,
@@ -197,12 +202,14 @@ fn restart_after_torn_tail_survives_a_second_restart() {
     drive(&set, 200, 5);
     let live = set.shutdown();
 
-    // Tear every shard's tail mid-line.
+    // Tear every shard's tail inside its last frame.
+    let mut torn = 0;
     for i in 0..SHARDS {
         let path = shard_path(&dir, i);
         let contents = std::fs::read(&path).unwrap();
-        if contents.len() > 25 {
+        if contents.len() >= FRAME_LEN {
             std::fs::write(&path, &contents[..contents.len() - 25]).unwrap();
+            torn += 1;
         }
     }
 
@@ -232,8 +239,9 @@ fn restart_after_torn_tail_survives_a_second_restart() {
         let first_rows: Vec<_> = fdb.records().collect();
         assert_eq!(rec_rows, first_rows, "shard {i} diverged after restart");
     }
-    // Sanity: we actually lost the torn tails, nothing more.
+    // We lost the torn frames — one record per torn shard — and gained
+    // the post-restart records, nothing more or less.
     let live_total: usize = live.iter().map(ReplayDb::len).sum();
-    assert!(recovered_total > live_total - 2 * SHARDS);
+    assert_eq!(recovered_total, live_total - torn + SHARDS);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,19 +9,37 @@
 //! min/max timestamps of that device's records only, so a per-device
 //! query skips pages whose other tenants dominate the page's global span.
 //!
-//! The index is persisted at checkpoint time as JSON-lines rows
-//! ([`TimeIndex::save`]) so the store never scans every page on open; a
-//! missing or out-of-date file (detected against the manifest) falls back
-//! to a rebuild from the committed pages.
+//! ## The index log
+//!
+//! The index is persisted as `index.log`, an append-only run of
+//! fixed-width rows: one *group* per page, in page order, each a page row
+//! followed by that page's device rows and file rows. A commit appends
+//! only the groups of the pages it added ([`TimeIndex::unsaved`]), so the
+//! bytes written follow the checkpoint, not the history, and the log of a
+//! given page sequence is always the same bytes. Rows are little-endian:
+//!
+//! ```text
+//! offset  size  field
+//! 0       1     kind: 0 page, 1 device, 2 file
+//! 1       3     reserved (0)
+//! 4       4     page (LE u32)
+//! 8       8     device or file id; in a page row, the number of device
+//!               and file rows that complete its group (LE u64)
+//! 16      8     min_ts (LE u64)
+//! 24      8     max_ts (LE u64)
+//! 32      4     count (LE u32)
+//! 36      4     low half of the FNV-1a of bytes 0..36 (LE u32)
+//! ```
+//!
+//! [`TimeIndex::load`] rejects a bad checksum, a group out of page order
+//! and a log that ends inside a group; the store then rebuilds the index
+//! from the committed pages, of which it is only a derived copy.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::Path;
 
+use geomancy_replaydb::codec::{fnv1a, get_u32, get_u64, put_u32, put_u64};
 use geomancy_replaydb::StoredRecord;
 use geomancy_sim::record::{DeviceId, FileId};
-use serde::{Deserialize, Serialize};
 
 use crate::StoreError;
 
@@ -39,20 +57,35 @@ pub struct PageSpan {
     pub count: u32,
 }
 
-/// Row kinds in the persisted index file.
+impl PageSpan {
+    /// Widens the span by one more record at `ts`.
+    fn absorb(&mut self, ts: u64) {
+        self.min_ts = self.min_ts.min(ts);
+        self.max_ts = self.max_ts.max(ts);
+        self.count += 1;
+    }
+}
+
+/// Bytes per row of the index log.
+pub const ROW_LEN: usize = 40;
+/// Row kinds in the index log.
 const ROW_PAGE: u8 = 0;
 const ROW_DEVICE: u8 = 1;
 const ROW_FILE: u8 = 2;
 
-/// One JSON line of the persisted index.
-#[derive(Debug, Serialize, Deserialize)]
-struct IndexRow {
-    k: u8,
-    key: u64,
-    page: u32,
-    min_ts: u64,
-    max_ts: u64,
-    count: u32,
+/// Appends one index-log row to `out`.
+fn push_row(out: &mut Vec<u8>, kind: u8, key: u64, span: &PageSpan) {
+    let at = out.len();
+    out.resize(at + ROW_LEN, 0);
+    let row = &mut out[at..];
+    row[0] = kind;
+    put_u32(row, 4, span.page);
+    put_u64(row, 8, key);
+    put_u64(row, 16, span.min_ts);
+    put_u64(row, 24, span.max_ts);
+    put_u32(row, 32, span.count);
+    let sum = fnv1a(&row[..ROW_LEN - 4]) as u32;
+    put_u32(row, ROW_LEN - 4, sum);
 }
 
 /// In-memory index over every committed (and, between append and commit,
@@ -64,6 +97,9 @@ pub struct TimeIndex {
     by_device: BTreeMap<DeviceId, Vec<PageSpan>>,
     by_file: BTreeMap<FileId, Vec<PageSpan>>,
     total_records: u64,
+    /// Index-log rows of the pages added since the last
+    /// [`TimeIndex::mark_saved`].
+    unsaved: Vec<u8>,
 }
 
 impl TimeIndex {
@@ -107,7 +143,7 @@ impl TimeIndex {
         self.by_file.keys().copied()
     }
 
-    /// Indexes one freshly written page.
+    /// Indexes one freshly written page and queues its index-log group.
     ///
     /// # Panics
     ///
@@ -116,155 +152,99 @@ impl TimeIndex {
     pub fn add_page(&mut self, page: u32, records: &[StoredRecord]) {
         assert_eq!(page as usize, self.pages.len(), "pages are append-only");
         assert!(!records.is_empty(), "pages are never empty");
-        let min_ts = records.iter().map(|s| s.timestamp_micros).min().unwrap();
-        let max_ts = records.iter().map(|s| s.timestamp_micros).max().unwrap();
-        self.pages.push(PageSpan {
+        let empty = PageSpan {
             page,
-            min_ts,
-            max_ts,
-            count: records.len() as u32,
-        });
-        self.total_records += records.len() as u64;
+            min_ts: u64::MAX,
+            max_ts: 0,
+            count: 0,
+        };
+        let mut whole = empty;
         let mut per_device: BTreeMap<DeviceId, PageSpan> = BTreeMap::new();
         let mut per_file: BTreeMap<FileId, PageSpan> = BTreeMap::new();
         for s in records {
             let ts = s.timestamp_micros;
-            per_device
-                .entry(s.record.fsid)
-                .and_modify(|span| {
-                    span.min_ts = span.min_ts.min(ts);
-                    span.max_ts = span.max_ts.max(ts);
-                    span.count += 1;
-                })
-                .or_insert(PageSpan {
-                    page,
-                    min_ts: ts,
-                    max_ts: ts,
-                    count: 1,
-                });
-            per_file
-                .entry(s.record.fid)
-                .and_modify(|span| {
-                    span.min_ts = span.min_ts.min(ts);
-                    span.max_ts = span.max_ts.max(ts);
-                    span.count += 1;
-                })
-                .or_insert(PageSpan {
-                    page,
-                    min_ts: ts,
-                    max_ts: ts,
-                    count: 1,
-                });
+            whole.absorb(ts);
+            per_device.entry(s.record.fsid).or_insert(empty).absorb(ts);
+            per_file.entry(s.record.fid).or_insert(empty).absorb(ts);
         }
+        self.pages.push(whole);
+        self.total_records += records.len() as u64;
+        let group = (per_device.len() + per_file.len()) as u64;
+        push_row(&mut self.unsaved, ROW_PAGE, group, &whole);
         for (dev, span) in per_device {
+            push_row(&mut self.unsaved, ROW_DEVICE, dev.0 as u64, &span);
             self.by_device.entry(dev).or_default().push(span);
         }
         for (fid, span) in per_file {
+            push_row(&mut self.unsaved, ROW_FILE, fid.0, &span);
             self.by_file.entry(fid).or_default().push(span);
         }
     }
 
-    /// Writes the index as JSON-lines to `path` atomically: a temp file is
-    /// written and fsynced, then renamed over `path` and the directory
-    /// fsynced, so a crash leaves either the old index or the new one —
-    /// never a torn mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O or serialization error.
-    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let file = File::create(&tmp)?;
-            let mut w = BufWriter::new(file);
-            for span in &self.pages {
-                write_row(&mut w, ROW_PAGE, 0, span)?;
-            }
-            for (dev, spans) in &self.by_device {
-                for span in spans {
-                    write_row(&mut w, ROW_DEVICE, dev.0 as u64, span)?;
-                }
-            }
-            for (fid, spans) in &self.by_file {
-                for span in spans {
-                    write_row(&mut w, ROW_FILE, fid.0, span)?;
-                }
-            }
-            w.flush()?;
-            w.get_ref().sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            File::open(dir)?.sync_all()?;
-        }
-        Ok(())
+    /// The index-log bytes of every page added since the last
+    /// [`TimeIndex::mark_saved`] — what a commit appends to `index.log`.
+    pub(crate) fn unsaved(&self) -> &[u8] {
+        &self.unsaved
     }
 
-    /// Loads an index previously written by [`TimeIndex::save`].
+    /// Declares [`TimeIndex::unsaved`] written.
+    pub(crate) fn mark_saved(&mut self) {
+        self.unsaved.clear();
+    }
+
+    /// Rebuilds the index from index-log bytes (with nothing unsaved).
     ///
     /// # Errors
     ///
-    /// Returns an I/O error, or [`StoreError::Corrupt`] on a malformed
-    /// row (the file is written atomically, so any damage is real
-    /// corruption, not a crash artifact).
-    pub fn load(path: &Path) -> Result<Self, StoreError> {
-        let file = File::open(path)?;
-        let reader = BufReader::new(file);
+    /// Returns [`StoreError::Corrupt`] on a partial row, a checksum
+    /// mismatch, rows out of page order, or a log that ends inside a
+    /// page's group.
+    pub(crate) fn load(log: &[u8]) -> Result<Self, StoreError> {
+        let corrupt = |what: &str, page: u32| {
+            Err(StoreError::Corrupt(format!(
+                "index log: {what} at page {page}"
+            )))
+        };
         let mut index = TimeIndex::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let row: IndexRow = serde_json::from_str(&line)
-                .map_err(|e| StoreError::Corrupt(format!("bad index row: {e}")))?;
+        // Device and file rows the current group still owes.
+        let mut owed = 0u64;
+        let rows = log.chunks_exact(ROW_LEN);
+        if !rows.remainder().is_empty() {
+            return corrupt("partial row", index.pages.len() as u32);
+        }
+        for row in rows {
             let span = PageSpan {
-                page: row.page,
-                min_ts: row.min_ts,
-                max_ts: row.max_ts,
-                count: row.count,
+                page: get_u32(row, 4),
+                min_ts: get_u64(row, 16),
+                max_ts: get_u64(row, 24),
+                count: get_u32(row, 32),
             };
-            match row.k {
-                ROW_PAGE => {
-                    if row.page as usize != index.pages.len() {
-                        return Err(StoreError::Corrupt(format!(
-                            "page rows out of order at page {}",
-                            row.page
-                        )));
-                    }
-                    index.total_records += span.count as u64;
-                    index.pages.push(span);
-                }
-                ROW_DEVICE => index
-                    .by_device
-                    .entry(DeviceId(row.key as u32))
-                    .or_default()
-                    .push(span),
-                ROW_FILE => index.by_file.entry(FileId(row.key)).or_default().push(span),
-                other => {
-                    return Err(StoreError::Corrupt(format!(
-                        "unknown index row kind {other}"
-                    )));
-                }
+            if fnv1a(&row[..ROW_LEN - 4]) as u32 != get_u32(row, ROW_LEN - 4) {
+                return corrupt("row checksum mismatch", index.pages.len() as u32);
             }
+            let (kind, key) = (row[0], get_u64(row, 8));
+            if kind == ROW_PAGE && owed == 0 && span.page as usize == index.pages.len() {
+                owed = key;
+                index.total_records += span.count as u64;
+                index.pages.push(span);
+            } else if owed > 0 && span.page as usize + 1 == index.pages.len() {
+                owed -= 1;
+                match (kind, u32::try_from(key)) {
+                    (ROW_DEVICE, Ok(dev)) => {
+                        index.by_device.entry(DeviceId(dev)).or_default().push(span);
+                    }
+                    (ROW_FILE, _) => index.by_file.entry(FileId(key)).or_default().push(span),
+                    _ => return corrupt("bad row kind or device id", span.page),
+                }
+            } else {
+                return corrupt("row out of order", span.page);
+            }
+        }
+        if owed > 0 {
+            return corrupt("log ends inside the group", index.pages.len() as u32);
         }
         Ok(index)
     }
-}
-
-fn write_row(w: &mut impl Write, k: u8, key: u64, span: &PageSpan) -> Result<(), StoreError> {
-    let row = IndexRow {
-        k,
-        key,
-        page: span.page,
-        min_ts: span.min_ts,
-        max_ts: span.max_ts,
-        count: span.count,
-    };
-    let line = serde_json::to_string(&row).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -325,38 +305,50 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("geomancy_store_index_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.json");
-        let index = sample();
-        index.save(&path).unwrap();
-        let back = TimeIndex::load(&path).unwrap();
-        assert_eq!(back.page_count(), index.page_count());
+    fn log_round_trips_and_appends_per_page_groups() {
+        let mut index = sample();
+        // Page 0: 2 devices + 2 files; page 1: 2 devices + 2 files.
+        assert_eq!(index.unsaved().len(), (1 + 4 + 1 + 4) * ROW_LEN);
+        let mut log = index.unsaved().to_vec();
+        let back = TimeIndex::load(&log).unwrap();
+        assert!(back.unsaved().is_empty());
         assert_eq!(back.total_records(), index.total_records());
         assert_eq!(back.pages(), index.pages());
-        assert_eq!(
-            back.spans_for_device(DeviceId(1)),
-            index.spans_for_device(DeviceId(1))
-        );
-        assert_eq!(
-            back.spans_for_file(FileId(2)),
-            index.spans_for_file(FileId(2))
-        );
-        std::fs::remove_file(&path).ok();
+        assert_eq!(back.by_device, index.by_device);
+        assert_eq!(back.by_file, index.by_file);
+        // What a later page queues is its own group only, and appending it
+        // to the log gives the log of the longer index.
+        index.mark_saved();
+        index.add_page(2, &[stored(15, 1, 0)]);
+        assert_eq!(index.unsaved().len(), 3 * ROW_LEN);
+        log.extend_from_slice(index.unsaved());
+        let back = TimeIndex::load(&log).unwrap();
+        assert_eq!(back.pages(), index.pages());
+        assert_eq!(back.by_file, index.by_file);
     }
 
     #[test]
-    fn malformed_rows_are_corruption() {
-        let dir = std::env::temp_dir().join("geomancy_store_index_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad_index.json");
-        std::fs::write(&path, "{nope\n").unwrap();
-        assert!(matches!(
-            TimeIndex::load(&path),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).ok();
+    fn damaged_logs_are_corruption() {
+        let log = sample().unsaved().to_vec();
+        assert!(TimeIndex::load(&[]).unwrap().pages().is_empty());
+        let mut flipped = log.clone();
+        flipped[ROW_LEN + 17] ^= 1;
+        // A group missing its last row, a partial row, a flipped bit, a
+        // group that skips a page: none may load as a smaller index.
+        for bad in [
+            &log[..log.len() - ROW_LEN],
+            &log[..log.len() - 1],
+            &flipped[..],
+            &log[5 * ROW_LEN..],
+        ] {
+            assert!(matches!(TimeIndex::load(bad), Err(StoreError::Corrupt(_))));
+        }
+        // A cut between groups is a valid (shorter) log: the store never
+        // asks for one, its manifest records the committed length.
+        assert_eq!(
+            TimeIndex::load(&log[..5 * ROW_LEN]).unwrap().page_count(),
+            1
+        );
     }
 
     #[test]

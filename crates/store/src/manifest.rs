@@ -1,9 +1,10 @@
 //! The store manifest: the single atomic commit point of a checkpoint.
 //!
-//! A checkpoint writes pages, fsyncs them, writes the index, fsyncs it —
-//! and then commits by renaming a fresh manifest into place. Until that
-//! rename lands, recovery sees the *previous* manifest and rolls the
-//! store back to it (truncating any uncommitted page tail); after it,
+//! A checkpoint appends pages, fsyncs them, appends their rows to the
+//! index log, fsyncs it — and then commits by renaming a fresh manifest
+//! into place. Until that rename lands, recovery sees the *previous*
+//! manifest and rolls the store back to it (truncating `pages.bin` and
+//! `index.log` to the lengths it records); after it,
 //! the absorbed WAL segments are recorded as consumed, so they are
 //! deleted instead of replayed. One atomic rename therefore decides, for
 //! every record in the checkpoint, whether it lives in the store or
@@ -16,8 +17,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::StoreError;
 
-/// Manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version (2 carries `index_bytes`, which 1 lacked).
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// Committed state of the store.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,6 +33,9 @@ pub struct Manifest {
     pub committed_pages: u32,
     /// Records inside the committed pages.
     pub total_records: u64,
+    /// Bytes committed to `index.log` — it rolls back by truncation to
+    /// this length, exactly as `pages.bin` does to its own.
+    pub index_bytes: u64,
     /// Per-shard highest absorbed WAL-segment sequence number (0 = none).
     /// A surviving segment with `seq <= absorbed[shard]` has already been
     /// absorbed (the crash hit after commit, before deletion): delete it.
@@ -47,6 +51,7 @@ impl Manifest {
             page_size: page_size as u64,
             committed_pages: 0,
             total_records: 0,
+            index_bytes: 0,
             absorbed: Vec::new(),
         }
     }
@@ -64,15 +69,20 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let manifest: Manifest = serde_json::from_str(&json)
-            .map_err(|e| StoreError::Corrupt(format!("bad manifest: {e}")))?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(StoreError::Corrupt(format!(
-                "manifest version {} unsupported",
-                manifest.version
-            )));
+        let bad = |e: serde_json::Error| StoreError::Corrupt(format!("bad manifest: {e}"));
+        // The version is read before the rest: another version's fields
+        // need not be this one's.
+        let value: serde_json::Value = serde_json::from_str(&json).map_err(bad)?;
+        match value.get("version").and_then(serde_json::Value::as_u64) {
+            Some(v) if v == u64::from(MANIFEST_VERSION) => {}
+            Some(v) => {
+                return Err(StoreError::Corrupt(format!(
+                    "manifest version {v} unsupported (this build reads {MANIFEST_VERSION})"
+                )));
+            }
+            None => return Err(StoreError::Corrupt("manifest has no version".to_string())),
         }
-        Ok(Some(manifest))
+        serde_json::from_value(&value).map(Some).map_err(bad)
     }
 
     /// Commits this manifest to `path`: write a temp file, fsync it,
@@ -125,6 +135,7 @@ mod tests {
             page_size: 4096,
             committed_pages: 7,
             total_records: 421,
+            index_bytes: 1840,
             absorbed: vec![3, 0, 5],
         };
         m.commit(&path).unwrap();
@@ -140,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn garbage_and_future_versions_are_corruption() {
+    fn garbage_and_other_versions_are_corruption() {
         let path = temp_dir().join("garbage.manifest");
         std::fs::write(&path, "not a manifest").unwrap();
         assert!(matches!(Manifest::load(&path), Err(StoreError::Corrupt(_))));
@@ -148,7 +159,25 @@ mod tests {
             version: MANIFEST_VERSION + 1,
             ..Manifest::empty(4096)
         };
-        std::fs::write(&path, serde_json::to_string(&future).unwrap()).unwrap();
+        // A version-1 manifest as the JSON-index store wrote it: refused by
+        // version, not for the field it lacks.
+        let v1 = r#"{"version":1,"page_size":4096,"committed_pages":2,"total_records":9,"absorbed":[1]}"#;
+        for (text, version) in [
+            (serde_json::to_string(&future).unwrap(), 3),
+            (v1.to_string(), 1),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            match Manifest::load(&path) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("version {version} unsupported")),
+                        "{msg}"
+                    );
+                }
+                other => panic!("version {version} loaded as {other:?}"),
+            }
+        }
+        std::fs::write(&path, r#"{"page_size":4096}"#).unwrap();
         assert!(matches!(Manifest::load(&path), Err(StoreError::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }

@@ -19,14 +19,17 @@
 //! ...     —     zero padding to page_size
 //! ```
 //!
-//! Records are packed little-endian, 64 bytes each: ingest timestamp,
-//! then the [`AccessRecord`] fields in declaration order. Pages are
+//! Records are packed by [`geomancy_replaydb::codec`], 64 bytes each — the
+//! image a WAL frame carries, so a record is encoded one way from the log
+//! to the page. Pages are
 //! immutable once written — the store is append-only, and the final
 //! partial page of a checkpoint is sealed as-is (internal fragmentation
 //! is accepted in exchange for never rewriting a page in place).
 
+use geomancy_replaydb::codec::{
+    fnv1a, get_u16, get_u64, pack_record, put_u16, put_u64, unpack_record, RECORD_LEN,
+};
 use geomancy_replaydb::StoredRecord;
-use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 use crate::StoreError;
 
@@ -36,8 +39,6 @@ pub const PAGE_MAGIC: [u8; 4] = *b"GPAG";
 pub const PAGE_VERSION: u8 = 1;
 /// Bytes of page header before the packed records.
 pub const HEADER_LEN: usize = 32;
-/// Bytes per packed record (8-byte timestamp + 56 bytes of fields).
-pub const RECORD_LEN: usize = 64;
 /// Smallest allowed page size (4 KiB).
 pub const MIN_PAGE_SIZE: usize = 4 * 1024;
 /// Largest allowed page size (64 KiB).
@@ -60,71 +61,6 @@ pub fn check_page_size(page_size: usize) -> Result<(), StoreError> {
         )));
     }
     Ok(())
-}
-
-fn put_u64(buf: &mut [u8], at: usize, v: u64) {
-    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut [u8], at: usize, v: u32) {
-    buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u16(buf: &mut [u8], at: usize, v: u16) {
-    buf[at..at + 2].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
-}
-
-fn get_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-}
-
-fn get_u16(buf: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes(buf[at..at + 2].try_into().expect("2 bytes"))
-}
-
-/// FNV-1a over `bytes` — cheap, dependency-free corruption detection (the
-/// threat model is torn writes and bit rot, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn pack_record(buf: &mut [u8], at: usize, s: &StoredRecord) {
-    put_u64(buf, at, s.timestamp_micros);
-    put_u64(buf, at + 8, s.record.access_number);
-    put_u64(buf, at + 16, s.record.fid.0);
-    put_u32(buf, at + 24, s.record.fsid.0);
-    put_u64(buf, at + 28, s.record.rb);
-    put_u64(buf, at + 36, s.record.wb);
-    put_u64(buf, at + 44, s.record.ots);
-    put_u16(buf, at + 52, s.record.otms);
-    put_u64(buf, at + 54, s.record.cts);
-    put_u16(buf, at + 62, s.record.ctms);
-}
-
-fn unpack_record(buf: &[u8], at: usize) -> StoredRecord {
-    StoredRecord {
-        timestamp_micros: get_u64(buf, at),
-        record: AccessRecord {
-            access_number: get_u64(buf, at + 8),
-            fid: FileId(get_u64(buf, at + 16)),
-            fsid: DeviceId(get_u32(buf, at + 24)),
-            rb: get_u64(buf, at + 28),
-            wb: get_u64(buf, at + 36),
-            ots: get_u64(buf, at + 44),
-            otms: get_u16(buf, at + 52),
-            cts: get_u64(buf, at + 54),
-            ctms: get_u16(buf, at + 62),
-        },
-    }
 }
 
 /// Encodes `records` into one page of exactly `page_size` bytes.
@@ -201,6 +137,7 @@ pub fn decode_page(buf: &[u8]) -> Result<Vec<StoredRecord>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
     fn stored(n: u64) -> StoredRecord {
         StoredRecord {

@@ -8,22 +8,24 @@
 //! * `pages.bin` — fixed-size pages appended end-to-end (see
 //!   [`crate::page`]). Page `i` lives at `i * page_size`, read via
 //!   `pread` (no seek, no global file lock).
-//! * `index.json` — the persisted [`TimeIndex`], rewritten atomically at
-//!   each checkpoint so open never scans every page.
-//! * `store.manifest` — the [`Manifest`]: the commit point. Pages and
-//!   index beyond the manifest are an uncommitted tail, rolled back on
-//!   open.
+//! * `index.log` — the persisted [`TimeIndex`], append-only (see
+//!   [`crate::index`]): each checkpoint appends the rows of the pages it
+//!   added, so open never scans every page and a commit never rewrites
+//!   history.
+//! * `store.manifest` — the [`Manifest`]: the commit point. It records
+//!   the committed length of both files above; bytes beyond either are an
+//!   uncommitted tail, truncated on open.
 //!
 //! ## Crash-safe checkpoint ordering
 //!
 //! [`PagedStore::absorb_segments`] drains sealed WAL segments in four
-//! ordered steps — append pages, fsync pages + write index, commit
-//! manifest (atomic rename), delete segments. A crash between any two
-//! steps recovers exactly-once: before the manifest commit the new pages
-//! are truncated away and the segments replay in full; after it the
-//! segments are recorded as absorbed and are deleted, not replayed. The
-//! [`FaultPoint`] hook lets tests kill the pipeline at each boundary and
-//! prove that argument.
+//! ordered steps — append pages, fsync pages + append and fsync their
+//! index rows, commit manifest (atomic rename), delete segments. A crash
+//! between any two steps recovers exactly-once: before the manifest commit
+//! the new pages and rows are truncated away and the segments replay in
+//! full; after it the segments are recorded as absorbed and are deleted,
+//! not replayed. The [`FaultPoint`] hook lets tests kill the pipeline at
+//! each boundary and prove that argument.
 //!
 //! ## Queries over overlapping pages
 //!
@@ -54,7 +56,7 @@ use crate::StoreError;
 /// Page-file name inside a store directory.
 pub const PAGES_FILE: &str = "pages.bin";
 /// Index-file name inside a store directory.
-pub const INDEX_FILE: &str = "index.json";
+pub const INDEX_FILE: &str = "index.log";
 /// Manifest-file name inside a store directory.
 pub const MANIFEST_FILE: &str = "store.manifest";
 
@@ -84,7 +86,7 @@ pub struct RecoveryReport {
     /// crash between page append and manifest commit).
     pub truncated_bytes: u64,
     /// Whether the index was rebuilt by scanning committed pages (index
-    /// file missing, stale, or corrupt).
+    /// log missing, shorter than the manifest commits, or corrupt).
     pub index_rebuilt: bool,
 }
 
@@ -95,7 +97,8 @@ pub struct RecoveryReport {
 pub enum FaultPoint {
     /// Pages appended to `pages.bin`; index and manifest untouched.
     AfterPageWrite,
-    /// Pages fsynced and index written; manifest not committed.
+    /// Pages fsynced, their index rows appended and fsynced; manifest
+    /// not committed.
     AfterIndexWrite,
     /// Manifest committed; absorbed segments not yet deleted.
     AfterManifestCommit,
@@ -158,6 +161,9 @@ pub struct PagedStore {
     /// Pages written (committed + uncommitted tail).
     pages: u32,
     index: TimeIndex,
+    index_file: File,
+    /// Bytes of `index.log` written: everything but `index.unsaved()`.
+    index_len: u64,
     manifest: Manifest,
     cache: Mutex<PageCache>,
     /// Positioned page reads that went to disk.
@@ -171,8 +177,8 @@ pub type SharedPagedStore = Arc<RwLock<PagedStore>>;
 
 impl PagedStore {
     /// Opens (creating if needed) the store in `dir`, rolling back any
-    /// uncommitted tail and rebuilding the index if it is missing, stale,
-    /// or corrupt. Returns the store and what recovery had to do.
+    /// uncommitted tail and rebuilding the index if its log is missing,
+    /// short, or corrupt. Returns the store and what recovery had to do.
     ///
     /// # Errors
     ///
@@ -217,27 +223,45 @@ impl PagedStore {
                 "pages.bin is {len} bytes but the manifest commits {committed_len}"
             )));
         }
-        let index_path = dir.join(INDEX_FILE);
-        let index = match TimeIndex::load(&index_path) {
+        let index_file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .read(true)
+            .write(true)
+            .open(dir.join(INDEX_FILE))?;
+        let on_disk = index_file.metadata()?.len();
+        if on_disk > manifest.index_bytes {
+            // Rows of pages whose manifest never committed: rolled back
+            // with the page tail above.
+            index_file.set_len(manifest.index_bytes)?;
+            index_file.sync_all()?;
+        }
+        let loaded = if on_disk < manifest.index_bytes {
+            Err(StoreError::Corrupt(format!(
+                "index.log is {on_disk} bytes but the manifest commits {}",
+                manifest.index_bytes
+            )))
+        } else {
+            let mut log = vec![0u8; manifest.index_bytes as usize];
+            read_exact_at(&index_file, &mut log, 0).and_then(|()| TimeIndex::load(&log))
+        };
+        let (index, index_len) = match loaded {
             Ok(ix)
                 if ix.page_count() == manifest.committed_pages as usize
                     && ix.total_records() == manifest.total_records =>
             {
-                ix
+                (ix, manifest.index_bytes)
             }
-            Err(StoreError::Io(e))
-                if e.kind() == std::io::ErrorKind::NotFound && manifest.committed_pages == 0 =>
-            {
-                TimeIndex::new()
-            }
-            // Missing-but-nonempty, stale (crash after an index write
-            // whose manifest never committed), or corrupt: the index is
-            // derived data — rebuild it from the committed pages.
-            Ok(_) | Err(StoreError::Io(_)) | Err(StoreError::Corrupt(_)) => {
+            // Short, unreadable, corrupt, or not describing the committed
+            // pages: the index is derived data — rebuild it from them. The
+            // rebuilt index holds its whole log unsaved, so the next
+            // commit writes `index.log` again from byte 0.
+            _ => {
                 report.index_rebuilt = true;
-                Self::scan_index(&file, config.page_size, manifest.committed_pages)?
+                index_file.set_len(0)?;
+                let ix = Self::scan_index(&file, config.page_size, manifest.committed_pages)?;
+                (ix, 0)
             }
-            Err(e) => return Err(e),
         };
         let pages = manifest.committed_pages;
         Ok((
@@ -247,6 +271,8 @@ impl PagedStore {
                 file,
                 pages,
                 index,
+                index_file,
+                index_len,
                 manifest,
                 cache: Mutex::new(PageCache::default()),
                 preads: AtomicU64::new(0),
@@ -341,10 +367,10 @@ impl PagedStore {
         Ok(added)
     }
 
-    /// Commits everything appended so far: fsync the pages, persist the
-    /// index, then atomically commit the manifest (optionally updating
-    /// the per-shard absorbed-segment floors). On return the appended
-    /// records are durable.
+    /// Commits everything appended so far: fsync the pages, append their
+    /// rows to the index log and fsync it, then atomically commit the
+    /// manifest (optionally updating the per-shard absorbed-segment
+    /// floors). On return the appended records are durable.
     ///
     /// # Errors
     ///
@@ -352,17 +378,32 @@ impl PagedStore {
     /// safe to reopen regardless of where it failed (the manifest rename
     /// is the only commit point).
     pub fn commit(&mut self, absorbed: Option<Vec<u64>>) -> Result<(), StoreError> {
-        self.file.sync_data()?;
-        self.index.save(&self.dir.join(INDEX_FILE))?;
-        self.commit_manifest(absorbed)
+        self.commit_until(absorbed, None)
     }
 
-    /// The manifest half of [`PagedStore::commit`], split out so the
-    /// fault-injection hook can stop between index write and commit.
-    fn commit_manifest(&mut self, absorbed: Option<Vec<u64>>) -> Result<(), StoreError> {
+    /// [`PagedStore::commit`], stopped after the step `fault` names so the
+    /// crash tests can kill it at each boundary. The index rows written
+    /// are only those of the pages appended since the last commit.
+    fn commit_until(
+        &mut self,
+        absorbed: Option<Vec<u64>>,
+        fault: Option<FaultPoint>,
+    ) -> Result<(), StoreError> {
+        if fault == Some(FaultPoint::AfterPageWrite) {
+            return Ok(());
+        }
+        self.file.sync_data()?;
+        write_all_at(&self.index_file, self.index.unsaved(), self.index_len)?;
+        self.index_file.sync_data()?;
+        self.index_len += self.index.unsaved().len() as u64;
+        self.index.mark_saved();
+        if fault == Some(FaultPoint::AfterIndexWrite) {
+            return Ok(());
+        }
         let mut manifest = self.manifest.clone();
         manifest.committed_pages = self.pages;
         manifest.total_records = self.index.total_records();
+        manifest.index_bytes = self.index_len;
         if let Some(absorbed) = absorbed {
             manifest.absorbed = absorbed;
         }
@@ -383,9 +424,9 @@ impl PagedStore {
     ///
     /// For each of `shards` shards: segments with `seq` at or below the
     /// manifest's absorbed floor are deleted unreplayed (they committed
-    /// in a previous run); the rest replay, merge into one
-    /// `(timestamp, access_number)`-ordered stream, append as pages, and
-    /// commit, after which the consumed segments are deleted.
+    /// in a previous run); the rest are decoded straight into one vector,
+    /// sorted into `(timestamp, access_number)` order, appended as pages,
+    /// and committed, after which the consumed segments are deleted.
     ///
     /// `fault` kills the pipeline at the named boundary (see
     /// [`FaultPoint`]) for crash-injection tests; production passes
@@ -394,7 +435,7 @@ impl PagedStore {
     /// # Errors
     ///
     /// Returns an I/O error, or [`StoreError::Wal`] if a segment fails to
-    /// replay (corruption before its tail).
+    /// decode (corruption before its tail, or the old JSON-lines format).
     pub fn absorb_segments(
         &mut self,
         wal_dir: &Path,
@@ -417,10 +458,8 @@ impl PagedStore {
                     report.orphans_deleted += 1;
                     continue;
                 }
-                let (db, replayed) = rwal::recover(&path).map_err(StoreError::Wal)?;
-                records.extend(db.records().copied());
+                report.records_absorbed += rwal::read_segment(&path, &mut records)?;
                 report.segments_absorbed += 1;
-                report.records_absorbed += replayed;
                 *floor = seq;
                 consumed.push(path);
             }
@@ -433,16 +472,8 @@ impl PagedStore {
         }
         records.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
         report.pages_added = self.append_records(&records)?;
-        if fault == Some(FaultPoint::AfterPageWrite) {
-            return Ok(report);
-        }
-        self.file.sync_data()?;
-        self.index.save(&self.dir.join(INDEX_FILE))?;
-        if fault == Some(FaultPoint::AfterIndexWrite) {
-            return Ok(report);
-        }
-        self.commit_manifest(Some(absorbed))?;
-        if fault == Some(FaultPoint::AfterManifestCommit) {
+        self.commit_until(Some(absorbed), fault)?;
+        if fault.is_some() {
             return Ok(report);
         }
         for path in consumed {
@@ -728,7 +759,7 @@ impl PagedStore {
 
     /// Appends `records` (sorted internally) and commits them in the same
     /// crash-safe order as [`PagedStore::absorb_segments`]: append pages,
-    /// fsync + write index, commit manifest (optionally updating the
+    /// fsync + append index rows, commit manifest (optionally updating the
     /// per-shard absorbed floors). The catch-up apply path on a follower.
     /// Returns the number of pages added.
     ///
@@ -750,15 +781,7 @@ impl PagedStore {
         let mut sorted: Vec<StoredRecord> = records.to_vec();
         sorted.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
         let added = self.append_records(&sorted)?;
-        if fault == Some(FaultPoint::AfterPageWrite) {
-            return Ok(added);
-        }
-        self.file.sync_data()?;
-        self.index.save(&self.dir.join(INDEX_FILE))?;
-        if fault == Some(FaultPoint::AfterIndexWrite) {
-            return Ok(added);
-        }
-        self.commit_manifest(absorbed)?;
+        self.commit_until(absorbed, fault)?;
         Ok(added)
     }
 }
@@ -1032,8 +1055,7 @@ mod tests {
                 // boundary timestamp.
                 let (tie_check, _) = store
                     .export_matching(last.timestamp_micros, true, 0, |s| {
-                        s.record.fsid == DeviceId(0)
-                            && s.timestamp_micros == last.timestamp_micros
+                        s.record.fsid == DeviceId(0) && s.timestamp_micros == last.timestamp_micros
                     })
                     .unwrap();
                 let boundary = chunk

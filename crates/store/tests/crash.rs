@@ -1,22 +1,27 @@
 //! Crash-injection tests for the checkpoint pipeline.
 //!
 //! [`PagedStore::absorb_segments`] drains sealed WAL segments in four
-//! ordered steps: append pages, fsync + write index, commit manifest,
-//! delete segments. These tests kill the pipeline at every
+//! ordered steps: append pages, fsync + append index rows, commit
+//! manifest, delete segments. These tests kill the pipeline at every
 //! [`FaultPoint`] boundary, "crash" by dropping the store, reopen, and
 //! prove the invariant the ordering exists to guarantee: **every sealed
 //! record is recovered exactly once** — never lost (a pre-commit crash
 //! replays the segments), never double-applied (a post-commit crash
 //! deletes the already-absorbed orphans instead of replaying them).
 //! Directed tests pin each boundary; a property test drives random
-//! multi-round interleavings of seals, faults, and recoveries.
+//! multi-round interleavings of seals, faults, and recoveries. The index
+//! log has its own cases: it rolls back by truncation like the pages, a
+//! damaged one is rebuilt from them, and a commit appends to it only what
+//! the commit added.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use geomancy_replaydb::{list_segments, segment_path, shard_path, WalWriter};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
-use geomancy_store::{FaultPoint, PagedStore, StoreConfig};
+use geomancy_store::index::ROW_LEN;
+use geomancy_store::store::{INDEX_FILE, MANIFEST_FILE, PAGES_FILE};
+use geomancy_store::{FaultPoint, Manifest, PagedStore, StoreConfig};
 use proptest::prelude::*;
 
 /// Unique per-test temp dirs: parallel tests and repeated proptest cases
@@ -99,6 +104,32 @@ fn stored_access_numbers(store: &PagedStore) -> Vec<u64> {
     ns
 }
 
+/// The committed manifest, after checking that `pages.bin` and `index.log`
+/// are exactly as long as it says — what every open must leave behind.
+fn manifest_matching_files(store_dir: &Path) -> Manifest {
+    let manifest = Manifest::load(&store_dir.join(MANIFEST_FILE))
+        .unwrap()
+        .unwrap_or_else(|| Manifest::empty(config().page_size));
+    let len = |name: &str| std::fs::metadata(store_dir.join(name)).unwrap().len();
+    assert_eq!(
+        len(PAGES_FILE),
+        manifest.committed_pages as u64 * manifest.page_size
+    );
+    assert_eq!(len(INDEX_FILE), manifest.index_bytes);
+    manifest
+}
+
+/// Everything the index answers, for before/after comparison.
+fn index_answers(store: &PagedStore) -> impl PartialEq + std::fmt::Debug {
+    (
+        store.recent(40).unwrap(),
+        store.recent_per_device(25).unwrap(),
+        (0..7)
+            .map(|f| store.recent_for_file(FileId(f), 9).unwrap())
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// Seals 30 records on each of two shards, kills the absorb at `fault`,
 /// reopens, recovers, and asserts exactly-once.
 fn crash_at(name: &str, fault: FaultPoint) {
@@ -118,7 +149,13 @@ fn crash_at(name: &str, fault: FaultPoint) {
         // Crash: the store drops here with the pipeline half-done.
     }
 
+    if fault == FaultPoint::AfterIndexWrite {
+        // The index log on disk describes pages the manifest never
+        // committed: open must roll it back with them.
+        assert!(std::fs::metadata(store_dir.join(INDEX_FILE)).unwrap().len() > 0);
+    }
     let (mut store, report) = PagedStore::open(&store_dir, config()).unwrap();
+    let manifest = manifest_matching_files(&store_dir);
     match fault {
         // Nothing committed: the appended tail must roll back and the
         // records must still live in their segments.
@@ -128,18 +165,20 @@ fn crash_at(name: &str, fault: FaultPoint) {
                 "uncommitted tail must roll back"
             );
             assert_eq!(store.total_records(), 0);
+            assert_eq!(manifest, Manifest::empty(config().page_size));
         }
         // Committed: the records are durable, only deletions are pending.
         FaultPoint::AfterManifestCommit => {
             assert_eq!(report.truncated_bytes, 0);
             assert_eq!(store.total_records(), 60);
+            assert_eq!(manifest.total_records, 60);
+            assert_eq!(manifest.absorbed, [1, 1]);
+            assert!(manifest.index_bytes > 0);
         }
     }
-    if fault == FaultPoint::AfterIndexWrite {
-        // The index on disk describes pages the manifest never committed:
-        // open must detect the mismatch and rebuild from committed pages.
-        assert!(report.index_rebuilt);
-    }
+    // Rolling back is truncation to the manifest's lengths, for the index
+    // as for the pages: at no boundary is a scan of the pages needed.
+    assert!(!report.index_rebuilt);
 
     let recovery = store.absorb_segments(&wal_dir, SHARDS, None).unwrap();
     match fault {
@@ -162,6 +201,12 @@ fn crash_at(name: &str, fault: FaultPoint) {
         sealed,
         "exactly-once violated"
     );
+    let recovered = manifest_matching_files(&store_dir);
+    assert_eq!(recovered.total_records, 60);
+    assert_eq!(recovered.absorbed, [1, 1]);
+    if fault == FaultPoint::AfterManifestCommit {
+        assert_eq!(recovered, manifest, "deleting orphans commits nothing");
+    }
     for shard in 0..SHARDS {
         assert!(
             list_segments(&wal_dir, shard).unwrap().is_empty(),
@@ -177,7 +222,7 @@ fn crash_after_page_write_replays_segments() {
 }
 
 #[test]
-fn crash_after_index_write_rolls_back_and_rebuilds() {
+fn crash_after_index_write_rolls_back_pages_and_index() {
     crash_at("index-write", FaultPoint::AfterIndexWrite);
 }
 
@@ -239,6 +284,109 @@ fn crash_during_recovery_still_converges() {
     cleanup(&store_dir);
 }
 
+/// An index log longer than the manifest commits (a crash after the index
+/// write, or anything else appended) is cut back to the committed length
+/// and loaded — not rebuilt.
+#[test]
+fn index_log_longer_than_committed_is_truncated_not_rebuilt() {
+    let (store_dir, wal_dir) = temp_dirs("index-long");
+    let mut n = 0u64;
+    seal_segment(&wal_dir, 0, 1, &mut n, 200);
+    let before = {
+        let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+        store.absorb_segments(&wal_dir, 1, None).unwrap();
+        index_answers(&store)
+    };
+    let committed = manifest_matching_files(&store_dir).index_bytes;
+    let path = store_dir.join(INDEX_FILE);
+    let mut log = std::fs::read(&path).unwrap();
+    // The tail a crashed commit leaves: more whole, valid rows.
+    log.extend_from_within(..3 * ROW_LEN);
+    log.extend_from_slice(b"and a torn one");
+    std::fs::write(&path, &log).unwrap();
+
+    let (store, report) = PagedStore::open(&store_dir, config()).unwrap();
+    assert!(!report.index_rebuilt);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+    assert_eq!(index_answers(&store), before);
+    cleanup(&store_dir);
+}
+
+/// A missing, short or checksum-failing index log is rebuilt from the
+/// committed pages with the same answers, and the next commit writes the
+/// whole log again so the open after it loads instead of scanning.
+#[test]
+fn damaged_index_log_is_rebuilt_from_pages() {
+    type Damage = fn(&Path, Vec<u8>);
+    let damages: [(&str, Damage); 4] = [
+        ("missing", |path, _| std::fs::remove_file(path).unwrap()),
+        ("short-row", |path, log| {
+            std::fs::write(path, &log[..log.len() - ROW_LEN]).unwrap()
+        }),
+        ("short-byte", |path, log| {
+            std::fs::write(path, &log[..log.len() - 1]).unwrap()
+        }),
+        ("flipped", |path, mut log| {
+            log[2 * ROW_LEN + 20] ^= 0x10;
+            std::fs::write(path, log).unwrap()
+        }),
+    ];
+    for (name, damage) in damages {
+        let (store_dir, wal_dir) = temp_dirs(&format!("index-{name}"));
+        let mut n = 0u64;
+        seal_segment(&wal_dir, 0, 1, &mut n, 200);
+        let before = {
+            let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+            store.absorb_segments(&wal_dir, 1, None).unwrap();
+            index_answers(&store)
+        };
+        let path = store_dir.join(INDEX_FILE);
+        let intact = std::fs::read(&path).unwrap();
+        damage(&path, intact.clone());
+
+        let (mut store, report) = PagedStore::open(&store_dir, config()).unwrap();
+        assert!(report.index_rebuilt, "{name}");
+        assert_eq!(index_answers(&store), before, "{name}");
+        seal_segment(&wal_dir, 0, 2, &mut n, 50);
+        store.absorb_segments(&wal_dir, 1, None).unwrap();
+        let after = index_answers(&store);
+        drop(store);
+        // The rewritten log continues the intact one byte for byte.
+        assert_eq!(std::fs::read(&path).unwrap()[..intact.len()], intact[..]);
+        manifest_matching_files(&store_dir);
+        let (store, report) = PagedStore::open(&store_dir, config()).unwrap();
+        assert!(!report.index_rebuilt, "{name}: log not rewritten");
+        assert_eq!(index_answers(&store), after, "{name}");
+        cleanup(&store_dir);
+    }
+}
+
+/// What a commit appends to the index log depends on the pages it added,
+/// not on the history behind them: six equal absorbs grow it by six equal
+/// steps.
+#[test]
+fn index_log_grows_by_the_pages_added() {
+    let (store_dir, wal_dir) = temp_dirs("index-growth");
+    let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+    let mut n = 0u64;
+    let mut lens = vec![0u64];
+    for seq in 1..=6 {
+        seal_segment(&wal_dir, 0, seq, &mut n, 500);
+        let report = store.absorb_segments(&wal_dir, 1, None).unwrap();
+        // `record` spreads every page over all 7 files and 3 devices: one
+        // page row + 10 key rows per page.
+        let grew = manifest_matching_files(&store_dir).index_bytes - lens[lens.len() - 1];
+        assert_eq!(grew, report.pages_added as u64 * 11 * ROW_LEN as u64);
+        lens.push(lens[lens.len() - 1] + grew);
+    }
+    assert_eq!(
+        lens[6],
+        6 * lens[1],
+        "sixth commit wrote what the first did"
+    );
+    cleanup(&store_dir);
+}
+
 proptest! {
     /// Random multi-round interleavings: each round seals fresh records
     /// on every shard and runs an absorb that is killed at a random
@@ -271,10 +419,12 @@ proptest! {
             store.absorb_segments(&wal_dir, shards, fault).unwrap();
         }
         // Final restart and clean recovery.
-        let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+        let (mut store, report) = PagedStore::open(&store_dir, config()).unwrap();
+        prop_assert!(!report.index_rebuilt);
         store.absorb_segments(&wal_dir, shards, None).unwrap();
         sealed.sort_unstable();
         prop_assert_eq!(stored_access_numbers(&store), sealed);
+        prop_assert_eq!(manifest_matching_files(&store_dir).total_records, n);
         for shard in 0..shards {
             prop_assert!(list_segments(&wal_dir, shard).unwrap().is_empty());
         }
