@@ -56,8 +56,8 @@ COMMANDS:
                                       the files (default 0 = full scan)
                   --zipf-exponent S   zipf skew for --zipf-ops (default 1.0)
                   --seed N            workload seed (default 42)
-                  --batch-window-us N batching window in µs (default 100)
-                  --max-batch N       max requests fused per pass (default 256)
+                  --max-batch N       max requests fused per pass (default 256);
+                                      a pass takes what is queued, never waits
                   --queue-capacity N  shard/query queue depth (default 1024)
                   --reactor-workers N reactor pool threads (default 0 = auto)
                   --max-pending N     shed queries above N in flight (default off)
@@ -468,7 +468,6 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let serve_config = ServeConfig {
         shards,
         queue_capacity: args.u64_or("queue-capacity", 1024)? as usize,
-        batch_window_micros: args.u64_or("batch-window-us", 100)?,
         max_batch: if mode == QueryMode::PerFile {
             1
         } else {

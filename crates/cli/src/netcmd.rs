@@ -98,7 +98,6 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
         shards,
         store,
         queue_capacity: args.u64_or("queue-capacity", 1024)? as usize,
-        batch_window_micros: args.u64_or("batch-window-us", 100)?,
         max_batch: args.u64_or("max-batch", 256)? as usize,
         wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
         candidates: (0..6).map(DeviceId).collect(),

@@ -38,7 +38,6 @@ fn trained_service() -> Arc<PlacementService> {
     let svc = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
         queue_capacity: 64,
-        batch_window_micros: 0,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {

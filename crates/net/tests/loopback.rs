@@ -28,11 +28,10 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
     }
 }
 
-fn service(admission: AdmissionConfig, batch_window_micros: u64) -> Arc<PlacementService> {
+fn service(admission: AdmissionConfig) -> Arc<PlacementService> {
     Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
         queue_capacity: 64,
-        batch_window_micros,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -57,7 +56,7 @@ fn client(server: &NetServer) -> Client {
 /// after readiness, ingest, retrain, solo and batched queries, metrics.
 #[test]
 fn full_protocol_over_loopback() {
-    let svc = service(AdmissionConfig::default(), 0);
+    let svc = service(AdmissionConfig::default());
     let server = start(&svc);
     let c = client(&server);
 
@@ -138,14 +137,11 @@ fn full_protocol_over_loopback() {
 /// sockets).
 #[test]
 fn overload_is_a_status_not_a_reset() {
-    let svc = service(
-        AdmissionConfig {
-            max_pending_requests: Some(0),
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let svc = service(AdmissionConfig {
+        max_pending_requests: Some(0),
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     // Publish a model so overload is the only obstacle.
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
@@ -184,36 +180,43 @@ fn overload_is_a_status_not_a_reset() {
     Arc::try_unwrap(svc).expect("sole owner").shutdown();
 }
 
-/// Kill-mid-stream: a client vanishes with queries in flight (a long
-/// batch window holds them open). The server must keep serving other
-/// connections and release every orphaned reply path — the admission
-/// controller's pending gauge returns to zero.
+/// Kill-mid-stream: a client vanishes with queries in flight (the engine
+/// is parked inside a gated completion, so they provably are). The server
+/// must keep serving other connections and release every orphaned reply
+/// path — the admission controller's pending gauge returns to zero.
 #[test]
 fn killed_client_leaks_nothing_and_neighbors_survive() {
-    let svc = service(
-        AdmissionConfig {
-            max_pending_requests: Some(1_000),
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        // A long batch window (200 ms) keeps submissions pending long
-        // enough to yank the socket out from under them.
-        200_000,
-    );
+    let svc = service(AdmissionConfig {
+        max_pending_requests: Some(1_000),
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
     svc.retrain_now().unwrap();
     let server = start(&svc);
+    let req = |fid| PlacementRequest {
+        fid: FileId(fid),
+        read_bytes: 1_000_000,
+        write_bytes: 0,
+    };
 
-    // The doomed peer: a raw socket fires queries into the open batch
-    // window and vanishes without ever reading a reply.
+    // Park the engine: this completion blocks until `release` drops (it
+    // breaks the must-not-block rule on purpose), so nothing submitted
+    // after it is answered before then.
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let (parked_tx, parked) = std::sync::mpsc::channel();
+    svc.query_many_async(vec![req(0)], move |_| {
+        parked_tx.send(()).unwrap();
+        let _ = gate.recv();
+    });
+    parked.recv().expect("engine reached the gated completion");
+
+    // The doomed peer: a raw socket fires queries at the parked engine
+    // and vanishes without ever reading a reply.
     {
-        let payload = geomancy_net::wire::encode_query_req(&[PlacementRequest {
-            fid: FileId(1),
-            read_bytes: 1_000_000,
-            write_bytes: 0,
-        }]);
+        let payload = geomancy_net::wire::encode_query_req(&[req(1)]);
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         use std::io::Write;
         for corr in 0..8u64 {
@@ -222,26 +225,27 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
             raw.write_all(&frame.encode()).unwrap();
         }
         raw.flush().unwrap();
-        // Connection dropped with all 8 queries parked in the window.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.metrics().pending_requests != 8 {
+            assert!(
+                Instant::now() < deadline,
+                "the 8 queries never got in flight"
+            );
+            std::thread::yield_now();
+        }
+        // Connection dropped with all 8 queries admitted and unanswered.
         drop(raw);
     }
+    drop(release);
 
-    // A healthy neighbor keeps getting answers the whole time.
+    // A healthy neighbor is served once the engine moves again.
     let healthy = client(&server);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut served = 0;
-    while served < 5 && Instant::now() < deadline {
+    for _ in 0..5 {
         let ds = healthy
-            .query_many(&[PlacementRequest {
-                fid: FileId(2),
-                read_bytes: 1_000_000,
-                write_bytes: 0,
-            }])
+            .query_many(&[req(2)])
             .expect("healthy client must keep being served");
         assert_eq!(ds.len(), 1);
-        served += 1;
     }
-    assert_eq!(served, 5, "healthy neighbor starved after a peer died");
 
     // The orphaned submissions completed into a dead writer; admission
     // accounting must still have been released.
@@ -266,7 +270,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
 /// closes — the peer learns *why*, instead of seeing a bare reset.
 #[test]
 fn oversized_frame_gets_too_large_then_close() {
-    let svc = service(AdmissionConfig::default(), 0);
+    let svc = service(AdmissionConfig::default());
     let server = NetServer::start(
         "127.0.0.1:0",
         Arc::clone(&svc),
@@ -299,7 +303,7 @@ fn oversized_frame_gets_too_large_then_close() {
 /// clients in flight get answers or clean disconnects, never hangs.
 #[test]
 fn shutdown_drains_cleanly_under_traffic() {
-    let svc = service(AdmissionConfig::default(), 0);
+    let svc = service(AdmissionConfig::default());
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }

@@ -15,6 +15,11 @@ use crate::optimizer::Optimizer;
 /// in-arena path.
 pub const PARALLEL_MIN_ROWS: usize = 32;
 
+/// Rows per task of the parallel forward pass: 128 rows of the widest
+/// layer's activations (96 `f64` columns) are ≈96 KB, which stays
+/// cache-resident from one layer to the next.
+const TILE_ROWS: usize = 128;
+
 /// A feed-forward stack of layers trained with backpropagation.
 ///
 /// The network owns a scratch arena (per-layer activation buffers and a
@@ -189,16 +194,21 @@ impl Sequential {
     }
 
     /// Row-parallel stateless forward: the batch is split into contiguous
-    /// row chunks, each processed by one pool task with its own ping-pong
-    /// buffers via [`Layer::forward_inference_into`].
+    /// tiles of at most [`TILE_ROWS`] rows (and at least one per pool
+    /// thread), each a pool task with its own ping-pong buffers via
+    /// [`Layer::forward_inference_into`]. The caller and the pool workers
+    /// pull tiles from one queue, so a worker that wakes late costs the
+    /// pass about half its lateness, not all of it as with one chunk per
+    /// thread. Rows are independent: outputs are bit-equal to the serial
+    /// path whatever the tiling.
     fn predict_parallel_into(&self, input: MatrixView<'_>, out: &mut Matrix) {
         let out_cols = self
             .output_size()
             .expect("cannot predict with an empty network");
         let rows = input.rows();
         out.resize(rows, out_cols);
-        let n_chunks = rayon::current_num_threads().clamp(1, rows);
-        let chunk_rows = rows.div_ceil(n_chunks);
+        let n_threads = rayon::current_num_threads().clamp(1, rows);
+        let chunk_rows = rows.div_ceil(n_threads).min(TILE_ROWS);
         let layers = &self.layers;
         rayon::scope(|s| {
             for (ci, out_chunk) in out
@@ -439,20 +449,22 @@ mod tests {
 
     #[test]
     fn parallel_predict_matches_serial() {
-        // 2x PARALLEL_MIN_ROWS rows forces the parallel path (when more than
-        // one thread is available); the serial arena path is the reference.
+        // Every count takes the parallel path (when more than one thread is
+        // available): the threshold itself, one chunk per thread, and whole
+        // tiles plus a remainder. The serial arena path is the reference.
         let mut net = two_layer();
-        let rows = 2 * PARALLEL_MIN_ROWS;
-        let mut x = Matrix::zeros(rows, 3);
-        for r in 0..rows {
-            for c in 0..3 {
-                x[(r, c)] = (r * 3 + c) as f64 * 0.01 - 2.0;
+        for rows in [PARALLEL_MIN_ROWS, 2 * PARALLEL_MIN_ROWS, 3 * TILE_ROWS + 17] {
+            let mut x = Matrix::zeros(rows, 3);
+            for r in 0..rows {
+                for c in 0..3 {
+                    x[(r, c)] = (r * 3 + c) as f64 * 0.01 - 2.0;
+                }
             }
+            let parallel = net.predict(&x);
+            net.forward_all(x.view());
+            let serial = net.acts[net.layers.len() - 1].clone();
+            assert_eq!(parallel, serial, "{rows} rows");
         }
-        let parallel = net.predict(&x);
-        net.forward_all(x.view());
-        let serial = net.acts[net.layers.len() - 1].clone();
-        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //!
 //! Clients submit either one request ([`crate::PlacementService::query`])
 //! or a whole slice ([`crate::PlacementService::query_many`]); each
-//! submission is one mailbox message. The first submission opens a batch
-//! and arms a *window timer*; the batch closes — one fused pass answering
-//! every held submission — when it reaches `max_batch` requests, when the
-//! window expires, or (with a zero window) the moment the mailbox
-//! momentarily empties. Timers are generation-tagged: closing a batch
-//! bumps the generation, so a stale timer from an already-served batch is
-//! ignored instead of slicing the next batch short. Within a batch,
+//! submission is one mailbox message. The engine holds what it has taken
+//! and closes the batch — one fused pass answering every held submission —
+//! when it reaches `max_batch` requests or when its mailbox is empty.
+//! Nothing waits on a clock: a lone caller on an idle engine is answered
+//! at once, and while one pass runs later submissions queue, so the next
+//! pass takes all of them and batch size grows with load. Within a batch,
 //! requests with the same `(file, read, write)` shape share a single
 //! feature row — BELLE II reads each file 10–20 times in succession, so
 //! concurrent request streams are full of exact duplicates — and the
@@ -197,11 +196,9 @@ pub(crate) struct Submission {
 
 /// Tuning knobs for the engine (split out so signatures stay readable).
 pub(crate) struct BatchParams {
-    /// Maximum requests fused into one pass.
+    /// Maximum requests fused into one pass: submissions already queued
+    /// join the open batch until it holds this many.
     pub max_batch: usize,
-    /// How long to hold an open batch waiting for stragglers, in
-    /// microseconds of reactor time.
-    pub window_micros: u64,
     /// Candidate devices ranked for every request.
     pub candidates: Vec<DeviceId>,
 }
@@ -239,7 +236,6 @@ impl BatchEngine {
             BatchActor {
                 engine: None,
                 epoch: 0,
-                gen: 0,
                 pending: Vec::new(),
                 params,
                 slot,
@@ -247,7 +243,9 @@ impl BatchEngine {
                 metrics,
                 unique: Vec::new(),
                 row_of: HashMap::new(),
+                rows: Vec::new(),
                 ranked: Vec::new(),
+                best: Vec::new(),
             },
         );
         BatchEngine {
@@ -312,9 +310,6 @@ impl BatchEngine {
 struct BatchActor {
     engine: Option<DrlEngine>,
     epoch: u64,
-    /// Batch generation: bumped whenever a batch closes, so an outstanding
-    /// window timer armed for an earlier batch is recognized as stale.
-    gen: u64,
     pending: Vec<Submission>,
     params: BatchParams,
     slot: Arc<ModelSlot>,
@@ -322,39 +317,30 @@ struct BatchActor {
     metrics: Arc<ServeMetrics>,
     // Scratch reused across batches (allocation-free steady state).
     unique: Vec<PlacementQuery>,
-    row_of: HashMap<PlacementRequest, usize>,
+    row_of: HashMap<PlacementRequest, u32>,
+    /// Row index of every held request, in submission order.
+    rows: Vec<u32>,
     ranked: Vec<(DeviceId, f64)>,
+    /// Best candidate and its predicted throughput, per unique row.
+    best: Vec<(DeviceId, f64)>,
 }
 
 impl Actor for BatchActor {
     type Msg = Submission;
 
     fn on_msg(&mut self, sub: Submission, ctx: &mut Ctx<'_>) {
-        let opening = self.pending.is_empty();
         self.pending.push(sub);
-        if opening && self.params.window_micros > 0 {
-            ctx.set_timer(self.params.window_micros, self.gen);
-        }
         let held: usize = self.pending.iter().map(|s| s.requests.len()).sum();
-        if held >= self.params.max_batch {
-            self.serve(ctx);
-        } else if self.params.window_micros == 0 && ctx.pending_msgs() == 0 {
-            // Zero window: close the batch the moment the mailbox
-            // momentarily empties (pure opportunistic coalescing).
-            self.serve(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        // Only the timer armed for the *current* batch closes it.
-        if token == self.gen && !self.pending.is_empty() {
+        // An empty mailbox means nobody else is submitting right now; a
+        // non-empty one guarantees another `on_msg` to extend the batch.
+        if held >= self.params.max_batch || ctx.pending_msgs() == 0 {
             self.serve(ctx);
         }
     }
 
     fn on_stop(&mut self, ctx: &mut Ctx<'_>) {
-        // Drain already delivered every accepted submission; a batch still
-        // waiting on its window timer is served now rather than dropped.
+        // A graceful drain ends on an empty mailbox, which served the batch;
+        // only a retire that purged the mailbox leaves one held here.
         if !self.pending.is_empty() {
             self.serve(ctx);
         }
@@ -364,7 +350,6 @@ impl Actor for BatchActor {
 impl BatchActor {
     /// Answers every pending submission with one fused pass.
     fn serve(&mut self, ctx: &mut Ctx<'_>) {
-        self.gen = self.gen.wrapping_add(1);
         // Batch boundary: adopt a newly published model, if any.
         if let Some((e, model)) = self.slot.take() {
             self.engine = Some(model);
@@ -387,23 +372,30 @@ impl BatchActor {
         );
         self.unique.clear();
         self.row_of.clear();
-        for sub in self.pending.iter() {
-            for req in &sub.requests {
-                self.row_of.entry(*req).or_insert_with(|| {
-                    self.unique.push(PlacementQuery {
-                        fid: req.fid,
-                        read_bytes: req.read_bytes,
-                        write_bytes: req.write_bytes,
-                        now_secs,
-                        now_ms,
-                    });
-                    self.unique.len() - 1
+        self.rows.clear();
+        for req in self.pending.iter().flat_map(|sub| &sub.requests) {
+            let next = self.unique.len() as u32;
+            let row = *self.row_of.entry(*req).or_insert(next);
+            if row == next {
+                self.unique.push(PlacementQuery {
+                    fid: req.fid,
+                    read_bytes: req.read_bytes,
+                    write_bytes: req.write_bytes,
+                    now_secs,
+                    now_ms,
                 });
             }
+            self.rows.push(row);
         }
         model.rank_locations_batch_into(&self.unique, &self.params.candidates, &mut self.ranked);
         let per = self.params.candidates.len();
         let unique_rows = self.unique.len();
+        self.best.clear();
+        self.best.extend(self.ranked.chunks_exact(per).map(|row| {
+            *row.iter()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("candidates are non-empty")
+        }));
         // All of the batch's bookkeeping lands in one accounting section,
         // before any reply goes out: a woken client must see the full,
         // coherent counters for its own batch.
@@ -431,17 +423,16 @@ impl BatchActor {
             }
         }
         let served_at = ctx.now_micros();
+        let mut rows = self.rows.as_slice();
         for sub in self.pending.drain(..) {
+            let (mine, rest) = rows.split_at(sub.requests.len());
+            rows = rest;
             let decisions: Vec<Decision> = sub
                 .requests
                 .iter()
-                .map(|req| {
-                    let row = self.row_of[req];
-                    let (best, tp) = self.ranked[row * per..(row + 1) * per]
-                        .iter()
-                        .copied()
-                        .max_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("candidates are non-empty");
+                .zip(mine)
+                .map(|(req, &row)| {
+                    let (best, tp) = self.best[row as usize];
                     Decision {
                         fid: req.fid,
                         best,

@@ -37,9 +37,9 @@
 //! - **Batched queries** ([`batch`]): concurrent placement requests
 //!   coalesce into one fused forward pass, with duplicate request shapes
 //!   deduplicated into shared feature rows. The engine actor owns the
-//!   model exclusively; its batch window is a generation-tagged reactor
-//!   timer, so it runs on simulated time when the service is started with
-//!   a [`geomancy_sim::SharedSimClock`].
+//!   model exclusively and closes a batch whenever its mailbox is
+//!   empty, so batches grow with load and an idle engine answers at
+//!   once.
 //! - **Hot-swap training** ([`trainer`]): retraining runs on shard
 //!   *snapshots* gathered by message fan-out and publishes finished
 //!   models through an atomic epoch pointer; serving never blocks on

@@ -100,11 +100,10 @@ pub struct ServeConfig {
     /// Bounded depth of each shard mailbox and of the query mailbox, in
     /// messages.
     pub queue_capacity: usize,
-    /// How long the query engine holds an open batch for stragglers, in
-    /// microseconds. 0 fuses only what is already queued.
-    pub batch_window_micros: u64,
-    /// Maximum placement requests fused into one forward pass. 1 disables
-    /// coalescing entirely (the per-file baseline).
+    /// Maximum placement requests fused into one forward pass: the engine
+    /// fuses the submissions already queued when it turns to them, up to
+    /// this many requests, and never waits for more. 1 disables coalescing
+    /// entirely (the per-file baseline).
     pub max_batch: usize,
     /// Directory for per-shard WALs; `None` keeps shards memory-only.
     pub wal_dir: Option<PathBuf>,
@@ -156,7 +155,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             queue_capacity: 1024,
-            batch_window_micros: 100,
             max_batch: 256,
             wal_dir: None,
             candidates: (0..4).map(DeviceId).collect(),
@@ -219,9 +217,9 @@ impl PlacementService {
     }
 
     /// Starts the service with `clock` as *both* the reactor's time source
-    /// and the telemetry clock: batch-window timers then fire only when
-    /// simulated time is published past them (by ingest timestamps or by
-    /// the test directly), making the whole pipeline deterministic.
+    /// and the telemetry clock: the service's timers (the checkpoint
+    /// cadence) then fire only when simulated time is published past them
+    /// (by ingest timestamps or by the test directly).
     pub fn start_with_clock(config: ServeConfig, clock: SharedSimClock) -> Self {
         let time: Arc<dyn TimeSource> = Arc::new(clock.clone());
         PlacementService::start_inner(config, Some(time), clock)
@@ -296,7 +294,6 @@ impl PlacementService {
             &reactor,
             BatchParams {
                 max_batch: config.max_batch,
-                window_micros: config.batch_window_micros,
                 candidates: config.candidates.clone(),
             },
             Arc::clone(&slot),
@@ -850,43 +847,137 @@ mod tests {
         assert_eq!(total, 300);
     }
 
-    /// The whole pipeline on simulated time: the batch window opens on
-    /// submit and closes only when the shared clock is published past it —
-    /// no wall time involved.
-    #[test]
-    fn batch_window_runs_on_shared_sim_time() {
-        let clock = geomancy_sim::SharedSimClock::new();
-        let mut config = test_config();
-        config.batch_window_micros = 1_000_000; // one *simulated* second
-        let service = Arc::new(PlacementService::start_with_clock(config, clock.clone()));
-        ingest_biased(&service, 300); // publishes sim time up to 299 s
-        service.retrain_now().expect("enough data");
-        let s2 = Arc::clone(&service);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let client = std::thread::spawn(move || {
-            let out = s2.query(PlacementRequest {
-                fid: FileId(1),
+    /// A gated completion: parks the engine actor inside the reply of a
+    /// one-request submission until the returned sender is dropped, so
+    /// later submissions provably queue behind it. (Completions must not
+    /// block; a test breaks that rule on purpose.)
+    fn park_engine(service: &PlacementService) -> std::sync::mpsc::Sender<()> {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        service.query_many_async(slice(1_000, 1), move |result| {
+            result.expect("model is published");
+            parked_tx.send(()).unwrap();
+            let _ = gate.recv();
+        });
+        parked.recv().expect("engine reached the gated completion");
+        release
+    }
+
+    fn wait_for_queued(service: &PlacementService, depth: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while service.metrics().engine_queue != depth {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "engine mailbox never reached depth {depth}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// `n` requests with distinct shapes, file ids counting up from `first`.
+    fn slice(first: u64, n: u64) -> Vec<PlacementRequest> {
+        (first..first + n)
+            .map(|fid| PlacementRequest {
+                fid: FileId(fid),
                 read_bytes: 1_000_000,
                 write_bytes: 0,
-            });
-            tx.send(out).unwrap();
-        });
-        // The batch stays open: simulated time is frozen at the ingest
-        // high-water mark, so the window timer cannot fire.
-        assert!(
-            rx.recv_timeout(std::time::Duration::from_millis(100))
-                .is_err(),
-            "window closed without simulated time advancing"
-        );
-        clock.publish_micros(301_000_000);
-        let decision = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("window closes once sim time passes it")
-            .expect("model is published");
-        assert_eq!(decision.model_epoch, 1);
-        client.join().unwrap();
+            })
+            .collect()
+    }
+
+    fn ready_service() -> Arc<PlacementService> {
+        let service = PlacementService::start(test_config());
+        ingest_biased(&service, 300);
+        service.retrain_now().expect("enough data");
+        Arc::new(service)
+    }
+
+    fn shutdown(service: Arc<PlacementService>) {
         Arc::try_unwrap(service)
             .unwrap_or_else(|_| panic!("sole owner"))
             .shutdown();
+    }
+
+    /// Submissions that queue while a pass runs are all answered by the
+    /// next one, deduped across submissions.
+    #[test]
+    fn queued_submissions_fuse_into_one_pass() {
+        let service = ready_service();
+        let release = park_engine(&service);
+        // 8, 16 and 24 requests over files 0..8, 0..16 and 0..24.
+        let sizes = [8u64, 16, 24];
+        let clients = sizes.map(|n| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.query_many(&slice(0, n)))
+        });
+        wait_for_queued(&service, 3);
+        drop(release);
+        for (client, n) in clients.into_iter().zip(sizes) {
+            let decisions = client.join().unwrap().expect("model is published");
+            assert_eq!(decisions.len() as u64, n);
+            for d in &decisions {
+                assert_eq!(d.batch_requests, 48, "one pass answered all three");
+                assert_eq!(d.unique_rows, 24);
+            }
+        }
+        assert_eq!(service.metrics().coalesced_decisions, 24);
+        shutdown(service);
+    }
+
+    /// A lone caller on an idle engine is answered by its own message: no
+    /// timer is armed on the decision path.
+    #[test]
+    fn lone_queries_arm_no_timer() {
+        let service = ready_service();
+        for i in 0..200 {
+            let d = service
+                .query(slice(i % 4, 1)[0])
+                .expect("model is published");
+            assert_eq!(d.batch_requests, 1);
+        }
+        let stats = service.reactor().stats();
+        let engine = stats.actors.iter().find(|a| a.name == "query-engine");
+        let engine = engine.expect("engine actor is live");
+        assert_eq!(engine.timers_fired, 0);
+        assert_eq!(engine.processed, 200);
+        assert_eq!(service.metrics().solo_decisions, 200);
+        shutdown(service);
+    }
+
+    /// Queued submissions beyond `max_batch` split into several passes;
+    /// each is answered exactly once.
+    #[test]
+    fn queued_submissions_beyond_max_batch_split() {
+        let service = ready_service();
+        let max_batch = ServeConfig::default().max_batch as u64;
+        let release = park_engine(&service);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Five submissions of max_batch / 4 + 1 requests: the fourth closes
+        // a pass, the fifth is left for the next.
+        let per = max_batch / 4 + 1;
+        for k in 0..5u64 {
+            let tx = tx.clone();
+            service.query_many_async(slice(k * per, per), move |result| {
+                tx.send((k, result)).unwrap();
+            });
+        }
+        drop(tx);
+        wait_for_queued(&service, 5);
+        drop(release);
+        let mut answered = [0u32; 5];
+        let mut passes = std::collections::BTreeSet::new();
+        for (k, result) in rx {
+            let decisions = result.expect("model is published");
+            assert_eq!(decisions.len() as u64, per);
+            assert!(decisions.iter().map(|d| d.fid.0).eq(k * per..(k + 1) * per));
+            answered[k as usize] += 1;
+            passes.insert(decisions[0].batch_requests as u64);
+        }
+        assert_eq!(answered, [1; 5], "every submission answered exactly once");
+        assert_eq!(passes.into_iter().collect::<Vec<_>>(), [per, 4 * per]);
+        let m = service.metrics();
+        assert_eq!(m.decisions, 1 + 5 * per);
+        assert_eq!(m.pending_requests, 0);
+        shutdown(service);
     }
 }

@@ -12,13 +12,15 @@
 //!   `ingested + dropped == offered` records.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_serve::{
     AdmissionConfig, PlacementRequest, PlacementService, QueryError, ServeConfig,
 };
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
+use geomancy_sim::SharedSimClock;
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
     let dev = (n % 2) as u32;
@@ -38,13 +40,10 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
     }
 }
 
-/// Starts a small service with a published model and the given admission
-/// config.
-fn ready_service(admission: AdmissionConfig, batch_window_micros: u64) -> Arc<PlacementService> {
-    let service = PlacementService::start(ServeConfig {
+fn config(admission: AdmissionConfig) -> ServeConfig {
+    ServeConfig {
         shards: 2,
         queue_capacity: 4,
-        batch_window_micros,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -54,7 +53,11 @@ fn ready_service(admission: AdmissionConfig, batch_window_micros: u64) -> Arc<Pl
         },
         admission,
         ..ServeConfig::default()
-    });
+    }
+}
+
+/// Ingests enough telemetry and publishes a model.
+fn warmed(service: PlacementService) -> Arc<PlacementService> {
     for i in 0..300u64 {
         service.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -62,19 +65,22 @@ fn ready_service(admission: AdmissionConfig, batch_window_micros: u64) -> Arc<Pl
     Arc::new(service)
 }
 
+/// Starts a small service with a published model and the given admission
+/// config.
+fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
+    warmed(PlacementService::start(config(admission)))
+}
+
 /// A zero watermark sheds everything, deterministically, with every shed
 /// counted.
 #[test]
 fn zero_watermark_sheds_every_request() {
-    let service = ready_service(
-        AdmissionConfig {
-            max_pending_requests: Some(0),
-            latency_watermark_us: None,
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let service = ready_service(AdmissionConfig {
+        max_pending_requests: Some(0),
+        latency_watermark_us: None,
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     for _ in 0..50 {
         let err = service
             .query(PlacementRequest {
@@ -99,15 +105,12 @@ fn zero_watermark_sheds_every_request() {
 /// batch it is allowed to send.
 #[test]
 fn oversized_submission_admitted_when_quiet() {
-    let service = ready_service(
-        AdmissionConfig {
-            max_pending_requests: Some(4),
-            latency_watermark_us: None,
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let service = ready_service(AdmissionConfig {
+        max_pending_requests: Some(4),
+        latency_watermark_us: None,
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     let requests: Vec<PlacementRequest> = (0..16)
         .map(|i| PlacementRequest {
             fid: FileId(i % 4),
@@ -126,34 +129,59 @@ fn oversized_submission_admitted_when_quiet() {
 }
 
 /// Once the latency EWMA crosses its watermark, later requests shed —
-/// latency feedback, not just queue depth.
+/// latency feedback, not just queue depth. Reactor time is a clock the
+/// test owns, so the slow decision is exactly 2 ms slow: a query is held
+/// in the mailbox of an engine parked inside a gated completion (which
+/// breaks the completion's must-not-block rule on purpose) while the
+/// clock moves.
 #[test]
 fn latency_watermark_sheds_after_slow_decisions() {
-    // A 2 ms batch window guarantees every decision waits ≥ 2000 µs, so
-    // the first served batch pushes the EWMA over the zero watermark.
-    let service = ready_service(
-        AdmissionConfig {
+    let clock = SharedSimClock::new();
+    let service = warmed(PlacementService::start_with_clock(
+        config(AdmissionConfig {
             max_pending_requests: None,
             latency_watermark_us: Some(0),
             defer_micros: 0,
             ..AdmissionConfig::default()
-        },
-        2_000,
-    );
+        }),
+        clock.clone(),
+    ));
     let req = PlacementRequest {
         fid: FileId(0),
         read_bytes: 1_000_000,
         write_bytes: 0,
     };
-    // EWMA is still zero: admitted.
-    service.query(req).expect("first query admitted");
+    let (release, gate) = mpsc::channel::<()>();
+    let (parked_tx, parked) = mpsc::channel();
+    service.query_many_async(vec![req], move |result| {
+        result.expect("model is published");
+        parked_tx.send(()).unwrap();
+        let _ = gate.recv();
+    });
+    parked.recv().expect("engine reached the gated completion");
+    // The clock stood still while the gate's own decision was taken, so
+    // the EWMA is still zero and the held query is admitted.
+    let held = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.query(req))
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.metrics().engine_queue < 1 {
+        assert!(Instant::now() < deadline, "held query never queued");
+        std::thread::yield_now();
+    }
+    clock.publish_micros(clock.now_micros() + 2_000);
+    drop(release);
+    held.join()
+        .unwrap()
+        .expect("held query admitted and served");
     // The reply updated the EWMA before it reached us: shed from now on.
     assert_eq!(service.query(req).unwrap_err(), QueryError::Overloaded);
     let snap = service.metrics();
-    assert_eq!(snap.queries_offered, 2);
-    assert_eq!(snap.queries_admitted, 1);
+    assert_eq!(snap.queries_offered, 3);
+    assert_eq!(snap.queries_admitted, 2);
     assert_eq!(snap.queries_shed, 1);
-    assert!(snap.latency_ewma_us >= 2_000, "EWMA tracks the window");
+    assert_eq!(snap.latency_ewma_us, 2_000, "EWMA is the held decision");
     Arc::try_unwrap(service).expect("sole owner").shutdown();
 }
 
@@ -165,15 +193,12 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
     const ITERS: u64 = 60;
     const BURST: u64 = 16;
     const WATERMARK: u64 = 48;
-    let service = ready_service(
-        AdmissionConfig {
-            max_pending_requests: Some(WATERMARK),
-            latency_watermark_us: None,
-            defer_micros: 50,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let service = ready_service(AdmissionConfig {
+        max_pending_requests: Some(WATERMARK),
+        latency_watermark_us: None,
+        defer_micros: 50,
+        ..AdmissionConfig::default()
+    });
 
     // Ingest pressure on the non-blocking path while queries run.
     let ingest_offered = Arc::new(AtomicU64::new(0));
@@ -284,14 +309,11 @@ fn per_shard_bound_sheds_hot_shard_without_starving_others() {
     // Files guaranteed to map to shard 0 ("hot") and shard 1 ("cool").
     let hot_fid = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
     let cool_fid = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
-    let service = ready_service(
-        AdmissionConfig {
-            per_shard_pending: vec![0, 1_000],
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let service = ready_service(AdmissionConfig {
+        per_shard_pending: vec![0, 1_000],
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     let hot = PlacementRequest {
         fid: FileId(hot_fid),
         read_bytes: 1_000_000,
@@ -326,14 +348,11 @@ fn per_shard_bound_sheds_hot_shard_without_starving_others() {
 /// submissions, which complete inline with `Overloaded`.
 #[test]
 fn async_queries_account_and_release_pending() {
-    let service = ready_service(
-        AdmissionConfig {
-            max_pending_requests: Some(64),
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        },
-        0,
-    );
+    let service = ready_service(AdmissionConfig {
+        max_pending_requests: Some(64),
+        defer_micros: 0,
+        ..AdmissionConfig::default()
+    });
     let (tx, rx) = std::sync::mpsc::channel();
     for i in 0..8u64 {
         let tx = tx.clone();

@@ -40,7 +40,6 @@ fn connection_churn_leaves_no_residue() {
     let svc = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
         queue_capacity: 64,
-        batch_window_micros: 0,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
