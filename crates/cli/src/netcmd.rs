@@ -306,25 +306,14 @@ pub fn query(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Renders a metrics snapshot as one flat JSON object, by hand — the
-/// tree carries no serde, and the shape is simple enough (u64s, u64
-/// arrays, one short string) that assembling the text directly is the
-/// honest implementation.
+/// Renders a metrics snapshot as one flat JSON object by walking the
+/// snapshot's named view — every scalar, the derived `p99_latency_us`,
+/// every vector, then the backend string — so a counter added to the
+/// table shows up here with no edit.
 fn metrics_json(m: &MetricsSnapshot) -> String {
-    fn arr(values: impl Iterator<Item = u64>) -> String {
-        let mut out = String::from("[");
-        for (i, v) in values.enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-        out
-    }
-    // The only string field is the kernel backend name, which is a
-    // fixed identifier — escape the JSON specials anyway so a future
-    // backend name cannot produce invalid output.
+    // The only string value is the kernel backend name, a fixed
+    // identifier — escape the JSON specials anyway so a future backend
+    // name cannot produce invalid output.
     let backend: String = m
         .kernel_backend
         .chars()
@@ -335,77 +324,59 @@ fn metrics_json(m: &MetricsSnapshot) -> String {
             c => vec![c],
         })
         .collect();
-    let mut s = String::with_capacity(1024);
-    s.push('{');
-    let field = |s: &mut String, name: &str, value: String| {
-        if s.len() > 1 {
-            s.push(',');
+    let mut fields: Vec<String> = m
+        .scalars()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    fields.push(format!("\"p99_latency_us\":{}", m.p99_latency_us()));
+    for (name, values) in m.vectors() {
+        let values: Vec<String> = values.iter().map(u64::to_string).collect();
+        fields.push(format!("\"{name}\":[{}]", values.join(",")));
+    }
+    fields.push(format!("\"kernel_backend\":\"{backend}\""));
+    format!("{{{}}}", fields.join(","))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every name in the snapshot's view lands in the JSON exactly once
+    /// with its value — checked by walking the view, so a new counter
+    /// needs no edit here.
+    #[test]
+    fn metrics_json_carries_every_named_value_once() {
+        let mut m = MetricsSnapshot::default();
+        let names: Vec<&str> = m.scalars().map(|(name, _)| name).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(m.set_scalar(name, 100 + i as u64));
         }
-        s.push('"');
-        s.push_str(name);
-        s.push_str("\":");
-        s.push_str(&value);
-    };
-    field(&mut s, "node_id", m.node_id.to_string());
-    field(&mut s, "ingested_records", m.ingested_records.to_string());
-    field(&mut s, "ingest_batches", m.ingest_batches.to_string());
-    field(&mut s, "dropped_batches", m.dropped_batches.to_string());
-    field(&mut s, "dropped_records", m.dropped_records.to_string());
-    field(
-        &mut s,
-        "queue_depth",
-        arr(m.queue_depth.iter().map(|&d| d as u64)),
-    );
-    field(&mut s, "decisions", m.decisions.to_string());
-    field(&mut s, "batched_decisions", m.batched_decisions.to_string());
-    field(&mut s, "solo_decisions", m.solo_decisions.to_string());
-    field(
-        &mut s,
-        "coalesced_decisions",
-        m.coalesced_decisions.to_string(),
-    );
-    field(&mut s, "fused_rows", m.fused_rows.to_string());
-    field(&mut s, "model_swaps", m.model_swaps.to_string());
-    field(&mut s, "retrains", m.retrains.to_string());
-    field(&mut s, "queries_offered", m.queries_offered.to_string());
-    field(&mut s, "queries_admitted", m.queries_admitted.to_string());
-    field(&mut s, "queries_shed", m.queries_shed.to_string());
-    field(&mut s, "pending_requests", m.pending_requests.to_string());
-    field(&mut s, "pending_peak", m.pending_peak.to_string());
-    field(
-        &mut s,
-        "pending_per_shard",
-        arr(m.pending_per_shard.iter().copied()),
-    );
-    field(&mut s, "shard_shed", arr(m.shard_shed.iter().copied()));
-    field(&mut s, "latency_ewma_us", m.latency_ewma_us.to_string());
-    field(&mut s, "p99_latency_us", m.p99_latency_us().to_string());
-    field(&mut s, "latency_us", arr(m.latency_us.iter().copied()));
-    field(&mut s, "engine_queue", (m.engine_queue as u64).to_string());
-    field(
-        &mut s,
-        "net_connections_live",
-        m.net_connections_live.to_string(),
-    );
-    field(&mut s, "net_writers_live", m.net_writers_live.to_string());
-    field(&mut s, "kernel_backend", format!("\"{backend}\""));
-    field(&mut s, "store_pages", m.store_pages.to_string());
-    field(&mut s, "store_cold_bytes", m.store_cold_bytes.to_string());
-    field(
-        &mut s,
-        "wal_pending_records",
-        m.wal_pending_records.to_string(),
-    );
-    field(&mut s, "checkpoints", m.checkpoints.to_string());
-    field(
-        &mut s,
-        "last_checkpoint_micros",
-        m.last_checkpoint_micros.to_string(),
-    );
-    field(&mut s, "retrain_records", m.retrain_records.to_string());
-    field(&mut s, "retrain_micros", m.retrain_micros.to_string());
-    field(&mut s, "warm_starts", m.warm_starts.to_string());
-    field(&mut s, "full_retrains", m.full_retrains.to_string());
-    s.push('}');
-    s
+        for (i, (name, _)) in m.vectors().into_iter().enumerate() {
+            assert!(m.set_vector(name, vec![i as u64, 7, 9]));
+        }
+        m.kernel_backend = "quo\"te".to_string();
+
+        let text = metrics_json(&m);
+        let parsed: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+        for (name, value) in m.scalars() {
+            assert_eq!(text.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+            assert_eq!(parsed.get(name).and_then(|v| v.as_u64()), Some(value));
+        }
+        for (name, values) in m.vectors() {
+            assert_eq!(text.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+            let got: Vec<u64> = parsed.get(name).and_then(|v| v.as_array()).expect(name)[..]
+                .iter()
+                .map(|v| v.as_u64().expect("u64 element"))
+                .collect();
+            assert_eq!(got, values);
+        }
+        assert_eq!(
+            parsed.get("p99_latency_us").and_then(|v| v.as_u64()),
+            Some(m.p99_latency_us())
+        );
+        assert_eq!(
+            parsed.get("kernel_backend").and_then(|v| v.as_str()),
+            Some("quo\"te")
+        );
+    }
 }

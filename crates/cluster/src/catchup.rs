@@ -1,5 +1,5 @@
 //! Replica catch-up: the protocol logic behind the `CatchUpReq` /
-//! `CatchUpChunk` / `CatchUpDone` frames (wire protocol v6).
+//! `CatchUpChunk` / `CatchUpDone` frames.
 //!
 //! A round is either **pure-seq** or **pure-cold**, never mixed:
 //!

@@ -35,7 +35,7 @@
 //!   failure, and adopts fresher maps from `WrongEpoch` rejections.
 //! - The wire vocabulary itself (`ClusterInfo`, `ShipSegment`,
 //!   `Heartbeat`, the `CatchUp*` family, the `WrongEpoch` status)
-//!   lives in [`geomancy_net::wire`] as protocol-v6 frames.
+//!   lives in [`geomancy_net::wire`].
 //!
 //! Consistency model: a record is *cluster-durable* once the segment
 //! holding it has been acknowledged by every replica of its shard

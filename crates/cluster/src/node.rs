@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use geomancy_net::wire::{
-    self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat_addr, decode_ship_segment,
-    encode_catch_up_ack, encode_catch_up_chunk, encode_cluster_info_resp, encode_heartbeat,
+    self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_ship_segment,
+    encode_catch_up_ack, encode_catch_up_chunk, encode_cluster_info_resp, encode_heartbeat_ack,
     encode_ship_ack, encode_wrong_epoch,
 };
 use geomancy_net::{
@@ -103,7 +103,7 @@ pub struct ClusterNodeConfig {
     pub net: NetConfig,
     /// Rejoin mode: the node starts with an epoch-0 map that assigns it
     /// *no* primaryships (any live peer's real map wins on first
-    /// contact), announces itself through v6 heartbeats, catches each
+    /// contact), announces itself through heartbeats, catches each
     /// wanted shard up, and earns its shards back through the demotion
     /// protocol. `peers` may omit this node when it is a brand-new
     /// member.
@@ -415,16 +415,17 @@ impl ClusterHandler for ClusterCore {
     }
 
     fn on_heartbeat(&self, payload: &[u8]) -> Vec<u8> {
-        if let Ok((peer, _epoch, addr)) = decode_heartbeat_addr(payload) {
+        if let Ok((peer, _epoch, addr)) = decode_heartbeat(payload) {
             self.mark_seen(peer);
-            // A v6 heartbeat carries the sender's listener address: an
-            // unknown node announcing itself joins the membership list
-            // (assignments untouched — it earns shards via catch-up).
-            if let Some(addr) = addr {
+            // A heartbeat carries the sender's listener address unless it
+            // probes from outside the cluster: an unknown node announcing
+            // itself joins the membership list (assignments untouched —
+            // it earns shards via catch-up).
+            if !addr.is_empty() {
                 self.apply_join(peer, &addr);
             }
         }
-        encode_heartbeat(self.node_id, self.epoch())
+        encode_heartbeat_ack(self.node_id, self.epoch())
     }
 
     fn on_catch_up(&self, payload: &[u8]) -> Vec<u8> {
@@ -999,7 +1000,7 @@ fn ship_one(core: &Arc<ClusterCore>, seg: &SealedSeg, conns: &mut HashMap<u64, C
 
 /// Per-prober settings that don't change after startup.
 struct ProberKnobs {
-    /// Listener address announced in v6 heartbeats (drives join).
+    /// Listener address announced in heartbeats (drives join).
     advertised: String,
     /// Liveness deadline for the demotion state machine, in micros.
     deadline_micros: u64,
@@ -1041,7 +1042,7 @@ fn prober_loop(
                     }
                 }
             };
-            match client.heartbeat_addr(core.node_id, map.epoch, &knobs.advertised) {
+            match client.announce(core.node_id, map.epoch, &knobs.advertised) {
                 Ok((peer_id, peer_epoch)) => {
                     core.mark_seen(peer_id);
                     if peer_epoch > core.epoch() {

@@ -22,9 +22,9 @@ use geomancy_cluster::{
     bootstrap_map, preferred_primary, promote, shard_for, DemotionStep, RepairState,
 };
 use geomancy_net::wire::{
-    self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_heartbeat_addr,
+    self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_heartbeat_ack,
     decode_ship_segment, encode_catch_up_ack, encode_catch_up_chunk, encode_catch_up_done,
-    encode_catch_up_req, encode_cluster_info_resp, encode_heartbeat, encode_heartbeat_addr,
+    encode_catch_up_req, encode_cluster_info_resp, encode_heartbeat, encode_heartbeat_ack,
     encode_ship_ack, encode_ship_segment, CatchUpData, CatchUpDone, CatchUpReq, SegmentShip,
     WireStatus,
 };
@@ -240,16 +240,14 @@ fn handle(
 ) -> Vec<u8> {
     match kind {
         FrameKind::Heartbeat => {
-            let (peer, _epoch, addr) = decode_heartbeat_addr(payload).expect("heartbeat");
+            let (peer, _epoch, addr) = decode_heartbeat(payload).expect("heartbeat");
             state.repair.mark_seen(peer, now);
-            if let Some(addr) = addr {
-                if !state.map.nodes.iter().any(|n| n.node_id == peer) {
-                    if let Some(next) = geomancy_cluster::join(&state.map, peer, &addr) {
-                        state.map = next;
-                    }
+            if !addr.is_empty() && !state.map.nodes.iter().any(|n| n.node_id == peer) {
+                if let Some(next) = geomancy_cluster::join(&state.map, peer, &addr) {
+                    state.map = next;
                 }
             }
-            encode_heartbeat(state.id, state.map.epoch)
+            encode_heartbeat_ack(state.id, state.map.epoch)
         }
         FrameKind::ClusterInfoReq => encode_cluster_info_resp(&state.map),
         FrameKind::CatchUpReq => {
@@ -379,11 +377,11 @@ fn tick(net: &SimNet, id: u64, now: u64) {
         .filter(|&p| p != id)
         .collect();
     for peer in &peers {
-        let hb = encode_heartbeat_addr(id, map.epoch, &addr);
+        let hb = encode_heartbeat(id, map.epoch, &addr);
         let Ok(reply) = net.request(id, *peer, FrameKind::Heartbeat, &hb, now) else {
             continue;
         };
-        let Ok((pid, pepoch)) = decode_heartbeat(&reply) else {
+        let Ok((pid, pepoch)) = decode_heartbeat_ack(&reply) else {
             continue;
         };
         net.with(id, |s| s.repair.mark_seen(pid, now));

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use geomancy_cluster::{bootstrap_map, demote, join, leave, promote};
-use geomancy_net::wire::{decode_cluster_map, encode_cluster_map};
+use geomancy_net::wire::{decode_cluster_info_resp, encode_cluster_info_resp};
 use geomancy_net::ClusterMap;
 use proptest::prelude::*;
 
@@ -106,8 +106,8 @@ proptest! {
             assert_single_ownership(&map);
         }
         // Whatever the walk produced must survive the wire.
-        let bytes = encode_cluster_map(&map);
-        let decoded = decode_cluster_map(&bytes).expect("round-trip decode");
+        let bytes = encode_cluster_info_resp(&map);
+        let decoded = decode_cluster_info_resp(&bytes).expect("round-trip decode");
         prop_assert_eq!(decoded, map);
     }
 

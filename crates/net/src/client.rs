@@ -446,8 +446,8 @@ impl Client {
         }
     }
 
-    /// Fetches the node's current [`ClusterMap`] (protocol v5; a
-    /// single-node server answers `BadRequest`).
+    /// Fetches the node's current [`ClusterMap`] (a single-node server
+    /// answers `BadRequest`).
     ///
     /// # Errors
     ///
@@ -467,8 +467,8 @@ impl Client {
         wire::decode_cluster_info_resp(&reply.payload).map_err(NetError::Protocol)
     }
 
-    /// Ships one sealed WAL segment to a follower (protocol v5). Returns
-    /// once the follower has durably applied it.
+    /// Ships one sealed WAL segment to a follower. Returns once the
+    /// follower has durably applied it.
     ///
     /// # Errors
     ///
@@ -489,45 +489,35 @@ impl Client {
         }
     }
 
-    /// One heartbeat round trip: sends this node's id and epoch, returns
-    /// the peer's `(node_id, epoch)` view (protocol v5).
+    /// One heartbeat round trip from outside the membership: sends
+    /// `node_id` and `epoch` with no listener address, returns the peer's
+    /// `(node_id, epoch)` view.
     ///
     /// # Errors
     ///
-    /// Typed [`NetError`]s — a timeout or disconnect here is the
-    /// failover detector's signal.
+    /// As [`Client::announce`].
     pub fn heartbeat(&self, node_id: u64, epoch: u64) -> Result<(u64, u64), NetError> {
-        let reply = self.request(
-            FrameKind::Heartbeat,
-            FrameKind::HeartbeatAck,
-            wire::encode_heartbeat(node_id, epoch),
-        )?;
-        wire::decode_heartbeat(&reply.payload).map_err(NetError::Protocol)
+        self.announce(node_id, epoch, "")
     }
 
-    /// One heartbeat round trip that also announces this node's listener
-    /// address (protocol v6), so a peer that does not know the sender
-    /// can admit it to the map.
+    /// One heartbeat round trip that announces this node's listener
+    /// address, so a peer that does not know the sender can admit it to
+    /// the map. Returns the peer's `(node_id, epoch)` view.
     ///
     /// # Errors
     ///
     /// Typed [`NetError`]s — a timeout or disconnect here is the
     /// failover detector's signal.
-    pub fn heartbeat_addr(
-        &self,
-        node_id: u64,
-        epoch: u64,
-        addr: &str,
-    ) -> Result<(u64, u64), NetError> {
+    pub fn announce(&self, node_id: u64, epoch: u64, addr: &str) -> Result<(u64, u64), NetError> {
         let reply = self.request(
             FrameKind::Heartbeat,
             FrameKind::HeartbeatAck,
-            wire::encode_heartbeat_addr(node_id, epoch, addr),
+            wire::encode_heartbeat(node_id, epoch, addr),
         )?;
-        wire::decode_heartbeat(&reply.payload).map_err(NetError::Protocol)
+        wire::decode_heartbeat_ack(&reply.payload).map_err(NetError::Protocol)
     }
 
-    /// Requests one catch-up chunk for a shard (protocol v6).
+    /// Requests one catch-up chunk for a shard.
     ///
     /// # Errors
     ///
@@ -554,7 +544,7 @@ impl Client {
     }
 
     /// Reports a completed catch-up round's durable floor to the shard's
-    /// primary (protocol v6). Returns the primary's epoch.
+    /// primary. Returns the primary's epoch.
     ///
     /// # Errors
     ///

@@ -31,10 +31,10 @@ use crate::wire::{
     self, DecodeError, Frame, FrameKind, FrameReader, Health, WireStatus, DEFAULT_MAX_PAYLOAD,
 };
 
-/// Cluster extension a server consults when it runs as a cluster node
-/// (protocol v5). Implemented by `geomancy-cluster`; a plain
-/// single-node server runs without one and answers the cluster frames
-/// with [`WireStatus::BadRequest`].
+/// Cluster extension a server consults when it runs as a cluster node.
+/// Implemented by `geomancy-cluster`; a plain single-node server runs
+/// without one and answers the cluster frames with
+/// [`WireStatus::BadRequest`].
 ///
 /// Methods returning payloads return *complete response payloads* —
 /// the handler owns the epoch checks and the map, the transport only
@@ -53,21 +53,13 @@ pub trait ClusterHandler: Send + Sync {
     fn on_ship(&self, payload: &[u8]) -> Vec<u8>;
     /// Answers a peer heartbeat; returns the `HeartbeatAck` payload.
     fn on_heartbeat(&self, payload: &[u8]) -> Vec<u8>;
-    /// Serves one catch-up chunk (protocol v6); returns the
-    /// `CatchUpChunk` payload. Like `on_ship`, it may block on disk I/O
-    /// on the connection's own reader thread. The default answers
-    /// `BadRequest` so pre-repair handlers keep compiling.
-    fn on_catch_up(&self, payload: &[u8]) -> Vec<u8> {
-        let _ = payload;
-        wire::encode_catch_up_chunk(WireStatus::BadRequest, None, None)
-    }
-    /// Records a follower's completed catch-up round (protocol v6);
-    /// returns the `CatchUpAck` payload. The default answers
-    /// `BadRequest`.
-    fn on_catch_up_done(&self, payload: &[u8]) -> Vec<u8> {
-        let _ = payload;
-        wire::encode_catch_up_ack(WireStatus::BadRequest, 0, None)
-    }
+    /// Serves one catch-up chunk; returns the `CatchUpChunk` payload.
+    /// Like `on_ship`, it may block on disk I/O on the connection's own
+    /// reader thread.
+    fn on_catch_up(&self, payload: &[u8]) -> Vec<u8>;
+    /// Records a follower's completed catch-up round; returns the
+    /// `CatchUpAck` payload.
+    fn on_catch_up_done(&self, payload: &[u8]) -> Vec<u8>;
 }
 
 /// Transport-layer tuning knobs.
@@ -81,8 +73,9 @@ pub struct NetConfig {
     /// Reader poll tick — how often a blocked read wakes to check the
     /// stop flag and the stall clock, milliseconds.
     pub read_tick_millis: u64,
-    /// How long a peer may sit mid-frame without delivering a byte
-    /// before the connection is declared stalled and closed,
+    /// How long a peer may stop making progress — sit mid-frame without
+    /// delivering a byte, or leave a reply unread so its write cannot
+    /// complete — before the connection is declared stalled and closed,
     /// milliseconds.
     pub stall_timeout_millis: u64,
     /// Worker threads on the writer reactor (0 = runtime default).
@@ -117,6 +110,10 @@ pub struct NetStats {
     pub frames_out: AtomicU64,
     /// Connections torn down on protocol errors.
     pub protocol_errors: AtomicU64,
+    /// Connections closed because the peer made no progress for
+    /// [`NetConfig::stall_timeout_millis`]: silent mid-frame, or not
+    /// reading its replies.
+    pub stalled: AtomicU64,
     /// Queries answered [`WireStatus::Overloaded`] at the wire layer
     /// (per-connection in-flight cap), before reaching admission.
     pub wire_shed: AtomicU64,
@@ -139,7 +136,8 @@ enum WriteMsg {
 /// Owns the write half of one connection. Lives on the net reactor, so
 /// writes serialize per connection without a lock, and a peer that
 /// stops reading only ever stalls this actor's turns — never the serve
-/// pool.
+/// pool — and those for at most the socket's write timeout, after which
+/// the connection is closed and the net worker moves on.
 struct Writer {
     stream: TcpStream,
     stats: Arc<NetStats>,
@@ -158,10 +156,15 @@ impl Actor for Writer {
                 }
                 self.scratch.clear();
                 frame.encode_into(&mut self.scratch);
-                if self.stream.write_all(&self.scratch).is_err() {
-                    // Peer is gone: wake the reader (it sees EOF/reset),
-                    // drop queued replies on the floor (retire purges the
-                    // mailbox), and give the slot back.
+                if let Err(e) = self.stream.write_all(&self.scratch) {
+                    // Peer is gone, or has not read for the whole write
+                    // timeout (the frame may be half-written, so the
+                    // stream is finished either way): wake the reader (it
+                    // sees EOF/reset), drop queued replies on the floor
+                    // (retire purges the mailbox), and give the slot back.
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                        self.stats.stalled.fetch_add(1, Ordering::Relaxed);
+                    }
                     self.dead = true;
                     let _ = self.stream.shutdown(Shutdown::Both);
                     ctx.stop_self();
@@ -237,8 +240,8 @@ impl NetServer {
     }
 
     /// Binds `addr` and serves `service` as a cluster node: `handler`
-    /// answers the protocol-v5 cluster frames and gates ingest/query on
-    /// shard ownership.
+    /// answers the cluster frames and gates ingest/query on shard
+    /// ownership.
     ///
     /// # Errors
     ///
@@ -453,6 +456,12 @@ fn spawn_connection(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(config.read_tick_millis.max(1))))?;
     let write_half = stream.try_clone()?;
+    // Replies reach the writer by `send_now`, past the mailbox bound, so
+    // without this a peer that never reads parks a net worker in
+    // `write_all` forever while its reply queue grows.
+    write_half.set_write_timeout(Some(Duration::from_millis(
+        config.stall_timeout_millis.max(1),
+    )))?;
     let (writer, _handle) = reactor.spawn(
         &format!("net-writer-{conn_seq}"),
         256,
@@ -548,7 +557,9 @@ fn read_loop(
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if reader.has_partial() && last_progress.elapsed() > stall_limit {
-                    break; // Mid-frame and silent too long: stalled.
+                    // Mid-frame and silent too long: stalled.
+                    shared.stats.stalled.fetch_add(1, Ordering::Relaxed);
+                    break;
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -748,7 +759,7 @@ fn dispatch(
                 // A standalone server is trivially alive; answer with the
                 // null node id so a probing cluster peer still gets an
                 // echo.
-                None => wire::encode_heartbeat(0, 0),
+                None => wire::encode_heartbeat_ack(0, 0),
             };
             shared.reply(Frame::new(FrameKind::HeartbeatAck, corr, payload));
         }

@@ -6,7 +6,7 @@
 //! offset  size  field
 //! ──────  ────  ─────────────────────────────────────────────
 //!      0     4  magic          b"GEOM"
-//!      4     1  version        currently 2
+//!      4     1  version        [`VERSION`]; a frame stamped otherwise is refused
 //!      5     1  kind           [`FrameKind`] discriminant
 //!      6     8  correlation id u64 LE, echoed verbatim in the reply
 //!     14     4  payload length u32 LE, bounded by the peer's max
@@ -18,27 +18,23 @@
 //! oversized input produces a typed [`DecodeError`] — decoders never
 //! panic and the streaming [`FrameReader`] never blocks waiting for
 //! bytes it can already prove will not parse.
+//!
+//! There is one protocol version. Payload layouts are positional except
+//! the metrics response, which is a self-describing run of named values
+//! (see [`encode_metrics_resp`]; DESIGN.md's transport section has the
+//! byte layout): a new counter is a new name in that frame, not a new
+//! version.
+
+use std::collections::HashSet;
 
 use geomancy_serve::{Decision, MetricsSnapshot, PlacementRequest};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"GEOM";
-/// Protocol version this build speaks. Version 2 appended the kernel
-/// backend byte to the metrics response; version 3 appended the cold-store
-/// block (pages, bytes, checkpoint lag/count/duration) at its end;
-/// version 4 appended the trainer block (retrain records/micros,
-/// warm-start and full-retrain counts) after the store block; version 5
-/// appended the cluster block (node id) after the trainer block and
-/// added the cluster frames (ship/heartbeat/cluster-info) plus the
-/// [`WireStatus::WrongEpoch`] status carrying a fresh [`ClusterMap`];
-/// version 6 added the catch-up frames (req/chunk/done/ack) for replica
-/// backfill and appended an optional listener address to the heartbeat
-/// payload so unknown rejoining nodes can be admitted to the map.
-pub const VERSION: u8 = 6;
-/// Oldest protocol version this build still decodes. Versions 2 and 3
-/// differ only by absent trailing blocks, which decode as zeros.
-pub const MIN_VERSION: u8 = 2;
+/// The one protocol version this build speaks and accepts; a header
+/// carrying any other is [`DecodeError::UnsupportedVersion`].
+pub const VERSION: u8 = 7;
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Default cap on a single frame's payload (4 MiB).
@@ -50,6 +46,8 @@ pub const RECORD_WIRE_LEN: usize = 56;
 pub const REQUEST_WIRE_LEN: usize = 24;
 /// Bytes one [`Decision`] occupies on the wire.
 pub const DECISION_WIRE_LEN: usize = 36;
+/// Longest metric name a metrics frame may carry, bytes.
+pub const MAX_METRIC_NAME: usize = 64;
 
 /// What kind of message a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,25 +73,25 @@ pub enum FrameKind {
     RetrainReq = 9,
     /// Retrain outcome ← server.
     RetrainResp = 10,
-    /// Cluster map request → any node (version 5).
+    /// Cluster map request → any node.
     ClusterInfoReq = 11,
-    /// Cluster map ← node (version 5).
+    /// Cluster map ← node.
     ClusterInfoResp = 12,
-    /// Sealed WAL segment shipped primary → follower (version 5).
+    /// Sealed WAL segment shipped primary → follower.
     ShipSegment = 13,
-    /// Segment durably applied ← follower (version 5).
+    /// Segment durably applied ← follower.
     ShipAck = 14,
-    /// Liveness beacon between cluster nodes (version 5).
+    /// Liveness beacon between cluster nodes.
     Heartbeat = 15,
-    /// Heartbeat echo carrying the peer's epoch view (version 5).
+    /// Heartbeat echo carrying the peer's epoch view.
     HeartbeatAck = 16,
-    /// Bounded backfill request follower → primary (version 6).
+    /// Bounded backfill request follower → primary.
     CatchUpReq = 17,
-    /// One backfill chunk ← primary (version 6).
+    /// One backfill chunk ← primary.
     CatchUpChunk = 18,
-    /// Follower reports its new durable floor → primary (version 6).
+    /// Follower reports its new durable floor → primary.
     CatchUpDone = 19,
-    /// Done acknowledgement ← primary (version 6).
+    /// Done acknowledgement ← primary.
     CatchUpAck = 20,
 }
 
@@ -157,7 +155,7 @@ pub enum WireStatus {
     /// Retrain refused: not enough telemetry yet.
     NotEnoughData = 9,
     /// The request routed on a stale [`ClusterMap`] epoch; the response
-    /// payload carries the current map (version 5).
+    /// payload carries the current map.
     WrongEpoch = 10,
 }
 
@@ -349,7 +347,7 @@ fn parse_header(bytes: &[u8], max_payload: usize) -> Result<(usize, Frame), Deco
     if magic != MAGIC {
         return Err(DecodeError::BadMagic(magic));
     }
-    if !(MIN_VERSION..=VERSION).contains(&bytes[4]) {
+    if bytes[4] != VERSION {
         return Err(DecodeError::UnsupportedVersion(bytes[4]));
     }
     let kind = FrameKind::from_u8(bytes[5])?;
@@ -474,6 +472,27 @@ impl<'a> Cur<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    fn remaining(&self) -> usize {
+        self.b.len() - self.p
+    }
+
+    /// A `u16`-length-prefixed utf-8 string; `not_utf8` names the field
+    /// in the error.
+    fn str(&mut self, not_utf8: &'static str) -> Result<&'a str, DecodeError> {
+        let len = self.u16()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| DecodeError::BadPayload(not_utf8))
+    }
+
+    /// A declared element count, refused up front when even `n` elements
+    /// of `min_len` bytes could not fit in what is left of the payload —
+    /// so no loop or allocation is ever sized by a corrupted count.
+    fn count(&self, n: usize, min_len: usize) -> Result<usize, DecodeError> {
+        match n.checked_mul(min_len) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
     /// Declares the payload fully consumed.
     fn finish(&self) -> Result<(), DecodeError> {
         if self.p != self.b.len() {
@@ -495,6 +514,11 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u16(out, s.len() as u16);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Caps speculative `Vec::with_capacity` from wire-declared counts so a
@@ -674,95 +698,64 @@ pub fn decode_query_resp(payload: &[u8]) -> Result<(WireStatus, Vec<Decision>), 
 
 // ───────────────────────── metrics codec ─────────────────────────
 
-fn put_u64_vec(out: &mut Vec<u8>, v: &[u64]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u64(out, x);
-    }
+fn put_metric_name(out: &mut Vec<u8>, name: &str) {
+    debug_assert!(name.len() <= MAX_METRIC_NAME, "metric name too long");
+    out.push(name.len() as u8);
+    out.extend_from_slice(name.as_bytes());
 }
 
-fn get_u64_vec(c: &mut Cur<'_>) -> Result<Vec<u64>, DecodeError> {
-    let n = c.u32()?;
-    let mut v = Vec::with_capacity(sane_cap(n));
-    for _ in 0..n {
-        v.push(c.u64()?);
+/// Reads one metric name and records it in `seen`.
+fn get_metric_name<'a>(
+    c: &mut Cur<'a>,
+    seen: &mut HashSet<&'a str>,
+) -> Result<&'a str, DecodeError> {
+    let len = c.u8()? as usize;
+    if len > MAX_METRIC_NAME {
+        return Err(DecodeError::BadPayload("metric name too long"));
     }
-    Ok(v)
+    let name = std::str::from_utf8(c.take(len)?)
+        .map_err(|_| DecodeError::BadPayload("metric name is not utf-8"))?;
+    if !seen.insert(name) {
+        return Err(DecodeError::BadPayload("metric name repeated"));
+    }
+    Ok(name)
 }
 
-/// Encodes a metrics response: status byte, the fixed counters, then
-/// the length-prefixed vectors.
+/// Encodes a metrics response as one self-describing frame: status
+/// byte, `count × (name, u64)`, `count × (name, u64 vector)`, then the
+/// kernel backend string — whatever [`MetricsSnapshot::scalars`] and
+/// [`MetricsSnapshot::vectors`] yield, so this codec names no counter.
 pub fn encode_metrics_resp(snap: &MetricsSnapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+    let mut out = Vec::with_capacity(1024);
     out.push(WireStatus::Ok as u8);
-    for v in [
-        snap.ingested_records,
-        snap.ingest_batches,
-        snap.dropped_batches,
-        snap.dropped_records,
-        snap.decisions,
-        snap.batched_decisions,
-        snap.solo_decisions,
-        snap.coalesced_decisions,
-        snap.fused_rows,
-        snap.model_swaps,
-        snap.retrains,
-        snap.queries_offered,
-        snap.queries_admitted,
-        snap.queries_shed,
-        snap.pending_requests,
-        snap.pending_peak,
-        snap.latency_ewma_us,
-        snap.engine_queue as u64,
-        snap.net_connections_live,
-        snap.net_writers_live,
-    ] {
-        put_u64(&mut out, v);
+    let scalars = snap.scalars();
+    put_u16(&mut out, scalars.len() as u16);
+    for (name, value) in scalars {
+        put_metric_name(&mut out, name);
+        put_u64(&mut out, value);
     }
-    // Version 2: kernel backend byte after the fixed counters.
-    out.push(match snap.kernel_backend.as_str() {
-        "scalar" => 0,
-        "avx2_fma" => 1,
-        _ => 255,
-    });
-    let queue_depth: Vec<u64> = snap.queue_depth.iter().map(|&d| d as u64).collect();
-    put_u64_vec(&mut out, &queue_depth);
-    put_u64_vec(&mut out, &snap.pending_per_shard);
-    put_u64_vec(&mut out, &snap.shard_shed);
-    put_u64_vec(&mut out, &snap.latency_us);
-    // Version 3: cold-store block at the payload's end, where a version-2
-    // decoder simply never looks.
-    for v in [
-        snap.store_pages,
-        snap.store_cold_bytes,
-        snap.wal_pending_records,
-        snap.checkpoints,
-        snap.last_checkpoint_micros,
-    ] {
-        put_u64(&mut out, v);
+    let vectors = snap.vectors();
+    put_u16(&mut out, vectors.len() as u16);
+    for (name, values) in &vectors {
+        put_metric_name(&mut out, name);
+        put_u32(&mut out, values.len() as u32);
+        for &v in values {
+            put_u64(&mut out, v);
+        }
     }
-    // Version 4: trainer block after the store block — append-only, so
-    // version-2 and version-3 decoders never look this far.
-    for v in [
-        snap.retrain_records,
-        snap.retrain_micros,
-        snap.warm_starts,
-        snap.full_retrains,
-    ] {
-        put_u64(&mut out, v);
-    }
-    // Version 5: cluster block after the trainer block — append-only, so
-    // version-2 through version-4 decoders never look this far.
-    put_u64(&mut out, snap.node_id);
+    put_str(&mut out, &snap.kernel_backend);
     out
 }
 
-/// Decodes a metrics response back into a [`MetricsSnapshot`].
+/// Decodes a metrics response back into a [`MetricsSnapshot`]. A name
+/// this build does not know is skipped and a field the peer did not
+/// name stays zero, which is what lets the two ends differ by a counter.
 ///
 /// # Errors
 ///
-/// Typed [`DecodeError`]s on truncation, unknown status, or trailing
-/// bytes.
+/// Typed [`DecodeError`]s on truncation (a count the payload cannot
+/// hold included), an unknown or non-ok status, an over-long, non-utf-8
+/// or repeated name, or trailing bytes.
 pub fn decode_metrics_resp(payload: &[u8]) -> Result<MetricsSnapshot, DecodeError> {
     let mut c = Cur::new(payload);
     let status = WireStatus::from_u8(c.u8()?)?;
@@ -771,95 +764,28 @@ pub fn decode_metrics_resp(payload: &[u8]) -> Result<MetricsSnapshot, DecodeErro
             "metrics response with non-ok status",
         ));
     }
-    let ingested_records = c.u64()?;
-    let ingest_batches = c.u64()?;
-    let dropped_batches = c.u64()?;
-    let dropped_records = c.u64()?;
-    let decisions = c.u64()?;
-    let batched_decisions = c.u64()?;
-    let solo_decisions = c.u64()?;
-    let coalesced_decisions = c.u64()?;
-    let fused_rows = c.u64()?;
-    let model_swaps = c.u64()?;
-    let retrains = c.u64()?;
-    let queries_offered = c.u64()?;
-    let queries_admitted = c.u64()?;
-    let queries_shed = c.u64()?;
-    let pending_requests = c.u64()?;
-    let pending_peak = c.u64()?;
-    let latency_ewma_us = c.u64()?;
-    let engine_queue = c.u64()? as usize;
-    let net_connections_live = c.u64()?;
-    let net_writers_live = c.u64()?;
-    let kernel_backend = match c.u8()? {
-        0 => "scalar",
-        1 => "avx2_fma",
-        _ => "unknown",
+    let mut snap = MetricsSnapshot::default();
+    let mut seen = HashSet::new();
+    // Smallest scalar entry: empty name (1) + value (8).
+    let scalars = c.u16()? as usize;
+    for _ in 0..c.count(scalars, 9)? {
+        let name = get_metric_name(&mut c, &mut seen)?;
+        snap.set_scalar(name, c.u64()?);
     }
-    .to_string();
-    let queue_depth: Vec<usize> = get_u64_vec(&mut c)?
-        .into_iter()
-        .map(|d| d as usize)
-        .collect();
-    let pending_per_shard = get_u64_vec(&mut c)?;
-    let shard_shed = get_u64_vec(&mut c)?;
-    let latency_us = get_u64_vec(&mut c)?;
-    // Version-3 store block; a version-2 peer ends here and the store
-    // gauges decode as zeros (no store configured, or an old server).
-    let (store_pages, store_cold_bytes, wal_pending_records, checkpoints, last_checkpoint_micros) =
-        if c.p < c.b.len() {
-            (c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?)
-        } else {
-            (0, 0, 0, 0, 0)
-        };
-    // Version-4 trainer block; version-2 and version-3 peers end before
-    // it and the trainer gauges decode as zeros.
-    let (retrain_records, retrain_micros, warm_starts, full_retrains) = if c.p < c.b.len() {
-        (c.u64()?, c.u64()?, c.u64()?, c.u64()?)
-    } else {
-        (0, 0, 0, 0)
-    };
-    // Version-5 cluster block; older peers end before it and the node id
-    // decodes as zero (a single-node server).
-    let node_id = if c.p < c.b.len() { c.u64()? } else { 0 };
+    // Smallest vector entry: empty name (1) + length (4).
+    let vectors = c.u16()? as usize;
+    for _ in 0..c.count(vectors, 5)? {
+        let name = get_metric_name(&mut c, &mut seen)?;
+        let len = c.u32()? as usize;
+        let mut values = Vec::with_capacity(c.count(len, 8)?);
+        for _ in 0..len {
+            values.push(c.u64()?);
+        }
+        snap.set_vector(name, values);
+    }
+    snap.kernel_backend = c.str("kernel backend is not utf-8")?.to_string();
     c.finish()?;
-    Ok(MetricsSnapshot {
-        ingested_records,
-        ingest_batches,
-        dropped_batches,
-        dropped_records,
-        queue_depth,
-        decisions,
-        batched_decisions,
-        solo_decisions,
-        coalesced_decisions,
-        fused_rows,
-        model_swaps,
-        retrains,
-        queries_offered,
-        queries_admitted,
-        queries_shed,
-        pending_requests,
-        pending_peak,
-        pending_per_shard,
-        shard_shed,
-        latency_ewma_us,
-        engine_queue,
-        net_connections_live,
-        net_writers_live,
-        kernel_backend,
-        latency_us,
-        store_pages,
-        store_cold_bytes,
-        wal_pending_records,
-        checkpoints,
-        last_checkpoint_micros,
-        retrain_records,
-        retrain_micros,
-        warm_starts,
-        full_retrains,
-        node_id,
-    })
+    Ok(snap)
 }
 
 // ───────────────────────── health codec ─────────────────────────
@@ -938,7 +864,7 @@ pub fn decode_retrain_resp(payload: &[u8]) -> Result<(WireStatus, u64), DecodeEr
     Ok((status, epoch))
 }
 
-// ───────────────────────── cluster codec (v5) ─────────────────────────
+// ───────────────────────── cluster codec ─────────────────────────
 
 /// One node's identity in a [`ClusterMap`]: a stable id and the address
 /// its `geomancy-net` listener answers on.
@@ -1019,8 +945,7 @@ fn put_cluster_map(out: &mut Vec<u8>, map: &ClusterMap) {
     put_u32(out, map.nodes.len() as u32);
     for n in &map.nodes {
         put_u64(out, n.node_id);
-        put_u16(out, n.addr.len() as u16);
-        out.extend_from_slice(n.addr.as_bytes());
+        put_str(out, &n.addr);
     }
     put_u32(out, map.assignments.len() as u32);
     for a in &map.assignments {
@@ -1040,10 +965,7 @@ fn get_cluster_map(c: &mut Cur<'_>) -> Result<ClusterMap, DecodeError> {
     let mut nodes = Vec::with_capacity(sane_cap(n_nodes));
     for _ in 0..n_nodes {
         let node_id = c.u64()?;
-        let len = c.u16()? as usize;
-        let addr = std::str::from_utf8(c.take(len)?)
-            .map_err(|_| DecodeError::BadPayload("node address is not utf-8"))?
-            .to_string();
+        let addr = c.str("node address is not utf-8")?.to_string();
         nodes.push(ClusterNodeInfo { node_id, addr });
     }
     let n_assign = c.u32()?;
@@ -1068,26 +990,6 @@ fn get_cluster_map(c: &mut Cur<'_>) -> Result<ClusterMap, DecodeError> {
         nodes,
         assignments,
     })
-}
-
-/// Encodes a [`ClusterMap`] as a standalone byte string (the same layout
-/// it has inside cluster-info and wrong-epoch payloads).
-pub fn encode_cluster_map(map: &ClusterMap) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_cluster_map(&mut out, map);
-    out
-}
-
-/// Decodes a standalone [`ClusterMap`] byte string.
-///
-/// # Errors
-///
-/// Typed [`DecodeError`]s on truncation, bad utf-8, or trailing bytes.
-pub fn decode_cluster_map(payload: &[u8]) -> Result<ClusterMap, DecodeError> {
-    let mut c = Cur::new(payload);
-    let map = get_cluster_map(&mut c)?;
-    c.finish()?;
-    Ok(map)
 }
 
 /// Encodes the response payload every cluster verb uses for a stale
@@ -1240,62 +1142,55 @@ pub fn decode_ship_ack(
     Ok((status, shard, seq, map))
 }
 
-/// Encodes a heartbeat (or heartbeat-ack) payload: the sender's node id
-/// and its current map epoch.
-pub fn encode_heartbeat(node_id: u64, epoch: u64) -> Vec<u8> {
+/// Encodes a heartbeat payload: the sender's node id, its current map
+/// epoch, and the listener address it answers on — empty when the
+/// sender is not announcing itself (a probe from outside the cluster),
+/// otherwise what lets a node missing from the receiver's map be joined.
+pub fn encode_heartbeat(node_id: u64, epoch: u64, addr: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(18 + addr.len());
+    put_u64(&mut out, node_id);
+    put_u64(&mut out, epoch);
+    put_str(&mut out, addr);
+    out
+}
+
+/// Decodes a heartbeat payload into `(node_id, epoch, addr)`.
+///
+/// # Errors
+///
+/// Typed [`DecodeError`]s on truncation, bad utf-8, or trailing bytes.
+pub fn decode_heartbeat(payload: &[u8]) -> Result<(u64, u64, String), DecodeError> {
+    let mut c = Cur::new(payload);
+    let node_id = c.u64()?;
+    let epoch = c.u64()?;
+    let addr = c.str("heartbeat address is not utf-8")?.to_string();
+    c.finish()?;
+    Ok((node_id, epoch, addr))
+}
+
+/// Encodes a heartbeat acknowledgement: the answering node's id and its
+/// current map epoch.
+pub fn encode_heartbeat_ack(node_id: u64, epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     put_u64(&mut out, node_id);
     put_u64(&mut out, epoch);
     out
 }
 
-/// Decodes a heartbeat (or heartbeat-ack) payload.
+/// Decodes a heartbeat acknowledgement into `(node_id, epoch)`.
 ///
 /// # Errors
 ///
 /// Typed [`DecodeError`]s on truncation or trailing bytes.
-pub fn decode_heartbeat(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
-    let (node_id, epoch, _addr) = decode_heartbeat_addr(payload)?;
-    Ok((node_id, epoch))
-}
-
-/// Encodes a heartbeat payload carrying the sender's listener address
-/// (version 6) so a node missing from the receiver's map can be joined.
-pub fn encode_heartbeat_addr(node_id: u64, epoch: u64, addr: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(18 + addr.len());
-    put_u64(&mut out, node_id);
-    put_u64(&mut out, epoch);
-    put_u16(&mut out, addr.len() as u16);
-    out.extend_from_slice(addr.as_bytes());
-    out
-}
-
-/// Decodes a heartbeat payload with its optional version-6 address
-/// tail. A version-5 peer's 16-byte payload decodes with `None`.
-///
-/// # Errors
-///
-/// Typed [`DecodeError`]s on truncation, bad utf-8, or trailing bytes.
-pub fn decode_heartbeat_addr(payload: &[u8]) -> Result<(u64, u64, Option<String>), DecodeError> {
+pub fn decode_heartbeat_ack(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
     let mut c = Cur::new(payload);
     let node_id = c.u64()?;
     let epoch = c.u64()?;
-    // Version-6 address tail; a version-5 payload ends here.
-    let addr = if c.p < c.b.len() {
-        let len = c.u16()? as usize;
-        Some(
-            std::str::from_utf8(c.take(len)?)
-                .map_err(|_| DecodeError::BadPayload("heartbeat address is not utf-8"))?
-                .to_string(),
-        )
-    } else {
-        None
-    };
     c.finish()?;
-    Ok((node_id, epoch, addr))
+    Ok((node_id, epoch))
 }
 
-// ───────────────────────── catch-up codec (v6) ─────────────────────────
+// ───────────────────────── catch-up codec ─────────────────────────
 
 /// A follower's bounded backfill request for one shard.
 ///
@@ -1399,7 +1294,8 @@ pub struct CatchUpChunk {
 }
 
 /// Encodes a catch-up chunk response: status byte, then on `Ok` the
-/// chunk body, or on [`WireStatus::WrongEpoch`] the fresh map.
+/// chunk body, or on [`WireStatus::WrongEpoch`] the fresh map (which
+/// that status must come with — the decoder requires it).
 pub fn encode_catch_up_chunk(
     status: WireStatus,
     chunk: Option<&CatchUpChunk>,
@@ -1458,13 +1354,9 @@ pub fn decode_catch_up_chunk(
     let mut c = Cur::new(payload);
     let status = WireStatus::from_u8(c.u8()?)?;
     if status == WireStatus::WrongEpoch {
-        let map = if c.p < c.b.len() {
-            Some(get_cluster_map(&mut c)?)
-        } else {
-            None
-        };
+        let map = get_cluster_map(&mut c)?;
         c.finish()?;
-        return Ok((status, None, map));
+        return Ok((status, None, Some(map)));
     }
     if status != WireStatus::Ok || c.p == c.b.len() {
         c.finish()?;
@@ -1570,7 +1462,8 @@ pub fn decode_catch_up_done(payload: &[u8]) -> Result<CatchUpDone, DecodeError> 
 }
 
 /// Encodes a catch-up-done acknowledgement: status and the primary's
-/// epoch, plus the fresh map on [`WireStatus::WrongEpoch`].
+/// epoch, plus the fresh map on [`WireStatus::WrongEpoch`] (which that
+/// status must come with — the decoder requires it).
 pub fn encode_catch_up_ack(status: WireStatus, epoch: u64, map: Option<&ClusterMap>) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
     out.push(status as u8);
@@ -1595,7 +1488,7 @@ pub fn decode_catch_up_ack(
     let mut c = Cur::new(payload);
     let status = WireStatus::from_u8(c.u8()?)?;
     let epoch = c.u64()?;
-    let map = if status == WireStatus::WrongEpoch && c.p < c.b.len() {
+    let map = if status == WireStatus::WrongEpoch {
         Some(get_cluster_map(&mut c)?)
     } else {
         None

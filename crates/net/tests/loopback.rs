@@ -343,3 +343,114 @@ fn shutdown_drains_cleanly_under_traffic() {
     assert!(answered > 0, "client never got an answer before shutdown");
     Arc::try_unwrap(svc).expect("sole owner").shutdown();
 }
+
+/// Satellite regression: the server set no write timeout, so a peer that
+/// keeps sending queries and never reads parked a net worker in
+/// `write_all` for good (replies bypass the writer's mailbox bound, so
+/// its queue grew without limit), and two such peers — one per net
+/// worker — stopped every connection's replies and `shutdown`'s drain.
+/// Now each stuck write gives up after `stall_timeout_millis` and the
+/// connection takes the dead-peer path.
+#[test]
+fn peers_that_never_read_cannot_park_the_net_workers() {
+    const STALL_MILLIS: u64 = 300;
+    const DRAIN_MILLIS: u64 = 5_000;
+    let svc = service(AdmissionConfig::default());
+    for i in 0..300u64 {
+        svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
+    }
+    svc.retrain_now().unwrap();
+    let server = NetServer::start(
+        "127.0.0.1:0",
+        Arc::clone(&svc),
+        NetConfig {
+            stall_timeout_millis: STALL_MILLIS,
+            drain_timeout_millis: DRAIN_MILLIS,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+
+    // Fail, rather than hang, where the healthy client is never answered.
+    let healthy_config = ClientConfig {
+        request_timeout_millis: 20 * STALL_MILLIS,
+        ..ClientConfig::default()
+    };
+    let own_conns = healthy_config.pool_size as u64;
+    let healthy = Client::connect(addr, healthy_config).expect("connect");
+    let batch: Vec<PlacementRequest> = (0..512)
+        .map(|i| PlacementRequest {
+            fid: FileId(i % 4),
+            read_bytes: 1_000_000,
+            write_bytes: 0,
+        })
+        .collect();
+    assert_eq!(healthy.query_many(&batch).unwrap().len(), 512);
+
+    // Two peers (one per net worker) pipeline 512-request queries and
+    // never read a reply: ~18 KB each way past what the socket buffers
+    // hold, their writers block. Each stops at the first refused write
+    // (the server closed on it) or after a bounded ~36 MB of replies, and
+    // hands its socket back still open — a dropped socket would reset
+    // and free the writer by the ordinary dead-peer path.
+    let deaf: Vec<_> = (0..2)
+        .map(|_| {
+            let frame = geomancy_net::Frame::new(
+                geomancy_net::FrameKind::QueryReq,
+                1,
+                geomancy_net::wire::encode_query_req(&batch),
+            )
+            .encode();
+            std::thread::spawn(move || {
+                use std::io::Write;
+                let mut raw = std::net::TcpStream::connect(addr).unwrap();
+                for _ in 0..2_000 {
+                    if raw.write_all(&frame).is_err() {
+                        break;
+                    }
+                }
+                raw
+            })
+        })
+        .collect();
+
+    // The healthy client keeps being answered throughout, and the stuck
+    // connections are closed by the write timeout, not by anything the
+    // peers did.
+    let deadline = Instant::now() + Duration::from_millis(40 * STALL_MILLIS);
+    while server.live_connections() != own_conns
+        || server.live_writer_actors() != own_conns
+        || server
+            .stats()
+            .stalled
+            .load(std::sync::atomic::Ordering::Relaxed)
+            < 2
+    {
+        assert_eq!(
+            healthy
+                .query_many(&batch)
+                .expect("healthy client must keep being answered")
+                .len(),
+            512
+        );
+        assert!(
+            Instant::now() < deadline,
+            "stuck writers never timed out: {} connections, {} writers live",
+            server.live_connections(),
+            server.live_writer_actors()
+        );
+    }
+    let held: Vec<_> = deaf.into_iter().map(|t| t.join().unwrap()).collect();
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_millis(DRAIN_MILLIS),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    drop(held);
+    drop(healthy);
+    Arc::try_unwrap(svc).expect("sole owner").shutdown();
+}

@@ -202,148 +202,93 @@ proptest! {
     }
 }
 
-/// A metrics snapshot with every field populated distinctly.
-fn full_snapshot() -> MetricsSnapshot {
-    MetricsSnapshot {
-        ingested_records: 1,
-        ingest_batches: 2,
-        dropped_batches: 3,
-        dropped_records: 4,
-        queue_depth: vec![5, 6, 7],
-        decisions: 8,
-        batched_decisions: 9,
-        solo_decisions: 10,
-        coalesced_decisions: 11,
-        fused_rows: 12,
-        model_swaps: 13,
-        retrains: 14,
-        queries_offered: 15,
-        queries_admitted: 16,
-        queries_shed: 17,
-        pending_requests: 18,
-        pending_peak: 19,
-        pending_per_shard: vec![20, 21, 22],
-        shard_shed: vec![23, 24, 25],
-        latency_ewma_us: 26,
-        engine_queue: 27,
-        net_connections_live: 32,
-        net_writers_live: 33,
-        kernel_backend: "avx2_fma".to_string(),
-        latency_us: vec![28, 29, 30, 31],
-        store_pages: 34,
-        store_cold_bytes: 35,
-        wal_pending_records: 36,
-        checkpoints: 37,
-        last_checkpoint_micros: 38,
-        retrain_records: 39,
-        retrain_micros: 40,
-        warm_starts: 41,
-        full_retrains: 42,
-        node_id: 43,
+/// A metrics snapshot filled by walking its own named view: scalar `i`
+/// holds `100 + i`, vector `i` holds `[i, 7, 9]`. A counter added to the
+/// table is picked up here with no edit.
+fn filled_snapshot() -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    let names: Vec<&str> = snap.scalars().map(|(name, _)| name).collect();
+    for (i, name) in names.iter().enumerate() {
+        assert!(snap.set_scalar(name, 100 + i as u64), "{name}");
     }
+    for (i, (name, _)) in snap.vectors().into_iter().enumerate() {
+        assert!(snap.set_vector(name, vec![i as u64, 7, 9]), "{name}");
+    }
+    snap.kernel_backend = "avx2_fma".to_string();
+    snap
+}
+
+/// The metrics frame written out by hand, independently of the codec:
+/// status, `u16 count × (u8 len, name, u64)`, `u16 count × (u8 len,
+/// name, u32 len, u64…)`, `u16 len` + backend string.
+fn metrics_frame(scalars: &[(&str, u64)], vectors: &[(&str, Vec<u64>)], backend: &[u8]) -> Vec<u8> {
+    let mut out = vec![WireStatus::Ok as u8];
+    out.extend_from_slice(&(scalars.len() as u16).to_le_bytes());
+    for (name, value) in scalars {
+        out.push(name.len() as u8);
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&value.to_le_bytes());
+    }
+    out.extend_from_slice(&(vectors.len() as u16).to_le_bytes());
+    for (name, values) in vectors {
+        out.push(name.len() as u8);
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&(backend.len() as u16).to_le_bytes());
+    out.extend_from_slice(backend);
+    out
 }
 
 #[test]
-fn metrics_codec_roundtrips_every_field() {
-    let snap = full_snapshot();
+fn metrics_frame_roundtrips_every_named_value() {
+    let snap = filled_snapshot();
     let payload = wire::encode_metrics_resp(&snap);
     let back = wire::decode_metrics_resp(&payload).unwrap();
-    // Field-by-field: a silently dropped field would still "round-trip"
-    // under a buggy symmetric codec, but can't survive this.
-    assert_eq!(back.ingested_records, 1);
-    assert_eq!(back.queue_depth, vec![5, 6, 7]);
-    assert_eq!(back.pending_per_shard, vec![20, 21, 22]);
-    assert_eq!(back.shard_shed, vec![23, 24, 25]);
-    assert_eq!(back.latency_us, vec![28, 29, 30, 31]);
-    assert_eq!(back.engine_queue, 27);
-    assert_eq!(back.latency_ewma_us, 26);
-    assert_eq!(back.queries_offered, 15);
-    assert_eq!(back.queries_admitted, 16);
-    assert_eq!(back.queries_shed, 17);
-    assert_eq!(back.pending_requests, 18);
-    assert_eq!(back.pending_peak, 19);
-    assert_eq!(back.net_connections_live, 32);
-    assert_eq!(back.net_writers_live, 33);
+    // Value by value against what was put in, not only `back == snap`: a
+    // field dropped by both halves of a symmetric codec cannot pass.
+    for (i, (name, value)) in back.scalars().enumerate() {
+        assert_eq!(value, 100 + i as u64, "{name}");
+    }
+    for (i, (name, values)) in back.vectors().into_iter().enumerate() {
+        assert_eq!(values, vec![i as u64, 7, 9], "{name}");
+    }
     assert_eq!(back.kernel_backend, "avx2_fma");
-    assert_eq!(back.store_pages, 34);
-    assert_eq!(back.store_cold_bytes, 35);
-    assert_eq!(back.wal_pending_records, 36);
-    assert_eq!(back.checkpoints, 37);
-    assert_eq!(back.last_checkpoint_micros, 38);
-    assert_eq!(back.retrain_records, 39);
-    assert_eq!(back.retrain_micros, 40);
-    assert_eq!(back.warm_starts, 41);
-    assert_eq!(back.full_retrains, 42);
-    assert_eq!(back.node_id, 43);
+    assert_eq!(back, snap);
 
-    // An unrecognized backend byte decodes as "unknown", not an error.
-    let mut snap = full_snapshot();
-    snap.kernel_backend = "future_backend".to_string();
-    let back = wire::decode_metrics_resp(&wire::encode_metrics_resp(&snap)).unwrap();
-    assert_eq!(back.kernel_backend, "unknown");
+    // The codec and the hand-written layout agree byte for byte.
+    let scalars: Vec<(&str, u64)> = snap.scalars().collect();
+    assert_eq!(
+        payload,
+        metrics_frame(&scalars, &snap.vectors(), snap.kernel_backend.as_bytes())
+    );
 }
 
-/// Old-peer compatibility: version-2 (no store/trainer/node blocks),
-/// version-3 (store block only), and version-4 (store + trainer, no
-/// node id) payloads all decode with the missing trailing gauges
-/// zeroed, and frames stamped with the old version byte still parse.
+/// What makes "add a counter" a one-line change: a peer that names more
+/// than this build knows is decoded with the extras skipped, and a peer
+/// that names less leaves the missing field zero.
 #[test]
-fn version_2_metrics_payload_decodes_with_zero_store_gauges() {
-    let payload = wire::encode_metrics_resp(&full_snapshot());
-    // A version-2 peer's payload is exactly ours minus the 40-byte store
-    // block, the 32-byte trainer block, and the 8-byte node-id block.
-    let v2_payload = &payload[..payload.len() - 80];
-    let back = wire::decode_metrics_resp(v2_payload).unwrap();
-    assert_eq!(back.latency_us, vec![28, 29, 30, 31]);
-    assert_eq!(back.kernel_backend, "avx2_fma");
-    assert_eq!(back.store_pages, 0);
-    assert_eq!(back.store_cold_bytes, 0);
-    assert_eq!(back.wal_pending_records, 0);
-    assert_eq!(back.checkpoints, 0);
-    assert_eq!(back.last_checkpoint_micros, 0);
-    assert_eq!(back.retrain_records, 0);
-    assert_eq!(back.warm_starts, 0);
-    assert_eq!(back.node_id, 0);
+fn metrics_frame_skips_unknown_names_and_zeroes_missing_ones() {
+    let snap = filled_snapshot();
+    let mut scalars: Vec<(&str, u64)> = snap.scalars().collect();
+    let mut vectors = snap.vectors().to_vec();
 
-    // A version-3 peer's payload stops after the store block: the store
-    // gauges survive, the trainer gauges and node id decode as zeros.
-    let v3_payload = &payload[..payload.len() - 40];
-    let back = wire::decode_metrics_resp(v3_payload).unwrap();
-    assert_eq!(back.store_pages, 34);
-    assert_eq!(back.last_checkpoint_micros, 38);
-    assert_eq!(back.retrain_records, 0);
-    assert_eq!(back.retrain_micros, 0);
-    assert_eq!(back.warm_starts, 0);
-    assert_eq!(back.full_retrains, 0);
-    assert_eq!(back.node_id, 0);
+    scalars.insert(3, ("a_counter_from_the_future", 77));
+    vectors.insert(1, ("a_histogram_from_the_future", vec![1, 2, 3, 4]));
+    let newer = metrics_frame(&scalars, &vectors, b"avx2_fma");
+    assert_eq!(wire::decode_metrics_resp(&newer).unwrap(), snap);
 
-    // A version-4 peer's payload stops after the trainer block: only
-    // the node id is zeroed.
-    let v4_payload = &payload[..payload.len() - 8];
-    let back = wire::decode_metrics_resp(v4_payload).unwrap();
-    assert_eq!(back.retrain_records, 39);
-    assert_eq!(back.full_retrains, 42);
-    assert_eq!(back.node_id, 0);
-
-    // A partial trailing block is corruption, not an old peer.
-    let truncated_tail = &payload[..payload.len() - 4];
-    assert_eq!(
-        wire::decode_metrics_resp(truncated_tail).unwrap_err(),
-        DecodeError::Truncated
-    );
-
-    // Frames from a version-2 peer (one version byte back) still decode.
-    let mut v2_frame = Frame::new(FrameKind::MetricsReq, 77, Vec::new()).encode();
-    v2_frame[4] = 2;
-    let (frame, _) = decode_frame(&v2_frame, 1024).unwrap();
-    assert_eq!(frame.kind, FrameKind::MetricsReq);
-    assert_eq!(frame.corr_id, 77);
-    // Anything older than MIN_VERSION stays rejected.
-    v2_frame[4] = 1;
-    assert_eq!(
-        decode_frame(&v2_frame, 1024).unwrap_err(),
-        DecodeError::UnsupportedVersion(1)
-    );
+    let (dropped, _) = scalars.remove(0);
+    let (dropped_vec, _) = vectors.remove(0);
+    let older = metrics_frame(&scalars, &vectors, b"avx2_fma");
+    let back = wire::decode_metrics_resp(&older).unwrap();
+    let mut expect = snap.clone();
+    assert!(expect.set_scalar(dropped, 0));
+    assert!(expect.set_vector(dropped_vec, Vec::new()));
+    assert_eq!(back, expect);
 }
 
 #[test]
@@ -381,13 +326,16 @@ fn hostile_frame_corpus_yields_exact_errors() {
         DecodeError::BadMagic(*b"XEOM")
     );
 
-    // Future protocol version.
-    let mut bad_version = good.clone();
-    bad_version[4] = 9;
-    assert_eq!(
-        decode_frame(&bad_version, 1024).unwrap_err(),
-        DecodeError::UnsupportedVersion(9)
-    );
+    // Any protocol version but the one: a future one, and the retired
+    // ones no peer speaks any more.
+    for version in [9, 6, 2] {
+        let mut bad_version = good.clone();
+        bad_version[4] = version;
+        assert_eq!(
+            decode_frame(&bad_version, 1024).unwrap_err(),
+            DecodeError::UnsupportedVersion(version)
+        );
+    }
 
     // Unknown kind byte.
     let mut bad_kind = good.clone();
@@ -437,6 +385,65 @@ fn hostile_frame_corpus_yields_exact_errors() {
         wire::decode_metrics_resp(&[]).unwrap_err(),
         DecodeError::Truncated
     );
+
+    // The metrics frame: every strict prefix is a truncation…
+    let metrics = wire::encode_metrics_resp(&filled_snapshot());
+    for cut in 0..metrics.len() {
+        assert_eq!(
+            wire::decode_metrics_resp(&metrics[..cut]).unwrap_err(),
+            DecodeError::Truncated,
+            "cut at {cut}"
+        );
+    }
+    // …and each malformed name, status and tail has its own diagnosis.
+    let metrics_err = |payload: &[u8]| wire::decode_metrics_resp(payload).unwrap_err();
+    let mut trailing = metrics.clone();
+    trailing.extend_from_slice(&[0xAB; 3]);
+    assert_eq!(
+        metrics_err(&trailing),
+        DecodeError::TrailingBytes { extra: 3 }
+    );
+    let mut not_ok = metrics.clone();
+    not_ok[0] = WireStatus::Draining as u8;
+    assert_eq!(
+        metrics_err(&not_ok),
+        DecodeError::BadPayload("metrics response with non-ok status")
+    );
+    not_ok[0] = 250;
+    assert_eq!(metrics_err(&not_ok), DecodeError::UnknownStatus(250));
+    let mut not_utf8 = metrics_frame(&[("decisions", 1)], &[], b"scalar");
+    not_utf8[4] = 0xFF; // first byte of the name
+    assert_eq!(
+        metrics_err(&not_utf8),
+        DecodeError::BadPayload("metric name is not utf-8")
+    );
+    let long_name = "x".repeat(wire::MAX_METRIC_NAME + 1);
+    assert_eq!(
+        metrics_err(&metrics_frame(&[(long_name.as_str(), 1)], &[], b"scalar")),
+        DecodeError::BadPayload("metric name too long")
+    );
+    assert_eq!(
+        metrics_err(&metrics_frame(
+            &[("decisions", 1), ("retrains", 2), ("decisions", 3)],
+            &[],
+            b"scalar"
+        )),
+        DecodeError::BadPayload("metric name repeated")
+    );
+    // Unknown names are skipped, but still may not repeat — nor may a
+    // vector reuse a scalar's name.
+    assert_eq!(
+        metrics_err(&metrics_frame(
+            &[("novel", 1)],
+            &[("novel", vec![2])],
+            b"scalar"
+        )),
+        DecodeError::BadPayload("metric name repeated")
+    );
+    assert_eq!(
+        metrics_err(&metrics_frame(&[], &[], &[0xC3, 0x28])),
+        DecodeError::BadPayload("kernel backend is not utf-8")
+    );
 }
 
 /// A corrupted count field cannot make the decoder allocate the
@@ -460,9 +467,29 @@ fn corrupted_count_fields_fail_fast() {
         wire::decode_ingest_req(&ingest).unwrap_err(),
         DecodeError::Truncated
     );
+    // Metrics frame: a scalar count, a vector count and a vector length
+    // the payload cannot hold are each refused before anything is sized
+    // by them.
+    let frame = metrics_frame(&[("decisions", 1)], &[("latency_us", vec![2])], b"scalar");
+    let scalar_count_at = 1;
+    let vector_count_at = scalar_count_at + 2 + (1 + "decisions".len() + 8);
+    let vector_len_at = vector_count_at + 2 + (1 + "latency_us".len());
+    for (at, width) in [
+        (scalar_count_at, 2),
+        (vector_count_at, 2),
+        (vector_len_at, 4),
+    ] {
+        let mut corrupt = frame.clone();
+        corrupt[at..at + width].fill(0xFF);
+        assert_eq!(
+            wire::decode_metrics_resp(&corrupt).unwrap_err(),
+            DecodeError::Truncated,
+            "count at {at}"
+        );
+    }
 }
 
-// ---- cluster codecs (protocol v5) ------------------------------------
+// ---- cluster codecs ---------------------------------------------------
 
 use geomancy_net::wire::SegmentShip;
 use geomancy_net::{ClusterMap, ClusterNodeInfo, ShardAssignment};
@@ -491,14 +518,12 @@ fn sample_map(epoch: u64, nodes: usize, shards: u32) -> ClusterMap {
 }
 
 proptest! {
-    /// The cluster-map codec round-trips across sizes, both bare and
-    /// wrapped in the WrongEpoch and ClusterInfo envelopes.
+    /// The cluster-map codec round-trips across sizes, in both the
+    /// WrongEpoch and ClusterInfo envelopes.
     #[test]
     fn cluster_map_codec_roundtrips(epoch in 0u64..u64::MAX, nodes in 1usize..8,
                                     shards in 1u32..32) {
         let map = sample_map(epoch, nodes, shards);
-        let bare = wire::encode_cluster_map(&map);
-        prop_assert_eq!(&wire::decode_cluster_map(&bare).unwrap(), &map);
         let we = wire::encode_wrong_epoch(&map);
         prop_assert_eq!(&wire::decode_wrong_epoch(&we).unwrap(), &map);
         let info = wire::encode_cluster_info_resp(&map);
@@ -510,9 +535,9 @@ proptest! {
     fn truncated_cluster_map_yields_typed_errors(cut in 0usize..300,
                                                  nodes in 1usize..6,
                                                  shards in 1u32..16) {
-        let payload = wire::encode_cluster_map(&sample_map(3, nodes, shards));
+        let payload = wire::encode_cluster_info_resp(&sample_map(3, nodes, shards));
         let cut = cut.min(payload.len().saturating_sub(1));
-        prop_assert!(wire::decode_cluster_map(&payload[..cut]).is_err());
+        prop_assert!(wire::decode_cluster_info_resp(&payload[..cut]).is_err());
     }
 
     /// The segment-ship codec round-trips with arbitrary segment bytes.
@@ -525,11 +550,16 @@ proptest! {
         prop_assert_eq!(&wire::decode_ship_segment(&payload).unwrap(), &ship);
     }
 
-    /// Heartbeats round-trip.
+    /// Heartbeats round-trip with an announced address and with the
+    /// empty one a probe from outside the cluster sends; acks round-trip.
     #[test]
     fn heartbeat_codec_roundtrips(node in 0u64..u64::MAX, epoch in 0u64..u64::MAX) {
-        let payload = wire::encode_heartbeat(node, epoch);
-        prop_assert_eq!(wire::decode_heartbeat(&payload).unwrap(), (node, epoch));
+        for addr in [format!("10.1.2.3:{}", 7000 + (node % 1000)), String::new()] {
+            let payload = wire::encode_heartbeat(node, epoch, &addr);
+            prop_assert_eq!(wire::decode_heartbeat(&payload).unwrap(), (node, epoch, addr));
+        }
+        let ack = wire::encode_heartbeat_ack(node, epoch);
+        prop_assert_eq!(wire::decode_heartbeat_ack(&ack).unwrap(), (node, epoch));
     }
 }
 
@@ -553,17 +583,30 @@ fn ship_ack_codec_roundtrips_both_shapes() {
 /// buffers produce typed errors, never panics or huge allocations.
 #[test]
 fn hostile_cluster_payloads_yield_typed_errors() {
-    assert!(wire::decode_cluster_map(&[]).is_err());
+    assert!(wire::decode_cluster_info_resp(&[]).is_err());
     assert!(wire::decode_wrong_epoch(&[]).is_err());
     assert!(wire::decode_ship_segment(&[]).is_err());
     assert!(wire::decode_ship_ack(&[]).is_err());
     assert!(wire::decode_heartbeat(&[]).is_err());
+    assert!(wire::decode_heartbeat_ack(&[]).is_err());
+    // A heartbeat always carries its address field, even when empty; an
+    // ack never does.
+    let ack = wire::encode_heartbeat_ack(1, 2);
+    assert_eq!(
+        wire::decode_heartbeat(&ack).unwrap_err(),
+        DecodeError::Truncated
+    );
+    assert_eq!(
+        wire::decode_heartbeat_ack(&wire::encode_heartbeat(1, 2, "")).unwrap_err(),
+        DecodeError::TrailingBytes { extra: 2 }
+    );
 
     // A node count of u32::MAX cannot make the decoder allocate: it
-    // fails fast when the bytes run out.
-    let mut payload = wire::encode_cluster_map(&sample_map(1, 2, 4));
-    payload[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(wire::decode_cluster_map(&payload).is_err());
+    // fails fast when the bytes run out. (The count sits behind the
+    // status byte, the epoch and the shard count.)
+    let mut payload = wire::encode_cluster_info_resp(&sample_map(1, 2, 4));
+    payload[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(wire::decode_cluster_info_resp(&payload).is_err());
 
     // A WrongEpoch ingest reply whose map is garbage is a protocol
     // error, not a panic.
@@ -602,7 +645,7 @@ fn retry_policy_split_routes_draining_elsewhere() {
     }
 }
 
-// ---- catch-up codecs (protocol v6) ------------------------------------
+// ---- catch-up codecs --------------------------------------------------
 
 use geomancy_net::wire::{CatchUpChunk, CatchUpData, CatchUpDone, CatchUpReq};
 
@@ -679,23 +722,6 @@ proptest! {
         let (status, e, map) = wire::decode_catch_up_ack(&ack).unwrap();
         prop_assert_eq!((status, e), (WireStatus::Ok, epoch));
         prop_assert!(map.is_none());
-    }
-
-    /// The version-6 heartbeat address tail round-trips, and a bare
-    /// version-5 heartbeat payload still decodes (with no address).
-    #[test]
-    fn heartbeat_addr_codec_roundtrips(node in 0u64..u64::MAX, epoch in 0u64..u64::MAX) {
-        let addr = format!("10.1.2.3:{}", 7000 + (node % 1000));
-        let payload = wire::encode_heartbeat_addr(node, epoch, &addr);
-        prop_assert_eq!(
-            wire::decode_heartbeat_addr(&payload).unwrap(),
-            (node, epoch, Some(addr))
-        );
-        // The plain decoder tolerates the tail; the v5 payload decodes
-        // addr-less through the v6 decoder.
-        prop_assert_eq!(wire::decode_heartbeat(&payload).unwrap(), (node, epoch));
-        let v5 = wire::encode_heartbeat(node, epoch);
-        prop_assert_eq!(wire::decode_heartbeat_addr(&v5).unwrap(), (node, epoch, None));
     }
 }
 

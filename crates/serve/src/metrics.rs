@@ -15,6 +15,14 @@
 //! flight and no section completed while it read, so a snapshot taken
 //! mid-batch can no longer show half of a batch's bookkeeping. Gauges
 //! (queue depths, pending requests) are exempt — they are racy by nature.
+//!
+//! ## Adding a counter
+//!
+//! Add one line (doc comment + name) to the `scalar_metrics!` list below.
+//! That declares the atomic, zeroes it, snapshots it and names it in
+//! [`MetricsSnapshot::scalars`], which is what the wire's metrics frame
+//! and `geomancy query --metrics --json` iterate — no codec, CLI, test
+//! or protocol-version edit. Then bump it where the event happens.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -28,101 +36,210 @@ pub const LATENCY_BUCKETS: usize = 21;
 /// than wedge a monitoring thread.
 const SNAPSHOT_RETRIES: usize = 100_000;
 
-/// Live counters shared by the service's threads.
-#[derive(Debug)]
-pub struct ServeMetrics {
+/// Declares the scalar `u64` counters and gauges **once**. Each entry
+/// (a doc comment and a name) becomes an `AtomicU64` field of
+/// [`ServeMetrics`], zeroed by [`ServeMetrics::new`] and loaded by
+/// [`ServeMetrics::snapshot`]; a `u64` field of [`MetricsSnapshot`]; and
+/// an entry of [`MetricsSnapshot::scalars`] / [`MetricsSnapshot::set_scalar`],
+/// which is all the wire frame and `--metrics --json` ever see.
+macro_rules! scalar_metrics {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Live counters shared by the service's threads.
+        #[derive(Debug)]
+        pub struct ServeMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Per-shard queued-batch depth (incremented on enqueue,
+            /// decremented when the shard actor finishes the batch).
+            pub queue_depth: Vec<AtomicUsize>,
+            /// Per-shard slice of `pending_requests` (requests map to
+            /// shards by the queried file's hash, the same map ingest
+            /// uses). Gauge.
+            pub pending_per_shard: Vec<AtomicU64>,
+            /// Requests shed because one of their target shards was over
+            /// its per-shard pending bound (a subset of `queries_shed`).
+            pub shard_shed: Vec<AtomicU64>,
+            /// Decision latency histogram; bucket `i` counts latencies in
+            /// `[2^i, 2^(i+1))` microseconds (bucket 0 is `< 2 µs`, the
+            /// last bucket is open-ended).
+            pub latency_us: [AtomicU64; LATENCY_BUCKETS],
+            /// Accounting sections entered (see module docs).
+            accounting_enter: AtomicU64,
+            /// Accounting sections exited.
+            accounting_exit: AtomicU64,
+        }
+
+        impl ServeMetrics {
+            /// Fresh zeroed counters for `shards` ingest shards.
+            pub fn new(shards: usize) -> Self {
+                ServeMetrics {
+                    $($name: AtomicU64::new(0),)*
+                    queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+                    pending_per_shard: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+                    shard_shed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+                    latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
+                    accounting_enter: AtomicU64::new(0),
+                    accounting_exit: AtomicU64::new(0),
+                }
+            }
+
+            fn read_all(&self) -> MetricsSnapshot {
+                let load_all =
+                    |v: &[AtomicU64]| v.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    queue_depth: self
+                        .queue_depth
+                        .iter()
+                        .map(|d| d.load(Ordering::Relaxed))
+                        .collect(),
+                    pending_per_shard: load_all(&self.pending_per_shard),
+                    shard_shed: load_all(&self.shard_shed),
+                    latency_us: load_all(&self.latency_us),
+                    engine_queue: 0,
+                    net_connections_live: 0,
+                    net_writers_live: 0,
+                    kernel_backend: geomancy_nn::matrix::kernels::backend_name().to_string(),
+                }
+            }
+        }
+
+        /// Plain-data copy of [`ServeMetrics`], for reports and JSON output.
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+        pub struct MetricsSnapshot {
+            $(
+                #[doc = concat!("See [`ServeMetrics::", stringify!($name), "`].")]
+                pub $name: u64,
+            )*
+            /// See [`ServeMetrics::queue_depth`].
+            pub queue_depth: Vec<usize>,
+            /// See [`ServeMetrics::pending_per_shard`].
+            pub pending_per_shard: Vec<u64>,
+            /// See [`ServeMetrics::shard_shed`].
+            pub shard_shed: Vec<u64>,
+            /// See [`ServeMetrics::latency_us`].
+            pub latency_us: Vec<u64>,
+            /// Query-engine mailbox depth at snapshot time (gauge; filled
+            /// in by the service, 0 when sampled from raw [`ServeMetrics`]).
+            pub engine_queue: usize,
+            /// TCP connections currently open at the transport layer
+            /// (gauge; filled in by the net server, 0 for in-process
+            /// snapshots).
+            pub net_connections_live: u64,
+            /// Per-connection writer actors currently live on the net
+            /// reactor (gauge; filled in by the net server, 0 for
+            /// in-process snapshots).
+            pub net_writers_live: u64,
+            /// NN kernel backend the serving process dispatches to
+            /// (`"avx2_fma"` or `"scalar"`; see
+            /// `geomancy_nn::matrix::kernels`).
+            pub kernel_backend: String,
+        }
+
+        impl MetricsSnapshot {
+            /// Every scalar counter and gauge as `(name, value)`: the
+            /// declared table in order, then the three gauges the service
+            /// and the net server patch in.
+            pub fn scalars(&self) -> impl ExactSizeIterator<Item = (&'static str, u64)> {
+                [
+                    $((stringify!($name), self.$name),)*
+                    ("engine_queue", self.engine_queue as u64),
+                    ("net_connections_live", self.net_connections_live),
+                    ("net_writers_live", self.net_writers_live),
+                ]
+                .into_iter()
+            }
+
+            /// Sets the scalar called `name`; `false` (and no change) for
+            /// a name [`MetricsSnapshot::scalars`] does not yield.
+            pub fn set_scalar(&mut self, name: &str, value: u64) -> bool {
+                match name {
+                    $(stringify!($name) => self.$name = value,)*
+                    "engine_queue" => self.engine_queue = value as usize,
+                    "net_connections_live" => self.net_connections_live = value,
+                    "net_writers_live" => self.net_writers_live = value,
+                    _ => return false,
+                }
+                true
+            }
+        }
+    };
+}
+
+scalar_metrics! {
     /// Access records accepted into shard queues.
-    pub ingested_records: AtomicU64,
+    ingested_records,
     /// Ingest batches accepted (post-routing, one per shard touched).
-    pub ingest_batches: AtomicU64,
+    ingest_batches,
     /// Per-shard sub-batches rejected by backpressure: when `try_ingest`
     /// hits a full shard queue, the failed sub-batch *and* every sub-batch
     /// it had not yet sent count here (one call can route to several
     /// shards, so one rejected call may drop several sub-batches).
-    pub dropped_batches: AtomicU64,
+    dropped_batches,
     /// Records inside dropped sub-batches — none of these were ingested.
     /// `ingested_records + dropped_records` equals the records offered to
     /// `try_ingest`/`ingest` (sub-batches queued before the full shard was
     /// hit stay queued and count as ingested).
-    pub dropped_records: AtomicU64,
-    /// Per-shard queued-batch depth (incremented on enqueue, decremented
-    /// when the shard actor finishes the batch).
-    pub queue_depth: Vec<AtomicUsize>,
+    dropped_records,
     /// Placement decisions served.
-    pub decisions: AtomicU64,
+    decisions,
     /// Decisions answered from a fused pass covering more than one request.
-    pub batched_decisions: AtomicU64,
+    batched_decisions,
     /// Decisions answered by a single-request pass.
-    pub solo_decisions: AtomicU64,
+    solo_decisions,
     /// Decisions that shared a deduplicated feature row with another
     /// request in the same batch (same file, same access shape).
-    pub coalesced_decisions: AtomicU64,
+    coalesced_decisions,
     /// Feature rows actually pushed through the network.
-    pub fused_rows: AtomicU64,
+    fused_rows,
     /// Model hot-swaps picked up by the query engine.
-    pub model_swaps: AtomicU64,
+    model_swaps,
     /// Retrain cycles completed by the background trainer.
-    pub retrains: AtomicU64,
+    retrains,
     /// Requests offered to `query_many` (admission controller input).
-    pub queries_offered: AtomicU64,
+    queries_offered,
     /// Requests the admission controller let through.
-    pub queries_admitted: AtomicU64,
+    queries_admitted,
     /// Requests shed by the admission controller (`Overloaded`). Always
     /// `queries_offered == queries_admitted + queries_shed`.
-    pub queries_shed: AtomicU64,
+    queries_shed,
     /// Requests admitted but not yet answered (gauge).
-    pub pending_requests: AtomicU64,
+    pending_requests,
     /// High-water mark of `pending_requests`.
-    pub pending_peak: AtomicU64,
-    /// Per-shard slice of `pending_requests` (requests map to shards by
-    /// the queried file's hash, the same map ingest uses). Gauge.
-    pub pending_per_shard: Vec<AtomicU64>,
-    /// Requests shed because one of their target shards was over its
-    /// per-shard pending bound (a subset of `queries_shed`).
-    pub shard_shed: Vec<AtomicU64>,
+    pending_peak,
     /// Exponentially weighted moving average of decision latency in
     /// microseconds (α = 1/8; the admission controller's latency signal).
-    pub latency_ewma_us: AtomicU64,
-    /// Decision latency histogram; bucket `i` counts latencies in
-    /// `[2^i, 2^(i+1))` microseconds (bucket 0 is `< 2 µs`, the last
-    /// bucket is open-ended).
-    pub latency_us: [AtomicU64; LATENCY_BUCKETS],
+    latency_ewma_us,
     /// Pages committed in the cold paged store (gauge; 0 without a store).
-    pub store_pages: AtomicU64,
+    store_pages,
     /// Bytes of cold page storage on disk (gauge; 0 without a store).
-    pub store_cold_bytes: AtomicU64,
+    store_cold_bytes,
     /// Records sitting in shard WALs (active logs plus sealed segments)
     /// that no checkpoint has absorbed yet — the checkpoint lag gauge.
     /// Grows on every WAL append (and WAL recovery at startup), shrinks
     /// by `records_absorbed` at each checkpoint.
-    pub wal_pending_records: AtomicU64,
+    wal_pending_records,
     /// Checkpoint cycles that absorbed at least one segment.
-    pub checkpoints: AtomicU64,
+    checkpoints,
     /// Wall-clock duration of the most recent absorbing checkpoint, in
     /// microseconds (the store-write-lock hold the query path can feel).
-    pub last_checkpoint_micros: AtomicU64,
+    last_checkpoint_micros,
     /// Records moved by trainer snapshots (full or delta) — with
     /// incremental retraining this tracks the *delta* stream, not the
     /// history, which is the whole point.
-    pub retrain_records: AtomicU64,
+    retrain_records,
     /// Cumulative wall-clock time spent training, in microseconds
     /// (successful or not; the retrain-latency gauge).
-    pub retrain_micros: AtomicU64,
+    retrain_micros,
     /// Cycles that published a warm-started (incrementally trained)
     /// model.
-    pub warm_starts: AtomicU64,
+    warm_starts,
     /// Cycles that published a from-scratch model (bootstrap, forced
     /// full mode, or an `auto` quality fallback).
-    pub full_retrains: AtomicU64,
+    full_retrains,
     /// Stable cluster node id these gauges belong to (0 when the service
-    /// runs single-node). Set once at service start; rides the wire as
-    /// the protocol-v5 cluster block so per-node gauges stay
-    /// attributable after aggregation.
-    pub node_id: AtomicU64,
-    /// Accounting sections entered (see module docs).
-    accounting_enter: AtomicU64,
-    /// Accounting sections exited.
-    accounting_exit: AtomicU64,
+    /// runs single-node). Set once at service start, so per-node gauges
+    /// stay attributable after aggregation.
+    node_id,
 }
 
 /// RAII marker for an accounting section: invariant-coupled counters
@@ -140,45 +257,6 @@ impl Drop for AccountingGuard<'_> {
 }
 
 impl ServeMetrics {
-    /// Fresh zeroed counters for `shards` ingest shards.
-    pub fn new(shards: usize) -> Self {
-        ServeMetrics {
-            ingested_records: AtomicU64::new(0),
-            ingest_batches: AtomicU64::new(0),
-            dropped_batches: AtomicU64::new(0),
-            dropped_records: AtomicU64::new(0),
-            queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-            decisions: AtomicU64::new(0),
-            batched_decisions: AtomicU64::new(0),
-            solo_decisions: AtomicU64::new(0),
-            coalesced_decisions: AtomicU64::new(0),
-            fused_rows: AtomicU64::new(0),
-            model_swaps: AtomicU64::new(0),
-            retrains: AtomicU64::new(0),
-            queries_offered: AtomicU64::new(0),
-            queries_admitted: AtomicU64::new(0),
-            queries_shed: AtomicU64::new(0),
-            pending_requests: AtomicU64::new(0),
-            pending_peak: AtomicU64::new(0),
-            pending_per_shard: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_shed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            latency_ewma_us: AtomicU64::new(0),
-            latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
-            store_pages: AtomicU64::new(0),
-            store_cold_bytes: AtomicU64::new(0),
-            wal_pending_records: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            last_checkpoint_micros: AtomicU64::new(0),
-            retrain_records: AtomicU64::new(0),
-            retrain_micros: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-            full_retrains: AtomicU64::new(0),
-            node_id: AtomicU64::new(0),
-            accounting_enter: AtomicU64::new(0),
-            accounting_exit: AtomicU64::new(0),
-        }
-    }
-
     /// Opens an accounting section (see the module docs).
     pub fn accounting(&self) -> AccountingGuard<'_> {
         self.accounting_enter.fetch_add(1, Ordering::SeqCst);
@@ -240,144 +318,36 @@ impl ServeMetrics {
         }
         self.read_all()
     }
-
-    fn read_all(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            ingested_records: self.ingested_records.load(Ordering::Relaxed),
-            ingest_batches: self.ingest_batches.load(Ordering::Relaxed),
-            dropped_batches: self.dropped_batches.load(Ordering::Relaxed),
-            dropped_records: self.dropped_records.load(Ordering::Relaxed),
-            queue_depth: self
-                .queue_depth
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            decisions: self.decisions.load(Ordering::Relaxed),
-            batched_decisions: self.batched_decisions.load(Ordering::Relaxed),
-            solo_decisions: self.solo_decisions.load(Ordering::Relaxed),
-            coalesced_decisions: self.coalesced_decisions.load(Ordering::Relaxed),
-            fused_rows: self.fused_rows.load(Ordering::Relaxed),
-            model_swaps: self.model_swaps.load(Ordering::Relaxed),
-            retrains: self.retrains.load(Ordering::Relaxed),
-            queries_offered: self.queries_offered.load(Ordering::Relaxed),
-            queries_admitted: self.queries_admitted.load(Ordering::Relaxed),
-            queries_shed: self.queries_shed.load(Ordering::Relaxed),
-            pending_requests: self.pending_requests.load(Ordering::Relaxed),
-            pending_peak: self.pending_peak.load(Ordering::Relaxed),
-            pending_per_shard: self
-                .pending_per_shard
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
-            shard_shed: self
-                .shard_shed
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed))
-                .collect(),
-            latency_ewma_us: self.latency_ewma_us.load(Ordering::Relaxed),
-            engine_queue: 0,
-            net_connections_live: 0,
-            net_writers_live: 0,
-            kernel_backend: geomancy_nn::matrix::kernels::backend_name().to_string(),
-            latency_us: self
-                .latency_us
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            store_pages: self.store_pages.load(Ordering::Relaxed),
-            store_cold_bytes: self.store_cold_bytes.load(Ordering::Relaxed),
-            wal_pending_records: self.wal_pending_records.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            last_checkpoint_micros: self.last_checkpoint_micros.load(Ordering::Relaxed),
-            retrain_records: self.retrain_records.load(Ordering::Relaxed),
-            retrain_micros: self.retrain_micros.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            full_retrains: self.full_retrains.load(Ordering::Relaxed),
-            node_id: self.node_id.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of [`ServeMetrics`], for reports and JSON output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct MetricsSnapshot {
-    /// See [`ServeMetrics::ingested_records`].
-    pub ingested_records: u64,
-    /// See [`ServeMetrics::ingest_batches`].
-    pub ingest_batches: u64,
-    /// See [`ServeMetrics::dropped_batches`].
-    pub dropped_batches: u64,
-    /// See [`ServeMetrics::dropped_records`].
-    pub dropped_records: u64,
-    /// See [`ServeMetrics::queue_depth`].
-    pub queue_depth: Vec<usize>,
-    /// See [`ServeMetrics::decisions`].
-    pub decisions: u64,
-    /// See [`ServeMetrics::batched_decisions`].
-    pub batched_decisions: u64,
-    /// See [`ServeMetrics::solo_decisions`].
-    pub solo_decisions: u64,
-    /// See [`ServeMetrics::coalesced_decisions`].
-    pub coalesced_decisions: u64,
-    /// See [`ServeMetrics::fused_rows`].
-    pub fused_rows: u64,
-    /// See [`ServeMetrics::model_swaps`].
-    pub model_swaps: u64,
-    /// See [`ServeMetrics::retrains`].
-    pub retrains: u64,
-    /// See [`ServeMetrics::queries_offered`].
-    pub queries_offered: u64,
-    /// See [`ServeMetrics::queries_admitted`].
-    pub queries_admitted: u64,
-    /// See [`ServeMetrics::queries_shed`].
-    pub queries_shed: u64,
-    /// See [`ServeMetrics::pending_requests`].
-    pub pending_requests: u64,
-    /// See [`ServeMetrics::pending_peak`].
-    pub pending_peak: u64,
-    /// See [`ServeMetrics::pending_per_shard`].
-    pub pending_per_shard: Vec<u64>,
-    /// See [`ServeMetrics::shard_shed`].
-    pub shard_shed: Vec<u64>,
-    /// See [`ServeMetrics::latency_ewma_us`].
-    pub latency_ewma_us: u64,
-    /// Query-engine mailbox depth at snapshot time (gauge; filled in by
-    /// the service, 0 when sampled from raw [`ServeMetrics`]).
-    pub engine_queue: usize,
-    /// TCP connections currently open at the transport layer (gauge;
-    /// filled in by the net server, 0 for in-process snapshots).
-    pub net_connections_live: u64,
-    /// Per-connection writer actors currently live on the net reactor
-    /// (gauge; filled in by the net server, 0 for in-process snapshots).
-    pub net_writers_live: u64,
-    /// NN kernel backend the serving process dispatches to
-    /// (`"avx2_fma"` or `"scalar"`; see `geomancy_nn::matrix::kernels`).
-    pub kernel_backend: String,
-    /// See [`ServeMetrics::latency_us`].
-    pub latency_us: Vec<u64>,
-    /// See [`ServeMetrics::store_pages`].
-    pub store_pages: u64,
-    /// See [`ServeMetrics::store_cold_bytes`].
-    pub store_cold_bytes: u64,
-    /// See [`ServeMetrics::wal_pending_records`].
-    pub wal_pending_records: u64,
-    /// See [`ServeMetrics::checkpoints`].
-    pub checkpoints: u64,
-    /// See [`ServeMetrics::last_checkpoint_micros`].
-    pub last_checkpoint_micros: u64,
-    /// See [`ServeMetrics::retrain_records`].
-    pub retrain_records: u64,
-    /// See [`ServeMetrics::retrain_micros`].
-    pub retrain_micros: u64,
-    /// See [`ServeMetrics::warm_starts`].
-    pub warm_starts: u64,
-    /// See [`ServeMetrics::full_retrains`].
-    pub full_retrains: u64,
-    /// See [`ServeMetrics::node_id`].
-    pub node_id: u64,
 }
 
 impl MetricsSnapshot {
+    /// The per-shard and per-bucket vectors as `(name, values)`, the
+    /// vector half of the named view [`MetricsSnapshot::scalars`] opens.
+    pub fn vectors(&self) -> [(&'static str, Vec<u64>); 4] {
+        [
+            (
+                "queue_depth",
+                self.queue_depth.iter().map(|&d| d as u64).collect(),
+            ),
+            ("pending_per_shard", self.pending_per_shard.clone()),
+            ("shard_shed", self.shard_shed.clone()),
+            ("latency_us", self.latency_us.clone()),
+        ]
+    }
+
+    /// Sets the vector called `name`; `false` (and no change) for a name
+    /// [`MetricsSnapshot::vectors`] does not yield.
+    pub fn set_vector(&mut self, name: &str, values: Vec<u64>) -> bool {
+        match name {
+            "queue_depth" => self.queue_depth = values.into_iter().map(|d| d as usize).collect(),
+            "pending_per_shard" => self.pending_per_shard = values,
+            "shard_shed" => self.shard_shed = values,
+            "latency_us" => self.latency_us = values,
+            _ => return false,
+        }
+        true
+    }
+
     /// Approximate p99 decision latency in microseconds (upper edge of the
     /// bucket containing the 99th percentile), or 0 with no data.
     pub fn p99_latency_us(&self) -> u64 {

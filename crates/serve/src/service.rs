@@ -598,7 +598,8 @@ impl PlacementService {
     }
 
     /// Runs a retrain cycle now and waits for its model to publish;
-    /// returns the new epoch.
+    /// returns the published epoch (unchanged when nothing was ingested
+    /// since the last published model — see [`Trainer::retrain_now`]).
     ///
     /// # Errors
     ///

@@ -241,11 +241,15 @@ impl Trainer {
         Trainer { addr, async_queued }
     }
 
-    /// Runs one retrain cycle and blocks until its model is published.
+    /// Runs one retrain cycle and blocks until its model is published;
+    /// returns the published epoch. With no record ingested since the
+    /// last published model the cycle is a no-op that returns that
+    /// model's epoch.
     ///
     /// # Errors
     ///
-    /// [`TrainError::NotEnoughData`] with a too-small telemetry window,
+    /// [`TrainError::NotEnoughData`] with a too-small telemetry window
+    /// (nothing published yet, or a delta too small to split),
     /// [`TrainError::TrainerDown`] after shutdown.
     pub fn retrain_now(&self) -> Result<u64, TrainError> {
         let (reply, rx) = bounded(1);
@@ -449,6 +453,13 @@ impl TrainerActor {
             delta.extend_from_slice(&p.records);
         }
         delta.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        if !collect.full && delta.is_empty() {
+            // Nothing new since the published model (a warm cycle implies
+            // a resident master): the model is already up to date, so
+            // answer with its epoch and leave counters and watermarks be.
+            let epoch = self.slot.published_epoch();
+            return self.conclude(collect.reply, Ok(epoch));
+        }
         self.metrics
             .retrain_records
             .fetch_add(delta.len() as u64, Ordering::Relaxed);
@@ -486,7 +497,17 @@ impl TrainerActor {
                 Ok(self.slot.publish_with_meta(master.fork(), meta))
             }
         };
-        if let Some(reply) = collect.reply {
+        self.conclude(collect.reply, outcome);
+    }
+
+    /// Reports a finished cycle to its caller and starts the next queued
+    /// one.
+    fn conclude(
+        &mut self,
+        reply: Option<Sender<Result<u64, TrainError>>>,
+        outcome: Result<u64, TrainError>,
+    ) {
+        if let Some(reply) = reply {
             let _ = reply.send(outcome);
         }
         if let Some(next) = self.queued.pop_front() {
@@ -655,15 +676,22 @@ mod tests {
         }
     }
 
+    /// `master`, when given, is resident as if an earlier cycle had
+    /// trained it, with a fork of it published (epoch 1).
     fn spawn_trainer(
         reactor: &Reactor,
         shard_addrs: Vec<Addr<ShardMsg>>,
+        master: Option<DrlEngine>,
     ) -> (Trainer, Arc<ServeMetrics>) {
         let n = shard_addrs.len();
         let metrics = Arc::new(ServeMetrics::new(n));
         let async_queued = Arc::new(AtomicBool::new(false));
         let drl = DrlConfig::default();
         let expected_spec = DrlEngine::new(drl.clone()).spec();
+        let slot = Arc::new(ModelSlot::new());
+        if let Some(m) = &master {
+            slot.publish(m.fork());
+        }
         let (addr, _handle) = reactor.spawn(
             "trainer-under-test",
             16,
@@ -672,7 +700,7 @@ mod tests {
                 shard_addrs,
                 drl,
                 tcfg: TrainerConfig::default(),
-                slot: Arc::new(ModelSlot::new()),
+                slot,
                 metrics: Arc::clone(&metrics),
                 async_queued: Arc::clone(&async_queued),
                 collecting: None,
@@ -680,7 +708,7 @@ mod tests {
                 shard_count: n,
                 cycle_gen: 0,
                 watermarks: vec![0; n],
-                master: None,
+                master,
                 history: Vec::new(),
                 last_val_mae: None,
                 expected_spec,
@@ -727,7 +755,7 @@ mod tests {
             },
         );
         kill_shard(&victim);
-        let (trainer, _metrics) = spawn_trainer(&reactor, vec![victim]);
+        let (trainer, _metrics) = spawn_trainer(&reactor, vec![victim], None);
         assert_eq!(trainer.retrain_now(), Err(TrainError::TrainerDown));
         drop(reactor.shutdown());
     }
@@ -759,7 +787,7 @@ mod tests {
                 held: None,
             },
         );
-        let (trainer, _metrics) = spawn_trainer(&reactor, vec![gate.clone(), victim.clone()]);
+        let (trainer, _metrics) = spawn_trainer(&reactor, vec![gate.clone(), victim.clone()], None);
 
         // Cycle A: the victim replies immediately, the gate holds its
         // part, freezing the cycle mid-collection.
@@ -800,6 +828,38 @@ mod tests {
             rx_c.recv_timeout(Duration::from_secs(10)).is_err(),
             "C must not strand behind the abandoned B"
         );
+        drop(reactor.shutdown());
+    }
+
+    /// Satellite regression (`geomancy serve --retrains 1` panicked on
+    /// `NotEnoughData`): with a model published and nothing ingested
+    /// since, a cycle is a no-op that answers the published epoch — no
+    /// fit, no publish, no counter moves — as often as it is asked.
+    #[test]
+    fn empty_delta_with_a_published_model_is_a_noop() {
+        let reactor = Reactor::new(ReactorConfig {
+            name: "trainer-noop".to_string(),
+            ..ReactorConfig::default()
+        });
+        let (quiet, _h) = reactor.spawn(
+            "quiet",
+            16,
+            FakeShard {
+                shard: 0,
+                hold: false,
+                held: None,
+            },
+        );
+        let master = DrlEngine::new(DrlConfig::default());
+        let (trainer, metrics) = spawn_trainer(&reactor, vec![quiet], Some(master));
+        assert_eq!(trainer.retrain_now(), Ok(1));
+        assert_eq!(trainer.retrain_now(), Ok(1));
+        let snap = metrics.snapshot();
+        assert_eq!(
+            (snap.retrains, snap.warm_starts, snap.full_retrains),
+            (0, 0, 0)
+        );
+        assert_eq!((snap.retrain_records, snap.retrain_micros), (0, 0));
         drop(reactor.shutdown());
     }
 }

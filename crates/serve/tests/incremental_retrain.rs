@@ -5,8 +5,10 @@
 //!   watermarks persisted in [`geomancy_serve::TrainedMeta`]);
 //! - warm starts and full retrains are split out in the metrics, and
 //!   the published metadata says which path produced each model;
-//! - a retrain with no new data reports `NotEnoughData` and leaves the
-//!   watermarks alone, so the records redeliver on the next cycle.
+//! - a retrain with no new data is a no-op that answers the published
+//!   epoch; a delta too small to train on reports `NotEnoughData` and
+//!   leaves the watermarks alone, so the records redeliver on the next
+//!   cycle.
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_serve::{PlacementService, RetrainMode, ServeConfig, TrainError, TrainerConfig};
@@ -121,22 +123,32 @@ fn full_mode_moves_the_whole_history_every_cycle() {
 }
 
 #[test]
-fn empty_delta_reports_not_enough_data_and_keeps_watermarks() {
+fn empty_delta_is_a_noop_and_a_tiny_one_keeps_watermarks() {
     let service = service(RetrainMode::Incremental);
 
     ingest(&service, 0, 300);
     assert_eq!(service.retrain_now().unwrap(), 1);
+    let before = service.metrics();
 
-    // No new records: the delta is empty, the cycle fails cleanly, and
-    // the watermarks do not advance.
-    assert_eq!(service.retrain_now(), Err(TrainError::NotEnoughData));
+    // No new records, asked twice: the published epoch comes back and
+    // nothing was snapshotted, fitted or counted.
+    assert_eq!(service.retrain_now(), Ok(1));
+    assert_eq!(service.retrain_now(), Ok(1));
     let m = service.metrics();
-    assert_eq!(m.retrains, 1, "failed cycle must not count as a retrain");
+    assert_eq!(m.retrains, 1, "a no-op cycle must not count as a retrain");
+    assert_eq!(m.retrain_records, before.retrain_records);
+    assert_eq!(m.retrain_micros, before.retrain_micros);
+
+    // One new record is too few to split into train and validation
+    // sets: the cycle fails cleanly and the watermarks do not advance.
+    ingest(&service, 300, 1);
+    assert_eq!(service.retrain_now(), Err(TrainError::NotEnoughData));
+    assert_eq!(service.metrics().retrains, 1);
     let meta = service.trained_meta().unwrap();
     assert_eq!(meta.watermarks.iter().sum::<u64>(), 300);
 
     // The pipeline recovers: new data trains normally afterwards.
-    ingest(&service, 300, 100);
+    ingest(&service, 301, 99);
     assert_eq!(service.retrain_now().unwrap(), 2);
     assert_eq!(
         service
