@@ -7,11 +7,11 @@
 //!    implementation: zero-skip scalar `dot`, materialized `transpose()`,
 //!    per-call `clone()` caches, and an SGD step that clones every
 //!    gradient.
-//! 2. **Scalar vs SIMD backend** (AVX2/FMA hosts) — per-kernel
-//!    micro-benchmarks at model-1 shapes and end-to-end train/predict for
-//!    both the dense model and a recurrent (LSTM) model, pinning each
-//!    backend in turn via `force_backend` (safe here: this binary is
-//!    single-threaded).
+//! 2. **Backend against backend** — per-kernel micro-benchmarks at model-1
+//!    shapes and end-to-end train/predict for both the dense model and a
+//!    recurrent (LSTM) model, pinning every backend the host supports
+//!    (`KernelBackend::supported()`: scalar, AVX2/FMA, AVX-512) in turn via
+//!    `force_backend` (safe here: this binary is single-threaded).
 //!
 //! Run with `cargo run -p geomancy-bench --bin nn_kernels --release`.
 //! Writes `BENCH_nn.json` at the workspace root, stamped with the
@@ -214,51 +214,52 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Times `f` once per backend: scalar always, AVX2/FMA when the host
-/// supports it. Only sound in this single-threaded binary — `force_backend`
-/// flips process-global dispatch.
-fn time_backends(simd_available: bool, reps: usize, mut f: impl FnMut()) -> (f64, Option<f64>) {
-    assert!(kernels::force_backend(kernels::KernelBackend::Scalar));
-    f(); // warm-up sizes scratch buffers under the scalar backend
-    let scalar = best_ms(reps, &mut f);
-    let simd = if simd_available {
-        assert!(kernels::force_backend(kernels::KernelBackend::Avx2Fma));
-        f();
-        Some(best_ms(reps, &mut f))
-    } else {
-        None
-    };
-    (scalar, simd)
+/// One timing per backend the host supports, in `KernelBackend::supported()`
+/// order: scalar first, the widest SIMD backend last.
+type BackendTimes = Vec<(kernels::KernelBackend, f64)>;
+
+/// Times `f` once per supported backend. Only sound in this single-threaded
+/// binary — `force_backend` flips process-global dispatch.
+fn time_backends(reps: usize, mut f: impl FnMut()) -> BackendTimes {
+    kernels::KernelBackend::supported()
+        .map(|backend| {
+            assert!(kernels::force_backend(backend));
+            f(); // warm-up sizes scratch buffers under this backend
+            (backend, best_ms(reps, &mut f))
+        })
+        .collect()
 }
 
-/// JSON blob for a scalar/SIMD timing pair.
-fn pair_json(scalar_ms: f64, simd_ms: Option<f64>) -> serde_json::Value {
-    match simd_ms {
-        Some(s) => serde_json::json!({
-            "scalar": scalar_ms,
-            "avx2_fma": s,
-            "speedup": scalar_ms / s,
-        }),
-        None => serde_json::json!({ "scalar": scalar_ms }),
-    }
+/// Scalar time over the widest backend's (1.0 on a scalar-only host).
+fn speedup(times: &BackendTimes) -> f64 {
+    times[0].1 / times[times.len() - 1].1
 }
 
-/// Table row for a scalar/SIMD timing pair.
-fn pair_row(label: &str, scalar_ms: f64, simd_ms: Option<f64>) -> Vec<String> {
-    match simd_ms {
-        Some(s) => vec![
-            label.to_string(),
-            format!("{scalar_ms:.3}"),
-            format!("{s:.3}"),
-            format!("{:.2}x", scalar_ms / s),
-        ],
-        None => vec![
-            label.to_string(),
-            format!("{scalar_ms:.3}"),
-            "n/a".to_string(),
-            "n/a".to_string(),
-        ],
+/// JSON blob for one measurement: milliseconds by backend name, plus the
+/// scalar-to-widest speedup.
+fn times_json(times: &BackendTimes) -> serde_json::Value {
+    let mut blob = serde_json::Map::new();
+    for (backend, ms) in times {
+        blob.insert(backend.name().to_string(), serde_json::json!(ms));
     }
+    blob.insert("speedup".to_string(), serde_json::json!(speedup(times)));
+    serde_json::Value::Object(blob)
+}
+
+/// Table header for per-backend measurements.
+fn times_header(first: &str) -> Vec<String> {
+    let mut header = vec![first.to_string()];
+    header.extend(kernels::KernelBackend::supported().map(|b| format!("{} (ms)", b.name())));
+    header.push("speedup".to_string());
+    header
+}
+
+/// Table row for one measurement.
+fn times_row(label: &str, times: &BackendTimes) -> Vec<String> {
+    let mut row = vec![label.to_string()];
+    row.extend(times.iter().map(|(_, ms)| format!("{ms:.3}")));
+    row.push(format!("{:.2}x", speedup(times)));
+    row
 }
 
 fn main() {
@@ -361,11 +362,11 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Tier 2: scalar vs AVX2/FMA backend. The detected backend is pinned
-    // per measurement and restored afterwards.
+    // Tier 2: every supported backend. Each is pinned per measurement and
+    // the detected one restored afterwards.
     let detected = kernels::backend();
     let backend_name = kernels::backend_name();
-    let simd_available = detected == kernels::KernelBackend::Avx2Fma;
+    let simd_available = kernels::KernelBackend::supported().count() > 1;
     let (micro_reps, micro_iters) = if fast { (5, 50) } else { (20, 400) };
 
     // Per-kernel micro-benches at model-1 shapes (batch 64, 96 -> 48 being
@@ -375,27 +376,27 @@ fn main() {
     let g1 = pseudo(64, 48, 3);
     let bias1 = pseudo(1, 48, 4);
     let mut o_acc = Matrix::zeros(64, 48);
-    let (mm_scalar, mm_simd) = time_backends(simd_available, micro_reps, || {
+    let mm = time_backends(micro_reps, || {
         o_acc.fill(0.0);
         for _ in 0..micro_iters {
             kernels::matmul_acc(a1.view(), &b1, &mut o_acc);
         }
     });
     let mut w_grad = Matrix::zeros(96, 48);
-    let (atb_scalar, atb_simd) = time_backends(simd_available, micro_reps, || {
+    let atb = time_backends(micro_reps, || {
         w_grad.fill(0.0);
         for _ in 0..micro_iters {
             kernels::matmul_at_b_acc(a1.view(), g1.view(), &mut w_grad);
         }
     });
     let mut dx = Matrix::default();
-    let (abt_scalar, abt_simd) = time_backends(simd_available, micro_reps, || {
+    let abt = time_backends(micro_reps, || {
         for _ in 0..micro_iters {
             kernels::matmul_a_bt_into(g1.view(), &b1, &mut dx);
         }
     });
     let mut fwd = Matrix::default();
-    let (mba_scalar, mba_simd) = time_backends(simd_available, micro_reps, || {
+    let mba = time_backends(micro_reps, || {
         for _ in 0..micro_iters {
             kernels::matmul_bias_act_into(a1.view(), &b1, &bias1, Activation::ReLU, &mut fwd);
         }
@@ -409,7 +410,7 @@ fn main() {
         Matrix::default(),
         Matrix::default(),
     ];
-    let (lstm_ew_scalar, lstm_ew_simd) = time_backends(simd_available, micro_reps, || {
+    let lstm_ew = time_backends(micro_reps, || {
         let [z1, z2, z3, z4, z5] = &mut z;
         for _ in 0..micro_iters {
             kernels::lstm_backward_elementwise(
@@ -431,19 +432,17 @@ fn main() {
         }
     });
 
+    let header = times_header("measurement");
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
     print_table(
-        &format!("Kernel micro-benches, {micro_iters} calls/rep (scalar vs AVX2/FMA)"),
-        &["kernel", "scalar (ms)", "avx2_fma (ms)", "speedup"],
+        &format!("Kernel micro-benches, {micro_iters} calls/rep, by backend"),
+        &header,
         &[
-            pair_row("matmul_acc 64x96 . 96x48", mm_scalar, mm_simd),
-            pair_row("matmul_at_b_acc 96x64 . 64x48", atb_scalar, atb_simd),
-            pair_row("matmul_a_bt_into 64x48 . 48x96", abt_scalar, abt_simd),
-            pair_row("matmul_bias_act_into + ReLU", mba_scalar, mba_simd),
-            pair_row(
-                "lstm_backward_elementwise 64x32",
-                lstm_ew_scalar,
-                lstm_ew_simd,
-            ),
+            times_row("matmul_acc 64x96 . 96x48", &mm),
+            times_row("matmul_at_b_acc 96x64 . 64x48", &atb),
+            times_row("matmul_a_bt_into 64x48 . 48x96", &abt),
+            times_row("matmul_bias_act_into + ReLU", &mba),
+            times_row("lstm_backward_elementwise 64x32", &lstm_ew),
         ],
     );
 
@@ -456,10 +455,10 @@ fn main() {
     dnet.push(Dense::new(48, 24, acts[2], &mut rng2));
     dnet.push(Dense::new(24, 1, acts[3], &mut rng2));
     let mut dopt = Sgd::new(lr);
-    let (dense_train_scalar, dense_train_simd) = time_backends(simd_available, train_reps, || {
+    let dense_train = time_backends(train_reps, || {
         run_epoch_fused(&mut dnet, &mut dopt);
     });
-    let (dense_pred_scalar, dense_pred_simd) = time_backends(simd_available, predict_reps, || {
+    let dense_pred = time_backends(predict_reps, || {
         let _ = dnet.predict(&px);
     });
 
@@ -494,10 +493,10 @@ fn main() {
             row = end;
         }
     };
-    let (lstm_train_scalar, lstm_train_simd) = time_backends(simd_available, train_reps, || {
+    let lstm_train = time_backends(train_reps, || {
         run_epoch_lstm(&mut lnet, &mut lopt);
     });
-    let (lstm_pred_scalar, lstm_pred_simd) = time_backends(simd_available, predict_reps, || {
+    let lstm_pred = time_backends(predict_reps, || {
         let _ = lnet.predict(&lpx);
     });
 
@@ -505,28 +504,21 @@ fn main() {
     assert!(kernels::force_backend(detected));
 
     print_table(
-        "End-to-end scalar vs AVX2/FMA",
-        &["scenario", "scalar (ms)", "avx2_fma (ms)", "speedup"],
+        "End-to-end by backend",
+        &header,
         &[
-            pair_row(
+            times_row(
                 &format!("dense train epoch ({train_rows} rows)"),
-                dense_train_scalar,
-                dense_train_simd,
+                &dense_train,
             ),
-            pair_row(
-                &format!("dense predict ({predict_rows} rows)"),
-                dense_pred_scalar,
-                dense_pred_simd,
-            ),
-            pair_row(
+            times_row(&format!("dense predict ({predict_rows} rows)"), &dense_pred),
+            times_row(
                 &format!("lstm train epoch ({lstm_train_rows} rows)"),
-                lstm_train_scalar,
-                lstm_train_simd,
+                &lstm_train,
             ),
-            pair_row(
+            times_row(
                 &format!("lstm predict ({lstm_predict_rows} rows)"),
-                lstm_pred_scalar,
-                lstm_pred_simd,
+                &lstm_pred,
             ),
         ],
     );
@@ -553,22 +545,22 @@ fn main() {
             "available": simd_available,
             "micro_iters": micro_iters,
             "kernels_ms": {
-                "matmul_acc_64x96x48": pair_json(mm_scalar, mm_simd),
-                "matmul_at_b_acc_96x64x48": pair_json(atb_scalar, atb_simd),
-                "matmul_a_bt_into_64x48x96": pair_json(abt_scalar, abt_simd),
-                "matmul_bias_act_relu_64x96x48": pair_json(mba_scalar, mba_simd),
-                "lstm_backward_elementwise_64x32": pair_json(lstm_ew_scalar, lstm_ew_simd),
+                "matmul_acc_64x96x48": times_json(&mm),
+                "matmul_at_b_acc_96x64x48": times_json(&atb),
+                "matmul_a_bt_into_64x48x96": times_json(&abt),
+                "matmul_bias_act_relu_64x96x48": times_json(&mba),
+                "lstm_backward_elementwise_64x32": times_json(&lstm_ew),
             },
             "dense_end_to_end": {
-                "train_epoch_ms": pair_json(dense_train_scalar, dense_train_simd),
-                "predict_ms": pair_json(dense_pred_scalar, dense_pred_simd),
+                "train_epoch_ms": times_json(&dense_train),
+                "predict_ms": times_json(&dense_pred),
             },
             "lstm_end_to_end": {
                 "model": "lstm_6f_8t_h32_dense_1",
                 "train_rows": lstm_train_rows,
                 "predict_rows": lstm_predict_rows,
-                "train_epoch_ms": pair_json(lstm_train_scalar, lstm_train_simd),
-                "predict_ms": pair_json(lstm_pred_scalar, lstm_pred_simd),
+                "train_epoch_ms": times_json(&lstm_train),
+                "predict_ms": times_json(&lstm_pred),
             },
         },
     });
@@ -589,21 +581,22 @@ fn main() {
         "kernel speedup regressed below 2x (train {train_speedup:.2}x, predict {predict_speedup:.2}x)"
     );
 
-    // SIMD acceptance gates (skipped under GEOMANCY_FAST: too few reps to
-    // be noise-proof, and skipped entirely on hosts without AVX2/FMA).
+    // SIMD acceptance gates on the widest backend (skipped under
+    // GEOMANCY_FAST: too few reps to be noise-proof, and skipped entirely
+    // on hosts with no SIMD backend).
     if simd_available && !fast {
-        let mm_speedup = mm_scalar / mm_simd.expect("measured on AVX2 host");
+        let mm_speedup = speedup(&mm);
         assert!(
             mm_speedup >= 1.5,
             "matmul_acc SIMD speedup below 1.5x: {mm_speedup:.2}x"
         );
-        for (label, scalar, simd) in [
-            ("dense train", dense_train_scalar, dense_train_simd),
-            ("dense predict", dense_pred_scalar, dense_pred_simd),
-            ("lstm train", lstm_train_scalar, lstm_train_simd),
-            ("lstm predict", lstm_pred_scalar, lstm_pred_simd),
+        for (label, times) in [
+            ("dense train", &dense_train),
+            ("dense predict", &dense_pred),
+            ("lstm train", &lstm_train),
+            ("lstm predict", &lstm_pred),
         ] {
-            let speedup = scalar / simd.expect("measured on AVX2 host");
+            let speedup = speedup(times);
             assert!(
                 speedup > 1.0,
                 "{label}: SIMD backend not faster end-to-end ({speedup:.2}x)"

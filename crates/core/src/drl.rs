@@ -418,10 +418,14 @@ impl DrlEngine {
             return;
         }
         self.query_buf.resize(queries.len() * per, PLACEMENT_Z);
-        for (qi, query) in queries.iter().enumerate() {
-            for (ci, &dev) in candidates.iter().enumerate() {
-                let row = query_row(feature_norm, query, dev);
-                self.query_buf.set_row(qi * per + ci, &row);
+        // A query's candidates differ only in the device column: normalize
+        // the shared part once per query and write each row in place.
+        let mut rows = self.query_buf.as_mut_slice().chunks_exact_mut(PLACEMENT_Z);
+        for query in queries {
+            let shared = query_row(feature_norm, query, candidates[0]);
+            for (&dev, row) in candidates.iter().zip(&mut rows) {
+                row.copy_from_slice(&shared);
+                row[DEVICE_COL] = device_feature(feature_norm, dev);
             }
         }
         self.net
@@ -453,6 +457,17 @@ impl DrlEngine {
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("no candidates")
     }
+}
+
+/// Column of the candidate device in a placement feature row.
+const DEVICE_COL: usize = PLACEMENT_Z - 1;
+
+/// The device column of [`query_row`] on its own: the same normalize-then-
+/// clamp, so a row patched with it is bit-equal to one built whole.
+fn device_feature(feature_norm: &MinMaxNormalizer, dev: DeviceId) -> f64 {
+    feature_norm
+        .normalize_value(DEVICE_COL, dev.0 as f64)
+        .clamp(0.0, 1.0)
 }
 
 /// Builds one normalized §V-C feature row for `(query, dev)`.

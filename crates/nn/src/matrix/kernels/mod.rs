@@ -6,18 +6,19 @@
 //! a traversal order that never materializes a transposed copy:
 //!
 //! - [`matmul_into`] / [`matmul_acc`] — `out = / += a · b`, register-blocked
-//!   `i-k-j` with the shared dimension tiled so the `b` panel stays cache
-//!   resident while streaming rows of `a`,
-//! - [`matmul_at_b_acc`] — `out += aᵀ · b` (weight gradients `xᵀ · g`)
-//!   walked as rank-1 updates over the shared batch dimension, all accesses
-//!   contiguous,
+//!   with the shared dimension tiled so the `b` panel stays cache resident
+//!   while streaming rows of `a`,
+//! - [`matmul_at_b_acc`] — `out += aᵀ · b` (weight gradients `xᵀ · g`):
+//!   rank-1 updates over the shared batch dimension on the scalar backend,
+//!   a column-strided walk through the same register-blocked product on the
+//!   SIMD ones,
 //! - [`matmul_a_bt_into`] / [`matmul_a_bt_acc`] — `out = / += a · bᵀ`
 //!   (input gradients `g · Wᵀ`) as row-by-row dot products, both operands
 //!   read contiguously,
 //! - [`matmul_bias_act_into`] — the fused dense forward
-//!   `out = act(x · W + b)`: bias initialization, product accumulation and
-//!   activation in one buffer, no broadcast copy or pre-activation
-//!   temporary,
+//!   `out = act(x · W + b)`: on the SIMD backends the accumulators start
+//!   from the bias and ReLU is applied at the store, so the output is
+//!   written once; no broadcast copy or pre-activation temporary anywhere,
 //! - element-wise helpers ([`hadamard_act_derivative_into`],
 //!   [`sum_rows_acc`], [`add_row_broadcast_inplace`], [`slice_cols_into`],
 //!   [`scatter_cols_from`]) for the backward pass and the recurrent layers'
@@ -31,18 +32,24 @@
 //!
 //! ## Backends
 //!
-//! Each kernel has two implementations behind one-time runtime dispatch:
+//! Each kernel has up to three implementations behind one-time runtime
+//! dispatch ([`KernelBackend::ALL`]):
 //!
 //! - [`scalar`] — the portable blocked/unrolled loops (public, so tests and
 //!   benchmarks can pin this backend regardless of the host),
-//! - an AVX2+FMA backend (x86-64 only) with explicit 4×f64
-//!   `_mm256_fmadd_pd` lanes in every inner loop.
+//! - `avx2_fma` (x86-64 only) — explicit 4×f64 `_mm256_fmadd_pd` lanes in
+//!   every inner loop,
+//! - `avx512` (x86-64 only) — the matrix products on 8×f64 lanes; the two
+//!   SIMD products are one micro-kernel body (`gemm`) instantiated per
+//!   lane width and are bit-equal to each other, and the element-wise
+//!   kernels are the `avx2_fma` ones.
 //!
-//! [`backend`] resolves once per process (cached in an atomic): the SIMD
-//! backend is chosen iff the CPU reports AVX2 and FMA via
-//! `is_x86_feature_detected!` and the `GEOMANCY_FORCE_SCALAR` environment
-//! variable is unset (any value other than `0`/empty forces the scalar
-//! backend, keeping the fallback testable on every machine). Transcendental
+//! [`backend`] resolves once per process (cached in an atomic): the widest
+//! backend `is_x86_feature_detected!` reports, unless the
+//! `GEOMANCY_FORCE_SCALAR` environment variable is set (any value other
+//! than `0`/empty forces the scalar backend, keeping the fallback testable
+//! on every machine). [`matmul_bias_act_with`] runs the dense forward on a
+//! named backend without touching that choice. Transcendental
 //! activations (sigmoid, tanh) always evaluate through the same scalar
 //! `f64::exp`/`f64::tanh` calls on both backends — only polynomial
 //! arithmetic is vectorized — so backends agree to well under the 1e-12
@@ -57,15 +64,17 @@
 use super::{Matrix, MatrixView};
 use crate::activation::Activation;
 
+#[cfg(target_arch = "x86_64")]
+mod gemm;
 pub mod reference;
 pub mod scalar;
 mod simd;
 
 pub use simd::{backend, backend_name, force_backend, KernelBackend};
 
-/// Tile width of the shared (`k`) dimension: 32 rows of `b` (a panel of
-/// `32 x n` f64s) stay L1/L2-resident while every row of `a` streams
-/// over them.
+/// Tile width of the scalar backend's shared (`k`) dimension: 32 rows of
+/// `b` (a panel of `32 x n` f64s) stay L1/L2-resident while every row of
+/// `a` streams over them.
 pub(crate) const KC: usize = 32;
 
 pub(crate) fn assert_mul_shapes(m: (usize, usize), n: (usize, usize), op: &str) {
@@ -76,11 +85,31 @@ pub(crate) fn assert_mul_shapes(m: (usize, usize), n: (usize, usize), op: &str) 
     );
 }
 
-/// True when the active backend is the AVX2+FMA one (compile-time false on
-/// non-x86-64 targets, so the scalar arms below are statically selected).
+/// True when the active backend is a SIMD one — both imply AVX2+FMA, which
+/// is all the element-wise kernels need (compile-time false on non-x86-64
+/// targets, so the scalar arms below are statically selected).
 #[inline]
 fn simd_active() -> bool {
-    cfg!(target_arch = "x86_64") && backend() == KernelBackend::Avx2Fma
+    cfg!(target_arch = "x86_64") && backend() != KernelBackend::Scalar
+}
+
+/// Runs `g` on `backend`'s instantiation of the register-blocked product.
+/// Returns `false`, leaving `g.out` untouched, for the scalar backend.
+#[cfg(target_arch = "x86_64")]
+fn simd_product(backend: KernelBackend, g: gemm::Product<'_>) -> bool {
+    if backend == KernelBackend::Scalar {
+        return false;
+    }
+    g.check();
+    // SAFETY: `check` bounded every operand; callers pass `backend()` or a
+    // backend they asserted `is_supported`, so the CPU features are present.
+    unsafe {
+        match backend {
+            KernelBackend::Avx512 => gemm::product_avx512(g),
+            _ => gemm::product_avx2(g),
+        }
+    }
+    true
 }
 
 /// `out = a · b`, resizing `out` to `a.rows x b.cols`.
@@ -97,10 +126,10 @@ pub fn matmul_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 
 /// `out += a · b`; `out` must already be `a.rows x b.cols`.
 ///
-/// Register-blocked `i-k-j`: four rows of `b` are combined per pass over
-/// an output row, and the `k` dimension is tiled by [`KC`] so the active
-/// panel of `b` stays cache resident. On AVX2/FMA hosts the inner `j` loop
-/// runs 4 f64 lanes per `_mm256_fmadd_pd`.
+/// Scalar backend: register-blocked `i-k-j`, four rows of `b` combined per
+/// pass over an output row, the `k` dimension tiled by [`KC`] so the active
+/// panel of `b` stays cache resident. SIMD backends: the 4-row × 3-vector
+/// register-blocked micro-kernel (see `gemm`).
 ///
 /// # Panics
 ///
@@ -112,24 +141,31 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         (a.rows(), b.cols()),
         "matmul output shape mismatch"
     );
+    window_acc(a, 0, b, out);
+}
+
+/// `out += a[:, off..off + b.rows()] · b` on the active backend, shapes
+/// already checked: the body [`matmul_acc`] (`off = 0`, full width) and
+/// [`matmul_cols_acc`] share.
+fn window_acc(a: MatrixView<'_>, off: usize, b: &Matrix, out: &mut Matrix) {
     let (m, k, n) = (a.rows(), b.rows(), b.cols());
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: shapes validated above; AVX2+FMA presence is established
-        // by the dispatch table before this arm is reachable.
-        unsafe {
-            simd::matmul_panel_acc(
-                m,
-                k,
-                n,
-                a.as_slice(),
-                k,
-                0,
-                1,
-                b.as_slice(),
-                out.as_mut_slice(),
-            );
-        }
+    if simd_product(
+        backend(),
+        gemm::Product {
+            m,
+            k,
+            n,
+            a: a.as_slice(),
+            a_off: off,
+            a_row: a.cols(),
+            a_step: 1,
+            b: b.as_slice(),
+            bias: None,
+            relu: false,
+            out: out.as_mut_slice(),
+        },
+    ) {
         return;
     }
     scalar::panel_acc(
@@ -137,8 +173,8 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         k,
         n,
         a.as_slice(),
-        k,
-        0,
+        a.cols(),
+        off,
         b.as_slice(),
         out.as_mut_slice(),
     );
@@ -149,8 +185,8 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 ///
 /// This is the weight-gradient product `xᵀ · grad`: the scalar backend
 /// walks the shared batch dimension outermost (a sequence of contiguous
-/// rank-1 row updates); the SIMD backend feeds the register-blocked
-/// matmul panel with a column-strided A walk instead.
+/// rank-1 row updates); the SIMD backends feed the register-blocked
+/// product with a column-strided A walk instead.
 ///
 /// # Panics
 ///
@@ -170,13 +206,24 @@ pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
         (a.cols(), b.cols()),
         "matmul_at_b output shape mismatch"
     );
+    // Out-row `pi` reads A's column `pi`, with the batch dimension shared.
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        let (m, p, n) = (a.rows(), a.cols(), b.cols());
-        // SAFETY: shapes validated above; backend implies AVX2+FMA.
-        unsafe {
-            simd::matmul_at_b_acc(m, p, n, a.as_slice(), b.as_slice(), out.as_mut_slice());
-        }
+    if simd_product(
+        backend(),
+        gemm::Product {
+            m: a.cols(),
+            k: a.rows(),
+            n: b.cols(),
+            a: a.as_slice(),
+            a_off: 0,
+            a_row: 1,
+            a_step: a.cols(),
+            b: b.as_slice(),
+            bias: None,
+            relu: false,
+            out: out.as_mut_slice(),
+        },
+    ) {
         return;
     }
     scalar::matmul_at_b_acc(a, b, out);
@@ -234,14 +281,52 @@ pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// Fused dense forward `out = act(x · w + bias)`, resizing `out` to
 /// `x.rows x w.cols`.
 ///
-/// Each output row is initialized with the bias, the product accumulates
-/// on top, and the activation is applied in place — one buffer, no
-/// broadcast copy, no pre-activation temporary.
+/// One buffer, no broadcast copy, no pre-activation temporary. On the SIMD
+/// backends the accumulators start from the bias and ReLU is applied
+/// before the store, so `out` is written exactly once; sigmoid/tanh run as
+/// a second pass over the scalar transcendentals on every backend.
 ///
 /// # Panics
 ///
 /// Panics if `x.cols() != w.rows()` or `bias` is not `1 x w.cols()`.
 pub fn matmul_bias_act_into(
+    x: MatrixView<'_>,
+    w: &Matrix,
+    bias: &Matrix,
+    act: Activation,
+    out: &mut Matrix,
+) {
+    bias_act_on(backend(), x, w, bias, act, out);
+}
+
+/// [`matmul_bias_act_into`] on a named backend, leaving the process-wide
+/// dispatch untouched — how tests and benchmarks compare backends side by
+/// side.
+///
+/// # Panics
+///
+/// Panics if the host does not support `backend`
+/// ([`KernelBackend::is_supported`]), or on the shape errors of
+/// [`matmul_bias_act_into`].
+pub fn matmul_bias_act_with(
+    backend: KernelBackend,
+    x: MatrixView<'_>,
+    w: &Matrix,
+    bias: &Matrix,
+    act: Activation,
+    out: &mut Matrix,
+) {
+    assert!(
+        backend.is_supported(),
+        "kernel backend {} is not supported on this host",
+        backend.name()
+    );
+    bias_act_on(backend, x, w, bias, act, out);
+}
+
+/// The fused forward on `backend`, which the caller vouches is supported.
+fn bias_act_on(
+    backend: KernelBackend,
     x: MatrixView<'_>,
     w: &Matrix,
     bias: &Matrix,
@@ -255,27 +340,32 @@ pub fn matmul_bias_act_into(
         "bias must be 1x{} for fused forward",
         w.cols()
     );
-    let n = w.cols();
-    out.resize(x.rows(), n);
-    let bias_row = bias.as_slice();
-    for orow in out.as_mut_slice().chunks_exact_mut(n.max(1)) {
-        orow.copy_from_slice(bias_row);
-    }
-    matmul_acc(x, w, out);
-    apply_act_inplace(act, out);
-}
-
-/// Applies an activation in place, routing ReLU through the SIMD backend
-/// when active; sigmoid/tanh always use the scalar transcendentals so both
-/// backends evaluate bit-identical `exp`/`tanh`.
-fn apply_act_inplace(act: Activation, m: &mut Matrix) {
+    let (m, k, n) = (x.rows(), w.rows(), w.cols());
+    out.resize(m, n);
     #[cfg(target_arch = "x86_64")]
-    if simd_active() && act == Activation::ReLU {
-        // SAFETY: backend implies AVX2+FMA.
-        unsafe { simd::relu(m.as_mut_slice()) };
+    if simd_product(
+        backend,
+        gemm::Product {
+            m,
+            k,
+            n,
+            a: x.as_slice(),
+            a_off: 0,
+            a_row: k,
+            a_step: 1,
+            b: w.as_slice(),
+            bias: Some(bias.as_slice()),
+            relu: act == Activation::ReLU,
+            out: out.as_mut_slice(),
+        },
+    ) {
+        if matches!(act, Activation::Sigmoid | Activation::Tanh) {
+            act.apply_inplace(out);
+        }
         return;
     }
-    act.apply_inplace(m);
+    let _ = backend; // only the scalar backend is left
+    scalar::matmul_bias_act_into(x, w, bias, act, out);
 }
 
 /// `out = act(src)`, resizing `out` to match — the out-of-place activation
@@ -674,10 +764,9 @@ pub fn broadcast_rows_into(bias: &Matrix, rows: usize, out: &mut Matrix) {
 /// the recurrent layers' per-timestep product `x_t · W` without copying
 /// `x_t` out first.
 ///
-/// Mirrors `matmul_acc`'s traversal (KC blocking + 4-wide unroll, SIMD
-/// lanes on the AVX2 backend) so results are identical to copying the
-/// window out and calling `matmul_acc` — the layer tests rely on that
-/// equivalence.
+/// Runs the same kernel as `matmul_acc` with a wider row stride, so
+/// results are identical to copying the window out and calling
+/// `matmul_acc` — the layer tests rely on that equivalence.
 ///
 /// # Panics
 ///
@@ -706,36 +795,7 @@ pub fn matmul_cols_acc(
         (a.rows(), b.cols()),
         "matmul_cols output shape mismatch"
     );
-    let (m, k, n) = (a.rows(), cols.end - cols.start, b.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: the window is in bounds for every row (checked above);
-        // backend implies AVX2+FMA.
-        unsafe {
-            simd::matmul_panel_acc(
-                m,
-                k,
-                n,
-                a.as_slice(),
-                a.cols(),
-                cols.start,
-                1,
-                b.as_slice(),
-                out.as_mut_slice(),
-            );
-        }
-        return;
-    }
-    scalar::panel_acc(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        a.cols(),
-        cols.start,
-        b.as_slice(),
-        out.as_mut_slice(),
-    );
+    window_acc(a, cols.start, b, out);
 }
 
 /// Copies columns `range` of `src` into `out` (resized to fit) — the

@@ -1,24 +1,28 @@
-//! AVX2+FMA backend and the one-time runtime dispatch that selects it.
+//! Runtime dispatch between the kernel backends, and the AVX2+FMA
+//! element-wise kernels both SIMD backends share (the matrix products live
+//! in [`super::gemm`]).
 //!
 //! ## Dispatch
 //!
 //! [`backend`] resolves the process-wide [`KernelBackend`] exactly once
 //! (cached in an atomic, `OnceLock`-style): scalar when
-//! `GEOMANCY_FORCE_SCALAR` is set to anything but `0`/empty, otherwise
-//! AVX2+FMA iff `is_x86_feature_detected!` reports both features. On
-//! non-x86-64 targets the intrinsics below are compiled out entirely and
-//! the backend is always [`KernelBackend::Scalar`].
+//! `GEOMANCY_FORCE_SCALAR` is set to anything but `0`/empty, otherwise the
+//! widest entry of [`KernelBackend::ALL`] that `is_x86_feature_detected!`
+//! supports — AVX-512F, else AVX2+FMA, else scalar. On non-x86-64 targets
+//! the intrinsics are compiled out entirely and the backend is always
+//! [`KernelBackend::Scalar`].
 //!
 //! ## Safety argument
 //!
-//! Every intrinsics function is `unsafe fn` with
+//! Every intrinsics function below is `unsafe fn` with
 //! `#[target_feature(enable = "avx2", enable = "fma")]`; the only callers
 //! are the dispatched wrappers in the parent module, which reach a SIMD arm
-//! strictly after [`backend`] returned [`KernelBackend::Avx2Fma`] — which
-//! itself requires the feature detection (or [`force_backend`], which
-//! re-checks) to have passed. So the CPU-feature precondition holds on
-//! every call. The memory precondition is plain slice validity: all
-//! pointer arithmetic stays inside the slice bounds the safe wrappers
+//! strictly after [`backend`] returned a SIMD backend — which itself
+//! requires the feature detection (or [`force_backend`], which re-checks)
+//! to have passed, and [`KernelBackend::Avx512`] is only ever selected on a
+//! host that also reports AVX2 and FMA. So the CPU-feature precondition
+//! holds on every call. The memory precondition is plain slice validity:
+//! all pointer arithmetic stays inside the slice bounds the safe wrappers
 //! already asserted (`while j + 4 <= n` guards every 4-lane access, with
 //! scalar tails for the remainder), and unaligned loads/stores
 //! (`_mm256_loadu_pd`/`_mm256_storeu_pd`) are used throughout so no
@@ -43,24 +47,67 @@ use crate::activation::Activation;
 pub enum KernelBackend {
     /// Portable blocked/unrolled scalar loops ([`super::scalar`]).
     Scalar,
-    /// Explicit 4×f64 AVX2 lanes with FMA (x86-64 only).
+    /// 4×f64 AVX2 lanes with FMA (x86-64 only).
     Avx2Fma,
+    /// 8×f64 AVX-512F lanes in the matrix products; the element-wise
+    /// kernels stay on the AVX2 lanes (x86-64 only).
+    Avx512,
 }
 
 impl KernelBackend {
+    /// Every backend, narrowest first: the one list detection, the
+    /// per-backend tests and the kernel benchmark all walk.
+    pub const ALL: [KernelBackend; 3] = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2Fma,
+        KernelBackend::Avx512,
+    ];
+
     /// Stable machine-readable name, as surfaced in bench metadata and the
-    /// serve layer's metrics (`"scalar"` / `"avx2_fma"`).
+    /// serve layer's metrics (`"scalar"` / `"avx2_fma"` / `"avx512"`).
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2Fma => "avx2_fma",
+            KernelBackend::Avx512 => "avx512",
         }
+    }
+
+    /// Whether this host can run the backend (independent of the
+    /// `GEOMANCY_FORCE_SCALAR` override).
+    pub fn is_supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2_fma = || {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            };
+            match self {
+                KernelBackend::Scalar => true,
+                KernelBackend::Avx2Fma => avx2_fma(),
+                KernelBackend::Avx512 => {
+                    std::arch::is_x86_feature_detected!("avx512f") && avx2_fma()
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == KernelBackend::Scalar
+        }
+    }
+
+    /// The backends this host can run, narrowest first.
+    pub fn supported() -> impl Iterator<Item = KernelBackend> {
+        Self::ALL.into_iter().filter(|b| b.is_supported())
+    }
+
+    /// Position in [`KernelBackend::ALL`], offset past [`UNRESOLVED`].
+    fn code(self) -> u8 {
+        self as u8 + 1
     }
 }
 
 const UNRESOLVED: u8 = 0;
-const SCALAR: u8 = 1;
-const AVX2_FMA: u8 = 2;
 
 /// Cached dispatch decision; resolved at most once per process (benign
 /// race: concurrent first calls all store the same detection result).
@@ -69,55 +116,46 @@ static BACKEND: AtomicU8 = AtomicU8::new(UNRESOLVED);
 /// The active kernel backend (detection runs on first call, then cached).
 pub fn backend() -> KernelBackend {
     match BACKEND.load(Ordering::Relaxed) {
-        SCALAR => KernelBackend::Scalar,
-        AVX2_FMA => KernelBackend::Avx2Fma,
-        _ => {
+        UNRESOLVED => {
             let b = detect();
-            BACKEND.store(code(b), Ordering::Relaxed);
+            BACKEND.store(b.code(), Ordering::Relaxed);
             b
         }
+        code => KernelBackend::ALL[usize::from(code - 1)],
     }
 }
 
-/// [`backend`]'s stable name (`"scalar"` / `"avx2_fma"`), for logs,
-/// metrics and bench metadata.
+/// [`backend`]'s stable name (`"scalar"` / `"avx2_fma"` / `"avx512"`), for
+/// logs, metrics and bench metadata.
 pub fn backend_name() -> &'static str {
     backend().name()
 }
 
 /// Overrides the dispatched backend for the rest of the process (or until
 /// called again). Returns `false` — leaving the current choice untouched —
-/// when [`KernelBackend::Avx2Fma`] is requested on a host without
-/// AVX2+FMA, so the unsafe arms stay unreachable on unsupported CPUs.
+/// when the host does not support `b`, so the unsafe arms stay unreachable
+/// on unsupported CPUs.
 ///
-/// Intended for single-threaded benchmark drivers that measure both
-/// backends in one process. Tests must not call it: they run concurrently
+/// Intended for single-threaded benchmark drivers that measure every
+/// backend in one process. Tests must not call it: they run concurrently
 /// within one process and would race on the process-global choice — pin a
-/// backend by calling [`super::scalar`] directly instead.
+/// backend by calling [`super::scalar`] or
+/// [`super::matmul_bias_act_with`] directly instead.
 pub fn force_backend(b: KernelBackend) -> bool {
-    if b == KernelBackend::Avx2Fma && !avx2_fma_supported() {
+    if !b.is_supported() {
         return false;
     }
-    BACKEND.store(code(b), Ordering::Relaxed);
+    BACKEND.store(b.code(), Ordering::Relaxed);
     true
-}
-
-fn code(b: KernelBackend) -> u8 {
-    match b {
-        KernelBackend::Scalar => SCALAR,
-        KernelBackend::Avx2Fma => AVX2_FMA,
-    }
 }
 
 fn detect() -> KernelBackend {
     if force_scalar_env() {
         return KernelBackend::Scalar;
     }
-    if avx2_fma_supported() {
-        KernelBackend::Avx2Fma
-    } else {
-        KernelBackend::Scalar
-    }
+    KernelBackend::supported()
+        .last()
+        .expect("the scalar backend is always supported")
 }
 
 /// `GEOMANCY_FORCE_SCALAR` set to anything but empty/`0` pins the scalar
@@ -128,18 +166,6 @@ fn force_scalar_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Host capability, independent of the env override.
-fn avx2_fma_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 pub(super) use x86::*;
 
@@ -147,7 +173,6 @@ pub(super) use x86::*;
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::super::KC;
     use super::Activation;
 
     /// Horizontal sum of a 4-lane f64 vector.
@@ -188,195 +213,6 @@ mod x86 {
             Activation::Sigmoid => _mm256_mul_pd(y, _mm256_sub_pd(one, y)),
             Activation::Tanh => _mm256_sub_pd(one, _mm256_mul_pd(y, y)),
         }
-    }
-
-    /// Shared blocked-matmul body, SIMD mirror of
-    /// [`super::super::scalar::panel_acc`]: `out[m x n] += A_window · b`
-    /// where the `p`-th shared-dim element of out-row `i`'s A operand is
-    /// `ad[i*stride + off + p*astep]` (`astep = 1` walks a contiguous A
-    /// row; `astep = p_cols` walks a column, which is how `aᵀ·b` reuses
-    /// this body). Same [`KC`] shared-dim tiling; the output row is
-    /// register-blocked 32/16/4 columns wide (8/4/1 vector accumulators
-    /// held across the whole panel), so each shared-dim step issues one
-    /// broadcast plus independent `_mm256_fmadd_pd` chains instead of
-    /// reloading the output row per k group.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA, and the caller-validated shape contract:
-    /// `ad` holds at least `(m-1)*stride + off + (k-1)*astep + 1`
-    /// elements, `bd` at least `k*n`, `od` at least `m*n`.
-    #[allow(clippy::too_many_arguments)] // raw-slice mirror of the scalar body
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn matmul_panel_acc(
-        m: usize,
-        k: usize,
-        n: usize,
-        ad: &[f64],
-        stride: usize,
-        off: usize,
-        astep: usize,
-        bd: &[f64],
-        od: &mut [f64],
-    ) {
-        if k < 4 {
-            // mul+add instead of FMA so rounding matches the scalar
-            // backend bit-for-bit — the sparse/dense regression test pins
-            // that k<4 products are exactly the naive reference on every
-            // backend. FMA would skip the intermediate product rounding.
-            matmul_panel_acc_short_k(m, k, n, ad, stride, off, astep, bd, od);
-            return;
-        }
-        let ap = ad.as_ptr();
-        let bp = bd.as_ptr();
-        let op = od.as_mut_ptr();
-        let mut kb = 0;
-        while kb < k {
-            let kend = (kb + KC).min(k);
-            for i in 0..m {
-                let arow = ap.add(i * stride + off);
-                let orow = op.add(i * n);
-                let mut j = 0;
-                while j + 32 <= n {
-                    let oj = orow.add(j);
-                    let mut acc0 = _mm256_loadu_pd(oj);
-                    let mut acc1 = _mm256_loadu_pd(oj.add(4));
-                    let mut acc2 = _mm256_loadu_pd(oj.add(8));
-                    let mut acc3 = _mm256_loadu_pd(oj.add(12));
-                    let mut acc4 = _mm256_loadu_pd(oj.add(16));
-                    let mut acc5 = _mm256_loadu_pd(oj.add(20));
-                    let mut acc6 = _mm256_loadu_pd(oj.add(24));
-                    let mut acc7 = _mm256_loadu_pd(oj.add(28));
-                    for p in kb..kend {
-                        let av = _mm256_set1_pd(*arow.add(p * astep));
-                        let bj = bp.add(p * n + j);
-                        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj), acc0);
-                        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(4)), acc1);
-                        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(8)), acc2);
-                        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(12)), acc3);
-                        acc4 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(16)), acc4);
-                        acc5 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(20)), acc5);
-                        acc6 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(24)), acc6);
-                        acc7 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(28)), acc7);
-                    }
-                    _mm256_storeu_pd(oj, acc0);
-                    _mm256_storeu_pd(oj.add(4), acc1);
-                    _mm256_storeu_pd(oj.add(8), acc2);
-                    _mm256_storeu_pd(oj.add(12), acc3);
-                    _mm256_storeu_pd(oj.add(16), acc4);
-                    _mm256_storeu_pd(oj.add(20), acc5);
-                    _mm256_storeu_pd(oj.add(24), acc6);
-                    _mm256_storeu_pd(oj.add(28), acc7);
-                    j += 32;
-                }
-                while j + 16 <= n {
-                    let oj = orow.add(j);
-                    let mut acc0 = _mm256_loadu_pd(oj);
-                    let mut acc1 = _mm256_loadu_pd(oj.add(4));
-                    let mut acc2 = _mm256_loadu_pd(oj.add(8));
-                    let mut acc3 = _mm256_loadu_pd(oj.add(12));
-                    for p in kb..kend {
-                        let av = _mm256_set1_pd(*arow.add(p * astep));
-                        let bj = bp.add(p * n + j);
-                        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj), acc0);
-                        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(4)), acc1);
-                        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(8)), acc2);
-                        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bj.add(12)), acc3);
-                    }
-                    _mm256_storeu_pd(oj, acc0);
-                    _mm256_storeu_pd(oj.add(4), acc1);
-                    _mm256_storeu_pd(oj.add(8), acc2);
-                    _mm256_storeu_pd(oj.add(12), acc3);
-                    j += 16;
-                }
-                while j + 4 <= n {
-                    let oj = orow.add(j);
-                    let mut acc = _mm256_loadu_pd(oj);
-                    for p in kb..kend {
-                        let av = _mm256_set1_pd(*arow.add(p * astep));
-                        acc = _mm256_fmadd_pd(av, _mm256_loadu_pd(bp.add(p * n + j)), acc);
-                    }
-                    _mm256_storeu_pd(oj, acc);
-                    j += 4;
-                }
-                while j < n {
-                    let mut sum = *orow.add(j);
-                    for p in kb..kend {
-                        sum = (*arow.add(p * astep)).mul_add(*bp.add(p * n + j), sum);
-                    }
-                    *orow.add(j) = sum;
-                    j += 1;
-                }
-            }
-            kb = kend;
-        }
-    }
-
-    /// `k < 4` fallback for [`matmul_panel_acc`]: vector mul+add (no FMA)
-    /// in the exact per-k accumulation order of the scalar backend, so
-    /// short-shared-dim products stay bitwise identical to the reference.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`matmul_panel_acc`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn matmul_panel_acc_short_k(
-        m: usize,
-        k: usize,
-        n: usize,
-        ad: &[f64],
-        stride: usize,
-        off: usize,
-        astep: usize,
-        bd: &[f64],
-        od: &mut [f64],
-    ) {
-        let ap = ad.as_ptr();
-        let bp = bd.as_ptr();
-        let op = od.as_mut_ptr();
-        for i in 0..m {
-            let arow = ap.add(i * stride + off);
-            let orow = op.add(i * n);
-            for p in 0..k {
-                let s = *arow.add(p * astep);
-                let av = _mm256_set1_pd(s);
-                let brow = bp.add(p * n);
-                let mut j = 0;
-                while j + 4 <= n {
-                    let acc = _mm256_add_pd(
-                        _mm256_loadu_pd(orow.add(j)),
-                        _mm256_mul_pd(av, _mm256_loadu_pd(brow.add(j))),
-                    );
-                    _mm256_storeu_pd(orow.add(j), acc);
-                    j += 4;
-                }
-                while j < n {
-                    *orow.add(j) += s * *brow.add(j);
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// `out[p x n] += aᵀ · b`, reusing the register-blocked panel body:
-    /// out-row `pi` reads A's column `pi` (`ad[pi + i*p]`, so `stride = 1`,
-    /// `astep = p`), with the batch dimension `m` as the shared dimension.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; `ad` at least `m*p`, `bd` at least `m*n`, `od`
-    /// at least `p*n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn matmul_at_b_acc(
-        m: usize,
-        p: usize,
-        n: usize,
-        ad: &[f64],
-        bd: &[f64],
-        od: &mut [f64],
-    ) {
-        matmul_panel_acc(p, m, n, ad, 1, 0, p, bd, od);
     }
 
     /// `out[m x q] += a · bᵀ` as row-dot products: two independent 4-lane
@@ -462,29 +298,8 @@ mod x86 {
         }
     }
 
-    /// In-place ReLU: `v = max(v, 0)` (`_mm256_max_pd(v, 0)` returns the
-    /// second operand for NaN inputs, matching `f64::max(v, 0.0)`).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn relu(data: &mut [f64]) {
-        let zero = _mm256_setzero_pd();
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            _mm256_storeu_pd(p.add(j), _mm256_max_pd(_mm256_loadu_pd(p.add(j)), zero));
-            j += 4;
-        }
-        while j < n {
-            *p.add(j) = (*p.add(j)).max(0.0);
-            j += 1;
-        }
-    }
-
-    /// Out-of-place ReLU: `dst = max(src, 0)`.
+    /// Out-of-place ReLU: `dst = max(src, 0)` (`_mm256_max_pd(v, 0)` returns
+    /// the second operand for NaN inputs, matching `f64::max(v, 0.0)`).
     ///
     /// # Safety
     ///

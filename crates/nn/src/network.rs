@@ -1,24 +1,76 @@
 //! Sequential container composing layers into a trainable network.
 
+use std::cell::RefCell;
+use std::sync::Mutex;
+
 use crate::layers::Layer;
 use crate::loss::Loss;
 use crate::matrix::{Matrix, MatrixView};
 use crate::optimizer::Optimizer;
 
-/// Minimum batch rows before [`Sequential::predict`] fans out across
-/// threads.
-///
-/// The vendored `rayon` shim dispatches onto a persistent worker pool
-/// (~1 µs per task), so even modest batches — a few coalesced placement
-/// queries — amortize the dispatch. Below this row count the per-chunk
-/// buffer setup still outweighs the win and batches stay on the serial
-/// in-arena path.
-pub const PARALLEL_MIN_ROWS: usize = 32;
-
-/// Rows per task of the parallel forward pass: 128 rows of the widest
-/// layer's activations (96 `f64` columns) are ≈96 KB, which stays
-/// cache-resident from one layer to the next.
+/// Rows per tile of the inference pass ([`Sequential::predict_into`]): a
+/// tile runs through *all* layers before the next one starts, so its
+/// activations (128 rows of model 1's 96 + 48 + 24 + 1 `f64` columns,
+/// ≈170 KB) stay in L2 from one layer to the next however long the batch.
 const TILE_ROWS: usize = 128;
+
+/// Minimum batch rows before the inference pass asks the worker pool for
+/// help: below it the caller runs every tile itself.
+///
+/// Every pool thread gets at least one full tile at this size on up to 32
+/// threads, but the number is set by what a helper costs and by how
+/// steadily it pays. It has to earn back a cross-core wake-up (≈25–45 µs on
+/// the 2-vCPU bench box, more than the whole ≈15 µs pass of a 64-request
+/// submission). Measured there on model 1 with the AVX-512 micro-kernel,
+/// one thread against two, p50 µs over two runs each: 256 rows 55–66 vs
+/// 87–101, 512 rows 122–124 vs 136–148, 768 rows 178–214 vs 137–175,
+/// 1,024 rows 248–261 vs 190–211, 3,072 rows 820–964 vs 474–506 — on the
+/// median two threads stop losing at 768. But up to a few thousand rows
+/// what the helper contributes depends on how soon the other core answers
+/// (a halted vCPU wakes in 5 µs or in 50, by what the host did to it
+/// meanwhile), so the same pass takes 350 µs in one 3 s stretch and 500 µs
+/// in the next: end to end, 512-request submissions (≈2,100 unique rows)
+/// ran 719–1,040k decisions/s from one 30 s run to the next with the
+/// threshold at 768 and 554–609k with the caller alone, against 363–463k
+/// before this kernel. The threshold therefore sits where one thread
+/// needs about a millisecond (above the 3,072 rows a 512-request
+/// submission can reach), so a wake-up is a few percent of the pass
+/// whichever way it goes.
+pub const PARALLEL_MIN_ROWS: usize = 32 * TILE_ROWS;
+
+/// Per-thread buffers of the inference pass: one activation matrix per
+/// layer plus the layers' free-form scratch. Sized by the first tile a
+/// thread runs and reused across tiles and calls, so a steady-state pass
+/// allocates and zero-fills nothing.
+#[derive(Default)]
+struct TileScratch {
+    acts: Vec<Matrix>,
+    layer_scratch: Matrix,
+}
+
+thread_local! {
+    static TILE_SCRATCH: RefCell<TileScratch> = RefCell::default();
+}
+
+/// Runs one tile of rows through every layer on the calling thread's
+/// [`TileScratch`] and copies the last activation into `out`.
+fn infer_tile(layers: &[Box<dyn Layer>], input: MatrixView<'_>, out: &mut [f64]) {
+    TILE_SCRATCH.with_borrow_mut(|scratch| {
+        let TileScratch {
+            acts,
+            layer_scratch,
+        } = scratch;
+        if acts.len() < layers.len() {
+            acts.resize_with(layers.len(), Matrix::default);
+        }
+        layers[0].forward_inference_into(input, layer_scratch, &mut acts[0]);
+        for (i, layer) in layers.iter().enumerate().skip(1) {
+            let (prev, cur) = acts.split_at_mut(i);
+            layer.forward_inference_into(prev[i - 1].view(), layer_scratch, &mut cur[0]);
+        }
+        out.copy_from_slice(acts[layers.len() - 1].as_slice());
+    });
+}
 
 /// A feed-forward stack of layers trained with backpropagation.
 ///
@@ -26,6 +78,9 @@ const TILE_ROWS: usize = 128;
 /// gradient ping-pong pair) that is reused across batches: after the first
 /// batch, [`Sequential::train_batch`], [`Sequential::train_batch_view`] and
 /// [`Sequential::predict_ref`] perform no per-call heap allocation.
+/// Inference ([`Sequential::predict_into`]) does not touch that arena or
+/// the layers' backward caches: it runs tile by tile on per-thread
+/// scratch.
 ///
 /// # Examples
 ///
@@ -122,8 +177,8 @@ impl Sequential {
         self.layers.last().map(|l| l.output_size())
     }
 
-    /// Serial forward pass through the activation arena, caching layer
-    /// intermediates for a backward pass.
+    /// The training forward: one serial pass through the activation arena,
+    /// caching layer intermediates for a backward pass.
     fn forward_all(&mut self, input: MatrixView<'_>) {
         assert!(
             !self.layers.is_empty(),
@@ -152,12 +207,8 @@ impl Sequential {
         &self.acts[self.layers.len() - 1]
     }
 
-    /// Runs a forward pass and returns the output.
-    ///
-    /// Batches of at least [`PARALLEL_MIN_ROWS`] rows are split across
-    /// threads using the stateless inference path (which does not populate
-    /// the backward caches); smaller batches run serially through the arena
-    /// like [`Sequential::predict_ref`].
+    /// Runs a forward pass and returns the output
+    /// ([`Sequential::predict_into`] with a fresh buffer).
     ///
     /// # Panics
     ///
@@ -168,75 +219,58 @@ impl Sequential {
         out
     }
 
-    /// Forward pass written into a caller-owned buffer — the batched-query
-    /// entry point of the serving layer. `out` is resized to
-    /// `input.rows() x output_size`; with a warm buffer the serial path
-    /// performs no allocation, and batches of at least
-    /// [`PARALLEL_MIN_ROWS`] rows fan out across the worker pool exactly
-    /// like [`Sequential::predict`].
+    /// The inference pass, written into a caller-owned buffer — the
+    /// batched-query entry point of the serving layer. `out` is resized to
+    /// `input.rows() x output_size`.
+    ///
+    /// The batch is walked in tiles of at most [`TILE_ROWS`] rows; each
+    /// tile goes through every layer via [`Layer::forward_inference_into`]
+    /// on the running thread's reusable scratch, so activations stay
+    /// cache-resident, the backward caches are left alone, and a warm pass
+    /// allocates nothing. From [`PARALLEL_MIN_ROWS`] rows up, the pool's
+    /// workers pull tiles from the same queue as the caller: a worker that
+    /// wakes late just finds fewer tiles left. Rows are independent, so the
+    /// output is bit-equal to [`Sequential::predict_ref`]'s whatever the
+    /// tiling and whoever ran which tile.
     ///
     /// # Panics
     ///
     /// Panics if the network is empty or the input width is wrong.
     pub fn predict_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
-        assert!(
-            !self.layers.is_empty(),
-            "cannot predict with an empty network"
-        );
-        if input.rows() >= PARALLEL_MIN_ROWS && rayon::current_num_threads() > 1 {
-            self.predict_parallel_into(input, out);
-        } else {
-            self.forward_all(input);
-            let last = &self.acts[self.layers.len() - 1];
-            out.resize(last.rows(), last.cols());
-            out.as_mut_slice().copy_from_slice(last.as_slice());
-        }
-    }
-
-    /// Row-parallel stateless forward: the batch is split into contiguous
-    /// tiles of at most [`TILE_ROWS`] rows (and at least one per pool
-    /// thread), each a pool task with its own ping-pong buffers via
-    /// [`Layer::forward_inference_into`]. The caller and the pool workers
-    /// pull tiles from one queue, so a worker that wakes late costs the
-    /// pass about half its lateness, not all of it as with one chunk per
-    /// thread. Rows are independent: outputs are bit-equal to the serial
-    /// path whatever the tiling.
-    fn predict_parallel_into(&self, input: MatrixView<'_>, out: &mut Matrix) {
         let out_cols = self
             .output_size()
             .expect("cannot predict with an empty network");
         let rows = input.rows();
         out.resize(rows, out_cols);
-        let n_threads = rayon::current_num_threads().clamp(1, rows);
-        let chunk_rows = rows.div_ceil(n_threads).min(TILE_ROWS);
-        let layers = &self.layers;
-        rayon::scope(|s| {
-            for (ci, out_chunk) in out
-                .as_mut_slice()
-                .chunks_mut(chunk_rows * out_cols.max(1))
-                .enumerate()
-            {
-                let start = ci * chunk_rows;
-                // A zero-width output degenerates chunks_mut; fall back to
-                // the row arithmetic in that case.
-                let chunk_len = out_chunk
-                    .len()
-                    .checked_div(out_cols)
-                    .unwrap_or_else(|| chunk_rows.min(rows - start));
-                let input_chunk = input.view_rows(start..start + chunk_len);
-                s.spawn(move |_| {
-                    let mut cur = Matrix::default();
-                    let mut next = Matrix::default();
-                    let mut scratch = Matrix::default();
-                    layers[0].forward_inference_into(input_chunk, &mut scratch, &mut cur);
-                    for layer in &layers[1..] {
-                        layer.forward_inference_into(cur.view(), &mut scratch, &mut next);
-                        std::mem::swap(&mut cur, &mut next);
-                    }
-                    out_chunk.copy_from_slice(cur.as_slice());
-                });
-            }
-        });
+        let layers = &self.layers[..];
+        // A zero-width output has no chunks at all: nothing to compute.
+        let tiles = Mutex::new(
+            out.as_mut_slice()
+                .chunks_mut(TILE_ROWS * out_cols.max(1))
+                .enumerate(),
+        );
+        let pull_tiles = || loop {
+            let next = tiles.lock().expect("a tile runner panicked").next();
+            let Some((tile, chunk)) = next else { break };
+            let start = tile * TILE_ROWS;
+            let tile_rows = chunk.len() / out_cols;
+            infer_tile(layers, input.view_rows(start..start + tile_rows), chunk);
+        };
+        let helpers = if rows >= PARALLEL_MIN_ROWS {
+            (rayon::current_num_threads() - 1).min(rows.div_ceil(TILE_ROWS) - 1)
+        } else {
+            0
+        };
+        if helpers == 0 {
+            pull_tiles();
+        } else {
+            rayon::scope(|s| {
+                for _ in 0..helpers {
+                    s.spawn(|_| pull_tiles());
+                }
+                pull_tiles();
+            });
+        }
     }
 
     /// Runs one forward/backward/update cycle over a batch and returns the
@@ -449,29 +483,44 @@ mod tests {
 
     #[test]
     fn parallel_predict_matches_serial() {
-        // Every count takes the parallel path (when more than one thread is
-        // available): the threshold itself, one chunk per thread, and whole
-        // tiles plus a remainder. The serial arena path is the reference.
-        let mut net = two_layer();
-        for rows in [PARALLEL_MIN_ROWS, 2 * PARALLEL_MIN_ROWS, 3 * TILE_ROWS + 17] {
+        // One tile, tile boundaries on either side, whole tiles plus a
+        // remainder on the caller alone, then the same above the fan-out
+        // threshold (pool workers pull tiles when more than one thread is
+        // available). The training forward through the arena is the
+        // reference; rows are independent, so equality is bitwise.
+        let mut rng = seeded_rng(9);
+        let mut net = Sequential::new();
+        net.push(Dense::new(3, 13, Activation::ReLU, &mut rng));
+        net.push(Dense::new(13, 9, Activation::Tanh, &mut rng));
+        net.push(Dense::new(9, 5, Activation::ReLU, &mut rng));
+        net.push(Dense::new(5, 1, Activation::Linear, &mut rng));
+        for rows in [
+            1,
+            TILE_ROWS - 1,
+            TILE_ROWS,
+            TILE_ROWS + 1,
+            3 * TILE_ROWS + 17,
+            PARALLEL_MIN_ROWS,
+            PARALLEL_MIN_ROWS + 3 * TILE_ROWS + 17,
+        ] {
             let mut x = Matrix::zeros(rows, 3);
             for r in 0..rows {
                 for c in 0..3 {
-                    x[(r, c)] = (r * 3 + c) as f64 * 0.01 - 2.0;
+                    x[(r, c)] = ((r * 3 + c) % 577) as f64 * 0.01 - 2.0;
                 }
             }
-            let parallel = net.predict(&x);
+            let tiled = net.predict(&x);
             net.forward_all(x.view());
             let serial = net.acts[net.layers.len() - 1].clone();
-            assert_eq!(parallel, serial, "{rows} rows");
+            assert_eq!(tiled, serial, "{rows} rows");
         }
     }
 
     #[test]
     fn predict_into_matches_predict() {
         let mut net = two_layer();
-        // Reused output buffer, deliberately wrong-sized, across both the
-        // serial (small) and parallel (large) paths.
+        // Reused output buffer, deliberately wrong-sized, below and above
+        // the fan-out threshold.
         let mut out = Matrix::zeros(1, 7);
         for rows in [3, 2 * PARALLEL_MIN_ROWS] {
             let mut x = Matrix::zeros(rows, 3);

@@ -6,18 +6,23 @@
 //!
 //! Every kernel with a SIMD variant is exercised **three-way**: the naive
 //! `reference` oracle, the pinned portable backend (`kernels::scalar::*`),
-//! and the dispatched entry point (`kernels::*` — AVX2+FMA on capable
-//! hosts, scalar elsewhere or under `GEOMANCY_FORCE_SCALAR=1`; the CI
-//! matrix runs this suite both ways so both arms are covered). Tests never
-//! call `force_backend` — they run concurrently in one process and would
-//! race on the global dispatch choice.
+//! and the dispatched entry point (`kernels::*` — the widest SIMD backend
+//! on capable hosts, scalar elsewhere or under `GEOMANCY_FORCE_SCALAR=1`;
+//! the CI matrix runs this suite each way so every arm is covered). The
+//! fused dense forward is additionally run on *every* backend the host
+//! supports through `kernels::matmul_bias_act_with`. Tests never call
+//! `force_backend` — they run concurrently in one process and would race
+//! on the global dispatch choice.
 //!
 //! The blocked kernels reassociate floating-point accumulation (4-way
-//! k-unroll inside 32-wide k-panels) and the SIMD backend adds FMA and
-//! 4-lane splits, so equality is asserted to a 1e-12 *relative* tolerance
-//! rather than bitwise.
+//! k-unroll inside 32-wide k-panels) and the SIMD backends add FMA, so
+//! agreement with the reference is asserted to a 1e-12 *relative*
+//! tolerance. The two SIMD matrix products, though, promise one exact
+//! per-element operation chain; `simd_dense_forward_is_the_fma_chain`
+//! holds them to it bitwise.
 
 use geomancy_nn::activation::Activation;
+use geomancy_nn::matrix::kernels::KernelBackend;
 use geomancy_nn::matrix::{kernels, Matrix};
 use proptest::prelude::*;
 
@@ -124,6 +129,11 @@ proptest! {
         let mut scalar_out = Matrix::default();
         kernels::scalar::matmul_bias_act_into(x.view(), &w, &bias, act, &mut scalar_out);
         assert_close(&scalar_out, &want)?;
+        for backend in KernelBackend::supported() {
+            let mut out = Matrix::default();
+            kernels::matmul_bias_act_with(backend, x.view(), &w, &bias, act, &mut out);
+            assert_close(&out, &want)?;
+        }
     }
 
     #[test]
@@ -541,6 +551,73 @@ fn matmul_family_remainder_shapes() {
     }
 }
 
+/// The SIMD backends' per-element contract, spelled out: start from the
+/// bias, one fused multiply-add per shared-dimension index in ascending
+/// order (multiply, round, add when `k < 4`, like the scalar backend), then
+/// the activation.
+fn fma_chain_dense_forward(x: &Matrix, w: &Matrix, bias: &Matrix, act: Activation) -> Matrix {
+    let (m, k, n) = (x.rows(), w.rows(), w.cols());
+    let mut out = Matrix::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = bias[(0, j)];
+            for p in 0..k {
+                acc = if k < 4 {
+                    acc + x[(i, p)] * w[(p, j)]
+                } else {
+                    x[(i, p)].mul_add(w[(p, j)], acc)
+                };
+            }
+            out[(i, j)] = act.apply_scalar(acc);
+        }
+    }
+    out
+}
+
+/// Both instantiations of the register-blocked micro-kernel must reproduce
+/// the FMA chain **bit for bit** — that is what makes them interchangeable
+/// with each other and with the one-row AVX2 kernel they replaced — over
+/// shapes that hit every remainder path: `m` around the 8/4/2/1-row
+/// blocks, `n` around the 3/2/1-vector and masked-tail column blocks of
+/// both lane widths (12 and 24 columns, down to the `n = 1` output layer),
+/// `k` below 4 and on either side of the 128-deep shared-dimension tile.
+#[test]
+fn simd_dense_forward_is_the_fma_chain() {
+    let simd: Vec<KernelBackend> = KernelBackend::supported()
+        .filter(|&b| b != KernelBackend::Scalar)
+        .collect();
+    let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 19];
+    let ns = [
+        1usize, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49,
+    ];
+    let ks = [1usize, 2, 3, 4, 5, 31, 33, 127, 128, 129, 257];
+    let acts = [Activation::ReLU, Activation::Linear, Activation::Tanh];
+    for (case, &m) in ms.iter().enumerate() {
+        for &n in &ns {
+            for &k in &ks {
+                let act = acts[(case + n + k) % acts.len()];
+                let x = pseudo_matrix(m, k, n);
+                let w = pseudo_matrix(k, n, m + k);
+                let bias = pseudo_matrix(1, n, 5);
+                let want = fma_chain_dense_forward(&x, &w, &bias, act);
+                for &backend in &simd {
+                    let mut out = Matrix::zeros(1, 1);
+                    kernels::matmul_bias_act_with(backend, x.view(), &w, &bias, act, &mut out);
+                    assert_eq!(out.shape(), want.shape());
+                    for (idx, (g, e)) in out.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            e.to_bits(),
+                            "{} m={m} k={k} n={n} {act:?} element {idx}: {g} vs {e}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Empty operands (zero rows, zero shared dim, or zero batch) must produce
 /// empty or zero outputs without panicking on either backend.
 #[test]
@@ -588,23 +665,33 @@ fn empty_matrix_cases() {
     assert!(sums.as_slice().iter().all(|&v| v == 0.0));
 }
 
-/// The dispatch layer resolves to a stable, documented name, and matches
-/// the `GEOMANCY_FORCE_SCALAR` override when set (the CI matrix relies on
-/// this to pin the portable backend).
+/// The dispatch layer resolves to a stable, documented name of a backend
+/// the host supports, and matches the `GEOMANCY_FORCE_SCALAR` override
+/// when set (the CI matrix relies on this to pin the portable backend, and
+/// reads the printed name to tell which arm a leg covered).
 #[test]
 fn backend_dispatch_is_coherent() {
     let b = kernels::backend();
     let name = kernels::backend_name();
+    println!("kernel backend: {name}");
     assert_eq!(name, b.name());
-    assert!(
-        name == "avx2_fma" || name == "scalar",
-        "unknown backend {name}"
+    assert!(KernelBackend::ALL.contains(&b), "unknown backend {name}");
+    assert!(b.is_supported(), "dispatched to unsupported {name}");
+    assert_eq!(
+        KernelBackend::ALL.map(KernelBackend::name),
+        ["scalar", "avx2_fma", "avx512"]
     );
     let forced = std::env::var("GEOMANCY_FORCE_SCALAR")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false);
     if forced {
         assert_eq!(name, "scalar", "GEOMANCY_FORCE_SCALAR must pin scalar");
+    } else {
+        assert_eq!(
+            Some(b),
+            KernelBackend::supported().last(),
+            "dispatch must pick the widest supported backend"
+        );
     }
     #[cfg(not(target_arch = "x86_64"))]
     assert_eq!(name, "scalar");

@@ -7,7 +7,11 @@
 //! [`ShardMsg::SealWal`] per shard, each reply continuation `send_now`s a
 //! [`CheckpointMsg::Sealed`] back to the checkpointer's own mailbox, and
 //! when the last one lands the actor absorbs every sealed segment under
-//! the store's write lock and commits. Only after that durable commit
+//! the store's write lock and commits. A shard that dies with a seal
+//! request in hand — before it was delivered, queued, or mid-seal — drops
+//! its [`SealReply`], which reports the failure the same way: the cycle is
+//! abandoned ([`CheckpointError::Down`] to its caller) and the next queued
+//! one starts. Only after that durable commit
 //! does it fan out [`ShardMsg::TrimHot`] — the trimmed records are by
 //! then readable from the cold store, so the hot-tail bound never costs a
 //! record. Cycles are serialized; timer-driven cycles coalesce with
@@ -28,7 +32,7 @@ use geomancy_store::{AbsorbReport, SharedPagedStore};
 
 use crate::metrics::ServeMetrics;
 use crate::service::SealHook;
-use crate::shard::{ShardMsg, ShardSet};
+use crate::shard::{SealReply, ShardMsg, ShardSet};
 
 /// Why a checkpoint cycle failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,12 +62,13 @@ pub(crate) enum CheckpointMsg {
     Checkpoint {
         reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>,
     },
-    /// One shard's seal reply for the in-flight cycle (`seq` 0 = that
-    /// shard had nothing to seal; else the segment holds `records`).
+    /// One shard's answer to cycle `gen`'s seal request: `(seq, records)`
+    /// (`seq` 0 = that shard had nothing to seal; else the segment holds
+    /// `records`), or `None` if the shard died without answering.
     Sealed {
+        gen: u64,
         shard: usize,
-        seq: u64,
-        records: u64,
+        seal: Option<(u64, u64)>,
     },
 }
 
@@ -104,6 +109,7 @@ impl Checkpointer {
                 collecting: None,
                 queued: VecDeque::new(),
                 shard_count: n,
+                cycle_gen: 0,
             },
         );
         addr.send_now(CheckpointMsg::Init(addr.clone()))
@@ -135,6 +141,7 @@ struct Collect {
     /// seal).
     seals: Vec<Option<(u64, u64)>>,
     got: usize,
+    gen: u64,
 }
 
 struct CheckpointActor {
@@ -152,6 +159,9 @@ struct CheckpointActor {
     /// Cycles requested while one is in flight (serialized FIFO).
     queued: VecDeque<Option<Sender<Result<AbsorbReport, CheckpointError>>>>,
     shard_count: usize,
+    /// Monotonic cycle counter; seal replies carry it so an abandoned
+    /// cycle's stragglers cannot be mistaken for the next cycle's.
+    cycle_gen: u64,
 }
 
 impl Actor for CheckpointActor {
@@ -172,16 +182,25 @@ impl Actor for CheckpointActor {
                     self.start_cycle(reply);
                 }
             }
-            CheckpointMsg::Sealed {
-                shard,
-                seq,
-                records,
-            } => {
+            CheckpointMsg::Sealed { gen, shard, seal } => {
                 let Some(collect) = self.collecting.as_mut() else {
                     return; // stale reply from an abandoned cycle
                 };
+                if collect.gen != gen {
+                    return; // reply raced an abandoned cycle's replacement
+                }
+                let Some(seal) = seal else {
+                    // Shard dead: abandon the cycle (reply drop → Down) and
+                    // keep draining the queue — a queued cycle left behind
+                    // here would strand its caller.
+                    self.collecting = None;
+                    if let Some(next) = self.queued.pop_front() {
+                        self.start_cycle(next);
+                    }
+                    return;
+                };
                 if collect.seals[shard].is_none() {
-                    collect.seals[shard] = Some((seq, records));
+                    collect.seals[shard] = Some(seal);
                     collect.got += 1;
                 }
                 if collect.got == self.shard_count {
@@ -211,31 +230,26 @@ impl CheckpointActor {
     /// Fans the seal request out to every shard; replies flow back as
     /// messages so the actor never blocks a pool worker.
     fn start_cycle(&mut self, reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>) {
+        self.cycle_gen += 1;
+        let gen = self.cycle_gen;
         self.collecting = Some(Collect {
             reply,
             seals: vec![None; self.shard_count],
             got: 0,
+            gen,
         });
         let me = self
             .self_addr
             .clone()
             .expect("Init is delivered before any Checkpoint");
-        for addr in &self.shard_addrs {
+        for (shard, addr) in self.shard_addrs.iter().enumerate() {
             let home = me.clone();
-            if addr
-                .send_now(ShardMsg::SealWal {
-                    reply: Box::new(move |shard, seq, records| {
-                        let _ = home.send_now(CheckpointMsg::Sealed {
-                            shard,
-                            seq,
-                            records,
-                        });
-                    }),
-                })
-                .is_err()
-            {
-                // Shard dead: abandon the cycle (reply drop → Down).
-                self.collecting = None;
+            let reply = SealReply::new(move |seal| {
+                let _ = home.send_now(CheckpointMsg::Sealed { gen, shard, seal });
+            });
+            if addr.send_now(ShardMsg::SealWal { reply }).is_err() {
+                // Shard already dead: the handed-back request drops here,
+                // and its reply reports the failure like a mid-seal death.
                 return;
             }
         }

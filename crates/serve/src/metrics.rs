@@ -130,7 +130,7 @@ macro_rules! scalar_metrics {
             /// in-process snapshots).
             pub net_writers_live: u64,
             /// NN kernel backend the serving process dispatches to
-            /// (`"avx2_fma"` or `"scalar"`; see
+            /// (`"avx512"`, `"avx2_fma"` or `"scalar"`; see
             /// `geomancy_nn::matrix::kernels`).
             pub kernel_backend: String,
         }

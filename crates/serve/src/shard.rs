@@ -86,16 +86,47 @@ pub(crate) enum ShardMsg {
         reply: Box<dyn FnOnce(SnapshotDelta) + Send>,
     },
     /// Seal the active WAL into a numbered segment for the checkpointer
-    /// to absorb. Replies `(shard, seq, records)`; `seq == 0` means the
-    /// WAL held nothing (or the shard runs memory-only) and no segment was
-    /// cut, otherwise `records` is how many the segment holds.
-    SealWal {
-        reply: Box<dyn FnOnce(usize, u64, u64) + Send>,
-    },
+    /// to absorb. Replies `(seq, records)`; `seq == 0` means the WAL held
+    /// nothing (or the shard runs memory-only) and no segment was cut,
+    /// otherwise `records` is how many the segment holds.
+    SealWal { reply: SealReply },
     /// Drop all but the newest `keep` records from the in-memory
     /// database — sent by the checkpointer after the trimmed records'
     /// segments have durably committed to the cold store.
     TrimHot { keep: usize },
+}
+
+/// Reply handle of a [`ShardMsg::SealWal`]. Answering consumes it; if it is
+/// dropped unanswered — the shard panicked inside its seal turn, or died
+/// with the request still queued — the continuation runs with `None`, so
+/// the requester learns the shard failed instead of waiting forever.
+pub(crate) struct SealReply(Option<SealContinuation>);
+
+/// Gets `Some((seq, records))` for a seal, `None` for a shard that died.
+type SealContinuation = Box<dyn FnOnce(Option<(u64, u64)>) + Send>;
+
+impl SealReply {
+    /// `on_reply` gets `Some((seq, records))` from [`SealReply::sealed`],
+    /// `None` if the handle is dropped. It can run while a panic unwinds,
+    /// so it must not panic itself.
+    pub(crate) fn new(on_reply: impl FnOnce(Option<(u64, u64)>) + Send + 'static) -> Self {
+        SealReply(Some(Box::new(on_reply)))
+    }
+
+    /// Reports the seal's outcome.
+    pub(crate) fn sealed(mut self, seq: u64, records: u64) {
+        if let Some(on_reply) = self.0.take() {
+            on_reply(Some((seq, records)));
+        }
+    }
+}
+
+impl Drop for SealReply {
+    fn drop(&mut self) {
+        if let Some(on_reply) = self.0.take() {
+            on_reply(None);
+        }
+    }
 }
 
 /// Maps a file to its ingest shard.
@@ -182,7 +213,7 @@ impl Actor for ShardActor {
                     }
                     _ => (0, 0),
                 };
-                reply(self.shard, seq, records);
+                reply.sealed(seq, records);
             }
             ShardMsg::TrimHot { keep } => {
                 if self.db.len() > keep {

@@ -671,7 +671,7 @@ mod tests {
                     }
                 }
                 ShardMsg::Batch { .. } => panic!("fake shard killed by test"),
-                ShardMsg::SealWal { reply } => reply(self.shard, 0, 0),
+                ShardMsg::SealWal { reply } => reply.sealed(0, 0),
             }
         }
     }

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use geomancy_serve::{PlacementService, ServeConfig, StoreSettings};
+use geomancy_serve::{CheckpointError, PlacementService, ServeConfig, StoreSettings};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 use geomancy_sim::SharedSimClock;
 
@@ -232,5 +232,39 @@ fn cadence_checkpoints_fire_on_simulated_time() {
         assert_eq!(store.total_records(), 50);
     }
     service.shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A shard that dies inside its seal turn must fail the cycle, not hang
+/// it: the checkpointer used to wait for that shard's reply forever. The
+/// seal is made to panic by parking a directory on the name its segment
+/// would be renamed to.
+#[test]
+fn shard_dying_mid_seal_reports_down_and_drains_queued_cycles() {
+    let base = temp_base("seal-panic");
+    let service = PlacementService::start(config(&base, 50));
+    for n in 0..40u64 {
+        service.ingest(n, &[rec(n, n % 17, 0)]).unwrap();
+    }
+    for shard in 0..2 {
+        let blocked = geomancy_replaydb::wal::segment_path(base.join("wal"), shard, 1);
+        std::fs::create_dir_all(blocked.join("occupied")).unwrap();
+    }
+
+    // Four callers: one cycle dies mid-seal, the others are queued behind
+    // it or find the shards already dead. The channel is only a watchdog
+    // (detached threads, so a hang fails the test instead of hanging it).
+    let service = std::sync::Arc::new(service);
+    let (tx, rx) = std::sync::mpsc::channel();
+    for _ in 0..4 {
+        let (tx, service) = (tx.clone(), std::sync::Arc::clone(&service));
+        std::thread::spawn(move || tx.send(service.checkpoint_now()));
+    }
+    for _ in 0..4 {
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("checkpoint_now hung on a shard that died mid-seal");
+        assert_eq!(outcome, Err(CheckpointError::Down));
+    }
     std::fs::remove_dir_all(&base).ok();
 }

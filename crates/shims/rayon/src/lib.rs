@@ -40,9 +40,9 @@ struct Job {
 
 struct Pool {
     queue: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is pushed *and* when any scope task completes
-    /// (completion wakes helpers so they can re-check their scope's pending
-    /// count — both events share one condvar to avoid lost wakeups).
+    /// Signalled when a job is pushed *and* when a scope's last task
+    /// completes (so its waiter re-checks the pending count — both events
+    /// share one condvar to avoid lost wakeups).
     work_ready: Condvar,
     workers: usize,
 }
@@ -106,14 +106,20 @@ struct ScopeState {
 }
 
 impl ScopeState {
-    /// Marks one task finished and wakes any helper blocked in
-    /// [`wait_for_completion`]. The pool lock is taken briefly before the
-    /// notify so a helper can never check `pending`, decide to sleep, and
-    /// miss this wakeup (the lock serializes the two).
-    fn complete_one(&self) {
-        self.pending.fetch_sub(1, Ordering::Release);
+    /// Marks one task finished; the task that brings `pending` to zero
+    /// wakes the scope's waiter blocked in [`wait_for_completion`] and
+    /// returns `true`. Earlier completions wake nobody: the waiter has
+    /// nothing to do until the count is zero, and workers looking for jobs
+    /// are woken by [`Pool::push`]. The pool lock is taken briefly before
+    /// the notify so the waiter can never check `pending`, decide to sleep,
+    /// and miss this wakeup (the lock serializes the two).
+    fn complete_one(&self) -> bool {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return false;
+        }
         drop(pool().queue.lock().expect("pool queue poisoned"));
         pool().work_ready.notify_all();
+        true
     }
 }
 
@@ -294,6 +300,29 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), outer);
+    }
+
+    #[test]
+    fn only_the_last_completion_wakes_the_waiter() {
+        // 24 tasks is one 3,072-row inference pass: 23 completions must not
+        // touch the pool's condvar, the 24th must.
+        let state = ScopeState {
+            pending: AtomicUsize::new(24),
+            panic: Mutex::new(None),
+        };
+        let wakes = (0..24).filter(|_| state.complete_one()).count();
+        assert_eq!(wakes, 1);
+        assert_eq!(state.pending.load(Ordering::SeqCst), 0);
+        // And a real 24-task scope still returns with every task run.
+        let ran = AtomicUsize::new(0);
+        scope(|s| {
+            for _ in 0..24 {
+                s.spawn(|_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 24);
     }
 
     #[test]
