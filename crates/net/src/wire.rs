@@ -33,8 +33,10 @@ use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"GEOM";
 /// The one protocol version this build speaks and accepts; a header
-/// carrying any other is [`DecodeError::UnsupportedVersion`].
-pub const VERSION: u8 = 7;
+/// carrying any other is [`DecodeError::UnsupportedVersion`]. 8 differs
+/// from 7 in one payload: a shipped segment's WAL frames carry
+/// `replaydb::codec::checksum` sums where 7's carried FNV-1a.
+pub const VERSION: u8 = 8;
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Default cap on a single frame's payload (4 MiB).

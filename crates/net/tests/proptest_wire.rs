@@ -328,7 +328,7 @@ fn hostile_frame_corpus_yields_exact_errors() {
 
     // Any protocol version but the one: a future one, and the retired
     // ones no peer speaks any more.
-    for version in [9, 6, 2] {
+    for version in [9, 7, 2] {
         let mut bad_version = good.clone();
         bad_version[4] = version;
         assert_eq!(

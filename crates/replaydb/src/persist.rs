@@ -34,6 +34,9 @@ pub enum FormatError {
     /// The file is a JSON-lines WAL, the format before binary frames; this
     /// build does not read it.
     LegacyJsonWal,
+    /// The file is a binary WAL whose frames carry FNV-1a sums, the format
+    /// before the word-at-a-time checksum; this build does not read it.
+    LegacyFnvWal,
 }
 
 impl std::fmt::Display for FormatError {
@@ -48,6 +51,9 @@ impl std::fmt::Display for FormatError {
             }
             FormatError::LegacyJsonWal => {
                 f.write_str("JSON-lines WAL (pre-binary format) is not supported")
+            }
+            FormatError::LegacyFnvWal => {
+                f.write_str("FNV-1a-summed WAL (pre-word-checksum format) is not supported")
             }
         }
     }

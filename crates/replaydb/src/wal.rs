@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       64    packed record ([`crate::codec`]: timestamp + fields)
-//! 64      8     FNV-1a of bytes 0..64 (LE u64)
+//! 64      8     [`crate::codec::checksum`] of bytes 0..64 (LE u64)
 //! ```
 //!
 //! Recovery keeps the *committed prefix*: every frame before the first one
@@ -19,14 +19,19 @@
 //! behind it is corruption inside the log and an error. A crash
 //! mid-append therefore loses at most the frames of the one `write` it
 //! interrupted, and never a frame written before it.
+//!
+//! Two older formats are refused by name, before anything is read or cut:
+//! the JSON-lines log, and the binary log whose frames carried FNV-1a sums
+//! — under today's checksum its every frame would look torn, and a
+//! recovery that believed that would truncate the log to nothing.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use geomancy_sim::record::AccessRecord;
 
-use crate::codec::{fnv1a, get_u64, pack_record, put_u64, unpack_record, RECORD_LEN};
+use crate::codec::{checksum, get_u64, pack_record, put_u64, unpack_record, RECORD_LEN};
 use crate::db::{ReplayDb, StoredRecord};
 use crate::persist::{FormatError, PersistError};
 
@@ -106,7 +111,7 @@ impl WalWriter {
                 record,
             };
             pack_record(frame, 0, &stored);
-            let sum = fnv1a(&frame[..RECORD_LEN]);
+            let sum = checksum(&frame[..RECORD_LEN]);
             put_u64(frame, RECORD_LEN, sum);
         }
         self.file.write_all(&self.buf)?;
@@ -250,14 +255,30 @@ pub fn recover_shards(
     Ok(out)
 }
 
-/// Decodes the committed prefix of a log image into `sink`, oldest frame
-/// first, and returns the prefix's length in bytes (see the module docs
-/// for what counts as committed, torn, and corrupt).
-fn decode(bytes: &[u8], mut sink: impl FnMut(StoredRecord)) -> Result<usize, PersistError> {
-    let valid = |frame: &[u8]| fnv1a(&frame[..RECORD_LEN]) == get_u64(frame, RECORD_LEN);
+/// The byte-serial FNV-1a that summed frames before [`checksum`]; kept
+/// only so [`committed_prefix`] can name a log written with it.
+fn legacy_fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Verifies a log image and returns the length in bytes of its committed
+/// prefix (see the module docs for what counts as committed, torn, and
+/// corrupt).
+fn committed_prefix(bytes: &[u8]) -> Result<usize, PersistError> {
+    let valid = |frame: &[u8]| checksum(&frame[..RECORD_LEN]) == get_u64(frame, RECORD_LEN);
     let mut frames = bytes.chunks_exact(FRAME_LEN);
-    if bytes.starts_with(LEGACY_JSON_PREFIX) && !frames.clone().next().is_some_and(valid) {
-        return Err(PersistError::Format(FormatError::LegacyJsonWal));
+    let first = frames.clone().next();
+    if !first.is_some_and(valid) {
+        // A log in an older format fails at its first frame; read as a
+        // torn tail it would recover empty and be truncated to nothing.
+        if bytes.starts_with(LEGACY_JSON_PREFIX) {
+            return Err(PersistError::Format(FormatError::LegacyJsonWal));
+        }
+        if first.is_some_and(|f| legacy_fnv1a(&f[..RECORD_LEN]) == get_u64(f, RECORD_LEN)) {
+            return Err(PersistError::Format(FormatError::LegacyFnvWal));
+        }
     }
     let mut committed = 0;
     while let Some(frame) = frames.next() {
@@ -268,27 +289,27 @@ fn decode(bytes: &[u8], mut sink: impl FnMut(StoredRecord)) -> Result<usize, Per
             }
             break;
         }
-        sink(unpack_record(frame, 0));
         committed += FRAME_LEN;
     }
     Ok(committed)
 }
 
-/// Appends the committed records of the log or sealed segment at `path`
-/// to `out`, oldest first, and returns how many there were — the
-/// checkpointer's reader: no database is built, the records land in the
-/// vector the store sorts into pages.
+/// Appends the committed frames of the log or sealed segment at `path` to
+/// `frames` — verified, still packed, [`FRAME_LEN`] bytes each, oldest
+/// first — and returns how many there were. This is the checkpointer's
+/// reader: the store sorts and pages the record images where they lie, and
+/// nothing is decoded.
 ///
 /// # Errors
 ///
-/// Returns an I/O error, or a format error for corruption before the tail.
-pub fn read_segment(
-    path: impl AsRef<Path>,
-    out: &mut Vec<StoredRecord>,
-) -> Result<u64, PersistError> {
-    let bytes = std::fs::read(path)?;
-    out.reserve(bytes.len() / FRAME_LEN);
-    Ok((decode(&bytes, |s| out.push(s))? / FRAME_LEN) as u64)
+/// Returns an I/O error, or a format error for corruption before the tail
+/// or a log in an older format.
+pub fn read_segment(path: impl AsRef<Path>, frames: &mut Vec<u8>) -> Result<u64, PersistError> {
+    let start = frames.len();
+    File::open(path)?.read_to_end(frames)?;
+    let committed = committed_prefix(&frames[start..])?;
+    frames.truncate(start + committed);
+    Ok((committed / FRAME_LEN) as u64)
 }
 
 /// Replays a WAL into a fresh [`ReplayDb`], dropping a torn tail.
@@ -300,12 +321,17 @@ pub fn read_segment(
 ///
 /// # Errors
 ///
-/// Returns an I/O error, or a format error for corruption before the tail.
+/// Returns an I/O error, or a format error for corruption before the tail
+/// or a log in an older format.
 pub fn recover(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
+    let mut frames = Vec::new();
+    let replayed = read_segment(path, &mut frames)?;
     let mut db = ReplayDb::new();
-    let bytes = std::fs::read(path)?;
-    let committed = decode(&bytes, |s| db.insert(s.timestamp_micros, s.record))?;
-    Ok((db, (committed / FRAME_LEN) as u64))
+    for frame in frames.chunks_exact(FRAME_LEN) {
+        let s = unpack_record(frame, 0);
+        db.insert(s.timestamp_micros, s.record);
+    }
+    Ok((db, replayed))
 }
 
 /// Recovers like [`recover`], then truncates the log to the end of its
@@ -316,7 +342,8 @@ pub fn recover(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> 
 ///
 /// # Errors
 ///
-/// Returns an I/O error, or a format error for corruption before the tail.
+/// Returns an I/O error, or a format error for corruption before the tail
+/// or a log in an older format — with the file left as it was found.
 pub fn recover_for_append(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
     let path = path.as_ref();
     let (db, replayed) = recover(path)?;
@@ -449,7 +476,7 @@ mod tests {
         assert_eq!(replayed, 4);
         let mut out = vec![];
         assert_eq!(read_segment(&path, &mut out).unwrap(), 4);
-        assert_eq!(out.len(), 4);
+        assert_eq!(out, bytes[..4 * FRAME_LEN]);
         recover_for_append(&path).unwrap();
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -485,6 +512,89 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_in_a_frame_fails_verification() {
+        // In the middle of a log it is corruption at that frame's offset;
+        // in the last frame it is a torn tail, one frame shorter.
+        let path = temp_path("bitflip.wal");
+        let bytes = write_log(&path, 3);
+        for bit in 0..FRAME_LEN * 8 {
+            for frame in [1, 2] {
+                let mut bad = bytes.clone();
+                bad[frame * FRAME_LEN + bit / 8] ^= 1 << (bit % 8);
+                match (frame, committed_prefix(&bad)) {
+                    (1, Err(PersistError::Format(FormatError::WalFrame { offset }))) => {
+                        assert_eq!(offset, FRAME_LEN as u64)
+                    }
+                    (2, Ok(committed)) => assert_eq!(committed, 2 * FRAME_LEN),
+                    (_, other) => panic!("bit {bit} of frame {frame}: {other:?}"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zeroed_and_rearranged_frames_are_invalid() {
+        let path = temp_path("zeroed.wal");
+        let bytes = write_log(&path, 2);
+        // A frame of zeros (a hole the filesystem left) is not a record.
+        let mut zero_tail = bytes.clone();
+        zero_tail[FRAME_LEN..].fill(0);
+        assert_eq!(committed_prefix(&zero_tail).unwrap(), FRAME_LEN);
+        let mut zero_head = bytes.clone();
+        zero_head[..FRAME_LEN].fill(0);
+        assert!(committed_prefix(&zero_head).is_err());
+        assert_eq!(committed_prefix(&[0u8; 3 * FRAME_LEN]).unwrap(), 0);
+        // Two fields of a record trading places keep every byte value
+        // (frame 2 of 4: timestamp 1, access number 2).
+        let bytes = write_log(&path, 4);
+        let mut swapped = bytes.clone();
+        let (ts, number) = swapped[2 * FRAME_LEN..][..16].split_at_mut(8);
+        ts.swap_with_slice(number);
+        assert_ne!(swapped, bytes);
+        assert!(committed_prefix(&swapped).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Asserts `path` is refused as `expect` by every reader and is left
+    /// byte-identical.
+    fn assert_refused(path: &Path, expect: fn(&FormatError) -> bool) {
+        let before = std::fs::read(path).unwrap();
+        let mut frames = vec![0xAA];
+        for result in [
+            recover(path).map(|(_, n)| n),
+            recover_for_append(path).map(|(_, n)| n),
+            read_segment(path, &mut frames),
+        ] {
+            match result {
+                Err(PersistError::Format(e)) if expect(&e) => {}
+                other => panic!("not refused by name: {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read(path).unwrap(), before);
+    }
+
+    #[test]
+    fn fnv_summed_wal_is_refused_by_name_and_left_alone() {
+        // The format this one replaced: same frames, FNV-1a sums. Every
+        // frame fails today's checksum, so read as a torn tail it would
+        // recover empty and recover_for_append would cut it to nothing.
+        let path = temp_path("legacy-fnv.wal");
+        for records in [1, 5] {
+            let mut bytes = write_log(&path, records);
+            for frame in bytes.chunks_exact_mut(FRAME_LEN) {
+                let sum = legacy_fnv1a(&frame[..RECORD_LEN]);
+                put_u64(frame, RECORD_LEN, sum);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            assert_refused(&path, |e| matches!(e, FormatError::LegacyFnvWal));
+        }
+        assert!(FormatError::LegacyFnvWal.to_string().contains("FNV-1a"));
+        assert_eq!(legacy_fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn json_lines_wal_is_refused_by_name() {
         // The format this one replaced. It must not read as a torn tail
         // (an empty database), whether it holds one line or many.
@@ -493,16 +603,11 @@ mod tests {
         let path = temp_path("legacy.wal");
         for lines in [1, 3] {
             std::fs::write(&path, line.repeat(lines)).unwrap();
-            for result in [recover(&path), recover_for_append(&path)] {
-                let err = result.unwrap_err();
-                assert!(matches!(
-                    err,
-                    PersistError::Format(FormatError::LegacyJsonWal)
-                ));
-                assert!(err.to_string().contains("JSON-lines"));
-            }
-            assert!(read_segment(&path, &mut vec![]).is_err());
+            assert_refused(&path, |e| matches!(e, FormatError::LegacyJsonWal));
         }
+        assert!(FormatError::LegacyJsonWal
+            .to_string()
+            .contains("JSON-lines"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -569,11 +674,14 @@ mod tests {
         let (seg_db, seg_n) = recover(segment_path(&dir, 0, 1)).unwrap();
         assert_eq!(seg_n, 2);
         assert_eq!(seg_db.len(), 2);
-        let mut records = Vec::new();
+        let mut frames = Vec::new();
         assert_eq!(
-            read_segment(segment_path(&dir, 0, 1), &mut records).unwrap(),
+            read_segment(segment_path(&dir, 0, 1), &mut frames).unwrap(),
             2
         );
+        let records: Vec<StoredRecord> = (frames.chunks_exact(FRAME_LEN))
+            .map(|frame| unpack_record(frame, 0))
+            .collect();
         assert_eq!(records, seg_db.records().copied().collect::<Vec<_>>());
         wal.append(2, rec(2)).unwrap();
         wal.flush().unwrap();

@@ -1,5 +1,6 @@
 //! Property-based tests of ReplayDB query invariants.
 
+use geomancy_replaydb::codec::unpack_record;
 use geomancy_replaydb::wal::FRAME_LEN;
 use geomancy_replaydb::{from_json, read_segment, recover, to_json, ReplayDb, WalWriter};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
@@ -144,7 +145,11 @@ proptest! {
 
         let mut read = Vec::new();
         prop_assert_eq!(read_segment(&path, &mut read).unwrap(), expect.len() as u64);
-        let read: Vec<_> = read.iter().map(|s| (s.timestamp_micros, s.record)).collect();
+        let read: Vec<_> = read
+            .chunks_exact(FRAME_LEN)
+            .map(|frame| unpack_record(frame, 0))
+            .map(|s| (s.timestamp_micros, s.record))
+            .collect();
         prop_assert_eq!(&read, &expect);
         let (db, replayed) = recover(&path).unwrap();
         prop_assert_eq!(replayed, expect.len() as u64);

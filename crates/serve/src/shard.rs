@@ -70,9 +70,9 @@ pub(crate) struct SnapshotDelta {
     pub applied: u64,
 }
 
-/// Messages a shard actor accepts. Snapshot replies are continuations so
-/// both blocking callers (channel send) and other actors (`send_now` back
-/// to their own mailbox) can consume them without the shard knowing which.
+/// Messages a shard actor accepts. Replies are continuations so both
+/// blocking callers (channel send) and other actors (`send_now` back to
+/// their own mailbox) can consume them without the shard knowing which.
 pub(crate) enum ShardMsg {
     Batch {
         timestamp_micros: u64,
@@ -81,10 +81,7 @@ pub(crate) enum ShardMsg {
     /// Delta snapshot: everything applied after the `since` watermark
     /// (an applied-record count from a previous [`SnapshotDelta`];
     /// `since == 0` means everything the hot database holds).
-    Snapshot {
-        since: u64,
-        reply: Box<dyn FnOnce(SnapshotDelta) + Send>,
-    },
+    Snapshot { since: u64, reply: SnapshotReply },
     /// Seal the active WAL into a numbered segment for the checkpointer
     /// to absorb. Replies `(seq, records)`; `seq == 0` means the WAL held
     /// nothing (or the shard runs memory-only) and no segment was cut,
@@ -96,32 +93,35 @@ pub(crate) enum ShardMsg {
     TrimHot { keep: usize },
 }
 
-/// Reply handle of a [`ShardMsg::SealWal`]. Answering consumes it; if it is
-/// dropped unanswered — the shard panicked inside its seal turn, or died
-/// with the request still queued — the continuation runs with `None`, so
-/// the requester learns the shard failed instead of waiting forever.
-pub(crate) struct SealReply(Option<SealContinuation>);
+/// Reply handle of a request a shard answers once. Answering consumes it;
+/// if it is dropped unanswered — the shard panicked inside that turn, died
+/// holding the request, or died with it still queued — the continuation
+/// runs with `None`, so the requester learns the shard failed instead of
+/// waiting forever.
+pub(crate) struct ShardReply<T>(Option<Box<dyn FnOnce(Option<T>) + Send>>);
 
-/// Gets `Some((seq, records))` for a seal, `None` for a shard that died.
-type SealContinuation = Box<dyn FnOnce(Option<(u64, u64)>) + Send>;
+/// Reply handle of a [`ShardMsg::Snapshot`].
+pub(crate) type SnapshotReply = ShardReply<SnapshotDelta>;
+/// Reply handle of a [`ShardMsg::SealWal`]: `(seq, records)`.
+pub(crate) type SealReply = ShardReply<(u64, u64)>;
 
-impl SealReply {
-    /// `on_reply` gets `Some((seq, records))` from [`SealReply::sealed`],
-    /// `None` if the handle is dropped. It can run while a panic unwinds,
-    /// so it must not panic itself.
-    pub(crate) fn new(on_reply: impl FnOnce(Option<(u64, u64)>) + Send + 'static) -> Self {
-        SealReply(Some(Box::new(on_reply)))
+impl<T> ShardReply<T> {
+    /// `on_reply` gets `Some(answer)` from [`ShardReply::answer`], `None`
+    /// if the handle is dropped. It can run while a panic unwinds, so it
+    /// must not panic itself.
+    pub(crate) fn new(on_reply: impl FnOnce(Option<T>) + Send + 'static) -> Self {
+        ShardReply(Some(Box::new(on_reply)))
     }
 
-    /// Reports the seal's outcome.
-    pub(crate) fn sealed(mut self, seq: u64, records: u64) {
+    /// Delivers the shard's answer.
+    pub(crate) fn answer(mut self, answer: T) {
         if let Some(on_reply) = self.0.take() {
-            on_reply(Some((seq, records)));
+            on_reply(Some(answer));
         }
     }
 }
 
-impl Drop for SealReply {
+impl<T> Drop for ShardReply<T> {
     fn drop(&mut self) {
         if let Some(on_reply) = self.0.take() {
             on_reply(None);
@@ -196,7 +196,7 @@ impl Actor for ShardActor {
                 let take = fresh.min(self.db.len());
                 let skip = self.db.len() - take;
                 let records: Vec<StoredRecord> = self.db.records().skip(skip).copied().collect();
-                reply(SnapshotDelta {
+                reply.answer(SnapshotDelta {
                     shard: self.shard,
                     records,
                     applied: self.applied,
@@ -213,7 +213,7 @@ impl Actor for ShardActor {
                     }
                     _ => (0, 0),
                 };
-                reply.sealed(seq, records);
+                reply.answer((seq, records));
             }
             ShardMsg::TrimHot { keep } => {
                 if self.db.len() > keep {
@@ -518,8 +518,12 @@ impl ShardSet {
             let (tx, rx) = bounded(1);
             addr.send(ShardMsg::Snapshot {
                 since: 0,
-                reply: Box::new(move |delta: SnapshotDelta| {
-                    let _ = tx.send(delta);
+                // A shard that dies drops `tx` unsent: the `recv` below
+                // fails.
+                reply: SnapshotReply::new(move |delta| {
+                    if let Some(delta) = delta {
+                        let _ = tx.send(delta);
+                    }
                 }),
             })
             .map_err(|_| ())
@@ -675,13 +679,13 @@ mod tests {
             set.addrs()[0]
                 .send(ShardMsg::Snapshot {
                     since,
-                    reply: Box::new(move |delta: SnapshotDelta| {
+                    reply: SnapshotReply::new(move |delta| {
                         let _ = tx.send(delta);
                     }),
                 })
                 .map_err(|_| ())
                 .unwrap();
-            rx.recv().unwrap()
+            rx.recv().unwrap().expect("shard alive")
         };
         let recs: Vec<AccessRecord> = (0..30).map(|n| rec(n, 0)).collect();
         set.ingest(10, &recs[..20]).unwrap();

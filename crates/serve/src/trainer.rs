@@ -23,7 +23,11 @@
 //! a cycle still observes every batch ingested before it was requested.
 //! Cycles are serialized: requests arriving mid-cycle queue behind it,
 //! and parts are tagged with a cycle generation so a part from an
-//! abandoned cycle can never leak into the next one.
+//! abandoned cycle can never leak into the next one. A shard that dies
+//! with a snapshot request in hand — before it was delivered, queued, or
+//! held mid-turn — drops its [`SnapshotReply`], which arrives as an empty
+//! part: the cycle is abandoned ([`TrainError::TrainerDown`] to its
+//! caller) and the next queued one starts.
 //!
 //! ## Warm-start vs. full policy
 //!
@@ -49,7 +53,7 @@ use geomancy_store::SharedPagedStore;
 
 use crate::batch::ModelSlot;
 use crate::metrics::ServeMetrics;
-use crate::shard::{ShardMsg, ShardSet, SnapshotDelta};
+use crate::shard::{ShardMsg, ShardSet, SnapshotDelta, SnapshotReply};
 
 /// Why a retrain cycle produced no model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,8 +181,12 @@ pub(crate) enum TrainerMsg {
     TrainNow {
         reply: Option<Sender<Result<u64, TrainError>>>,
     },
-    /// One shard's delta arriving for the in-flight cycle `gen`.
-    Part { gen: u64, delta: SnapshotDelta },
+    /// One shard's delta arriving for the in-flight cycle `gen`; `None`
+    /// from a shard that died with the snapshot request in hand.
+    Part {
+        gen: u64,
+        delta: Option<SnapshotDelta>,
+    },
 }
 
 /// Handle to the trainer actor.
@@ -350,6 +358,18 @@ impl Actor for TrainerActor {
                 if collect.gen != gen {
                     return; // part raced an abandoned cycle's replacement
                 }
+                let Some(delta) = delta else {
+                    // Shard dead: abandon the cycle; dropping the reply
+                    // sender reports TrainerDown to a blocked caller. Keep
+                    // draining the queue — a queued cycle left behind here
+                    // would strand its caller until some unrelated future
+                    // trigger.
+                    self.collecting = None;
+                    if let Some(next) = self.queued.pop_front() {
+                        self.start_cycle(next);
+                    }
+                    return;
+                };
                 let shard = delta.shard;
                 if collect.parts[shard].is_none() {
                     collect.parts[shard] = Some(delta);
@@ -413,24 +433,13 @@ impl TrainerActor {
         for (shard, addr) in self.shard_addrs.iter().enumerate() {
             let since = if full { 0 } else { self.watermarks[shard] };
             let home = me.clone();
-            if addr
-                .send_now(ShardMsg::Snapshot {
-                    since,
-                    reply: Box::new(move |delta| {
-                        let _ = home.send_now(TrainerMsg::Part { gen, delta });
-                    }),
-                })
-                .is_err()
-            {
-                // Shard dead (panicked): abandon the cycle; dropping the
-                // reply sender reports TrainerDown to a blocked caller.
-                // Keep draining the queue — a queued cycle left behind
-                // here would strand its caller until some unrelated
-                // future trigger.
-                self.collecting = None;
-                if let Some(next) = self.queued.pop_front() {
-                    self.start_cycle(next);
-                }
+            let reply = SnapshotReply::new(move |delta| {
+                let _ = home.send_now(TrainerMsg::Part { gen, delta });
+            });
+            if addr.send_now(ShardMsg::Snapshot { since, reply }).is_err() {
+                // Shard already dead: the handed-back request drops here,
+                // and its reply reports the failure like a death with the
+                // request in hand.
                 return;
             }
         }
@@ -640,7 +649,9 @@ mod tests {
     struct FakeShard {
         shard: usize,
         hold: bool,
-        held: Option<Box<dyn FnOnce(SnapshotDelta) + Send>>,
+        held: Option<SnapshotReply>,
+        /// Told each time a snapshot request is taken into `held`.
+        on_hold: Option<Sender<()>>,
     }
 
     impl FakeShard {
@@ -661,17 +672,20 @@ mod tests {
                 ShardMsg::Snapshot { reply, .. } => {
                     if self.hold {
                         self.held = Some(reply);
+                        if let Some(told) = &self.on_hold {
+                            let _ = told.send(());
+                        }
                     } else {
-                        reply(FakeShard::empty_delta(self.shard));
+                        reply.answer(FakeShard::empty_delta(self.shard));
                     }
                 }
                 ShardMsg::TrimHot { .. } => {
                     if let Some(reply) = self.held.take() {
-                        reply(FakeShard::empty_delta(self.shard));
+                        reply.answer(FakeShard::empty_delta(self.shard));
                     }
                 }
                 ShardMsg::Batch { .. } => panic!("fake shard killed by test"),
-                ShardMsg::SealWal { reply } => reply.sealed(0, 0),
+                ShardMsg::SealWal { reply } => reply.answer((0, 0)),
             }
         }
     }
@@ -752,11 +766,64 @@ mod tests {
                 shard: 0,
                 hold: false,
                 held: None,
+                on_hold: None,
             },
         );
         kill_shard(&victim);
         let (trainer, _metrics) = spawn_trainer(&reactor, vec![victim], None);
         assert_eq!(trainer.retrain_now(), Err(TrainError::TrainerDown));
+        drop(reactor.shutdown());
+    }
+
+    /// A shard that dies *holding* a snapshot request — mid-snapshot, not
+    /// before the cycle started — must abandon the cycle too. The reply
+    /// used to be a bare closure, dropped uncalled with the dead actor,
+    /// and the trainer waited for that part forever.
+    #[test]
+    fn shard_dying_with_a_snapshot_in_hand_abandons_the_cycle() {
+        let reactor = Reactor::new(ReactorConfig {
+            name: "trainer-midsnap".to_string(),
+            ..ReactorConfig::default()
+        });
+        let (held_tx, held_rx) = bounded(1);
+        let (victim, _hv) = reactor.spawn(
+            "victim",
+            16,
+            FakeShard {
+                shard: 0,
+                hold: true,
+                held: None,
+                on_hold: Some(held_tx),
+            },
+        );
+        let (trainer, _metrics) = spawn_trainer(&reactor, vec![victim.clone()], None);
+        // The blocked caller runs on its own thread, so a hang fails this
+        // test by timeout instead of hanging it.
+        let (tx_a, rx_a) = bounded(1);
+        let (tx_b, rx_b) = bounded(1);
+        let caller = std::thread::spawn(move || {
+            let _ = tx_a.send(trainer.retrain_now());
+            let _ = tx_b.send(trainer.retrain_now());
+        });
+        held_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the cycle's snapshot request reaches the shard");
+        // Dies in this turn, the request in its state.
+        let _ = victim.send(ShardMsg::Batch {
+            timestamp_micros: 0,
+            records: Vec::new(),
+        });
+        assert_eq!(
+            rx_a.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(TrainError::TrainerDown)),
+            "the cycle must be abandoned, not left waiting for the dead shard's part"
+        );
+        // The next cycle finds the shard dead at fan-out: same outcome.
+        assert_eq!(
+            rx_b.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(TrainError::TrainerDown))
+        );
+        caller.join().unwrap();
         drop(reactor.shutdown());
     }
 
@@ -776,6 +843,7 @@ mod tests {
                 shard: 0,
                 hold: true,
                 held: None,
+                on_hold: None,
             },
         );
         let (victim, _hv) = reactor.spawn(
@@ -785,6 +853,7 @@ mod tests {
                 shard: 1,
                 hold: false,
                 held: None,
+                on_hold: None,
             },
         );
         let (trainer, _metrics) = spawn_trainer(&reactor, vec![gate.clone(), victim.clone()], None);
@@ -848,6 +917,7 @@ mod tests {
                 shard: 0,
                 hold: false,
                 held: None,
+                on_hold: None,
             },
         );
         let master = DrlEngine::new(DrlConfig::default());

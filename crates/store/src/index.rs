@@ -2,18 +2,30 @@
 //! device and per file.
 //!
 //! Each index entry is a [`PageSpan`] — a page reference plus the
-//! key-specific time range and record count that page contributes. The
-//! per-device and per-file maps are B-trees keyed by id; each key's span
-//! list is appended in page order. Spans are *key-specific*: a page
-//! containing records for many devices appears once per device, with
-//! min/max timestamps of that device's records only, so a per-device
-//! query skips pages whose other tenants dominate the page's global span.
+//! key-specific time range and record count that page contributes. Spans
+//! are *key-specific*: a page containing records for many devices appears
+//! once per device, with min/max timestamps of that device's records
+//! only, so a per-device query skips pages whose other tenants dominate
+//! the page's global span.
+//!
+//! The two halves are shaped by who asks. The per-device half is a map of
+//! a handful of keys, each with its spans in page order: the training
+//! query walks it on every cycle. The per-file half — most records of a
+//! large file population get a row of their own — is kept *flat*, as the
+//! log lays it out: every page's file rows in page order, sorted by file
+//! id inside a page, with one offset per page. Adding a page appends and
+//! touches nothing older, so the cost of a checkpoint does not grow with
+//! history; a lookup is one binary search per page
+//! ([`TimeIndex::spans_for_file`]), which no serving path pays. The
+//! sorted groups are the bulk-load input of a paged tree when one is
+//! wanted.
 //!
 //! ## The index log
 //!
 //! The index is persisted as `index.log`, an append-only run of
 //! fixed-width rows: one *group* per page, in page order, each a page row
-//! followed by that page's device rows and file rows. A commit appends
+//! followed by that page's device rows and file rows, each kind in
+//! ascending id order. A commit appends
 //! only the groups of the pages it added ([`TimeIndex::unsaved`]), so the
 //! bytes written follow the checkpoint, not the history, and the log of a
 //! given page sequence is always the same bytes. Rows are little-endian:
@@ -28,17 +40,20 @@
 //! 16      8     min_ts (LE u64)
 //! 24      8     max_ts (LE u64)
 //! 32      4     count (LE u32)
-//! 36      4     low half of the FNV-1a of bytes 0..36 (LE u32)
+//! 36      4     low half of the checksum of bytes 0..36 (LE u32)
 //! ```
 //!
-//! [`TimeIndex::load`] rejects a bad checksum, a group out of page order
-//! and a log that ends inside a group; the store then rebuilds the index
-//! from the committed pages, of which it is only a derived copy.
+//! [`TimeIndex::load`] rejects a bad checksum, a group out of page order,
+//! file rows out of id order and a log that ends inside a group; the store
+//! then rebuilds the index from the committed pages, of which it is only a
+//! derived copy.
 
 use std::collections::BTreeMap;
 
-use geomancy_replaydb::codec::{fnv1a, get_u32, get_u64, put_u32, put_u64};
-use geomancy_replaydb::StoredRecord;
+use geomancy_replaydb::codec::{
+    checksum, get_u32, get_u64, image_fid, image_fsid, image_timestamp, put_u32, put_u64,
+    RECORD_LEN,
+};
 use geomancy_sim::record::{DeviceId, FileId};
 
 use crate::StoreError;
@@ -57,15 +72,6 @@ pub struct PageSpan {
     pub count: u32,
 }
 
-impl PageSpan {
-    /// Widens the span by one more record at `ts`.
-    fn absorb(&mut self, ts: u64) {
-        self.min_ts = self.min_ts.min(ts);
-        self.max_ts = self.max_ts.max(ts);
-        self.count += 1;
-    }
-}
-
 /// Bytes per row of the index log.
 pub const ROW_LEN: usize = 40;
 /// Row kinds in the index log.
@@ -73,19 +79,41 @@ const ROW_PAGE: u8 = 0;
 const ROW_DEVICE: u8 = 1;
 const ROW_FILE: u8 = 2;
 
-/// Appends one index-log row to `out`.
-fn push_row(out: &mut Vec<u8>, kind: u8, key: u64, span: &PageSpan) {
-    let at = out.len();
-    out.resize(at + ROW_LEN, 0);
-    let row = &mut out[at..];
+/// One index-log row.
+fn encode_row(kind: u8, key: u64, span: &PageSpan) -> [u8; ROW_LEN] {
+    let mut row = [0u8; ROW_LEN];
     row[0] = kind;
-    put_u32(row, 4, span.page);
-    put_u64(row, 8, key);
-    put_u64(row, 16, span.min_ts);
-    put_u64(row, 24, span.max_ts);
-    put_u32(row, 32, span.count);
-    let sum = fnv1a(&row[..ROW_LEN - 4]) as u32;
-    put_u32(row, ROW_LEN - 4, sum);
+    put_u32(&mut row, 4, span.page);
+    put_u64(&mut row, 8, key);
+    put_u64(&mut row, 16, span.min_ts);
+    put_u64(&mut row, 24, span.max_ts);
+    put_u32(&mut row, 32, span.count);
+    let sum = checksum(&row[..ROW_LEN - 4]) as u32;
+    put_u32(&mut row, ROW_LEN - 4, sum);
+    row
+}
+
+/// Groups one page's `(id, timestamp)` pairs by id and hands `emit` each
+/// id with its span, in ascending id order — the order a `BTreeMap` keyed
+/// by id would give, without building one per page.
+fn group_rows(
+    scratch: &mut Vec<(u64, u64)>,
+    pairs: impl Iterator<Item = (u64, u64)>,
+    page: u32,
+    mut emit: impl FnMut(u64, PageSpan),
+) {
+    scratch.clear();
+    scratch.extend(pairs);
+    scratch.sort_unstable();
+    for run in scratch.chunk_by(|a, b| a.0 == b.0) {
+        let span = PageSpan {
+            page,
+            min_ts: run[0].1,
+            max_ts: run[run.len() - 1].1,
+            count: run.len() as u32,
+        };
+        emit(run[0].0, span);
+    }
 }
 
 /// In-memory index over every committed (and, between append and commit,
@@ -95,11 +123,20 @@ pub struct TimeIndex {
     /// Global span per page, in page order (`pages[i].page == i`).
     pages: Vec<PageSpan>,
     by_device: BTreeMap<DeviceId, Vec<PageSpan>>,
-    by_file: BTreeMap<FileId, Vec<PageSpan>>,
+    /// The file rows of every page, in page order and by file id inside a
+    /// page: ids here, their spans at the same positions in `file_spans`.
+    file_ids: Vec<u64>,
+    file_spans: Vec<PageSpan>,
+    /// Where each page's rows start in the two columns above
+    /// (`file_groups[i]` for page `i`; they end where the next page's
+    /// start).
+    file_groups: Vec<usize>,
     total_records: u64,
     /// Index-log rows of the pages added since the last
     /// [`TimeIndex::mark_saved`].
     unsaved: Vec<u8>,
+    /// Reused by [`TimeIndex::add_page`]: `(id, timestamp)` per record.
+    scratch: Vec<(u64, u64)>,
 }
 
 impl TimeIndex {
@@ -128,9 +165,17 @@ impl TimeIndex {
         self.by_device.get(&device).map_or(&[], |v| v.as_slice())
     }
 
-    /// Spans holding records of `fid`, in page order.
-    pub fn spans_for_file(&self, fid: FileId) -> &[PageSpan] {
-        self.by_file.get(&fid).map_or(&[], |v| v.as_slice())
+    /// Spans holding records of `fid`, in page order: one binary search
+    /// in every page's group.
+    pub fn spans_for_file(&self, fid: FileId) -> Vec<PageSpan> {
+        let starts = self.file_groups.iter().copied();
+        let ends = starts.clone().skip(1).chain([self.file_ids.len()]);
+        (starts.zip(ends))
+            .filter_map(|(start, end)| {
+                let at = self.file_ids[start..end].binary_search(&fid.0).ok()?;
+                Some(self.file_spans[start + at])
+            })
+            .collect()
     }
 
     /// Devices with at least one indexed record.
@@ -138,47 +183,53 @@ impl TimeIndex {
         self.by_device.keys().copied()
     }
 
-    /// Files with at least one indexed record.
-    pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.by_file.keys().copied()
-    }
-
-    /// Indexes one freshly written page and queues its index-log group.
+    /// Indexes one freshly written page, given its packed record images
+    /// (whole [`RECORD_LEN`]-byte images, as [`crate::page::verify_page`]
+    /// returns them), and queues its index-log group.
     ///
     /// # Panics
     ///
-    /// Panics if `page` is not the next page number or `records` is empty
+    /// Panics if `page` is not the next page number or `images` is empty
     /// (pages are appended in order and never empty).
-    pub fn add_page(&mut self, page: u32, records: &[StoredRecord]) {
+    pub fn add_page(&mut self, page: u32, images: &[u8]) {
         assert_eq!(page as usize, self.pages.len(), "pages are append-only");
-        assert!(!records.is_empty(), "pages are never empty");
-        let empty = PageSpan {
+        assert!(!images.is_empty(), "pages are never empty");
+        let images = images.chunks_exact(RECORD_LEN);
+        let timestamps = images.clone().map(image_timestamp);
+        let whole = PageSpan {
             page,
-            min_ts: u64::MAX,
-            max_ts: 0,
-            count: 0,
+            min_ts: timestamps.clone().min().expect("not empty"),
+            max_ts: timestamps.max().expect("not empty"),
+            count: images.len() as u32,
         };
-        let mut whole = empty;
-        let mut per_device: BTreeMap<DeviceId, PageSpan> = BTreeMap::new();
-        let mut per_file: BTreeMap<FileId, PageSpan> = BTreeMap::new();
-        for s in records {
-            let ts = s.timestamp_micros;
-            whole.absorb(ts);
-            per_device.entry(s.record.fsid).or_insert(empty).absorb(ts);
-            per_file.entry(s.record.fid).or_insert(empty).absorb(ts);
-        }
-        self.pages.push(whole);
-        self.total_records += records.len() as u64;
-        let group = (per_device.len() + per_file.len()) as u64;
-        push_row(&mut self.unsaved, ROW_PAGE, group, &whole);
-        for (dev, span) in per_device {
-            push_row(&mut self.unsaved, ROW_DEVICE, dev.0 as u64, &span);
+        // The page row goes first but counts the rows behind it, so it is
+        // written last, into the slot reserved here.
+        let page_row = self.unsaved.len();
+        self.unsaved.extend_from_slice(&[0; ROW_LEN]);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let devices = images
+            .clone()
+            .map(|i| (image_fsid(i).0 as u64, image_timestamp(i)));
+        group_rows(&mut scratch, devices, page, |dev, span| {
+            self.unsaved
+                .extend_from_slice(&encode_row(ROW_DEVICE, dev, &span));
+            let dev = DeviceId(dev as u32);
             self.by_device.entry(dev).or_default().push(span);
-        }
-        for (fid, span) in per_file {
-            push_row(&mut self.unsaved, ROW_FILE, fid.0, &span);
-            self.by_file.entry(fid).or_default().push(span);
-        }
+        });
+        self.file_groups.push(self.file_ids.len());
+        let files = images.map(|i| (image_fid(i).0, image_timestamp(i)));
+        group_rows(&mut scratch, files, page, |fid, span| {
+            self.unsaved
+                .extend_from_slice(&encode_row(ROW_FILE, fid, &span));
+            self.file_ids.push(fid);
+            self.file_spans.push(span);
+        });
+        self.scratch = scratch;
+        let group = (self.unsaved.len() - page_row) / ROW_LEN - 1;
+        let row = encode_row(ROW_PAGE, group as u64, &whole);
+        self.unsaved[page_row..page_row + ROW_LEN].copy_from_slice(&row);
+        self.pages.push(whole);
+        self.total_records += whole.count as u64;
     }
 
     /// The index-log bytes of every page added since the last
@@ -212,6 +263,9 @@ impl TimeIndex {
         if !rows.remainder().is_empty() {
             return corrupt("partial row", index.pages.len() as u32);
         }
+        // Nearly every row of a large file population's log is a file row.
+        index.file_ids.reserve(rows.len());
+        index.file_spans.reserve(rows.len());
         for row in rows {
             let span = PageSpan {
                 page: get_u32(row, 4),
@@ -219,7 +273,7 @@ impl TimeIndex {
                 max_ts: get_u64(row, 24),
                 count: get_u32(row, 32),
             };
-            if fnv1a(&row[..ROW_LEN - 4]) as u32 != get_u32(row, ROW_LEN - 4) {
+            if checksum(&row[..ROW_LEN - 4]) as u32 != get_u32(row, ROW_LEN - 4) {
                 return corrupt("row checksum mismatch", index.pages.len() as u32);
             }
             let (kind, key) = (row[0], get_u64(row, 8));
@@ -227,13 +281,22 @@ impl TimeIndex {
                 owed = key;
                 index.total_records += span.count as u64;
                 index.pages.push(span);
+                index.file_groups.push(index.file_ids.len());
             } else if owed > 0 && span.page as usize + 1 == index.pages.len() {
                 owed -= 1;
                 match (kind, u32::try_from(key)) {
                     (ROW_DEVICE, Ok(dev)) => {
                         index.by_device.entry(DeviceId(dev)).or_default().push(span);
                     }
-                    (ROW_FILE, _) => index.by_file.entry(FileId(key)).or_default().push(span),
+                    (ROW_FILE, _) => {
+                        // Lookups binary-search a group: its ids must rise.
+                        let group = &index.file_ids[index.file_groups[span.page as usize]..];
+                        if group.last().is_some_and(|&last| last >= key) {
+                            return corrupt("file rows out of id order", span.page);
+                        }
+                        index.file_ids.push(key);
+                        index.file_spans.push(span);
+                    }
                     _ => return corrupt("bad row kind or device id", span.page),
                 }
             } else {
@@ -250,10 +313,13 @@ impl TimeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geomancy_replaydb::codec::pack_record;
+    use geomancy_replaydb::StoredRecord;
     use geomancy_sim::record::AccessRecord;
 
-    fn stored(ts: u64, fid: u64, dev: u32) -> StoredRecord {
-        StoredRecord {
+    /// One packed record image: timestamp, file, device.
+    fn image(ts: u64, fid: u64, dev: u32) -> [u8; RECORD_LEN] {
+        let s = StoredRecord {
             timestamp_micros: ts,
             record: AccessRecord {
                 access_number: ts,
@@ -266,14 +332,36 @@ mod tests {
                 cts: 1,
                 ctms: 0,
             },
-        }
+        };
+        let mut buf = [0u8; RECORD_LEN];
+        pack_record(&mut buf, 0, &s);
+        buf
     }
 
     fn sample() -> TimeIndex {
         let mut index = TimeIndex::new();
-        index.add_page(0, &[stored(10, 1, 0), stored(11, 2, 1), stored(12, 1, 0)]);
-        index.add_page(1, &[stored(13, 2, 1), stored(14, 3, 2)]);
+        index.add_page(
+            0,
+            &[image(10, 1, 0), image(11, 2, 1), image(12, 1, 0)].concat(),
+        );
+        index.add_page(1, &[image(13, 2, 1), image(14, 3, 2)].concat());
         index
+    }
+
+    /// Everything the index answers for the sample's keys (and one absent
+    /// of each kind).
+    fn answers(index: &TimeIndex) -> impl PartialEq + std::fmt::Debug {
+        (
+            index.pages().to_vec(),
+            index.total_records(),
+            index.devices().collect::<Vec<_>>(),
+            (0..4)
+                .map(|d| index.spans_for_device(DeviceId(d)).to_vec())
+                .collect::<Vec<_>>(),
+            (0..5)
+                .map(|f| index.spans_for_file(FileId(f)))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -299,9 +387,13 @@ mod tests {
         let f1 = index.spans_for_file(FileId(1));
         assert_eq!(f1.len(), 1);
         assert_eq!(f1[0].count, 2);
+        let f2 = index.spans_for_file(FileId(2));
+        assert_eq!(f2.iter().map(|s| s.page).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!((f2[1].min_ts, f2[1].max_ts, f2[1].count), (13, 13, 1));
         assert!(index.spans_for_device(DeviceId(9)).is_empty());
+        assert!(index.spans_for_file(FileId(9)).is_empty());
+        assert!(TimeIndex::new().spans_for_file(FileId(1)).is_empty());
         assert_eq!(index.devices().count(), 3);
-        assert_eq!(index.files().count(), 3);
     }
 
     #[test]
@@ -310,21 +402,49 @@ mod tests {
         // Page 0: 2 devices + 2 files; page 1: 2 devices + 2 files.
         assert_eq!(index.unsaved().len(), (1 + 4 + 1 + 4) * ROW_LEN);
         let mut log = index.unsaved().to_vec();
+        // A group is its page row (counting the rest), device rows by id,
+        // file rows by id.
+        let kinds_and_keys: Vec<(u8, u64)> = (log.chunks_exact(ROW_LEN))
+            .map(|row| (row[0], get_u64(row, 8)))
+            .collect();
+        assert_eq!(
+            kinds_and_keys[..5],
+            [
+                (ROW_PAGE, 4),
+                (ROW_DEVICE, 0),
+                (ROW_DEVICE, 1),
+                (ROW_FILE, 1),
+                (ROW_FILE, 2)
+            ]
+        );
         let back = TimeIndex::load(&log).unwrap();
         assert!(back.unsaved().is_empty());
-        assert_eq!(back.total_records(), index.total_records());
-        assert_eq!(back.pages(), index.pages());
-        assert_eq!(back.by_device, index.by_device);
-        assert_eq!(back.by_file, index.by_file);
+        assert_eq!(answers(&back), answers(&index));
         // What a later page queues is its own group only, and appending it
         // to the log gives the log of the longer index.
         index.mark_saved();
-        index.add_page(2, &[stored(15, 1, 0)]);
+        index.add_page(2, &image(15, 1, 0));
         assert_eq!(index.unsaved().len(), 3 * ROW_LEN);
         log.extend_from_slice(index.unsaved());
         let back = TimeIndex::load(&log).unwrap();
-        assert_eq!(back.pages(), index.pages());
-        assert_eq!(back.by_file, index.by_file);
+        assert_eq!(answers(&back), answers(&index));
+        assert_eq!(back.spans_for_file(FileId(1)).len(), 2);
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_row_fails_to_load() {
+        // One page, one device, one file: a page row, a device row, a file
+        // row. No flipped bit of any of them may load.
+        let mut index = TimeIndex::new();
+        index.add_page(0, &image(10, 1, 0));
+        let log = index.unsaved().to_vec();
+        assert_eq!(log.len(), 3 * ROW_LEN);
+        for bit in 0..log.len() * 8 {
+            let mut bad = log.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(TimeIndex::load(&bad).is_err(), "bit {bit}");
+        }
+        assert!(TimeIndex::load(&[0u8; ROW_LEN]).is_err(), "a zeroed row");
     }
 
     #[test]
@@ -333,12 +453,18 @@ mod tests {
         assert!(TimeIndex::load(&[]).unwrap().pages().is_empty());
         let mut flipped = log.clone();
         flipped[ROW_LEN + 17] ^= 1;
+        // Page 0's two file rows trading places: each row still sums, but
+        // a group that is not in id order cannot be searched.
+        let mut unsorted = log.clone();
+        let (a, b) = unsorted[3 * ROW_LEN..5 * ROW_LEN].split_at_mut(ROW_LEN);
+        a.swap_with_slice(b);
         // A group missing its last row, a partial row, a flipped bit, a
         // group that skips a page: none may load as a smaller index.
         for bad in [
             &log[..log.len() - ROW_LEN],
             &log[..log.len() - 1],
             &flipped[..],
+            &unsorted[..],
             &log[5 * ROW_LEN..],
         ] {
             assert!(matches!(TimeIndex::load(bad), Err(StoreError::Corrupt(_))));
@@ -355,6 +481,6 @@ mod tests {
     #[should_panic(expected = "append-only")]
     fn out_of_order_page_panics() {
         let mut index = TimeIndex::new();
-        index.add_page(1, &[stored(0, 0, 0)]);
+        index.add_page(1, &image(0, 0, 0));
     }
 }

@@ -17,8 +17,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::StoreError;
 
-/// Manifest format version (2 carries `index_bytes`, which 1 lacked).
-pub const MANIFEST_VERSION: u32 = 2;
+/// Manifest format version. 2 introduced `index_bytes`; 3 has the same
+/// fields and says the pages and index log it commits are summed with the
+/// word-at-a-time checksum, so a store written with FNV-1a sums is refused
+/// here, at open, before anything reads (or rebuilds an index from) its
+/// pages.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// Committed state of the store.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,10 +164,19 @@ mod tests {
             ..Manifest::empty(4096)
         };
         // A version-1 manifest as the JSON-index store wrote it: refused by
-        // version, not for the field it lacks.
+        // version, not for the field it lacks. A version-2 manifest, whose
+        // store is FNV-summed, has every field and is refused all the same.
         let v1 = r#"{"version":1,"page_size":4096,"committed_pages":2,"total_records":9,"absorbed":[1]}"#;
+        let v2 = Manifest {
+            version: 2,
+            ..Manifest::empty(4096)
+        };
         for (text, version) in [
-            (serde_json::to_string(&future).unwrap(), 3),
+            (
+                serde_json::to_string(&future).unwrap(),
+                MANIFEST_VERSION + 1,
+            ),
+            (serde_json::to_string(&v2).unwrap(), 2),
             (v1.to_string(), 1),
         ] {
             std::fs::write(&path, text).unwrap();

@@ -9,25 +9,26 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "GPAG"
-//! 4       1     format version (1)
+//! 4       1     format version (2; version 1 summed with FNV-1a)
 //! 5       1     reserved (0)
 //! 6       2     record_count (LE u16)
 //! 8       8     min_ts: smallest ingest timestamp in the page (LE u64)
 //! 16      8     max_ts: largest ingest timestamp in the page (LE u64)
-//! 24      8     FNV-1a checksum of count/min/max + record bytes (LE u64)
+//! 24      8     checksum of bytes 4..24 xor checksum of bytes 32.. (LE u64)
 //! 32      64×n  packed records
 //! ...     —     zero padding to page_size
 //! ```
 //!
 //! Records are packed by [`geomancy_replaydb::codec`], 64 bytes each — the
-//! image a WAL frame carries, so a record is encoded one way from the log
-//! to the page. Pages are
+//! image a WAL frame carries, so a checkpoint copies a record from its
+//! segment into its page without decoding it, and [`seal_page`] is the one
+//! place a page's header is written. Pages are
 //! immutable once written — the store is append-only, and the final
 //! partial page of a checkpoint is sealed as-is (internal fragmentation
 //! is accepted in exchange for never rewriting a page in place).
 
 use geomancy_replaydb::codec::{
-    fnv1a, get_u16, get_u64, pack_record, put_u16, put_u64, unpack_record, RECORD_LEN,
+    checksum, get_u16, get_u64, image_timestamp, put_u16, put_u64, unpack_record, RECORD_LEN,
 };
 use geomancy_replaydb::StoredRecord;
 
@@ -36,7 +37,7 @@ use crate::StoreError;
 /// First bytes of every page.
 pub const PAGE_MAGIC: [u8; 4] = *b"GPAG";
 /// On-disk page format version.
-pub const PAGE_VERSION: u8 = 1;
+pub const PAGE_VERSION: u8 = 2;
 /// Bytes of page header before the packed records.
 pub const HEADER_LEN: usize = 32;
 /// Smallest allowed page size (4 KiB).
@@ -63,44 +64,48 @@ pub fn check_page_size(page_size: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Encodes `records` into one page of exactly `page_size` bytes.
+/// The stored sum of a page: its header fields after the magic, and
+/// everything behind the header (records and padding).
+fn page_sum(page: &[u8]) -> u64 {
+    checksum(&page[4..HEADER_LEN - 8]) ^ checksum(&page[HEADER_LEN..])
+}
+
+/// Completes a page in place: `page` is a zeroed, page-sized buffer whose
+/// first `count` record slots (from [`HEADER_LEN`]) already hold packed
+/// images; this writes the header over them — magic, version, count, the
+/// images' timestamp range, checksum.
 ///
 /// # Panics
 ///
-/// Panics if `records` is empty or exceeds [`page_capacity`] — the store
+/// Panics if `count` is zero or exceeds [`page_capacity`] — the store
 /// packs pages itself, so either is a logic error, not an input error.
-pub fn encode_page(page_size: usize, records: &[StoredRecord]) -> Vec<u8> {
-    assert!(!records.is_empty(), "a page holds at least one record");
+pub fn seal_page(page: &mut [u8], count: usize) {
+    assert!(count > 0, "a page holds at least one record");
     assert!(
-        records.len() <= page_capacity(page_size),
-        "page overflow: {} records > capacity {}",
-        records.len(),
-        page_capacity(page_size)
+        count <= page_capacity(page.len()),
+        "page overflow: {count} records > capacity {}",
+        page_capacity(page.len())
     );
-    let mut buf = vec![0u8; page_size];
-    buf[0..4].copy_from_slice(&PAGE_MAGIC);
-    buf[4] = PAGE_VERSION;
-    let count = records.len() as u16;
-    put_u16(&mut buf, 6, count);
-    let min_ts = records.iter().map(|s| s.timestamp_micros).min().unwrap();
-    let max_ts = records.iter().map(|s| s.timestamp_micros).max().unwrap();
-    put_u64(&mut buf, 8, min_ts);
-    put_u64(&mut buf, 16, max_ts);
-    for (i, s) in records.iter().enumerate() {
-        pack_record(&mut buf, HEADER_LEN + i * RECORD_LEN, s);
-    }
-    let sum = fnv1a(&buf[6..HEADER_LEN - 8]) ^ fnv1a(&buf[HEADER_LEN..]);
-    put_u64(&mut buf, 24, sum);
-    buf
+    let images = page[HEADER_LEN..][..count * RECORD_LEN].chunks_exact(RECORD_LEN);
+    let timestamps = images.map(image_timestamp);
+    let min_ts = timestamps.clone().min().expect("not empty");
+    let max_ts = timestamps.max().expect("not empty");
+    page[0..4].copy_from_slice(&PAGE_MAGIC);
+    page[4] = PAGE_VERSION;
+    put_u16(page, 6, count as u16);
+    put_u64(page, 8, min_ts);
+    put_u64(page, 16, max_ts);
+    let sum = page_sum(page);
+    put_u64(page, 24, sum);
 }
 
-/// Decodes one page buffer back into its records, verifying magic,
-/// version, bounds, and checksum.
+/// Verifies one page buffer — magic, version, bounds, checksum — and
+/// returns its packed record images.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Corrupt`] naming what failed to verify.
-pub fn decode_page(buf: &[u8]) -> Result<Vec<StoredRecord>, StoreError> {
+pub fn verify_page(buf: &[u8]) -> Result<&[u8], StoreError> {
     if buf.len() < HEADER_LEN {
         return Err(StoreError::Corrupt(format!(
             "page buffer of {} bytes is shorter than the header",
@@ -123,21 +128,37 @@ pub fn decode_page(buf: &[u8]) -> Result<Vec<StoredRecord>, StoreError> {
             buf.len()
         )));
     }
-    let sum = fnv1a(&buf[6..HEADER_LEN - 8]) ^ fnv1a(&buf[HEADER_LEN..]);
-    if sum != get_u64(buf, 24) {
+    if page_sum(buf) != get_u64(buf, 24) {
         return Err(StoreError::Corrupt("page checksum mismatch".to_string()));
     }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        out.push(unpack_record(buf, HEADER_LEN + i * RECORD_LEN));
-    }
-    Ok(out)
+    Ok(&buf[HEADER_LEN..][..count * RECORD_LEN])
+}
+
+/// Decodes one page buffer back into its records, after [`verify_page`].
+///
+/// # Errors
+///
+/// Returns [`StoreError::Corrupt`] naming what failed to verify.
+pub fn decode_page(buf: &[u8]) -> Result<Vec<StoredRecord>, StoreError> {
+    let images = verify_page(buf)?.chunks_exact(RECORD_LEN);
+    Ok(images.map(|image| unpack_record(image, 0)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geomancy_replaydb::codec::pack_record;
     use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
+
+    /// Packs `records` into one sealed page of `page_size` bytes.
+    fn encode_page(page_size: usize, records: &[StoredRecord]) -> Vec<u8> {
+        let mut buf = vec![0u8; page_size];
+        for (slot, s) in buf[HEADER_LEN..].chunks_exact_mut(RECORD_LEN).zip(records) {
+            pack_record(slot, 0, s);
+        }
+        seal_page(&mut buf, records.len());
+        buf
+    }
 
     fn stored(n: u64) -> StoredRecord {
         StoredRecord {
@@ -211,6 +232,39 @@ mod tests {
         // Flip one record byte: checksum must catch it.
         buf[HEADER_LEN + 5] ^= 0xff;
         assert!(matches!(decode_page(&buf), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_page_fails_verification() {
+        // Header, records and padding alike: nothing in a page is outside
+        // the magic, the version or the sum.
+        let records: Vec<StoredRecord> = (0..3).map(stored).collect();
+        let good = encode_page(4096, &records);
+        for bit in 0..good.len() * 8 {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(verify_page(&bad).is_err(), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn zeroed_and_older_pages_are_rejected() {
+        assert!(verify_page(&[0u8; 4096]).is_err());
+        let good = encode_page(4096, &[stored(0), stored(1)]);
+        // A hole where the records were, under an intact header.
+        let mut hollow = good.clone();
+        hollow[HEADER_LEN..].fill(0);
+        assert!(verify_page(&hollow).is_err());
+        // Version 1 summed the same bytes with FNV-1a; it is refused by
+        // its version, whatever its sum says.
+        let mut v1 = good.clone();
+        v1[4] = 1;
+        let resummed = page_sum(&v1);
+        put_u64(&mut v1, 24, resummed);
+        match verify_page(&v1) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("page version 1"), "{msg}"),
+            other => panic!("version 1 page read as {other:?}"),
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! ## Crash-safe checkpoint ordering
 //!
 //! [`PagedStore::absorb_segments`] drains sealed WAL segments in four
-//! ordered steps — append pages, fsync pages + append and fsync their
+//! ordered steps — append pages (built from the segments' verified frames
+//! without decoding a record, written with one positioned write), fsync
+//! pages + append and fsync their
 //! index rows, commit manifest (atomic rename), delete segments. A crash
 //! between any two steps recovers exactly-once: before the manifest commit
 //! the new pages and rows are truncated away and the segments replay in
@@ -43,14 +45,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use geomancy_replaydb::wal as rwal;
+use geomancy_replaydb::codec::{image_access_number, image_timestamp, pack_record, RECORD_LEN};
+use geomancy_replaydb::wal::{self as rwal, FRAME_LEN};
 use geomancy_replaydb::StoredRecord;
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 use parking_lot::{Mutex, RwLock};
 
 use crate::index::{PageSpan, TimeIndex};
 use crate::manifest::Manifest;
-use crate::page::{check_page_size, decode_page, encode_page, page_capacity};
+use crate::page::{
+    check_page_size, decode_page, page_capacity, seal_page, verify_page, HEADER_LEN,
+};
 use crate::StoreError;
 
 /// Page-file name inside a store directory.
@@ -150,6 +155,19 @@ impl PageCache {
     }
 }
 
+/// The frames of the segments a checkpoint absorbs; the buffers are kept
+/// for the next checkpoint, so a steady cadence allocates per page added,
+/// not per record.
+#[derive(Debug, Default)]
+struct SegmentFrames {
+    /// The segments' verified frames, end to end.
+    frames: Vec<u8>,
+    /// `(timestamp, access_number, frame index)` per frame of `frames`:
+    /// sorted, it is the order records are paged in (the index breaks
+    /// ties as a stable sort of the frames would).
+    order: Vec<(u64, u64, usize)>,
+}
+
 /// The paged cold store. Writers need `&mut self`; queries take `&self`
 /// (the page cache hides behind its own mutex), so a shared store behind
 /// an `RwLock` serves concurrent readers.
@@ -165,6 +183,10 @@ pub struct PagedStore {
     /// Bytes of `index.log` written: everything but `index.unsaved()`.
     index_len: u64,
     manifest: Manifest,
+    /// Reused by [`PagedStore::absorb_segments`].
+    segments: SegmentFrames,
+    /// Reused by `write_pages`: the pages being built, end to end.
+    page_buf: Vec<u8>,
     cache: Mutex<PageCache>,
     /// Positioned page reads that went to disk.
     pub preads: AtomicU64,
@@ -274,6 +296,8 @@ impl PagedStore {
                 index_file,
                 index_len,
                 manifest,
+                segments: SegmentFrames::default(),
+                page_buf: Vec::new(),
                 cache: Mutex::new(PageCache::default()),
                 preads: AtomicU64::new(0),
                 cache_hits: AtomicU64::new(0),
@@ -282,14 +306,13 @@ impl PagedStore {
         ))
     }
 
-    /// Rebuilds a [`TimeIndex`] by decoding every committed page.
+    /// Rebuilds a [`TimeIndex`] by verifying every committed page.
     fn scan_index(file: &File, page_size: usize, pages: u32) -> Result<TimeIndex, StoreError> {
         let mut index = TimeIndex::new();
         let mut buf = vec![0u8; page_size];
         for page in 0..pages {
             read_exact_at(file, &mut buf, page as u64 * page_size as u64)?;
-            let records = decode_page(&buf)?;
-            index.add_page(page, &records);
+            index.add_page(page, verify_page(&buf)?);
         }
         Ok(index)
     }
@@ -354,17 +377,45 @@ impl PagedStore {
             }),
             "append_records requires (timestamp, access_number) order"
         );
-        let capacity = page_capacity(self.config.page_size);
-        let mut added = 0u32;
-        for chunk in records.chunks(capacity) {
-            let page = self.pages;
-            let buf = encode_page(self.config.page_size, chunk);
-            write_all_at(&self.file, &buf, page as u64 * self.config.page_size as u64)?;
-            self.index.add_page(page, chunk);
-            self.pages += 1;
-            added += 1;
+        self.write_pages(records.len(), |slot, i| pack_record(slot, 0, &records[i]))
+    }
+
+    /// The one page-building path: lays `n` record images out as sealed
+    /// pages (`fill(slot, i)` writes the `i`-th image into its slot),
+    /// appends them all to `pages.bin` with one positioned write, then
+    /// indexes them — so a failed write leaves the index describing only
+    /// what is in the file. Returns the number of pages added.
+    fn write_pages(
+        &mut self,
+        n: usize,
+        mut fill: impl FnMut(&mut [u8], usize),
+    ) -> Result<u32, StoreError> {
+        let page_size = self.config.page_size;
+        let capacity = page_capacity(page_size);
+        // Page `p` of this call holds records `p * capacity..` of the `n`.
+        let images =
+            |p: usize| HEADER_LEN..HEADER_LEN + capacity.min(n - p * capacity) * RECORD_LEN;
+        let mut buf = std::mem::take(&mut self.page_buf);
+        buf.clear();
+        buf.resize(n.div_ceil(capacity) * page_size, 0);
+        for (p, page) in buf.chunks_exact_mut(page_size).enumerate() {
+            let slots = page[images(p)].chunks_exact_mut(RECORD_LEN);
+            for (slot, i) in slots.zip(p * capacity..) {
+                fill(slot, i);
+            }
+            seal_page(page, images(p).len() / RECORD_LEN);
         }
-        Ok(added)
+        let first = self.pages;
+        let written = write_all_at(&self.file, &buf, first as u64 * page_size as u64);
+        if written.is_ok() {
+            for (p, page) in buf.chunks_exact(page_size).enumerate() {
+                self.index.add_page(self.pages, &page[images(p)]);
+                self.pages += 1;
+            }
+        }
+        self.page_buf = buf;
+        written?;
+        Ok(self.pages - first)
     }
 
     /// Commits everything appended so far: fsync the pages, append their
@@ -424,9 +475,10 @@ impl PagedStore {
     ///
     /// For each of `shards` shards: segments with `seq` at or below the
     /// manifest's absorbed floor are deleted unreplayed (they committed
-    /// in a previous run); the rest are decoded straight into one vector,
-    /// sorted into `(timestamp, access_number)` order, appended as pages,
-    /// and committed, after which the consumed segments are deleted.
+    /// in a previous run); the rest are read and verified frame by frame
+    /// into one reused buffer, put in `(timestamp, access_number)` order by
+    /// sorting small keys, copied image by image into pages, and
+    /// committed, after which the consumed segments are deleted.
     ///
     /// `fault` kills the pipeline at the named boundary (see
     /// [`FaultPoint`]) for crash-injection tests; production passes
@@ -442,12 +494,28 @@ impl PagedStore {
         shards: usize,
         fault: Option<FaultPoint>,
     ) -> Result<AbsorbReport, StoreError> {
+        // The frame buffers leave `self` for the call: paging reads them
+        // while it writes the rest of the store.
+        let mut segments = std::mem::take(&mut self.segments);
+        let report = self.absorb_frames(&mut segments, wal_dir, shards, fault);
+        self.segments = segments;
+        report
+    }
+
+    /// [`PagedStore::absorb_segments`] with the buffers it reuses.
+    fn absorb_frames(
+        &mut self,
+        SegmentFrames { frames, order }: &mut SegmentFrames,
+        wal_dir: &Path,
+        shards: usize,
+        fault: Option<FaultPoint>,
+    ) -> Result<AbsorbReport, StoreError> {
         let mut report = AbsorbReport::default();
         let mut absorbed = self.manifest.absorbed.clone();
         if absorbed.len() < shards {
             absorbed.resize(shards, 0);
         }
-        let mut records: Vec<StoredRecord> = Vec::new();
+        frames.clear();
         let mut consumed: Vec<PathBuf> = Vec::new();
         for (shard, floor) in absorbed.iter_mut().enumerate().take(shards) {
             for (seq, path) in rwal::list_segments(wal_dir, shard)? {
@@ -458,20 +526,27 @@ impl PagedStore {
                     report.orphans_deleted += 1;
                     continue;
                 }
-                report.records_absorbed += rwal::read_segment(&path, &mut records)?;
+                report.records_absorbed += rwal::read_segment(&path, frames)?;
                 report.segments_absorbed += 1;
                 *floor = seq;
                 consumed.push(path);
             }
         }
-        if records.is_empty() {
+        if frames.is_empty() {
             // Nothing to absorb; only commit if orphan floors moved (they
             // did not — floors only move when a segment replays), so this
             // is a pure no-op apart from orphan deletion.
             return Ok(report);
         }
-        records.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
-        report.pages_added = self.append_records(&records)?;
+        order.clear();
+        let keys = frames.chunks_exact(FRAME_LEN).enumerate();
+        order.extend(keys.map(|(i, f)| (image_timestamp(f), image_access_number(f), i)));
+        // The merge sort, not `sort_unstable`: each segment is a run
+        // already in order, and merging a few runs is most of the way there.
+        order.sort();
+        report.pages_added = self.write_pages(order.len(), |slot, i| {
+            slot.copy_from_slice(&frames[order[i].2 * FRAME_LEN..][..RECORD_LEN]);
+        })?;
         self.commit_until(Some(absorbed), fault)?;
         if fault.is_some() {
             return Ok(report);
@@ -508,14 +583,13 @@ impl PagedStore {
     /// x-th-newest record found. Returns the newest `x`, oldest first.
     fn collect_recent(
         &self,
-        spans: &[PageSpan],
+        mut order: Vec<PageSpan>,
         x: usize,
         keep: impl Fn(&StoredRecord) -> bool,
     ) -> Result<Vec<AccessRecord>, StoreError> {
-        if x == 0 || spans.is_empty() {
+        if x == 0 {
             return Ok(Vec::new());
         }
-        let mut order: Vec<PageSpan> = spans.to_vec();
         order.sort_by(|a, b| b.max_ts.cmp(&a.max_ts).then(b.page.cmp(&a.page)));
         let mut collected: Vec<StoredRecord> = Vec::new();
         let mut threshold: Option<u64> = None;
@@ -548,7 +622,7 @@ impl PagedStore {
     ///
     /// Returns an I/O or corruption error from page reads.
     pub fn recent(&self, x: usize) -> Result<Vec<AccessRecord>, StoreError> {
-        self.collect_recent(self.index.pages(), x, |_| true)
+        self.collect_recent(self.index.pages().to_vec(), x, |_| true)
     }
 
     /// The `x` most recent records for one device, oldest first.
@@ -561,7 +635,7 @@ impl PagedStore {
         device: DeviceId,
         x: usize,
     ) -> Result<Vec<AccessRecord>, StoreError> {
-        self.collect_recent(self.index.spans_for_device(device), x, move |s| {
+        self.collect_recent(self.index.spans_for_device(device).to_vec(), x, move |s| {
             s.record.fsid == device
         })
     }
@@ -945,36 +1019,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn queries_match_replaydb_semantics() {
-        // The store must answer exactly like an in-memory ReplayDb over
-        // the same records — the facade's contract.
-        use geomancy_replaydb::ReplayDb;
-        let dir = temp_store("contract");
-        let mut db = ReplayDb::new();
-        let mut records = Vec::new();
-        for n in 0..500u64 {
-            let s = stored(n / 3, n, n % 11, (n % 4) as u32);
+    /// Asserts every query of `store` answers as an in-memory `ReplayDb`
+    /// over `records` (in `(timestamp, access_number)` order) does — the
+    /// facade's contract.
+    fn assert_matches_replaydb(store: &PagedStore, records: &[StoredRecord]) {
+        let mut db = geomancy_replaydb::ReplayDb::new();
+        for s in records {
             db.insert(s.timestamp_micros, s.record);
-            records.push(s);
         }
-        let (mut store, _) = PagedStore::open(&dir, small_config()).unwrap();
-        store.append_records(&records).unwrap();
-        store.commit(None).unwrap();
+        let devices: Vec<DeviceId> = db.devices_seen();
+        // Every file for a small population, else the hottest, a spread of
+        // the rest, and one that is absent.
+        let mut files: Vec<FileId> = db.files_seen();
+        if files.len() > 40 {
+            let step = files.len() / 20;
+            files = (files.iter().take(20))
+                .chain(files.iter().step_by(step))
+                .copied()
+                .collect();
+        }
+        files.push(FileId(u64::MAX));
         for x in [1usize, 7, 100, 1000] {
             assert_eq!(store.recent(x).unwrap(), db.recent(x), "recent({x})");
-            for d in 0..4u32 {
+            for &d in &devices {
                 assert_eq!(
-                    store.recent_for_device(DeviceId(d), x).unwrap(),
-                    db.recent_for_device(DeviceId(d), x),
-                    "recent_for_device({d}, {x})"
+                    store.recent_for_device(d, x).unwrap(),
+                    db.recent_for_device(d, x),
+                    "recent_for_device({d:?}, {x})"
                 );
             }
-            for f in 0..11u64 {
+            for &f in &files {
                 assert_eq!(
-                    store.recent_for_file(FileId(f), x).unwrap(),
-                    db.recent_for_file(FileId(f), x),
-                    "recent_for_file({f}, {x})"
+                    store.recent_for_file(f, x).unwrap(),
+                    db.recent_for_file(f, x),
+                    "recent_for_file({f:?}, {x})"
                 );
             }
             assert_eq!(
@@ -983,8 +1061,130 @@ mod tests {
                 "recent_per_device({x})"
             );
         }
-        assert_eq!(store.range(50, 120).unwrap(), db.range(50, 120));
-        assert_eq!(store.range(120, 50).unwrap(), db.range(120, 50));
+        let last = records.last().unwrap().timestamp_micros;
+        for (from, to) in [(last / 5, last / 2), (0, last + 1), (last / 2, last / 5)] {
+            assert_eq!(store.range(from, to).unwrap(), db.range(from, to));
+        }
+        for after in [0, last / 3, last - 1, last, last + 9] {
+            assert_eq!(
+                store.records_since(after).unwrap(),
+                db.records_since(after),
+                "records_since({after})"
+            );
+            for (ties, limit) in [(false, 0usize), (true, 0), (false, 25), (true, 400)] {
+                let on_device = |s: &StoredRecord| s.record.fsid == devices[0];
+                let all: Vec<StoredRecord> = (records.iter())
+                    .filter(|s| s.timestamp_micros > after || (ties && s.timestamp_micros == after))
+                    .filter(|s| on_device(s))
+                    .copied()
+                    .collect();
+                // A chunk is cut at `limit` and extended to the end of the
+                // timestamp it was cut in.
+                let end = match all.get(limit.wrapping_sub(1)) {
+                    Some(cut) => {
+                        all.partition_point(|s| s.timestamp_micros <= cut.timestamp_micros)
+                    }
+                    None => all.len(),
+                };
+                let (chunk, more) = store
+                    .export_matching(after, ties, limit, on_device)
+                    .unwrap();
+                assert_eq!(
+                    chunk,
+                    all[..end],
+                    "export_matching({after}, {ties}, {limit})"
+                );
+                assert_eq!(
+                    more,
+                    end < all.len(),
+                    "export_matching({after}, {ties}, {limit})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn queries_match_replaydb_semantics() {
+        let dir = temp_store("contract");
+        let records: Vec<StoredRecord> = (0..500u64)
+            .map(|n| stored(n / 3, n, n % 11, (n % 4) as u32))
+            .collect();
+        let (mut store, _) = PagedStore::open(&dir, small_config()).unwrap();
+        store.append_records(&records).unwrap();
+        store.commit(None).unwrap();
+        assert_matches_replaydb(&store, &records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn absorbed_segments_match_replaydb_and_append_records_byte_for_byte() {
+        // Six checkpoints of three shards' segments over a skewed file
+        // population, each shard lagging the next so that consecutive
+        // checkpoints overlap in time: the store built from the segments'
+        // frames must answer like a ReplayDb, and be the same bytes on
+        // disk as one built by `append_records` on the decoded records.
+        use geomancy_replaydb::codec::unpack_record;
+        use geomancy_replaydb::WalWriter;
+        const SHARDS: usize = 3;
+        let dir = temp_store("absorb-contract");
+        let (wal_dir, by_frames, by_records) = (dir.join("wal"), dir.join("a"), dir.join("b"));
+        std::fs::create_dir_all(&wal_dir).unwrap();
+        let (mut absorbed, _) = PagedStore::open(&by_frames, small_config()).unwrap();
+        let (mut appended, _) = PagedStore::open(&by_records, small_config()).unwrap();
+        let mut wals: Vec<WalWriter> = (0..SHARDS)
+            .map(|shard| WalWriter::open(rwal::shard_path(&wal_dir, shard)).unwrap())
+            .collect();
+        let mut all: Vec<StoredRecord> = Vec::new();
+        let (mut n, mut seed) = (0u64, 0x9e37_79b9u64);
+        for round in 1..=6u64 {
+            for (shard, wal) in wals.iter_mut().enumerate() {
+                for batch in 0..40u64 {
+                    let records: Vec<AccessRecord> = (0..10)
+                        .map(|_| {
+                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            let u = (seed >> 40) as f64 / (1u64 << 24) as f64;
+                            let fid = SHARDS as u64 * (u.powi(3) * 700.0) as u64 + shard as u64;
+                            n += 1;
+                            stored(0, n, fid, (fid % 5) as u32).record
+                        })
+                        .collect();
+                    let ts = round * 50 + shard as u64 * 30 + batch;
+                    wal.append_batch(ts, &records).unwrap();
+                }
+                wal.seal_to(rwal::segment_path(&wal_dir, shard, round))
+                    .unwrap();
+            }
+            let mut frames = Vec::new();
+            for shard in 0..SHARDS {
+                rwal::read_segment(rwal::segment_path(&wal_dir, shard, round), &mut frames)
+                    .unwrap();
+            }
+            let mut decoded: Vec<StoredRecord> = (frames.chunks_exact(FRAME_LEN))
+                .map(|frame| unpack_record(frame, 0))
+                .collect();
+            decoded.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+            let report = absorbed.absorb_segments(&wal_dir, SHARDS, None).unwrap();
+            assert_eq!(report.records_absorbed, decoded.len() as u64);
+            let pages = appended.append_records(&decoded).unwrap();
+            appended.commit(Some(vec![round; SHARDS])).unwrap();
+            assert_eq!(report.pages_added, pages);
+            all.extend(decoded);
+        }
+        assert!(absorbed.page_count() > 100);
+        for file in [PAGES_FILE, INDEX_FILE, MANIFEST_FILE] {
+            assert_eq!(
+                std::fs::read(by_frames.join(file)).unwrap(),
+                std::fs::read(by_records.join(file)).unwrap(),
+                "{file}"
+            );
+        }
+        all.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        assert_matches_replaydb(&absorbed, &all);
+        // And after a reopen, which loads the index from its log.
+        drop(absorbed);
+        let (reopened, report) = PagedStore::open(&by_frames, small_config()).unwrap();
+        assert_eq!(report, RecoveryReport::default());
+        assert_matches_replaydb(&reopened, &all);
         std::fs::remove_dir_all(&dir).ok();
     }
 
