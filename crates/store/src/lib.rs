@@ -3,8 +3,8 @@
 //! The paged on-disk half of the ReplayDB: the paper backs its replay
 //! database with SQLite sized for real telemetry horizons; this crate
 //! provides the equivalent storage layer for the reproduction — an
-//! append-only file of fixed-size binary pages with per-device and
-//! per-file timestamp indexes, read via positioned `pread` through a
+//! append-only file of fixed-size binary pages with per-page and
+//! per-device timestamp indexes, read via positioned `pread` through a
 //! small in-process page cache, and filled by checkpointing the serving
 //! layer's WAL segments ([`PagedStore::absorb_segments`]).
 //!

@@ -8,15 +8,15 @@
 //! newer than every cold record, so queries stitch the tiers with a
 //! simple prefix: answer from the hot tail, and when it cannot supply
 //! `x` records, top up from the cold store. The query contract —
-//! `recent`, `recent_for_device`, `recent_for_file`,
-//! `recent_per_device`, `range` — matches [`ReplayDb`] exactly, which
-//! the test suite checks against a reference in-memory database.
+//! `recent`, `recent_for_device`, `recent_per_device`, `range`,
+//! `records_since` — matches [`ReplayDb`] exactly, which the test suite
+//! checks against a reference in-memory database.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use geomancy_replaydb::{ReplayDb, StoredRecord};
-use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
+use geomancy_sim::record::{AccessRecord, DeviceId};
 
 use crate::store::{PagedStore, RecoveryReport, StoreConfig};
 use crate::StoreError;
@@ -146,16 +146,6 @@ impl TieredDb {
         self.stitch(hot, x, |need| self.cold.recent_for_device(device, need))
     }
 
-    /// The `x` most recent records for one file, oldest first.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O or corruption error from cold page reads.
-    pub fn recent_for_file(&self, fid: FileId, x: usize) -> Result<Vec<AccessRecord>, StoreError> {
-        let hot = self.hot.recent_for_file(fid, x);
-        self.stitch(hot, x, |need| self.cold.recent_for_file(fid, need))
-    }
-
     /// The `x` most recent records for every device with any, keyed by
     /// device — the training-batch query, spanning both tiers.
     ///
@@ -230,6 +220,7 @@ impl TieredDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geomancy_sim::record::FileId;
 
     fn rec(n: u64, fid: u64, dev: u32) -> AccessRecord {
         AccessRecord {
@@ -287,13 +278,6 @@ mod tests {
                     tiered.recent_for_device(DeviceId(d), x).unwrap(),
                     reference.recent_for_device(DeviceId(d), x),
                     "device {d} x {x}"
-                );
-            }
-            for f in [0u64, 7, 12] {
-                assert_eq!(
-                    tiered.recent_for_file(FileId(f), x).unwrap(),
-                    reference.recent_for_file(FileId(f), x),
-                    "file {f} x {x}"
                 );
             }
             assert_eq!(

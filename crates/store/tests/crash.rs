@@ -11,15 +11,21 @@
 //! Directed tests pin each boundary; a property test drives random
 //! multi-round interleavings of seals, faults, and recoveries. The index
 //! log has its own cases: it rolls back by truncation like the pages, a
-//! damaged one is rebuilt from them, and a commit appends to it only what
-//! the commit added.
+//! damaged one — or one written with the per-file rows the index no
+//! longer keeps — is rebuilt from them, and a commit appends to it only
+//! what the commit added, whatever the number of files it names.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use geomancy_replaydb::codec::{
+    checksum, image_fid, image_fsid, image_timestamp, put_u32, put_u64, RECORD_LEN,
+};
 use geomancy_replaydb::{list_segments, segment_path, shard_path, WalWriter};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 use geomancy_store::index::ROW_LEN;
+use geomancy_store::page::verify_page;
 use geomancy_store::store::{INDEX_FILE, MANIFEST_FILE, PAGES_FILE};
 use geomancy_store::{FaultPoint, Manifest, PagedStore, StoreConfig};
 use proptest::prelude::*;
@@ -119,13 +125,20 @@ fn manifest_matching_files(store_dir: &Path) -> Manifest {
     manifest
 }
 
-/// Everything the index answers, for before/after comparison.
+/// Everything the index answers, for before/after comparison, and every
+/// file's history by a scan of the pages.
 fn index_answers(store: &PagedStore) -> impl PartialEq + std::fmt::Debug {
     (
         store.recent(40).unwrap(),
         store.recent_per_device(25).unwrap(),
+        store.records_since(50).unwrap(),
         (0..7)
-            .map(|f| store.recent_for_file(FileId(f), 9).unwrap())
+            .map(|f| {
+                let (chunk, _) = store
+                    .export_matching(0, true, 0, |s| s.record.fid == FileId(f))
+                    .unwrap();
+                chunk
+            })
             .collect::<Vec<_>>(),
     )
 }
@@ -373,10 +386,10 @@ fn index_log_grows_by_the_pages_added() {
     for seq in 1..=6 {
         seal_segment(&wal_dir, 0, seq, &mut n, 500);
         let report = store.absorb_segments(&wal_dir, 1, None).unwrap();
-        // `record` spreads every page over all 7 files and 3 devices: one
-        // page row + 10 key rows per page.
+        // `record` spreads every page over all 3 devices: one page row +
+        // 3 device rows per page.
         let grew = manifest_matching_files(&store_dir).index_bytes - lens[lens.len() - 1];
-        assert_eq!(grew, report.pages_added as u64 * 11 * ROW_LEN as u64);
+        assert_eq!(grew, report.pages_added as u64 * 4 * ROW_LEN as u64);
         lens.push(lens[lens.len() - 1] + grew);
     }
     assert_eq!(
@@ -384,6 +397,121 @@ fn index_log_grows_by_the_pages_added() {
         6 * lens[1],
         "sixth commit wrote what the first did"
     );
+    cleanup(&store_dir);
+}
+
+/// An absorb's index rows are a page row and a row per device for each
+/// page it adds: the same bytes whether its records name ten files or ten
+/// thousand.
+#[test]
+fn index_log_bytes_do_not_depend_on_the_files_named() {
+    let absorb = |files: u64| {
+        let (store_dir, wal_dir) = temp_dirs(&format!("index-files-{files}"));
+        let mut wal = WalWriter::open(shard_path(&wal_dir, 0)).unwrap();
+        let records: Vec<AccessRecord> = (0..10_000)
+            .map(|n| AccessRecord {
+                fid: FileId(n % files),
+                ..record(n)
+            })
+            .collect();
+        for (ts, batch) in (0..).zip(records.chunks(1000)) {
+            wal.append_batch(ts, batch).unwrap();
+        }
+        wal.seal_to(segment_path(&wal_dir, 0, 1)).unwrap();
+        let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+        let report = store.absorb_segments(&wal_dir, 1, None).unwrap();
+        let index_bytes = manifest_matching_files(&store_dir).index_bytes;
+        cleanup(&store_dir);
+        (report.pages_added, index_bytes)
+    };
+    let (pages, bytes) = absorb(10);
+    assert!(pages > 100, "{pages} pages");
+    assert_eq!(bytes, pages as u64 * (1 + 3) * ROW_LEN as u64);
+    assert_eq!(absorb(10_000), (pages, bytes));
+}
+
+/// One row in the index log's layout, with `ts` the timestamps of the
+/// key's records in the page.
+fn index_row(kind: u8, page: usize, key: u64, ts: &[u64]) -> [u8; ROW_LEN] {
+    let mut row = [0u8; ROW_LEN];
+    row[0] = kind;
+    put_u32(&mut row, 4, page as u32);
+    put_u64(&mut row, 8, key);
+    put_u64(&mut row, 16, *ts.iter().min().unwrap());
+    put_u64(&mut row, 24, *ts.iter().max().unwrap());
+    put_u32(&mut row, 32, ts.len() as u32);
+    let sum = checksum(&row[..ROW_LEN - 4]) as u32;
+    put_u32(&mut row, ROW_LEN - 4, sum);
+    row
+}
+
+/// The `index.log` a build that kept a per-file index wrote for the
+/// pages in `store_dir`: per page, a page row counting the rows behind
+/// it, a row per device (kind 1), then a row per file (kind 2), each
+/// kind in ascending id order.
+fn index_log_with_file_rows(store_dir: &Path) -> Vec<u8> {
+    let pages = std::fs::read(store_dir.join(PAGES_FILE)).unwrap();
+    let mut log = Vec::new();
+    for (page, bytes) in pages.chunks_exact(config().page_size).enumerate() {
+        let images = verify_page(bytes).unwrap().chunks_exact(RECORD_LEN);
+        let mut keys: [BTreeMap<u64, Vec<u64>>; 2] = Default::default();
+        for image in images.clone() {
+            let ts = image_timestamp(image);
+            keys[0]
+                .entry(image_fsid(image).0.into())
+                .or_default()
+                .push(ts);
+            keys[1].entry(image_fid(image).0).or_default().push(ts);
+        }
+        let all: Vec<u64> = images.map(image_timestamp).collect();
+        let rows = (keys[0].len() + keys[1].len()) as u64;
+        log.extend(index_row(0, page, rows, &all));
+        for (kind, spans) in [(1, &keys[0]), (2, &keys[1])] {
+            for (&key, ts) in spans {
+                log.extend(index_row(kind, page, key, ts));
+            }
+        }
+    }
+    log
+}
+
+/// A store whose index log holds per-file rows opens by rebuilding its
+/// index from the pages — the log is derived data, so there is no format
+/// version to bump — answers as before, and its next commit writes a log
+/// without them that the open after it loads.
+#[test]
+fn index_log_with_file_rows_is_rebuilt_and_rewritten() {
+    let (store_dir, wal_dir) = temp_dirs("index-file-rows");
+    let mut n = 0u64;
+    let mut sealed = seal_segment(&wal_dir, 0, 1, &mut n, 200);
+    let before = {
+        let (mut store, _) = PagedStore::open(&store_dir, config()).unwrap();
+        store.absorb_segments(&wal_dir, 1, None).unwrap();
+        index_answers(&store)
+    };
+    let mut manifest = manifest_matching_files(&store_dir);
+    let old_log = index_log_with_file_rows(&store_dir);
+    assert!(old_log.chunks_exact(ROW_LEN).any(|row| row[0] == 2));
+    std::fs::write(store_dir.join(INDEX_FILE), &old_log).unwrap();
+    manifest.index_bytes = old_log.len() as u64;
+    manifest.commit(&store_dir.join(MANIFEST_FILE)).unwrap();
+
+    let (mut store, report) = PagedStore::open(&store_dir, config()).unwrap();
+    assert!(report.index_rebuilt);
+    assert_eq!(report.truncated_bytes, 0);
+    assert_eq!(index_answers(&store), before);
+    sealed.extend(seal_segment(&wal_dir, 0, 2, &mut n, 50));
+    store.absorb_segments(&wal_dir, 1, None).unwrap();
+    let after = index_answers(&store);
+    drop(store);
+    let log = std::fs::read(store_dir.join(INDEX_FILE)).unwrap();
+    assert!(log.chunks_exact(ROW_LEN).all(|row| row[0] != 2));
+    manifest_matching_files(&store_dir);
+    let (store, report) = PagedStore::open(&store_dir, config()).unwrap();
+    assert!(!report.index_rebuilt);
+    assert_eq!(index_answers(&store), after);
+    sealed.sort_unstable();
+    assert_eq!(stored_access_numbers(&store), sealed);
     cleanup(&store_dir);
 }
 
