@@ -485,13 +485,6 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
             ..DrlConfig::default()
         },
         retrain_every_records: None,
-        trainer: geomancy_serve::TrainerConfig {
-            mode: match args.options.get("retrain-mode") {
-                None => geomancy_serve::RetrainMode::default(),
-                Some(spec) => spec.parse().map_err(|e| format!("--retrain-mode: {e}"))?,
-            },
-            ..geomancy_serve::TrainerConfig::default()
-        },
         reactor_workers: args.u64_or("reactor-workers", 0)? as usize,
         admission: AdmissionConfig {
             max_pending_requests: args

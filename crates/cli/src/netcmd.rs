@@ -8,8 +8,8 @@ use std::sync::Arc;
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetServer};
 use geomancy_serve::{
-    AdmissionConfig, MetricsSnapshot, PlacementRequest, PlacementService, RetrainMode, ServeConfig,
-    StoreSettings, TrainerConfig,
+    AdmissionConfig, MetricsSnapshot, PlacementRequest, PlacementService, ServeConfig,
+    StoreSettings,
 };
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
@@ -111,13 +111,6 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
         retrain_every_records: match args.u64_or("retrain-every", 0)? {
             0 => None,
             n => Some(n),
-        },
-        trainer: TrainerConfig {
-            mode: match args.options.get("retrain-mode") {
-                None => RetrainMode::default(),
-                Some(spec) => spec.parse().map_err(|e| format!("--retrain-mode: {e}"))?,
-            },
-            ..TrainerConfig::default()
         },
         reactor_workers: args.u64_or("reactor-workers", 0)? as usize,
         admission: AdmissionConfig {

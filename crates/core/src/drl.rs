@@ -204,8 +204,8 @@ impl DrlEngine {
     /// Warm-start incremental fit: continues training the *current*
     /// weights on `fresh` delta records mixed with `replay` records
     /// sampled from older history (the anti-catastrophic-forgetting mix;
-    /// see `TrainerConfig::replay_ratio` in the serve layer). Unlike
-    /// [`DrlEngine::retrain`] there is no re-initialization, so the cost
+    /// the serve layer's trainer replays 0.25 old records per fresh one).
+    /// Unlike [`DrlEngine::retrain`] there is no re-initialization, so the cost
     /// scales with the delta, not the history. Normalizers and the §V-G
     /// adjuster are refit on the mixed batch — the replay records anchor
     /// the feature ranges so a small delta cannot collapse them.
@@ -242,9 +242,8 @@ impl DrlEngine {
             .train_batch_view(inputs, targets, Loss::MeanSquaredError, optimizer)
     }
 
-    /// The model architecture in the paper's Table I notation — the
-    /// trainer's spec-change detector: a published model whose spec
-    /// differs from the configured one forces a full retrain.
+    /// The model architecture in the paper's Table I notation, recorded
+    /// beside every published model.
     pub fn spec(&self) -> String {
         self.net.describe()
     }

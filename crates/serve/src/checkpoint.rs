@@ -2,9 +2,9 @@
 //! segments into the cold [`geomancy_store::PagedStore`], then trim the
 //! shards' in-memory hot tails.
 //!
-//! The checkpointer is an actor on the service's reactor, built on the
-//! same non-blocking fan-out protocol as the trainer: a cycle sends one
-//! [`ShardMsg::SealWal`] per shard, each reply continuation `send_now`s a
+//! The checkpointer is an actor on the service's reactor, so it cannot
+//! block on shard replies: a cycle sends one [`ShardMsg::SealWal`] per
+//! shard, each reply continuation `send_now`s a
 //! [`CheckpointMsg::Sealed`] back to the checkpointer's own mailbox, and
 //! when the last one lands the actor absorbs every sealed segment under
 //! the store's write lock and commits. A shard that dies with a seal

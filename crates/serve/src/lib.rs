@@ -17,17 +17,18 @@
 //!        └────────┴────────┘              └─────────▲─────────┘
 //!          snapshots (parts)                        │ hot-swap
 //!                 ▼                       ┌─────────┴─────────┐
-//!    ═══ one reactor pool (N workers) ═══ │ trainer (actor)   │
+//!    ═══ one reactor pool (N workers) ═══ │ trainer (thread)  │
 //!                                         │ merge → retrain → │
 //!                                         │ publish epoch N+1 │
 //!                                         └───────────────────┘
 //! ```
 //!
-//! Every moving part is a state-machine actor on **one shared
-//! [`geomancy_runtime::Reactor`] pool**: the service costs a small fixed
-//! number of threads no matter how many shards it runs, and shutdown is a
-//! single drain (queued batches apply, in-flight queries answer, queued
-//! retrains finish) instead of per-subsystem join choreography.
+//! The shards and the query engine are state-machine actors on **one
+//! shared [`geomancy_runtime::Reactor`] pool**; the trainer is one thread
+//! beside it, so a fit never holds a pool worker. The service costs a
+//! small fixed number of threads no matter how many shards it runs, and
+//! shutdown is the trainer's join (queued retrains finish) followed by a
+//! single drain (queued batches apply, in-flight queries answer).
 //!
 //! - **Sharded ingest** ([`shard`]): records route by
 //!   [`geomancy_sim::record::FileId::stable_hash`], so one file's history
@@ -41,9 +42,10 @@
 //!   empty, so batches grow with load and an idle engine answers at
 //!   once.
 //! - **Hot-swap training** ([`trainer`]): retraining runs on shard
-//!   *snapshots* gathered by message fan-out and publishes finished
-//!   models through an atomic epoch pointer; serving never blocks on
-//!   training and no decision ever sees a half-swapped model.
+//!   *snapshots* gathered by message fan-out, on its own thread, and
+//!   publishes finished models through an atomic epoch pointer; serving
+//!   never blocks on training and no decision ever sees a half-swapped
+//!   model.
 //! - **Admission control** ([`service`]): over a pending-request or
 //!   latency-EWMA watermark, `query_many` defers once then sheds with
 //!   [`QueryError::Overloaded`] — and the [`metrics`] snapshot is
@@ -75,4 +77,4 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use retain::SegmentRetainer;
 pub use service::{AdmissionConfig, PlacementService, SealHook, ServeConfig, StoreSettings};
 pub use shard::{shard_of, Backpressure, ShardSet};
-pub use trainer::{RetrainMode, TrainError, TrainedMeta, Trainer, TrainerConfig};
+pub use trainer::{TrainError, TrainedMeta, Trainer};

@@ -2,10 +2,11 @@
 //! ingest shards, the batched query engine, and the background trainer
 //! together behind one handle.
 //!
-//! All three subsystems run as actors on one shared
-//! [`geomancy_runtime::Reactor`] pool, so the service's thread count is
-//! the (small, fixed) worker count instead of `shards + 2`. In front of
-//! the query path sits a cross-shard admission controller: when the
+//! The shards and the query engine run as actors on one shared
+//! [`geomancy_runtime::Reactor`] pool, and the trainer on one thread of
+//! its own, so the service's thread count is the (small, fixed) worker
+//! count plus one instead of `shards + 2`. In front of the query path
+//! sits a cross-shard admission controller: when the
 //! service is over its queue-depth or latency watermark, `query_many`
 //! defers briefly and then sheds with [`QueryError::Overloaded`] instead
 //! of letting queues grow without bound — and every shed request is
@@ -28,7 +29,7 @@ use crate::batch::{BatchEngine, BatchParams, Decision, ModelSlot, PlacementReque
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::shard::{Backpressure, ShardSet};
-use crate::trainer::{TrainError, TrainedMeta, Trainer, TrainerConfig};
+use crate::trainer::{TrainError, TrainedMeta, Trainer};
 
 /// Watermarks for the cross-shard admission controller. Disabled by
 /// default: every field `None`/zero/empty admits everything.
@@ -122,9 +123,6 @@ pub struct ServeConfig {
     /// WALs growing unboundedly (the pre-store behavior). Requires
     /// `wal_dir`.
     pub store: Option<StoreSettings>,
-    /// Retraining policy: warm-start vs. full cycles, replay mix, and
-    /// the `auto` fallback threshold.
-    pub trainer: TrainerConfig,
     /// Stable cluster node id reported in metrics (0 = single-node).
     pub node_id: u64,
     /// Called with each sealed WAL segment `(shard, seq, records, path)`
@@ -163,7 +161,6 @@ impl Default for ServeConfig {
             reactor_workers: 0,
             admission: AdmissionConfig::default(),
             store: None,
-            trainer: TrainerConfig::default(),
             node_id: 0,
             seal_hook: None,
         }
@@ -205,7 +202,8 @@ struct Admitted {
 
 impl PlacementService {
     /// Starts the service: one reactor pool running `config.shards` ingest
-    /// actors, the query engine, and the trainer, timed by the wall clock.
+    /// actors and the query engine, timed by the wall clock, plus the
+    /// trainer thread.
     ///
     /// # Panics
     ///
@@ -301,10 +299,8 @@ impl PlacementService {
             Arc::clone(&metrics),
             config.queue_capacity,
         );
-        let trainer = Trainer::spawn_on(
-            &reactor,
+        let trainer = Trainer::spawn(
             config.drl.clone(),
-            config.trainer.clone(),
             &shards,
             Arc::clone(&slot),
             Arc::clone(&metrics),
@@ -675,10 +671,11 @@ impl PlacementService {
         snap
     }
 
-    /// Orderly shutdown: the reactor drains every mailbox — queued ingest
-    /// batches apply (WALs flush), in-flight queries answer, queued
-    /// retrain cycles finish — then stops its workers. Returns the final
-    /// per-shard databases.
+    /// Orderly shutdown: the trainer thread finishes its queued retrain
+    /// cycles while the shards still answer snapshots, then the reactor
+    /// drains every mailbox — queued ingest batches apply (WALs flush),
+    /// in-flight queries answer — and stops its workers. Returns the
+    /// final per-shard databases.
     pub fn shutdown(mut self) -> Vec<ReplayDb> {
         drop(self.checkpointer.take());
         drop(self.trainer.take());

@@ -3,7 +3,8 @@
 //! - delta snapshots move only records past the trainer's per-shard
 //!   watermarks (proved by the `retrain_records` counter and the
 //!   watermarks persisted in [`geomancy_serve::TrainedMeta`]);
-//! - warm starts and full retrains are split out in the metrics, and
+//! - the bootstrap cycle fits from scratch and later cycles warm-start;
+//!   warm starts and full retrains are split out in the metrics, and
 //!   the published metadata says which path produced each model;
 //! - a retrain with no new data is a no-op that answers the published
 //!   epoch; a delta too small to train on reports `NotEnoughData` and
@@ -11,7 +12,7 @@
 //!   cycle.
 
 use geomancy_core::drl::DrlConfig;
-use geomancy_serve::{PlacementService, RetrainMode, ServeConfig, TrainError, TrainerConfig};
+use geomancy_serve::{PlacementService, ServeConfig, TrainError};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -32,7 +33,7 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
     }
 }
 
-fn service(mode: RetrainMode) -> PlacementService {
+fn service() -> PlacementService {
     PlacementService::start(ServeConfig {
         shards: 4,
         candidates: vec![DeviceId(0), DeviceId(1)],
@@ -40,10 +41,6 @@ fn service(mode: RetrainMode) -> PlacementService {
             epochs: 10,
             smoothing_window: 4,
             ..DrlConfig::default()
-        },
-        trainer: TrainerConfig {
-            mode,
-            ..TrainerConfig::default()
         },
         ..ServeConfig::default()
     })
@@ -57,7 +54,7 @@ fn ingest(service: &PlacementService, from: u64, count: u64) {
 
 #[test]
 fn second_cycle_warm_starts_on_the_delta_only() {
-    let service = service(RetrainMode::Incremental);
+    let service = service();
 
     // Cycle 1: nothing trained yet, so the bootstrap cycle is full and
     // moves the whole history.
@@ -97,34 +94,8 @@ fn second_cycle_warm_starts_on_the_delta_only() {
 }
 
 #[test]
-fn full_mode_moves_the_whole_history_every_cycle() {
-    let service = service(RetrainMode::Full);
-
-    ingest(&service, 0, 300);
-    assert_eq!(service.retrain_now().unwrap(), 1);
-    ingest(&service, 300, 100);
-    assert_eq!(service.retrain_now().unwrap(), 2);
-
-    let m = service.metrics();
-    assert_eq!(m.full_retrains, 2);
-    assert_eq!(m.warm_starts, 0);
-    assert_eq!(
-        m.retrain_records,
-        300 + 400,
-        "full mode re-snapshots the whole history each cycle"
-    );
-    let meta = service.trained_meta().unwrap();
-    assert!(!meta.warm_start);
-    // Full cycles still advance the watermarks so a later mode switch
-    // starts from the right place.
-    assert_eq!(meta.watermarks.iter().sum::<u64>(), 400);
-
-    service.shutdown();
-}
-
-#[test]
 fn empty_delta_is_a_noop_and_a_tiny_one_keeps_watermarks() {
-    let service = service(RetrainMode::Incremental);
+    let service = service();
 
     ingest(&service, 0, 300);
     assert_eq!(service.retrain_now().unwrap(), 1);
@@ -164,8 +135,8 @@ fn empty_delta_is_a_noop_and_a_tiny_one_keeps_watermarks() {
 }
 
 #[test]
-fn auto_mode_bootstraps_full_then_warm_starts() {
-    let service = service(RetrainMode::Auto);
+fn every_cycle_counts_once_as_warm_or_full() {
+    let service = service();
 
     ingest(&service, 0, 300);
     assert_eq!(service.retrain_now().unwrap(), 1);
@@ -173,8 +144,8 @@ fn auto_mode_bootstraps_full_then_warm_starts() {
     assert_eq!(service.retrain_now().unwrap(), 2);
 
     let m = service.metrics();
-    // Auto may fall back to full if the warm step regresses, but the
-    // two cycles are always accounted for in exactly one of the two
+    // A warm step that regresses falls back to a full fit, but the two
+    // cycles are always accounted for in exactly one of the two
     // counters, and the first one is always full.
     assert_eq!(m.warm_starts + m.full_retrains, 2);
     assert!(m.full_retrains >= 1);
