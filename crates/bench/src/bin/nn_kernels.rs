@@ -585,10 +585,21 @@ fn main() {
     // GEOMANCY_FAST: too few reps to be noise-proof, and skipped entirely
     // on hosts with no SIMD backend).
     if simd_available && !fast {
-        let mm_speedup = speedup(&mm);
+        for (label, times) in [("matmul_acc", &mm), ("matmul_a_bt_into", &abt)] {
+            let speedup = speedup(times);
+            assert!(
+                speedup >= 1.5,
+                "{label} SIMD speedup below 1.5x: {speedup:.2}x"
+            );
+        }
+        // The same product through the micro-kernel runs within ≈1.3× of
+        // `matmul_acc` (the transpose is the difference); the per-element
+        // dot products it replaced ran ≈4× slower.
+        let widest = |times: &BackendTimes| times[times.len() - 1].1;
+        let abt_over_mm = widest(&abt) / widest(&mm);
         assert!(
-            mm_speedup >= 1.5,
-            "matmul_acc SIMD speedup below 1.5x: {mm_speedup:.2}x"
+            abt_over_mm <= 2.0,
+            "matmul_a_bt_into is {abt_over_mm:.2}x matmul_acc's time: off the micro-kernel?"
         );
         for (label, times) in [
             ("dense train", &dense_train),

@@ -7,6 +7,8 @@
 //! observed workload throughput after applying a layout is the reward that
 //! flows back in as fresh training data on the next retrain cycle.
 
+use std::collections::BTreeMap;
+
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::{Matrix, MatrixView};
 use geomancy_nn::metrics::RelativeError;
@@ -175,19 +177,6 @@ impl DrlEngine {
         self.adjuster
     }
 
-    /// Pulls the training window from the ReplayDB: the most recent
-    /// `train_window` accesses for each device, merged back into access
-    /// order.
-    fn training_records(&self, db: &ReplayDb) -> Vec<AccessRecord> {
-        let mut records: Vec<AccessRecord> = db
-            .recent_per_device(self.config.train_window)
-            .into_values()
-            .flatten()
-            .collect();
-        records.sort_by_key(|r| r.access_number);
-        records
-    }
-
     /// Re-trains the network on the most recent ReplayDB contents (§V-A:
     /// "the DRL engine re-trains a neural network using the most recent
     /// values stored in the ReplayDB").
@@ -197,7 +186,22 @@ impl DrlEngine {
     /// Returns `None` when the database holds too few records to form a
     /// 60/20/20 split (fewer than 5).
     pub fn retrain(&mut self, db: &ReplayDb) -> Option<RetrainOutcome> {
-        let records = self.training_records(db);
+        self.retrain_stream(db.records().map(|s| &s.record))
+    }
+
+    /// [`DrlEngine::retrain`] on a time-ordered record stream instead of a
+    /// database: the same window, the `train_window` most recent records of
+    /// each device, picked in one pass, so a caller holding the records
+    /// builds no [`ReplayDb`] and no indexes first.
+    ///
+    /// # Errors
+    ///
+    /// Returns `None` when the window holds fewer than 5 records.
+    pub fn retrain_stream<'a>(
+        &mut self,
+        stream: impl DoubleEndedIterator<Item = &'a AccessRecord>,
+    ) -> Option<RetrainOutcome> {
+        let records = training_window(stream, self.config.train_window);
         self.fit(&records)
     }
 
@@ -458,6 +462,32 @@ impl DrlEngine {
     }
 }
 
+/// The training window of §V-E over a time-ordered record stream: the `x`
+/// most recent records of each device, in access order. This is exactly
+/// what [`ReplayDb::recent_per_device`] returns for a database that
+/// ingested `stream` in order, flattened device by device and stably
+/// sorted by access number.
+fn training_window<'a>(
+    stream: impl DoubleEndedIterator<Item = &'a AccessRecord>,
+    x: usize,
+) -> Vec<AccessRecord> {
+    let mut taken: BTreeMap<DeviceId, usize> = BTreeMap::new();
+    let mut window: Vec<AccessRecord> = stream
+        .rev()
+        .filter(|r| {
+            let n = taken.entry(r.fsid).or_insert(0);
+            *n += 1;
+            *n <= x
+        })
+        .copied()
+        .collect();
+    window.reverse();
+    // `recent_per_device` lists devices in id order: equal access numbers
+    // keep device order, then stream order.
+    window.sort_by_key(|r| (r.access_number, r.fsid));
+    window
+}
+
 /// Column of the candidate device in a placement feature row.
 const DEVICE_COL: usize = PLACEMENT_Z - 1;
 
@@ -554,6 +584,37 @@ mod tests {
             smoothing_window: 4,
             ..DrlConfig::default()
         })
+    }
+
+    /// The one-pass window is the one the database query gives: the same
+    /// records in the same order, including a device with fewer records
+    /// than the window and access numbers that repeat across devices and
+    /// run out of stream order.
+    #[test]
+    fn training_window_matches_recent_per_device() {
+        let mut db = ReplayDb::new();
+        for i in 0..600u64 {
+            let dev = if i % 40 == 0 { 7 } else { (i % 3) as u32 };
+            let record = AccessRecord {
+                access_number: (i * 7919) % 600 / 2,
+                fid: FileId(i % 5),
+                fsid: DeviceId(dev),
+                rb: 1_000 + i,
+                wb: 0,
+                ots: i,
+                otms: 0,
+                cts: i + 1,
+                ctms: 0,
+            };
+            db.insert(i / 4, record);
+        }
+        for x in [1, 5, 15, 16, 180, 2_000] {
+            let mut want: Vec<AccessRecord> =
+                db.recent_per_device(x).into_values().flatten().collect();
+            want.sort_by_key(|r| r.access_number);
+            let got = training_window(db.records().map(|s| &s.record), x);
+            assert_eq!(got, want, "window {x}");
+        }
     }
 
     #[test]

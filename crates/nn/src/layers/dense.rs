@@ -13,8 +13,9 @@ use crate::param::Param;
 ///
 /// The forward pass runs the fused `act(x · W + b)` kernel and the backward
 /// pass accumulates `xᵀ · g` / `g · Wᵀ` through the transpose-aware kernels,
-/// so after the first batch neither direction allocates: the input/output
-/// caches and the pre-activation gradient scratch are resized in place.
+/// so after the first batch neither direction allocates: the output and
+/// the pre-activation gradient scratch are resized in place, and the input
+/// is read where the caller keeps it.
 ///
 /// # Examples
 ///
@@ -34,9 +35,7 @@ pub struct Dense {
     weight: Param,
     bias: Param,
     activation: Activation,
-    /// Cached forward input (reused allocation; valid when `primed`).
-    input: Matrix,
-    /// Cached forward output (reused allocation; valid when `primed`).
+    /// Forward output (reused allocation; valid when `primed`).
     output: Matrix,
     /// Scratch for the pre-activation gradient in backward.
     grad_pre: Matrix,
@@ -61,7 +60,6 @@ impl Dense {
             weight: Param::new(init.sample(input_size, output_size, rng), "dense.w"),
             bias: Param::new(Matrix::zeros(1, output_size), "dense.b"),
             activation,
-            input: Matrix::default(),
             output: Matrix::default(),
             grad_pre: Matrix::default(),
             primed: false,
@@ -85,7 +83,6 @@ impl Dense {
             weight: Param::new(weight, "dense.w"),
             bias: Param::new(bias, "dense.b"),
             activation,
-            input: Matrix::default(),
             output: Matrix::default(),
             grad_pre: Matrix::default(),
             primed: false,
@@ -99,20 +96,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input.view(), &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_input);
-        grad_input
-    }
-
-    fn forward_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
-        self.input.copy_from(input);
+    fn forward_train(&mut self, input: MatrixView<'_>) {
         kernels::matmul_bias_act_into(
             input,
             &self.weight.value,
@@ -120,11 +104,29 @@ impl Layer for Dense {
             self.activation,
             &mut self.output,
         );
-        out.copy_from(self.output.view());
         self.primed = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
+    fn output(&self) -> &Matrix {
+        &self.output
+    }
+
+    fn backward_into(
+        &mut self,
+        input: MatrixView<'_>,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
+        self.backward_params_into(input, grad_output, grad_input);
+        kernels::matmul_a_bt_into(self.grad_pre.view(), &self.weight.value, grad_input);
+    }
+
+    fn backward_params_into(
+        &mut self,
+        input: MatrixView<'_>,
+        grad_output: &Matrix,
+        _scratch: &mut Matrix,
+    ) {
         assert!(self.primed, "backward called before forward");
         // dL/d(pre-activation) = dL/dy ⊙ f'(y)
         kernels::hadamard_act_derivative_into(
@@ -133,13 +135,8 @@ impl Layer for Dense {
             self.activation,
             &mut self.grad_pre,
         );
-        kernels::matmul_at_b_acc(
-            self.input.view(),
-            self.grad_pre.view(),
-            &mut self.weight.grad,
-        );
+        kernels::matmul_at_b_acc(input, self.grad_pre.view(), &mut self.weight.grad);
         kernels::sum_rows_acc(&self.grad_pre, &mut self.bias.grad);
-        kernels::matmul_a_bt_into(self.grad_pre.view(), &self.weight.value, grad_input);
     }
 
     fn forward_inference_into(
@@ -205,7 +202,7 @@ mod tests {
         let mut layer = Dense::new(4, 3, Activation::Linear, &mut rng);
         let x = Matrix::filled(2, 4, 0.1);
         let _ = layer.forward(&x);
-        let gin = layer.backward(&Matrix::filled(2, 3, 1.0));
+        let gin = layer.backward(&x, &Matrix::filled(2, 3, 1.0));
         assert_eq!(gin.shape(), (2, 4));
         assert_eq!(layer.params()[0].grad.shape(), (4, 3));
         assert_eq!(layer.params()[1].grad.shape(), (1, 3));
@@ -218,7 +215,7 @@ mod tests {
         let mut layer = Dense::from_weights(w, b, Activation::Linear);
         let x = Matrix::from_rows(&[&[3.0, 5.0]]);
         let _ = layer.forward(&x);
-        let _ = layer.backward(&Matrix::from_rows(&[&[2.0]]));
+        let _ = layer.backward(&x, &Matrix::from_rows(&[&[2.0]]));
         assert_eq!(
             layer.params()[0].grad,
             Matrix::from_rows(&[&[6.0], &[10.0]])
@@ -233,7 +230,7 @@ mod tests {
         let mut layer = Dense::from_weights(w, b, Activation::ReLU);
         let x = Matrix::from_rows(&[&[2.0]]); // pre = [2, -2] → y = [2, 0]
         let _ = layer.forward(&x);
-        let gin = layer.backward(&Matrix::from_rows(&[&[1.0, 1.0]]));
+        let gin = layer.backward(&x, &Matrix::from_rows(&[&[1.0, 1.0]]));
         // Only the first unit is active, so dL/dx = 1 * w[0][0] = 1.
         assert_eq!(gin, Matrix::from_rows(&[&[1.0]]));
     }
@@ -243,7 +240,7 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(0);
         let mut layer = Dense::new(2, 2, Activation::ReLU, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        let _ = layer.backward(&Matrix::zeros(1, 2), &Matrix::zeros(1, 2));
     }
 
     #[test]

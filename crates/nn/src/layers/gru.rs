@@ -129,13 +129,7 @@ impl Gru {
 }
 
 impl Layer for Gru {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input.view(), &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
+    fn forward_train(&mut self, input: MatrixView<'_>) {
         assert_eq!(
             input.cols(),
             self.input_size(),
@@ -187,17 +181,19 @@ impl Layer for Gru {
             // Fused state update: h_t = (1 - z) ⊙ h_prev + z ⊙ h̃.
             kernels::convex_combine_into(z, h_prev, cand, &mut self.fwd_h);
         }
-        out.copy_from(self.fwd_h.view());
         self.primed = true;
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_input);
-        grad_input
+    fn output(&self) -> &Matrix {
+        &self.fwd_h
     }
 
-    fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
+    fn backward_into(
+        &mut self,
+        _input: MatrixView<'_>,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
         assert!(self.primed, "backward called before forward");
         let batch = grad_output.rows();
         grad_input.resize(batch, self.input_size());
@@ -360,7 +356,7 @@ mod tests {
         let mut layer = Gru::new(3, 5, 2, Activation::Tanh, &mut rng);
         let x = Matrix::filled(2, 6, 0.2);
         let _ = layer.forward(&x);
-        let gin = layer.backward(&Matrix::filled(2, 5, 1.0));
+        let gin = layer.backward(&x, &Matrix::filled(2, 5, 1.0));
         assert_eq!(gin.shape(), (2, 6));
         // 3 gates x (3x5 + 5x5 + 1x5) parameters.
         assert_eq!(layer.param_count(), 3 * (15 + 25 + 5));
@@ -381,7 +377,7 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(4);
         let mut layer = Gru::new(2, 2, 2, Activation::Tanh, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        let _ = layer.backward(&Matrix::zeros(1, 4), &Matrix::zeros(1, 2));
     }
 
     #[test]

@@ -16,51 +16,75 @@ use crate::param::Param;
 /// A differentiable layer of a [`Sequential`](crate::network::Sequential)
 /// network.
 ///
-/// The buffer-reusing entry points [`Layer::forward_into`] and
-/// [`Layer::backward_into`] are the training hot path: they take borrowed
-/// inputs and write into caller-provided buffers, so a layer that also
-/// reuses its own caches allocates nothing per batch in steady state.
-/// `forward` caches whatever intermediate state the matching backward call
-/// needs; callers must pair them one-to-one (forward, then backward on the
-/// same batch). Gradients accumulate into the layer's [`Param`]s and are
-/// consumed by an [`Optimizer`](crate::optimizer::Optimizer).
+/// The training hot path is [`Layer::forward_train`], [`Layer::output`] and
+/// [`Layer::backward_into`]: each layer keeps its output in its own reused
+/// buffer, which the next layer reads in place, and gets its input back at
+/// backward time instead of copying it, so no activation is copied from
+/// layer to layer and a steady-state step allocates nothing. `forward_train`
+/// caches whatever else the matching backward call needs; callers must
+/// pair them one-to-one (forward, then backward on the same batch).
+/// Gradients accumulate into the layer's [`Param`]s and are consumed by an
+/// [`Optimizer`](crate::optimizer::Optimizer).
 ///
 /// `Sync` is required so immutable layer stacks can be shared across the
 /// row-parallel inference path ([`Layer::forward_inference_into`]).
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for a `batch x input_size` matrix and caches
-    /// the intermediates required by [`Layer::backward`].
-    fn forward(&mut self, input: &Matrix) -> Matrix;
+    /// Training forward over a borrowed `batch x input_size` view: computes
+    /// the output into the layer's own buffer ([`Layer::output`]) and
+    /// caches the intermediates the matching backward needs.
+    fn forward_train(&mut self, input: MatrixView<'_>);
 
-    /// Propagates `grad_output` (`batch x output_size`) backwards, returning
-    /// the gradient with respect to the layer input and accumulating
-    /// parameter gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Layer::forward`].
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix;
+    /// The output of the last [`Layer::forward_train`], held until the next
+    /// one.
+    fn output(&self) -> &Matrix;
 
-    /// Buffer-reusing forward: writes the output for a borrowed
-    /// `batch x input_size` view into `out` (resized as needed) and caches
-    /// backward intermediates, like [`Layer::forward`].
-    ///
-    /// The default delegates to `forward` (allocating); layers override it
-    /// to run allocation-free.
-    fn forward_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
-        let produced = self.forward(&input.to_matrix());
-        out.copy_from(produced.view());
-    }
-
-    /// Buffer-reusing backward: like [`Layer::backward`], but writes the
-    /// input gradient into `grad_input` (resized as needed).
+    /// Propagates `grad_output` (`batch x output_size`) back through the
+    /// last forward pass, whose `input` the caller passes again: accumulates
+    /// the parameter gradients and writes the input gradient into
+    /// `grad_input` (resized as needed).
     ///
     /// # Panics
     ///
     /// Panics if called before a forward pass.
-    fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
-        let produced = self.backward(grad_output);
-        grad_input.copy_from(produced.view());
+    fn backward_into(
+        &mut self,
+        input: MatrixView<'_>,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    );
+
+    /// [`Layer::backward_into`] for the first layer of a stack, whose input
+    /// gradient nothing reads: accumulates the parameter gradients and may
+    /// skip the input gradient, leaving `scratch` in any state. The default
+    /// computes it into `scratch` anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a forward pass.
+    fn backward_params_into(
+        &mut self,
+        input: MatrixView<'_>,
+        grad_output: &Matrix,
+        scratch: &mut Matrix,
+    ) {
+        self.backward_into(input, grad_output, scratch);
+    }
+
+    /// [`Layer::forward_train`] returning a copy of the output.
+    fn forward(&mut self, input: &Matrix) -> Matrix {
+        self.forward_train(input.view());
+        self.output().clone()
+    }
+
+    /// [`Layer::backward_into`] returning the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a forward pass.
+    fn backward(&mut self, input: &Matrix, grad_output: &Matrix) -> Matrix {
+        let mut grad_input = Matrix::default();
+        self.backward_into(input.view(), grad_output, &mut grad_input);
+        grad_input
     }
 
     /// Stateless forward for inference: computes the output without touching

@@ -75,8 +75,8 @@ impl SimpleRnn {
             features,
             timesteps,
             hidden,
-            cached_inputs: Vec::new(),
-            cached_hidden: Vec::new(),
+            cached_inputs: vec![Matrix::default(); timesteps],
+            cached_hidden: vec![Matrix::default(); timesteps + 1],
             grad_pre: Matrix::default(),
             dh: Matrix::default(),
             dh_prev: Matrix::default(),
@@ -97,19 +97,7 @@ impl SimpleRnn {
 }
 
 impl Layer for SimpleRnn {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input.view(), &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_input);
-        grad_input
-    }
-
-    fn forward_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
+    fn forward_train(&mut self, input: MatrixView<'_>) {
         assert_eq!(
             input.cols(),
             self.input_size(),
@@ -119,12 +107,6 @@ impl Layer for SimpleRnn {
             self.features
         );
         let batch = input.rows();
-        while self.cached_inputs.len() < self.timesteps {
-            self.cached_inputs.push(Matrix::default());
-        }
-        while self.cached_hidden.len() < self.timesteps + 1 {
-            self.cached_hidden.push(Matrix::default());
-        }
         self.cached_hidden[0].resize(batch, self.hidden);
         self.cached_hidden[0].fill(0.0);
         for t in 0..self.timesteps {
@@ -141,11 +123,19 @@ impl Layer for SimpleRnn {
             kernels::matmul_acc(h_prev.view(), &self.wh.value, h_cur);
             self.activation.apply_inplace(h_cur);
         }
-        out.copy_from(self.cached_hidden[self.timesteps].view());
         self.primed = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
+    fn output(&self) -> &Matrix {
+        &self.cached_hidden[self.timesteps]
+    }
+
+    fn backward_into(
+        &mut self,
+        _input: MatrixView<'_>,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
         assert!(self.primed, "backward called before forward");
         let batch = grad_output.rows();
         grad_input.resize(batch, self.input_size());
@@ -275,7 +265,7 @@ mod tests {
         let mut layer = SimpleRnn::new(3, 4, 5, Activation::Tanh, &mut rng);
         let x = Matrix::filled(2, 15, 0.1);
         let _ = layer.forward(&x);
-        let gin = layer.backward(&Matrix::filled(2, 4, 1.0));
+        let gin = layer.backward(&x, &Matrix::filled(2, 4, 1.0));
         assert_eq!(gin.shape(), (2, 15));
         assert_eq!(layer.params()[0].grad.shape(), (3, 4));
         assert_eq!(layer.params()[1].grad.shape(), (4, 4));
@@ -287,7 +277,7 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(4);
         let mut layer = SimpleRnn::new(2, 2, 2, Activation::Tanh, &mut rng);
-        let _ = layer.backward(&Matrix::zeros(1, 2));
+        let _ = layer.backward(&Matrix::zeros(1, 4), &Matrix::zeros(1, 2));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Every kernel writes into a caller-provided output buffer ([`Matrix`]es
 //! are resized in place, reusing their allocation), takes its batch operand
-//! as a borrowed [`MatrixView`], and handles transposed operands by choosing
-//! a traversal order that never materializes a transposed copy:
+//! as a borrowed [`MatrixView`], and handles transposed operands without
+//! allocating a transposed copy — by its traversal order, or, for `a · bᵀ`
+//! on the SIMD backends, through a panel each thread reuses:
 //!
 //! - [`matmul_into`] / [`matmul_acc`] — `out = / += a · b`, register-blocked
 //!   with the shared dimension tiled so the `b` panel stays cache resident
@@ -13,8 +14,9 @@
 //!   a column-strided walk through the same register-blocked product on the
 //!   SIMD ones,
 //! - [`matmul_a_bt_into`] / [`matmul_a_bt_acc`] — `out = / += a · bᵀ`
-//!   (input gradients `g · Wᵀ`) as row-by-row dot products, both operands
-//!   read contiguously,
+//!   (input gradients `g · Wᵀ`): row-by-row dot products on the scalar
+//!   backend; on the SIMD ones the same register-blocked product over a
+//!   transposed panel of `b` kept per thread,
 //! - [`matmul_bias_act_into`] — the fused dense forward
 //!   `out = act(x · W + b)`: on the SIMD backends the accumulators start
 //!   from the bias and ReLU is applied at the store, so the output is
@@ -237,21 +239,30 @@ pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
 /// Panics if `a.cols() != b.cols()`.
 pub fn matmul_a_bt_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
     out.resize(a.rows(), b.rows());
-    out.fill(0.0);
-    matmul_a_bt_acc(a, b, out);
+    a_bt(a, b, out, false);
 }
 
 /// `out += a · bᵀ`; `out` must already be `a.rows x b.rows`.
 ///
-/// This is the input-gradient product `grad · Wᵀ`: each output element
-/// is a dot product of two contiguous rows — 4-wide unrolled partial sums
-/// on the scalar backend, 4×f64 FMA lanes with a horizontal reduction on
-/// the SIMD backend.
+/// This is the input-gradient product `grad · Wᵀ`. The scalar backend
+/// takes each output element as a dot product of two contiguous rows
+/// (4-wide unrolled partial sums). The SIMD backends transpose `b` into a
+/// thread-local panel and run the register-blocked
+/// product on it, so every element is the same FMA chain the forward pass
+/// computes; the panel is kept across calls, so a warm call allocates
+/// nothing.
 ///
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent.
 pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+    a_bt(a, b, out, true);
+}
+
+/// The body of [`matmul_a_bt_acc`] (`accumulate`) and
+/// [`matmul_a_bt_into`], which starts every element from zero instead of
+/// from `out`.
+fn a_bt(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix, accumulate: bool) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -267,15 +278,81 @@ pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         "matmul_a_bt output shape mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        let (m, k, q) = (a.rows(), a.cols(), b.rows());
-        // SAFETY: shapes validated above; backend implies AVX2+FMA.
-        unsafe {
-            simd::matmul_a_bt_acc(m, k, q, a.as_slice(), b.as_slice(), out.as_mut_slice());
+    {
+        let backend = backend();
+        if backend != KernelBackend::Scalar {
+            let (m, k, q) = (a.rows(), a.cols(), b.rows());
+            BT_PANEL.with_borrow_mut(|panel| {
+                // `bᵀ` starts on a cache line, so the transpose stores and
+                // the product's loads take whole lines (a transpose twice as
+                // fast at 96 × 48 as from an arbitrary 16-byte start), and is
+                // followed by the zero row a non-accumulating product starts
+                // from.
+                if panel.len() < (k + 1) * q + 7 {
+                    panel.resize((k + 1) * q + 7, 0.0);
+                }
+                let start = panel.as_ptr().align_offset(64);
+                let (bt, zeros) = panel[start..start + (k + 1) * q].split_at_mut(k * q);
+                zeros.fill(0.0);
+                transpose_into(b.as_slice(), q, k, bt);
+                simd_product(
+                    backend,
+                    gemm::Product {
+                        m,
+                        k,
+                        n: q,
+                        a: a.as_slice(),
+                        a_off: 0,
+                        a_row: k,
+                        a_step: 1,
+                        b: bt,
+                        bias: (!accumulate).then_some(&*zeros),
+                        relu: false,
+                        out: out.as_mut_slice(),
+                    },
+                );
+            });
+            return;
         }
-        return;
+    }
+    if !accumulate {
+        out.fill(0.0);
     }
     scalar::matmul_a_bt_acc(a, b, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+thread_local! {
+    /// The SIMD `a · bᵀ` panel, grown to the largest weight a thread has
+    /// seen and then reused.
+    static BT_PANEL: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// `dst = srcᵀ` for a row-major `rows × cols` `src`. A band of eight
+/// source rows fills eight adjacent elements of each `dst` row in turn,
+/// so the band stays in L1 and the stores are sequential; an element loop
+/// stores a full `dst` row apart each time and is ≈2× slower at model 1's
+/// 96 × 48 (≈2.4 µs against ≈1.3 µs).
+#[cfg(target_arch = "x86_64")]
+fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    const T: usize = 8;
+    let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
+    let mut r0 = 0;
+    while r0 + T <= rows {
+        let band: [&[f64]; T] = std::array::from_fn(|i| &src[(r0 + i) * cols..][..cols]);
+        for (c, drow) in dst.chunks_exact_mut(rows).enumerate() {
+            let d: &mut [f64; T] = (&mut drow[r0..r0 + T]).try_into().expect("T wide");
+            for (x, row) in d.iter_mut().zip(band) {
+                *x = row[c];
+            }
+        }
+        r0 += T;
+    }
+    for r in r0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
 }
 
 /// Fused dense forward `out = act(x · w + bias)`, resizing `out` to

@@ -31,9 +31,9 @@
 //! ## Numerical contract
 //!
 //! `_mm256_fmadd_pd` skips the intermediate rounding of a separate
-//! multiply-add and the lane split reassociates reductions, so SIMD
-//! results differ from scalar by normal rounding noise — bounded well
-//! under the 1e-12 relative tolerance the equivalence proptests enforce.
+//! multiply-add, so SIMD results differ from scalar by normal rounding
+//! noise — bounded well under the 1e-12 relative tolerance the
+//! equivalence proptests enforce.
 //! Transcendentals (sigmoid's `exp`, tanh) are never vectorized: both
 //! backends call the identical scalar `f64` routines, so activations are
 //! bit-identical and only polynomial arithmetic differs.
@@ -175,21 +175,6 @@ mod x86 {
 
     use super::Activation;
 
-    /// Horizontal sum of a 4-lane f64 vector.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (callers are `target_feature(avx2, fma)` functions).
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd::<1>(v);
-        let pair = _mm_add_pd(lo, hi);
-        let swapped = _mm_unpackhi_pd(pair, pair);
-        _mm_cvtsd_f64(_mm_add_sd(pair, swapped))
-    }
-
     /// Vectorized [`Activation::derivative_from_output`]: the derivative of
     /// every supported activation is polynomial in the activated output
     /// (ReLU: `y > 0`, sigmoid: `y(1-y)`, tanh: `1-y²`, linear: `1`), so
@@ -215,66 +200,9 @@ mod x86 {
         }
     }
 
-    /// `out[m x q] += a · bᵀ` as row-dot products: two independent 4-lane
-    /// FMA accumulators (8 elements per iteration) with a horizontal
-    /// reduction and scalar tail per output element.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; `ad` at least `m*k`, `bd` at least `q*k`, `od`
-    /// at least `m*q`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn matmul_a_bt_acc(
-        m: usize,
-        k: usize,
-        q: usize,
-        ad: &[f64],
-        bd: &[f64],
-        od: &mut [f64],
-    ) {
-        let ap = ad.as_ptr();
-        let bp = bd.as_ptr();
-        let op = od.as_mut_ptr();
-        for i in 0..m {
-            let arow = ap.add(i * k);
-            let orow = op.add(i * q);
-            for r in 0..q {
-                let brow = bp.add(r * k);
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                let mut p = 0;
-                while p + 8 <= k {
-                    acc0 = _mm256_fmadd_pd(
-                        _mm256_loadu_pd(arow.add(p)),
-                        _mm256_loadu_pd(brow.add(p)),
-                        acc0,
-                    );
-                    acc1 = _mm256_fmadd_pd(
-                        _mm256_loadu_pd(arow.add(p + 4)),
-                        _mm256_loadu_pd(brow.add(p + 4)),
-                        acc1,
-                    );
-                    p += 8;
-                }
-                if p + 4 <= k {
-                    acc0 = _mm256_fmadd_pd(
-                        _mm256_loadu_pd(arow.add(p)),
-                        _mm256_loadu_pd(brow.add(p)),
-                        acc0,
-                    );
-                    p += 4;
-                }
-                let mut s = hsum(_mm256_add_pd(acc0, acc1));
-                while p < k {
-                    s += *arow.add(p) * *brow.add(p);
-                    p += 1;
-                }
-                *orow.add(r) += s;
-            }
-        }
-    }
-
-    /// `out[1 x n] += column sums of a[rows x n]`, 4 columns per lane.
+    /// `out[1 x n] += column sums of a[rows x n]`. Blocks of 16, then 4
+    /// columns add down every row in registers and are stored once, the
+    /// last columns one at a time; each column still sums in row order.
     ///
     /// # Safety
     ///
@@ -283,18 +211,44 @@ mod x86 {
     pub(in super::super) unsafe fn sum_rows_acc(rows: usize, n: usize, ad: &[f64], od: &mut [f64]) {
         let ap = ad.as_ptr();
         let op = od.as_mut_ptr();
+        let mut j = 0;
+        while j + 16 <= n {
+            column_sums::<4>(rows, n, ap.add(j), op.add(j));
+            j += 16;
+        }
+        while j + 4 <= n {
+            column_sums::<1>(rows, n, ap.add(j), op.add(j));
+            j += 4;
+        }
+        for j in j..n {
+            let mut s = *op.add(j);
+            for r in 0..rows {
+                s += *ap.add(r * n + j);
+            }
+            *op.add(j) = s;
+        }
+    }
+
+    /// Adds the sums of the `4·V` columns at `ap` (row stride `n`, `rows`
+    /// rows) to the `4·V` values at `op`.
+    ///
+    /// # Safety
+    ///
+    /// As [`sum_rows_acc`], for those columns.
+    #[inline(always)]
+    unsafe fn column_sums<const V: usize>(rows: usize, n: usize, ap: *const f64, op: *mut f64) {
+        let mut acc = [_mm256_setzero_pd(); V];
+        for (v, x) in acc.iter_mut().enumerate() {
+            *x = _mm256_loadu_pd(op.add(4 * v));
+        }
         for r in 0..rows {
             let row = ap.add(r * n);
-            let mut j = 0;
-            while j + 4 <= n {
-                let acc = _mm256_add_pd(_mm256_loadu_pd(op.add(j)), _mm256_loadu_pd(row.add(j)));
-                _mm256_storeu_pd(op.add(j), acc);
-                j += 4;
+            for (v, x) in acc.iter_mut().enumerate() {
+                *x = _mm256_add_pd(*x, _mm256_loadu_pd(row.add(4 * v)));
             }
-            while j < n {
-                *op.add(j) += *row.add(j);
-                j += 1;
-            }
+        }
+        for (v, x) in acc.iter().enumerate() {
+            _mm256_storeu_pd(op.add(4 * v), *x);
         }
     }
 

@@ -74,12 +74,12 @@ fn infer_tile(layers: &[Box<dyn Layer>], input: MatrixView<'_>, out: &mut [f64])
 
 /// A feed-forward stack of layers trained with backpropagation.
 ///
-/// The network owns a scratch arena (per-layer activation buffers and a
-/// gradient ping-pong pair) that is reused across batches: after the first
+/// Each layer keeps its output in its own buffer and the network owns a
+/// gradient ping-pong pair, all reused across batches: after the first
 /// batch, [`Sequential::train_batch`], [`Sequential::train_batch_view`] and
 /// [`Sequential::predict_ref`] perform no per-call heap allocation.
-/// Inference ([`Sequential::predict_into`]) does not touch that arena or
-/// the layers' backward caches: it runs tile by tile on per-thread
+/// Inference ([`Sequential::predict_into`]) touches neither those buffers
+/// nor the layers' backward caches: it runs tile by tile on per-thread
 /// scratch.
 ///
 /// # Examples
@@ -110,9 +110,6 @@ fn infer_tile(layers: &[Box<dyn Layer>], input: MatrixView<'_>, out: &mut [f64])
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// Activation arena: `acts[i]` holds layer `i`'s output, reused across
-    /// batches.
-    acts: Vec<Matrix>,
     /// Gradient ping-pong buffers for the backward pass.
     grad_a: Matrix,
     grad_b: Matrix,
@@ -154,7 +151,6 @@ impl Sequential {
         }
         self.n_param_tensors += layer.params().len();
         self.layers.push(Box::new(layer));
-        self.acts.push(Matrix::default());
     }
 
     /// Number of layers.
@@ -177,34 +173,32 @@ impl Sequential {
         self.layers.last().map(|l| l.output_size())
     }
 
-    /// The training forward: one serial pass through the activation arena,
-    /// caching layer intermediates for a backward pass.
-    fn forward_all(&mut self, input: MatrixView<'_>) {
-        assert!(
-            !self.layers.is_empty(),
-            "cannot predict with an empty network"
-        );
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if i == 0 {
-                layer.forward_into(input, &mut self.acts[0]);
-            } else {
-                let (prev, cur) = self.acts.split_at_mut(i);
-                layer.forward_into(prev[i - 1].view(), &mut cur[0]);
-            }
+    /// The training forward: one serial pass in which each layer reads its
+    /// predecessor's output in place and caches intermediates for a backward
+    /// pass. Returns the last layer's output.
+    fn forward_all<'a>(layers: &'a mut [Box<dyn Layer>], input: MatrixView<'_>) -> &'a Matrix {
+        let (first, rest) = layers
+            .split_first_mut()
+            .expect("cannot predict with an empty network");
+        first.forward_train(input);
+        let mut prev: &dyn Layer = &**first;
+        for layer in rest {
+            layer.forward_train(prev.output().view());
+            prev = &**layer;
         }
+        prev.output()
     }
 
     /// Runs a forward pass and returns a borrow of the output held in the
-    /// network's reusable activation arena — the zero-copy, zero-allocation
-    /// variant of [`Sequential::predict`]. Also caches intermediates for a
-    /// backward pass.
+    /// last layer's reusable buffer — the zero-copy, zero-allocation variant
+    /// of [`Sequential::predict`]. Also caches intermediates for a backward
+    /// pass.
     ///
     /// # Panics
     ///
     /// Panics if the network is empty or the input width is wrong.
     pub fn predict_ref(&mut self, input: MatrixView<'_>) -> &Matrix {
-        self.forward_all(input);
-        &self.acts[self.layers.len() - 1]
+        Sequential::forward_all(&mut self.layers, input)
     }
 
     /// Runs a forward pass and returns the output
@@ -292,8 +286,9 @@ impl Sequential {
     /// [`Sequential::train_batch`] over borrowed views — the epoch-loop hot
     /// path. Batches sliced out of a larger matrix with
     /// [`Matrix::view_rows`] train without being copied, and the whole
-    /// cycle (forward, loss, backward, optimizer step) reuses the network's
-    /// scratch arena: zero heap allocations per call in steady state.
+    /// cycle (forward, loss, backward, optimizer step) reuses the layers'
+    /// and the network's buffers: zero heap allocations per call in steady
+    /// state.
     ///
     /// # Panics
     ///
@@ -320,8 +315,10 @@ impl Sequential {
     /// Computes loss and gradients without applying an optimizer step.
     ///
     /// Gradients accumulate into the layers' parameters; callers that only
-    /// want the loss should follow with [`Sequential::zero_grad`]. Exposed
-    /// for gradient-checking tests and custom training loops.
+    /// want the loss should follow with [`Sequential::zero_grad`]. The
+    /// first layer's input gradient, which nothing reads, is skipped
+    /// ([`Layer::backward_params_into`]). Exposed for gradient-checking
+    /// tests and custom training loops.
     pub fn backward_only(&mut self, input: &Matrix, target: &Matrix, loss: Loss) -> f64 {
         self.backward_only_view(input.view(), target.view(), loss)
     }
@@ -333,21 +330,21 @@ impl Sequential {
         target: MatrixView<'_>,
         loss: Loss,
     ) -> f64 {
-        self.forward_all(input);
-        let last = self.layers.len() - 1;
-        let loss_value = loss.compute_view(self.acts[last].view(), target);
         let Sequential {
             layers,
-            acts,
             grad_a,
             grad_b,
             ..
         } = self;
-        loss.gradient_into(acts[last].view(), target, grad_a);
-        for layer in layers.iter_mut().rev() {
-            layer.backward_into(grad_a, grad_b);
+        let out = Sequential::forward_all(layers, input);
+        let loss_value = loss.compute_view(out.view(), target);
+        loss.gradient_into(out.view(), target, grad_a);
+        for i in (1..layers.len()).rev() {
+            let (before, after) = layers.split_at_mut(i);
+            after[0].backward_into(before[i - 1].output().view(), grad_a, grad_b);
             std::mem::swap(grad_a, grad_b);
         }
+        layers[0].backward_params_into(input, grad_a, grad_b);
         loss_value
     }
 
@@ -457,6 +454,51 @@ mod tests {
         assert!(last < first * 0.1, "loss {last} did not drop from {first}");
     }
 
+    /// `backward_only` skips layer 0's input gradient; computing it anyway
+    /// (`backward_into` on every layer) leaves every parameter gradient
+    /// bit-identical.
+    #[test]
+    fn skipping_the_first_input_gradient_keeps_parameter_gradients() {
+        let model1 = || {
+            let mut rng = seeded_rng(11);
+            let mut net = Sequential::new();
+            net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
+            net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
+            net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
+            net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
+            net
+        };
+        let x = Matrix::from_vec(64, 6, (0..384).map(|i| (i % 17) as f64 / 17.0).collect());
+        let y = Matrix::from_vec(64, 1, (0..64).map(|i| (i % 5) as f64 / 5.0).collect());
+        let mut skipped = model1();
+        skipped.backward_only(&x, &y, Loss::MeanSquaredError);
+
+        let mut full = model1();
+        let Sequential {
+            layers,
+            grad_a,
+            grad_b,
+            ..
+        } = &mut full;
+        let out = Sequential::forward_all(layers, x.view());
+        Loss::MeanSquaredError.gradient_into(out.view(), y.view(), grad_a);
+        for i in (0..layers.len()).rev() {
+            let (before, after) = layers.split_at_mut(i);
+            let input = before.last().map_or(x.view(), |prev| prev.output().view());
+            after[0].backward_into(input, grad_a, grad_b);
+            std::mem::swap(grad_a, grad_b);
+        }
+        assert_eq!(grad_a.shape(), (64, 6), "layer 0's input gradient ran");
+
+        let bits = |net: &mut Sequential| -> Vec<Vec<u64>> {
+            net.params_mut()
+                .iter()
+                .map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&mut skipped), bits(&mut full));
+    }
+
     #[test]
     fn train_batch_view_matches_train_batch() {
         let x = Matrix::from_rows(&[&[0.0, 0.0, 0.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]);
@@ -486,8 +528,8 @@ mod tests {
         // One tile, tile boundaries on either side, whole tiles plus a
         // remainder on the caller alone, then the same above the fan-out
         // threshold (pool workers pull tiles when more than one thread is
-        // available). The training forward through the arena is the
-        // reference; rows are independent, so equality is bitwise.
+        // available). The training forward is the reference; rows are
+        // independent, so equality is bitwise.
         let mut rng = seeded_rng(9);
         let mut net = Sequential::new();
         net.push(Dense::new(3, 13, Activation::ReLU, &mut rng));
@@ -510,8 +552,7 @@ mod tests {
                 }
             }
             let tiled = net.predict(&x);
-            net.forward_all(x.view());
-            let serial = net.acts[net.layers.len() - 1].clone();
+            let serial = net.predict_ref(x.view()).clone();
             assert_eq!(tiled, serial, "{rows} rows");
         }
     }

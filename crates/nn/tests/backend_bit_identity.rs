@@ -1,0 +1,85 @@
+//! The AVX2 and AVX-512 backends train bit-identical models.
+//!
+//! Both run every matrix product on one micro-kernel body, whose
+//! per-element operation chain does not depend on the lane width, and
+//! share the element-wise kernels; this pins that end to end, through the
+//! input-gradient product `g · Wᵀ` and a whole fit. Pinning a backend
+//! means [`kernels::force_backend`], which switches the process-wide
+//! dispatch, so this file holds a single test: no other test can run
+//! while the switch is in effect. It is skipped on a host without both
+//! backends.
+
+use geomancy_nn::activation::Activation;
+use geomancy_nn::init::seeded_rng;
+use geomancy_nn::layers::Dense;
+use geomancy_nn::loss::Loss;
+use geomancy_nn::matrix::kernels::{self, KernelBackend};
+use geomancy_nn::matrix::Matrix;
+use geomancy_nn::network::Sequential;
+use geomancy_nn::optimizer::Sgd;
+
+fn pseudo(rows: usize, cols: usize, seed: usize) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols)
+            .map(|i| ((i * 37 + seed * 13 + 11) % 97) as f64 / 19.0 - 2.5)
+            .collect(),
+    )
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `a · bᵀ` (fresh and accumulated) on tail and tile shapes, then the
+/// weights of model 1 after three epochs of SGD over 640 rows, all on the
+/// dispatched backend.
+fn run_on_dispatched() -> Vec<Vec<u64>> {
+    let mut runs = Vec::new();
+    for (m, k, q) in [(64, 48, 96), (67, 129, 97), (5, 3, 7), (13, 257, 25)] {
+        let (a, b) = (pseudo(m, k, q), pseudo(q, k, m));
+        let mut out = Matrix::default();
+        kernels::matmul_a_bt_into(a.view(), &b, &mut out);
+        runs.push(bits(&out));
+        kernels::matmul_a_bt_acc(a.view(), &b, &mut out);
+        runs.push(bits(&out));
+    }
+
+    let mut rng = seeded_rng(5);
+    let mut net = Sequential::new();
+    net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
+    net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
+    net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
+    net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
+    let x = pseudo(640, 6, 1).map(|v| v / 2.5);
+    let y = pseudo(640, 1, 2).map(f64::abs);
+    let mut opt = Sgd::new(0.05);
+    for _ in 0..3 {
+        for at in (0..640).step_by(64) {
+            let rows = at..at + 64;
+            let (bx, by) = (x.view_rows(rows.clone()), y.view_rows(rows));
+            net.train_batch_view(bx, by, Loss::MeanSquaredError, &mut opt);
+        }
+    }
+    runs.extend(net.export_weights().iter().map(bits));
+    runs
+}
+
+#[test]
+fn avx2_and_avx512_train_bit_identical_models() {
+    let backends = [KernelBackend::Avx2Fma, KernelBackend::Avx512];
+    if let Some(missing) = backends.iter().find(|b| !b.is_supported()) {
+        println!("skipped: this host has no {} backend", missing.name());
+        return;
+    }
+    let restore = kernels::backend();
+    let [avx2, avx512] = backends.map(|b| {
+        assert!(kernels::force_backend(b));
+        run_on_dispatched()
+    });
+    assert!(kernels::force_backend(restore));
+    for (i, (x, y)) in avx2.iter().zip(&avx512).enumerate() {
+        assert_eq!(x, y, "result {i} differs between avx2_fma and avx512");
+    }
+}

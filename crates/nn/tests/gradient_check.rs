@@ -3,11 +3,14 @@
 //! For each architecture we compare the analytic gradient produced by
 //! backpropagation against a central-difference estimate for a sample of
 //! parameters. This validates the hand-rolled BPTT in the recurrent layers.
+//! Model 1's gradients are also held to a backward pass on the naive
+//! reference kernels, at the kernels' own tolerance.
 
 use geomancy_nn::activation::Activation;
 use geomancy_nn::init::seeded_rng;
 use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::loss::Loss;
+use geomancy_nn::matrix::kernels::reference;
 use geomancy_nn::matrix::Matrix;
 use geomancy_nn::network::Sequential;
 
@@ -66,6 +69,53 @@ fn smooth_input(rows: usize, cols: usize) -> Matrix {
 fn target(rows: usize) -> Matrix {
     let data = (0..rows).map(|i| 0.3 + 0.1 * i as f64).collect();
     Matrix::from_vec(rows, 1, data)
+}
+
+/// Model 1 at batch 64: every parameter gradient of `backward_only` (the
+/// register-blocked products, layer 0's input gradient skipped) is within
+/// the kernels' 1e-12 relative tolerance of a backward pass written with
+/// the naive reference kernels.
+#[test]
+fn model1_gradients_match_reference_kernels() {
+    let acts = [
+        Activation::ReLU,
+        Activation::ReLU,
+        Activation::ReLU,
+        Activation::Linear,
+    ];
+    let widths = [6, 96, 48, 24, 1];
+    let mut rng = seeded_rng(106);
+    let mut net = Sequential::new();
+    for (l, &act) in acts.iter().enumerate() {
+        net.push(Dense::new(widths[l], widths[l + 1], act, &mut rng));
+    }
+    let x = smooth_input(64, 6).map(|v| v + 0.5);
+    let y = target(64);
+    net.backward_only(&x, &y, Loss::MeanSquaredError);
+
+    let weights = net.export_weights();
+    let mut outs = vec![x];
+    for (l, &act) in acts.iter().enumerate() {
+        let next = reference::dense_forward(&outs[l], &weights[2 * l], &weights[2 * l + 1], act);
+        outs.push(next);
+    }
+    let mut grad = Loss::MeanSquaredError.gradient(&outs[4], &y);
+    let mut want = vec![Matrix::default(); weights.len()];
+    for l in (0..acts.len()).rev() {
+        let grad_pre = grad.hadamard(&acts[l].derivative(&outs[l + 1]));
+        want[2 * l] = reference::matmul_at_b(&outs[l], &grad_pre);
+        want[2 * l + 1] = grad_pre.sum_rows();
+        grad = reference::matmul_a_bt(&grad_pre, &weights[2 * l]);
+    }
+    for (i, (p, w)) in net.params_mut().iter().zip(&want).enumerate() {
+        assert_eq!(p.grad.shape(), w.shape(), "param {i}");
+        for (g, e) in p.grad.as_slice().iter().zip(w.as_slice()) {
+            assert!(
+                (g - e).abs() <= 1e-12 * e.abs().max(1.0),
+                "param {i}: {g} vs reference {e}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -538,7 +538,7 @@ fn matmul_family_remainder_shapes() {
             check_close(&scalar_out, &want, &format!("at_b {what}"));
 
             // a·bᵀ: k is the dot length here, so odd k exercises the
-            // horizontal-reduction tail.
+            // scalar backend's unroll tail.
             let bt = pseudo_matrix(n, k, 3 * n + k);
             let want = kernels::reference::matmul_a_bt(&a, &bt);
             let mut out = Matrix::default();
@@ -612,6 +612,61 @@ fn simd_dense_forward_is_the_fma_chain() {
                             backend.name()
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// `a · bᵀ` on the shapes its SIMD path (a transposed panel of `b` through
+/// the micro-kernel) can get wrong: `q`, the output width, around the 4-
+/// and 8-lane masked tails; `k` below 4 and across the 128-deep tile of the
+/// shared dimension; `m` off the 8-row block. Both entry points match the
+/// reference within 1e-12. On a SIMD backend the product is, bit for bit,
+/// the forward product on `bᵀ` from zero, run on every instantiation the
+/// host has, so AVX2 and AVX-512 agree.
+#[test]
+fn a_bt_matches_reference_across_tiles_and_tails() {
+    let simd: Vec<KernelBackend> = KernelBackend::supported()
+        .filter(|&b| b != KernelBackend::Scalar)
+        .collect();
+    let dispatched_simd = kernels::backend() != KernelBackend::Scalar;
+    let mut out = Matrix::zeros(2, 3);
+    for m in [1usize, 3, 8, 13, 67] {
+        for k in [1usize, 2, 3, 5, 127, 128, 129, 257] {
+            for q in [1usize, 3, 5, 7, 9, 12, 13, 25, 33, 97] {
+                let what = format!("a_bt m={m} k={k} q={q}");
+                let a = pseudo_matrix(m, k, q);
+                let b = pseudo_matrix(q, k, m + k);
+                let want = kernels::reference::matmul_a_bt(&a, &b);
+                kernels::matmul_a_bt_into(a.view(), &b, &mut out);
+                check_close(&out, &want, &what);
+
+                let seed = pseudo_matrix(m, q, 7);
+                let mut acc = seed.clone();
+                kernels::matmul_a_bt_acc(a.view(), &b, &mut acc);
+                let mut want_acc = seed;
+                want_acc.add_assign(&want);
+                check_close(&acc, &want_acc, &format!("{what} acc"));
+
+                if !dispatched_simd {
+                    continue;
+                }
+                let (bt, zero) = (b.transpose(), Matrix::zeros(1, q));
+                for &backend in &simd {
+                    let mut chain = Matrix::default();
+                    let linear = Activation::Linear;
+                    kernels::matmul_bias_act_with(
+                        backend,
+                        a.view(),
+                        &bt,
+                        &zero,
+                        linear,
+                        &mut chain,
+                    );
+                    let bits =
+                        |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out), bits(&chain), "{what} on {}", backend.name());
                 }
             }
         }

@@ -239,6 +239,8 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_zero_alloc("kernel matmul_at_b_acc", || {
         kernels::matmul_at_b_acc(a.view(), g.view(), &mut wgrad);
     });
+    // On the SIMD backends the thread-local `bᵀ` panel is sized by now (by
+    // this warm-up or the training above), and every call reuses it.
     kernels::matmul_a_bt_into(g.view(), &b, &mut out);
     assert_zero_alloc("kernel matmul_a_bt_into", || {
         kernels::matmul_a_bt_into(g.view(), &b, &mut out);

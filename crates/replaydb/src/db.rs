@@ -125,7 +125,7 @@ impl ReplayDb {
     }
 
     /// All records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &StoredRecord> {
+    pub fn records(&self) -> impl DoubleEndedIterator<Item = &StoredRecord> {
         self.records.iter()
     }
 

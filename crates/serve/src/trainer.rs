@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::{DrlConfig, DrlEngine};
-use geomancy_replaydb::{ReplayDb, StoredRecord};
+use geomancy_replaydb::StoredRecord;
 use geomancy_runtime::Addr;
 use geomancy_sim::record::AccessRecord;
 use geomancy_store::SharedPagedStore;
@@ -346,8 +346,8 @@ impl TrainLoop {
         Ok((watermarks, delta))
     }
 
-    /// From-scratch fit on `records`, replacing the master on success.
-    /// Returns `(validation MAE, warm_start=false)`.
+    /// From-scratch fit on `records`, in stream order, replacing the master
+    /// on success. Returns `(validation MAE, warm_start=false)`.
     fn train_full(&mut self, records: &[StoredRecord]) -> Result<(f64, bool), TrainError> {
         // Vary the init seed with the published epoch so consecutive
         // from-scratch models differ (the soak test's "no torn model"
@@ -355,11 +355,9 @@ impl TrainLoop {
         let mut config = self.drl.clone();
         config.seed = config.seed.wrapping_add(self.slot.published_epoch());
         let mut engine = DrlEngine::new(config);
-        let mut db = ReplayDb::new();
-        for s in records {
-            db.insert(s.timestamp_micros, s.record);
-        }
-        let outcome = engine.retrain(&db).ok_or(TrainError::NotEnoughData)?;
+        let outcome = engine
+            .retrain_stream(records.iter().map(|s| &s.record))
+            .ok_or(TrainError::NotEnoughData)?;
         self.master = Some(engine);
         Ok((outcome.validation_error.mean, false))
     }
@@ -432,6 +430,7 @@ mod tests {
     use crate::batch::PlacementRequest;
     use crate::service::{PlacementService, ServeConfig};
     use crate::shard::SnapshotDelta;
+    use geomancy_replaydb::ReplayDb;
     use geomancy_runtime::{Actor, Ctx, Reactor, ReactorConfig};
     use geomancy_sim::record::{DeviceId, FileId};
     use std::time::{Duration, Instant};
