@@ -4,7 +4,7 @@
 //! store (follower side), and the failover controller.
 //!
 //! ```text
-//!        seal hook (checkpoint actor)        peers
+//!        seal hook (checkpointer thread)     peers
 //!             │ (shard, seq, bytes)            ▲
 //!             ▼                                │ heartbeats
 //!        shipper thread ── ShipSegment ──► replicas
@@ -517,7 +517,7 @@ impl Actor for FailoverActor {
     }
 }
 
-/// A sealed segment handed from the checkpoint actor's seal hook to the
+/// A sealed segment handed from the checkpointer's seal hook to the
 /// shipper thread.
 struct SealedSeg {
     shard: u32,
@@ -622,8 +622,8 @@ impl ClusterNode {
             catch_up_chunks_served: AtomicU64::new(0),
         });
 
-        // Seal hook: runs on the checkpoint actor's worker in the
-        // absorb window, while the sealed segment file still exists.
+        // Seal hook: runs on the checkpointer thread in the absorb
+        // window, while the sealed segment file still exists.
         // Read the bytes synchronously (the record count comes with the
         // seal: nothing is decoded here), hand them to the shipper thread
         // and the catch-up retainer, return.

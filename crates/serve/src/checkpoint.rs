@@ -2,37 +2,35 @@
 //! segments into the cold [`geomancy_store::PagedStore`], then trim the
 //! shards' in-memory hot tails.
 //!
-//! The checkpointer is an actor on the service's reactor, so it cannot
-//! block on shard replies: a cycle sends one [`ShardMsg::SealWal`] per
-//! shard, each reply continuation `send_now`s a
-//! [`CheckpointMsg::Sealed`] back to the checkpointer's own mailbox, and
-//! when the last one lands the actor absorbs every sealed segment under
-//! the store's write lock and commits. A shard that dies with a seal
-//! request in hand — before it was delivered, queued, or mid-seal — drops
-//! its [`SealReply`], which reports the failure the same way: the cycle is
-//! abandoned ([`CheckpointError::Down`] to its caller) and the next queued
-//! one starts. Only after that durable commit
-//! does it fan out [`ShardMsg::TrimHot`] — the trimmed records are by
-//! then readable from the cold store, so the hot-tail bound never costs a
-//! record. Cycles are serialized; timer-driven cycles coalesce with
-//! whatever is already queued.
+//! The checkpointer is one OS thread, `geomancy-checkpointer`, so neither
+//! the seal hook nor the absorb under the store's write lock holds a
+//! reactor worker. Requests queue on a bounded channel; each cycle is one
+//! blocking function. A shard that dies with its seal request in hand
+//! ([`ask_all`]) abandons the cycle with [`CheckpointError::Down`] before
+//! anything is absorbed. [`ShardMsg::TrimHot`] goes out only after the
+//! absorb commits, so the hot-tail bound never costs a record.
 //!
-//! Crash-safety is the store's (see `geomancy-store`'s crash tests): a
-//! kill anywhere in the cycle leaves sealed segments that the service's
-//! startup absorption replays exactly once.
+//! The cadence reads the reactor's clock, so a simulated-time service
+//! checkpoints on simulated cadence. Queued requests go first; ticks that
+//! fall during cycles collapse into one catch-up cycle. Dropping the
+//! [`Checkpointer`] joins the thread once the queued cycles have run.
+//! Crash-safety is the store's: a kill anywhere in a cycle leaves sealed
+//! segments that startup absorption replays exactly once.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
-use geomancy_runtime::{Actor, Addr, Ctx, Reactor};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use geomancy_runtime::{Addr, Reactor, TimeSource};
 use geomancy_store::{AbsorbReport, SharedPagedStore};
 
 use crate::metrics::ServeMetrics;
-use crate::service::SealHook;
-use crate::shard::{SealReply, ShardMsg, ShardSet};
+use crate::service::{SealHook, StoreSettings};
+use crate::shard::{ask_all, ShardMsg, ShardSet};
+use crate::trainer::REQUEST_CAPACITY;
 
 /// Why a checkpoint cycle failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,68 +52,48 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-pub(crate) enum CheckpointMsg {
-    /// Self-address bootstrap, delivered first (mailbox FIFO) so seal
-    /// continuations can route replies home — and the cadence timer arms.
-    Init(Addr<CheckpointMsg>),
-    /// Run one checkpoint cycle; reply with what it absorbed.
-    Checkpoint {
-        reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>,
-    },
-    /// One shard's answer to cycle `gen`'s seal request: `(seq, records)`
-    /// (`seq` 0 = that shard had nothing to seal; else the segment holds
-    /// `records`), or `None` if the shard died without answering.
-    Sealed {
-        gen: u64,
-        shard: usize,
-        seal: Option<(u64, u64)>,
-    },
-}
+/// One cycle: a blocking caller's reply channel, `None` for a tick.
+type Request = Option<Sender<Result<AbsorbReport, CheckpointError>>>;
 
-/// Handle to the checkpointer actor.
+/// Handle to the checkpointer thread.
 #[derive(Debug)]
 pub struct Checkpointer {
-    addr: Addr<CheckpointMsg>,
+    /// `None` only while dropping: closing it ends the thread.
+    requests: Option<Sender<Request>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Checkpointer {
-    /// Spawns the checkpointer on `reactor`. With `every_micros > 0` it
-    /// also checkpoints on that cadence (reactor time, so simulated-time
-    /// services checkpoint on simulated cadence).
-    #[allow(clippy::too_many_arguments)] // crate-internal spawn, one call site
-    pub(crate) fn spawn_on(
+    /// Starts the checkpointer thread over `shards`, checkpointing every
+    /// `settings.checkpoint_every_micros` of `reactor` time (if nonzero).
+    pub(crate) fn spawn(
         reactor: &Reactor,
         shards: &ShardSet,
         store: SharedPagedStore,
+        settings: &StoreSettings,
         wal_dir: PathBuf,
-        every_micros: u64,
-        hot_tail: usize,
         metrics: Arc<ServeMetrics>,
         seal_hook: Option<SealHook>,
     ) -> Self {
-        let n = shards.len();
-        let (addr, _handle) = reactor.spawn(
-            "checkpointer",
-            16,
-            CheckpointActor {
-                self_addr: None,
-                shard_addrs: shards.addrs().to_vec(),
-                store,
-                wal_dir,
-                every_micros,
-                hot_tail,
-                metrics,
-                seal_hook,
-                collecting: None,
-                queued: VecDeque::new(),
-                shard_count: n,
-                cycle_gen: 0,
-            },
-        );
-        addr.send_now(CheckpointMsg::Init(addr.clone()))
-            .ok()
-            .expect("checkpointer mailbox open at spawn");
-        Checkpointer { addr }
+        let checkpoints = CheckpointLoop {
+            shard_addrs: shards.addrs().to_vec(),
+            store,
+            wal_dir,
+            time: reactor.time(),
+            every_micros: settings.checkpoint_every_micros,
+            hot_tail: settings.hot_tail,
+            metrics,
+            seal_hook,
+        };
+        let (requests, inbox) = bounded(REQUEST_CAPACITY);
+        let thread = std::thread::Builder::new()
+            .name("geomancy-checkpointer".to_string())
+            .spawn(move || checkpoints.run(&inbox))
+            .expect("spawn checkpointer thread");
+        Checkpointer {
+            requests: Some(requests),
+            thread: Some(thread),
+        }
     }
 
     /// Runs one checkpoint cycle and blocks until it commits (or turns
@@ -123,193 +101,216 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Down`] after shutdown, or
+    /// [`CheckpointError::Down`] after shutdown or a shard's death,
     /// [`CheckpointError::Store`] if the absorption failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         let (reply, rx) = bounded(1);
-        self.addr
-            .send(CheckpointMsg::Checkpoint { reply: Some(reply) })
+        (self.requests.as_ref().expect("open until drop"))
+            .send(Some(reply))
             .map_err(|_| CheckpointError::Down)?;
         rx.recv().map_err(|_| CheckpointError::Down)?
     }
 }
 
-/// An in-flight cycle's gathered state.
-struct Collect {
-    reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>,
-    /// Per-shard sealed segment `(seq, records)` (`seq` 0 = nothing to
-    /// seal).
-    seals: Vec<Option<(u64, u64)>>,
-    got: usize,
-    gen: u64,
+impl Drop for Checkpointer {
+    /// Joins the thread after it has run every queued cycle. A cycle
+    /// whose shards are gone ends with [`CheckpointError::Down`].
+    fn drop(&mut self) {
+        drop(self.requests.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
-struct CheckpointActor {
-    self_addr: Option<Addr<CheckpointMsg>>,
+/// The checkpointer thread's state.
+struct CheckpointLoop {
     shard_addrs: Vec<Addr<ShardMsg>>,
     store: SharedPagedStore,
     wal_dir: PathBuf,
+    /// The reactor's clock, which paces the cadence.
+    time: Arc<dyn TimeSource>,
+    /// Cadence in `time` microseconds (0 = explicit requests only).
     every_micros: u64,
     hot_tail: usize,
     metrics: Arc<ServeMetrics>,
-    /// Sees each sealed segment before absorption deletes it (WAL
-    /// shipping reads the bytes in this window).
+    /// Sees each sealed segment before absorption deletes it.
     seal_hook: Option<SealHook>,
-    collecting: Option<Collect>,
-    /// Cycles requested while one is in flight (serialized FIFO).
-    queued: VecDeque<Option<Sender<Result<AbsorbReport, CheckpointError>>>>,
-    shard_count: usize,
-    /// Monotonic cycle counter; seal replies carry it so an abandoned
-    /// cycle's stragglers cannot be mistaken for the next cycle's.
-    cycle_gen: u64,
 }
 
-impl Actor for CheckpointActor {
-    type Msg = CheckpointMsg;
-
-    fn on_msg(&mut self, msg: CheckpointMsg, ctx: &mut Ctx<'_>) {
-        match msg {
-            CheckpointMsg::Init(addr) => {
-                self.self_addr = Some(addr);
-                if self.every_micros > 0 {
-                    ctx.set_timer(self.every_micros, 0);
-                }
-            }
-            CheckpointMsg::Checkpoint { reply } => {
-                if self.collecting.is_some() {
-                    self.queued.push_back(reply);
-                } else {
-                    self.start_cycle(reply);
-                }
-            }
-            CheckpointMsg::Sealed { gen, shard, seal } => {
-                let Some(collect) = self.collecting.as_mut() else {
-                    return; // stale reply from an abandoned cycle
-                };
-                if collect.gen != gen {
-                    return; // reply raced an abandoned cycle's replacement
-                }
-                let Some(seal) = seal else {
-                    // Shard dead: abandon the cycle (reply drop → Down) and
-                    // keep draining the queue — a queued cycle left behind
-                    // here would strand its caller.
-                    self.collecting = None;
-                    if let Some(next) = self.queued.pop_front() {
-                        self.start_cycle(next);
+impl CheckpointLoop {
+    /// Serves requests, and due ticks while none is queued, until close.
+    fn run(self, inbox: &Receiver<Request>) {
+        let every = self.every_micros;
+        let mut deadline = self.time.now_micros().saturating_add(every);
+        loop {
+            let request = if every == 0 {
+                let Ok(request) = inbox.recv() else { return };
+                request
+            } else {
+                let wait = deadline.saturating_sub(self.time.now_micros());
+                match inbox.recv_timeout(Duration::from_micros(wait)) {
+                    Ok(request) => request,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => {
+                        let now = self.time.now_micros();
+                        if now < deadline {
+                            continue; // a simulated clock has not got there yet
+                        }
+                        deadline = now.saturating_add(every);
+                        None
                     }
-                    return;
-                };
-                if collect.seals[shard].is_none() {
-                    collect.seals[shard] = Some(seal);
-                    collect.got += 1;
                 }
-                if collect.got == self.shard_count {
-                    self.finish_cycle();
-                }
-            }
+            };
+            let outcome = self.cycle();
+            let _ = request.map(|reply| reply.send(outcome));
         }
     }
 
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.every_micros, 0);
-        // A cadence tick while a cycle is in flight or queued coalesces
-        // into it — ticks never pile up behind a slow absorb.
-        if self.collecting.is_none() && self.queued.is_empty() {
-            self.start_cycle(None);
-        }
-    }
-
-    fn on_stop(&mut self, _ctx: &mut Ctx<'_>) {
-        // Dropping the reply senders surfaces Down to any blocked caller.
-        self.collecting = None;
-        self.queued.clear();
-    }
-}
-
-impl CheckpointActor {
-    /// Fans the seal request out to every shard; replies flow back as
-    /// messages so the actor never blocks a pool worker.
-    fn start_cycle(&mut self, reply: Option<Sender<Result<AbsorbReport, CheckpointError>>>) {
-        self.cycle_gen += 1;
-        let gen = self.cycle_gen;
-        self.collecting = Some(Collect {
-            reply,
-            seals: vec![None; self.shard_count],
-            got: 0,
-            gen,
-        });
-        let me = self
-            .self_addr
-            .clone()
-            .expect("Init is delivered before any Checkpoint");
-        for (shard, addr) in self.shard_addrs.iter().enumerate() {
-            let home = me.clone();
-            let reply = SealReply::new(move |seal| {
-                let _ = home.send_now(CheckpointMsg::Sealed { gen, shard, seal });
-            });
-            if addr.send_now(ShardMsg::SealWal { reply }).is_err() {
-                // Shard already dead: the handed-back request drops here,
-                // and its reply reports the failure like a mid-seal death.
-                return;
-            }
-        }
-    }
-
-    /// All seals in hand: absorb under the store write lock, publish the
-    /// gauges, then trim the hot tails.
-    fn finish_cycle(&mut self) {
-        let collect = self.collecting.take().expect("cycle in flight");
-        // The segments this cycle cut, as `(shard, seq, records)`.
-        let sealed: Vec<(usize, u64, u64)> = (collect.seals.iter().enumerate())
-            .filter_map(|(shard, seal)| seal.map(|(seq, records)| (shard, seq, records)))
-            .filter(|&(_, seq, _)| seq > 0)
+    /// Seal → seal hook → absorb under the store write lock → gauges →
+    /// trim the hot tails. Returns what the cycle absorbed.
+    fn cycle(&self) -> Result<AbsorbReport, CheckpointError> {
+        let seals = ask_all(&self.shard_addrs, |_, reply| ShardMsg::SealWal { reply })
+            .ok_or(CheckpointError::Down)?;
+        // `(shard, seq, records)` of each segment cut (`seq` 0: none).
+        let sealed: Vec<(usize, u64, u64)> = (seals.into_iter().enumerate())
+            .filter_map(|(shard, (seq, records))| (seq > 0).then_some((shard, seq, records)))
             .collect();
-        // Surface every sealed segment to the shipping hook *before*
-        // absorption deletes it — the bytes on disk are the replica's
-        // exactly-once unit of replication.
+        if sealed.is_empty() {
+            return Ok(AbsorbReport::default());
+        }
+        // Show every sealed segment to the shipping hook *before* the
+        // absorb deletes it: its bytes are the unit of replication.
         if let Some(hook) = &self.seal_hook {
             for &(shard, seq, records) in &sealed {
                 let path = geomancy_replaydb::wal::segment_path(&self.wal_dir, shard, seq);
                 (hook.0)(shard, seq, records, &path);
             }
         }
-        let outcome = if !sealed.is_empty() {
-            let started = Instant::now();
-            let mut store = self.store.write();
-            match store.absorb_segments(&self.wal_dir, self.shard_count, None) {
-                Ok(report) => {
-                    use std::sync::atomic::Ordering;
-                    self.metrics
-                        .last_checkpoint_micros
-                        .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.sub_wal_pending(report.records_absorbed);
-                    self.metrics
-                        .store_pages
-                        .store(store.page_count() as u64, Ordering::Relaxed);
-                    self.metrics
-                        .store_cold_bytes
-                        .store(store.cold_bytes(), Ordering::Relaxed);
-                    drop(store);
-                    // The absorbed records are durable in the cold store;
-                    // only now may the hot copies go.
-                    for addr in &self.shard_addrs {
-                        let _ = addr.send_now(ShardMsg::TrimHot {
-                            keep: self.hot_tail,
-                        });
-                    }
-                    Ok(report)
-                }
-                Err(e) => Err(CheckpointError::Store(e.to_string())),
-            }
-        } else {
-            Ok(AbsorbReport::default())
+        let started = Instant::now();
+        let mut store = self.store.write();
+        let report = store
+            .absorb_segments(&self.wal_dir, self.shard_addrs.len(), None)
+            .map_err(|e| CheckpointError::Store(e.to_string()))?;
+        let (m, micros) = (&self.metrics, started.elapsed().as_micros() as u64);
+        m.last_checkpoint_micros.store(micros, Relaxed);
+        m.checkpoints.fetch_add(1, Relaxed);
+        m.sub_wal_pending(report.records_absorbed);
+        m.store_pages.store(store.page_count() as u64, Relaxed);
+        m.store_cold_bytes.store(store.cold_bytes(), Relaxed);
+        drop(store);
+        // The records are durable in the cold store: now the hot copies go.
+        let keep = self.hot_tail;
+        for addr in &self.shard_addrs {
+            let _ = addr.send_now(ShardMsg::TrimHot { keep });
+        }
+        Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geomancy_runtime::ReactorConfig;
+    use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
+    use geomancy_store::{PagedStore, StoreConfig};
+
+    fn records(count: u64) -> Vec<AccessRecord> {
+        (0..count)
+            .map(|n| AccessRecord {
+                access_number: n,
+                fid: FileId(n % 17),
+                fsid: DeviceId(0),
+                rb: 4096,
+                wb: 0,
+                ots: n,
+                otms: 0,
+                cts: n + 1,
+                ctms: 0,
+            })
+            .collect()
+    }
+
+    /// Shutdown in `PlacementService::shutdown`'s order — the
+    /// checkpointer first, then the reactor — on another thread, while
+    /// cycle A is held in its seal hook and B is queued behind it: once
+    /// the hook lets go, both callers are answered, shutdown returns, and
+    /// every record is in pages.
+    #[test]
+    fn shutdown_answers_a_checkpoint_queued_behind_a_running_one() {
+        let base = std::env::temp_dir()
+            .join("geomancy_serve_checkpoint_unit")
+            .join(format!("shutdown-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let reactor = Reactor::new(ReactorConfig {
+            name: "checkpoint-shutdown".to_string(),
+            ..ReactorConfig::default()
+        });
+        let metrics = Arc::new(ServeMetrics::new(2));
+        let wal_dir = base.join("wal");
+        let shards = ShardSet::spawn_on(
+            &reactor,
+            2,
+            16,
+            Some(wal_dir.clone()),
+            Arc::clone(&metrics),
+            0,
+            &[],
+        );
+        shards.ingest(0, &records(300)).unwrap();
+        let (store, _) = PagedStore::open(base.join("store"), StoreConfig::default()).unwrap();
+        let store = store.into_shared();
+        let (entered_tx, entered) = bounded(16);
+        let (gate, held) = bounded::<()>(1);
+        let hook = SealHook(Arc::new(
+            move |_: usize, _: u64, _: u64, _: &std::path::Path| {
+                let _ = entered_tx.try_send(());
+                let _ = held.recv();
+            },
+        ));
+        let settings = StoreSettings::default();
+        let checkpointer = Checkpointer::spawn(
+            &reactor,
+            &shards,
+            Arc::clone(&store),
+            &settings,
+            wal_dir,
+            metrics,
+            Some(hook),
+        );
+        // Queues a cycle as a blocking caller would, returning its answer
+        // channel instead of waiting on it.
+        let submit = || {
+            let (reply, answer) = bounded(1);
+            let requests = checkpointer.requests.as_ref().unwrap();
+            requests.send(Some(reply)).unwrap();
+            answer
         };
-        if let Some(reply) = collect.reply {
-            let _ = reply.send(outcome);
-        }
-        if let Some(next) = self.queued.pop_front() {
-            self.start_cycle(next);
-        }
+        let rx_a = submit();
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("cycle A reaches its seal hook");
+        let rx_b = submit();
+        let (stopped_tx, stopped) = bounded(1);
+        let shutdown = std::thread::spawn(move || {
+            drop(checkpointer);
+            let dbs = shards.take_dbs(&reactor.shutdown());
+            let _ = stopped_tx.send(dbs.len());
+        });
+        assert!(
+            stopped.recv_timeout(Duration::from_millis(50)).is_err(),
+            "shutdown waits for the held cycle"
+        );
+        drop(gate);
+        assert_eq!(stopped.recv_timeout(Duration::from_secs(30)), Ok(2));
+        shutdown.join().unwrap();
+        let absorbed = |rx: Receiver<Result<AbsorbReport, CheckpointError>>| {
+            rx.try_recv()
+                .map(|outcome| outcome.map(|r| r.records_absorbed))
+        };
+        assert_eq!(absorbed(rx_a), Some(Ok(300)));
+        assert_eq!(absorbed(rx_b), Some(Ok(0)), "nothing was ingested after A");
+        assert_eq!(store.read().total_records(), 300);
+        std::fs::remove_dir_all(&base).ok();
     }
 }

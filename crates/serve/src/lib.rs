@@ -15,20 +15,22 @@
 //!    actor+WAL actor+WAL actor+WAL        │  coalesce → dedup │
 //!        │        │        │              │  → fused NN pass  │
 //!        └────────┴────────┘              └─────────▲─────────┘
-//!          snapshots (parts)                        │ hot-swap
-//!                 ▼                       ┌─────────┴─────────┐
-//!    ═══ one reactor pool (N workers) ═══ │ trainer (thread)  │
-//!                                         │ merge → retrain → │
-//!                                         │ publish epoch N+1 │
+//!    ═══ one reactor pool (N workers) ═══           │ hot-swap
+//!        seals │       │ snapshots        ┌─────────┴─────────┐
+//!              ▼       └────────────────► │ trainer (thread)  │
+//!    checkpointer (thread):               │ merge → retrain → │
+//!    absorb → cold pages → trim           │ publish epoch N+1 │
 //!                                         └───────────────────┘
 //! ```
 //!
 //! The shards and the query engine are state-machine actors on **one
-//! shared [`geomancy_runtime::Reactor`] pool**; the trainer is one thread
-//! beside it, so a fit never holds a pool worker. The service costs a
-//! small fixed number of threads no matter how many shards it runs, and
-//! shutdown is the trainer's join (queued retrains finish) followed by a
-//! single drain (queued batches apply, in-flight queries answer).
+//! shared [`geomancy_runtime::Reactor`] pool**; the trainer and, with a
+//! cold store, the checkpointer are one thread each beside it, so neither
+//! a fit nor an absorb holds a pool worker. The service costs the pool's
+//! workers plus one thread (plus two with a store) no matter how many
+//! shards it runs, and shutdown is the checkpointer's and trainer's joins
+//! (queued cycles finish) followed by a single drain (queued batches
+//! apply, in-flight queries answer).
 //!
 //! - **Sharded ingest** ([`shard`]): records route by
 //!   [`geomancy_sim::record::FileId::stable_hash`], so one file's history
@@ -46,6 +48,9 @@
 //!   publishes finished models through an atomic epoch pointer; serving
 //!   never blocks on training and no decision ever sees a half-swapped
 //!   model.
+//! - **Checkpointing** ([`checkpoint`]): on a cadence or on demand, the
+//!   checkpointer thread seals every shard WAL, absorbs the segments into
+//!   the cold paged store, and only then trims the shards' hot tails.
 //! - **Admission control** ([`service`]): over a pending-request or
 //!   latency-EWMA watermark, `query_many` defers once then sheds with
 //!   [`QueryError::Overloaded`] — and the [`metrics`] snapshot is

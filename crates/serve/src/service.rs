@@ -3,9 +3,10 @@
 //! together behind one handle.
 //!
 //! The shards and the query engine run as actors on one shared
-//! [`geomancy_runtime::Reactor`] pool, and the trainer on one thread of
-//! its own, so the service's thread count is the (small, fixed) worker
-//! count plus one instead of `shards + 2`. In front of the query path
+//! [`geomancy_runtime::Reactor`] pool, and the trainer and (with a store)
+//! the checkpointer on one thread each, so the service's thread count is
+//! the (small, fixed) worker count plus one, or plus two with a store,
+//! instead of `shards + 2`. In front of the query path
 //! sits a cross-shard admission controller: when the
 //! service is over its queue-depth or latency watermark, `query_many`
 //! defers briefly and then sheds with [`QueryError::Overloaded`] instead
@@ -129,8 +130,9 @@ pub struct ServeConfig {
     /// after the checkpointer seals it and *before* absorption deletes it
     /// — the window in which a cluster node reads the bytes for WAL
     /// shipping. `records` is the shard's own count of what it sealed, so
-    /// the hook never decodes the segment. It runs on the checkpoint
-    /// actor's worker: keep it to a file read plus a channel send.
+    /// the hook never decodes the segment. It runs on the checkpointer
+    /// thread and delays that cycle's absorb: keep it to a file read plus
+    /// a channel send.
     pub seal_hook: Option<SealHook>,
 }
 
@@ -203,7 +205,7 @@ struct Admitted {
 impl PlacementService {
     /// Starts the service: one reactor pool running `config.shards` ingest
     /// actors and the query engine, timed by the wall clock, plus the
-    /// trainer thread.
+    /// trainer thread and, with a store, the checkpointer thread.
     ///
     /// # Panics
     ///
@@ -215,9 +217,9 @@ impl PlacementService {
     }
 
     /// Starts the service with `clock` as *both* the reactor's time source
-    /// and the telemetry clock: the service's timers (the checkpoint
-    /// cadence) then fire only when simulated time is published past them
-    /// (by ingest timestamps or by the test directly).
+    /// and the telemetry clock: the checkpoint cadence then comes due only
+    /// when simulated time is published past it (by ingest timestamps or
+    /// by the test directly).
     pub fn start_with_clock(config: ServeConfig, clock: SharedSimClock) -> Self {
         let time: Arc<dyn TimeSource> = Arc::new(clock.clone());
         PlacementService::start_inner(config, Some(time), clock)
@@ -306,15 +308,13 @@ impl PlacementService {
             Arc::clone(&metrics),
             store.clone(),
         );
-        let checkpointer = store.as_ref().map(|store| {
-            let settings = config.store.as_ref().expect("store settings present");
-            Checkpointer::spawn_on(
+        let checkpointer = (store.as_ref().zip(config.store.as_ref())).map(|(store, settings)| {
+            Checkpointer::spawn(
                 &reactor,
                 &shards,
                 Arc::clone(store),
+                settings,
                 config.wal_dir.clone().expect("store requires wal_dir"),
-                settings.checkpoint_every_micros,
-                settings.hot_tail,
                 Arc::clone(&metrics),
                 config.seal_hook.clone(),
             )
@@ -671,8 +671,8 @@ impl PlacementService {
         snap
     }
 
-    /// Orderly shutdown: the trainer thread finishes its queued retrain
-    /// cycles while the shards still answer snapshots, then the reactor
+    /// Orderly shutdown: the checkpointer and trainer threads finish
+    /// their queued cycles while the shards still answer, then the reactor
     /// drains every mailbox — queued ingest batches apply (WALs flush),
     /// in-flight queries answer — and stops its workers. Returns the
     /// final per-shard databases.

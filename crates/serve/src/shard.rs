@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Sender};
 use geomancy_replaydb::wal::{shard_path, WalWriter};
 use geomancy_replaydb::{ReplayDb, StoredRecord};
 use geomancy_runtime::{
@@ -57,8 +57,6 @@ impl std::error::Error for Backpressure {}
 /// are tie-proof. Timestamp-based deltas remain the right tool for the
 /// timestamp-indexed stores (`records_since`).
 pub(crate) struct SnapshotDelta {
-    /// The replying shard.
-    pub shard: usize,
     /// Records applied after the requester's watermark, oldest first.
     /// Bounded by the hot database: records the checkpointer already
     /// trimmed to the cold store are not replayed here (the trainer tops
@@ -70,9 +68,9 @@ pub(crate) struct SnapshotDelta {
     pub applied: u64,
 }
 
-/// Messages a shard actor accepts. Replies are continuations so both
-/// blocking callers (channel send) and other actors (`send_now` back to
-/// their own mailbox) can consume them without the shard knowing which.
+/// Messages a shard actor accepts. Requests that expect an answer carry
+/// a [`ShardReply`]; [`ask_all`] sends one to every shard and collects
+/// the answers.
 pub(crate) enum ShardMsg {
     Batch {
         timestamp_micros: u64,
@@ -95,10 +93,9 @@ pub(crate) enum ShardMsg {
 
 /// Reply handle of a request a shard answers once. Answering consumes it;
 /// if it is dropped unanswered — the shard panicked inside that turn, died
-/// holding the request, or died with it still queued — the continuation
-/// runs with `None`, so the requester learns the shard failed instead of
-/// waiting forever.
-pub(crate) struct ShardReply<T>(Option<Box<dyn FnOnce(Option<T>) + Send>>);
+/// holding the request, or died with it still queued — it answers `None`,
+/// so the requester learns the shard failed instead of waiting forever.
+pub(crate) struct ShardReply<T>(Option<Sender<Option<T>>>);
 
 /// Reply handle of a [`ShardMsg::Snapshot`].
 pub(crate) type SnapshotReply = ShardReply<SnapshotDelta>;
@@ -106,27 +103,42 @@ pub(crate) type SnapshotReply = ShardReply<SnapshotDelta>;
 pub(crate) type SealReply = ShardReply<(u64, u64)>;
 
 impl<T> ShardReply<T> {
-    /// `on_reply` gets `Some(answer)` from [`ShardReply::answer`], `None`
-    /// if the handle is dropped. It can run while a panic unwinds, so it
-    /// must not panic itself.
-    pub(crate) fn new(on_reply: impl FnOnce(Option<T>) + Send + 'static) -> Self {
-        ShardReply(Some(Box::new(on_reply)))
-    }
-
     /// Delivers the shard's answer.
     pub(crate) fn answer(mut self, answer: T) {
-        if let Some(on_reply) = self.0.take() {
-            on_reply(Some(answer));
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(Some(answer));
         }
     }
 }
 
 impl<T> Drop for ShardReply<T> {
     fn drop(&mut self) {
-        if let Some(on_reply) = self.0.take() {
-            on_reply(None);
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(None);
         }
     }
+}
+
+/// Sends every shard the request `ask(shard, reply)` builds and blocks
+/// until all of them answer. Returns the answers in shard order, or
+/// `None` if any shard died without answering. Requests ride each shard's
+/// FIFO mailbox, so an answer reflects every batch queued before it.
+pub(crate) fn ask_all<T>(
+    addrs: &[Addr<ShardMsg>],
+    ask: impl Fn(usize, ShardReply<T>) -> ShardMsg,
+) -> Option<Vec<T>> {
+    let answers: Vec<_> = (addrs.iter().enumerate())
+        .map(|(shard, addr)| {
+            // One slot: the reply sends once, so a shard answering on a
+            // reactor worker never blocks.
+            let (tx, rx) = bounded(1);
+            // A dead shard hands the request back; dropping it here
+            // answers `None`, like a death with the request in hand.
+            let _ = addr.send_now(ask(shard, ShardReply(Some(tx))));
+            rx
+        })
+        .collect();
+    answers.iter().map(|rx| rx.recv().ok().flatten()).collect()
 }
 
 /// Maps a file to its ingest shard.
@@ -197,7 +209,6 @@ impl Actor for ShardActor {
                 let skip = self.db.len() - take;
                 let records: Vec<StoredRecord> = self.db.records().skip(skip).copied().collect();
                 reply.answer(SnapshotDelta {
-                    shard: self.shard,
                     records,
                     applied: self.applied,
                 });
@@ -374,7 +385,7 @@ impl ShardSet {
     }
 
     /// Shard actor addresses, for peers that talk to shards directly (the
-    /// trainer's snapshot fan-out).
+    /// trainer's and the checkpointer's [`ask_all`] fan-outs).
     pub(crate) fn addrs(&self) -> &[Addr<ShardMsg>] {
         &self.addrs
     }
@@ -504,43 +515,6 @@ impl ShardSet {
             .ingested_records
             .fetch_add(sent_records, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Snapshots every shard's database (after all batches queued ahead of
-    /// the snapshot request have been applied — the mailbox is FIFO).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard actor has died.
-    pub fn snapshot_all(&self) -> Vec<ReplayDb> {
-        let mut replies = Vec::with_capacity(self.addrs.len());
-        for addr in &self.addrs {
-            let (tx, rx) = bounded(1);
-            addr.send(ShardMsg::Snapshot {
-                since: 0,
-                // A shard that dies drops `tx` unsent: the `recv` below
-                // fails.
-                reply: SnapshotReply::new(move |delta| {
-                    if let Some(delta) = delta {
-                        let _ = tx.send(delta);
-                    }
-                }),
-            })
-            .map_err(|_| ())
-            .expect("shard actor gone");
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .map(|rx| {
-                let delta = rx.recv().expect("shard actor gone");
-                let mut db = ReplayDb::new();
-                for s in delta.records {
-                    db.insert(s.timestamp_micros, s.record);
-                }
-                db
-            })
-            .collect()
     }
 
     /// Stops the private reactor after every mailbox drains; returns the
@@ -675,17 +649,8 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new(1));
         let set = ShardSet::spawn(1, 16, None, metrics);
         let snap = |since: u64| {
-            let (tx, rx) = bounded(1);
-            set.addrs()[0]
-                .send(ShardMsg::Snapshot {
-                    since,
-                    reply: SnapshotReply::new(move |delta| {
-                        let _ = tx.send(delta);
-                    }),
-                })
-                .map_err(|_| ())
-                .unwrap();
-            rx.recv().unwrap().expect("shard alive")
+            let ask = |_, reply| ShardMsg::Snapshot { since, reply };
+            ask_all(set.addrs(), ask).expect("shard alive").remove(0)
         };
         let recs: Vec<AccessRecord> = (0..30).map(|n| rec(n, 0)).collect();
         set.ingest(10, &recs[..20]).unwrap();

@@ -17,15 +17,15 @@
 //! reactor actor: a fit never occupies a reactor worker, so shards and
 //! the query engine keep the whole pool while a model trains. Requests
 //! queue on a bounded channel and run one at a time. A cycle sends one
-//! delta `Snapshot` per shard, each reply feeding a channel made for that
-//! cycle, and blocks until every part is in. Snapshot requests ride each
-//! shard's FIFO mailbox, so a cycle still observes every batch ingested
-//! before it was requested. A shard that dies with a snapshot request in
-//! hand — before it was delivered, queued, or held mid-turn — drops its
-//! [`SnapshotReply`], which arrives as `None`: the cycle is abandoned
-//! ([`TrainError::TrainerDown`] to its caller) and the thread moves on to
-//! the next request. A straggler part of an abandoned cycle lands in that
-//! cycle's dropped channel, so it can never leak into the next one.
+//! delta `Snapshot` per shard through [`ask_all`] and blocks until every
+//! part is in. Snapshot requests ride each shard's FIFO mailbox, so a
+//! cycle still observes every batch ingested before it was requested. A
+//! shard that dies with a snapshot request in hand — before it was
+//! delivered, queued, or held mid-turn — drops its reply: the cycle is
+//! abandoned ([`TrainError::TrainerDown`] to its caller) and the thread
+//! moves on to the next request. A straggler part of an abandoned cycle
+//! lands in a channel made for that cycle alone, so it can never leak
+//! into the next one.
 //!
 //! Dropping the [`Trainer`] closes the request channel and joins the
 //! thread once the queued cycles have run.
@@ -51,7 +51,7 @@ use geomancy_store::SharedPagedStore;
 
 use crate::batch::ModelSlot;
 use crate::metrics::ServeMetrics;
-use crate::shard::{ShardMsg, ShardSet, SnapshotReply};
+use crate::shard::{ask_all, ShardMsg, ShardSet};
 
 /// Fraction of a delta's size drawn from older history and mixed into
 /// each warm-start fit, resisting catastrophic forgetting of devices the
@@ -68,8 +68,9 @@ const REPLAY_CAPACITY: usize = 8192;
 /// factor is thrown away for a from-scratch fit.
 const REGRESSION_FACTOR: f64 = 2.0;
 
-/// Cycle requests that may queue behind the running one.
-const REQUEST_CAPACITY: usize = 16;
+/// Cycle requests that may queue behind the running one (here and in
+/// the checkpointer).
+pub(crate) const REQUEST_CAPACITY: usize = 16;
 
 /// Why a retrain cycle produced no model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,27 +322,14 @@ impl TrainLoop {
     /// when `full`) and waits for the answers. Returns the shards' new
     /// watermarks, in shard order, and the merged records.
     fn snapshot(&self, full: bool) -> Result<(Vec<u64>, Vec<StoredRecord>), TrainError> {
-        // One slot per shard: each reply sends once, so a reply running on
-        // a reactor worker never blocks.
-        let (tx, parts) = bounded(self.shard_addrs.len());
-        for (addr, &mark) in self.shard_addrs.iter().zip(&self.watermarks) {
-            let tx = tx.clone();
-            let reply = SnapshotReply::new(move |delta| {
-                let _ = tx.send(delta);
-            });
-            let since = if full { 0 } else { mark };
-            // A dead shard hands the request back; dropping it here
-            // answers `None`, like a death with the request in hand.
-            let _ = addr.send_now(ShardMsg::Snapshot { since, reply });
-        }
-        drop(tx);
-        let mut got = Vec::with_capacity(self.shard_addrs.len());
-        for _ in &self.shard_addrs {
-            got.push(parts.recv().ok().flatten().ok_or(TrainError::TrainerDown)?);
-        }
-        got.sort_by_key(|part| part.shard);
-        let watermarks = got.iter().map(|part| part.applied).collect();
-        let mut delta: Vec<StoredRecord> = got.into_iter().flat_map(|part| part.records).collect();
+        let parts = ask_all(&self.shard_addrs, |shard, reply| ShardMsg::Snapshot {
+            since: if full { 0 } else { self.watermarks[shard] },
+            reply,
+        })
+        .ok_or(TrainError::TrainerDown)?;
+        let watermarks = parts.iter().map(|part| part.applied).collect();
+        let mut delta: Vec<StoredRecord> =
+            parts.into_iter().flat_map(|part| part.records).collect();
         sort_stream(&mut delta);
         Ok((watermarks, delta))
     }
@@ -429,7 +417,7 @@ mod tests {
     use super::*;
     use crate::batch::PlacementRequest;
     use crate::service::{PlacementService, ServeConfig};
-    use crate::shard::SnapshotDelta;
+    use crate::shard::{SnapshotDelta, SnapshotReply};
     use geomancy_replaydb::ReplayDb;
     use geomancy_runtime::{Actor, Ctx, Reactor, ReactorConfig};
     use geomancy_sim::record::{DeviceId, FileId};
@@ -452,7 +440,6 @@ mod tests {
     /// freeze a cycle mid-collection). A `Batch` kills it, simulating a
     /// shard that panicked.
     struct FakeShard {
-        shard: usize,
         hold: bool,
         held: Option<SnapshotReply>,
         /// Told each time a snapshot request is taken into `held`.
@@ -460,9 +447,8 @@ mod tests {
     }
 
     impl FakeShard {
-        fn empty_delta(shard: usize) -> SnapshotDelta {
+        fn empty_delta() -> SnapshotDelta {
             SnapshotDelta {
-                shard,
                 records: Vec::new(),
                 applied: 0,
             }
@@ -483,12 +469,12 @@ mod tests {
                             let _ = told.try_send(());
                         }
                     } else {
-                        reply.answer(FakeShard::empty_delta(self.shard));
+                        reply.answer(FakeShard::empty_delta());
                     }
                 }
                 ShardMsg::TrimHot { .. } => {
                     if let Some(reply) = self.held.take() {
-                        reply.answer(FakeShard::empty_delta(self.shard));
+                        reply.answer(FakeShard::empty_delta());
                     }
                 }
                 ShardMsg::Batch { .. } => panic!("fake shard killed by test"),
@@ -550,9 +536,8 @@ mod tests {
         panic!("fake shard did not die");
     }
 
-    fn fake_shard(shard: usize, hold: bool, on_hold: Option<Sender<()>>) -> FakeShard {
+    fn fake_shard(hold: bool, on_hold: Option<Sender<()>>) -> FakeShard {
         FakeShard {
-            shard,
             hold,
             held: None,
             on_hold,
@@ -571,7 +556,7 @@ mod tests {
     #[test]
     fn dead_shard_surfaces_trainer_down_to_blocked_caller() {
         let reactor = reactor("trainer-test");
-        let (victim, _h) = reactor.spawn("victim", 16, fake_shard(0, false, None));
+        let (victim, _h) = reactor.spawn("victim", 16, fake_shard(false, None));
         kill_shard(&victim);
         let (trainer, _metrics) = spawn_trainer(vec![victim], None);
         assert_eq!(trainer.retrain_now(), Err(TrainError::TrainerDown));
@@ -586,7 +571,7 @@ mod tests {
     fn shard_dying_with_a_snapshot_in_hand_abandons_the_cycle() {
         let reactor = reactor("trainer-midsnap");
         let (held_tx, held_rx) = bounded(1);
-        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(0, true, Some(held_tx)));
+        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(true, Some(held_tx)));
         let (trainer, _metrics) = spawn_trainer(vec![victim.clone()], None);
         // The blocked caller runs on its own thread, so a hang fails this
         // test by timeout instead of hanging it.
@@ -625,8 +610,8 @@ mod tests {
     fn abandoned_cycle_drains_the_queue() {
         let reactor = reactor("trainer-starve");
         let (held_tx, held_rx) = bounded(1);
-        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(0, false, None));
-        let (gate, _hg) = reactor.spawn("gate", 16, fake_shard(1, true, Some(held_tx)));
+        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(false, None));
+        let (gate, _hg) = reactor.spawn("gate", 16, fake_shard(true, Some(held_tx)));
         let (trainer, _metrics) = spawn_trainer(vec![victim.clone(), gate.clone()], None);
 
         // Cycle A: the victim replies immediately, the gate holds its
@@ -668,7 +653,7 @@ mod tests {
     #[test]
     fn empty_delta_with_a_published_model_is_a_noop() {
         let reactor = reactor("trainer-noop");
-        let (quiet, _h) = reactor.spawn("quiet", 16, fake_shard(0, false, None));
+        let (quiet, _h) = reactor.spawn("quiet", 16, fake_shard(false, None));
         let master = DrlEngine::new(DrlConfig::default());
         let (trainer, metrics) = spawn_trainer(vec![quiet], Some(master));
         assert_eq!(trainer.retrain_now(), Ok(1));

@@ -1,11 +1,18 @@
-//! Integration tests of the checkpointer actor: shard WALs seal into
+//! Integration tests of the checkpointer thread: shard WALs seal into
 //! segments, the cold store absorbs them exactly once, hot tails trim,
 //! and — the reason the subsystem exists — WAL disk usage stays bounded
-//! under sustained ingest instead of growing with history.
+//! under sustained ingest instead of growing with history. A cycle never
+//! holds a reactor worker, and dropping the service mid-cycle returns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
-use geomancy_serve::{CheckpointError, PlacementService, ServeConfig, StoreSettings};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use geomancy_core::drl::DrlConfig;
+use geomancy_serve::{
+    CheckpointError, PlacementRequest, PlacementService, SealHook, ServeConfig, StoreSettings,
+};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 use geomancy_sim::SharedSimClock;
 
@@ -266,5 +273,109 @@ fn shard_dying_mid_seal_reports_down_and_drains_queued_cycles() {
             .expect("checkpoint_now hung on a shard that died mid-seal");
         assert_eq!(outcome, Err(CheckpointError::Down));
     }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A seal hook that reports each call on the first receiver, then blocks
+/// until the returned gate sender is dropped.
+fn gated_hook() -> (SealHook, Receiver<()>, Sender<()>) {
+    let (entered_tx, entered) = bounded(16);
+    let (gate, held) = bounded::<()>(1);
+    let hook = SealHook(Arc::new(move |_: usize, _: u64, _: u64, _: &Path| {
+        let _ = entered_tx.try_send(());
+        let _ = held.recv();
+    }));
+    (hook, entered, gate)
+}
+
+/// A checkpoint runs on its own thread, not on a reactor worker: with a
+/// one-worker pool, a query submitted while a cycle is held in its seal
+/// hook is answered before the hook lets go. (As a reactor actor, the
+/// cycle's turn held the only worker and the query waited it out.)
+#[test]
+fn checkpoint_does_not_hold_a_reactor_worker() {
+    let base = temp_base("worker");
+    let (hook, entered, gate) = gated_hook();
+    let service = Arc::new(PlacementService::start(ServeConfig {
+        reactor_workers: 1,
+        candidates: vec![DeviceId(0), DeviceId(1)],
+        drl: DrlConfig {
+            epochs: 20,
+            smoothing_window: 4,
+            ..DrlConfig::default()
+        },
+        seal_hook: Some(hook),
+        ..config(&base, 50)
+    }));
+    for n in 0..300u64 {
+        service
+            .ingest(n, &[rec(n, n % 17, (n % 2) as u32)])
+            .unwrap();
+    }
+    service.retrain_now().expect("bootstrap fit");
+    let cycle = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.checkpoint_now())
+    };
+    entered
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the checkpoint reaches its seal hook");
+    let (answered_tx, answered) = bounded(1);
+    {
+        let service = Arc::clone(&service);
+        let request = PlacementRequest {
+            fid: FileId(1),
+            read_bytes: 4096,
+            write_bytes: 0,
+        };
+        std::thread::spawn(move || {
+            let _ = answered_tx.send(service.query_many(&[request; 8]).map(|d| d.len()));
+        });
+    }
+    assert_eq!(
+        answered.recv_timeout(Duration::from_secs(10)),
+        Ok(Ok(8)),
+        "the query waited for the seal hook to free the only reactor worker"
+    );
+    drop(gate);
+    let report = cycle.join().unwrap().expect("the held cycle commits");
+    assert_eq!(report.records_absorbed, 300);
+    Arc::try_unwrap(service)
+        .unwrap_or_else(|_| panic!("sole owner"))
+        .shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Dropping a service without `shutdown()` while a cadence cycle is held
+/// in its seal hook returns once the hook lets go: the reactor stops,
+/// then the checkpointer's join waits out the cycle.
+#[test]
+fn dropping_a_service_mid_checkpoint_returns() {
+    let base = temp_base("drop");
+    let (hook, entered, gate) = gated_hook();
+    let mut config = config(&base, 50);
+    config.store.as_mut().unwrap().checkpoint_every_micros = 1_000;
+    config.seal_hook = Some(hook);
+    let service = PlacementService::start(config);
+    for n in 0..40u64 {
+        service.ingest(n, &[rec(n, n % 17, 0)]).unwrap();
+    }
+    entered
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a cadence checkpoint reaches its seal hook");
+    let (dropped_tx, dropped) = bounded(1);
+    let dropper = std::thread::spawn(move || {
+        drop(service);
+        let _ = dropped_tx.send(());
+    });
+    assert!(
+        dropped.recv_timeout(Duration::from_millis(50)).is_err(),
+        "the drop waits for the held cycle"
+    );
+    drop(gate);
+    dropped
+        .recv_timeout(Duration::from_secs(30))
+        .expect("dropping the service returned");
+    dropper.join().unwrap();
     std::fs::remove_dir_all(&base).ok();
 }
