@@ -2,16 +2,21 @@
 //!
 //! The core of the Geomancy reproduction (ISPASS 2020): the DRL engine that
 //! learns where data should live, the Action Checker that sanity-checks its
-//! movements, the Interface Daemon that brokers telemetry, the 23 Table I
-//! model architectures, the baseline placement policies of §VI, and the
-//! experiment drivers that regenerate the paper's figures.
+//! movements, the 23 Table I model architectures, the baseline placement
+//! policies of §VI, and the experiment drivers that regenerate the paper's
+//! figures. It is policy only: no reactor, channel or lock. The paper's
+//! Interface Daemon, which brokers telemetry into the ReplayDB, is
+//! `geomancy-serve`'s `PlacementService` (sharded ingest, WALs, and a
+//! trainer thread that fits this crate's engine).
 //!
 //! ## Architecture (paper §V-A)
 //!
 //! ```text
-//! target system (geomancy-sim)           Geomancy (this crate)
-//!  ├─ monitoring agents ──batches──▶ Interface Daemon ──▶ ReplayDB
-//!  └─ control agents   ◀──layouts── Action Checker ◀── DRL engine
+//! target system (geomancy-sim)      geomancy-serve (the Interface Daemon)
+//!  ├─ monitoring agents ──batches──▶ PlacementService: shards ─▶ ReplayDB
+//!  │                                                             │ trainer thread
+//!  │                                                             ▼
+//!  └─ control agents   ◀──layouts── Action Checker ◀──────── DRL engine (this crate)
 //! ```
 //!
 //! # Examples
@@ -60,7 +65,6 @@
 pub mod action;
 pub mod adjust;
 pub mod config;
-pub mod daemon;
 pub mod dataset;
 pub mod drift;
 pub mod drl;
@@ -74,7 +78,6 @@ pub mod scheduler;
 pub use action::{ActionChecker, ActionKind, CheckedAction};
 pub use adjust::PredictionAdjuster;
 pub use config::{ConfigError, GeomancyConfig};
-pub use daemon::{DaemonClient, DaemonGone, InterfaceDaemon};
 pub use drift::{DeviceDrift, DriftDetector};
 pub use drl::{DrlConfig, DrlEngine, PlacementQuery, RetrainOutcome};
 pub use experiment::{
@@ -88,6 +91,4 @@ pub use policy::{
 };
 pub use registry::{LocationRegistry, StoragePoint};
 pub use report::PerformanceReport;
-pub use scheduler::{
-    GapPrediction, GapScheduler, MovePlanner, PlannerConfig, PlannerGone, ScheduledMove,
-};
+pub use scheduler::{GapPrediction, GapScheduler, ScheduledMove};

@@ -10,15 +10,14 @@
 //! history and clears a movement only when the predicted idle window is
 //! long enough to fit the transfer.
 //!
-//! [`GapScheduler`] is the pure policy; [`MovePlanner`] runs it online as
-//! a reactor actor whose periodic tick retries deferred movements against
-//! the latest observations.
+//! [`GapScheduler`] is a pure policy: [`GapScheduler::predict_gaps`] reads
+//! a ReplayDB, and [`GapScheduler::schedule`] splits planned movements
+//! into ready and deferred at a caller-supplied time. A caller that wants
+//! deferred moves retried re-runs `schedule` on its own cadence.
 
 use std::collections::BTreeMap;
 
-use crossbeam::channel::{bounded, Sender};
 use geomancy_replaydb::ReplayDb;
-use geomancy_runtime::{Actor, Addr, Ctx, Reactor};
 use geomancy_sim::record::{DeviceId, FileId};
 
 /// Predicted access-gap statistics for one file.
@@ -172,188 +171,6 @@ impl GapScheduler {
     }
 }
 
-/// Messages accepted by the planner actor.
-enum PlannerMsg {
-    /// Fresh telemetry: recompute gap predictions. Does *not* clear
-    /// deferred moves by itself — promotion happens on the periodic tick,
-    /// so clearance cadence is governed by time, not telemetry volume.
-    Observe(ReplayDb),
-    /// New movements to clear or defer. Evaluated immediately.
-    Submit(Vec<ScheduledMove>),
-    /// How many moves are currently deferred.
-    Pending(Sender<usize>),
-}
-
-/// Construction parameters for [`MovePlanner::spawn_on`].
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
-    /// The gap policy to run.
-    pub scheduler: GapScheduler,
-    /// Records of history to derive predictions from on each observation.
-    pub lookback: usize,
-    /// Deferred-move retry cadence, in reactor microseconds.
-    pub tick_micros: u64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            scheduler: GapScheduler::default(),
-            lookback: 4096,
-            tick_micros: 1_000_000,
-        }
-    }
-}
-
-/// Error returned by [`MovePlanner`] calls after its reactor has drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerGone;
-
-impl std::fmt::Display for PlannerGone {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("move planner has shut down")
-    }
-}
-
-impl std::error::Error for PlannerGone {}
-
-/// The online form of [`GapScheduler`]: an actor that holds the latest
-/// gap predictions and a set of deferred movements. Cleared moves are
-/// pushed to a channel sink as soon as they fit an idle window — either
-/// immediately on submission or on a later periodic tick, after new
-/// observations have opened a window.
-///
-/// Spawn it on the same reactor as the [`crate::daemon::InterfaceDaemon`]
-/// and both share one worker pool.
-#[derive(Debug)]
-pub struct MovePlanner {
-    addr: Addr<PlannerMsg>,
-}
-
-/// Mailbox depth for the planner (observations can be large; keep few).
-const PLANNER_MAILBOX: usize = 64;
-
-impl MovePlanner {
-    /// Spawns the planner on `reactor`. Moves that clear are sent to
-    /// `sink`; the planner keeps running if the receiving side hangs up.
-    pub fn spawn_on(
-        reactor: &Reactor,
-        config: PlannerConfig,
-        sink: Sender<ScheduledMove>,
-    ) -> MovePlanner {
-        let (addr, _handle) = reactor.spawn(
-            "move-planner",
-            PLANNER_MAILBOX,
-            PlannerActor {
-                config,
-                predictions: BTreeMap::new(),
-                deferred: Vec::new(),
-                sink,
-            },
-        );
-        MovePlanner { addr }
-    }
-
-    /// Feeds fresh telemetry; predictions are recomputed from its most
-    /// recent `lookback` records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlannerGone`] if the planner's reactor has shut down.
-    pub fn observe(&self, db: ReplayDb) -> Result<(), PlannerGone> {
-        self.addr
-            .send(PlannerMsg::Observe(db))
-            .map_err(|_| PlannerGone)
-    }
-
-    /// Submits movements for clearance. Each is either pushed to the sink
-    /// right away or held and retried on every tick.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlannerGone`] if the planner's reactor has shut down.
-    pub fn submit(&self, moves: Vec<ScheduledMove>) -> Result<(), PlannerGone> {
-        self.addr
-            .send(PlannerMsg::Submit(moves))
-            .map_err(|_| PlannerGone)
-    }
-
-    /// Number of moves currently deferred (also a synchronization point:
-    /// every earlier `observe`/`submit` has been applied when it returns).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlannerGone`] if the planner's reactor has shut down.
-    pub fn pending(&self) -> Result<usize, PlannerGone> {
-        let (reply, rx) = bounded(1);
-        self.addr
-            .send(PlannerMsg::Pending(reply))
-            .map_err(|_| PlannerGone)?;
-        rx.recv().map_err(|_| PlannerGone)
-    }
-}
-
-struct PlannerActor {
-    config: PlannerConfig,
-    predictions: BTreeMap<FileId, GapPrediction>,
-    deferred: Vec<ScheduledMove>,
-    sink: Sender<ScheduledMove>,
-}
-
-impl PlannerActor {
-    /// Runs the gap policy over the deferred set plus `extra` at the
-    /// reactor's current time; ready moves go to the sink, the rest wait
-    /// for the next tick.
-    fn evaluate(&mut self, extra: Vec<ScheduledMove>, ctx: &mut Ctx<'_>) {
-        let mut moves = std::mem::take(&mut self.deferred);
-        moves.extend(extra);
-        if moves.is_empty() {
-            return;
-        }
-        let now_secs = ctx.now_micros() as f64 / 1e6;
-        let (ready, deferred) = self
-            .config
-            .scheduler
-            .schedule(&moves, &self.predictions, now_secs);
-        for m in ready {
-            let _ = self.sink.send(m);
-        }
-        self.deferred = deferred;
-    }
-}
-
-impl Actor for PlannerActor {
-    type Msg = PlannerMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.config.tick_micros > 0 {
-            ctx.set_timer(self.config.tick_micros, 0);
-        }
-    }
-
-    fn on_msg(&mut self, msg: PlannerMsg, ctx: &mut Ctx<'_>) {
-        match msg {
-            PlannerMsg::Observe(db) => {
-                self.predictions = self
-                    .config
-                    .scheduler
-                    .predict_gaps(&db, self.config.lookback);
-            }
-            PlannerMsg::Submit(moves) => self.evaluate(moves, ctx),
-            PlannerMsg::Pending(reply) => {
-                let _ = reply.send(self.deferred.len());
-            }
-        }
-    }
-
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        self.evaluate(Vec::new(), ctx);
-        if !ctx.stopping() && self.config.tick_micros > 0 {
-            ctx.set_timer(self.config.tick_micros, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,162 +303,5 @@ mod tests {
             samples: 9,
         };
         assert!(jittery.idle_remaining(0.0) < steady.idle_remaining(0.0));
-    }
-
-    use geomancy_runtime::{ManualClock, ReactorConfig};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    fn planner_reactor(clock: &ManualClock) -> Reactor {
-        Reactor::new(ReactorConfig {
-            workers: 1,
-            name: "planner-test".to_string(),
-            time: Arc::new(clock.clone()),
-            ..ReactorConfig::default()
-        })
-    }
-
-    /// A move that fits the predicted window clears on submission; no tick
-    /// required.
-    #[test]
-    fn planner_clears_fitting_move_immediately() {
-        let clock = ManualClock::new();
-        clock.set_micros(542 * 1_000_000);
-        let reactor = planner_reactor(&clock);
-        let (sink, ready) = crossbeam::channel::unbounded();
-        let planner = MovePlanner::spawn_on(&reactor, PlannerConfig::default(), sink);
-        planner.observe(periodic_db(1, 60, 10)).unwrap();
-        planner
-            .submit(vec![ScheduledMove {
-                fid: FileId(1),
-                to: DeviceId(1),
-                estimated_secs: 10.0,
-            }])
-            .unwrap();
-        let m = ready
-            .recv_timeout(Duration::from_secs(5))
-            .expect("move cleared without any tick");
-        assert_eq!(m.fid, FileId(1));
-        assert_eq!(planner.pending().unwrap(), 0);
-    }
-
-    /// The full deferred-move lifecycle, deterministic on a manual clock:
-    /// a move that cannot fit the current window is held, a fresh
-    /// observation alone does not release it, and the next periodic tick —
-    /// driven purely by `ManualClock` — re-evaluates and clears it.
-    #[test]
-    fn planner_tick_promotes_deferred_move_on_manual_time() {
-        let clock = ManualClock::new();
-        // 595 s: five seconds before the predicted next access at 600 s.
-        clock.set_micros(595 * 1_000_000);
-        let reactor = planner_reactor(&clock);
-        let (sink, ready) = crossbeam::channel::unbounded();
-        let planner = MovePlanner::spawn_on(
-            &reactor,
-            PlannerConfig {
-                tick_micros: 1_000_000,
-                ..PlannerConfig::default()
-            },
-            sink,
-        );
-        // History: accesses every 60 s, last ending at 541 s → next
-        // predicted at 600 s, so only a 5 s window remains.
-        planner.observe(periodic_db(1, 60, 10)).unwrap();
-        planner
-            .submit(vec![ScheduledMove {
-                fid: FileId(1),
-                to: DeviceId(1),
-                estimated_secs: 10.0, // needs 15 s with the 1.5 safety factor
-            }])
-            .unwrap();
-        assert_eq!(planner.pending().unwrap(), 1, "move deferred");
-        assert!(ready.try_recv().is_none());
-
-        // The predicted access happens: history now ends at 601 s. An
-        // observation updates predictions but promotion waits for a tick.
-        planner.observe(periodic_db(1, 60, 11)).unwrap();
-        assert_eq!(
-            planner.pending().unwrap(),
-            1,
-            "observe alone promotes nothing"
-        );
-        assert!(ready.try_recv().is_none());
-
-        // Advancing the manual clock past the armed tick deadline fires
-        // the timer; at 602 s the new window (601+59-602 = 58 s) fits.
-        clock.set_micros(602 * 1_000_000);
-        let m = ready
-            .recv_timeout(Duration::from_secs(5))
-            .expect("tick promoted the deferred move");
-        assert_eq!(m.to, DeviceId(1));
-        assert_eq!(planner.pending().unwrap(), 0);
-    }
-
-    /// Planner calls fail cleanly once the reactor is gone.
-    #[test]
-    fn planner_reports_gone_after_reactor_drains() {
-        let clock = ManualClock::new();
-        let reactor = planner_reactor(&clock);
-        let (sink, _ready) = crossbeam::channel::unbounded();
-        let planner = MovePlanner::spawn_on(&reactor, PlannerConfig::default(), sink);
-        drop(reactor);
-        assert_eq!(planner.submit(vec![]), Err(PlannerGone));
-        assert_eq!(planner.pending(), Err(PlannerGone));
-        assert!(!PlannerGone.to_string().is_empty());
-    }
-
-    /// The §V-A control plane on one pool: daemon and planner share a
-    /// reactor, telemetry flows daemon → snapshot → planner, and the
-    /// drained reactor hands the database back.
-    #[test]
-    fn daemon_and_planner_share_one_reactor() {
-        use crate::daemon::InterfaceDaemon;
-
-        let reactor = Reactor::new(ReactorConfig {
-            workers: 2,
-            name: "core-plane".to_string(),
-            ..ReactorConfig::default()
-        });
-        let daemon = InterfaceDaemon::spawn_on(&reactor, ReplayDb::new());
-        let (sink, ready) = crossbeam::channel::unbounded();
-        let planner = MovePlanner::spawn_on(&reactor, PlannerConfig::default(), sink);
-
-        let client = daemon.client();
-        for i in 0..10u64 {
-            let open = i * 60;
-            client
-                .store_batch(
-                    open * 1_000_000,
-                    vec![AccessRecord {
-                        access_number: i,
-                        fid: FileId(1),
-                        fsid: DeviceId(0),
-                        rb: 1000,
-                        wb: 0,
-                        ots: open,
-                        otms: 0,
-                        cts: open + 1,
-                        ctms: 0,
-                    }],
-                )
-                .unwrap();
-        }
-        planner.observe(client.snapshot().unwrap()).unwrap();
-        // The wall clock sits near zero, far inside the first predicted
-        // window, so a short move clears immediately.
-        planner
-            .submit(vec![ScheduledMove {
-                fid: FileId(1),
-                to: DeviceId(1),
-                estimated_secs: 1.0,
-            }])
-            .unwrap();
-        ready
-            .recv_timeout(Duration::from_secs(5))
-            .expect("move cleared on the shared pool");
-
-        let stopped = reactor.shutdown();
-        let db = daemon.take_db(&stopped);
-        assert_eq!(db.len(), 10);
     }
 }

@@ -36,51 +36,8 @@ pub mod db;
 pub mod persist;
 pub mod wal;
 
-use parking_lot::RwLock;
-use std::sync::Arc;
-
 pub use db::{LayoutEvent, ReplayDb, StoredRecord};
 pub use persist::{from_json, load, save, to_json, FormatError, PersistError};
 pub use wal::{
     list_segments, read_segment, recover, recover_for_append, segment_path, shard_path, WalWriter,
 };
-
-/// A thread-safe handle to a shared ReplayDB, for deployments where the
-/// interface daemon and the DRL engine run on separate threads.
-pub type SharedReplayDb = Arc<RwLock<ReplayDb>>;
-
-/// Creates an empty shared database.
-pub fn shared() -> SharedReplayDb {
-    Arc::new(RwLock::new(ReplayDb::new()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
-
-    #[test]
-    fn shared_db_is_usable_across_threads() {
-        let db = shared();
-        let writer = db.clone();
-        let handle = std::thread::spawn(move || {
-            let mut guard = writer.write();
-            guard.insert(
-                0,
-                AccessRecord {
-                    access_number: 0,
-                    fid: FileId(1),
-                    fsid: DeviceId(0),
-                    rb: 10,
-                    wb: 0,
-                    ots: 0,
-                    otms: 0,
-                    cts: 1,
-                    ctms: 0,
-                },
-            );
-        });
-        handle.join().unwrap();
-        assert_eq!(db.read().len(), 1);
-    }
-}

@@ -4,8 +4,9 @@
 //! actors. Each actor owns its state, receives messages through a bounded
 //! mailbox, and can arm one-shot timers; the reactor guarantees an actor is
 //! only ever run by one worker at a time, so actor code needs no internal
-//! locking. This replaces the thread-per-component loops that used to live
-//! in `core::daemon`, `core::scheduler`, and all of `serve`.
+//! locking. It runs the serving layer's shard and query-engine actors,
+//! the cluster's control-plane actors and the transport's connection
+//! actors; `geomancy-core` names none of it.
 //!
 //! Design points:
 //!

@@ -1,8 +1,9 @@
 //! # geomancy-serve
 //!
-//! The online placement serving layer: what the paper's Interface Daemon
-//! (§V-A, "networking middleware that allows parallel requests") grows
-//! into when one actor and one channel stop being enough.
+//! The online placement serving layer, and this reproduction's Interface
+//! Daemon (§V-A, "networking middleware that allows parallel requests"):
+//! monitoring agents ingest telemetry here, and the DRL engine trains on
+//! what the shards hold.
 //!
 //! ```text
 //!            ingest (records)                placement requests
@@ -81,5 +82,5 @@ pub use load::{
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use retain::SegmentRetainer;
 pub use service::{AdmissionConfig, PlacementService, SealHook, ServeConfig, StoreSettings};
-pub use shard::{shard_of, Backpressure, ShardSet};
+pub use shard::{shard_of, Backpressure};
 pub use trainer::{TrainError, TrainedMeta, Trainer};

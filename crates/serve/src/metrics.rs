@@ -233,8 +233,8 @@ scalar_metrics! {
     /// Cycles that published a warm-started (incrementally trained)
     /// model.
     warm_starts,
-    /// Cycles that published a from-scratch model (bootstrap, forced
-    /// full mode, or an `auto` quality fallback).
+    /// Cycles that published a from-scratch model (the bootstrap fit, or
+    /// the fallback after a warm step regressed).
     full_retrains,
     /// Stable cluster node id these gauges belong to (0 when the service
     /// runs single-node). Set once at service start, so per-node gauges

@@ -340,11 +340,15 @@ impl PlacementService {
         self.shards.as_ref().expect("shards alive until shutdown")
     }
 
-    /// Blocking ingest: waits on full shard mailboxes, drops nothing.
+    /// Blocking ingest: waits on full shard mailboxes. Nothing is dropped
+    /// while every shard lives.
     ///
     /// # Errors
     ///
-    /// Returns [`Backpressure`] only if a shard actor has died.
+    /// Returns [`Backpressure`] only if a shard actor has died. The dead
+    /// shard's sub-batch and every sub-batch not yet sent are counted in
+    /// `dropped_batches` and their records in `dropped_records`, so
+    /// `ingested + dropped == offered` still holds.
     pub fn ingest(
         &self,
         timestamp_micros: u64,

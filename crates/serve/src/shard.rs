@@ -1,20 +1,19 @@
 //! Sharded ReplayDB ingest: N independent actors, each owning one shard.
 //!
-//! The single-threaded Interface Daemon serializes every ingest batch and
-//! query through one channel; here the record stream is split N ways by
-//! [`FileId::stable_hash`], so all telemetry for one file always lands on
-//! the same shard (per-file order is preserved by mailbox FIFO) while
-//! different files ingest in parallel. Shard actors run as state machines
-//! on the service's shared [`geomancy_runtime::Reactor`] pool — N shards
-//! no longer cost N threads. Each shard's mailbox is *bounded*: when a
-//! shard falls behind, [`ShardSet::try_ingest`] reports backpressure
-//! instead of buffering without limit, and the blocking
-//! [`ShardSet::ingest`] path simply waits.
+//! The record stream is split N ways by [`FileId::stable_hash`], so all
+//! telemetry for one file always lands on the same shard (per-file order
+//! is preserved by mailbox FIFO) while different files ingest in
+//! parallel. Shard actors run as state machines on the service's
+//! [`geomancy_runtime::Reactor`] pool, so N shards do not cost N threads;
+//! [`crate::PlacementService`] is their only host. Each shard's mailbox is
+//! *bounded*: when a shard falls behind, non-blocking ingest reports
+//! [`Backpressure`] instead of buffering without limit, and blocking
+//! ingest waits.
 //!
-//! Durability mirrors the daemon's WAL story, but per shard: each actor
-//! appends each batch to its own `shard-<i>.wal` as binary frames in one
-//! write, so a crash tears at most the batch being appended on each shard
-//! and recovery rebuilds exactly the per-shard databases (see
+//! Durability is per shard: each actor appends each batch to its own
+//! `shard-<i>.wal` as binary frames in one write, so a crash tears at
+//! most the batch being appended on each shard and recovery rebuilds
+//! exactly the per-shard databases (see
 //! [`geomancy_replaydb::wal::recover_shards`]).
 
 use std::path::PathBuf;
@@ -24,9 +23,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Sender};
 use geomancy_replaydb::wal::{shard_path, WalWriter};
 use geomancy_replaydb::{ReplayDb, StoredRecord};
-use geomancy_runtime::{
-    Actor, ActorHandle, Addr, Ctx, Reactor, ReactorConfig, StoppedReactor, TrySendError,
-};
+use geomancy_runtime::{Actor, ActorHandle, Addr, Ctx, Reactor, StoppedReactor};
 use geomancy_sim::record::{AccessRecord, FileId};
 
 use crate::metrics::ServeMetrics;
@@ -235,55 +232,30 @@ impl Actor for ShardActor {
     }
 }
 
-/// A set of ingest shard actors on a reactor.
-pub struct ShardSet {
+/// A set of ingest shard actors on the service's reactor.
+pub(crate) struct ShardSet {
     addrs: Vec<Addr<ShardMsg>>,
     handles: Vec<ActorHandle<ShardActor>>,
     metrics: Arc<ServeMetrics>,
-    /// Present when spawned standalone (the set owns a private reactor);
-    /// absent when spawned onto a service-owned reactor.
-    own_reactor: Option<Reactor>,
 }
 
 impl std::fmt::Debug for ShardSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardSet")
             .field("shards", &self.addrs.len())
-            .field("owns_reactor", &self.own_reactor.is_some())
             .finish()
     }
 }
 
 impl ShardSet {
-    /// Spawns `shards` actors on a private reactor pool, with
-    /// `queue_capacity`-deep bounded mailboxes.
+    /// Spawns `shards` actors onto `reactor`, with `queue_capacity`-deep
+    /// bounded mailboxes. They share the pool with the query engine;
+    /// [`ShardSet::take_dbs`] collects their databases once the reactor
+    /// has stopped.
     ///
     /// With `wal_dir` set, each shard appends to `shard-<i>.wal` in that
     /// directory and starts from whatever an existing log replays to
     /// (crash recovery); without it, shards are memory-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `queue_capacity` is zero, or if a WAL cannot
-    /// be opened or recovered.
-    pub fn spawn(
-        shards: usize,
-        queue_capacity: usize,
-        wal_dir: Option<PathBuf>,
-        metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        let reactor = Reactor::new(ReactorConfig {
-            name: "geomancy-shards".to_string(),
-            ..ReactorConfig::default()
-        });
-        let mut set =
-            ShardSet::spawn_on(&reactor, shards, queue_capacity, wal_dir, metrics, 0, &[]);
-        set.own_reactor = Some(reactor);
-        set
-    }
-
-    /// Spawns the shard actors onto an existing reactor (the service path:
-    /// shards share the pool with the query engine and trainer).
     ///
     /// `min_last_ts` floors each shard's monotonic timestamp clamp — the
     /// service passes the cold store's max timestamp so records ingested
@@ -291,6 +263,11 @@ impl ShardSet {
     /// history. `seq_floors` (one entry per shard, or empty) floors each
     /// shard's next WAL-segment sequence number at the store's absorbed
     /// floor, so fresh segments are never numbered like absorbed orphans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` or `queue_capacity` is zero, or if a WAL cannot
+    /// be opened or recovered.
     pub(crate) fn spawn_on(
         reactor: &Reactor,
         shards: usize,
@@ -370,18 +347,12 @@ impl ShardSet {
             addrs,
             handles,
             metrics,
-            own_reactor: None,
         }
     }
 
     /// Number of shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.addrs.len()
-    }
-
-    /// Whether the set is empty (never true for a spawned set).
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
     }
 
     /// Shard actor addresses, for peers that talk to shards directly (the
@@ -406,50 +377,22 @@ impl ShardSet {
     }
 
     /// Blocking ingest: routes the batch and waits on any full shard
-    /// mailbox (backpressure by blocking — nothing is dropped).
+    /// mailbox. Nothing is dropped while every shard lives.
     ///
     /// # Errors
     ///
-    /// Returns [`Backpressure`] only if a shard actor is gone (shut down
-    /// or dead), which should not happen before shutdown.
-    pub fn ingest(
+    /// Returns [`Backpressure`] if a shard actor is gone (dead, for
+    /// example after its WAL append failed). The refused sub-batch and
+    /// every sub-batch not yet sent are counted as dropped, as in
+    /// [`ShardSet::try_ingest`].
+    pub(crate) fn ingest(
         &self,
         timestamp_micros: u64,
         records: &[AccessRecord],
     ) -> Result<(), Backpressure> {
-        let mut sent_batches = 0u64;
-        let mut sent_records = 0u64;
-        let mut failed = None;
-        for (shard, sub) in self.route(records) {
-            let n = sub.len() as u64;
-            self.metrics.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-            if self.addrs[shard]
-                .send(ShardMsg::Batch {
-                    timestamp_micros,
-                    records: sub,
-                })
-                .is_err()
-            {
-                self.metrics.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
-                failed = Some(shard);
-                break;
-            }
-            sent_batches += 1;
-            sent_records += n;
-        }
-        // All of the call's counter updates land in one accounting section
-        // (after the blocking sends — never block inside a section).
-        let _guard = self.metrics.accounting();
-        self.metrics
-            .ingest_batches
-            .fetch_add(sent_batches, Ordering::Relaxed);
-        self.metrics
-            .ingested_records
-            .fetch_add(sent_records, Ordering::Relaxed);
-        match failed {
-            None => Ok(()),
-            Some(shard) => Err(Backpressure { shard }),
-        }
+        self.dispatch(timestamp_micros, records, |addr, msg| {
+            addr.send(msg).is_ok()
+        })
     }
 
     /// Non-blocking ingest: any full shard mailbox rejects the *whole*
@@ -459,54 +402,55 @@ impl ShardSet {
     ///
     /// # Errors
     ///
-    /// Returns [`Backpressure`] naming the full shard. The failed
-    /// sub-batch and every sub-batch not yet sent count toward the
+    /// Returns [`Backpressure`] naming the full (or dead) shard. The
+    /// failed sub-batch and every sub-batch not yet sent count toward the
     /// metrics' `dropped_batches`, and their records toward
     /// `dropped_records`, so shed load is fully accounted even when part
     /// of the call was already queued.
-    pub fn try_ingest(
+    pub(crate) fn try_ingest(
         &self,
         timestamp_micros: u64,
         records: &[AccessRecord],
     ) -> Result<(), Backpressure> {
-        let mut sent_batches = 0u64;
-        let mut sent_records = 0u64;
-        let mut routed = self.route(records).into_iter();
-        while let Some((shard, sub)) = routed.next() {
+        self.dispatch(timestamp_micros, records, |addr, msg| {
+            addr.try_send(msg).is_ok()
+        })
+    }
+
+    /// Sends each routed sub-batch with `send` until one is refused.
+    /// What was sent counts as ingested; the refused sub-batch and every
+    /// one after it count as dropped, so `ingested + dropped == offered`
+    /// holds for every call.
+    fn dispatch(
+        &self,
+        timestamp_micros: u64,
+        records: &[AccessRecord],
+        send: impl Fn(&Addr<ShardMsg>, ShardMsg) -> bool,
+    ) -> Result<(), Backpressure> {
+        let (mut sent_batches, mut sent_records) = (0u64, 0u64);
+        let (mut dropped_batches, mut dropped_records) = (0u64, 0u64);
+        let mut failed = None;
+        for (shard, sub) in self.route(records) {
             let n = sub.len() as u64;
-            self.metrics.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-            match self.addrs[shard].try_send(ShardMsg::Batch {
-                timestamp_micros,
-                records: sub,
-            }) {
-                Ok(()) => {
+            if failed.is_none() {
+                self.metrics.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
+                let batch = ShardMsg::Batch {
+                    timestamp_micros,
+                    records: sub,
+                };
+                if send(&self.addrs[shard], batch) {
                     sent_batches += 1;
                     sent_records += n;
+                    continue;
                 }
-                Err(TrySendError::Full(_) | TrySendError::Closed(_)) => {
-                    self.metrics.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
-                    let (mut batches, mut dropped) = (1u64, n);
-                    for (_, rest) in routed {
-                        batches += 1;
-                        dropped += rest.len() as u64;
-                    }
-                    let _guard = self.metrics.accounting();
-                    self.metrics
-                        .ingest_batches
-                        .fetch_add(sent_batches, Ordering::Relaxed);
-                    self.metrics
-                        .ingested_records
-                        .fetch_add(sent_records, Ordering::Relaxed);
-                    self.metrics
-                        .dropped_batches
-                        .fetch_add(batches, Ordering::Relaxed);
-                    self.metrics
-                        .dropped_records
-                        .fetch_add(dropped, Ordering::Relaxed);
-                    return Err(Backpressure { shard });
-                }
+                self.metrics.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
+                failed = Some(shard);
             }
+            dropped_batches += 1;
+            dropped_records += n;
         }
+        // All of the call's counter updates land in one accounting section
+        // (after the sends, which may block — never block inside a section).
         let _guard = self.metrics.accounting();
         self.metrics
             .ingest_batches
@@ -514,25 +458,18 @@ impl ShardSet {
         self.metrics
             .ingested_records
             .fetch_add(sent_records, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Stops the private reactor after every mailbox drains; returns the
-    /// final per-shard databases in shard order. Only valid for sets
-    /// created with [`ShardSet::spawn`] — service-owned sets are collected
-    /// via `take_dbs` after the service shuts its reactor down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard actor panicked, or if the set does not own its
-    /// reactor.
-    pub fn shutdown(mut self) -> Vec<ReplayDb> {
-        let reactor = self
-            .own_reactor
-            .take()
-            .expect("shutdown() is only for standalone ShardSets");
-        let stopped = reactor.shutdown();
-        self.take_dbs(&stopped)
+        match failed {
+            None => Ok(()),
+            Some(shard) => {
+                self.metrics
+                    .dropped_batches
+                    .fetch_add(dropped_batches, Ordering::Relaxed);
+                self.metrics
+                    .dropped_records
+                    .fetch_add(dropped_records, Ordering::Relaxed);
+                Err(Backpressure { shard })
+            }
+        }
     }
 
     /// Recovers each shard's final database from a stopped reactor.
@@ -551,7 +488,37 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geomancy_runtime::ReactorConfig;
     use geomancy_sim::record::DeviceId;
+    use std::time::Duration;
+
+    fn reactor() -> Reactor {
+        Reactor::new(ReactorConfig {
+            name: "shard-test".to_string(),
+            ..ReactorConfig::default()
+        })
+    }
+
+    /// Hosts `shards` memory-only shards on a reactor of their own, as the
+    /// service hosts them on its pool. Drain with
+    /// `set.take_dbs(&reactor.shutdown())`.
+    fn spawn(
+        shards: usize,
+        queue_capacity: usize,
+        metrics: &Arc<ServeMetrics>,
+    ) -> (Reactor, ShardSet) {
+        let reactor = reactor();
+        let set = ShardSet::spawn_on(
+            &reactor,
+            shards,
+            queue_capacity,
+            None,
+            Arc::clone(metrics),
+            0,
+            &[],
+        );
+        (reactor, set)
+    }
 
     fn rec(n: u64, fid: u64) -> AccessRecord {
         AccessRecord {
@@ -570,10 +537,10 @@ mod tests {
     #[test]
     fn ingest_routes_by_file_hash() {
         let metrics = Arc::new(ServeMetrics::new(4));
-        let set = ShardSet::spawn(4, 16, None, Arc::clone(&metrics));
+        let (reactor, set) = spawn(4, 16, &metrics);
         let records: Vec<AccessRecord> = (0..40).map(|n| rec(n, n % 10)).collect();
         set.ingest(0, &records).unwrap();
-        let dbs = set.shutdown();
+        let dbs = set.take_dbs(&reactor.shutdown());
         let total: usize = dbs.iter().map(|db| db.len()).sum();
         assert_eq!(total, 40);
         for (i, db) in dbs.iter().enumerate() {
@@ -587,7 +554,7 @@ mod tests {
     #[test]
     fn try_ingest_reports_backpressure_when_queue_full() {
         let metrics = Arc::new(ServeMetrics::new(1));
-        let set = ShardSet::spawn(1, 1, None, Arc::clone(&metrics));
+        let (reactor, set) = spawn(1, 1, &metrics);
         // Hammer the single 1-slot shard mailbox: some batches queue, the
         // rest bounce with Backpressure.
         let mut queued = 0;
@@ -600,7 +567,7 @@ mod tests {
             }
         }
         assert_eq!(queued + dropped, 200);
-        let dbs = set.shutdown();
+        let dbs = set.take_dbs(&reactor.shutdown());
         assert_eq!(dbs[0].len(), queued);
         let snap = metrics.snapshot();
         assert_eq!(snap.dropped_batches, dropped as u64);
@@ -613,7 +580,7 @@ mod tests {
         // failed sub-batch AND any not-yet-sent sub-batch must be counted,
         // so ingested + dropped always equals the records offered.
         let metrics = Arc::new(ServeMetrics::new(2));
-        let set = ShardSet::spawn(2, 1, None, Arc::clone(&metrics));
+        let (reactor, set) = spawn(2, 1, &metrics);
         // Two fids guaranteed to land on different shards.
         let fid_a = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
         let fid_b = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
@@ -629,7 +596,7 @@ mod tests {
                 }
             }
         }
-        let _ = set.shutdown();
+        let _ = set.take_dbs(&reactor.shutdown());
         let snap = metrics.snapshot();
         assert_eq!(
             snap.ingested_records + snap.dropped_records,
@@ -647,7 +614,7 @@ mod tests {
     #[test]
     fn delta_snapshot_moves_only_records_past_the_watermark() {
         let metrics = Arc::new(ServeMetrics::new(1));
-        let set = ShardSet::spawn(1, 16, None, metrics);
+        let (reactor, set) = spawn(1, 16, &metrics);
         let snap = |since: u64| {
             let ask = |_, reply| ShardMsg::Snapshot { since, reply };
             ask_all(set.addrs(), ask).expect("shard alive").remove(0)
@@ -668,17 +635,17 @@ mod tests {
         assert_eq!(second.applied, 30);
         assert_eq!(second.records[0].record.access_number, 20);
         assert_eq!(second.records[9].record.access_number, 29);
-        let _ = set.shutdown();
+        let _ = set.take_dbs(&reactor.shutdown());
     }
 
     #[test]
     fn out_of_order_timestamps_are_clamped_not_fatal() {
         let metrics = Arc::new(ServeMetrics::new(2));
-        let set = ShardSet::spawn(2, 16, None, metrics);
+        let (reactor, set) = spawn(2, 16, &metrics);
         set.ingest(100, &[rec(0, 0), rec(1, 1)]).unwrap();
         // Older timestamp: would panic ReplayDb::insert if unclamped.
         set.ingest(50, &[rec(2, 0), rec(3, 1)]).unwrap();
-        let dbs = set.shutdown();
+        let dbs = set.take_dbs(&reactor.shutdown());
         let total: usize = dbs.iter().map(|db| db.len()).sum();
         assert_eq!(total, 4);
         for db in &dbs {
@@ -686,5 +653,58 @@ mod tests {
                 assert!(stored.timestamp_micros >= 100);
             }
         }
+    }
+
+    /// A shard that panics on its first message, as a real one does when
+    /// its WAL append fails (for example on ENOSPC).
+    struct DoomedShard;
+
+    impl Actor for DoomedShard {
+        type Msg = ShardMsg;
+
+        fn on_msg(&mut self, _msg: ShardMsg, _ctx: &mut Ctx<'_>) {
+            panic!("shard killed by test");
+        }
+    }
+
+    /// Blocking ingest into a set with a dead shard still accounts for
+    /// every record offered: the sub-batch the dead shard refuses and
+    /// every sub-batch after it count as dropped.
+    #[test]
+    fn blocking_ingest_counts_what_a_dead_shard_refused() {
+        let reactor = reactor();
+        let metrics = Arc::new(ServeMetrics::new(2));
+        let (first, _h0) = reactor.spawn("doomed-0", 16, DoomedShard);
+        let (second, _h1) = reactor.spawn("doomed-1", 16, DoomedShard);
+        let set = ShardSet {
+            addrs: vec![first.clone(), second],
+            handles: Vec::new(),
+            metrics: Arc::clone(&metrics),
+        };
+        let fid_a = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
+        let fid_b = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
+        let batch = [rec(0, fid_a), rec(1, fid_b)];
+        // Both shards accept their sub-batch, then die applying it.
+        set.ingest(0, &batch).unwrap();
+        let mut polls = 0;
+        while first
+            .send_now(ShardMsg::TrimHot { keep: usize::MAX })
+            .is_ok()
+        {
+            polls += 1;
+            assert!(polls < 5_000, "shard 0 did not die");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Shard 0 refuses; shard 1's sub-batch is never sent.
+        assert_eq!(set.ingest(1, &batch), Err(Backpressure { shard: 0 }));
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.ingested_records + snap.dropped_records,
+            4,
+            "every offered record is ingested or dropped"
+        );
+        assert_eq!((snap.ingest_batches, snap.ingested_records), (2, 2));
+        assert_eq!((snap.dropped_batches, snap.dropped_records), (2, 2));
+        drop(reactor.shutdown());
     }
 }

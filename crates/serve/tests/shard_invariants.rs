@@ -6,12 +6,15 @@
 //!    in order);
 //! 3. recovering the per-shard WALs reconstructs exactly the per-shard
 //!    database contents, including after a crash that truncates a tail.
+//!
+//! Every test drives the shards through [`PlacementService`], their only
+//! host, and reads them back from [`PlacementService::shutdown`].
 
-use std::sync::Arc;
+use std::path::PathBuf;
 
 use geomancy_replaydb::wal::{recover_shards, shard_path, FRAME_LEN};
 use geomancy_replaydb::ReplayDb;
-use geomancy_serve::{shard_of, ServeMetrics, ShardSet};
+use geomancy_serve::{shard_of, PlacementService, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -39,9 +42,20 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 
 const SHARDS: usize = 4;
 
+/// A service over `SHARDS` shards with 64-batch queues, writing WALs to
+/// `wal_dir` when given.
+fn start(wal_dir: Option<PathBuf>) -> PlacementService {
+    PlacementService::start(ServeConfig {
+        shards: SHARDS,
+        queue_capacity: 64,
+        wal_dir,
+        ..ServeConfig::default()
+    })
+}
+
 /// Ingests `n` records over `files` distinct files in `batches`-record
 /// calls; returns the records sent.
-fn drive(set: &ShardSet, n: u64, files: u64) -> Vec<AccessRecord> {
+fn drive(service: &PlacementService, n: u64, files: u64) -> Vec<AccessRecord> {
     let mut sent = Vec::new();
     let mut batch = Vec::new();
     for i in 0..n {
@@ -49,21 +63,21 @@ fn drive(set: &ShardSet, n: u64, files: u64) -> Vec<AccessRecord> {
         sent.push(r);
         batch.push(r);
         if batch.len() == 8 {
-            set.ingest(i, &batch).unwrap();
+            service.ingest(i, &batch).unwrap();
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        set.ingest(n, &batch).unwrap();
+        service.ingest(n, &batch).unwrap();
     }
     sent
 }
 
 #[test]
 fn all_records_for_a_file_share_a_shard() {
-    let set = ShardSet::spawn(SHARDS, 64, None, Arc::new(ServeMetrics::new(SHARDS)));
-    let sent = drive(&set, 400, 13);
-    let dbs = set.shutdown();
+    let service = start(None);
+    let sent = drive(&service, 400, 13);
+    let dbs = service.shutdown();
     assert_eq!(dbs.iter().map(ReplayDb::len).sum::<usize>(), sent.len());
     for (i, db) in dbs.iter().enumerate() {
         for stored in db.records() {
@@ -90,9 +104,9 @@ fn all_records_for_a_file_share_a_shard() {
 
 #[test]
 fn per_shard_order_is_preserved() {
-    let set = ShardSet::spawn(SHARDS, 64, None, Arc::new(ServeMetrics::new(SHARDS)));
-    drive(&set, 500, 9);
-    for db in set.shutdown() {
+    let service = start(None);
+    drive(&service, 500, 9);
+    for db in service.shutdown() {
         // Arrival order == access_number order here, and a file's records
         // are a subsequence of its shard's log.
         let numbers: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
@@ -109,14 +123,9 @@ fn per_shard_order_is_preserved() {
 #[test]
 fn wal_replay_reconstructs_per_shard_contents() {
     let dir = temp_dir("replay");
-    let set = ShardSet::spawn(
-        SHARDS,
-        64,
-        Some(dir.clone()),
-        Arc::new(ServeMetrics::new(SHARDS)),
-    );
-    drive(&set, 300, 11);
-    let live = set.shutdown();
+    let service = start(Some(dir.clone()));
+    drive(&service, 300, 11);
+    let live = service.shutdown();
 
     let recovered = recover_shards(&dir, SHARDS).unwrap();
     for (i, ((rdb, replayed), ldb)) in recovered.iter().zip(&live).enumerate() {
@@ -129,14 +138,9 @@ fn wal_replay_reconstructs_per_shard_contents() {
         );
     }
 
-    // A fresh shard set over the same WAL directory resumes from the
+    // A fresh service over the same WAL directory resumes from the
     // recovered state and keeps appending to the same logs.
-    let resumed = ShardSet::spawn(
-        SHARDS,
-        64,
-        Some(dir.clone()),
-        Arc::new(ServeMetrics::new(SHARDS)),
-    );
+    let resumed = start(Some(dir.clone()));
     resumed.ingest(1_000, &[rec(1_000, 0)]).unwrap();
     let after = resumed.shutdown();
     let before_total: usize = live.iter().map(ReplayDb::len).sum();
@@ -148,14 +152,9 @@ fn wal_replay_reconstructs_per_shard_contents() {
 #[test]
 fn crash_truncated_wal_tail_recovers_prefix() {
     let dir = temp_dir("crash");
-    let set = ShardSet::spawn(
-        SHARDS,
-        64,
-        Some(dir.clone()),
-        Arc::new(ServeMetrics::new(SHARDS)),
-    );
-    drive(&set, 200, 5);
-    let live = set.shutdown();
+    let service = start(Some(dir.clone()));
+    drive(&service, 200, 5);
+    let live = service.shutdown();
 
     // Simulate a crash mid-append on one shard: the write stopped 25
     // bytes short, inside the log's last frame.
@@ -188,19 +187,14 @@ fn crash_truncated_wal_tail_recovers_prefix() {
 
 #[test]
 fn restart_after_torn_tail_survives_a_second_restart() {
-    // The full crash cycle: torn tail → restart (spawn over the same WAL
-    // dir) → ingest more → restart again. The second spawn must not find
+    // The full crash cycle: torn tail → restart (start over the same WAL
+    // dir) → ingest more → restart again. The second start must not find
     // the first post-restart frame written behind the torn bytes, off the
     // frame grid, and the post-restart record must be durable.
     let dir = temp_dir("crash_restart");
-    let set = ShardSet::spawn(
-        SHARDS,
-        64,
-        Some(dir.clone()),
-        Arc::new(ServeMetrics::new(SHARDS)),
-    );
-    drive(&set, 200, 5);
-    let live = set.shutdown();
+    let service = start(Some(dir.clone()));
+    drive(&service, 200, 5);
+    let live = service.shutdown();
 
     // Tear every shard's tail inside its last frame.
     let mut torn = 0;
@@ -214,12 +208,7 @@ fn restart_after_torn_tail_survives_a_second_restart() {
     }
 
     // First restart: recovery truncates the torn tails, then appends.
-    let resumed = ShardSet::spawn(
-        SHARDS,
-        64,
-        Some(dir.clone()),
-        Arc::new(ServeMetrics::new(SHARDS)),
-    );
+    let resumed = start(Some(dir.clone()));
     for fid in 0..SHARDS as u64 {
         resumed.ingest(10_000, &[rec(10_000 + fid, fid)]).unwrap();
     }

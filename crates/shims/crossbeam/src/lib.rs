@@ -399,8 +399,8 @@ pub mod channel {
 
         #[test]
         fn worker_thread_request_reply_pattern() {
-            // Mirrors the daemon: requests flow one way, replies come back
-            // over a bounded(1) channel created per query.
+            // A worker thread serving requests: requests flow one way,
+            // replies come back over a bounded(1) channel created per query.
             let (tx, rx) = unbounded::<(i32, Sender<i32>)>();
             let worker = std::thread::spawn(move || {
                 while let Ok((n, reply)) = rx.recv() {

@@ -1,16 +1,17 @@
 //! The full §V-A architecture wired together: per-device monitoring agents
-//! batch telemetry to the Interface Daemon on a separate thread, the DRL
-//! engine trains from a daemon snapshot, and a control agent applies the
-//! checked layout — the same component diagram as the paper's Figure 2.
+//! batch telemetry to the placement service (this reproduction's Interface
+//! Daemon), the DRL engine trains on the service's merged shard logs, and
+//! a control agent applies the checked layout — the same component
+//! diagram as the paper's Figure 2.
 //!
 //! Run with `cargo run --example daemon_pipeline --release`.
 
 use std::error::Error;
 
-use geomancy::core::daemon::InterfaceDaemon;
 use geomancy::core::drl::{DrlConfig, DrlEngine, PlacementQuery};
 use geomancy::core::ActionChecker;
 use geomancy::replaydb::ReplayDb;
+use geomancy::serve::{PlacementService, ServeConfig};
 use geomancy::sim::agents::{ControlAgent, MonitoringAgent};
 use geomancy::sim::bluesky::bluesky_system;
 use geomancy::sim::cluster::{FileMeta, Layout};
@@ -33,16 +34,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // One monitoring agent per storage device, batching 32 records at a
-    // time before shipping them to the daemon.
+    // time before shipping them to the service.
     let mut monitors: Vec<MonitoringAgent> = system
         .devices()
         .iter()
         .map(|d| MonitoringAgent::new(d.id(), 32))
         .collect();
 
-    // The Interface Daemon owns the ReplayDB on its own thread.
-    let daemon = InterfaceDaemon::spawn(ReplayDb::new());
-    let client = daemon.client();
+    // The service shards the ReplayDB by file; each shard is an actor on
+    // the service's reactor.
+    let service = PlacementService::start(ServeConfig::default());
 
     // Drive the workload; agents observe and forward batches. The layout
     // shuffles between runs so the telemetry has location diversity.
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             };
             for agent in &mut monitors {
                 if let Some(batch) = agent.observe(&record) {
-                    client.store_batch(system.clock().now_micros(), batch)?;
+                    service.ingest(system.clock().now_micros(), &batch)?;
                 }
             }
         }
@@ -73,13 +74,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     for agent in &mut monitors {
         let rest = agent.drain();
         if !rest.is_empty() {
-            client.store_batch(system.clock().now_micros(), rest)?;
+            service.ingest(system.clock().now_micros(), &rest)?;
         }
     }
+    // Shutdown applies every queued batch and hands back the shard logs.
+    let shards = service.shutdown();
     println!(
-        "daemon ingested {} records from {} agents",
-        client.len()?,
-        monitors.len()
+        "service ingested {} records from {} agents into {} shards",
+        shards.iter().map(ReplayDb::len).sum::<usize>(),
+        monitors.len(),
+        shards.len()
     );
     for agent in &monitors {
         let name = system.device(agent.device())?.name().to_string();
@@ -89,9 +93,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // DRL engine trains from a daemon snapshot, the Action Checker
+    // DRL engine trains on the merged shard logs, the Action Checker
     // validates, the control agent moves the data.
-    let snapshot = client.snapshot()?;
+    let snapshot = ReplayDb::merged(&shards);
     let mut engine = DrlEngine::new(DrlConfig {
         train_window: 800,
         epochs: 40,
@@ -136,12 +140,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         errors.len(),
         checker.decisions(),
         checker.explorations(),
-    );
-
-    let db = daemon.shutdown();
-    println!(
-        "daemon shut down with {} records persisted in memory",
-        db.len()
     );
     Ok(())
 }

@@ -1,15 +1,15 @@
 //! End-to-end integration: workload → simulator → monitoring agents →
-//! interface daemon → ReplayDB → DRL engine → Action Checker → control
-//! agent, exactly the paper's Figure 2 data flow.
+//! placement service (the Interface Daemon) → ReplayDB → DRL engine →
+//! Action Checker → control agent, exactly the paper's Figure 2 data flow.
 
 use std::collections::BTreeMap;
 
-use geomancy::core::daemon::InterfaceDaemon;
 use geomancy::core::drl::{DrlConfig, DrlEngine, PlacementQuery};
 use geomancy::core::experiment::{run_policy_experiment, ExperimentConfig};
 use geomancy::core::policy::{GeomancyDynamic, SpreadStatic};
 use geomancy::core::ActionChecker;
 use geomancy::replaydb::ReplayDb;
+use geomancy::serve::{PlacementService, ServeConfig};
 use geomancy::sim::agents::{ControlAgent, MonitoringAgent};
 use geomancy::sim::bluesky::{bluesky_system, Mount};
 use geomancy::sim::cluster::{FileMeta, Layout};
@@ -51,8 +51,7 @@ fn figure2_data_flow_end_to_end() {
         .iter()
         .map(|d| MonitoringAgent::new(d.id(), 16))
         .collect();
-    let daemon = InterfaceDaemon::spawn(ReplayDb::new());
-    let client = daemon.client();
+    let service = PlacementService::start(ServeConfig::default());
 
     for _ in 0..8 {
         for op in workload.next_run() {
@@ -63,9 +62,7 @@ fn figure2_data_flow_end_to_end() {
             };
             for agent in &mut monitors {
                 if let Some(batch) = agent.observe(&record) {
-                    client
-                        .store_batch(system.clock().now_micros(), batch)
-                        .unwrap();
+                    service.ingest(system.clock().now_micros(), &batch).unwrap();
                 }
             }
         }
@@ -74,9 +71,7 @@ fn figure2_data_flow_end_to_end() {
     for agent in &mut monitors {
         let rest = agent.drain();
         if !rest.is_empty() {
-            client
-                .store_batch(system.clock().now_micros(), rest)
-                .unwrap();
+            service.ingest(system.clock().now_micros(), &rest).unwrap();
         }
     }
     let observed: u64 = monitors.iter().map(|m| m.total_observed()).sum();
@@ -85,14 +80,16 @@ fn figure2_data_flow_end_to_end() {
         system.access_count(),
         "every access observed exactly once"
     );
+    // Shutdown applies every queued batch and hands back the shard logs.
+    let shards = service.shutdown();
     assert_eq!(
-        client.len().unwrap() as u64,
+        shards.iter().map(ReplayDb::len).sum::<usize>() as u64,
         observed,
         "every record reached the db"
     );
 
-    // Engine trains from the daemon snapshot and proposes a layout.
-    let snapshot = client.snapshot().unwrap();
+    // Engine trains from the merged shard logs and proposes a layout.
+    let snapshot = ReplayDb::merged(&shards);
     let mut engine = DrlEngine::new(DrlConfig {
         train_window: 300,
         epochs: 10,
@@ -140,7 +137,6 @@ fn figure2_data_flow_end_to_end() {
     }
     // Movements recorded in the system ledger match the control agent's.
     assert_eq!(system.movements().len(), moved.len());
-    let _ = daemon.shutdown();
 }
 
 #[test]
