@@ -391,8 +391,10 @@ impl DrlEngine {
     /// Fused multi-query ranking: one forward pass over
     /// `queries.len() x candidates.len()` rows — the serving layer's batched
     /// entry point, amortizing per-call dispatch across every placement
-    /// decision coalesced into the batch (and crossing the network's
-    /// parallel threshold far sooner than per-query passes would).
+    /// decision coalesced into the batch. A pass past the network's
+    /// fan-out (`Sequential::parallel_min_rows`, 766 rows of model 1, so a
+    /// 512-request submission but not a 64-request one) splits its tiles
+    /// across the usable CPUs; the results are bit-equal either way.
     ///
     /// Results land flat in `out`, chunked per query: entries
     /// `[q * candidates.len() .. (q + 1) * candidates.len()]` are query
@@ -674,39 +676,48 @@ mod tests {
         assert_eq!(ranked[1].0, DeviceId(0));
     }
 
+    /// A fused pass decides exactly what per-query passes do, bit for bit:
+    /// for a handful of queries run by the caller alone, and for 200
+    /// queries × 6 candidates (1,200 rows), past model 1's fan-out, where
+    /// pool workers run some of the tiles when more than one CPU is usable.
     #[test]
     fn batch_rank_matches_per_query_rank() {
         let db = biased_db(400);
         let mut e = engine();
         e.retrain(&db).unwrap();
-        let candidates = [DeviceId(0), DeviceId(1)];
-        let queries: Vec<PlacementQuery> = (0..5)
-            .map(|i| PlacementQuery {
-                fid: FileId(i % 4),
-                read_bytes: 100_000 * (i + 1),
-                write_bytes: 0,
-                now_secs: 500 + i,
-                now_ms: 0,
-            })
-            .collect();
-        let mut batched = Vec::new();
-        e.rank_locations_batch_into(&queries, &candidates, &mut batched);
-        assert_eq!(batched.len(), queries.len() * candidates.len());
-        for (qi, query) in queries.iter().enumerate() {
-            let solo = e.rank_locations(query, &candidates);
-            let chunk = &batched[qi * candidates.len()..(qi + 1) * candidates.len()];
-            for (s, b) in solo.iter().zip(chunk) {
-                assert_eq!(s.0, b.0);
-                assert!(
-                    (s.1 - b.1).abs() <= 1e-9 * s.1.abs().max(1.0),
-                    "query {qi}: solo {} vs batched {}",
-                    s.1,
-                    b.1
-                );
+        let few = [DeviceId(0), DeviceId(1)];
+        let six: Vec<DeviceId> = (0..6).map(DeviceId).collect();
+        for (n, candidates) in [(5, &few[..]), (200, &six[..])] {
+            let queries: Vec<PlacementQuery> = (0..n)
+                .map(|i| PlacementQuery {
+                    fid: FileId(i % 4),
+                    read_bytes: 100_000 * (i + 1),
+                    write_bytes: 0,
+                    now_secs: 500 + i,
+                    now_ms: 0,
+                })
+                .collect();
+            let mut batched = Vec::new();
+            e.rank_locations_batch_into(&queries, candidates, &mut batched);
+            assert_eq!(batched.len(), queries.len() * candidates.len());
+            for (qi, query) in queries.iter().enumerate() {
+                let solo = e.rank_locations(query, candidates);
+                let chunk = &batched[qi * candidates.len()..(qi + 1) * candidates.len()];
+                for (s, b) in solo.iter().zip(chunk) {
+                    assert_eq!(s.0, b.0);
+                    assert_eq!(
+                        s.1.to_bits(),
+                        b.1.to_bits(),
+                        "query {qi}: solo {} vs batched {}",
+                        s.1,
+                        b.1
+                    );
+                }
             }
         }
         // Empty batch clears the output and predicts nothing.
-        e.rank_locations_batch_into(&[], &candidates, &mut batched);
+        let mut batched = vec![(DeviceId(0), 1.0)];
+        e.rank_locations_batch_into(&[], &few, &mut batched);
         assert!(batched.is_empty());
     }
 

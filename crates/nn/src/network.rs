@@ -1,7 +1,7 @@
 //! Sequential container composing layers into a trainable network.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::layers::Layer;
 use crate::loss::Loss;
@@ -14,29 +14,44 @@ use crate::optimizer::Optimizer;
 /// ≈170 KB) stay in L2 from one layer to the next however long the batch.
 const TILE_ROWS: usize = 128;
 
-/// Minimum batch rows before the inference pass asks the worker pool for
-/// help: below it the caller runs every tile itself.
+/// Work, in multiply-adds (batch rows × parameters), before the inference
+/// pass asks the worker pool for help: below it the caller runs every tile
+/// itself.
 ///
-/// Every pool thread gets at least one full tile at this size on up to 32
-/// threads, but the number is set by what a helper costs and by how
-/// steadily it pays. It has to earn back a cross-core wake-up (≈25–45 µs on
-/// the 2-vCPU bench box, more than the whole ≈15 µs pass of a 64-request
-/// submission). Measured there on model 1 with the AVX-512 micro-kernel,
-/// one thread against two, p50 µs over two runs each: 256 rows 55–66 vs
-/// 87–101, 512 rows 122–124 vs 136–148, 768 rows 178–214 vs 137–175,
-/// 1,024 rows 248–261 vs 190–211, 3,072 rows 820–964 vs 474–506 — on the
-/// median two threads stop losing at 768. But up to a few thousand rows
-/// what the helper contributes depends on how soon the other core answers
-/// (a halted vCPU wakes in 5 µs or in 50, by what the host did to it
-/// meanwhile), so the same pass takes 350 µs in one 3 s stretch and 500 µs
-/// in the next: end to end, 512-request submissions (≈2,100 unique rows)
-/// ran 719–1,040k decisions/s from one 30 s run to the next with the
-/// threshold at 768 and 554–609k with the caller alone, against 363–463k
-/// before this kernel. The threshold therefore sits where one thread
-/// needs about a millisecond (above the 3,072 rows a 512-request
-/// submission can reach), so a wake-up is a few percent of the pass
-/// whichever way it goes.
-pub const PARALLEL_MIN_ROWS: usize = 32 * TILE_ROWS;
+/// A helper has to earn back a cross-core wake-up (≈25–45 µs on the 2-vCPU
+/// bench box, more than the whole ≈10 µs pass of a 64-request submission).
+/// Measured there on model 1 (6,529 parameters) with the AVX-512
+/// micro-kernel, one thread against two (DESIGN.md, "The inference
+/// pass"), two threads stop losing at ≈768 rows ≈ 5.0M multiply-adds,
+/// which is where this sits: model 1 fans out from 766 rows. So a
+/// 512-request submission's ≈2,100-row pass splits across both cores,
+/// which took `decide-unique`'s `latency_p50_us` from ≈760 to ≈415 µs,
+/// while a 64-request one's ≈46 rows never wakes a helper. Counting work
+/// rather than rows keeps the rule right for smaller networks, whose rows
+/// cost less: model 11 (49 parameters) would need ≈100k rows.
+const PARALLEL_MIN_WORK: usize = 5_000_000;
+
+/// Helper threads the inference pass asks the pool for, beside the
+/// caller, for `rows` rows of `work_per_row` multiply-adds on `cpus`
+/// usable CPUs: none below [`PARALLEL_MIN_WORK`] or with one CPU, else one
+/// per other CPU, but never more than there are tiles to share.
+fn fan_out_helpers(rows: usize, work_per_row: usize, cpus: usize) -> usize {
+    if cpus < 2 || rows.saturating_mul(work_per_row) < PARALLEL_MIN_WORK {
+        return 0;
+    }
+    (cpus - 1).min(rows.div_ceil(TILE_ROWS) - 1)
+}
+
+/// CPUs this process may run on (its affinity mask and cgroup quota),
+/// read once by the first pass: reading them costs syscalls and file
+/// reads a pass must not pay, and a process is pinned before it does any
+/// work (`taskset`, geobench's one-core workloads). Unlike
+/// `rayon::current_num_threads`, it does not start the pool, so a
+/// one-CPU process never does.
+fn usable_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Per-thread buffers of the inference pass: one activation matrix per
 /// layer plus the layers' free-form scratch. Sized by the first tile a
@@ -116,6 +131,9 @@ pub struct Sequential {
     /// Number of parameter tensors across all layers (cached so the
     /// optimizer protocol never collects them into a `Vec`).
     n_param_tensors: usize,
+    /// Number of trainable scalars, cached for the inference pass's
+    /// fan-out rule (`Layer::param_count` collects a `Vec`).
+    n_params: usize,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -150,6 +168,7 @@ impl Sequential {
             );
         }
         self.n_param_tensors += layer.params().len();
+        self.n_params += layer.param_count();
         self.layers.push(Box::new(layer));
     }
 
@@ -221,9 +240,10 @@ impl Sequential {
     /// tile goes through every layer via [`Layer::forward_inference_into`]
     /// on the running thread's reusable scratch, so activations stay
     /// cache-resident, the backward caches are left alone, and a warm pass
-    /// allocates nothing. From [`PARALLEL_MIN_ROWS`] rows up, the pool's
-    /// workers pull tiles from the same queue as the caller: a worker that
-    /// wakes late just finds fewer tiles left. Rows are independent, so the
+    /// allocates nothing. From [`Sequential::parallel_min_rows`] rows up,
+    /// and when more than one CPU is usable, the pool's workers pull tiles
+    /// from the same queue as the caller: a worker that wakes late just
+    /// finds fewer tiles left. Rows are independent, so the
     /// output is bit-equal to [`Sequential::predict_ref`]'s whatever the
     /// tiling and whoever ran which tile.
     ///
@@ -236,6 +256,7 @@ impl Sequential {
             .expect("cannot predict with an empty network");
         let rows = input.rows();
         out.resize(rows, out_cols);
+        let helpers = fan_out_helpers(rows, self.param_count(), usable_cpus());
         let layers = &self.layers[..];
         // A zero-width output has no chunks at all: nothing to compute.
         let tiles = Mutex::new(
@@ -249,11 +270,6 @@ impl Sequential {
             let start = tile * TILE_ROWS;
             let tile_rows = chunk.len() / out_cols;
             infer_tile(layers, input.view_rows(start..start + tile_rows), chunk);
-        };
-        let helpers = if rows >= PARALLEL_MIN_ROWS {
-            (rayon::current_num_threads() - 1).min(rows.div_ceil(TILE_ROWS) - 1)
-        } else {
-            0
         };
         if helpers == 0 {
             pull_tiles();
@@ -357,7 +373,15 @@ impl Sequential {
 
     /// Total number of trainable scalars.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.n_params
+    }
+
+    /// Smallest batch, in rows, at which [`Sequential::predict_into`] asks
+    /// the worker pool for help when more than one CPU is usable: the rows
+    /// that reach a fixed amount of work at this network's parameter count
+    /// (766 for the paper's model 1).
+    pub fn parallel_min_rows(&self) -> usize {
+        PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
     }
 
     /// Mutable access to every parameter, layer by layer.
@@ -422,6 +446,44 @@ mod tests {
         net
     }
 
+    /// The paper's model 1: dense 6 -> 96 -> 48 -> 24 -> 1.
+    fn model1(seed: u64) -> Sequential {
+        let mut rng = seeded_rng(seed);
+        let mut net = Sequential::new();
+        net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
+        net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
+        net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
+        net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
+        net
+    }
+
+    #[test]
+    fn fan_out_follows_the_work_not_the_rows() {
+        let work = model1(1).param_count();
+        assert_eq!(work, 6_529);
+        assert_eq!(fan_out_helpers(765, work, 2), 0);
+        assert_eq!(fan_out_helpers(768, work, 2), 1);
+        assert_eq!(fan_out_helpers(768, work, 1), 0);
+        // A 512-request submission on four CPUs: one helper per other CPU.
+        assert_eq!(fan_out_helpers(2_130, work, 4), 3);
+        // Never more helpers than tiles beyond the caller's.
+        assert_eq!(fan_out_helpers(2 * TILE_ROWS, 1 << 20, 8), 1);
+        // Model 11 (dense 6 -> 6 -> 1, 49 parameters) never fans out at
+        // the rows a submission can reach.
+        let mut rng = seeded_rng(1);
+        let mut model11 = Sequential::new();
+        model11.push(Dense::new(6, 6, Activation::ReLU, &mut rng));
+        model11.push(Dense::new(6, 1, Activation::Linear, &mut rng));
+        assert_eq!(model11.param_count(), 49);
+        assert_eq!(fan_out_helpers(3_072, model11.param_count(), 2), 0);
+        // The row count the networks expose is the rule's edge.
+        for net in [model1(1), model11] {
+            let edge = net.parallel_min_rows();
+            assert_eq!(fan_out_helpers(edge - 1, net.param_count(), 2), 0);
+            assert_eq!(fan_out_helpers(edge, net.param_count(), 2), 1);
+        }
+    }
+
     #[test]
     fn predict_shape() {
         let mut net = two_layer();
@@ -459,21 +521,12 @@ mod tests {
     /// bit-identical.
     #[test]
     fn skipping_the_first_input_gradient_keeps_parameter_gradients() {
-        let model1 = || {
-            let mut rng = seeded_rng(11);
-            let mut net = Sequential::new();
-            net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
-            net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
-            net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
-            net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
-            net
-        };
         let x = Matrix::from_vec(64, 6, (0..384).map(|i| (i % 17) as f64 / 17.0).collect());
         let y = Matrix::from_vec(64, 1, (0..64).map(|i| (i % 5) as f64 / 5.0).collect());
-        let mut skipped = model1();
+        let mut skipped = model1(11);
         skipped.backward_only(&x, &y, Loss::MeanSquaredError);
 
-        let mut full = model1();
+        let mut full = model1(11);
         let Sequential {
             layers,
             grad_a,
@@ -536,14 +589,15 @@ mod tests {
         net.push(Dense::new(13, 9, Activation::Tanh, &mut rng));
         net.push(Dense::new(9, 5, Activation::ReLU, &mut rng));
         net.push(Dense::new(5, 1, Activation::Linear, &mut rng));
+        let fan_out = net.parallel_min_rows();
         for rows in [
             1,
             TILE_ROWS - 1,
             TILE_ROWS,
             TILE_ROWS + 1,
             3 * TILE_ROWS + 17,
-            PARALLEL_MIN_ROWS,
-            PARALLEL_MIN_ROWS + 3 * TILE_ROWS + 17,
+            fan_out,
+            fan_out + 3 * TILE_ROWS + 17,
         ] {
             let mut x = Matrix::zeros(rows, 3);
             for r in 0..rows {
@@ -560,10 +614,10 @@ mod tests {
     #[test]
     fn predict_into_matches_predict() {
         let mut net = two_layer();
-        // Reused output buffer, deliberately wrong-sized, below and above
-        // the fan-out threshold.
+        // Reused output buffer, deliberately wrong-sized, below and at the
+        // fan-out.
         let mut out = Matrix::zeros(1, 7);
-        for rows in [3, 2 * PARALLEL_MIN_ROWS] {
+        for rows in [3, net.parallel_min_rows()] {
             let mut x = Matrix::zeros(rows, 3);
             for r in 0..rows {
                 for c in 0..3 {

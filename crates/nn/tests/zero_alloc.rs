@@ -15,7 +15,7 @@ use geomancy_nn::init::seeded_rng;
 use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::{kernels, Matrix};
-use geomancy_nn::network::{Sequential, PARALLEL_MIN_ROWS};
+use geomancy_nn::network::Sequential;
 use geomancy_nn::optimizer::{Adam, Sgd};
 
 /// Counts every allocation made through the global allocator.
@@ -69,6 +69,17 @@ fn assert_alloc_at_most(kind: &str, per_call: usize, mut iter: impl FnMut()) {
         }
     }
     panic!("{kind} allocated {last} times in 10 steady-state calls (budget {per_call} a call)");
+}
+
+/// Threads of the rayon worker pool alive in this process, found by name
+/// under Linux's `/proc/self/task`.
+fn pool_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("rayon-shim"))
+            .count()
+    })
 }
 
 /// The paper's model 1: dense 6 -> 96 -> 48 -> 24 -> 1.
@@ -130,33 +141,41 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(pred.rows(), 46);
     });
 
-    // --- predict_into, a 512-request submission's worth of rows: 24 tiles,
-    // below the fan-out threshold, all run by the caller on the same
-    // scratch ---
-    let (px, _) = batch(3072);
+    // --- predict_into one row below the fan-out: six tiles, all run by the
+    // caller on the same scratch ---
+    let serial_rows = net.parallel_min_rows() - 1;
+    let (px, _) = batch(serial_rows);
     net.predict_into(px.view(), &mut pred);
-    assert_zero_alloc("predict_into (3072 rows, serial)", || {
+    assert_zero_alloc("predict_into (below the fan-out, serial)", || {
         net.predict_into(px.view(), &mut pred);
-        assert_eq!(pred.rows(), 3072);
+        assert_eq!(pred.rows(), serial_rows);
     });
 
-    // --- predict_into at the fan-out threshold: tiles pulled by the caller
-    // and the pool. No matrix is allocated or regrown; what is left is the
-    // pool's own bookkeeping, one scope state plus one job box per helper.
-    // The warm-up repeats until every pool worker has most likely taken a
-    // tile once and sized its scratch. ---
-    let (px, _) = batch(PARALLEL_MIN_ROWS);
-    for _ in 0..50 {
-        net.predict_into(px.view(), &mut pred);
-    }
-    assert_alloc_at_most(
-        "predict_into (fan-out threshold, pool)",
-        rayon::current_num_threads(),
-        || {
+    // --- predict_into at the fan-out and at a 512-request submission's
+    // 3,072 rows: tiles pulled by the caller and, with more than one usable
+    // CPU, the pool. No matrix is allocated or regrown; what is left is the
+    // pool's own bookkeeping, one scope state plus one job box per helper,
+    // so at most one allocation per usable CPU. With one CPU the caller
+    // runs every tile and nothing allocates. The warm-up repeats until
+    // every pool worker has most likely taken a tile once and sized its
+    // scratch. ---
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool_budget = if cpus > 1 { cpus } else { 0 };
+    for rows in [net.parallel_min_rows(), 3072] {
+        let (px, _) = batch(rows);
+        for _ in 0..50 {
             net.predict_into(px.view(), &mut pred);
-            assert_eq!(pred.rows(), PARALLEL_MIN_ROWS);
-        },
-    );
+        }
+        assert_alloc_at_most(&format!("predict_into ({rows} rows)"), pool_budget, || {
+            net.predict_into(px.view(), &mut pred);
+            assert_eq!(pred.rows(), rows);
+        });
+    }
+    // A process with one usable CPU (say, under `taskset -c 0`) never
+    // starts the worker pool; with more, the passes above started it.
+    if cfg!(target_os = "linux") {
+        assert_eq!(pool_threads() > 0, cpus > 1, "{cpus} usable CPUs");
+    }
 
     // --- smaller batch after a larger one: Vec::resize keeps capacity ---
     let (sx, sy) = batch(16);
