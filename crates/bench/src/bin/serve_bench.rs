@@ -227,10 +227,6 @@ struct NetRun {
     frames_in: u64,
     frames_out: u64,
     overload_roundtrip: bool,
-    /// Writer actors retired over the run — one per connection torn down.
-    writers_retired: u64,
-    /// Writer-slot slab high-water mark; flat slabs mean slots were reused.
-    writer_slot_capacity: u64,
 }
 
 /// Replays the same batched BELLE II question list over loopback TCP:
@@ -298,20 +294,17 @@ fn run_net_mode(load: &LoadConfig) -> NetRun {
     let frames_in = server.stats().frames_in.load(Ordering::Relaxed);
     let frames_out = server.stats().frames_out.load(Ordering::Relaxed);
     drop(client);
-    // Dropping the pool tears down every connection; the transport
-    // gauges must return to baseline or the run leaked writer actors.
+    // Dropping the pool tears down every connection; the live-connection
+    // gauge must return to baseline or the run leaked connection threads.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.live_connections() != 0 || server.live_writer_actors() != 0 {
+    while server.live_connections() != 0 {
         assert!(
             Instant::now() < deadline,
-            "wire teardown leaked: {} connections, {} writer actors still live",
+            "wire teardown leaked: {} connections still live",
             server.live_connections(),
-            server.live_writer_actors(),
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let writers_retired = server.retired_writers();
-    let writer_slot_capacity = server.writer_slot_capacity() as u64;
     server.shutdown();
     Arc::try_unwrap(service)
         .expect("bench released the service")
@@ -329,8 +322,6 @@ fn run_net_mode(load: &LoadConfig) -> NetRun {
         frames_in,
         frames_out,
         overload_roundtrip: overload_roundtrips(),
-        writers_retired,
-        writer_slot_capacity,
     }
 }
 
@@ -883,11 +874,7 @@ fn main() {
         net.frames_out,
         net.overload_roundtrip,
     );
-    println!(
-        "wire teardown: {} writer actors retired, slab high-water {} slots, \
-         all gauges back to baseline",
-        net.writers_retired, net.writer_slot_capacity,
-    );
+    println!("wire teardown: every connection closed, live gauge back to baseline");
     assert_eq!(
         net.decisions, batched.decisions,
         "wire served a different workload"
@@ -1020,8 +1007,6 @@ fn main() {
             "frames_in": net.frames_in,
             "frames_out": net.frames_out,
             "overload_roundtrip": net.overload_roundtrip,
-            "writers_retired": net.writers_retired,
-            "writer_slot_capacity": net.writer_slot_capacity,
         },
         "cluster": {
             "nodes": cluster.nodes,

@@ -274,10 +274,7 @@ pub fn query(args: &Args) -> Result<(), Box<dyn Error>> {
             "server metrics (node {}): {} decisions, offered/admitted/shed {}/{}/{}, shard sheds {:?}",
             m.node_id, m.decisions, m.queries_offered, m.queries_admitted, m.queries_shed, m.shard_shed
         );
-        println!(
-            "transport: {} live connections, {} live writer actors",
-            m.net_connections_live, m.net_writers_live
-        );
+        println!("transport: {} live connections", m.net_connections_live);
         println!("server kernel backend: {}", m.kernel_backend);
         if m.store_pages > 0 || m.checkpoints > 0 {
             println!(

@@ -12,8 +12,8 @@
 //!     │              reader thread ──► PlacementService
 //!     │                (decode,          │ query_many_async
 //!     │                 dispatch)        ▼ completion
-//!     ◄── frames ──── writer actor ◄── encode reply
-//!                     (net reactor)
+//!     ◄── frames ──── writer thread ◄── reply channel
+//!                     (encode, write)
 //! ```
 //!
 //! Three layers:
@@ -24,13 +24,13 @@
 //!   total: truncated, corrupted, or oversized input yields a typed
 //!   [`wire::DecodeError`], never a panic or a hang.
 //! - [`server`]: [`server::NetServer`] — an acceptor plus, per
-//!   connection, a blocking reader thread and a writer actor on a
-//!   dedicated [`geomancy_runtime::Reactor`]. Readers block on sockets
-//!   (with a poll tick), so the serve reactor never parks a worker on
-//!   I/O; replies flow engine-callback → `send_now` → writer, so a
-//!   stalled or dead peer cannot wedge query completion. Overload is a
-//!   *reply* ([`wire::WireStatus::Overloaded`]), not a dropped
-//!   connection.
+//!   connection, a blocking reader thread and a writer thread. Both block
+//!   on the socket (the reader with a poll tick), so the serve reactor
+//!   never parks a worker on I/O; replies flow engine-callback →
+//!   unbounded channel → writer, so a stalled or dead peer cannot wedge
+//!   query completion, and the writer half-closes only after the last
+//!   reply. Overload is a *reply* ([`wire::WireStatus::Overloaded`]),
+//!   not a dropped connection.
 //! - [`client`]: [`client::Client`] — a pooled, pipelined client:
 //!   correlation ids let many requests share one connection, responses
 //!   are matched by id, and `Overloaded`/`Backpressure` replies retry

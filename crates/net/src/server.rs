@@ -1,29 +1,31 @@
-//! The server side of the transport: an acceptor, a blocking reader
-//! thread per connection, and a writer actor per connection on a
-//! dedicated reactor.
+//! The server side of the transport: an acceptor and, per connection, a
+//! blocking reader thread and a writer thread.
 //!
-//! ## Why readers are threads and only writers are actors
+//! ## Why both halves of a connection are threads
 //!
-//! The runtime's reactor has no I/O poller: actors must never block a
-//! worker, but a socket read *is* a block. Worse, `query_many` blocks
-//! on the engine actor's reply — if connection handlers ran as actors
-//! on the serve pool, every worker could end up parked waiting on the
-//! engine, which then has no worker left to run on. So the blocking
-//! edges live on OS threads (one reader per connection, ticking a
-//! receive timeout so shutdown and stall detection stay responsive),
+//! The serve reactor has no I/O poller: actors must never block a
+//! worker, but a socket read or write *is* a block. Worse, `query_many`
+//! blocks on the engine actor's reply — if connection handlers ran as
+//! actors on the serve pool, every worker could end up parked waiting on
+//! the engine, which then has no worker left to run on. So the blocking
+//! edges live on the connection's own OS threads. The reader ticks a
+//! receive timeout so shutdown and stall detection stay responsive;
 //! queries flow through the *callback* path
-//! ([`PlacementService::query_many_async`]), and completions hop to the
-//! connection's writer actor with `send_now` — non-blocking, delivered
-//! even during drain — so a slow or dead peer can never wedge the
-//! engine or leak the admission controller's pending accounting.
+//! ([`PlacementService::query_many_async`]), and completions push their
+//! reply onto the connection's unbounded frame channel, which never
+//! blocks, so a slow or dead peer can never wedge the engine or leak the
+//! admission controller's pending accounting. The writer drains that
+//! channel in order, so a peer that stops reading stalls only its own
+//! writer, and that for at most the write timeout.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use geomancy_runtime::{Actor, Addr, Ctx, Reactor, ReactorConfig};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use geomancy_serve::{PlacementService, QueryError};
 use geomancy_sim::record::FileId;
 
@@ -78,8 +80,6 @@ pub struct NetConfig {
     /// complete — before the connection is declared stalled and closed,
     /// milliseconds.
     pub stall_timeout_millis: u64,
-    /// Worker threads on the writer reactor (0 = runtime default).
-    pub net_workers: usize,
     /// How long shutdown waits for in-flight queries to complete,
     /// milliseconds.
     pub drain_timeout_millis: u64,
@@ -92,7 +92,6 @@ impl Default for NetConfig {
             max_inflight_per_conn: 64,
             read_tick_millis: 100,
             stall_timeout_millis: 30_000,
-            net_workers: 2,
             drain_timeout_millis: 10_000,
         }
     }
@@ -117,99 +116,74 @@ pub struct NetStats {
     /// Queries answered [`WireStatus::Overloaded`] at the wire layer
     /// (per-connection in-flight cap), before reaching admission.
     pub wire_shed: AtomicU64,
-    /// Connections currently open (gauge: reader thread still running).
+    /// Connections currently open (gauge: until both of the
+    /// connection's threads have exited).
     pub live_connections: AtomicU64,
-    /// Writer actors currently occupying a net-reactor slot (gauge;
-    /// decremented from `Writer::on_stop`, so it covers both despawn on
-    /// connection close and reactor shutdown).
-    pub writers_live: AtomicU64,
 }
 
-/// Messages to a connection's writer actor.
-enum WriteMsg {
-    /// Encode and write one frame.
-    Frame(Frame),
-    /// Close the socket for writing.
-    Close,
+/// Held by both of a connection's threads: the second to exit drops the
+/// last clone and takes the connection off the live gauge.
+struct LiveConn(Arc<NetStats>);
+
+impl Drop for LiveConn {
+    fn drop(&mut self) {
+        self.0.live_connections.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
-/// Owns the write half of one connection. Lives on the net reactor, so
-/// writes serialize per connection without a lock, and a peer that
-/// stops reading only ever stalls this actor's turns — never the serve
-/// pool — and those for at most the socket's write timeout, after which
-/// the connection is closed and the net worker moves on.
-struct Writer {
-    stream: TcpStream,
-    stats: Arc<NetStats>,
-    dead: bool,
-    scratch: Vec<u8>,
-}
-
-impl Actor for Writer {
-    type Msg = WriteMsg;
-
-    fn on_msg(&mut self, msg: WriteMsg, ctx: &mut Ctx<'_>) {
-        match msg {
-            WriteMsg::Frame(frame) => {
-                if self.dead {
-                    return;
-                }
-                self.scratch.clear();
-                frame.encode_into(&mut self.scratch);
-                if let Err(e) = self.stream.write_all(&self.scratch) {
-                    // Peer is gone, or has not read for the whole write
-                    // timeout (the frame may be half-written, so the
-                    // stream is finished either way): wake the reader (it
-                    // sees EOF/reset), drop queued replies on the floor
-                    // (retire purges the mailbox), and give the slot back.
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                        self.stats.stalled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.dead = true;
-                    let _ = self.stream.shutdown(Shutdown::Both);
-                    ctx.stop_self();
-                    return;
-                }
-                self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
+/// The writer thread: writes one connection's replies in the order they
+/// were queued. Once every sender is gone — the reader has exited and no
+/// query is in flight — it flushes and half-closes, so a peer that shut
+/// its own write half still gets every reply before EOF.
+fn write_loop(mut stream: TcpStream, replies: Receiver<Frame>, stats: &NetStats) {
+    let mut scratch = Vec::new();
+    while let Ok(frame) = replies.recv() {
+        scratch.clear();
+        frame.encode_into(&mut scratch);
+        if let Err(e) = stream.write_all(&scratch) {
+            // Peer is gone, or has not read for the whole write timeout
+            // (the frame may be half-written, so the stream is finished
+            // either way): wake the reader, which sees EOF/reset, and
+            // return; dropping `replies` discards what is still queued.
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                stats.stalled.fetch_add(1, Ordering::Relaxed);
             }
-            WriteMsg::Close => {
-                // Teardown ordering: every reply queued before Close has
-                // already been written (one mailbox, FIFO), so flush,
-                // half-close, and retire — the slot is reused by the next
-                // accepted connection.
-                if !self.dead {
-                    let _ = self.stream.flush();
-                    let _ = self.stream.shutdown(Shutdown::Write);
-                    self.dead = true;
-                }
-                ctx.stop_self();
-            }
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
+        stats.frames_out.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn on_stop(&mut self, _ctx: &mut Ctx<'_>) {
-        self.stats.writers_live.fetch_sub(1, Ordering::SeqCst);
-    }
+    let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Per-connection state shared between its reader thread and the
 /// completion callbacks it hands to the engine.
 struct ConnShared {
-    writer: Addr<WriteMsg>,
+    /// The writer thread's queue; the writer finishes once the reader and
+    /// every in-flight completion have dropped their hold on this struct.
+    replies: Sender<Frame>,
     /// Queries this connection currently has inside the engine.
     inflight: AtomicUsize,
     /// Queries in flight across the whole server — drained to zero on
-    /// shutdown before the writer reactor stops.
+    /// shutdown before the writers are joined.
     global_inflight: Arc<AtomicUsize>,
     stats: Arc<NetStats>,
 }
 
 impl ConnShared {
     fn reply(&self, frame: Frame) {
-        // send_now: replies may not block the engine's callback, and
-        // must still land while the reactor drains during shutdown.
-        let _ = self.writer.send_now(WriteMsg::Frame(frame));
+        // Unbounded, so the engine's callback never blocks. It fails only
+        // once the writer gave up on a dead peer, and then the frame has
+        // nowhere to go.
+        let _ = self.replies.send(frame);
     }
+}
+
+/// The two threads serving one connection.
+struct ConnThreads {
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
 }
 
 /// A running TCP front-end for one [`PlacementService`].
@@ -219,9 +193,8 @@ pub struct NetServer {
     draining: Arc<AtomicBool>,
     global_inflight: Arc<AtomicUsize>,
     stats: Arc<NetStats>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    reactor: Option<Arc<Reactor>>,
+    acceptor: Option<JoinHandle<()>>,
+    conns: Arc<Mutex<Vec<ConnThreads>>>,
     config: NetConfig,
 }
 
@@ -265,40 +238,35 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let reactor = Arc::new(Reactor::new(ReactorConfig {
-            workers: config.net_workers,
-            name: "geomancy-net".to_string(),
-            ..ReactorConfig::default()
-        }));
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
         let global_inflight = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(NetStats::default());
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<ConnThreads>>> = Arc::new(Mutex::new(Vec::new()));
 
         let acceptor = {
             let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
             let global_inflight = Arc::clone(&global_inflight);
             let stats = Arc::clone(&stats);
-            let readers = Arc::clone(&readers);
-            let reactor_handle = Arc::clone(&reactor);
+            let conns = Arc::clone(&conns);
             let config = config.clone();
             std::thread::Builder::new()
                 .name("geomancy-net-accept".to_string())
                 .spawn(move || {
                     let mut conn_seq = 0u64;
                     while !stop.load(Ordering::SeqCst) {
-                        // Reap readers that already exited so the registry
-                        // stays bounded under connection churn (joining a
-                        // finished thread is immediate).
+                        // Reap connections whose threads both exited so the
+                        // registry stays bounded under connection churn
+                        // (joining a finished thread is immediate).
                         {
-                            let mut reg = readers.lock().expect("reader registry");
+                            let mut reg = conns.lock().expect("connection registry");
                             let mut i = 0;
                             while i < reg.len() {
-                                if reg[i].is_finished() {
-                                    let _ = reg.swap_remove(i).join();
+                                if reg[i].reader.is_finished() && reg[i].writer.is_finished() {
+                                    let done = reg.swap_remove(i);
+                                    let _ = done.reader.join();
+                                    let _ = done.writer.join();
                                 } else {
                                     i += 1;
                                 }
@@ -308,11 +276,10 @@ impl NetServer {
                             Ok((stream, _peer)) => {
                                 conn_seq += 1;
                                 stats.accepted.fetch_add(1, Ordering::Relaxed);
-                                let handle = spawn_connection(
+                                let threads = spawn_connection(
                                     conn_seq,
                                     stream,
                                     Arc::clone(&service),
-                                    &reactor_handle,
                                     &config,
                                     Arc::clone(&stop),
                                     Arc::clone(&draining),
@@ -320,8 +287,8 @@ impl NetServer {
                                     Arc::clone(&stats),
                                     cluster.clone(),
                                 );
-                                if let Ok(handle) = handle {
-                                    readers.lock().expect("reader registry").push(handle);
+                                if let Ok(threads) = threads {
+                                    conns.lock().expect("connection registry").push(threads);
                                 }
                             }
                             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -341,8 +308,7 @@ impl NetServer {
             global_inflight,
             stats,
             acceptor: Some(acceptor),
-            readers,
-            reactor: Some(reactor),
+            conns,
             config,
         })
     }
@@ -357,28 +323,10 @@ impl NetServer {
         &self.stats
     }
 
-    /// Connections currently open (reader thread still running).
+    /// Connections currently open (until both of the connection's
+    /// threads have exited).
     pub fn live_connections(&self) -> u64 {
         self.stats.live_connections.load(Ordering::SeqCst)
-    }
-
-    /// Writer actors currently occupying a slot on the net reactor —
-    /// ground truth from the reactor's own slot table, not a shadow
-    /// counter.
-    pub fn live_writer_actors(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, |r| r.stats().live as u64)
-    }
-
-    /// Writer actors retired (despawned) over the server's lifetime.
-    pub fn retired_writers(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, |r| r.stats().retired_total)
-    }
-
-    /// Net-reactor slot-table length: the high-water mark of concurrently
-    /// live writers. Stays flat under churn because retired slots are
-    /// reused.
-    pub fn writer_slot_capacity(&self) -> usize {
-        self.reactor.as_ref().map_or(0, |r| r.stats().slot_capacity)
     }
 
     /// Starts advertising [`WireStatus::Draining`] without tearing
@@ -393,8 +341,9 @@ impl NetServer {
     }
 
     /// Graceful shutdown: stop accepting, let readers finish their
-    /// current frames, wait (bounded) for in-flight queries to answer,
-    /// then drain the writer reactor so every queued reply is written.
+    /// current frames, then wait (bounded by
+    /// [`NetConfig::drain_timeout_millis`]) for in-flight queries to
+    /// answer and for each writer to write what it holds.
     pub fn shutdown(mut self) {
         self.begin_shutdown();
     }
@@ -405,97 +354,90 @@ impl NetServer {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        let readers = std::mem::take(&mut *self.readers.lock().expect("reader registry"));
-        for r in readers {
-            let _ = r.join();
+        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
+        let mut writers = Vec::with_capacity(conns.len());
+        for conn in conns {
+            let _ = conn.reader.join();
+            writers.push(conn.writer);
         }
-        // Readers are gone, so no new queries can enter; wait for the
-        // engine to answer what is already in flight (each completion
-        // decrements the gauge from its callback).
-        let deadline = std::time::Instant::now()
-            + Duration::from_millis(self.config.drain_timeout_millis.max(1));
-        while self.global_inflight.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
+        // Readers are gone, so no new queries can enter. Each writer
+        // finishes once the engine has answered its connection's queries
+        // in flight and the replies are written.
+        let deadline =
+            Instant::now() + Duration::from_millis(self.config.drain_timeout_millis.max(1));
+        while (self.global_inflight.load(Ordering::SeqCst) > 0
+            || writers.iter().any(|w| !w.is_finished()))
+            && Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(5));
         }
-        if let Some(reactor) = self.reactor.take() {
-            // The acceptor (sole other holder) has joined, so the Arc
-            // unwraps; drain flushes queued replies before workers stop.
-            match Arc::try_unwrap(reactor) {
-                Ok(reactor) => drop(reactor.shutdown()),
-                Err(still_shared) => drop(still_shared), // Drop drains too.
-            }
+        // A writer still blocked on a peer that does not read ends by its
+        // write timeout; shutdown does not wait past the deadline for it.
+        for writer in writers.into_iter().filter(|w| w.is_finished()) {
+            let _ = writer.join();
         }
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        if self.reactor.is_some() {
+        if self.acceptor.is_some() {
             self.begin_shutdown();
         }
     }
 }
 
-/// Sets up one accepted connection: a writer actor on the net reactor
-/// and a reader thread that decodes and dispatches frames.
+/// Sets up one accepted connection: a writer thread that owns the write
+/// half and a reader thread that decodes and dispatches frames.
 #[allow(clippy::too_many_arguments)]
 fn spawn_connection(
     conn_seq: u64,
     stream: TcpStream,
     service: Arc<PlacementService>,
-    reactor: &Reactor,
     config: &NetConfig,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     global_inflight: Arc<AtomicUsize>,
     stats: Arc<NetStats>,
     cluster: Option<Arc<dyn ClusterHandler>>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
+) -> std::io::Result<ConnThreads> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(config.read_tick_millis.max(1))))?;
     let write_half = stream.try_clone()?;
-    // Replies reach the writer by `send_now`, past the mailbox bound, so
-    // without this a peer that never reads parks a net worker in
-    // `write_all` forever while its reply queue grows.
+    // The reply queue is unbounded, so without this a peer that never
+    // reads parks its writer in `write_all` forever while the queue grows.
     write_half.set_write_timeout(Some(Duration::from_millis(
         config.stall_timeout_millis.max(1),
     )))?;
-    let (writer, _handle) = reactor.spawn(
-        &format!("net-writer-{conn_seq}"),
-        256,
-        Writer {
-            stream: write_half,
-            stats: Arc::clone(&stats),
-            dead: false,
-            scratch: Vec::new(),
-        },
-    );
-    stats.writers_live.fetch_add(1, Ordering::SeqCst);
+    let (replies, queued) = unbounded();
     stats.live_connections.fetch_add(1, Ordering::SeqCst);
+    let live = Arc::new(LiveConn(Arc::clone(&stats)));
+    let writer = {
+        let live = Arc::clone(&live);
+        let stats = Arc::clone(&stats);
+        std::thread::Builder::new()
+            .name(format!("geomancy-net-write-{conn_seq}"))
+            .spawn(move || {
+                let _live = live;
+                write_loop(write_half, queued, &stats);
+            })?
+    };
     let shared = Arc::new(ConnShared {
-        writer,
+        replies,
         inflight: AtomicUsize::new(0),
         global_inflight,
         stats,
     });
     let config = config.clone();
-    let spawned = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("geomancy-net-read-{conn_seq}"))
-            .spawn(move || {
-                read_loop(stream, service, shared, &config, stop, draining, cluster);
-            })
-    };
-    if spawned.is_err() {
-        // The reader never started, so nobody will tear this connection
-        // down — do it here or the writer slot leaks.
-        shared.stats.live_connections.fetch_sub(1, Ordering::SeqCst);
-        shared.writer.retire();
-    }
-    spawned
+    // Should this spawn fail, the closure drops `shared` and with it the
+    // only sender, so the writer half-closes the socket and exits.
+    let reader = std::thread::Builder::new()
+        .name(format!("geomancy-net-read-{conn_seq}"))
+        .spawn(move || {
+            let _live = live;
+            read_loop(stream, service, shared, &config, stop, draining, cluster);
+        })?;
+    Ok(ConnThreads { reader, writer })
 }
 
 /// The per-connection blocking read loop: socket → [`FrameReader`] →
@@ -567,13 +509,6 @@ fn read_loop(
         }
     }
     let _ = stream.shutdown(Shutdown::Read);
-    // Close retires the writer after it flushes queued replies. If the
-    // send fails the writer is already dead or retiring (write-error
-    // path) — retire directly so the slot is reclaimed either way.
-    if shared.writer.send_now(WriteMsg::Close).is_err() {
-        shared.writer.retire();
-    }
-    shared.stats.live_connections.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Routes one decoded frame to the service and queues the reply.
@@ -696,7 +631,6 @@ fn dispatch(
             // Transport gauges only the server knows; in-process
             // snapshots leave them zero.
             snap.net_connections_live = shared.stats.live_connections.load(Ordering::SeqCst);
-            snap.net_writers_live = shared.stats.writers_live.load(Ordering::SeqCst);
             shared.reply(Frame::new(
                 FrameKind::MetricsResp,
                 corr,

@@ -299,6 +299,64 @@ fn oversized_frame_gets_too_large_then_close() {
     Arc::try_unwrap(svc).expect("sole owner").shutdown();
 }
 
+/// A peer that pipelines queries and then shuts its write half still
+/// gets every reply before the server closes its side: the reader sees
+/// EOF while the engine is still answering, and the connection's writer
+/// must outlive it until the last reply is written.
+#[test]
+fn half_closed_peer_still_gets_its_query_replies() {
+    use std::io::{Read, Write};
+    const QUERIES: usize = 4;
+    const RUNS: usize = 20;
+    let svc = service(AdmissionConfig::default());
+    for i in 0..300u64 {
+        svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
+    }
+    svc.retrain_now().unwrap();
+    let server = start(&svc);
+    let batch: Vec<PlacementRequest> = (0..512)
+        .map(|i| PlacementRequest {
+            fid: FileId(i % 4),
+            read_bytes: 1_000_000,
+            write_bytes: 0,
+        })
+        .collect();
+    let payload = geomancy_net::wire::encode_query_req(&batch);
+
+    for run in 0..RUNS {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        // Fail, rather than hang, where the server never closes.
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        for corr in 0..QUERIES as u64 {
+            let frame =
+                geomancy_net::Frame::new(geomancy_net::FrameKind::QueryReq, corr, payload.clone());
+            raw.write_all(&frame.encode()).unwrap();
+        }
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+
+        let mut rest = buf.as_slice();
+        let mut replies = 0;
+        while !rest.is_empty() {
+            let (reply, used) = geomancy_net::wire::decode_frame(rest, 1 << 24).unwrap();
+            rest = &rest[used..];
+            let (status, decisions) =
+                geomancy_net::wire::decode_query_resp(&reply.payload).unwrap();
+            assert_eq!(status, WireStatus::Ok, "run {run}");
+            assert_eq!(decisions.len(), batch.len(), "run {run}");
+            replies += 1;
+        }
+        assert_eq!(
+            replies, QUERIES,
+            "run {run}: replies before the server closed"
+        );
+    }
+
+    server.shutdown();
+    Arc::try_unwrap(svc).expect("sole owner").shutdown();
+}
+
 /// Graceful drain: shutdown with replies still queued flushes them —
 /// clients in flight get answers or clean disconnects, never hangs.
 #[test]
@@ -344,15 +402,13 @@ fn shutdown_drains_cleanly_under_traffic() {
     Arc::try_unwrap(svc).expect("sole owner").shutdown();
 }
 
-/// Satellite regression: the server set no write timeout, so a peer that
-/// keeps sending queries and never reads parked a net worker in
-/// `write_all` for good (replies bypass the writer's mailbox bound, so
-/// its queue grew without limit), and two such peers — one per net
-/// worker — stopped every connection's replies and `shutdown`'s drain.
-/// Now each stuck write gives up after `stall_timeout_millis` and the
-/// connection takes the dead-peer path.
+/// A peer that keeps sending queries and never reads blocks its own
+/// writer in `write_all`, and only that: a healthy neighbour keeps being
+/// answered, each stuck write gives up after `stall_timeout_millis`, the
+/// connection takes the dead-peer path, and `shutdown` stays within its
+/// drain bound.
 #[test]
-fn peers_that_never_read_cannot_park_the_net_workers() {
+fn a_deaf_peer_stalls_only_its_own_writer() {
     const STALL_MILLIS: u64 = 300;
     const DRAIN_MILLIS: u64 = 5_000;
     let svc = service(AdmissionConfig::default());
@@ -388,9 +444,9 @@ fn peers_that_never_read_cannot_park_the_net_workers() {
         .collect();
     assert_eq!(healthy.query_many(&batch).unwrap().len(), 512);
 
-    // Two peers (one per net worker) pipeline 512-request queries and
-    // never read a reply: ~18 KB each way past what the socket buffers
-    // hold, their writers block. Each stops at the first refused write
+    // Two peers pipeline 512-request queries and never read a reply:
+    // ~18 KB each way past what the socket buffers hold, their writers
+    // block. Each stops at the first refused write
     // (the server closed on it) or after a bounded ~36 MB of replies, and
     // hands its socket back still open — a dropped socket would reset
     // and free the writer by the ordinary dead-peer path.
@@ -420,7 +476,6 @@ fn peers_that_never_read_cannot_park_the_net_workers() {
     // peers did.
     let deadline = Instant::now() + Duration::from_millis(40 * STALL_MILLIS);
     while server.live_connections() != own_conns
-        || server.live_writer_actors() != own_conns
         || server
             .stats()
             .stalled
@@ -436,9 +491,8 @@ fn peers_that_never_read_cannot_park_the_net_workers() {
         );
         assert!(
             Instant::now() < deadline,
-            "stuck writers never timed out: {} connections, {} writers live",
+            "stuck writers never timed out: {} connections live",
             server.live_connections(),
-            server.live_writer_actors()
         );
     }
     let held: Vec<_> = deaf.into_iter().map(|t| t.join().unwrap()).collect();

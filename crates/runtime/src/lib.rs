@@ -4,9 +4,9 @@
 //! actors. Each actor owns its state, receives messages through a bounded
 //! mailbox, and can arm one-shot timers; the reactor guarantees an actor is
 //! only ever run by one worker at a time, so actor code needs no internal
-//! locking. It runs the serving layer's shard and query-engine actors,
-//! the cluster's control-plane actors and the transport's connection
-//! actors; `geomancy-core` names none of it.
+//! locking. It runs the serving layer's shard and query-engine actors
+//! and the cluster's control-plane actors; `geomancy-core` and the
+//! transport name none of it.
 //!
 //! Design points:
 //!
@@ -23,13 +23,11 @@
 //! - **Graceful shutdown.** `shutdown` closes mailboxes to external
 //!   senders, drains every message already queued, runs `on_stop`, and
 //!   hands actor state back to the caller via [`StoppedReactor::take`].
-//! - **First-class despawn.** [`Reactor::despawn`], [`Addr::retire`], and
-//!   [`Ctx::stop_self`] retire one actor without stopping the reactor:
-//!   pending timers are cancelled, the mailbox is purged (queued reply
-//!   senders drop, so callers get typed errors), `on_stop` runs exactly
-//!   once, and the generation-tagged slot is freed for reuse — stale
-//!   `Addr`s and handles fail safely instead of addressing the slot's
-//!   next occupant.
+//! - **A fixed set of actors.** Actors are spawned when their owner
+//!   starts and live until the reactor shuts down, so the actor table
+//!   only grows and an actor is named by its slot index. Work that comes
+//!   and goes with outside events, such as a network connection, runs on
+//!   threads of its own, not here.
 //! - **Panic containment.** A panicking actor is marked dead and its
 //!   mailbox purged (dropping queued reply handles so clients unblock);
 //!   the worker and every other actor keep running.

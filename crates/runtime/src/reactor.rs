@@ -7,25 +7,18 @@
 //!   every path takes at most one of `timers`/`slots` at a time and only
 //!   then `sched`; the one exception, the drain quiescence check, holds
 //!   `sched` and reads `slots`/mailbox lengths — and no path locks `sched`
-//!   while already holding `slots` or a mailbox lock. The retire path
-//!   takes its locks strictly in sequence (mailbox, then `timers`, then
-//!   `sched`, then `slots`), never nested.
+//!   while already holding `slots` or a mailbox lock.
 //! - No reactor lock is ever held across user actor code (`on_msg`,
 //!   `on_timer`, `on_start`, `on_stop`), so actors may freely block on
 //!   their own channels or I/O without wedging the scheduler.
 //!
 //! An actor's scheduling state is a small atomic machine:
 //! `IDLE → QUEUED → RUNNING (→ RUNNING_DIRTY on concurrent wake) → IDLE`,
-//! with `DEAD` terminal after a panic or retire.
+//! with `DEAD` terminal after a panic.
 //!
-//! Actor identity is a generation-tagged slot: `(index, generation)`.
-//! Despawn ([`Reactor::despawn`], [`Addr::retire`], [`Ctx::stop_self`])
-//! frees the slot for reuse by a later spawn, and every reference that
-//! could outlive the actor — run-queue entries, timer-heap entries,
-//! `ActorHandle`s — carries the generation, so a stale reference can
-//! never address the slot's next occupant: lookups that lose the
-//! generation match simply miss. Stale `Addr`s hold the old mailbox
-//! (already killed), so their sends fail with typed errors.
+//! The actor table only grows: an actor keeps its slot from spawn until
+//! the reactor is dropped, so run-queue entries, timer-heap entries and
+//! `ActorHandle`s name it by slot index alone.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -61,9 +54,8 @@ pub trait Actor: Send + 'static {
     /// actor's concern: tag tokens with a generation and ignore old ones.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
 
-    /// Runs exactly once at the end of the actor's life: during graceful
-    /// reactor shutdown (after the mailbox has been drained), or on the
-    /// finalization turn of a despawn/retire.
+    /// Runs exactly once at the end of the actor's life, during graceful
+    /// reactor shutdown, after the mailbox has been drained.
     fn on_stop(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
@@ -84,8 +76,7 @@ impl Ctx<'_> {
     /// in [`Actor::on_timer`]. Timers sharing a deadline fire in
     /// registration order (deterministic on a single-worker reactor).
     pub fn set_timer(&mut self, delay_micros: u64, token: u64) {
-        self.core
-            .add_timer(self.id, self.slot.gen, delay_micros, token);
+        self.core.add_timer(self.id, delay_micros, token);
     }
 
     /// Messages currently waiting in this actor's mailbox.
@@ -97,14 +88,6 @@ impl Ctx<'_> {
     /// senders; remaining messages are being drained).
     pub fn stopping(&self) -> bool {
         self.core.draining.load(Ordering::SeqCst)
-    }
-
-    /// Retires this actor. After the current callback returns no further
-    /// messages or timers are delivered; anything still queued is dropped
-    /// (reply senders released, so blocked callers see typed errors);
-    /// `on_stop` runs once on a worker and the slot is freed for reuse.
-    pub fn stop_self(&mut self) {
-        self.core.retire(self.slot, self.id);
     }
 }
 
@@ -135,7 +118,7 @@ impl<M> std::fmt::Debug for Addr<M> {
 
 impl<M: Send + 'static> Addr<M> {
     /// Blocking send: waits while the mailbox is full. Fails once the
-    /// actor is retired, shut down, or dead.
+    /// actor is shut down or dead.
     pub fn send(&self, msg: M) -> Result<(), Closed<M>> {
         self.mailbox.send(msg)?;
         self.wake();
@@ -153,22 +136,11 @@ impl<M: Send + 'static> Addr<M> {
     /// Control-plane send: bypasses capacity and still lands during the
     /// shutdown drain. For reactor-internal replies (snapshot parts,
     /// completions) that must not deadlock or be lost mid-drain. Fails
-    /// only when the actor is retired, dead, or fully stopped.
+    /// only when the actor is dead or fully stopped.
     pub fn send_now(&self, msg: M) -> Result<(), Closed<M>> {
         self.mailbox.send_now(msg)?;
         self.wake();
         Ok(())
-    }
-
-    /// Retires the target actor (see [`Reactor::despawn`] for semantics).
-    /// Returns `true` if this call initiated the retire; `false` if the
-    /// actor was already retiring, already gone, or the reactor has shut
-    /// down. Safe to call from any thread, including from other actors.
-    pub fn retire(&self) -> bool {
-        match (self.core.upgrade(), self.slot.upgrade()) {
-            (Some(core), Some(slot)) => core.retire(&slot, self.id),
-            _ => false,
-        }
     }
 
     /// Messages currently queued (a load gauge; immediately stale).
@@ -183,22 +155,16 @@ impl<M: Send + 'static> Addr<M> {
     }
 }
 
-/// Typed claim ticket for one actor: despawn it via [`Reactor::despawn`]
-/// or extract its state after shutdown via [`StoppedReactor::take`].
-/// Carries the actor's generation, so a handle to a retired actor can
-/// never claim the slot's next occupant.
+/// Typed claim ticket for one actor: extract its state after shutdown via
+/// [`StoppedReactor::take`].
 pub struct ActorHandle<A> {
     id: usize,
-    gen: u64,
     _marker: PhantomData<fn() -> A>,
 }
 
 impl<A> std::fmt::Debug for ActorHandle<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActorHandle")
-            .field("id", &self.id)
-            .field("gen", &self.gen)
-            .finish()
+        f.debug_struct("ActorHandle").field("id", &self.id).finish()
     }
 }
 
@@ -224,17 +190,8 @@ pub struct ActorStats {
 pub struct ReactorStats {
     /// Fixed worker pool size.
     pub workers: usize,
-    /// Actors currently occupying a slot (spawned and not yet retired;
-    /// includes panicked-dead actors, which keep their slot).
-    pub live: usize,
-    /// Actors spawned over the reactor's lifetime.
-    pub spawned_total: u64,
-    /// Actors retired (despawned) over the reactor's lifetime.
-    pub retired_total: u64,
-    /// Slot-table length — the high-water mark of concurrently live
-    /// actors. Stays flat under churn when retired slots are reused.
-    pub slot_capacity: usize,
-    /// One entry per live actor, in slot order.
+    /// One entry per spawned actor (panicked ones included), in spawn
+    /// order.
     pub actors: Vec<ActorStats>,
 }
 
@@ -271,15 +228,9 @@ const DEAD: u8 = 4;
 
 struct Slot {
     name: String,
-    /// Generation this slot occupancy belongs to; tags every external
-    /// reference so reuse after retire is unambiguous.
-    gen: u64,
     cell: Mutex<Option<Box<dyn AnyActor>>>,
     state: AtomicU8,
     started: AtomicBool,
-    /// Set once by the retire path; after this the actor only gets one
-    /// final finalization turn (on_stop) and is then freed.
-    retiring: AtomicBool,
     /// Timer tokens due for delivery, in firing order.
     fired: Mutex<VecDeque<u64>>,
     mailbox: Arc<dyn MailboxCtl>,
@@ -287,26 +238,15 @@ struct Slot {
     timers_fired: AtomicU64,
 }
 
-/// The actor table: a slab of generation-tagged slots with a free list,
-/// so retired slots are reused instead of growing the table forever.
-struct Slots {
-    entries: Vec<Option<Arc<Slot>>>,
-    free: Vec<usize>,
-    next_gen: u64,
-    spawned: u64,
-    retired: u64,
-}
-
 struct Sched {
-    /// Runnable actors as `(slot index, generation)`; a stale entry whose
-    /// generation no longer matches the slot is skipped on pop.
-    ready: VecDeque<(usize, u64)>,
+    /// Runnable actors by slot index.
+    ready: VecDeque<usize>,
     running: usize,
     stopped: bool,
 }
 
-/// Heap entry: (deadline µs, registration seq, slot index, generation, token).
-type TimerEntry = (u64, u64, usize, u64, u64);
+/// Heap entry: (deadline µs, registration seq, slot index, token).
+type TimerEntry = (u64, u64, usize, u64);
 
 struct Timers {
     heap: BinaryHeap<Reverse<TimerEntry>>,
@@ -314,7 +254,8 @@ struct Timers {
 }
 
 struct Core {
-    slots: Mutex<Slots>,
+    /// The actor table, indexed by slot id; append-only.
+    slots: Mutex<Vec<Arc<Slot>>>,
     sched: Mutex<Sched>,
     cv: Condvar,
     timers: Mutex<Timers>,
@@ -327,18 +268,14 @@ struct Core {
 }
 
 enum Step {
-    Run(usize, u64),
+    Run(usize),
     Tick,
     Stop,
 }
 
 impl Core {
-    fn slot(&self, id: usize, gen: u64) -> Option<Arc<Slot>> {
-        let slots = self.slots.lock().unwrap();
-        match slots.entries.get(id) {
-            Some(Some(s)) if s.gen == gen => Some(Arc::clone(s)),
-            _ => None,
-        }
+    fn slot(&self, id: usize) -> Arc<Slot> {
+        Arc::clone(&self.slots.lock().unwrap()[id])
     }
 
     /// Marks an actor runnable, enqueueing it at most once.
@@ -352,7 +289,7 @@ impl Core {
                         .is_ok()
                     {
                         let mut sched = self.sched.lock().unwrap();
-                        sched.ready.push_back((id, slot.gen));
+                        sched.ready.push_back(id);
                         self.cv.notify_one();
                         return;
                     }
@@ -377,13 +314,13 @@ impl Core {
         }
     }
 
-    fn add_timer(&self, id: usize, gen: u64, delay_micros: u64, token: u64) {
+    fn add_timer(&self, id: usize, delay_micros: u64, token: u64) {
         let deadline = self.time.now_micros().saturating_add(delay_micros);
         {
             let mut timers = self.timers.lock().unwrap();
             let seq = timers.seq;
             timers.seq += 1;
-            timers.heap.push(Reverse((deadline, seq, id, gen, token)));
+            timers.heap.push(Reverse((deadline, seq, id, token)));
         }
         self.timers_gen.fetch_add(1, Ordering::SeqCst);
         // Wake a sleeping worker so it recomputes its sleep deadline. The
@@ -400,97 +337,25 @@ impl Core {
             return;
         }
         let now = self.time.now_micros();
-        let mut due: Vec<(usize, u64, u64)> = Vec::new();
+        let mut due: Vec<(usize, u64)> = Vec::new();
         {
             let mut timers = self.timers.lock().unwrap();
-            while let Some(&Reverse((deadline, _, id, gen, token))) = timers.heap.peek() {
+            while let Some(&Reverse((deadline, _, id, token))) = timers.heap.peek() {
                 if deadline > now {
                     break;
                 }
                 timers.heap.pop();
-                due.push((id, gen, token));
+                due.push((id, token));
             }
         }
-        for (id, gen, token) in due {
-            let Some(slot) = self.slot(id, gen) else {
-                continue; // retired and freed; timer dies with the actor
-            };
-            if slot.state.load(Ordering::SeqCst) == DEAD || slot.retiring.load(Ordering::SeqCst) {
+        for (id, token) in due {
+            let slot = self.slot(id);
+            if slot.state.load(Ordering::SeqCst) == DEAD {
                 continue;
             }
             slot.fired.lock().unwrap().push_back(token);
             self.schedule_slot(&slot, id);
         }
-    }
-
-    /// Begins retiring one actor. Idempotent across racing callers; only
-    /// the call that flips `retiring` returns true. Teardown ordering:
-    /// kill the mailbox (every send path now fails with a typed error and
-    /// queued reply senders drop), discard due and pending timers, then
-    /// schedule one final worker turn that runs `on_stop` and frees the
-    /// slot.
-    fn retire(&self, slot: &Slot, id: usize) -> bool {
-        if slot.retiring.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        slot.mailbox.kill();
-        slot.fired.lock().unwrap().clear();
-        self.cancel_timers(id, slot.gen);
-        self.schedule_slot(slot, id);
-        if slot.state.load(Ordering::SeqCst) == DEAD {
-            // Panicked earlier: no finalization turn will come, reclaim
-            // inline. The panic path may race us and also free — both are
-            // safe because free_slot is generation-guarded and idempotent.
-            self.free_slot(id, slot.gen);
-        }
-        true
-    }
-
-    /// Drops every pending timer belonging to `(id, gen)`.
-    fn cancel_timers(&self, id: usize, gen: u64) {
-        let mut timers = self.timers.lock().unwrap();
-        let entries = std::mem::take(&mut timers.heap).into_vec();
-        timers.heap = entries
-            .into_iter()
-            .filter(|&Reverse((_, _, i, g, _))| i != id || g != gen)
-            .collect();
-    }
-
-    /// Returns a retired slot to the free list. Generation-guarded and
-    /// idempotent: a second call (or a stale caller) is a no-op.
-    fn free_slot(&self, id: usize, gen: u64) {
-        let mut slots = self.slots.lock().unwrap();
-        let occupied = slots
-            .entries
-            .get(id)
-            .and_then(|e| e.as_ref())
-            .is_some_and(|s| s.gen == gen);
-        if occupied {
-            slots.entries[id] = None;
-            slots.free.push(id);
-            slots.retired += 1;
-        }
-    }
-
-    /// Terminal turn for a retiring actor: runs `on_stop` exactly once,
-    /// marks the slot DEAD, and frees it for reuse. The caller won the
-    /// QUEUED→RUNNING CAS, so no other worker holds the cell.
-    fn finalize_retire(&self, slot: &Arc<Slot>, id: usize) {
-        let cell = slot.cell.lock().unwrap().take();
-        if let Some(mut cell) = cell {
-            // A panicking on_stop must not take the worker down.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let mut ctx = Ctx {
-                    core: self,
-                    slot,
-                    id,
-                };
-                cell.on_stop(&mut ctx);
-            }));
-        }
-        slot.state.store(DEAD, Ordering::SeqCst);
-        slot.fired.lock().unwrap().clear();
-        self.free_slot(id, slot.gen);
     }
 
     /// How long a worker may sleep before the next timer is due. `None`
@@ -512,7 +377,7 @@ impl Core {
     /// queue, so nothing can become pending concurrently from inside.
     fn all_quiet(&self) -> bool {
         let slots = self.slots.lock().unwrap();
-        slots.entries.iter().flatten().all(|s| {
+        slots.iter().all(|s| {
             s.state.load(Ordering::SeqCst) == DEAD
                 || (s.mailbox.len() == 0 && s.fired.lock().unwrap().is_empty())
         })
@@ -522,9 +387,9 @@ impl Core {
         let gen = self.timers_gen.load(Ordering::SeqCst);
         let wait = self.wait_duration();
         let mut sched = self.sched.lock().unwrap();
-        if let Some((id, slot_gen)) = sched.ready.pop_front() {
+        if let Some(id) = sched.ready.pop_front() {
             sched.running += 1;
-            return Step::Run(id, slot_gen);
+            return Step::Run(id);
         }
         if sched.stopped {
             return Step::Stop;
@@ -552,23 +417,13 @@ impl Core {
         Step::Tick
     }
 
-    fn run_actor(self: &Arc<Core>, id: usize, gen: u64) {
-        let Some(slot) = self.slot(id, gen) else {
-            // Stale run-queue entry for a freed slot (or its reused
-            // successor, which the generation check protects).
-            self.finish_run();
-            return;
-        };
+    fn run_actor(self: &Arc<Core>, id: usize) {
+        let slot = self.slot(id);
         if slot
             .state
             .compare_exchange(QUEUED, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            self.finish_run();
-            return;
-        }
-        if slot.retiring.load(Ordering::SeqCst) {
-            self.finalize_retire(&slot, id);
             self.finish_run();
             return;
         }
@@ -594,10 +449,7 @@ impl Core {
             Ok(more) => {
                 *slot.cell.lock().unwrap() = Some(cell);
                 let prev = slot.state.swap(IDLE, Ordering::SeqCst);
-                // A retire that landed mid-run (stop_self, or another
-                // thread) needs its finalization turn; `prev` catches the
-                // common case, the explicit check the IDLE-swap race.
-                if more || prev == RUNNING_DIRTY || slot.retiring.load(Ordering::SeqCst) {
+                if more || prev == RUNNING_DIRTY {
                     self.schedule_slot(&slot, id);
                 }
             }
@@ -608,11 +460,6 @@ impl Core {
                 slot.state.store(DEAD, Ordering::SeqCst);
                 slot.fired.lock().unwrap().clear();
                 slot.mailbox.kill();
-                if slot.retiring.load(Ordering::SeqCst) {
-                    // Retired while panicking: the finalization turn will
-                    // see DEAD and skip, so reclaim the slot here.
-                    self.free_slot(id, gen);
-                }
             }
         }
         self.finish_run();
@@ -629,10 +476,7 @@ impl Core {
 
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        let slots: Vec<Arc<Slot>> = {
-            let slots = self.slots.lock().unwrap();
-            slots.entries.iter().flatten().cloned().collect()
-        };
+        let slots = self.slots.lock().unwrap().clone();
         for s in &slots {
             s.mailbox.close();
         }
@@ -644,7 +488,7 @@ impl Core {
         loop {
             self.fire_due_timers();
             match self.next_step() {
-                Step::Run(id, gen) => self.run_actor(id, gen),
+                Step::Run(id) => self.run_actor(id),
                 Step::Tick => continue,
                 Step::Stop => break,
             }
@@ -739,13 +583,7 @@ impl Reactor {
                 .clamp(2, 4)
         };
         let core = Arc::new(Core {
-            slots: Mutex::new(Slots {
-                entries: Vec::new(),
-                free: Vec::new(),
-                next_gen: 0,
-                spawned: 0,
-                retired: 0,
-            }),
+            slots: Mutex::new(Vec::new()),
             sched: Mutex::new(Sched {
                 ready: VecDeque::new(),
                 running: 0,
@@ -797,8 +635,8 @@ impl Reactor {
     }
 
     /// Registers an actor with a bounded mailbox and schedules its
-    /// `on_start`. Reuses the lowest-numbered retired slot if one is
-    /// free. Panics if called after shutdown began.
+    /// `on_start`. The actor lives until the reactor shuts down. Panics
+    /// if called after shutdown began.
     pub fn spawn<A: Actor>(
         &self,
         name: &str,
@@ -810,37 +648,23 @@ impl Reactor {
             "spawn on a shutting-down reactor"
         );
         let mailbox = Arc::new(Mailbox::new(mailbox_capacity));
-        let (slot, id, gen) = {
+        let slot = Arc::new(Slot {
+            name: name.to_string(),
+            cell: Mutex::new(Some(Box::new(ActorCell {
+                actor,
+                mailbox: Arc::clone(&mailbox),
+            }))),
+            state: AtomicU8::new(IDLE),
+            started: AtomicBool::new(false),
+            fired: Mutex::new(VecDeque::new()),
+            mailbox: Arc::clone(&mailbox) as Arc<dyn MailboxCtl>,
+            processed: AtomicU64::new(0),
+            timers_fired: AtomicU64::new(0),
+        });
+        let id = {
             let mut slots = self.core.slots.lock().unwrap();
-            slots.next_gen += 1;
-            let gen = slots.next_gen;
-            let slot = Arc::new(Slot {
-                name: name.to_string(),
-                gen,
-                cell: Mutex::new(Some(Box::new(ActorCell {
-                    actor,
-                    mailbox: Arc::clone(&mailbox),
-                }))),
-                state: AtomicU8::new(IDLE),
-                started: AtomicBool::new(false),
-                retiring: AtomicBool::new(false),
-                fired: Mutex::new(VecDeque::new()),
-                mailbox: Arc::clone(&mailbox) as Arc<dyn MailboxCtl>,
-                processed: AtomicU64::new(0),
-                timers_fired: AtomicU64::new(0),
-            });
-            let id = match slots.free.pop() {
-                Some(i) => {
-                    slots.entries[i] = Some(Arc::clone(&slot));
-                    i
-                }
-                None => {
-                    slots.entries.push(Some(Arc::clone(&slot)));
-                    slots.entries.len() - 1
-                }
-            };
-            slots.spawned += 1;
-            (slot, id, gen)
+            slots.push(Arc::clone(&slot));
+            slots.len() - 1
         };
         // Run on_start promptly (it may arm the actor's first timer).
         // Outside the slots lock: schedule_slot takes sched.
@@ -854,43 +678,17 @@ impl Reactor {
             },
             ActorHandle {
                 id,
-                gen,
                 _marker: PhantomData,
             },
         )
     }
 
-    /// Retires the actor behind `handle`: cancels its pending timers,
-    /// purges its mailbox (queued reply senders drop, so blocked callers
-    /// get typed errors instead of hangs), runs `on_stop` once on a
-    /// worker, and frees the slot for reuse by a later spawn. Stale
-    /// `Addr`s to the retired actor fail every send with a typed error.
-    ///
-    /// Returns `false` if the actor was already retired. Consumes the
-    /// handle: a despawned actor's state cannot be reclaimed.
-    pub fn despawn<A: Actor>(&self, handle: ActorHandle<A>) -> bool {
-        match self.core.slot(handle.id, handle.gen) {
-            Some(slot) => self.core.retire(&slot, handle.id),
-            None => false,
-        }
-    }
-
     /// Samples per-actor counters and queue depths.
     pub fn stats(&self) -> ReactorStats {
         let slots = self.core.slots.lock().unwrap();
-        let actors: Vec<ActorStats> = slots
-            .entries
-            .iter()
-            .flatten()
-            .map(|s| slot_stats(s))
-            .collect();
         ReactorStats {
             workers: self.workers.len(),
-            live: actors.len(),
-            spawned_total: slots.spawned,
-            retired_total: slots.retired,
-            slot_capacity: slots.entries.len(),
-            actors,
+            actors: slots.iter().map(|s| slot_stats(s)).collect(),
         }
     }
 
@@ -902,7 +700,7 @@ impl Reactor {
     /// during the drain (reactor-internal replies) are still delivered.
     pub fn shutdown(mut self) -> StoppedReactor {
         self.shutdown_impl();
-        let slots = self.core.slots.lock().unwrap().entries.clone();
+        let slots = self.core.slots.lock().unwrap().clone();
         StoppedReactor { slots }
     }
 
@@ -914,9 +712,8 @@ impl Reactor {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let entries = self.core.slots.lock().unwrap().entries.clone();
-        for (id, slot) in entries.iter().enumerate() {
-            let Some(slot) = slot else { continue };
+        let slots = self.core.slots.lock().unwrap().clone();
+        for (id, slot) in slots.iter().enumerate() {
             let cell = slot.cell.lock().unwrap().take();
             if let Some(mut cell) = cell {
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -956,26 +753,21 @@ fn slot_stats(s: &Slot) -> ActorStats {
 
 /// A shut-down reactor holding final actor state.
 pub struct StoppedReactor {
-    slots: Vec<Option<Arc<Slot>>>,
+    slots: Vec<Arc<Slot>>,
 }
 
 impl StoppedReactor {
     /// Reclaims the actor behind `handle`. Returns `None` if the actor
-    /// panicked (its state was destroyed), was despawned before shutdown,
-    /// or was already taken.
+    /// panicked (its state was destroyed) or was already taken.
     pub fn take<A: Actor>(&self, handle: ActorHandle<A>) -> Option<A> {
-        let slot = self.slots.get(handle.id)?.as_ref()?;
-        if slot.gen != handle.gen {
-            return None;
-        }
+        let slot = self.slots.get(handle.id)?;
         let cell = slot.cell.lock().unwrap().take()?;
         let cell = cell.into_any().downcast::<ActorCell<A>>().ok()?;
         Some(cell.actor)
     }
 
-    /// Final per-actor counters (live actors only; despawned slots are
-    /// gone).
+    /// Final per-actor counters, in spawn order.
     pub fn stats(&self) -> Vec<ActorStats> {
-        self.slots.iter().flatten().map(|s| slot_stats(s)).collect()
+        self.slots.iter().map(|s| slot_stats(s)).collect()
     }
 }

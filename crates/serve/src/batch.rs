@@ -167,7 +167,7 @@ impl ModelSlot {
 /// callback instead, so the engine actor can answer a wire request
 /// without anybody blocking on anybody (the callback runs inline in the
 /// engine actor and must therefore never block — `geomancy-net` resolves
-/// it to a `send_now` into a writer actor's mailbox).
+/// it to a send on the connection's unbounded reply channel).
 pub(crate) enum Reply {
     /// Complete a parked [`BatchEngine::query_many`] call.
     Channel(Sender<Result<Vec<Decision>, QueryError>>),
@@ -334,14 +334,6 @@ impl Actor for BatchActor {
         // An empty mailbox means nobody else is submitting right now; a
         // non-empty one guarantees another `on_msg` to extend the batch.
         if held >= self.params.max_batch || ctx.pending_msgs() == 0 {
-            self.serve(ctx);
-        }
-    }
-
-    fn on_stop(&mut self, ctx: &mut Ctx<'_>) {
-        // A graceful drain ends on an empty mailbox, which served the batch;
-        // only a retire that purged the mailbox leaves one held here.
-        if !self.pending.is_empty() {
             self.serve(ctx);
         }
     }

@@ -97,7 +97,6 @@ macro_rules! scalar_metrics {
                     latency_us: load_all(&self.latency_us),
                     engine_queue: 0,
                     net_connections_live: 0,
-                    net_writers_live: 0,
                     kernel_backend: geomancy_nn::matrix::kernels::backend_name().to_string(),
                 }
             }
@@ -125,10 +124,6 @@ macro_rules! scalar_metrics {
             /// (gauge; filled in by the net server, 0 for in-process
             /// snapshots).
             pub net_connections_live: u64,
-            /// Per-connection writer actors currently live on the net
-            /// reactor (gauge; filled in by the net server, 0 for
-            /// in-process snapshots).
-            pub net_writers_live: u64,
             /// NN kernel backend the serving process dispatches to
             /// (`"avx512"`, `"avx2_fma"` or `"scalar"`; see
             /// `geomancy_nn::matrix::kernels`).
@@ -137,14 +132,13 @@ macro_rules! scalar_metrics {
 
         impl MetricsSnapshot {
             /// Every scalar counter and gauge as `(name, value)`: the
-            /// declared table in order, then the three gauges the service
+            /// declared table in order, then the two gauges the service
             /// and the net server patch in.
             pub fn scalars(&self) -> impl ExactSizeIterator<Item = (&'static str, u64)> {
                 [
                     $((stringify!($name), self.$name),)*
                     ("engine_queue", self.engine_queue as u64),
                     ("net_connections_live", self.net_connections_live),
-                    ("net_writers_live", self.net_writers_live),
                 ]
                 .into_iter()
             }
@@ -156,7 +150,6 @@ macro_rules! scalar_metrics {
                     $(stringify!($name) => self.$name = value,)*
                     "engine_queue" => self.engine_queue = value as usize,
                     "net_connections_live" => self.net_connections_live = value,
-                    "net_writers_live" => self.net_writers_live = value,
                     _ => return false,
                 }
                 true

@@ -555,7 +555,8 @@ impl PlacementService {
     /// a completion instead of blocking. `done` runs exactly once — on
     /// this thread for shed (`Overloaded`) or empty submissions, inline
     /// in the engine actor otherwise, so it must not block (the transport
-    /// layer resolves it to a non-blocking send into a writer actor).
+    /// layer resolves it to a send on the connection's unbounded reply
+    /// channel).
     ///
     /// Pending accounting is released when the completion fires even if
     /// the caller that submitted the request is gone (a disconnected
