@@ -14,7 +14,7 @@ use geomancy_core::models::{build_model, ModelId};
 use geomancy_nn::init::seeded_rng;
 use geomancy_nn::loss::Loss;
 use geomancy_nn::optimizer::Sgd;
-use geomancy_nn::training::{train, DataSplit, TrainConfig};
+use geomancy_nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy_replaydb::ReplayDb;
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 use geomancy_trace::features::Z;
@@ -55,7 +55,7 @@ fn main() {
             epochs: 200,
             batch_size: 64,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         },
     );
     rows.push(vec![
@@ -106,12 +106,16 @@ fn main() {
     for (i, r) in synthetic_records(12_000).into_iter().enumerate() {
         full_db.insert(i as u64 * 1_000_000, r);
     }
-    let mut engine = DrlEngine::new(DrlConfig {
+    let live = DrlConfig {
         train_window: 1_000,
-        epochs: 40,
         smoothing_window: 1,
         ..DrlConfig::default()
-    });
+    };
+    let retrain_row = format!(
+        "online retrain ({} epochs, cosine rate, live window)",
+        live.epochs
+    );
+    let mut engine = DrlEngine::new(live);
     let start = Instant::now();
     engine.retrain(&full_db).expect("data suffices");
     let retrain_s = start.elapsed().as_secs_f64();
@@ -131,7 +135,7 @@ fn main() {
     }
     let layout_ms = start.elapsed().as_secs_f64() * 1e3;
     rows.push(vec![
-        "online retrain (40 epochs, live window)".into(),
+        retrain_row,
         format!("{retrain_s:.3} s"),
         "part of the 26.5 s bound".into(),
     ]);

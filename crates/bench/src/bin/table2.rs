@@ -16,7 +16,7 @@ use geomancy_core::models::{build_model, ModelId};
 use geomancy_nn::init::seeded_rng;
 use geomancy_nn::loss::Loss;
 use geomancy_nn::optimizer::Sgd;
-use geomancy_nn::training::{train, DataSplit, TrainConfig};
+use geomancy_nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy_sim::bluesky::Mount;
 use geomancy_trace::features::Z;
 
@@ -58,7 +58,7 @@ fn main() {
                 epochs,
                 batch_size: 64,
                 loss: Loss::MeanSquaredError,
-                patience: None,
+                schedule: LrSchedule::Constant,
             },
         );
         let elapsed = start.elapsed();

@@ -49,25 +49,21 @@ pub fn experiment_config(seed: u64) -> ExperimentConfig {
     }
 }
 
-/// DRL engine configuration for the live experiments: a lighter online
-/// retrain than the offline 200-epoch study, sized so nine retrain cycles
-/// finish in seconds on a laptop core. Targets are unsmoothed
-/// (`smoothing_window: 1`): in this substrate the per-device contention
-/// signal moves access-by-access, and the smoothing ablation shows raw
-/// targets place better (the offline model study keeps the paper's
-/// smoothing).
+/// DRL engine configuration for the live experiments: the served fit's
+/// recipe (epochs and peak rate of [`DrlConfig::default`]), over a
+/// shorter window so nine retrain cycles finish in seconds on a laptop
+/// core. Targets are unsmoothed (`smoothing_window: 1`): in this
+/// substrate the per-device contention signal moves access-by-access,
+/// and the smoothing ablation shows raw targets place better (the
+/// offline model study keeps the paper's smoothing).
 pub fn live_drl_config(seed: u64) -> DrlConfig {
+    let served = DrlConfig::default();
     DrlConfig {
-        model: 1,
         train_window: if fast_mode() { 300 } else { 1_000 },
-        epochs: if fast_mode() { 10 } else { 40 },
-        learning_rate: 0.05,
-        batch_size: 64,
+        epochs: if fast_mode() { 10 } else { served.epochs },
         smoothing_window: 1,
-        timesteps: 8,
-        adjust_predictions: true,
-        log_targets: false,
         seed,
+        ..served
     }
 }
 

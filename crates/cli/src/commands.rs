@@ -307,7 +307,7 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
     use geomancy_core::dataset::forecasting_dataset;
     use geomancy_nn::loss::Loss;
     use geomancy_nn::optimizer::Sgd;
-    use geomancy_nn::training::{train, DataSplit, TrainConfig};
+    use geomancy_nn::training::{train, DataSplit, LrSchedule, TrainConfig};
     use geomancy_sim::bluesky::bluesky_system;
     use geomancy_sim::cluster::FileMeta;
     use geomancy_sim::record::DeviceId;
@@ -370,7 +370,7 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
             epochs,
             batch_size: 64,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         },
     );
     println!(

@@ -33,9 +33,9 @@ pub struct EngineSection {
     pub model: u8,
     /// Most recent accesses pulled per device for a retrain.
     pub train_window: usize,
-    /// Epochs per retrain.
+    /// Epochs per fit.
     pub epochs: usize,
-    /// SGD learning rate.
+    /// Peak SGD learning rate of a fit's cosine schedule.
     pub learning_rate: f64,
     /// Mini-batch size.
     pub batch_size: usize,

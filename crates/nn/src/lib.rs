@@ -70,4 +70,4 @@ pub use metrics::RelativeError;
 pub use network::Sequential;
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use spec::{Checkpoint, LayerSpec, NetworkSpec};
-pub use training::{train, DataSplit, TrainConfig, TrainReport};
+pub use training::{train, DataSplit, LrSchedule, TrainConfig, TrainReport};

@@ -39,8 +39,15 @@ pub trait Optimizer: Send {
     /// ordering and clears its gradient, allocating nothing.
     fn step_param(&mut self, index: usize, param: &mut Param);
 
-    /// The configured learning rate.
+    /// The current learning rate.
     fn learning_rate(&self) -> f64;
+
+    /// Replaces the learning rate; a schedule calls this between epochs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is not positive.
+    fn set_learning_rate(&mut self, rate: f64);
 }
 
 /// Plain stochastic gradient descent with optional gradient clipping.
@@ -90,6 +97,11 @@ impl Optimizer for Sgd {
 
     fn learning_rate(&self) -> f64 {
         self.learning_rate
+    }
+
+    fn set_learning_rate(&mut self, rate: f64) {
+        assert!(rate > 0.0, "learning rate must be positive");
+        self.learning_rate = rate;
     }
 }
 
@@ -171,6 +183,11 @@ impl Optimizer for Adam {
     fn learning_rate(&self) -> f64 {
         self.learning_rate
     }
+
+    fn set_learning_rate(&mut self, rate: f64) {
+        assert!(rate > 0.0, "learning rate must be positive");
+        self.learning_rate = rate;
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +250,22 @@ mod tests {
             opt.step(&mut [&mut p]);
         }
         assert!((p.value.as_slice()[0] - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn set_learning_rate_sizes_the_next_step() {
+        let mut p = param_with_grad(1.0, 0.5);
+        let mut sgd = Sgd::new(0.1).with_clip(None);
+        sgd.set_learning_rate(0.2);
+        sgd.step(&mut [&mut p]);
+        assert!((p.value.as_slice()[0] - 0.9).abs() < 1e-12);
+
+        let mut q = param_with_grad(0.0, 0.3);
+        let mut adam = Adam::new(0.5);
+        adam.set_learning_rate(0.01);
+        adam.step(&mut [&mut q]);
+        assert!((q.value.as_slice()[0] + 0.01).abs() < 1e-6);
+        assert_eq!(adam.learning_rate(), 0.01);
     }
 
     #[test]

@@ -64,6 +64,34 @@ impl DataSplit {
     }
 }
 
+/// How the learning rate moves across a run's epochs. The optimizer's rate
+/// when [`train`] is called is the schedule's peak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LrSchedule {
+    /// The peak rate for every epoch (the paper's model-study protocol).
+    Constant,
+    /// Epoch `e` of `E` runs at `peak × (f + (1 − f) × ½(1 + cos(π·e/E)))`
+    /// with `f` = [`COSINE_FLOOR`]: the first epoch at the peak, falling
+    /// toward `f × peak` by the last.
+    Cosine,
+}
+
+/// The fraction of the peak rate a [`LrSchedule::Cosine`] run falls to.
+pub const COSINE_FLOOR: f64 = 0.05;
+
+impl LrSchedule {
+    /// The learning rate of epoch `epoch` (zero-based) of `epochs`.
+    pub fn rate(self, peak: f64, epoch: usize, epochs: usize) -> f64 {
+        match self {
+            LrSchedule::Constant => peak,
+            LrSchedule::Cosine => {
+                let phase = std::f64::consts::PI * epoch as f64 / epochs.max(1) as f64;
+                peak * (COSINE_FLOOR + (1.0 - COSINE_FLOOR) * 0.5 * (1.0 + phase.cos()))
+            }
+        }
+    }
+}
+
 /// Configuration of one training run.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -73,9 +101,8 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Loss minimized during training.
     pub loss: Loss,
-    /// Stop early when validation loss fails to improve for this many epochs
-    /// (`None` disables early stopping, matching the paper's fixed 200).
-    pub patience: Option<usize>,
+    /// Learning-rate schedule over the epochs (the paper's is constant).
+    pub schedule: LrSchedule,
 }
 
 impl Default for TrainConfig {
@@ -84,7 +111,7 @@ impl Default for TrainConfig {
             epochs: 200,
             batch_size: 64,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         }
     }
 }
@@ -104,8 +131,6 @@ pub struct TrainReport {
     pub test_error: RelativeError,
     /// Whether the model hit the paper's "Diverged" condition on the test set.
     pub diverged: bool,
-    /// Number of epochs actually run (differs from config under early stop).
-    pub epochs_run: usize,
 }
 
 impl TrainReport {
@@ -119,8 +144,10 @@ impl TrainReport {
     }
 }
 
-/// Trains `network` on `split.train`, validating each epoch, then evaluates
-/// on `split.test`, reproducing the paper's per-model measurement protocol.
+/// Trains `network` on `split.train` for `config.epochs` epochs, stepping
+/// the optimizer's rate along `config.schedule` from the rate it holds on
+/// entry (restored before returning), then evaluates on `split.test`,
+/// reproducing the paper's per-model measurement protocol.
 ///
 /// # Panics
 ///
@@ -136,13 +163,11 @@ pub fn train(
     let (test_x, test_y) = &split.test;
     assert!(train_x.rows() > 0, "empty training partition");
 
+    let peak = optimizer.learning_rate();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
-    let mut best_val = f64::INFINITY;
-    let mut stale = 0usize;
-    let mut epochs_run = 0usize;
     let start = Instant::now();
-    for _ in 0..config.epochs {
-        epochs_run += 1;
+    for epoch in 0..config.epochs {
+        optimizer.set_learning_rate(config.schedule.rate(peak, epoch, config.epochs));
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         let bs = config.batch_size.max(1);
@@ -160,21 +185,8 @@ pub fn train(
             row = end;
         }
         epoch_losses.push(epoch_loss / batches.max(1) as f64);
-        if let Some(patience) = config.patience {
-            let val_loss = config
-                .loss
-                .compute_view(network.predict_ref(val_x.view()).view(), val_y.view());
-            if val_loss + 1e-12 < best_val {
-                best_val = val_loss;
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale >= patience {
-                    break;
-                }
-            }
-        }
     }
+    optimizer.set_learning_rate(peak);
     let training_time = start.elapsed();
     network.zero_grad();
 
@@ -195,7 +207,6 @@ pub fn train(
         validation_loss,
         test_error,
         diverged,
-        epochs_run,
     }
 }
 
@@ -270,32 +281,85 @@ mod tests {
             "test MARE too high: {}",
             report.test_error
         );
-        assert_eq!(report.epochs_run, 150);
+        assert_eq!(report.epoch_losses.len(), 150);
         let first = report.epoch_losses.first().copied().unwrap();
         let last = report.epoch_losses.last().copied().unwrap();
         assert!(last < first);
     }
 
-    #[test]
-    fn early_stopping_halts_before_epoch_budget() {
+    /// SGD that logs the rate each step runs at.
+    struct RateLog {
+        sgd: Sgd,
+        rates: Vec<f64>,
+    }
+
+    impl Optimizer for RateLog {
+        fn begin_step(&mut self, param_count: usize) {
+            self.rates.push(self.sgd.learning_rate());
+            self.sgd.begin_step(param_count);
+        }
+
+        fn step_param(&mut self, index: usize, param: &mut crate::param::Param) {
+            self.sgd.step_param(index, param);
+        }
+
+        fn learning_rate(&self) -> f64 {
+            self.sgd.learning_rate()
+        }
+
+        fn set_learning_rate(&mut self, rate: f64) {
+            self.sgd.set_learning_rate(rate);
+        }
+    }
+
+    /// Trains a small net under `schedule` for `epochs` epochs of 6
+    /// batches each; returns the rate of every step and the optimizer's
+    /// rate after `train` returns.
+    fn rates_under(schedule: LrSchedule, peak: f64, epochs: usize) -> (Vec<f64>, f64) {
         let (x, y) = linear_dataset(100);
         let split = DataSplit::split_60_20_20(x, y);
         let mut rng = seeded_rng(12);
         let mut net = Sequential::new();
         net.push(Dense::new(2, 4, Activation::Linear, &mut rng));
         net.push(Dense::new(4, 1, Activation::Linear, &mut rng));
-        let mut opt = Sgd::new(0.05);
-        let report = train(
-            &mut net,
-            &mut opt,
-            &split,
-            &TrainConfig {
-                epochs: 5000,
-                patience: Some(5),
-                ..TrainConfig::default()
-            },
+        let mut opt = RateLog {
+            sgd: Sgd::new(peak),
+            rates: Vec::new(),
+        };
+        let config = TrainConfig {
+            epochs,
+            batch_size: 10,
+            schedule,
+            ..TrainConfig::default()
+        };
+        train(&mut net, &mut opt, &split, &config);
+        assert_eq!(opt.rates.len(), epochs * 6);
+        let after = opt.learning_rate();
+        (opt.rates, after)
+    }
+
+    #[test]
+    fn cosine_schedule_falls_from_the_peak_to_the_floor_and_restores_it() {
+        let peak = 0.3;
+        let (rates, after) = rates_under(LrSchedule::Cosine, peak, 20);
+        assert!(
+            rates[..6].iter().all(|&r| r == peak),
+            "first epoch off peak"
         );
-        assert!(report.epochs_run < 5000);
+        assert!(rates.windows(2).all(|w| w[1] <= w[0]), "rate rose");
+        assert!(
+            rates.iter().all(|&r| r >= COSINE_FLOOR * peak),
+            "below floor"
+        );
+        assert!(rates[rates.len() - 1] < 0.1 * peak, "never decayed");
+        assert_eq!(after, peak, "peak not restored");
+    }
+
+    #[test]
+    fn constant_schedule_keeps_the_peak() {
+        let (rates, after) = rates_under(LrSchedule::Constant, 0.05, 5);
+        assert!(rates.iter().all(|&r| r == 0.05));
+        assert_eq!(after, 0.05);
     }
 
     #[test]
@@ -311,7 +375,6 @@ mod tests {
                 signed_mean: 0.0,
             },
             diverged: true,
-            epochs_run: 1,
         };
         assert_eq!(report.error_cell(), "Diverged");
     }

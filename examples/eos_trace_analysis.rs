@@ -11,7 +11,7 @@ use geomancy::core::models::{build_model, ModelId};
 use geomancy::nn::init::seeded_rng;
 use geomancy::nn::loss::Loss;
 use geomancy::nn::optimizer::Sgd;
-use geomancy::nn::training::{train, DataSplit, TrainConfig};
+use geomancy::nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy::sim::record::{AccessRecord, DeviceId, FileId};
 use geomancy::trace::eos::{correlation_table, EosTraceGenerator};
 use geomancy::trace::features::Z;
@@ -65,14 +65,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             epochs: 100,
             batch_size: 64,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         },
     );
     println!(
         "test error {} over {} samples ({} epochs in {:.2}s, prediction in {:.2} ms)",
         report.error_cell(),
         split.test.0.rows(),
-        report.epochs_run,
+        report.epoch_losses.len(),
         report.training_time.as_secs_f64(),
         report.prediction_time.as_secs_f64() * 1e3,
     );

@@ -15,7 +15,7 @@ use geomancy::core::models::{build_model, ModelId};
 use geomancy::nn::init::seeded_rng;
 use geomancy::nn::loss::Loss;
 use geomancy::nn::optimizer::{Adam, Optimizer, Sgd};
-use geomancy::nn::training::{train, DataSplit, TrainConfig};
+use geomancy::nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy::sim::bluesky::bluesky_system;
 use geomancy::sim::cluster::FileMeta;
 use geomancy::sim::record::{AccessRecord, DeviceId};
@@ -67,7 +67,7 @@ fn run_with(optimizer: &mut dyn Optimizer, split: &DataSplit, seed: u64) -> (Str
             epochs: 120,
             batch_size: 64,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         },
     );
     (

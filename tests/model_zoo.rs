@@ -6,7 +6,7 @@ use geomancy::core::models::{build_model, ModelId};
 use geomancy::nn::init::seeded_rng;
 use geomancy::nn::loss::Loss;
 use geomancy::nn::optimizer::Sgd;
-use geomancy::nn::training::{train, DataSplit, TrainConfig};
+use geomancy::nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy::sim::bluesky::{bluesky_system, Mount};
 use geomancy::sim::cluster::FileMeta;
 use geomancy::sim::record::{AccessRecord, FileId};
@@ -52,7 +52,7 @@ fn every_table1_model_trains_without_numerical_blowup() {
                 epochs: 15,
                 batch_size: 32,
                 loss: Loss::MeanSquaredError,
-                patience: None,
+                schedule: LrSchedule::Constant,
             },
         );
         // Training loss must be finite for every architecture; divergence
@@ -64,7 +64,11 @@ fn every_table1_model_trains_without_numerical_blowup() {
                 "{id} produced non-finite loss at epoch {e}"
             );
         }
-        assert!(report.epochs_run == 15, "{id} stopped early unexpectedly");
+        assert_eq!(
+            report.epoch_losses.len(),
+            15,
+            "{id} ran short of its epochs"
+        );
     }
 }
 
@@ -84,7 +88,7 @@ fn model_1_beats_the_constant_predictor_on_quiet_data() {
             epochs: 120,
             batch_size: 32,
             loss: Loss::MeanSquaredError,
-            patience: None,
+            schedule: LrSchedule::Constant,
         },
     );
     assert!(!report.diverged, "model 1 diverged on the quiet mount");
