@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::{Matrix, MatrixView};
 use geomancy_nn::metrics::RelativeError;
-use geomancy_nn::network::Sequential;
+use geomancy_nn::network::{Sequential, SequentialF32};
 use geomancy_nn::optimizer::Sgd;
 use geomancy_nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy_replaydb::ReplayDb;
@@ -104,20 +104,31 @@ pub struct PlacementQuery {
 }
 
 /// The DRL engine: network, normalizers, and prediction adjustment.
+///
+/// Two precisions: the network trains, validates and calibrates the §V-G
+/// adjuster in `f64`, and every fit ends by taking an `f32` copy of it
+/// ([`SequentialF32`]) that serves the placement queries, on twice the
+/// SIMD lanes. A served decision needs only the best of a few
+/// predictions, and the copy's lie within a few millionths of the largest
+/// `f64` prediction in play, so the picks agree
+/// (`tests/serving_precision.rs`).
 pub struct DrlEngine {
     config: DrlConfig,
     net: Sequential,
+    /// The serving copy of `net`, taken at the end of each fit; `None`
+    /// before the first, and after a bare [`DrlEngine::incremental_step`]
+    /// until the next query retakes it.
+    serving: Option<SequentialF32>,
     feature_norm: Option<MinMaxNormalizer>,
     target_norm: Option<ScalarNormalizer>,
     log_targets: bool,
     adjuster: PredictionAdjuster,
     retrains: u64,
-    /// Reusable candidate-feature batch for [`DrlEngine::rank_locations`]
-    /// (resized in place, so steady-state ranking allocates nothing).
-    query_buf: Matrix,
-    /// Reusable prediction buffer for the fused multi-query path
-    /// ([`DrlEngine::rank_locations_batch_into`]).
-    batch_pred: Matrix,
+    /// Reusable `f32` candidate-feature rows of a ranking call (resized in
+    /// place, so steady-state ranking allocates nothing).
+    rows: Vec<f32>,
+    /// Reusable prediction buffer of a ranking call.
+    pred: Vec<f32>,
 }
 
 impl std::fmt::Debug for DrlEngine {
@@ -151,13 +162,14 @@ impl DrlEngine {
         DrlEngine {
             config,
             net,
+            serving: None,
             feature_norm: None,
             target_norm: None,
             log_targets: false,
             adjuster: PredictionAdjuster::identity(),
             retrains: 0,
-            query_buf: Matrix::default(),
-            batch_pred: Matrix::default(),
+            rows: Vec::new(),
+            pred: Vec::new(),
         }
     }
 
@@ -235,7 +247,9 @@ impl DrlEngine {
     /// One warm gradient step on a pre-built normalized batch — the
     /// inner unit of an incremental fit, exposed so steady-state
     /// behaviour is testable: with warmed scratch arenas (one prior fit)
-    /// a step performs no heap allocation. Returns the batch loss.
+    /// a step performs no heap allocation. Returns the batch loss. The
+    /// step moves the weights away from the serving copy, so the copy is
+    /// dropped and the next ranking call retakes it.
     ///
     /// # Panics
     ///
@@ -246,6 +260,7 @@ impl DrlEngine {
         targets: MatrixView<'_>,
         optimizer: &mut Sgd,
     ) -> f64 {
+        self.serving = None;
         self.net
             .train_batch_view(inputs, targets, Loss::MeanSquaredError, optimizer)
     }
@@ -257,13 +272,14 @@ impl DrlEngine {
     }
 
     /// Deep copy of the trained state: a new engine with the same
-    /// weights, normalizers, and adjuster, but cold (empty) scratch
-    /// buffers. The trainer keeps the master engine for the next warm
-    /// start and publishes forks to the model slot, since publication
+    /// weights, serving copy, normalizers, and adjuster, but cold (empty)
+    /// scratch buffers. The trainer keeps the master engine for the next
+    /// warm start and publishes forks to the model slot, since publication
     /// moves the engine out to the serving thread.
     pub fn fork(&self) -> DrlEngine {
         let mut copy = DrlEngine::new(self.config.clone());
         copy.net.import_weights(&self.net.export_weights());
+        copy.serving = self.serving.clone();
         copy.feature_norm = self.feature_norm.clone();
         copy.target_norm = self.target_norm.clone();
         copy.log_targets = self.log_targets;
@@ -275,7 +291,8 @@ impl DrlEngine {
     /// Shared training core: builds the §V-C dataset from `records`,
     /// trains the current weights (fresh weights after
     /// [`DrlEngine::new`], warm weights on an incremental fit) under the
-    /// cosine schedule, and recalibrates normalizers and the adjuster.
+    /// cosine schedule, recalibrates normalizers and the adjuster on the
+    /// `f64` network, and takes the `f32` serving copy.
     fn fit(&mut self, records: &[AccessRecord]) -> Option<RetrainOutcome> {
         if records.len() < 5 {
             return None;
@@ -327,6 +344,7 @@ impl DrlEngine {
         } else {
             PredictionAdjuster::identity()
         };
+        self.serving = self.net.to_f32();
         self.feature_norm = Some(feature_norm);
         self.target_norm = Some(target_norm);
         self.log_targets = log_targets;
@@ -359,9 +377,10 @@ impl DrlEngine {
 
     /// Allocation-free variant of [`DrlEngine::rank_locations`]: clears
     /// `out` and fills it with `(device, predicted throughput)` in input
-    /// order. With a warm `out` (capacity ≥ `candidates.len()`) the whole
-    /// query — feature rows, forward pass, ranking — reuses the engine's
-    /// internal buffers and performs no heap allocation.
+    /// order, predicted by the `f32` serving copy. With a warm `out`
+    /// (capacity ≥ `candidates.len()`) the whole query — feature rows,
+    /// forward pass, ranking — reuses the engine's internal buffers and
+    /// performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -376,29 +395,28 @@ impl DrlEngine {
             .feature_norm
             .as_ref()
             .expect("rank_locations called before retrain");
-        let target_norm = self.target_norm.as_ref().expect("normalizer missing");
         assert!(!candidates.is_empty(), "no candidate locations");
-        self.query_buf.resize(candidates.len(), PLACEMENT_Z);
-        for (i, &dev) in candidates.iter().enumerate() {
+        self.rows.clear();
+        for &dev in candidates {
             let row = query_row(feature_norm, query, dev);
-            self.query_buf.set_row(i, &row);
+            self.rows.extend(row.map(|v| v as f32));
         }
-        let pred = self.net.predict_ref(self.query_buf.view());
+        self.predict_rows();
         out.clear();
         out.reserve(candidates.len());
-        for (i, &dev) in candidates.iter().enumerate() {
-            let tp = finish_prediction(pred[(i, 0)], target_norm, self.log_targets, self.adjuster);
-            out.push((dev, tp));
-        }
+        out.extend(candidates.iter().copied().zip(self.predictions()));
     }
 
-    /// Fused multi-query ranking: one forward pass over
-    /// `queries.len() x candidates.len()` rows — the serving layer's batched
-    /// entry point, amortizing per-call dispatch across every placement
-    /// decision coalesced into the batch. A pass past the network's
-    /// fan-out (`Sequential::parallel_min_rows`, 766 rows of model 1, so a
+    /// Fused multi-query ranking: one forward pass of the `f32` serving
+    /// copy over `queries.len() x candidates.len()` rows — the serving
+    /// layer's batched entry point, amortizing per-call dispatch across
+    /// every placement decision coalesced into the batch. Rows are
+    /// normalized and clamped in `f64`, then narrowed; each output is
+    /// widened back before denormalization and the §V-G adjustment. A pass
+    /// past the copy's fan-out (`SequentialF32::parallel_min_rows`, so a
     /// 512-request submission but not a 64-request one) splits its tiles
-    /// across the usable CPUs; the results are bit-equal either way.
+    /// across the usable CPUs; the results are bit-equal either way, and
+    /// to [`DrlEngine::rank_locations_into`]'s for the same query.
     ///
     /// Results land flat in `out`, chunked per query: entries
     /// `[q * candidates.len() .. (q + 1) * candidates.len()]` are query
@@ -426,29 +444,82 @@ impl DrlEngine {
         if queries.is_empty() {
             return;
         }
-        self.query_buf.resize(queries.len() * per, PLACEMENT_Z);
+        self.rows.resize(queries.len() * per * PLACEMENT_Z, 0.0);
         // A query's candidates differ only in the device column: normalize
         // the shared part once per query and write each row in place.
-        let mut rows = self.query_buf.as_mut_slice().chunks_exact_mut(PLACEMENT_Z);
+        let mut rows = self.rows.chunks_exact_mut(PLACEMENT_Z);
         for query in queries {
-            let shared = query_row(feature_norm, query, candidates[0]);
+            let shared = query_row(feature_norm, query, candidates[0]).map(|v| v as f32);
             for (&dev, row) in candidates.iter().zip(&mut rows) {
                 row.copy_from_slice(&shared);
-                row[DEVICE_COL] = device_feature(feature_norm, dev);
+                row[DEVICE_COL] = device_feature(feature_norm, dev) as f32;
             }
         }
-        self.net
-            .predict_into(self.query_buf.view(), &mut self.batch_pred);
-        let target_norm = self.target_norm.as_ref().expect("normalizer missing");
+        self.predict_rows();
         out.reserve(queries.len() * per);
-        for qi in 0..queries.len() {
-            for (ci, &dev) in candidates.iter().enumerate() {
-                let normalized = self.batch_pred[(qi * per + ci, 0)];
-                let tp =
-                    finish_prediction(normalized, target_norm, self.log_targets, self.adjuster);
-                out.push((dev, tp));
-            }
+        out.extend(candidates.iter().copied().cycle().zip(self.predictions()));
+    }
+
+    /// Runs the serving copy over `self.rows` into `self.pred`, retaking
+    /// the copy first if an [`DrlEngine::incremental_step`] dropped it.
+    fn predict_rows(&mut self) {
+        let serving = self
+            .serving
+            .get_or_insert_with(|| self.net.to_f32().expect("the live engine's model is dense"));
+        serving.predict_into(&self.rows, &mut self.pred);
+    }
+
+    /// The adjusted throughputs, in bytes/second, of the rows the last
+    /// [`DrlEngine::predict_rows`] ran.
+    fn predictions(&self) -> impl Iterator<Item = f64> + '_ {
+        self.finish(self.pred.iter().map(|&v| f64::from(v)))
+    }
+
+    /// Maps raw network outputs to adjusted throughputs in bytes/second.
+    fn finish<'a>(
+        &'a self,
+        normalized: impl Iterator<Item = f64> + 'a,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let target_norm = self.target_norm.as_ref().expect("normalizer missing");
+        normalized.map(move |v| finish_prediction(v, target_norm, self.log_targets, self.adjuster))
+    }
+
+    /// [`DrlEngine::rank_locations_batch_into`] on the `f64` network the
+    /// serving copy is taken from, over the same feature rows before they
+    /// are narrowed to `f32` — what served decisions ran on before the
+    /// copy, and the reference it is held to
+    /// (`tests/serving_precision.rs`). Allocates its rows per call.
+    ///
+    /// # Panics
+    ///
+    /// As [`DrlEngine::rank_locations_batch_into`].
+    pub fn rank_locations_batch_f64_into(
+        &mut self,
+        queries: &[PlacementQuery],
+        candidates: &[DeviceId],
+        out: &mut Vec<(DeviceId, f64)>,
+    ) {
+        let feature_norm = self
+            .feature_norm
+            .as_ref()
+            .expect("rank_locations called before retrain");
+        assert!(!candidates.is_empty(), "no candidate locations");
+        let mut rows = Matrix::zeros(queries.len() * candidates.len(), PLACEMENT_Z);
+        let pairs = queries
+            .iter()
+            .flat_map(|query| candidates.iter().map(move |&dev| (query, dev)));
+        for (row, (query, dev)) in rows.as_mut_slice().chunks_exact_mut(PLACEMENT_Z).zip(pairs) {
+            row.copy_from_slice(&query_row(feature_norm, query, dev));
         }
+        let pred = self.net.predict(&rows);
+        out.clear();
+        out.extend(
+            candidates
+                .iter()
+                .copied()
+                .cycle()
+                .zip(self.finish(pred.as_slice().iter().copied())),
+        );
     }
 
     /// Convenience: the candidate with the highest adjusted prediction.

@@ -90,6 +90,26 @@ impl Activation {
         }
     }
 
+    /// [`Activation::apply_slice`] on `f32` values, for the serving copy
+    /// of a network. ReLU and Linear are exact in either precision;
+    /// sigmoid and tanh evaluate the same `f64` routines and round, so no
+    /// `f32` transcendental with an error profile of its own is involved.
+    pub fn apply_slice_f32(self, data: &mut [f32]) {
+        match self {
+            Activation::ReLU => {
+                for v in data {
+                    *v = v.max(0.0);
+                }
+            }
+            Activation::Linear => {}
+            Activation::Sigmoid | Activation::Tanh => {
+                for v in data {
+                    *v = self.apply_scalar(f64::from(*v)) as f32;
+                }
+            }
+        }
+    }
+
     /// Out-of-place slice activation: `dst[i] = f(src[i])`.
     ///
     /// # Panics

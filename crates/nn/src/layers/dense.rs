@@ -93,6 +93,16 @@ impl Dense {
     pub fn activation(&self) -> Activation {
         self.activation
     }
+
+    /// The `input_size x output_size` weight matrix.
+    pub fn weight(&self) -> &Matrix {
+        &self.weight.value
+    }
+
+    /// The `1 x output_size` bias row.
+    pub fn bias(&self) -> &Matrix {
+        &self.bias.value
+    }
 }
 
 impl Layer for Dense {
@@ -152,6 +162,10 @@ impl Layer for Dense {
             self.activation,
             out,
         );
+    }
+
+    fn as_dense(&self) -> Option<&Dense> {
+        Some(self)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -93,6 +93,13 @@ pub trait Layer: Send + Sync {
     /// space the layer may resize and scribble on freely.
     fn forward_inference_into(&self, input: MatrixView<'_>, scratch: &mut Matrix, out: &mut Matrix);
 
+    /// The layer as a [`Dense`] layer, if it is one — how
+    /// [`Sequential::to_f32`](crate::network::Sequential::to_f32) reads
+    /// the weights of a dense-only stack. The default is `None`.
+    fn as_dense(&self) -> Option<&Dense> {
+        None
+    }
+
     /// The layer's trainable parameters.
     fn params(&self) -> Vec<&Param>;
 

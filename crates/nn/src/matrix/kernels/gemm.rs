@@ -1,7 +1,9 @@
 //! The register-blocked matrix-product micro-kernel of the SIMD backends:
 //! one body, generic over the vector type ([`Lane`]), instantiated for
 //! 256-bit AVX2+FMA lanes ([`product_avx2`]) and 512-bit AVX-512F lanes
-//! ([`product_avx512`]).
+//! ([`product_avx512`]) in either precision ([`Element`]): 4 or 8 `f64`
+//! lanes for training and evaluation, 8 or 16 `f32` lanes for the serving
+//! copy of a network.
 //!
 //! ## Shape
 //!
@@ -10,15 +12,16 @@
 //! `b` once and reuses them for every row, so `MR` broadcasts + `NV` loads
 //! feed `MR·NV` fused multiply-adds (the one-row blocking this replaces
 //! issued a load per FMA). `MR` is the one thing chosen per lane width, by
-//! the register file: 4×12 `f64` on 256-bit lanes (12 accumulators + 3
-//! operand vectors + 1 broadcast = the 16 `ymm` registers), 8×24 on 512-bit
-//! lanes (24 of 32 `zmm` accumulate; twice the FMAs per `b` load also hides
-//! the cache-line splits of unaligned 64-byte loads — measured ≈8% over
-//! 4×24 on model 1). Narrower column remainders use 2- and 1-vector
-//! blocks, the last `n % LANES` columns a masked vector, and leftover rows
-//! 4-, 2- and 1-row blocks; a 1-vector block (the `n = 1` output layer)
-//! always takes 8 rows at a time, so eight independent FMA chains are in
-//! flight instead of one.
+//! the register file, and is the same in both precisions: 4 rows × 3
+//! vectors on 256-bit lanes (12 accumulators + 3 operand vectors + 1
+//! broadcast = the 16 `ymm` registers), 8 × 3 on 512-bit lanes (24 of 32
+//! `zmm` accumulate; twice the FMAs per `b` load also hides the cache-line
+//! splits of unaligned 64-byte loads — measured ≈8% over 4 × 3 on model
+//! 1). Narrower column remainders use 2- and 1-vector blocks, the last
+//! `n % LANES` columns a masked vector, and leftover rows 4-, 2- and 1-row
+//! blocks; a 1-vector block (the `n = 1` output layer) always takes 8 rows
+//! at a time, so eight independent FMA chains are in flight instead of
+//! one.
 //!
 //! ## Fused prologue and epilogue
 //!
@@ -33,10 +36,11 @@
 //! multiply-add per shared-dimension index in ascending order, then the
 //! activation — whatever the lane width, block shape or tile boundary
 //! (spilling an accumulator to `out` between tiles does not round). The
-//! two instantiations are therefore bit-equal to each other and to the
-//! one-row AVX2 kernel they replace. For `k < 4` the chain is multiply,
-//! round, add — the scalar backend's order — so short products stay
-//! bitwise equal to the naive reference on every backend.
+//! two instantiations of one precision are therefore bit-equal to each
+//! other, and the `f64` ones to the one-row AVX2 kernel they replaced.
+//! For `k < 4` the chain is multiply, round, add — the scalar backend's
+//! order — so short `f64` products stay bitwise equal to the naive
+//! reference on every backend.
 //!
 //! ## Safety argument
 //!
@@ -52,28 +56,31 @@ use core::arch::x86_64::*;
 
 /// Vectors per register block, on either lane width.
 const NV: usize = 3;
-/// Tile of the shared dimension: `KT × NV·LANES` doubles of `b` (24 KB on
-/// 512-bit lanes) stay L1-resident while every row block streams over them.
+/// Tile of the shared dimension: `KT × NV·LANES` elements of `b` (24 KB on
+/// 512-bit lanes, in either precision) stay L1-resident while every row
+/// block streams over them.
 const KT: usize = 128;
 
-/// One SIMD vector of `f64` lanes, as the micro-kernel needs it.
+/// One SIMD vector of `Elem` lanes, as the micro-kernel needs it.
 ///
 /// # Safety
 ///
 /// Every method requires the CPU features of the implementing type;
 /// pointer-taking methods require `LANES` (or, masked, the mask's count of)
 /// valid elements at `p`.
-trait Lane: Copy {
+pub(super) trait Lane: Copy {
+    /// The element type, `f64` or `f32`.
+    type Elem: Copy;
     const LANES: usize;
     /// Selects the first `count` lanes of a masked load or store.
     type Mask: Copy;
     unsafe fn zero() -> Self;
-    unsafe fn splat(x: f64) -> Self;
-    unsafe fn load(p: *const f64) -> Self;
-    unsafe fn store(p: *mut f64, v: Self);
+    unsafe fn splat(x: Self::Elem) -> Self;
+    unsafe fn load(p: *const Self::Elem) -> Self;
+    unsafe fn store(p: *mut Self::Elem, v: Self);
     unsafe fn mask(count: usize) -> Self::Mask;
-    unsafe fn load_masked(p: *const f64, m: Self::Mask) -> Self;
-    unsafe fn store_masked(p: *mut f64, m: Self::Mask, v: Self);
+    unsafe fn load_masked(p: *const Self::Elem, m: Self::Mask) -> Self;
+    unsafe fn store_masked(p: *mut Self::Elem, m: Self::Mask, v: Self);
     /// `a * b + c` with a single rounding.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
     /// `round(a * b) + c` — the scalar backend's two-rounding order.
@@ -83,6 +90,7 @@ trait Lane: Copy {
 }
 
 impl Lane for __m256d {
+    type Elem = f64;
     const LANES: usize = 4;
     type Mask = __m256i;
     #[inline(always)]
@@ -130,7 +138,57 @@ impl Lane for __m256d {
     }
 }
 
+impl Lane for __m256 {
+    type Elem = f32;
+    const LANES: usize = 8;
+    type Mask = __m256i;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        _mm256_setzero_ps()
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        _mm256_set1_ps(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        _mm256_loadu_ps(p)
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: Self) {
+        _mm256_storeu_ps(p, v)
+    }
+    #[inline(always)]
+    unsafe fn mask(count: usize) -> Self::Mask {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(count as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, m: Self::Mask) -> Self {
+        _mm256_maskload_ps(p, m)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f32, m: Self::Mask, v: Self) {
+        _mm256_maskstore_ps(p, m, v)
+    }
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        _mm256_fmadd_ps(a, b, c)
+    }
+    #[inline(always)]
+    unsafe fn mul_then_add(a: Self, b: Self, c: Self) -> Self {
+        _mm256_add_ps(c, _mm256_mul_ps(a, b))
+    }
+    #[inline(always)]
+    unsafe fn relu(v: Self) -> Self {
+        _mm256_max_ps(v, _mm256_setzero_ps())
+    }
+}
+
 impl Lane for __m512d {
+    type Elem = f64;
     const LANES: usize = 8;
     type Mask = __mmask8;
     #[inline(always)]
@@ -175,6 +233,71 @@ impl Lane for __m512d {
     }
 }
 
+impl Lane for __m512 {
+    type Elem = f32;
+    const LANES: usize = 16;
+    type Mask = __mmask16;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        _mm512_setzero_ps()
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        _mm512_set1_ps(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        _mm512_loadu_ps(p)
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: Self) {
+        _mm512_storeu_ps(p, v)
+    }
+    #[inline(always)]
+    unsafe fn mask(count: usize) -> Self::Mask {
+        ((1u32 << count) - 1) as __mmask16
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, m: Self::Mask) -> Self {
+        _mm512_maskz_loadu_ps(m, p)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f32, m: Self::Mask, v: Self) {
+        _mm512_mask_storeu_ps(p, m, v)
+    }
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        _mm512_fmadd_ps(a, b, c)
+    }
+    #[inline(always)]
+    unsafe fn mul_then_add(a: Self, b: Self, c: Self) -> Self {
+        _mm512_add_ps(c, _mm512_mul_ps(a, b))
+    }
+    #[inline(always)]
+    unsafe fn relu(v: Self) -> Self {
+        _mm512_max_ps(v, _mm512_setzero_ps())
+    }
+}
+
+/// An element type the micro-kernel runs in, with the vector it fills on
+/// either register file.
+pub(super) trait Element: Copy {
+    /// The 256-bit vector of this element.
+    type Avx2: Lane<Elem = Self>;
+    /// The 512-bit vector of this element.
+    type Avx512: Lane<Elem = Self>;
+}
+
+impl Element for f64 {
+    type Avx2 = __m256d;
+    type Avx512 = __m512d;
+}
+
+impl Element for f32 {
+    type Avx2 = __m256;
+    type Avx512 = __m512;
+}
+
 /// `out[m × n] = epilogue(start + A · b)`: the one product every SIMD
 /// matmul entry point in the parent module lowers to.
 ///
@@ -184,21 +307,21 @@ impl Lane for __m512d {
 /// place; `a_row = 1, a_step = cols` walks a column, which is how `aᵀ · b`
 /// rides the same kernel. `b` is row-major `k × n`. `start` is the `bias`
 /// row when given, else the current contents of `out` (accumulate).
-pub(super) struct Product<'a> {
+pub(super) struct Product<'a, T> {
     pub m: usize,
     pub k: usize,
     pub n: usize,
-    pub a: &'a [f64],
+    pub a: &'a [T],
     pub a_off: usize,
     pub a_row: usize,
     pub a_step: usize,
-    pub b: &'a [f64],
-    pub bias: Option<&'a [f64]>,
+    pub b: &'a [T],
+    pub bias: Option<&'a [T]>,
     pub relu: bool,
-    pub out: &'a mut [f64],
+    pub out: &'a mut [T],
 }
 
-impl Product<'_> {
+impl<T> Product<'_, T> {
     /// Asserts that every element the kernels will touch lies inside its
     /// slice — the memory precondition of [`product_avx2`] /
     /// [`product_avx512`].
@@ -222,7 +345,7 @@ impl Product<'_> {
 ///
 /// As [`Lane::load`] / [`Lane::load_masked`].
 #[inline(always)]
-unsafe fn load_vec<V: Lane>(p: *const f64, masked: bool, mask: V::Mask) -> V {
+unsafe fn load_vec<V: Lane>(p: *const V::Elem, masked: bool, mask: V::Mask) -> V {
     if masked {
         V::load_masked(p, mask)
     } else {
@@ -251,14 +374,14 @@ unsafe fn block<
     const FUSED: bool,
 >(
     kc: usize,
-    a: *const f64,
+    a: *const V::Elem,
     a_row: usize,
     a_step: usize,
-    b: *const f64,
+    b: *const V::Elem,
     ldb: usize,
-    bias: *const f64,
+    bias: *const V::Elem,
     relu: bool,
-    c: *mut f64,
+    c: *mut V::Elem,
     ldc: usize,
     mask: V::Mask,
 ) {
@@ -325,14 +448,14 @@ unsafe fn block<
 unsafe fn column_block<V: Lane, const MR: usize, const VECS: usize, const PARTIAL: bool>(
     m: usize,
     kc: usize,
-    a: *const f64,
+    a: *const V::Elem,
     a_row: usize,
     a_step: usize,
-    b: *const f64,
+    b: *const V::Elem,
     ldb: usize,
-    bias: *const f64,
+    bias: *const V::Elem,
     relu: bool,
-    c: *mut f64,
+    c: *mut V::Elem,
     ldc: usize,
     mask: V::Mask,
 ) {
@@ -375,7 +498,7 @@ unsafe fn column_block<V: Lane, const MR: usize, const VECS: usize, const PARTIA
 /// Requires `V`'s CPU features and a [`Product`] that passed
 /// [`Product::check`].
 #[inline(always)]
-unsafe fn run<V: Lane, const MR: usize>(g: Product<'_>) {
+unsafe fn run<V: Lane, const MR: usize>(g: Product<'_, V::Elem>) {
     let Product { m, k, n, .. } = g;
     if m == 0 || n == 0 {
         return;
@@ -465,22 +588,22 @@ unsafe fn run<V: Lane, const MR: usize>(g: Product<'_>) {
     }
 }
 
-/// [`Product`] on 256-bit lanes.
+/// [`Product`] on 256-bit lanes: 4 × `f64` or 8 × `f32`.
 ///
 /// # Safety
 ///
 /// Requires AVX2+FMA and a product that passed [`Product::check`].
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn product_avx2(g: Product<'_>) {
-    run::<__m256d, 4>(g)
+pub(super) unsafe fn product_avx2<T: Element>(g: Product<'_, T>) {
+    run::<T::Avx2, 4>(g)
 }
 
-/// [`Product`] on 512-bit lanes.
+/// [`Product`] on 512-bit lanes: 8 × `f64` or 16 × `f32`.
 ///
 /// # Safety
 ///
 /// Requires AVX-512F and a product that passed [`Product::check`].
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn product_avx512(g: Product<'_>) {
-    run::<__m512d, 8>(g)
+pub(super) unsafe fn product_avx512<T: Element>(g: Product<'_, T>) {
+    run::<T::Avx512, 8>(g)
 }

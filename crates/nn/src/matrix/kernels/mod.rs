@@ -21,6 +21,9 @@
 //!   `out = act(x · W + b)`: on the SIMD backends the accumulators start
 //!   from the bias and ReLU is applied at the store, so the output is
 //!   written once; no broadcast copy or pre-activation temporary anywhere,
+//! - [`matmul_bias_act_f32`] — the same fused forward in `f32` over
+//!   row-major slices, on twice the SIMD lanes: the layer step of the
+//!   serving copy of a network (`network::SequentialF32`),
 //! - element-wise helpers ([`hadamard_act_derivative_into`],
 //!   [`sum_rows_acc`], [`add_row_broadcast_inplace`], [`slice_cols_into`],
 //!   [`scatter_cols_from`]) for the backward pass and the recurrent layers'
@@ -43,8 +46,9 @@
 //!   every inner loop,
 //! - `avx512` (x86-64 only) — the matrix products on 8×f64 lanes; the two
 //!   SIMD products are one micro-kernel body (`gemm`) instantiated per
-//!   lane width and are bit-equal to each other, and the element-wise
-//!   kernels are the `avx2_fma` ones.
+//!   lane width and element type (16×f32 and 8×f32 lanes for
+//!   [`matmul_bias_act_f32`]) and are bit-equal to each other in either
+//!   precision, and the element-wise kernels are the `avx2_fma` ones.
 //!
 //! [`backend`] resolves once per process (cached in an atomic): the widest
 //! backend `is_x86_feature_detected!` reports, unless the
@@ -98,7 +102,7 @@ fn simd_active() -> bool {
 /// Runs `g` on `backend`'s instantiation of the register-blocked product.
 /// Returns `false`, leaving `g.out` untouched, for the scalar backend.
 #[cfg(target_arch = "x86_64")]
-fn simd_product(backend: KernelBackend, g: gemm::Product<'_>) -> bool {
+fn simd_product<T: gemm::Element>(backend: KernelBackend, g: gemm::Product<'_, T>) -> bool {
     if backend == KernelBackend::Scalar {
         return false;
     }
@@ -443,6 +447,114 @@ fn bias_act_on(
     }
     let _ = backend; // only the scalar backend is left
     scalar::matmul_bias_act_into(x, w, bias, act, out);
+}
+
+/// The fused dense forward in `f32` — the serving copy of a network's
+/// layer step (`network::SequentialF32`): `out = act(x · w + bias)` over
+/// row-major slices, with `bias` `n` wide, `w` `k × n` and `out` `m × n`,
+/// so `out`'s length fixes the rows and `x` must be `m × k`.
+///
+/// On the SIMD backends this is the `f64` forward's micro-kernel on twice
+/// the lanes — 8 per 256-bit and 16 per 512-bit vector — with the same
+/// per-element chain (start from the bias, one FMA per shared-dimension
+/// index in ascending order, then the activation), so the two SIMD
+/// backends are bit-equal to each other here too; sigmoid/tanh evaluate
+/// in `f64` and round ([`Activation::apply_slice_f32`]).
+///
+/// # Panics
+///
+/// Panics if the slice lengths are inconsistent with those shapes.
+pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
+    bias_act_f32_on(backend(), x, w, bias, act, out);
+}
+
+/// [`matmul_bias_act_f32`] on a named backend, leaving the process-wide
+/// dispatch untouched.
+///
+/// # Panics
+///
+/// Panics if the host does not support `backend`
+/// ([`KernelBackend::is_supported`]), or on the shape errors of
+/// [`matmul_bias_act_f32`].
+pub fn matmul_bias_act_f32_with(
+    backend: KernelBackend,
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    assert!(
+        backend.is_supported(),
+        "kernel backend {} is not supported on this host",
+        backend.name()
+    );
+    bias_act_f32_on(backend, x, w, bias, act, out);
+}
+
+/// The `(m, k, n)` of an `f32` dense forward, from its slices.
+///
+/// # Panics
+///
+/// Panics if the lengths do not describe `x: m × k`, `w: k × n`,
+/// `bias: n`, `out: m × n`.
+pub(crate) fn f32_dense_shape(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    out: &[f32],
+) -> (usize, usize, usize) {
+    let n = bias.len();
+    let k = w.len().checked_div(n).unwrap_or(0);
+    let m = out.len().checked_div(n).unwrap_or(0);
+    assert!(
+        w.len() == k * n && out.len() == m * n && x.len() == m * k,
+        "shape mismatch for f32 dense forward: x {}, w {}, bias {}, out {}",
+        x.len(),
+        w.len(),
+        n,
+        out.len()
+    );
+    (m, k, n)
+}
+
+/// The `f32` fused forward on `backend`, which the caller vouches is
+/// supported.
+fn bias_act_f32_on(
+    backend: KernelBackend,
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (m, k, n) = f32_dense_shape(x, w, bias, out);
+        if simd_product(
+            backend,
+            gemm::Product {
+                m,
+                k,
+                n,
+                a: x,
+                a_off: 0,
+                a_row: k,
+                a_step: 1,
+                b: w,
+                bias: Some(bias),
+                relu: act == Activation::ReLU,
+                out: &mut *out,
+            },
+        ) {
+            if matches!(act, Activation::Sigmoid | Activation::Tanh) {
+                act.apply_slice_f32(out);
+            }
+            return;
+        }
+    }
+    let _ = backend; // only the scalar backend is left
+    scalar::matmul_bias_act_f32(x, w, bias, act, out);
 }
 
 /// `out = act(src)`, resizing `out` to match — the out-of-place activation

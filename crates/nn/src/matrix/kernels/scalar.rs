@@ -7,8 +7,10 @@
 //! too, so calling `scalar::*` directly is exactly as safe as the
 //! dispatched API.
 
+use std::ops::{Add, AddAssign, Mul};
+
 use super::super::{Matrix, MatrixView};
-use super::{assert_mul_shapes, KC};
+use super::{assert_mul_shapes, f32_dense_shape, KC};
 use crate::activation::Activation;
 
 /// `out = a · b`, resizing `out` — scalar-pinned [`super::matmul_into`].
@@ -85,18 +87,21 @@ pub fn matmul_cols_acc(
 /// Register-blocked `i-k-j`: four rows of `b` are combined per pass over an
 /// output row, and the `k` dimension is tiled by [`KC`] so the active panel
 /// of `b` stays cache resident. The SIMD backend mirrors this traversal
-/// with 4×f64 lanes in the `j` loop.
+/// with 4×f64 lanes in the `j` loop. Generic over the element, so the
+/// `f32` serving forward ([`matmul_bias_act_f32`]) walks the same loops.
 #[allow(clippy::too_many_arguments)] // raw-slice mirror of the SIMD body
-pub(super) fn panel_acc(
+pub(super) fn panel_acc<T>(
     m: usize,
     k: usize,
     n: usize,
-    ad: &[f64],
+    ad: &[T],
     stride: usize,
     off: usize,
-    bd: &[f64],
-    od: &mut [f64],
-) {
+    bd: &[T],
+    od: &mut [T],
+) where
+    T: Copy + Add<Output = T> + Mul<Output = T> + AddAssign,
+{
     let mut kb = 0;
     while kb < k {
         let kend = (kb + KC).min(k);
@@ -237,6 +242,18 @@ pub fn matmul_bias_act_into(
     }
     matmul_acc(x, w, out);
     act.apply_inplace(out);
+}
+
+/// Fused `f32` dense forward — scalar-pinned
+/// [`super::matmul_bias_act_f32`]: seeds each output row with the bias,
+/// accumulates through [`panel_acc`], then activates in place.
+pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
+    let (m, k, n) = f32_dense_shape(x, w, bias, out);
+    for orow in out.chunks_exact_mut(n.max(1)) {
+        orow.copy_from_slice(bias);
+    }
+    panel_acc(m, k, n, x, k, 0, w, out);
+    act.apply_slice_f32(out);
 }
 
 /// `out = grad ⊙ act'(output)` — scalar-pinned

@@ -3,9 +3,10 @@
 use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock};
 
+use crate::activation::Activation;
 use crate::layers::Layer;
 use crate::loss::Loss;
-use crate::matrix::{Matrix, MatrixView};
+use crate::matrix::{kernels, Matrix, MatrixView};
 use crate::optimizer::Optimizer;
 
 /// Rows per tile of the inference pass ([`Sequential::predict_into`]): a
@@ -14,29 +15,47 @@ use crate::optimizer::Optimizer;
 /// ≈170 KB) stay in L2 from one layer to the next however long the batch.
 const TILE_ROWS: usize = 128;
 
-/// Work, in multiply-adds (batch rows × parameters), before the inference
-/// pass asks the worker pool for help: below it the caller runs every tile
-/// itself.
-///
-/// A helper has to earn back a cross-core wake-up (≈25–45 µs on the 2-vCPU
-/// bench box, more than the whole ≈10 µs pass of a 64-request submission).
-/// Measured there on model 1 (6,529 parameters) with the AVX-512
-/// micro-kernel, one thread against two (DESIGN.md, "The inference
-/// pass"), two threads stop losing at ≈768 rows ≈ 5.0M multiply-adds,
-/// which is where this sits: model 1 fans out from 766 rows. So a
-/// 512-request submission's ≈2,100-row pass splits across both cores,
-/// which took `decide-unique`'s `latency_p50_us` from ≈760 to ≈415 µs,
-/// while a 64-request one's ≈46 rows never wakes a helper. Counting work
-/// rather than rows keeps the rule right for smaller networks, whose rows
-/// cost less: model 11 (49 parameters) would need ≈100k rows.
-const PARALLEL_MIN_WORK: usize = 5_000_000;
+/// A precision the inference pass runs in: `f64` for
+/// [`Sequential::predict_into`], `f32` for [`SequentialF32::predict_into`].
+/// Only the fan-out threshold differs between the two walks.
+trait Precision: Copy + Send + Sync {
+    /// Work, in multiply-adds (batch rows × parameters), before a pass in
+    /// this precision asks the worker pool for help: below it the caller
+    /// runs every tile itself.
+    const PARALLEL_MIN_WORK: usize;
+}
 
-/// Helper threads the inference pass asks the pool for, beside the
-/// caller, for `rows` rows of `work_per_row` multiply-adds on `cpus`
-/// usable CPUs: none below [`PARALLEL_MIN_WORK`] or with one CPU, else one
-/// per other CPU, but never more than there are tiles to share.
-fn fan_out_helpers(rows: usize, work_per_row: usize, cpus: usize) -> usize {
-    if cpus < 2 || rows.saturating_mul(work_per_row) < PARALLEL_MIN_WORK {
+/// A helper has to earn back a cross-core wake-up (≈25–45 µs on the
+/// 2-vCPU bench box, more than the whole ≈10 µs pass of a 64-request
+/// submission). Measured there on model 1 (6,529 parameters) with the
+/// AVX-512 micro-kernel, one thread against two (DESIGN.md, "The
+/// inference pass"), two threads stop losing at ≈768 rows ≈ 5.0M
+/// multiply-adds, which is where this sits: model 1 fans out from 766
+/// rows. Counting work rather than rows keeps the rule right for smaller
+/// networks, whose rows cost less: model 11 (49 parameters) would need
+/// ≈100k rows.
+impl Precision for f64 {
+    const PARALLEL_MIN_WORK: usize = 5_000_000;
+}
+
+/// The same one-thread-against-two measurement on the `f32` copy of
+/// model 1 (DESIGN.md, "The inference pass") has two threads tie one at
+/// 512 rows and first beat it on the median at 640 ≈ 4.2M multiply-adds,
+/// which is where this sits: model 1's copy fans out from 644 rows. An
+/// `f32` multiply-add costs about half an `f64` one, yet the crossover did
+/// not double: measured alongside it, the `f64` pass also crosses at ≈512
+/// rows. A 512-request submission's ≈2,130-row pass splits across both
+/// cores; a 64-request one's ≈46 rows never wakes a helper.
+impl Precision for f32 {
+    const PARALLEL_MIN_WORK: usize = 4_200_000;
+}
+
+/// Helper threads an inference pass in precision `T` asks the pool for,
+/// beside the caller, for `rows` rows of `work_per_row` multiply-adds on
+/// `cpus` usable CPUs: none below `T::PARALLEL_MIN_WORK` or with one CPU,
+/// else one per other CPU, but never more than there are tiles to share.
+fn fan_out_helpers<T: Precision>(rows: usize, work_per_row: usize, cpus: usize) -> usize {
+    if cpus < 2 || rows.saturating_mul(work_per_row) < T::PARALLEL_MIN_WORK {
         return 0;
     }
     (cpus - 1).min(rows.div_ceil(TILE_ROWS) - 1)
@@ -54,13 +73,15 @@ fn usable_cpus() -> usize {
 }
 
 /// Per-thread buffers of the inference pass: one activation matrix per
-/// layer plus the layers' free-form scratch. Sized by the first tile a
-/// thread runs and reused across tiles and calls, so a steady-state pass
-/// allocates and zero-fills nothing.
+/// layer plus the layers' free-form scratch, and one activation buffer per
+/// hidden layer of an `f32` pass. Sized by the first tile a thread runs
+/// and reused across tiles and calls, so a steady-state pass allocates and
+/// zero-fills nothing.
 #[derive(Default)]
 struct TileScratch {
     acts: Vec<Matrix>,
     layer_scratch: Matrix,
+    acts_f32: Vec<Vec<f32>>,
 }
 
 thread_local! {
@@ -74,6 +95,7 @@ fn infer_tile(layers: &[Box<dyn Layer>], input: MatrixView<'_>, out: &mut [f64])
         let TileScratch {
             acts,
             layer_scratch,
+            ..
         } = scratch;
         if acts.len() < layers.len() {
             acts.resize_with(layers.len(), Matrix::default);
@@ -85,6 +107,63 @@ fn infer_tile(layers: &[Box<dyn Layer>], input: MatrixView<'_>, out: &mut [f64])
         }
         out.copy_from_slice(acts[layers.len() - 1].as_slice());
     });
+}
+
+/// [`infer_tile`] for an `f32` copy: the hidden layers write the calling
+/// thread's `f32` scratch, the last one writes `out` directly.
+fn infer_tile_f32(layers: &[DenseF32], input: &[f32], out: &mut [f32]) {
+    TILE_SCRATCH.with_borrow_mut(|scratch| {
+        let acts = &mut scratch.acts_f32;
+        let (last, hidden) = layers.split_last().expect("an f32 copy has layers");
+        if acts.len() < hidden.len() {
+            acts.resize_with(hidden.len(), Vec::new);
+        }
+        let rows = out.len() / last.bias.len();
+        for (i, layer) in hidden.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(i);
+            let x = done.last().map_or(input, Vec::as_slice);
+            rest[0].resize(rows * layer.bias.len(), 0.0);
+            layer.forward(x, &mut rest[0]);
+        }
+        last.forward(
+            acts[..hidden.len()].last().map_or(input, Vec::as_slice),
+            out,
+        );
+    });
+}
+
+/// The inference pass's tile walk, in either precision: `out` holds `rows`
+/// rows of `out_cols`, cut into tiles of at most [`TILE_ROWS`] rows, and
+/// `tile(first_row, chunk)` fills one. The caller always pulls tiles from
+/// one queue; once the batch reaches `T::PARALLEL_MIN_WORK` multiply-adds
+/// at `work_per_row` each and more than one CPU is usable, one pool job
+/// per other CPU pulls from it too, so a worker that wakes late just
+/// finds fewer tiles left.
+fn walk_tiles<T: Precision>(
+    rows: usize,
+    out_cols: usize,
+    work_per_row: usize,
+    out: &mut [T],
+    tile: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let helpers = fan_out_helpers::<T>(rows, work_per_row, usable_cpus());
+    // A zero-width output has no chunks at all: nothing to compute.
+    let tiles = Mutex::new(out.chunks_mut(TILE_ROWS * out_cols.max(1)).enumerate());
+    let pull_tiles = || loop {
+        let next = tiles.lock().expect("a tile runner panicked").next();
+        let Some((i, chunk)) = next else { break };
+        tile(i * TILE_ROWS, chunk);
+    };
+    if helpers == 0 {
+        pull_tiles();
+    } else {
+        rayon::scope(|s| {
+            for _ in 0..helpers {
+                s.spawn(|_| pull_tiles());
+            }
+            pull_tiles();
+        });
+    }
 }
 
 /// A feed-forward stack of layers trained with backpropagation.
@@ -256,31 +335,17 @@ impl Sequential {
             .expect("cannot predict with an empty network");
         let rows = input.rows();
         out.resize(rows, out_cols);
-        let helpers = fan_out_helpers(rows, self.param_count(), usable_cpus());
         let layers = &self.layers[..];
-        // A zero-width output has no chunks at all: nothing to compute.
-        let tiles = Mutex::new(
-            out.as_mut_slice()
-                .chunks_mut(TILE_ROWS * out_cols.max(1))
-                .enumerate(),
+        walk_tiles(
+            rows,
+            out_cols,
+            self.param_count(),
+            out.as_mut_slice(),
+            |start, chunk| {
+                let tile_rows = chunk.len() / out_cols;
+                infer_tile(layers, input.view_rows(start..start + tile_rows), chunk);
+            },
         );
-        let pull_tiles = || loop {
-            let next = tiles.lock().expect("a tile runner panicked").next();
-            let Some((tile, chunk)) = next else { break };
-            let start = tile * TILE_ROWS;
-            let tile_rows = chunk.len() / out_cols;
-            infer_tile(layers, input.view_rows(start..start + tile_rows), chunk);
-        };
-        if helpers == 0 {
-            pull_tiles();
-        } else {
-            rayon::scope(|s| {
-                for _ in 0..helpers {
-                    s.spawn(|_| pull_tiles());
-                }
-                pull_tiles();
-            });
-        }
     }
 
     /// Runs one forward/backward/update cycle over a batch and returns the
@@ -381,7 +446,32 @@ impl Sequential {
     /// that reach a fixed amount of work at this network's parameter count
     /// (766 for the paper's model 1).
     pub fn parallel_min_rows(&self) -> usize {
-        PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
+        <f64 as Precision>::PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
+    }
+
+    /// The `f32` inference copy of this network ([`SequentialF32`]), with
+    /// every weight rounded to the nearest `f32`. `None` unless every layer
+    /// is [`Dense`](crate::layers::Dense) and there is at least one: the
+    /// copy serves row-shaped dense models only.
+    pub fn to_f32(&self) -> Option<SequentialF32> {
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let dense = layer.as_dense()?;
+                let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect();
+                Some(DenseF32 {
+                    weight: narrow(dense.weight()),
+                    bias: narrow(dense.bias()),
+                    activation: dense.activation(),
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(SequentialF32 {
+            layers,
+            input_size: self.input_size()?,
+            n_params: self.n_params,
+        })
     }
 
     /// Mutable access to every parameter, layer by layer.
@@ -430,6 +520,114 @@ impl Sequential {
     }
 }
 
+/// One layer of a [`SequentialF32`]: a dense layer's row-major
+/// `input × output` weights and its bias row, narrowed to `f32`.
+#[derive(Debug, Clone)]
+struct DenseF32 {
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+    activation: Activation,
+}
+
+impl DenseF32 {
+    /// `out = act(x · W + b)` for as many rows as `out` holds.
+    fn forward(&self, x: &[f32], out: &mut [f32]) {
+        kernels::matmul_bias_act_f32(x, &self.weight, &self.bias, self.activation, out);
+    }
+}
+
+/// The `f32` inference copy of a dense-only [`Sequential`]
+/// ([`Sequential::to_f32`]): what serves placement decisions, while
+/// training, validation and every model study stay on the `f64` network.
+///
+/// Its pass is [`Sequential::predict_into`]'s — the same tiles, tile
+/// queue, per-thread scratch and fan-out rule, with its own threshold
+/// ([`SequentialF32::parallel_min_rows`]) — over the `f32` dense forward
+/// (`kernels::matmul_bias_act_f32`), which runs twice the lanes per vector.
+/// Each output element is one FMA chain in ascending shared-dimension
+/// order, so the output is bit-equal whatever the tiling, the thread that
+/// ran a tile, or the SIMD backend. It is immutable, so one copy serves
+/// any number of threads.
+///
+/// # Examples
+///
+/// ```
+/// use geomancy_nn::activation::Activation;
+/// use geomancy_nn::init::seeded_rng;
+/// use geomancy_nn::layers::Dense;
+/// use geomancy_nn::matrix::Matrix;
+/// use geomancy_nn::network::Sequential;
+///
+/// let mut rng = seeded_rng(1);
+/// let mut net = Sequential::new();
+/// net.push(Dense::new(2, 8, Activation::ReLU, &mut rng));
+/// net.push(Dense::new(8, 1, Activation::Linear, &mut rng));
+/// let copy = net.to_f32().expect("a dense network");
+///
+/// let mut out = Vec::new();
+/// copy.predict_into(&[0.25, 0.5, 1.0, -1.0], &mut out);
+/// let want = net.predict(&Matrix::from_rows(&[&[0.25, 0.5], &[1.0, -1.0]]));
+/// for (got, want) in out.iter().zip(want.as_slice()) {
+///     assert!((f64::from(*got) - want).abs() <= 1e-5 * (1.0 + want.abs()));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SequentialF32 {
+    layers: Vec<DenseF32>,
+    input_size: usize,
+    n_params: usize,
+}
+
+impl SequentialF32 {
+    /// Width of an input row.
+    pub fn input_size(&self) -> usize {
+        self.input_size
+    }
+
+    /// Width of an output row.
+    pub fn output_size(&self) -> usize {
+        self.layers.last().map_or(0, |l| l.bias.len())
+    }
+
+    /// Total number of parameters, as in the `f64` network.
+    pub fn param_count(&self) -> usize {
+        self.n_params
+    }
+
+    /// Smallest batch, in rows, at which [`SequentialF32::predict_into`]
+    /// asks the worker pool for help when more than one CPU is usable: the
+    /// rows that reach the `f32` pass's fixed amount of work at this
+    /// network's parameter count (644 for the paper's model 1).
+    pub fn parallel_min_rows(&self) -> usize {
+        <f32 as Precision>::PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
+    }
+
+    /// The inference pass over `input`, row-major rows of
+    /// [`SequentialF32::input_size`], into `out`, resized to the rows ×
+    /// [`SequentialF32::output_size`]. A warm pass below the fan-out
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not a whole number of rows.
+    pub fn predict_into(&self, input: &[f32], out: &mut Vec<f32>) {
+        let in_cols = self.input_size;
+        let rows = input.len().checked_div(in_cols).unwrap_or(0);
+        assert_eq!(
+            rows * in_cols,
+            input.len(),
+            "input is not a whole number of {in_cols}-wide rows"
+        );
+        let out_cols = self.output_size();
+        out.resize(rows * out_cols, 0.0);
+        walk_tiles(rows, out_cols, self.n_params, out, |start, chunk| {
+            let tile_rows = chunk.len() / out_cols;
+            let x = &input[start * in_cols..(start + tile_rows) * in_cols];
+            infer_tile_f32(&self.layers, x, chunk);
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,13 +659,18 @@ mod tests {
     fn fan_out_follows_the_work_not_the_rows() {
         let work = model1(1).param_count();
         assert_eq!(work, 6_529);
-        assert_eq!(fan_out_helpers(765, work, 2), 0);
-        assert_eq!(fan_out_helpers(768, work, 2), 1);
-        assert_eq!(fan_out_helpers(768, work, 1), 0);
+        assert_eq!(fan_out_helpers::<f64>(765, work, 2), 0);
+        assert_eq!(fan_out_helpers::<f64>(768, work, 2), 1);
+        assert_eq!(fan_out_helpers::<f64>(768, work, 1), 0);
         // A 512-request submission on four CPUs: one helper per other CPU.
-        assert_eq!(fan_out_helpers(2_130, work, 4), 3);
+        assert_eq!(fan_out_helpers::<f64>(2_130, work, 4), 3);
         // Never more helpers than tiles beyond the caller's.
-        assert_eq!(fan_out_helpers(2 * TILE_ROWS, 1 << 20, 8), 1);
+        assert_eq!(fan_out_helpers::<f64>(2 * TILE_ROWS, 1 << 20, 8), 1);
+        // The serving pass: a 512-request submission's ≈2,130 rows fan
+        // out, a 64-request one's ≈46 rows do not.
+        assert_eq!(fan_out_helpers::<f32>(2_130, work, 2), 1);
+        assert_eq!(fan_out_helpers::<f32>(46, work, 2), 0);
+        assert_eq!(fan_out_helpers::<f32>(2_130, work, 1), 0);
         // Model 11 (dense 6 -> 6 -> 1, 49 parameters) never fans out at
         // the rows a submission can reach.
         let mut rng = seeded_rng(1);
@@ -475,13 +678,87 @@ mod tests {
         model11.push(Dense::new(6, 6, Activation::ReLU, &mut rng));
         model11.push(Dense::new(6, 1, Activation::Linear, &mut rng));
         assert_eq!(model11.param_count(), 49);
-        assert_eq!(fan_out_helpers(3_072, model11.param_count(), 2), 0);
-        // The row count the networks expose is the rule's edge.
+        assert_eq!(fan_out_helpers::<f64>(3_072, model11.param_count(), 2), 0);
+        assert_eq!(fan_out_helpers::<f32>(3_072, model11.param_count(), 2), 0);
+        // The row counts the networks and their f32 copies expose are the
+        // rule's edges.
         for net in [model1(1), model11] {
+            let work = net.param_count();
             let edge = net.parallel_min_rows();
-            assert_eq!(fan_out_helpers(edge - 1, net.param_count(), 2), 0);
-            assert_eq!(fan_out_helpers(edge, net.param_count(), 2), 1);
+            assert_eq!(fan_out_helpers::<f64>(edge - 1, work, 2), 0);
+            assert_eq!(fan_out_helpers::<f64>(edge, work, 2), 1);
+            let copy = net.to_f32().expect("dense");
+            assert_eq!(copy.param_count(), work);
+            let edge = copy.parallel_min_rows();
+            assert_eq!(fan_out_helpers::<f32>(edge - 1, work, 2), 0);
+            assert_eq!(fan_out_helpers::<f32>(edge, work, 2), 1);
         }
+    }
+
+    /// Rows `0..rows` of a 6-wide input, in both precisions (the values
+    /// are exact in `f32`).
+    fn rows6(rows: usize) -> (Matrix, Vec<f32>) {
+        let x: Vec<f32> = (0..rows * 6)
+            .map(|i| (i % 577) as f32 / 128.0 - 2.0)
+            .collect();
+        let m = Matrix::from_vec(rows, 6, x.iter().map(|&v| f64::from(v)).collect());
+        (m, x)
+    }
+
+    /// The f32 copy predicts what the f64 network does within f32
+    /// rounding, and — rows being independent and each output one FMA
+    /// chain — bit-equally whether a row runs alone or in a batch that is
+    /// tiled, past the fan-out, or both.
+    #[test]
+    fn f32_copy_tracks_the_f64_network_and_is_bit_equal_however_tiled() {
+        let mut net = model1(5);
+        let copy = net.to_f32().expect("model 1 is dense");
+        assert_eq!(copy.input_size(), 6);
+        assert_eq!(copy.output_size(), 1);
+        let most = copy.parallel_min_rows() + 3 * TILE_ROWS + 17;
+        let (xm, x) = rows6(most);
+        let want = net.predict(&xm);
+        let mut alone = Vec::new();
+        let mut single = Vec::with_capacity(most);
+        for r in 0..most {
+            copy.predict_into(&x[r * 6..(r + 1) * 6], &mut alone);
+            single.push(alone[0]);
+        }
+        for (got, want) in single.iter().zip(want.as_slice()) {
+            let got = f64::from(*got);
+            assert!(
+                (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
+                "f32 {got} vs f64 {want}"
+            );
+        }
+        let mut out = vec![7.0; 3];
+        for rows in [
+            TILE_ROWS - 1,
+            TILE_ROWS + 1,
+            copy.parallel_min_rows() - 1,
+            copy.parallel_min_rows(),
+            most,
+        ] {
+            copy.predict_into(&x[..rows * 6], &mut out);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&single[..rows]), "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn only_a_dense_stack_has_an_f32_copy() {
+        assert!(Sequential::new().to_f32().is_none());
+        let mut rng = seeded_rng(3);
+        let mut net = Sequential::new();
+        net.push(crate::layers::Lstm::new(
+            3,
+            4,
+            2,
+            Activation::Tanh,
+            &mut rng,
+        ));
+        net.push(Dense::new(4, 1, Activation::Linear, &mut rng));
+        assert!(net.to_f32().is_none());
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! tolerance. The two SIMD matrix products, though, promise one exact
 //! per-element operation chain; `simd_dense_forward_is_the_fma_chain`
 //! holds them to it bitwise.
+//!
+//! The `f32` dense forward that serves placements is held to the `f64`
+//! reference within `1e-5 × (1 + |ref|)` on every path, and its two SIMD
+//! instantiations to the `f32` FMA chain bitwise
+//! (`simd_f32_dense_forward_is_the_f32_fma_chain`).
 
 use geomancy_nn::activation::Activation;
 use geomancy_nn::matrix::kernels::KernelBackend;
@@ -401,6 +406,89 @@ proptest! {
     }
 }
 
+/// Operands of an `f32` dense forward and the `f64` reference forward on
+/// the same values (an `f32` widens exactly): `x` in [-1, 1], `w` in
+/// [-1, 1] / √k like an initialized layer, the bias in [-1, 1]. `m` and
+/// `k` cross the 8-row blocks and the 128-deep tile, and include `k < 4`;
+/// `n` covers the masked tails of both lane widths and the model's widths.
+#[allow(clippy::type_complexity)]
+fn f32_dense_operands() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+    let n = (0usize..10, 1usize..=40)
+        .prop_map(|(pick, any)| [1, 17, 24, 48, 96].get(pick).copied().unwrap_or(any));
+    let k = (0usize..4, 1usize..=3, 1usize..=140)
+        .prop_map(|(pick, short, any)| if pick == 0 { short } else { any });
+    (1usize..=40, k, n).prop_flat_map(|(m, k, n)| {
+        let scale = 1.0 / (k as f32).sqrt();
+        (
+            Just(m),
+            proptest::collection::vec(-1.0..1.0f32, m * k),
+            proptest::collection::vec(-1.0..1.0f32, k * n)
+                .prop_map(move |w| w.into_iter().map(|v| v * scale).collect()),
+            proptest::collection::vec(-1.0..1.0f32, n),
+        )
+    })
+}
+
+/// `v` widened to a `rows × (v.len() / rows)` `f64` matrix.
+fn widen(rows: usize, v: &[f32]) -> Matrix {
+    let cols = v.len().checked_div(rows).unwrap_or(0);
+    Matrix::from_vec(rows, cols, v.iter().map(|&x| f64::from(x)).collect())
+}
+
+proptest! {
+    /// The `f32` dense forward on every path — dispatched, pinned scalar,
+    /// and each backend the host supports — lies within
+    /// `1e-5 × (1 + |ref|)` of the `f64` reference on the same values, and
+    /// the SIMD backends agree bit for bit.
+    #[test]
+    fn f32_dense_forward_tracks_the_f64_reference(
+        (m, x, w, bias) in f32_dense_operands(),
+        act_idx in 0usize..4,
+    ) {
+        let act = [
+            Activation::ReLU,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Linear,
+        ][act_idx];
+        let (k, n) = (x.len() / m, bias.len());
+        let want = kernels::reference::dense_forward(
+            &widen(m, &x),
+            &widen(k, &w),
+            &widen(1, &bias),
+            act,
+        );
+        let close = |got: &[f32], what: &str| -> Result<(), TestCaseError> {
+            prop_assert_eq!(got.len(), m * n);
+            for (g, r) in got.iter().zip(want.as_slice()) {
+                let g = f64::from(*g);
+                prop_assert!(
+                    (g - r).abs() <= 1e-5 * (1.0 + r.abs()),
+                    "{} m={} k={} n={}: f32 {} vs f64 {}", what, m, k, n, g, r
+                );
+            }
+            Ok(())
+        };
+        let mut out = vec![0.0f32; m * n];
+        kernels::matmul_bias_act_f32(&x, &w, &bias, act, &mut out);
+        close(&out, "dispatched")?;
+        kernels::scalar::matmul_bias_act_f32(&x, &w, &bias, act, &mut out);
+        close(&out, "scalar")?;
+        let mut simd: Option<Vec<u32>> = None;
+        for backend in KernelBackend::supported() {
+            kernels::matmul_bias_act_f32_with(backend, &x, &w, &bias, act, &mut out);
+            close(&out, backend.name())?;
+            if backend != KernelBackend::Scalar {
+                let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                if let Some(first) = &simd {
+                    prop_assert_eq!(first, &bits, "{} differs bitwise", backend.name());
+                }
+                simd = Some(bits);
+            }
+        }
+    }
+}
+
 /// The old scalar `dot` skipped `a == 0.0` elements to "exploit sparsity",
 /// which costs a branch per inner-loop iteration on dense data. The blocked
 /// kernel removed the branch; this regression test pins that sparse and
@@ -618,6 +706,84 @@ fn simd_dense_forward_is_the_fma_chain() {
     }
 }
 
+/// The SIMD backends' `f32` contract, spelled out like
+/// [`fma_chain_dense_forward`]'s: start from the bias, one fused
+/// multiply-add per shared-dimension index in ascending order (multiply,
+/// round, add when `k < 4`), then the activation — ReLU and Linear exact,
+/// tanh evaluated in `f64` and rounded.
+fn f32_fma_chain(
+    (m, k, n): (usize, usize, usize),
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    act: Activation,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = bias[j];
+            for p in 0..k {
+                let (a, b) = (x[i * k + p], w[p * n + j]);
+                acc = if k < 4 {
+                    acc + a * b
+                } else {
+                    a.mul_add(b, acc)
+                };
+            }
+            out[i * n + j] = match act {
+                Activation::ReLU => acc.max(0.0),
+                Activation::Linear => acc,
+                _ => act.apply_scalar(f64::from(acc)) as f32,
+            };
+        }
+    }
+    out
+}
+
+/// Both instantiations of the micro-kernel on `f32` lanes (8 per 256-bit,
+/// 16 per 512-bit vector) reproduce the `f32` FMA chain **bit for bit**,
+/// so they are bit-equal to each other, over shapes that hit every
+/// remainder path: `m` around the 8/4/2/1-row blocks; `n` around the
+/// 3/2/1-vector and masked-tail column blocks of both widths (24 and 48
+/// columns, the `n = 1` output layer, 17, 96); `k` below 4 and on either
+/// side of the 128-deep tile.
+#[test]
+fn simd_f32_dense_forward_is_the_f32_fma_chain() {
+    let simd: Vec<KernelBackend> = KernelBackend::supported()
+        .filter(|&b| b != KernelBackend::Scalar)
+        .collect();
+    let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect::<Vec<_>>();
+    let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 16, 19];
+    let ns = [
+        1usize, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 96,
+    ];
+    let ks = [1usize, 2, 3, 4, 5, 33, 127, 128, 129, 257];
+    let acts = [Activation::ReLU, Activation::Linear, Activation::Tanh];
+    for (case, &m) in ms.iter().enumerate() {
+        for &n in &ns {
+            for &k in &ks {
+                let act = acts[(case + n + k) % acts.len()];
+                let x = narrow(&pseudo_matrix(m, k, n));
+                let w = narrow(&pseudo_matrix(k, n, m + k));
+                let bias = narrow(&pseudo_matrix(1, n, 5));
+                let want = f32_fma_chain((m, k, n), &x, &w, &bias, act);
+                for &backend in &simd {
+                    let mut out = vec![0.0f32; m * n];
+                    kernels::matmul_bias_act_f32_with(backend, &x, &w, &bias, act, &mut out);
+                    for (idx, (g, e)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            e.to_bits(),
+                            "{} m={m} k={k} n={n} {act:?} element {idx}: {g} vs {e}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `a · bᵀ` on the shapes its SIMD path (a transposed panel of `b` through
 /// the micro-kernel) can get wrong: `q`, the output width, around the 4-
 /// and 8-lane masked tails; `k` below 4 and across the 128-deep tile of the
@@ -706,6 +872,16 @@ fn empty_matrix_cases() {
     let mut out = Matrix::default();
     kernels::matmul_bias_act_into(x.view(), &w, &bias, Activation::ReLU, &mut out);
     assert_eq!(out.shape(), (0, 2));
+
+    // Zero-row and zero-depth f32 forwards: an empty output, and the bias
+    // alone.
+    let (w, bias) = ([0.5f32; 8], [0.25f32, -1.0]);
+    kernels::matmul_bias_act_f32(&[], &w, &bias, Activation::ReLU, &mut []);
+    let mut out = [9.0f32; 6];
+    kernels::matmul_bias_act_f32(&[], &[], &bias, Activation::Linear, &mut out);
+    assert_eq!(out, [0.25, -1.0, 0.25, -1.0, 0.25, -1.0]);
+    kernels::scalar::matmul_bias_act_f32(&[], &[], &bias, Activation::ReLU, &mut out);
+    assert_eq!(out, [0.25, 0.0, 0.25, 0.0, 0.25, 0.0]);
 
     // Empty element-wise inputs.
     let e = Matrix::zeros(0, 7);

@@ -151,6 +151,20 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(pred.rows(), serial_rows);
     });
 
+    // --- the f32 serving copy, a 64-request submission's 46 rows and one
+    // row below its own fan-out: every tile on the caller's f32 scratch,
+    // the last layer written straight into the warm output ---
+    let copy = net.to_f32().expect("model 1 is dense");
+    let mut pred32 = Vec::new();
+    for rows in [46, copy.parallel_min_rows() - 1] {
+        let x32: Vec<f32> = batch(rows).0.as_slice().iter().map(|&v| v as f32).collect();
+        copy.predict_into(&x32, &mut pred32);
+        assert_zero_alloc(&format!("f32 predict_into ({rows} rows, serial)"), || {
+            copy.predict_into(&x32, &mut pred32);
+            assert_eq!(pred32.len(), rows);
+        });
+    }
+
     // --- predict_into at the fan-out and at a 512-request submission's
     // 3,072 rows: tiles pulled by the caller and, with more than one usable
     // CPU, the pool. No matrix is allocated or regrown; what is left is the
@@ -248,6 +262,12 @@ fn steady_state_hot_paths_do_not_allocate() {
     kernels::matmul_bias_act_into(a.view(), &b, &bias, Activation::ReLU, &mut out);
     assert_zero_alloc("kernel matmul_bias_act_into", || {
         kernels::matmul_bias_act_into(a.view(), &b, &bias, Activation::ReLU, &mut out);
+    });
+    let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect::<Vec<_>>();
+    let (a32, b32, bias32) = (narrow(&a), narrow(&b), narrow(&bias));
+    let mut out32 = vec![0.0f32; 33 * 13];
+    assert_zero_alloc("kernel matmul_bias_act_f32", || {
+        kernels::matmul_bias_act_f32(&a32, &b32, &bias32, Activation::ReLU, &mut out32);
     });
     let g = Matrix::from_vec(
         33,
