@@ -17,12 +17,12 @@
 //!   primary goes silent, and the [`map::demote`]/[`map::join`]/
 //!   [`map::leave`] rewrites membership repair uses to hand shards
 //!   back.
-//! - [`node::ClusterNode`]: one node — the placement service plus the
-//!   primary-side WAL shipper (sealed segments stream to replicas as
-//!   `ShipSegment` frames), the follower-side replica store (applied
-//!   via the store's exactly-once absorb), and the failover controller
-//!   (an actor on the service's own reactor watching heartbeat
-//!   sightings).
+//! - [`node::ClusterCore`]: one node's replication protocol — ship
+//!   gate, catch-up puller and server, failover, demotion — reaching
+//!   peers only through [`node::NodeIo`]. [`node::ClusterNode`] runs it
+//!   beside the placement service (WAL shipper and prober threads, a
+//!   failover actor on the service reactor, pooled sockets); the
+//!   virtual-time harness runs the same core on simulated time.
 //! - [`catchup`]: bounded replica catch-up — a follower whose
 //!   per-shard floor trails the primary pulls the gap as retained
 //!   sealed segments (seq mode) or a timestamp-cursor export (cold
@@ -59,7 +59,9 @@ pub mod repair;
 
 pub use client::{ClusterClient, ClusterError};
 pub use map::{bootstrap_map, demote, join, leave, preferred_primary, promote, shard_for};
-pub use node::{ClusterNode, ClusterNodeConfig, ClusterNodeError, ReplicaStats, ShippedSeg};
+pub use node::{
+    ClusterCore, ClusterNode, ClusterNodeConfig, ClusterNodeError, NodeIo, ReplicaStats, ShippedSeg,
+};
 pub use repair::{DemotionStep, RepairState};
 
 /// Reserves `n` distinct loopback addresses by binding ephemeral

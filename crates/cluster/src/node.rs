@@ -1,40 +1,42 @@
-//! One cluster node: a [`PlacementService`] behind a cluster-aware
-//! [`NetServer`], plus the three background roles that make it a
-//! *replicated* node — the WAL shipper (primary side), the replica
-//! store (follower side), and the failover controller.
+//! One cluster node: the replication protocol as one library core,
+//! [`ClusterCore`], run by a thin shell, [`ClusterNode`], that owns the
+//! threads, the listener and the embedded [`PlacementService`].
 //!
 //! ```text
-//!        seal hook (checkpointer thread)     peers
-//!             │ (shard, seq, bytes)            ▲
-//!             ▼                                │ heartbeats
-//!        shipper thread ── ShipSegment ──► replicas
-//!                                              │ ShipAck
-//!        prober thread  ── Heartbeat ──────────┘
-//!             │ sightings
-//!             ▼
-//!        failover actor (service reactor): silence > deadline
-//!             └─► promote: bump epoch, own the dead node's shards
+//!  shell (ClusterNode)                 core (ClusterCore)         NodeIo
+//!  seal hook ─► shipper thread ──────► ship_once ─── ShipSegment ─► replicas
+//!  prober thread, every heartbeat ───► tick: pull_round ─ CatchUp* ─► primaries
+//!                                            demotion_round ─ checkpoint
+//!                                            sweep ──── Heartbeat ──► peers
+//!  failover actor (service reactor) ─► failover: silent primary → promote
+//!  listener connection threads ──────► ClusterHandler: ship gate,
+//!                                      catch-up server, heartbeat acks
 //! ```
+//!
+//! The core reads time from one [`TimeSource`] and reaches peers only
+//! through [`NodeIo`], so a driver other than the shell (the virtual-time
+//! harness) runs the same protocol code on simulated time and an
+//! in-memory transport.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use geomancy_net::wire::{
     self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_ship_segment,
     encode_catch_up_ack, encode_catch_up_chunk, encode_cluster_info_resp, encode_heartbeat_ack,
-    encode_ship_ack, encode_wrong_epoch,
+    encode_ship_ack, encode_wrong_epoch, CatchUpChunk, CatchUpDone, CatchUpReq, SegmentShip,
 };
 use geomancy_net::{
     Client, ClientConfig, ClusterHandler, ClusterMap, NetConfig, NetError, NetServer, WireStatus,
 };
-use geomancy_runtime::{Actor, Ctx};
+use geomancy_runtime::{Actor, Ctx, TimeSource, WallClock};
 use geomancy_serve::{PlacementService, SealHook, SegmentRetainer, ServeConfig, StoreSettings};
 use geomancy_sim::record::FileId;
-use geomancy_store::{PagedStore, SharedPagedStore, StoreConfig};
+use geomancy_store::{FaultPoint, PagedStore, SharedPagedStore, StoreConfig};
 
 use crate::catchup;
 use crate::map::{bootstrap_map, join, preferred_primary, promote, shard_for};
@@ -167,24 +169,58 @@ pub struct ReplicaStats {
     pub floors: Vec<u64>,
 }
 
-/// The state shared between the listener's cluster hook, the shipper,
-/// the prober, and the failover actor.
-struct ClusterCore {
+/// Everything the protocol core does outside its own state: the five
+/// peer calls, each aimed at `(node id, map address)`, plus the
+/// embedded service's checkpoint. A failed peer call returns its typed
+/// [`NetError`]; `WrongEpoch` carries the peer's map. The shell's
+/// implementation is a pool of socket [`Client`]s; a test
+/// implementation hands the encoded payloads straight to another core's
+/// [`ClusterHandler`].
+pub trait NodeIo {
+    /// Heartbeats `to` on behalf of node `from`, announcing this node's
+    /// listener address; returns the peer's `(node_id, epoch)`.
+    fn announce(&self, to: u64, addr: &str, from: u64, epoch: u64) -> Result<(u64, u64), NetError>;
+    /// Fetches `to`'s map.
+    fn cluster_info(&self, to: u64, addr: &str) -> Result<ClusterMap, NetError>;
+    /// Ships one sealed segment to replica `to`.
+    fn ship_segment(&self, to: u64, addr: &str, ship: &SegmentShip) -> Result<(), NetError>;
+    /// Pulls one catch-up chunk from primary `to`.
+    fn catch_up(&self, to: u64, addr: &str, req: &CatchUpReq) -> Result<CatchUpChunk, NetError>;
+    /// Reports a completed catch-up round to primary `to`.
+    fn catch_up_done(&self, to: u64, addr: &str, done: &CatchUpDone) -> Result<u64, NetError>;
+    /// Checkpoints the embedded service and returns its absorb floors
+    /// afterwards, or `None` when it could not.
+    fn checkpoint(&self) -> Option<Vec<u64>>;
+    /// The store fault to inject into the next catch-up chunk's apply;
+    /// the core ends the round after a faulted apply, as a crash would.
+    fn fault_for_next_apply(&self) -> Option<FaultPoint> {
+        None
+    }
+}
+
+/// The replication protocol of one node: map, replica store, repair
+/// state and counters, with the server half as its [`ClusterHandler`]
+/// impl and the client half as three steps a driver calls —
+/// [`tick`](ClusterCore::tick), [`failover`](ClusterCore::failover)
+/// and [`ship_once`](ClusterCore::ship_once).
+pub struct ClusterCore {
     node_id: u64,
     map: RwLock<ClusterMap>,
     replica: Mutex<ReplicaState>,
     /// Liveness sightings, reported catch-up floors, and demotion
-    /// barriers — all timestamped off `base`.
+    /// barriers — all timestamped off `time`.
     repair: Mutex<RepairState>,
-    /// Monotonic clock base for the repair state's microsecond domain.
-    base: Instant,
+    time: Arc<dyn TimeSource>,
     /// Sealed segments kept in memory for seq-mode catch-up.
     retainer: Arc<SegmentRetainer>,
-    /// The embedded service's cold store, filled in right after the
-    /// service starts (catch-up exports read it).
+    /// The embedded service's cold store, attached once the service
+    /// starts (catch-up exports read it).
     store: OnceLock<SharedPagedStore>,
     shards: u32,
     replicas_degree: usize,
+    /// Liveness deadline for failover and demotion, in micros.
+    deadline_micros: u64,
+    catch_up_max_records: u32,
     promotions: AtomicU64,
     ship_rejects: AtomicU64,
     catch_up_chunks_served: AtomicU64,
@@ -193,7 +229,6 @@ struct ClusterCore {
 struct ReplicaState {
     store: PagedStore,
     wal_dir: PathBuf,
-    shards: usize,
     segments_applied: u64,
     records_applied: u64,
     /// Which node's sequence space each shard's floor lives in. Ships
@@ -210,26 +245,119 @@ struct ReplicaState {
 }
 
 impl ClusterCore {
-    fn epoch(&self) -> u64 {
+    /// Opens the protocol state of node `config.node_id` under
+    /// `config.dir`: the replica store (running its crash recovery), the
+    /// persisted ship origins, and the epoch-1 map. A rejoiner instead
+    /// starts from an epoch-0 map that hands each of its primaryships to
+    /// the first replica, so the first live peer's real map (epoch >= 1)
+    /// always wins and no shard is claimed off a guess. Every member
+    /// counts as seen now: nobody is silent before a full deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterNodeError`] for a peer list without this node (outside
+    /// rejoin), or a replica directory or store that fails to open.
+    pub fn open(
+        config: &ClusterNodeConfig,
+        time: Arc<dyn TimeSource>,
+    ) -> Result<ClusterCore, ClusterNodeError> {
+        if !config.rejoin && !config.peers.iter().any(|(id, _)| *id == config.node_id) {
+            return Err(ClusterNodeError::SelfNotInPeers(config.node_id));
+        }
+        let mut map = bootstrap_map(&config.peers, config.shards, config.replicas);
+        if config.rejoin {
+            for a in &mut map.assignments {
+                if a.primary == config.node_id {
+                    if let Some(&succ) = a.replicas.first() {
+                        a.primary = succ;
+                        a.replicas.retain(|&r| r != succ);
+                    }
+                }
+            }
+            map.epoch = 0;
+        }
+        let wal_dir = config.dir.join("replica-wal");
+        std::fs::create_dir_all(&wal_dir)?;
+        let settings = config.serve.store.clone().unwrap_or_default();
+        let (store, _recovery) = PagedStore::open(
+            config.dir.join("replica-store"),
+            StoreConfig {
+                page_size: settings.page_size,
+                cache_pages: settings.cache_pages,
+            },
+        )
+        .map_err(|e| ClusterNodeError::Store(e.to_string()))?;
+        let mut repair = RepairState::default();
+        let now = time.now_micros();
+        for n in &map.nodes {
+            repair.mark_seen(n.node_id, now);
+        }
+        Ok(ClusterCore {
+            node_id: config.node_id,
+            map: RwLock::new(map),
+            replica: Mutex::new(ReplicaState {
+                origins: catchup::load_origins(store.dir()),
+                store,
+                wal_dir,
+                segments_applied: 0,
+                records_applied: 0,
+                dirty: HashSet::new(),
+                catching: HashSet::new(),
+            }),
+            repair: Mutex::new(repair),
+            time,
+            retainer: Arc::new(SegmentRetainer::new(config.retain_bytes)),
+            store: OnceLock::new(),
+            shards: config.shards,
+            replicas_degree: config.replicas,
+            deadline_micros: config.failover_after_micros,
+            catch_up_max_records: config.catch_up_max_records,
+            promotions: AtomicU64::new(0),
+            ship_rejects: AtomicU64::new(0),
+            catch_up_chunks_served: AtomicU64::new(0),
+        })
+    }
+
+    /// Attaches the embedded service's store: catch-up exports and the
+    /// follower's union cursor read it. Only the first call takes effect.
+    pub fn attach_service_store(&self, store: SharedPagedStore) {
+        let _ = self.store.set(store);
+    }
+
+    /// The sealed segments retained for seq-mode catch-up; the seal
+    /// path inserts each one before shipping it.
+    #[must_use]
+    pub fn retainer(&self) -> &Arc<SegmentRetainer> {
+        &self.retainer
+    }
+
+    /// This node's stable id.
+    #[must_use]
+    pub fn node_id(&self) -> u64 {
+        self.node_id
+    }
+
+    /// The node's current epoch.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
         self.map.read().expect("map lock").epoch
     }
 
-    fn map(&self) -> ClusterMap {
+    /// The node's current map view.
+    #[must_use]
+    pub fn map(&self) -> ClusterMap {
         self.map.read().expect("map lock").clone()
     }
 
     fn now_micros(&self) -> u64 {
-        u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX)
+        self.time.now_micros()
     }
 
     /// Adopts `map` if strictly newer.
-    fn adopt(&self, map: &ClusterMap) -> bool {
+    fn adopt(&self, map: &ClusterMap) {
         let mut held = self.map.write().expect("map lock");
         if map.epoch > held.epoch {
             *held = map.clone();
-            true
-        } else {
-            false
         }
     }
 
@@ -241,44 +369,80 @@ impl ClusterCore {
             .mark_seen(node, now);
     }
 
-    /// Peers (other than us) silent for longer than `deadline` that
-    /// still hold primaryship of at least one shard.
-    fn silent_primaries(&self, deadline: Duration) -> Vec<u64> {
+    /// One failover check: promotes this node over every peer that still
+    /// holds a primaryship, has been silent past the deadline, and has
+    /// this node first in line. Promotion only rewrites the map; peers
+    /// learn it through heartbeat acks, clients through `WrongEpoch`.
+    pub fn failover(&self) {
         let now = self.now_micros();
-        let deadline = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
-        let map = self.map.read().expect("map lock");
+        let mut held = self.map.write().expect("map lock");
         let repair = self.repair.lock().expect("repair lock");
-        map.nodes
+        let silent: Vec<u64> = held
+            .nodes
             .iter()
             .map(|n| n.node_id)
-            .filter(|&id| id != self.node_id)
-            .filter(|&id| !map.shards_owned_by(id).is_empty())
-            .filter(|&id| !repair.live(id, now, deadline))
-            .collect()
+            .filter(|&id| id != self.node_id && !held.shards_owned_by(id).is_empty())
+            .filter(|&id| !repair.live(id, now, self.deadline_micros))
+            .collect();
+        for dead in silent {
+            if let Some(next) = promote(&held, dead, self.node_id) {
+                *held = next;
+                self.promotions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Promotes this node over `dead`'s shards if it is first in line;
-    /// returns the new epoch when the map changed.
-    fn try_promote(&self, dead: u64) -> Option<u64> {
-        let mut held = self.map.write().expect("map lock");
-        let next = promote(&held, dead, self.node_id)?;
-        let epoch = next.epoch;
-        *held = next;
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        Some(epoch)
+    /// One prober pass: catch-up pulls, the demotion state machine, then
+    /// a heartbeat to every peer, recording answered probes as sightings
+    /// and chasing a higher epoch in an ack with a map fetch.
+    pub fn tick(&self, io: &dyn NodeIo) {
+        self.pull_round(io);
+        self.demotion_round(io);
+        let map = self.map();
+        for n in map.nodes.iter().filter(|n| n.node_id != self.node_id) {
+            let Ok((peer_id, peer_epoch)) =
+                io.announce(n.node_id, &n.addr, self.node_id, map.epoch)
+            else {
+                continue;
+            };
+            self.mark_seen(peer_id);
+            if peer_epoch > self.epoch() {
+                if let Ok(new_map) = io.cluster_info(n.node_id, &n.addr) {
+                    self.adopt(&new_map);
+                }
+            }
+        }
     }
 
-    /// Applies an unknown node's heartbeat-announced join to the local
-    /// map: membership only, no shard moves, deterministic content so
-    /// every peer computes the identical map.
-    fn apply_join(&self, node: u64, addr: &str) {
-        let mut held = self.map.write().expect("map lock");
-        if held.nodes.iter().any(|n| n.node_id == node) {
-            return;
+    /// One attempt at shipping segment `seq` of `shard` to every current
+    /// replica. `true` once all of them acked (vacuously with none); a
+    /// `WrongEpoch` answer adopts the replica's map for the next attempt.
+    pub fn ship_once(&self, io: &dyn NodeIo, shard: u32, seq: u64, bytes: &[u8]) -> bool {
+        let map = self.map();
+        let ship = SegmentShip {
+            from_node: self.node_id,
+            epoch: map.epoch,
+            shard,
+            seq,
+            bytes: bytes.to_vec(),
+        };
+        let mut all_ok = true;
+        for &replica in map.replicas_of(shard) {
+            if replica == self.node_id {
+                continue;
+            }
+            let Some(addr) = map.addr_of(replica) else {
+                all_ok = false;
+                continue;
+            };
+            if let Err(e) = io.ship_segment(replica, addr, &ship) {
+                if let NetError::WrongEpoch(new_map) = e {
+                    self.adopt(&new_map);
+                }
+                all_ok = false;
+            }
         }
-        if let Some(next) = join(&held, node, addr) {
-            *held = next;
-        }
+        all_ok
     }
 
     /// Gate + apply for one shipped segment. Ships are accepted only
@@ -288,8 +452,9 @@ impl ClusterCore {
     /// ever see. A virgin shard (no origin, floor 0, no records) adopts
     /// the map's primary as origin on its first `seq == 1` ship; every
     /// other mismatch answers `Backpressure` and flags the shard for a
-    /// catch-up round.
-    fn gate_and_apply_ship(&self, ship: &wire::SegmentShip, map: &ClusterMap) -> WireStatus {
+    /// catch-up round. The apply itself is the seq-mode catch-up path,
+    /// so re-sent segments at or under the floor are exactly-once.
+    fn gate_and_apply_ship(&self, ship: &SegmentShip, map: &ClusterMap) -> WireStatus {
         let mut replica = self.replica.lock().expect("replica lock");
         let shard = ship.shard;
         if replica.catching.contains(&shard) {
@@ -329,49 +494,31 @@ impl ClusterCore {
                 adopt_origin = true;
             }
         }
-        match Self::apply_ship(&mut replica, ship) {
-            Ok(()) => {
-                if adopt_origin {
-                    replica.origins.insert(shard, ship.from_node);
-                    let dir = replica.store.dir().to_path_buf();
-                    let _ = catchup::save_origins(&dir, &replica.origins);
-                }
-                WireStatus::Ok
-            }
-            Err(_) => WireStatus::Internal,
-        }
-    }
-
-    /// Durably applies one shipped segment: write the bytes under a
-    /// temp name, rename into the replica WAL, fsync, absorb into the
-    /// replica store. Segments at or under the manifest floor are
-    /// deleted unreplayed by the absorb — re-sent segments are
-    /// exactly-once by construction.
-    fn apply_ship(
-        replica: &mut ReplicaState,
-        ship: &wire::SegmentShip,
-    ) -> Result<(), std::io::Error> {
-        let dest = geomancy_replaydb::segment_path(&replica.wal_dir, ship.shard as usize, ship.seq);
-        let tmp = replica
-            .wal_dir
-            .join(format!("ship-{}-{}.tmp", ship.shard, ship.seq));
-        std::fs::write(&tmp, &ship.bytes)?;
-        let f = std::fs::File::open(&tmp)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &dest)?;
-        std::fs::File::open(&replica.wal_dir)?.sync_all()?;
-        let shards = replica.shards;
-        let wal_dir = replica.wal_dir.clone();
-        let report = replica
-            .store
-            .absorb_segments(&wal_dir, shards, None)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let ReplicaState { store, wal_dir, .. } = &mut *replica;
+        let applied = catchup::apply_segment_chunk(
+            store,
+            wal_dir,
+            self.shards,
+            shard,
+            ship.seq,
+            &ship.bytes,
+            None,
+        );
+        let Ok(records) = applied else {
+            return WireStatus::Internal;
+        };
         replica.segments_applied += 1;
-        replica.records_applied += report.records_absorbed;
-        Ok(())
+        replica.records_applied += records;
+        if adopt_origin {
+            replica.origins.insert(shard, ship.from_node);
+            let _ = catchup::save_origins(replica.store.dir(), &replica.origins);
+        }
+        WireStatus::Ok
     }
 
-    fn replica_stats(&self) -> ReplicaStats {
+    /// Counters for the follower half of this node.
+    #[must_use]
+    pub fn replica_stats(&self) -> ReplicaStats {
         let replica = self.replica.lock().expect("replica lock");
         ReplicaStats {
             segments_applied: replica.segments_applied,
@@ -379,6 +526,269 @@ impl ClusterCore {
             total_records: replica.store.total_records(),
             floors: replica.store.absorbed().to_vec(),
         }
+    }
+
+    /// Runs `f` over the replica store (ships and catch-up land there).
+    pub fn with_replica_store<R>(&self, f: impl FnOnce(&PagedStore) -> R) -> R {
+        f(&self.replica.lock().expect("replica lock").store)
+    }
+
+    /// The node this replica currently accepts ships for on `shard`
+    /// (its ship origin), if established.
+    #[must_use]
+    pub fn origin_of(&self, shard: u32) -> Option<u64> {
+        let replica = self.replica.lock().expect("replica lock");
+        replica.origins.get(&shard).copied()
+    }
+
+    /// Whether a rejected ship flagged `shard` for a catch-up round that
+    /// has not completed yet.
+    #[must_use]
+    pub fn is_dirty(&self, shard: u32) -> bool {
+        let replica = self.replica.lock().expect("replica lock");
+        replica.dirty.contains(&shard)
+    }
+
+    /// How many times this node promoted itself over a silent primary.
+    #[must_use]
+    pub fn promotions(&self) -> u64 {
+        self.promotions.load(Ordering::Relaxed)
+    }
+
+    /// How many shards this node handed back to their preferred owner
+    /// as outgoing primary.
+    #[must_use]
+    pub fn demotions(&self) -> u64 {
+        self.repair.lock().expect("repair lock").demotions
+    }
+
+    /// Bytes of sealed segments currently retained for seq-mode
+    /// catch-up.
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        self.retainer.bytes()
+    }
+
+    /// Retained segments evicted to stay under the byte cap (those
+    /// ranges fall back to cold-store catch-up).
+    #[must_use]
+    pub fn retainer_evictions(&self) -> u64 {
+        self.retainer.evicted()
+    }
+
+    /// Catch-up chunks this node served as primary.
+    #[must_use]
+    pub fn catch_up_chunks_served(&self) -> u64 {
+        self.catch_up_chunks_served.load(Ordering::Relaxed)
+    }
+
+    /// Ships rejected by the origin/continuity gate (gap, wrong origin,
+    /// or mid-catch-up backpressure).
+    #[must_use]
+    pub fn ship_rejects(&self) -> u64 {
+        self.ship_rejects.load(Ordering::Relaxed)
+    }
+
+    /// One demotion-state-machine evaluation by the current primary:
+    /// checkpoint to set a barrier when a candidate first qualifies, flip
+    /// the map once the candidate's reported floors meet it.
+    fn demotion_round(&self, io: &dyn NodeIo) {
+        // Up to two steps per round: NeedCheckpoint then (rarely) an
+        // immediate Demote when the candidate already reported the floors.
+        for _ in 0..2 {
+            let map = self.map();
+            let now = self.now_micros();
+            let step = self.repair.lock().expect("repair lock").plan_demotion(
+                &map,
+                self.node_id,
+                self.replicas_degree,
+                now,
+                self.deadline_micros,
+            );
+            match step {
+                DemotionStep::NeedCheckpoint { candidate } => {
+                    let Some(floors) = io.checkpoint() else {
+                        return;
+                    };
+                    let wants = RepairState::wanted_shards(&map, self.node_id, candidate);
+                    self.repair
+                        .lock()
+                        .expect("repair lock")
+                        .set_barrier(candidate, &wants, &floors);
+                }
+                DemotionStep::Demote { map: next, .. } => {
+                    self.adopt(&next);
+                    return;
+                }
+                DemotionStep::Waiting { .. } | DemotionStep::Idle => return,
+            }
+        }
+    }
+
+    /// The follower-side catch-up puller: for every shard this node should
+    /// track (current replica, or preferred primary waiting to take over),
+    /// run bounded catch-up rounds against the shard's primary whenever the
+    /// ship origin is missing/mismatched, a gap was flagged, or this node is
+    /// the shard's preferred owner chasing the demotion barrier.
+    fn pull_round(&self, io: &dyn NodeIo) {
+        let map = self.map();
+        for shard in 0..map.shards {
+            let Some(primary) = map.primary_of(shard) else {
+                continue;
+            };
+            if primary == self.node_id {
+                continue;
+            }
+            let preferred_here = preferred_primary(&map, shard) == Some(self.node_id);
+            let in_scope = preferred_here || map.replicas_of(shard).contains(&self.node_id);
+            if !in_scope {
+                continue;
+            }
+            let needs_pull = {
+                let replica = self.replica.lock().expect("replica lock");
+                preferred_here
+                    || replica.dirty.contains(&shard)
+                    || replica.origins.get(&shard) != Some(&primary)
+            };
+            if !needs_pull {
+                continue;
+            }
+            let Some(addr) = map.addr_of(primary) else {
+                continue;
+            };
+            match self.pull_shard(io, shard, primary, addr) {
+                Ok(Some(done)) => {
+                    let _ = io.catch_up_done(primary, addr, &done);
+                }
+                Err(NetError::WrongEpoch(new_map)) => {
+                    self.adopt(&new_map);
+                    return;
+                }
+                Ok(None) | Err(_) => {}
+            }
+        }
+    }
+
+    /// Runs one catch-up round for `shard`, with ships to it held off
+    /// (`Backpressure`) while the round is in flight. Returns the
+    /// `CatchUpDone` report to send when the round completed, which also
+    /// makes `primary` the shard's ship origin.
+    fn pull_shard(
+        &self,
+        io: &dyn NodeIo,
+        shard: u32,
+        primary: u64,
+        addr: &str,
+    ) -> Result<Option<CatchUpDone>, NetError> {
+        self.replica
+            .lock()
+            .expect("replica lock")
+            .catching
+            .insert(shard);
+        let result = self.pull_chunks(io, shard, primary, addr);
+        let mut replica = self.replica.lock().expect("replica lock");
+        replica.catching.remove(&shard);
+        if matches!(result, Ok(Some(_))) {
+            replica.dirty.remove(&shard);
+            replica.origins.insert(shard, primary);
+            let _ = catchup::save_origins(replica.store.dir(), &replica.origins);
+        }
+        result
+    }
+
+    /// Pulls and applies up to 256 chunks of one round; `Ok(None)` when
+    /// the budget ran out or an apply failed (or was faulted).
+    fn pull_chunks(
+        &self,
+        io: &dyn NodeIo,
+        shard: u32,
+        primary: u64,
+        addr: &str,
+    ) -> Result<Option<CatchUpDone>, NetError> {
+        const CHUNK_BUDGET: usize = 256;
+        for chunk_no in 0..CHUNK_BUDGET {
+            // Plan the request: floor only counts if it is already in the
+            // primary's sequence space; the cold cursor is the union max
+            // over both local stores, recomputed each chunk (crash-safe
+            // resume without a persisted cursor).
+            let (after_seq, after_ts) = {
+                let service = self.store.get().map(|s| s.read());
+                let replica = self.replica.lock().expect("replica lock");
+                let after_seq = if replica.origins.get(&shard) == Some(&primary) {
+                    replica
+                        .store
+                        .absorbed()
+                        .get(shard as usize)
+                        .copied()
+                        .unwrap_or(0)
+                } else {
+                    0
+                };
+                let after_ts =
+                    catchup::shard_cursor(&replica.store, service.as_deref(), self.shards, shard)
+                        .unwrap_or(0);
+                (after_seq, after_ts)
+            };
+            let req = CatchUpReq {
+                node_id: self.node_id,
+                shard,
+                after_seq,
+                after_ts,
+                include_ties: chunk_no == 0,
+                max_records: self.catch_up_max_records,
+            };
+            let chunk = io.catch_up(primary, addr, &req)?;
+            let done = chunk.done;
+            let fault = io.fault_for_next_apply();
+            let service = self.store.get().map(|s| s.read());
+            let mut replica = self.replica.lock().expect("replica lock");
+            let ReplicaState { store, wal_dir, .. } = &mut *replica;
+            let applied = match chunk.data {
+                wire::CatchUpData::Segment { seq, bytes } => catchup::apply_segment_chunk(
+                    store,
+                    wal_dir,
+                    self.shards,
+                    shard,
+                    seq,
+                    &bytes,
+                    fault,
+                ),
+                wire::CatchUpData::Cold(records) => catchup::apply_cold_records(
+                    store,
+                    service.as_deref(),
+                    self.shards,
+                    shard,
+                    &records,
+                    done.then_some(chunk.floor_seq),
+                    fault,
+                ),
+            };
+            match applied {
+                Ok(records) if fault.is_none() => replica.records_applied += records,
+                _ => return Ok(None),
+            }
+            if done {
+                let floor_seq = replica
+                    .store
+                    .absorbed()
+                    .get(shard as usize)
+                    .copied()
+                    .unwrap_or(0);
+                let max_ts = replica
+                    .store
+                    .max_timestamp_matching(catchup::cold_pred(self.shards, shard))
+                    .ok()
+                    .flatten()
+                    .unwrap_or(0);
+                return Ok(Some(CatchUpDone {
+                    node_id: self.node_id,
+                    shard,
+                    floor_seq,
+                    max_ts,
+                }));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -420,9 +830,16 @@ impl ClusterHandler for ClusterCore {
             // A heartbeat carries the sender's listener address unless it
             // probes from outside the cluster: an unknown node announcing
             // itself joins the membership list (assignments untouched —
-            // it earns shards via catch-up).
+            // it earns shards via catch-up). Membership only, no shard
+            // moves, deterministic content so every peer computes the
+            // identical map.
             if !addr.is_empty() {
-                self.apply_join(peer, &addr);
+                let mut held = self.map.write().expect("map lock");
+                if !held.nodes.iter().any(|n| n.node_id == peer) {
+                    if let Some(next) = join(&held, peer, &addr) {
+                        *held = next;
+                    }
+                }
             }
         }
         encode_heartbeat_ack(self.node_id, self.epoch())
@@ -477,15 +894,79 @@ impl ClusterHandler for ClusterCore {
     }
 }
 
-/// The failover controller: a reactor actor (co-located on the
-/// placement service's pool) that checks sighting deadlines on a timer
-/// and promotes this node over silent primaries it is first in line
-/// for. Promotion only rewrites the map; correction of *peers* happens
-/// through heartbeat acks (stale nodes see the higher epoch and fetch
-/// the map), and of *clients* through `WrongEpoch` replies.
+/// The shell's [`NodeIo`]: one pooled [`Client`] per peer, shared by the
+/// shipper and prober threads, plus the embedded service's checkpoint.
+struct PeerPool {
+    conns: Mutex<HashMap<u64, Arc<Client>>>,
+    /// Listener address announced in heartbeats (drives join).
+    advertised: String,
+    /// Held weakly so teardown's `Arc::try_unwrap` of the service still
+    /// succeeds.
+    service: Weak<PlacementService>,
+}
+
+impl PeerPool {
+    /// Runs `call` on `to`'s pooled client, connecting on first use. A
+    /// failure that is not the peer's answer drops the connection, so the
+    /// next call reconnects.
+    fn call<R>(
+        &self,
+        to: u64,
+        addr: &str,
+        call: impl FnOnce(&Client) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        let pooled = self.conns.lock().expect("peer pool").get(&to).cloned();
+        let client = match pooled {
+            Some(client) => client,
+            None => {
+                let client = Arc::new(Client::connect(addr, ClientConfig::default())?);
+                let mut conns = self.conns.lock().expect("peer pool");
+                Arc::clone(conns.entry(to).or_insert(client))
+            }
+        };
+        let result = call(&client);
+        if let Err(e) = &result {
+            if !matches!(e, NetError::WrongEpoch(_) | NetError::Server(_)) {
+                self.conns.lock().expect("peer pool").remove(&to);
+            }
+        }
+        result
+    }
+}
+
+impl NodeIo for PeerPool {
+    fn announce(&self, to: u64, addr: &str, from: u64, epoch: u64) -> Result<(u64, u64), NetError> {
+        self.call(to, addr, |c| c.announce(from, epoch, &self.advertised))
+    }
+
+    fn cluster_info(&self, to: u64, addr: &str) -> Result<ClusterMap, NetError> {
+        self.call(to, addr, Client::cluster_info)
+    }
+
+    fn ship_segment(&self, to: u64, addr: &str, ship: &SegmentShip) -> Result<(), NetError> {
+        self.call(to, addr, |c| c.ship_segment(ship))
+    }
+
+    fn catch_up(&self, to: u64, addr: &str, req: &CatchUpReq) -> Result<CatchUpChunk, NetError> {
+        self.call(to, addr, |c| c.catch_up(req))
+    }
+
+    fn catch_up_done(&self, to: u64, addr: &str, done: &CatchUpDone) -> Result<u64, NetError> {
+        self.call(to, addr, |c| c.catch_up_done(done))
+    }
+
+    fn checkpoint(&self) -> Option<Vec<u64>> {
+        let service = self.service.upgrade()?;
+        service.checkpoint_now().ok()?;
+        let floors = service.store()?.read().absorbed().to_vec();
+        Some(floors)
+    }
+}
+
+/// Runs [`ClusterCore::failover`] on the service reactor's timer, one
+/// check per heartbeat interval.
 struct FailoverActor {
     core: Arc<ClusterCore>,
-    deadline: Duration,
     check_every_micros: u64,
 }
 
@@ -493,26 +974,13 @@ impl Actor for FailoverActor {
     type Msg = ();
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Grace period: nobody is "silent" before a full deadline has
-        // elapsed from node start.
-        let now = self.core.now_micros();
-        let mut repair = self.core.repair.lock().expect("repair lock");
-        for n in &self.core.map().nodes {
-            repair.mark_seen(n.node_id, now);
-        }
-        drop(repair);
         ctx.set_timer(self.check_every_micros, 0);
     }
 
     fn on_msg(&mut self, (): (), _ctx: &mut Ctx<'_>) {}
 
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        for dead in self.core.silent_primaries(self.deadline) {
-            if self.core.try_promote(dead).is_some() {
-                // The epoch bump is the whole protocol: requests routed
-                // on the old map now answer WrongEpoch with this map.
-            }
-        }
+        self.core.failover();
         ctx.set_timer(self.check_every_micros, 0);
     }
 }
@@ -526,7 +994,9 @@ struct SealedSeg {
     bytes: Vec<u8>,
 }
 
-/// One running cluster node. Dropping it without calling
+/// One running cluster node: the shell that runs a [`ClusterCore`]
+/// (which it derefs to — map, counters and replica state are the
+/// core's) on real threads and sockets. Dropping it without calling
 /// [`ClusterNode::shutdown`] or [`ClusterNode::kill`] leaks the
 /// background threads for the life of the process.
 pub struct ClusterNode {
@@ -551,76 +1021,25 @@ impl std::fmt::Debug for ClusterNode {
     }
 }
 
+impl std::ops::Deref for ClusterNode {
+    type Target = ClusterCore;
+
+    fn deref(&self) -> &ClusterCore {
+        &self.core
+    }
+}
+
 impl ClusterNode {
-    /// Brings the node up: opens the replica store, starts the
-    /// placement service with the seal hook wired, binds the
-    /// cluster-aware listener, and spawns the shipper, prober, and
-    /// failover actor.
+    /// Brings the node up: opens the core, starts the placement service
+    /// with the seal hook wired, binds the cluster-aware listener, and
+    /// spawns the shipper, prober, and failover actor.
     ///
     /// # Errors
     ///
     /// Typed [`ClusterNodeError`]s for a bad peer list, store, or bind
     /// failure.
     pub fn start(config: ClusterNodeConfig) -> Result<ClusterNode, ClusterNodeError> {
-        if !config.rejoin && !config.peers.iter().any(|(id, _)| *id == config.node_id) {
-            return Err(ClusterNodeError::SelfNotInPeers(config.node_id));
-        }
-        let mut map = bootstrap_map(&config.peers, config.shards, config.replicas);
-        if config.rejoin {
-            // A rejoiner must not claim shards off a guessed map: demote
-            // itself out of every primaryship and start at epoch 0, so
-            // the first live peer's real map (epoch >= 1) always wins.
-            for a in &mut map.assignments {
-                if a.primary == config.node_id {
-                    if let Some(&succ) = a.replicas.first() {
-                        a.primary = succ;
-                        a.replicas.retain(|&r| r != succ);
-                    }
-                }
-            }
-            map.epoch = 0;
-        }
-        let wal_dir = config.dir.join("wal");
-        let store_dir = config.dir.join("store");
-        let replica_wal = config.dir.join("replica-wal");
-        let replica_store_dir = config.dir.join("replica-store");
-        std::fs::create_dir_all(&replica_wal)?;
-
-        let store_settings = config.serve.store.clone().unwrap_or_default();
-        let (replica_store, _recovery) = PagedStore::open(
-            &replica_store_dir,
-            StoreConfig {
-                page_size: store_settings.page_size,
-                cache_pages: store_settings.cache_pages,
-            },
-        )
-        .map_err(|e| ClusterNodeError::Store(e.to_string()))?;
-
-        let origins = catchup::load_origins(replica_store.dir());
-        let retainer = Arc::new(SegmentRetainer::new(config.retain_bytes));
-        let core = Arc::new(ClusterCore {
-            node_id: config.node_id,
-            map: RwLock::new(map),
-            replica: Mutex::new(ReplicaState {
-                store: replica_store,
-                wal_dir: replica_wal,
-                shards: config.shards as usize,
-                segments_applied: 0,
-                records_applied: 0,
-                origins,
-                dirty: HashSet::new(),
-                catching: HashSet::new(),
-            }),
-            repair: Mutex::new(RepairState::default()),
-            base: Instant::now(),
-            retainer: Arc::clone(&retainer),
-            store: OnceLock::new(),
-            shards: config.shards,
-            replicas_degree: config.replicas,
-            promotions: AtomicU64::new(0),
-            ship_rejects: AtomicU64::new(0),
-            catch_up_chunks_served: AtomicU64::new(0),
-        });
+        let core = Arc::new(ClusterCore::open(&config, Arc::new(WallClock::new()))?);
 
         // Seal hook: runs on the checkpointer thread in the absorb
         // window, while the sealed segment file still exists.
@@ -628,6 +1047,7 @@ impl ClusterNode {
         // seal: nothing is decoded here), hand them to the shipper thread
         // and the catch-up retainer, return.
         let (seal_tx, seal_rx) = mpsc::channel::<SealedSeg>();
+        let retainer = Arc::clone(core.retainer());
         let hook = SealHook(Arc::new(
             move |shard: usize, seq: u64, records: u64, path: &Path| {
                 let Ok(bytes) = std::fs::read(path) else {
@@ -643,30 +1063,31 @@ impl ClusterNode {
             },
         ));
 
+        let store_settings = config.serve.store.clone().unwrap_or_default();
         let service = Arc::new(PlacementService::start(ServeConfig {
             shards: config.shards as usize,
             node_id: config.node_id,
-            wal_dir: Some(wal_dir),
+            wal_dir: Some(config.dir.join("wal")),
             store: Some(StoreSettings {
-                dir: store_dir,
+                dir: config.dir.join("store"),
                 ..store_settings
             }),
             seal_hook: Some(hook),
             ..config.serve
         }));
         if let Some(store) = service.store() {
-            let _ = core.store.set(store.clone());
+            core.attach_service_store(store.clone());
         }
 
         // The failover controller shares the service's reactor pool:
         // one pool runs the whole node.
+        let check_every_micros = config.heartbeat_micros.max(1);
         let (fail_addr, _fail_handle) = service.reactor().spawn(
             "cluster-failover",
             8,
             FailoverActor {
                 core: Arc::clone(&core),
-                deadline: Duration::from_micros(config.failover_after_micros),
-                check_every_micros: config.heartbeat_micros.max(1),
+                check_every_micros,
             },
         );
         drop(fail_addr);
@@ -679,6 +1100,17 @@ impl ClusterNode {
         )
         .map_err(ClusterNodeError::Io)?;
         let addr = server.local_addr();
+        let pool = Arc::new(PeerPool {
+            conns: Mutex::new(HashMap::new()),
+            advertised: config
+                .peers
+                .iter()
+                .find(|(id, _)| *id == config.node_id)
+                .map(|(_, a)| a.clone())
+                .filter(|a| !a.ends_with(":0"))
+                .unwrap_or_else(|| addr.to_string()),
+            service: Arc::downgrade(&service),
+        });
 
         let stop = Arc::new(AtomicBool::new(false));
         let abandon = Arc::new(AtomicBool::new(false));
@@ -686,36 +1118,29 @@ impl ClusterNode {
         let ship_failures = Arc::new(AtomicU64::new(0));
         let shipper = {
             let core = Arc::clone(&core);
+            let pool = Arc::clone(&pool);
             let shipped = Arc::clone(&shipped);
             let failures = Arc::clone(&ship_failures);
             let abandon = Arc::clone(&abandon);
             std::thread::Builder::new()
                 .name(format!("geomancy-ship-{}", config.node_id))
-                .spawn(move || shipper_loop(&core, &seal_rx, &shipped, &failures, &abandon))
+                .spawn(move || shipper_loop(&core, &*pool, &seal_rx, &shipped, &failures, &abandon))
                 .expect("spawn shipper")
         };
+        // The prober's first pass runs before its first sleep, so a fresh
+        // cluster establishes ship origins promptly.
         let prober = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
-            let interval = Duration::from_micros(config.heartbeat_micros.max(1));
-            // The prober holds the service weakly so teardown's
-            // `Arc::try_unwrap` of the service still succeeds.
-            let service = Arc::downgrade(&service);
-            let advertised = config
-                .peers
-                .iter()
-                .find(|(id, _)| *id == config.node_id)
-                .map(|(_, a)| a.clone())
-                .filter(|a| !a.ends_with(":0"))
-                .unwrap_or_else(|| addr.to_string());
-            let knobs = ProberKnobs {
-                advertised,
-                deadline_micros: config.failover_after_micros,
-                catch_up_max_records: config.catch_up_max_records,
-            };
+            let interval = Duration::from_micros(check_every_micros);
             std::thread::Builder::new()
                 .name(format!("geomancy-probe-{}", config.node_id))
-                .spawn(move || prober_loop(&core, &service, &stop, interval, &knobs))
+                .spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        core.tick(&*pool);
+                        std::thread::sleep(interval);
+                    }
+                })
                 .expect("spawn prober")
         };
 
@@ -731,12 +1156,6 @@ impl ClusterNode {
             shipped,
             ship_failures,
         })
-    }
-
-    /// This node's stable id.
-    #[must_use]
-    pub fn node_id(&self) -> u64 {
-        self.core.node_id
     }
 
     /// The bound listener address.
@@ -756,24 +1175,6 @@ impl ClusterNode {
         }
     }
 
-    /// The node's current map view.
-    #[must_use]
-    pub fn map(&self) -> ClusterMap {
-        self.core.map()
-    }
-
-    /// The node's current epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// How many times this node promoted itself over a silent primary.
-    #[must_use]
-    pub fn promotions(&self) -> u64 {
-        self.core.promotions.load(Ordering::Relaxed)
-    }
-
     /// Segments fully acknowledged by every replica of their shard —
     /// the records guaranteed to survive this node's death.
     #[must_use]
@@ -785,59 +1186,6 @@ impl ClusterNode {
     #[must_use]
     pub fn ship_failures(&self) -> u64 {
         self.ship_failures.load(Ordering::Relaxed)
-    }
-
-    /// Counters for the follower half of this node.
-    #[must_use]
-    pub fn replica_stats(&self) -> ReplicaStats {
-        self.core.replica_stats()
-    }
-
-    /// How many shards this node handed back to their preferred owner
-    /// as outgoing primary.
-    #[must_use]
-    pub fn demotions(&self) -> u64 {
-        self.core.repair.lock().expect("repair lock").demotions
-    }
-
-    /// The node this replica currently accepts ships for on `shard`
-    /// (its ship origin), if established.
-    #[must_use]
-    pub fn origin_of(&self, shard: u32) -> Option<u64> {
-        self.core
-            .replica
-            .lock()
-            .expect("replica lock")
-            .origins
-            .get(&shard)
-            .copied()
-    }
-
-    /// Bytes of sealed segments currently retained for seq-mode
-    /// catch-up.
-    #[must_use]
-    pub fn retained_bytes(&self) -> usize {
-        self.core.retainer.bytes()
-    }
-
-    /// Retained segments evicted to stay under the byte cap (those
-    /// ranges fall back to cold-store catch-up).
-    #[must_use]
-    pub fn retainer_evictions(&self) -> u64 {
-        self.core.retainer.evicted()
-    }
-
-    /// Catch-up chunks this node served as primary.
-    #[must_use]
-    pub fn catch_up_chunks_served(&self) -> u64 {
-        self.core.catch_up_chunks_served.load(Ordering::Relaxed)
-    }
-
-    /// Ships rejected by the origin/continuity gate (gap, wrong origin,
-    /// or mid-catch-up backpressure).
-    #[must_use]
-    pub fn ship_rejects(&self) -> u64 {
-        self.core.ship_rejects.load(Ordering::Relaxed)
     }
 
     /// The embedded placement service (for explicit checkpoints,
@@ -912,22 +1260,29 @@ impl Drop for ClusterNode {
     }
 }
 
-/// Ships each sealed segment to every replica of its shard, retrying
-/// transient failures, and records fully-acked segments. Exits when the
-/// seal channel disconnects (service shut down).
+/// Ships each sealed segment to every replica of its shard, retrying a
+/// failed attempt with backoff, and records fully-acked segments. Exits
+/// when the seal channel disconnects (service shut down).
 fn shipper_loop(
-    core: &Arc<ClusterCore>,
+    core: &ClusterCore,
+    io: &dyn NodeIo,
     seals: &mpsc::Receiver<SealedSeg>,
     shipped: &Mutex<Vec<ShippedSeg>>,
     failures: &AtomicU64,
     abandon: &AtomicBool,
 ) {
-    let mut conns: HashMap<u64, Client> = HashMap::new();
+    const ATTEMPTS: u32 = 5;
     while let Ok(seg) = seals.recv() {
         if abandon.load(Ordering::SeqCst) {
             continue;
         }
-        if ship_one(core, &seg, &mut conns) {
+        let acked = (0..ATTEMPTS).any(|attempt| {
+            if attempt > 0 {
+                std::thread::sleep(Duration::from_millis(10 << (attempt - 1)));
+            }
+            core.ship_once(io, seg.shard, seg.seq, &seg.bytes)
+        });
+        if acked {
             shipped.lock().expect("shipped lock").push(ShippedSeg {
                 shard: seg.shard,
                 seq: seg.seq,
@@ -939,367 +1294,152 @@ fn shipper_loop(
     }
 }
 
-/// Ships one segment to all current replicas of its shard. `true` once
-/// every replica acked (vacuously true with no replicas).
-fn ship_one(core: &Arc<ClusterCore>, seg: &SealedSeg, conns: &mut HashMap<u64, Client>) -> bool {
-    const ATTEMPTS: usize = 5;
-    for attempt in 0..ATTEMPTS {
-        let map = core.map();
-        let replicas: Vec<u64> = map
-            .replicas_of(seg.shard)
-            .iter()
-            .copied()
-            .filter(|&r| r != core.node_id)
-            .collect();
-        let ship = wire::SegmentShip {
-            from_node: core.node_id,
-            epoch: map.epoch,
-            shard: seg.shard,
-            seq: seg.seq,
-            bytes: seg.bytes.clone(),
-        };
-        let mut all_ok = true;
-        for replica in replicas {
-            let Some(addr) = map.addr_of(replica).map(str::to_string) else {
-                all_ok = false;
-                continue;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geomancy_net::wire::{decode_ship_ack, encode_ship_segment, CatchUpData};
+    use geomancy_replaydb::{segment_path, shard_path, WalWriter};
+    use geomancy_runtime::ManualClock;
+    use geomancy_sim::record::{AccessRecord, DeviceId};
+    use std::cell::Cell;
+
+    /// Segment `seq` of node 2's WAL for `shard`: three records routed
+    /// to the shard, access numbers `10 * seq ..`.
+    fn segment(wal: &Path, shard: u32, seq: u64) -> SegmentShip {
+        let fids = (0..).filter(|&f| shard_for(FileId(f), 2) == shard);
+        let mut writer = WalWriter::open(shard_path(wal, shard as usize)).unwrap();
+        for (i, fid) in (0..3).zip(fids) {
+            let n = 10 * seq + i;
+            let record = AccessRecord {
+                access_number: n,
+                fid: FileId(fid),
+                fsid: DeviceId(0),
+                rb: 1,
+                wb: 0,
+                ots: 0,
+                otms: 0,
+                cts: 0,
+                ctms: 0,
             };
-            let client = match conns.entry(replica) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    match Client::connect(addr.as_str(), ClientConfig::default()) {
-                        Ok(c) => v.insert(c),
-                        Err(_) => {
-                            all_ok = false;
-                            continue;
-                        }
-                    }
-                }
-            };
-            match client.ship_segment(&ship) {
-                Ok(()) => {}
-                Err(NetError::WrongEpoch(new_map)) => {
-                    core.adopt(&new_map);
-                    all_ok = false;
-                }
-                Err(_) => {
-                    conns.remove(&replica);
-                    all_ok = false;
-                }
-            }
+            writer.append(n, record).unwrap();
         }
-        if all_ok {
-            return true;
-        }
-        if attempt + 1 < ATTEMPTS {
-            std::thread::sleep(Duration::from_millis(10 << attempt));
-        }
-    }
-    false
-}
-
-/// Per-prober settings that don't change after startup.
-struct ProberKnobs {
-    /// Listener address announced in heartbeats (drives join).
-    advertised: String,
-    /// Liveness deadline for the demotion state machine, in micros.
-    deadline_micros: u64,
-    /// Cold catch-up chunk size.
-    catch_up_max_records: u32,
-}
-
-/// Heartbeats every peer on a cadence, recording answered probes as
-/// sightings and chasing higher epochs seen in acks with a map fetch.
-/// Between probe sweeps it runs the two repair roles: the follower-side
-/// catch-up puller (anti-entropy; the first round runs *before* the
-/// first sleep so fresh clusters establish ship origins promptly) and
-/// the primary-side demotion state machine.
-fn prober_loop(
-    core: &Arc<ClusterCore>,
-    service: &Weak<PlacementService>,
-    stop: &AtomicBool,
-    interval: Duration,
-    knobs: &ProberKnobs,
-) {
-    let mut conns: HashMap<u64, Client> = HashMap::new();
-    while !stop.load(Ordering::SeqCst) {
-        pull_round(core, &mut conns, knobs.catch_up_max_records, stop);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        demotion_round(core, service, knobs.deadline_micros);
-        let map = core.map();
-        for n in &map.nodes {
-            if n.node_id == core.node_id || stop.load(Ordering::SeqCst) {
-                continue;
-            }
-            let client = match conns.entry(n.node_id) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    match Client::connect(n.addr.as_str(), ClientConfig::default()) {
-                        Ok(c) => v.insert(c),
-                        Err(_) => continue,
-                    }
-                }
-            };
-            match client.announce(core.node_id, map.epoch, &knobs.advertised) {
-                Ok((peer_id, peer_epoch)) => {
-                    core.mark_seen(peer_id);
-                    if peer_epoch > core.epoch() {
-                        if let Ok(new_map) = client.cluster_info() {
-                            core.adopt(&new_map);
-                        }
-                    }
-                }
-                Err(_) => {
-                    conns.remove(&n.node_id);
-                }
-            }
-        }
-        std::thread::sleep(interval);
-    }
-}
-
-/// One demotion-state-machine evaluation by the current primary:
-/// checkpoint to set a barrier when a candidate first qualifies, flip
-/// the map once the candidate's reported floors meet it.
-fn demotion_round(core: &Arc<ClusterCore>, service: &Weak<PlacementService>, deadline_micros: u64) {
-    // Up to two steps per round: NeedCheckpoint then (rarely) an
-    // immediate Demote when the candidate already reported the floors.
-    for _ in 0..2 {
-        let map = core.map();
-        let now = core.now_micros();
-        let step = core.repair.lock().expect("repair lock").plan_demotion(
-            &map,
-            core.node_id,
-            core.replicas_degree,
-            now,
-            deadline_micros,
-        );
-        match step {
-            DemotionStep::NeedCheckpoint { candidate } => {
-                let Some(service) = service.upgrade() else {
-                    return;
-                };
-                if service.checkpoint_now().is_err() {
-                    return;
-                }
-                let floors = core
-                    .store
-                    .get()
-                    .map(|s| s.read().absorbed().to_vec())
-                    .unwrap_or_default();
-                let wants = RepairState::wanted_shards(&map, core.node_id, candidate);
-                core.repair
-                    .lock()
-                    .expect("repair lock")
-                    .set_barrier(candidate, &wants, &floors);
-            }
-            DemotionStep::Demote { map: next, .. } => {
-                core.adopt(&next);
-                return;
-            }
-            DemotionStep::Waiting { .. } | DemotionStep::Idle => return,
-        }
-    }
-}
-
-/// The follower-side catch-up puller: for every shard this node should
-/// track (current replica, or preferred primary waiting to take over),
-/// run bounded catch-up rounds against the shard's primary whenever the
-/// ship origin is missing/mismatched, a gap was flagged, or this node is
-/// the shard's preferred owner chasing the demotion barrier.
-fn pull_round(
-    core: &Arc<ClusterCore>,
-    conns: &mut HashMap<u64, Client>,
-    max_records: u32,
-    stop: &AtomicBool,
-) {
-    let map = core.map();
-    for shard in 0..map.shards {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Some(primary) = map.primary_of(shard) else {
-            continue;
-        };
-        if primary == core.node_id {
-            continue;
-        }
-        let preferred_here = preferred_primary(&map, shard) == Some(core.node_id);
-        let in_scope = preferred_here || map.replicas_of(shard).contains(&core.node_id);
-        if !in_scope {
-            continue;
-        }
-        let needs_pull = {
-            let replica = core.replica.lock().expect("replica lock");
-            preferred_here
-                || replica.dirty.contains(&shard)
-                || replica.origins.get(&shard) != Some(&primary)
-        };
-        if !needs_pull {
-            continue;
-        }
-        let Some(addr) = map.addr_of(primary).map(str::to_string) else {
-            continue;
-        };
-        let client = match conns.entry(primary) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                match Client::connect(addr.as_str(), ClientConfig::default()) {
-                    Ok(c) => v.insert(c),
-                    Err(_) => continue,
-                }
-            }
-        };
-        match pull_shard(core, client, shard, primary, max_records) {
-            Ok(Some(done)) => {
-                let _ = client.catch_up_done(&done);
-            }
-            Ok(None) => {}
-            Err(NetError::WrongEpoch(new_map)) => {
-                core.adopt(&new_map);
-                return;
-            }
-            Err(_) => {
-                conns.remove(&primary);
-            }
-        }
-    }
-}
-
-/// Runs catch-up rounds for one shard until done or a per-tick chunk
-/// budget runs out. Returns the `CatchUpDone` report to send when a
-/// round completed.
-fn pull_shard(
-    core: &Arc<ClusterCore>,
-    client: &Client,
-    shard: u32,
-    primary: u64,
-    max_records: u32,
-) -> Result<Option<wire::CatchUpDone>, NetError> {
-    const CHUNK_BUDGET: usize = 256;
-    {
-        let mut replica = core.replica.lock().expect("replica lock");
-        replica.catching.insert(shard);
-    }
-    let result = pull_shard_inner(core, client, shard, primary, max_records, CHUNK_BUDGET);
-    let mut replica = core.replica.lock().expect("replica lock");
-    replica.catching.remove(&shard);
-    if matches!(result, Ok(Some(_))) {
-        replica.dirty.remove(&shard);
-        replica.origins.insert(shard, primary);
-        let dir = replica.store.dir().to_path_buf();
-        let origins = replica.origins.clone();
-        drop(replica);
-        let _ = catchup::save_origins(&dir, &origins);
-    }
-    result
-}
-
-fn pull_shard_inner(
-    core: &Arc<ClusterCore>,
-    client: &Client,
-    shard: u32,
-    primary: u64,
-    max_records: u32,
-    chunk_budget: usize,
-) -> Result<Option<wire::CatchUpDone>, NetError> {
-    let mut first = true;
-    for _ in 0..chunk_budget {
-        // Plan the request: floor only counts if it is already in the
-        // primary's sequence space; the cold cursor is the union max
-        // over both local stores, recomputed each chunk (crash-safe
-        // resume without a persisted cursor).
-        let (after_seq, after_ts) = {
-            let service = core.store.get().map(|s| s.read());
-            let replica = core.replica.lock().expect("replica lock");
-            let after_seq = if replica.origins.get(&shard) == Some(&primary) {
-                replica
-                    .store
-                    .absorbed()
-                    .get(shard as usize)
-                    .copied()
-                    .unwrap_or(0)
-            } else {
-                0
-            };
-            let after_ts =
-                catchup::shard_cursor(&replica.store, service.as_deref(), core.shards, shard)
-                    .unwrap_or(0);
-            (after_seq, after_ts)
-        };
-        let req = wire::CatchUpReq {
-            node_id: core.node_id,
+        let path = segment_path(wal, shard as usize, seq);
+        writer.seal_to(&path).unwrap();
+        SegmentShip {
+            from_node: 2,
+            epoch: 1,
             shard,
-            after_seq,
-            after_ts,
-            include_ties: first,
-            max_records,
-        };
-        first = false;
-        let chunk = client.catch_up(&req)?;
-        let done = chunk.done;
-        let floor_seq = chunk.floor_seq;
-        let applied = {
-            let service = core.store.get().map(|s| s.read());
-            let mut replica = core.replica.lock().expect("replica lock");
-            match chunk.data {
-                wire::CatchUpData::Segment { seq, bytes } => {
-                    let wal_dir = replica.wal_dir.clone();
-                    let shards = core.shards;
-                    catchup::apply_segment_chunk(
-                        &mut replica.store,
-                        &wal_dir,
-                        shards,
-                        shard,
-                        seq,
-                        &bytes,
-                        None,
-                    )
-                }
-                wire::CatchUpData::Cold(records) => catchup::apply_cold_records(
-                    &mut replica.store,
-                    service.as_deref(),
-                    core.shards,
-                    shard,
-                    &records,
-                    done.then_some(floor_seq),
-                    None,
-                ),
-            }
-        };
-        match applied {
-            Ok(records) => {
-                let mut replica = core.replica.lock().expect("replica lock");
-                replica.records_applied += records;
-            }
-            Err(_) => return Ok(None),
-        }
-        if done {
-            let (floor, max_ts) = {
-                let replica = core.replica.lock().expect("replica lock");
-                let floor = replica
-                    .store
-                    .absorbed()
-                    .get(shard as usize)
-                    .copied()
-                    .unwrap_or(0);
-                let max_ts = replica
-                    .store
-                    .max_timestamp_matching(catchup::cold_pred(core.shards, shard))
-                    .ok()
-                    .flatten()
-                    .unwrap_or(0);
-                (floor, max_ts)
-            };
-            return Ok(Some(wire::CatchUpDone {
-                node_id: core.node_id,
-                shard,
-                floor_seq: floor,
-                max_ts,
-            }));
+            seq,
+            bytes: std::fs::read(&path).unwrap(),
         }
     }
-    Ok(None)
+
+    fn ship_status(core: &ClusterCore, ship: &SegmentShip) -> WireStatus {
+        decode_ship_ack(&core.on_ship(&encode_ship_segment(ship)))
+            .unwrap()
+            .0
+    }
+
+    /// Node 2, the shard's primary, as node 1 sees it. Its one catch-up
+    /// chunk first ships `ship` into node 1 mid-round (keeping the ack
+    /// status), then serves that same segment as the round's last chunk.
+    struct ShipsMidRound<'a> {
+        follower: &'a ClusterCore,
+        ship: SegmentShip,
+        mid_round: Cell<Option<WireStatus>>,
+    }
+
+    impl NodeIo for ShipsMidRound<'_> {
+        fn announce(&self, _: u64, _: &str, _: u64, _: u64) -> Result<(u64, u64), NetError> {
+            Err(NetError::Disconnected)
+        }
+
+        fn cluster_info(&self, _: u64, _: &str) -> Result<ClusterMap, NetError> {
+            Err(NetError::Disconnected)
+        }
+
+        fn ship_segment(&self, _: u64, _: &str, _: &SegmentShip) -> Result<(), NetError> {
+            Err(NetError::Disconnected)
+        }
+
+        fn catch_up(&self, _: u64, _: &str, req: &CatchUpReq) -> Result<CatchUpChunk, NetError> {
+            assert_eq!((req.shard, req.after_seq), (self.ship.shard, 1));
+            self.mid_round
+                .set(Some(ship_status(self.follower, &self.ship)));
+            Ok(CatchUpChunk {
+                shard: self.ship.shard,
+                done: true,
+                floor_seq: self.ship.seq,
+                next_ts: req.after_ts,
+                data: CatchUpData::Segment {
+                    seq: self.ship.seq,
+                    bytes: self.ship.bytes.clone(),
+                },
+            })
+        }
+
+        fn catch_up_done(&self, _: u64, _: &str, _: &CatchUpDone) -> Result<u64, NetError> {
+            Ok(1)
+        }
+
+        fn checkpoint(&self) -> Option<Vec<u64>> {
+            None
+        }
+    }
+
+    /// A ship that lands while its shard's catch-up round is in flight is
+    /// held off, not raced, even when it is the next segment in order:
+    /// it answers `Backpressure`. Once the round commits, the following
+    /// segment (floor + 1) applies and every record is held exactly once.
+    #[test]
+    fn ship_during_catch_up_round_backs_off() {
+        let dir = std::env::temp_dir()
+            .join("geomancy_node_catching")
+            .join(std::process::id().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ClusterNodeConfig {
+            node_id: 1,
+            peers: vec![(1, "a:1".to_string()), (2, "b:1".to_string())],
+            shards: 2,
+            dir: dir.clone(),
+            ..ClusterNodeConfig::default()
+        };
+        let core = ClusterCore::open(&config, Arc::new(ManualClock::new())).unwrap();
+        let shard = (0..2)
+            .find(|&s| core.map().primary_of(s) == Some(2))
+            .unwrap();
+        let wal = dir.join("primary-wal");
+        std::fs::create_dir_all(&wal).unwrap();
+        let ships: Vec<SegmentShip> = (1..=3).map(|seq| segment(&wal, shard, seq)).collect();
+
+        // Segment 1 sets the origin; segment 3 leaves a gap and flags the
+        // shard for a catch-up round.
+        assert_eq!(ship_status(&core, &ships[0]), WireStatus::Ok);
+        assert_eq!(ship_status(&core, &ships[2]), WireStatus::Backpressure);
+        assert!(core.is_dirty(shard));
+        let io = ShipsMidRound {
+            follower: &core,
+            ship: ships[1].clone(),
+            mid_round: Cell::new(None),
+        };
+        core.tick(&io);
+        assert_eq!(io.mid_round.get(), Some(WireStatus::Backpressure));
+        assert_eq!(core.ship_rejects(), 2);
+        assert!(!core.is_dirty(shard));
+        assert_eq!(core.replica_stats().floors[shard as usize], 2);
+
+        assert_eq!(ship_status(&core, &ships[2]), WireStatus::Ok);
+        let mut held: Vec<u64> = core.with_replica_store(|store| {
+            let pred = catchup::cold_pred(2, shard);
+            let (held, _) = store.export_matching(0, true, 0, &pred).unwrap();
+            held.iter().map(|s| s.record.access_number).collect()
+        });
+        held.sort_unstable();
+        assert_eq!(
+            held,
+            [10, 11, 12, 20, 21, 22, 30, 31, 32],
+            "each record once"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -458,13 +458,7 @@ impl Client {
             FrameKind::ClusterInfoResp,
             Vec::new(),
         )?;
-        if let Some(&status) = reply.payload.first() {
-            if status != WireStatus::Ok as u8 {
-                let status = WireStatus::from_u8(status).map_err(NetError::Protocol)?;
-                return Err(NetError::Server(status));
-            }
-        }
-        wire::decode_cluster_info_resp(&reply.payload).map_err(NetError::Protocol)
+        cluster_info_reply(&reply.payload)
     }
 
     /// Ships one sealed WAL segment to a follower. Returns once the
@@ -480,13 +474,7 @@ impl Client {
             FrameKind::ShipAck,
             wire::encode_ship_segment(ship),
         )?;
-        let (status, _shard, _seq, map) =
-            wire::decode_ship_ack(&reply.payload).map_err(NetError::Protocol)?;
-        match (status, map) {
-            (WireStatus::Ok, _) => Ok(()),
-            (WireStatus::WrongEpoch, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
-            (other, _) => Err(NetError::Server(other)),
-        }
+        ship_ack_reply(&reply.payload)
     }
 
     /// One heartbeat round trip from outside the membership: sends
@@ -514,7 +502,7 @@ impl Client {
             FrameKind::HeartbeatAck,
             wire::encode_heartbeat(node_id, epoch, addr),
         )?;
-        wire::decode_heartbeat_ack(&reply.payload).map_err(NetError::Protocol)
+        heartbeat_ack_reply(&reply.payload)
     }
 
     /// Requests one catch-up chunk for a shard.
@@ -531,16 +519,7 @@ impl Client {
             FrameKind::CatchUpChunk,
             wire::encode_catch_up_req(req),
         )?;
-        let (status, chunk, map) =
-            wire::decode_catch_up_chunk(&reply.payload).map_err(NetError::Protocol)?;
-        match (status, chunk, map) {
-            (WireStatus::Ok, Some(chunk), _) => Ok(chunk),
-            (WireStatus::WrongEpoch, _, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
-            (WireStatus::Ok, None, _) => Err(NetError::Protocol(DecodeError::BadPayload(
-                "ok catch-up chunk with no body",
-            ))),
-            (other, _, _) => Err(NetError::Server(other)),
-        }
+        catch_up_chunk_reply(&reply.payload)
     }
 
     /// Reports a completed catch-up round's durable floor to the shard's
@@ -556,13 +535,63 @@ impl Client {
             FrameKind::CatchUpAck,
             wire::encode_catch_up_done(done),
         )?;
-        let (status, epoch, map) =
-            wire::decode_catch_up_ack(&reply.payload).map_err(NetError::Protocol)?;
-        match (status, map) {
-            (WireStatus::Ok, _) => Ok(epoch),
-            (WireStatus::WrongEpoch, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
-            (other, _) => Err(NetError::Server(other)),
+        catch_up_ack_reply(&reply.payload)
+    }
+}
+
+// The cluster calls' reply payloads, decoded into the results of the
+// `Client` methods that send them (whose docs list the errors). Public
+// so an in-memory transport that hands payloads straight to a
+// `ClusterHandler` reads replies exactly as a socket client does.
+
+/// Decodes a `HeartbeatAck` payload into [`Client::announce`]'s result.
+pub fn heartbeat_ack_reply(payload: &[u8]) -> Result<(u64, u64), NetError> {
+    wire::decode_heartbeat_ack(payload).map_err(NetError::Protocol)
+}
+
+/// Decodes a `ClusterInfoResp` payload into [`Client::cluster_info`]'s
+/// result.
+pub fn cluster_info_reply(payload: &[u8]) -> Result<ClusterMap, NetError> {
+    if let Some(&status) = payload.first() {
+        if status != WireStatus::Ok as u8 {
+            let status = WireStatus::from_u8(status).map_err(NetError::Protocol)?;
+            return Err(NetError::Server(status));
         }
+    }
+    wire::decode_cluster_info_resp(payload).map_err(NetError::Protocol)
+}
+
+/// Decodes a `ShipAck` payload into [`Client::ship_segment`]'s result.
+pub fn ship_ack_reply(payload: &[u8]) -> Result<(), NetError> {
+    let (status, _shard, _seq, map) = wire::decode_ship_ack(payload).map_err(NetError::Protocol)?;
+    match (status, map) {
+        (WireStatus::Ok, _) => Ok(()),
+        (WireStatus::WrongEpoch, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
+        (other, _) => Err(NetError::Server(other)),
+    }
+}
+
+/// Decodes a `CatchUpChunk` payload into [`Client::catch_up`]'s result.
+pub fn catch_up_chunk_reply(payload: &[u8]) -> Result<wire::CatchUpChunk, NetError> {
+    let (status, chunk, map) = wire::decode_catch_up_chunk(payload).map_err(NetError::Protocol)?;
+    match (status, chunk, map) {
+        (WireStatus::Ok, Some(chunk), _) => Ok(chunk),
+        (WireStatus::WrongEpoch, _, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
+        (WireStatus::Ok, None, _) => Err(NetError::Protocol(DecodeError::BadPayload(
+            "ok catch-up chunk with no body",
+        ))),
+        (other, _, _) => Err(NetError::Server(other)),
+    }
+}
+
+/// Decodes a `CatchUpAck` payload into [`Client::catch_up_done`]'s
+/// result.
+pub fn catch_up_ack_reply(payload: &[u8]) -> Result<u64, NetError> {
+    let (status, epoch, map) = wire::decode_catch_up_ack(payload).map_err(NetError::Protocol)?;
+    match (status, map) {
+        (WireStatus::Ok, _) => Ok(epoch),
+        (WireStatus::WrongEpoch, Some(map)) => Err(NetError::WrongEpoch(Box::new(map))),
+        (other, _) => Err(NetError::Server(other)),
     }
 }
 

@@ -383,8 +383,11 @@ impl Core {
         })
     }
 
-    fn next_step(&self) -> Step {
-        let gen = self.timers_gen.load(Ordering::SeqCst);
+    /// Picks the worker's next move. `gen` is the `timers_gen` the
+    /// caller loaded *before* its last `fire_due_timers`: a clock advance
+    /// or timer insert after that load bumps the generation, so the
+    /// worker rechecks instead of parking past a due timer.
+    fn next_step(&self, gen: u64) -> Step {
         let wait = self.wait_duration();
         let mut sched = self.sched.lock().unwrap();
         if let Some(id) = sched.ready.pop_front() {
@@ -486,8 +489,9 @@ impl Core {
 
     fn worker(self: Arc<Core>) {
         loop {
+            let gen = self.timers_gen.load(Ordering::SeqCst);
             self.fire_due_timers();
-            match self.next_step() {
+            match self.next_step(gen) {
                 Step::Run(id) => self.run_actor(id),
                 Step::Tick => continue,
                 Step::Stop => break,

@@ -1,11 +1,13 @@
 //! Reactor behaviour tests: deterministic timers under a manual clock,
 //! drain-on-shutdown, panic containment, backpressure, and stats.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use geomancy_runtime::{Actor, Ctx, ManualClock, Reactor, ReactorConfig, TrySendError, WallClock};
+use geomancy_runtime::{
+    Actor, Ctx, ManualClock, Reactor, ReactorConfig, TimeSource, TrySendError, WallClock,
+};
 use proptest::prelude::*;
 
 fn single_worker(clock: &ManualClock) -> Reactor {
@@ -305,4 +307,82 @@ fn stats_track_processing_and_depth() {
     assert!(stats[0].max_queued >= 1);
     assert_eq!(stats[0].queued, 0, "drain leaves nothing queued");
     assert!(!stats[0].dead);
+}
+
+/// A manual clock whose next read, once armed, still returns the old
+/// time and only then advances 100 µs and fires its wakers: the advance
+/// lands between the worker's timer sweep and its decision to park.
+#[derive(Default)]
+struct StaleReadClock {
+    micros: AtomicU64,
+    armed: AtomicBool,
+    wakers: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
+}
+
+impl TimeSource for StaleReadClock {
+    fn now_micros(&self) -> u64 {
+        let now = self.micros.load(Ordering::SeqCst);
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.micros.fetch_add(100, Ordering::SeqCst);
+            for w in self.wakers.lock().unwrap().iter() {
+                w();
+            }
+        }
+        now
+    }
+
+    fn autonomous(&self) -> bool {
+        false
+    }
+
+    fn register_waker(&self, waker: Arc<dyn Fn() + Send + Sync>) {
+        self.wakers.lock().unwrap().push(waker);
+    }
+}
+
+/// Arms a 100 µs timer at start and the clock on its first message.
+struct ArmsStaleRead {
+    clock: Arc<StaleReadClock>,
+    notify: mpsc::Sender<u64>,
+}
+
+impl Actor for ArmsStaleRead {
+    type Msg = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(100, 7);
+    }
+
+    fn on_msg(&mut self, (): (), _ctx: &mut Ctx<'_>) {
+        self.clock.armed.store(true, Ordering::SeqCst);
+    }
+
+    fn on_timer(&mut self, token: u64, _ctx: &mut Ctx<'_>) {
+        let _ = self.notify.send(token);
+    }
+}
+
+/// A clock advance that lands after the worker's timer sweep read the
+/// old time must still fire the now-due timer: the worker snapshots the
+/// timer generation before the sweep, so the advance's bump makes it
+/// look again instead of parking on a clock nobody will move.
+#[test]
+fn clock_advance_during_timer_sweep_is_not_lost() {
+    let clock = Arc::new(StaleReadClock::default());
+    let reactor = Reactor::new(ReactorConfig {
+        workers: 1,
+        time: Arc::clone(&clock) as Arc<dyn TimeSource>,
+        ..ReactorConfig::default()
+    });
+    let (tx, rx) = mpsc::channel();
+    let (addr, _h) = reactor.spawn(
+        "stale-read",
+        4,
+        ArmsStaleRead {
+            clock: Arc::clone(&clock),
+            notify: tx,
+        },
+    );
+    addr.send(()).unwrap();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(2)).ok(), Some(7));
 }
