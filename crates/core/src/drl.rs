@@ -377,10 +377,10 @@ impl DrlEngine {
 
     /// Allocation-free variant of [`DrlEngine::rank_locations`]: clears
     /// `out` and fills it with `(device, predicted throughput)` in input
-    /// order, predicted by the `f32` serving copy. With a warm `out`
-    /// (capacity ≥ `candidates.len()`) the whole query — feature rows,
-    /// forward pass, ranking — reuses the engine's internal buffers and
-    /// performs no heap allocation.
+    /// order — [`DrlEngine::rank_locations_batch_into`] over the one query.
+    /// With a warm `out` (capacity ≥ `candidates.len()`) the whole query —
+    /// feature rows, forward pass, ranking — reuses the engine's internal
+    /// buffers and performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -391,20 +391,7 @@ impl DrlEngine {
         candidates: &[DeviceId],
         out: &mut Vec<(DeviceId, f64)>,
     ) {
-        let feature_norm = self
-            .feature_norm
-            .as_ref()
-            .expect("rank_locations called before retrain");
-        assert!(!candidates.is_empty(), "no candidate locations");
-        self.rows.clear();
-        for &dev in candidates {
-            let row = query_row(feature_norm, query, dev);
-            self.rows.extend(row.map(|v| v as f32));
-        }
-        self.predict_rows();
-        out.clear();
-        out.reserve(candidates.len());
-        out.extend(candidates.iter().copied().zip(self.predictions()));
+        self.rank_locations_batch_into(std::slice::from_ref(query), candidates, out);
     }
 
     /// Fused multi-query ranking: one forward pass of the `f32` serving
@@ -415,8 +402,10 @@ impl DrlEngine {
     /// widened back before denormalization and the §V-G adjustment. A pass
     /// past the copy's fan-out (`SequentialF32::parallel_min_rows`, so a
     /// 512-request submission but not a 64-request one) splits its tiles
-    /// across the usable CPUs; the results are bit-equal either way, and
-    /// to [`DrlEngine::rank_locations_into`]'s for the same query.
+    /// across the usable CPUs; the results are bit-equal either way. Each
+    /// query's row is normalized once and its device column patched per
+    /// candidate (`device_feature`), which is bit-equal to building every
+    /// row whole, so a query ranks the same alone or in any batch.
     ///
     /// Results land flat in `out`, chunked per query: entries
     /// `[q * candidates.len() .. (q + 1) * candidates.len()]` are query

@@ -149,21 +149,6 @@ impl Layer for Dense {
         kernels::sum_rows_acc(&self.grad_pre, &mut self.bias.grad);
     }
 
-    fn forward_inference_into(
-        &self,
-        input: MatrixView<'_>,
-        _scratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        kernels::matmul_bias_act_into(
-            input,
-            &self.weight.value,
-            &self.bias.value,
-            self.activation,
-            out,
-        );
-    }
-
     fn as_dense(&self) -> Option<&Dense> {
         Some(self)
     }
@@ -255,18 +240,6 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut layer = Dense::new(2, 2, Activation::ReLU, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 2), &Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn inference_forward_matches_training_forward() {
-        let mut rng = seeded_rng(3);
-        let layer = Dense::new(5, 4, Activation::Tanh, &mut rng);
-        let x = Matrix::from_rows(&[&[0.3, -0.1, 0.8, 0.0, -0.6], &[1.0, 2.0, -3.0, 0.5, 0.25]]);
-        let mut scratch = Matrix::default();
-        let mut out = Matrix::default();
-        layer.forward_inference_into(x.view(), &mut scratch, &mut out);
-        let mut training = layer;
-        assert_eq!(out, training.forward(&x));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl Gru {
             dx: Matrix::default(),
         }
     }
-
-    /// Number of hidden units.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
 }
 
 impl Layer for Gru {
@@ -249,54 +244,6 @@ impl Layer for Gru {
         }
     }
 
-    fn forward_inference_into(
-        &self,
-        input: MatrixView<'_>,
-        scratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            input.cols(),
-            self.input_size(),
-            "Gru expects {} columns ({} timesteps x {} features)",
-            self.input_size(),
-            self.timesteps,
-            self.features
-        );
-        let batch = input.rows();
-        // `scratch` carries the hidden state; the gate buffers are small
-        // per-call locals (the recurrent inference path is not on the
-        // zero-allocation contract — only dense models are).
-        let h = scratch;
-        h.resize(batch, self.hidden);
-        h.fill(0.0);
-        let mut z = Matrix::default();
-        let mut r = Matrix::default();
-        let mut rh = Matrix::default();
-        let mut h_next = Matrix::default();
-        for t in 0..self.timesteps {
-            let window = t * self.features..(t + 1) * self.features;
-            kernels::broadcast_rows_into(&self.b[0].value, batch, &mut z);
-            kernels::matmul_cols_acc(input, window.clone(), &self.wx[0].value, &mut z);
-            kernels::matmul_acc(h.view(), &self.wh[0].value, &mut z);
-            Activation::Sigmoid.apply_inplace(&mut z);
-            kernels::broadcast_rows_into(&self.b[1].value, batch, &mut r);
-            kernels::matmul_cols_acc(input, window.clone(), &self.wx[1].value, &mut r);
-            kernels::matmul_acc(h.view(), &self.wh[1].value, &mut r);
-            Activation::Sigmoid.apply_inplace(&mut r);
-            kernels::hadamard_into(&r, h, &mut rh);
-            kernels::broadcast_rows_into(&self.b[2].value, batch, out);
-            kernels::matmul_cols_acc(input, window, &self.wx[2].value, out);
-            kernels::matmul_acc(rh.view(), &self.wh[2].value, out);
-            self.activation.apply_inplace(out);
-            // The hidden update reads and writes h, so it ping-pongs
-            // between two buffers instead of aliasing.
-            kernels::convex_combine_into(&z, h, out, &mut h_next);
-            std::mem::swap(h, &mut h_next);
-        }
-        out.copy_from(h.view());
-    }
-
     fn params(&self) -> Vec<&Param> {
         self.wx.iter().chain(&self.wh).chain(&self.b).collect()
     }
@@ -378,21 +325,6 @@ mod tests {
         let mut rng = seeded_rng(4);
         let mut layer = Gru::new(2, 2, 2, Activation::Tanh, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 4), &Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn inference_forward_matches_training_forward() {
-        let mut rng = seeded_rng(6);
-        let mut layer = Gru::new(3, 4, 3, Activation::Tanh, &mut rng);
-        let x = Matrix::filled(2, 9, 0.3);
-        let expected = layer.forward(&x);
-        let mut scratch = Matrix::default();
-        let mut out = Matrix::default();
-        layer.forward_inference_into(x.view(), &mut scratch, &mut out);
-        assert_eq!(out.shape(), expected.shape());
-        for (a, b) in out.as_slice().iter().zip(expected.as_slice()) {
-            assert!((a - b).abs() < 1e-12, "inference {a} vs training {b}");
-        }
     }
 
     #[test]

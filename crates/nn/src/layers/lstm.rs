@@ -119,34 +119,6 @@ impl Lstm {
             dx: Matrix::default(),
         }
     }
-
-    /// Number of hidden units.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    /// Computes one gate for the stateless inference path: `pre` is seeded
-    /// with the bias, accumulates `x_t · Wx + h · Wh` via the in-place
-    /// kernels, and is activated in place.
-    fn gate_inference(
-        &self,
-        idx: usize,
-        input: MatrixView<'_>,
-        t: usize,
-        h: &Matrix,
-        act: Activation,
-        pre: &mut Matrix,
-    ) {
-        kernels::broadcast_rows_into(&self.b[idx].value, input.rows(), pre);
-        kernels::matmul_cols_acc(
-            input,
-            t * self.features..(t + 1) * self.features,
-            &self.wx[idx].value,
-            pre,
-        );
-        kernels::matmul_acc(h.view(), &self.wh[idx].value, pre);
-        act.apply_inplace(pre);
-    }
 }
 
 impl Layer for Lstm {
@@ -289,50 +261,6 @@ impl Layer for Lstm {
         }
     }
 
-    fn forward_inference_into(
-        &self,
-        input: MatrixView<'_>,
-        scratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            input.cols(),
-            self.input_size(),
-            "Lstm expects {} columns ({} timesteps x {} features)",
-            self.input_size(),
-            self.timesteps,
-            self.features
-        );
-        let batch = input.rows();
-        // `scratch` carries the hidden state; the cell state and the gate
-        // buffer are small per-call locals (the recurrent inference path is
-        // not on the zero-allocation contract — only dense models are).
-        let h = scratch;
-        h.resize(batch, self.hidden);
-        h.fill(0.0);
-        let mut c = Matrix::zeros(batch, self.hidden);
-        let mut c_next = Matrix::default();
-        let mut a = Matrix::default();
-        let mut i = Matrix::default();
-        let mut f = Matrix::default();
-        let mut g = Matrix::default();
-        for t in 0..self.timesteps {
-            self.gate_inference(0, input, t, h, Activation::Sigmoid, &mut i);
-            self.gate_inference(1, input, t, h, Activation::Sigmoid, &mut f);
-            // The output gate needs pre-update h, so it goes to `out` before
-            // h is overwritten.
-            self.gate_inference(2, input, t, h, Activation::Sigmoid, out);
-            self.gate_inference(3, input, t, h, self.activation, &mut g);
-            // The cell update reads and writes the cell state, so it
-            // ping-pongs between two buffers instead of aliasing.
-            kernels::mul_add_mul_into(&f, &c, &i, &g, &mut c_next);
-            std::mem::swap(&mut c, &mut c_next);
-            kernels::act_into(&c, self.activation, &mut a);
-            kernels::hadamard_into(out, &a, h);
-        }
-        out.copy_from(h.view());
-    }
-
     fn params(&self) -> Vec<&Param> {
         self.wx.iter().chain(&self.wh).chain(&self.b).collect()
     }
@@ -416,21 +344,6 @@ mod tests {
         let mut rng = seeded_rng(4);
         let mut layer = Lstm::new(2, 2, 2, Activation::Tanh, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 4), &Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn inference_forward_matches_training_forward() {
-        let mut rng = seeded_rng(6);
-        let mut layer = Lstm::new(3, 4, 3, Activation::Tanh, &mut rng);
-        let x = Matrix::filled(2, 9, 0.3);
-        let expected = layer.forward(&x);
-        let mut scratch = Matrix::default();
-        let mut out = Matrix::default();
-        layer.forward_inference_into(x.view(), &mut scratch, &mut out);
-        assert_eq!(out.shape(), expected.shape());
-        for (a, b) in out.as_slice().iter().zip(expected.as_slice()) {
-            assert!((a - b).abs() < 1e-12, "inference {a} vs training {b}");
-        }
     }
 
     #[test]

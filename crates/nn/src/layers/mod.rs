@@ -26,9 +26,11 @@ use crate::param::Param;
 /// Gradients accumulate into the layer's [`Param`]s and are consumed by an
 /// [`Optimizer`](crate::optimizer::Optimizer).
 ///
-/// `Sync` is required so immutable layer stacks can be shared across the
-/// row-parallel inference path ([`Layer::forward_inference_into`]).
-pub trait Layer: Send + Sync {
+/// Training, validation and every model study run this one forward; what
+/// serves placements is the network's `f32` copy
+/// ([`Sequential::to_f32`](crate::network::Sequential::to_f32)), which
+/// reads a dense layer's weights through [`Layer::as_dense`].
+pub trait Layer: Send {
     /// Training forward over a borrowed `batch x input_size` view: computes
     /// the output into the layer's own buffer ([`Layer::output`]) and
     /// caches the intermediates the matching backward needs.
@@ -86,12 +88,6 @@ pub trait Layer: Send + Sync {
         self.backward_into(input.view(), grad_output, &mut grad_input);
         grad_input
     }
-
-    /// Stateless forward for inference: computes the output without touching
-    /// the layer's backward caches, so one layer stack can serve many
-    /// threads concurrently (`&self`). `scratch` is thread-local working
-    /// space the layer may resize and scribble on freely.
-    fn forward_inference_into(&self, input: MatrixView<'_>, scratch: &mut Matrix, out: &mut Matrix);
 
     /// The layer as a [`Dense`] layer, if it is one — how
     /// [`Sequential::to_f32`](crate::network::Sequential::to_f32) reads

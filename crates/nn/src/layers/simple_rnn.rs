@@ -85,11 +85,6 @@ impl SimpleRnn {
         }
     }
 
-    /// Number of recurrent units.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
     /// Window length in timesteps.
     pub fn timesteps(&self) -> usize {
         self.timesteps
@@ -162,41 +157,6 @@ impl Layer for SimpleRnn {
             kernels::matmul_a_bt_into(self.grad_pre.view(), &self.wh.value, &mut self.dh_prev);
             std::mem::swap(&mut self.dh, &mut self.dh_prev);
         }
-    }
-
-    fn forward_inference_into(
-        &self,
-        input: MatrixView<'_>,
-        scratch: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            input.cols(),
-            self.input_size(),
-            "SimpleRnn expects {} columns ({} timesteps x {} features)",
-            self.input_size(),
-            self.timesteps,
-            self.features
-        );
-        let batch = input.rows();
-        // Ping-pong the hidden state between `scratch` (h_{t-1}) and `out`
-        // (h_t): the timestep input is read in place via the strided
-        // column-window kernel, so no per-step buffers are needed.
-        scratch.resize(batch, self.hidden);
-        scratch.fill(0.0);
-        for t in 0..self.timesteps {
-            kernels::broadcast_rows_into(&self.bias.value, batch, out);
-            kernels::matmul_cols_acc(
-                input,
-                t * self.features..(t + 1) * self.features,
-                &self.wx.value,
-                out,
-            );
-            kernels::matmul_acc(scratch.view(), &self.wh.value, out);
-            self.activation.apply_inplace(out);
-            std::mem::swap(scratch, out);
-        }
-        std::mem::swap(scratch, out);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -278,18 +238,6 @@ mod tests {
         let mut rng = seeded_rng(4);
         let mut layer = SimpleRnn::new(2, 2, 2, Activation::Tanh, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 4), &Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn inference_forward_matches_training_forward() {
-        let mut rng = seeded_rng(6);
-        let mut layer = SimpleRnn::new(3, 5, 4, Activation::Tanh, &mut rng);
-        let x = Matrix::filled(2, 12, 0.25);
-        let expected = layer.forward(&x);
-        let mut scratch = Matrix::default();
-        let mut out = Matrix::default();
-        layer.forward_inference_into(x.view(), &mut scratch, &mut out);
-        assert_eq!(out, expected);
     }
 
     #[test]

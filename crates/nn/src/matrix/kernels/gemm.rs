@@ -302,17 +302,15 @@ impl Element for f32 {
 /// matmul entry point in the parent module lowers to.
 ///
 /// Element `p` of out-row `i`'s `A` operand is
-/// `a[a_off + i * a_row + p * a_step]`: `a_row = k, a_step = 1` is a dense
-/// row-major `A`; a wider `a_row` with an `a_off` reads a column window in
-/// place; `a_row = 1, a_step = cols` walks a column, which is how `aᵀ · b`
-/// rides the same kernel. `b` is row-major `k × n`. `start` is the `bias`
-/// row when given, else the current contents of `out` (accumulate).
+/// `a[i * a_row + p * a_step]`: `a_row = k, a_step = 1` is a dense
+/// row-major `A`; `a_row = 1, a_step = cols` walks a column, which is how
+/// `aᵀ · b` rides the same kernel. `b` is row-major `k × n`. `start` is the
+/// `bias` row when given, else the current contents of `out` (accumulate).
 pub(super) struct Product<'a, T> {
     pub m: usize,
     pub k: usize,
     pub n: usize,
     pub a: &'a [T],
-    pub a_off: usize,
     pub a_row: usize,
     pub a_step: usize,
     pub b: &'a [T],
@@ -328,7 +326,7 @@ impl<T> Product<'_, T> {
     pub(super) fn check(&self) {
         let Product { m, k, n, .. } = *self;
         if m > 0 && k > 0 {
-            let last = self.a_off + (m - 1) * self.a_row + (k - 1) * self.a_step;
+            let last = (m - 1) * self.a_row + (k - 1) * self.a_step;
             assert!(last < self.a.len(), "matmul A operand out of bounds");
         }
         assert!(self.b.len() >= k * n, "matmul B operand out of bounds");
@@ -504,7 +502,7 @@ unsafe fn run<V: Lane, const MR: usize>(g: Product<'_, V::Elem>) {
         return;
     }
     let (a_row, a_step) = (g.a_row, g.a_step);
-    let a = g.a.as_ptr().add(g.a_off);
+    let a = g.a.as_ptr();
     let b = g.b.as_ptr();
     let bias = g.bias.map_or(std::ptr::null(), |s| s.as_ptr());
     let out = g.out.as_mut_ptr();

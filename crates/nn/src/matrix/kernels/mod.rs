@@ -147,23 +147,14 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         (a.rows(), b.cols()),
         "matmul output shape mismatch"
     );
-    window_acc(a, 0, b, out);
-}
-
-/// `out += a[:, off..off + b.rows()] · b` on the active backend, shapes
-/// already checked: the body [`matmul_acc`] (`off = 0`, full width) and
-/// [`matmul_cols_acc`] share.
-fn window_acc(a: MatrixView<'_>, off: usize, b: &Matrix, out: &mut Matrix) {
-    let (m, k, n) = (a.rows(), b.rows(), b.cols());
     #[cfg(target_arch = "x86_64")]
     if simd_product(
         backend(),
         gemm::Product {
-            m,
-            k,
-            n,
+            m: a.rows(),
+            k: b.rows(),
+            n: b.cols(),
             a: a.as_slice(),
-            a_off: off,
             a_row: a.cols(),
             a_step: 1,
             b: b.as_slice(),
@@ -174,16 +165,7 @@ fn window_acc(a: MatrixView<'_>, off: usize, b: &Matrix, out: &mut Matrix) {
     ) {
         return;
     }
-    scalar::panel_acc(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        a.cols(),
-        off,
-        b.as_slice(),
-        out.as_mut_slice(),
-    );
+    scalar::matmul_acc(a, b, out);
 }
 
 /// `out += aᵀ · b` without materializing `aᵀ`; `out` must already be
@@ -221,7 +203,6 @@ pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
             k: a.rows(),
             n: b.cols(),
             a: a.as_slice(),
-            a_off: 0,
             a_row: 1,
             a_step: a.cols(),
             b: b.as_slice(),
@@ -306,7 +287,6 @@ fn a_bt(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix, accumulate: bool) {
                         k,
                         n: q,
                         a: a.as_slice(),
-                        a_off: 0,
                         a_row: k,
                         a_step: 1,
                         b: bt,
@@ -431,7 +411,6 @@ fn bias_act_on(
             k,
             n,
             a: x.as_slice(),
-            a_off: 0,
             a_row: k,
             a_step: 1,
             b: w.as_slice(),
@@ -538,7 +517,6 @@ fn bias_act_f32_on(
                 k,
                 n,
                 a: x,
-                a_off: 0,
                 a_row: k,
                 a_step: 1,
                 b: w,
@@ -947,44 +925,6 @@ pub fn broadcast_rows_into(bias: &Matrix, rows: usize, out: &mut Matrix) {
     for row in out.as_mut_slice().chunks_exact_mut(n.max(1)) {
         row.copy_from_slice(bias_row);
     }
-}
-
-/// `out += a[:, cols] · b` reading the column window of `a` in place —
-/// the recurrent layers' per-timestep product `x_t · W` without copying
-/// `x_t` out first.
-///
-/// Runs the same kernel as `matmul_acc` with a wider row stride, so
-/// results are identical to copying the window out and calling
-/// `matmul_acc` — the layer tests rely on that equivalence.
-///
-/// # Panics
-///
-/// Panics if the column range is out of bounds or `b.rows()` differs
-/// from the window width, or `out` is not `a.rows x b.cols`.
-pub fn matmul_cols_acc(
-    a: MatrixView<'_>,
-    cols: std::ops::Range<usize>,
-    b: &Matrix,
-    out: &mut Matrix,
-) {
-    assert!(
-        cols.start <= cols.end && cols.end <= a.cols(),
-        "column range out of bounds"
-    );
-    assert_eq!(
-        cols.end - cols.start,
-        b.rows(),
-        "shape mismatch for matmul_cols: window {} * {}x{}",
-        cols.end - cols.start,
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), b.cols()),
-        "matmul_cols output shape mismatch"
-    );
-    window_acc(a, cols.start, b, out);
 }
 
 /// Copies columns `range` of `src` into `out` (resized to fit) — the

@@ -30,83 +30,26 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         "matmul output shape mismatch"
     );
     let (m, k, n) = (a.rows(), b.rows(), b.cols());
-    panel_acc(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k,
-        0,
-        b.as_slice(),
-        out.as_mut_slice(),
-    );
+    panel_acc(m, k, n, a.as_slice(), b.as_slice(), out.as_mut_slice());
 }
 
-/// `out += a[:, cols] · b` — scalar-pinned [`super::matmul_cols_acc`].
-pub fn matmul_cols_acc(
-    a: MatrixView<'_>,
-    cols: std::ops::Range<usize>,
-    b: &Matrix,
-    out: &mut Matrix,
-) {
-    assert!(
-        cols.start <= cols.end && cols.end <= a.cols(),
-        "column range out of bounds"
-    );
-    assert_eq!(
-        cols.end - cols.start,
-        b.rows(),
-        "shape mismatch for matmul_cols: window {} * {}x{}",
-        cols.end - cols.start,
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), b.cols()),
-        "matmul_cols output shape mismatch"
-    );
-    let (m, k, n) = (a.rows(), cols.end - cols.start, b.cols());
-    panel_acc(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        a.cols(),
-        cols.start,
-        b.as_slice(),
-        out.as_mut_slice(),
-    );
-}
-
-/// The shared blocked-matmul body: `out[m x n] += A_window · b` where row
-/// `i` of the `A` window is `ad[i*stride + off ..][..k]`. `stride == k`,
-/// `off == 0` is the plain dense case; a column window of a wider matrix
-/// passes its full row stride and window start.
+/// The shared blocked-matmul body: `out[m x n] += a[m x k] · b[k x n]`, all
+/// row-major.
 ///
 /// Register-blocked `i-k-j`: four rows of `b` are combined per pass over an
 /// output row, and the `k` dimension is tiled by [`KC`] so the active panel
 /// of `b` stays cache resident. The SIMD backend mirrors this traversal
 /// with 4×f64 lanes in the `j` loop. Generic over the element, so the
 /// `f32` serving forward ([`matmul_bias_act_f32`]) walks the same loops.
-#[allow(clippy::too_many_arguments)] // raw-slice mirror of the SIMD body
-pub(super) fn panel_acc<T>(
-    m: usize,
-    k: usize,
-    n: usize,
-    ad: &[T],
-    stride: usize,
-    off: usize,
-    bd: &[T],
-    od: &mut [T],
-) where
+fn panel_acc<T>(m: usize, k: usize, n: usize, ad: &[T], bd: &[T], od: &mut [T])
+where
     T: Copy + Add<Output = T> + Mul<Output = T> + AddAssign,
 {
     let mut kb = 0;
     while kb < k {
         let kend = (kb + KC).min(k);
         for i in 0..m {
-            let arow = &ad[i * stride + off..i * stride + off + k];
+            let arow = &ad[i * k..(i + 1) * k];
             let orow = &mut od[i * n..(i + 1) * n];
             let mut p = kb;
             while p + 4 <= kend {
@@ -252,7 +195,7 @@ pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, 
     for orow in out.chunks_exact_mut(n.max(1)) {
         orow.copy_from_slice(bias);
     }
-    panel_acc(m, k, n, x, k, 0, w, out);
+    panel_acc(m, k, n, x, w, out);
     act.apply_slice_f32(out);
 }
 

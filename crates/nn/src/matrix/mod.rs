@@ -108,15 +108,6 @@ impl<'a> MatrixView<'a> {
             data: &self.data[range.start * self.cols..range.end * self.cols],
         }
     }
-
-    /// Materializes the view as an owned [`Matrix`].
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.to_vec(),
-        }
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for MatrixView<'_> {
@@ -210,11 +201,6 @@ impl Matrix {
     /// Creates a `1 x n` row vector.
     pub fn row_vector(values: &[f64]) -> Self {
         Matrix::from_vec(1, values.len(), values.to_vec())
-    }
-
-    /// Creates an `n x 1` column vector.
-    pub fn column_vector(values: &[f64]) -> Self {
-        Matrix::from_vec(values.len(), 1, values.to_vec())
     }
 
     /// Number of rows.
@@ -361,13 +347,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise in-place application of `f`.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

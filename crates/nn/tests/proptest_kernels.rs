@@ -142,30 +142,6 @@ proptest! {
     }
 
     #[test]
-    fn column_window_matmul_matches_sliced_reference(
-        (a, b) in matmul_operands(),
-        lo in 0usize..40,
-        hi in 1usize..=40,
-    ) {
-        // A strided column window of `a` against `b`-shaped weights must
-        // equal slicing the columns out first and multiplying densely.
-        let lo = lo % a.cols();
-        let hi = lo + 1 + (hi - 1) % (a.cols() - lo);
-        let cols = hi - lo;
-        let w = Matrix::from_vec(cols, b.cols(), {
-            b.as_slice().iter().cycle().take(cols * b.cols()).copied().collect()
-        });
-        let sliced = a.slice_cols(lo..hi);
-        let want = kernels::reference::matmul(&sliced, &w);
-        let mut out = Matrix::zeros(a.rows(), w.cols());
-        kernels::matmul_cols_acc(a.view(), lo..hi, &w, &mut out);
-        assert_close(&out, &want)?;
-        let mut scalar_out = Matrix::zeros(a.rows(), w.cols());
-        kernels::scalar::matmul_cols_acc(a.view(), lo..hi, &w, &mut scalar_out);
-        assert_close(&scalar_out, &want)?;
-    }
-
-    #[test]
     fn accumulating_kernels_add_onto_existing_output((a, b) in matmul_operands()) {
         // matmul_acc must accumulate, not overwrite: seeding the output with
         // the product once and accumulating again doubles it.

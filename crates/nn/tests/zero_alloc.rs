@@ -103,6 +103,11 @@ fn batch(rows: usize) -> (Matrix, Matrix) {
     (x, y)
 }
 
+/// [`batch`]'s inputs narrowed to `f32`, for the serving copy.
+fn batch32(rows: usize) -> Vec<f32> {
+    batch(rows).0.as_slice().iter().map(|&v| v as f32).collect()
+}
+
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
     let (x, y) = batch(64);
@@ -124,7 +129,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         net.train_batch_view(x.view(), y.view(), Loss::MeanSquaredError, &mut opt);
     });
 
-    // --- predict_ref (serial inference path) ---
+    // --- predict_ref (the training forward, no backward) ---
     let _ = net.predict_ref(x.view());
     assert_zero_alloc("predict_ref", || {
         let out = net.predict_ref(x.view());
@@ -132,32 +137,31 @@ fn steady_state_hot_paths_do_not_allocate() {
     });
 
     // --- predict_into, one 64-request submission's worth of rows: the
-    // caller runs the single tile on its thread-local scratch ---
+    // training forward on the layers' own buffers, copied out ---
     let (px, _) = batch(46);
     let mut pred = Matrix::default();
     net.predict_into(px.view(), &mut pred);
-    assert_zero_alloc("predict_into (46 rows, serial)", || {
+    assert_zero_alloc("predict_into (46 rows)", || {
         net.predict_into(px.view(), &mut pred);
         assert_eq!(pred.rows(), 46);
     });
 
-    // --- predict_into one row below the fan-out: six tiles, all run by the
-    // caller on the same scratch ---
-    let serial_rows = net.parallel_min_rows() - 1;
-    let (px, _) = batch(serial_rows);
+    // --- predict_into over a 512-request submission's 3,072 rows: the
+    // layers' buffers grew once in the warm-up and are reused ---
+    let (px, _) = batch(3072);
     net.predict_into(px.view(), &mut pred);
-    assert_zero_alloc("predict_into (below the fan-out, serial)", || {
+    assert_zero_alloc("predict_into (3,072 rows)", || {
         net.predict_into(px.view(), &mut pred);
-        assert_eq!(pred.rows(), serial_rows);
+        assert_eq!(pred.rows(), 3072);
     });
 
     // --- the f32 serving copy, a 64-request submission's 46 rows and one
-    // row below its own fan-out: every tile on the caller's f32 scratch,
-    // the last layer written straight into the warm output ---
+    // row below its fan-out: every tile on the caller's f32 scratch, the
+    // last layer written straight into the warm output ---
     let copy = net.to_f32().expect("model 1 is dense");
     let mut pred32 = Vec::new();
     for rows in [46, copy.parallel_min_rows() - 1] {
-        let x32: Vec<f32> = batch(rows).0.as_slice().iter().map(|&v| v as f32).collect();
+        let x32 = batch32(rows);
         copy.predict_into(&x32, &mut pred32);
         assert_zero_alloc(&format!("f32 predict_into ({rows} rows, serial)"), || {
             copy.predict_into(&x32, &mut pred32);
@@ -165,25 +169,28 @@ fn steady_state_hot_paths_do_not_allocate() {
         });
     }
 
-    // --- predict_into at the fan-out and at a 512-request submission's
-    // 3,072 rows: tiles pulled by the caller and, with more than one usable
-    // CPU, the pool. No matrix is allocated or regrown; what is left is the
-    // pool's own bookkeeping, one scope state plus one job box per helper,
-    // so at most one allocation per usable CPU. With one CPU the caller
-    // runs every tile and nothing allocates. The warm-up repeats until
-    // every pool worker has most likely taken a tile once and sized its
-    // scratch. ---
+    // --- the f32 copy at its fan-out and at 3,072 rows: tiles pulled by
+    // the caller and, with more than one usable CPU, the pool. No buffer is
+    // allocated or regrown; what is left is the pool's own bookkeeping, one
+    // scope state plus one job box per helper, so at most one allocation
+    // per usable CPU. With one CPU the caller runs every tile and nothing
+    // allocates. The warm-up repeats until every pool worker has most
+    // likely taken a tile once and sized its scratch. ---
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pool_budget = if cpus > 1 { cpus } else { 0 };
-    for rows in [net.parallel_min_rows(), 3072] {
-        let (px, _) = batch(rows);
+    for rows in [copy.parallel_min_rows(), 3072] {
+        let x32 = batch32(rows);
         for _ in 0..50 {
-            net.predict_into(px.view(), &mut pred);
+            copy.predict_into(&x32, &mut pred32);
         }
-        assert_alloc_at_most(&format!("predict_into ({rows} rows)"), pool_budget, || {
-            net.predict_into(px.view(), &mut pred);
-            assert_eq!(pred.rows(), rows);
-        });
+        assert_alloc_at_most(
+            &format!("f32 predict_into ({rows} rows)"),
+            pool_budget,
+            || {
+                copy.predict_into(&x32, &mut pred32);
+                assert_eq!(pred32.len(), rows);
+            },
+        );
     }
     // A process with one usable CPU (say, under `taskset -c 0`) never
     // starts the worker pool; with more, the passes above started it.

@@ -178,11 +178,6 @@ impl ReplayDb {
         self.by_device.keys().copied().collect()
     }
 
-    /// Files that have at least one record.
-    pub fn files_seen(&self) -> Vec<FileId> {
-        self.by_file.keys().copied().collect()
-    }
-
     /// Mean observed throughput of the most recent `x` accesses on a device;
     /// `None` if the device has no records. Used to rank devices for the
     /// LRU/LFU/MRU baselines.

@@ -17,6 +17,8 @@ pub const MIN_FILE_BYTES: u64 = 583_000;
 pub const MAX_FILE_BYTES: u64 = 1_100_000_000;
 /// Number of ROOT files the workload uses.
 pub const DEFAULT_FILE_COUNT: usize = 24;
+/// Fraction of accesses that are writes: the workload is read-heavy.
+const WRITE_FRACTION: f64 = 0.05;
 
 /// A file in the workload's working set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +48,6 @@ pub struct WorkloadOp {
 pub struct Belle2Workload {
     files: Vec<WorkloadFile>,
     rng: StdRng,
-    /// Fraction of accesses that are writes (read-heavy default: 5 %).
-    write_fraction: f64,
     runs_generated: u64,
     /// Cached zipf sampler for [`Self::zipf_run`], keyed by its exponent.
     zipf: Option<(f64, ZipfSampler)>,
@@ -88,24 +88,9 @@ impl Belle2Workload {
         Belle2Workload {
             files,
             rng,
-            write_fraction: 0.05,
             runs_generated: 0,
             zipf: None,
         }
-    }
-
-    /// Overrides the write fraction (default 5 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn with_write_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        self.write_fraction = fraction;
-        self
     }
 
     /// The working set.
@@ -119,14 +104,14 @@ impl Belle2Workload {
     }
 
     /// Generates one run of the workload: a looping sequential scan where
-    /// each file is read 10–20 times in succession, with the configured
-    /// sprinkle of writes.
+    /// each file is read 10–20 times in succession, with a 5 % sprinkle of
+    /// writes.
     pub fn next_run(&mut self) -> Vec<WorkloadOp> {
         let mut ops = Vec::new();
         for file in &self.files {
             let repeats = self.rng.gen_range(10..=20);
             for _ in 0..repeats {
-                let write = self.rng.gen_bool(self.write_fraction);
+                let write = self.rng.gen_bool(WRITE_FRACTION);
                 ops.push(WorkloadOp {
                     fid: file.fid,
                     write,
@@ -140,7 +125,7 @@ impl Belle2Workload {
 
     /// Generates one zipf-sampled run: `ops` accesses drawn rank-skewed
     /// over the working set (file index = rank, so file 0 is hottest),
-    /// with the configured write sprinkle. This is the access mix for
+    /// with the same write sprinkle. This is the access mix for
     /// populations far too large to scan sequentially — 100k–1M files
     /// where real traffic concentrates on a hot head.
     ///
@@ -159,7 +144,7 @@ impl Belle2Workload {
         let mut out = Vec::with_capacity(ops);
         for _ in 0..ops {
             let idx = sampler.sample(&mut self.rng);
-            let write = self.rng.gen_bool(self.write_fraction);
+            let write = self.rng.gen_bool(WRITE_FRACTION);
             out.push(WorkloadOp {
                 fid: self.files[idx].fid,
                 write,
