@@ -49,7 +49,7 @@ impl std::error::Error for ClusterError {}
 ///
 /// Holds the latest [`ClusterMap`] it has seen plus one lazily-opened
 /// pooled [`Client`] per node. Each batch is split by
-/// [`shard_for`](crate::map::shard_for) and sent to each shard's
+/// [`shard_for`] and sent to each shard's
 /// primary; on a connect failure, a disconnect, or a status that says
 /// "this node cannot take it" ([`geomancy_net::WireStatus::retry_elsewhere`]
 /// — `Draining`, `ServiceDown`, `WrongEpoch`), the request fails over

@@ -48,8 +48,6 @@ pub struct DrlConfig {
     pub smoothing_window: usize,
     /// Window length for recurrent models (unused by dense models).
     pub timesteps: usize,
-    /// Apply the §V-G MAE-based prediction adjustment.
-    pub adjust_predictions: bool,
     /// Model throughput in `ln(1 + tp)` space. Off by default: linear MSE
     /// concentrates capacity on the high-throughput tail, which is exactly
     /// where placement gains live; the log option exists for ablation.
@@ -68,7 +66,6 @@ impl Default for DrlConfig {
             batch_size: 64,
             smoothing_window: 16,
             timesteps: 8,
-            adjust_predictions: true,
             log_targets: false,
             seed: 0,
         }
@@ -188,7 +185,7 @@ impl DrlEngine {
         &self.config
     }
 
-    /// The current prediction adjuster (for inspection/ablation).
+    /// The current prediction adjuster (for inspection).
     pub fn adjuster(&self) -> PredictionAdjuster {
         self.adjuster
     }
@@ -339,11 +336,7 @@ impl DrlEngine {
         let to_linear = |m: &Matrix| m.map(denormalize);
         let val_error =
             RelativeError::compute(&to_linear(&val_pred_raw), &to_linear(&split.validation.1));
-        self.adjuster = if self.config.adjust_predictions {
-            PredictionAdjuster::from_error(&val_error)
-        } else {
-            PredictionAdjuster::identity()
-        };
+        self.adjuster = PredictionAdjuster::from_error(&val_error);
         self.serving = self.net.to_f32();
         self.feature_norm = Some(feature_norm);
         self.target_norm = Some(target_norm);
@@ -872,18 +865,5 @@ mod tests {
                 c.1
             );
         }
-    }
-
-    #[test]
-    fn adjustment_can_be_disabled() {
-        let db = biased_db(400);
-        let mut e = DrlEngine::new(DrlConfig {
-            adjust_predictions: false,
-            epochs: 20,
-            smoothing_window: 4,
-            ..DrlConfig::default()
-        });
-        e.retrain(&db).unwrap();
-        assert_eq!(e.adjuster().mae_fraction(), 0.0);
     }
 }

@@ -64,20 +64,16 @@
 
 pub mod action;
 pub mod adjust;
-pub mod config;
 pub mod dataset;
 pub mod drift;
 pub mod drl;
 pub mod experiment;
 pub mod models;
 pub mod policy;
-pub mod registry;
 pub mod report;
-pub mod scheduler;
 
 pub use action::{ActionChecker, ActionKind, CheckedAction};
 pub use adjust::PredictionAdjuster;
-pub use config::{ConfigError, GeomancyConfig};
 pub use drift::{DeviceDrift, DriftDetector};
 pub use drl::{DrlConfig, DrlEngine, PlacementQuery, RetrainOutcome};
 pub use experiment::{
@@ -89,6 +85,4 @@ pub use policy::{
     GeomancyDynamic, GeomancyStatic, Lfu, Lru, Mru, PlacementPolicy, PolicyContext, RandomDynamic,
     RandomStatic, SpreadStatic,
 };
-pub use registry::{LocationRegistry, StoragePoint};
 pub use report::PerformanceReport;
-pub use scheduler::{GapPrediction, GapScheduler, ScheduledMove};

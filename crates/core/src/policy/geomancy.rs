@@ -10,6 +10,11 @@ use crate::drl::{DrlConfig, DrlEngine, PlacementQuery};
 
 use super::{PlacementPolicy, PolicyContext};
 
+/// Minimum predicted relative throughput gain before a move is worth its
+/// transfer cost ("it only applies layouts that the NN predicts will
+/// increase throughput performance").
+const MIN_GAIN: f64 = 0.02;
+
 /// Geomancy dynamic: retrain on the freshest ReplayDB contents, predict the
 /// throughput of every file at every candidate location, and move each file
 /// to its best checked location (§V, §VI "Geomancy dynamic placement").
@@ -24,10 +29,6 @@ pub struct GeomancyDynamic {
     /// 1–14 files per layout change and argues wholesale rearrangement
     /// "cannot happen immediately"; the cap enforces gradual convergence.
     max_moves: usize,
-    /// Minimum predicted relative throughput gain before a move is worth
-    /// its transfer cost ("it only applies layouts that the NN predicts
-    /// will increase throughput performance").
-    min_gain: f64,
     /// Decision rounds a file must rest after being moved ("adding a cool
     /// down period after file movement increased performance benefits",
     /// §VI). Prevents retrain-noise-driven thrash.
@@ -82,7 +83,6 @@ impl GeomancyDynamic {
             exploration,
             rng: StdRng::seed_from_u64(seed.wrapping_add(2)),
             max_moves: 14,
-            min_gain: 0.02,
             cooldown_rounds: 2,
             round: 0,
             last_moved: std::collections::BTreeMap::new(),
@@ -98,18 +98,6 @@ impl GeomancyDynamic {
     pub fn with_move_cap(mut self, cap: usize) -> Self {
         assert!(cap > 0, "move cap must be non-zero");
         self.max_moves = cap;
-        self
-    }
-
-    /// Overrides the minimum predicted relative gain required to move a
-    /// file (default 0.02).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gain` is negative.
-    pub fn with_min_gain(mut self, gain: f64) -> Self {
-        assert!(gain >= 0.0, "minimum gain must be non-negative");
-        self.min_gain = gain;
         self
     }
 
@@ -194,7 +182,7 @@ impl GeomancyDynamic {
             let moves = current.is_some() && current != Some(action.device) && !cooling;
             // A predicted move must beat the current location by the margin;
             // fallback moves are kept so the system keeps being discovered.
-            let chosen = if moves && (forced || gain > self.min_gain) {
+            let chosen = if moves && (forced || gain > MIN_GAIN) {
                 candidates.push(Candidate { fid, gain });
                 action.device
             } else {

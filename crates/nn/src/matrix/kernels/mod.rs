@@ -63,7 +63,7 @@
 //! precision on the inner multiply, so products are *more* accurate, not
 //! less, than the scalar path).
 //!
-//! [`reference`] retains the original naive implementations as the oracle
+//! [`mod@reference`] retains the original naive implementations as the oracle
 //! for the property-based equivalence tests and the "before" side of the
 //! kernel benchmarks.
 
@@ -133,7 +133,7 @@ pub fn matmul_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// `out += a · b`; `out` must already be `a.rows x b.cols`.
 ///
 /// Scalar backend: register-blocked `i-k-j`, four rows of `b` combined per
-/// pass over an output row, the `k` dimension tiled by [`KC`] so the active
+/// pass over an output row, the `k` dimension tiled by `KC` so the active
 /// panel of `b` stays cache resident. SIMD backends: the 4-row × 3-vector
 /// register-blocked micro-kernel (see `gemm`).
 ///

@@ -189,7 +189,7 @@ pub fn matmul_bias_act_into(
 
 /// Fused `f32` dense forward — scalar-pinned
 /// [`super::matmul_bias_act_f32`]: seeds each output row with the bias,
-/// accumulates through [`panel_acc`], then activates in place.
+/// accumulates through `panel_acc`, then activates in place.
 pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
     let (m, k, n) = f32_dense_shape(x, w, bias, out);
     for orow in out.chunks_exact_mut(n.max(1)) {

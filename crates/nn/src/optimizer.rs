@@ -50,11 +50,14 @@ pub trait Optimizer: Send {
     fn set_learning_rate(&mut self, rate: f64);
 }
 
-/// Plain stochastic gradient descent with optional gradient clipping.
+/// Per-element gradient bound of [`Sgd`].
+const SGD_CLIP: f64 = 1.0;
+
+/// Plain stochastic gradient descent. Every gradient element is clipped to
+/// ±1 before the update, so one outlier batch cannot blow up the weights.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     learning_rate: f64,
-    clip: Option<f64>,
 }
 
 impl Sgd {
@@ -65,16 +68,7 @@ impl Sgd {
     /// Panics if `learning_rate` is not positive.
     pub fn new(learning_rate: f64) -> Self {
         assert!(learning_rate > 0.0, "learning rate must be positive");
-        Sgd {
-            learning_rate,
-            clip: Some(1.0),
-        }
-    }
-
-    /// Sets (or disables, with `None`) per-element gradient clipping.
-    pub fn with_clip(mut self, clip: Option<f64>) -> Self {
-        self.clip = clip;
-        self
+        Sgd { learning_rate }
     }
 }
 
@@ -83,14 +77,9 @@ impl Optimizer for Sgd {
         // Clip, update and re-zero in one in-place pass — the old path
         // cloned the gradient and built a scaled update matrix per step.
         let lr = self.learning_rate;
-        let clip = self.clip;
         let Param { value, grad, .. } = param;
         for (v, g) in value.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
-            let gv = match clip {
-                Some(c) => g.clamp(-c, c),
-                None => *g,
-            };
-            *v -= lr * gv;
+            *v -= lr * g.clamp(-SGD_CLIP, SGD_CLIP);
             *g = 0.0;
         }
     }
@@ -204,7 +193,7 @@ mod tests {
     #[test]
     fn sgd_moves_against_gradient() {
         let mut p = param_with_grad(1.0, 0.5);
-        let mut opt = Sgd::new(0.1).with_clip(None);
+        let mut opt = Sgd::new(0.1);
         opt.step(&mut [&mut p]);
         assert!((p.value.as_slice()[0] - 0.95).abs() < 1e-12);
         assert_eq!(p.grad.as_slice()[0], 0.0);
@@ -213,7 +202,7 @@ mod tests {
     #[test]
     fn sgd_clips_large_gradients() {
         let mut p = param_with_grad(0.0, 100.0);
-        let mut opt = Sgd::new(0.1); // default clip 1.0
+        let mut opt = Sgd::new(0.1); // clip ±1
         opt.step(&mut [&mut p]);
         assert!((p.value.as_slice()[0] + 0.1).abs() < 1e-12);
     }
@@ -243,7 +232,7 @@ mod tests {
     #[test]
     fn sgd_converges_on_quadratic() {
         let mut p = Param::new(Matrix::filled(1, 1, 10.0), "x");
-        let mut opt = Sgd::new(0.1).with_clip(None);
+        let mut opt = Sgd::new(0.1);
         for _ in 0..200 {
             let x = p.value.as_slice()[0];
             p.grad = Matrix::filled(1, 1, 2.0 * (x - 3.0));
@@ -255,7 +244,7 @@ mod tests {
     #[test]
     fn set_learning_rate_sizes_the_next_step() {
         let mut p = param_with_grad(1.0, 0.5);
-        let mut sgd = Sgd::new(0.1).with_clip(None);
+        let mut sgd = Sgd::new(0.1);
         sgd.set_learning_rate(0.2);
         sgd.step(&mut [&mut p]);
         assert!((p.value.as_slice()[0] - 0.9).abs() < 1e-12);

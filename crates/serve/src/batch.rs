@@ -76,7 +76,7 @@ pub enum QueryError {
     /// No model has been published yet (ingest more and retrain).
     NotReady,
     /// The admission controller shed this request: the service is over
-    /// its queue-depth or latency watermark. Back off and retry.
+    /// a pending-request watermark. Back off and retry.
     Overloaded,
     /// The service has shut down.
     ServiceDown,
@@ -437,7 +437,6 @@ impl BatchActor {
                 .collect();
             let waited = served_at.saturating_sub(sub.enqueued_micros);
             self.metrics.observe_latency_us(waited);
-            self.metrics.update_latency_ewma(waited);
             sub.reply.send(Ok(decisions));
         }
     }

@@ -6,8 +6,8 @@
 //! the seal hook nor the absorb under the store's write lock holds a
 //! reactor worker. Requests queue on a bounded channel; each cycle is one
 //! blocking function. A shard that dies with its seal request in hand
-//! ([`ask_all`]) abandons the cycle with [`CheckpointError::Down`] before
-//! anything is absorbed. [`ShardMsg::TrimHot`] goes out only after the
+//! (`ask_all`) abandons the cycle with [`CheckpointError::Down`] before
+//! anything is absorbed. `ShardMsg::TrimHot` goes out only after the
 //! absorb commits, so the hot-tail bound never costs a record.
 //!
 //! The cadence reads the reactor's clock, so a simulated-time service

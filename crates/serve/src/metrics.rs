@@ -199,9 +199,6 @@ scalar_metrics! {
     pending_requests,
     /// High-water mark of `pending_requests`.
     pending_peak,
-    /// Exponentially weighted moving average of decision latency in
-    /// microseconds (α = 1/8; the admission controller's latency signal).
-    latency_ewma_us,
     /// Pages committed in the cold paged store (gauge; 0 without a store).
     store_pages,
     /// Bytes of cold page storage on disk (gauge; 0 without a store).
@@ -279,18 +276,6 @@ impl ServeMetrics {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// Folds one latency sample into the EWMA. Single-writer (the query
-    /// engine actor), so plain load/store is race-free.
-    pub fn update_latency_ewma(&self, sample_us: u64) {
-        let prev = self.latency_ewma_us.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            sample_us
-        } else {
-            (prev * 7 + sample_us) / 8
-        };
-        self.latency_ewma_us.store(next, Ordering::Relaxed);
     }
 
     /// A coherent point-in-time copy of every counter: retries while an
@@ -399,17 +384,6 @@ mod tests {
             .p99_latency_us(),
             0
         );
-    }
-
-    #[test]
-    fn ewma_converges_towards_samples() {
-        let m = ServeMetrics::new(1);
-        m.update_latency_ewma(800);
-        assert_eq!(m.latency_ewma_us.load(Ordering::Relaxed), 800);
-        for _ in 0..64 {
-            m.update_latency_ewma(0);
-        }
-        assert!(m.latency_ewma_us.load(Ordering::Relaxed) < 800 / 8);
     }
 
     /// A snapshot never observes half of an accounting section: it waits

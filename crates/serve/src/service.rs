@@ -6,13 +6,13 @@
 //! [`geomancy_runtime::Reactor`] pool, and the trainer and (with a store)
 //! the checkpointer on one thread each, so the service's thread count is
 //! the (small, fixed) worker count plus one, or plus two with a store,
-//! instead of `shards + 2`. In front of the query path
-//! sits a cross-shard admission controller: when the
-//! service is over its queue-depth or latency watermark, `query_many`
-//! defers briefly and then sheds with [`QueryError::Overloaded`] instead
-//! of letting queues grow without bound — and every shed request is
-//! accounted (`queries_offered == queries_admitted + queries_shed`),
-//! mirroring the ingest side's `ingested + dropped == offered`.
+//! instead of `shards + 2`. In front of the query path sits a
+//! cross-shard admission controller: when the service is over its global
+//! or per-shard pending-request watermark, `query_many` defers briefly and
+//! then sheds with [`QueryError::Overloaded`] instead of letting queues
+//! grow without bound — and every shed request is accounted
+//! (`queries_offered == queries_admitted + queries_shed`), mirroring the
+//! ingest side's `ingested + dropped == offered`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +39,6 @@ pub struct AdmissionConfig {
     /// Shed when admitting would push the in-flight request count past
     /// this bound.
     pub max_pending_requests: Option<u64>,
-    /// Shed while the decision-latency EWMA (µs) sits above this bound.
-    pub latency_watermark_us: Option<u64>,
     /// Per-shard pending bounds, one entry per ingest shard (requests map
     /// to shards by the queried file's [`crate::shard_of`] hash): a
     /// submission sheds when any shard it targets would exceed its own
@@ -56,9 +54,7 @@ pub struct AdmissionConfig {
 
 impl AdmissionConfig {
     fn enabled(&self) -> bool {
-        self.max_pending_requests.is_some()
-            || self.latency_watermark_us.is_some()
-            || !self.per_shard_pending.is_empty()
+        self.max_pending_requests.is_some() || !self.per_shard_pending.is_empty()
     }
 }
 
@@ -200,6 +196,20 @@ struct Admitted {
     total: u64,
     /// Per-shard request counts; empty when per-shard admission is off.
     per_shard: Vec<u64>,
+}
+
+/// Returns an admitted submission's charge to the pending gauges. Takes
+/// the gauges rather than the service, so an async completion that fires
+/// after the service is gone releases through the same arithmetic.
+fn release(metrics: &ServeMetrics, admitted: &Admitted) {
+    metrics
+        .pending_requests
+        .fetch_sub(admitted.total, Ordering::Relaxed);
+    for (k, &count) in admitted.per_shard.iter().enumerate() {
+        if count > 0 {
+            metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
+        }
+    }
 }
 
 impl PlacementService {
@@ -420,11 +430,6 @@ impl PlacementService {
                 return true;
             }
         }
-        if let Some(watermark) = self.admission.latency_watermark_us {
-            if self.metrics.latency_ewma_us.load(Ordering::Relaxed) > watermark {
-                return true;
-            }
-        }
         self.breached_shards(per_shard).next().is_some()
     }
 
@@ -449,9 +454,8 @@ impl PlacementService {
     /// Runs the admission controller for one submission: over the
     /// watermarks, the call defers once (`defer_micros`) and then sheds;
     /// otherwise every offered request is accounted and charged to the
-    /// pending gauges. The returned receipt must be passed to
-    /// [`PlacementService::release`] exactly once after the submission is
-    /// answered (or abandoned).
+    /// pending gauges. The returned receipt must be passed to [`release`]
+    /// exactly once after the submission is answered (or abandoned).
     fn admit(&self, requests: &[PlacementRequest]) -> Result<Admitted, QueryError> {
         let n = requests.len() as u64;
         let per_shard: Vec<u64> = if self.admission.per_shard_pending.is_empty() {
@@ -505,18 +509,6 @@ impl PlacementService {
         })
     }
 
-    /// Returns an admitted submission's charge to the pending gauges.
-    fn release(&self, admitted: &Admitted) {
-        self.metrics
-            .pending_requests
-            .fetch_sub(admitted.total, Ordering::Relaxed);
-        for (k, &count) in admitted.per_shard.iter().enumerate() {
-            if count > 0 {
-                self.metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// One placement decision (the per-file baseline path).
     ///
     /// # Errors
@@ -546,7 +538,7 @@ impl PlacementService {
             .as_ref()
             .expect("engine alive until shutdown")
             .query_many(requests);
-        self.release(&admitted);
+        release(&self.metrics, &admitted);
         result
     }
 
@@ -584,15 +576,7 @@ impl PlacementService {
             .query_many_async(
                 requests,
                 Box::new(move |result| {
-                    // Inline release (self may be gone by completion time).
-                    metrics
-                        .pending_requests
-                        .fetch_sub(admitted.total, Ordering::Relaxed);
-                    for (k, &count) in admitted.per_shard.iter().enumerate() {
-                        if count > 0 {
-                            metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
-                        }
-                    }
+                    release(&metrics, &admitted);
                     done(result);
                 }),
             );

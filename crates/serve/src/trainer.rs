@@ -17,7 +17,7 @@
 //! reactor actor: a fit never occupies a reactor worker, so shards and
 //! the query engine keep the whole pool while a model trains. Requests
 //! queue on a bounded channel and run one at a time. A cycle sends one
-//! delta `Snapshot` per shard through [`ask_all`] and blocks until every
+//! delta `Snapshot` per shard through `ask_all` and blocks until every
 //! part is in. Snapshot requests ride each shard's FIFO mailbox, so a
 //! cycle still observes every batch ingested before it was requested. A
 //! shard that dies with a snapshot request in hand — before it was

@@ -12,15 +12,13 @@
 //!   `ingested + dropped == offered` records.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_serve::{
     AdmissionConfig, PlacementRequest, PlacementService, QueryError, ServeConfig,
 };
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
-use geomancy_sim::SharedSimClock;
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
     let dev = (n % 2) as u32;
@@ -56,19 +54,15 @@ fn config(admission: AdmissionConfig) -> ServeConfig {
     }
 }
 
-/// Ingests enough telemetry and publishes a model.
-fn warmed(service: PlacementService) -> Arc<PlacementService> {
+/// Starts a small service with the given admission config, ingests
+/// enough telemetry and publishes a model.
+fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
+    let service = PlacementService::start(config(admission));
     for i in 0..300u64 {
         service.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
     service.retrain_now().expect("enough telemetry");
     Arc::new(service)
-}
-
-/// Starts a small service with a published model and the given admission
-/// config.
-fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
-    warmed(PlacementService::start(config(admission)))
 }
 
 /// A zero watermark sheds everything, deterministically, with every shed
@@ -77,7 +71,6 @@ fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
 fn zero_watermark_sheds_every_request() {
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(0),
-        latency_watermark_us: None,
         defer_micros: 0,
         ..AdmissionConfig::default()
     });
@@ -107,7 +100,6 @@ fn zero_watermark_sheds_every_request() {
 fn oversized_submission_admitted_when_quiet() {
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(4),
-        latency_watermark_us: None,
         defer_micros: 0,
         ..AdmissionConfig::default()
     });
@@ -128,63 +120,6 @@ fn oversized_submission_admitted_when_quiet() {
     Arc::try_unwrap(service).expect("sole owner").shutdown();
 }
 
-/// Once the latency EWMA crosses its watermark, later requests shed —
-/// latency feedback, not just queue depth. Reactor time is a clock the
-/// test owns, so the slow decision is exactly 2 ms slow: a query is held
-/// in the mailbox of an engine parked inside a gated completion (which
-/// breaks the completion's must-not-block rule on purpose) while the
-/// clock moves.
-#[test]
-fn latency_watermark_sheds_after_slow_decisions() {
-    let clock = SharedSimClock::new();
-    let service = warmed(PlacementService::start_with_clock(
-        config(AdmissionConfig {
-            max_pending_requests: None,
-            latency_watermark_us: Some(0),
-            defer_micros: 0,
-            ..AdmissionConfig::default()
-        }),
-        clock.clone(),
-    ));
-    let req = PlacementRequest {
-        fid: FileId(0),
-        read_bytes: 1_000_000,
-        write_bytes: 0,
-    };
-    let (release, gate) = mpsc::channel::<()>();
-    let (parked_tx, parked) = mpsc::channel();
-    service.query_many_async(vec![req], move |result| {
-        result.expect("model is published");
-        parked_tx.send(()).unwrap();
-        let _ = gate.recv();
-    });
-    parked.recv().expect("engine reached the gated completion");
-    // The clock stood still while the gate's own decision was taken, so
-    // the EWMA is still zero and the held query is admitted.
-    let held = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || service.query(req))
-    };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while service.metrics().engine_queue < 1 {
-        assert!(Instant::now() < deadline, "held query never queued");
-        std::thread::yield_now();
-    }
-    clock.publish_micros(clock.now_micros() + 2_000);
-    drop(release);
-    held.join()
-        .unwrap()
-        .expect("held query admitted and served");
-    // The reply updated the EWMA before it reached us: shed from now on.
-    assert_eq!(service.query(req).unwrap_err(), QueryError::Overloaded);
-    let snap = service.metrics();
-    assert_eq!(snap.queries_offered, 3);
-    assert_eq!(snap.queries_admitted, 2);
-    assert_eq!(snap.queries_shed, 1);
-    assert_eq!(snap.latency_ewma_us, 2_000, "EWMA is the held decision");
-    Arc::try_unwrap(service).expect("sole owner").shutdown();
-}
-
 /// The full soak: concurrent clients offering bursts far above the
 /// pending watermark, plus ingest pressure on tiny shard queues.
 #[test]
@@ -195,7 +130,6 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
     const WATERMARK: u64 = 48;
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(WATERMARK),
-        latency_watermark_us: None,
         defer_micros: 50,
         ..AdmissionConfig::default()
     });
@@ -350,8 +284,8 @@ fn per_shard_bound_sheds_hot_shard_without_starving_others() {
 fn async_queries_account_and_release_pending() {
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(64),
+        per_shard_pending: vec![64, 64],
         defer_micros: 0,
-        ..AdmissionConfig::default()
     });
     let (tx, rx) = std::sync::mpsc::channel();
     for i in 0..8u64 {
@@ -381,6 +315,11 @@ fn async_queries_account_and_release_pending() {
     assert_eq!(
         snap.pending_requests, 0,
         "async completions release pending"
+    );
+    assert_eq!(
+        snap.pending_per_shard,
+        vec![0, 0],
+        "async completions release every shard's pending"
     );
     Arc::try_unwrap(service).expect("sole owner").shutdown();
 }

@@ -385,72 +385,6 @@ impl StorageSystem {
         Ok(record)
     }
 
-    /// Computes and charges the transfer of `bytes` from `from` to `to`
-    /// (read on the source, write on the destination, pipelined), advancing
-    /// the clock. Building block for chunked migrations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownDevice`] for out-of-range device ids.
-    pub fn transfer_cost(
-        &mut self,
-        from: DeviceId,
-        to: DeviceId,
-        bytes: u64,
-    ) -> Result<f64, SimError> {
-        let t = self.clock.now_secs();
-        let src_load = self.external_load(from)?;
-        let dst_load = self.external_load(to)?;
-        let read_secs = {
-            let dev = self
-                .devices
-                .get_mut(from.0 as usize)
-                .ok_or(SimError::UnknownDevice(from))?;
-            dev.serve(bytes, 0, t, src_load, &mut self.rng)
-        };
-        let write_secs = {
-            let dev = self
-                .devices
-                .get_mut(to.0 as usize)
-                .ok_or(SimError::UnknownDevice(to))?;
-            dev.serve(0, bytes, t, dst_load, &mut self.rng)
-        };
-        let cost = read_secs.max(write_secs);
-        self.clock.advance_secs(cost);
-        Ok(cost)
-    }
-
-    /// Finalizes a migration whose destination bytes were already reserved
-    /// (chunked migrations reserve up front): flips the placement and logs
-    /// the movement without charging any further transfer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownFile`] for unregistered files.
-    pub fn finish_reserved_move(
-        &mut self,
-        fid: FileId,
-        from: DeviceId,
-        to: DeviceId,
-        bytes: u64,
-        cost_secs: f64,
-    ) -> Result<MovementRecord, SimError> {
-        if !self.files.contains_key(&fid) {
-            return Err(SimError::UnknownFile(fid));
-        }
-        self.placement.insert(fid, to);
-        let record = MovementRecord {
-            fid,
-            from,
-            to,
-            bytes,
-            cost_secs,
-            at_access: self.access_counter,
-        };
-        self.movements.push(record);
-        Ok(record)
-    }
-
     /// Applies a target layout, moving every file whose assignment changed.
     /// Returns the movements actually performed (files already in place are
     /// skipped). Files or devices that fail validation are skipped with

@@ -39,10 +39,7 @@ pub mod clock;
 pub mod cluster;
 pub mod device;
 pub mod error;
-pub mod migrate;
-pub mod network;
 pub mod population;
-pub mod raid;
 pub mod record;
 pub mod traffic;
 
@@ -51,8 +48,5 @@ pub use clock::{SharedSimClock, SimClock};
 pub use cluster::{FileMeta, Layout, StorageSystem, StorageSystemBuilder};
 pub use device::{Device, DeviceSpec};
 pub use error::SimError;
-pub use migrate::{ChunkedMigration, MigrationState};
-pub use network::{admit_moves, NetworkFabric};
 pub use population::{FilePopulation, PopulationConfig, PopulationFile, ZipfSampler};
-pub use raid::{RaidArray, RaidLevel};
 pub use record::{AccessRecord, DeviceId, FileId, MovementRecord};

@@ -19,7 +19,7 @@
 //! The index is persisted as `index.log`, an append-only run of
 //! fixed-width rows: one *group* per page, in page order, each a page row
 //! followed by that page's device rows in ascending id order. A commit
-//! appends only the groups of the pages it added ([`TimeIndex::unsaved`]),
+//! appends only the groups of the pages it added (`TimeIndex::unsaved`),
 //! so the bytes written follow the checkpoint, not the history, and the
 //! log of a given page sequence is always the same bytes. Rows are
 //! little-endian:
@@ -37,7 +37,7 @@
 //! 36      4     low half of the checksum of bytes 0..36 (LE u32)
 //! ```
 //!
-//! [`TimeIndex::load`] rejects a bad checksum, any other row kind, a group
+//! `TimeIndex::load` rejects a bad checksum, any other row kind, a group
 //! out of page order, device rows out of id order and a log that ends
 //! inside a group; the store then rebuilds the index from the committed
 //! pages, of which it is only a derived copy. That is also how a log from

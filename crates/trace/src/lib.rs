@@ -32,14 +32,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod belle2;
-pub mod clients;
 pub mod eos;
 pub mod features;
 pub mod io;
 pub mod stats;
 
 pub use belle2::{Belle2Workload, WorkloadFile, WorkloadOp};
-pub use clients::{ClientFleet, ClientOp};
 pub use eos::{correlation_table, EosRecord, EosTraceGenerator};
 pub use features::{MinMaxNormalizer, PathEncoder, ScalarNormalizer, FEATURE_NAMES, Z};
 pub use io::{load_csv, read_csv, save_csv, write_csv, TraceIoError};
