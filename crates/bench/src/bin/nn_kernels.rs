@@ -401,36 +401,6 @@ fn main() {
             kernels::matmul_bias_act_into(a1.view(), &b1, &bias1, Activation::ReLU, &mut fwd);
         }
     });
-    // LSTM fused element-wise backward at batch 64 x 32 hidden units.
-    let gates: Vec<Matrix> = (0..8).map(|s| pseudo(64, 32, 10 + s)).collect();
-    let mut z = [
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-        Matrix::default(),
-    ];
-    let lstm_ew = time_backends(micro_reps, || {
-        let [z1, z2, z3, z4, z5] = &mut z;
-        for _ in 0..micro_iters {
-            kernels::lstm_backward_elementwise(
-                &gates[0],
-                &gates[1],
-                &gates[2],
-                &gates[3],
-                &gates[4],
-                &gates[5],
-                &gates[6],
-                &gates[7],
-                Activation::Tanh,
-                z1,
-                z2,
-                z3,
-                z4,
-                z5,
-            );
-        }
-    });
 
     let header = times_header("measurement");
     let header: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -442,7 +412,6 @@ fn main() {
             times_row("matmul_at_b_acc 96x64 . 64x48", &atb),
             times_row("matmul_a_bt_into 64x48 . 48x96", &abt),
             times_row("matmul_bias_act_into + ReLU", &mba),
-            times_row("lstm_backward_elementwise 64x32", &lstm_ew),
         ],
     );
 
@@ -463,7 +432,8 @@ fn main() {
     });
 
     // Recurrent end-to-end: LSTM over 8 timesteps of 6 features, 32 hidden
-    // units, dense linear head — exercises the fused gate/state kernels.
+    // units, dense linear head. Its gate and state math is one loop on
+    // every backend, so what differs between backends is the products.
     let (lstm_features, lstm_steps, lstm_hidden) = (6, 8, 32);
     let lstm_train_rows = 600;
     let lstm_predict_rows = 200;
@@ -549,7 +519,6 @@ fn main() {
                 "matmul_at_b_acc_96x64x48": times_json(&atb),
                 "matmul_a_bt_into_64x48x96": times_json(&abt),
                 "matmul_bias_act_relu_64x96x48": times_json(&mba),
-                "lstm_backward_elementwise_64x32": times_json(&lstm_ew),
             },
             "dense_end_to_end": {
                 "train_epoch_ms": times_json(&dense_train),

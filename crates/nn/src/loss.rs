@@ -7,8 +7,6 @@ use crate::matrix::{Matrix, MatrixView};
 pub enum Loss {
     /// Mean squared error: `mean((pred - target)^2)`.
     MeanSquaredError,
-    /// Mean absolute error: `mean(|pred - target|)`.
-    MeanAbsoluteError,
 }
 
 impl Loss {
@@ -33,7 +31,6 @@ impl Loss {
         let pairs = prediction.as_slice().iter().zip(target.as_slice());
         match self {
             Loss::MeanSquaredError => pairs.map(|(&p, &t)| (p - t) * (p - t)).sum::<f64>() / n,
-            Loss::MeanAbsoluteError => pairs.map(|(&p, &t)| (p - t).abs()).sum::<f64>() / n,
         }
     }
 
@@ -74,17 +71,6 @@ impl Loss {
                     *o = 2.0 * (p - t) / n;
                 }
             }
-            Loss::MeanAbsoluteError => {
-                for (o, (&p, &t)) in triples {
-                    *o = if p > t {
-                        1.0 / n
-                    } else if p < t {
-                        -1.0 / n
-                    } else {
-                        0.0
-                    };
-                }
-            }
         }
     }
 }
@@ -102,17 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn mae_known_value() {
-        let p = Matrix::row_vector(&[1.0, 2.0]);
-        let t = Matrix::row_vector(&[0.0, 4.0]);
-        assert!((Loss::MeanAbsoluteError.compute(&p, &t) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_loss_at_target() {
         let p = Matrix::row_vector(&[3.0, -1.0]);
         assert_eq!(Loss::MeanSquaredError.compute(&p, &p), 0.0);
-        assert_eq!(Loss::MeanAbsoluteError.compute(&p, &p), 0.0);
     }
 
     #[test]
@@ -131,15 +109,6 @@ mod tests {
                 / (2.0 * eps);
             assert!((numeric - g.as_slice()[k]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn mae_gradient_sign() {
-        let p = Matrix::row_vector(&[2.0, -2.0]);
-        let t = Matrix::row_vector(&[0.0, 0.0]);
-        let g = Loss::MeanAbsoluteError.gradient(&p, &t);
-        assert!(g.as_slice()[0] > 0.0);
-        assert!(g.as_slice()[1] < 0.0);
     }
 
     #[test]

@@ -24,21 +24,21 @@
 //! - [`matmul_bias_act_f32`] — the same fused forward in `f32` over
 //!   row-major slices, on twice the SIMD lanes: the layer step of the
 //!   serving copy of a network (`network::SequentialF32`),
-//! - element-wise helpers ([`hadamard_act_derivative_into`],
-//!   [`sum_rows_acc`], [`add_row_broadcast_inplace`], [`slice_cols_into`],
-//!   [`scatter_cols_from`]) for the backward pass and the recurrent layers'
-//!   timestep handling,
-//! - fused recurrent element-wise passes ([`lstm_state_forward`],
+//! - the dense backward's element-wise pair ([`hadamard_act_derivative_into`],
+//!   [`sum_rows_acc`]) and the recurrent layers' timestep copies
+//!   ([`slice_cols_into`], [`scatter_cols_from`]),
+//! - the recurrent layers' gate and state math ([`lstm_state_forward`],
 //!   [`lstm_backward_elementwise`], [`gru_backward_gates`],
 //!   [`gru_backward_reset`], [`hadamard_into`], [`mul_add_mul_into`],
-//!   [`convex_combine_into`], [`act_into`]) — the single source of truth
-//!   for the LSTM/GRU gate and state math previously open-coded in the
-//!   layer files.
+//!   [`convex_combine_into`], [`act_into`]): one plain loop each, on every
+//!   backend, because only the offline model study trains recurrent
+//!   layers and their time is in the matrix products.
 //!
 //! ## Backends
 //!
-//! Each kernel has up to three implementations behind one-time runtime
-//! dispatch ([`KernelBackend::ALL`]):
+//! The matrix products and the dense backward's element-wise pair run on
+//! one of three backends, chosen by one-time runtime dispatch
+//! ([`KernelBackend::ALL`]):
 //!
 //! - [`scalar`] — the portable blocked/unrolled loops (public, so tests and
 //!   benchmarks can pin this backend regardless of the host),
@@ -48,7 +48,7 @@
 //!   SIMD products are one micro-kernel body (`gemm`) instantiated per
 //!   lane width and element type (16×f32 and 8×f32 lanes for
 //!   [`matmul_bias_act_f32`]) and are bit-equal to each other in either
-//!   precision, and the element-wise kernels are the `avx2_fma` ones.
+//!   precision, and the element-wise pair is the `avx2_fma` one.
 //!
 //! [`backend`] resolves once per process (cached in an atomic): the widest
 //! backend `is_x86_feature_detected!` reports, unless the
@@ -92,8 +92,8 @@ pub(crate) fn assert_mul_shapes(m: (usize, usize), n: (usize, usize), op: &str) 
 }
 
 /// True when the active backend is a SIMD one — both imply AVX2+FMA, which
-/// is all the element-wise kernels need (compile-time false on non-x86-64
-/// targets, so the scalar arms below are statically selected).
+/// is all the dense backward's element-wise pair needs (compile-time false
+/// on non-x86-64 targets, so their scalar arms are statically selected).
 #[inline]
 fn simd_active() -> bool {
     cfg!(target_arch = "x86_64") && backend() != KernelBackend::Scalar
@@ -537,17 +537,8 @@ fn bias_act_f32_on(
 
 /// `out = act(src)`, resizing `out` to match — the out-of-place activation
 /// used by the LSTM cell-output pass (`a = φ(c)`).
-///
-/// ReLU runs on SIMD lanes when the AVX2 backend is active; sigmoid/tanh
-/// share the scalar transcendental code on both backends.
 pub fn act_into(src: &Matrix, act: Activation, out: &mut Matrix) {
     out.resize(src.rows(), src.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() && act == Activation::ReLU {
-        // SAFETY: slices have equal length after the resize above.
-        unsafe { simd::relu_to(src.as_slice(), out.as_mut_slice()) };
-        return;
-    }
     act.apply_to_slice(src.as_slice(), out.as_mut_slice());
 }
 
@@ -616,13 +607,14 @@ pub fn sum_rows_acc(a: &Matrix, out: &mut Matrix) {
 pub fn hadamard_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.shape(), b.shape(), "shape mismatch for hadamard_into");
     out.resize(a.rows(), a.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: slices have equal length after the shape checks above.
-        unsafe { simd::hadamard(a.as_slice(), b.as_slice(), out.as_mut_slice()) };
-        return;
+    for ((o, &x), &y) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(a.as_slice())
+        .zip(b.as_slice())
+    {
+        *o = x * y;
     }
-    scalar::hadamard_into(a, b, out);
 }
 
 /// `out = a ⊙ b + c ⊙ d`, resizing `out` to match — the LSTM cell-state
@@ -637,21 +629,11 @@ pub fn mul_add_mul_into(a: &Matrix, b: &Matrix, c: &Matrix, d: &Matrix, out: &mu
         "shape mismatch for mul_add_mul_into"
     );
     out.resize(a.rows(), a.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: slices have equal length after the shape checks above.
-        unsafe {
-            simd::mul_add_mul(
-                a.as_slice(),
-                b.as_slice(),
-                c.as_slice(),
-                d.as_slice(),
-                out.as_mut_slice(),
-            );
-        }
-        return;
+    let od = out.as_mut_slice();
+    let (ad, bd, cd, dd) = (a.as_slice(), b.as_slice(), c.as_slice(), d.as_slice());
+    for i in 0..od.len() {
+        od[i] = ad[i] * bd[i] + cd[i] * dd[i];
     }
-    scalar::mul_add_mul_into(a, b, c, d, out);
 }
 
 /// `out = (1 - t) ⊙ a + t ⊙ b`, resizing `out` to match — the GRU hidden
@@ -666,22 +648,15 @@ pub fn convex_combine_into(t: &Matrix, a: &Matrix, b: &Matrix, out: &mut Matrix)
         "shape mismatch for convex_combine_into"
     );
     out.resize(t.rows(), t.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: slices have equal length after the shape checks above.
-        unsafe {
-            simd::convex_combine(t.as_slice(), a.as_slice(), b.as_slice(), out.as_mut_slice());
-        }
-        return;
+    let od = out.as_mut_slice();
+    let (td, ad, bd) = (t.as_slice(), a.as_slice(), b.as_slice());
+    for i in 0..od.len() {
+        od[i] = (1.0 - td[i]) * ad[i] + td[i] * bd[i];
     }
-    scalar::convex_combine_into(t, a, b, out);
 }
 
 /// Fused LSTM state update: `c = f ⊙ c_prev + i ⊙ g`, `a = act(c)`,
 /// `h = o ⊙ a`, resizing all three outputs to the gate shape.
-///
-/// Composed of the dispatched primitives so the polynomial passes run on
-/// SIMD lanes while `act` shares the scalar transcendental code.
 ///
 /// # Panics
 ///
@@ -714,8 +689,7 @@ pub fn lstm_state_forward(
 /// dc_prev   = dc_total ⊙ f
 /// ```
 ///
-/// All derivatives are polynomial in the cached activations, so the SIMD
-/// backend vectorizes the whole pass. Outputs are resized to match.
+/// Outputs are resized to match.
 ///
 /// # Panics
 ///
@@ -753,33 +727,32 @@ pub fn lstm_backward_elementwise(
     ] {
         out.resize(dh.rows(), dh.cols());
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: every slice has `dh.len()` elements after the checks and
-        // resizes above.
-        unsafe {
-            simd::lstm_backward_elementwise(
-                dh.as_slice(),
-                dc.as_slice(),
-                a.as_slice(),
-                o.as_slice(),
-                i.as_slice(),
-                f.as_slice(),
-                g.as_slice(),
-                c_prev.as_slice(),
-                act,
-                dz_i.as_mut_slice(),
-                dz_f.as_mut_slice(),
-                dz_o.as_mut_slice(),
-                dz_g.as_mut_slice(),
-                dc_prev.as_mut_slice(),
-            );
-        }
-        return;
-    }
-    scalar::lstm_backward_elementwise(
-        dh, dc, a, o, i, f, g, c_prev, act, dz_i, dz_f, dz_o, dz_g, dc_prev,
+    let sig = Activation::Sigmoid;
+    let n = dh.as_slice().len();
+    let (dhd, dcd) = (dh.as_slice(), dc.as_slice());
+    let (ad, od, id, fd, gd, cpd) = (
+        a.as_slice(),
+        o.as_slice(),
+        i.as_slice(),
+        f.as_slice(),
+        g.as_slice(),
+        c_prev.as_slice(),
     );
+    let (zi, zf, zo, zg, dcp) = (
+        dz_i.as_mut_slice(),
+        dz_f.as_mut_slice(),
+        dz_o.as_mut_slice(),
+        dz_g.as_mut_slice(),
+        dc_prev.as_mut_slice(),
+    );
+    for p in 0..n {
+        let dc_total = dcd[p] + dhd[p] * od[p] * act.derivative_from_output(ad[p]);
+        zo[p] = dhd[p] * ad[p] * sig.derivative_from_output(od[p]);
+        zf[p] = dc_total * cpd[p] * sig.derivative_from_output(fd[p]);
+        zi[p] = dc_total * gd[p] * sig.derivative_from_output(id[p]);
+        zg[p] = dc_total * id[p] * act.derivative_from_output(gd[p]);
+        dcp[p] = dc_total * fd[p];
+    }
 }
 
 /// Fused GRU backward pass for the hidden update
@@ -817,25 +790,24 @@ pub fn gru_backward_gates(
     for out in [&mut *dz_pre, &mut *dcand_pre, &mut *dh_prev] {
         out.resize(dh.rows(), dh.cols());
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: every slice has `dh.len()` elements after the checks and
-        // resizes above.
-        unsafe {
-            simd::gru_backward_gates(
-                dh.as_slice(),
-                z.as_slice(),
-                cand.as_slice(),
-                h_prev.as_slice(),
-                act,
-                dz_pre.as_mut_slice(),
-                dcand_pre.as_mut_slice(),
-                dh_prev.as_mut_slice(),
-            );
-        }
-        return;
+    let sig = Activation::Sigmoid;
+    let n = dh.as_slice().len();
+    let (dhd, zd, cd, hpd) = (
+        dh.as_slice(),
+        z.as_slice(),
+        cand.as_slice(),
+        h_prev.as_slice(),
+    );
+    let (dzp, dcp, dhp) = (
+        dz_pre.as_mut_slice(),
+        dcand_pre.as_mut_slice(),
+        dh_prev.as_mut_slice(),
+    );
+    for p in 0..n {
+        dzp[p] = dhd[p] * (cd[p] - hpd[p]) * sig.derivative_from_output(zd[p]);
+        dcp[p] = dhd[p] * zd[p] * act.derivative_from_output(cd[p]);
+        dhp[p] = dhd[p] * (1.0 - zd[p]);
     }
-    scalar::gru_backward_gates(dh, z, cand, h_prev, act, dz_pre, dcand_pre, dh_prev);
 }
 
 /// Fused GRU backward pass for the reset gate. For every element:
@@ -874,39 +846,18 @@ pub fn gru_backward_reset(
     );
     dr_pre.resize(d_rh.rows(), d_rh.cols());
     rh.resize(d_rh.rows(), d_rh.cols());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: every slice has `d_rh.len()` elements after the checks
-        // and resizes above.
-        unsafe {
-            simd::gru_backward_reset(
-                d_rh.as_slice(),
-                r.as_slice(),
-                h_prev.as_slice(),
-                dr_pre.as_mut_slice(),
-                dh_prev.as_mut_slice(),
-                rh.as_mut_slice(),
-            );
-        }
-        return;
-    }
-    scalar::gru_backward_reset(d_rh, r, h_prev, dr_pre, dh_prev, rh);
-}
-
-/// Adds a `1 x cols` row vector to every row of `m`, in place (compare
-/// [`Matrix::add_row_broadcast`], which clones).
-///
-/// # Panics
-///
-/// Panics if `bias` is not `1 x m.cols()`.
-pub fn add_row_broadcast_inplace(m: &mut Matrix, bias: &Matrix) {
-    assert_eq!(bias.shape(), (1, m.cols()), "broadcast width mismatch");
-    let n = m.cols();
-    let bias_row = bias.as_slice();
-    for row in m.as_mut_slice().chunks_exact_mut(n.max(1)) {
-        for (v, &b) in row.iter_mut().zip(bias_row) {
-            *v += b;
-        }
+    let sig = Activation::Sigmoid;
+    let n = d_rh.as_slice().len();
+    let (dd, rd, hpd) = (d_rh.as_slice(), r.as_slice(), h_prev.as_slice());
+    let (drp, dhp, rhd) = (
+        dr_pre.as_mut_slice(),
+        dh_prev.as_mut_slice(),
+        rh.as_mut_slice(),
+    );
+    for p in 0..n {
+        drp[p] = dd[p] * hpd[p] * sig.derivative_from_output(rd[p]);
+        dhp[p] += dd[p] * rd[p];
+        rhd[p] = rd[p] * hpd[p];
     }
 }
 

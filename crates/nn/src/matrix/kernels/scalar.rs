@@ -234,215 +234,3 @@ pub fn sum_rows_acc(a: &Matrix, out: &mut Matrix) {
         }
     }
 }
-
-/// `out = a ⊙ b` — scalar-pinned [`super::hadamard_into`].
-pub fn hadamard_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.shape(), b.shape(), "shape mismatch for hadamard_into");
-    out.resize(a.rows(), a.cols());
-    for ((o, &x), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = x * y;
-    }
-}
-
-/// `out = a ⊙ b + c ⊙ d` — scalar-pinned [`super::mul_add_mul_into`].
-pub fn mul_add_mul_into(a: &Matrix, b: &Matrix, c: &Matrix, d: &Matrix, out: &mut Matrix) {
-    assert!(
-        a.shape() == b.shape() && a.shape() == c.shape() && a.shape() == d.shape(),
-        "shape mismatch for mul_add_mul_into"
-    );
-    out.resize(a.rows(), a.cols());
-    let od = out.as_mut_slice();
-    let (ad, bd, cd, dd) = (a.as_slice(), b.as_slice(), c.as_slice(), d.as_slice());
-    for i in 0..od.len() {
-        od[i] = ad[i] * bd[i] + cd[i] * dd[i];
-    }
-}
-
-/// `out = (1 - t) ⊙ a + t ⊙ b` — scalar-pinned [`super::convex_combine_into`].
-pub fn convex_combine_into(t: &Matrix, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert!(
-        t.shape() == a.shape() && t.shape() == b.shape(),
-        "shape mismatch for convex_combine_into"
-    );
-    out.resize(t.rows(), t.cols());
-    let od = out.as_mut_slice();
-    let (td, ad, bd) = (t.as_slice(), a.as_slice(), b.as_slice());
-    for i in 0..od.len() {
-        od[i] = (1.0 - td[i]) * ad[i] + td[i] * bd[i];
-    }
-}
-
-/// `out = act(src)` — scalar-pinned [`super::act_into`].
-pub fn act_into(src: &Matrix, act: Activation, out: &mut Matrix) {
-    out.resize(src.rows(), src.cols());
-    act.apply_to_slice(src.as_slice(), out.as_mut_slice());
-}
-
-/// Fused LSTM state update — scalar-pinned [`super::lstm_state_forward`].
-#[allow(clippy::too_many_arguments)] // the five gates plus three state outputs
-pub fn lstm_state_forward(
-    i: &Matrix,
-    f: &Matrix,
-    o: &Matrix,
-    g: &Matrix,
-    c_prev: &Matrix,
-    act: Activation,
-    c: &mut Matrix,
-    a: &mut Matrix,
-    h: &mut Matrix,
-) {
-    mul_add_mul_into(f, c_prev, i, g, c);
-    act_into(c, act, a);
-    hadamard_into(o, a, h);
-}
-
-/// Fused LSTM backward element-wise pass — scalar-pinned
-/// [`super::lstm_backward_elementwise`] (see there for the equations).
-#[allow(clippy::too_many_arguments)] // the LSTM cell's full cached state
-pub fn lstm_backward_elementwise(
-    dh: &Matrix,
-    dc: &Matrix,
-    a: &Matrix,
-    o: &Matrix,
-    i: &Matrix,
-    f: &Matrix,
-    g: &Matrix,
-    c_prev: &Matrix,
-    act: Activation,
-    dz_i: &mut Matrix,
-    dz_f: &mut Matrix,
-    dz_o: &mut Matrix,
-    dz_g: &mut Matrix,
-    dc_prev: &mut Matrix,
-) {
-    for m in [dc, a, o, i, f, g, c_prev] {
-        assert_eq!(
-            m.shape(),
-            dh.shape(),
-            "shape mismatch for lstm_backward_elementwise"
-        );
-    }
-    for out in [
-        &mut *dz_i,
-        &mut *dz_f,
-        &mut *dz_o,
-        &mut *dz_g,
-        &mut *dc_prev,
-    ] {
-        out.resize(dh.rows(), dh.cols());
-    }
-    let sig = Activation::Sigmoid;
-    let n = dh.as_slice().len();
-    let (dhd, dcd) = (dh.as_slice(), dc.as_slice());
-    let (ad, od, id, fd, gd, cpd) = (
-        a.as_slice(),
-        o.as_slice(),
-        i.as_slice(),
-        f.as_slice(),
-        g.as_slice(),
-        c_prev.as_slice(),
-    );
-    let (zi, zf, zo, zg, dcp) = (
-        dz_i.as_mut_slice(),
-        dz_f.as_mut_slice(),
-        dz_o.as_mut_slice(),
-        dz_g.as_mut_slice(),
-        dc_prev.as_mut_slice(),
-    );
-    for p in 0..n {
-        let dc_total = dcd[p] + dhd[p] * od[p] * act.derivative_from_output(ad[p]);
-        zo[p] = dhd[p] * ad[p] * sig.derivative_from_output(od[p]);
-        zf[p] = dc_total * cpd[p] * sig.derivative_from_output(fd[p]);
-        zi[p] = dc_total * gd[p] * sig.derivative_from_output(id[p]);
-        zg[p] = dc_total * id[p] * act.derivative_from_output(gd[p]);
-        dcp[p] = dc_total * fd[p];
-    }
-}
-
-/// Fused GRU update-gate backward pass — scalar-pinned
-/// [`super::gru_backward_gates`] (see there for the equations).
-#[allow(clippy::too_many_arguments)] // the GRU update's full cached state
-pub fn gru_backward_gates(
-    dh: &Matrix,
-    z: &Matrix,
-    cand: &Matrix,
-    h_prev: &Matrix,
-    act: Activation,
-    dz_pre: &mut Matrix,
-    dcand_pre: &mut Matrix,
-    dh_prev: &mut Matrix,
-) {
-    for m in [z, cand, h_prev] {
-        assert_eq!(
-            m.shape(),
-            dh.shape(),
-            "shape mismatch for gru_backward_gates"
-        );
-    }
-    for out in [&mut *dz_pre, &mut *dcand_pre, &mut *dh_prev] {
-        out.resize(dh.rows(), dh.cols());
-    }
-    let sig = Activation::Sigmoid;
-    let n = dh.as_slice().len();
-    let (dhd, zd, cd, hpd) = (
-        dh.as_slice(),
-        z.as_slice(),
-        cand.as_slice(),
-        h_prev.as_slice(),
-    );
-    let (dzp, dcp, dhp) = (
-        dz_pre.as_mut_slice(),
-        dcand_pre.as_mut_slice(),
-        dh_prev.as_mut_slice(),
-    );
-    for p in 0..n {
-        dzp[p] = dhd[p] * (cd[p] - hpd[p]) * sig.derivative_from_output(zd[p]);
-        dcp[p] = dhd[p] * zd[p] * act.derivative_from_output(cd[p]);
-        dhp[p] = dhd[p] * (1.0 - zd[p]);
-    }
-}
-
-/// Fused GRU reset-gate backward pass — scalar-pinned
-/// [`super::gru_backward_reset`] (see there for the equations; `dh_prev`
-/// accumulates).
-pub fn gru_backward_reset(
-    d_rh: &Matrix,
-    r: &Matrix,
-    h_prev: &Matrix,
-    dr_pre: &mut Matrix,
-    dh_prev: &mut Matrix,
-    rh: &mut Matrix,
-) {
-    for m in [r, h_prev] {
-        assert_eq!(
-            m.shape(),
-            d_rh.shape(),
-            "shape mismatch for gru_backward_reset"
-        );
-    }
-    assert_eq!(
-        dh_prev.shape(),
-        d_rh.shape(),
-        "gru_backward_reset accumulates into dh_prev; shape must match"
-    );
-    dr_pre.resize(d_rh.rows(), d_rh.cols());
-    rh.resize(d_rh.rows(), d_rh.cols());
-    let sig = Activation::Sigmoid;
-    let n = d_rh.as_slice().len();
-    let (dd, rd, hpd) = (d_rh.as_slice(), r.as_slice(), h_prev.as_slice());
-    let (drp, dhp, rhd) = (
-        dr_pre.as_mut_slice(),
-        dh_prev.as_mut_slice(),
-        rh.as_mut_slice(),
-    );
-    for p in 0..n {
-        drp[p] = dd[p] * hpd[p] * sig.derivative_from_output(rd[p]);
-        dhp[p] += dd[p] * rd[p];
-        rhd[p] = rd[p] * hpd[p];
-    }
-}

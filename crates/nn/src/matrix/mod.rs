@@ -455,11 +455,6 @@ impl Matrix {
         }
     }
 
-    /// Largest absolute value in the matrix; `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
     /// Clamps every element to `[-limit, limit]` in place (gradient clipping).
     ///
     /// # Panics
@@ -685,10 +680,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max_abs() {
+    fn mean_averages_all_elements() {
         let x = Matrix::from_rows(&[&[-4.0, 2.0, 2.0]]);
         assert!((x.mean() - 0.0).abs() < 1e-12);
-        assert_eq!(x.max_abs(), 4.0);
     }
 
     #[test]

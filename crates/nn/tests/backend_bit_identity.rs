@@ -3,7 +3,8 @@
 //! Both run every matrix product on one micro-kernel body, whose
 //! per-element operation chain does not depend on the lane width, and
 //! share the element-wise kernels; this pins that end to end, through the
-//! input-gradient product `g · Wᵀ` and a whole fit. Pinning a backend
+//! input-gradient product `g · Wᵀ` and whole fits of a dense network and
+//! of an LSTM, a GRU and a SimpleRNN stem. Pinning a backend
 //! means [`kernels::force_backend`], which switches the process-wide
 //! dispatch, so this file holds a single test: no other test can run
 //! while the switch is in effect. It is skipped on a host without both
@@ -11,7 +12,7 @@
 
 use geomancy_nn::activation::Activation;
 use geomancy_nn::init::seeded_rng;
-use geomancy_nn::layers::Dense;
+use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::kernels::{self, KernelBackend};
 use geomancy_nn::matrix::Matrix;
@@ -32,9 +33,26 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// `a · bᵀ` (fresh and accumulated) on tail and tile shapes, then the
-/// weights of model 1 after three epochs of SGD over 640 rows, all on the
-/// dispatched backend.
+/// Three epochs of SGD over `x` and `y` in batches of 64; returns the
+/// trained weights, then the predictions on `x`.
+fn fit(mut net: Sequential, x: &Matrix, y: &Matrix) -> Vec<Vec<u64>> {
+    let mut opt = Sgd::new(0.05);
+    for _ in 0..3 {
+        for at in (0..x.rows()).step_by(64) {
+            let rows = at..at + 64;
+            let (bx, by) = (x.view_rows(rows.clone()), y.view_rows(rows));
+            net.train_batch_view(bx, by, Loss::MeanSquaredError, &mut opt);
+        }
+    }
+    let mut runs: Vec<_> = net.export_weights().iter().map(bits).collect();
+    runs.push(bits(&net.predict(x)));
+    runs
+}
+
+/// `a · bᵀ` (fresh and accumulated) on tail and tile shapes, then fits
+/// over 640 rows of model 1 and of an LSTM, a GRU and a SimpleRNN stem
+/// (6 features × 8 timesteps, 33 hidden units) under a dense linear head,
+/// all on the dispatched backend.
 fn run_on_dispatched() -> Vec<Vec<u64>> {
     let mut runs = Vec::new();
     for (m, k, q) in [(64, 48, 96), (67, 129, 97), (5, 3, 7), (13, 257, 25)] {
@@ -54,15 +72,22 @@ fn run_on_dispatched() -> Vec<Vec<u64>> {
     net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
     let x = pseudo(640, 6, 1).map(|v| v / 2.5);
     let y = pseudo(640, 1, 2).map(f64::abs);
-    let mut opt = Sgd::new(0.05);
-    for _ in 0..3 {
-        for at in (0..640).step_by(64) {
-            let rows = at..at + 64;
-            let (bx, by) = (x.view_rows(rows.clone()), y.view_rows(rows));
-            net.train_batch_view(bx, by, Loss::MeanSquaredError, &mut opt);
+    runs.extend(fit(net, &x, &y));
+
+    let (features, timesteps, hidden) = (6, 8, 33);
+    let windows = pseudo(640, features * timesteps, 3).map(|v| v / 2.5);
+    for stem in 0..3 {
+        let mut rng = seeded_rng(6 + stem);
+        let mut net = Sequential::new();
+        let relu = Activation::ReLU;
+        match stem {
+            0 => net.push(Lstm::new(features, hidden, timesteps, relu, &mut rng)),
+            1 => net.push(Gru::new(features, hidden, timesteps, relu, &mut rng)),
+            _ => net.push(SimpleRnn::new(features, hidden, timesteps, relu, &mut rng)),
         }
+        net.push(Dense::new(hidden, 1, Activation::Linear, &mut rng));
+        runs.extend(fit(net, &windows, &y));
     }
-    runs.extend(net.export_weights().iter().map(bits));
     runs
 }
 

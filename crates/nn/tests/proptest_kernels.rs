@@ -10,7 +10,9 @@
 //! on capable hosts, scalar elsewhere or under `GEOMANCY_FORCE_SCALAR=1`;
 //! the CI matrix runs this suite each way so every arm is covered). The
 //! fused dense forward is additionally run on *every* backend the host
-//! supports through `kernels::matmul_bias_act_with`. Tests never call
+//! supports through `kernels::matmul_bias_act_with`. The recurrent layers'
+//! element-wise kernels have one implementation, held to the formula they
+//! fuse, composed element by element. Tests never call
 //! `force_backend` — they run concurrently in one process and would race
 //! on the global dispatch choice.
 //!
@@ -187,18 +189,15 @@ proptest! {
     }
 
     #[test]
-    fn hadamard_three_way((a, b) in elementwise_pair()) {
+    fn hadamard_matches_composition((a, b) in elementwise_pair()) {
         let want = a.hadamard(&b);
         let mut out = Matrix::default();
         kernels::hadamard_into(&a, &b, &mut out);
         assert_close(&out, &want)?;
-        let mut scalar_out = Matrix::default();
-        kernels::scalar::hadamard_into(&a, &b, &mut scalar_out);
-        assert_close(&scalar_out, &want)?;
     }
 
     #[test]
-    fn mul_add_mul_three_way(
+    fn mul_add_mul_matches_composition(
         (a, b) in elementwise_pair(),
         seed in -5.0..5.0f64,
     ) {
@@ -212,13 +211,10 @@ proptest! {
         let mut out = Matrix::default();
         kernels::mul_add_mul_into(&a, &b, &c, &d, &mut out);
         assert_close(&out, &want)?;
-        let mut scalar_out = Matrix::default();
-        kernels::scalar::mul_add_mul_into(&a, &b, &c, &d, &mut scalar_out);
-        assert_close(&scalar_out, &want)?;
     }
 
     #[test]
-    fn convex_combine_three_way((a, b) in elementwise_pair()) {
+    fn convex_combine_matches_composition((a, b) in elementwise_pair()) {
         // Map the first operand into [0, 1] so it reads as a gate.
         let t = a.map(|v| Activation::Sigmoid.apply_scalar(v));
         let mut want = Matrix::zeros(a.rows(), a.cols());
@@ -229,13 +225,10 @@ proptest! {
         let mut out = Matrix::default();
         kernels::convex_combine_into(&t, &a, &b, &mut out);
         assert_close(&out, &want)?;
-        let mut scalar_out = Matrix::default();
-        kernels::scalar::convex_combine_into(&t, &a, &b, &mut scalar_out);
-        assert_close(&scalar_out, &want)?;
     }
 
     #[test]
-    fn act_into_three_way(
+    fn act_into_matches_composition(
         (a, _) in elementwise_pair(),
         act_idx in 0usize..4,
     ) {
@@ -249,13 +242,10 @@ proptest! {
         let mut out = Matrix::default();
         kernels::act_into(&a, act, &mut out);
         assert_close(&out, &want)?;
-        let mut scalar_out = Matrix::default();
-        kernels::scalar::act_into(&a, act, &mut scalar_out);
-        assert_close(&scalar_out, &want)?;
     }
 
     #[test]
-    fn lstm_backward_elementwise_three_way(
+    fn lstm_backward_elementwise_matches_composition(
         (dh, dc) in elementwise_pair(),
         act_idx in 0usize..3,
     ) {
@@ -285,34 +275,22 @@ proptest! {
                 * act.derivative_from_output(g.as_slice()[p]);
             want[4].as_mut_slice()[p] = dc_total * f.as_slice()[p];
         }
-        for run in 0..2 {
-            let mut dz_i = Matrix::default();
-            let mut dz_f = Matrix::default();
-            let mut dz_o = Matrix::default();
-            let mut dz_g = Matrix::default();
-            let mut dc_prev = Matrix::default();
-            if run == 0 {
-                kernels::lstm_backward_elementwise(
-                    &dh, &dc, &a, &o, &i, &f, &g, &c_prev, act,
-                    &mut dz_i, &mut dz_f, &mut dz_o, &mut dz_g, &mut dc_prev,
-                );
-            } else {
-                kernels::scalar::lstm_backward_elementwise(
-                    &dh, &dc, &a, &o, &i, &f, &g, &c_prev, act,
-                    &mut dz_i, &mut dz_f, &mut dz_o, &mut dz_g, &mut dc_prev,
-                );
-            }
-            for (got, want) in [&dz_i, &dz_f, &dz_o, &dz_g, &dc_prev]
-                .into_iter()
-                .zip([&want[0], &want[1], &want[2], &want[3], &want[4]])
-            {
-                assert_close(got, want)?;
-            }
+        let mut dz_i = Matrix::default();
+        let mut dz_f = Matrix::default();
+        let mut dz_o = Matrix::default();
+        let mut dz_g = Matrix::default();
+        let mut dc_prev = Matrix::default();
+        kernels::lstm_backward_elementwise(
+            &dh, &dc, &a, &o, &i, &f, &g, &c_prev, act,
+            &mut dz_i, &mut dz_f, &mut dz_o, &mut dz_g, &mut dc_prev,
+        );
+        for (got, want) in [&dz_i, &dz_f, &dz_o, &dz_g, &dc_prev].into_iter().zip(&want) {
+            assert_close(got, want)?;
         }
     }
 
     #[test]
-    fn gru_backward_gates_three_way((dh, raw) in elementwise_pair()) {
+    fn gru_backward_gates_matches_composition((dh, raw) in elementwise_pair()) {
         let act = Activation::Tanh;
         let sig = Activation::Sigmoid;
         let z = raw.map(|v| sig.apply_scalar(v));
@@ -329,29 +307,20 @@ proptest! {
                 * act.derivative_from_output(cand.as_slice()[p]);
             want[2].as_mut_slice()[p] = dh.as_slice()[p] * (1.0 - z.as_slice()[p]);
         }
-        for run in 0..2 {
-            let mut dz_pre = Matrix::default();
-            let mut dcand_pre = Matrix::default();
-            let mut dh_prev = Matrix::default();
-            if run == 0 {
-                kernels::gru_backward_gates(
-                    &dh, &z, &cand, &h_prev, act,
-                    &mut dz_pre, &mut dcand_pre, &mut dh_prev,
-                );
-            } else {
-                kernels::scalar::gru_backward_gates(
-                    &dh, &z, &cand, &h_prev, act,
-                    &mut dz_pre, &mut dcand_pre, &mut dh_prev,
-                );
-            }
-            assert_close(&dz_pre, &want[0])?;
-            assert_close(&dcand_pre, &want[1])?;
-            assert_close(&dh_prev, &want[2])?;
-        }
+        let mut dz_pre = Matrix::default();
+        let mut dcand_pre = Matrix::default();
+        let mut dh_prev = Matrix::default();
+        kernels::gru_backward_gates(
+            &dh, &z, &cand, &h_prev, act,
+            &mut dz_pre, &mut dcand_pre, &mut dh_prev,
+        );
+        assert_close(&dz_pre, &want[0])?;
+        assert_close(&dcand_pre, &want[1])?;
+        assert_close(&dh_prev, &want[2])?;
     }
 
     #[test]
-    fn gru_backward_reset_three_way((d_rh, raw) in elementwise_pair()) {
+    fn gru_backward_reset_matches_composition((d_rh, raw) in elementwise_pair()) {
         let sig = Activation::Sigmoid;
         let r = raw.map(|v| sig.apply_scalar(v));
         let h_prev = d_rh.map(|v| v * 0.6);
@@ -364,21 +333,13 @@ proptest! {
             want[1].as_mut_slice()[p] += d_rh.as_slice()[p] * r.as_slice()[p];
             want[2].as_mut_slice()[p] = r.as_slice()[p] * h_prev.as_slice()[p];
         }
-        for run in 0..2 {
-            let mut dr_pre = Matrix::default();
-            let mut dh_prev = seed.clone();
-            let mut rh = Matrix::default();
-            if run == 0 {
-                kernels::gru_backward_reset(&d_rh, &r, &h_prev, &mut dr_pre, &mut dh_prev, &mut rh);
-            } else {
-                kernels::scalar::gru_backward_reset(
-                    &d_rh, &r, &h_prev, &mut dr_pre, &mut dh_prev, &mut rh,
-                );
-            }
-            assert_close(&dr_pre, &want[0])?;
-            assert_close(&dh_prev, &want[1])?;
-            assert_close(&rh, &want[2])?;
-        }
+        let mut dr_pre = Matrix::default();
+        let mut dh_prev = seed;
+        let mut rh = Matrix::default();
+        kernels::gru_backward_reset(&d_rh, &r, &h_prev, &mut dr_pre, &mut dh_prev, &mut rh);
+        assert_close(&dr_pre, &want[0])?;
+        assert_close(&dh_prev, &want[1])?;
+        assert_close(&rh, &want[2])?;
     }
 }
 
