@@ -399,7 +399,6 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
         // Small catch-up chunks: the rejoin below must take several
         // round trips, so the throughput-during-catch-up measurement
         // sees a real transfer, not one instant chunk.
-        retain_bytes: 64 << 20,
         catch_up_max_records: 256,
     };
     let mut nodes: Vec<Option<ClusterNode>> = peers

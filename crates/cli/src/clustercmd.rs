@@ -123,7 +123,6 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
         },
         net: NetConfig::default(),
         rejoin: args.flag("join")?,
-        retain_bytes: (args.u64_or("retain-mb", 64)? as usize) << 20,
         catch_up_max_records: args.u64_or("catch-up-batch", 4096)?.max(1) as u32,
     };
     let rejoining = config.rejoin;

@@ -4,7 +4,7 @@ use std::error::Error;
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_core::experiment::{run_policy_experiment, ExperimentConfig, PinAll};
-use geomancy_core::models::{build_model, ModelId};
+use geomancy_core::models::{build_model, model_spec, ModelId};
 use geomancy_core::policy::{
     GeomancyDynamic, GeomancyStatic, Lfu, Lru, Mru, PlacementPolicy, RandomDynamic, RandomStatic,
     SpreadStatic,
@@ -116,8 +116,6 @@ COMMANDS:
                                       follower, catch up from the sitting
                                       primaries, then take shards back
                                       via demotion
-                  --retain-mb N       sealed segments kept for catch-up
-                                      (default 64)
                   --catch-up-batch N  records per catch-up chunk
                                       (default 4096)
                 Client modes:
@@ -381,69 +379,13 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
         report.prediction_time.as_secs_f64() * 1e3,
     );
     if let Some(path) = args.options.get("checkpoint") {
-        // Rebuild the architecture as a spec so the checkpoint is portable.
+        // The architecture travels as its spec so the checkpoint is portable.
         let spec = model_spec(id, Z, timesteps);
         let json = spec.checkpoint(&net).to_json()?;
         std::fs::write(path, json)?;
         println!("checkpoint written to {path}");
     }
     Ok(())
-}
-
-/// Mirrors [`build_model`]'s architecture as a serializable spec.
-fn model_spec(id: ModelId, z: usize, timesteps: usize) -> geomancy_nn::spec::NetworkSpec {
-    use geomancy_nn::activation::Activation;
-    use geomancy_nn::spec::{LayerSpec, NetworkSpec};
-    // Derive the layer list from a freshly built network's description: we
-    // rebuild via the sizes the constructors use. Simplest robust approach:
-    // walk the built network's describe() — but widths are embedded in the
-    // constructors, so reconstruct from the same match the builder uses by
-    // probing a built instance layer by layer.
-    let mut rng = seeded_rng(0);
-    let net = build_model(id, z, timesteps, &mut rng);
-    // describe() yields entries like "96 (Dense) ReLU" / "6 (GRU) ReLU".
-    let mut layers = Vec::new();
-    let mut input = if id.is_recurrent() { z * timesteps } else { z };
-    for cell in net.describe().split(", ") {
-        let mut parts = cell.split(' ');
-        let width: usize = parts.next().expect("width").parse().expect("numeric width");
-        let kind = parts.next().expect("kind");
-        let act = match parts.next().expect("activation") {
-            "ReLU" => Activation::ReLU,
-            "Linear" => Activation::Linear,
-            "Sigmoid" => Activation::Sigmoid,
-            other => panic!("unknown activation {other}"),
-        };
-        let layer = match kind {
-            "(Dense)" => LayerSpec::Dense {
-                input,
-                output: width,
-                activation: act,
-            },
-            "(SimpleRNN)" => LayerSpec::SimpleRnn {
-                features: z,
-                hidden: width,
-                timesteps,
-                activation: act,
-            },
-            "(LSTM)" => LayerSpec::Lstm {
-                features: z,
-                hidden: width,
-                timesteps,
-                activation: act,
-            },
-            "(GRU)" => LayerSpec::Gru {
-                features: z,
-                hidden: width,
-                timesteps,
-                activation: act,
-            },
-            other => panic!("unknown layer kind {other}"),
-        };
-        input = width;
-        layers.push(layer);
-    }
-    NetworkSpec::new(layers)
 }
 
 /// `geomancy serve` — run the sharded online placement service under a
@@ -610,19 +552,6 @@ mod tests {
     fn unknown_policy_is_an_error() {
         assert!(make_policy("definitely-not-a-policy", 0).is_err());
         assert!(make_policy("pin-nonexistent", 0).is_err());
-    }
-
-    #[test]
-    fn model_spec_matches_builder_for_every_model() {
-        for id in ModelId::all() {
-            let spec = model_spec(id, 6, 4);
-            let mut rng = seeded_rng(1);
-            let built = spec.build(&mut rng);
-            let mut rng2 = seeded_rng(1);
-            let reference = build_model(id, 6, 4, &mut rng2);
-            assert_eq!(built.describe(), reference.describe(), "{id}");
-            assert_eq!(built.param_count(), reference.param_count(), "{id}");
-        }
     }
 
     #[test]

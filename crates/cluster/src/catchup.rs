@@ -1,27 +1,20 @@
 //! Replica catch-up: the protocol logic behind the `CatchUpReq` /
 //! `CatchUpChunk` / `CatchUpDone` frames.
 //!
-//! A round is either **pure-seq** or **pure-cold**, never mixed:
-//!
-//! - *Seq mode* runs when the follower's floor is in the primary's
-//!   sequence space (its recorded origin for the shard **is** this
-//!   primary) and the primary's [`SegmentRetainer`] still holds every
-//!   sealed segment in `(follower floor, primary floor]`. Chunks are
-//!   whole retained segments, applied through the follower's existing
-//!   exactly-once absorb path.
-//! - *Cold mode* runs otherwise: a timestamp-cursor export over the
-//!   primary's **service store ∪ replica store** (an emergency primary's
-//!   pre-promotion history lives in its replica store). Every chunk ends
-//!   at a timestamp boundary — a run of equal timestamps is never split
-//!   — so the follower's cursor (`max stored ts` recomputed from its own
-//!   stores) makes a crash-interrupted round resumable with no persisted
-//!   cursor at all. The first chunk of a round includes ties at the
-//!   cursor; the follower drops the ones it already holds.
+//! A round is a timestamp-cursor export over the primary's **service
+//! store ∪ replica store** (an emergency primary's pre-promotion history
+//! lives in its replica store). Every chunk ends at a timestamp boundary
+//! — a run of equal timestamps is never split — so the follower's cursor
+//! (`max stored ts` recomputed from its own stores) makes a
+//! crash-interrupted round resumable with no persisted cursor at all.
+//! The first chunk of a round includes ties at the cursor; the follower
+//! drops the ones it already holds. The last chunk carries the primary's
+//! absorb floor, which the follower commits with it.
 //!
 //! Floors are only meaningful relative to one origin's sequence space,
 //! so a follower records the origin node per shard in an `origin.json`
 //! sidecar next to its replica store, written *after* the floor commit
-//! (a crash between the two costs one conservative extra cold round).
+//! (a crash between the two costs one extra catch-up round).
 //! Incoming ships are gated on that origin and applied strictly in
 //! order; both together keep the replica store hole-free below its
 //! cursor, which is what makes cursor exports complete.
@@ -29,9 +22,8 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use geomancy_net::wire::{CatchUpChunk, CatchUpData, CatchUpReq};
+use geomancy_net::wire::{CatchUpChunk, CatchUpReq};
 use geomancy_replaydb::StoredRecord;
-use geomancy_serve::SegmentRetainer;
 use geomancy_sim::record::FileId;
 use geomancy_store::{FaultPoint, PagedStore, StoreError};
 
@@ -124,44 +116,12 @@ pub fn build_chunk(
     req: &CatchUpReq,
     service: Option<&PagedStore>,
     replica: Option<&PagedStore>,
-    retainer: Option<&SegmentRetainer>,
     shards: u32,
 ) -> Result<CatchUpChunk, StoreError> {
     let shard = req.shard;
     let floor = service
         .and_then(|s| s.absorbed().get(shard as usize).copied())
         .unwrap_or(0);
-    // Seq mode: the follower's floor lives in our sequence space and the
-    // retainer still holds the whole gap.
-    if req.after_seq > 0 {
-        if req.after_seq >= floor {
-            return Ok(CatchUpChunk {
-                shard,
-                done: true,
-                floor_seq: floor,
-                next_ts: req.after_ts,
-                data: CatchUpData::Cold(Vec::new()),
-            });
-        }
-        if let Some(retainer) = retainer {
-            if retainer.holds_range(shard, req.after_seq, floor) {
-                if let Some((seq, bytes)) = retainer.next_after(shard, req.after_seq) {
-                    return Ok(CatchUpChunk {
-                        shard,
-                        done: seq >= floor,
-                        floor_seq: floor,
-                        next_ts: req.after_ts,
-                        data: CatchUpData::Segment {
-                            seq,
-                            bytes: bytes.as_ref().clone(),
-                        },
-                    });
-                }
-            }
-        }
-        // Retention hole: fall through to a cold round on the follower's
-        // timestamp cursor.
-    }
     let pred = cold_pred(shards, shard);
     let limit = req.max_records.max(1) as usize;
     let mut parts: Vec<(Vec<StoredRecord>, bool)> = Vec::new();
@@ -191,20 +151,17 @@ pub fn build_chunk(
         done,
         floor_seq: floor,
         next_ts,
-        data: CatchUpData::Cold(
-            merged
-                .into_iter()
-                .map(|s| (s.timestamp_micros, s.record))
-                .collect(),
-        ),
+        records: merged,
     })
 }
 
-/// Applies one cold chunk to the follower's replica store: drops records
-/// it already holds at the chunk's lowest timestamp (the tie run the
-/// first request re-fetched on purpose), imports the rest, and — on a
-/// `done` chunk — commits `floor` as the shard's absorb floor in the
-/// same atomic manifest commit. Returns how many records were imported.
+/// Applies one chunk to the follower's replica store: drops records it
+/// already holds at the chunk's lowest timestamp (the tie run the first
+/// request re-fetched on purpose), imports the rest, and — on a `done`
+/// chunk — commits `floor` as the shard's absorb floor in the same
+/// atomic manifest commit. A chunk that imports nothing and leaves the
+/// floor where it is commits nothing. Returns how many records were
+/// imported.
 ///
 /// `fault` kills the import at the named boundary for crash-injection
 /// tests; a pre-manifest kill rolls the chunk back on reopen and the
@@ -218,13 +175,13 @@ pub fn apply_cold_records(
     service: Option<&PagedStore>,
     shards: u32,
     shard: u32,
-    records: &[(u64, geomancy_sim::record::AccessRecord)],
+    records: &[StoredRecord],
     commit_floor: Option<u64>,
     fault: Option<FaultPoint>,
 ) -> Result<u64, StoreError> {
     let pred = cold_pred(shards, shard);
     let mut fresh: Vec<StoredRecord> = Vec::new();
-    if let Some(&(min_ts, _)) = records.first() {
+    if let Some(min_ts) = records.first().map(|s| s.timestamp_micros) {
         // Overlap with what we already hold is only possible at the
         // chunk's lowest timestamp (our cursor): collect our own tie run
         // there, from both stores, and drop re-sent copies.
@@ -251,14 +208,12 @@ pub fn apply_cold_records(
         }
         fresh = records
             .iter()
-            .filter(|(ts, r)| !own.contains(&(*ts, r.access_number, r.fid)))
-            .map(|&(ts, record)| StoredRecord {
-                timestamp_micros: ts,
-                record,
-            })
+            .filter(|s| !own.contains(&(s.timestamp_micros, s.record.access_number, s.record.fid)))
+            .copied()
             .collect();
     }
-    let absorbed = commit_floor.map(|floor| {
+    let held = replica.absorbed().get(shard as usize).copied().unwrap_or(0);
+    let absorbed = commit_floor.filter(|&floor| floor != held).map(|floor| {
         let mut floors = replica.absorbed().to_vec();
         if floors.len() < shards as usize {
             floors.resize(shards as usize, 0);
@@ -274,10 +229,10 @@ pub fn apply_cold_records(
     Ok(applied)
 }
 
-/// Applies one seq-mode segment chunk: write the bytes under a temp
-/// name, rename into the replica WAL, fsync, absorb — byte-for-byte the
-/// ship path, so re-delivery is exactly-once through the same floors.
-/// Returns how many records the absorb replayed.
+/// Applies one shipped segment: write the bytes under a temp name,
+/// rename into the replica WAL, fsync, absorb, so re-delivery is
+/// exactly-once through the shard's absorb floor. Returns how many
+/// records the absorb replayed.
 ///
 /// # Errors
 ///
@@ -289,7 +244,6 @@ pub fn apply_segment_chunk(
     shard: u32,
     seq: u64,
     bytes: &[u8],
-    fault: Option<FaultPoint>,
 ) -> Result<u64, StoreError> {
     let dest = geomancy_replaydb::segment_path(wal_dir, shard as usize, seq);
     let tmp = wal_dir.join(format!("catchup-{shard}-{seq}.tmp"));
@@ -297,7 +251,7 @@ pub fn apply_segment_chunk(
     std::fs::File::open(&tmp)?.sync_all()?;
     std::fs::rename(&tmp, &dest)?;
     std::fs::File::open(wal_dir)?.sync_all()?;
-    let report = replica.absorb_segments(wal_dir, shards as usize, fault)?;
+    let report = replica.absorb_segments(wal_dir, shards as usize, None)?;
     Ok(report.records_absorbed)
 }
 
@@ -379,22 +333,18 @@ mod tests {
             let req = CatchUpReq {
                 node_id: 9,
                 shard: 0,
-                after_seq: 0,
                 after_ts: cursor,
                 include_ties: first,
                 max_records: 7,
             };
             first = false;
-            let chunk = build_chunk(&req, Some(&service), Some(&replica), None, shards).unwrap();
-            let CatchUpData::Cold(records) = &chunk.data else {
-                panic!("cold round must stay cold");
-            };
+            let chunk = build_chunk(&req, Some(&service), Some(&replica), shards).unwrap();
             total += apply_cold_records(
                 &mut follower,
                 None,
                 shards,
                 0,
-                records,
+                &chunk.records,
                 chunk.done.then_some(chunk.floor_seq),
                 None,
             )
@@ -411,18 +361,14 @@ mod tests {
         let req = CatchUpReq {
             node_id: 9,
             shard: 0,
-            after_seq: 0,
             after_ts: cursor,
             include_ties: true,
             max_records: 64,
         };
-        let chunk = build_chunk(&req, Some(&service), Some(&replica), None, shards).unwrap();
+        let chunk = build_chunk(&req, Some(&service), Some(&replica), shards).unwrap();
         assert!(chunk.done);
-        let CatchUpData::Cold(records) = &chunk.data else {
-            panic!()
-        };
         let applied =
-            apply_cold_records(&mut follower, None, shards, 0, records, None, None).unwrap();
+            apply_cold_records(&mut follower, None, shards, 0, &chunk.records, None, None).unwrap();
         assert_eq!(applied, 0, "tie dedup must drop re-sent records");
         assert_eq!(follower.total_records(), 100);
         for d in [&sdir, &rdir, &fdir] {
@@ -430,77 +376,30 @@ mod tests {
         }
     }
 
+    /// A caught-up follower's round is one done chunk with no records at
+    /// the floor it already holds: applying it must commit nothing. A
+    /// commit writes a temp manifest and renames it over the old one, so
+    /// an unchanged inode proves none ran.
     #[test]
-    fn seq_mode_serves_retained_segments_then_reports_done() {
-        let shards = 1u32;
-        let sdir = tmpdir("seq_svc");
-        let mut service = open(&sdir);
-        // Primary absorbed segments up to floor 3; retainer holds 2..=3.
-        service
-            .import_records(&[stored(1, 1, 1)], Some(vec![3]), None)
+    fn caught_up_round_commits_nothing() {
+        use std::os::unix::fs::MetadataExt;
+        let shards = 2u32;
+        let dir = tmpdir("caught_up");
+        let mut follower = open(&dir);
+        follower
+            .import_records(&[stored(1, 1, 1)], Some(vec![0, 4]), None)
             .unwrap();
-        let retainer = SegmentRetainer::new(1 << 20);
-        retainer.insert(0, 2, vec![b'x'; 8]);
-        retainer.insert(0, 3, vec![b'y'; 8]);
-        let req = CatchUpReq {
-            node_id: 9,
-            shard: 0,
-            after_seq: 1,
-            after_ts: 1,
-            include_ties: false,
-            max_records: 64,
-        };
-        let chunk = build_chunk(&req, Some(&service), None, Some(&retainer), shards).unwrap();
-        match chunk.data {
-            CatchUpData::Segment { seq, ref bytes } => {
-                assert_eq!(seq, 2);
-                assert_eq!(bytes[0], b'x');
-                assert!(!chunk.done);
-            }
-            CatchUpData::Cold(_) => panic!("retained range must serve seq mode"),
-        }
-        // Next request from floor 2 → segment 3, which is the floor.
-        let chunk = build_chunk(
-            &CatchUpReq {
-                after_seq: 2,
-                ..req
-            },
-            Some(&service),
-            None,
-            Some(&retainer),
-            shards,
-        )
-        .unwrap();
-        assert!(chunk.done);
-        assert!(matches!(chunk.data, CatchUpData::Segment { seq: 3, .. }));
-        // At the floor already: immediate done, no data.
-        let chunk = build_chunk(
-            &CatchUpReq {
-                after_seq: 3,
-                ..req
-            },
-            Some(&service),
-            None,
-            Some(&retainer),
-            shards,
-        )
-        .unwrap();
-        assert!(chunk.done);
-        assert!(matches!(chunk.data, CatchUpData::Cold(ref v) if v.is_empty()));
-        // Evicted range → falls back to a cold round.
-        let starved = SegmentRetainer::new(4);
-        let chunk = build_chunk(
-            &CatchUpReq {
-                after_seq: 1,
-                ..req
-            },
-            Some(&service),
-            None,
-            Some(&starved),
-            shards,
-        )
-        .unwrap();
-        assert!(matches!(chunk.data, CatchUpData::Cold(_)));
-        std::fs::remove_dir_all(&sdir).ok();
+        let manifest = dir.join(geomancy_store::store::MANIFEST_FILE);
+        let inode = std::fs::metadata(&manifest).unwrap().ino();
+        let applied =
+            apply_cold_records(&mut follower, None, shards, 1, &[], Some(4), None).unwrap();
+        assert_eq!(applied, 0);
+        assert_eq!(std::fs::metadata(&manifest).unwrap().ino(), inode);
+        assert_eq!(follower.absorbed(), &[0, 4]);
+        // A new floor still commits.
+        apply_cold_records(&mut follower, None, shards, 1, &[], Some(5), None).unwrap();
+        assert_ne!(std::fs::metadata(&manifest).unwrap().ino(), inode);
+        assert_eq!(follower.absorbed(), &[0, 5]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,13 +20,13 @@
 //! - [`node::ClusterCore`]: one node's replication protocol — ship
 //!   gate, catch-up puller and server, failover, demotion — reaching
 //!   peers only through [`node::NodeIo`]. [`node::ClusterNode`] runs it
-//!   beside the placement service (WAL shipper and prober threads, a
-//!   failover actor on the service reactor, pooled sockets); the
+//!   beside the placement service (WAL shipper, prober and failover
+//!   threads, pooled sockets); the
 //!   virtual-time harness runs the same core on simulated time.
 //! - [`catchup`]: bounded replica catch-up — a follower whose
-//!   per-shard floor trails the primary pulls the gap as retained
-//!   sealed segments (seq mode) or a timestamp-cursor export (cold
-//!   mode), committing floors exactly-once on the final chunk.
+//!   per-shard floor trails the primary pulls the gap as a
+//!   timestamp-cursor export of the primary's stores, committing floors
+//!   exactly-once on the final chunk.
 //! - [`repair`]: the demotion state machine the sitting emergency
 //!   primary walks to hand a shard back to a caught-up preferred owner
 //!   (checkpoint barrier → floor wait → epoch-bumping demote).

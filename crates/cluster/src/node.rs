@@ -8,7 +8,7 @@
 //!  prober thread, every heartbeat ───► tick: pull_round ─ CatchUp* ─► primaries
 //!                                            demotion_round ─ checkpoint
 //!                                            sweep ──── Heartbeat ──► peers
-//!  failover actor (service reactor) ─► failover: silent primary → promote
+//!  failover thread, every heartbeat ─► failover: silent primary → promote
 //!  listener connection threads ──────► ClusterHandler: ship gate,
 //!                                      catch-up server, heartbeat acks
 //! ```
@@ -20,21 +20,21 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::Duration;
 
 use geomancy_net::wire::{
-    self, decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_ship_segment,
+    decode_catch_up_done, decode_catch_up_req, decode_heartbeat, decode_ship_segment,
     encode_catch_up_ack, encode_catch_up_chunk, encode_cluster_info_resp, encode_heartbeat_ack,
     encode_ship_ack, encode_wrong_epoch, CatchUpChunk, CatchUpDone, CatchUpReq, SegmentShip,
 };
 use geomancy_net::{
     Client, ClientConfig, ClusterHandler, ClusterMap, NetConfig, NetError, NetServer, WireStatus,
 };
-use geomancy_runtime::{Actor, Ctx, TimeSource, WallClock};
-use geomancy_serve::{PlacementService, SealHook, SegmentRetainer, ServeConfig, StoreSettings};
+use geomancy_runtime::{TimeSource, WallClock};
+use geomancy_serve::{PlacementService, SealHook, ServeConfig, StoreSettings};
 use geomancy_sim::record::FileId;
 use geomancy_store::{FaultPoint, PagedStore, SharedPagedStore, StoreConfig};
 
@@ -110,12 +110,7 @@ pub struct ClusterNodeConfig {
     /// protocol. `peers` may omit this node when it is a brand-new
     /// member.
     pub rejoin: bool,
-    /// Byte cap on sealed segments retained in memory for seq-mode
-    /// catch-up. Past it, oldest segments evict and stragglers fall back
-    /// to cold-store catch-up — retention never grows unbounded while a
-    /// replica is down.
-    pub retain_bytes: usize,
-    /// Max records per cold catch-up chunk (chunks may run slightly
+    /// Max records per catch-up chunk (chunks may run slightly
     /// longer to close a timestamp tie run).
     pub catch_up_max_records: u32,
 }
@@ -134,7 +129,6 @@ impl Default for ClusterNodeConfig {
             serve: ServeConfig::default(),
             net: NetConfig::default(),
             rejoin: false,
-            retain_bytes: 64 << 20,
             catch_up_max_records: 4096,
         }
     }
@@ -211,8 +205,6 @@ pub struct ClusterCore {
     /// barriers — all timestamped off `time`.
     repair: Mutex<RepairState>,
     time: Arc<dyn TimeSource>,
-    /// Sealed segments kept in memory for seq-mode catch-up.
-    retainer: Arc<SegmentRetainer>,
     /// The embedded service's cold store, attached once the service
     /// starts (catch-up exports read it).
     store: OnceLock<SharedPagedStore>,
@@ -306,7 +298,6 @@ impl ClusterCore {
             }),
             repair: Mutex::new(repair),
             time,
-            retainer: Arc::new(SegmentRetainer::new(config.retain_bytes)),
             store: OnceLock::new(),
             shards: config.shards,
             replicas_degree: config.replicas,
@@ -322,13 +313,6 @@ impl ClusterCore {
     /// follower's union cursor read it. Only the first call takes effect.
     pub fn attach_service_store(&self, store: SharedPagedStore) {
         let _ = self.store.set(store);
-    }
-
-    /// The sealed segments retained for seq-mode catch-up; the seal
-    /// path inserts each one before shipping it.
-    #[must_use]
-    pub fn retainer(&self) -> &Arc<SegmentRetainer> {
-        &self.retainer
     }
 
     /// This node's stable id.
@@ -452,8 +436,8 @@ impl ClusterCore {
     /// ever see. A virgin shard (no origin, floor 0, no records) adopts
     /// the map's primary as origin on its first `seq == 1` ship; every
     /// other mismatch answers `Backpressure` and flags the shard for a
-    /// catch-up round. The apply itself is the seq-mode catch-up path,
-    /// so re-sent segments at or under the floor are exactly-once.
+    /// catch-up round. The apply absorbs through the shard's floor, so
+    /// re-sent segments at or under it are exactly-once.
     fn gate_and_apply_ship(&self, ship: &SegmentShip, map: &ClusterMap) -> WireStatus {
         let mut replica = self.replica.lock().expect("replica lock");
         let shard = ship.shard;
@@ -495,15 +479,8 @@ impl ClusterCore {
             }
         }
         let ReplicaState { store, wal_dir, .. } = &mut *replica;
-        let applied = catchup::apply_segment_chunk(
-            store,
-            wal_dir,
-            self.shards,
-            shard,
-            ship.seq,
-            &ship.bytes,
-            None,
-        );
+        let applied =
+            catchup::apply_segment_chunk(store, wal_dir, self.shards, shard, ship.seq, &ship.bytes);
         let Ok(records) = applied else {
             return WireStatus::Internal;
         };
@@ -533,14 +510,6 @@ impl ClusterCore {
         f(&self.replica.lock().expect("replica lock").store)
     }
 
-    /// The node this replica currently accepts ships for on `shard`
-    /// (its ship origin), if established.
-    #[must_use]
-    pub fn origin_of(&self, shard: u32) -> Option<u64> {
-        let replica = self.replica.lock().expect("replica lock");
-        replica.origins.get(&shard).copied()
-    }
-
     /// Whether a rejected ship flagged `shard` for a catch-up round that
     /// has not completed yet.
     #[must_use]
@@ -560,20 +529,6 @@ impl ClusterCore {
     #[must_use]
     pub fn demotions(&self) -> u64 {
         self.repair.lock().expect("repair lock").demotions
-    }
-
-    /// Bytes of sealed segments currently retained for seq-mode
-    /// catch-up.
-    #[must_use]
-    pub fn retained_bytes(&self) -> usize {
-        self.retainer.bytes()
-    }
-
-    /// Retained segments evicted to stay under the byte cap (those
-    /// ranges fall back to cold-store catch-up).
-    #[must_use]
-    pub fn retainer_evictions(&self) -> u64 {
-        self.retainer.evicted()
     }
 
     /// Catch-up chunks this node served as primary.
@@ -707,32 +662,18 @@ impl ClusterCore {
     ) -> Result<Option<CatchUpDone>, NetError> {
         const CHUNK_BUDGET: usize = 256;
         for chunk_no in 0..CHUNK_BUDGET {
-            // Plan the request: floor only counts if it is already in the
-            // primary's sequence space; the cold cursor is the union max
-            // over both local stores, recomputed each chunk (crash-safe
-            // resume without a persisted cursor).
-            let (after_seq, after_ts) = {
+            // The cursor is the union max over both local stores,
+            // recomputed each chunk (crash-safe resume without a
+            // persisted cursor).
+            let after_ts = {
                 let service = self.store.get().map(|s| s.read());
                 let replica = self.replica.lock().expect("replica lock");
-                let after_seq = if replica.origins.get(&shard) == Some(&primary) {
-                    replica
-                        .store
-                        .absorbed()
-                        .get(shard as usize)
-                        .copied()
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
-                let after_ts =
-                    catchup::shard_cursor(&replica.store, service.as_deref(), self.shards, shard)
-                        .unwrap_or(0);
-                (after_seq, after_ts)
+                catchup::shard_cursor(&replica.store, service.as_deref(), self.shards, shard)
+                    .unwrap_or(0)
             };
             let req = CatchUpReq {
                 node_id: self.node_id,
                 shard,
-                after_seq,
                 after_ts,
                 include_ties: chunk_no == 0,
                 max_records: self.catch_up_max_records,
@@ -742,27 +683,15 @@ impl ClusterCore {
             let fault = io.fault_for_next_apply();
             let service = self.store.get().map(|s| s.read());
             let mut replica = self.replica.lock().expect("replica lock");
-            let ReplicaState { store, wal_dir, .. } = &mut *replica;
-            let applied = match chunk.data {
-                wire::CatchUpData::Segment { seq, bytes } => catchup::apply_segment_chunk(
-                    store,
-                    wal_dir,
-                    self.shards,
-                    shard,
-                    seq,
-                    &bytes,
-                    fault,
-                ),
-                wire::CatchUpData::Cold(records) => catchup::apply_cold_records(
-                    store,
-                    service.as_deref(),
-                    self.shards,
-                    shard,
-                    &records,
-                    done.then_some(chunk.floor_seq),
-                    fault,
-                ),
-            };
+            let applied = catchup::apply_cold_records(
+                &mut replica.store,
+                service.as_deref(),
+                self.shards,
+                shard,
+                &chunk.records,
+                done.then_some(chunk.floor_seq),
+                fault,
+            );
             match applied {
                 Ok(records) if fault.is_none() => replica.records_applied += records,
                 _ => return Ok(None),
@@ -865,13 +794,7 @@ impl ClusterHandler for ClusterCore {
         // later ship replay records the export already carried.
         let service = store.read();
         let replica = self.replica.lock().expect("replica lock");
-        match catchup::build_chunk(
-            &req,
-            Some(&service),
-            Some(&replica.store),
-            Some(&self.retainer),
-            self.shards,
-        ) {
+        match catchup::build_chunk(&req, Some(&service), Some(&replica.store), self.shards) {
             Ok(chunk) => {
                 self.catch_up_chunks_served.fetch_add(1, Ordering::Relaxed);
                 encode_catch_up_chunk(WireStatus::Ok, Some(&chunk), None)
@@ -963,28 +886,6 @@ impl NodeIo for PeerPool {
     }
 }
 
-/// Runs [`ClusterCore::failover`] on the service reactor's timer, one
-/// check per heartbeat interval.
-struct FailoverActor {
-    core: Arc<ClusterCore>,
-    check_every_micros: u64,
-}
-
-impl Actor for FailoverActor {
-    type Msg = ();
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.check_every_micros, 0);
-    }
-
-    fn on_msg(&mut self, (): (), _ctx: &mut Ctx<'_>) {}
-
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        self.core.failover();
-        ctx.set_timer(self.check_every_micros, 0);
-    }
-}
-
 /// A sealed segment handed from the checkpointer's seal hook to the
 /// shipper thread.
 struct SealedSeg {
@@ -1008,8 +909,12 @@ pub struct ClusterNode {
     abandon: Arc<AtomicBool>,
     shipper: Option<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
+    /// Dropped at teardown: the failover thread's wait then ends at once.
+    failover_stop: Option<mpsc::Sender<()>>,
+    failover: Option<std::thread::JoinHandle<()>>,
     shipped: Arc<Mutex<Vec<ShippedSeg>>>,
     ship_failures: Arc<AtomicU64>,
+    unshipped_bytes: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for ClusterNode {
@@ -1032,7 +937,7 @@ impl std::ops::Deref for ClusterNode {
 impl ClusterNode {
     /// Brings the node up: opens the core, starts the placement service
     /// with the seal hook wired, binds the cluster-aware listener, and
-    /// spawns the shipper, prober, and failover actor.
+    /// spawns the shipper, prober and failover threads.
     ///
     /// # Errors
     ///
@@ -1044,16 +949,17 @@ impl ClusterNode {
         // Seal hook: runs on the checkpointer thread in the absorb
         // window, while the sealed segment file still exists.
         // Read the bytes synchronously (the record count comes with the
-        // seal: nothing is decoded here), hand them to the shipper thread
-        // and the catch-up retainer, return.
+        // seal: nothing is decoded here), hand them to the shipper thread,
+        // return.
         let (seal_tx, seal_rx) = mpsc::channel::<SealedSeg>();
-        let retainer = Arc::clone(core.retainer());
+        let unshipped_bytes = Arc::new(AtomicUsize::new(0));
+        let unshipped = Arc::clone(&unshipped_bytes);
         let hook = SealHook(Arc::new(
             move |shard: usize, seq: u64, records: u64, path: &Path| {
                 let Ok(bytes) = std::fs::read(path) else {
                     return;
                 };
-                retainer.insert(shard as u32, seq, bytes.clone());
+                unshipped.fetch_add(bytes.len(), Ordering::Relaxed);
                 let _ = seal_tx.send(SealedSeg {
                     shard: shard as u32,
                     seq,
@@ -1079,18 +985,23 @@ impl ClusterNode {
             core.attach_service_store(store.clone());
         }
 
-        // The failover controller shares the service's reactor pool:
-        // one pool runs the whole node.
-        let check_every_micros = config.heartbeat_micros.max(1);
-        let (fail_addr, _fail_handle) = service.reactor().spawn(
-            "cluster-failover",
-            8,
-            FailoverActor {
-                core: Arc::clone(&core),
-                check_every_micros,
-            },
-        );
-        drop(fail_addr);
+        // Failover runs on its own thread, one check per heartbeat, and
+        // never behind a peer call that can block the prober.
+        let interval = Duration::from_micros(config.heartbeat_micros.max(1));
+        let (failover_stop, failover_rx) = mpsc::channel::<()>();
+        let failover = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name(format!("geomancy-failover-{}", config.node_id))
+                .spawn(move || {
+                    while let Err(mpsc::RecvTimeoutError::Timeout) =
+                        failover_rx.recv_timeout(interval)
+                    {
+                        core.failover();
+                    }
+                })
+                .expect("spawn failover")
+        };
 
         let server = NetServer::start_with_cluster(
             config.listen.as_str(),
@@ -1122,9 +1033,14 @@ impl ClusterNode {
             let shipped = Arc::clone(&shipped);
             let failures = Arc::clone(&ship_failures);
             let abandon = Arc::clone(&abandon);
+            let unshipped = Arc::clone(&unshipped_bytes);
             std::thread::Builder::new()
                 .name(format!("geomancy-ship-{}", config.node_id))
-                .spawn(move || shipper_loop(&core, &*pool, &seal_rx, &shipped, &failures, &abandon))
+                .spawn(move || {
+                    shipper_loop(
+                        &core, &*pool, &seal_rx, &shipped, &failures, &abandon, &unshipped,
+                    );
+                })
                 .expect("spawn shipper")
         };
         // The prober's first pass runs before its first sleep, so a fresh
@@ -1132,7 +1048,6 @@ impl ClusterNode {
         let prober = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
-            let interval = Duration::from_micros(check_every_micros);
             std::thread::Builder::new()
                 .name(format!("geomancy-probe-{}", config.node_id))
                 .spawn(move || {
@@ -1153,8 +1068,11 @@ impl ClusterNode {
             abandon,
             shipper: Some(shipper),
             prober: Some(prober),
+            failover_stop: Some(failover_stop),
+            failover: Some(failover),
             shipped,
             ship_failures,
+            unshipped_bytes,
         })
     }
 
@@ -1188,6 +1106,13 @@ impl ClusterNode {
         self.ship_failures.load(Ordering::Relaxed)
     }
 
+    /// Bytes of sealed segments handed to the shipper that are neither
+    /// acked by every replica yet nor given up on (failed or abandoned).
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        self.unshipped_bytes.load(Ordering::Relaxed)
+    }
+
     /// The embedded placement service (for explicit checkpoints,
     /// metrics, or in-process queries in tests and benches).
     #[must_use]
@@ -1210,6 +1135,10 @@ impl ClusterNode {
 
     fn teardown(&mut self, abrupt: bool) {
         self.stop.store(true, Ordering::SeqCst);
+        drop(self.failover_stop.take());
+        if let Some(h) = self.failover.take() {
+            let _ = h.join();
+        }
         if abrupt {
             // A crash ships nothing more: segments sealed from here on
             // are dropped unshipped, so replicas must make do with what
@@ -1261,8 +1190,10 @@ impl Drop for ClusterNode {
 }
 
 /// Ships each sealed segment to every replica of its shard, retrying a
-/// failed attempt with backoff, and records fully-acked segments. Exits
-/// when the seal channel disconnects (service shut down).
+/// failed attempt with backoff, and records fully-acked segments. Each
+/// segment's bytes leave `unshipped` once it is acked, failed or
+/// abandoned. Exits when the seal channel disconnects (service shut
+/// down).
 fn shipper_loop(
     core: &ClusterCore,
     io: &dyn NodeIo,
@@ -1270,10 +1201,12 @@ fn shipper_loop(
     shipped: &Mutex<Vec<ShippedSeg>>,
     failures: &AtomicU64,
     abandon: &AtomicBool,
+    unshipped: &AtomicUsize,
 ) {
     const ATTEMPTS: u32 = 5;
     while let Ok(seg) = seals.recv() {
         if abandon.load(Ordering::SeqCst) {
+            unshipped.fetch_sub(seg.bytes.len(), Ordering::Relaxed);
             continue;
         }
         let acked = (0..ATTEMPTS).any(|attempt| {
@@ -1291,37 +1224,49 @@ fn shipper_loop(
         } else {
             failures.fetch_add(1, Ordering::Relaxed);
         }
+        unshipped.fetch_sub(seg.bytes.len(), Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geomancy_net::wire::{decode_ship_ack, encode_ship_segment, CatchUpData};
-    use geomancy_replaydb::{segment_path, shard_path, WalWriter};
+    use geomancy_net::wire::{decode_ship_ack, encode_ship_segment};
+    use geomancy_replaydb::{segment_path, shard_path, StoredRecord, WalWriter};
     use geomancy_runtime::ManualClock;
     use geomancy_sim::record::{AccessRecord, DeviceId};
     use std::cell::Cell;
 
-    /// Segment `seq` of node 2's WAL for `shard`: three records routed
-    /// to the shard, access numbers `10 * seq ..`.
-    fn segment(wal: &Path, shard: u32, seq: u64) -> SegmentShip {
+    /// The records of segment `seq` of node 2's WAL for `shard`: three
+    /// records routed to the shard, access numbers and timestamps
+    /// `10 * seq ..`.
+    fn records(shard: u32, seq: u64) -> Vec<StoredRecord> {
         let fids = (0..).filter(|&f| shard_for(FileId(f), 2) == shard);
+        (0..3)
+            .zip(fids)
+            .map(|(i, fid)| StoredRecord {
+                timestamp_micros: 10 * seq + i,
+                record: AccessRecord {
+                    access_number: 10 * seq + i,
+                    fid: FileId(fid),
+                    fsid: DeviceId(0),
+                    rb: 1,
+                    wb: 0,
+                    ots: 0,
+                    otms: 0,
+                    cts: 0,
+                    ctms: 0,
+                },
+            })
+            .collect()
+    }
+
+    /// Segment `seq` of node 2's WAL for `shard`, sealed from
+    /// [`records`].
+    fn segment(wal: &Path, shard: u32, seq: u64) -> SegmentShip {
         let mut writer = WalWriter::open(shard_path(wal, shard as usize)).unwrap();
-        for (i, fid) in (0..3).zip(fids) {
-            let n = 10 * seq + i;
-            let record = AccessRecord {
-                access_number: n,
-                fid: FileId(fid),
-                fsid: DeviceId(0),
-                rb: 1,
-                wb: 0,
-                ots: 0,
-                otms: 0,
-                cts: 0,
-                ctms: 0,
-            };
-            writer.append(n, record).unwrap();
+        for s in records(shard, seq) {
+            writer.append(s.timestamp_micros, s.record).unwrap();
         }
         let path = segment_path(wal, shard as usize, seq);
         writer.seal_to(&path).unwrap();
@@ -1342,7 +1287,8 @@ mod tests {
 
     /// Node 2, the shard's primary, as node 1 sees it. Its one catch-up
     /// chunk first ships `ship` into node 1 mid-round (keeping the ack
-    /// status), then serves that same segment as the round's last chunk.
+    /// status), then serves that same segment's records as the round's
+    /// last chunk.
     struct ShipsMidRound<'a> {
         follower: &'a ClusterCore,
         ship: SegmentShip,
@@ -1363,18 +1309,17 @@ mod tests {
         }
 
         fn catch_up(&self, _: u64, _: &str, req: &CatchUpReq) -> Result<CatchUpChunk, NetError> {
-            assert_eq!((req.shard, req.after_seq), (self.ship.shard, 1));
+            // The follower's cursor is the newest record of segment 1.
+            assert_eq!((req.shard, req.after_ts), (self.ship.shard, 12));
             self.mid_round
                 .set(Some(ship_status(self.follower, &self.ship)));
+            let records = records(self.ship.shard, self.ship.seq);
             Ok(CatchUpChunk {
                 shard: self.ship.shard,
                 done: true,
                 floor_seq: self.ship.seq,
-                next_ts: req.after_ts,
-                data: CatchUpData::Segment {
-                    seq: self.ship.seq,
-                    bytes: self.ship.bytes.clone(),
-                },
+                next_ts: records.last().unwrap().timestamp_micros,
+                records,
             })
         }
 

@@ -77,7 +77,6 @@ fn node_config(
         serve: test_serve(),
         net: geomancy_net::NetConfig::default(),
         rejoin: false,
-        retain_bytes: 64 << 20,
         catch_up_max_records: 4096,
     }
 }

@@ -28,7 +28,7 @@ use geomancy_net::client::{
 };
 use geomancy_net::wire::{
     encode_catch_up_done, encode_catch_up_req, encode_heartbeat, encode_ship_segment, CatchUpChunk,
-    CatchUpData, CatchUpDone, CatchUpReq, SegmentShip,
+    CatchUpDone, CatchUpReq, SegmentShip,
 };
 use geomancy_net::{ClusterHandler, ClusterMap, FrameKind, NetError};
 use geomancy_replaydb::{segment_path, shard_path, WalWriter};
@@ -55,8 +55,6 @@ struct SimNode {
     /// Set once an injected fault fired: the node is "dead" (SIGKILLed
     /// mid-apply) and no-ops until the script kills and restarts it.
     poisoned: Cell<bool>,
-    /// Seq-mode chunks (retained segments) this node served as primary.
-    seq_chunks_served: Cell<u64>,
 }
 
 impl std::ops::Deref for SimNode {
@@ -161,18 +159,7 @@ impl NodeIo for Link<'_> {
 
     fn catch_up(&self, to: u64, _addr: &str, req: &CatchUpReq) -> Result<CatchUpChunk, NetError> {
         let payload = encode_catch_up_req(req);
-        let reply = self.request(to, FrameKind::CatchUpReq, |n| {
-            let reply = n.on_catch_up(&payload);
-            if let Ok(CatchUpChunk {
-                data: CatchUpData::Segment { .. },
-                ..
-            }) = catch_up_chunk_reply(&reply)
-            {
-                n.seq_chunks_served.set(n.seq_chunks_served.get() + 1);
-            }
-            reply
-        })?;
-        catch_up_chunk_reply(&reply)
+        catch_up_chunk_reply(&self.request(to, FrameKind::CatchUpReq, |n| n.on_catch_up(&payload))?)
     }
 
     fn catch_up_done(&self, to: u64, _addr: &str, done: &CatchUpDone) -> Result<u64, NetError> {
@@ -279,7 +266,6 @@ impl Cluster {
                 ..ServeConfig::default()
             },
             rejoin,
-            retain_bytes: 1 << 20,
             catch_up_max_records: 16,
             ..ClusterNodeConfig::default()
         };
@@ -301,7 +287,6 @@ impl Cluster {
             fault_after_chunks: Cell::new(None),
             faults_fired: Cell::new(0),
             poisoned: Cell::new(false),
-            seq_chunks_served: Cell::new(0),
         }
     }
 
@@ -375,7 +360,7 @@ impl Cluster {
 
     /// Ingests `count` records for `shard` on whatever node currently
     /// owns it (per that node's own map): seal a real WAL segment,
-    /// retain it, absorb it, ship it to every replica over the wire.
+    /// absorb it, ship it to every replica over the wire.
     /// Returns whether every replica acked (cluster-durable).
     fn ingest(&mut self, shard: u32, count: usize) -> bool {
         let shards = self.shards;
@@ -435,7 +420,6 @@ impl Cluster {
         let segment = segment_path(&node.wal_dir, shard as usize, seq);
         wal.seal_to(&segment).expect("seal");
         let bytes = std::fs::read(&segment).expect("read seg");
-        node.retainer().insert(shard, seq, bytes.clone());
         node.store
             .write()
             .absorb_segments(&node.wal_dir, shards as usize, None)
@@ -653,7 +637,7 @@ fn restart_mid_catch_up_resumes_without_duplicates() {
 }
 
 #[test]
-fn ship_gap_heals_through_seq_mode_catch_up() {
+fn ship_gap_heals_through_catch_up() {
     let mut c = Cluster::start("shipgap", 3, 3, 1);
     c.advance(2);
     assert!(c.ingest(0, 10));
@@ -670,15 +654,15 @@ fn ship_gap_heals_through_seq_mode_catch_up() {
         "gapped ship must be rejected, not applied"
     );
     assert!(c.with(replica, |s| s.ship_rejects()).unwrap() >= 1);
-    // The replica flagged the shard dirty; its next pull rounds walk the
-    // retained segments (seq mode) back to the primary's floor.
+    // The replica flagged the shard dirty; its next pull round exports
+    // the gap by timestamp cursor up to the primary's floor.
     c.advance_until(20, |c| c.with(replica, |s| !s.is_dirty(0)).unwrap_or(false));
-    assert!(
-        c.with(owner, |s| s.seq_chunks_served.get()).unwrap() >= 1,
-        "gap healing must use retained segments, not a cold rescan"
-    );
     let held = c.held(replica, 0);
     assert_eq!(held.len(), 40, "replica must hold all four segments");
+    // The healed floor is in the primary's sequence space: the next ship
+    // applies in order.
+    assert!(c.ingest(0, 10), "ship after healing must ack");
+    assert_eq!(c.held(replica, 0).len(), 50);
     c.advance(2);
     c.assert_no_lost_or_duplicated();
     c.shutdown();

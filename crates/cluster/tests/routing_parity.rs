@@ -112,7 +112,6 @@ fn node_config(
         },
         net: geomancy_net::NetConfig::default(),
         rejoin,
-        retain_bytes: 64 << 20,
         catch_up_max_records: 4096,
     }
 }

@@ -10,8 +10,8 @@
 //! qualitative behaviour (both diverge on the people mount).
 
 use geomancy_nn::activation::Activation;
-use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::network::Sequential;
+use geomancy_nn::spec::{LayerSpec, NetworkSpec};
 use rand::rngs::StdRng;
 
 /// Identifier of a Table I model (1–23).
@@ -81,118 +81,100 @@ impl std::fmt::Display for ModelId {
     }
 }
 
-/// Builds a dense tower: hidden widths (as multiples of `z`) with the given
-/// hidden activation, topped by a 1-unit head.
-fn dense_tower(
-    input: usize,
-    z: usize,
-    hidden_mults: &[usize],
-    hidden_act: Activation,
-    head_act: Activation,
-    rng: &mut StdRng,
-) -> Sequential {
-    let mut net = Sequential::new();
-    let mut width = input;
-    for &m in hidden_mults {
-        let out = (m * z).max(1);
-        net.push(Dense::new(width, out, hidden_act, rng));
-        width = out;
-    }
-    net.push(Dense::new(width, 1, head_act, rng));
-    net
-}
-
-/// Appends a dense tower on top of an existing (recurrent) stem.
-fn extend_dense(
-    net: &mut Sequential,
-    z: usize,
-    hidden_mults: &[usize],
-    head_act: Activation,
-    rng: &mut StdRng,
-) {
-    let mut width = net.output_size().expect("stem must have layers");
-    for &m in hidden_mults {
-        let out = (m * z).max(1);
-        net.push(Dense::new(width, out, Activation::ReLU, rng));
-        width = out;
-    }
-    net.push(Dense::new(width, 1, head_act, rng));
-}
-
-/// Constructs Table I model `id` for `z` input features.
+/// Table I as data: model `id`'s layers for `z` input features.
 ///
 /// Dense models (1–11) consume one `z`-wide feature row. Recurrent models
-/// (12–23) consume a flattened window of `timesteps` rows of `z` features
-/// (the paper trains them on the same time series; the window length is an
-/// implementation parameter, 8 by default in the experiment harness).
+/// (12–23) open with a `z`-unit ReLU stem over a flattened window of
+/// `timesteps` rows of `z` features (the paper trains them on the same
+/// time series; the window length is an implementation parameter, 8 by
+/// default in the experiment harness). Every model then runs a dense
+/// tower of hidden widths (multiples of `z`) and a 1-unit head.
+///
+/// # Panics
+///
+/// Panics if `z` or (for recurrent models) `timesteps` is zero.
+pub fn model_spec(id: ModelId, z: usize, timesteps: usize) -> NetworkSpec {
+    use Activation::{Linear, ReLU};
+    assert!(z > 0, "z must be non-zero");
+    if id.is_recurrent() {
+        assert!(timesteps > 0, "recurrent models need a non-zero window");
+    }
+    let lstm = LayerSpec::Lstm {
+        features: z,
+        hidden: z,
+        timesteps,
+        activation: ReLU,
+    };
+    let gru = LayerSpec::Gru {
+        features: z,
+        hidden: z,
+        timesteps,
+        activation: ReLU,
+    };
+    let rnn = LayerSpec::SimpleRnn {
+        features: z,
+        hidden: z,
+        timesteps,
+        activation: ReLU,
+    };
+    // (recurrent stem, hidden widths as multiples of z, hidden and head
+    // activations)
+    let (stem, hidden, hidden_act, head): (_, &[usize], _, _) = match id.number() {
+        1 => (None, &[16, 8, 4], ReLU, Linear),
+        2 => (None, &[16, 8], ReLU, ReLU),
+        3 => (None, &[16, 8, 4], ReLU, ReLU),
+        4 => (None, &[16, 8], ReLU, Linear),
+        5 => (None, &[16, 8, 4, 1], Linear, ReLU),
+        6 => (None, &[16, 16, 16, 16], ReLU, ReLU),
+        7 => (None, &[16, 16, 16, 16, 16], ReLU, ReLU),
+        8 => (None, &[1, 1, 1, 1, 1], ReLU, ReLU),
+        // Table I's row 9 typesets identically to row 8 but reports very
+        // different accuracy; we read it as one layer deeper.
+        9 => (None, &[1, 1, 1, 1, 1, 1], ReLU, ReLU),
+        // Row 10 typesets with a run of blank cells; read as two hidden
+        // layers (it trains ~40 % longer than the one-layer model 11).
+        10 => (None, &[1, 1], ReLU, Linear),
+        11 => (None, &[1], ReLU, Linear),
+        12 => (Some(lstm), &[], ReLU, Linear),
+        13 => (Some(gru), &[], ReLU, Linear),
+        14 => (Some(rnn), &[], ReLU, Linear),
+        15 => (Some(gru), &[1], ReLU, Linear),
+        16 => (Some(gru), &[1, 1], ReLU, Linear),
+        17 => (Some(gru), &[4, 1], ReLU, Linear),
+        18 => (Some(rnn), &[4, 1], ReLU, Linear),
+        19 => (Some(rnn), &[1, 1, 1], ReLU, Linear),
+        20 => (Some(rnn), &[1], ReLU, Linear),
+        21 => (Some(lstm), &[1], ReLU, Linear),
+        22 => (Some(lstm), &[1, 1], ReLU, Linear),
+        23 => (Some(lstm), &[4, 1], ReLU, Linear),
+        _ => unreachable!(),
+    };
+    let mut layers: Vec<LayerSpec> = stem.into_iter().collect();
+    let mut width = z;
+    for &m in hidden {
+        layers.push(LayerSpec::Dense {
+            input: width,
+            output: m * z,
+            activation: hidden_act,
+        });
+        width = m * z;
+    }
+    layers.push(LayerSpec::Dense {
+        input: width,
+        output: 1,
+        activation: head,
+    });
+    NetworkSpec::new(layers)
+}
+
+/// Constructs Table I model `id` for `z` input features: [`model_spec`]
+/// built on `rng`.
 ///
 /// # Panics
 ///
 /// Panics if `z` or (for recurrent models) `timesteps` is zero.
 pub fn build_model(id: ModelId, z: usize, timesteps: usize, rng: &mut StdRng) -> Sequential {
-    assert!(z > 0, "z must be non-zero");
-    use Activation::{Linear, ReLU};
-    let n = id.number();
-    if id.is_recurrent() {
-        assert!(timesteps > 0, "recurrent models need a non-zero window");
-    }
-    match n {
-        1 => dense_tower(z, z, &[16, 8, 4], ReLU, Linear, rng),
-        2 => dense_tower(z, z, &[16, 8], ReLU, ReLU, rng),
-        3 => dense_tower(z, z, &[16, 8, 4], ReLU, ReLU, rng),
-        4 => dense_tower(z, z, &[16, 8], ReLU, Linear, rng),
-        5 => dense_tower(z, z, &[16, 8, 4, 1], Linear, ReLU, rng),
-        6 => dense_tower(z, z, &[16, 16, 16, 16], ReLU, ReLU, rng),
-        7 => dense_tower(z, z, &[16, 16, 16, 16, 16], ReLU, ReLU, rng),
-        8 => dense_tower(z, z, &[1, 1, 1, 1, 1], ReLU, ReLU, rng),
-        // Table I's row 9 typesets identically to row 8 but reports very
-        // different accuracy; we read it as one layer deeper.
-        9 => dense_tower(z, z, &[1, 1, 1, 1, 1, 1], ReLU, ReLU, rng),
-        // Row 10 typesets with a run of blank cells; read as two hidden
-        // layers (it trains ~40 % longer than the one-layer model 11).
-        10 => dense_tower(z, z, &[1, 1], ReLU, Linear, rng),
-        11 => dense_tower(z, z, &[1], ReLU, Linear, rng),
-        12..=14 => {
-            let mut net = Sequential::new();
-            push_recurrent(&mut net, n, z, timesteps, rng);
-            extend_dense(&mut net, z, &[], Linear, rng);
-            net
-        }
-        15 => recurrent_with_dense(13, z, timesteps, &[1], rng),
-        16 => recurrent_with_dense(13, z, timesteps, &[1, 1], rng),
-        17 => recurrent_with_dense(13, z, timesteps, &[4, 1], rng),
-        18 => recurrent_with_dense(14, z, timesteps, &[4, 1], rng),
-        19 => recurrent_with_dense(14, z, timesteps, &[1, 1, 1], rng),
-        20 => recurrent_with_dense(14, z, timesteps, &[1], rng),
-        21 => recurrent_with_dense(12, z, timesteps, &[1], rng),
-        22 => recurrent_with_dense(12, z, timesteps, &[1, 1], rng),
-        23 => recurrent_with_dense(12, z, timesteps, &[4, 1], rng),
-        _ => unreachable!(),
-    }
-}
-
-/// Pushes the recurrent stem for base model `base` (12 = LSTM, 13 = GRU,
-/// 14 = SimpleRNN) with `z` units and ReLU activation, as Table I specifies.
-fn push_recurrent(net: &mut Sequential, base: u8, z: usize, timesteps: usize, rng: &mut StdRng) {
-    match base {
-        12 => net.push(Lstm::new(z, z, timesteps, Activation::ReLU, rng)),
-        13 => net.push(Gru::new(z, z, timesteps, Activation::ReLU, rng)),
-        14 => net.push(SimpleRnn::new(z, z, timesteps, Activation::ReLU, rng)),
-        _ => unreachable!("base {base} is not a recurrent family"),
-    }
-}
-
-fn recurrent_with_dense(
-    base: u8,
-    z: usize,
-    timesteps: usize,
-    hidden_mults: &[usize],
-    rng: &mut StdRng,
-) -> Sequential {
-    let mut net = Sequential::new();
-    push_recurrent(&mut net, base, z, timesteps, rng);
-    extend_dense(&mut net, z, hidden_mults, Activation::Linear, rng);
-    net
+    model_spec(id, z, timesteps).build(rng)
 }
 
 #[cfg(test)]

@@ -27,23 +27,26 @@
 
 use std::collections::HashSet;
 
+use geomancy_replaydb::{codec, StoredRecord};
 use geomancy_serve::{Decision, MetricsSnapshot, PlacementRequest};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"GEOM";
 /// The one protocol version this build speaks and accepts; a header
-/// carrying any other is [`DecodeError::UnsupportedVersion`]. 8 differs
-/// from 7 in one payload: a shipped segment's WAL frames carry
-/// `replaydb::codec::checksum` sums where 7's carried FNV-1a.
-pub const VERSION: u8 = 8;
+/// carrying any other is [`DecodeError::UnsupportedVersion`]. 9 differs
+/// from 8 in two payloads: a `CatchUpReq` no longer carries a sequence
+/// floor, and a `CatchUpChunk` carries its records directly, with no
+/// mode byte and no segment form.
+pub const VERSION: u8 = 9;
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Default cap on a single frame's payload (4 MiB).
 pub const DEFAULT_MAX_PAYLOAD: usize = 4 << 20;
 
-/// Bytes one [`AccessRecord`] occupies on the wire.
-pub const RECORD_WIRE_LEN: usize = 56;
+/// Bytes one [`AccessRecord`] occupies on the wire: its
+/// [`codec::pack_access`] image.
+pub const RECORD_WIRE_LEN: usize = codec::ACCESS_LEN;
 /// Bytes one [`PlacementRequest`] occupies on the wire.
 pub const REQUEST_WIRE_LEN: usize = 24;
 /// Bytes one [`Decision`] occupies on the wire.
@@ -495,6 +498,19 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// A `u32` count, then that many fixed-width `len`-byte images, each
+    /// read by `unpack`; the count is checked against the payload first.
+    fn packed<T>(
+        &mut self,
+        len: usize,
+        unpack: impl Fn(&[u8], usize) -> T,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32()? as usize;
+        let n = self.count(n, len)?;
+        let bytes = self.take(n * len)?;
+        Ok(bytes.chunks_exact(len).map(|b| unpack(b, 0)).collect())
+    }
+
     /// Declares the payload fully consumed.
     fn finish(&self) -> Result<(), DecodeError> {
         if self.p != self.b.len() {
@@ -523,6 +539,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Appends `items` as fixed-width `len`-byte images written by `pack`
+/// (no count: the caller writes it).
+fn put_packed<T>(out: &mut Vec<u8>, items: &[T], len: usize, pack: impl Fn(&mut [u8], usize, &T)) {
+    let at = out.len();
+    out.resize(at + items.len() * len, 0);
+    for (i, item) in items.iter().enumerate() {
+        pack(out, at + i * len, item);
+    }
+}
+
 /// Caps speculative `Vec::with_capacity` from wire-declared counts so a
 /// corrupted count can't allocate gigabytes before the decode loop hits
 /// [`DecodeError::Truncated`].
@@ -537,17 +563,7 @@ pub fn encode_ingest_req(timestamp_micros: u64, records: &[AccessRecord]) -> Vec
     let mut out = Vec::with_capacity(12 + records.len() * RECORD_WIRE_LEN);
     put_u64(&mut out, timestamp_micros);
     put_u32(&mut out, records.len() as u32);
-    for r in records {
-        put_u64(&mut out, r.access_number);
-        put_u64(&mut out, r.fid.0);
-        put_u32(&mut out, r.fsid.0);
-        put_u64(&mut out, r.rb);
-        put_u64(&mut out, r.wb);
-        put_u64(&mut out, r.ots);
-        put_u16(&mut out, r.otms);
-        put_u64(&mut out, r.cts);
-        put_u16(&mut out, r.ctms);
-    }
+    put_packed(&mut out, records, RECORD_WIRE_LEN, codec::pack_access);
     out
 }
 
@@ -559,21 +575,7 @@ pub fn encode_ingest_req(timestamp_micros: u64, records: &[AccessRecord]) -> Vec
 pub fn decode_ingest_req(payload: &[u8]) -> Result<(u64, Vec<AccessRecord>), DecodeError> {
     let mut c = Cur::new(payload);
     let ts = c.u64()?;
-    let n = c.u32()?;
-    let mut records = Vec::with_capacity(sane_cap(n));
-    for _ in 0..n {
-        records.push(AccessRecord {
-            access_number: c.u64()?,
-            fid: FileId(c.u64()?),
-            fsid: DeviceId(c.u32()?),
-            rb: c.u64()?,
-            wb: c.u64()?,
-            ots: c.u64()?,
-            otms: c.u16()?,
-            cts: c.u64()?,
-            ctms: c.u16()?,
-        });
-    }
+    let records = c.packed(RECORD_WIRE_LEN, codec::unpack_access)?;
     c.finish()?;
     Ok((ts, records))
 }
@@ -1196,21 +1198,16 @@ pub fn decode_heartbeat_ack(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
 
 /// A follower's bounded backfill request for one shard.
 ///
-/// `after_seq` is the follower's durable absorb floor in the primary's
-/// WAL sequence space (0 when the follower's floor is from a different
-/// origin node and therefore meaningless here); `after_ts` is the
-/// follower's newest stored timestamp for the shard. `include_ties`
-/// marks the first request of a round: the primary then exports records
-/// at exactly `after_ts` too, and the follower deduplicates that tie
-/// run against what it already holds.
+/// `after_ts` is the follower's newest stored timestamp for the shard
+/// (its cursor). `include_ties` marks the first request of a round: the
+/// primary then exports records at exactly `after_ts` too, and the
+/// follower deduplicates that tie run against what it already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatchUpReq {
     /// Requesting node's id.
     pub node_id: u64,
     /// Shard to backfill.
     pub shard: u32,
-    /// Follower's absorb floor in the primary's sequence space.
-    pub after_seq: u64,
     /// Follower's newest stored timestamp for the shard.
     pub after_ts: u64,
     /// Whether records at exactly `after_ts` should be included.
@@ -1222,10 +1219,9 @@ pub struct CatchUpReq {
 
 /// Encodes a catch-up request payload.
 pub fn encode_catch_up_req(req: &CatchUpReq) -> Vec<u8> {
-    let mut out = Vec::with_capacity(33);
+    let mut out = Vec::with_capacity(25);
     put_u64(&mut out, req.node_id);
     put_u32(&mut out, req.shard);
-    put_u64(&mut out, req.after_seq);
     put_u64(&mut out, req.after_ts);
     out.push(u8::from(req.include_ties));
     put_u32(&mut out, req.max_records);
@@ -1241,7 +1237,6 @@ pub fn decode_catch_up_req(payload: &[u8]) -> Result<CatchUpReq, DecodeError> {
     let mut c = Cur::new(payload);
     let node_id = c.u64()?;
     let shard = c.u32()?;
-    let after_seq = c.u64()?;
     let after_ts = c.u64()?;
     let include_ties = match c.u8()? {
         0 => false,
@@ -1253,28 +1248,10 @@ pub fn decode_catch_up_req(payload: &[u8]) -> Result<CatchUpReq, DecodeError> {
     Ok(CatchUpReq {
         node_id,
         shard,
-        after_seq,
         after_ts,
         include_ties,
         max_records,
     })
-}
-
-/// The data half of a catch-up chunk: either cold-store records (with
-/// their stored timestamps) or one sealed WAL segment verbatim.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CatchUpData {
-    /// Timestamped records exported from the primary's cold store,
-    /// sorted by `(timestamp, access_number)`.
-    Cold(Vec<(u64, AccessRecord)>),
-    /// One retained sealed segment, applied via the follower's
-    /// exactly-once absorb path.
-    Segment {
-        /// Segment sequence number in the primary's WAL space.
-        seq: u64,
-        /// Verbatim segment file bytes.
-        bytes: Vec<u8>,
-    },
 }
 
 /// One backfill chunk from the primary.
@@ -1291,8 +1268,10 @@ pub struct CatchUpChunk {
     pub floor_seq: u64,
     /// The follower's next cold cursor after applying this chunk.
     pub next_ts: u64,
-    /// The chunk body.
-    pub data: CatchUpData,
+    /// Records exported from the primary's stores, sorted by
+    /// `(timestamp, access_number)`, in their [`codec::pack_record`]
+    /// image on the wire.
+    pub records: Vec<StoredRecord>,
 }
 
 /// Encodes a catch-up chunk response: status byte, then on `Ok` the
@@ -1316,30 +1295,8 @@ pub fn encode_catch_up_chunk(
     out.push(u8::from(ch.done));
     put_u64(&mut out, ch.floor_seq);
     put_u64(&mut out, ch.next_ts);
-    match &ch.data {
-        CatchUpData::Cold(records) => {
-            out.push(0);
-            put_u32(&mut out, records.len() as u32);
-            for (ts, r) in records {
-                put_u64(&mut out, *ts);
-                put_u64(&mut out, r.access_number);
-                put_u64(&mut out, r.fid.0);
-                put_u32(&mut out, r.fsid.0);
-                put_u64(&mut out, r.rb);
-                put_u64(&mut out, r.wb);
-                put_u64(&mut out, r.ots);
-                put_u16(&mut out, r.otms);
-                put_u64(&mut out, r.cts);
-                put_u16(&mut out, r.ctms);
-            }
-        }
-        CatchUpData::Segment { seq, bytes } => {
-            out.push(1);
-            put_u64(&mut out, *seq);
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-    }
+    put_u32(&mut out, ch.records.len() as u32);
+    put_packed(&mut out, &ch.records, codec::RECORD_LEN, codec::pack_record);
     out
 }
 
@@ -1372,39 +1329,7 @@ pub fn decode_catch_up_chunk(
     };
     let floor_seq = c.u64()?;
     let next_ts = c.u64()?;
-    let data = match c.u8()? {
-        0 => {
-            let n = c.u32()?;
-            let mut records = Vec::with_capacity(sane_cap(n));
-            for _ in 0..n {
-                let ts = c.u64()?;
-                records.push((
-                    ts,
-                    AccessRecord {
-                        access_number: c.u64()?,
-                        fid: FileId(c.u64()?),
-                        fsid: DeviceId(c.u32()?),
-                        rb: c.u64()?,
-                        wb: c.u64()?,
-                        ots: c.u64()?,
-                        otms: c.u16()?,
-                        cts: c.u64()?,
-                        ctms: c.u16()?,
-                    },
-                ));
-            }
-            CatchUpData::Cold(records)
-        }
-        1 => {
-            let seq = c.u64()?;
-            let len = c.u32()? as usize;
-            CatchUpData::Segment {
-                seq,
-                bytes: c.take(len)?.to_vec(),
-            }
-        }
-        _ => return Err(DecodeError::BadPayload("catch-up mode out of range")),
-    };
+    let records = c.packed(codec::RECORD_LEN, codec::unpack_record)?;
     c.finish()?;
     Ok((
         status,
@@ -1413,7 +1338,7 @@ pub fn decode_catch_up_chunk(
             done,
             floor_seq,
             next_ts,
-            data,
+            records,
         }),
         None,
     ))

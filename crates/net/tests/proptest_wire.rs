@@ -328,7 +328,7 @@ fn hostile_frame_corpus_yields_exact_errors() {
 
     // Any protocol version but the one: a future one, and the retired
     // ones no peer speaks any more.
-    for version in [9, 7, 2] {
+    for version in [10, 8, 2] {
         let mut bad_version = good.clone();
         bad_version[4] = version;
         assert_eq!(
@@ -647,18 +647,18 @@ fn retry_policy_split_routes_draining_elsewhere() {
 
 // ---- catch-up codecs --------------------------------------------------
 
-use geomancy_net::wire::{CatchUpChunk, CatchUpData, CatchUpDone, CatchUpReq};
+use geomancy_net::wire::{CatchUpChunk, CatchUpDone, CatchUpReq};
+use geomancy_replaydb::StoredRecord;
 
 proptest! {
     /// Catch-up requests round-trip.
     #[test]
     fn catch_up_req_codec_roundtrips(node in 1u64..100, shard in 0u32..64,
-                                     seq in 0u64..10_000, ts in 0u64..u64::MAX,
+                                     ts in 0u64..u64::MAX,
                                      ties in proptest::bool::ANY, max in 1u32..100_000) {
         let req = CatchUpReq {
             node_id: node,
             shard,
-            after_seq: seq,
             after_ts: ts,
             include_ties: ties,
             max_records: max,
@@ -674,39 +674,23 @@ proptest! {
                                       seeds in proptest::collection::vec(
                                           (0u64..1_000, 0u64..50, 0u32..4, 0u64..9_999, 0u64..9_999),
                                           0..30)) {
-        let records: Vec<(u64, AccessRecord)> = seeds
+        let records: Vec<StoredRecord> = seeds
             .into_iter()
             .enumerate()
-            .map(|(i, s)| (i as u64 * 1_000, record(s)))
+            .map(|(i, s)| StoredRecord { timestamp_micros: i as u64 * 1_000, record: record(s) })
             .collect();
         let chunk = CatchUpChunk {
             shard,
             done,
             floor_seq: floor,
             next_ts: next,
-            data: CatchUpData::Cold(records),
+            records,
         };
         let payload = wire::encode_catch_up_chunk(WireStatus::Ok, Some(&chunk), None);
         let (status, back, map) = wire::decode_catch_up_chunk(&payload).unwrap();
         prop_assert_eq!(status, WireStatus::Ok);
         prop_assert_eq!(back.unwrap(), chunk);
         prop_assert!(map.is_none());
-    }
-
-    /// Segment chunks round-trip with arbitrary bytes.
-    #[test]
-    fn catch_up_segment_chunk_roundtrips(shard in 0u32..8, seq in 1u64..10_000,
-                                         bytes in proptest::collection::vec(0u8..=255, 0..256)) {
-        let chunk = CatchUpChunk {
-            shard,
-            done: false,
-            floor_seq: seq,
-            next_ts: 0,
-            data: CatchUpData::Segment { seq, bytes },
-        };
-        let payload = wire::encode_catch_up_chunk(WireStatus::Ok, Some(&chunk), None);
-        let (_, back, _) = wire::decode_catch_up_chunk(&payload).unwrap();
-        prop_assert_eq!(back.unwrap(), chunk);
     }
 
     /// Done reports and their acks round-trip.
@@ -759,10 +743,62 @@ fn catch_up_chunk_error_shapes_decode() {
         done: true,
         floor_seq: 1,
         next_ts: 2,
-        data: CatchUpData::Cold(vec![(5, record((1, 2, 0, 3, 4)))]),
+        records: vec![StoredRecord {
+            timestamp_micros: 5,
+            record: record((1, 2, 0, 3, 4)),
+        }],
     };
     let mut payload = wire::encode_catch_up_chunk(WireStatus::Ok, Some(&chunk), None);
-    let count_off = 1 + 4 + 1 + 8 + 8 + 1;
+    let count_off = 1 + 4 + 1 + 8 + 8;
     payload[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(wire::decode_catch_up_chunk(&payload).is_err());
+}
+
+/// `encode_ingest_req`'s bytes for a fixed two-record batch, as the
+/// field-by-field encoder that preceded `replaydb::codec` on the wire
+/// wrote them: the shared codec leaves the ingest frame unchanged. The
+/// first record gives every byte of every field its own value, so a
+/// reordered or resized field shows.
+#[test]
+fn ingest_req_bytes_are_pinned() {
+    let records = [
+        AccessRecord {
+            access_number: 0x0102_0304_0506_0708,
+            fid: FileId(0x1112_1314_1516_1718),
+            fsid: DeviceId(0x2122_2324),
+            rb: 0x3132_3334_3536_3738,
+            wb: 0x4142_4344_4546_4748,
+            ots: 0x5152_5354_5556_5758,
+            otms: 0x6162,
+            cts: 0x7172_7374_7576_7778,
+            ctms: 0x8182,
+        },
+        AccessRecord {
+            access_number: 2,
+            fid: FileId(77),
+            fsid: DeviceId(3),
+            rb: 4096,
+            wb: 0,
+            ots: 1_600_000_000,
+            otms: 999,
+            cts: 1_600_000_001,
+            ctms: 1,
+        },
+    ];
+    let payload = wire::encode_ingest_req(0x9192_9394_9596_9798, &records);
+    let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        concat!(
+            "98979695949392910200000008070605040302011817161514131211",
+            "24232221383736353433323148474645444342415857565554535251",
+            "62617877767574737271828102000000000000004d00000000000000",
+            "030000000010000000000000000000000000000000105e5f00000000",
+            "e70301105e5f000000000100",
+        )
+    );
+    assert_eq!(
+        wire::decode_ingest_req(&payload).unwrap(),
+        (0x9192_9394_9596_9798, records.to_vec())
+    );
 }

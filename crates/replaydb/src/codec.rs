@@ -1,7 +1,10 @@
 //! The packed record codec shared by every fixed-width on-disk format:
 //! WAL frames ([`crate::wal`]), store pages and the store's index log
 //! (`geomancy-store`) all lay fields out with these helpers, so a record
-//! has one binary image from the WAL to the page.
+//! has one binary image from the WAL to the page. The wire
+//! (`geomancy-net`) carries the same images: an ingest record as its
+//! [`ACCESS_LEN`]-byte field block ([`pack_access`]), a catch-up record
+//! whole.
 //!
 //! A [`StoredRecord`] packs little-endian into [`RECORD_LEN`] bytes:
 //!
@@ -23,8 +26,11 @@ use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 use crate::db::StoredRecord;
 
-/// Bytes per packed record (8-byte timestamp + 56 bytes of fields).
-pub const RECORD_LEN: usize = 64;
+/// Bytes per packed record (8-byte timestamp + [`ACCESS_LEN`] bytes of
+/// fields).
+pub const RECORD_LEN: usize = 8 + ACCESS_LEN;
+/// Bytes of an [`AccessRecord`]'s fields alone: the ingest wire's record.
+pub const ACCESS_LEN: usize = 56;
 
 /// Writes `v` little-endian at `buf[at..at + 8]`.
 pub fn put_u64(buf: &mut [u8], at: usize, v: u64) {
@@ -87,35 +93,47 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Packs `s` into `buf[at..at + RECORD_LEN]`.
+/// Packs `s` into `buf[at..at + RECORD_LEN]`: the timestamp, then
+/// [`pack_access`].
 pub fn pack_record(buf: &mut [u8], at: usize, s: &StoredRecord) {
     put_u64(buf, at, s.timestamp_micros);
-    put_u64(buf, at + 8, s.record.access_number);
-    put_u64(buf, at + 16, s.record.fid.0);
-    put_u32(buf, at + 24, s.record.fsid.0);
-    put_u64(buf, at + 28, s.record.rb);
-    put_u64(buf, at + 36, s.record.wb);
-    put_u64(buf, at + 44, s.record.ots);
-    put_u16(buf, at + 52, s.record.otms);
-    put_u64(buf, at + 54, s.record.cts);
-    put_u16(buf, at + 62, s.record.ctms);
+    pack_access(buf, at + 8, &s.record);
 }
 
 /// Unpacks the record at `buf[at..at + RECORD_LEN]`.
 pub fn unpack_record(buf: &[u8], at: usize) -> StoredRecord {
     StoredRecord {
         timestamp_micros: get_u64(buf, at),
-        record: AccessRecord {
-            access_number: get_u64(buf, at + 8),
-            fid: FileId(get_u64(buf, at + 16)),
-            fsid: DeviceId(get_u32(buf, at + 24)),
-            rb: get_u64(buf, at + 28),
-            wb: get_u64(buf, at + 36),
-            ots: get_u64(buf, at + 44),
-            otms: get_u16(buf, at + 52),
-            cts: get_u64(buf, at + 54),
-            ctms: get_u16(buf, at + 62),
-        },
+        record: unpack_access(buf, at + 8),
+    }
+}
+
+/// Packs `r`'s fields into `buf[at..at + ACCESS_LEN]`, in the order of
+/// the table above (offsets shifted down by the timestamp's 8 bytes).
+pub fn pack_access(buf: &mut [u8], at: usize, r: &AccessRecord) {
+    put_u64(buf, at, r.access_number);
+    put_u64(buf, at + 8, r.fid.0);
+    put_u32(buf, at + 16, r.fsid.0);
+    put_u64(buf, at + 20, r.rb);
+    put_u64(buf, at + 28, r.wb);
+    put_u64(buf, at + 36, r.ots);
+    put_u16(buf, at + 44, r.otms);
+    put_u64(buf, at + 46, r.cts);
+    put_u16(buf, at + 54, r.ctms);
+}
+
+/// Unpacks the fields at `buf[at..at + ACCESS_LEN]`.
+pub fn unpack_access(buf: &[u8], at: usize) -> AccessRecord {
+    AccessRecord {
+        access_number: get_u64(buf, at),
+        fid: FileId(get_u64(buf, at + 8)),
+        fsid: DeviceId(get_u32(buf, at + 16)),
+        rb: get_u64(buf, at + 20),
+        wb: get_u64(buf, at + 28),
+        ots: get_u64(buf, at + 36),
+        otms: get_u16(buf, at + 44),
+        cts: get_u64(buf, at + 46),
+        ctms: get_u16(buf, at + 54),
     }
 }
 

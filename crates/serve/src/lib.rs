@@ -69,7 +69,6 @@ pub mod batch;
 pub mod checkpoint;
 pub mod load;
 pub mod metrics;
-pub mod retain;
 pub mod service;
 pub mod shard;
 pub mod trainer;
@@ -80,7 +79,6 @@ pub use load::{
     prepare_belle2, run_belle2_load, AccessMix, LoadConfig, LoadReport, PreparedLoad, QueryMode,
 };
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use retain::SegmentRetainer;
 pub use service::{AdmissionConfig, PlacementService, SealHook, ServeConfig, StoreSettings};
 pub use shard::{shard_of, Backpressure};
 pub use trainer::{TrainError, TrainedMeta, Trainer};
