@@ -8,8 +8,10 @@
 //!    per-call `clone()` caches, and an SGD step that clones every
 //!    gradient.
 //! 2. **Backend against backend** — per-kernel micro-benchmarks at model-1
-//!    shapes and end-to-end train/predict for both the dense model and a
-//!    recurrent (LSTM) model, pinning every backend the host supports
+//!    shapes and end-to-end train/predict for the dense model (in `f64`,
+//!    and in `f32` as the live placement engine trains it and serves it
+//!    through the tiled pass) and a recurrent (LSTM) model, pinning every
+//!    backend the host supports
 //!    (`KernelBackend::supported()`: scalar, AVX2/FMA, AVX-512) in turn via
 //!    `force_backend` (safe here: this binary is single-threaded).
 //!
@@ -24,7 +26,7 @@ use geomancy_nn::activation::Activation;
 use geomancy_nn::init::seeded_rng;
 use geomancy_nn::layers::{Dense, Lstm};
 use geomancy_nn::loss::Loss;
-use geomancy_nn::matrix::{kernels, Matrix};
+use geomancy_nn::matrix::{kernels, Element, Matrix};
 use geomancy_nn::network::Sequential;
 use geomancy_nn::optimizer::Sgd;
 
@@ -145,6 +147,35 @@ impl NaiveNet {
         }
         value
     }
+}
+
+/// One epoch of SGD over `x` and `y` in `batch`-row batches, each trained
+/// in place through a borrowed row view.
+fn epoch<T: Element>(
+    net: &mut Sequential<T>,
+    opt: &mut Sgd,
+    x: &Matrix<T>,
+    y: &Matrix<T>,
+    batch: usize,
+) {
+    let mut row = 0;
+    while row < x.rows() {
+        let end = (row + batch).min(x.rows());
+        let (bx, by) = (x.view_rows(row..end), y.view_rows(row..end));
+        net.train_batch_view(bx, by, Loss::MeanSquaredError, opt);
+        row = end;
+    }
+}
+
+/// Model 1, dense 6 → 96 → 48 → 24 → 1, in `T` from `seed`.
+fn model1<T: Element>(seed: u64, acts: &[Activation; 4]) -> Sequential<T> {
+    let mut rng = seeded_rng(seed);
+    let mut net = Sequential::new();
+    net.push(Dense::new(6, 96, acts[0], &mut rng));
+    net.push(Dense::new(96, 48, acts[1], &mut rng));
+    net.push(Dense::new(48, 24, acts[2], &mut rng));
+    net.push(Dense::new(24, 1, acts[3], &mut rng));
+    net
 }
 
 /// Deterministic synthetic workload-shaped data: 6 features in [0, 1].
@@ -277,12 +308,7 @@ fn main() {
     ];
 
     // Model 1: dense 6 -> 96 -> 48 -> 24 -> 1, identical weights both sides.
-    let mut rng = seeded_rng(42);
-    let mut net = Sequential::new();
-    net.push(Dense::new(6, 96, acts[0], &mut rng));
-    net.push(Dense::new(96, 48, acts[1], &mut rng));
-    net.push(Dense::new(48, 24, acts[2], &mut rng));
-    net.push(Dense::new(24, 1, acts[3], &mut rng));
+    let mut net = model1::<f64>(42, &acts);
     let weights = net.export_weights();
     let mut naive = NaiveNet::from_weights(&weights, &acts, lr);
 
@@ -300,19 +326,6 @@ fn main() {
 
     // --- train epoch: full pass over train_rows in `batch`-row batches ---
     let mut opt = Sgd::new(lr);
-    let run_epoch_fused = |net: &mut Sequential, opt: &mut Sgd| {
-        let mut row = 0;
-        while row < x.rows() {
-            let end = (row + batch).min(x.rows());
-            net.train_batch_view(
-                x.view_rows(row..end),
-                y.view_rows(row..end),
-                Loss::MeanSquaredError,
-                opt,
-            );
-            row = end;
-        }
-    };
     let run_epoch_naive = |naive: &mut NaiveNet| {
         let mut row = 0;
         while row < x.rows() {
@@ -324,9 +337,9 @@ fn main() {
         }
     };
     // Warm-up (also sizes the fused path's scratch buffers).
-    run_epoch_fused(&mut net, &mut opt);
+    epoch(&mut net, &mut opt, &x, &y, batch);
     run_epoch_naive(&mut naive);
-    let train_after_ms = best_ms(train_reps, || run_epoch_fused(&mut net, &mut opt));
+    let train_after_ms = best_ms(train_reps, || epoch(&mut net, &mut opt, &x, &y, batch));
     let train_before_ms = best_ms(train_reps, || run_epoch_naive(&mut naive));
 
     // --- batch predict: 400 candidate rows, as rank_locations issues ---
@@ -417,18 +430,24 @@ fn main() {
 
     // Dense end-to-end under each backend (fresh net so scratch sizing is
     // part of the warm-up, not the measurement).
-    let mut rng2 = seeded_rng(43);
-    let mut dnet = Sequential::new();
-    dnet.push(Dense::new(6, 96, acts[0], &mut rng2));
-    dnet.push(Dense::new(96, 48, acts[1], &mut rng2));
-    dnet.push(Dense::new(48, 24, acts[2], &mut rng2));
-    dnet.push(Dense::new(24, 1, acts[3], &mut rng2));
+    let mut dnet = model1::<f64>(43, &acts);
     let mut dopt = Sgd::new(lr);
     let dense_train = time_backends(train_reps, || {
-        run_epoch_fused(&mut dnet, &mut dopt);
+        epoch(&mut dnet, &mut dopt, &x, &y, batch);
     });
     let dense_pred = time_backends(predict_reps, || {
         let _ = dnet.predict(&px);
+    });
+    // The live engine's network: model 1 trained in f32, and serving the
+    // same rows through its tiled pass.
+    let mut fnet = model1::<f32>(43, &acts);
+    let (x32, y32, px32) = (x.cast::<f32>(), y.cast::<f32>(), px.cast::<f32>());
+    let f32_train = time_backends(train_reps, || {
+        epoch(&mut fnet, &mut dopt, &x32, &y32, batch);
+    });
+    let mut served = Vec::new();
+    let f32_serve = time_backends(predict_reps, || {
+        fnet.predict_rows_into(px32.as_slice(), &mut served);
     });
 
     // Recurrent end-to-end: LSTM over 8 timesteps of 6 features, 32 hidden
@@ -450,21 +469,8 @@ fn main() {
     ));
     lnet.push(Dense::new(lstm_hidden, 1, Activation::Linear, &mut rng3));
     let mut lopt = Sgd::new(lr);
-    let run_epoch_lstm = |net: &mut Sequential, opt: &mut Sgd| {
-        let mut row = 0;
-        while row < lx.rows() {
-            let end = (row + batch).min(lx.rows());
-            net.train_batch_view(
-                lx.view_rows(row..end),
-                ly.view_rows(row..end),
-                Loss::MeanSquaredError,
-                opt,
-            );
-            row = end;
-        }
-    };
     let lstm_train = time_backends(train_reps, || {
-        run_epoch_lstm(&mut lnet, &mut lopt);
+        epoch(&mut lnet, &mut lopt, &lx, &ly, batch);
     });
     let lstm_pred = time_backends(predict_reps, || {
         let _ = lnet.predict(&lpx);
@@ -482,6 +488,14 @@ fn main() {
                 &dense_train,
             ),
             times_row(&format!("dense predict ({predict_rows} rows)"), &dense_pred),
+            times_row(
+                &format!("dense f32 train epoch ({train_rows} rows)"),
+                &f32_train,
+            ),
+            times_row(
+                &format!("dense f32 tiled pass ({predict_rows} rows)"),
+                &f32_serve,
+            ),
             times_row(
                 &format!("lstm train epoch ({lstm_train_rows} rows)"),
                 &lstm_train,
@@ -523,6 +537,10 @@ fn main() {
             "dense_end_to_end": {
                 "train_epoch_ms": times_json(&dense_train),
                 "predict_ms": times_json(&dense_pred),
+            },
+            "dense_f32_end_to_end": {
+                "train_epoch_ms": times_json(&f32_train),
+                "tiled_pass_ms": times_json(&f32_serve),
             },
             "lstm_end_to_end": {
                 "model": "lstm_6f_8t_h32_dense_1",
@@ -573,6 +591,8 @@ fn main() {
         for (label, times) in [
             ("dense train", &dense_train),
             ("dense predict", &dense_pred),
+            ("dense f32 train", &f32_train),
+            ("dense f32 tiled pass", &f32_serve),
             ("lstm train", &lstm_train),
             ("lstm predict", &lstm_pred),
         ] {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::{Matrix, MatrixView};
 use geomancy_nn::metrics::RelativeError;
-use geomancy_nn::network::{Sequential, SequentialF32};
+use geomancy_nn::network::Sequential;
 use geomancy_nn::optimizer::Sgd;
 use geomancy_nn::training::{train, DataSplit, LrSchedule, TrainConfig};
 use geomancy_replaydb::ReplayDb;
@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use crate::adjust::PredictionAdjuster;
 use crate::dataset::{placement_dataset_with, Dataset, PLACEMENT_Z};
-use crate::models::{build_model, ModelId};
+use crate::models::{model_spec, ModelId};
 
 /// Configuration of the DRL engine.
 #[derive(Debug, Clone)]
@@ -102,20 +102,18 @@ pub struct PlacementQuery {
 
 /// The DRL engine: network, normalizers, and prediction adjustment.
 ///
-/// Two precisions: the network trains, validates and calibrates the §V-G
-/// adjuster in `f64`, and every fit ends by taking an `f32` copy of it
-/// ([`SequentialF32`]) that serves the placement queries, on twice the
-/// SIMD lanes. A served decision needs only the best of a few
-/// predictions, and the copy's lie within a few millionths of the largest
-/// `f64` prediction in play, so the picks agree
+/// One network, in `f32`, as the paper's Keras stack trains: it fits on
+/// twice the SIMD lanes of an `f64` one, and the same network serves the
+/// placement queries through its tiled pass
+/// ([`Sequential::predict_rows_into`]). What stays `f64` is the boundary:
+/// the dataset and its normalizers, the targets the validation error is
+/// measured against and summed in, and the §V-G adjuster. A served
+/// decision needs only the best of a few predictions, and an `f32` fit
+/// picks what an `f64` fit of the same recipe does on nearly every query
 /// (`tests/serving_precision.rs`).
 pub struct DrlEngine {
     config: DrlConfig,
-    net: Sequential,
-    /// The serving copy of `net`, taken at the end of each fit; `None`
-    /// before the first, and after a bare [`DrlEngine::incremental_step`]
-    /// until the next query retakes it.
-    serving: Option<SequentialF32>,
+    net: Sequential<f32>,
     feature_norm: Option<MinMaxNormalizer>,
     target_norm: Option<ScalarNormalizer>,
     log_targets: bool,
@@ -126,6 +124,9 @@ pub struct DrlEngine {
     rows: Vec<f32>,
     /// Reusable prediction buffer of a ranking call.
     pred: Vec<f32>,
+    /// [`DrlEngine::incremental_step`]'s batch, narrowed to `f32` into
+    /// reused buffers.
+    batch: (Matrix<f32>, Matrix<f32>),
 }
 
 impl std::fmt::Debug for DrlEngine {
@@ -149,17 +150,14 @@ impl DrlEngine {
     /// requires a row-shaped dense model; the paper likewise deploys the
     /// dense model 1).
     pub fn new(config: DrlConfig) -> Self {
-        let id = ModelId::new(config.model);
-        assert!(
-            !id.is_recurrent(),
-            "the live placement engine requires a dense model (1-11)"
-        );
+        let spec = model_spec(ModelId::new(config.model), PLACEMENT_Z, config.timesteps);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let net = build_model(id, PLACEMENT_Z, config.timesteps, &mut rng);
+        let net = spec
+            .build_dense(&mut rng)
+            .expect("the live placement engine requires a dense model (1-11)");
         DrlEngine {
             config,
             net,
-            serving: None,
             feature_norm: None,
             target_norm: None,
             log_targets: false,
@@ -167,6 +165,7 @@ impl DrlEngine {
             retrains: 0,
             rows: Vec::new(),
             pred: Vec::new(),
+            batch: Default::default(),
         }
     }
 
@@ -243,10 +242,9 @@ impl DrlEngine {
 
     /// One warm gradient step on a pre-built normalized batch — the
     /// inner unit of an incremental fit, exposed so steady-state
-    /// behaviour is testable: with warmed scratch arenas (one prior fit)
-    /// a step performs no heap allocation. Returns the batch loss. The
-    /// step moves the weights away from the serving copy, so the copy is
-    /// dropped and the next ranking call retakes it.
+    /// behaviour is testable: the batch is narrowed to `f32` into the
+    /// engine's reused buffers, and with warmed scratch arenas (one prior
+    /// fit) a step performs no heap allocation. Returns the batch loss.
     ///
     /// # Panics
     ///
@@ -257,9 +255,11 @@ impl DrlEngine {
         targets: MatrixView<'_>,
         optimizer: &mut Sgd,
     ) -> f64 {
-        self.serving = None;
+        let (x, y) = &mut self.batch;
+        x.copy_from(inputs);
+        y.copy_from(targets);
         self.net
-            .train_batch_view(inputs, targets, Loss::MeanSquaredError, optimizer)
+            .train_batch_view(x.view(), y.view(), Loss::MeanSquaredError, optimizer)
     }
 
     /// The model architecture in the paper's Table I notation, recorded
@@ -268,28 +268,32 @@ impl DrlEngine {
         self.net.describe()
     }
 
-    /// Deep copy of the trained state: a new engine with the same
-    /// weights, serving copy, normalizers, and adjuster, but cold (empty)
-    /// scratch buffers. The trainer keeps the master engine for the next
-    /// warm start and publishes forks to the model slot, since publication
-    /// moves the engine out to the serving thread.
+    /// Deep copy of the trained state: a new engine with a copy of the
+    /// network ([`Sequential::fork`]), the normalizers and the adjuster,
+    /// but cold (empty) scratch buffers. The trainer keeps the master
+    /// engine for the next warm start and publishes forks to the model
+    /// slot, since publication moves the engine out to the serving thread.
     pub fn fork(&self) -> DrlEngine {
-        let mut copy = DrlEngine::new(self.config.clone());
-        copy.net.import_weights(&self.net.export_weights());
-        copy.serving = self.serving.clone();
-        copy.feature_norm = self.feature_norm.clone();
-        copy.target_norm = self.target_norm.clone();
-        copy.log_targets = self.log_targets;
-        copy.adjuster = self.adjuster;
-        copy.retrains = self.retrains;
-        copy
+        DrlEngine {
+            config: self.config.clone(),
+            net: self.net.fork(),
+            feature_norm: self.feature_norm.clone(),
+            target_norm: self.target_norm.clone(),
+            log_targets: self.log_targets,
+            adjuster: self.adjuster,
+            retrains: self.retrains,
+            rows: Vec::new(),
+            pred: Vec::new(),
+            batch: Default::default(),
+        }
     }
 
     /// Shared training core: builds the §V-C dataset from `records`,
-    /// trains the current weights (fresh weights after
-    /// [`DrlEngine::new`], warm weights on an incremental fit) under the
-    /// cosine schedule, recalibrates normalizers and the adjuster on the
-    /// `f64` network, and takes the `f32` serving copy.
+    /// narrows it to `f32`, trains the current weights (fresh weights
+    /// after [`DrlEngine::new`], warm weights on an incremental fit) under
+    /// the cosine schedule, and recalibrates the normalizers and the
+    /// adjuster, whose validation error is measured against the `f64`
+    /// targets.
     fn fit(&mut self, records: &[AccessRecord]) -> Option<RetrainOutcome> {
         if records.len() < 5 {
             return None;
@@ -318,11 +322,12 @@ impl DrlEngine {
             }
         };
         let split = DataSplit::split_60_20_20(inputs, targets);
+        let narrow = split.cast::<f32>();
         let mut opt = Sgd::new(self.config.learning_rate);
         let report = train(
             &mut self.net,
             &mut opt,
-            &split,
+            &narrow,
             &TrainConfig {
                 epochs: self.config.epochs,
                 batch_size: self.config.batch_size,
@@ -332,12 +337,11 @@ impl DrlEngine {
         );
         // Calibrate the §V-G adjustment on the validation partition, in
         // *linear* (bytes/second) space regardless of the target transform.
-        let val_pred_raw = self.net.predict(&split.validation.0);
+        let val_pred_raw = self.net.predict(&narrow.validation.0).cast();
         let to_linear = |m: &Matrix| m.map(denormalize);
         let val_error =
             RelativeError::compute(&to_linear(&val_pred_raw), &to_linear(&split.validation.1));
         self.adjuster = PredictionAdjuster::from_error(&val_error);
-        self.serving = self.net.to_f32();
         self.feature_norm = Some(feature_norm);
         self.target_norm = Some(target_norm);
         self.log_targets = log_targets;
@@ -387,13 +391,13 @@ impl DrlEngine {
         self.rank_locations_batch_into(std::slice::from_ref(query), candidates, out);
     }
 
-    /// Fused multi-query ranking: one forward pass of the `f32` serving
-    /// copy over `queries.len() x candidates.len()` rows — the serving
-    /// layer's batched entry point, amortizing per-call dispatch across
-    /// every placement decision coalesced into the batch. Rows are
-    /// normalized and clamped in `f64`, then narrowed; each output is
-    /// widened back before denormalization and the §V-G adjustment. A pass
-    /// past the copy's fan-out (`SequentialF32::parallel_min_rows`, so a
+    /// Fused multi-query ranking: one tiled pass of the network over
+    /// `queries.len() x candidates.len()` rows — the serving layer's
+    /// batched entry point, amortizing per-call dispatch across every
+    /// placement decision coalesced into the batch. Rows are normalized
+    /// and clamped in `f64`, then narrowed; each output is widened back
+    /// before denormalization and the §V-G adjustment. A pass past the
+    /// network's fan-out ([`Sequential::parallel_min_rows`], so a
     /// 512-request submission but not a 64-request one) splits its tiles
     /// across the usable CPUs; the results are bit-equal either way. Each
     /// query's row is normalized once and its device column patched per
@@ -437,71 +441,13 @@ impl DrlEngine {
                 row[DEVICE_COL] = device_feature(feature_norm, dev) as f32;
             }
         }
-        self.predict_rows();
-        out.reserve(queries.len() * per);
-        out.extend(candidates.iter().copied().cycle().zip(self.predictions()));
-    }
-
-    /// Runs the serving copy over `self.rows` into `self.pred`, retaking
-    /// the copy first if an [`DrlEngine::incremental_step`] dropped it.
-    fn predict_rows(&mut self) {
-        let serving = self
-            .serving
-            .get_or_insert_with(|| self.net.to_f32().expect("the live engine's model is dense"));
-        serving.predict_into(&self.rows, &mut self.pred);
-    }
-
-    /// The adjusted throughputs, in bytes/second, of the rows the last
-    /// [`DrlEngine::predict_rows`] ran.
-    fn predictions(&self) -> impl Iterator<Item = f64> + '_ {
-        self.finish(self.pred.iter().map(|&v| f64::from(v)))
-    }
-
-    /// Maps raw network outputs to adjusted throughputs in bytes/second.
-    fn finish<'a>(
-        &'a self,
-        normalized: impl Iterator<Item = f64> + 'a,
-    ) -> impl Iterator<Item = f64> + 'a {
+        self.net.predict_rows_into(&self.rows, &mut self.pred);
         let target_norm = self.target_norm.as_ref().expect("normalizer missing");
-        normalized.map(move |v| finish_prediction(v, target_norm, self.log_targets, self.adjuster))
-    }
-
-    /// [`DrlEngine::rank_locations_batch_into`] on the `f64` network the
-    /// serving copy is taken from, over the same feature rows before they
-    /// are narrowed to `f32` — what served decisions ran on before the
-    /// copy, and the reference it is held to
-    /// (`tests/serving_precision.rs`). Allocates its rows per call.
-    ///
-    /// # Panics
-    ///
-    /// As [`DrlEngine::rank_locations_batch_into`].
-    pub fn rank_locations_batch_f64_into(
-        &mut self,
-        queries: &[PlacementQuery],
-        candidates: &[DeviceId],
-        out: &mut Vec<(DeviceId, f64)>,
-    ) {
-        let feature_norm = self
-            .feature_norm
-            .as_ref()
-            .expect("rank_locations called before retrain");
-        assert!(!candidates.is_empty(), "no candidate locations");
-        let mut rows = Matrix::zeros(queries.len() * candidates.len(), PLACEMENT_Z);
-        let pairs = queries
-            .iter()
-            .flat_map(|query| candidates.iter().map(move |&dev| (query, dev)));
-        for (row, (query, dev)) in rows.as_mut_slice().chunks_exact_mut(PLACEMENT_Z).zip(pairs) {
-            row.copy_from_slice(&query_row(feature_norm, query, dev));
-        }
-        let pred = self.net.predict(&rows);
-        out.clear();
-        out.extend(
-            candidates
-                .iter()
-                .copied()
-                .cycle()
-                .zip(self.finish(pred.as_slice().iter().copied())),
-        );
+        let (log_targets, adjuster) = (self.log_targets, self.adjuster);
+        let tps = (self.pred.iter())
+            .map(|&v| finish_prediction(f64::from(v), target_norm, log_targets, adjuster));
+        out.reserve(queries.len() * per);
+        out.extend(candidates.iter().copied().cycle().zip(tps));
     }
 
     /// Convenience: the candidate with the highest adjusted prediction.

@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::Matrix;
+use crate::matrix::{Element, Matrix};
 
 /// An activation function applied element-wise to a layer's pre-activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -36,18 +36,18 @@ impl Activation {
     /// Using the output (rather than the input) lets layers cache only their
     /// activations: for every supported function the derivative is cheap to
     /// recover from `y` (e.g. sigmoid' = y(1-y)).
-    pub fn derivative_from_output(self, y: f64) -> f64 {
+    pub fn derivative_from_output<T: Element>(self, y: T) -> T {
         match self {
             Activation::ReLU => {
-                if y > 0.0 {
-                    1.0
+                if y > T::ZERO {
+                    T::ONE
                 } else {
-                    0.0
+                    T::ZERO
                 }
             }
-            Activation::Linear => 1.0,
-            Activation::Sigmoid => y * (1.0 - y),
-            Activation::Tanh => 1.0 - y * y,
+            Activation::Linear => T::ONE,
+            Activation::Sigmoid => y * (T::ONE - y),
+            Activation::Tanh => T::ONE - y * y,
         }
     }
 
@@ -61,50 +61,27 @@ impl Activation {
     /// The per-variant loops hoist the `match` out of the element loop;
     /// semantics match [`Activation::apply_scalar`] exactly (including
     /// `max`'s NaN handling for ReLU).
-    pub fn apply_inplace(self, m: &mut Matrix) {
+    pub fn apply_inplace<T: Element>(self, m: &mut Matrix<T>) {
         self.apply_slice(m.as_mut_slice());
     }
 
     /// Applies the activation element-wise to a raw slice, in place — the
-    /// kernel layer's entry point for activation math, shared by both
-    /// backends so sigmoid/tanh evaluate the same `exp`/`tanh` calls
-    /// everywhere.
-    pub fn apply_slice(self, data: &mut [f64]) {
+    /// kernel layer's entry point for activation math, shared by every
+    /// backend. ReLU and Linear are exact in either element type; sigmoid
+    /// and tanh evaluate [`Activation::apply_scalar`]'s `f64` routines and
+    /// round, so no `f32` transcendental with an error profile of its own
+    /// is involved.
+    pub fn apply_slice<T: Element>(self, data: &mut [T]) {
         match self {
             Activation::ReLU => {
                 for v in data {
-                    *v = v.max(0.0);
-                }
-            }
-            Activation::Linear => {}
-            Activation::Sigmoid => {
-                for v in data {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-            Activation::Tanh => {
-                for v in data {
-                    *v = v.tanh();
-                }
-            }
-        }
-    }
-
-    /// [`Activation::apply_slice`] on `f32` values, for the serving copy
-    /// of a network. ReLU and Linear are exact in either precision;
-    /// sigmoid and tanh evaluate the same `f64` routines and round, so no
-    /// `f32` transcendental with an error profile of its own is involved.
-    pub fn apply_slice_f32(self, data: &mut [f32]) {
-        match self {
-            Activation::ReLU => {
-                for v in data {
-                    *v = v.max(0.0);
+                    *v = v.max(T::ZERO);
                 }
             }
             Activation::Linear => {}
             Activation::Sigmoid | Activation::Tanh => {
                 for v in data {
-                    *v = self.apply_scalar(f64::from(*v)) as f32;
+                    *v = T::from_f64(self.apply_scalar(v.to_f64()));
                 }
             }
         }

@@ -6,7 +6,7 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::layers::Layer;
 use crate::matrix::kernels;
-use crate::matrix::{Matrix, MatrixView};
+use crate::matrix::{Element, Matrix, MatrixView};
 use crate::param::Param;
 
 /// A fully connected (dense) layer.
@@ -15,7 +15,9 @@ use crate::param::Param;
 /// pass accumulates `xᵀ · g` / `g · Wᵀ` through the transpose-aware kernels,
 /// so after the first batch neither direction allocates: the output and
 /// the pre-activation gradient scratch are resized in place, and the input
-/// is read where the caller keeps it.
+/// is read where the caller keeps it. It computes in its element type `T`
+/// (`f64` unless named) in both directions; [`Layer::forward_rows`] is the
+/// same fused forward over a tile of rows, for the tiled inference pass.
 ///
 /// # Examples
 ///
@@ -26,26 +28,27 @@ use crate::param::Param;
 /// use geomancy_nn::matrix::Matrix;
 ///
 /// let mut rng = seeded_rng(0);
-/// let mut layer = Dense::new(3, 2, Activation::ReLU, &mut rng);
+/// let mut layer: Dense = Dense::new(3, 2, Activation::ReLU, &mut rng);
 /// let out = layer.forward(&Matrix::zeros(4, 3));
 /// assert_eq!(out.shape(), (4, 2));
 /// ```
 #[derive(Debug)]
-pub struct Dense {
-    weight: Param,
-    bias: Param,
+pub struct Dense<T = f64> {
+    weight: Param<T>,
+    bias: Param<T>,
     activation: Activation,
     /// Forward output (reused allocation; valid when `primed`).
-    output: Matrix,
+    output: Matrix<T>,
     /// Scratch for the pre-activation gradient in backward.
-    grad_pre: Matrix,
+    grad_pre: Matrix<T>,
     /// Whether a forward pass has populated the caches.
     primed: bool,
 }
 
-impl Dense {
+impl<T: Element> Dense<T> {
     /// Creates a dense layer with He initialization for ReLU and Xavier
-    /// otherwise, and zero biases.
+    /// otherwise, and zero biases. The weights are drawn in `f64` and
+    /// rounded to `T`, so one seed gives an `f32` layer the same draws.
     pub fn new(
         input_size: usize,
         output_size: usize,
@@ -57,7 +60,7 @@ impl Dense {
             _ => Init::XavierUniform,
         };
         Dense {
-            weight: Param::new(init.sample(input_size, output_size, rng), "dense.w"),
+            weight: Param::new(init.sample(input_size, output_size, rng).cast(), "dense.w"),
             bias: Param::new(Matrix::zeros(1, output_size), "dense.b"),
             activation,
             output: Matrix::default(),
@@ -72,7 +75,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `bias` is not a `1 x weight.cols()` row vector.
-    pub fn from_weights(weight: Matrix, bias: Matrix, activation: Activation) -> Self {
+    pub fn from_weights(weight: Matrix<T>, bias: Matrix<T>, activation: Activation) -> Self {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(
             bias.cols(),
@@ -95,18 +98,18 @@ impl Dense {
     }
 
     /// The `input_size x output_size` weight matrix.
-    pub fn weight(&self) -> &Matrix {
+    pub fn weight(&self) -> &Matrix<T> {
         &self.weight.value
     }
 
     /// The `1 x output_size` bias row.
-    pub fn bias(&self) -> &Matrix {
+    pub fn bias(&self) -> &Matrix<T> {
         &self.bias.value
     }
 }
 
-impl Layer for Dense {
-    fn forward_train(&mut self, input: MatrixView<'_>) {
+impl<T: Element> Layer<T> for Dense<T> {
+    fn forward_train(&mut self, input: MatrixView<'_, T>) {
         kernels::matmul_bias_act_into(
             input,
             &self.weight.value,
@@ -117,15 +120,20 @@ impl Layer for Dense {
         self.primed = true;
     }
 
-    fn output(&self) -> &Matrix {
+    fn output(&self) -> &Matrix<T> {
         &self.output
+    }
+
+    fn forward_rows(&self, input: &[T], out: &mut [T]) {
+        let (w, b) = (&self.weight.value, &self.bias.value);
+        kernels::bias_act_on(kernels::backend(), input, w, b, self.activation, out);
     }
 
     fn backward_into(
         &mut self,
-        input: MatrixView<'_>,
-        grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        input: MatrixView<'_, T>,
+        grad_output: &Matrix<T>,
+        grad_input: &mut Matrix<T>,
     ) {
         self.backward_params_into(input, grad_output, grad_input);
         kernels::matmul_a_bt_into(self.grad_pre.view(), &self.weight.value, grad_input);
@@ -133,9 +141,9 @@ impl Layer for Dense {
 
     fn backward_params_into(
         &mut self,
-        input: MatrixView<'_>,
-        grad_output: &Matrix,
-        _scratch: &mut Matrix,
+        input: MatrixView<'_, T>,
+        grad_output: &Matrix<T>,
+        _scratch: &mut Matrix<T>,
     ) {
         assert!(self.primed, "backward called before forward");
         // dL/d(pre-activation) = dL/dy ⊙ f'(y)
@@ -149,19 +157,20 @@ impl Layer for Dense {
         kernels::sum_rows_acc(&self.grad_pre, &mut self.bias.grad);
     }
 
-    fn as_dense(&self) -> Option<&Dense> {
-        Some(self)
+    fn fork(&self) -> Box<dyn Layer<T>> {
+        let (w, b) = (self.weight.value.clone(), self.bias.value.clone());
+        Box::new(Dense::from_weights(w, b, self.activation))
     }
 
-    fn params(&self) -> Vec<&Param> {
+    fn params(&self) -> Vec<&Param<T>> {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params_mut(&mut self) -> Vec<&mut Param<T>> {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param<T>)) {
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -238,14 +247,14 @@ mod tests {
     #[should_panic(expected = "backward called before forward")]
     fn backward_before_forward_panics() {
         let mut rng = seeded_rng(0);
-        let mut layer = Dense::new(2, 2, Activation::ReLU, &mut rng);
+        let mut layer: Dense = Dense::new(2, 2, Activation::ReLU, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 2), &Matrix::zeros(1, 2));
     }
 
     #[test]
     fn describe_matches_paper_notation() {
         let mut rng = seeded_rng(0);
-        let layer = Dense::new(6, 96, Activation::ReLU, &mut rng);
+        let layer: Dense = Dense::new(6, 96, Activation::ReLU, &mut rng);
         assert_eq!(layer.describe(), "96 (Dense) ReLU");
         assert_eq!(layer.param_count(), 6 * 96 + 96);
     }

@@ -38,7 +38,7 @@ struct StepCache {
 /// per-timestep caches in place, no transposed copies of `x`, `h` or the
 /// weights are materialized, and the per-gate temporaries are resized in
 /// place — no per-batch allocation once the buffers are warm.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Gru {
     // Order: update (z), reset (r), candidate (h).
     wx: [Param; 3],
@@ -124,6 +124,10 @@ impl Gru {
 }
 
 impl Layer for Gru {
+    fn fork(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
     fn forward_train(&mut self, input: MatrixView<'_>) {
         assert_eq!(
             input.cols(),

@@ -34,7 +34,7 @@ struct StepCache {
 /// reusable scratch buffers: the forward pass writes gates and states into
 /// the per-timestep caches in place, and the backward pass reuses its
 /// gradient scratch — no per-batch allocation once the buffers are warm.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lstm {
     // Gate weights: input (i), forget (f), output (o), candidate (g).
     wx: [Param; 4],
@@ -122,6 +122,10 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
+    fn fork(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
     fn forward_train(&mut self, input: MatrixView<'_>) {
         assert_eq!(
             input.cols(),

@@ -10,7 +10,7 @@ pub use gru::Gru;
 pub use lstm::Lstm;
 pub use simple_rnn::SimpleRnn;
 
-use crate::matrix::{Matrix, MatrixView};
+use crate::matrix::{Element, Matrix, MatrixView};
 use crate::param::Param;
 
 /// A differentiable layer of a [`Sequential`](crate::network::Sequential)
@@ -26,19 +26,37 @@ use crate::param::Param;
 /// Gradients accumulate into the layer's [`Param`]s and are consumed by an
 /// [`Optimizer`](crate::optimizer::Optimizer).
 ///
-/// Training, validation and every model study run this one forward; what
-/// serves placements is the network's `f32` copy
-/// ([`Sequential::to_f32`](crate::network::Sequential::to_f32)), which
-/// reads a dense layer's weights through [`Layer::as_dense`].
-pub trait Layer: Send {
+/// Training, validation and every model study run this one forward. The
+/// tiled inference pass that serves placements
+/// ([`Sequential::predict_rows_into`](crate::network::Sequential::predict_rows_into))
+/// runs [`Layer::forward_rows`] instead, which only a dense layer has.
+///
+/// The trait is generic over the [`Element`] a layer computes in. Every
+/// layer is an `f64` layer; [`Dense`] is one in `f32` too, which is what
+/// the live placement network is made of.
+pub trait Layer<T: Element = f64>: Send + Sync {
     /// Training forward over a borrowed `batch x input_size` view: computes
     /// the output into the layer's own buffer ([`Layer::output`]) and
     /// caches the intermediates the matching backward needs.
-    fn forward_train(&mut self, input: MatrixView<'_>);
+    fn forward_train(&mut self, input: MatrixView<'_, T>);
 
     /// The output of the last [`Layer::forward_train`], held until the next
     /// one.
-    fn output(&self) -> &Matrix;
+    fn output(&self) -> &Matrix<T>;
+
+    /// The inference forward over `input`, row-major rows of
+    /// [`Layer::input_size`], into `out`, as many rows of
+    /// [`Layer::output_size`]: no cache, no buffer of the layer's own, so
+    /// threads may run it on disjoint tiles of one batch at once.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a recurrent layer has no row-wise pass, and is
+    /// only run through [`Layer::forward_train`].
+    fn forward_rows(&self, input: &[T], out: &mut [T]) {
+        let _ = (input, out);
+        panic!("{} has no row-wise inference pass", self.describe());
+    }
 
     /// Propagates `grad_output` (`batch x output_size`) back through the
     /// last forward pass, whose `input` the caller passes again: accumulates
@@ -50,9 +68,9 @@ pub trait Layer: Send {
     /// Panics if called before a forward pass.
     fn backward_into(
         &mut self,
-        input: MatrixView<'_>,
-        grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        input: MatrixView<'_, T>,
+        grad_output: &Matrix<T>,
+        grad_input: &mut Matrix<T>,
     );
 
     /// [`Layer::backward_into`] for the first layer of a stack, whose input
@@ -65,15 +83,15 @@ pub trait Layer: Send {
     /// Panics if called before a forward pass.
     fn backward_params_into(
         &mut self,
-        input: MatrixView<'_>,
-        grad_output: &Matrix,
-        scratch: &mut Matrix,
+        input: MatrixView<'_, T>,
+        grad_output: &Matrix<T>,
+        scratch: &mut Matrix<T>,
     ) {
         self.backward_into(input, grad_output, scratch);
     }
 
     /// [`Layer::forward_train`] returning a copy of the output.
-    fn forward(&mut self, input: &Matrix) -> Matrix {
+    fn forward(&mut self, input: &Matrix<T>) -> Matrix<T> {
         self.forward_train(input.view());
         self.output().clone()
     }
@@ -83,25 +101,22 @@ pub trait Layer: Send {
     /// # Panics
     ///
     /// Panics if called before a forward pass.
-    fn backward(&mut self, input: &Matrix, grad_output: &Matrix) -> Matrix {
+    fn backward(&mut self, input: &Matrix<T>, grad_output: &Matrix<T>) -> Matrix<T> {
         let mut grad_input = Matrix::default();
         self.backward_into(input.view(), grad_output, &mut grad_input);
         grad_input
     }
 
-    /// The layer as a [`Dense`] layer, if it is one — how
-    /// [`Sequential::to_f32`](crate::network::Sequential::to_f32) reads
-    /// the weights of a dense-only stack. The default is `None`.
-    fn as_dense(&self) -> Option<&Dense> {
-        None
-    }
+    /// A copy of the layer with the same weights, for
+    /// [`Sequential::fork`](crate::network::Sequential::fork).
+    fn fork(&self) -> Box<dyn Layer<T>>;
 
     /// The layer's trainable parameters.
-    fn params(&self) -> Vec<&Param>;
+    fn params(&self) -> Vec<&Param<T>>;
 
     /// Mutable access to the layer's trainable parameters, in the same order
     /// as [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Param>;
+    fn params_mut(&mut self) -> Vec<&mut Param<T>>;
 
     /// Width of an input row.
     fn input_size(&self) -> usize;
@@ -118,7 +133,7 @@ pub trait Layer: Send {
     /// The default routes through [`Layer::params_mut`] (which allocates a
     /// `Vec` per call); layers override it to visit parameters directly so
     /// the optimizer step stays allocation-free.
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param<T>)) {
         for p in self.params_mut() {
             f(p);
         }

@@ -18,7 +18,7 @@ use crate::param::Param;
 /// Per-timestep caches and BPTT scratch buffers are reused across batches
 /// (resized in place), so steady-state forward/backward passes perform no
 /// heap allocation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimpleRnn {
     wx: Param,
     wh: Param,
@@ -92,6 +92,10 @@ impl SimpleRnn {
 }
 
 impl Layer for SimpleRnn {
+    fn fork(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
     fn forward_train(&mut self, input: MatrixView<'_>) {
         assert_eq!(
             input.cols(),

@@ -8,7 +8,9 @@
 //! the paper's Table I compares 23 such architectures. This crate provides
 //! exactly the machinery needed to train all of them on CPU:
 //!
-//! - [`matrix::Matrix`] — a minimal dense matrix,
+//! - [`matrix::Matrix`] — a minimal dense matrix, `f64` by default and
+//!   `f32` for the live placement network: the network, its layers, loss,
+//!   optimizers and training loop are generic over that element,
 //! - [`layers`] — `Dense`, `SimpleRnn`, `Lstm`, `Gru` with full BPTT,
 //! - [`activation::Activation`] — ReLU / Linear / Sigmoid / Tanh,
 //! - [`optimizer`] — SGD (the paper's choice) and Adam (its rejected

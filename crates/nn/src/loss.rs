@@ -1,6 +1,6 @@
 //! Loss functions for regression training.
 
-use crate::matrix::{Matrix, MatrixView};
+use crate::matrix::{Element, Matrix, MatrixView};
 
 /// Loss function used by the training loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -10,12 +10,12 @@ pub enum Loss {
 }
 
 impl Loss {
-    /// Scalar loss over a batch.
+    /// Scalar loss over a batch, summed in `f64` whatever the element.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ or the batch is empty.
-    pub fn compute(self, prediction: &Matrix, target: &Matrix) -> f64 {
+    pub fn compute<T: Element>(self, prediction: &Matrix<T>, target: &Matrix<T>) -> f64 {
         self.compute_view(prediction.view(), target.view())
     }
 
@@ -24,13 +24,18 @@ impl Loss {
     /// # Panics
     ///
     /// Panics if shapes differ or the batch is empty.
-    pub fn compute_view(self, prediction: MatrixView<'_>, target: MatrixView<'_>) -> f64 {
+    pub fn compute_view<T: Element>(
+        self,
+        prediction: MatrixView<'_, T>,
+        target: MatrixView<'_, T>,
+    ) -> f64 {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         assert!(!prediction.is_empty(), "loss over empty batch");
         let n = prediction.len() as f64;
-        let pairs = prediction.as_slice().iter().zip(target.as_slice());
+        let errors =
+            (prediction.as_slice().iter().zip(target.as_slice())).map(|(&p, &t)| (p - t).to_f64());
         match self {
-            Loss::MeanSquaredError => pairs.map(|(&p, &t)| (p - t) * (p - t)).sum::<f64>() / n,
+            Loss::MeanSquaredError => errors.map(|d| d * d).sum::<f64>() / n,
         }
     }
 
@@ -39,8 +44,8 @@ impl Loss {
     /// # Panics
     ///
     /// Panics if shapes differ or the batch is empty.
-    pub fn gradient(self, prediction: &Matrix, target: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(prediction.rows(), prediction.cols());
+    pub fn gradient<T: Element>(self, prediction: &Matrix<T>, target: &Matrix<T>) -> Matrix<T> {
+        let mut out = Matrix::default();
         self.gradient_into(prediction.view(), target.view(), &mut out);
         out
     }
@@ -51,15 +56,15 @@ impl Loss {
     /// # Panics
     ///
     /// Panics if shapes differ or the batch is empty.
-    pub fn gradient_into(
+    pub fn gradient_into<T: Element>(
         self,
-        prediction: MatrixView<'_>,
-        target: MatrixView<'_>,
-        out: &mut Matrix,
+        prediction: MatrixView<'_, T>,
+        target: MatrixView<'_, T>,
+        out: &mut Matrix<T>,
     ) {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         assert!(!prediction.is_empty(), "loss over empty batch");
-        let n = prediction.len() as f64;
+        let n = T::from_f64(prediction.len() as f64);
         out.resize(prediction.rows(), prediction.cols());
         let triples = out
             .as_mut_slice()
@@ -68,7 +73,7 @@ impl Loss {
         match self {
             Loss::MeanSquaredError => {
                 for (o, (&p, &t)) in triples {
-                    *o = 2.0 * (p - t) / n;
+                    *o = T::from_f64(2.0) * (p - t) / n;
                 }
             }
         }
@@ -114,6 +119,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "loss shape mismatch")]
     fn shape_mismatch_panics() {
-        let _ = Loss::MeanSquaredError.compute(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1));
+        let _ = Loss::MeanSquaredError.compute(&Matrix::<f64>::zeros(1, 2), &Matrix::zeros(2, 1));
     }
 }

@@ -1,9 +1,9 @@
 //! The register-blocked matrix-product micro-kernel of the SIMD backends:
 //! one body, generic over the vector type ([`Lane`]), instantiated for
 //! 256-bit AVX2+FMA lanes ([`product_avx2`]) and 512-bit AVX-512F lanes
-//! ([`product_avx512`]) in either precision ([`Element`]): 4 or 8 `f64`
-//! lanes for training and evaluation, 8 or 16 `f32` lanes for the serving
-//! copy of a network.
+//! ([`product_avx512`]) in either element type (`super::simd::Kernel`):
+//! 4 or 8 `f64` lanes for the model studies, 8 or 16 `f32` lanes for the
+//! live placement network, forward and backward.
 //!
 //! ## Shape
 //!
@@ -54,6 +54,8 @@
 
 use core::arch::x86_64::*;
 
+use super::simd::Kernel;
+
 /// Vectors per register block, on either lane width.
 const NV: usize = 3;
 /// Tile of the shared dimension: `KT × NV·LANES` elements of `b` (24 KB on
@@ -68,7 +70,7 @@ const KT: usize = 128;
 /// Every method requires the CPU features of the implementing type;
 /// pointer-taking methods require `LANES` (or, masked, the mask's count of)
 /// valid elements at `p`.
-pub(super) trait Lane: Copy {
+pub trait Lane: Copy {
     /// The element type, `f64` or `f32`.
     type Elem: Copy;
     const LANES: usize;
@@ -277,25 +279,6 @@ impl Lane for __m512 {
     unsafe fn relu(v: Self) -> Self {
         _mm512_max_ps(v, _mm512_setzero_ps())
     }
-}
-
-/// An element type the micro-kernel runs in, with the vector it fills on
-/// either register file.
-pub(super) trait Element: Copy {
-    /// The 256-bit vector of this element.
-    type Avx2: Lane<Elem = Self>;
-    /// The 512-bit vector of this element.
-    type Avx512: Lane<Elem = Self>;
-}
-
-impl Element for f64 {
-    type Avx2 = __m256d;
-    type Avx512 = __m512d;
-}
-
-impl Element for f32 {
-    type Avx2 = __m256;
-    type Avx512 = __m512;
 }
 
 /// `out[m × n] = epilogue(start + A · b)`: the one product every SIMD
@@ -592,7 +575,7 @@ unsafe fn run<V: Lane, const MR: usize>(g: Product<'_, V::Elem>) {
 ///
 /// Requires AVX2+FMA and a product that passed [`Product::check`].
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn product_avx2<T: Element>(g: Product<'_, T>) {
+pub(super) unsafe fn product_avx2<T: Kernel>(g: Product<'_, T>) {
     run::<T::Avx2, 4>(g)
 }
 
@@ -602,6 +585,6 @@ pub(super) unsafe fn product_avx2<T: Element>(g: Product<'_, T>) {
 ///
 /// Requires AVX-512F and a product that passed [`Product::check`].
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn product_avx512<T: Element>(g: Product<'_, T>) {
+pub(super) unsafe fn product_avx512<T: Kernel>(g: Product<'_, T>) {
     run::<T::Avx512, 8>(g)
 }

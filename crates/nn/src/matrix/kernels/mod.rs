@@ -1,5 +1,10 @@
 //! Allocation-free compute kernels behind the network's hot path.
 //!
+//! The matrix products and the dense layer's forward and backward are
+//! generic over the [`Element`] type, so an `f32` network trains and
+//! serves on the same kernels as an `f64` one, on twice the SIMD lanes;
+//! the recurrent layers' kernels are `f64` only, as those layers are.
+//!
 //! Every kernel writes into a caller-provided output buffer ([`Matrix`]es
 //! are resized in place, reusing their allocation), takes its batch operand
 //! as a borrowed [`MatrixView`], and handles transposed operands without
@@ -21,9 +26,6 @@
 //!   `out = act(x · W + b)`: on the SIMD backends the accumulators start
 //!   from the bias and ReLU is applied at the store, so the output is
 //!   written once; no broadcast copy or pre-activation temporary anywhere,
-//! - [`matmul_bias_act_f32`] — the same fused forward in `f32` over
-//!   row-major slices, on twice the SIMD lanes: the layer step of the
-//!   serving copy of a network (`network::SequentialF32`),
 //! - the dense backward's element-wise pair ([`hadamard_act_derivative_into`],
 //!   [`sum_rows_acc`]) and the recurrent layers' timestep copies
 //!   ([`slice_cols_into`], [`scatter_cols_from`]),
@@ -42,13 +44,14 @@
 //!
 //! - [`scalar`] — the portable blocked/unrolled loops (public, so tests and
 //!   benchmarks can pin this backend regardless of the host),
-//! - `avx2_fma` (x86-64 only) — explicit 4×f64 `_mm256_fmadd_pd` lanes in
-//!   every inner loop,
-//! - `avx512` (x86-64 only) — the matrix products on 8×f64 lanes; the two
-//!   SIMD products are one micro-kernel body (`gemm`) instantiated per
-//!   lane width and element type (16×f32 and 8×f32 lanes for
-//!   [`matmul_bias_act_f32`]) and are bit-equal to each other in either
-//!   precision, and the element-wise pair is the `avx2_fma` one.
+//! - `avx2_fma` (x86-64 only) — the micro-kernel on 4×f64 or 8×f32 FMA
+//!   lanes,
+//! - `avx512` (x86-64 only) — the matrix products on 8×f64 or 16×f32
+//!   lanes; the two SIMD products are one micro-kernel body (`gemm`)
+//!   instantiated per lane width and element type and are bit-equal to
+//!   each other in either element type, and the element-wise pair is the
+//!   `avx2_fma` one: the scalar loops compiled for AVX2, bit-equal to the
+//!   scalar backend.
 //!
 //! [`backend`] resolves once per process (cached in an atomic): the widest
 //! backend `is_x86_feature_detected!` reports, unless the
@@ -67,20 +70,20 @@
 //! for the property-based equivalence tests and the "before" side of the
 //! kernel benchmarks.
 
-use super::{Matrix, MatrixView};
+use super::{Element, Matrix, MatrixView};
 use crate::activation::Activation;
 
 #[cfg(target_arch = "x86_64")]
 mod gemm;
 pub mod reference;
 pub mod scalar;
-mod simd;
+pub(crate) mod simd;
 
 pub use simd::{backend, backend_name, force_backend, KernelBackend};
 
 /// Tile width of the scalar backend's shared (`k`) dimension: 32 rows of
-/// `b` (a panel of `32 x n` f64s) stay L1/L2-resident while every row of
-/// `a` streams over them.
+/// `b` (a panel of `32 x n` elements) stay L1/L2-resident while every row
+/// of `a` streams over them.
 pub(crate) const KC: usize = 32;
 
 pub(crate) fn assert_mul_shapes(m: (usize, usize), n: (usize, usize), op: &str) {
@@ -102,7 +105,7 @@ fn simd_active() -> bool {
 /// Runs `g` on `backend`'s instantiation of the register-blocked product.
 /// Returns `false`, leaving `g.out` untouched, for the scalar backend.
 #[cfg(target_arch = "x86_64")]
-fn simd_product<T: gemm::Element>(backend: KernelBackend, g: gemm::Product<'_, T>) -> bool {
+fn simd_product<T: Element>(backend: KernelBackend, g: gemm::Product<'_, T>) -> bool {
     if backend == KernelBackend::Scalar {
         return false;
     }
@@ -123,10 +126,10 @@ fn simd_product<T: gemm::Element>(backend: KernelBackend, g: gemm::Product<'_, T
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
-pub fn matmul_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_into<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     assert_mul_shapes(a.shape(), b.shape(), "matmul");
     out.resize(a.rows(), b.cols());
-    out.fill(0.0);
+    out.fill(T::ZERO);
     matmul_acc(a, b, out);
 }
 
@@ -140,7 +143,7 @@ pub fn matmul_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent.
-pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_acc<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     assert_mul_shapes(a.shape(), b.shape(), "matmul");
     assert_eq!(
         out.shape(),
@@ -179,7 +182,11 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent.
-pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
+pub fn matmul_at_b_acc<T: Element>(
+    a: MatrixView<'_, T>,
+    b: MatrixView<'_, T>,
+    out: &mut Matrix<T>,
+) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -222,7 +229,7 @@ pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if `a.cols() != b.cols()`.
-pub fn matmul_a_bt_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_a_bt_into<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     out.resize(a.rows(), b.rows());
     a_bt(a, b, out, false);
 }
@@ -232,7 +239,7 @@ pub fn matmul_a_bt_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// This is the input-gradient product `grad · Wᵀ`. The scalar backend
 /// takes each output element as a dot product of two contiguous rows
 /// (4-wide unrolled partial sums). The SIMD backends transpose `b` into a
-/// thread-local panel and run the register-blocked
+/// thread-local panel of its element type and run the register-blocked
 /// product on it, so every element is the same FMA chain the forward pass
 /// computes; the panel is kept across calls, so a warm call allocates
 /// nothing.
@@ -240,14 +247,14 @@ pub fn matmul_a_bt_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent.
-pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_a_bt_acc<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     a_bt(a, b, out, true);
 }
 
 /// The body of [`matmul_a_bt_acc`] (`accumulate`) and
 /// [`matmul_a_bt_into`], which starts every element from zero instead of
 /// from `out`.
-fn a_bt(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix, accumulate: bool) {
+fn a_bt<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>, accumulate: bool) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -267,18 +274,18 @@ fn a_bt(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix, accumulate: bool) {
         let backend = backend();
         if backend != KernelBackend::Scalar {
             let (m, k, q) = (a.rows(), a.cols(), b.rows());
-            BT_PANEL.with_borrow_mut(|panel| {
+            T::with_bt_panel(|panel| {
                 // `bᵀ` starts on a cache line, so the transpose stores and
                 // the product's loads take whole lines (a transpose twice as
                 // fast at 96 × 48 as from an arbitrary 16-byte start), and is
                 // followed by the zero row a non-accumulating product starts
-                // from.
-                if panel.len() < (k + 1) * q + 7 {
-                    panel.resize((k + 1) * q + 7, 0.0);
+                // from. 64 bytes is at most 15 elements past any start.
+                if panel.len() < (k + 1) * q + 15 {
+                    panel.resize((k + 1) * q + 15, T::ZERO);
                 }
                 let start = panel.as_ptr().align_offset(64);
                 let (bt, zeros) = panel[start..start + (k + 1) * q].split_at_mut(k * q);
-                zeros.fill(0.0);
+                zeros.fill(T::ZERO);
                 transpose_into(b.as_slice(), q, k, bt);
                 simd_product(
                     backend,
@@ -300,16 +307,9 @@ fn a_bt(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix, accumulate: bool) {
         }
     }
     if !accumulate {
-        out.fill(0.0);
+        out.fill(T::ZERO);
     }
     scalar::matmul_a_bt_acc(a, b, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-thread_local! {
-    /// The SIMD `a · bᵀ` panel, grown to the largest weight a thread has
-    /// seen and then reused.
-    static BT_PANEL: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `dst = srcᵀ` for a row-major `rows × cols` `src`. A band of eight
@@ -318,19 +318,19 @@ thread_local! {
 /// stores a full `dst` row apart each time and is ≈2× slower at model 1's
 /// 96 × 48 (≈2.4 µs against ≈1.3 µs).
 #[cfg(target_arch = "x86_64")]
-fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
-    const T: usize = 8;
+fn transpose_into<T: Element>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
+    const B: usize = 8;
     let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
     let mut r0 = 0;
-    while r0 + T <= rows {
-        let band: [&[f64]; T] = std::array::from_fn(|i| &src[(r0 + i) * cols..][..cols]);
+    while r0 + B <= rows {
+        let band: [&[T]; B] = std::array::from_fn(|i| &src[(r0 + i) * cols..][..cols]);
         for (c, drow) in dst.chunks_exact_mut(rows).enumerate() {
-            let d: &mut [f64; T] = (&mut drow[r0..r0 + T]).try_into().expect("T wide");
+            let d: &mut [T; B] = (&mut drow[r0..r0 + B]).try_into().expect("B wide");
             for (x, row) in d.iter_mut().zip(band) {
                 *x = row[c];
             }
         }
-        r0 += T;
+        r0 += B;
     }
     for r in r0..rows {
         for c in 0..cols {
@@ -345,19 +345,21 @@ fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
 /// One buffer, no broadcast copy, no pre-activation temporary. On the SIMD
 /// backends the accumulators start from the bias and ReLU is applied
 /// before the store, so `out` is written exactly once; sigmoid/tanh run as
-/// a second pass over the scalar transcendentals on every backend.
+/// a second pass over the scalar `f64` transcendentals on every backend.
 ///
 /// # Panics
 ///
 /// Panics if `x.cols() != w.rows()` or `bias` is not `1 x w.cols()`.
-pub fn matmul_bias_act_into(
-    x: MatrixView<'_>,
-    w: &Matrix,
-    bias: &Matrix,
+pub fn matmul_bias_act_into<T: Element>(
+    x: MatrixView<'_, T>,
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
     act: Activation,
-    out: &mut Matrix,
+    out: &mut Matrix<T>,
 ) {
-    bias_act_on(backend(), x, w, bias, act, out);
+    assert_mul_shapes(x.shape(), w.shape(), "matmul");
+    out.resize(x.rows(), w.cols());
+    bias_act_on(backend(), x.as_slice(), w, bias, act, out.as_mut_slice());
 }
 
 /// [`matmul_bias_act_into`] on a named backend, leaving the process-wide
@@ -369,147 +371,60 @@ pub fn matmul_bias_act_into(
 /// Panics if the host does not support `backend`
 /// ([`KernelBackend::is_supported`]), or on the shape errors of
 /// [`matmul_bias_act_into`].
-pub fn matmul_bias_act_with(
+pub fn matmul_bias_act_with<T: Element>(
     backend: KernelBackend,
-    x: MatrixView<'_>,
-    w: &Matrix,
-    bias: &Matrix,
+    x: MatrixView<'_, T>,
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
     act: Activation,
-    out: &mut Matrix,
+    out: &mut Matrix<T>,
 ) {
     assert!(
         backend.is_supported(),
         "kernel backend {} is not supported on this host",
         backend.name()
     );
-    bias_act_on(backend, x, w, bias, act, out);
-}
-
-/// The fused forward on `backend`, which the caller vouches is supported.
-fn bias_act_on(
-    backend: KernelBackend,
-    x: MatrixView<'_>,
-    w: &Matrix,
-    bias: &Matrix,
-    act: Activation,
-    out: &mut Matrix,
-) {
     assert_mul_shapes(x.shape(), w.shape(), "matmul");
-    assert_eq!(
-        bias.shape(),
-        (1, w.cols()),
-        "bias must be 1x{} for fused forward",
-        w.cols()
-    );
-    let (m, k, n) = (x.rows(), w.rows(), w.cols());
-    out.resize(m, n);
-    #[cfg(target_arch = "x86_64")]
-    if simd_product(
-        backend,
-        gemm::Product {
-            m,
-            k,
-            n,
-            a: x.as_slice(),
-            a_row: k,
-            a_step: 1,
-            b: w.as_slice(),
-            bias: Some(bias.as_slice()),
-            relu: act == Activation::ReLU,
-            out: out.as_mut_slice(),
-        },
-    ) {
-        if matches!(act, Activation::Sigmoid | Activation::Tanh) {
-            act.apply_inplace(out);
-        }
-        return;
-    }
-    let _ = backend; // only the scalar backend is left
-    scalar::matmul_bias_act_into(x, w, bias, act, out);
+    out.resize(x.rows(), w.cols());
+    bias_act_on(backend, x.as_slice(), w, bias, act, out.as_mut_slice());
 }
 
-/// The fused dense forward in `f32` — the serving copy of a network's
-/// layer step (`network::SequentialF32`): `out = act(x · w + bias)` over
-/// row-major slices, with `bias` `n` wide, `w` `k × n` and `out` `m × n`,
-/// so `out`'s length fixes the rows and `x` must be `m × k`.
-///
-/// On the SIMD backends this is the `f64` forward's micro-kernel on twice
-/// the lanes — 8 per 256-bit and 16 per 512-bit vector — with the same
-/// per-element chain (start from the bias, one FMA per shared-dimension
-/// index in ascending order, then the activation), so the two SIMD
-/// backends are bit-equal to each other here too; sigmoid/tanh evaluate
-/// in `f64` and round ([`Activation::apply_slice_f32`]).
+/// The `(m, k, n)` of a dense forward from `x`'s and `out`'s lengths:
+/// `x` holds `m` rows of `w.rows()`, `out` `m` rows of `w.cols()`.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths are inconsistent with those shapes.
-pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
-    bias_act_f32_on(backend(), x, w, bias, act, out);
-}
-
-/// [`matmul_bias_act_f32`] on a named backend, leaving the process-wide
-/// dispatch untouched.
-///
-/// # Panics
-///
-/// Panics if the host does not support `backend`
-/// ([`KernelBackend::is_supported`]), or on the shape errors of
-/// [`matmul_bias_act_f32`].
-pub fn matmul_bias_act_f32_with(
-    backend: KernelBackend,
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    act: Activation,
-    out: &mut [f32],
-) {
-    assert!(
-        backend.is_supported(),
-        "kernel backend {} is not supported on this host",
-        backend.name()
-    );
-    bias_act_f32_on(backend, x, w, bias, act, out);
-}
-
-/// The `(m, k, n)` of an `f32` dense forward, from its slices.
-///
-/// # Panics
-///
-/// Panics if the lengths do not describe `x: m × k`, `w: k × n`,
-/// `bias: n`, `out: m × n`.
-pub(crate) fn f32_dense_shape(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    out: &[f32],
+/// Panics if `bias` is not `1 x w.cols()` or the lengths disagree.
+pub(crate) fn dense_shape<T: Element>(
+    x_len: usize,
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
+    out_len: usize,
 ) -> (usize, usize, usize) {
-    let n = bias.len();
-    let k = w.len().checked_div(n).unwrap_or(0);
-    let m = out.len().checked_div(n).unwrap_or(0);
+    let (k, n) = w.shape();
+    assert_eq!(bias.shape(), (1, n), "bias must be 1x{n} for fused forward");
+    let m = out_len.checked_div(n).unwrap_or(0);
     assert!(
-        w.len() == k * n && out.len() == m * n && x.len() == m * k,
-        "shape mismatch for f32 dense forward: x {}, w {}, bias {}, out {}",
-        x.len(),
-        w.len(),
-        n,
-        out.len()
+        out_len == m * n && x_len == m * k,
+        "shape mismatch for dense forward: x {x_len}, w {k}x{n}, out {out_len}"
     );
     (m, k, n)
 }
 
-/// The `f32` fused forward on `backend`, which the caller vouches is
-/// supported.
-fn bias_act_f32_on(
+/// The fused forward on `backend`, which the caller vouches is supported,
+/// over row-major slices: `out` holds the rows `x` holds, `w.cols()` wide.
+/// The tiled inference pass runs each layer of a tile through this.
+pub(crate) fn bias_act_on<T: Element>(
     backend: KernelBackend,
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
+    x: &[T],
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
     act: Activation,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        let (m, k, n) = f32_dense_shape(x, w, bias, out);
+        let (m, k, n) = dense_shape(x.len(), w, bias, out.len());
         if simd_product(
             backend,
             gemm::Product {
@@ -519,20 +434,20 @@ fn bias_act_f32_on(
                 a: x,
                 a_row: k,
                 a_step: 1,
-                b: w,
-                bias: Some(bias),
+                b: w.as_slice(),
+                bias: Some(bias.as_slice()),
                 relu: act == Activation::ReLU,
                 out: &mut *out,
             },
         ) {
             if matches!(act, Activation::Sigmoid | Activation::Tanh) {
-                act.apply_slice_f32(out);
+                act.apply_slice(out);
             }
             return;
         }
     }
     let _ = backend; // only the scalar backend is left
-    scalar::matmul_bias_act_f32(x, w, bias, act, out);
+    scalar::bias_act(x, w, bias, act, out);
 }
 
 /// `out = act(src)`, resizing `out` to match — the out-of-place activation
@@ -548,16 +463,16 @@ pub fn act_into(src: &Matrix, act: Activation, out: &mut Matrix) {
 /// `out` to match.
 ///
 /// Every supported derivative is polynomial in the activated output, so
-/// the SIMD backend vectorizes all four activations.
+/// the SIMD backends vectorize all four activations.
 ///
 /// # Panics
 ///
 /// Panics if `grad_output` and `output` shapes differ.
-pub fn hadamard_act_derivative_into(
-    grad_output: &Matrix,
-    output: &Matrix,
+pub fn hadamard_act_derivative_into<T: Element>(
+    grad_output: &Matrix<T>,
+    output: &Matrix<T>,
     act: Activation,
-    out: &mut Matrix,
+    out: &mut Matrix<T>,
 ) {
     assert_eq!(
         grad_output.shape(),
@@ -567,15 +482,9 @@ pub fn hadamard_act_derivative_into(
     out.resize(grad_output.rows(), grad_output.cols());
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: slices have equal length after the resize above.
-        unsafe {
-            simd::hadamard_act_derivative(
-                grad_output.as_slice(),
-                output.as_slice(),
-                act,
-                out.as_mut_slice(),
-            );
-        }
+        let (g, y) = (grad_output.as_slice(), output.as_slice());
+        // SAFETY: a SIMD backend implies AVX2+FMA.
+        unsafe { simd::hadamard_act_derivative(g, y, act, out.as_mut_slice()) };
         return;
     }
     scalar::hadamard_act_derivative_into(grad_output, output, act, out);
@@ -587,12 +496,12 @@ pub fn hadamard_act_derivative_into(
 /// # Panics
 ///
 /// Panics if `out` is not `1 x a.cols()`.
-pub fn sum_rows_acc(a: &Matrix, out: &mut Matrix) {
+pub fn sum_rows_acc<T: Element>(a: &Matrix<T>, out: &mut Matrix<T>) {
     assert_eq!(out.shape(), (1, a.cols()), "sum_rows output shape mismatch");
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: output width validated above.
-        unsafe { simd::sum_rows_acc(a.rows(), a.cols(), a.as_slice(), out.as_mut_slice()) };
+        // SAFETY: a SIMD backend implies AVX2+FMA.
+        unsafe { simd::sum_rows_acc(a.cols(), a.as_slice(), out.as_mut_slice()) };
         return;
     }
     scalar::sum_rows_acc(a, out);

@@ -7,22 +7,20 @@
 //! too, so calling `scalar::*` directly is exactly as safe as the
 //! dispatched API.
 
-use std::ops::{Add, AddAssign, Mul};
-
-use super::super::{Matrix, MatrixView};
-use super::{assert_mul_shapes, f32_dense_shape, KC};
+use super::super::{Element, Matrix, MatrixView};
+use super::{assert_mul_shapes, KC};
 use crate::activation::Activation;
 
 /// `out = a · b`, resizing `out` — scalar-pinned [`super::matmul_into`].
-pub fn matmul_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_into<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     assert_mul_shapes(a.shape(), b.shape(), "matmul");
     out.resize(a.rows(), b.cols());
-    out.fill(0.0);
+    out.fill(T::ZERO);
     matmul_acc(a, b, out);
 }
 
 /// `out += a · b` — scalar-pinned [`super::matmul_acc`].
-pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_acc<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     assert_mul_shapes(a.shape(), b.shape(), "matmul");
     assert_eq!(
         out.shape(),
@@ -38,13 +36,8 @@ pub fn matmul_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 ///
 /// Register-blocked `i-k-j`: four rows of `b` are combined per pass over an
 /// output row, and the `k` dimension is tiled by [`KC`] so the active panel
-/// of `b` stays cache resident. The SIMD backend mirrors this traversal
-/// with 4×f64 lanes in the `j` loop. Generic over the element, so the
-/// `f32` serving forward ([`matmul_bias_act_f32`]) walks the same loops.
-fn panel_acc<T>(m: usize, k: usize, n: usize, ad: &[T], bd: &[T], od: &mut [T])
-where
-    T: Copy + Add<Output = T> + Mul<Output = T> + AddAssign,
-{
+/// of `b` stays cache resident.
+fn panel_acc<T: Element>(m: usize, k: usize, n: usize, ad: &[T], bd: &[T], od: &mut [T]) {
     let mut kb = 0;
     while kb < k {
         let kend = (kb + KC).min(k);
@@ -77,7 +70,11 @@ where
 }
 
 /// `out += aᵀ · b` — scalar-pinned [`super::matmul_at_b_acc`].
-pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
+pub fn matmul_at_b_acc<T: Element>(
+    a: MatrixView<'_, T>,
+    b: MatrixView<'_, T>,
+    out: &mut Matrix<T>,
+) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -109,14 +106,14 @@ pub fn matmul_at_b_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut Matrix) {
 }
 
 /// `out = a · bᵀ`, resizing `out` — scalar-pinned [`super::matmul_a_bt_into`].
-pub fn matmul_a_bt_into(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_a_bt_into<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     out.resize(a.rows(), b.rows());
-    out.fill(0.0);
+    out.fill(T::ZERO);
     matmul_a_bt_acc(a, b, out);
 }
 
 /// `out += a · bᵀ` — scalar-pinned [`super::matmul_a_bt_acc`].
-pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
+pub fn matmul_a_bt_acc<T: Element>(a: MatrixView<'_, T>, b: &Matrix<T>, out: &mut Matrix<T>) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -140,10 +137,7 @@ pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
         let orow = &mut od[i * q..(i + 1) * q];
         for (r, o) in orow.iter_mut().enumerate() {
             let brow = &bd[r * k..(r + 1) * k];
-            let mut s0 = 0.0;
-            let mut s1 = 0.0;
-            let mut s2 = 0.0;
-            let mut s3 = 0.0;
+            let (mut s0, mut s1, mut s2, mut s3) = (T::ZERO, T::ZERO, T::ZERO, T::ZERO);
             let mut p = 0;
             while p + 4 <= k {
                 s0 += arow[p] * brow[p];
@@ -163,49 +157,43 @@ pub fn matmul_a_bt_acc(a: MatrixView<'_>, b: &Matrix, out: &mut Matrix) {
 }
 
 /// Fused dense forward — scalar-pinned [`super::matmul_bias_act_into`].
-pub fn matmul_bias_act_into(
-    x: MatrixView<'_>,
-    w: &Matrix,
-    bias: &Matrix,
+pub fn matmul_bias_act_into<T: Element>(
+    x: MatrixView<'_, T>,
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
     act: Activation,
-    out: &mut Matrix,
+    out: &mut Matrix<T>,
 ) {
-    assert_mul_shapes(x.shape(), w.shape(), "matmul");
-    assert_eq!(
-        bias.shape(),
-        (1, w.cols()),
-        "bias must be 1x{} for fused forward",
-        w.cols()
-    );
-    let n = w.cols();
-    out.resize(x.rows(), n);
-    let bias_row = bias.as_slice();
-    for orow in out.as_mut_slice().chunks_exact_mut(n.max(1)) {
-        orow.copy_from_slice(bias_row);
-    }
-    matmul_acc(x, w, out);
-    act.apply_inplace(out);
+    out.resize(x.rows(), w.cols());
+    bias_act(x.as_slice(), w, bias, act, out.as_mut_slice());
 }
 
-/// Fused `f32` dense forward — scalar-pinned
-/// [`super::matmul_bias_act_f32`]: seeds each output row with the bias,
-/// accumulates through `panel_acc`, then activates in place.
-pub fn matmul_bias_act_f32(x: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
-    let (m, k, n) = f32_dense_shape(x, w, bias, out);
+/// The fused dense forward over row-major slices, `x` holding as many
+/// `w.rows()`-wide rows as `out` holds `w.cols()`-wide ones: seeds each
+/// output row with the bias, accumulates through `panel_acc`, then
+/// activates in place.
+pub(super) fn bias_act<T: Element>(
+    x: &[T],
+    w: &Matrix<T>,
+    bias: &Matrix<T>,
+    act: Activation,
+    out: &mut [T],
+) {
+    let (m, k, n) = super::dense_shape(x.len(), w, bias, out.len());
     for orow in out.chunks_exact_mut(n.max(1)) {
-        orow.copy_from_slice(bias);
+        orow.copy_from_slice(bias.as_slice());
     }
-    panel_acc(m, k, n, x, w, out);
-    act.apply_slice_f32(out);
+    panel_acc(m, k, n, x, w.as_slice(), out);
+    act.apply_slice(out);
 }
 
 /// `out = grad ⊙ act'(output)` — scalar-pinned
 /// [`super::hadamard_act_derivative_into`].
-pub fn hadamard_act_derivative_into(
-    grad_output: &Matrix,
-    output: &Matrix,
+pub fn hadamard_act_derivative_into<T: Element>(
+    grad_output: &Matrix<T>,
+    output: &Matrix<T>,
     act: Activation,
-    out: &mut Matrix,
+    out: &mut Matrix<T>,
 ) {
     assert_eq!(
         grad_output.shape(),
@@ -213,23 +201,60 @@ pub fn hadamard_act_derivative_into(
         "shape mismatch for hadamard_act_derivative"
     );
     out.resize(grad_output.rows(), grad_output.cols());
-    for ((o, &g), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(grad_output.as_slice())
-        .zip(output.as_slice())
-    {
-        *o = g * act.derivative_from_output(y);
+    hadamard_act_derivative(
+        grad_output.as_slice(),
+        output.as_slice(),
+        act,
+        out.as_mut_slice(),
+    );
+}
+
+/// The body of [`hadamard_act_derivative_into`] over equal-length slices,
+/// one loop per activation so each is a straight vectorizable line.
+#[inline(always)]
+pub(super) fn hadamard_act_derivative<T: Element>(
+    g: &[T],
+    y: &[T],
+    act: Activation,
+    out: &mut [T],
+) {
+    let pairs = out.iter_mut().zip(g.iter().zip(y));
+    match act {
+        Activation::ReLU => {
+            for (o, (&g, &y)) in pairs {
+                *o = g * if y > T::ZERO { T::ONE } else { T::ZERO };
+            }
+        }
+        Activation::Linear => {
+            for (o, (&g, _)) in pairs {
+                *o = g * T::ONE;
+            }
+        }
+        Activation::Sigmoid => {
+            for (o, (&g, &y)) in pairs {
+                *o = g * (y * (T::ONE - y));
+            }
+        }
+        Activation::Tanh => {
+            for (o, (&g, &y)) in pairs {
+                *o = g * (T::ONE - y * y);
+            }
+        }
     }
 }
 
 /// `out += column sums of a` — scalar-pinned [`super::sum_rows_acc`].
-pub fn sum_rows_acc(a: &Matrix, out: &mut Matrix) {
+pub fn sum_rows_acc<T: Element>(a: &Matrix<T>, out: &mut Matrix<T>) {
     assert_eq!(out.shape(), (1, a.cols()), "sum_rows output shape mismatch");
-    let n = a.cols();
-    let od = out.as_mut_slice();
-    for row in a.as_slice().chunks_exact(n.max(1)) {
-        for (o, &v) in od.iter_mut().zip(row) {
+    sum_rows(a.cols(), a.as_slice(), out.as_mut_slice());
+}
+
+/// The body of [`sum_rows_acc`]: adds each `n`-wide row of `a` to `out`,
+/// so every column sums in row order.
+#[inline(always)]
+pub(super) fn sum_rows<T: Element>(n: usize, a: &[T], out: &mut [T]) {
+    for row in a.chunks_exact(n.max(1)) {
+        for (o, &v) in out.iter_mut().zip(row) {
             *o += v;
         }
     }

@@ -1,6 +1,7 @@
-//! Runtime dispatch between the kernel backends, and the two AVX2+FMA
-//! element-wise kernels of the dense backward pass that both SIMD backends
-//! share (the matrix products live in [`super::gemm`]).
+//! Runtime dispatch between the kernel backends, what each element type
+//! brings to them ([`Kernel`]), and the AVX2 build of the dense backward's
+//! two element-wise kernels that both SIMD backends share (the matrix
+//! products live in [`super::gemm`]).
 //!
 //! ## Dispatch
 //!
@@ -14,40 +15,47 @@
 //!
 //! ## Safety argument
 //!
-//! Every intrinsics function below is `unsafe fn` with
-//! `#[target_feature(enable = "avx2", enable = "fma")]`; the only callers
-//! are the dispatched wrappers in the parent module, which reach a SIMD arm
-//! strictly after [`backend`] returned a SIMD backend — which itself
-//! requires the feature detection (or [`force_backend`], which re-checks)
-//! to have passed, and [`KernelBackend::Avx512`] is only ever selected on a
-//! host that also reports AVX2 and FMA. So the CPU-feature precondition
-//! holds on every call. The memory precondition is plain slice validity:
-//! all pointer arithmetic stays inside the slice bounds the safe wrappers
-//! already asserted (`while j + 4 <= n` guards every 4-lane access, with
-//! scalar tails for the remainder), and unaligned loads/stores
-//! (`_mm256_loadu_pd`/`_mm256_storeu_pd`) are used throughout so no
-//! alignment precondition exists.
+//! The two element-wise kernels are `unsafe fn` with
+//! `#[target_feature(enable = "avx2", enable = "fma")]` around the scalar
+//! backend's safe slice loops; the only callers are the dispatched
+//! wrappers in the parent module, which reach a SIMD arm strictly after
+//! [`backend`] returned a SIMD backend — which itself requires the feature
+//! detection (or [`force_backend`], which re-checks) to have passed, and
+//! [`KernelBackend::Avx512`] is only ever selected on a host that also
+//! reports AVX2 and FMA. So the CPU-feature precondition holds on every
+//! call; memory safety is the slices' own.
 //!
 //! ## Numerical contract
 //!
-//! Each lane runs the scalar formula's operations in the same order and
-//! without FMA — the activation derivative is polynomial in the activated
-//! output, and each column sums in row order — so both kernels match
-//! their [`super::scalar`] twins bit for bit.
+//! The compiler widens those loops to vector lanes without contracting a
+//! multiply and an add into an FMA or reordering a sum — the activation
+//! derivative is polynomial in the activated output, and each column sums
+//! in row order — so both kernels match their [`super::scalar`] twins bit
+//! for bit, in either element type.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{__m256, __m256d, __m512, __m512d};
+
+#[cfg(target_arch = "x86_64")]
+use super::gemm::Lane;
+#[cfg(target_arch = "x86_64")]
 use crate::activation::Activation;
+#[cfg(target_arch = "x86_64")]
+use crate::matrix::Element;
 
 /// Which implementation family the dispatched kernels route to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Portable blocked/unrolled scalar loops ([`super::scalar`]).
     Scalar,
-    /// 4×f64 AVX2 lanes with FMA (x86-64 only).
+    /// AVX2 lanes with FMA, 4 × `f64` or 8 × `f32` (x86-64 only).
     Avx2Fma,
-    /// 8×f64 AVX-512F lanes in the matrix products; the dense backward's
-    /// element-wise pair stays on the AVX2 lanes (x86-64 only).
+    /// AVX-512F lanes in the matrix products, 8 × `f64` or 16 × `f32`; the
+    /// dense backward's element-wise pair stays on the AVX2 lanes (x86-64
+    /// only).
     Avx512,
 }
 
@@ -163,115 +171,76 @@ fn force_scalar_env() -> bool {
         .unwrap_or(false)
 }
 
+/// What the kernels need of an [`Element`](crate::matrix::Element) beyond
+/// its arithmetic: the SIMD vector it fills on either register file, and
+/// its own per-thread scratch. Nameable only inside this crate, which
+/// seals `Element` to the two types implemented here.
+pub trait Kernel: Sized + 'static {
+    /// The 256-bit vector of this element.
+    #[cfg(target_arch = "x86_64")]
+    type Avx2: Lane<Elem = Self>;
+    /// The 512-bit vector of this element.
+    #[cfg(target_arch = "x86_64")]
+    type Avx512: Lane<Elem = Self>;
+    /// Runs `f` on the calling thread's `a · bᵀ` panel of this element.
+    fn with_bt_panel<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
+    /// Runs `f` on the calling thread's per-layer activations of the tiled
+    /// inference pass, in this element.
+    fn with_tile_acts<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R;
+}
+
+macro_rules! kernel {
+    ($t:ty, $avx2:ty, $avx512:ty) => {
+        impl Kernel for $t {
+            #[cfg(target_arch = "x86_64")]
+            type Avx2 = $avx2;
+            #[cfg(target_arch = "x86_64")]
+            type Avx512 = $avx512;
+            fn with_bt_panel<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+                thread_local! {
+                    static PANEL: RefCell<Vec<$t>> = const { RefCell::new(Vec::new()) };
+                }
+                PANEL.with_borrow_mut(f)
+            }
+            fn with_tile_acts<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R {
+                thread_local! {
+                    static ACTS: RefCell<Vec<Vec<$t>>> = const { RefCell::new(Vec::new()) };
+                }
+                ACTS.with_borrow_mut(f)
+            }
+        }
+    };
+}
+kernel!(f64, __m256d, __m512d);
+kernel!(f32, __m256, __m512);
+
+/// [`super::scalar::hadamard_act_derivative`] compiled for AVX2: the same
+/// loop, which the compiler widens to 4 `f64` or 8 `f32` lanes. Nothing
+/// is contracted or reordered, so it matches the scalar backend bit for
+/// bit.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
-pub(super) use x86::*;
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn hadamard_act_derivative<T: Element>(
+    g: &[T],
+    y: &[T],
+    act: Activation,
+    out: &mut [T],
+) {
+    super::scalar::hadamard_act_derivative(g, y, act, out);
+}
 
+/// [`super::scalar::sum_rows`] compiled for AVX2, as
+/// [`hadamard_act_derivative`]: each column still sums in row order.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use core::arch::x86_64::*;
-
-    use super::Activation;
-
-    /// Vectorized [`Activation::derivative_from_output`]: the derivative of
-    /// every supported activation is polynomial in the activated output
-    /// (ReLU: `y > 0`, sigmoid: `y(1-y)`, tanh: `1-y²`, linear: `1`), so
-    /// all four vectorize without touching a transcendental. Each arm
-    /// mirrors the scalar formula's operation order exactly.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn act_derivative_v(act: Activation, y: __m256d) -> __m256d {
-        let one = _mm256_set1_pd(1.0);
-        match act {
-            // `y > 0.0` is false for NaN under _CMP_GT_OQ, matching the
-            // scalar `if y > 0.0` branch.
-            Activation::ReLU => {
-                _mm256_and_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(y, _mm256_setzero_pd()), one)
-            }
-            Activation::Linear => one,
-            Activation::Sigmoid => _mm256_mul_pd(y, _mm256_sub_pd(one, y)),
-            Activation::Tanh => _mm256_sub_pd(one, _mm256_mul_pd(y, y)),
-        }
-    }
-
-    /// `out[1 x n] += column sums of a[rows x n]`. Blocks of 16, then 4
-    /// columns add down every row in registers and are stored once, the
-    /// last columns one at a time; each column still sums in row order.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; `ad` at least `rows*n`, `od` at least `n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn sum_rows_acc(rows: usize, n: usize, ad: &[f64], od: &mut [f64]) {
-        let ap = ad.as_ptr();
-        let op = od.as_mut_ptr();
-        let mut j = 0;
-        while j + 16 <= n {
-            column_sums::<4>(rows, n, ap.add(j), op.add(j));
-            j += 16;
-        }
-        while j + 4 <= n {
-            column_sums::<1>(rows, n, ap.add(j), op.add(j));
-            j += 4;
-        }
-        for j in j..n {
-            let mut s = *op.add(j);
-            for r in 0..rows {
-                s += *ap.add(r * n + j);
-            }
-            *op.add(j) = s;
-        }
-    }
-
-    /// Adds the sums of the `4·V` columns at `ap` (row stride `n`, `rows`
-    /// rows) to the `4·V` values at `op`.
-    ///
-    /// # Safety
-    ///
-    /// As [`sum_rows_acc`], for those columns.
-    #[inline(always)]
-    unsafe fn column_sums<const V: usize>(rows: usize, n: usize, ap: *const f64, op: *mut f64) {
-        let mut acc = [_mm256_setzero_pd(); V];
-        for (v, x) in acc.iter_mut().enumerate() {
-            *x = _mm256_loadu_pd(op.add(4 * v));
-        }
-        for r in 0..rows {
-            let row = ap.add(r * n);
-            for (v, x) in acc.iter_mut().enumerate() {
-                *x = _mm256_add_pd(*x, _mm256_loadu_pd(row.add(4 * v)));
-            }
-        }
-        for (v, x) in acc.iter().enumerate() {
-            _mm256_storeu_pd(op.add(4 * v), *x);
-        }
-    }
-
-    /// `out = g ⊙ act'(y)` with the derivative computed on lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA; all slices must have equal lengths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(in super::super) unsafe fn hadamard_act_derivative(
-        g: &[f64],
-        y: &[f64],
-        act: Activation,
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let (gp, yp, op) = (g.as_ptr(), y.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let d = act_derivative_v(act, _mm256_loadu_pd(yp.add(j)));
-            _mm256_storeu_pd(op.add(j), _mm256_mul_pd(_mm256_loadu_pd(gp.add(j)), d));
-            j += 4;
-        }
-        while j < n {
-            *op.add(j) = *gp.add(j) * act.derivative_from_output(*yp.add(j));
-            j += 1;
-        }
-    }
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn sum_rows_acc<T: Element>(n: usize, a: &[T], out: &mut [T]) {
+    super::scalar::sum_rows(n, a, out);
 }

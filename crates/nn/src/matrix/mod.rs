@@ -4,6 +4,12 @@
 //! backpropagation needs (matrix product, transpose, element-wise maps and
 //! zips, row broadcasts and column reductions) with validated shapes.
 //!
+//! It is generic over its [`Element`], `f64` by default, so every `Matrix`
+//! a caller names without one is the `f64` matrix the model studies train
+//! on; a `Matrix<f32>` is what the live placement network trains and
+//! serves on. The shape, view, buffer and kernel operations exist for
+//! both; the convenience arithmetic (`map`, `zip`, `dot`, …) is `f64` only.
+//!
 //! The hot-path compute lives in [`kernels`]: blocked, transpose-aware
 //! matrix-product routines that write into caller-provided buffers, so the
 //! training loop performs no per-batch allocations. [`MatrixView`] provides
@@ -13,11 +19,78 @@
 //! benchmarks.
 
 use std::fmt;
-use std::ops::Range;
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Range, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// A row-major `rows x cols` matrix of `f64`.
+/// An element type a [`Matrix`], and so a network, computes in: `f64` or
+/// `f32`. Sealed: every element type has its own instantiation of the
+/// SIMD micro-kernel.
+pub trait Element:
+    kernels::simd::Kernel
+    + Copy
+    + Default
+    + PartialOrd
+    + fmt::Debug
+    + fmt::Display
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+{
+    /// `0`.
+    const ZERO: Self;
+    /// `1`.
+    const ONE: Self;
+    /// The nearest value to `v` (exact for `f64`).
+    fn from_f64(v: f64) -> Self;
+    /// `self`, widened exactly.
+    fn to_f64(self) -> f64;
+    /// The larger of `self` and `other`; `other` when `self` is NaN.
+    fn max(self, other: Self) -> Self;
+    /// `self` restricted to `[lo, hi]`.
+    fn clamp(self, lo: Self, hi: Self) -> Self;
+    /// Whether `self` is neither infinite nor NaN.
+    fn is_finite(self) -> bool;
+}
+
+macro_rules! element {
+    ($t:ty) => {
+        impl Element for $t {
+            const ZERO: Self = 0.0;
+            const ONE: Self = 1.0;
+            #[inline(always)]
+            fn from_f64(v: f64) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                f64::from(self)
+            }
+            #[inline(always)]
+            fn max(self, other: Self) -> Self {
+                <$t>::max(self, other)
+            }
+            #[inline(always)]
+            fn clamp(self, lo: Self, hi: Self) -> Self {
+                <$t>::clamp(self, lo, hi)
+            }
+            #[inline(always)]
+            fn is_finite(self) -> bool {
+                <$t>::is_finite(self)
+            }
+        }
+    };
+}
+element!(f64);
+element!(f32);
+
+/// A row-major `rows x cols` matrix of [`Element`]s, `f64` unless named.
 ///
 /// # Examples
 ///
@@ -28,11 +101,11 @@ use serde::{Deserialize, Serialize};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.dot(&b), a);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct Matrix<T = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
 /// A borrowed view of a contiguous row range of a [`Matrix`].
@@ -41,13 +114,42 @@ pub struct Matrix {
 /// the [`kernels`] without materializing copies (`slice_rows` clones its
 /// range; `view_rows` does not).
 #[derive(Debug, Clone, Copy)]
-pub struct MatrixView<'a> {
+pub struct MatrixView<'a, T = f64> {
     rows: usize,
     cols: usize,
-    data: &'a [f64],
+    data: &'a [T],
 }
 
-impl<'a> MatrixView<'a> {
+/// The JSON form of an `f64` [`Matrix`] (the serde shim derives no generic
+/// type).
+#[derive(Serialize, Deserialize)]
+struct MatrixJson {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl Serialize for Matrix {
+    fn to_value(&self) -> Value {
+        let (rows, cols, data) = (self.rows, self.cols, self.data.clone());
+        MatrixJson { rows, cols, data }.to_value()
+    }
+}
+
+impl Deserialize for Matrix {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let MatrixJson { rows, cols, data } = MatrixJson::from_value(value)?;
+        if data.len() != rows * cols {
+            return Err(DeError::new(format!(
+                "{} values for a {rows}x{cols} matrix",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
+impl<'a, T: Element> MatrixView<'a, T> {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -74,7 +176,7 @@ impl<'a> MatrixView<'a> {
     }
 
     /// The viewed row-major buffer.
-    pub fn as_slice(&self) -> &'a [f64] {
+    pub fn as_slice(&self) -> &'a [T] {
         self.data
     }
 
@@ -83,7 +185,7 @@ impl<'a> MatrixView<'a> {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &'a [f64] {
+    pub fn row(&self, r: usize) -> &'a [T] {
         assert!(
             r < self.rows,
             "row {r} out of bounds for {} rows",
@@ -97,7 +199,7 @@ impl<'a> MatrixView<'a> {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or reversed.
-    pub fn view_rows(&self, range: Range<usize>) -> MatrixView<'a> {
+    pub fn view_rows(&self, range: Range<usize>) -> MatrixView<'a, T> {
         assert!(
             range.start <= range.end && range.end <= self.rows,
             "row range out of bounds"
@@ -110,10 +212,10 @@ impl<'a> MatrixView<'a> {
     }
 }
 
-impl std::ops::Index<(usize, usize)> for MatrixView<'_> {
-    type Output = f64;
+impl<T> std::ops::Index<(usize, usize)> for MatrixView<'_, T> {
+    type Output = T;
 
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
@@ -122,24 +224,24 @@ impl std::ops::Index<(usize, usize)> for MatrixView<'_> {
     }
 }
 
-impl<'a> From<&'a Matrix> for MatrixView<'a> {
-    fn from(m: &'a Matrix) -> Self {
+impl<'a, T: Element> From<&'a Matrix<T>> for MatrixView<'a, T> {
+    fn from(m: &'a Matrix<T>) -> Self {
         m.view()
     }
 }
 
-impl Matrix {
+impl<T: Element> Matrix<T> {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
     /// Creates a `rows x cols` matrix where every element is `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
         Matrix {
             rows,
             cols,
@@ -147,21 +249,12 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from a flat row-major buffer.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -178,7 +271,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub fn from_rows(rows: &[&[T]]) -> Self {
         assert!(!rows.is_empty(), "matrix must have at least one row");
         let cols = rows[0].len();
         let mut data = Vec::with_capacity(rows.len() * cols);
@@ -199,7 +292,7 @@ impl Matrix {
     }
 
     /// Creates a `1 x n` row vector.
-    pub fn row_vector(values: &[f64]) -> Self {
+    pub fn row_vector(values: &[T]) -> Self {
         Matrix::from_vec(1, values.len(), values.to_vec())
     }
 
@@ -229,12 +322,12 @@ impl Matrix {
     }
 
     /// Immutable view of the underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable view of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -243,7 +336,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[T] {
         assert!(
             r < self.rows,
             "row {r} out of bounds for {} rows",
@@ -257,7 +350,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds or `values.len() != self.cols()`.
-    pub fn set_row(&mut self, r: usize, values: &[f64]) {
+    pub fn set_row(&mut self, r: usize, values: &[T]) {
         assert!(
             r < self.rows,
             "row {r} out of bounds for {} rows",
@@ -268,7 +361,7 @@ impl Matrix {
     }
 
     /// A borrowed view of the whole matrix.
-    pub fn view(&self) -> MatrixView<'_> {
+    pub fn view(&self) -> MatrixView<'_, T> {
         MatrixView {
             rows: self.rows,
             cols: self.cols,
@@ -282,7 +375,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or reversed.
-    pub fn view_rows(&self, range: Range<usize>) -> MatrixView<'_> {
+    pub fn view_rows(&self, range: Range<usize>) -> MatrixView<'_, T> {
         self.view().view_rows(range)
     }
 
@@ -294,19 +387,87 @@ impl Matrix {
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, T::ZERO);
     }
 
     /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
+    pub fn fill(&mut self, value: T) {
         self.data.fill(value);
     }
 
-    /// Makes `self` an exact copy of `src`, reusing the allocation when
-    /// possible.
-    pub fn copy_from(&mut self, src: MatrixView<'_>) {
+    /// Makes `self` a copy of `src`, each element rounded to the nearest
+    /// `T` (exact when the element types match), reusing the allocation
+    /// when possible: how an `f64` batch is narrowed for an `f32` network
+    /// and its output widened back.
+    pub fn copy_from<U: Element>(&mut self, src: MatrixView<'_, U>) {
         self.resize(src.rows(), src.cols());
-        self.data.copy_from_slice(src.as_slice());
+        for (d, &s) in self.data.iter_mut().zip(src.as_slice()) {
+            *d = T::from_f64(s.to_f64());
+        }
+    }
+
+    /// [`Matrix::copy_from`] into a new matrix.
+    pub fn cast<U: Element>(&self) -> Matrix<U> {
+        let mut out = Matrix::default();
+        out.copy_from(self.view());
+        out
+    }
+
+    /// In-place element-wise accumulation `self += other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn add_assign(&mut self, other: &Matrix<T>) {
+        self.assert_same_shape(other, "add_assign");
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
+    /// Returns the sub-matrix made of rows `range.start..range.end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or reversed.
+    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= self.rows,
+            "row range out of bounds"
+        );
+        Matrix {
+            rows: range.end - range.start,
+            cols: self.cols,
+            data: self.data[range.start * self.cols..range.end * self.cols].to_vec(),
+        }
+    }
+
+    /// Whether any element is NaN or infinite.
+    pub fn has_non_finite(&self) -> bool {
+        self.data.iter().any(|x| !x.is_finite())
+    }
+
+    fn assert_same_shape(&self, other: &Matrix<T>, op: &str) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "shape mismatch for {op}: {}x{} vs {}x{}",
+            self.rows,
+            self.cols,
+            other.rows,
+            other.cols
+        );
+    }
+}
+
+impl Matrix {
+    /// Creates the `n x n` identity matrix.
+    pub fn identity(n: usize) -> Self {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
     }
 
     /// Matrix product `self * other`.
@@ -396,18 +557,6 @@ impl Matrix {
         self.zip(other, |a, b| a * b)
     }
 
-    /// In-place element-wise accumulation `self += other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        self.assert_same_shape(other, "add_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Scalar multiple of the matrix.
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
@@ -467,23 +616,6 @@ impl Matrix {
         }
     }
 
-    /// Returns the sub-matrix made of rows `range.start..range.end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Matrix {
-        assert!(
-            range.start <= range.end && range.end <= self.rows,
-            "row range out of bounds"
-        );
-        Matrix {
-            rows: range.end - range.start,
-            cols: self.cols,
-            data: self.data[range.start * self.cols..range.end * self.cols].to_vec(),
-        }
-    }
-
     /// Returns the sub-matrix made of columns `range.start..range.end`.
     ///
     /// # Panics
@@ -523,29 +655,12 @@ impl Matrix {
             data,
         }
     }
-
-    /// Whether any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    fn assert_same_shape(&self, other: &Matrix, op: &str) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch for {op}: {}x{} vs {}x{}",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-    }
 }
 
-impl std::ops::Index<(usize, usize)> for Matrix {
-    type Output = f64;
+impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
+    type Output = T;
 
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
@@ -554,8 +669,8 @@ impl std::ops::Index<(usize, usize)> for Matrix {
     }
 }
 
-impl std::ops::IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
+impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
         assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
@@ -595,7 +710,7 @@ mod tests {
 
     #[test]
     fn zeros_has_right_shape_and_values() {
-        let m = Matrix::zeros(3, 4);
+        let m: Matrix = Matrix::zeros(3, 4);
         assert_eq!(m.shape(), (3, 4));
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
     }

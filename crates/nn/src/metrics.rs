@@ -1,6 +1,6 @@
 //! Evaluation metrics matching those reported in the paper's Tables II–III.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Element, Matrix};
 
 /// Mean ± standard deviation of the absolute relative error, in percent —
 /// the accuracy metric of Tables II and III.
@@ -18,7 +18,7 @@ pub struct RelativeError {
 
 impl RelativeError {
     /// Computes the absolute relative error statistics between predictions
-    /// and targets, in percent.
+    /// and targets, in percent, in `f64` whatever the element.
     ///
     /// Targets with magnitude below `1e-12` are skipped to avoid division by
     /// zero (the paper predicts throughput, which is strictly positive).
@@ -26,11 +26,12 @@ impl RelativeError {
     /// # Panics
     ///
     /// Panics if shapes differ or no usable target remains.
-    pub fn compute(prediction: &Matrix, target: &Matrix) -> Self {
+    pub fn compute<T: Element>(prediction: &Matrix<T>, target: &Matrix<T>) -> Self {
         assert_eq!(prediction.shape(), target.shape(), "metric shape mismatch");
         let mut abs_errors = Vec::with_capacity(prediction.len());
         let mut signed_sum = 0.0;
         for (&p, &t) in prediction.as_slice().iter().zip(target.as_slice()) {
+            let (p, t) = (p.to_f64(), t.to_f64());
             if t.abs() < 1e-12 {
                 continue;
             }
@@ -73,7 +74,7 @@ impl std::fmt::Display for RelativeError {
 /// A model is considered diverged when its predictions are (a) numerically
 /// non-finite, (b) essentially constant while targets vary, or (c) wildly off
 /// scale (mean error above `300 %`).
-pub fn is_diverged(prediction: &Matrix, target: &Matrix) -> bool {
+pub fn is_diverged<T: Element>(prediction: &Matrix<T>, target: &Matrix<T>) -> bool {
     if prediction.has_non_finite() {
         return true;
     }
@@ -86,13 +87,14 @@ pub fn is_diverged(prediction: &Matrix, target: &Matrix) -> bool {
     err.mean > 300.0
 }
 
-fn std_dev(xs: &[f64]) -> f64 {
+fn std_dev<T: Element>(xs: &[T]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt()
+    let mean = xs.iter().map(|x| x.to_f64()).sum::<f64>() / n;
+    let sq = xs.iter().map(|x| (x.to_f64() - mean) * (x.to_f64() - mean));
+    (sq.sum::<f64>() / n).sqrt()
 }
 
 #[cfg(test)]

@@ -1,39 +1,40 @@
-//! Sequential container composing layers into a trainable network.
+//! Sequential container composing layers into a trainable network,
+//! generic over its element type: `f64` for the model studies, `f32` for
+//! the live placement network, which trains through the same forward and
+//! backward and serves through the tiled inference pass defined here.
 
-use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock};
 
-use crate::activation::Activation;
 use crate::layers::Layer;
 use crate::loss::Loss;
-use crate::matrix::{kernels, Matrix, MatrixView};
+use crate::matrix::{Element, Matrix, MatrixView};
 use crate::optimizer::Optimizer;
 
-/// Rows per tile of the serving pass ([`SequentialF32::predict_into`]): a
-/// tile runs through *all* layers before the next one starts, so its
+/// Rows per tile of the inference pass ([`Sequential::predict_rows_into`]):
+/// a tile runs through *all* layers before the next one starts, so its
 /// activations (128 rows of model 1's 96 + 48 + 24 hidden `f32` columns,
 /// ≈86 KB) stay in L2 from one layer to the next however long the batch.
 const TILE_ROWS: usize = 128;
 
-/// Work, in multiply-adds (batch rows × parameters), before a serving pass
-/// asks the worker pool for help: below it the caller runs every tile
+/// Work, in multiply-adds (batch rows × parameters), before an inference
+/// pass asks the worker pool for help: below it the caller runs every tile
 /// itself. A helper has to earn back a cross-core wake-up (≈25–45 µs on the
 /// 2-vCPU bench box, more than the whole ≈10 µs pass of a 64-request
-/// submission). Measured there on model 1 (6,529 parameters) with the
-/// AVX-512 micro-kernel, one thread against two (DESIGN.md, "The inference
-/// pass"), two threads tie one at 512 rows and first beat it on the median
-/// at 640 ≈ 4.2M multiply-adds, which is where this sits: model 1's copy
-/// fans out from 644 rows. Counting work rather than rows keeps the rule
+/// submission). Measured there on model 1 (6,529 parameters) in `f32` with
+/// the AVX-512 micro-kernel, one thread against two (DESIGN.md, "The
+/// inference pass"), two threads tie one at 512 rows and first beat it on
+/// the median at 640 ≈ 4.2M multiply-adds, which is where this sits: model
+/// 1 fans out from 644 rows. Counting work rather than rows keeps the rule
 /// right for smaller networks, whose rows cost less: model 11 (49
 /// parameters) would need ≈86k rows. A 512-request submission's ≈2,130-row
 /// pass splits across both cores; a 64-request one's ≈46 rows never wakes
 /// a helper.
 const PARALLEL_MIN_WORK: usize = 4_200_000;
 
-/// Helper threads a serving pass asks the pool for, beside the caller, for
-/// `rows` rows of `work_per_row` multiply-adds on `cpus` usable CPUs: none
-/// below [`PARALLEL_MIN_WORK`] or with one CPU, else one per other CPU, but
-/// never more than there are tiles to share.
+/// Helper threads an inference pass asks the pool for, beside the caller,
+/// for `rows` rows of `work_per_row` multiply-adds on `cpus` usable CPUs:
+/// none below [`PARALLEL_MIN_WORK`] or with one CPU, else one per other
+/// CPU, but never more than there are tiles to share.
 fn fan_out_helpers(rows: usize, work_per_row: usize, cpus: usize) -> usize {
     if cpus < 2 || rows.saturating_mul(work_per_row) < PARALLEL_MIN_WORK {
         return 0;
@@ -52,47 +53,42 @@ fn usable_cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-thread_local! {
-    /// Per-thread activations of the serving pass, one buffer per hidden
-    /// layer. Sized by the first tile a thread runs and reused across tiles
-    /// and calls, so a steady-state pass allocates and zero-fills nothing.
-    static TILE_ACTS: RefCell<Vec<Vec<f32>>> = RefCell::default();
-}
-
 /// Runs one tile of rows through every layer: the hidden layers write the
-/// calling thread's [`TILE_ACTS`], the last one writes `out` directly.
-fn run_tile(layers: &[DenseF32], input: &[f32], out: &mut [f32]) {
-    TILE_ACTS.with_borrow_mut(|acts| {
-        let (last, hidden) = layers.split_last().expect("an f32 copy has layers");
+/// calling thread's activations of this element (sized by the first tile
+/// a thread runs and reused across tiles and calls, so a steady-state pass
+/// allocates and zero-fills nothing), the last one writes `out` directly.
+fn run_tile<T: Element>(layers: &[Box<dyn Layer<T>>], input: &[T], out: &mut [T]) {
+    T::with_tile_acts(|acts| {
+        let (last, hidden) = layers.split_last().expect("a network has layers");
         if acts.len() < hidden.len() {
             acts.resize_with(hidden.len(), Vec::new);
         }
-        let rows = out.len() / last.bias.len();
+        let rows = out.len() / last.output_size();
         for (i, layer) in hidden.iter().enumerate() {
             let (done, rest) = acts.split_at_mut(i);
             let x = done.last().map_or(input, Vec::as_slice);
-            rest[0].resize(rows * layer.bias.len(), 0.0);
-            layer.forward(x, &mut rest[0]);
+            rest[0].resize(rows * layer.output_size(), T::ZERO);
+            layer.forward_rows(x, &mut rest[0]);
         }
-        last.forward(
+        last.forward_rows(
             acts[..hidden.len()].last().map_or(input, Vec::as_slice),
             out,
         );
     });
 }
 
-/// The serving pass's tile walk: `out` holds `rows` rows of `out_cols`, cut
-/// into tiles of at most [`TILE_ROWS`] rows, and `tile(first_row, chunk)`
-/// fills one. The caller always pulls tiles from one queue; once the batch
-/// reaches [`PARALLEL_MIN_WORK`] multiply-adds at `work_per_row` each and
-/// more than one CPU is usable, one pool job per other CPU pulls from it
-/// too, so a worker that wakes late just finds fewer tiles left.
-fn walk_tiles(
+/// The inference pass's tile walk: `out` holds `rows` rows of `out_cols`,
+/// cut into tiles of at most [`TILE_ROWS`] rows, and `tile(first_row,
+/// chunk)` fills one. The caller always pulls tiles from one queue; once
+/// the batch reaches [`PARALLEL_MIN_WORK`] multiply-adds at `work_per_row`
+/// each and more than one CPU is usable, one pool job per other CPU pulls
+/// from it too, so a worker that wakes late just finds fewer tiles left.
+fn walk_tiles<T: Element>(
     rows: usize,
     out_cols: usize,
     work_per_row: usize,
-    out: &mut [f32],
-    tile: impl Fn(usize, &mut [f32]) + Sync,
+    out: &mut [T],
+    tile: impl Fn(usize, &mut [T]) + Sync,
 ) {
     let helpers = fan_out_helpers(rows, work_per_row, usable_cpus());
     // A zero-width output has no chunks at all: nothing to compute.
@@ -120,10 +116,16 @@ fn walk_tiles(
 /// gradient ping-pong pair, all reused across batches: after the first
 /// batch, [`Sequential::train_batch`], [`Sequential::train_batch_view`],
 /// [`Sequential::predict_ref`] and [`Sequential::predict_into`] perform no
-/// per-call heap allocation. There is one forward, the training one:
-/// prediction runs it too and leaves the backward caches primed. Placements
-/// are served from the network's `f32` copy ([`Sequential::to_f32`]),
-/// which has the tiled, fanned-out pass.
+/// per-call heap allocation. Prediction runs the training forward too and
+/// leaves the backward caches primed.
+///
+/// The network computes in its element type `T`: `f64` unless named, which
+/// every model study uses and the only type recurrent layers come in, or
+/// `f32`, which the live placement network trains and serves in on twice
+/// the SIMD lanes. A dense stack also has the tiled inference pass,
+/// [`Sequential::predict_rows_into`], which serves placements: it takes
+/// `&self`, fans out to the worker pool on a large batch, and is bit-equal
+/// to the training forward's output row for row.
 ///
 /// # Examples
 ///
@@ -151,21 +153,21 @@ fn walk_tiles(
 /// assert!(loss < 0.05);
 /// ```
 #[derive(Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+pub struct Sequential<T: Element = f64> {
+    layers: Vec<Box<dyn Layer<T>>>,
     /// Gradient ping-pong buffers for the backward pass.
-    grad_a: Matrix,
-    grad_b: Matrix,
+    grad_a: Matrix<T>,
+    grad_b: Matrix<T>,
     /// Number of parameter tensors across all layers (cached so the
     /// optimizer protocol never collects them into a `Vec`).
     n_param_tensors: usize,
     /// Number of trainable scalars, cached for [`Sequential::param_count`]
-    /// and the `f32` copy's fan-out rule (`Layer::param_count` collects a
-    /// `Vec`).
+    /// and the inference pass's fan-out rule (`Layer::param_count` collects
+    /// a `Vec`).
     n_params: usize,
 }
 
-impl std::fmt::Debug for Sequential {
+impl<T: Element> std::fmt::Debug for Sequential<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sequential")
             .field("architecture", &self.describe())
@@ -174,7 +176,7 @@ impl std::fmt::Debug for Sequential {
     }
 }
 
-impl Sequential {
+impl<T: Element> Sequential<T> {
     /// Creates an empty network.
     pub fn new() -> Self {
         Sequential::default()
@@ -186,7 +188,7 @@ impl Sequential {
     ///
     /// Panics if the layer's input width does not match the previous layer's
     /// output width.
-    pub fn push(&mut self, layer: impl Layer + 'static) {
+    pub fn push(&mut self, layer: impl Layer<T> + 'static) {
         if let Some(last) = self.layers.last() {
             assert_eq!(
                 last.output_size(),
@@ -224,12 +226,15 @@ impl Sequential {
     /// The training forward: one serial pass in which each layer reads its
     /// predecessor's output in place and caches intermediates for a backward
     /// pass. Returns the last layer's output.
-    fn forward_all<'a>(layers: &'a mut [Box<dyn Layer>], input: MatrixView<'_>) -> &'a Matrix {
+    fn forward_all<'a>(
+        layers: &'a mut [Box<dyn Layer<T>>],
+        input: MatrixView<'_, T>,
+    ) -> &'a Matrix<T> {
         let (first, rest) = layers
             .split_first_mut()
             .expect("cannot predict with an empty network");
         first.forward_train(input);
-        let mut prev: &dyn Layer = &**first;
+        let mut prev: &dyn Layer<T> = &**first;
         for layer in rest {
             layer.forward_train(prev.output().view());
             prev = &**layer;
@@ -245,7 +250,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the network is empty or the input width is wrong.
-    pub fn predict_ref(&mut self, input: MatrixView<'_>) -> &Matrix {
+    pub fn predict_ref(&mut self, input: MatrixView<'_, T>) -> &Matrix<T> {
         Sequential::forward_all(&mut self.layers, input)
     }
 
@@ -255,7 +260,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the network is empty or the input width is wrong.
-    pub fn predict(&mut self, input: &Matrix) -> Matrix {
+    pub fn predict(&mut self, input: &Matrix<T>) -> Matrix<T> {
         let mut out = Matrix::default();
         self.predict_into(input.view(), &mut out);
         out
@@ -268,7 +273,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the network is empty or the input width is wrong.
-    pub fn predict_into(&mut self, input: MatrixView<'_>, out: &mut Matrix) {
+    pub fn predict_into(&mut self, input: MatrixView<'_, T>, out: &mut Matrix<T>) {
         out.copy_from(Sequential::forward_all(&mut self.layers, input).view());
     }
 
@@ -280,10 +285,10 @@ impl Sequential {
     /// Panics if the network is empty or shapes are inconsistent.
     pub fn train_batch(
         &mut self,
-        input: &Matrix,
-        target: &Matrix,
+        input: &Matrix<T>,
+        target: &Matrix<T>,
         loss: Loss,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut impl Optimizer,
     ) -> f64 {
         self.train_batch_view(input.view(), target.view(), loss, optimizer)
     }
@@ -300,10 +305,10 @@ impl Sequential {
     /// Panics if the network is empty or shapes are inconsistent.
     pub fn train_batch_view(
         &mut self,
-        input: MatrixView<'_>,
-        target: MatrixView<'_>,
+        input: MatrixView<'_, T>,
+        target: MatrixView<'_, T>,
         loss: Loss,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut impl Optimizer,
     ) -> f64 {
         let loss_value = self.backward_only_view(input, target, loss);
         optimizer.begin_step(self.n_param_tensors);
@@ -324,15 +329,15 @@ impl Sequential {
     /// first layer's input gradient, which nothing reads, is skipped
     /// ([`Layer::backward_params_into`]). Exposed for gradient-checking
     /// tests and custom training loops.
-    pub fn backward_only(&mut self, input: &Matrix, target: &Matrix, loss: Loss) -> f64 {
+    pub fn backward_only(&mut self, input: &Matrix<T>, target: &Matrix<T>, loss: Loss) -> f64 {
         self.backward_only_view(input.view(), target.view(), loss)
     }
 
     /// [`Sequential::backward_only`] over borrowed views.
     pub fn backward_only_view(
         &mut self,
-        input: MatrixView<'_>,
-        target: MatrixView<'_>,
+        input: MatrixView<'_, T>,
+        target: MatrixView<'_, T>,
         loss: Loss,
     ) -> f64 {
         let Sequential {
@@ -365,33 +370,67 @@ impl Sequential {
         self.n_params
     }
 
-    /// The `f32` inference copy of this network ([`SequentialF32`]), with
-    /// every weight rounded to the nearest `f32`. `None` unless every layer
-    /// is [`Dense`](crate::layers::Dense) and there is at least one: the
-    /// copy serves row-shaped dense models only.
-    pub fn to_f32(&self) -> Option<SequentialF32> {
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| {
-                let dense = layer.as_dense()?;
-                let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect();
-                Some(DenseF32 {
-                    weight: narrow(dense.weight()),
-                    bias: narrow(dense.bias()),
-                    activation: dense.activation(),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(SequentialF32 {
-            layers,
-            input_size: self.input_size()?,
+    /// Smallest batch, in rows, at which [`Sequential::predict_rows_into`]
+    /// asks the worker pool for help when more than one CPU is usable: the
+    /// rows that reach the pass's fixed amount of work at this network's
+    /// parameter count (644 for the paper's model 1).
+    pub fn parallel_min_rows(&self) -> usize {
+        PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
+    }
+
+    /// The tiled inference pass over `input`, row-major rows of
+    /// [`Sequential::input_size`], into `out`, resized to the rows ×
+    /// [`Sequential::output_size`]; what serves placements.
+    ///
+    /// It walks the batch in tiles of at most 128 rows; each tile goes
+    /// through every layer ([`Layer::forward_rows`]) on the running
+    /// thread's reusable scratch, so activations stay cache-resident and a
+    /// warm pass below the fan-out allocates nothing. From
+    /// [`Sequential::parallel_min_rows`] rows up, and when more than one
+    /// CPU is usable, the pool's workers pull tiles from the same queue as
+    /// the caller. Each output element is one FMA chain in ascending
+    /// shared-dimension order, so the output is bit-equal whatever the
+    /// tiling, the thread that ran a tile, or the SIMD backend, and equal
+    /// to [`Sequential::predict_into`]'s. It takes `&self`, so one network
+    /// serves any number of threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network is empty, a layer is recurrent, or `input` is
+    /// not a whole number of rows.
+    pub fn predict_rows_into(&self, input: &[T], out: &mut Vec<T>) {
+        let in_cols = self
+            .input_size()
+            .expect("cannot predict with an empty network");
+        let out_cols = self.output_size().expect("a network has layers");
+        let rows = input.len().checked_div(in_cols).unwrap_or(0);
+        assert_eq!(
+            rows * in_cols,
+            input.len(),
+            "input is not a whole number of {in_cols}-wide rows"
+        );
+        out.resize(rows * out_cols, T::ZERO);
+        walk_tiles(rows, out_cols, self.n_params, out, |start, chunk| {
+            let tile_rows = chunk.len() / out_cols;
+            let x = &input[start * in_cols..(start + tile_rows) * in_cols];
+            run_tile(&self.layers, x, chunk);
+        });
+    }
+
+    /// A copy of the trained network: the same layers and weights, with
+    /// cold (empty) caches and scratch.
+    pub fn fork(&self) -> Self {
+        Sequential {
+            layers: self.layers.iter().map(|l| l.fork()).collect(),
+            grad_a: Matrix::default(),
+            grad_b: Matrix::default(),
+            n_param_tensors: self.n_param_tensors,
             n_params: self.n_params,
-        })
+        }
     }
 
     /// Mutable access to every parameter, layer by layer.
-    pub fn params_mut(&mut self) -> Vec<&mut crate::param::Param> {
+    pub fn params_mut(&mut self) -> Vec<&mut crate::param::Param<T>> {
         self.layers
             .iter_mut()
             .flat_map(|l| l.params_mut())
@@ -409,7 +448,7 @@ impl Sequential {
     }
 
     /// Snapshot of all parameter values (for persistence or rollback).
-    pub fn export_weights(&self) -> Vec<Matrix> {
+    pub fn export_weights(&self) -> Vec<Matrix<T>> {
         self.layers
             .iter()
             .flat_map(|l| l.params())
@@ -422,7 +461,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if the snapshot length or any shape does not match.
-    pub fn import_weights(&mut self, weights: &[Matrix]) {
+    pub fn import_weights(&mut self, weights: &[Matrix<T>]) {
         let mut params = self.params_mut();
         assert_eq!(
             params.len(),
@@ -433,117 +472,6 @@ impl Sequential {
             assert_eq!(p.value.shape(), w.shape(), "weight snapshot shape mismatch");
             p.value = w.clone();
         }
-    }
-}
-
-/// One layer of a [`SequentialF32`]: a dense layer's row-major
-/// `input × output` weights and its bias row, narrowed to `f32`.
-#[derive(Debug, Clone)]
-struct DenseF32 {
-    weight: Vec<f32>,
-    bias: Vec<f32>,
-    activation: Activation,
-}
-
-impl DenseF32 {
-    /// `out = act(x · W + b)` for as many rows as `out` holds.
-    fn forward(&self, x: &[f32], out: &mut [f32]) {
-        kernels::matmul_bias_act_f32(x, &self.weight, &self.bias, self.activation, out);
-    }
-}
-
-/// The `f32` inference copy of a dense-only [`Sequential`]
-/// ([`Sequential::to_f32`]): what serves placement decisions, while
-/// training, validation and every model study stay on the `f64` network.
-///
-/// Its pass walks the batch in tiles of at most 128 rows; each tile goes
-/// through every layer on the running thread's reusable scratch, so
-/// activations stay cache-resident and a warm pass allocates nothing. From
-/// [`SequentialF32::parallel_min_rows`] rows up, and when more than one CPU
-/// is usable, the pool's workers pull tiles from the same queue as the
-/// caller. The layer step is the `f32` dense forward
-/// (`kernels::matmul_bias_act_f32`), on twice the lanes per vector of an
-/// `f64` one. Each output element is one FMA chain in ascending
-/// shared-dimension order, so the output is bit-equal whatever the tiling,
-/// the thread that ran a tile, or the SIMD backend. It is immutable, so one copy serves
-/// any number of threads.
-///
-/// # Examples
-///
-/// ```
-/// use geomancy_nn::activation::Activation;
-/// use geomancy_nn::init::seeded_rng;
-/// use geomancy_nn::layers::Dense;
-/// use geomancy_nn::matrix::Matrix;
-/// use geomancy_nn::network::Sequential;
-///
-/// let mut rng = seeded_rng(1);
-/// let mut net = Sequential::new();
-/// net.push(Dense::new(2, 8, Activation::ReLU, &mut rng));
-/// net.push(Dense::new(8, 1, Activation::Linear, &mut rng));
-/// let copy = net.to_f32().expect("a dense network");
-///
-/// let mut out = Vec::new();
-/// copy.predict_into(&[0.25, 0.5, 1.0, -1.0], &mut out);
-/// let want = net.predict(&Matrix::from_rows(&[&[0.25, 0.5], &[1.0, -1.0]]));
-/// for (got, want) in out.iter().zip(want.as_slice()) {
-///     assert!((f64::from(*got) - want).abs() <= 1e-5 * (1.0 + want.abs()));
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SequentialF32 {
-    layers: Vec<DenseF32>,
-    input_size: usize,
-    n_params: usize,
-}
-
-impl SequentialF32 {
-    /// Width of an input row.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
-    /// Width of an output row.
-    pub fn output_size(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.bias.len())
-    }
-
-    /// Total number of parameters, as in the `f64` network.
-    pub fn param_count(&self) -> usize {
-        self.n_params
-    }
-
-    /// Smallest batch, in rows, at which [`SequentialF32::predict_into`]
-    /// asks the worker pool for help when more than one CPU is usable: the
-    /// rows that reach the `f32` pass's fixed amount of work at this
-    /// network's parameter count (644 for the paper's model 1).
-    pub fn parallel_min_rows(&self) -> usize {
-        PARALLEL_MIN_WORK.div_ceil(self.param_count().max(1))
-    }
-
-    /// The inference pass over `input`, row-major rows of
-    /// [`SequentialF32::input_size`], into `out`, resized to the rows ×
-    /// [`SequentialF32::output_size`]. A warm pass below the fan-out
-    /// allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not a whole number of rows.
-    pub fn predict_into(&self, input: &[f32], out: &mut Vec<f32>) {
-        let in_cols = self.input_size;
-        let rows = input.len().checked_div(in_cols).unwrap_or(0);
-        assert_eq!(
-            rows * in_cols,
-            input.len(),
-            "input is not a whole number of {in_cols}-wide rows"
-        );
-        let out_cols = self.output_size();
-        out.resize(rows * out_cols, 0.0);
-        walk_tiles(rows, out_cols, self.n_params, out, |start, chunk| {
-            let tile_rows = chunk.len() / out_cols;
-            let x = &input[start * in_cols..(start + tile_rows) * in_cols];
-            run_tile(&self.layers, x, chunk);
-        });
     }
 }
 
@@ -563,8 +491,8 @@ mod tests {
         net
     }
 
-    /// The paper's model 1: dense 6 -> 96 -> 48 -> 24 -> 1.
-    fn model1(seed: u64) -> Sequential {
+    /// The paper's model 1: dense 6 -> 96 -> 48 -> 24 -> 1, in `T`.
+    fn model1<T: Element>(seed: u64) -> Sequential<T> {
         let mut rng = seeded_rng(seed);
         let mut net = Sequential::new();
         net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
@@ -576,7 +504,7 @@ mod tests {
 
     #[test]
     fn fan_out_follows_the_work_not_the_rows() {
-        let work = model1(1).param_count();
+        let work = model1::<f32>(1).param_count();
         assert_eq!(work, 6_529);
         // A 512-request submission's ≈2,130 rows fan out, a 64-request
         // one's ≈46 rows do not, and one CPU never does.
@@ -590,49 +518,45 @@ mod tests {
         // Model 11 (dense 6 -> 6 -> 1, 49 parameters) never fans out at
         // the rows a submission can reach.
         let mut rng = seeded_rng(1);
-        let mut model11 = Sequential::new();
+        let mut model11 = Sequential::<f32>::new();
         model11.push(Dense::new(6, 6, Activation::ReLU, &mut rng));
         model11.push(Dense::new(6, 1, Activation::Linear, &mut rng));
         assert_eq!(model11.param_count(), 49);
         assert_eq!(fan_out_helpers(3_072, model11.param_count(), 2), 0);
-        // The row counts the f32 copies expose are the rule's edges.
+        // The row counts the networks expose are the rule's edges.
         for net in [model1(1), model11] {
             let work = net.param_count();
-            let copy = net.to_f32().expect("dense");
-            assert_eq!(copy.param_count(), work);
-            let edge = copy.parallel_min_rows();
+            let edge = net.parallel_min_rows();
             assert_eq!(fan_out_helpers(edge - 1, work, 2), 0);
             assert_eq!(fan_out_helpers(edge, work, 2), 1);
         }
     }
 
-    /// Rows `0..rows` of a 6-wide input, in both precisions (the values
+    /// Rows `0..rows` of a 6-wide input, in both element types (the values
     /// are exact in `f32`).
-    fn rows6(rows: usize) -> (Matrix, Vec<f32>) {
+    fn rows6(rows: usize) -> (Matrix, Matrix<f32>) {
         let x: Vec<f32> = (0..rows * 6)
             .map(|i| (i % 577) as f32 / 128.0 - 2.0)
             .collect();
         let m = Matrix::from_vec(rows, 6, x.iter().map(|&v| f64::from(v)).collect());
-        (m, x)
+        (m, Matrix::from_vec(rows, 6, x))
     }
 
-    /// The f32 copy predicts what the f64 network does within f32
-    /// rounding, and — rows being independent and each output one FMA
-    /// chain — bit-equally whether a row runs alone or in a batch that is
+    /// The `f32` network predicts what the `f64` one built from the same
+    /// seed does within `f32` rounding, and its tiled pass — rows being
+    /// independent and each output one FMA chain — bit-equally to its own
+    /// training forward, whether a row runs alone or in a batch that is
     /// tiled, past the fan-out, or both.
     #[test]
-    fn f32_copy_tracks_the_f64_network_and_is_bit_equal_however_tiled() {
-        let mut net = model1(5);
-        let copy = net.to_f32().expect("model 1 is dense");
-        assert_eq!(copy.input_size(), 6);
-        assert_eq!(copy.output_size(), 1);
-        let most = copy.parallel_min_rows() + 3 * TILE_ROWS + 17;
+    fn the_tiled_pass_tracks_f64_and_is_bit_equal_however_tiled() {
+        let (mut net64, net) = (model1::<f64>(5), model1::<f32>(5));
+        let most = net.parallel_min_rows() + 3 * TILE_ROWS + 17;
         let (xm, x) = rows6(most);
-        let want = net.predict(&xm);
+        let want = net64.predict(&xm);
         let mut alone = Vec::new();
         let mut single = Vec::with_capacity(most);
         for r in 0..most {
-            copy.predict_into(&x[r * 6..(r + 1) * 6], &mut alone);
+            net.predict_rows_into(x.row(r), &mut alone);
             single.push(alone[0]);
         }
         for (got, want) in single.iter().zip(want.as_slice()) {
@@ -642,23 +566,25 @@ mod tests {
                 "f32 {got} vs f64 {want}"
             );
         }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut trained = net.fork();
+        assert_eq!(bits(trained.predict(&x).as_slice()), bits(&single));
         let mut out = vec![7.0; 3];
         for rows in [
             TILE_ROWS - 1,
             TILE_ROWS + 1,
-            copy.parallel_min_rows() - 1,
-            copy.parallel_min_rows(),
+            net.parallel_min_rows() - 1,
+            net.parallel_min_rows(),
             most,
         ] {
-            copy.predict_into(&x[..rows * 6], &mut out);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            net.predict_rows_into(x.view_rows(0..rows).as_slice(), &mut out);
             assert_eq!(bits(&out), bits(&single[..rows]), "{rows} rows");
         }
     }
 
     #[test]
-    fn only_a_dense_stack_has_an_f32_copy() {
-        assert!(Sequential::new().to_f32().is_none());
+    #[should_panic(expected = "no row-wise inference pass")]
+    fn a_recurrent_layer_has_no_tiled_pass() {
         let mut rng = seeded_rng(3);
         let mut net = Sequential::new();
         net.push(crate::layers::Lstm::new(
@@ -669,7 +595,7 @@ mod tests {
             &mut rng,
         ));
         net.push(Dense::new(4, 1, Activation::Linear, &mut rng));
-        assert!(net.to_f32().is_none());
+        net.predict_rows_into(&[0.0; 6], &mut Vec::new());
     }
 
     #[test]
@@ -685,7 +611,7 @@ mod tests {
     #[should_panic(expected = "does not match previous output")]
     fn mismatched_layers_panic() {
         let mut rng = seeded_rng(0);
-        let mut net = Sequential::new();
+        let mut net: Sequential = Sequential::new();
         net.push(Dense::new(3, 4, Activation::ReLU, &mut rng));
         net.push(Dense::new(5, 1, Activation::Linear, &mut rng));
     }
@@ -711,10 +637,10 @@ mod tests {
     fn skipping_the_first_input_gradient_keeps_parameter_gradients() {
         let x = Matrix::from_vec(64, 6, (0..384).map(|i| (i % 17) as f64 / 17.0).collect());
         let y = Matrix::from_vec(64, 1, (0..64).map(|i| (i % 5) as f64 / 5.0).collect());
-        let mut skipped = model1(11);
+        let mut skipped = model1::<f64>(11);
         skipped.backward_only(&x, &y, Loss::MeanSquaredError);
 
-        let mut full = model1(11);
+        let mut full = model1::<f64>(11);
         let Sequential {
             layers,
             grad_a,

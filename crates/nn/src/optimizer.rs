@@ -4,6 +4,7 @@
 //! notes that Adam gave *worse* relative error on their data — both are
 //! provided so the comparison can be reproduced.
 
+use crate::matrix::Element;
 use crate::param::Param;
 
 /// An optimization algorithm that updates parameters from accumulated
@@ -15,10 +16,12 @@ use crate::param::Param;
 /// The allocation-free protocol is [`Optimizer::begin_step`] once per batch
 /// followed by [`Optimizer::step_param`] for each parameter in order —
 /// `Sequential` drives it without collecting parameters into a `Vec`.
-/// [`Optimizer::step`] wraps that protocol for slice-based callers.
+/// [`Optimizer::step`] wraps that protocol for slice-based callers. Both
+/// are generic over the parameters' element: the rate is `f64` and the
+/// update runs in the parameters' own element type.
 pub trait Optimizer: Send {
     /// Applies one update step to `params` and clears their gradients.
-    fn step(&mut self, params: &mut [&mut Param]) {
+    fn step<T: Element>(&mut self, params: &mut [&mut Param<T>]) {
         self.begin_step(params.len());
         for (i, p) in params.iter_mut().enumerate() {
             self.step_param(i, p);
@@ -37,7 +40,7 @@ pub trait Optimizer: Send {
 
     /// Updates the parameter at position `index` of the (stable) parameter
     /// ordering and clears its gradient, allocating nothing.
-    fn step_param(&mut self, index: usize, param: &mut Param);
+    fn step_param<T: Element>(&mut self, index: usize, param: &mut Param<T>);
 
     /// The current learning rate.
     fn learning_rate(&self) -> f64;
@@ -73,14 +76,14 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step_param(&mut self, _index: usize, param: &mut Param) {
+    fn step_param<T: Element>(&mut self, _index: usize, param: &mut Param<T>) {
         // Clip, update and re-zero in one in-place pass — the old path
         // cloned the gradient and built a scaled update matrix per step.
-        let lr = self.learning_rate;
+        let (lr, clip) = (T::from_f64(self.learning_rate), T::from_f64(SGD_CLIP));
         let Param { value, grad, .. } = param;
         for (v, g) in value.as_mut_slice().iter_mut().zip(grad.as_mut_slice()) {
-            *v -= lr * g.clamp(-SGD_CLIP, SGD_CLIP);
-            *g = 0.0;
+            *v = *v - lr * g.clamp(-clip, clip);
+            *g = T::ZERO;
         }
     }
 
@@ -94,7 +97,8 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with bias correction.
+/// Adam optimizer (Kingma & Ba) with bias correction. Its moments are
+/// `f64` whatever the parameters' element.
 #[derive(Debug, Clone)]
 pub struct Adam {
     learning_rate: f64,
@@ -138,7 +142,7 @@ impl Optimizer for Adam {
         self.t += 1;
     }
 
-    fn step_param(&mut self, index: usize, param: &mut Param) {
+    fn step_param<T: Element>(&mut self, index: usize, param: &mut Param<T>) {
         // Moment buffers are keyed by parameter position and grown lazily on
         // the first step; afterwards every call is allocation-free.
         while self.moments.len() <= index {
@@ -159,13 +163,14 @@ impl Optimizer for Adam {
         let values = param.value.as_mut_slice();
         let grads = param.grad.as_mut_slice();
         for i in 0..values.len() {
-            let g = grads[i];
+            let g = grads[i].to_f64();
             m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
             v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
             let m_hat = m[i] / bc1;
             let v_hat = v[i] / bc2;
-            values[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-            grads[i] = 0.0;
+            let step = self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+            values[i] = T::from_f64(values[i].to_f64() - step);
+            grads[i] = T::ZERO;
         }
     }
 
@@ -219,7 +224,7 @@ mod tests {
     #[test]
     fn adam_converges_on_quadratic() {
         // Minimize f(x) = (x - 3)^2 by feeding gradient 2(x-3).
-        let mut p = Param::new(Matrix::filled(1, 1, 0.0), "x");
+        let mut p: Param = Param::new(Matrix::filled(1, 1, 0.0), "x");
         let mut opt = Adam::new(0.1);
         for _ in 0..500 {
             let x = p.value.as_slice()[0];
@@ -231,7 +236,7 @@ mod tests {
 
     #[test]
     fn sgd_converges_on_quadratic() {
-        let mut p = Param::new(Matrix::filled(1, 1, 10.0), "x");
+        let mut p: Param = Param::new(Matrix::filled(1, 1, 10.0), "x");
         let mut opt = Sgd::new(0.1);
         for _ in 0..200 {
             let x = p.value.as_slice()[0];

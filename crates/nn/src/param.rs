@@ -1,27 +1,25 @@
 //! Trainable parameter: a value matrix paired with its gradient accumulator.
 
-use serde::{Deserialize, Serialize};
-
-use crate::matrix::Matrix;
+use crate::matrix::{Element, Matrix};
 
 /// A single trainable tensor (weight matrix or bias vector).
 ///
 /// Layers accumulate gradients into [`Param::grad`] during the backward pass;
 /// optimizers then consume the pair and reset the gradient via
 /// [`Param::zero_grad`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Param {
+#[derive(Debug, Clone, PartialEq)]
+pub struct Param<T = f64> {
     /// Current parameter values.
-    pub value: Matrix,
+    pub value: Matrix<T>,
     /// Gradient of the loss with respect to `value`, accumulated over a batch.
-    pub grad: Matrix,
+    pub grad: Matrix<T>,
     /// Stable diagnostic name, e.g. `"dense.w"`.
     pub name: String,
 }
 
-impl Param {
+impl<T: Element> Param<T> {
     /// Creates a parameter with a zeroed gradient of matching shape.
-    pub fn new(value: Matrix, name: impl Into<String>) -> Self {
+    pub fn new(value: Matrix<T>, name: impl Into<String>) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Param {
             value,
@@ -44,7 +42,7 @@ impl Param {
     /// buffer's allocation is kept, so per-batch zeroing is free of heap
     /// traffic).
     pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
+        self.grad.fill(T::ZERO);
     }
 
     /// Accumulates `g` into the gradient.
@@ -52,7 +50,7 @@ impl Param {
     /// # Panics
     ///
     /// Panics if `g` has a different shape than the parameter.
-    pub fn accumulate(&mut self, g: &Matrix) {
+    pub fn accumulate(&mut self, g: &Matrix<T>) {
         self.grad.add_assign(g);
     }
 }

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::layers::{Dense, Gru, Lstm, SimpleRnn};
-use crate::matrix::Matrix;
+use crate::matrix::{Element, Matrix};
 use crate::network::Sequential;
 
 /// One layer of a declarative architecture.
@@ -145,6 +145,25 @@ impl NetworkSpec {
             }
         }
         net
+    }
+
+    /// Builds a freshly initialized dense-only network in element type `T`,
+    /// drawing the same weights [`NetworkSpec::build`] does, rounded to
+    /// `T`. `None` when a layer is recurrent: those train in `f64` only.
+    pub fn build_dense<T: Element>(&self, rng: &mut StdRng) -> Option<Sequential<T>> {
+        let mut net = Sequential::new();
+        for layer in &self.layers {
+            let LayerSpec::Dense {
+                input,
+                output,
+                activation,
+            } = *layer
+            else {
+                return None;
+            };
+            net.push(Dense::new(input, output, activation, rng));
+        }
+        Some(net)
     }
 
     /// Captures a trained network's weights as a restorable checkpoint.

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use crate::loss::Loss;
-use crate::matrix::Matrix;
+use crate::matrix::{Element, Matrix};
 use crate::metrics::{is_diverged, RelativeError};
 use crate::network::Sequential;
 use crate::optimizer::Optimizer;
@@ -12,17 +12,19 @@ use crate::optimizer::Optimizer;
 /// A dataset partitioned the way the paper trains every model: "the training
 /// set of data is represented by 60% of the available data. The next 20% …
 /// is used in validation. The final 20% … is used as a test set."
+///
+/// Its element type is the network's: `f64` unless named.
 #[derive(Debug, Clone)]
-pub struct DataSplit {
+pub struct DataSplit<T = f64> {
     /// Training inputs/targets (first 60 %).
-    pub train: (Matrix, Matrix),
+    pub train: (Matrix<T>, Matrix<T>),
     /// Validation inputs/targets (next 20 %).
-    pub validation: (Matrix, Matrix),
+    pub validation: (Matrix<T>, Matrix<T>),
     /// Test inputs/targets (final 20 %).
-    pub test: (Matrix, Matrix),
+    pub test: (Matrix<T>, Matrix<T>),
 }
 
-impl DataSplit {
+impl<T: Element> DataSplit<T> {
     /// Splits `(inputs, targets)` into 60/20/20 contiguous partitions.
     ///
     /// The partitions are contiguous (not shuffled) because the data is a
@@ -31,7 +33,7 @@ impl DataSplit {
     /// # Panics
     ///
     /// Panics if the row counts differ or fewer than 5 rows are provided.
-    pub fn split_60_20_20(inputs: Matrix, targets: Matrix) -> Self {
+    pub fn split_60_20_20(inputs: Matrix<T>, targets: Matrix<T>) -> Self {
         assert_eq!(inputs.rows(), targets.rows(), "input/target row mismatch");
         assert!(inputs.rows() >= 5, "need at least 5 rows to split 60/20/20");
         let n = inputs.rows();
@@ -50,6 +52,17 @@ impl DataSplit {
                 inputs.slice_rows(val_end..n),
                 targets.slice_rows(val_end..n),
             ),
+        }
+    }
+
+    /// The same split with every element rounded to `U`
+    /// ([`Matrix::cast`]).
+    pub fn cast<U: Element>(&self) -> DataSplit<U> {
+        let pair = |(x, y): &(Matrix<T>, Matrix<T>)| (x.cast(), y.cast());
+        DataSplit {
+            train: pair(&self.train),
+            validation: pair(&self.validation),
+            test: pair(&self.test),
         }
     }
 
@@ -147,15 +160,17 @@ impl TrainReport {
 /// Trains `network` on `split.train` for `config.epochs` epochs, stepping
 /// the optimizer's rate along `config.schedule` from the rate it holds on
 /// entry (restored before returning), then evaluates on `split.test`,
-/// reproducing the paper's per-model measurement protocol.
+/// reproducing the paper's per-model measurement protocol. The network
+/// computes in its element type; losses and test errors are summed in
+/// `f64`.
 ///
 /// # Panics
 ///
 /// Panics if the network is empty or shapes are inconsistent with the split.
-pub fn train(
-    network: &mut Sequential,
-    optimizer: &mut dyn Optimizer,
-    split: &DataSplit,
+pub fn train<T: Element>(
+    network: &mut Sequential<T>,
+    optimizer: &mut impl Optimizer,
+    split: &DataSplit<T>,
     config: &TrainConfig,
 ) -> TrainReport {
     let (train_x, train_y) = &split.train;
@@ -299,7 +314,7 @@ mod tests {
             self.sgd.begin_step(param_count);
         }
 
-        fn step_param(&mut self, index: usize, param: &mut crate::param::Param) {
+        fn step_param<T: Element>(&mut self, index: usize, param: &mut crate::param::Param<T>) {
             self.sgd.step_param(index, param);
         }
 

@@ -3,8 +3,10 @@
 //! Both run every matrix product on one micro-kernel body, whose
 //! per-element operation chain does not depend on the lane width, and
 //! share the element-wise kernels; this pins that end to end, through the
-//! input-gradient product `g · Wᵀ` and whole fits of a dense network and
-//! of an LSTM, a GRU and a SimpleRNN stem. Pinning a backend
+//! input-gradient product `g · Wᵀ` in either element type and whole fits
+//! of a dense network (in `f64`, and in `f32` as the live placement
+//! network trains) and of an LSTM, a GRU and a SimpleRNN stem. Pinning a
+//! backend
 //! means [`kernels::force_backend`], which switches the process-wide
 //! dispatch, so this file holds a single test: no other test can run
 //! while the switch is in effect. It is skipped on a host without both
@@ -15,7 +17,7 @@ use geomancy_nn::init::seeded_rng;
 use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::loss::Loss;
 use geomancy_nn::matrix::kernels::{self, KernelBackend};
-use geomancy_nn::matrix::Matrix;
+use geomancy_nn::matrix::{Element, Matrix};
 use geomancy_nn::network::Sequential;
 use geomancy_nn::optimizer::Sgd;
 
@@ -29,13 +31,14 @@ fn pseudo(rows: usize, cols: usize, seed: usize) -> Matrix {
     )
 }
 
-fn bits(m: &Matrix) -> Vec<u64> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+/// The bits of `m`'s elements, widened (exactly) to `f64`.
+fn bits<T: Element>(m: &Matrix<T>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
 }
 
 /// Three epochs of SGD over `x` and `y` in batches of 64; returns the
 /// trained weights, then the predictions on `x`.
-fn fit(mut net: Sequential, x: &Matrix, y: &Matrix) -> Vec<Vec<u64>> {
+fn fit<T: Element>(mut net: Sequential<T>, x: &Matrix<T>, y: &Matrix<T>) -> Vec<Vec<u64>> {
     let mut opt = Sgd::new(0.05);
     for _ in 0..3 {
         for at in (0..x.rows()).step_by(64) {
@@ -49,8 +52,20 @@ fn fit(mut net: Sequential, x: &Matrix, y: &Matrix) -> Vec<Vec<u64>> {
     runs
 }
 
-/// `a · bᵀ` (fresh and accumulated) on tail and tile shapes, then fits
-/// over 640 rows of model 1 and of an LSTM, a GRU and a SimpleRNN stem
+/// The paper's model 1, dense 6 → 96 → 48 → 24 → 1, in `T`.
+fn model1<T: Element>() -> Sequential<T> {
+    let mut rng = seeded_rng(5);
+    let mut net = Sequential::new();
+    net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
+    net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
+    net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
+    net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
+    net
+}
+
+/// `a · bᵀ` (fresh and accumulated, and fresh in `f32`) on tail and tile
+/// shapes, then fits over 640 rows of model 1 in both element types and
+/// of an LSTM, a GRU and a SimpleRNN stem
 /// (6 features × 8 timesteps, 33 hidden units) under a dense linear head,
 /// all on the dispatched backend.
 fn run_on_dispatched() -> Vec<Vec<u64>> {
@@ -62,17 +77,16 @@ fn run_on_dispatched() -> Vec<Vec<u64>> {
         runs.push(bits(&out));
         kernels::matmul_a_bt_acc(a.view(), &b, &mut out);
         runs.push(bits(&out));
+        let (a, b) = (a.cast::<f32>(), b.cast::<f32>());
+        let mut out = Matrix::default();
+        kernels::matmul_a_bt_into(a.view(), &b, &mut out);
+        runs.push(bits(&out));
     }
 
-    let mut rng = seeded_rng(5);
-    let mut net = Sequential::new();
-    net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
-    net.push(Dense::new(96, 48, Activation::ReLU, &mut rng));
-    net.push(Dense::new(48, 24, Activation::ReLU, &mut rng));
-    net.push(Dense::new(24, 1, Activation::Linear, &mut rng));
     let x = pseudo(640, 6, 1).map(|v| v / 2.5);
     let y = pseudo(640, 1, 2).map(f64::abs);
-    runs.extend(fit(net, &x, &y));
+    runs.extend(fit(model1::<f64>(), &x, &y));
+    runs.extend(fit(model1::<f32>(), &x.cast(), &y.cast()));
 
     let (features, timesteps, hidden) = (6, 8, 33);
     let windows = pseudo(640, features * timesteps, 3).map(|v| v / 2.5);

@@ -23,10 +23,14 @@
 //! per-element operation chain; `simd_dense_forward_is_the_fma_chain`
 //! holds them to it bitwise.
 //!
-//! The `f32` dense forward that serves placements is held to the `f64`
-//! reference within `1e-5 × (1 + |ref|)` on every path, and its two SIMD
-//! instantiations to the `f32` FMA chain bitwise
-//! (`simd_f32_dense_forward_is_the_f32_fma_chain`).
+//! The `f32` instantiations, which the live placement network trains and
+//! serves on, are held to the `f64` reference on the same values within an
+//! `f32` rounding bound on every path: the dense forward and the two
+//! gradient products. Their SIMD instantiations are held to the `f32` FMA
+//! chain bitwise (`simd_f32_dense_forward_is_the_f32_fma_chain`,
+//! `simd_f32_gradient_products_are_the_f32_fma_chain`), and the dense
+//! backward's element-wise pair matches the scalar backend bit for bit in
+//! `f32` as in `f64` (`f32_dense_backward_kernels`).
 
 use geomancy_nn::activation::Activation;
 use geomancy_nn::matrix::kernels::KernelBackend;
@@ -348,8 +352,7 @@ proptest! {
 /// [-1, 1] / √k like an initialized layer, the bias in [-1, 1]. `m` and
 /// `k` cross the 8-row blocks and the 128-deep tile, and include `k < 4`;
 /// `n` covers the masked tails of both lane widths and the model's widths.
-#[allow(clippy::type_complexity)]
-fn f32_dense_operands() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+fn f32_dense_operands() -> impl Strategy<Value = (Matrix<f32>, Matrix<f32>, Matrix<f32>)> {
     let n = (0usize..10, 1usize..=40)
         .prop_map(|(pick, any)| [1, 17, 24, 48, 96].get(pick).copied().unwrap_or(any));
     let k = (0usize..4, 1usize..=3, 1usize..=140)
@@ -357,19 +360,43 @@ fn f32_dense_operands() -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, Vec
     (1usize..=40, k, n).prop_flat_map(|(m, k, n)| {
         let scale = 1.0 / (k as f32).sqrt();
         (
-            Just(m),
-            proptest::collection::vec(-1.0..1.0f32, m * k),
-            proptest::collection::vec(-1.0..1.0f32, k * n)
-                .prop_map(move |w| w.into_iter().map(|v| v * scale).collect()),
-            proptest::collection::vec(-1.0..1.0f32, n),
+            proptest::collection::vec(-1.0..1.0f32, m * k)
+                .prop_map(move |x| Matrix::from_vec(m, k, x)),
+            proptest::collection::vec(-1.0..1.0f32, k * n).prop_map(move |w| {
+                Matrix::from_vec(k, n, w.into_iter().map(|v| v * scale).collect())
+            }),
+            proptest::collection::vec(-1.0..1.0f32, n)
+                .prop_map(|b| Matrix::from_vec(1, b.len(), b)),
         )
     })
 }
 
-/// `v` widened to a `rows × (v.len() / rows)` `f64` matrix.
-fn widen(rows: usize, v: &[f32]) -> Matrix {
-    let cols = v.len().checked_div(rows).unwrap_or(0);
-    Matrix::from_vec(rows, cols, v.iter().map(|&x| f64::from(x)).collect())
+/// `got` lies within `1e-5 × (1 + scale)` of the `f64` `want`, element by
+/// element: `scale` is `|want|`, or for a product the sum of its terms'
+/// magnitudes, which bounds an `f32` chain's rounding error.
+fn assert_f32_close(
+    got: &Matrix<f32>,
+    want: &Matrix,
+    scale: &Matrix,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.shape(), want.shape());
+    for ((g, r), s) in got
+        .as_slice()
+        .iter()
+        .zip(want.as_slice())
+        .zip(scale.as_slice())
+    {
+        let g = f64::from(*g);
+        prop_assert!(
+            (g - r).abs() <= 1e-5 * (1.0 + s.abs()),
+            "{}: f32 {} vs f64 {}",
+            what,
+            g,
+            r
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -379,7 +406,7 @@ proptest! {
     /// the SIMD backends agree bit for bit.
     #[test]
     fn f32_dense_forward_tracks_the_f64_reference(
-        (m, x, w, bias) in f32_dense_operands(),
+        (x, w, bias) in f32_dense_operands(),
         act_idx in 0usize..4,
     ) {
         let act = [
@@ -388,41 +415,77 @@ proptest! {
             Activation::Tanh,
             Activation::Linear,
         ][act_idx];
-        let (k, n) = (x.len() / m, bias.len());
-        let want = kernels::reference::dense_forward(
-            &widen(m, &x),
-            &widen(k, &w),
-            &widen(1, &bias),
-            act,
-        );
-        let close = |got: &[f32], what: &str| -> Result<(), TestCaseError> {
-            prop_assert_eq!(got.len(), m * n);
-            for (g, r) in got.iter().zip(want.as_slice()) {
-                let g = f64::from(*g);
-                prop_assert!(
-                    (g - r).abs() <= 1e-5 * (1.0 + r.abs()),
-                    "{} m={} k={} n={}: f32 {} vs f64 {}", what, m, k, n, g, r
-                );
-            }
-            Ok(())
-        };
-        let mut out = vec![0.0f32; m * n];
-        kernels::matmul_bias_act_f32(&x, &w, &bias, act, &mut out);
-        close(&out, "dispatched")?;
-        kernels::scalar::matmul_bias_act_f32(&x, &w, &bias, act, &mut out);
-        close(&out, "scalar")?;
+        let want = kernels::reference::dense_forward(&x.cast(), &w.cast(), &bias.cast(), act);
+        let mut out = Matrix::default();
+        kernels::matmul_bias_act_into(x.view(), &w, &bias, act, &mut out);
+        assert_f32_close(&out, &want, &want, "dispatched")?;
+        kernels::scalar::matmul_bias_act_into(x.view(), &w, &bias, act, &mut out);
+        assert_f32_close(&out, &want, &want, "scalar")?;
         let mut simd: Option<Vec<u32>> = None;
         for backend in KernelBackend::supported() {
-            kernels::matmul_bias_act_f32_with(backend, &x, &w, &bias, act, &mut out);
-            close(&out, backend.name())?;
+            kernels::matmul_bias_act_with(backend, x.view(), &w, &bias, act, &mut out);
+            assert_f32_close(&out, &want, &want, backend.name())?;
             if backend != KernelBackend::Scalar {
-                let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
                 if let Some(first) = &simd {
                     prop_assert_eq!(first, &bits, "{} differs bitwise", backend.name());
                 }
                 simd = Some(bits);
             }
         }
+    }
+}
+
+proptest! {
+    /// The dense backward's four kernels in `f32`, on values an `f32`
+    /// holds exactly: the gradient products lie within the `f32` rounding
+    /// bound of the `f64` reference on the dispatched and the scalar
+    /// backend, and the element-wise pair matches the scalar backend bit
+    /// for bit.
+    #[test]
+    fn f32_dense_backward_kernels((a, b) in matmul_operands(), act_idx in 0usize..4) {
+        let act = [
+            Activation::ReLU,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Linear,
+        ][act_idx];
+        let a32 = a.cast::<f32>();
+        let abs = |m: &Matrix| m.map(f64::abs);
+        let (m, k) = a32.shape();
+        // Weight gradient aᵀ · g, with g m × n.
+        let n = b.cols().clamp(1, 8);
+        let g32: Matrix<f32> = Matrix::from_vec(m, n, b.as_slice().iter().cycle().take(m * n).map(|&v| v as f32).collect());
+        let (aw, gw) = (a32.cast::<f64>(), g32.cast::<f64>());
+        let want = kernels::reference::matmul_at_b(&aw, &gw);
+        let scale = kernels::reference::matmul_at_b(&abs(&aw), &abs(&gw));
+        let mut out = Matrix::zeros(k, n);
+        kernels::matmul_at_b_acc(a32.view(), g32.view(), &mut out);
+        assert_f32_close(&out, &want, &scale, "at_b dispatched")?;
+        let mut out = Matrix::zeros(k, n);
+        kernels::scalar::matmul_at_b_acc(a32.view(), g32.view(), &mut out);
+        assert_f32_close(&out, &want, &scale, "at_b scalar")?;
+        // Input gradient a · wᵀ, with w n × k.
+        let w32: Matrix<f32> = Matrix::from_vec(n, k, b.as_slice().iter().cycle().take(n * k).map(|&v| v as f32).collect());
+        let ww = w32.cast::<f64>();
+        let want = kernels::reference::matmul_a_bt(&aw, &ww);
+        let scale = kernels::reference::matmul_a_bt(&abs(&aw), &abs(&ww));
+        kernels::matmul_a_bt_into(a32.view(), &w32, &mut out);
+        assert_f32_close(&out, &want, &scale, "a_bt dispatched")?;
+        kernels::scalar::matmul_a_bt_into(a32.view(), &w32, &mut out);
+        assert_f32_close(&out, &want, &scale, "a_bt scalar")?;
+        // The element-wise pair, on a's values and their activations.
+        let bits = |x: &Matrix<f32>| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut y = a32.clone();
+        act.apply_inplace(&mut y);
+        let (mut got, mut want) = (Matrix::default(), Matrix::default());
+        kernels::hadamard_act_derivative_into(&a32, &y, act, &mut got);
+        kernels::scalar::hadamard_act_derivative_into(&a32, &y, act, &mut want);
+        prop_assert_eq!(bits(&got), bits(&want));
+        let (mut got, mut want) = (Matrix::zeros(1, k), Matrix::zeros(1, k));
+        kernels::sum_rows_acc(&a32, &mut got);
+        kernels::scalar::sum_rows_acc(&a32, &mut want);
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }
 
@@ -644,30 +707,35 @@ fn simd_dense_forward_is_the_fma_chain() {
 }
 
 /// The SIMD backends' `f32` contract, spelled out like
-/// [`fma_chain_dense_forward`]'s: start from the bias, one fused
-/// multiply-add per shared-dimension index in ascending order (multiply,
-/// round, add when `k < 4`), then the activation — ReLU and Linear exact,
-/// tanh evaluated in `f64` and rounded.
+/// [`fma_chain_dense_forward`]'s: start from `start`, one fused
+/// multiply-add per term in order (multiply, round, add when there are
+/// fewer than 4 terms), as every `f32` product of the micro-kernel does.
+fn f32_chain(start: f32, terms: impl ExactSizeIterator<Item = (f32, f32)>) -> f32 {
+    let fused = terms.len() >= 4;
+    terms.fold(start, |acc, (a, b)| {
+        if fused {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    })
+}
+
+/// The `f32` dense forward as [`f32_chain`]s from the bias, then the
+/// activation — ReLU and Linear exact, tanh evaluated in `f64` and
+/// rounded.
 fn f32_fma_chain(
-    (m, k, n): (usize, usize, usize),
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
+    x: &Matrix<f32>,
+    w: &Matrix<f32>,
+    bias: &Matrix<f32>,
     act: Activation,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
+) -> Matrix<f32> {
+    let (m, k, n) = (x.rows(), w.rows(), w.cols());
+    let mut out = Matrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
-            let mut acc = bias[j];
-            for p in 0..k {
-                let (a, b) = (x[i * k + p], w[p * n + j]);
-                acc = if k < 4 {
-                    acc + a * b
-                } else {
-                    a.mul_add(b, acc)
-                };
-            }
-            out[i * n + j] = match act {
+            let acc = f32_chain(bias[(0, j)], (0..k).map(|p| (x[(i, p)], w[(p, j)])));
+            out[(i, j)] = match act {
                 Activation::ReLU => acc.max(0.0),
                 Activation::Linear => acc,
                 _ => act.apply_scalar(f64::from(acc)) as f32,
@@ -689,7 +757,6 @@ fn simd_f32_dense_forward_is_the_f32_fma_chain() {
     let simd: Vec<KernelBackend> = KernelBackend::supported()
         .filter(|&b| b != KernelBackend::Scalar)
         .collect();
-    let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect::<Vec<_>>();
     let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 16, 19];
     let ns = [
         1usize, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 96,
@@ -700,20 +767,60 @@ fn simd_f32_dense_forward_is_the_f32_fma_chain() {
         for &n in &ns {
             for &k in &ks {
                 let act = acts[(case + n + k) % acts.len()];
-                let x = narrow(&pseudo_matrix(m, k, n));
-                let w = narrow(&pseudo_matrix(k, n, m + k));
-                let bias = narrow(&pseudo_matrix(1, n, 5));
-                let want = f32_fma_chain((m, k, n), &x, &w, &bias, act);
+                let x = pseudo_matrix(m, k, n).cast::<f32>();
+                let w = pseudo_matrix(k, n, m + k).cast::<f32>();
+                let bias = pseudo_matrix(1, n, 5).cast::<f32>();
+                let want = f32_fma_chain(&x, &w, &bias, act);
                 for &backend in &simd {
-                    let mut out = vec![0.0f32; m * n];
-                    kernels::matmul_bias_act_f32_with(backend, &x, &w, &bias, act, &mut out);
-                    for (idx, (g, e)) in out.iter().zip(&want).enumerate() {
+                    let mut out = Matrix::default();
+                    kernels::matmul_bias_act_with(backend, x.view(), &w, &bias, act, &mut out);
+                    for (idx, (g, e)) in out.as_slice().iter().zip(want.as_slice()).enumerate() {
                         assert_eq!(
                             g.to_bits(),
                             e.to_bits(),
                             "{} m={m} k={k} n={n} {act:?} element {idx}: {g} vs {e}",
                             backend.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// On a SIMD backend the `f32` gradient products are [`f32_chain`]s bit
+/// for bit: the weight gradient `xᵀ · g` from the accumulated gradient
+/// over the batch rows in order, the input gradient `g · wᵀ` from zero
+/// over the shared dimension, through an `f32` transposed panel. Shapes
+/// cross the lane tails of both widths, the 128-deep tile, and `k < 4`.
+#[test]
+fn simd_f32_gradient_products_are_the_f32_fma_chain() {
+    if kernels::backend() == KernelBackend::Scalar {
+        return;
+    }
+    for m in [1usize, 3, 8, 13, 64, 67] {
+        for k in [1usize, 2, 3, 5, 48, 127, 128, 129] {
+            for q in [1usize, 7, 9, 17, 24, 33, 48, 97] {
+                let what = format!("m={m} k={k} q={q}");
+                let g = pseudo_matrix(m, k, q).cast::<f32>();
+                let w = pseudo_matrix(q, k, m + k).cast::<f32>();
+                let mut out = Matrix::default();
+                kernels::matmul_a_bt_into(g.view(), &w, &mut out);
+                for i in 0..m {
+                    for r in 0..q {
+                        let want = f32_chain(0.0, (0..k).map(|p| (g[(i, p)], w[(r, p)])));
+                        assert_eq!(out[(i, r)].to_bits(), want.to_bits(), "a_bt {what}");
+                    }
+                }
+                let x = pseudo_matrix(m, q, 3).cast::<f32>();
+                let seed = pseudo_matrix(q, k, 9).cast::<f32>();
+                let mut acc = seed.clone();
+                kernels::matmul_at_b_acc(x.view(), g.view(), &mut acc);
+                for pi in 0..q {
+                    for j in 0..k {
+                        let terms = (0..m).map(|i| (x[(i, pi)], g[(i, j)]));
+                        let want = f32_chain(seed[(pi, j)], terms);
+                        assert_eq!(acc[(pi, j)].to_bits(), want.to_bits(), "at_b {what}");
                     }
                 }
             }
@@ -791,7 +898,7 @@ fn empty_matrix_cases() {
     assert_eq!(scalar_out.shape(), (0, 3));
 
     // k = 0: a well-defined all-zero product.
-    let a = Matrix::zeros(3, 0);
+    let a: Matrix = Matrix::zeros(3, 0);
     let b = Matrix::zeros(0, 5);
     let mut out = Matrix::default();
     kernels::matmul_into(a.view(), &b, &mut out);
@@ -812,13 +919,24 @@ fn empty_matrix_cases() {
 
     // Zero-row and zero-depth f32 forwards: an empty output, and the bias
     // alone.
-    let (w, bias) = ([0.5f32; 8], [0.25f32, -1.0]);
-    kernels::matmul_bias_act_f32(&[], &w, &bias, Activation::ReLU, &mut []);
-    let mut out = [9.0f32; 6];
-    kernels::matmul_bias_act_f32(&[], &[], &bias, Activation::Linear, &mut out);
-    assert_eq!(out, [0.25, -1.0, 0.25, -1.0, 0.25, -1.0]);
-    kernels::scalar::matmul_bias_act_f32(&[], &[], &bias, Activation::ReLU, &mut out);
-    assert_eq!(out, [0.25, 0.0, 0.25, 0.0, 0.25, 0.0]);
+    let (w, bias) = (
+        Matrix::filled(4, 2, 0.5f32),
+        Matrix::row_vector(&[0.25f32, -1.0]),
+    );
+    let mut out = Matrix::default();
+    kernels::matmul_bias_act_into(
+        Matrix::zeros(0, 4).view(),
+        &w,
+        &bias,
+        Activation::ReLU,
+        &mut out,
+    );
+    assert_eq!(out.shape(), (0, 2));
+    let (x, w) = (Matrix::zeros(3, 0), Matrix::zeros(0, 2));
+    kernels::matmul_bias_act_into(x.view(), &w, &bias, Activation::Linear, &mut out);
+    assert_eq!(out.as_slice(), [0.25, -1.0, 0.25, -1.0, 0.25, -1.0]);
+    kernels::scalar::matmul_bias_act_into(x.view(), &w, &bias, Activation::ReLU, &mut out);
+    assert_eq!(out.as_slice(), [0.25, 0.0, 0.25, 0.0, 0.25, 0.0]);
 
     // Empty element-wise inputs.
     let e = Matrix::zeros(0, 7);

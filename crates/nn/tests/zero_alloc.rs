@@ -14,7 +14,7 @@ use geomancy_nn::activation::Activation;
 use geomancy_nn::init::seeded_rng;
 use geomancy_nn::layers::{Dense, Gru, Lstm, SimpleRnn};
 use geomancy_nn::loss::Loss;
-use geomancy_nn::matrix::{kernels, Matrix};
+use geomancy_nn::matrix::{kernels, Element, Matrix};
 use geomancy_nn::network::Sequential;
 use geomancy_nn::optimizer::{Adam, Sgd};
 
@@ -83,7 +83,7 @@ fn pool_threads() -> usize {
 }
 
 /// The paper's model 1: dense 6 -> 96 -> 48 -> 24 -> 1.
-fn model1() -> Sequential {
+fn model1<T: Element>() -> Sequential<T> {
     let mut rng = seeded_rng(7);
     let mut net = Sequential::new();
     net.push(Dense::new(6, 96, Activation::ReLU, &mut rng));
@@ -103,26 +103,32 @@ fn batch(rows: usize) -> (Matrix, Matrix) {
     (x, y)
 }
 
-/// [`batch`]'s inputs narrowed to `f32`, for the serving copy.
-fn batch32(rows: usize) -> Vec<f32> {
-    batch(rows).0.as_slice().iter().map(|&v| v as f32).collect()
+/// [`batch`]'s inputs narrowed to `f32`, for the `f32` network.
+fn batch32(rows: usize) -> Matrix<f32> {
+    batch(rows).0.cast()
 }
 
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
     let (x, y) = batch(64);
 
-    // --- train_batch_view with SGD ---
-    let mut net = model1();
+    // --- train_batch_view with SGD, in either element type ---
+    let mut net = model1::<f64>();
     let mut opt = Sgd::new(0.01);
     // Warm-up sizes the activation arena, layer scratch and loss gradient.
     net.train_batch_view(x.view(), y.view(), Loss::MeanSquaredError, &mut opt);
     assert_zero_alloc("SGD train_batch_view", || {
         net.train_batch_view(x.view(), y.view(), Loss::MeanSquaredError, &mut opt);
     });
+    let mut net32 = model1::<f32>();
+    let (x32, y32) = (x.cast::<f32>(), y.cast::<f32>());
+    net32.train_batch_view(x32.view(), y32.view(), Loss::MeanSquaredError, &mut opt);
+    assert_zero_alloc("f32 SGD train_batch_view", || {
+        net32.train_batch_view(x32.view(), y32.view(), Loss::MeanSquaredError, &mut opt);
+    });
 
     // --- train_batch_view with Adam (moments are lazily sized once) ---
-    let mut net = model1();
+    let mut net = model1::<f64>();
     let mut opt = Adam::new(0.001);
     net.train_batch_view(x.view(), y.view(), Loss::MeanSquaredError, &mut opt);
     assert_zero_alloc("Adam train_batch_view", || {
@@ -155,21 +161,24 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(pred.rows(), 3072);
     });
 
-    // --- the f32 serving copy, a 64-request submission's 46 rows and one
-    // row below its fan-out: every tile on the caller's f32 scratch, the
-    // last layer written straight into the warm output ---
-    let copy = net.to_f32().expect("model 1 is dense");
+    // --- the f32 network's tiled pass, a 64-request submission's 46 rows
+    // and one row below its fan-out: every tile on the caller's f32
+    // scratch, the last layer written straight into the warm output ---
+    let copy = net32.fork();
     let mut pred32 = Vec::new();
     for rows in [46, copy.parallel_min_rows() - 1] {
         let x32 = batch32(rows);
-        copy.predict_into(&x32, &mut pred32);
-        assert_zero_alloc(&format!("f32 predict_into ({rows} rows, serial)"), || {
-            copy.predict_into(&x32, &mut pred32);
-            assert_eq!(pred32.len(), rows);
-        });
+        copy.predict_rows_into(x32.as_slice(), &mut pred32);
+        assert_zero_alloc(
+            &format!("f32 predict_rows_into ({rows} rows, serial)"),
+            || {
+                copy.predict_rows_into(x32.as_slice(), &mut pred32);
+                assert_eq!(pred32.len(), rows);
+            },
+        );
     }
 
-    // --- the f32 copy at its fan-out and at 3,072 rows: tiles pulled by
+    // --- the tiled pass at its fan-out and at 3,072 rows: tiles pulled by
     // the caller and, with more than one usable CPU, the pool. No buffer is
     // allocated or regrown; what is left is the pool's own bookkeeping, one
     // scope state plus one job box per helper, so at most one allocation
@@ -181,13 +190,13 @@ fn steady_state_hot_paths_do_not_allocate() {
     for rows in [copy.parallel_min_rows(), 3072] {
         let x32 = batch32(rows);
         for _ in 0..50 {
-            copy.predict_into(&x32, &mut pred32);
+            copy.predict_rows_into(x32.as_slice(), &mut pred32);
         }
         assert_alloc_at_most(
-            &format!("f32 predict_into ({rows} rows)"),
+            &format!("f32 predict_rows_into ({rows} rows)"),
             pool_budget,
             || {
-                copy.predict_into(&x32, &mut pred32);
+                copy.predict_rows_into(x32.as_slice(), &mut pred32);
                 assert_eq!(pred32.len(), rows);
             },
         );
@@ -270,11 +279,11 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_zero_alloc("kernel matmul_bias_act_into", || {
         kernels::matmul_bias_act_into(a.view(), &b, &bias, Activation::ReLU, &mut out);
     });
-    let narrow = |m: &Matrix| m.as_slice().iter().map(|&v| v as f32).collect::<Vec<_>>();
-    let (a32, b32, bias32) = (narrow(&a), narrow(&b), narrow(&bias));
-    let mut out32 = vec![0.0f32; 33 * 13];
-    assert_zero_alloc("kernel matmul_bias_act_f32", || {
-        kernels::matmul_bias_act_f32(&a32, &b32, &bias32, Activation::ReLU, &mut out32);
+    let (a32, b32, bias32) = (a.cast::<f32>(), b.cast::<f32>(), bias.cast::<f32>());
+    let mut out32 = Matrix::default();
+    kernels::matmul_bias_act_into(a32.view(), &b32, &bias32, Activation::ReLU, &mut out32);
+    assert_zero_alloc("kernel matmul_bias_act_into (f32)", || {
+        kernels::matmul_bias_act_into(a32.view(), &b32, &bias32, Activation::ReLU, &mut out32);
     });
     let g = Matrix::from_vec(
         33,

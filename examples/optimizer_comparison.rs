@@ -56,7 +56,7 @@ fn gather_telemetry(n: usize, mount: DeviceId) -> Vec<AccessRecord> {
     records
 }
 
-fn run_with(optimizer: &mut dyn Optimizer, split: &DataSplit, seed: u64) -> (String, f64, f64) {
+fn run_with(optimizer: &mut impl Optimizer, split: &DataSplit, seed: u64) -> (String, f64, f64) {
     let mut rng = seeded_rng(seed);
     let mut net = build_model(ModelId::new(1), Z, 8, &mut rng);
     let report = train(
