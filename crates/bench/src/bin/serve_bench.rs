@@ -1056,7 +1056,7 @@ fn main() {
         speedup >= gate,
         "batched engine speedup {speedup:.2}x below the {gate:.0}x gate"
     );
-    // The wire adds framing, sockets, and a second reactor; it must
+    // The wire adds framing, sockets and a thread per connection; it must
     // still deliver at least half the in-process batched rate (quarter
     // in fast mode, where tiny workloads amplify fixed costs).
     let wire_gate = if fast { 0.25 } else { 0.5 };

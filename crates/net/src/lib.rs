@@ -9,11 +9,11 @@
 //!   ──────                      ──────
 //!   Client ── frames ──► acceptor thread
 //!     │                     │ per connection
-//!     │              reader thread ──► PlacementService
-//!     │                (decode,          │ query_many_async
-//!     │                 dispatch)        ▼ completion
-//!     ◄── frames ──── writer thread ◄── reply channel
-//!                     (encode, write)
+//!     │              reader thread ──► PlacementService::submit
+//!     │               (decode,            │ wait: runs the engine's
+//!     │                dispatch,          │ pass here when its lock
+//!     │                answer)            ▼ is free
+//!     ◄── frames ──── same thread: encode, one write per read
 //! ```
 //!
 //! Three layers:
@@ -24,13 +24,12 @@
 //!   total: truncated, corrupted, or oversized input yields a typed
 //!   [`wire::DecodeError`], never a panic or a hang.
 //! - [`server`]: [`server::NetServer`] — an acceptor plus, per
-//!   connection, a blocking reader thread and a writer thread. Both block
-//!   on the socket (the reader with a poll tick), so the serve reactor
-//!   never parks a worker on I/O; replies flow engine-callback →
-//!   unbounded channel → writer, so a stalled or dead peer cannot wedge
-//!   query completion, and the writer half-closes only after the last
-//!   reply. Overload is a *reply* ([`wire::WireStatus::Overloaded`]),
-//!   not a dropped connection.
+//!   connection, one blocking reader thread that answers every frame it
+//!   reads and writes the replies itself, after the engine lock is
+//!   released, so the serve reactor never parks a worker on I/O and a
+//!   stalled or dead peer blocks only its own reader, for at most the
+//!   write timeout. Overload is a *reply*
+//!   ([`wire::WireStatus::Overloaded`]), not a dropped connection.
 //! - [`client`]: [`client::Client`] — a pooled, pipelined client:
 //!   correlation ids let many requests share one connection, responses
 //!   are matched by id, and `Overloaded`/`Backpressure` replies retry

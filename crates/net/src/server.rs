@@ -1,32 +1,29 @@
 //! The server side of the transport: an acceptor and, per connection, a
-//! blocking reader thread and a writer thread.
+//! blocking reader thread that answers every frame it reads.
 //!
-//! ## Why both halves of a connection are threads
+//! ## Why a connection is a thread
 //!
 //! The serve reactor has no I/O poller: actors must never block a
-//! worker, but a socket read or write *is* a block. Worse, `query_many`
-//! blocks on the engine actor's reply — if connection handlers ran as
-//! actors on the serve pool, every worker could end up parked waiting on
-//! the engine, which then has no worker left to run on. So the blocking
-//! edges live on the connection's own OS threads. The reader ticks a
-//! receive timeout so shutdown and stall detection stay responsive;
-//! queries flow through the *callback* path
-//! ([`PlacementService::query_many_async`]), and completions push their
-//! reply onto the connection's unbounded frame channel, which never
-//! blocks, so a slow or dead peer can never wedge the engine or leak the
-//! admission controller's pending accounting. The writer drains that
-//! channel in order, so a peer that stops reading stalls only its own
-//! writer, and that for at most the write timeout.
+//! worker, but a socket read or write *is* a block. So each connection
+//! lives on an OS thread of its own, which ticks a receive timeout so
+//! shutdown and stall detection stay responsive. It submits every query
+//! frame decoded from one read before it waits on the first
+//! ([`PlacementService::submit`]), so a pipelining peer's frames share a
+//! pass; while it waits it runs the engine's passes itself whenever the
+//! engine lock is free, so on an idle engine a query is answered without
+//! a hand-off between threads. The replies go out in one write once the
+//! lock is released: a peer that stops reading blocks only its own
+//! reader, and that for at most the write timeout (the stall timeout),
+//! after which the connection takes the dead-peer path.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use geomancy_serve::{PlacementService, QueryError};
+use geomancy_serve::{PendingQuery, PlacementService, QueryError};
 use geomancy_sim::record::FileId;
 
 use crate::wire::{
@@ -69,8 +66,8 @@ pub trait ClusterHandler: Send + Sync {
 pub struct NetConfig {
     /// Cap on a single frame's payload, bytes.
     pub max_payload: usize,
-    /// Per-connection cap on queries in flight through the engine;
-    /// requests past it are answered [`WireStatus::Overloaded`].
+    /// Per-connection cap on queries in flight through the engine (read
+    /// together); requests past it are answered [`WireStatus::Overloaded`].
     pub max_inflight_per_conn: usize,
     /// Reader poll tick — how often a blocked read wakes to check the
     /// stop flag and the stall clock, milliseconds.
@@ -80,8 +77,8 @@ pub struct NetConfig {
     /// complete — before the connection is declared stalled and closed,
     /// milliseconds.
     pub stall_timeout_millis: u64,
-    /// How long shutdown waits for in-flight queries to complete,
-    /// milliseconds.
+    /// How long shutdown waits for connections to answer what they read,
+    /// milliseconds, before it shuts the sockets still being written.
     pub drain_timeout_millis: u64,
 }
 
@@ -105,7 +102,7 @@ pub struct NetStats {
     pub accepted: AtomicU64,
     /// Frames decoded across all connections.
     pub frames_in: AtomicU64,
-    /// Frames written across all connections.
+    /// Frames written across all connections (counted as the write starts).
     pub frames_out: AtomicU64,
     /// Connections torn down on protocol errors.
     pub protocol_errors: AtomicU64,
@@ -116,74 +113,15 @@ pub struct NetStats {
     /// Queries answered [`WireStatus::Overloaded`] at the wire layer
     /// (per-connection in-flight cap), before reaching admission.
     pub wire_shed: AtomicU64,
-    /// Connections currently open (gauge: until both of the
-    /// connection's threads have exited).
+    /// Connections currently open (gauge: until the connection's thread
+    /// has exited).
     pub live_connections: AtomicU64,
 }
 
-/// Held by both of a connection's threads: the second to exit drops the
-/// last clone and takes the connection off the live gauge.
-struct LiveConn(Arc<NetStats>);
-
-impl Drop for LiveConn {
-    fn drop(&mut self) {
-        self.0.live_connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The writer thread: writes one connection's replies in the order they
-/// were queued. Once every sender is gone — the reader has exited and no
-/// query is in flight — it flushes and half-closes, so a peer that shut
-/// its own write half still gets every reply before EOF.
-fn write_loop(mut stream: TcpStream, replies: Receiver<Frame>, stats: &NetStats) {
-    let mut scratch = Vec::new();
-    while let Ok(frame) = replies.recv() {
-        scratch.clear();
-        frame.encode_into(&mut scratch);
-        if let Err(e) = stream.write_all(&scratch) {
-            // Peer is gone, or has not read for the whole write timeout
-            // (the frame may be half-written, so the stream is finished
-            // either way): wake the reader, which sees EOF/reset, and
-            // return; dropping `replies` discards what is still queued.
-            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                stats.stalled.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        stats.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-    let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Write);
-}
-
-/// Per-connection state shared between its reader thread and the
-/// completion callbacks it hands to the engine.
-struct ConnShared {
-    /// The writer thread's queue; the writer finishes once the reader and
-    /// every in-flight completion have dropped their hold on this struct.
-    replies: Sender<Frame>,
-    /// Queries this connection currently has inside the engine.
-    inflight: AtomicUsize,
-    /// Queries in flight across the whole server — drained to zero on
-    /// shutdown before the writers are joined.
-    global_inflight: Arc<AtomicUsize>,
-    stats: Arc<NetStats>,
-}
-
-impl ConnShared {
-    fn reply(&self, frame: Frame) {
-        // Unbounded, so the engine's callback never blocks. It fails only
-        // once the writer gave up on a dead peer, and then the frame has
-        // nowhere to go.
-        let _ = self.replies.send(frame);
-    }
-}
-
-/// The two threads serving one connection.
-struct ConnThreads {
+/// A connection's thread, and its socket for shutdown to close under it.
+struct Conn {
     reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
+    socket: TcpStream,
 }
 
 /// A running TCP front-end for one [`PlacementService`].
@@ -191,10 +129,9 @@ pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-    global_inflight: Arc<AtomicUsize>,
     stats: Arc<NetStats>,
     acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<ConnThreads>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     config: NetConfig,
 }
 
@@ -240,14 +177,12 @@ impl NetServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let global_inflight = Arc::new(AtomicUsize::new(0));
         let stats = Arc::new(NetStats::default());
-        let conns: Arc<Mutex<Vec<ConnThreads>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
 
         let acceptor = {
             let stop = Arc::clone(&stop);
             let draining = Arc::clone(&draining);
-            let global_inflight = Arc::clone(&global_inflight);
             let stats = Arc::clone(&stats);
             let conns = Arc::clone(&conns);
             let config = config.clone();
@@ -256,44 +191,30 @@ impl NetServer {
                 .spawn(move || {
                     let mut conn_seq = 0u64;
                     while !stop.load(Ordering::SeqCst) {
-                        // Reap connections whose threads both exited so the
-                        // registry stays bounded under connection churn
-                        // (joining a finished thread is immediate).
-                        {
-                            let mut reg = conns.lock().expect("connection registry");
-                            let mut i = 0;
-                            while i < reg.len() {
-                                if reg[i].reader.is_finished() && reg[i].writer.is_finished() {
-                                    let done = reg.swap_remove(i);
-                                    let _ = done.reader.join();
-                                    let _ = done.writer.join();
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                        }
+                        // Drop connections whose thread exited so the
+                        // registry stays bounded under connection churn.
+                        let mut reg = conns.lock().expect("connection registry");
+                        reg.retain(|conn| !conn.reader.is_finished());
+                        drop(reg);
                         match listener.accept() {
                             Ok((stream, _peer)) => {
                                 conn_seq += 1;
                                 stats.accepted.fetch_add(1, Ordering::Relaxed);
-                                let threads = spawn_connection(
+                                let conn = spawn_connection(
                                     conn_seq,
                                     stream,
                                     Arc::clone(&service),
                                     &config,
                                     Arc::clone(&stop),
                                     Arc::clone(&draining),
-                                    Arc::clone(&global_inflight),
                                     Arc::clone(&stats),
                                     cluster.clone(),
                                 );
-                                if let Ok(threads) = threads {
-                                    conns.lock().expect("connection registry").push(threads);
+                                if let Ok(conn) = conn {
+                                    conns.lock().expect("connection registry").push(conn);
                                 }
                             }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
+                            // Nothing to accept yet, or a failed accept.
                             Err(_) => std::thread::sleep(Duration::from_millis(20)),
                         }
                     }
@@ -305,7 +226,6 @@ impl NetServer {
             local_addr,
             stop,
             draining,
-            global_inflight,
             stats,
             acceptor: Some(acceptor),
             conns,
@@ -323,8 +243,8 @@ impl NetServer {
         &self.stats
     }
 
-    /// Connections currently open (until both of the connection's
-    /// threads have exited).
+    /// Connections currently open (until the connection's thread has
+    /// exited).
     pub fn live_connections(&self) -> u64 {
         self.stats.live_connections.load(Ordering::SeqCst)
     }
@@ -340,10 +260,10 @@ impl NetServer {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Graceful shutdown: stop accepting, let readers finish their
-    /// current frames, then wait (bounded by
-    /// [`NetConfig::drain_timeout_millis`]) for in-flight queries to
-    /// answer and for each writer to write what it holds.
+    /// Graceful shutdown: stop accepting and let each reader answer and
+    /// write what it has read, waiting at most
+    /// [`NetConfig::drain_timeout_millis`]; a reader still blocked
+    /// writing to a peer that does not read then has its socket shut.
     pub fn shutdown(mut self) {
         self.begin_shutdown();
     }
@@ -355,26 +275,16 @@ impl NetServer {
             let _ = acceptor.join();
         }
         let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
-        let mut writers = Vec::with_capacity(conns.len());
-        for conn in conns {
-            let _ = conn.reader.join();
-            writers.push(conn.writer);
-        }
-        // Readers are gone, so no new queries can enter. Each writer
-        // finishes once the engine has answered its connection's queries
-        // in flight and the replies are written.
         let deadline =
             Instant::now() + Duration::from_millis(self.config.drain_timeout_millis.max(1));
-        while (self.global_inflight.load(Ordering::SeqCst) > 0
-            || writers.iter().any(|w| !w.is_finished()))
-            && Instant::now() < deadline
-        {
+        while conns.iter().any(|c| !c.reader.is_finished()) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        // A writer still blocked on a peer that does not read ends by its
-        // write timeout; shutdown does not wait past the deadline for it.
-        for writer in writers.into_iter().filter(|w| w.is_finished()) {
-            let _ = writer.join();
+        for conn in conns {
+            if !conn.reader.is_finished() {
+                let _ = conn.socket.shutdown(Shutdown::Both);
+            }
+            let _ = conn.reader.join();
         }
     }
 }
@@ -387,8 +297,8 @@ impl Drop for NetServer {
     }
 }
 
-/// Sets up one accepted connection: a writer thread that owns the write
-/// half and a reader thread that decodes and dispatches frames.
+/// Sets up one accepted connection: a reader thread that decodes,
+/// dispatches and answers its frames.
 #[allow(clippy::too_many_arguments)]
 fn spawn_connection(
     conn_seq: u64,
@@ -397,335 +307,305 @@ fn spawn_connection(
     config: &NetConfig,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-    global_inflight: Arc<AtomicUsize>,
     stats: Arc<NetStats>,
     cluster: Option<Arc<dyn ClusterHandler>>,
-) -> std::io::Result<ConnThreads> {
+) -> std::io::Result<Conn> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(config.read_tick_millis.max(1))))?;
-    let write_half = stream.try_clone()?;
-    // The reply queue is unbounded, so without this a peer that never
-    // reads parks its writer in `write_all` forever while the queue grows.
-    write_half.set_write_timeout(Some(Duration::from_millis(
+    // Without this a peer that never reads parks the reader in
+    // `write_all` forever.
+    stream.set_write_timeout(Some(Duration::from_millis(
         config.stall_timeout_millis.max(1),
     )))?;
-    let (replies, queued) = unbounded();
+    let socket = stream.try_clone()?;
     stats.live_connections.fetch_add(1, Ordering::SeqCst);
-    let live = Arc::new(LiveConn(Arc::clone(&stats)));
-    let writer = {
-        let live = Arc::clone(&live);
-        let stats = Arc::clone(&stats);
-        std::thread::Builder::new()
-            .name(format!("geomancy-net-write-{conn_seq}"))
-            .spawn(move || {
-                let _live = live;
-                write_loop(write_half, queued, &stats);
-            })?
-    };
-    let shared = Arc::new(ConnShared {
-        replies,
-        inflight: AtomicUsize::new(0),
-        global_inflight,
+    let conn = Connection {
+        service,
+        config: config.clone(),
+        draining,
+        cluster,
         stats,
-    });
-    let config = config.clone();
-    // Should this spawn fail, the closure drops `shared` and with it the
-    // only sender, so the writer half-closes the socket and exits.
+    };
     let reader = std::thread::Builder::new()
         .name(format!("geomancy-net-read-{conn_seq}"))
-        .spawn(move || {
-            let _live = live;
-            read_loop(stream, service, shared, &config, stop, draining, cluster);
-        })?;
-    Ok(ConnThreads { reader, writer })
+        .spawn(move || conn.read_loop(stream, &stop))?;
+    Ok(Conn { reader, socket })
 }
 
-/// The per-connection blocking read loop: socket → [`FrameReader`] →
-/// dispatch. Exits on EOF, protocol error, stall, or server stop.
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    mut stream: TcpStream,
+/// What a connection's thread owns; dropping it, however the thread
+/// exits, takes the connection off the live gauge.
+struct Connection {
     service: Arc<PlacementService>,
-    shared: Arc<ConnShared>,
-    config: &NetConfig,
-    stop: Arc<AtomicBool>,
+    config: NetConfig,
     draining: Arc<AtomicBool>,
     cluster: Option<Arc<dyn ClusterHandler>>,
-) {
-    let mut reader = FrameReader::new(config.max_payload);
-    let mut scratch = [0u8; 64 * 1024];
-    let stall_limit = Duration::from_millis(config.stall_timeout_millis.max(1));
-    let mut last_progress = std::time::Instant::now();
-
-    'conn: loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => break, // EOF: peer closed its write half.
-            Ok(n) => {
-                last_progress = std::time::Instant::now();
-                reader.push(&scratch[..n]);
-                loop {
-                    match reader.next_frame() {
-                        Ok(Some(frame)) => {
-                            shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                            dispatch(
-                                frame,
-                                &service,
-                                &shared,
-                                config,
-                                &draining,
-                                cluster.as_ref(),
-                            );
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            // The stream is unsynchronized. Name the
-                            // failure on the way out when the header
-                            // itself was intelligible.
-                            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            if let DecodeError::Oversized { .. } = e {
-                                shared.reply(Frame::new(
-                                    FrameKind::QueryResp,
-                                    0,
-                                    wire::encode_query_resp_err(WireStatus::TooLarge),
-                                ));
-                            }
-                            break 'conn;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if reader.has_partial() && last_progress.elapsed() > stall_limit {
-                    // Mid-frame and silent too long: stalled.
-                    shared.stats.stalled.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break, // Reset / hard error.
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Read);
+    stats: Arc<NetStats>,
 }
 
-/// Routes one decoded frame to the service and queues the reply.
-fn dispatch(
-    frame: Frame,
-    service: &Arc<PlacementService>,
-    shared: &Arc<ConnShared>,
-    config: &NetConfig,
-    draining: &AtomicBool,
-    cluster: Option<&Arc<dyn ClusterHandler>>,
-) {
-    let corr = frame.corr_id;
-    match frame.kind {
-        FrameKind::IngestReq => {
-            if draining.load(Ordering::SeqCst) {
-                shared.reply(Frame::new(
-                    FrameKind::IngestResp,
-                    corr,
-                    wire::encode_ingest_resp(WireStatus::Draining, 0),
-                ));
-                return;
+impl Drop for Connection {
+    fn drop(&mut self) {
+        self.stats.live_connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One read's replies, encoded for one write, and its queries in flight.
+#[derive(Default)]
+struct Replies<'a> {
+    out: Vec<u8>,
+    frames: u64,
+    queries: Vec<(u64, PendingQuery<'a>)>,
+}
+
+impl Replies<'_> {
+    fn push(&mut self, frame: Frame) {
+        frame.encode_into(&mut self.out);
+        self.frames += 1;
+    }
+
+    /// Waits for every queued query in turn and encodes its reply.
+    fn answer_queries(&mut self) {
+        for (corr, pending) in self.queries.drain(..) {
+            let payload = match pending.wait() {
+                Ok(decisions) => wire::encode_query_resp_ok(&decisions),
+                Err(QueryError::NotReady) => wire::encode_query_resp_err(WireStatus::NotReady),
+                Err(QueryError::Overloaded) => wire::encode_query_resp_err(WireStatus::Overloaded),
+                Err(QueryError::ServiceDown) => {
+                    wire::encode_query_resp_err(WireStatus::ServiceDown)
+                }
+            };
+            Frame::new(FrameKind::QueryResp, corr, payload).encode_into(&mut self.out);
+            self.frames += 1;
+        }
+    }
+
+    /// Answers the queued queries and writes every reply; false once the
+    /// peer is gone or has not read for the whole write timeout (the
+    /// write may be half done, so the stream is finished either way).
+    fn flush(&mut self, stream: &mut TcpStream, stats: &NetStats) -> bool {
+        self.answer_queries();
+        // Counted first: the peer may read the replies before this returns.
+        stats.frames_out.fetch_add(self.frames, Ordering::Relaxed);
+        let written = stream.write_all(&self.out);
+        if let Err(e) = &written {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                stats.stalled.fetch_add(1, Ordering::Relaxed);
             }
-            let (status, shard) = match wire::decode_ingest_req(&frame.payload) {
-                Ok((ts, records)) => {
-                    // Cluster ownership gate: a batch naming a shard this
-                    // node no longer owns was routed on a stale map.
-                    if let Some(h) = cluster {
-                        if records.iter().any(|r| !h.owns(r.fid)) {
-                            shared.reply(Frame::new(
-                                FrameKind::IngestResp,
-                                corr,
-                                h.wrong_epoch_payload(),
-                            ));
-                            return;
+        }
+        self.out.clear();
+        self.frames = 0;
+        written.is_ok()
+    }
+}
+
+impl Connection {
+    /// The blocking read loop: socket → [`FrameReader`] → dispatch →
+    /// replies. Exits on EOF, protocol error, stall, a failed write, or
+    /// server stop, and closes the socket on the way out.
+    fn read_loop(&self, mut stream: TcpStream, stop: &AtomicBool) {
+        let mut reader = FrameReader::new(self.config.max_payload);
+        let mut scratch = [0u8; 64 * 1024];
+        let mut replies = Replies::default();
+        let stall_limit = Duration::from_millis(self.config.stall_timeout_millis.max(1));
+        let mut last_progress = Instant::now();
+
+        while !stop.load(Ordering::SeqCst) {
+            match stream.read(&mut scratch) {
+                Ok(0) => break, // EOF: peer closed its write half.
+                Ok(n) => {
+                    last_progress = Instant::now();
+                    reader.push(&scratch[..n]);
+                    let mut failed = false;
+                    loop {
+                        match reader.next_frame() {
+                            Ok(Some(frame)) => {
+                                self.stats.frames_in.fetch_add(1, Ordering::Relaxed);
+                                self.dispatch(frame, &mut replies);
+                            }
+                            Ok(None) => break,
+                            Err(e) => {
+                                // The stream is unsynchronized. Name the
+                                // failure on the way out when the header
+                                // itself was intelligible.
+                                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                                if let DecodeError::Oversized { .. } = e {
+                                    let why = wire::encode_query_resp_err(WireStatus::TooLarge);
+                                    replies.push(Frame::new(FrameKind::QueryResp, 0, why));
+                                }
+                                failed = true;
+                                break;
+                            }
                         }
                     }
-                    // Non-blocking ingest: a full shard maps to an
-                    // explicit Backpressure status the client retries,
-                    // instead of this thread parking on the shard
-                    // mailbox.
-                    match service.try_ingest(ts, &records) {
-                        Ok(()) => (WireStatus::Ok, 0),
-                        Err(bp) => (WireStatus::Backpressure, bp.shard as u32),
+                    if !replies.flush(&mut stream, &self.stats) || failed {
+                        break;
                     }
                 }
-                Err(_) => (WireStatus::BadRequest, 0),
-            };
-            shared.reply(Frame::new(
-                FrameKind::IngestResp,
-                corr,
-                wire::encode_ingest_resp(status, shard),
-            ));
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    if reader.has_partial() && last_progress.elapsed() > stall_limit {
+                        // Mid-frame and silent too long: stalled.
+                        self.stats.stalled.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break, // Reset / hard error.
+            }
         }
-        FrameKind::QueryReq => {
-            if draining.load(Ordering::SeqCst) {
-                shared.reply(Frame::new(
-                    FrameKind::QueryResp,
-                    corr,
-                    wire::encode_query_resp_err(WireStatus::Draining),
-                ));
-                return;
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Routes one decoded frame to the service and encodes the reply, or
+    /// queues a query for the engine. A frame of any other kind first
+    /// answers the queries queued before it, so none waits behind a
+    /// blocking retrain, ship or catch-up.
+    fn dispatch<'a>(&'a self, frame: Frame, replies: &mut Replies<'a>) {
+        use FrameKind as K;
+        if frame.kind != K::QueryReq {
+            replies.answer_queries();
+        }
+        let cluster = self.cluster.as_ref();
+        let (kind, payload) = match frame.kind {
+            K::IngestReq => (K::IngestResp, self.ingest(&frame.payload)),
+            K::QueryReq => match self.query(frame.corr_id, &frame.payload, replies) {
+                Some(payload) => (K::QueryResp, payload),
+                None => return,
+            },
+            K::MetricsReq => {
+                let mut snap = self.service.metrics();
+                // Transport gauges only the server knows; in-process
+                // snapshots leave them zero.
+                snap.net_connections_live = self.stats.live_connections.load(Ordering::SeqCst);
+                (K::MetricsResp, wire::encode_metrics_resp(&snap))
             }
-            let requests = match wire::decode_query_req(&frame.payload) {
-                Ok(r) => r,
-                Err(_) => {
-                    shared.reply(Frame::new(
-                        FrameKind::QueryResp,
-                        corr,
-                        wire::encode_query_resp_err(WireStatus::BadRequest),
-                    ));
-                    return;
-                }
-            };
-            if let Some(h) = cluster {
-                if requests.iter().any(|r| !h.owns(r.fid)) {
-                    shared.reply(Frame::new(
-                        FrameKind::QueryResp,
-                        corr,
-                        h.wrong_epoch_payload(),
-                    ));
-                    return;
-                }
-            }
-            // Per-connection in-flight cap: shed at the wire before
-            // admission ever sees the submission.
-            let prev = shared.inflight.fetch_add(1, Ordering::SeqCst);
-            if prev >= config.max_inflight_per_conn.max(1) {
-                shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                shared.stats.wire_shed.fetch_add(1, Ordering::Relaxed);
-                shared.reply(Frame::new(
-                    FrameKind::QueryResp,
-                    corr,
-                    wire::encode_query_resp_err(WireStatus::Overloaded),
-                ));
-                return;
-            }
-            shared.global_inflight.fetch_add(1, Ordering::SeqCst);
-            let shared = Arc::clone(shared);
-            service.query_many_async(requests, move |result| {
-                let payload = match &result {
-                    Ok(decisions) => wire::encode_query_resp_ok(decisions),
-                    Err(QueryError::NotReady) => wire::encode_query_resp_err(WireStatus::NotReady),
-                    Err(QueryError::Overloaded) => {
-                        wire::encode_query_resp_err(WireStatus::Overloaded)
-                    }
-                    Err(QueryError::ServiceDown) => {
-                        wire::encode_query_resp_err(WireStatus::ServiceDown)
-                    }
+            K::HealthReq => {
+                let health = Health {
+                    published_epoch: self.service.published_epoch(),
+                    shards: self.service.metrics().queue_depth.len() as u32,
+                    draining: self.draining.load(Ordering::SeqCst),
                 };
-                // Order matters: queue the reply, then release the
-                // in-flight slots — shutdown's drain gate must not pass
-                // before this reply is queued on the writer.
-                shared.reply(Frame::new(FrameKind::QueryResp, corr, payload));
-                shared.inflight.fetch_sub(1, Ordering::SeqCst);
-                shared.global_inflight.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        FrameKind::MetricsReq => {
-            let mut snap = service.metrics();
-            // Transport gauges only the server knows; in-process
-            // snapshots leave them zero.
-            snap.net_connections_live = shared.stats.live_connections.load(Ordering::SeqCst);
-            shared.reply(Frame::new(
-                FrameKind::MetricsResp,
-                corr,
-                wire::encode_metrics_resp(&snap),
-            ));
-        }
-        FrameKind::HealthReq => {
-            let snap = service.metrics();
-            shared.reply(Frame::new(
-                FrameKind::HealthResp,
-                corr,
-                wire::encode_health_resp(&Health {
-                    published_epoch: service.published_epoch(),
-                    shards: snap.queue_depth.len() as u32,
-                    draining: draining.load(Ordering::SeqCst),
-                }),
-            ));
-        }
-        FrameKind::RetrainReq => {
-            if draining.load(Ordering::SeqCst) {
-                shared.reply(Frame::new(
-                    FrameKind::RetrainResp,
-                    corr,
-                    wire::encode_retrain_resp(WireStatus::Draining, 0),
-                ));
-                return;
+                (K::HealthResp, wire::encode_health_resp(&health))
             }
-            // Blocking is fine here: this is the connection's own OS
-            // thread, and retrains are rare administrative calls.
-            let (status, epoch) = match service.retrain_now() {
-                Ok(epoch) => (WireStatus::Ok, epoch),
-                Err(geomancy_serve::TrainError::NotEnoughData) => (WireStatus::NotEnoughData, 0),
-                Err(geomancy_serve::TrainError::TrainerDown) => (WireStatus::ServiceDown, 0),
-            };
-            shared.reply(Frame::new(
-                FrameKind::RetrainResp,
-                corr,
-                wire::encode_retrain_resp(status, epoch),
-            ));
-        }
-        FrameKind::ClusterInfoReq => {
-            let payload = match cluster {
-                Some(h) => h.cluster_info_payload(),
-                None => vec![WireStatus::BadRequest as u8],
-            };
-            shared.reply(Frame::new(FrameKind::ClusterInfoResp, corr, payload));
-        }
-        FrameKind::ShipSegment => {
-            let payload = match cluster {
-                // Blocking is fine here: this is the connection's own OS
-                // thread, and segment apply is rare, durable work.
-                Some(h) => h.on_ship(&frame.payload),
-                None => wire::encode_ship_ack(WireStatus::BadRequest, 0, 0, None),
-            };
-            shared.reply(Frame::new(FrameKind::ShipAck, corr, payload));
-        }
-        FrameKind::Heartbeat => {
-            let payload = match cluster {
-                Some(h) => h.on_heartbeat(&frame.payload),
+            K::RetrainReq => (K::RetrainResp, self.retrain()),
+            K::ClusterInfoReq => match cluster {
+                Some(h) => (K::ClusterInfoResp, h.cluster_info_payload()),
+                None => (K::ClusterInfoResp, vec![WireStatus::BadRequest as u8]),
+            },
+            // Blocking is fine for a segment apply or a chunk export: this
+            // is the connection's own thread, and both are rare, bounded
+            // disk work.
+            K::ShipSegment => match cluster {
+                Some(h) => (K::ShipAck, h.on_ship(&frame.payload)),
+                None => (
+                    K::ShipAck,
+                    wire::encode_ship_ack(WireStatus::BadRequest, 0, 0, None),
+                ),
+            },
+            K::Heartbeat => match cluster {
+                Some(h) => (K::HeartbeatAck, h.on_heartbeat(&frame.payload)),
                 // A standalone server is trivially alive; answer with the
                 // null node id so a probing cluster peer still gets an
                 // echo.
-                None => wire::encode_heartbeat_ack(0, 0),
-            };
-            shared.reply(Frame::new(FrameKind::HeartbeatAck, corr, payload));
+                None => (K::HeartbeatAck, wire::encode_heartbeat_ack(0, 0)),
+            },
+            K::CatchUpReq => match cluster {
+                Some(h) => (K::CatchUpChunk, h.on_catch_up(&frame.payload)),
+                None => (
+                    K::CatchUpChunk,
+                    wire::encode_catch_up_chunk(WireStatus::BadRequest, None, None),
+                ),
+            },
+            K::CatchUpDone => match cluster {
+                Some(h) => (K::CatchUpAck, h.on_catch_up_done(&frame.payload)),
+                None => (
+                    K::CatchUpAck,
+                    wire::encode_catch_up_ack(WireStatus::BadRequest, 0, None),
+                ),
+            },
+            // A server receiving response kinds is a confused peer; answer
+            // nothing and keep serving (the corr id means nothing to us).
+            K::IngestResp
+            | K::QueryResp
+            | K::MetricsResp
+            | K::HealthResp
+            | K::RetrainResp
+            | K::ClusterInfoResp
+            | K::ShipAck
+            | K::HeartbeatAck
+            | K::CatchUpChunk
+            | K::CatchUpAck => {
+                self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        };
+        replies.push(Frame::new(kind, frame.corr_id, payload));
+    }
+
+    /// As a cluster node, the `WrongEpoch` payload for a request naming a
+    /// file whose shard this node does not own: it was routed on a stale
+    /// map.
+    fn misrouted(&self, mut fids: impl Iterator<Item = FileId>) -> Option<Vec<u8>> {
+        let h = self.cluster.as_ref()?;
+        fids.any(|fid| !h.owns(fid))
+            .then(|| h.wrong_epoch_payload())
+    }
+
+    fn ingest(&self, payload: &[u8]) -> Vec<u8> {
+        if self.draining.load(Ordering::SeqCst) {
+            return wire::encode_ingest_resp(WireStatus::Draining, 0);
         }
-        FrameKind::CatchUpReq => {
-            let payload = match cluster {
-                // Blocking is fine here: this is the connection's own OS
-                // thread, and chunk export is rare, bounded disk work.
-                Some(h) => h.on_catch_up(&frame.payload),
-                None => wire::encode_catch_up_chunk(WireStatus::BadRequest, None, None),
-            };
-            shared.reply(Frame::new(FrameKind::CatchUpChunk, corr, payload));
+        let Ok((ts, records)) = wire::decode_ingest_req(payload) else {
+            return wire::encode_ingest_resp(WireStatus::BadRequest, 0);
+        };
+        if let Some(wrong) = self.misrouted(records.iter().map(|r| r.fid)) {
+            return wrong;
         }
-        FrameKind::CatchUpDone => {
-            let payload = match cluster {
-                Some(h) => h.on_catch_up_done(&frame.payload),
-                None => wire::encode_catch_up_ack(WireStatus::BadRequest, 0, None),
-            };
-            shared.reply(Frame::new(FrameKind::CatchUpAck, corr, payload));
+        // Non-blocking ingest: a full shard maps to an explicit
+        // Backpressure status the client retries, instead of this thread
+        // parking on the shard mailbox.
+        match self.service.try_ingest(ts, &records) {
+            Ok(()) => wire::encode_ingest_resp(WireStatus::Ok, 0),
+            Err(bp) => wire::encode_ingest_resp(WireStatus::Backpressure, bp.shard as u32),
         }
-        // A server receiving response kinds is a confused peer; answer
-        // nothing and keep serving (the corr id means nothing to us).
-        FrameKind::IngestResp
-        | FrameKind::QueryResp
-        | FrameKind::MetricsResp
-        | FrameKind::HealthResp
-        | FrameKind::RetrainResp
-        | FrameKind::ClusterInfoResp
-        | FrameKind::ShipAck
-        | FrameKind::HeartbeatAck
-        | FrameKind::CatchUpChunk
-        | FrameKind::CatchUpAck => {
-            shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Queues a query frame's requests for the engine (`None`), or
+    /// answers the frame at once.
+    fn query<'a>(
+        &'a self,
+        corr: u64,
+        payload: &[u8],
+        replies: &mut Replies<'a>,
+    ) -> Option<Vec<u8>> {
+        if self.draining.load(Ordering::SeqCst) {
+            return Some(wire::encode_query_resp_err(WireStatus::Draining));
         }
+        let Ok(requests) = wire::decode_query_req(payload) else {
+            return Some(wire::encode_query_resp_err(WireStatus::BadRequest));
+        };
+        if let Some(wrong) = self.misrouted(requests.iter().map(|r| r.fid)) {
+            return Some(wrong);
+        }
+        // Per-connection in-flight cap: shed at the wire before admission
+        // ever sees the submission.
+        if replies.queries.len() >= self.config.max_inflight_per_conn.max(1) {
+            self.stats.wire_shed.fetch_add(1, Ordering::Relaxed);
+            return Some(wire::encode_query_resp_err(WireStatus::Overloaded));
+        }
+        replies.queries.push((corr, self.service.submit(requests)));
+        None
+    }
+
+    fn retrain(&self) -> Vec<u8> {
+        if self.draining.load(Ordering::SeqCst) {
+            return wire::encode_retrain_resp(WireStatus::Draining, 0);
+        }
+        // Blocking is fine here: this is the connection's own OS thread,
+        // and retrains are rare administrative calls.
+        let (status, epoch) = match self.service.retrain_now() {
+            Ok(epoch) => (WireStatus::Ok, epoch),
+            Err(geomancy_serve::TrainError::NotEnoughData) => (WireStatus::NotEnoughData, 0),
+            Err(geomancy_serve::TrainError::TrainerDown) => (WireStatus::ServiceDown, 0),
+        };
+        wire::encode_retrain_resp(status, epoch)
     }
 }

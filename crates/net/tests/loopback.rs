@@ -204,13 +204,19 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
 
     // Park the engine: this completion blocks until `release` drops (it
     // breaks the must-not-block rule on purpose), so nothing submitted
-    // after it is answered before then.
+    // after it is answered before then. It may run on the submitting
+    // thread, so that is a thread of its own.
     let (release, gate) = std::sync::mpsc::channel::<()>();
     let (parked_tx, parked) = std::sync::mpsc::channel();
-    svc.query_many_async(vec![req(0)], move |_| {
-        parked_tx.send(()).unwrap();
-        let _ = gate.recv();
-    });
+    let parker = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            svc.query_many_async(vec![req(0)], move |_| {
+                parked_tx.send(()).unwrap();
+                let _ = gate.recv();
+            });
+        })
+    };
     parked.recv().expect("engine reached the gated completion");
 
     // The doomed peer: a raw socket fires queries at the parked engine
@@ -237,6 +243,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
         drop(raw);
     }
     drop(release);
+    parker.join().expect("parked submitter panicked");
 
     // A healthy neighbor is served once the engine moves again.
     let healthy = client(&server);
@@ -247,7 +254,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
         assert_eq!(ds.len(), 1);
     }
 
-    // The orphaned submissions completed into a dead writer; admission
+    // The orphaned submissions completed into a dead connection; admission
     // accounting must still have been released.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -506,5 +513,65 @@ fn a_deaf_peer_stalls_only_its_own_writer() {
     );
     drop(held);
     drop(healthy);
+    Arc::try_unwrap(svc).expect("sole owner").shutdown();
+}
+
+/// A reader blocked writing to a peer that does not read would hold out
+/// for the whole stall timeout (30 s by default); shutdown waits for it
+/// no longer than `drain_timeout_millis`, then shuts its socket.
+#[test]
+fn shutdown_is_bounded_while_a_reader_writes_to_a_deaf_peer() {
+    const DRAIN_MILLIS: u64 = 500;
+    let svc = service(AdmissionConfig::default());
+    for i in 0..300u64 {
+        svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
+    }
+    svc.retrain_now().unwrap();
+    let server = NetServer::start(
+        "127.0.0.1:0",
+        Arc::clone(&svc),
+        NetConfig {
+            drain_timeout_millis: DRAIN_MILLIS,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let batch: Vec<PlacementRequest> = (0..512)
+        .map(|i| PlacementRequest {
+            fid: FileId(i % 4),
+            read_bytes: 1_000_000,
+            write_bytes: 0,
+        })
+        .collect();
+    let frame = geomancy_net::Frame::new(
+        geomancy_net::FrameKind::QueryReq,
+        1,
+        geomancy_net::wire::encode_query_req(&batch),
+    )
+    .encode();
+    // Pipeline queries without reading until our own writes back up: the
+    // server has then stopped reading, blocked writing replies to us.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut blocked = false;
+    for _ in 0..2_000 {
+        use std::io::Write;
+        if raw.write_all(&frame).is_err() {
+            blocked = true;
+            break;
+        }
+    }
+    assert!(blocked, "the server never stopped reading");
+    assert_eq!(server.live_connections(), 1);
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_millis(2 * DRAIN_MILLIS),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    drop(raw);
     Arc::try_unwrap(svc).expect("sole owner").shutdown();
 }

@@ -4,8 +4,8 @@
 //! actors. Each actor owns its state, receives messages through a bounded
 //! mailbox, and can arm one-shot timers; the reactor guarantees an actor is
 //! only ever run by one worker at a time, so actor code needs no internal
-//! locking. It runs the serving layer's shard and query-engine actors
-//! and the cluster's control-plane actors; `geomancy-core` and the
+//! locking. It runs the serving layer's shard actors and the cluster's
+//! control-plane actors; `geomancy-core`, the query engine and the
 //! transport name none of it.
 //!
 //! Design points:

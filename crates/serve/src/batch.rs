@@ -1,38 +1,45 @@
-//! The batched query engine: a reactor actor owning the live model,
-//! coalescing concurrent placement requests into fused forward passes.
+//! The batched query engine: the live model behind one lock that the
+//! submitting threads take turns holding, coalescing concurrent placement
+//! requests into fused forward passes.
 //!
 //! ## Coalescing
 //!
 //! Clients submit either one request ([`crate::PlacementService::query`])
 //! or a whole slice ([`crate::PlacementService::query_many`]); each
-//! submission is one mailbox message. The engine holds what it has taken
-//! and closes the batch — one fused pass answering every held submission —
-//! when it reaches `max_batch` requests or when its mailbox is empty.
-//! Nothing waits on a clock: a lone caller on an idle engine is answered
-//! at once, and while one pass runs later submissions queue, so the next
-//! pass takes all of them and batch size grows with load. Within a batch,
-//! requests with the same `(file, read, write)` shape share a single
+//! submission joins one queue of at most `queue_capacity`. A submitter
+//! that finds the engine lock free runs a pass on its own thread: it takes
+//! whole submissions until it holds `max_batch` requests or the queue is
+//! empty and answers them in one fused pass. Nothing waits on a clock: an
+//! idle engine answers a lone caller at once, and while one pass runs
+//! later submissions queue, so the next pass takes them all and batch
+//! size grows with load. A submitter that finds the lock held parks on its
+//! reply channel, or leaves a completion to run on whichever thread
+//! serves its pass. Once its own is answered the holder releases the
+//! lock and looks at the queue: it hands the lock to a parked submitter
+//! if one waits, so no caller is held hostage serving others, and
+//! otherwise serves the completions itself, so nothing is stranded. Within a
+//! pass, requests with the same `(file, read, write)` shape share one
 //! feature row — BELLE II reads each file 10–20 times in succession, so
 //! concurrent request streams are full of exact duplicates — and the
-//! surviving unique rows go through the network in one fused
+//! unique rows go through the network in one fused
 //! [`geomancy_core::drl::DrlEngine::rank_locations_batch_into`] pass.
 //!
 //! ## Hot-swap
 //!
-//! The engine checks the [`ModelSlot`] at each batch boundary and adopts
+//! The engine checks the [`ModelSlot`] at each pass boundary and adopts
 //! any newly published model there. Because the swap happens only at a
-//! batch boundary and the engine actor is the *only* reader of the live
-//! model (the reactor runs an actor on one worker at a time), no decision
-//! can observe a half-updated network ("torn model") — the epoch stamped
-//! on each decision is exactly the model that produced it.
+//! pass boundary and the live model is read only under the engine lock,
+//! no decision can observe a half-updated network ("torn model") — the
+//! epoch stamped on each decision is exactly the model that produced it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::{DrlEngine, PlacementQuery};
-use geomancy_runtime::{Actor, Addr, Ctx, Reactor, TimeSource};
+use geomancy_runtime::TimeSource;
 use geomancy_sim::record::{DeviceId, FileId};
 use geomancy_sim::SharedSimClock;
 use serde::Serialize;
@@ -107,7 +114,7 @@ pub struct ModelSlot {
     incoming: Mutex<Option<(u64, DrlEngine)>>,
     /// Provenance of the newest published model. Kept beside the engine
     /// (not inside `incoming`) because the engine moves out to the query
-    /// actor on pickup while the metadata must stay inspectable — it
+    /// engine on pickup while the metadata must stay inspectable — it
     /// carries the per-shard watermarks the published weights trained
     /// through.
     meta: Mutex<Option<TrainedMeta>>,
@@ -161,25 +168,24 @@ impl ModelSlot {
     }
 }
 
+/// What wakes a parked caller: its answer, or `None` to hand it the lock.
+type Wake = Option<Result<Vec<Decision>, QueryError>>;
+
 /// How a submission wants its decisions delivered.
-///
-/// Blocking callers park on a channel; the transport layer hands in a
-/// callback instead, so the engine actor can answer a wire request
-/// without anybody blocking on anybody (the callback runs inline in the
-/// engine actor and must therefore never block — `geomancy-net` resolves
-/// it to a send on the connection's unbounded reply channel).
-pub(crate) enum Reply {
-    /// Complete a parked [`BatchEngine::query_many`] call.
-    Channel(Sender<Result<Vec<Decision>, QueryError>>),
-    /// Invoke a completion (the async / transport path).
+enum Reply {
+    /// A blocking caller, parked on its channel; `handed` once given the lock.
+    Parked { tx: Sender<Wake>, handed: bool },
+    /// A completion, run under the lock by whoever serves the pass: it
+    /// must not block.
     Callback(Box<dyn FnOnce(Result<Vec<Decision>, QueryError>) + Send>),
 }
 
 impl Reply {
     fn send(self, result: Result<Vec<Decision>, QueryError>) {
         match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(result);
+            // The channel holds two: at most one hand-off, then this.
+            Reply::Parked { tx, .. } => {
+                let _ = tx.send(Some(result));
             }
             Reply::Callback(f) => f(result),
         }
@@ -187,57 +193,65 @@ impl Reply {
 }
 
 /// One submission: requests plus the reply path to answer them on.
-pub(crate) struct Submission {
+struct Submission {
     requests: Vec<PlacementRequest>,
     /// Reactor-time enqueue stamp (microseconds) for latency accounting.
     enqueued_micros: u64,
     reply: Reply,
 }
 
-/// Tuning knobs for the engine (split out so signatures stay readable).
-pub(crate) struct BatchParams {
-    /// Maximum requests fused into one pass: submissions already queued
-    /// join the open batch until it holds this many.
-    pub max_batch: usize,
-    /// Candidate devices ranked for every request.
-    pub candidates: Vec<DeviceId>,
+/// The submissions waiting for a pass.
+#[derive(Default)]
+struct Queue {
+    subs: VecDeque<Submission>,
+    /// Submissions ever queued, and ever taken into a pass (or answered
+    /// `ServiceDown`): the `n`-th queued is answered once `taken > n`.
+    queued: u64,
+    taken: u64,
+    /// Set when a pass panicked: every later submission is refused.
+    down: bool,
 }
 
-/// Handle to the query engine actor.
+/// A queued blocking submission's place and reply channel.
+pub(crate) type Ticket = (u64, Receiver<Wake>);
+
+/// The query engine: a bounded queue in front of the engine lock.
 pub struct BatchEngine {
-    addr: Addr<Submission>,
+    queue: Mutex<Queue>,
+    capacity: usize,
+    core: Mutex<Core>,
     time: Arc<dyn TimeSource>,
 }
 
 impl std::fmt::Debug for BatchEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchEngine")
-            .field("queued", &self.addr.queue_len())
-            .finish()
+        write!(f, "BatchEngine {{ queued: {} }}", self.queue_len())
     }
 }
 
 impl BatchEngine {
-    /// Spawns the engine actor on `reactor`. `telemetry` is the service's
-    /// ingest high-water clock, read once per batch to stamp query times.
-    pub(crate) fn spawn_on(
-        reactor: &Reactor,
-        params: BatchParams,
+    /// Creates an idle engine. `telemetry` (the ingest high-water clock)
+    /// stamps query times once per pass; `time` stamps latency metrics.
+    pub(crate) fn new(
+        max_batch: usize,
+        candidates: Vec<DeviceId>,
         slot: Arc<ModelSlot>,
         telemetry: SharedSimClock,
         metrics: Arc<ServeMetrics>,
+        time: Arc<dyn TimeSource>,
         queue_capacity: usize,
     ) -> Self {
-        assert!(params.max_batch > 0, "max_batch must be positive");
-        assert!(!params.candidates.is_empty(), "need candidate devices");
-        let (addr, _handle) = reactor.spawn(
-            "query-engine",
-            queue_capacity,
-            BatchActor {
+        assert!(max_batch > 0, "max_batch must be positive");
+        assert!(!candidates.is_empty(), "need candidate devices");
+        BatchEngine {
+            queue: Mutex::default(),
+            capacity: queue_capacity.max(1),
+            core: Mutex::new(Core {
                 engine: None,
                 epoch: 0,
-                pending: Vec::new(),
-                params,
+                held: VecDeque::new(),
+                max_batch,
+                candidates,
                 slot,
                 telemetry,
                 metrics,
@@ -246,72 +260,157 @@ impl BatchEngine {
                 rows: Vec::new(),
                 ranked: Vec::new(),
                 best: Vec::new(),
-            },
-        );
-        BatchEngine {
-            addr,
-            time: reactor.time(),
+            }),
+            time,
         }
     }
 
-    /// Submits `requests` as one message; blocks for the decisions.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::NotReady`] before the first model publish,
-    /// [`QueryError::ServiceDown`] after shutdown.
-    pub fn query_many(&self, requests: &[PlacementRequest]) -> Result<Vec<Decision>, QueryError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (reply, rx) = bounded(1);
-        self.addr
-            .send(Submission {
-                requests: requests.to_vec(),
-                enqueued_micros: self.time.now_micros(),
-                reply: Reply::Channel(reply),
-            })
-            .map_err(|_| QueryError::ServiceDown)?;
-        rx.recv().map_err(|_| QueryError::ServiceDown)?
+    /// Queues `requests` without serving them, so one caller can queue
+    /// several to share a pass; a full queue makes it serve a pass first.
+    pub(crate) fn submit(&self, requests: Vec<PlacementRequest>) -> Ticket {
+        let (tx, rx) = bounded(2);
+        let n = self.enqueue(requests, Reply::Parked { tx, handed: false });
+        (n.unwrap_or(0), rx)
     }
 
-    /// Submits `requests` with a completion instead of blocking: `done`
-    /// runs exactly once, inline in the engine actor when the batch
-    /// closes (so it must not block), or on this thread with
-    /// [`QueryError::ServiceDown`] if the engine is already gone.
-    ///
-    /// The submitting send itself still blocks while the engine mailbox
-    /// is full — that is the transport's backpressure point.
-    pub fn query_many_async(
+    /// Blocks for a submission's decisions, serving passes on this thread
+    /// whenever the engine lock is free.
+    pub(crate) fn wait(&self, (n, rx): &Ticket) -> Result<Vec<Decision>, QueryError> {
+        let mut handed = false;
+        loop {
+            self.combine(*n, handed);
+            match rx.recv() {
+                Ok(Some(result)) => return result,
+                Ok(None) => handed = true,
+                Err(_) => return Err(QueryError::ServiceDown),
+            }
+        }
+    }
+
+    /// Submits non-empty `requests` with a completion, run once (on this
+    /// thread when the engine is idle or down, else by whoever serves the
+    /// pass); it must not block. A full queue makes the caller serve a pass.
+    pub(crate) fn query_many_async(
         &self,
         requests: Vec<PlacementRequest>,
         done: Box<dyn FnOnce(Result<Vec<Decision>, QueryError>) + Send>,
     ) {
-        if requests.is_empty() {
-            done(Ok(Vec::new()));
-            return;
-        }
-        if let Err(closed) = self.addr.send(Submission {
-            requests,
-            enqueued_micros: self.time.now_micros(),
-            reply: Reply::Callback(done),
-        }) {
-            closed.0.reply.send(Err(QueryError::ServiceDown));
+        if let Some(n) = self.enqueue(requests, Reply::Callback(done)) {
+            self.combine(n, false);
         }
     }
 
-    /// Submissions currently queued in the engine's mailbox (gauge).
+    /// Submissions currently queued for a pass (gauge).
     pub fn queue_len(&self) -> usize {
-        self.addr.queue_len()
+        self.lock_queue().subs.len()
+    }
+
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("engine queue poisoned")
+    }
+
+    /// Queues one submission and returns its place; `None` (the reply
+    /// answered `ServiceDown`) when the engine is down.
+    fn enqueue(&self, requests: Vec<PlacementRequest>, reply: Reply) -> Option<u64> {
+        let enqueued_micros = self.time.now_micros();
+        let mut queue = self.lock_queue();
+        while !queue.down && queue.subs.len() >= self.capacity {
+            // Full: wait for the lock and serve a pass (place 0 is long
+            // answered), as what is queued may be this caller's own.
+            drop(queue);
+            self.combine(0, true);
+            queue = self.lock_queue();
+        }
+        if queue.down {
+            drop(queue);
+            reply.send(Err(QueryError::ServiceDown));
+            return None;
+        }
+        queue.subs.push_back(Submission {
+            requests,
+            enqueued_micros,
+            reply,
+        });
+        queue.queued += 1;
+        Some(queue.queued - 1)
+    }
+
+    /// If it gets the engine lock (tried, or waited for when `handed`),
+    /// serves a pass and on until submission `own` is answered, then hands
+    /// the lock to a parked submitter still queued or serves completions
+    /// alone itself. A caller that cannot take the lock just returns: the
+    /// holder looks at the queue after releasing it.
+    fn combine(&self, own: u64, mut handed: bool) {
+        loop {
+            let core = match std::mem::take(&mut handed) {
+                true => self.core.lock().ok(),
+                false => self.core.try_lock().ok(),
+            };
+            let Some(mut core) = core else { return };
+            while self.pass(&mut core).is_some_and(|taken| taken <= own) {}
+            drop(core);
+            let mut queue = self.lock_queue();
+            if queue.subs.is_empty() {
+                return;
+            }
+            let parked = queue.subs.iter_mut().find_map(|s| match &mut s.reply {
+                Reply::Parked { tx, handed } => Some((tx, handed)),
+                Reply::Callback(_) => None,
+            });
+            if let Some((tx, handed)) = parked {
+                // Unless it is already on its way to the lock.
+                if !std::mem::replace(handed, true) {
+                    let _ = tx.try_send(None);
+                }
+                return;
+            }
+        }
+    }
+
+    /// One pass: takes whole submissions until it holds `max_batch`
+    /// requests or the queue is empty, and answers them; returns how many
+    /// submissions were ever taken (`None`: nothing to serve). If it
+    /// panics, every later submission is refused and every held or
+    /// queued one is answered [`QueryError::ServiceDown`].
+    fn pass(&self, core: &mut Core) -> Option<u64> {
+        let mut queue = self.lock_queue();
+        let mut held = 0;
+        while held < core.max_batch {
+            let Some(sub) = queue.subs.pop_front() else {
+                break;
+            };
+            held += sub.requests.len();
+            core.held.push_back(sub);
+            queue.taken += 1;
+        }
+        let taken = (held > 0).then_some(queue.taken);
+        drop(queue);
+        if held == 0 || catch_unwind(AssertUnwindSafe(|| core.serve(&*self.time))).is_ok() {
+            return taken;
+        }
+        let mut queue = self.lock_queue();
+        queue.down = true;
+        queue.taken = queue.queued;
+        let queued = std::mem::take(&mut queue.subs);
+        drop(queue);
+        for sub in core.held.drain(..).chain(queued) {
+            let answer = || sub.reply.send(Err(QueryError::ServiceDown));
+            let _ = catch_unwind(AssertUnwindSafe(answer));
+        }
+        None
     }
 }
 
-/// The engine's actor state machine.
-struct BatchActor {
+/// The engine's state, behind the engine lock.
+struct Core {
     engine: Option<DrlEngine>,
     epoch: u64,
-    pending: Vec<Submission>,
-    params: BatchParams,
+    /// The submissions of the pass being served, answered front first.
+    held: VecDeque<Submission>,
+    /// A pass takes whole queued submissions until it holds this many.
+    max_batch: usize,
+    /// Candidate devices ranked for every request.
+    candidates: Vec<DeviceId>,
     slot: Arc<ModelSlot>,
     telemetry: SharedSimClock,
     metrics: Arc<ServeMetrics>,
@@ -325,32 +424,18 @@ struct BatchActor {
     best: Vec<(DeviceId, f64)>,
 }
 
-impl Actor for BatchActor {
-    type Msg = Submission;
-
-    fn on_msg(&mut self, sub: Submission, ctx: &mut Ctx<'_>) {
-        self.pending.push(sub);
-        let held: usize = self.pending.iter().map(|s| s.requests.len()).sum();
-        // An empty mailbox means nobody else is submitting right now; a
-        // non-empty one guarantees another `on_msg` to extend the batch.
-        if held >= self.params.max_batch || ctx.pending_msgs() == 0 {
-            self.serve(ctx);
-        }
-    }
-}
-
-impl BatchActor {
-    /// Answers every pending submission with one fused pass.
-    fn serve(&mut self, ctx: &mut Ctx<'_>) {
+impl Core {
+    /// Answers every held submission with one fused pass.
+    fn serve(&mut self, time: &dyn TimeSource) {
         // Batch boundary: adopt a newly published model, if any.
         if let Some((e, model)) = self.slot.take() {
             self.engine = Some(model);
             self.epoch = e;
             self.metrics.model_swaps.fetch_add(1, Ordering::Relaxed);
         }
-        let batch_requests: usize = self.pending.iter().map(|s| s.requests.len()).sum();
+        let batch_requests: usize = self.held.iter().map(|s| s.requests.len()).sum();
         let Some(model) = self.engine.as_mut() else {
-            for sub in self.pending.drain(..) {
+            while let Some(sub) = self.held.pop_front() {
                 sub.reply.send(Err(QueryError::NotReady));
             }
             return;
@@ -365,7 +450,7 @@ impl BatchActor {
         self.unique.clear();
         self.row_of.clear();
         self.rows.clear();
-        for req in self.pending.iter().flat_map(|sub| &sub.requests) {
+        for req in self.held.iter().flat_map(|sub| &sub.requests) {
             let next = self.unique.len() as u32;
             let row = *self.row_of.entry(*req).or_insert(next);
             if row == next {
@@ -379,8 +464,8 @@ impl BatchActor {
             }
             self.rows.push(row);
         }
-        model.rank_locations_batch_into(&self.unique, &self.params.candidates, &mut self.ranked);
-        let per = self.params.candidates.len();
+        model.rank_locations_batch_into(&self.unique, &self.candidates, &mut self.ranked);
+        let per = self.candidates.len();
         let unique_rows = self.unique.len();
         self.best.clear();
         self.best.extend(self.ranked.chunks_exact(per).map(|row| {
@@ -414,9 +499,9 @@ impl BatchActor {
                     .fetch_add(batch_requests as u64, Ordering::Relaxed);
             }
         }
-        let served_at = ctx.now_micros();
+        let served_at = time.now_micros();
         let mut rows = self.rows.as_slice();
-        for sub in self.pending.drain(..) {
+        while let Some(sub) = self.held.pop_front() {
             let (mine, rest) = rows.split_at(sub.requests.len());
             rows = rest;
             let decisions: Vec<Decision> = sub

@@ -12,7 +12,7 @@
 //!        │ shard map        │             (watermarks → shed)
 //!        │ fid.stable_hash  │              ┌─────────┴─────────┐
 //!        ▼        ▼        ▼              │ batched query     │
-//!    shard 0   shard 1   shard N-1        │ engine (actor)    │
+//!    shard 0   shard 1   shard N-1        │ engine (a lock)   │
 //!    actor+WAL actor+WAL actor+WAL        │  coalesce → dedup │
 //!        │        │        │              │  → fused NN pass  │
 //!        └────────┴────────┘              └─────────▲─────────┘
@@ -24,14 +24,14 @@
 //!                                         └───────────────────┘
 //! ```
 //!
-//! The shards and the query engine are state-machine actors on **one
-//! shared [`geomancy_runtime::Reactor`] pool**; the trainer and, with a
-//! cold store, the checkpointer are one thread each beside it, so neither
-//! a fit nor an absorb holds a pool worker. The service costs the pool's
-//! workers plus one thread (plus two with a store) no matter how many
-//! shards it runs, and shutdown is the checkpointer's and trainer's joins
-//! (queued cycles finish) followed by a single drain (queued batches
-//! apply, in-flight queries answer).
+//! The shards are state-machine actors on **one shared
+//! [`geomancy_runtime::Reactor`] pool**; the query engine runs on the
+//! threads that submit to it; the trainer and, with a cold store, the
+//! checkpointer are one thread each, so neither a fit nor an absorb holds
+//! a pool worker. The service costs the pool's workers plus one thread
+//! (plus two with a store) no matter how many shards it runs, and
+//! shutdown is the checkpointer's and trainer's joins (queued cycles
+//! finish) followed by a single drain (queued batches apply).
 //!
 //! - **Sharded ingest** ([`shard`]): records route by
 //!   [`geomancy_sim::record::FileId::stable_hash`], so one file's history
@@ -40,10 +40,10 @@
 //!   growing an unbounded buffer.
 //! - **Batched queries** ([`batch`]): concurrent placement requests
 //!   coalesce into one fused forward pass, with duplicate request shapes
-//!   deduplicated into shared feature rows. The engine actor owns the
-//!   model exclusively and closes a batch whenever its mailbox is
-//!   empty, so batches grow with load and an idle engine answers at
-//!   once.
+//!   deduplicated into shared feature rows. The model sits behind the
+//!   engine lock, whose holder closes a pass whenever the queue is
+//!   empty, so batches grow with load and an idle engine answers on the
+//!   caller's own thread.
 //! - **Hot-swap training** ([`trainer`]): retraining runs on shard
 //!   *snapshots* gathered by message fan-out, on its own thread, and
 //!   publishes finished models through an atomic epoch pointer; serving
@@ -79,6 +79,8 @@ pub use load::{
     prepare_belle2, run_belle2_load, AccessMix, LoadConfig, LoadReport, PreparedLoad, QueryMode,
 };
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use service::{AdmissionConfig, PlacementService, SealHook, ServeConfig, StoreSettings};
+pub use service::{
+    AdmissionConfig, PendingQuery, PlacementService, SealHook, ServeConfig, StoreSettings,
+};
 pub use shard::{shard_of, Backpressure};
 pub use trainer::{TrainError, TrainedMeta, Trainer};

@@ -117,7 +117,7 @@ macro_rules! scalar_metrics {
             pub shard_shed: Vec<u64>,
             /// See [`ServeMetrics::latency_us`].
             pub latency_us: Vec<u64>,
-            /// Query-engine mailbox depth at snapshot time (gauge; filled
+            /// Query-engine queue depth at snapshot time (gauge; filled
             /// in by the service, 0 when sampled from raw [`ServeMetrics`]).
             pub engine_queue: usize,
             /// TCP connections currently open at the transport layer

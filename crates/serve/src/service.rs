@@ -2,11 +2,11 @@
 //! ingest shards, the batched query engine, and the background trainer
 //! together behind one handle.
 //!
-//! The shards and the query engine run as actors on one shared
-//! [`geomancy_runtime::Reactor`] pool, and the trainer and (with a store)
-//! the checkpointer on one thread each, so the service's thread count is
-//! the (small, fixed) worker count plus one, or plus two with a store,
-//! instead of `shards + 2`. In front of the query path sits a
+//! The shards run as actors on one [`geomancy_runtime::Reactor`] pool,
+//! the query engine on its callers' threads, and the trainer and (with a
+//! store) the checkpointer on one thread each, so the service's thread
+//! count is the (small, fixed) worker count plus one, or plus two with a
+//! store, instead of `shards + 2`. In front of the query path sits a
 //! cross-shard admission controller: when the service is over its global
 //! or per-shard pending-request watermark, `query_many` defers briefly and
 //! then sheds with [`QueryError::Overloaded`] instead of letting queues
@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use geomancy_core::drl::DrlConfig;
+use geomancy_core::drl::{DrlConfig, DrlEngine};
 use geomancy_replaydb::ReplayDb;
 use geomancy_runtime::{Reactor, ReactorConfig, TimeSource};
 use geomancy_sim::record::{AccessRecord, DeviceId};
@@ -26,7 +26,7 @@ use geomancy_sim::SharedSimClock;
 
 use geomancy_store::{AbsorbReport, PagedStore, SharedPagedStore, StoreConfig};
 
-use crate::batch::{BatchEngine, BatchParams, Decision, ModelSlot, PlacementRequest, QueryError};
+use crate::batch::{BatchEngine, Decision, ModelSlot, PlacementRequest, QueryError, Ticket};
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::shard::{Backpressure, ShardSet};
@@ -95,8 +95,8 @@ impl Default for StoreSettings {
 pub struct ServeConfig {
     /// Ingest shards (each an independent actor with its own queue/WAL).
     pub shards: usize,
-    /// Bounded depth of each shard mailbox and of the query mailbox, in
-    /// messages.
+    /// Bounded depth of each shard mailbox, in messages, and of the query
+    /// engine's queue, in submissions.
     pub queue_capacity: usize,
     /// Maximum placement requests fused into one forward pass: the engine
     /// fuses the submissions already queued when it turns to them, up to
@@ -170,7 +170,7 @@ impl Default for ServeConfig {
 pub struct PlacementService {
     reactor: Option<Reactor>,
     shards: Option<ShardSet>,
-    engine: Option<BatchEngine>,
+    engine: BatchEngine,
     trainer: Option<Trainer>,
     checkpointer: Option<Checkpointer>,
     store: Option<SharedPagedStore>,
@@ -214,8 +214,8 @@ fn release(metrics: &ServeMetrics, admitted: &Admitted) {
 
 impl PlacementService {
     /// Starts the service: one reactor pool running `config.shards` ingest
-    /// actors and the query engine, timed by the wall clock, plus the
-    /// trainer thread and, with a store, the checkpointer thread.
+    /// actors, timed by the wall clock, the query engine, the trainer
+    /// thread and, with a store, the checkpointer thread.
     ///
     /// # Panics
     ///
@@ -300,15 +300,13 @@ impl PlacementService {
             &seq_floors,
         );
         let slot = Arc::new(ModelSlot::new());
-        let engine = BatchEngine::spawn_on(
-            &reactor,
-            BatchParams {
-                max_batch: config.max_batch,
-                candidates: config.candidates.clone(),
-            },
+        let engine = BatchEngine::new(
+            config.max_batch,
+            config.candidates.clone(),
             Arc::clone(&slot),
             telemetry.clone(),
             Arc::clone(&metrics),
+            reactor.time(),
             config.queue_capacity,
         );
         let trainer = Trainer::spawn(
@@ -332,7 +330,7 @@ impl PlacementService {
         PlacementService {
             reactor: Some(reactor),
             shards: Some(shards),
-            engine: Some(engine),
+            engine,
             trainer: Some(trainer),
             checkpointer,
             store,
@@ -529,26 +527,31 @@ impl PlacementService {
     ///
     /// See [`QueryError`].
     pub fn query_many(&self, requests: &[PlacementRequest]) -> Result<Vec<Decision>, QueryError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
+        self.submit(requests.to_vec()).wait()
+    }
+
+    /// The first half of [`PlacementService::query_many`]: admits and
+    /// queues `requests` without waiting, so a caller with several (a
+    /// reader's pipelined frames) queues them all to share one pass.
+    pub fn submit(&self, requests: Vec<PlacementRequest>) -> PendingQuery<'_> {
+        let queued = if requests.is_empty() {
+            Ok(None)
+        } else {
+            self.admit(&requests)
+                .map(|admitted| Some((self.engine.submit(requests), admitted)))
+        };
+        PendingQuery {
+            service: self,
+            queued,
         }
-        let admitted = self.admit(requests)?;
-        let result = self
-            .engine
-            .as_ref()
-            .expect("engine alive until shutdown")
-            .query_many(requests);
-        release(&self.metrics, &admitted);
-        result
     }
 
     /// Asynchronous [`PlacementService::query_many`]: runs the same
     /// admission controller, then hands the submission to the engine with
     /// a completion instead of blocking. `done` runs exactly once — on
-    /// this thread for shed (`Overloaded`) or empty submissions, inline
-    /// in the engine actor otherwise, so it must not block (the transport
-    /// layer resolves it to a send on the connection's unbounded reply
-    /// channel).
+    /// this thread for shed (`Overloaded`) or empty submissions and when
+    /// the engine is idle, otherwise on whichever thread serves the pass —
+    /// and must not block.
     ///
     /// Pending accounting is released when the completion fires even if
     /// the caller that submitted the request is gone (a disconnected
@@ -570,16 +573,13 @@ impl PlacementService {
             }
         };
         let metrics = Arc::clone(&self.metrics);
-        self.engine
-            .as_ref()
-            .expect("engine alive until shutdown")
-            .query_many_async(
-                requests,
-                Box::new(move |result| {
-                    release(&metrics, &admitted);
-                    done(result);
-                }),
-            );
+        self.engine.query_many_async(
+            requests,
+            Box::new(move |result| {
+                release(&metrics, &admitted);
+                done(result);
+            }),
+        );
     }
 
     /// Runs a retrain cycle now and waits for its model to publish;
@@ -618,6 +618,12 @@ impl PlacementService {
         self.store.as_ref()
     }
 
+    /// Publishes `engine`, trained outside the service, to serve next;
+    /// returns its epoch.
+    pub fn publish_model(&self, engine: DrlEngine) -> u64 {
+        self.slot.publish(engine)
+    }
+
     /// Epoch of the most recently published model (0 = none yet).
     pub fn published_epoch(&self) -> u64 {
         self.slot.published_epoch()
@@ -646,12 +652,10 @@ impl PlacementService {
     }
 
     /// Coherent point-in-time copy of the service counters, with live
-    /// gauges (engine mailbox depth) filled in.
+    /// gauges (engine queue depth) filled in.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        if let Some(engine) = &self.engine {
-            snap.engine_queue = engine.queue_len();
-        }
+        snap.engine_queue = self.engine.queue_len();
         if let Some(store) = &self.store {
             let store = store.read();
             snap.store_pages = store.page_count() as u64;
@@ -662,17 +666,47 @@ impl PlacementService {
 
     /// Orderly shutdown: the checkpointer and trainer threads finish
     /// their queued cycles while the shards still answer, then the reactor
-    /// drains every mailbox — queued ingest batches apply (WALs flush),
-    /// in-flight queries answer — and stops its workers. Returns the
-    /// final per-shard databases.
+    /// drains every mailbox — queued ingest batches apply (WALs flush) —
+    /// and stops its workers. Every query was answered before its caller
+    /// let go of the service. Returns the final per-shard databases.
     pub fn shutdown(mut self) -> Vec<ReplayDb> {
         drop(self.checkpointer.take());
         drop(self.trainer.take());
-        drop(self.engine.take());
         let shards = self.shards.take().expect("shutdown runs once");
         let reactor = self.reactor.take().expect("shutdown runs once");
         let stopped = reactor.shutdown();
         shards.take_dbs(&stopped)
+    }
+}
+
+/// A submission queued by [`PlacementService::submit`]. Dropped unwaited,
+/// it still waits (the engine may hand its lock to a parked submitter)
+/// and returns its admission charge.
+pub struct PendingQuery<'a> {
+    service: &'a PlacementService,
+    /// Ticket and admission receipt; `Ok(None)` when empty or waited.
+    queued: Result<Option<(Ticket, Admitted)>, QueryError>,
+}
+
+impl PendingQuery<'_> {
+    /// Blocks for the decisions (or the [`QueryError`] that stopped them),
+    /// serving passes on this thread whenever the engine lock is free.
+    pub fn wait(mut self) -> Result<Vec<Decision>, QueryError> {
+        let Some((ticket, admitted)) = std::mem::replace(&mut self.queued, Ok(None))? else {
+            return Ok(Vec::new());
+        };
+        let result = self.service.engine.wait(&ticket);
+        release(&self.service.metrics, &admitted);
+        result
+    }
+}
+
+impl Drop for PendingQuery<'_> {
+    fn drop(&mut self) {
+        if let Ok(Some((ticket, admitted))) = &self.queued {
+            let _ = self.service.engine.wait(ticket);
+            release(&self.service.metrics, admitted);
+        }
     }
 }
 
@@ -834,20 +868,42 @@ mod tests {
         assert_eq!(total, 300);
     }
 
-    /// A gated completion: parks the engine actor inside the reply of a
-    /// one-request submission until the returned sender is dropped, so
+    /// A gated completion: parks the engine inside the reply of a
+    /// one-request submission until the returned handle is dropped, so
     /// later submissions provably queue behind it. (Completions must not
-    /// block; a test breaks that rule on purpose.)
-    fn park_engine(service: &PlacementService) -> std::sync::mpsc::Sender<()> {
+    /// block; a test breaks that rule on purpose.) The submission comes
+    /// from a thread of its own, which holds the engine lock while the
+    /// completion runs; dropping the handle opens the gate and joins it.
+    fn park_engine(service: &Arc<PlacementService>) -> Parked {
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let (parked_tx, parked) = std::sync::mpsc::channel();
-        service.query_many_async(slice(1_000, 1), move |result| {
-            result.expect("model is published");
-            parked_tx.send(()).unwrap();
-            let _ = gate.recv();
+        let service = Arc::clone(service);
+        let parker = std::thread::spawn(move || {
+            service.query_many_async(slice(1_000, 1), move |result| {
+                result.expect("model is published");
+                parked_tx.send(()).unwrap();
+                let _ = gate.recv();
+            });
         });
         parked.recv().expect("engine reached the gated completion");
-        release
+        Parked {
+            release: Some(release),
+            parker: Some(parker),
+        }
+    }
+
+    struct Parked {
+        release: Option<std::sync::mpsc::Sender<()>>,
+        parker: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Drop for Parked {
+        fn drop(&mut self) {
+            drop(self.release.take());
+            if let Some(parker) = self.parker.take() {
+                parker.join().expect("parked submitter panicked");
+            }
+        }
     }
 
     fn wait_for_queued(service: &PlacementService, depth: usize) {
@@ -874,6 +930,13 @@ mod tests {
 
     fn ready_service() -> Arc<PlacementService> {
         let service = PlacementService::start(test_config());
+        ingest_biased(&service, 300);
+        service.retrain_now().expect("enough data");
+        Arc::new(service)
+    }
+
+    fn ready_with(config: ServeConfig) -> Arc<PlacementService> {
+        let service = PlacementService::start(config);
         ingest_biased(&service, 300);
         service.retrain_now().expect("enough data");
         Arc::new(service)
@@ -911,7 +974,7 @@ mod tests {
         shutdown(service);
     }
 
-    /// A lone caller on an idle engine is answered by its own message: no
+    /// A lone caller on an idle engine is answered by its own pass: no
     /// timer is armed on the decision path.
     #[test]
     fn lone_queries_arm_no_timer() {
@@ -922,12 +985,151 @@ mod tests {
                 .expect("model is published");
             assert_eq!(d.batch_requests, 1);
         }
-        let stats = service.reactor().stats();
-        let engine = stats.actors.iter().find(|a| a.name == "query-engine");
-        let engine = engine.expect("engine actor is live");
-        assert_eq!(engine.timers_fired, 0);
-        assert_eq!(engine.processed, 200);
         assert_eq!(service.metrics().solo_decisions, 200);
+        shutdown(service);
+    }
+
+    /// A completion that panics mid-pass strands nobody, as a panicking
+    /// actor stranded nobody on the reactor: the submissions its pass
+    /// still held and those queued behind it are answered `ServiceDown`,
+    /// their admission is released, later submissions are refused, and
+    /// shutdown returns.
+    #[test]
+    fn a_panicking_completion_answers_everything_service_down() {
+        let service = ready_with(ServeConfig {
+            max_batch: 4,
+            ..test_config()
+        });
+        let parked = park_engine(&service);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let answer = |name: &'static str| {
+            let tx = tx.clone();
+            move |result| tx.send((name, result)).unwrap()
+        };
+        // The next pass: two requests answered, the panic, one held after
+        // it; four requests close it. Then a blocking and an async
+        // submission stay queued.
+        service.query_many_async(slice(0, 2), answer("before"));
+        service.query_many_async(slice(2, 1), |_| panic!("a completion broke"));
+        service.query_many_async(slice(3, 1), answer("held"));
+        let blocking = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.query_many(&slice(4, 2)))
+        };
+        wait_for_queued(&service, 4);
+        service.query_many_async(slice(6, 2), answer("queued"));
+        drop(tx);
+        drop(parked);
+        assert_eq!(blocking.join().unwrap(), Err(QueryError::ServiceDown));
+        let mut answers: Vec<_> = rx
+            .iter()
+            .map(|(name, r)| (name, r.map(|d| d.len())))
+            .collect();
+        answers.sort_by_key(|(name, _)| *name);
+        assert_eq!(
+            answers,
+            [
+                ("before", Ok(2)),
+                ("held", Err(QueryError::ServiceDown)),
+                ("queued", Err(QueryError::ServiceDown)),
+            ]
+        );
+        assert_eq!(service.metrics().pending_requests, 0);
+        assert_eq!(service.query(slice(8, 1)[0]), Err(QueryError::ServiceDown));
+        let (tx, rx) = std::sync::mpsc::channel();
+        service.query_many_async(slice(9, 1), move |r| tx.send(r).unwrap());
+        assert_eq!(rx.recv().unwrap(), Err(QueryError::ServiceDown));
+        assert_eq!(service.metrics().pending_requests, 0);
+        shutdown(service);
+    }
+
+    /// A parked caller handed the engine lock serves passes until its own
+    /// submission is answered, even when the first pass it runs is full
+    /// of submissions queued ahead of it.
+    #[test]
+    fn a_handed_caller_serves_until_its_own_submission_is_answered() {
+        let service = ready_with(ServeConfig {
+            max_batch: 4,
+            ..test_config()
+        });
+        let parked = park_engine(&service);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let ahead = tx.clone();
+        service.query_many_async(slice(0, 4), move |r| ahead.send(r).unwrap());
+        let handed = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || tx.send(service.query_many(&slice(4, 1))).unwrap())
+        };
+        wait_for_queued(&service, 2);
+        drop(parked);
+        for _ in 0..2 {
+            let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+            answer
+                .expect("a queued submission was stranded")
+                .expect("model is published");
+        }
+        handed.join().unwrap();
+        assert_eq!(service.metrics().pending_requests, 0);
+        shutdown(service);
+    }
+
+    /// A submission dropped unwaited still takes its turn: the lock may be
+    /// handed to it, and the submissions queued behind it must not strand.
+    #[test]
+    fn a_dropped_pending_query_still_takes_its_turn() {
+        let service = ready_service();
+        let parked = park_engine(&service);
+        let dropper = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || drop(service.submit(slice(0, 1))))
+        };
+        wait_for_queued(&service, 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let behind = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || tx.send(service.query_many(&slice(1, 1))).unwrap())
+        };
+        wait_for_queued(&service, 2);
+        drop(parked);
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+        answer
+            .expect("a submission behind the dropped one was stranded")
+            .expect("published");
+        behind.join().unwrap();
+        dropper.join().unwrap();
+        assert_eq!(service.metrics().pending_requests, 0);
+        shutdown(service);
+    }
+
+    /// A full queue pushes back on the submitter, as a full mailbox did:
+    /// with the engine parked and `queue_capacity` submissions queued, the
+    /// next submitter is held until the engine moves again, and then
+    /// every submission is answered.
+    #[test]
+    fn a_full_queue_pushes_back_on_the_submitter() {
+        let service = ready_with(ServeConfig {
+            queue_capacity: 2,
+            ..test_config()
+        });
+        let parked = park_engine(&service);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for k in 0..2 {
+            let tx = tx.clone();
+            service.query_many_async(slice(k, 1), move |r| tx.send(r).unwrap());
+        }
+        drop(tx);
+        wait_for_queued(&service, 2);
+        let late = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.query_many(&slice(2, 1)))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        assert!(!late.is_finished(), "a full queue must hold the submitter");
+        assert_eq!(service.metrics().engine_queue, 2);
+        drop(parked);
+        assert_eq!(late.join().unwrap().expect("model is published").len(), 1);
+        assert_eq!(rx.iter().filter(|r| r.is_ok()).count(), 2);
+        assert_eq!(service.metrics().pending_requests, 0);
         shutdown(service);
     }
 
