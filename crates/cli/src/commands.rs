@@ -58,7 +58,7 @@ COMMANDS:
                   --seed N            workload seed (default 42)
                   --max-batch N       max requests fused per pass (default 256);
                                       a pass takes what is queued, never waits
-                  --queue-capacity N  shard/query queue depth (default 1024)
+                  --queue-capacity N  query engine queue depth (default 1024)
                   --reactor-workers N reactor pool threads (default 0 = auto)
                   --max-pending N     shed queries above N in flight (default off)
                   --retrains N        mid-load retrain cycles (default 1)

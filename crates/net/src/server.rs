@@ -559,10 +559,9 @@ impl Connection {
         if let Some(wrong) = self.misrouted(records.iter().map(|r| r.fid)) {
             return wrong;
         }
-        // Non-blocking ingest: a full shard maps to an explicit
-        // Backpressure status the client retries, instead of this thread
-        // parking on the shard mailbox.
-        match self.service.try_ingest(ts, &records) {
+        // Ingest stages the records and returns; a failed shard maps to
+        // an explicit Backpressure status naming it.
+        match self.service.ingest(ts, &records) {
             Ok(()) => wire::encode_ingest_resp(WireStatus::Ok, 0),
             Err(bp) => wire::encode_ingest_resp(WireStatus::Backpressure, bp.shard as u32),
         }

@@ -5,8 +5,8 @@
 //! log with "the X most recent accesses for each of the storage devices"
 //! queries and layout-change events "indexed by a timestamp … to show an
 //! evolution of the data layout and corresponding performance". This
-//! implementation keeps the log in memory with per-device and per-file
-//! secondary indexes.
+//! implementation keeps the log in memory with a per-device secondary
+//! index.
 
 use std::collections::BTreeMap;
 
@@ -39,8 +39,6 @@ pub struct ReplayDb {
     records: Vec<StoredRecord>,
     #[serde(skip)]
     by_device: BTreeMap<DeviceId, Vec<usize>>,
-    #[serde(skip)]
-    by_file: BTreeMap<FileId, Vec<usize>>,
     layout_events: Vec<LayoutEvent>,
 }
 
@@ -75,7 +73,6 @@ impl ReplayDb {
         }
         let idx = self.records.len();
         self.by_device.entry(record.fsid).or_default().push(idx);
-        self.by_file.entry(record.fid).or_default().push(idx);
         self.records.push(StoredRecord {
             timestamp_micros,
             record,
@@ -138,20 +135,6 @@ impl ReplayDb {
     /// The `x` most recent records for one device, oldest first.
     pub fn recent_for_device(&self, device: DeviceId, x: usize) -> Vec<AccessRecord> {
         match self.by_device.get(&device) {
-            None => Vec::new(),
-            Some(indexes) => {
-                let start = indexes.len().saturating_sub(x);
-                indexes[start..]
-                    .iter()
-                    .map(|&i| self.records[i].record)
-                    .collect()
-            }
-        }
-    }
-
-    /// The `x` most recent records for one file, oldest first.
-    pub fn recent_for_file(&self, fid: FileId, x: usize) -> Vec<AccessRecord> {
-        match self.by_file.get(&fid) {
             None => Vec::new(),
             Some(indexes) => {
                 let start = indexes.len().saturating_sub(x);
@@ -284,17 +267,15 @@ impl ReplayDb {
                 .sum::<usize>()
     }
 
-    /// Rebuilds the secondary indexes (needed after deserialization, which
-    /// skips them).
+    /// Rebuilds the per-device index (needed after deserialization, which
+    /// skips it).
     pub fn rebuild_indexes(&mut self) {
         self.by_device.clear();
-        self.by_file.clear();
         for (idx, stored) in self.records.iter().enumerate() {
             self.by_device
                 .entry(stored.record.fsid)
                 .or_default()
                 .push(idx);
-            self.by_file.entry(stored.record.fid).or_default().push(idx);
         }
     }
 }
@@ -399,17 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn per_file_query() {
-        let mut db = ReplayDb::new();
-        db.insert(0, rec(0, 7, 0));
-        db.insert(1, rec(1, 8, 0));
-        db.insert(2, rec(2, 7, 1));
-        let f7 = db.recent_for_file(FileId(7), 10);
-        assert_eq!(f7.len(), 2);
-        assert_eq!(f7[1].fsid, DeviceId(1));
-    }
-
-    #[test]
     fn mean_device_throughput() {
         let mut db = ReplayDb::new();
         db.insert(0, rec(0, 1, 0)); // 100 B over 1 s
@@ -492,9 +462,8 @@ mod tests {
         // The event at ts 2 predates the oldest kept record (ts 6).
         assert_eq!(db.layout_events().len(), 1);
         assert_eq!(db.layout_events()[0].at_access, 8);
-        // Indexes still answer queries: kept records 6..=9 have fids
-        // 0,1,0,1.
-        assert_eq!(db.recent_for_file(FileId(1), 10).len(), 2);
+        // The device index still answers for the kept records.
+        assert_eq!(db.recent_for_device(DeviceId(0), 10).len(), 4);
     }
 
     #[test]
@@ -523,7 +492,6 @@ mod tests {
         }
         let mut clone = db.clone();
         clone.by_device.clear();
-        clone.by_file.clear();
         assert!(clone.recent_for_device(DeviceId(0), 10).is_empty());
         clone.rebuild_indexes();
         assert_eq!(clone.recent_for_device(DeviceId(0), 10).len(), 4);

@@ -103,19 +103,38 @@ impl WalWriter {
         timestamp_micros: u64,
         records: &[AccessRecord],
     ) -> Result<(), PersistError> {
+        self.write_frames(records.iter().map(|&record| StoredRecord {
+            timestamp_micros,
+            record,
+        }))
+    }
+
+    /// Appends records that carry their own timestamps, in one
+    /// `write_all`, as [`WalWriter::append_batch`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error.
+    pub fn append_stored(&mut self, records: &[StoredRecord]) -> Result<(), PersistError> {
+        self.write_frames(records.iter().copied())
+    }
+
+    /// Frames `records` into the writer's buffer and hands them to the OS
+    /// in one `write_all`.
+    fn write_frames(
+        &mut self,
+        records: impl ExactSizeIterator<Item = StoredRecord>,
+    ) -> Result<(), PersistError> {
+        let n = records.len();
         self.buf.clear();
-        self.buf.resize(records.len() * FRAME_LEN, 0);
-        for (frame, &record) in self.buf.chunks_exact_mut(FRAME_LEN).zip(records) {
-            let stored = StoredRecord {
-                timestamp_micros,
-                record,
-            };
+        self.buf.resize(n * FRAME_LEN, 0);
+        for (frame, stored) in self.buf.chunks_exact_mut(FRAME_LEN).zip(records) {
             pack_record(frame, 0, &stored);
             let sum = checksum(&frame[..RECORD_LEN]);
             put_u64(frame, RECORD_LEN, sum);
         }
         self.file.write_all(&self.buf)?;
-        self.appended += records.len() as u64;
+        self.appended += n as u64;
         Ok(())
     }
 
@@ -153,8 +172,8 @@ impl WalWriter {
     /// entries appended through this writer since it was opened or last
     /// sealed.
     ///
-    /// The shard actor (the log's single-threaded owner) calls this when
-    /// the checkpointer asks for the WAL to rotate; renaming rather than
+    /// The serving layer's checkpointer calls this, under the lock of the
+    /// shard that owns the log, to rotate the WAL; renaming rather than
     /// copying means the sealed segment is byte-identical to the WAL and
     /// readable with [`read_segment`] and [`recover`].
     ///
@@ -312,6 +331,16 @@ pub fn read_segment(path: impl AsRef<Path>, frames: &mut Vec<u8>) -> Result<u64,
     Ok((committed / FRAME_LEN) as u64)
 }
 
+/// The committed records of the log or sealed segment at `path`, oldest
+/// first, decoded; a torn tail is dropped.
+fn read_records(path: &Path) -> Result<Vec<StoredRecord>, PersistError> {
+    let mut frames = Vec::new();
+    read_segment(path, &mut frames)?;
+    Ok((frames.chunks_exact(FRAME_LEN))
+        .map(|frame| unpack_record(frame, 0))
+        .collect())
+}
+
 /// Replays a WAL into a fresh [`ReplayDb`], dropping a torn tail.
 /// Returns the database and the number of entries replayed.
 ///
@@ -324,35 +353,34 @@ pub fn read_segment(path: impl AsRef<Path>, frames: &mut Vec<u8>) -> Result<u64,
 /// Returns an I/O error, or a format error for corruption before the tail
 /// or a log in an older format.
 pub fn recover(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
-    let mut frames = Vec::new();
-    let replayed = read_segment(path, &mut frames)?;
+    let records = read_records(path.as_ref())?;
     let mut db = ReplayDb::new();
-    for frame in frames.chunks_exact(FRAME_LEN) {
-        let s = unpack_record(frame, 0);
+    for s in &records {
         db.insert(s.timestamp_micros, s.record);
     }
-    Ok((db, replayed))
+    Ok((db, records.len() as u64))
 }
 
-/// Recovers like [`recover`], then truncates the log to the end of its
-/// committed prefix. Without the truncation, reopening the log in append
-/// mode after a torn-tail crash would write every new frame behind the
-/// torn bytes — off the frame grid, where the next recovery cannot tell
-/// them from more torn tail and drops them.
+/// Recovers the log's committed records, oldest first, then truncates
+/// the log to the end of its committed prefix. Without the truncation,
+/// reopening the log in append mode after a torn-tail crash would write
+/// every new frame behind the torn bytes — off the frame grid, where the
+/// next recovery cannot tell them from more torn tail and drops them.
 ///
 /// # Errors
 ///
 /// Returns an I/O error, or a format error for corruption before the tail
 /// or a log in an older format — with the file left as it was found.
-pub fn recover_for_append(path: impl AsRef<Path>) -> Result<(ReplayDb, u64), PersistError> {
+pub fn recover_for_append(path: impl AsRef<Path>) -> Result<Vec<StoredRecord>, PersistError> {
     let path = path.as_ref();
-    let (db, replayed) = recover(path)?;
+    let records = read_records(path)?;
+    let committed = (records.len() * FRAME_LEN) as u64;
     let file = OpenOptions::new().write(true).open(path)?;
-    if file.metadata()?.len() > replayed * FRAME_LEN as u64 {
-        file.set_len(replayed * FRAME_LEN as u64)?;
+    if file.metadata()?.len() > committed {
+        file.set_len(committed)?;
         file.sync_all()?;
     }
-    Ok((db, replayed))
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -449,8 +477,8 @@ mod tests {
             let numbers: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
             assert_eq!(numbers, [0, 1, 2, 3], "cut at byte {cut}");
 
-            let (_, replayed) = recover_for_append(&path).unwrap();
-            assert_eq!(replayed, 4);
+            let kept = recover_for_append(&path).unwrap();
+            assert_eq!(kept.len(), 4);
             assert_eq!(std::fs::metadata(&path).unwrap().len(), prefix as u64);
             let mut wal = WalWriter::open(&path).unwrap();
             wal.append_batch(9, &[rec(7), rec(8)]).unwrap();
@@ -497,7 +525,11 @@ mod tests {
                 bad[frame * FRAME_LEN + at] ^= 1;
                 std::fs::write(&path, &bad).unwrap();
                 let offset = (frame * FRAME_LEN) as u64;
-                for result in [recover(&path), recover_for_append(&path)] {
+                let recovered = [
+                    recover(&path).map(|(_, n)| n),
+                    recover_for_append(&path).map(|r| r.len() as u64),
+                ];
+                for result in recovered {
                     assert!(matches!(
                         result,
                         Err(PersistError::Format(FormatError::WalFrame { offset: o })) if o == offset
@@ -563,7 +595,7 @@ mod tests {
         let mut frames = vec![0xAA];
         for result in [
             recover(path).map(|(_, n)| n),
-            recover_for_append(path).map(|(_, n)| n),
+            recover_for_append(path).map(|r| r.len() as u64),
             read_segment(path, &mut frames),
         ] {
             match result {

@@ -4,9 +4,11 @@
 //! actors. Each actor owns its state, receives messages through a bounded
 //! mailbox, and can arm one-shot timers; the reactor guarantees an actor is
 //! only ever run by one worker at a time, so actor code needs no internal
-//! locking. It runs the serving layer's shard actors and the cluster's
-//! control-plane actors; `geomancy-core`, the query engine and the
-//! transport name none of it.
+//! locking. No program path spawns an actor on it any more: the serving
+//! layer's shards are data behind locks and the cluster's failover runs
+//! on a thread; the service keeps a reactor for its clock and its
+//! statistics. `geomancy-core`, the query engine, the ingest shards and
+//! the transport name none of its actor API.
 //!
 //! Design points:
 //!

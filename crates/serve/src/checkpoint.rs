@@ -2,15 +2,15 @@
 //! segments into the cold [`geomancy_store::PagedStore`], then trim the
 //! shards' in-memory hot tails.
 //!
-//! The checkpointer is one OS thread, `geomancy-checkpointer`, so neither
-//! the seal hook nor the absorb under the store's write lock holds a
-//! reactor worker. Requests queue on a bounded channel; each cycle is one
-//! blocking function. A shard that dies with its seal request in hand
-//! (`ask_all`) abandons the cycle with [`CheckpointError::Down`] before
-//! anything is absorbed. `ShardMsg::TrimHot` goes out only after the
-//! absorb commits, so the hot-tail bound never costs a record.
+//! The checkpointer is one OS thread, `geomancy-checkpointer`. Requests
+//! queue on a bounded channel; each cycle is one blocking function that
+//! seals each shard in turn ([`ShardSet::seal`], which first flushes the
+//! shard's stage, so a segment holds every record acked before it). A
+//! failed shard ends the cycle with [`CheckpointError::Down`] before
+//! anything is absorbed. The trims ([`ShardSet::trim`]) run only after
+//! the absorb commits, so the hot-tail bound never costs a record.
 //!
-//! The cadence reads the reactor's clock, so a simulated-time service
+//! The cadence reads the service's clock, so a simulated-time service
 //! checkpoints on simulated cadence. Queued requests go first; ticks that
 //! fall during cycles collapse into one catch-up cycle. Dropping the
 //! [`Checkpointer`] joins the thread once the queued cycles have run.
@@ -24,18 +24,18 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use geomancy_runtime::{Addr, Reactor, TimeSource};
+use geomancy_runtime::TimeSource;
 use geomancy_store::{AbsorbReport, SharedPagedStore};
 
 use crate::metrics::ServeMetrics;
 use crate::service::{SealHook, StoreSettings};
-use crate::shard::{ask_all, ShardMsg, ShardSet};
+use crate::shard::ShardSet;
 use crate::trainer::REQUEST_CAPACITY;
 
 /// Why a checkpoint cycle failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The checkpointer (or a shard it seals) has shut down.
+    /// The checkpointer has shut down, or a shard it seals has failed.
     Down,
     /// The store rejected the absorption (I/O failure, corruption).
     Store(String),
@@ -65,10 +65,10 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Starts the checkpointer thread over `shards`, checkpointing every
-    /// `settings.checkpoint_every_micros` of `reactor` time (if nonzero).
+    /// `settings.checkpoint_every_micros` of `time` (if nonzero).
     pub(crate) fn spawn(
-        reactor: &Reactor,
-        shards: &ShardSet,
+        time: Arc<dyn TimeSource>,
+        shards: &Arc<ShardSet>,
         store: SharedPagedStore,
         settings: &StoreSettings,
         wal_dir: PathBuf,
@@ -76,10 +76,10 @@ impl Checkpointer {
         seal_hook: Option<SealHook>,
     ) -> Self {
         let checkpoints = CheckpointLoop {
-            shard_addrs: shards.addrs().to_vec(),
+            shards: Arc::clone(shards),
             store,
             wal_dir,
-            time: reactor.time(),
+            time,
             every_micros: settings.checkpoint_every_micros,
             hot_tail: settings.hot_tail,
             metrics,
@@ -101,7 +101,8 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Down`] after shutdown or a shard's death,
+    /// [`CheckpointError::Down`] after shutdown or when a shard has
+    /// failed,
     /// [`CheckpointError::Store`] if the absorption failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         let (reply, rx) = bounded(1);
@@ -113,8 +114,7 @@ impl Checkpointer {
 }
 
 impl Drop for Checkpointer {
-    /// Joins the thread after it has run every queued cycle. A cycle
-    /// whose shards are gone ends with [`CheckpointError::Down`].
+    /// Joins the thread after it has run every queued cycle.
     fn drop(&mut self) {
         drop(self.requests.take());
         if let Some(thread) = self.thread.take() {
@@ -125,10 +125,10 @@ impl Drop for Checkpointer {
 
 /// The checkpointer thread's state.
 struct CheckpointLoop {
-    shard_addrs: Vec<Addr<ShardMsg>>,
+    shards: Arc<ShardSet>,
     store: SharedPagedStore,
     wal_dir: PathBuf,
-    /// The reactor's clock, which paces the cadence.
+    /// The service's clock, which paces the cadence.
     time: Arc<dyn TimeSource>,
     /// Cadence in `time` microseconds (0 = explicit requests only).
     every_micros: u64,
@@ -170,12 +170,14 @@ impl CheckpointLoop {
     /// Seal → seal hook → absorb under the store write lock → gauges →
     /// trim the hot tails. Returns what the cycle absorbed.
     fn cycle(&self) -> Result<AbsorbReport, CheckpointError> {
-        let seals = ask_all(&self.shard_addrs, |_, reply| ShardMsg::SealWal { reply })
-            .ok_or(CheckpointError::Down)?;
-        // `(shard, seq, records)` of each segment cut (`seq` 0: none).
-        let sealed: Vec<(usize, u64, u64)> = (seals.into_iter().enumerate())
-            .filter_map(|(shard, (seq, records))| (seq > 0).then_some((shard, seq, records)))
-            .collect();
+        // `(shard, seq, records)` of each segment cut.
+        let mut sealed: Vec<(usize, u64, u64)> = Vec::new();
+        for shard in 0..self.shards.len() {
+            let (seq, records) = self.shards.seal(shard).ok_or(CheckpointError::Down)?;
+            if seq > 0 {
+                sealed.push((shard, seq, records));
+            }
+        }
         if sealed.is_empty() {
             return Ok(AbsorbReport::default());
         }
@@ -190,7 +192,7 @@ impl CheckpointLoop {
         let started = Instant::now();
         let mut store = self.store.write();
         let report = store
-            .absorb_segments(&self.wal_dir, self.shard_addrs.len(), None)
+            .absorb_segments(&self.wal_dir, self.shards.len(), None)
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
         let (m, micros) = (&self.metrics, started.elapsed().as_micros() as u64);
         m.last_checkpoint_micros.store(micros, Relaxed);
@@ -200,9 +202,8 @@ impl CheckpointLoop {
         m.store_cold_bytes.store(store.cold_bytes(), Relaxed);
         drop(store);
         // The records are durable in the cold store: now the hot copies go.
-        let keep = self.hot_tail;
-        for addr in &self.shard_addrs {
-            let _ = addr.send_now(ShardMsg::TrimHot { keep });
+        for shard in 0..self.shards.len() {
+            self.shards.trim(shard, self.hot_tail);
         }
         Ok(report)
     }
@@ -211,7 +212,7 @@ impl CheckpointLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geomancy_runtime::ReactorConfig;
+    use geomancy_runtime::WallClock;
     use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
     use geomancy_store::{PagedStore, StoreConfig};
 
@@ -232,7 +233,7 @@ mod tests {
     }
 
     /// Shutdown in `PlacementService::shutdown`'s order — the
-    /// checkpointer first, then the reactor — on another thread, while
+    /// checkpointer first, then the shards — on another thread, while
     /// cycle A is held in its seal hook and B is queued behind it: once
     /// the hook lets go, both callers are answered, shutdown returns, and
     /// every record is in pages.
@@ -242,21 +243,15 @@ mod tests {
             .join("geomancy_serve_checkpoint_unit")
             .join(format!("shutdown-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
-        let reactor = Reactor::new(ReactorConfig {
-            name: "checkpoint-shutdown".to_string(),
-            ..ReactorConfig::default()
-        });
         let metrics = Arc::new(ServeMetrics::new(2));
         let wal_dir = base.join("wal");
-        let shards = ShardSet::spawn_on(
-            &reactor,
+        let shards = Arc::new(ShardSet::open(
             2,
-            16,
             Some(wal_dir.clone()),
             Arc::clone(&metrics),
             0,
             &[],
-        );
+        ));
         shards.ingest(0, &records(300)).unwrap();
         let (store, _) = PagedStore::open(base.join("store"), StoreConfig::default()).unwrap();
         let store = store.into_shared();
@@ -270,7 +265,7 @@ mod tests {
         ));
         let settings = StoreSettings::default();
         let checkpointer = Checkpointer::spawn(
-            &reactor,
+            Arc::new(WallClock::new()),
             &shards,
             Arc::clone(&store),
             &settings,
@@ -294,7 +289,7 @@ mod tests {
         let (stopped_tx, stopped) = bounded(1);
         let shutdown = std::thread::spawn(move || {
             drop(checkpointer);
-            let dbs = shards.take_dbs(&reactor.shutdown());
+            let dbs = shards.dbs();
             let _ = stopped_tx.send(dbs.len());
         });
         assert!(

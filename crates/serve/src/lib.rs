@@ -13,31 +13,32 @@
 //!        │ fid.stable_hash  │              ┌─────────┴─────────┐
 //!        ▼        ▼        ▼              │ batched query     │
 //!    shard 0   shard 1   shard N-1        │ engine (a lock)   │
-//!    actor+WAL actor+WAL actor+WAL        │  coalesce → dedup │
-//!        │        │        │              │  → fused NN pass  │
-//!        └────────┴────────┘              └─────────▲─────────┘
-//!    ═══ one reactor pool (N workers) ═══           │ hot-swap
-//!        seals │       │ snapshots        ┌─────────┴─────────┐
-//!              ▼       └────────────────► │ trainer (thread)  │
-//!    checkpointer (thread):               │ merge → retrain → │
-//!    absorb → cold pages → trim           │ publish epoch N+1 │
-//!                                         └───────────────────┘
+//!    (a lock)  (a lock)  (a lock)         │  coalesce → dedup │
+//!    stage     stage     stage            │  → fused NN pass  │
+//!        │ flush thread, every few ms     └─────────▲─────────┘
+//!        ▼        ▼        ▼                        │ hot-swap
+//!    WAL → hot WAL → hot WAL → hot        ┌─────────┴─────────┐
+//!        seals │       │ snapshots        │ trainer (thread)  │
+//!              ▼       └────────────────► │ merge → retrain → │
+//!    checkpointer (thread):               │ publish epoch N+1 │
+//!    absorb → cold pages → trim           └───────────────────┘
 //! ```
 //!
-//! The shards are state-machine actors on **one shared
-//! [`geomancy_runtime::Reactor`] pool**; the query engine runs on the
-//! threads that submit to it; the trainer and, with a cold store, the
-//! checkpointer are one thread each, so neither a fit nor an absorb holds
-//! a pool worker. The service costs the pool's workers plus one thread
-//! (plus two with a store) no matter how many shards it runs, and
-//! shutdown is the checkpointer's and trainer's joins (queued cycles
-//! finish) followed by a single drain (queued batches apply).
+//! The shards are data behind one lock each, written by the threads that
+//! ingest; the query engine runs on the threads that submit to it; the
+//! trainer and, with a WAL, the flush thread and, with a cold store, the
+//! checkpointer are one thread each, so neither a fit nor an absorb nor a
+//! WAL write holds up an ack or a decision. Shutdown is the
+//! checkpointer's and trainer's joins (queued cycles finish) followed by
+//! a last flush of every stage.
 //!
 //! - **Sharded ingest** ([`shard`]): records route by
 //!   [`geomancy_sim::record::FileId::stable_hash`], so one file's history
-//!   stays ordered on one shard while shards ingest in parallel.
-//!   Mailboxes are bounded — producers feel backpressure instead of
-//!   growing an unbounded buffer.
+//!   stays ordered on one shard. An ack copies the records into their
+//!   shards' stages; the flush thread writes each stage to its WAL in one
+//!   write every [`shard::FLUSH_PERIOD`], and a stage that reaches
+//!   [`shard::STAGE_BOUND`] records is written by the ingest that crossed
+//!   it, so the acked-but-unwritten window is bounded in time and size.
 //! - **Batched queries** ([`batch`]): concurrent placement requests
 //!   coalesce into one fused forward pass, with duplicate request shapes
 //!   deduplicated into shared feature rows. The model sits behind the
@@ -45,7 +46,7 @@
 //!   empty, so batches grow with load and an idle engine answers on the
 //!   caller's own thread.
 //! - **Hot-swap training** ([`trainer`]): retraining runs on shard
-//!   *snapshots* gathered by message fan-out, on its own thread, and
+//!   *snapshots* taken shard by shard, on its own thread, and
 //!   publishes finished models through an atomic epoch pointer; serving
 //!   never blocks on training and no decision ever sees a half-swapped
 //!   model.

@@ -48,8 +48,10 @@ macro_rules! scalar_metrics {
         #[derive(Debug)]
         pub struct ServeMetrics {
             $($(#[$doc])* pub $name: AtomicU64,)*
-            /// Per-shard queued-batch depth (incremented on enqueue,
-            /// decremented when the shard actor finishes the batch).
+            /// Per-shard records staged and not yet in the shard's WAL:
+            /// the acked-but-not-written window (set on each ingest that
+            /// stages on the shard, zeroed when its stage is flushed; 0
+            /// for a memory-only shard). Gauge.
             pub queue_depth: Vec<AtomicUsize>,
             /// Per-shard slice of `pending_requests` (requests map to
             /// shards by the queried file's hash, the same map ingest
@@ -159,19 +161,20 @@ macro_rules! scalar_metrics {
 }
 
 scalar_metrics! {
-    /// Access records accepted into shard queues.
+    /// Access records accepted (staged on their shards).
     ingested_records,
     /// Ingest batches accepted (post-routing, one per shard touched).
     ingest_batches,
-    /// Per-shard sub-batches rejected by backpressure: when `try_ingest`
-    /// hits a full shard queue, the failed sub-batch *and* every sub-batch
-    /// it had not yet sent count here (one call can route to several
-    /// shards, so one rejected call may drop several sub-batches).
+    /// Per-shard sub-batches refused because a shard failed: when an
+    /// ingest routes to a failed shard, that shard's sub-batch *and* the
+    /// sub-batch of every higher-numbered shard it routes to count here
+    /// (one call can route to several shards, so one refused call may
+    /// drop several sub-batches).
     dropped_batches,
     /// Records inside dropped sub-batches — none of these were ingested.
     /// `ingested_records + dropped_records` equals the records offered to
-    /// `try_ingest`/`ingest` (sub-batches queued before the full shard was
-    /// hit stay queued and count as ingested).
+    /// `ingest` (sub-batches of lower-numbered shards are staged and count
+    /// as ingested).
     dropped_records,
     /// Placement decisions served.
     decisions,
@@ -205,8 +208,9 @@ scalar_metrics! {
     store_cold_bytes,
     /// Records sitting in shard WALs (active logs plus sealed segments)
     /// that no checkpoint has absorbed yet — the checkpoint lag gauge.
-    /// Grows on every WAL append (and WAL recovery at startup), shrinks
-    /// by `records_absorbed` at each checkpoint.
+    /// Grows on every WAL write (and WAL recovery at startup), shrinks
+    /// by `records_absorbed` at each checkpoint. Staged records are not
+    /// in it until their stage is flushed (see `queue_depth`).
     wal_pending_records,
     /// Checkpoint cycles that absorbed at least one segment.
     checkpoints,

@@ -2,11 +2,13 @@
 //! ingest shards, the batched query engine, and the background trainer
 //! together behind one handle.
 //!
-//! The shards run as actors on one [`geomancy_runtime::Reactor`] pool,
-//! the query engine on its callers' threads, and the trainer and (with a
-//! store) the checkpointer on one thread each, so the service's thread
-//! count is the (small, fixed) worker count plus one, or plus two with a
-//! store, instead of `shards + 2`. In front of the query path sits a
+//! The shards are data behind one lock each, written by the threads that
+//! ingest; the query engine runs on its callers' threads; the trainer,
+//! and with a WAL the flush thread and with a store the checkpointer, are
+//! one thread each, so the service's thread count does not grow with its
+//! shards. (Its [`geomancy_runtime::Reactor`] pool hosts no actor of the
+//! service's own; it stays for the callers of
+//! [`PlacementService::reactor`].) In front of the query path sits a
 //! cross-shard admission controller: when the service is over its global
 //! or per-shard pending-request watermark, `query_many` defers briefly and
 //! then sheds with [`QueryError::Overloaded`] instead of letting queues
@@ -29,7 +31,7 @@ use geomancy_store::{AbsorbReport, PagedStore, SharedPagedStore, StoreConfig};
 use crate::batch::{BatchEngine, Decision, ModelSlot, PlacementRequest, QueryError, Ticket};
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::shard::{Backpressure, ShardSet};
+use crate::shard::{Backpressure, ShardSet, WalFlusher};
 use crate::trainer::{TrainError, TrainedMeta, Trainer};
 
 /// Watermarks for the cross-shard admission controller. Disabled by
@@ -93,10 +95,11 @@ impl Default for StoreSettings {
 /// Configuration of a [`PlacementService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Ingest shards (each an independent actor with its own queue/WAL).
+    /// Ingest shards (each with its own lock, stage and WAL).
     pub shards: usize,
-    /// Bounded depth of each shard mailbox, in messages, and of the query
-    /// engine's queue, in submissions.
+    /// Bounded depth of the query engine's queue, in submissions. Ingest
+    /// has no queue: an ack stages the records on their shards (see
+    /// [`crate::shard`] for when they reach the WAL).
     pub queue_capacity: usize,
     /// Maximum placement requests fused into one forward pass: the engine
     /// fuses the submissions already queued when it turns to them, up to
@@ -112,7 +115,7 @@ pub struct ServeConfig {
     /// Auto-retrain after this many newly ingested records (`None`
     /// retrains only on explicit [`PlacementService::retrain_now`]).
     pub retrain_every_records: Option<u64>,
-    /// Reactor pool workers running every actor (0 = auto-size).
+    /// Workers of the service's reactor pool (0 = auto-size).
     pub reactor_workers: usize,
     /// Admission-control watermarks for the query path.
     pub admission: AdmissionConfig,
@@ -169,10 +172,12 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub struct PlacementService {
     reactor: Option<Reactor>,
-    shards: Option<ShardSet>,
+    shards: Arc<ShardSet>,
     engine: BatchEngine,
     trainer: Option<Trainer>,
     checkpointer: Option<Checkpointer>,
+    /// Writes the shards' stages to their WALs (`None` without a WAL).
+    flusher: Option<WalFlusher>,
     store: Option<SharedPagedStore>,
     slot: Arc<ModelSlot>,
     metrics: Arc<ServeMetrics>,
@@ -184,9 +189,6 @@ pub struct PlacementService {
     last_retrain_at: AtomicU64,
     retrain_every_records: Option<u64>,
     admission: AdmissionConfig,
-    /// Shard count, for mapping queried files to shards in per-shard
-    /// admission.
-    shard_count: usize,
 }
 
 /// Receipt for an admitted submission: what [`PlacementService::admit`]
@@ -213,20 +215,20 @@ fn release(metrics: &ServeMetrics, admitted: &Admitted) {
 }
 
 impl PlacementService {
-    /// Starts the service: one reactor pool running `config.shards` ingest
-    /// actors, timed by the wall clock, the query engine, the trainer
-    /// thread and, with a store, the checkpointer thread.
+    /// Starts the service, timed by the wall clock: `config.shards` ingest
+    /// shards, the query engine, the trainer thread and, with a WAL, the
+    /// flush thread and, with a store, the checkpointer thread.
     ///
     /// # Panics
     ///
-    /// Panics on a zero shard count, zero queue capacity, zero
-    /// `max_batch`, empty candidate list, or an unopenable WAL directory.
+    /// Panics on a zero shard count, zero `max_batch`, empty candidate
+    /// list, or an unopenable WAL directory.
     pub fn start(config: ServeConfig) -> Self {
         let telemetry = SharedSimClock::new();
         PlacementService::start_inner(config, None, telemetry)
     }
 
-    /// Starts the service with `clock` as *both* the reactor's time source
+    /// Starts the service with `clock` as *both* the service's time source
     /// and the telemetry clock: the checkpoint cadence then comes due only
     /// when simulated time is published past it (by ingest timestamps or
     /// by the test directly).
@@ -290,15 +292,14 @@ impl PlacementService {
                 .store(store.cold_bytes(), Ordering::Relaxed);
             store.into_shared()
         });
-        let shards = ShardSet::spawn_on(
-            &reactor,
+        let shards = Arc::new(ShardSet::open(
             config.shards,
-            config.queue_capacity,
             config.wal_dir.clone(),
             Arc::clone(&metrics),
             min_last_ts,
             &seq_floors,
-        );
+        ));
+        let flusher = (config.wal_dir.is_some()).then(|| WalFlusher::spawn(Arc::clone(&shards)));
         let slot = Arc::new(ModelSlot::new());
         let engine = BatchEngine::new(
             config.max_batch,
@@ -318,7 +319,7 @@ impl PlacementService {
         );
         let checkpointer = (store.as_ref().zip(config.store.as_ref())).map(|(store, settings)| {
             Checkpointer::spawn(
-                &reactor,
+                reactor.time(),
                 &shards,
                 Arc::clone(store),
                 settings,
@@ -329,10 +330,11 @@ impl PlacementService {
         });
         PlacementService {
             reactor: Some(reactor),
-            shards: Some(shards),
+            shards,
             engine,
             trainer: Some(trainer),
             checkpointer,
+            flusher,
             store,
             slot,
             metrics,
@@ -340,22 +342,21 @@ impl PlacementService {
             last_retrain_at: AtomicU64::new(0),
             retrain_every_records: config.retrain_every_records,
             admission: config.admission,
-            shard_count: config.shards,
         }
     }
 
-    fn shards(&self) -> &ShardSet {
-        self.shards.as_ref().expect("shards alive until shutdown")
-    }
-
-    /// Blocking ingest: waits on full shard mailboxes. Nothing is dropped
-    /// while every shard lives.
+    /// Ingest: stages each record on its shard and returns, without
+    /// waiting on a queue or a write. The ack means the records are
+    /// staged in memory; they reach the shard WALs within
+    /// [`crate::shard::FLUSH_PERIOD`] and are fsynced at the next seal
+    /// (see [`crate::shard`]).
     ///
     /// # Errors
     ///
-    /// Returns [`Backpressure`] only if a shard actor has died. The dead
-    /// shard's sub-batch and every sub-batch not yet sent are counted in
-    /// `dropped_batches` and their records in `dropped_records`, so
+    /// Returns [`Backpressure`] only if a shard the call routes to has
+    /// failed (its WAL write or seal failed). That shard's sub-batch and
+    /// those of the higher-numbered shards the call routes to are counted
+    /// in `dropped_batches` and their records in `dropped_records`, so
     /// `ingested + dropped == offered` still holds.
     pub fn ingest(
         &self,
@@ -363,25 +364,7 @@ impl PlacementService {
         records: &[AccessRecord],
     ) -> Result<(), Backpressure> {
         self.telemetry.publish_micros(timestamp_micros);
-        let result = self.shards().ingest(timestamp_micros, records);
-        self.maybe_auto_retrain();
-        result
-    }
-
-    /// Non-blocking ingest: a full shard mailbox rejects the call with
-    /// [`Backpressure`] (unsent sub-batches are counted in
-    /// `dropped_batches` and their records in `dropped_records`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] naming the full shard.
-    pub fn try_ingest(
-        &self,
-        timestamp_micros: u64,
-        records: &[AccessRecord],
-    ) -> Result<(), Backpressure> {
-        self.telemetry.publish_micros(timestamp_micros);
-        let result = self.shards().try_ingest(timestamp_micros, records);
+        let result = self.shards.ingest(timestamp_micros, records);
         self.maybe_auto_retrain();
         result
     }
@@ -459,9 +442,9 @@ impl PlacementService {
         let per_shard: Vec<u64> = if self.admission.per_shard_pending.is_empty() {
             Vec::new()
         } else {
-            let mut counts = vec![0u64; self.shard_count];
+            let mut counts = vec![0u64; self.shards.len()];
             for req in requests {
-                counts[crate::shard::shard_of(req.fid, self.shard_count)] += 1;
+                counts[crate::shard::shard_of(req.fid, self.shards.len())] += 1;
             }
             counts
         };
@@ -603,8 +586,8 @@ impl PlacementService {
     /// # Errors
     ///
     /// [`CheckpointError::Down`] when the service runs without a store
-    /// (or after shutdown), [`CheckpointError::Store`] if the absorption
-    /// failed.
+    /// (or after shutdown) or a shard has failed,
+    /// [`CheckpointError::Store`] if the absorption failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         self.checkpointer
             .as_ref()
@@ -636,14 +619,13 @@ impl PlacementService {
         self.slot.trained_meta()
     }
 
-    /// The service's shared reactor pool, for co-locating control-plane
-    /// actors (the cluster failover controller spawns here so one pool
-    /// runs the whole node).
+    /// The service's reactor pool. It hosts no actor of the service's own;
+    /// callers read its statistics and clock.
     pub fn reactor(&self) -> &Reactor {
         self.reactor.as_ref().expect("reactor alive until shutdown")
     }
 
-    /// Number of reactor pool workers running the service's actors.
+    /// Number of reactor pool workers.
     pub fn reactor_workers(&self) -> usize {
         self.reactor
             .as_ref()
@@ -665,17 +647,17 @@ impl PlacementService {
     }
 
     /// Orderly shutdown: the checkpointer and trainer threads finish
-    /// their queued cycles while the shards still answer, then the reactor
-    /// drains every mailbox — queued ingest batches apply (WALs flush) —
-    /// and stops its workers. Every query was answered before its caller
-    /// let go of the service. Returns the final per-shard databases.
+    /// their queued cycles, the flush thread writes every stage to its
+    /// WAL, and the reactor stops its workers. Every query was answered
+    /// before its caller let go of the service. Returns the final
+    /// per-shard databases (each shard's hot tail).
     pub fn shutdown(mut self) -> Vec<ReplayDb> {
         drop(self.checkpointer.take());
         drop(self.trainer.take());
-        let shards = self.shards.take().expect("shutdown runs once");
-        let reactor = self.reactor.take().expect("shutdown runs once");
-        let stopped = reactor.shutdown();
-        shards.take_dbs(&stopped)
+        drop(self.flusher.take());
+        let dbs = self.shards.dbs();
+        drop(self.reactor.take().expect("shutdown runs once").shutdown());
+        dbs
     }
 }
 

@@ -1,141 +1,83 @@
-//! Sharded ReplayDB ingest: N independent actors, each owning one shard.
+//! Sharded ReplayDB ingest: N shards, each plain data behind its own lock.
 //!
 //! The record stream is split N ways by [`FileId::stable_hash`], so all
-//! telemetry for one file always lands on the same shard (per-file order
-//! is preserved by mailbox FIFO) while different files ingest in
-//! parallel. Shard actors run as state machines on the service's
-//! [`geomancy_runtime::Reactor`] pool, so N shards do not cost N threads;
-//! [`crate::PlacementService`] is their only host. Each shard's mailbox is
-//! *bounded*: when a shard falls behind, non-blocking ingest reports
-//! [`Backpressure`] instead of buffering without limit, and blocking
-//! ingest waits.
+//! telemetry for one file lands on one shard, in arrival order, while
+//! different files spread over the shards. [`ShardSet::ingest`] copies
+//! each record into its shard's *stage* and returns: an ack costs a copy,
+//! with no message, no wake-up and no write.
 //!
-//! Durability is per shard: each actor appends each batch to its own
-//! `shard-<i>.wal` as binary frames in one write, so a crash tears at
-//! most the batch being appended on each shard and recovery rebuilds
-//! exactly the per-shard databases (see
-//! [`geomancy_replaydb::wal::recover_shards`]).
+//! ## The ack contract
+//!
+//! An ack means the records are staged in memory. They reach the shard's
+//! WAL (`shard-<i>.wal`, one `write_all` per shard) within
+//! [`FLUSH_PERIOD`], when the service's `geomancy-wal-flush` thread moves
+//! every stage, or at once when a stage reaches [`STAGE_BOUND`] records,
+//! written by the ingest that crossed it. They are fsynced when the
+//! checkpointer seals the WAL. A process crash can lose the staged
+//! window, never a frame written before the write it interrupted.
+//!
+//! Records move stage → WAL → hot tail, so the hot tail never holds a
+//! record the WAL lacks; a memory-only shard has nothing to write, so
+//! its ingest moves them to the hot tail at once. Seal, snapshot, trim
+//! and shutdown flush the stage under the shard's lock before they act,
+//! so each sees every record acked before it was called. A failed WAL
+//! write or seal marks the shard failed: ingest into it is refused with
+//! [`Backpressure`], and its seals and snapshots answer `None`.
 
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
-use geomancy_replaydb::wal::{shard_path, WalWriter};
-use geomancy_replaydb::{ReplayDb, StoredRecord};
-use geomancy_runtime::{Actor, ActorHandle, Addr, Ctx, Reactor, StoppedReactor};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use geomancy_replaydb::wal::{list_segments, recover_for_append, segment_path, shard_path};
+use geomancy_replaydb::{ReplayDb, StoredRecord, WalWriter};
 use geomancy_sim::record::{AccessRecord, FileId};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::metrics::ServeMetrics;
 
-/// Ingest refused because a shard queue is full (the caller should retry,
-/// shed load, or switch to the blocking path).
+/// How often the flush thread moves every stage into its WAL.
+pub const FLUSH_PERIOD: Duration = Duration::from_millis(5);
+
+/// Staged records at which the ingest that reaches them writes the stage
+/// itself. A backstop for bursts: a bound near one batch would put a WAL
+/// write on most acks.
+pub const STAGE_BOUND: usize = 16_384;
+
+/// Ingest refused because a shard it routes to has failed (its WAL write
+/// or seal failed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backpressure {
-    /// The shard whose queue was full.
+    /// The failed shard.
     pub shard: usize,
 }
 
 impl std::fmt::Display for Backpressure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ingest shard {} queue is full", self.shard)
+        write!(f, "ingest shard {} has failed", self.shard)
     }
 }
 
 impl std::error::Error for Backpressure {}
 
-/// One shard's answer to a delta [`ShardMsg::Snapshot`]: the records the
+/// One shard's answer to [`ShardSet::snapshot`]: the records the
 /// requester has not seen yet, plus the shard's new watermark.
 ///
-/// Watermarks are *applied-record counts*, not timestamps: shard
-/// timestamps are monotonically clamped but not strictly increasing (a
-/// whole batch shares one clamp), so a timestamp watermark could silently
-/// skip or double-deliver records sharing the boundary instant. Counts
-/// are tie-proof. Timestamp-based deltas remain the right tool for the
-/// timestamp-indexed stores (`records_since`).
-pub(crate) struct SnapshotDelta {
+/// Watermarks are *applied-record counts*, not timestamps: a whole batch
+/// shares one clamped timestamp, so a timestamp watermark could skip or
+/// double-deliver records tied at the boundary. Counts are tie-proof.
+#[derive(Debug)]
+pub struct SnapshotDelta {
     /// Records applied after the requester's watermark, oldest first.
-    /// Bounded by the hot database: records the checkpointer already
-    /// trimmed to the cold store are not replayed here (the trainer tops
-    /// up old history from the store's timestamp index instead), matching
-    /// what the old full-DB snapshot carried.
+    /// Bounded by the hot tail: records the checkpointer already trimmed
+    /// are not replayed (the trainer tops up old history from the cold
+    /// store instead).
     pub records: Vec<StoredRecord>,
     /// Total records this shard has ever applied — the requester's next
     /// watermark.
     pub applied: u64,
-}
-
-/// Messages a shard actor accepts. Requests that expect an answer carry
-/// a [`ShardReply`]; [`ask_all`] sends one to every shard and collects
-/// the answers.
-pub(crate) enum ShardMsg {
-    Batch {
-        timestamp_micros: u64,
-        records: Vec<AccessRecord>,
-    },
-    /// Delta snapshot: everything applied after the `since` watermark
-    /// (an applied-record count from a previous [`SnapshotDelta`];
-    /// `since == 0` means everything the hot database holds).
-    Snapshot { since: u64, reply: SnapshotReply },
-    /// Seal the active WAL into a numbered segment for the checkpointer
-    /// to absorb. Replies `(seq, records)`; `seq == 0` means the WAL held
-    /// nothing (or the shard runs memory-only) and no segment was cut,
-    /// otherwise `records` is how many the segment holds.
-    SealWal { reply: SealReply },
-    /// Drop all but the newest `keep` records from the in-memory
-    /// database — sent by the checkpointer after the trimmed records'
-    /// segments have durably committed to the cold store.
-    TrimHot { keep: usize },
-}
-
-/// Reply handle of a request a shard answers once. Answering consumes it;
-/// if it is dropped unanswered — the shard panicked inside that turn, died
-/// holding the request, or died with it still queued — it answers `None`,
-/// so the requester learns the shard failed instead of waiting forever.
-pub(crate) struct ShardReply<T>(Option<Sender<Option<T>>>);
-
-/// Reply handle of a [`ShardMsg::Snapshot`].
-pub(crate) type SnapshotReply = ShardReply<SnapshotDelta>;
-/// Reply handle of a [`ShardMsg::SealWal`]: `(seq, records)`.
-pub(crate) type SealReply = ShardReply<(u64, u64)>;
-
-impl<T> ShardReply<T> {
-    /// Delivers the shard's answer.
-    pub(crate) fn answer(mut self, answer: T) {
-        if let Some(tx) = self.0.take() {
-            let _ = tx.send(Some(answer));
-        }
-    }
-}
-
-impl<T> Drop for ShardReply<T> {
-    fn drop(&mut self) {
-        if let Some(tx) = self.0.take() {
-            let _ = tx.send(None);
-        }
-    }
-}
-
-/// Sends every shard the request `ask(shard, reply)` builds and blocks
-/// until all of them answer. Returns the answers in shard order, or
-/// `None` if any shard died without answering. Requests ride each shard's
-/// FIFO mailbox, so an answer reflects every batch queued before it.
-pub(crate) fn ask_all<T>(
-    addrs: &[Addr<ShardMsg>],
-    ask: impl Fn(usize, ShardReply<T>) -> ShardMsg,
-) -> Option<Vec<T>> {
-    let answers: Vec<_> = (addrs.iter().enumerate())
-        .map(|(shard, addr)| {
-            // One slot: the reply sends once, so a shard answering on a
-            // reactor worker never blocks.
-            let (tx, rx) = bounded(1);
-            // A dead shard hands the request back; dropping it here
-            // answers `None`, like a death with the request in hand.
-            let _ = addr.send_now(ask(shard, ShardReply(Some(tx))));
-            rx
-        })
-        .collect();
-    answers.iter().map(|rx| rx.recv().ok().flatten()).collect()
 }
 
 /// Maps a file to its ingest shard.
@@ -143,381 +85,355 @@ pub fn shard_of(fid: FileId, shards: usize) -> usize {
     (fid.stable_hash() % shards as u64) as usize
 }
 
-/// One ingest shard as a reactor actor: applies batches in arrival order,
-/// appending to the WAL first (write-ahead) and clamping timestamps
-/// monotonically — shards see only a subset of the global stream, so a
-/// slow producer can hand a shard a timestamp older than one it already
-/// stored; the clamp keeps the shard's log time-ordered without rejecting
-/// data.
-pub(crate) struct ShardActor {
-    shard: usize,
-    db: ReplayDb,
+/// One ingest shard. Its timestamps are clamped monotonically: a shard
+/// sees a subset of the stream, so a slow producer can hand it a
+/// timestamp older than one it stored, and the clamp keeps its log
+/// time-ordered without rejecting data.
+struct Shard {
+    /// Acked records not yet in the WAL, oldest first. Its buffer is kept
+    /// across flushes, so staging does not reallocate.
+    stage: Vec<StoredRecord>,
+    /// Flushed records the checkpointer has not trimmed, oldest first.
+    hot: Vec<StoredRecord>,
+    /// `None` for a memory-only shard.
     wal: Option<WalWriter>,
-    /// Directory holding the WAL and its sealed segments (set iff `wal`
-    /// is).
-    wal_dir: Option<PathBuf>,
-    /// Entries in the active WAL (recovered + appended since the last
-    /// seal): a seal with zero entries is skipped instead of cutting an
-    /// empty segment.
+    /// Records in the active WAL: a seal of none cuts no segment.
     wal_records: u64,
-    /// Sequence number the next sealed segment gets. Starts above both
-    /// the highest segment on disk and the store's absorbed floor, so a
-    /// fresh segment is never mistaken for an already-absorbed orphan.
+    /// Sequence number of the next sealed segment: above both the last
+    /// on disk and the store's absorbed floor, so a fresh segment is never
+    /// taken for an absorbed orphan.
     next_seq: u64,
     last_ts: u64,
-    /// Total records ever applied to this shard (recovered + ingested) —
-    /// the monotonic count that delta-snapshot watermarks are measured
-    /// against. Unlike timestamps it is strictly increasing per record,
-    /// so a watermark can never straddle a tie.
+    /// Records ever moved into the hot tail (recovered + flushed): what
+    /// snapshot watermarks count.
     applied: u64,
-    metrics: Arc<ServeMetrics>,
+    /// Set when a WAL write or seal failed; never cleared.
+    failed: bool,
 }
 
-impl Actor for ShardActor {
-    type Msg = ShardMsg;
-
-    fn on_msg(&mut self, msg: ShardMsg, _ctx: &mut Ctx<'_>) {
-        match msg {
-            ShardMsg::Batch {
-                timestamp_micros,
-                records,
-            } => {
-                let ts = timestamp_micros.max(self.last_ts);
-                self.last_ts = ts;
-                if let Some(w) = &mut self.wal {
-                    w.append_batch(ts, &records)
-                        .expect("shard WAL append failed");
-                    self.wal_records += records.len() as u64;
-                    self.metrics
-                        .wal_pending_records
-                        .fetch_add(records.len() as u64, Ordering::Relaxed);
-                }
-                self.db.insert_batch(ts, &records);
-                self.applied += records.len() as u64;
-                self.metrics.queue_depth[self.shard].fetch_sub(1, Ordering::Relaxed);
-            }
-            ShardMsg::Snapshot { since, reply } => {
-                // `applied - since` records are new since the requester's
-                // watermark; the hot db tail holds the newest of them (the
-                // rest were trimmed to the cold store and are served from
-                // its timestamp index, not re-shipped here).
-                let fresh = self.applied.saturating_sub(since) as usize;
-                let take = fresh.min(self.db.len());
-                let skip = self.db.len() - take;
-                let records: Vec<StoredRecord> = self.db.records().skip(skip).copied().collect();
-                reply.answer(SnapshotDelta {
-                    records,
-                    applied: self.applied,
-                });
-            }
-            ShardMsg::SealWal { reply } => {
-                let (seq, records) = match (&mut self.wal, &self.wal_dir) {
-                    (Some(w), Some(dir)) if self.wal_records > 0 => {
-                        let seq = self.next_seq;
-                        w.seal_to(geomancy_replaydb::wal::segment_path(dir, self.shard, seq))
-                            .expect("shard WAL seal failed");
-                        self.next_seq += 1;
-                        (seq, std::mem::take(&mut self.wal_records))
-                    }
-                    _ => (0, 0),
-                };
-                reply.answer((seq, records));
-            }
-            ShardMsg::TrimHot { keep } => {
-                if self.db.len() > keep {
-                    self.db.compact(keep);
-                }
-            }
+impl Shard {
+    /// Moves the stage into the WAL (one write), then into the hot tail.
+    /// A failed write marks the shard failed and keeps the stage; returns
+    /// whether the shard is still sound.
+    fn flush(&mut self, index: usize, metrics: &ServeMetrics) -> bool {
+        if self.failed || self.stage.is_empty() {
+            return !self.failed;
         }
+        let n = self.stage.len() as u64;
+        if let Some(wal) = &mut self.wal {
+            if wal.append_stored(&self.stage).is_err() {
+                self.failed = true;
+                return false;
+            }
+            self.wal_records += n;
+            metrics.wal_pending_records.fetch_add(n, Relaxed);
+        }
+        self.hot.append(&mut self.stage);
+        self.applied += n;
+        metrics.queue_depth[index].store(0, Relaxed);
+        true
     }
 }
 
-/// A set of ingest shard actors on the service's reactor.
-pub(crate) struct ShardSet {
-    addrs: Vec<Addr<ShardMsg>>,
-    handles: Vec<ActorHandle<ShardActor>>,
+/// The ingest shards of one service, each a `Mutex<Shard>`.
+pub struct ShardSet {
+    shards: Vec<Mutex<Shard>>,
+    /// Directory of the WALs and their segments (`None`: memory-only).
+    wal_dir: Option<PathBuf>,
     metrics: Arc<ServeMetrics>,
 }
 
 impl std::fmt::Debug for ShardSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardSet")
-            .field("shards", &self.addrs.len())
-            .finish()
+        write!(f, "ShardSet({} shards, WAL {:?})", self.len(), self.wal_dir)
     }
 }
 
 impl ShardSet {
-    /// Spawns `shards` actors onto `reactor`, with `queue_capacity`-deep
-    /// bounded mailboxes. They share the pool with the query engine;
-    /// [`ShardSet::take_dbs`] collects their databases once the reactor
-    /// has stopped.
+    /// Opens `shards` shards. With `wal_dir` set, each appends to
+    /// `shard-<i>.wal` there and starts from what an existing log replays
+    /// to; without it, shards are memory-only.
     ///
-    /// With `wal_dir` set, each shard appends to `shard-<i>.wal` in that
-    /// directory and starts from whatever an existing log replays to
-    /// (crash recovery); without it, shards are memory-only.
-    ///
-    /// `min_last_ts` floors each shard's monotonic timestamp clamp — the
-    /// service passes the cold store's max timestamp so records ingested
-    /// after a restart can never be stamped older than checkpointed
-    /// history. `seq_floors` (one entry per shard, or empty) floors each
-    /// shard's next WAL-segment sequence number at the store's absorbed
-    /// floor, so fresh segments are never numbered like absorbed orphans.
+    /// `min_last_ts` floors each shard's timestamp clamp (the service
+    /// passes the cold store's newest timestamp, so nothing ingested after
+    /// a restart is stamped older than checkpointed history). `seq_floors`
+    /// (one per shard, or empty) floors each shard's next segment number
+    /// at the store's absorbed floor.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` or `queue_capacity` is zero, or if a WAL cannot
-    /// be opened or recovered.
-    pub(crate) fn spawn_on(
-        reactor: &Reactor,
+    /// Panics if `shards` is zero or exceeds `metrics`' per-shard gauges,
+    /// or if a WAL cannot be opened or recovered.
+    pub fn open(
         shards: usize,
-        queue_capacity: usize,
         wal_dir: Option<PathBuf>,
         metrics: Arc<ServeMetrics>,
         min_last_ts: u64,
         seq_floors: &[u64],
     ) -> Self {
         assert!(shards > 0, "need at least one ingest shard");
-        assert!(
-            queue_capacity > 0,
-            "shard queues must hold at least one batch"
-        );
+        assert!(metrics.queue_depth.len() >= shards, "one gauge per shard");
         if let Some(dir) = &wal_dir {
             std::fs::create_dir_all(dir).expect("failed to create WAL directory");
         }
-        let mut addrs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let (db, wal, wal_records) = match &wal_dir {
-                None => (ReplayDb::new(), None, 0),
-                Some(dir) => {
-                    let path = shard_path(dir, i);
-                    // `recover_for_append` also truncates a torn tail left
-                    // by a crash mid-append, so the append-mode reopen
-                    // below starts on a frame boundary instead of writing
-                    // the first new frame behind the torn bytes.
-                    let (db, recovered) = if path.exists() {
-                        geomancy_replaydb::wal::recover_for_append(&path)
-                            .expect("shard WAL recovery failed")
-                    } else {
-                        (ReplayDb::new(), 0)
-                    };
-                    let wal = WalWriter::open(&path).expect("failed to open shard WAL");
-                    (db, Some(wal), recovered)
-                }
-            };
-            metrics
-                .wal_pending_records
-                .fetch_add(wal_records, Ordering::Relaxed);
-            let next_seq = match &wal_dir {
-                None => 1,
-                Some(dir) => {
-                    let on_disk = geomancy_replaydb::wal::list_segments(dir, i)
-                        .expect("failed to list WAL segments")
-                        .last()
-                        .map_or(0, |(seq, _)| *seq);
-                    on_disk.max(seq_floors.get(i).copied().unwrap_or(0)) + 1
-                }
-            };
-            let last_ts = db
-                .records()
-                .last()
-                .map_or(0, |s| s.timestamp_micros)
-                .max(min_last_ts);
-            let applied = db.len() as u64;
-            let (addr, handle) = reactor.spawn(
-                &format!("shard-{i}"),
-                queue_capacity,
-                ShardActor {
-                    shard: i,
-                    db,
+        let shards = (0..shards)
+            .map(|i| {
+                let (hot, wal, next_seq) = match &wal_dir {
+                    None => (Vec::new(), None, 1),
+                    Some(dir) => {
+                        // Recovery truncates a torn tail, so the reopen
+                        // below appends on a frame boundary.
+                        let path = shard_path(dir, i);
+                        let hot = if path.exists() {
+                            recover_for_append(&path).expect("shard WAL recovery failed")
+                        } else {
+                            Vec::new()
+                        };
+                        let wal = WalWriter::open(&path).expect("failed to open shard WAL");
+                        let segments = list_segments(dir, i).expect("failed to list WAL segments");
+                        let on_disk = segments.last().map_or(0, |(seq, _)| *seq);
+                        let floor = seq_floors.get(i).copied().unwrap_or(0);
+                        (hot, Some(wal), on_disk.max(floor) + 1)
+                    }
+                };
+                let recovered = hot.len() as u64;
+                metrics.wal_pending_records.fetch_add(recovered, Relaxed);
+                let last_ts = hot.last().map_or(0, |s| s.timestamp_micros);
+                Mutex::new(Shard {
+                    stage: Vec::new(),
+                    hot,
                     wal,
-                    wal_dir: wal_dir.clone(),
-                    wal_records,
+                    wal_records: recovered,
                     next_seq,
-                    last_ts,
-                    applied,
-                    metrics: Arc::clone(&metrics),
-                },
-            );
-            addrs.push(addr);
-            handles.push(handle);
-        }
+                    last_ts: last_ts.max(min_last_ts),
+                    applied: recovered,
+                    failed: false,
+                })
+            })
+            .collect();
         ShardSet {
-            addrs,
-            handles,
+            shards,
+            wal_dir,
             metrics,
         }
     }
 
     /// Number of shards.
     pub(crate) fn len(&self) -> usize {
-        self.addrs.len()
+        self.shards.len()
     }
 
-    /// Shard actor addresses, for peers that talk to shards directly (the
-    /// trainer's and the checkpointer's [`ask_all`] fan-outs).
-    pub(crate) fn addrs(&self) -> &[Addr<ShardMsg>] {
-        &self.addrs
-    }
-
-    /// Routes `records` to their shards. Returns one `(shard, sub-batch)`
-    /// per shard touched, preserving input order within each sub-batch.
-    fn route(&self, records: &[AccessRecord]) -> Vec<(usize, Vec<AccessRecord>)> {
-        let shards = self.addrs.len();
-        let mut buckets: Vec<Vec<AccessRecord>> = vec![Vec::new(); shards];
-        for &r in records {
-            buckets[shard_of(r.fid, shards)].push(r);
-        }
-        buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .collect()
-    }
-
-    /// Blocking ingest: routes the batch and waits on any full shard
-    /// mailbox. Nothing is dropped while every shard lives.
+    /// Stages each record on its shard, stamped `timestamp_micros`
+    /// clamped per shard. Takes every shard's lock, in index order, for
+    /// one pass over the records; a stage that reaches [`STAGE_BOUND`] is
+    /// then written by this thread.
     ///
     /// # Errors
     ///
-    /// Returns [`Backpressure`] if a shard actor is gone (dead, for
-    /// example after its WAL append failed). The refused sub-batch and
-    /// every sub-batch not yet sent are counted as dropped, as in
-    /// [`ShardSet::try_ingest`].
-    pub(crate) fn ingest(
+    /// [`Backpressure`] names the lowest-numbered failed shard the call
+    /// routes to. Its sub-batch and those of the higher-numbered shards
+    /// the call routes to are not staged and count as dropped
+    /// (`dropped_batches`, `dropped_records`), the rest as ingested, so
+    /// `ingested + dropped == offered` holds for every call.
+    pub fn ingest(
         &self,
         timestamp_micros: u64,
         records: &[AccessRecord],
     ) -> Result<(), Backpressure> {
-        self.dispatch(timestamp_micros, records, |addr, msg| {
-            addr.send(msg).is_ok()
-        })
-    }
-
-    /// Non-blocking ingest: any full shard mailbox rejects the *whole*
-    /// call (sub-batches already queued on other shards stay queued —
-    /// per-file streams are unaffected since a file maps to exactly one
-    /// shard).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Backpressure`] naming the full (or dead) shard. The
-    /// failed sub-batch and every sub-batch not yet sent count toward the
-    /// metrics' `dropped_batches`, and their records toward
-    /// `dropped_records`, so shed load is fully accounted even when part
-    /// of the call was already queued.
-    pub(crate) fn try_ingest(
-        &self,
-        timestamp_micros: u64,
-        records: &[AccessRecord],
-    ) -> Result<(), Backpressure> {
-        self.dispatch(timestamp_micros, records, |addr, msg| {
-            addr.try_send(msg).is_ok()
-        })
-    }
-
-    /// Sends each routed sub-batch with `send` until one is refused.
-    /// What was sent counts as ingested; the refused sub-batch and every
-    /// one after it count as dropped, so `ingested + dropped == offered`
-    /// holds for every call.
-    fn dispatch(
-        &self,
-        timestamp_micros: u64,
-        records: &[AccessRecord],
-        send: impl Fn(&Addr<ShardMsg>, ShardMsg) -> bool,
-    ) -> Result<(), Backpressure> {
-        let (mut sent_batches, mut sent_records) = (0u64, 0u64);
-        let (mut dropped_batches, mut dropped_records) = (0u64, 0u64);
-        let mut failed = None;
-        for (shard, sub) in self.route(records) {
-            let n = sub.len() as u64;
-            if failed.is_none() {
-                self.metrics.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-                let batch = ShardMsg::Batch {
+        let n = self.shards.len();
+        // Each guard, the timestamp the call stamps on its shard, and its
+        // stage length before the call.
+        let mut locked: Vec<(MutexGuard<'_, Shard>, u64, usize)> = (self.shards.iter())
+            .map(|shard| {
+                let shard = shard.lock();
+                let ts = timestamp_micros.max(shard.last_ts);
+                let staged = shard.stage.len();
+                (shard, ts, staged)
+            })
+            .collect();
+        let refused = if locked.iter().any(|(shard, ..)| shard.failed) {
+            (records.iter().map(|r| shard_of(r.fid, n)))
+                .filter(|&i| locked[i].0.failed)
+                .min()
+        } else {
+            None
+        };
+        let cut = refused.unwrap_or(n);
+        for &record in records {
+            let i = shard_of(record.fid, n);
+            if i < cut {
+                let (shard, ts, _) = &mut locked[i];
+                let timestamp_micros = *ts;
+                shard.stage.push(StoredRecord {
                     timestamp_micros,
-                    records: sub,
-                };
-                if send(&self.addrs[shard], batch) {
-                    sent_batches += 1;
-                    sent_records += n;
-                    continue;
-                }
-                self.metrics.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
-                failed = Some(shard);
+                    record,
+                });
             }
-            dropped_batches += 1;
-            dropped_records += n;
         }
-        // All of the call's counter updates land in one accounting section
-        // (after the sends, which may block — never block inside a section).
-        let _guard = self.metrics.accounting();
-        self.metrics
-            .ingest_batches
-            .fetch_add(sent_batches, Ordering::Relaxed);
-        self.metrics
-            .ingested_records
-            .fetch_add(sent_records, Ordering::Relaxed);
-        match failed {
-            None => Ok(()),
-            Some(shard) => {
-                self.metrics
-                    .dropped_batches
-                    .fetch_add(dropped_batches, Ordering::Relaxed);
-                self.metrics
-                    .dropped_records
-                    .fetch_add(dropped_records, Ordering::Relaxed);
-                Err(Backpressure { shard })
+        let (mut batches, mut staged, mut over_bound) = (0u64, 0u64, false);
+        for (i, (shard, ts, before)) in locked.iter_mut().enumerate() {
+            let len = shard.stage.len();
+            if len > *before {
+                batches += 1;
+                staged += (len - *before) as u64;
+                shard.last_ts = *ts;
+                if shard.wal.is_none() {
+                    // Nothing to write: the records go to the hot tail now.
+                    shard.flush(i, &self.metrics);
+                } else {
+                    self.metrics.queue_depth[i].store(len, Relaxed);
+                    over_bound |= len >= STAGE_BOUND;
+                }
             }
+        }
+        drop(locked);
+        if over_bound {
+            for (i, shard) in self.shards.iter().enumerate() {
+                let mut shard = shard.lock();
+                if shard.stage.len() >= STAGE_BOUND {
+                    shard.flush(i, &self.metrics);
+                }
+            }
+        }
+        // Sub-batches dropped: one per shard from `cut` up the call routes to.
+        let dropped_batches = refused.map_or(0, |_| {
+            let mut routed = vec![false; n];
+            for r in records {
+                routed[shard_of(r.fid, n)] = true;
+            }
+            routed[cut..].iter().filter(|&&r| r).count() as u64
+        });
+        let m = &self.metrics;
+        let _guard = m.accounting();
+        m.ingest_batches.fetch_add(batches, Relaxed);
+        m.ingested_records.fetch_add(staged, Relaxed);
+        let Some(shard) = refused else {
+            return Ok(());
+        };
+        m.dropped_batches.fetch_add(dropped_batches, Relaxed);
+        m.dropped_records
+            .fetch_add(records.len() as u64 - staged, Relaxed);
+        Err(Backpressure { shard })
+    }
+
+    /// Moves every shard's stage into its WAL and hot tail, one shard at a
+    /// time: the flush thread's tick.
+    pub fn flush_all(&self) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            shard.lock().flush(i, &self.metrics);
         }
     }
 
-    /// Recovers each shard's final database from a stopped reactor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard actor panicked.
-    pub(crate) fn take_dbs(self, stopped: &StoppedReactor) -> Vec<ReplayDb> {
-        self.handles
-            .into_iter()
-            .map(|h| stopped.take(h).expect("shard actor panicked").db)
+    /// Flushes shard `shard`, then seals its WAL into the next numbered,
+    /// fsynced segment ([`WalWriter::seal_to`]), which therefore holds
+    /// every record acked before the call. Returns `(seq, records)`;
+    /// `seq == 0` when the WAL held nothing (or the shard is memory-only)
+    /// and no segment was cut. `None` if the shard has failed, or fails
+    /// now.
+    pub fn seal(&self, shard: usize) -> Option<(u64, u64)> {
+        let mut guard = self.shards[shard].lock();
+        let s = &mut *guard;
+        if !s.flush(shard, &self.metrics) {
+            return None;
+        }
+        let (Some(wal), Some(dir), true) = (&mut s.wal, &self.wal_dir, s.wal_records > 0) else {
+            return Some((0, 0));
+        };
+        if wal.seal_to(segment_path(dir, shard, s.next_seq)).is_err() {
+            s.failed = true;
+            return None;
+        }
+        s.next_seq += 1;
+        Some((s.next_seq - 1, std::mem::take(&mut s.wal_records)))
+    }
+
+    /// Flushes shard `shard`, then returns what it applied after the
+    /// `since` watermark (an earlier [`SnapshotDelta::applied`]; 0 means
+    /// the whole hot tail). `None` if the shard has failed.
+    pub fn snapshot(&self, shard: usize, since: u64) -> Option<SnapshotDelta> {
+        let mut s = self.shards[shard].lock();
+        if !s.flush(shard, &self.metrics) {
+            return None;
+        }
+        let fresh = s.applied.saturating_sub(since) as usize;
+        let from = s.hot.len() - fresh.min(s.hot.len());
+        Some(SnapshotDelta {
+            records: s.hot[from..].to_vec(),
+            applied: s.applied,
+        })
+    }
+
+    /// Flushes shard `shard`, then drops all but the newest `keep` records
+    /// of its hot tail: the checkpointer calls this once the records'
+    /// segments have committed to the cold store.
+    pub fn trim(&self, shard: usize, keep: usize) {
+        let mut s = self.shards[shard].lock();
+        s.flush(shard, &self.metrics);
+        let excess = s.hot.len().saturating_sub(keep);
+        s.hot.drain(..excess);
+    }
+
+    /// Flushes every shard and returns each one's hot tail as a
+    /// [`ReplayDb`], in shard order.
+    pub(crate) fn dbs(&self) -> Vec<ReplayDb> {
+        self.flush_all();
+        (self.shards.iter())
+            .map(|shard| {
+                let mut db = ReplayDb::new();
+                for r in &shard.lock().hot {
+                    db.insert(r.timestamp_micros, r.record);
+                }
+                db
+            })
             .collect()
+    }
+}
+
+/// The `geomancy-wal-flush` thread: runs [`ShardSet::flush_all`] every
+/// [`FLUSH_PERIOD`], and a last time when dropped, before it joins.
+#[derive(Debug)]
+pub(crate) struct WalFlusher(Option<(Sender<()>, JoinHandle<()>)>);
+
+impl WalFlusher {
+    pub(crate) fn spawn(shards: Arc<ShardSet>) -> Self {
+        let (stop, stopped) = bounded::<()>(1);
+        let thread = std::thread::Builder::new()
+            .name("geomancy-wal-flush".to_string())
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(FLUSH_PERIOD) {
+                    shards.flush_all();
+                }
+                shards.flush_all();
+            })
+            .expect("spawn WAL flush thread");
+        WalFlusher(Some((stop, thread)))
+    }
+}
+
+impl Drop for WalFlusher {
+    /// Closes the channel, which ends the thread after its last flush.
+    fn drop(&mut self) {
+        if let Some((stop, thread)) = self.0.take() {
+            drop(stop);
+            let _ = thread.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geomancy_runtime::ReactorConfig;
     use geomancy_sim::record::DeviceId;
-    use std::time::Duration;
 
-    fn reactor() -> Reactor {
-        Reactor::new(ReactorConfig {
-            name: "shard-test".to_string(),
-            ..ReactorConfig::default()
-        })
+    impl ShardSet {
+        /// Marks `shard` failed, as a failed WAL write would.
+        pub(crate) fn fail(&self, shard: usize) {
+            self.shards[shard].lock().failed = true;
+        }
     }
 
-    /// Hosts `shards` memory-only shards on a reactor of their own, as the
-    /// service hosts them on its pool. Drain with
-    /// `set.take_dbs(&reactor.shutdown())`.
-    fn spawn(
-        shards: usize,
-        queue_capacity: usize,
-        metrics: &Arc<ServeMetrics>,
-    ) -> (Reactor, ShardSet) {
-        let reactor = reactor();
-        let set = ShardSet::spawn_on(
-            &reactor,
-            shards,
-            queue_capacity,
-            None,
-            Arc::clone(metrics),
-            0,
-            &[],
-        );
-        (reactor, set)
+    fn open(shards: usize, metrics: &Arc<ServeMetrics>) -> ShardSet {
+        ShardSet::open(shards, None, Arc::clone(metrics), 0, &[])
     }
 
     fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -534,13 +450,20 @@ mod tests {
         }
     }
 
+    /// A file that maps to `shard` of `shards`.
+    fn fid_on(shard: usize, shards: usize) -> u64 {
+        (0u64..)
+            .find(|&f| shard_of(FileId(f), shards) == shard)
+            .unwrap()
+    }
+
     #[test]
     fn ingest_routes_by_file_hash() {
         let metrics = Arc::new(ServeMetrics::new(4));
-        let (reactor, set) = spawn(4, 16, &metrics);
+        let set = open(4, &metrics);
         let records: Vec<AccessRecord> = (0..40).map(|n| rec(n, n % 10)).collect();
         set.ingest(0, &records).unwrap();
-        let dbs = set.take_dbs(&reactor.shutdown());
+        let dbs = set.dbs();
         let total: usize = dbs.iter().map(|db| db.len()).sum();
         assert_eq!(total, 40);
         for (i, db) in dbs.iter().enumerate() {
@@ -548,65 +471,38 @@ mod tests {
                 assert_eq!(shard_of(stored.record.fid, 4), i);
             }
         }
-        assert_eq!(metrics.snapshot().ingested_records, 40);
-    }
-
-    #[test]
-    fn try_ingest_reports_backpressure_when_queue_full() {
-        let metrics = Arc::new(ServeMetrics::new(1));
-        let (reactor, set) = spawn(1, 1, &metrics);
-        // Hammer the single 1-slot shard mailbox: some batches queue, the
-        // rest bounce with Backpressure.
-        let mut queued = 0;
-        let mut dropped = 0;
-        for n in 0..200u64 {
-            match set.try_ingest(n, &[rec(n, 0)]) {
-                Ok(()) => queued += 1,
-                Err(Backpressure { shard: 0 }) => dropped += 1,
-                Err(e) => panic!("unexpected {e:?}"),
-            }
-        }
-        assert_eq!(queued + dropped, 200);
-        let dbs = set.take_dbs(&reactor.shutdown());
-        assert_eq!(dbs[0].len(), queued);
         let snap = metrics.snapshot();
-        assert_eq!(snap.dropped_batches, dropped as u64);
-        assert_eq!(snap.dropped_records, dropped as u64);
+        assert_eq!(snap.ingested_records, 40);
+        assert_eq!(snap.ingest_batches, 4);
     }
 
+    /// `queue_depth[i]` is the acked window: what shard `i` has staged and
+    /// not yet written to its WAL. A memory-only shard stages nothing.
     #[test]
-    fn dropped_records_account_for_every_unsent_sub_batch() {
-        // Batches spanning both shards: when one shard's queue fills, the
-        // failed sub-batch AND any not-yet-sent sub-batch must be counted,
-        // so ingested + dropped always equals the records offered.
+    fn queue_depth_counts_staged_records_until_a_flush() {
+        let dir = std::env::temp_dir()
+            .join("geomancy_serve_shard_unit")
+            .join(format!("depth-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let metrics = Arc::new(ServeMetrics::new(2));
-        let (reactor, set) = spawn(2, 1, &metrics);
-        // Two fids guaranteed to land on different shards.
-        let fid_a = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
-        let fid_b = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
-        let mut offered = 0u64;
-        let mut saw_drop = false;
-        for round in 0..50_000u64 {
-            let batch = [rec(round * 2, fid_a), rec(round * 2 + 1, fid_b)];
-            offered += batch.len() as u64;
-            if set.try_ingest(round, &batch).is_err() {
-                saw_drop = true;
-                if round > 1000 {
-                    break;
-                }
-            }
-        }
-        let _ = set.take_dbs(&reactor.shutdown());
+        let set = ShardSet::open(2, Some(dir.clone()), Arc::clone(&metrics), 0, &[]);
+        let (a, b) = (fid_on(0, 2), fid_on(1, 2));
+        set.ingest(0, &[rec(0, a), rec(1, a), rec(2, b)]).unwrap();
+        assert_eq!(metrics.snapshot().queue_depth, [2, 1]);
+        set.ingest(1, &[rec(3, a)]).unwrap();
+        assert_eq!(metrics.snapshot().queue_depth, [3, 1]);
+        assert_eq!(metrics.snapshot().wal_pending_records, 0);
+        set.flush_all();
         let snap = metrics.snapshot();
         assert_eq!(
-            snap.ingested_records + snap.dropped_records,
-            offered,
-            "shed records must be fully accounted"
+            (snap.queue_depth, snap.wal_pending_records),
+            (vec![0, 0], 4)
         );
-        if saw_drop {
-            assert!(snap.dropped_batches >= 1);
-            assert!(snap.dropped_records >= snap.dropped_batches);
-        }
+
+        let memory = Arc::new(ServeMetrics::new(2));
+        open(2, &memory).ingest(0, &[rec(0, a), rec(1, b)]).unwrap();
+        assert_eq!(memory.snapshot().queue_depth, [0, 0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Delta snapshots must carry exactly the records applied after the
@@ -614,11 +510,8 @@ mod tests {
     #[test]
     fn delta_snapshot_moves_only_records_past_the_watermark() {
         let metrics = Arc::new(ServeMetrics::new(1));
-        let (reactor, set) = spawn(1, 16, &metrics);
-        let snap = |since: u64| {
-            let ask = |_, reply| ShardMsg::Snapshot { since, reply };
-            ask_all(set.addrs(), ask).expect("shard alive").remove(0)
-        };
+        let set = open(1, &metrics);
+        let snap = |since: u64| set.snapshot(0, since).expect("shard alive");
         let recs: Vec<AccessRecord> = (0..30).map(|n| rec(n, 0)).collect();
         set.ingest(10, &recs[..20]).unwrap();
         let first = snap(0);
@@ -635,17 +528,16 @@ mod tests {
         assert_eq!(second.applied, 30);
         assert_eq!(second.records[0].record.access_number, 20);
         assert_eq!(second.records[9].record.access_number, 29);
-        let _ = set.take_dbs(&reactor.shutdown());
     }
 
     #[test]
     fn out_of_order_timestamps_are_clamped_not_fatal() {
         let metrics = Arc::new(ServeMetrics::new(2));
-        let (reactor, set) = spawn(2, 16, &metrics);
+        let set = open(2, &metrics);
         set.ingest(100, &[rec(0, 0), rec(1, 1)]).unwrap();
         // Older timestamp: would panic ReplayDb::insert if unclamped.
         set.ingest(50, &[rec(2, 0), rec(3, 1)]).unwrap();
-        let dbs = set.take_dbs(&reactor.shutdown());
+        let dbs = set.dbs();
         let total: usize = dbs.iter().map(|db| db.len()).sum();
         assert_eq!(total, 4);
         for db in &dbs {
@@ -655,47 +547,19 @@ mod tests {
         }
     }
 
-    /// A shard that panics on its first message, as a real one does when
-    /// its WAL append fails (for example on ENOSPC).
-    struct DoomedShard;
-
-    impl Actor for DoomedShard {
-        type Msg = ShardMsg;
-
-        fn on_msg(&mut self, _msg: ShardMsg, _ctx: &mut Ctx<'_>) {
-            panic!("shard killed by test");
-        }
-    }
-
     /// Blocking ingest into a set with a dead shard still accounts for
     /// every record offered: the sub-batch the dead shard refuses and
     /// every sub-batch after it count as dropped.
     #[test]
     fn blocking_ingest_counts_what_a_dead_shard_refused() {
-        let reactor = reactor();
         let metrics = Arc::new(ServeMetrics::new(2));
-        let (first, _h0) = reactor.spawn("doomed-0", 16, DoomedShard);
-        let (second, _h1) = reactor.spawn("doomed-1", 16, DoomedShard);
-        let set = ShardSet {
-            addrs: vec![first.clone(), second],
-            handles: Vec::new(),
-            metrics: Arc::clone(&metrics),
-        };
-        let fid_a = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
-        let fid_b = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
-        let batch = [rec(0, fid_a), rec(1, fid_b)];
-        // Both shards accept their sub-batch, then die applying it.
+        let set = open(2, &metrics);
+        let batch = [rec(0, fid_on(0, 2)), rec(1, fid_on(1, 2))];
+        // Both shards accept their sub-batch, then fail writing it.
         set.ingest(0, &batch).unwrap();
-        let mut polls = 0;
-        while first
-            .send_now(ShardMsg::TrimHot { keep: usize::MAX })
-            .is_ok()
-        {
-            polls += 1;
-            assert!(polls < 5_000, "shard 0 did not die");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Shard 0 refuses; shard 1's sub-batch is never sent.
+        set.fail(0);
+        set.fail(1);
+        // Shard 0 refuses; shard 1's sub-batch is never staged.
         assert_eq!(set.ingest(1, &batch), Err(Backpressure { shard: 0 }));
         let snap = metrics.snapshot();
         assert_eq!(
@@ -705,6 +569,29 @@ mod tests {
         );
         assert_eq!((snap.ingest_batches, snap.ingested_records), (2, 2));
         assert_eq!((snap.dropped_batches, snap.dropped_records), (2, 2));
-        drop(reactor.shutdown());
+    }
+
+    /// A failed shard refuses only the calls that route to it, and only
+    /// from its own number up: lower-numbered sub-batches are staged.
+    #[test]
+    fn a_failed_shard_drops_its_sub_batch_and_every_later_one() {
+        let metrics = Arc::new(ServeMetrics::new(3));
+        let set = open(3, &metrics);
+        set.fail(1);
+        let (f0, f1, f2) = (fid_on(0, 3), fid_on(1, 3), fid_on(2, 3));
+        // Routes to shards 0 and 2 only: the failed shard is not touched.
+        set.ingest(0, &[rec(0, f0), rec(1, f2)]).unwrap();
+        // Routes to all three: shard 0 stages, shards 1 and 2 drop.
+        let batch = [rec(2, f2), rec(3, f1), rec(4, f0), rec(5, f2)];
+        assert_eq!(set.ingest(1, &batch), Err(Backpressure { shard: 1 }));
+        let snap = metrics.snapshot();
+        assert_eq!((snap.ingest_batches, snap.ingested_records), (3, 3));
+        assert_eq!((snap.dropped_batches, snap.dropped_records), (2, 3));
+        assert_eq!(set.snapshot(0, 0).unwrap().records.len(), 2);
+        assert!(
+            set.snapshot(1, 0).is_none(),
+            "a failed shard has no snapshot"
+        );
+        assert!(set.seal(1).is_none(), "a failed shard does not seal");
     }
 }

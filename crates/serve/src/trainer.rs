@@ -13,19 +13,14 @@
 //!
 //! ## One thread, one blocking cycle
 //!
-//! The trainer is a dedicated OS thread, `geomancy-trainer`, not a
-//! reactor actor: a fit never occupies a reactor worker, so shards and
-//! the query engine keep the whole pool while a model trains. Requests
-//! queue on a bounded channel and run one at a time. A cycle sends one
-//! delta `Snapshot` per shard through `ask_all` and blocks until every
-//! part is in. Snapshot requests ride each shard's FIFO mailbox, so a
-//! cycle still observes every batch ingested before it was requested. A
-//! shard that dies with a snapshot request in hand — before it was
-//! delivered, queued, or held mid-turn — drops its reply: the cycle is
-//! abandoned ([`TrainError::TrainerDown`] to its caller) and the thread
-//! moves on to the next request. A straggler part of an abandoned cycle
-//! lands in a channel made for that cycle alone, so it can never leak
-//! into the next one.
+//! The trainer is a dedicated OS thread, `geomancy-trainer`: a fit never
+//! holds a thread the query engine or ingest needs. Requests queue on a
+//! bounded channel and run one at a time. A cycle calls
+//! [`ShardSet::snapshot`] on each shard in turn, which flushes that
+//! shard's stage under its lock first, so a cycle observes every record
+//! acked before it was requested. A failed shard answers no snapshot: the
+//! cycle is abandoned ([`TrainError::TrainerDown`] to its caller) and the
+//! thread moves on to the next request.
 //!
 //! Dropping the [`Trainer`] closes the request channel and joins the
 //! thread once the queued cycles have run.
@@ -45,13 +40,12 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::{DrlConfig, DrlEngine};
 use geomancy_replaydb::StoredRecord;
-use geomancy_runtime::Addr;
 use geomancy_sim::record::AccessRecord;
 use geomancy_store::SharedPagedStore;
 
 use crate::batch::ModelSlot;
 use crate::metrics::ServeMetrics;
-use crate::shard::{ask_all, ShardMsg, ShardSet};
+use crate::shard::ShardSet;
 
 /// Fraction of a delta's size drawn from older history and mixed into
 /// each warm-start fit, resisting catastrophic forgetting of devices the
@@ -135,13 +129,13 @@ impl Trainer {
     /// pre-trim history.
     pub(crate) fn spawn(
         drl: DrlConfig,
-        shards: &ShardSet,
+        shards: &Arc<ShardSet>,
         slot: Arc<ModelSlot>,
         metrics: Arc<ServeMetrics>,
         cold: Option<SharedPagedStore>,
     ) -> Self {
         Trainer::start(TrainLoop {
-            shard_addrs: shards.addrs().to_vec(),
+            shards: Arc::clone(shards),
             drl,
             slot,
             metrics,
@@ -181,8 +175,8 @@ impl Trainer {
     ///
     /// [`TrainError::NotEnoughData`] with a too-small telemetry window
     /// (nothing published yet, or a delta too small to split),
-    /// [`TrainError::TrainerDown`] after shutdown or when a shard died
-    /// before answering the cycle's snapshot.
+    /// [`TrainError::TrainerDown`] after shutdown or when a shard has
+    /// failed.
     pub fn retrain_now(&self) -> Result<u64, TrainError> {
         let (reply, rx) = bounded(1);
         self.requests()
@@ -209,8 +203,7 @@ impl Trainer {
 
 impl Drop for Trainer {
     /// Closes the request channel and joins the thread after it has run
-    /// every queued cycle. A cycle whose shards are gone ends with
-    /// [`TrainError::TrainerDown`], so the join cannot hang on them.
+    /// every queued cycle.
     fn drop(&mut self) {
         drop(self.requests.take());
         if let Some(thread) = self.thread.take() {
@@ -232,7 +225,7 @@ fn sort_stream(records: &mut [StoredRecord]) {
 
 /// The trainer thread's state.
 struct TrainLoop {
-    shard_addrs: Vec<Addr<ShardMsg>>,
+    shards: Arc<ShardSet>,
     drl: DrlConfig,
     slot: Arc<ModelSlot>,
     metrics: Arc<ServeMetrics>,
@@ -318,18 +311,18 @@ impl TrainLoop {
         Ok(self.slot.publish_with_meta(master.fork(), meta))
     }
 
-    /// Asks every shard for its records past the watermark (all of them
-    /// when `full`) and waits for the answers. Returns the shards' new
-    /// watermarks, in shard order, and the merged records.
+    /// Takes every shard's records past the watermark (all of them when
+    /// `full`). Returns the shards' new watermarks, in shard order, and
+    /// the merged records.
     fn snapshot(&self, full: bool) -> Result<(Vec<u64>, Vec<StoredRecord>), TrainError> {
-        let parts = ask_all(&self.shard_addrs, |shard, reply| ShardMsg::Snapshot {
-            since: if full { 0 } else { self.watermarks[shard] },
-            reply,
-        })
-        .ok_or(TrainError::TrainerDown)?;
-        let watermarks = parts.iter().map(|part| part.applied).collect();
-        let mut delta: Vec<StoredRecord> =
-            parts.into_iter().flat_map(|part| part.records).collect();
+        let mut watermarks = Vec::with_capacity(self.shards.len());
+        let mut delta = Vec::new();
+        for (shard, &since) in self.watermarks.iter().enumerate() {
+            let since = if full { 0 } else { since };
+            let part = self.shards.snapshot(shard, since).ok_or(TrainError::TrainerDown)?;
+            watermarks.push(part.applied);
+            delta.extend(part.records);
+        }
         sort_stream(&mut delta);
         Ok((watermarks, delta))
     }
@@ -417,9 +410,7 @@ mod tests {
     use super::*;
     use crate::batch::PlacementRequest;
     use crate::service::{PlacementService, ServeConfig};
-    use crate::shard::{SnapshotDelta, SnapshotReply};
     use geomancy_replaydb::ReplayDb;
-    use geomancy_runtime::{Actor, Ctx, Reactor, ReactorConfig};
     use geomancy_sim::record::{DeviceId, FileId};
     use std::time::{Duration, Instant};
 
@@ -434,69 +425,20 @@ mod tests {
         assert!(warm_step_regressed(Some(10.0), 20.1, false));
     }
 
-    /// A stand-in shard for trainer lifecycle tests: replies to delta
-    /// snapshots with an empty delta — immediately when `hold` is false,
-    /// or on the next `TrimHot` when `hold` is true (letting a test
-    /// freeze a cycle mid-collection). A `Batch` kills it, simulating a
-    /// shard that panicked.
-    struct FakeShard {
-        hold: bool,
-        held: Option<SnapshotReply>,
-        /// Told each time a snapshot request is taken into `held`.
-        on_hold: Option<Sender<()>>,
-    }
-
-    impl FakeShard {
-        fn empty_delta() -> SnapshotDelta {
-            SnapshotDelta {
-                records: Vec::new(),
-                applied: 0,
-            }
-        }
-    }
-
-    impl Actor for FakeShard {
-        type Msg = ShardMsg;
-
-        fn on_msg(&mut self, msg: ShardMsg, _ctx: &mut Ctx<'_>) {
-            match msg {
-                ShardMsg::Snapshot { reply, .. } => {
-                    if self.hold {
-                        self.held = Some(reply);
-                        if let Some(told) = &self.on_hold {
-                            // Never block a worker on a test that stopped
-                            // listening.
-                            let _ = told.try_send(());
-                        }
-                    } else {
-                        reply.answer(FakeShard::empty_delta());
-                    }
-                }
-                ShardMsg::TrimHot { .. } => {
-                    if let Some(reply) = self.held.take() {
-                        reply.answer(FakeShard::empty_delta());
-                    }
-                }
-                ShardMsg::Batch { .. } => panic!("fake shard killed by test"),
-                ShardMsg::SealWal { reply } => reply.answer((0, 0)),
-            }
-        }
-    }
-
     /// `master`, when given, is resident as if an earlier cycle had
     /// trained it, with a fork of it published (epoch 1).
     fn spawn_trainer(
-        shard_addrs: Vec<Addr<ShardMsg>>,
+        shards: &Arc<ShardSet>,
         master: Option<DrlEngine>,
     ) -> (Trainer, Arc<ServeMetrics>) {
-        let n = shard_addrs.len();
+        let n = shards.len();
         let metrics = Arc::new(ServeMetrics::new(n));
         let slot = Arc::new(ModelSlot::new());
         if let Some(m) = &master {
             slot.publish(m.fork());
         }
         let trainer = Trainer::start(TrainLoop {
-            shard_addrs,
+            shards: Arc::clone(shards),
             drl: DrlConfig::default(),
             slot,
             metrics: Arc::clone(&metrics),
@@ -518,132 +460,37 @@ mod tests {
         answer
     }
 
-    /// Kills a fake shard and waits until its mailbox is really closed.
-    fn kill_shard(addr: &Addr<ShardMsg>) {
-        let _ = addr.send(ShardMsg::Batch {
-            timestamp_micros: 0,
-            records: Vec::new(),
-        });
-        for _ in 0..500 {
-            if addr
-                .send_now(ShardMsg::TrimHot { keep: usize::MAX })
-                .is_err()
-            {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        panic!("fake shard did not die");
+    /// `count` empty memory-only shards.
+    fn shards(count: usize) -> Arc<ShardSet> {
+        let metrics = Arc::new(ServeMetrics::new(count));
+        Arc::new(ShardSet::open(count, None, metrics, 0, &[]))
     }
 
-    fn fake_shard(hold: bool, on_hold: Option<Sender<()>>) -> FakeShard {
-        FakeShard {
-            hold,
-            held: None,
-            on_hold,
-        }
-    }
-
-    fn reactor(name: &str) -> Reactor {
-        Reactor::new(ReactorConfig {
-            name: name.to_string(),
-            ..ReactorConfig::default()
-        })
-    }
-
-    /// Satellite regression: a dead shard at cycle start must surface
-    /// `TrainerDown` to the blocked caller instead of hanging it.
+    /// A failed shard at cycle start must surface `TrainerDown` to the
+    /// blocked caller instead of hanging it.
     #[test]
     fn dead_shard_surfaces_trainer_down_to_blocked_caller() {
-        let reactor = reactor("trainer-test");
-        let (victim, _h) = reactor.spawn("victim", 16, fake_shard(false, None));
-        kill_shard(&victim);
-        let (trainer, _metrics) = spawn_trainer(vec![victim], None);
+        let shards = shards(1);
+        shards.fail(0);
+        let (trainer, _metrics) = spawn_trainer(&shards, None);
         assert_eq!(trainer.retrain_now(), Err(TrainError::TrainerDown));
-        drop(reactor.shutdown());
     }
 
-    /// A shard that dies *holding* a snapshot request — mid-snapshot, not
-    /// before the cycle started — must abandon the cycle too. The reply
-    /// used to be a bare closure, dropped uncalled with the dead actor,
-    /// and the trainer waited for that part forever.
-    #[test]
-    fn shard_dying_with_a_snapshot_in_hand_abandons_the_cycle() {
-        let reactor = reactor("trainer-midsnap");
-        let (held_tx, held_rx) = bounded(1);
-        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(true, Some(held_tx)));
-        let (trainer, _metrics) = spawn_trainer(vec![victim.clone()], None);
-        // The blocked caller runs on its own thread, so a hang fails this
-        // test by timeout instead of hanging it.
-        let (tx_a, rx_a) = bounded(1);
-        let (tx_b, rx_b) = bounded(1);
-        let caller = std::thread::spawn(move || {
-            let _ = tx_a.send(trainer.retrain_now());
-            let _ = tx_b.send(trainer.retrain_now());
-        });
-        held_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the cycle's snapshot request reaches the shard");
-        // Dies in this turn, the request in its state.
-        let _ = victim.send(ShardMsg::Batch {
-            timestamp_micros: 0,
-            records: Vec::new(),
-        });
-        assert_eq!(
-            rx_a.recv_timeout(Duration::from_secs(10)),
-            Ok(Err(TrainError::TrainerDown)),
-            "the cycle must be abandoned, not left waiting for the dead shard's part"
-        );
-        // The next cycle finds the shard dead at fan-out: same outcome.
-        assert_eq!(
-            rx_b.recv_timeout(Duration::from_secs(10)),
-            Ok(Err(TrainError::TrainerDown))
-        );
-        caller.join().unwrap();
-        drop(reactor.shutdown());
-    }
-
-    /// Satellite regression: abandoning a cycle over a dead shard must
-    /// also leave the cycles queued behind it to run (and fail) — before
-    /// the fix, queued callers blocked until an unrelated future trigger.
+    /// Abandoning a cycle over a failed shard leaves the cycles queued
+    /// behind it to run (and fail) instead of stranding them.
     #[test]
     fn abandoned_cycle_drains_the_queue() {
-        let reactor = reactor("trainer-starve");
-        let (held_tx, held_rx) = bounded(1);
-        let (victim, _hv) = reactor.spawn("victim", 16, fake_shard(false, None));
-        let (gate, _hg) = reactor.spawn("gate", 16, fake_shard(true, Some(held_tx)));
-        let (trainer, _metrics) = spawn_trainer(vec![victim.clone(), gate.clone()], None);
-
-        // Cycle A: the victim replies immediately, the gate holds its
-        // part, freezing the cycle mid-collection.
-        let rx_a = submit(&trainer);
-        held_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("A's snapshot request reaches the gate");
-        // The fan-out asked the victim before the gate, and the victim's
-        // mailbox is FIFO: it answers A before the kill lands. Then queue
-        // B and C behind the frozen cycle.
-        kill_shard(&victim);
-        let rx_b = submit(&trainer);
-        let rx_c = submit(&trainer);
-        // Release the gate: A completes (empty data ⇒ NotEnoughData),
-        // then B starts, hits the dead victim, is abandoned — and C must
-        // run next and fail fast instead of stranding.
-        gate.send(ShardMsg::TrimHot { keep: 0 }).ok().unwrap();
-
-        let a = rx_a.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(a, Err(TrainError::NotEnoughData));
-        assert_eq!(
-            rx_b.recv_timeout(Duration::from_secs(10)),
-            Ok(Err(TrainError::TrainerDown)),
-            "B must report TrainerDown"
-        );
-        assert_eq!(
-            rx_c.recv_timeout(Duration::from_secs(10)),
-            Ok(Err(TrainError::TrainerDown)),
-            "C must not strand behind the abandoned B"
-        );
-        drop(reactor.shutdown());
+        let shards = shards(2);
+        shards.fail(1);
+        let (trainer, _metrics) = spawn_trainer(&shards, None);
+        let queued: Vec<_> = (0..3).map(|_| submit(&trainer)).collect();
+        for (k, answer) in queued.iter().enumerate() {
+            assert_eq!(
+                answer.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(TrainError::TrainerDown)),
+                "cycle {k} must report TrainerDown, not strand"
+            );
+        }
     }
 
     /// Satellite regression (`geomancy serve --retrains 1` panicked on
@@ -652,10 +499,8 @@ mod tests {
     /// fit, no publish, no counter moves — as often as it is asked.
     #[test]
     fn empty_delta_with_a_published_model_is_a_noop() {
-        let reactor = reactor("trainer-noop");
-        let (quiet, _h) = reactor.spawn("quiet", 16, fake_shard(false, None));
         let master = DrlEngine::new(DrlConfig::default());
-        let (trainer, metrics) = spawn_trainer(vec![quiet], Some(master));
+        let (trainer, metrics) = spawn_trainer(&shards(1), Some(master));
         assert_eq!(trainer.retrain_now(), Ok(1));
         assert_eq!(trainer.retrain_now(), Ok(1));
         let snap = metrics.snapshot();
@@ -664,7 +509,6 @@ mod tests {
             (0, 0, 0)
         );
         assert_eq!((snap.retrain_records, snap.retrain_micros), (0, 0));
-        drop(reactor.shutdown());
     }
 
     /// Device 1 is ~4x faster than device 0.
@@ -755,22 +599,19 @@ mod tests {
     }
 
     /// Shutdown in `PlacementService::shutdown`'s order — the trainer
-    /// first, then the reactor — with a cycle queued behind a running
-    /// one: it returns, and both callers are answered.
+    /// first, then the shards — with a cycle queued behind a running one:
+    /// it returns, and both callers are answered.
     #[test]
     fn shutdown_answers_a_cycle_queued_behind_a_running_one() {
-        let reactor = reactor("trainer-shutdown");
         let config = slow_fit_config();
         let metrics = Arc::new(ServeMetrics::new(config.shards));
-        let shards = ShardSet::spawn_on(
-            &reactor,
+        let shards = Arc::new(ShardSet::open(
             config.shards,
-            16,
             None,
             Arc::clone(&metrics),
             0,
             &[],
-        );
+        ));
         shards.ingest(0, &records(0, 300)).unwrap();
         let slot = Arc::new(ModelSlot::new());
         let trainer = Trainer::spawn(config.drl, &shards, slot, Arc::clone(&metrics), None);
@@ -782,7 +623,7 @@ mod tests {
         let (stopped_tx, stopped) = bounded(1);
         let shutdown = std::thread::spawn(move || {
             drop(trainer);
-            let dbs = shards.take_dbs(&reactor.shutdown());
+            let dbs = shards.dbs();
             let _ = stopped_tx.send(dbs.iter().map(ReplayDb::len).sum::<usize>());
         });
         assert_eq!(
@@ -800,8 +641,7 @@ mod tests {
     }
 
     /// Dropping a service without `shutdown()` while a cycle is fitting
-    /// returns: the reactor stops, then the trainer's join waits out the
-    /// fit.
+    /// returns: the trainer's join waits out the fit.
     #[test]
     fn dropping_a_service_mid_cycle_returns() {
         let service = PlacementService::start(ServeConfig {

@@ -121,7 +121,7 @@ fn oversized_submission_admitted_when_quiet() {
 }
 
 /// The full soak: concurrent clients offering bursts far above the
-/// pending watermark, plus ingest pressure on tiny shard queues.
+/// pending watermark, plus ingest pressure beside them.
 #[test]
 fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
     const CLIENTS: u64 = 8;
@@ -134,7 +134,7 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
         ..AdmissionConfig::default()
     });
 
-    // Ingest pressure on the non-blocking path while queries run.
+    // Ingest pressure while queries run.
     let ingest_offered = Arc::new(AtomicU64::new(0));
     let ingest_stop = Arc::new(AtomicU64::new(0));
     let pressure = {
@@ -146,7 +146,7 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
             while stop.load(Ordering::Relaxed) == 0 {
                 let batch = [rec(n, n % 8), rec(n + 1, (n + 1) % 8)];
                 offered.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                let _ = service.try_ingest(n * 1_000_000, &batch);
+                let _ = service.ingest(n * 1_000_000, &batch);
                 n += 2;
             }
         })
