@@ -47,9 +47,9 @@ const MEASURE_ROUNDS: usize = 3;
 
 /// Live thread count of this process (Linux); 0 if unreadable.
 ///
-/// Sampled mid-load to show the reactor pool's footprint: the old
-/// thread-per-shard/-client layout scaled with topology, the shared
-/// reactor holds a fixed worker pool regardless of shard count.
+/// Sampled mid-load to show the service's thread footprint: the old
+/// thread-per-shard/-client layout scaled with topology, the service's
+/// threads do not grow with the shard count.
 fn process_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .map(|d| d.count())
@@ -78,7 +78,7 @@ fn serve_config(max_batch: usize) -> ServeConfig {
 /// Load report plus the runtime footprint observed while serving it.
 struct ModeRun {
     report: LoadReport,
-    reactor_workers: usize,
+    runtime_workers: usize,
     threads_live: usize,
 }
 
@@ -95,14 +95,14 @@ fn run_mode(mode: QueryMode, load: &LoadConfig) -> ModeRun {
             ..load.clone()
         },
     );
-    let reactor_workers = service.reactor_workers();
+    let runtime_workers = service.reactor().worker_count();
     let threads_live = process_threads();
     Arc::try_unwrap(service)
         .expect("load driver released the service")
         .shutdown();
     ModeRun {
         report,
-        reactor_workers,
+        runtime_workers,
         threads_live,
     }
 }
@@ -757,7 +757,6 @@ fn overload_roundtrips() -> bool {
     let service = Arc::new(PlacementService::start(ServeConfig {
         admission: AdmissionConfig {
             max_pending_requests: Some(0),
-            defer_micros: 0,
             ..AdmissionConfig::default()
         },
         ..serve_config(256)
@@ -826,8 +825,8 @@ fn main() {
     let batched = &batched_run.report;
     let speedup = batched.decisions_per_sec / per_file.decisions_per_sec;
     println!(
-        "runtime footprint: {} reactor workers, {} process threads mid-load",
-        batched_run.reactor_workers, batched_run.threads_live,
+        "runtime footprint: {} reactor worker, {} process threads mid-load",
+        batched_run.runtime_workers, batched_run.threads_live,
     );
 
     print_table(
@@ -980,7 +979,7 @@ fn main() {
         "measured_runs": load.measured_runs,
         "fast_mode": fast,
         "kernel_backend": kernel_backend,
-        "reactor_workers": batched_run.reactor_workers,
+        "runtime_workers": batched_run.runtime_workers,
         "per_file": {
             "decisions": per_file.decisions,
             "elapsed_secs": per_file.elapsed_secs,

@@ -59,7 +59,6 @@ COMMANDS:
                   --max-batch N       max requests fused per pass (default 256);
                                       a pass takes what is queued, never waits
                   --queue-capacity N  query engine queue depth (default 1024)
-                  --reactor-workers N reactor pool threads (default 0 = auto)
                   --max-pending N     shed queries above N in flight (default off)
                   --retrains N        mid-load retrain cycles (default 1)
                   --per-file          per-file baseline (no batched submissions)
@@ -427,7 +426,6 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
             ..DrlConfig::default()
         },
         retrain_every_records: None,
-        reactor_workers: args.u64_or("reactor-workers", 0)? as usize,
         admission: AdmissionConfig {
             max_pending_requests: args
                 .options
@@ -465,15 +463,14 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let service = Arc::new(PlacementService::start(serve_config));
     println!(
-        "serving BELLE II load: {} shards, {} clients, mode {:?}, {} reactor workers, {} kernels…",
+        "serving BELLE II load: {} shards, {} clients, mode {:?}, {} kernels…",
         shards,
         load_config.clients,
         load_config.mode,
-        service.reactor_workers(),
         geomancy_nn::matrix::kernels::backend_name(),
     );
     let report = geomancy_serve::run_belle2_load(&service, &load_config);
-    let shard_dbs = Arc::try_unwrap(service)
+    let shard_tails = Arc::try_unwrap(service)
         .expect("load driver released the service")
         .shutdown();
 
@@ -487,7 +484,7 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     println!(
         "ingested {} records across {} shards ({} dropped batches), {} retrains, {} model swaps",
         report.ingested_records,
-        shard_dbs.len(),
+        shard_tails.len(),
         report.metrics.dropped_batches,
         report.metrics.retrains,
         report.metrics.model_swaps,

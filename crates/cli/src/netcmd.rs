@@ -112,7 +112,6 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
             0 => None,
             n => Some(n),
         },
-        reactor_workers: args.u64_or("reactor-workers", 0)? as usize,
         admission: AdmissionConfig {
             max_pending_requests: args
                 .options
@@ -120,7 +119,6 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
                 .map(|v| v.parse())
                 .transpose()?,
             per_shard_pending,
-            ..AdmissionConfig::default()
         },
         node_id: args.u64_or("node-id", 0)?,
         ..ServeConfig::default()
@@ -138,10 +136,9 @@ pub fn serve_listen(args: &Args, listen: &str) -> Result<(), Box<dyn Error>> {
     let server = NetServer::start(listen, Arc::clone(&service), NetConfig::default())?;
     sig::install();
     println!(
-        "geomancy-serve listening on {} ({} shards, {} reactor workers); SIGTERM or Ctrl-C drains and exits",
+        "geomancy-serve listening on {} ({} shards); SIGTERM or Ctrl-C drains and exits",
         server.local_addr(),
         service.metrics().queue_depth.len(),
-        service.reactor_workers(),
     );
     while !sig::stopped() {
         std::thread::sleep(std::time::Duration::from_millis(50));

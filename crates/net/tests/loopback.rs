@@ -139,7 +139,6 @@ fn full_protocol_over_loopback() {
 fn overload_is_a_status_not_a_reset() {
     let svc = service(AdmissionConfig {
         max_pending_requests: Some(0),
-        defer_micros: 0,
         ..AdmissionConfig::default()
     });
     // Publish a model so overload is the only obstacle.
@@ -181,14 +180,22 @@ fn overload_is_a_status_not_a_reset() {
 }
 
 /// Kill-mid-stream: a client vanishes with queries in flight (the engine
-/// is parked inside a gated completion, so they provably are). The server
+/// is busy with one oversized pass, so they provably are). The server
 /// must keep serving other connections and release every orphaned reply
 /// path — the admission controller's pending gauge returns to zero.
 #[test]
 fn killed_client_leaks_nothing_and_neighbors_survive() {
+    // Distinct requests in the submission that parks the engine. A pass
+    // takes a submission whole, however large, so one pass ranks them
+    // all: ≈1.4 s in debug and ≈0.3 s in release on a 2-vCPU guest, where
+    // the doomed peer's frames are in flight within ≈20 ms.
+    const PARK: u64 = if cfg!(debug_assertions) {
+        25_000
+    } else {
+        400_000
+    };
     let svc = service(AdmissionConfig {
-        max_pending_requests: Some(1_000),
-        defer_micros: 0,
+        max_pending_requests: Some(PARK + 1_000),
         ..AdmissionConfig::default()
     });
     for i in 0..300u64 {
@@ -202,22 +209,28 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
         write_bytes: 0,
     };
 
-    // Park the engine: this completion blocks until `release` drops (it
-    // breaks the must-not-block rule on purpose), so nothing submitted
-    // after it is answered before then. It may run on the submitting
-    // thread, so that is a thread of its own.
-    let (release, gate) = std::sync::mpsc::channel::<()>();
-    let (parked_tx, parked) = std::sync::mpsc::channel();
+    // Park the engine: nothing submitted after the oversized submission
+    // is answered before its pass ends. Its caller runs the pass, so that
+    // is a thread of its own.
+    let decided = svc.metrics().decisions;
+    let (queued_tx, queued) = std::sync::mpsc::channel();
     let parker = {
         let svc = Arc::clone(&svc);
         std::thread::spawn(move || {
-            svc.query_many_async(vec![req(0)], move |_| {
-                parked_tx.send(()).unwrap();
-                let _ = gate.recv();
-            });
+            let pending = svc.submit((1_000..1_000 + PARK).map(req).collect());
+            queued_tx.send(()).unwrap();
+            pending.wait().map(|decisions| decisions.len() as u64)
         })
     };
-    parked.recv().expect("engine reached the gated completion");
+    queued.recv().expect("the oversized submission queued");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.metrics().engine_queue != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "no pass took the oversized submission"
+        );
+        std::thread::yield_now();
+    }
 
     // The doomed peer: a raw socket fires queries at the parked engine
     // and vanishes without ever reading a reply.
@@ -232,7 +245,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
         }
         raw.flush().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.metrics().pending_requests != 8 {
+        while svc.metrics().pending_requests != PARK + 8 {
             assert!(
                 Instant::now() < deadline,
                 "the 8 queries never got in flight"
@@ -240,10 +253,11 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
             std::thread::yield_now();
         }
         // Connection dropped with all 8 queries admitted and unanswered.
+        assert_eq!(svc.metrics().decisions, decided, "the engine moved");
         drop(raw);
     }
-    drop(release);
-    parker.join().expect("parked submitter panicked");
+    let parked = parker.join().expect("parked submitter panicked");
+    assert_eq!(parked, Ok(PARK));
 
     // A healthy neighbor is served once the engine moves again.
     let healthy = client(&server);

@@ -6,23 +6,21 @@
 //!
 //! Clients submit either one request ([`crate::PlacementService::query`])
 //! or a whole slice ([`crate::PlacementService::query_many`]); each
-//! submission joins one queue of at most `queue_capacity`. A submitter
-//! that finds the engine lock free runs a pass on its own thread: it takes
-//! whole submissions until it holds `max_batch` requests or the queue is
-//! empty and answers them in one fused pass. Nothing waits on a clock: an
-//! idle engine answers a lone caller at once, and while one pass runs
-//! later submissions queue, so the next pass takes them all and batch
-//! size grows with load. A submitter that finds the lock held parks on its
-//! reply channel, or leaves a completion to run on whichever thread
-//! serves its pass. Once its own is answered the holder releases the
-//! lock and looks at the queue: it hands the lock to a parked submitter
-//! if one waits, so no caller is held hostage serving others, and
-//! otherwise serves the completions itself, so nothing is stranded. Within a
-//! pass, requests with the same `(file, read, write)` shape share one
-//! feature row — BELLE II reads each file 10–20 times in succession, so
-//! concurrent request streams are full of exact duplicates — and the
-//! unique rows go through the network in one fused
-//! [`geomancy_core::drl::DrlEngine::rank_locations_batch_into`] pass.
+//! submission joins one queue of at most `queue_capacity`, and its caller
+//! waits for the answer. A caller that finds the engine lock free runs a
+//! pass on its own thread: it takes whole submissions until it holds
+//! `max_batch` requests or the queue is empty and answers them in one
+//! fused pass. Nothing waits on a clock: an idle engine answers a lone
+//! caller at once, and while one pass runs later submissions queue, so
+//! the next pass takes them all and batch size grows with load. A caller
+//! that finds the lock held parks on its reply channel. Once its own is
+//! answered the holder releases the lock and hands it to the caller of
+//! the oldest queued submission, so no caller is held hostage serving
+//! others and nothing is stranded. Within a pass, requests with the same
+//! `(file, read, write)` shape share one feature row — BELLE II reads each
+//! file 10–20 times in succession, so concurrent request streams are full
+//! of exact duplicates — and the unique rows go through the network in one
+//! fused [`geomancy_core::drl::DrlEngine::rank_locations_batch_into`] pass.
 //!
 //! ## Hot-swap
 //!
@@ -171,33 +169,22 @@ impl ModelSlot {
 /// What wakes a parked caller: its answer, or `None` to hand it the lock.
 type Wake = Option<Result<Vec<Decision>, QueryError>>;
 
-/// How a submission wants its decisions delivered.
-enum Reply {
-    /// A blocking caller, parked on its channel; `handed` once given the lock.
-    Parked { tx: Sender<Wake>, handed: bool },
-    /// A completion, run under the lock by whoever serves the pass: it
-    /// must not block.
-    Callback(Box<dyn FnOnce(Result<Vec<Decision>, QueryError>) + Send>),
-}
-
-impl Reply {
-    fn send(self, result: Result<Vec<Decision>, QueryError>) {
-        match self {
-            // The channel holds two: at most one hand-off, then this.
-            Reply::Parked { tx, .. } => {
-                let _ = tx.send(Some(result));
-            }
-            Reply::Callback(f) => f(result),
-        }
-    }
-}
-
-/// One submission: requests plus the reply path to answer them on.
+/// One submission: requests plus the channel its caller parks on.
 struct Submission {
     requests: Vec<PlacementRequest>,
-    /// Reactor-time enqueue stamp (microseconds) for latency accounting.
+    /// Enqueue stamp on the service's clock (microseconds), for latency
+    /// accounting.
     enqueued_micros: u64,
-    reply: Reply,
+    /// Holds two: at most one hand-off, then the answer.
+    tx: Sender<Wake>,
+    /// Set once its caller was handed the lock.
+    handed: bool,
+}
+
+impl Submission {
+    fn answer(self, result: Result<Vec<Decision>, QueryError>) {
+        let _ = self.tx.send(Some(result));
+    }
 }
 
 /// The submissions waiting for a pass.
@@ -212,7 +199,7 @@ struct Queue {
     down: bool,
 }
 
-/// A queued blocking submission's place and reply channel.
+/// A queued submission's place and reply channel.
 pub(crate) type Ticket = (u64, Receiver<Wake>);
 
 /// The query engine: a bounded queue in front of the engine lock.
@@ -267,10 +254,31 @@ impl BatchEngine {
 
     /// Queues `requests` without serving them, so one caller can queue
     /// several to share a pass; a full queue makes it serve a pass first.
+    /// On a down engine the ticket is answered `ServiceDown` at once.
     pub(crate) fn submit(&self, requests: Vec<PlacementRequest>) -> Ticket {
         let (tx, rx) = bounded(2);
-        let n = self.enqueue(requests, Reply::Parked { tx, handed: false });
-        (n.unwrap_or(0), rx)
+        let enqueued_micros = self.time.now_micros();
+        let mut queue = self.lock_queue();
+        while !queue.down && queue.subs.len() >= self.capacity {
+            // Full: wait for the lock and serve a pass (place 0 is long
+            // answered), as what is queued may be this caller's own.
+            drop(queue);
+            self.combine(0, true);
+            queue = self.lock_queue();
+        }
+        let sub = Submission {
+            requests,
+            enqueued_micros,
+            tx,
+            handed: false,
+        };
+        if queue.down {
+            sub.answer(Err(QueryError::ServiceDown));
+            return (0, rx);
+        }
+        queue.subs.push_back(sub);
+        queue.queued += 1;
+        (queue.queued - 1, rx)
     }
 
     /// Blocks for a submission's decisions, serving passes on this thread
@@ -287,19 +295,6 @@ impl BatchEngine {
         }
     }
 
-    /// Submits non-empty `requests` with a completion, run once (on this
-    /// thread when the engine is idle or down, else by whoever serves the
-    /// pass); it must not block. A full queue makes the caller serve a pass.
-    pub(crate) fn query_many_async(
-        &self,
-        requests: Vec<PlacementRequest>,
-        done: Box<dyn FnOnce(Result<Vec<Decision>, QueryError>) + Send>,
-    ) {
-        if let Some(n) = self.enqueue(requests, Reply::Callback(done)) {
-            self.combine(n, false);
-        }
-    }
-
     /// Submissions currently queued for a pass (gauge).
     pub fn queue_len(&self) -> usize {
         self.lock_queue().subs.len()
@@ -309,60 +304,30 @@ impl BatchEngine {
         self.queue.lock().expect("engine queue poisoned")
     }
 
-    /// Queues one submission and returns its place; `None` (the reply
-    /// answered `ServiceDown`) when the engine is down.
-    fn enqueue(&self, requests: Vec<PlacementRequest>, reply: Reply) -> Option<u64> {
-        let enqueued_micros = self.time.now_micros();
-        let mut queue = self.lock_queue();
-        while !queue.down && queue.subs.len() >= self.capacity {
-            // Full: wait for the lock and serve a pass (place 0 is long
-            // answered), as what is queued may be this caller's own.
-            drop(queue);
-            self.combine(0, true);
-            queue = self.lock_queue();
-        }
-        if queue.down {
-            drop(queue);
-            reply.send(Err(QueryError::ServiceDown));
-            return None;
-        }
-        queue.subs.push_back(Submission {
-            requests,
-            enqueued_micros,
-            reply,
-        });
-        queue.queued += 1;
-        Some(queue.queued - 1)
-    }
-
     /// If it gets the engine lock (tried, or waited for when `handed`),
     /// serves a pass and on until submission `own` is answered, then hands
-    /// the lock to a parked submitter still queued or serves completions
-    /// alone itself. A caller that cannot take the lock just returns: the
+    /// the lock on. A caller that cannot take the lock just returns: the
     /// holder looks at the queue after releasing it.
-    fn combine(&self, own: u64, mut handed: bool) {
-        loop {
-            let core = match std::mem::take(&mut handed) {
-                true => self.core.lock().ok(),
-                false => self.core.try_lock().ok(),
-            };
-            let Some(mut core) = core else { return };
-            while self.pass(&mut core).is_some_and(|taken| taken <= own) {}
-            drop(core);
-            let mut queue = self.lock_queue();
-            if queue.subs.is_empty() {
-                return;
-            }
-            let parked = queue.subs.iter_mut().find_map(|s| match &mut s.reply {
-                Reply::Parked { tx, handed } => Some((tx, handed)),
-                Reply::Callback(_) => None,
-            });
-            if let Some((tx, handed)) = parked {
-                // Unless it is already on its way to the lock.
-                if !std::mem::replace(handed, true) {
-                    let _ = tx.try_send(None);
-                }
-                return;
+    fn combine(&self, own: u64, handed: bool) {
+        let core = match handed {
+            true => self.core.lock().ok(),
+            false => self.core.try_lock().ok(),
+        };
+        let Some(mut core) = core else { return };
+        while self.pass(&mut core).is_some_and(|taken| taken <= own) {}
+        drop(core);
+        self.hand_off();
+    }
+
+    /// Run after releasing the engine lock: wakes the caller of the oldest
+    /// queued submission to take it, unless that caller is already on its
+    /// way. So a submission is never left with nobody to serve it, and no
+    /// caller is held serving others once its own is answered.
+    fn hand_off(&self) {
+        let mut queue = self.lock_queue();
+        if let Some(sub) = queue.subs.front_mut() {
+            if !std::mem::replace(&mut sub.handed, true) {
+                let _ = sub.tx.try_send(None);
             }
         }
     }
@@ -394,8 +359,7 @@ impl BatchEngine {
         let queued = std::mem::take(&mut queue.subs);
         drop(queue);
         for sub in core.held.drain(..).chain(queued) {
-            let answer = || sub.reply.send(Err(QueryError::ServiceDown));
-            let _ = catch_unwind(AssertUnwindSafe(answer));
+            sub.answer(Err(QueryError::ServiceDown));
         }
         None
     }
@@ -436,7 +400,7 @@ impl Core {
         let batch_requests: usize = self.held.iter().map(|s| s.requests.len()).sum();
         let Some(model) = self.engine.as_mut() else {
             while let Some(sub) = self.held.pop_front() {
-                sub.reply.send(Err(QueryError::NotReady));
+                sub.answer(Err(QueryError::NotReady));
             }
             return;
         };
@@ -522,7 +486,38 @@ impl Core {
                 .collect();
             let waited = served_at.saturating_sub(sub.enqueued_micros);
             self.metrics.observe_latency_us(waited);
-            sub.reply.send(Ok(decisions));
+            sub.answer(Ok(decisions));
+        }
+    }
+}
+
+#[cfg(test)]
+mod park {
+    use super::*;
+
+    /// The engine lock, held as a pass in progress holds it.
+    pub(crate) struct Parked<'a> {
+        engine: &'a BatchEngine,
+        core: Option<MutexGuard<'a, Core>>,
+    }
+
+    impl BatchEngine {
+        /// Holds the engine lock until the guard drops, so what is
+        /// submitted meanwhile provably queues.
+        pub(crate) fn park(&self) -> Parked<'_> {
+            let core = self.core.lock().expect("engine lock poisoned");
+            Parked {
+                engine: self,
+                core: Some(core),
+            }
+        }
+    }
+
+    impl Drop for Parked<'_> {
+        /// Releases the lock and hands it on, as a pass's holder does.
+        fn drop(&mut self) {
+            drop(self.core.take());
+            self.engine.hand_off();
         }
     }
 }

@@ -289,8 +289,8 @@ mod tests {
         let (stopped_tx, stopped) = bounded(1);
         let shutdown = std::thread::spawn(move || {
             drop(checkpointer);
-            let dbs = shards.dbs();
-            let _ = stopped_tx.send(dbs.len());
+            let tails = shards.take_hot_tails();
+            let _ = stopped_tx.send(tails.len());
         });
         assert!(
             stopped.recv_timeout(Duration::from_millis(50)).is_err(),

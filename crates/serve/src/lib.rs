@@ -54,7 +54,7 @@
 //!   checkpointer thread seals every shard WAL, absorbs the segments into
 //!   the cold paged store, and only then trims the shards' hot tails.
 //! - **Admission control** ([`service`]): over a global or per-shard
-//!   pending-request watermark, `query_many` defers once then sheds with
+//!   pending-request watermark, a submission sheds at once with
 //!   [`QueryError::Overloaded`] — and the [`metrics`] snapshot is
 //!   coherent, so `queries_offered == queries_admitted + queries_shed`
 //!   holds in every observation, mirroring ingest's

@@ -6,13 +6,14 @@
 //! ingest; the query engine runs on its callers' threads; the trainer,
 //! and with a WAL the flush thread and with a store the checkpointer, are
 //! one thread each, so the service's thread count does not grow with its
-//! shards. (Its [`geomancy_runtime::Reactor`] pool hosts no actor of the
-//! service's own; it stays for the callers of
-//! [`PlacementService::reactor`].) In front of the query path sits a
-//! cross-shard admission controller: when the service is over its global
-//! or per-shard pending-request watermark, `query_many` defers briefly and
-//! then sheds with [`QueryError::Overloaded`] instead of letting queues
-//! grow without bound — and every shed request is accounted
+//! shards. (Its one-worker [`geomancy_runtime::Reactor`] hosts no actor;
+//! it stays for the callers of [`PlacementService::reactor`], which read
+//! its clock and statistics.) Every query is a ticket its caller waits
+//! on ([`PlacementService::submit`], then [`PendingQuery::wait`]). In
+//! front of the query path sits a cross-shard admission controller: when
+//! the service is over its global or per-shard pending-request watermark,
+//! a submission sheds with [`QueryError::Overloaded`] instead of letting
+//! queues grow without bound — and every shed request is accounted
 //! (`queries_offered == queries_admitted + queries_shed`), mirroring the
 //! ingest side's `ingested + dropped == offered`.
 
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use geomancy_core::drl::{DrlConfig, DrlEngine};
-use geomancy_replaydb::ReplayDb;
+use geomancy_replaydb::StoredRecord;
 use geomancy_runtime::{Reactor, ReactorConfig, TimeSource};
 use geomancy_sim::record::{AccessRecord, DeviceId};
 use geomancy_sim::SharedSimClock;
@@ -48,10 +49,6 @@ pub struct AdmissionConfig {
     /// the others. Empty disables per-shard admission; a non-empty vector
     /// must have exactly `shards` entries.
     pub per_shard_pending: Vec<u64>,
-    /// Before shedding, wait this many wall microseconds once and
-    /// re-check — a momentary spike drains instead of shedding. 0 sheds
-    /// immediately.
-    pub defer_micros: u64,
 }
 
 impl AdmissionConfig {
@@ -115,8 +112,6 @@ pub struct ServeConfig {
     /// Auto-retrain after this many newly ingested records (`None`
     /// retrains only on explicit [`PlacementService::retrain_now`]).
     pub retrain_every_records: Option<u64>,
-    /// Workers of the service's reactor pool (0 = auto-size).
-    pub reactor_workers: usize,
     /// Admission-control watermarks for the query path.
     pub admission: AdmissionConfig,
     /// Cold paged store + background checkpointer; `None` keeps shard
@@ -159,7 +154,6 @@ impl Default for ServeConfig {
             candidates: (0..4).map(DeviceId).collect(),
             drl: DrlConfig::default(),
             retrain_every_records: None,
-            reactor_workers: 0,
             admission: AdmissionConfig::default(),
             store: None,
             node_id: 0,
@@ -192,26 +186,12 @@ pub struct PlacementService {
 }
 
 /// Receipt for an admitted submission: what [`PlacementService::admit`]
-/// charged to the pending gauges, so the release after the reply (or after
-/// an orphaned completion) subtracts exactly the same amounts.
+/// charged to the pending gauges, so the release after the answer
+/// subtracts exactly the same amounts.
 struct Admitted {
     total: u64,
     /// Per-shard request counts; empty when per-shard admission is off.
     per_shard: Vec<u64>,
-}
-
-/// Returns an admitted submission's charge to the pending gauges. Takes
-/// the gauges rather than the service, so an async completion that fires
-/// after the service is gone releases through the same arithmetic.
-fn release(metrics: &ServeMetrics, admitted: &Admitted) {
-    metrics
-        .pending_requests
-        .fetch_sub(admitted.total, Ordering::Relaxed);
-    for (k, &count) in admitted.per_shard.iter().enumerate() {
-        if count > 0 {
-            metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
-        }
-    }
 }
 
 impl PlacementService {
@@ -250,7 +230,7 @@ impl PlacementService {
         let metrics = Arc::new(ServeMetrics::new(config.shards));
         metrics.node_id.store(config.node_id, Ordering::Relaxed);
         let mut reactor_config = ReactorConfig {
-            workers: config.reactor_workers,
+            workers: 1,
             name: "geomancy-serve".to_string(),
             ..ReactorConfig::default()
         };
@@ -433,10 +413,9 @@ impl PlacementService {
     }
 
     /// Runs the admission controller for one submission: over the
-    /// watermarks, the call defers once (`defer_micros`) and then sheds;
-    /// otherwise every offered request is accounted and charged to the
-    /// pending gauges. The returned receipt must be passed to [`release`]
-    /// exactly once after the submission is answered (or abandoned).
+    /// watermarks, the call sheds; otherwise every offered request is
+    /// accounted and charged to the pending gauges. The [`PendingQuery`]
+    /// holding the returned receipt releases it once answered.
     fn admit(&self, requests: &[PlacementRequest]) -> Result<Admitted, QueryError> {
         let n = requests.len() as u64;
         let per_shard: Vec<u64> = if self.admission.per_shard_pending.is_empty() {
@@ -448,21 +427,14 @@ impl PlacementService {
             }
             counts
         };
-        if self.admission.enabled() {
-            if self.over_watermarks(n, &per_shard) && self.admission.defer_micros > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(
-                    self.admission.defer_micros,
-                ));
+        if self.admission.enabled() && self.over_watermarks(n, &per_shard) {
+            let _guard = self.metrics.accounting();
+            self.metrics.queries_offered.fetch_add(n, Ordering::Relaxed);
+            self.metrics.queries_shed.fetch_add(n, Ordering::Relaxed);
+            for k in self.breached_shards(&per_shard) {
+                self.metrics.shard_shed[k].fetch_add(per_shard[k], Ordering::Relaxed);
             }
-            if self.over_watermarks(n, &per_shard) {
-                let _guard = self.metrics.accounting();
-                self.metrics.queries_offered.fetch_add(n, Ordering::Relaxed);
-                self.metrics.queries_shed.fetch_add(n, Ordering::Relaxed);
-                for k in self.breached_shards(&per_shard) {
-                    self.metrics.shard_shed[k].fetch_add(per_shard[k], Ordering::Relaxed);
-                }
-                return Err(QueryError::Overloaded);
-            }
+            return Err(QueryError::Overloaded);
         }
         {
             let _guard = self.metrics.accounting();
@@ -502,9 +474,9 @@ impl PlacementService {
 
     /// Decisions for a whole slice of requests, submitted as one message —
     /// the batched path the engine fuses and dedups. Runs through the
-    /// admission controller first: over the watermarks, the call defers
-    /// once (`defer_micros`) and then sheds with
-    /// [`QueryError::Overloaded`]; shed requests never reach the engine.
+    /// admission controller first: over the watermarks, the call sheds
+    /// with [`QueryError::Overloaded`]; shed requests never reach the
+    /// engine.
     ///
     /// # Errors
     ///
@@ -527,42 +499,6 @@ impl PlacementService {
             service: self,
             queued,
         }
-    }
-
-    /// Asynchronous [`PlacementService::query_many`]: runs the same
-    /// admission controller, then hands the submission to the engine with
-    /// a completion instead of blocking. `done` runs exactly once — on
-    /// this thread for shed (`Overloaded`) or empty submissions and when
-    /// the engine is idle, otherwise on whichever thread serves the pass —
-    /// and must not block.
-    ///
-    /// Pending accounting is released when the completion fires even if
-    /// the caller that submitted the request is gone (a disconnected
-    /// client never leaks admission budget).
-    pub fn query_many_async(
-        &self,
-        requests: Vec<PlacementRequest>,
-        done: impl FnOnce(Result<Vec<Decision>, QueryError>) + Send + 'static,
-    ) {
-        if requests.is_empty() {
-            done(Ok(Vec::new()));
-            return;
-        }
-        let admitted = match self.admit(&requests) {
-            Ok(admitted) => admitted,
-            Err(e) => {
-                done(Err(e));
-                return;
-            }
-        };
-        let metrics = Arc::clone(&self.metrics);
-        self.engine.query_many_async(
-            requests,
-            Box::new(move |result| {
-                release(&metrics, &admitted);
-                done(result);
-            }),
-        );
     }
 
     /// Runs a retrain cycle now and waits for its model to publish;
@@ -619,18 +555,10 @@ impl PlacementService {
         self.slot.trained_meta()
     }
 
-    /// The service's reactor pool. It hosts no actor of the service's own;
-    /// callers read its statistics and clock.
+    /// The service's one-worker reactor. It hosts no actor; callers read
+    /// its statistics and clock.
     pub fn reactor(&self) -> &Reactor {
         self.reactor.as_ref().expect("reactor alive until shutdown")
-    }
-
-    /// Number of reactor pool workers.
-    pub fn reactor_workers(&self) -> usize {
-        self.reactor
-            .as_ref()
-            .expect("reactor alive until shutdown")
-            .worker_count()
     }
 
     /// Coherent point-in-time copy of the service counters, with live
@@ -648,16 +576,16 @@ impl PlacementService {
 
     /// Orderly shutdown: the checkpointer and trainer threads finish
     /// their queued cycles, the flush thread writes every stage to its
-    /// WAL, and the reactor stops its workers. Every query was answered
-    /// before its caller let go of the service. Returns the final
-    /// per-shard databases (each shard's hot tail).
-    pub fn shutdown(mut self) -> Vec<ReplayDb> {
+    /// WAL, and the reactor stops. Every query was answered before its
+    /// caller let go of the service. Returns each shard's hot tail (the
+    /// records no checkpoint has trimmed), oldest first, in shard order.
+    pub fn shutdown(mut self) -> Vec<Vec<StoredRecord>> {
         drop(self.checkpointer.take());
         drop(self.trainer.take());
         drop(self.flusher.take());
-        let dbs = self.shards.dbs();
+        let tails = self.shards.take_hot_tails();
         drop(self.reactor.take().expect("shutdown runs once").shutdown());
-        dbs
+        tails
     }
 }
 
@@ -674,20 +602,33 @@ impl PendingQuery<'_> {
     /// Blocks for the decisions (or the [`QueryError`] that stopped them),
     /// serving passes on this thread whenever the engine lock is free.
     pub fn wait(mut self) -> Result<Vec<Decision>, QueryError> {
-        let Some((ticket, admitted)) = std::mem::replace(&mut self.queued, Ok(None))? else {
-            return Ok(Vec::new());
-        };
+        match std::mem::replace(&mut self.queued, Ok(None))? {
+            Some(queued) => self.finish(queued),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// Waits for the ticket's answer, then returns the admission charge
+    /// to the pending gauges.
+    fn finish(&self, (ticket, admitted): (Ticket, Admitted)) -> Result<Vec<Decision>, QueryError> {
         let result = self.service.engine.wait(&ticket);
-        release(&self.service.metrics, &admitted);
+        let metrics = &self.service.metrics;
+        metrics
+            .pending_requests
+            .fetch_sub(admitted.total, Ordering::Relaxed);
+        for (k, &count) in admitted.per_shard.iter().enumerate() {
+            if count > 0 {
+                metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
+            }
+        }
         result
     }
 }
 
 impl Drop for PendingQuery<'_> {
     fn drop(&mut self) {
-        if let Ok(Some((ticket, admitted))) = &self.queued {
-            let _ = self.service.engine.wait(ticket);
-            release(&self.service.metrics, admitted);
+        if let Ok(Some(queued)) = std::mem::replace(&mut self.queued, Ok(None)) {
+            let _ = self.finish(queued);
         }
     }
 }
@@ -766,8 +707,8 @@ mod tests {
             .expect("model published");
         assert_eq!(decision.model_epoch, 1);
         assert_eq!(decision.best, DeviceId(1), "picked the slower device");
-        let dbs = service.shutdown();
-        let total: usize = dbs.iter().map(|db| db.len()).sum();
+        let tails = service.shutdown();
+        let total: usize = tails.iter().map(Vec::len).sum();
         assert_eq!(total, 300);
     }
 
@@ -839,53 +780,13 @@ mod tests {
     fn runs_on_a_fixed_worker_pool() {
         let mut config = test_config();
         config.shards = 8;
-        config.reactor_workers = 3;
         let service = PlacementService::start(config);
-        assert_eq!(service.reactor_workers(), 3);
         ingest_biased(&service, 300);
         service.retrain_now().expect("enough data");
-        let dbs = service.shutdown();
-        assert_eq!(dbs.len(), 8);
-        let total: usize = dbs.iter().map(|db| db.len()).sum();
+        let tails = service.shutdown();
+        assert_eq!(tails.len(), 8);
+        let total: usize = tails.iter().map(Vec::len).sum();
         assert_eq!(total, 300);
-    }
-
-    /// A gated completion: parks the engine inside the reply of a
-    /// one-request submission until the returned handle is dropped, so
-    /// later submissions provably queue behind it. (Completions must not
-    /// block; a test breaks that rule on purpose.) The submission comes
-    /// from a thread of its own, which holds the engine lock while the
-    /// completion runs; dropping the handle opens the gate and joins it.
-    fn park_engine(service: &Arc<PlacementService>) -> Parked {
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let (parked_tx, parked) = std::sync::mpsc::channel();
-        let service = Arc::clone(service);
-        let parker = std::thread::spawn(move || {
-            service.query_many_async(slice(1_000, 1), move |result| {
-                result.expect("model is published");
-                parked_tx.send(()).unwrap();
-                let _ = gate.recv();
-            });
-        });
-        parked.recv().expect("engine reached the gated completion");
-        Parked {
-            release: Some(release),
-            parker: Some(parker),
-        }
-    }
-
-    struct Parked {
-        release: Option<std::sync::mpsc::Sender<()>>,
-        parker: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl Drop for Parked {
-        fn drop(&mut self) {
-            drop(self.release.take());
-            if let Some(parker) = self.parker.take() {
-                parker.join().expect("parked submitter panicked");
-            }
-        }
     }
 
     fn wait_for_queued(service: &PlacementService, depth: usize) {
@@ -893,7 +794,7 @@ mod tests {
         while service.metrics().engine_queue != depth {
             assert!(
                 std::time::Instant::now() < deadline,
-                "engine mailbox never reached depth {depth}"
+                "engine queue never reached depth {depth}"
             );
             std::thread::yield_now();
         }
@@ -935,7 +836,7 @@ mod tests {
     #[test]
     fn queued_submissions_fuse_into_one_pass() {
         let service = ready_service();
-        let release = park_engine(&service);
+        let parked = service.engine.park();
         // 8, 16 and 24 requests over files 0..8, 0..16 and 0..24.
         let sizes = [8u64, 16, 24];
         let clients = sizes.map(|n| {
@@ -943,7 +844,7 @@ mod tests {
             std::thread::spawn(move || service.query_many(&slice(0, n)))
         });
         wait_for_queued(&service, 3);
-        drop(release);
+        drop(parked);
         for (client, n) in clients.into_iter().zip(sizes) {
             let decisions = client.join().unwrap().expect("model is published");
             assert_eq!(decisions.len() as u64, n);
@@ -971,86 +872,61 @@ mod tests {
         shutdown(service);
     }
 
-    /// A completion that panics mid-pass strands nobody, as a panicking
-    /// actor stranded nobody on the reactor: the submissions its pass
-    /// still held and those queued behind it are answered `ServiceDown`,
-    /// their admission is released, later submissions are refused, and
-    /// shutdown returns.
+    /// A pass that panics strands nobody, as a panicking actor stranded
+    /// nobody on the reactor: the submissions it held and those queued
+    /// behind it are answered `ServiceDown`, their admission is released,
+    /// later submissions are refused, and shutdown returns. An untrained
+    /// model, published as the next to serve, panics in its first pass.
     #[test]
-    fn a_panicking_completion_answers_everything_service_down() {
+    fn a_panicking_pass_answers_everything_service_down() {
         let service = ready_with(ServeConfig {
             max_batch: 4,
             ..test_config()
         });
-        let parked = park_engine(&service);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let answer = |name: &'static str| {
-            let tx = tx.clone();
-            move |result| tx.send((name, result)).unwrap()
-        };
-        // The next pass: two requests answered, the panic, one held after
-        // it; four requests close it. Then a blocking and an async
-        // submission stay queued.
-        service.query_many_async(slice(0, 2), answer("before"));
-        service.query_many_async(slice(2, 1), |_| panic!("a completion broke"));
-        service.query_many_async(slice(3, 1), answer("held"));
+        let parked = service.engine.park();
+        service.publish_model(DrlEngine::new(test_config().drl));
+        // The next pass holds three submissions (four requests close it);
+        // a parked caller's and one more stay queued behind it.
+        let held = [slice(0, 2), slice(2, 1), slice(3, 1)].map(|s| service.submit(s));
         let blocking = {
             let service = Arc::clone(&service);
             std::thread::spawn(move || service.query_many(&slice(4, 2)))
         };
         wait_for_queued(&service, 4);
-        service.query_many_async(slice(6, 2), answer("queued"));
-        drop(tx);
+        let queued = service.submit(slice(6, 2));
         drop(parked);
+        for pending in held.into_iter().chain([queued]) {
+            assert_eq!(pending.wait(), Err(QueryError::ServiceDown));
+        }
         assert_eq!(blocking.join().unwrap(), Err(QueryError::ServiceDown));
-        let mut answers: Vec<_> = rx
-            .iter()
-            .map(|(name, r)| (name, r.map(|d| d.len())))
-            .collect();
-        answers.sort_by_key(|(name, _)| *name);
-        assert_eq!(
-            answers,
-            [
-                ("before", Ok(2)),
-                ("held", Err(QueryError::ServiceDown)),
-                ("queued", Err(QueryError::ServiceDown)),
-            ]
-        );
         assert_eq!(service.metrics().pending_requests, 0);
         assert_eq!(service.query(slice(8, 1)[0]), Err(QueryError::ServiceDown));
-        let (tx, rx) = std::sync::mpsc::channel();
-        service.query_many_async(slice(9, 1), move |r| tx.send(r).unwrap());
-        assert_eq!(rx.recv().unwrap(), Err(QueryError::ServiceDown));
+        let refused = service.submit(slice(9, 1));
+        assert_eq!(refused.wait(), Err(QueryError::ServiceDown));
         assert_eq!(service.metrics().pending_requests, 0);
         shutdown(service);
     }
 
-    /// A parked caller handed the engine lock serves passes until its own
-    /// submission is answered, even when the first pass it runs is full
-    /// of submissions queued ahead of it.
+    /// The caller that holds the engine lock serves passes until its own
+    /// submission is answered, even when the first pass it runs is full of
+    /// submissions queued ahead of it; the caller handed the lock meanwhile
+    /// still gets its answer.
     #[test]
-    fn a_handed_caller_serves_until_its_own_submission_is_answered() {
+    fn a_lock_holder_serves_until_its_own_submission_is_answered() {
         let service = ready_with(ServeConfig {
             max_batch: 4,
             ..test_config()
         });
-        let parked = park_engine(&service);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let ahead = tx.clone();
-        service.query_many_async(slice(0, 4), move |r| ahead.send(r).unwrap());
-        let handed = {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || tx.send(service.query_many(&slice(4, 1))).unwrap())
-        };
-        wait_for_queued(&service, 2);
+        let parked = service.engine.park();
+        let ahead = service.submit(slice(0, 4));
+        let own = service.submit(slice(4, 1));
+        // The hand-off goes to `ahead`, whose caller is not waiting yet.
         drop(parked);
-        for _ in 0..2 {
-            let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
-            answer
-                .expect("a queued submission was stranded")
-                .expect("model is published");
-        }
-        handed.join().unwrap();
+        let decisions = own.wait().expect("model is published");
+        assert_eq!(decisions[0].batch_requests, 1, "a pass of its own");
+        assert_eq!(service.metrics().engine_queue, 0);
+        let decisions = ahead.wait().expect("model is published");
+        assert_eq!(decisions[0].batch_requests, 4, "the full pass before it");
         assert_eq!(service.metrics().pending_requests, 0);
         shutdown(service);
     }
@@ -1060,7 +936,7 @@ mod tests {
     #[test]
     fn a_dropped_pending_query_still_takes_its_turn() {
         let service = ready_service();
-        let parked = park_engine(&service);
+        let parked = service.engine.park();
         let dropper = {
             let service = Arc::clone(&service);
             std::thread::spawn(move || drop(service.submit(slice(0, 1))))
@@ -1093,14 +969,8 @@ mod tests {
             queue_capacity: 2,
             ..test_config()
         });
-        let parked = park_engine(&service);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for k in 0..2 {
-            let tx = tx.clone();
-            service.query_many_async(slice(k, 1), move |r| tx.send(r).unwrap());
-        }
-        drop(tx);
-        wait_for_queued(&service, 2);
+        let parked = service.engine.park();
+        let queued = [slice(0, 1), slice(1, 1)].map(|s| service.submit(s));
         let late = {
             let service = Arc::clone(&service);
             std::thread::spawn(move || service.query_many(&slice(2, 1)))
@@ -1110,7 +980,7 @@ mod tests {
         assert_eq!(service.metrics().engine_queue, 2);
         drop(parked);
         assert_eq!(late.join().unwrap().expect("model is published").len(), 1);
-        assert_eq!(rx.iter().filter(|r| r.is_ok()).count(), 2);
+        assert!(queued.map(PendingQuery::wait).iter().all(Result::is_ok));
         assert_eq!(service.metrics().pending_requests, 0);
         shutdown(service);
     }
@@ -1121,33 +991,28 @@ mod tests {
     fn queued_submissions_beyond_max_batch_split() {
         let service = ready_service();
         let max_batch = ServeConfig::default().max_batch as u64;
-        let release = park_engine(&service);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let parked = service.engine.park();
         // Five submissions of max_batch / 4 + 1 requests: the fourth closes
         // a pass, the fifth is left for the next.
         let per = max_batch / 4 + 1;
-        for k in 0..5u64 {
-            let tx = tx.clone();
-            service.query_many_async(slice(k * per, per), move |result| {
-                tx.send((k, result)).unwrap();
-            });
-        }
-        drop(tx);
-        wait_for_queued(&service, 5);
-        drop(release);
-        let mut answered = [0u32; 5];
+        let queued: Vec<_> = (0..5u64)
+            .map(|k| service.submit(slice(k * per, per)))
+            .collect();
+        drop(parked);
         let mut passes = std::collections::BTreeSet::new();
-        for (k, result) in rx {
-            let decisions = result.expect("model is published");
+        for (k, pending) in (0..5u64).zip(queued) {
+            let decisions = pending.wait().expect("model is published");
             assert_eq!(decisions.len() as u64, per);
             assert!(decisions.iter().map(|d| d.fid.0).eq(k * per..(k + 1) * per));
-            answered[k as usize] += 1;
             passes.insert(decisions[0].batch_requests as u64);
         }
-        assert_eq!(answered, [1; 5], "every submission answered exactly once");
         assert_eq!(passes.into_iter().collect::<Vec<_>>(), [per, 4 * per]);
         let m = service.metrics();
-        assert_eq!(m.decisions, 1 + 5 * per);
+        assert_eq!(
+            m.decisions,
+            5 * per,
+            "every submission answered exactly once"
+        );
         assert_eq!(m.pending_requests, 0);
         shutdown(service);
     }

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use geomancy_replaydb::wal::{list_segments, recover_for_append, segment_path, shard_path};
-use geomancy_replaydb::{ReplayDb, StoredRecord, WalWriter};
+use geomancy_replaydb::{StoredRecord, WalWriter};
 use geomancy_sim::record::{AccessRecord, FileId};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -373,17 +373,14 @@ impl ShardSet {
         s.hot.drain(..excess);
     }
 
-    /// Flushes every shard and returns each one's hot tail as a
-    /// [`ReplayDb`], in shard order.
-    pub(crate) fn dbs(&self) -> Vec<ReplayDb> {
-        self.flush_all();
-        (self.shards.iter())
-            .map(|shard| {
-                let mut db = ReplayDb::new();
-                for r in &shard.lock().hot {
-                    db.insert(r.timestamp_micros, r.record);
-                }
-                db
+    /// Flushes every shard and moves out each one's hot tail, in shard
+    /// order: what shutdown returns.
+    pub(crate) fn take_hot_tails(&self) -> Vec<Vec<StoredRecord>> {
+        (self.shards.iter().enumerate())
+            .map(|(i, shard)| {
+                let mut s = shard.lock();
+                s.flush(i, &self.metrics);
+                std::mem::take(&mut s.hot)
             })
             .collect()
     }
@@ -463,11 +460,11 @@ mod tests {
         let set = open(4, &metrics);
         let records: Vec<AccessRecord> = (0..40).map(|n| rec(n, n % 10)).collect();
         set.ingest(0, &records).unwrap();
-        let dbs = set.dbs();
-        let total: usize = dbs.iter().map(|db| db.len()).sum();
+        let tails = set.take_hot_tails();
+        let total: usize = tails.iter().map(Vec::len).sum();
         assert_eq!(total, 40);
-        for (i, db) in dbs.iter().enumerate() {
-            for stored in db.records() {
+        for (i, tail) in tails.iter().enumerate() {
+            for stored in tail {
                 assert_eq!(shard_of(stored.record.fid, 4), i);
             }
         }
@@ -537,11 +534,11 @@ mod tests {
         set.ingest(100, &[rec(0, 0), rec(1, 1)]).unwrap();
         // Older timestamp: would panic ReplayDb::insert if unclamped.
         set.ingest(50, &[rec(2, 0), rec(3, 1)]).unwrap();
-        let dbs = set.dbs();
-        let total: usize = dbs.iter().map(|db| db.len()).sum();
+        let tails = set.take_hot_tails();
+        let total: usize = tails.iter().map(Vec::len).sum();
         assert_eq!(total, 4);
-        for db in &dbs {
-            for stored in db.records() {
+        for tail in &tails {
+            for stored in tail {
                 assert!(stored.timestamp_micros >= 100);
             }
         }

@@ -319,7 +319,10 @@ impl TrainLoop {
         let mut delta = Vec::new();
         for (shard, &since) in self.watermarks.iter().enumerate() {
             let since = if full { 0 } else { since };
-            let part = self.shards.snapshot(shard, since).ok_or(TrainError::TrainerDown)?;
+            let part = self
+                .shards
+                .snapshot(shard, since)
+                .ok_or(TrainError::TrainerDown)?;
             watermarks.push(part.applied);
             delta.extend(part.records);
         }
@@ -410,7 +413,6 @@ mod tests {
     use super::*;
     use crate::batch::PlacementRequest;
     use crate::service::{PlacementService, ServeConfig};
-    use geomancy_replaydb::ReplayDb;
     use geomancy_sim::record::{DeviceId, FileId};
     use std::time::{Duration, Instant};
 
@@ -562,10 +564,7 @@ mod tests {
     /// the fit's turn held the only worker and the query waited it out.)
     #[test]
     fn trainer_fit_does_not_hold_a_reactor_worker() {
-        let service = Arc::new(PlacementService::start(ServeConfig {
-            reactor_workers: 1,
-            ..slow_fit_config()
-        }));
+        let service = Arc::new(PlacementService::start(slow_fit_config()));
         service.ingest(0, &records(0, 40)).unwrap();
         service.retrain_now().expect("bootstrap fit");
         let before = service.metrics();
@@ -623,8 +622,8 @@ mod tests {
         let (stopped_tx, stopped) = bounded(1);
         let shutdown = std::thread::spawn(move || {
             drop(trainer);
-            let dbs = shards.dbs();
-            let _ = stopped_tx.send(dbs.iter().map(ReplayDb::len).sum::<usize>());
+            let tails = shards.take_hot_tails();
+            let _ = stopped_tx.send(tails.iter().map(Vec::len).sum::<usize>());
         });
         assert_eq!(
             stopped.recv_timeout(Duration::from_secs(120)),

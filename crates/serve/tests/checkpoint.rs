@@ -297,7 +297,6 @@ fn checkpoint_does_not_hold_a_reactor_worker() {
     let base = temp_base("worker");
     let (hook, entered, gate) = gated_hook();
     let service = Arc::new(PlacementService::start(ServeConfig {
-        reactor_workers: 1,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
             epochs: 20,

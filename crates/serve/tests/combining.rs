@@ -1,14 +1,17 @@
-//! Combining stress: eight threads submit 1–300-request slices, half
-//! through the blocking path and half with completions, while a publisher
-//! hot-swaps models under them. The engine runs its passes on whichever
-//! submitting thread holds its lock, so this checks what the old engine
-//! thread guaranteed by construction:
+//! Combining stress: eight threads submit 1–300-request slices and wait
+//! for each, while a publisher hot-swaps models under them. The engine
+//! runs its passes on whichever submitting thread holds its lock, so this
+//! checks what the old engine thread guaranteed by construction:
 //!
 //! - every submission is answered exactly once, within 10 s;
 //! - every decision is what its request ranks to alone, on the very model
 //!   whose epoch the decision carries;
-//! - the admission gauge drains to zero, and concurrent submissions did
-//!   share passes.
+//! - the admission gauge drains to zero, and requests did share rows.
+//!
+//! It runs twice: with a small queue and the default batch, where passes
+//! fuse several submissions, and with a one-deep queue and a four-request
+//! batch, where nearly every submission meets a full queue and every
+//! pass ends in a hand-off of the lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,12 +84,18 @@ fn slice(t: u64, i: u64) -> Vec<PlacementRequest> {
 
 #[test]
 fn combined_passes_answer_every_submission_once_on_the_stamped_model() {
-    let candidates: Vec<DeviceId> = (0..3).map(DeviceId).collect();
     let models: Vec<DrlEngine> = (0..MODELS).map(|k| model(k as u32, k + 1)).collect();
+    // Small, so submitters also meet a full queue.
+    run(&models, 8, ServeConfig::default().max_batch);
+    run(&models, 1, 4);
+}
+
+fn run(models: &[DrlEngine], queue_capacity: usize, max_batch: usize) {
+    let candidates: Vec<DeviceId> = (0..3).map(DeviceId).collect();
     let service = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
-        // Small, so submitters also meet a full queue.
-        queue_capacity: 8,
+        queue_capacity,
+        max_batch,
         candidates: candidates.clone(),
         ..ServeConfig::default()
     }));
@@ -119,17 +128,9 @@ fn combined_passes_answer_every_submission_once_on_the_stamped_model() {
             let tx = tx.clone();
             std::thread::spawn(move || {
                 for i in 0..SUBMISSIONS {
-                    let requests = slice(t, i);
                     let started = Instant::now();
-                    if (t + i) % 2 == 0 {
-                        let result = service.query_many(&requests);
-                        tx.send((t, i, started.elapsed(), result)).unwrap();
-                    } else {
-                        let tx = tx.clone();
-                        service.query_many_async(requests, move |result| {
-                            tx.send((t, i, started.elapsed(), result)).unwrap();
-                        });
-                    }
+                    let result = service.query_many(&slice(t, i));
+                    tx.send((t, i, started.elapsed(), result)).unwrap();
                 }
             })
         })
@@ -150,7 +151,7 @@ fn combined_passes_answer_every_submission_once_on_the_stamped_model() {
     assert!(inbox.try_recv().is_err(), "a submission was answered twice");
 
     let mut reference: HashMap<(u64, PlacementRequest), (DeviceId, f64)> = HashMap::new();
-    let mut models = models;
+    let mut models: Vec<DrlEngine> = models.iter().map(DrlEngine::fork).collect();
     let mut answered = vec![vec![0u32; SUBMISSIONS as usize]; THREADS as usize];
     let mut epochs_served = std::collections::BTreeSet::new();
     for (t, i, waited, result) in answers {
@@ -200,7 +201,7 @@ fn combined_passes_answer_every_submission_once_on_the_stamped_model() {
     );
     let m = service.metrics();
     assert_eq!(m.pending_requests, 0, "admission gauge leaked");
-    assert!(m.coalesced_decisions > 0, "no pass was shared");
+    assert!(m.coalesced_decisions > 0, "no request shared a row");
     assert_eq!(m.engine_queue, 0);
     Arc::try_unwrap(service)
         .unwrap_or_else(|_| panic!("sole owner"))

@@ -71,7 +71,6 @@ fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
 fn zero_watermark_sheds_every_request() {
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(0),
-        defer_micros: 0,
         ..AdmissionConfig::default()
     });
     for _ in 0..50 {
@@ -100,7 +99,6 @@ fn zero_watermark_sheds_every_request() {
 fn oversized_submission_admitted_when_quiet() {
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(4),
-        defer_micros: 0,
         ..AdmissionConfig::default()
     });
     let requests: Vec<PlacementRequest> = (0..16)
@@ -130,7 +128,6 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
     const WATERMARK: u64 = 48;
     let service = ready_service(AdmissionConfig {
         max_pending_requests: Some(WATERMARK),
-        defer_micros: 50,
         ..AdmissionConfig::default()
     });
 
@@ -226,8 +223,8 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
         "shed ingest records must be fully accounted"
     );
 
-    let dbs = Arc::try_unwrap(service).expect("sole owner").shutdown();
-    let stored: usize = dbs.iter().map(|db| db.len()).sum();
+    let tails = Arc::try_unwrap(service).expect("sole owner").shutdown();
+    let stored: usize = tails.iter().map(Vec::len).sum();
     assert_eq!(
         stored as u64, snap.ingested_records,
         "every ingested record is in a shard"
@@ -245,7 +242,6 @@ fn per_shard_bound_sheds_hot_shard_without_starving_others() {
     let cool_fid = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
     let service = ready_service(AdmissionConfig {
         per_shard_pending: vec![0, 1_000],
-        defer_micros: 0,
         ..AdmissionConfig::default()
     });
     let hot = PlacementRequest {
@@ -274,52 +270,5 @@ fn per_shard_bound_sheds_hot_shard_without_starving_others() {
     assert_eq!(snap.shard_shed, vec![21, 0], "only the hot shard shed");
     assert_eq!(snap.pending_per_shard, vec![0, 0], "gauges drain to zero");
     assert_eq!(snap.decisions, 20);
-    Arc::try_unwrap(service).expect("sole owner").shutdown();
-}
-
-/// The async query path runs the same admission controller and releases
-/// its pending accounting when the completion fires — including for shed
-/// submissions, which complete inline with `Overloaded`.
-#[test]
-fn async_queries_account_and_release_pending() {
-    let service = ready_service(AdmissionConfig {
-        max_pending_requests: Some(64),
-        per_shard_pending: vec![64, 64],
-        defer_micros: 0,
-    });
-    let (tx, rx) = std::sync::mpsc::channel();
-    for i in 0..8u64 {
-        let tx = tx.clone();
-        let requests: Vec<PlacementRequest> = (0..4)
-            .map(|j| PlacementRequest {
-                fid: FileId((i * 4 + j) % 8),
-                read_bytes: 1_000_000,
-                write_bytes: 0,
-            })
-            .collect();
-        service.query_many_async(requests, move |result| {
-            tx.send(result).unwrap();
-        });
-    }
-    drop(tx);
-    let mut served = 0u64;
-    for result in rx {
-        let decisions = result.expect("model is published and under watermark");
-        served += decisions.len() as u64;
-    }
-    assert_eq!(served, 32);
-    let snap = service.metrics();
-    assert_eq!(snap.queries_offered, 32);
-    assert_eq!(snap.queries_admitted, 32);
-    assert_eq!(snap.decisions, 32);
-    assert_eq!(
-        snap.pending_requests, 0,
-        "async completions release pending"
-    );
-    assert_eq!(
-        snap.pending_per_shard,
-        vec![0, 0],
-        "async completions release every shard's pending"
-    );
     Arc::try_unwrap(service).expect("sole owner").shutdown();
 }

@@ -13,7 +13,6 @@
 use std::path::PathBuf;
 
 use geomancy_replaydb::wal::{recover_shards, shard_path, FRAME_LEN};
-use geomancy_replaydb::ReplayDb;
 use geomancy_serve::{shard_of, PlacementService, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
@@ -77,10 +76,10 @@ fn drive(service: &PlacementService, n: u64, files: u64) -> Vec<AccessRecord> {
 fn all_records_for_a_file_share_a_shard() {
     let service = start(None);
     let sent = drive(&service, 400, 13);
-    let dbs = service.shutdown();
-    assert_eq!(dbs.iter().map(ReplayDb::len).sum::<usize>(), sent.len());
-    for (i, db) in dbs.iter().enumerate() {
-        for stored in db.records() {
+    let tails = service.shutdown();
+    assert_eq!(tails.iter().map(Vec::len).sum::<usize>(), sent.len());
+    for (i, tail) in tails.iter().enumerate() {
+        for stored in tail {
             assert_eq!(
                 shard_of(stored.record.fid, SHARDS),
                 i,
@@ -91,13 +90,13 @@ fn all_records_for_a_file_share_a_shard() {
     }
     // The shard map is a pure function of the file id: re-deriving it from
     // the sent stream predicts exactly each shard's contents.
-    for (i, db) in dbs.iter().enumerate() {
+    for (i, tail) in tails.iter().enumerate() {
         let expected: Vec<u64> = sent
             .iter()
             .filter(|r| shard_of(r.fid, SHARDS) == i)
             .map(|r| r.access_number)
             .collect();
-        let got: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
+        let got: Vec<u64> = tail.iter().map(|s| s.record.access_number).collect();
         assert_eq!(got, expected, "shard {i} contents diverged");
     }
 }
@@ -106,14 +105,14 @@ fn all_records_for_a_file_share_a_shard() {
 fn per_shard_order_is_preserved() {
     let service = start(None);
     drive(&service, 500, 9);
-    for db in service.shutdown() {
+    for tail in service.shutdown() {
         // Arrival order == access_number order here, and a file's records
         // are a subsequence of its shard's log.
-        let numbers: Vec<u64> = db.records().map(|s| s.record.access_number).collect();
+        let numbers: Vec<u64> = tail.iter().map(|s| s.record.access_number).collect();
         let mut sorted = numbers.clone();
         sorted.sort_unstable();
         assert_eq!(numbers, sorted, "shard log out of arrival order");
-        let times: Vec<u64> = db.records().map(|s| s.timestamp_micros).collect();
+        let times: Vec<u64> = tail.iter().map(|s| s.timestamp_micros).collect();
         let mut t_sorted = times.clone();
         t_sorted.sort_unstable();
         assert_eq!(times, t_sorted, "shard timestamps not monotone");
@@ -130,7 +129,7 @@ fn wal_replay_reconstructs_per_shard_contents() {
     let recovered = recover_shards(&dir, SHARDS).unwrap();
     for (i, ((rdb, replayed), ldb)) in recovered.iter().zip(&live).enumerate() {
         assert_eq!(*replayed as usize, ldb.len(), "shard {i} replay count");
-        let live_rows: Vec<_> = ldb.records().collect();
+        let live_rows: Vec<_> = ldb.iter().collect();
         let rec_rows: Vec<_> = rdb.records().collect();
         assert_eq!(
             live_rows, rec_rows,
@@ -143,8 +142,8 @@ fn wal_replay_reconstructs_per_shard_contents() {
     let resumed = start(Some(dir.clone()));
     resumed.ingest(1_000, &[rec(1_000, 0)]).unwrap();
     let after = resumed.shutdown();
-    let before_total: usize = live.iter().map(ReplayDb::len).sum();
-    let after_total: usize = after.iter().map(ReplayDb::len).sum();
+    let before_total: usize = live.iter().map(Vec::len).sum();
+    let after_total: usize = after.iter().map(Vec::len).sum();
     assert_eq!(after_total, before_total + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -175,7 +174,7 @@ fn crash_truncated_wal_tail_recovers_prefix() {
             // prefix of the live log. (A crash can tear at most the frames
             // of the one batch write it interrupted.)
             assert_eq!(rdb.len(), ldb.len() - 1, "one torn frame, one record");
-            let live_prefix: Vec<_> = ldb.records().take(rdb.len()).collect();
+            let live_prefix: Vec<_> = ldb.iter().take(rdb.len()).collect();
             let rec_rows: Vec<_> = rdb.records().collect();
             assert_eq!(rec_rows, live_prefix, "recovered tail is not a prefix");
         } else {
@@ -218,19 +217,19 @@ fn restart_after_torn_tail_survives_a_second_restart() {
     // corruption) to exactly the state the first restart shut down with.
     let recovered = recover_shards(&dir, SHARDS).expect("WAL poisoned by post-crash appends");
     let recovered_total: usize = recovered.iter().map(|(db, _)| db.len()).sum();
-    let after_first_total: usize = after_first.iter().map(ReplayDb::len).sum();
+    let after_first_total: usize = after_first.iter().map(Vec::len).sum();
     assert_eq!(
         recovered_total, after_first_total,
         "post-restart records lost"
     );
     for (i, ((rdb, _), fdb)) in recovered.iter().zip(&after_first).enumerate() {
         let rec_rows: Vec<_> = rdb.records().collect();
-        let first_rows: Vec<_> = fdb.records().collect();
+        let first_rows: Vec<_> = fdb.iter().collect();
         assert_eq!(rec_rows, first_rows, "shard {i} diverged after restart");
     }
     // We lost the torn frames — one record per torn shard — and gained
     // the post-restart records, nothing more or less.
-    let live_total: usize = live.iter().map(ReplayDb::len).sum();
+    let live_total: usize = live.iter().map(Vec::len).sum();
     assert_eq!(recovered_total, live_total - torn + SHARDS);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -75,8 +75,9 @@ fn record(n: u64) -> AccessRecord {
 }
 
 /// Appends `count` records (globally numbered from `*next_n`) to shard
-/// `shard`'s WAL and seals it as segment `seq` — the shard actor's side
-/// of a checkpoint. Returns the access numbers sealed.
+/// `shard`'s WAL and seals it as segment `seq` — the shard's side of a
+/// checkpoint (`ShardSet::seal` in the serving layer). Returns the access
+/// numbers sealed.
 fn seal_segment(
     wal_dir: &Path,
     shard: usize,

@@ -10,7 +10,6 @@ use std::error::Error;
 
 use geomancy::core::drl::{DrlConfig, DrlEngine, PlacementQuery};
 use geomancy::core::ActionChecker;
-use geomancy::replaydb::ReplayDb;
 use geomancy::serve::{PlacementService, ServeConfig};
 use geomancy::sim::agents::{ControlAgent, MonitoringAgent};
 use geomancy::sim::bluesky::bluesky_system;
@@ -41,8 +40,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         .map(|d| MonitoringAgent::new(d.id(), 32))
         .collect();
 
-    // The service shards the ReplayDB by file; each shard is an actor on
-    // the service's reactor.
+    // The service shards the ReplayDB by file; each shard is data behind
+    // a lock of its own.
     let service = PlacementService::start(ServeConfig::default());
 
     // Drive the workload; agents observe and forward batches. The layout
@@ -77,11 +76,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             service.ingest(system.clock().now_micros(), &rest)?;
         }
     }
-    // Shutdown applies every queued batch and hands back the shard logs.
+    // Shutdown applies every staged batch and hands back the shard logs.
     let shards = service.shutdown();
     println!(
         "service ingested {} records from {} agents into {} shards",
-        shards.iter().map(ReplayDb::len).sum::<usize>(),
+        shards.iter().map(Vec::len).sum::<usize>(),
         monitors.len(),
         shards.len()
     );
@@ -95,7 +94,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // DRL engine trains on the merged shard logs, the Action Checker
     // validates, the control agent moves the data.
-    let snapshot = ReplayDb::merged(&shards);
+    let mut merged = shards.concat();
+    merged.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
     let mut engine = DrlEngine::new(DrlConfig {
         train_window: 800,
         epochs: 40,
@@ -103,7 +103,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         seed: 13,
         ..DrlConfig::default()
     });
-    let outcome = engine.retrain(&snapshot).expect("enough telemetry");
+    let outcome =
+        (engine.retrain_stream(merged.iter().map(|s| &s.record))).expect("enough telemetry");
     println!(
         "\nengine retrained on {} samples in {:.2?} (validation error {})",
         outcome.samples, outcome.training_time, outcome.validation_error

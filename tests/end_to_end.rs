@@ -80,16 +80,17 @@ fn figure2_data_flow_end_to_end() {
         system.access_count(),
         "every access observed exactly once"
     );
-    // Shutdown applies every queued batch and hands back the shard logs.
+    // Shutdown applies every staged batch and hands back the shard logs.
     let shards = service.shutdown();
     assert_eq!(
-        shards.iter().map(ReplayDb::len).sum::<usize>() as u64,
+        shards.iter().map(Vec::len).sum::<usize>() as u64,
         observed,
         "every record reached the db"
     );
 
     // Engine trains from the merged shard logs and proposes a layout.
-    let snapshot = ReplayDb::merged(&shards);
+    let mut merged = shards.concat();
+    merged.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
     let mut engine = DrlEngine::new(DrlConfig {
         train_window: 300,
         epochs: 10,
@@ -97,7 +98,7 @@ fn figure2_data_flow_end_to_end() {
         seed: 3,
         ..DrlConfig::default()
     });
-    engine.retrain(&snapshot).expect("enough telemetry");
+    (engine.retrain_stream(merged.iter().map(|s| &s.record))).expect("enough telemetry");
     let mut checker = ActionChecker::new(3);
     let (now_secs, now_ms) = system.clock().now_secs_ms();
     let online = system.online_devices();
