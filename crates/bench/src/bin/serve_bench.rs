@@ -13,7 +13,10 @@
 //! loopback TCP through `geomancy-net` (real frames, real sockets, the
 //! per-connection pipelining client), gated at ≥50% of the in-process
 //! batched rate — plus a check that overload round-trips as an explicit
-//! wire status instead of a connection reset.
+//! wire status instead of a connection reset. The wire, routed-cluster
+//! and catch-up rates are each timed in passes of at least 100 ms
+//! against a trained in-process reference service, and a gate reads the
+//! median of five passes.
 //!
 //! Run with `cargo run -p geomancy-bench --bin serve_bench --release`.
 //! Writes `BENCH_serve.json` at the workspace root. `GEOMANCY_FAST=1`
@@ -38,12 +41,144 @@ use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 const SHARDS: usize = 4;
 
-/// Timed repetitions for the rate-gated phases; the fastest round is
-/// the measurement. The batched and wire replays each finish in tens of
-/// milliseconds, so a single round is dominated by scheduler placement
-/// and cache warmup — gating a ratio of two such one-shot rates is a
-/// coin flip. Best-of-N compares what each path can sustain.
-const MEASURE_ROUNDS: usize = 3;
+/// Timed passes behind each rate the wire, routed and catch-up gates
+/// compare, and the least wall time of a pass. One replay of the question
+/// list takes 2–10 ms, so a rate timed over one replay is mostly
+/// scheduler placement and host steal, and a ratio of two such rates
+/// swings by 2×. A pass replays the list until it has run `PASS_MIN`;
+/// a gated rate is the median pass's.
+const PASSES: usize = 5;
+const PASS_MIN: Duration = Duration::from_millis(100);
+
+/// A decision rate measured in timed passes: the decisions and seconds
+/// summed over every pass, and the median pass's rate (the gated number).
+struct Rate {
+    passes: usize,
+    decisions: u64,
+    elapsed_secs: f64,
+    per_sec: f64,
+}
+
+impl Rate {
+    /// From each pass's `(decisions, seconds)`.
+    fn of(passes: &[(u64, f64)]) -> Rate {
+        let mut rates: Vec<f64> = passes.iter().map(|&(d, secs)| d as f64 / secs).collect();
+        rates.sort_by(f64::total_cmp);
+        Rate {
+            passes: passes.len(),
+            decisions: passes.iter().map(|p| p.0).sum(),
+            elapsed_secs: passes.iter().map(|p| p.1).sum(),
+            per_sec: rates[rates.len() / 2],
+        }
+    }
+
+    fn json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "passes": self.passes,
+            "decisions": self.decisions,
+            "elapsed_secs": self.elapsed_secs,
+            "decisions_per_sec": self.per_sec,
+        })
+    }
+}
+
+/// One timed pass: `threads` threads each submit `requests` in
+/// `chunk`-sized parts through `query` (which returns the decisions it
+/// got), starting over at the end of the list, until the pass has run
+/// [`PASS_MIN`]. Returns the decisions and the seconds.
+fn timed_pass(
+    threads: usize,
+    requests: &[PlacementRequest],
+    chunk: usize,
+    query: &(impl Fn(&[PlacementRequest]) -> u64 + Sync),
+) -> (u64, f64) {
+    let decisions = AtomicU64::new(0);
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                for part in requests.chunks(chunk).cycle() {
+                    decisions.fetch_add(query(part), Ordering::Relaxed);
+                    if start.elapsed() >= PASS_MIN {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    (decisions.into_inner(), start.elapsed().as_secs_f64())
+}
+
+/// The size of one submission: a workload run's share of the list.
+fn chunk_of(requests: &[PlacementRequest], load: &LoadConfig) -> usize {
+    (requests.len() / load.measured_runs.max(1)).max(1)
+}
+
+/// The single-node batched reference of the wire, routed and catch-up
+/// gates: a trained in-process service that `load.clients` threads
+/// query with the question list, in run-sized submissions — the batched
+/// load's clients, timed in passes.
+struct Reference {
+    service: Arc<PlacementService>,
+    requests: Vec<PlacementRequest>,
+    chunk: usize,
+    clients: usize,
+}
+
+impl Reference {
+    fn start(load: &LoadConfig) -> Reference {
+        let service = Arc::new(PlacementService::start(serve_config(256)));
+        let prepared = prepare_belle2(load);
+        for (ts, batch) in &prepared.warmup_batches {
+            service.ingest(*ts, batch).expect("reference ingest");
+        }
+        service.retrain_now().expect("reference retrain");
+        Reference {
+            chunk: chunk_of(&prepared.requests, load),
+            requests: prepared.requests,
+            service,
+            clients: load.clients.max(1),
+        }
+    }
+
+    fn pass(&self) -> (u64, f64) {
+        timed_pass(self.clients, &self.requests, self.chunk, &|part| {
+            let ds = (self.service.query_many(part)).expect("in-process query failed");
+            assert_eq!(ds.len(), part.len(), "one decision per request");
+            ds.len() as u64
+        })
+    }
+
+    fn shutdown(self) {
+        Arc::try_unwrap(self.service)
+            .expect("bench released the reference service")
+            .shutdown();
+    }
+}
+
+/// A side's rate against the reference's, from [`PASSES`] pairs of
+/// passes: a reference pass, then the side's. Host steal that drifts
+/// over seconds then slows both passes of a pair alike.
+struct Paired {
+    side: Rate,
+    reference: Rate,
+    /// The median of the pairs' rate ratios (side / reference).
+    ratio: f64,
+}
+
+fn paired_passes(reference: &Reference, side: impl Fn() -> (u64, f64)) -> Paired {
+    let pairs: Vec<((u64, f64), (u64, f64))> =
+        (0..PASSES).map(|_| (reference.pass(), side())).collect();
+    let rate = |(d, secs): (u64, f64)| d as f64 / secs;
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(r, s)| rate(s) / rate(r)).collect();
+    ratios.sort_by(f64::total_cmp);
+    let (refs, sides): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    Paired {
+        side: Rate::of(&sides),
+        reference: Rate::of(&refs),
+        ratio: ratios[PASSES / 2],
+    }
+}
 
 /// Live thread count of this process (Linux); 0 if unreadable.
 ///
@@ -220,9 +355,8 @@ fn hot_swap_soak(rounds: u64) -> Soak {
 
 /// What the loopback-TCP phase measured.
 struct NetRun {
-    decisions: u64,
-    elapsed_secs: f64,
-    decisions_per_sec: f64,
+    /// Against the single-node batched reference.
+    paired: Paired,
     invalid_epochs: u64,
     frames_in: u64,
     frames_out: u64,
@@ -232,20 +366,18 @@ struct NetRun {
 /// Replays the same batched BELLE II question list over loopback TCP:
 /// warm-up telemetry and retrain over the wire, then `clients` threads
 /// each pipelining run-sized submissions through a shared client pool.
-fn run_net_mode(load: &LoadConfig) -> NetRun {
+fn run_net_mode(load: &LoadConfig, reference: &Reference) -> NetRun {
     let service = Arc::new(PlacementService::start(serve_config(256)));
     let server = NetServer::start("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
         .expect("bind loopback");
-    let client = Arc::new(
-        Client::connect(
-            server.local_addr(),
-            ClientConfig {
-                pool_size: load.clients.max(1),
-                ..ClientConfig::default()
-            },
-        )
-        .expect("connect bench client"),
-    );
+    let client = Client::connect(
+        server.local_addr(),
+        ClientConfig {
+            pool_size: load.clients.max(1),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect bench client");
 
     let prepared = prepare_belle2(load);
     for (ts, batch) in &prepared.warmup_batches {
@@ -253,43 +385,19 @@ fn run_net_mode(load: &LoadConfig) -> NetRun {
     }
     client.retrain().expect("wire retrain failed");
 
-    // The replay itself takes ~10-20 ms, so one cold round is mostly
-    // scheduler and cache noise. Replay the list MEASURE_ROUNDS times
-    // over the warm server and keep the fastest round: the gate below
-    // compares steady-state rates, not first-round warmup.
-    let requests = Arc::new(prepared.requests);
-    let chunk = (requests.len() / load.measured_runs.max(1)).max(1);
+    let requests = prepared.requests;
+    let chunk = chunk_of(&requests, load);
     let invalid = AtomicU64::new(0);
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..MEASURE_ROUNDS {
-        let decisions = AtomicU64::new(0);
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..load.clients.max(1) {
-                let client = Arc::clone(&client);
-                let requests = Arc::clone(&requests);
-                let decisions = &decisions;
-                let invalid = &invalid;
-                s.spawn(move || {
-                    for part in requests.chunks(chunk) {
-                        let ds = client.query_many(part).expect("wire query failed");
-                        for d in &ds {
-                            if d.model_epoch == 0 {
-                                invalid.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        decisions.fetch_add(ds.len() as u64, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        let served = decisions.load(Ordering::Relaxed);
-        if best.is_none_or(|(_, e)| elapsed < e) {
-            best = Some((served, elapsed));
-        }
-    }
-    let (served, elapsed) = best.expect("at least one measured round");
+    let query = |part: &[PlacementRequest]| {
+        let ds = client.query_many(part).expect("wire query failed");
+        assert_eq!(ds.len(), part.len(), "one decision per request");
+        let stale = ds.iter().filter(|d| d.model_epoch == 0).count();
+        invalid.fetch_add(stale as u64, Ordering::Relaxed);
+        ds.len() as u64
+    };
+    let paired = paired_passes(reference, || {
+        timed_pass(load.clients.max(1), &requests, chunk, &query)
+    });
 
     let frames_in = server.stats().frames_in.load(Ordering::Relaxed);
     let frames_out = server.stats().frames_out.load(Ordering::Relaxed);
@@ -311,13 +419,7 @@ fn run_net_mode(load: &LoadConfig) -> NetRun {
         .shutdown();
 
     NetRun {
-        decisions: served,
-        elapsed_secs: elapsed,
-        decisions_per_sec: if elapsed > 0.0 {
-            served as f64 / elapsed
-        } else {
-            0.0
-        },
+        paired,
         invalid_epochs: invalid.load(Ordering::Relaxed),
         frames_in,
         frames_out,
@@ -342,10 +444,9 @@ struct ClusterRun {
     promotion_secs: f64,
     /// The gate: 3× the configured failover deadline.
     promotion_deadline_secs: f64,
-    /// Steady-state routed query throughput before the kill.
-    routed_decisions: u64,
-    routed_elapsed_secs: f64,
-    routed_decisions_per_sec: f64,
+    /// Steady-state routed query throughput before the kill, against the
+    /// single-node batched reference.
+    routed: Paired,
     /// Decisions served by the survivors after promotion.
     post_failover_decisions: u64,
     /// Records the client got acked by the emergency primary while the
@@ -361,9 +462,7 @@ struct ClusterRun {
     rebalance_deadline_secs: f64,
     /// Routed query throughput measured while the rejoiner was catching
     /// up and the demotion flip landed.
-    catchup_decisions: u64,
-    catchup_elapsed_secs: f64,
-    catchup_decisions_per_sec: f64,
+    catchup: Rate,
 }
 
 /// Drives a 3-node loopback cluster through the batched question list,
@@ -375,7 +474,7 @@ struct ClusterRun {
 /// primary 3 replica 1. Node 2's replica store therefore receives only
 /// shard-0 segments, which makes the zero-lost check an exact equality
 /// rather than a lower bound.
-fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
+fn run_cluster_mode(load: &LoadConfig, fast: bool, reference: &Reference) -> ClusterRun {
     const FAILOVER_MICROS: u64 = 700_000;
     let shards = 3u32;
     let addrs = reserve_loopback_addrs(3);
@@ -457,38 +556,21 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
 
     // Steady-state routed throughput: the same question list the
     // single-node phases replayed, routed by file hash across the three
-    // primaries. Best of MEASURE_ROUNDS, same as the wire phase.
-    let requests = Arc::new(prepared.requests);
-    let chunk = (requests.len() / load.measured_runs.max(1)).max(1);
+    // primaries, in passes paired with the reference's like the wire
+    // phase.
+    let requests = prepared.requests;
+    let chunk = chunk_of(&requests, load);
     // Each routed call walks its sub-batches shard by shard, so one
     // client thread keeps at most one node busy at a time; run one
     // thread per node per configured client to keep all three primaries
     // saturated, the way a real routed deployment fans out.
     let routed_clients = load.clients.max(1) * 3;
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..MEASURE_ROUNDS {
-        let decisions = AtomicU64::new(0);
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..routed_clients {
-                let client = &client;
-                let requests = Arc::clone(&requests);
-                let decisions = &decisions;
-                s.spawn(move || {
-                    for part in requests.chunks(chunk) {
-                        let ds = client.query_many(part).expect("routed query failed");
-                        decisions.fetch_add(ds.len() as u64, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        let served = decisions.load(Ordering::Relaxed);
-        if best.is_none_or(|(_, e)| elapsed < e) {
-            best = Some((served, elapsed));
-        }
-    }
-    let (routed_decisions, routed_elapsed) = best.expect("at least one routed round");
+    let routed_query = |part: &[PlacementRequest]| {
+        client.query_many(part).expect("routed query failed").len() as u64
+    };
+    let routed = paired_passes(reference, || {
+        timed_pass(routed_clients, &requests, chunk, &routed_query)
+    });
 
     // Seal and ship: checkpoint every node, wait for the shard-0
     // primary's segments to be replica-acked, then kill it mid-load.
@@ -603,17 +685,17 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
     let rebalance_deadline = Duration::from_micros(5 * FAILOVER_MICROS);
 
     // Routed throughput while the rejoiner catches up and the demotion
-    // flip lands: replay the question list in rounds until convergence,
-    // best round wins — the same best-of discipline as the steady-state
-    // measurement, with the workers retrying the brief exhausted
-    // windows an epoch bump produces (queries are idempotent, so
-    // resending is safe). Once the flip lands, the poller warms the
-    // rejoiner's model (the fresh process recovers its store, not its
-    // trained network) before releasing the measurement loop, so a
-    // round straddling the flip drains instead of spinning on NotReady.
+    // flip lands: timed passes until convergence, and until there are
+    // PASSES of them, so a fast convergence adds passes over the settled
+    // cluster. The workers retry the brief exhausted windows an epoch
+    // bump produces (queries are idempotent, so resending is safe).
+    // Once the flip lands, the poller warms the rejoiner's model (the
+    // fresh process recovers its store, not its trained network) before
+    // releasing the measurement loop, so a pass straddling the flip
+    // drains instead of spinning on NotReady.
     let converged_flag = AtomicBool::new(false);
     let rebalanced_after = std::sync::Mutex::new(None::<f64>);
-    let mut catchup_best: Option<(u64, f64)> = None;
+    let mut catchup_passes: Vec<(u64, f64)> = Vec::new();
     std::thread::scope(|s| {
         s.spawn(|| {
             let hard = Instant::now() + Duration::from_secs(60);
@@ -661,50 +743,29 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
             warm.retrain().expect("retrain restored owner");
             converged_flag.store(true, Ordering::Relaxed);
         });
-        loop {
-            let decisions = AtomicU64::new(0);
-            let qstart = Instant::now();
-            std::thread::scope(|inner| {
-                for _ in 0..routed_clients {
-                    let client = &client;
-                    let requests = Arc::clone(&requests);
-                    let decisions = &decisions;
-                    inner.spawn(move || {
-                        let settle = Instant::now() + Duration::from_secs(30);
-                        for part in requests.chunks(chunk) {
-                            loop {
-                                match client.query_many(part) {
-                                    Ok(ds) => {
-                                        decisions.fetch_add(ds.len() as u64, Ordering::Relaxed);
-                                        break;
-                                    }
-                                    Err(ClusterError::Exhausted(_) | ClusterError::Net(_))
-                                        if Instant::now() < settle =>
-                                    {
-                                        std::thread::sleep(Duration::from_millis(5));
-                                    }
-                                    Err(e) => panic!("catch-up routed query: {e}"),
-                                }
-                            }
-                        }
-                    });
+        let query = |part: &[PlacementRequest]| {
+            let settle = Instant::now() + Duration::from_secs(30);
+            loop {
+                match client.query_many(part) {
+                    Ok(ds) => break ds.len() as u64,
+                    Err(ClusterError::Exhausted(_) | ClusterError::Net(_))
+                        if Instant::now() < settle =>
+                    {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) => panic!("catch-up routed query: {e}"),
                 }
-            });
-            let elapsed = qstart.elapsed().as_secs_f64();
-            let served = decisions.load(Ordering::Relaxed);
-            if catchup_best.is_none_or(|(_, e)| elapsed < e) {
-                catchup_best = Some((served, elapsed));
             }
-            if converged_flag.load(Ordering::Relaxed) {
-                break;
-            }
+        };
+        while !converged_flag.load(Ordering::Relaxed) || catchup_passes.len() < PASSES {
+            catchup_passes.push(timed_pass(routed_clients, &requests, chunk, &query));
         }
     });
     let rebalance_secs = rebalanced_after
         .lock()
         .unwrap()
         .expect("rejoiner never took shard 0 back within 60 s");
-    let (catchup_decisions, catchup_elapsed) = catchup_best.expect("at least one catch-up round");
+    let catchup = Rate::of(&catchup_passes);
 
     // Zero lost records across the rebalance: everything the emergency
     // primary acked during the interregnum reached the rejoiner's
@@ -728,25 +789,13 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool) -> ClusterRun {
         lost_acked_records: lost,
         promotion_secs: promotion.as_secs_f64(),
         promotion_deadline_secs: promotion_deadline.as_secs_f64(),
-        routed_decisions,
-        routed_elapsed_secs: routed_elapsed,
-        routed_decisions_per_sec: if routed_elapsed > 0.0 {
-            routed_decisions as f64 / routed_elapsed
-        } else {
-            0.0
-        },
+        routed,
         post_failover_decisions: post,
         interregnum_records,
         lost_rebalance_records: lost_rebalance,
         rebalance_secs,
         rebalance_deadline_secs: rebalance_deadline.as_secs_f64(),
-        catchup_decisions,
-        catchup_elapsed_secs: catchup_elapsed,
-        catchup_decisions_per_sec: if catchup_elapsed > 0.0 {
-            catchup_decisions as f64 / catchup_elapsed
-        } else {
-            0.0
-        },
+        catchup,
     }
 }
 
@@ -813,14 +862,7 @@ fn main() {
         if fast { " (fast mode)" } else { "" },
     );
     let per_file_run = run_mode(QueryMode::PerFile, &load);
-    let batched_run = (0..MEASURE_ROUNDS)
-        .map(|_| run_mode(QueryMode::Batched, &load))
-        .max_by(|a, b| {
-            a.report
-                .decisions_per_sec
-                .total_cmp(&b.report.decisions_per_sec)
-        })
-        .expect("at least one batched round");
+    let batched_run = run_mode(QueryMode::Batched, &load);
     let per_file = &per_file_run.report;
     let batched = &batched_run.report;
     let speedup = batched.decisions_per_sec / per_file.decisions_per_sec;
@@ -859,24 +901,25 @@ fn main() {
     assert_eq!(per_file.metrics.dropped_batches, 0);
     assert_eq!(batched.metrics.dropped_batches, 0);
 
-    let net = run_net_mode(&load);
-    let wire_ratio = net.decisions_per_sec / batched.decisions_per_sec;
+    // The wire, routed and catch-up gates compare against this service,
+    // timed in passes of at least PASS_MIN.
+    let reference = Reference::start(&load);
+    let net = run_net_mode(&load, &reference);
+    let wire_ratio = net.paired.ratio;
     println!(
-        "\nwire path (loopback TCP): {} decisions in {:.3} s — {:.0} decisions/sec \
-         ({:.0}% of in-process batched), {}/{} frames in/out, overload round-trips: {}",
-        net.decisions,
-        net.elapsed_secs,
-        net.decisions_per_sec,
+        "\nwire path (loopback TCP): {} decisions in {:.3} s — median {:.0} decisions/sec \
+         ({:.0}% of in-process batched, median of {PASSES} paired passes of ≥{} ms), \
+         {}/{} frames in/out, overload round-trips: {}",
+        net.paired.side.decisions,
+        net.paired.side.elapsed_secs,
+        net.paired.side.per_sec,
         wire_ratio * 100.0,
+        PASS_MIN.as_millis(),
         net.frames_in,
         net.frames_out,
         net.overload_roundtrip,
     );
     println!("wire teardown: every connection closed, live gauge back to baseline");
-    assert_eq!(
-        net.decisions, batched.decisions,
-        "wire served a different workload"
-    );
     assert_eq!(net.invalid_epochs, 0, "wire decisions carried epoch 0");
     assert!(
         net.overload_roundtrip,
@@ -910,14 +953,15 @@ fn main() {
         );
     }
 
-    let cluster = run_cluster_mode(&load, fast);
-    let cluster_ratio = cluster.routed_decisions_per_sec / batched.decisions_per_sec;
+    let cluster = run_cluster_mode(&load, fast, &reference);
+    reference.shutdown();
+    let cluster_ratio = cluster.routed.ratio;
     println!(
         "\ncluster (3-node loopback): {} decisions in {:.3} s — {:.0} decisions/sec routed \
          ({:.0}% of single-node batched)",
-        cluster.routed_decisions,
-        cluster.routed_elapsed_secs,
-        cluster.routed_decisions_per_sec,
+        cluster.routed.side.decisions,
+        cluster.routed.side.elapsed_secs,
+        cluster.routed.side.per_sec,
         cluster_ratio * 100.0,
     );
     println!(
@@ -945,7 +989,10 @@ fn main() {
         cluster.post_failover_decisions > 0,
         "cluster stopped serving"
     );
-    let catchup_ratio = cluster.catchup_decisions_per_sec / batched.decisions_per_sec;
+    // Against the routed phase's reference passes: a reference pass run
+    // during the rejoin would share the host with the catch-up's own
+    // transfer and retrain.
+    let catchup_ratio = cluster.catchup.per_sec / cluster.routed.reference.per_sec;
     println!(
         "rebalance: killed node restarted as rejoiner with {} interregnum records to \
          catch up; preferred ownership restored in {:.3} s (gate {:.1} s), {} records \
@@ -955,8 +1002,8 @@ fn main() {
         cluster.rebalance_secs,
         cluster.rebalance_deadline_secs,
         cluster.lost_rebalance_records,
-        cluster.catchup_decisions,
-        cluster.catchup_decisions_per_sec,
+        cluster.catchup.decisions,
+        cluster.catchup.per_sec,
         catchup_ratio * 100.0,
     );
     assert_eq!(
@@ -980,6 +1027,8 @@ fn main() {
         "fast_mode": fast,
         "kernel_backend": kernel_backend,
         "runtime_workers": batched_run.runtime_workers,
+        "passes": PASSES,
+        "pass_min_ms": PASS_MIN.as_millis() as u64,
         "per_file": {
             "decisions": per_file.decisions,
             "elapsed_secs": per_file.elapsed_secs,
@@ -998,9 +1047,8 @@ fn main() {
         },
         "speedup": speedup,
         "net": {
-            "decisions": net.decisions,
-            "elapsed_secs": net.elapsed_secs,
-            "decisions_per_sec": net.decisions_per_sec,
+            "steady": net.paired.side.json(),
+            "reference": net.paired.reference.json(),
             "wire_vs_inprocess": wire_ratio,
             "frames_in": net.frames_in,
             "frames_out": net.frames_out,
@@ -1015,18 +1063,15 @@ fn main() {
             "lost_acked_records": cluster.lost_acked_records,
             "promotion_secs": cluster.promotion_secs,
             "promotion_deadline_secs": cluster.promotion_deadline_secs,
-            "routed_decisions": cluster.routed_decisions,
-            "routed_elapsed_secs": cluster.routed_elapsed_secs,
-            "routed_decisions_per_sec": cluster.routed_decisions_per_sec,
+            "routed": cluster.routed.side.json(),
+            "routed_reference": cluster.routed.reference.json(),
             "cluster_vs_single_node_batched": cluster_ratio,
             "post_failover_decisions": cluster.post_failover_decisions,
             "interregnum_records": cluster.interregnum_records,
             "lost_rebalance_records": cluster.lost_rebalance_records,
             "rebalance_secs": cluster.rebalance_secs,
             "rebalance_deadline_secs": cluster.rebalance_deadline_secs,
-            "catchup_decisions": cluster.catchup_decisions,
-            "catchup_elapsed_secs": cluster.catchup_elapsed_secs,
-            "catchup_decisions_per_sec": cluster.catchup_decisions_per_sec,
+            "catchup": cluster.catchup.json(),
             "catchup_vs_single_node_batched": catchup_ratio,
         },
         "hot_swap_soak": soak.as_ref().map(|soak| serde_json::json!({

@@ -18,13 +18,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use geomancy_cluster::{preferred_primary, ClusterClient, ClusterNode, ClusterNodeConfig};
-use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig};
 use geomancy_serve::{PlacementRequest, ServeConfig};
 use geomancy_sim::record::{DeviceId, FileId};
 
 use crate::args::Args;
-use crate::netcmd::{sig, synthetic_record};
+use crate::netcmd::{served_drl, sig, synthetic_record};
 
 /// Dispatches the `cluster` verbs on their mode flags.
 ///
@@ -112,13 +111,7 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
         failover_after_micros: args.u64_or("failover-ms", 1500)?.max(1) * 1000,
         serve: ServeConfig {
             candidates: (0..4).map(DeviceId).collect(),
-            drl: DrlConfig {
-                train_window: 800,
-                epochs: 20,
-                smoothing_window: 8,
-                seed: args.u64_or("seed", 42)?,
-                ..DrlConfig::default()
-            },
+            drl: served_drl(args)?,
             ..ServeConfig::default()
         },
         net: NetConfig::default(),

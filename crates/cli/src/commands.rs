@@ -418,20 +418,10 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
         store: crate::netcmd::store_settings(args)?,
         // The six Bluesky mounts.
         candidates: (0..6).map(DeviceId).collect(),
-        drl: DrlConfig {
-            train_window: 800,
-            epochs: 20,
-            smoothing_window: 8,
-            seed: args.u64_or("seed", 42)?,
-            ..DrlConfig::default()
-        },
+        drl: crate::netcmd::served_drl(args)?,
         retrain_every_records: None,
         admission: AdmissionConfig {
-            max_pending_requests: args
-                .options
-                .get("max-pending")
-                .map(|v| v.parse())
-                .transpose()?,
+            max_pending_requests: crate::netcmd::max_pending(args)?,
             ..AdmissionConfig::default()
         },
         ..ServeConfig::default()

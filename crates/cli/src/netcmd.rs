@@ -68,6 +68,29 @@ pub(crate) fn store_settings(args: &Args) -> Result<Option<StoreSettings>, Box<d
     }))
 }
 
+/// The served model's recipe, shared by `serve`, `serve --listen` and
+/// `cluster node`: an 800-record §V-E window, 20 epochs and 8-record
+/// smoothing, seeded by `--seed` (default 42).
+pub(crate) fn served_drl(args: &Args) -> Result<DrlConfig, Box<dyn Error>> {
+    Ok(DrlConfig {
+        train_window: 800,
+        epochs: 20,
+        smoothing_window: 8,
+        seed: args.u64_or("seed", 42)?,
+        ..DrlConfig::default()
+    })
+}
+
+/// `--max-pending N`, the admission bound on queued requests shared by
+/// `serve` and `serve --listen` (unbounded when absent).
+pub(crate) fn max_pending(args: &Args) -> Result<Option<u64>, Box<dyn Error>> {
+    Ok(args
+        .options
+        .get("max-pending")
+        .map(|v| v.parse())
+        .transpose()?)
+}
+
 /// Builds the service the listener fronts, from the same options the
 /// in-process `serve` load mode uses.
 fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
@@ -101,23 +124,13 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
         max_batch: args.u64_or("max-batch", 256)? as usize,
         wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
         candidates: (0..6).map(DeviceId).collect(),
-        drl: DrlConfig {
-            train_window: 800,
-            epochs: 20,
-            smoothing_window: 8,
-            seed: args.u64_or("seed", 42)?,
-            ..DrlConfig::default()
-        },
+        drl: served_drl(args)?,
         retrain_every_records: match args.u64_or("retrain-every", 0)? {
             0 => None,
             n => Some(n),
         },
         admission: AdmissionConfig {
-            max_pending_requests: args
-                .options
-                .get("max-pending")
-                .map(|v| v.parse())
-                .transpose()?,
+            max_pending_requests: max_pending(args)?,
             per_shard_pending,
         },
         node_id: args.u64_or("node-id", 0)?,

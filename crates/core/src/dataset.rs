@@ -137,17 +137,8 @@ pub fn placement_features(record: &AccessRecord) -> [f64; PLACEMENT_Z] {
 }
 
 /// Builds the placement dataset over an arbitrary record mix (all devices):
-/// pre-access features → observed throughput (smoothed per the paper).
-///
-/// # Panics
-///
-/// Panics if fewer than 2 records are given or `smoothing` is zero.
-pub fn placement_dataset(records: &[AccessRecord], smoothing: usize) -> Dataset {
-    placement_dataset_with(records, smoothing, false)
-}
-
-/// [`placement_dataset`] with an optional `ln(1 + tp)` target transform.
-/// Log-space targets condition MSE far better on heavy-tailed throughput
+/// pre-access features → observed throughput (smoothed per the paper),
+/// with an optional `ln(1 + tp)` target transform. Log-space targets condition MSE far better on heavy-tailed throughput
 /// distributions (bursty mounts span two orders of magnitude).
 ///
 /// # Panics
@@ -285,7 +276,7 @@ mod tests {
 
     #[test]
     fn placement_dataset_shapes_and_normalization() {
-        let ds = placement_dataset(&series(30), 4);
+        let ds = placement_dataset_with(&series(30), 4, false);
         assert_eq!(ds.inputs.shape(), (30, PLACEMENT_Z));
         assert_eq!(ds.targets.shape(), (30, 1));
         for &v in ds.inputs.as_slice() {

@@ -204,7 +204,9 @@ impl DrlEngine {
     /// [`DrlEngine::retrain`] on a time-ordered record stream instead of a
     /// database: the same window, the `train_window` most recent records of
     /// each device, picked in one pass, so a caller holding the records
-    /// builds no [`ReplayDb`] and no indexes first.
+    /// builds no [`ReplayDb`] and no indexes first. Every fit goes through
+    /// this window: offline, and the serve trainer's first fit, warm
+    /// cycles and scratch refits.
     ///
     /// # Errors
     ///
@@ -217,27 +219,22 @@ impl DrlEngine {
         self.fit(&records)
     }
 
-    /// Warm-start incremental fit: continues training the *current*
-    /// weights on `fresh` delta records mixed with `replay` records
-    /// sampled from older history (the anti-catastrophic-forgetting mix;
-    /// the serve layer's trainer replays 0.25 old records per fresh one).
-    /// Unlike [`DrlEngine::retrain`] there is no re-initialization, so the cost
-    /// scales with the delta, not the history. Normalizers and the §V-G
-    /// adjuster are refit on the mixed batch — the replay records anchor
-    /// the feature ranges so a small delta cannot collapse them.
+    /// Warm-start incremental fit: [`DrlEngine::retrain_stream`] over
+    /// `replay` records sampled from older history, then the `fresh` delta
+    /// (the serve trainer replays 0.25 old records per fresh one, against
+    /// catastrophic forgetting). The weights are not re-initialized, so the
+    /// cost scales with the delta, not the history; a mix past the window
+    /// drops replay records first. The normalizers and the §V-G adjuster
+    /// are refit on the window, whose replay records anchor their ranges.
     ///
-    /// Returns `None` (engine untouched) when the mix holds too few
-    /// records to form a 60/20/20 split (fewer than 5).
+    /// Returns `None` (engine untouched) when the window holds fewer than
+    /// 5 records.
     pub fn retrain_incremental(
         &mut self,
         fresh: &[AccessRecord],
         replay: &[AccessRecord],
     ) -> Option<RetrainOutcome> {
-        let mut records: Vec<AccessRecord> = Vec::with_capacity(fresh.len() + replay.len());
-        records.extend_from_slice(replay);
-        records.extend_from_slice(fresh);
-        records.sort_by_key(|r| r.access_number);
-        self.fit(&records)
+        self.retrain_stream(replay.iter().chain(fresh))
     }
 
     /// One warm gradient step on a pre-built normalized batch — the

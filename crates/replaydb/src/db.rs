@@ -222,14 +222,6 @@ impl ReplayDb {
         self.records[start..].to_vec()
     }
 
-    /// Ingest timestamps of the oldest and newest records, if any.
-    pub fn time_span_micros(&self) -> Option<(u64, u64)> {
-        match (self.records.first(), self.records.last()) {
-            (Some(first), Some(last)) => Some((first.timestamp_micros, last.timestamp_micros)),
-            _ => None,
-        }
-    }
-
     /// Drops everything but the most recent `keep` records, rebuilding the
     /// indexes. Layout events older than the oldest kept record are dropped
     /// too. Returns the number of records removed.
@@ -251,20 +243,6 @@ impl ReplayDb {
             .retain(|e| e.timestamp_micros >= oldest_kept);
         self.rebuild_indexes();
         removed
-    }
-
-    /// Approximate resident size of the stored records, in bytes.
-    pub fn approximate_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<StoredRecord>()
-            + self
-                .layout_events
-                .iter()
-                .map(|e| {
-                    std::mem::size_of::<LayoutEvent>()
-                        + e.movements.len()
-                            * std::mem::size_of::<geomancy_sim::record::MovementRecord>()
-                })
-                .sum::<usize>()
     }
 
     /// Rebuilds the per-device index (needed after deserialization, which
@@ -431,15 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn time_span_reports_bounds() {
-        let mut db = ReplayDb::new();
-        assert_eq!(db.time_span_micros(), None);
-        db.insert(5, rec(0, 1, 0));
-        db.insert(95, rec(1, 1, 0));
-        assert_eq!(db.time_span_micros(), Some((5, 95)));
-    }
-
-    #[test]
     fn compact_keeps_the_newest_records() {
         let mut db = ReplayDb::new();
         for n in 0..10 {
@@ -472,16 +441,6 @@ mod tests {
         db.insert(0, rec(0, 1, 0));
         assert_eq!(db.compact(10), 0);
         assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn approximate_bytes_grows_with_records() {
-        let mut db = ReplayDb::new();
-        let empty = db.approximate_bytes();
-        for n in 0..100 {
-            db.insert(n, rec(n, 1, 0));
-        }
-        assert!(db.approximate_bytes() > empty);
     }
 
     #[test]

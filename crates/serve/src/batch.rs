@@ -155,8 +155,9 @@ impl ModelSlot {
         self.meta.lock().expect("model slot poisoned").clone()
     }
 
-    /// Takes the pending model, if any (query engine only).
-    fn take(&self) -> Option<(u64, DrlEngine)> {
+    /// Takes the pending model, if any (the query engine, and the
+    /// trainer's tests).
+    pub(crate) fn take(&self) -> Option<(u64, DrlEngine)> {
         // Cheap fast path: don't touch the mutex unless an unconsumed
         // publish could exist.
         if self.epoch.load(Ordering::Acquire) == 0 {

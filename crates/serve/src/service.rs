@@ -68,8 +68,10 @@ pub struct StoreSettings {
     pub page_size: usize,
     /// Pages held decoded in the in-process page cache.
     pub cache_pages: usize,
-    /// Checkpoint cadence in reactor microseconds (0 = only explicit
-    /// [`PlacementService::checkpoint_now`] calls checkpoint).
+    /// Checkpoint cadence in microseconds of the service's clock (the wall
+    /// clock, or the one [`PlacementService::start_with_clock`] takes; 0 =
+    /// only explicit [`PlacementService::checkpoint_now`] calls
+    /// checkpoint).
     pub checkpoint_every_micros: u64,
     /// Records each shard keeps in memory after a checkpoint trims it —
     /// the hot tail the trainer and snapshot queries see.

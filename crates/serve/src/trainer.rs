@@ -1,15 +1,12 @@
-//! Background retraining: delta-snapshot the shards, warm-start train off
-//! to the side, publish through the [`ModelSlot`].
+//! Background retraining: delta-snapshot the shards, fit off to the side,
+//! publish through the [`ModelSlot`].
 //!
 //! Serving never blocks on training: the trainer works on *copies* of new
 //! shard records, and the only synchronization with the query engine is
 //! the epoch-pointer publish. Each cycle pulls only the records past a
 //! per-shard **watermark** (an applied-record count carried in
-//! [`TrainedMeta`] alongside every published model) and continues
-//! training the trainer's resident master engine on that delta, mixed
-//! with a replay sample of older history so the model does not forget
-//! quiet devices. Retrain cost therefore scales with the *delta*, not
-//! the history.
+//! [`TrainedMeta`] alongside every published model), so retrain cost
+//! scales with the *delta*, not the history.
 //!
 //! ## One thread, one blocking cycle
 //!
@@ -25,20 +22,22 @@
 //! Dropping the [`Trainer`] closes the request channel and joins the
 //! thread once the queued cycles have run.
 //!
-//! ## Policy
+//! ## Policy: one fit path
 //!
-//! The first cycle fits from scratch on everything the shards hold. Every
-//! later cycle warm-starts the master on the delta plus a replay sample,
-//! and falls back to a from-scratch fit — within the same cycle, on the
-//! retained history plus the delta — when the warm step diverges or its
-//! validation MAE exceeds `REGRESSION_FACTOR` (2) × the previous cycle's.
+//! Every fit is one call, `fit`: [`DrlEngine::retrain_stream`]'s §V-E
+//! window over older records then the cycle's delta. The first cycle fits
+//! a fresh engine on everything the shards hold. Every later cycle fits
+//! the master on a replay sample then the delta (so the model does not
+//! forget quiet devices) and, when that warm step diverges or its
+//! validation MAE exceeds `REGRESSION_FACTOR` (2) × the previous cycle's,
+//! a fresh engine on the retained history then the delta.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use geomancy_core::drl::{DrlConfig, DrlEngine};
+use geomancy_core::drl::{DrlConfig, DrlEngine, RetrainOutcome};
 use geomancy_replaydb::StoredRecord;
 use geomancy_sim::record::AccessRecord;
 use geomancy_store::SharedPagedStore;
@@ -223,6 +222,50 @@ fn sort_stream(records: &mut [StoredRecord]) {
     records.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
 }
 
+/// The one fit every cycle runs: `engine`'s §V-E window over `older`
+/// records then the cycle's `delta`, in stream order. A mix too small to
+/// train on leaves `engine` untouched.
+fn fit<'a>(
+    engine: &mut DrlEngine,
+    older: impl DoubleEndedIterator<Item = &'a AccessRecord>,
+    delta: &'a [StoredRecord],
+) -> Result<RetrainOutcome, TrainError> {
+    engine
+        .retrain_stream(older.chain(delta.iter().map(|s| &s.record)))
+        .ok_or(TrainError::NotEnoughData)
+}
+
+/// Deterministic replay sample for a `delta_len`-record delta, of
+/// [`REPLAY_RATIO`] × as many records from the retained window `history`
+/// (an even stride, so every era of the window is represented), topped up
+/// from the `cold` store's timestamp index when the window is short — the
+/// restart case, where in-memory history is empty but checkpointed
+/// history is not. The top-up may overlap the newest retained records
+/// right after a checkpoint; a few double-weighted replay rows are
+/// harmless.
+fn sample_replay(
+    history: &[StoredRecord],
+    cold: Option<&SharedPagedStore>,
+    delta_len: usize,
+) -> Vec<AccessRecord> {
+    let n = (delta_len as f64 * REPLAY_RATIO).round() as usize;
+    if n == 0 {
+        return Vec::new();
+    }
+    let have = history.len();
+    if have >= n {
+        return (0..n).map(|k| history[k * have / n].record).collect();
+    }
+    let mut out: Vec<AccessRecord> = Vec::with_capacity(n);
+    if let Some(cold) = cold {
+        if let Ok(older) = cold.read().recent(n - have) {
+            out.extend(older);
+        }
+    }
+    out.extend(history.iter().map(|s| s.record));
+    out
+}
+
 /// The trainer thread's state.
 struct TrainLoop {
     shards: Arc<ShardSet>,
@@ -237,9 +280,10 @@ struct TrainLoop {
     /// The resident engine warm starts continue training. Publishes
     /// hand a [`DrlEngine::fork`] to the slot, never the master itself.
     master: Option<DrlEngine>,
-    /// Replay window: recent records kept for the anti-forgetting mix,
-    /// sorted by `(timestamp, access_number)` and bounded at
-    /// [`REPLAY_CAPACITY`] (bounded window ⇒ flat per-cycle cost).
+    /// Replay window: recent records kept for the warm steps' replay
+    /// sample and a scratch refit's older records, sorted by
+    /// `(timestamp, access_number)` and bounded at [`REPLAY_CAPACITY`]
+    /// (bounded window ⇒ flat per-cycle cost).
     history: Vec<StoredRecord>,
     /// Last published validation MAE — the regression baseline.
     last_val_mae: Option<f64>,
@@ -265,12 +309,12 @@ impl TrainLoop {
         }
     }
 
-    /// Snapshot → merge → train (from scratch until a master exists, warm
-    /// after) → publish a fork with its watermark metadata.
+    /// Snapshot → merge → fit ([`TrainLoop::train`]) → publish a fork
+    /// with its watermark metadata.
     fn cycle(&mut self) -> Result<u64, TrainError> {
-        let full = self.master.is_none();
-        let (watermarks, delta) = self.snapshot(full)?;
-        if !full && delta.is_empty() {
+        let first = self.master.is_none();
+        let (watermarks, delta) = self.snapshot(first)?;
+        if !first && delta.is_empty() {
             // Nothing new since the published model: it is already up to
             // date, so answer with its epoch and leave counters and
             // watermarks be.
@@ -281,11 +325,7 @@ impl TrainLoop {
             .fetch_add(delta.len() as u64, Ordering::Relaxed);
 
         let started = std::time::Instant::now();
-        let trained = if full {
-            self.train_full(&delta)
-        } else {
-            self.train_incremental(&delta)
-        };
+        let trained = self.train(&delta);
         self.metrics
             .retrain_micros
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -330,71 +370,31 @@ impl TrainLoop {
         Ok((watermarks, delta))
     }
 
-    /// From-scratch fit on `records`, in stream order, replacing the master
-    /// on success. Returns `(validation MAE, warm_start=false)`.
-    fn train_full(&mut self, records: &[StoredRecord]) -> Result<(f64, bool), TrainError> {
-        // Vary the init seed with the published epoch so consecutive
-        // from-scratch models differ (the soak test's "no torn model"
-        // check needs them distinguishable).
-        let mut config = self.drl.clone();
-        config.seed = config.seed.wrapping_add(self.slot.published_epoch());
-        let mut engine = DrlEngine::new(config);
-        let outcome = engine
-            .retrain_stream(records.iter().map(|s| &s.record))
-            .ok_or(TrainError::NotEnoughData)?;
-        self.master = Some(engine);
-        Ok((outcome.validation_error.mean, false))
-    }
-
-    /// Warm-start fit on the delta plus a replay sample. A regressed or
-    /// diverged warm step falls back to [`Self::train_full`] on the
-    /// retained history plus the delta, inside the same cycle.
-    fn train_incremental(&mut self, delta: &[StoredRecord]) -> Result<(f64, bool), TrainError> {
-        let fresh: Vec<AccessRecord> = delta.iter().map(|s| s.record).collect();
-        let replay_n = (fresh.len() as f64 * REPLAY_RATIO).round() as usize;
-        let replay = self.sample_replay(replay_n);
-        let master = self
-            .master
-            .as_mut()
-            .expect("warm cycle requires a trained master");
-        let outcome = master
-            .retrain_incremental(&fresh, &replay)
-            .ok_or(TrainError::NotEnoughData)?;
-        let mae = outcome.validation_error.mean;
-        if warm_step_regressed(self.last_val_mae, mae, outcome.diverged) {
-            // The warm step hurt the model (and already perturbed the
-            // master): rebuild from scratch on everything at hand.
-            let mut records = self.history.clone();
-            records.extend_from_slice(delta);
-            sort_stream(&mut records);
-            return self.train_full(&records);
-        }
-        Ok((mae, true))
-    }
-
-    /// Deterministic replay sample of `n` records from the retained
-    /// window (an even stride, so every era of the window is
-    /// represented), topped up from the cold store's timestamp index
-    /// when the window holds fewer than `n` — the restart case, where
-    /// in-memory history is empty but checkpointed history is not. The
-    /// top-up may overlap the newest retained records right after a
-    /// checkpoint; a few double-weighted replay rows are harmless.
-    fn sample_replay(&self, n: usize) -> Vec<AccessRecord> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let have = self.history.len();
-        if have >= n {
-            return (0..n).map(|k| self.history[k * have / n].record).collect();
-        }
-        let mut out: Vec<AccessRecord> = Vec::with_capacity(n);
-        if let Some(cold) = &self.cold {
-            if let Ok(older) = cold.read().recent(n - have) {
-                out.extend(older);
+    /// Picks each fit's engine and older records, and runs [`fit`]: the
+    /// master on a replay sample (a warm step), then, with no master yet or
+    /// after a regressed warm step, a fresh engine on the retained history,
+    /// which becomes the master. Returns `(validation MAE, warm_start)`.
+    fn train(&mut self, delta: &[StoredRecord]) -> Result<(f64, bool), TrainError> {
+        if let Some(master) = &mut self.master {
+            let replay = sample_replay(&self.history, self.cold.as_ref(), delta.len());
+            let outcome = fit(master, replay.iter(), delta)?;
+            let mae = outcome.validation_error.mean;
+            if !warm_step_regressed(self.last_val_mae, mae, outcome.diverged) {
+                return Ok((mae, true));
             }
         }
-        out.extend(self.history.iter().map(|s| s.record));
-        out
+        // The first fit (`history` is still empty), or the fallback from a
+        // warm step that hurt the master. The seed varies with the
+        // published epoch so consecutive from-scratch models differ (the
+        // soak test's "no torn model" check needs them distinguishable).
+        let seed = self.drl.seed.wrapping_add(self.slot.published_epoch());
+        let mut engine = DrlEngine::new(DrlConfig {
+            seed,
+            ..self.drl.clone()
+        });
+        let outcome = fit(&mut engine, self.history.iter().map(|s| &s.record), delta)?;
+        self.master = Some(engine);
+        Ok((outcome.validation_error.mean, false))
     }
 
     /// Folds a cycle's delta into the bounded replay window.
@@ -413,6 +413,7 @@ mod tests {
     use super::*;
     use crate::batch::PlacementRequest;
     use crate::service::{PlacementService, ServeConfig};
+    use geomancy_core::drl::PlacementQuery;
     use geomancy_sim::record::{DeviceId, FileId};
     use std::time::{Duration, Instant};
 
@@ -427,31 +428,36 @@ mod tests {
         assert!(warm_step_regressed(Some(10.0), 20.1, false));
     }
 
-    /// `master`, when given, is resident as if an earlier cycle had
-    /// trained it, with a fork of it published (epoch 1).
-    fn spawn_trainer(
-        shards: &Arc<ShardSet>,
-        master: Option<DrlEngine>,
-    ) -> (Trainer, Arc<ServeMetrics>) {
+    /// The trainer's state over `shards`. `master`, when given, is
+    /// resident as if an earlier cycle had trained it, with a fork of it
+    /// published (epoch 1).
+    fn train_loop(shards: &Arc<ShardSet>, master: Option<DrlEngine>) -> TrainLoop {
         let n = shards.len();
-        let metrics = Arc::new(ServeMetrics::new(n));
         let slot = Arc::new(ModelSlot::new());
         if let Some(m) = &master {
             slot.publish(m.fork());
         }
-        let trainer = Trainer::start(TrainLoop {
+        TrainLoop {
             shards: Arc::clone(shards),
             drl: DrlConfig::default(),
             slot,
-            metrics: Arc::clone(&metrics),
+            metrics: Arc::new(ServeMetrics::new(n)),
             async_queued: Arc::new(AtomicBool::new(false)),
             watermarks: vec![0; n],
             master,
             history: Vec::new(),
             last_val_mae: None,
             cold: None,
-        });
-        (trainer, metrics)
+        }
+    }
+
+    fn spawn_trainer(
+        shards: &Arc<ShardSet>,
+        master: Option<DrlEngine>,
+    ) -> (Trainer, Arc<ServeMetrics>) {
+        let train = train_loop(shards, master);
+        let metrics = Arc::clone(&train.metrics);
+        (Trainer::start(train), metrics)
     }
 
     /// Queues a cycle as a blocking caller would, returning its answer
@@ -535,6 +541,91 @@ mod tests {
         (from..from + count).map(rec).collect()
     }
 
+    /// A trained engine's predictions for a spread of queries over both
+    /// devices, as bit patterns.
+    fn predictions(engine: &mut DrlEngine) -> Vec<u64> {
+        (0..16u64)
+            .flat_map(|i| {
+                let query = PlacementQuery {
+                    fid: FileId(i % 8),
+                    read_bytes: 250_000 * (i + 1),
+                    write_bytes: 0,
+                    now_secs: 100 + 20 * i,
+                    now_ms: 0,
+                };
+                engine.rank_locations(&query, &[DeviceId(0), DeviceId(1)])
+            })
+            .map(|(_, tp)| tp.to_bits())
+            .collect()
+    }
+
+    /// The first cycle publishes, bit for bit, what a fresh engine seeded
+    /// `seed + 0` fits on the shards' merged snapshot.
+    #[test]
+    fn first_publish_is_a_fresh_fit_on_the_merged_snapshot() {
+        let shards = shards(2);
+        // One timestamp: the merged stream is access order.
+        shards.ingest(0, &records(0, 300)).unwrap();
+        let mut train = train_loop(&shards, None);
+        train.drl.seed = 7;
+        let slot = Arc::clone(&train.slot);
+        let trainer = Trainer::start(train);
+        assert_eq!(trainer.retrain_now(), Ok(1));
+        let (epoch, mut published) = slot.take().expect("a published model");
+        assert_eq!(epoch, 1);
+
+        let mut reference = DrlEngine::new(DrlConfig {
+            seed: 7,
+            ..DrlConfig::default()
+        });
+        reference.retrain_stream(records(0, 300).iter()).unwrap();
+        assert_eq!(predictions(&mut published), predictions(&mut reference));
+    }
+
+    /// A warm step that regresses is replaced within its cycle: the cycle
+    /// publishes, bit for bit, what a fresh engine seeded `seed + epoch`
+    /// fits on the retained history then the delta.
+    #[test]
+    fn regressed_warm_step_publishes_a_fresh_fit_on_history_then_delta() {
+        let history: Vec<StoredRecord> = records(0, 200)
+            .into_iter()
+            .map(|record| StoredRecord {
+                timestamp_micros: 0,
+                record,
+            })
+            .collect();
+        let mut master = DrlEngine::new(DrlConfig::default());
+        master
+            .retrain_stream(history.iter().map(|s| &s.record))
+            .unwrap();
+        let shards = shards(2);
+        let delta = records(200, 100);
+        shards.ingest(1_000_000, &delta).unwrap();
+        let mut train = train_loop(&shards, Some(master));
+        train.drl.seed = 7;
+        train.history = history.clone();
+        // No warm step's validation MAE stays under twice this.
+        train.last_val_mae = Some(1e-9);
+        let (slot, metrics) = (Arc::clone(&train.slot), Arc::clone(&train.metrics));
+        let trainer = Trainer::start(train);
+        assert_eq!(trainer.retrain_now(), Ok(2));
+        let snap = metrics.snapshot();
+        assert_eq!((snap.warm_starts, snap.full_retrains), (0, 1));
+        assert!(!slot.trained_meta().unwrap().warm_start);
+        let (epoch, mut published) = slot.take().expect("a published model");
+        assert_eq!(epoch, 2);
+
+        // The fallback's engine was made while epoch 1 was published.
+        let mut reference = DrlEngine::new(DrlConfig {
+            seed: 8,
+            ..DrlConfig::default()
+        });
+        reference
+            .retrain_stream(history.iter().map(|s| &s.record).chain(&delta))
+            .unwrap();
+        assert_eq!(predictions(&mut published), predictions(&mut reference));
+    }
+
     /// Two shards, and a model whose fits take long enough to catch one
     /// in progress.
     fn slow_fit_config() -> ServeConfig {
@@ -558,12 +649,10 @@ mod tests {
         }
     }
 
-    /// A fit runs on the trainer's own thread, not on a reactor worker:
-    /// with a one-worker pool, a query submitted while a long fit is in
-    /// progress is answered before the fit ends. (As a reactor actor,
-    /// the fit's turn held the only worker and the query waited it out.)
+    /// A fit runs on the trainer's own thread: a query submitted while a
+    /// long fit is in progress is answered before the fit ends.
     #[test]
-    fn trainer_fit_does_not_hold_a_reactor_worker() {
+    fn a_query_is_answered_mid_fit() {
         let service = Arc::new(PlacementService::start(slow_fit_config()));
         service.ingest(0, &records(0, 40)).unwrap();
         service.retrain_now().expect("bootstrap fit");
