@@ -1,6 +1,9 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -26,8 +29,8 @@ pub enum ArgError {
         key: String,
         /// Offending value.
         value: String,
-        /// Expected type.
-        expected: &'static str,
+        /// What the option accepts.
+        expected: String,
     },
 }
 
@@ -100,18 +103,53 @@ impl Args {
             .ok_or_else(|| ArgError::Missing(key.to_string()))
     }
 
+    /// Optional integer option.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Invalid`] when present but unparsable.
+    pub fn u64_opt(&self, key: &str) -> Result<Option<u64>, ArgError> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse().map_err(|_| ArgError::Invalid {
+                    key: key.to_string(),
+                    value: v.clone(),
+                    expected: "an integer".to_string(),
+                })
+            })
+            .transpose()
+    }
+
     /// Integer option with a default.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError::Invalid`] when present but unparsable.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::Invalid {
+        Ok(self.u64_opt(key)?.unwrap_or(default))
+    }
+
+    /// Integer option with a default, parsed straight into the type it
+    /// is used as and required to lie in `range`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Invalid`] when present but unparsable, too
+    /// large for `T`, or outside `range`.
+    pub fn int_in<T>(&self, key: &str, default: T, range: RangeInclusive<T>) -> Result<T, ArgError>
+    where
+        T: FromStr + PartialOrd + Display,
+    {
+        let Some(v) = self.options.get(key) else {
+            return Ok(default);
+        };
+        match v.parse() {
+            Ok(n) if range.contains(&n) => Ok(n),
+            _ => Err(ArgError::Invalid {
                 key: key.to_string(),
                 value: v.clone(),
-                expected: "an integer",
+                expected: format!("an integer from {} to {}", range.start(), range.end()),
             }),
         }
     }
@@ -127,7 +165,7 @@ impl Args {
             Some(v) => v.parse().map_err(|_| ArgError::Invalid {
                 key: key.to_string(),
                 value: v.clone(),
-                expected: "true or false",
+                expected: "true or false".to_string(),
             }),
         }
     }
@@ -184,8 +222,22 @@ mod tests {
 
     #[test]
     fn invalid_integer_reported() {
-        let args = parse(&["x", "--n", "abc"]).unwrap();
+        let args = parse(&["x", "--n", "abc", "--m", "24", "--w", "256", "--ok", "23"]).unwrap();
         assert!(matches!(args.u64_or("n", 0), Err(ArgError::Invalid { .. })));
+        assert_eq!(
+            args.int_in("m", 1u8, 1..=23),
+            Err(ArgError::Invalid {
+                key: "m".into(),
+                value: "24".into(),
+                expected: "an integer from 1 to 23".into(),
+            })
+        );
+        assert!(matches!(
+            args.int_in("w", 1u8, 0..=u8::MAX),
+            Err(ArgError::Invalid { .. })
+        ));
+        assert_eq!(args.int_in("ok", 1u8, 1..=23), Ok(23));
+        assert_eq!(args.int_in("absent", 7u8, 1..=23), Ok(7));
     }
 
     #[test]

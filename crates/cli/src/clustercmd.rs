@@ -99,7 +99,7 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
             .ok_or("--node-id is not in --peers and no --listen given")?,
     };
     let dir = PathBuf::from(args.str_or("dir", &format!("cluster-node-{node_id}")));
-    let shards = args.u64_or("shards", 4)? as u32;
+    let shards = args.int_in("shards", 4, 1..=u32::MAX)?;
     let config = ClusterNodeConfig {
         node_id,
         listen,
@@ -116,7 +116,7 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
         },
         net: NetConfig::default(),
         rejoin: args.flag("join")?,
-        catch_up_max_records: args.u64_or("catch-up-batch", 4096)?.max(1) as u32,
+        catch_up_max_records: args.int_in("catch-up-batch", 4096, 1..=u32::MAX)?,
     };
     let rejoining = config.rejoin;
     let node = ClusterNode::start(config).map_err(|e| format!("start node: {e}"))?;

@@ -310,8 +310,7 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
     use geomancy_sim::record::DeviceId;
     use geomancy_trace::belle2::Belle2Workload;
 
-    let model_number = args.u64_or("model", 1)? as u8;
-    let id = ModelId::new(model_number);
+    let id = ModelId::new(args.int_in("model", 1, 1..=23)?);
     let per_mount = args.u64_or("records", 2_000)? as usize;
     let epochs = args.u64_or("epochs", 200)? as usize;
     let mount_name = args.str_or("mount", "people");
@@ -400,7 +399,7 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use geomancy_sim::record::DeviceId;
     use std::sync::Arc;
 
-    let shards = args.u64_or("shards", 4)? as usize;
+    let shards = args.int_in("shards", 4, 1..=usize::MAX)?;
     let mode = if args.flag("per-file")? {
         QueryMode::PerFile
     } else {
@@ -412,7 +411,7 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
         max_batch: if mode == QueryMode::PerFile {
             1
         } else {
-            args.u64_or("max-batch", 256)? as usize
+            args.int_in("max-batch", 256, 1..=usize::MAX)?
         },
         wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
         store: crate::netcmd::store_settings(args)?,
@@ -421,7 +420,7 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
         drl: crate::netcmd::served_drl(args)?,
         retrain_every_records: None,
         admission: AdmissionConfig {
-            max_pending_requests: crate::netcmd::max_pending(args)?,
+            max_pending_requests: args.u64_opt("max-pending")?,
             ..AdmissionConfig::default()
         },
         ..ServeConfig::default()

@@ -81,20 +81,10 @@ pub(crate) fn served_drl(args: &Args) -> Result<DrlConfig, Box<dyn Error>> {
     })
 }
 
-/// `--max-pending N`, the admission bound on queued requests shared by
-/// `serve` and `serve --listen` (unbounded when absent).
-pub(crate) fn max_pending(args: &Args) -> Result<Option<u64>, Box<dyn Error>> {
-    Ok(args
-        .options
-        .get("max-pending")
-        .map(|v| v.parse())
-        .transpose()?)
-}
-
 /// Builds the service the listener fronts, from the same options the
 /// in-process `serve` load mode uses.
 fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
-    let shards = args.u64_or("shards", 4)? as usize;
+    let shards = args.int_in("shards", 4, 1..=usize::MAX)?;
     let per_shard_pending = match args.options.get("shard-pending") {
         None => Vec::new(),
         // Either one bound applied to every shard, or a full
@@ -121,7 +111,7 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
         shards,
         store,
         queue_capacity: args.u64_or("queue-capacity", 1024)? as usize,
-        max_batch: args.u64_or("max-batch", 256)? as usize,
+        max_batch: args.int_in("max-batch", 256, 1..=usize::MAX)?,
         wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
         candidates: (0..6).map(DeviceId).collect(),
         drl: served_drl(args)?,
@@ -130,7 +120,7 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
             n => Some(n),
         },
         admission: AdmissionConfig {
-            max_pending_requests: max_pending(args)?,
+            max_pending_requests: args.u64_opt("max-pending")?,
             per_shard_pending,
         },
         node_id: args.u64_or("node-id", 0)?,

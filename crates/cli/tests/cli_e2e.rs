@@ -119,3 +119,46 @@ fn analyze_missing_file_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// Runs `geomancy` with `command` then `--option value`, and asserts it
+/// fails with a clean error (exit 1, no panic) that names `--option`
+/// and the rejected `value`.
+fn rejects_option(command: &[&str], option: &str, value: &str) {
+    let flag = format!("--{option}");
+    let out = geomancy()
+        .args(command)
+        .args([flag.as_str(), value])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{command:?} {flag}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{command:?} {flag}: {stderr}");
+    assert!(
+        stderr.contains(&flag) && stderr.contains(&format!("{value:?}")),
+        "{command:?} {flag}: {stderr}"
+    );
+}
+
+#[test]
+fn bad_serve_options_name_the_option() {
+    for serve in [&["serve"][..], &["serve", "--listen", "127.0.0.1:0"]] {
+        for (option, value) in [("max-pending", "abc"), ("shards", "0"), ("max-batch", "0")] {
+            rejects_option(serve, option, value);
+        }
+    }
+}
+
+#[test]
+fn out_of_range_integers_are_rejected_not_narrowed() {
+    for model in ["0", "24", "99", "257"] {
+        rejects_option(&["train"], "model", model);
+    }
+    let node = ["cluster", "--node-id", "1", "--peers", "1=127.0.0.1:0"];
+    for (option, value) in [
+        ("shards", "0"),
+        ("shards", "4294967296"),
+        ("catch-up-batch", "4294967297"),
+    ] {
+        rejects_option(&node, option, value);
+    }
+}

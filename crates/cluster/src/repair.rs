@@ -85,12 +85,6 @@ impl RepairState {
         *at = (*at).max(now_micros);
     }
 
-    /// Last sighting of `node`, if any.
-    #[must_use]
-    pub fn last_seen(&self, node: u64) -> Option<u64> {
-        self.seen.get(&node).copied()
-    }
-
     /// Whether `node` was sighted within `deadline_micros` of `now`.
     #[must_use]
     pub fn live(&self, node: u64, now_micros: u64, deadline_micros: u64) -> bool {
@@ -280,7 +274,7 @@ mod tests {
         let mut state = RepairState::default();
         state.mark_seen(1, 100);
         state.mark_seen(1, 50);
-        assert_eq!(state.last_seen(1), Some(100));
+        assert!(state.live(1, 150, 50));
         state.record_done(1, 0, 9);
         state.record_done(1, 0, 3);
         assert_eq!(state.peer_floor(1, 0), Some(9));

@@ -50,11 +50,6 @@ impl PredictionAdjuster {
         self.mae_fraction
     }
 
-    /// Whether the correction is added (model under-predicts).
-    pub fn is_under_predicting(&self) -> bool {
-        self.under_predicting
-    }
-
     /// Adjusts one prediction.
     pub fn adjust(&self, prediction: f64) -> f64 {
         if self.under_predicting {
@@ -89,7 +84,6 @@ mod tests {
             signed_mean: 2.0,
         });
         assert!((a.adjust(100.0) - 110.0).abs() < 1e-9);
-        assert!(a.is_under_predicting());
     }
 
     #[test]
@@ -100,7 +94,6 @@ mod tests {
             signed_mean: -3.0,
         });
         assert!((a.adjust(100.0) - 90.0).abs() < 1e-9);
-        assert!(!a.is_under_predicting());
     }
 
     #[test]

@@ -24,13 +24,6 @@ impl SimClock {
         SimClock { micros: 0 }
     }
 
-    /// Creates a clock at an arbitrary starting epoch, in seconds.
-    pub fn starting_at_secs(secs: u64) -> Self {
-        SimClock {
-            micros: secs * 1_000_000,
-        }
-    }
-
     /// Current time in seconds as a float.
     pub fn now_secs(&self) -> f64 {
         self.micros as f64 / 1e6
@@ -173,12 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn starting_epoch() {
-        let c = SimClock::starting_at_secs(1_500_000_000);
-        assert_eq!(c.now_secs_ms(), (1_500_000_000, 0));
-    }
-
-    #[test]
     #[should_panic(expected = "advance forward")]
     fn negative_advance_panics() {
         SimClock::new().advance_secs(-1.0);
@@ -196,7 +183,8 @@ mod tests {
             }),
         );
         assert!(!shared.autonomous());
-        let mut sim = SimClock::starting_at_secs(10);
+        let mut sim = SimClock::new();
+        sim.advance_secs(10.0);
         shared.publish(&sim);
         assert_eq!(shared.now_micros(), 10_000_000);
         // Stale publishes neither rewind time nor wake anyone.

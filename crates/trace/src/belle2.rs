@@ -154,23 +154,6 @@ impl Belle2Workload {
         self.runs_generated += 1;
         out
     }
-
-    /// Generates a short run touching each file `repeats` times — used by
-    /// tests and warm-up phases that need deterministic sizes.
-    pub fn fixed_run(&mut self, repeats: usize) -> Vec<WorkloadOp> {
-        let mut ops = Vec::new();
-        for file in &self.files {
-            for _ in 0..repeats {
-                ops.push(WorkloadOp {
-                    fid: file.fid,
-                    write: false,
-                    bytes: None,
-                });
-            }
-        }
-        self.runs_generated += 1;
-        ops
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +230,6 @@ mod tests {
         let mut b = Belle2Workload::new(9);
         assert_eq!(a.next_run(), b.next_run());
         assert_eq!(a.next_run(), b.next_run());
-    }
-
-    #[test]
-    fn fixed_run_is_exact() {
-        let mut w = Belle2Workload::with_params(0, 3, 0);
-        let run = w.fixed_run(2);
-        assert_eq!(run.len(), 6);
-        assert!(run.iter().all(|op| !op.write));
-        assert_eq!(w.runs_generated(), 1);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl PathEncoder {
         }
         id as f64
     }
-
-    /// Number of distinct components seen at each depth.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.len()).collect()
-    }
 }
 
 /// Per-column min-max normalizer mapping values into `[0, 1]` ("the
@@ -156,18 +151,6 @@ impl MinMaxNormalizer {
         } else {
             (value - self.mins[col]) / range
         }
-    }
-
-    /// Inverse mapping for a single column (used to read predictions back in
-    /// physical units).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn denormalize_value(&self, col: usize, value: f64) -> f64 {
-        assert!(col < self.width(), "column out of range");
-        let range = self.maxs[col] - self.mins[col];
-        self.mins[col] + value * range
     }
 }
 
@@ -271,7 +254,6 @@ mod tests {
         let first = enc.encode("x/y/z");
         let _ = enc.encode("x/q/z");
         assert_eq!(enc.encode("x/y/z"), first);
-        assert_eq!(enc.level_sizes(), vec![1, 2, 1]);
     }
 
     #[test]
@@ -299,11 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_round_trip() {
+    fn minmax_normalizes_a_single_value() {
         let rows: Vec<Vec<f64>> = vec![vec![1.0], vec![3.0]];
         let norm = MinMaxNormalizer::fit(rows.iter().map(|r| r.as_slice()));
-        let n = norm.normalize_value(0, 2.5);
-        assert!((norm.denormalize_value(0, n) - 2.5).abs() < 1e-12);
+        assert!((norm.normalize_value(0, 2.5) - 0.75).abs() < 1e-12);
     }
 
     #[test]
