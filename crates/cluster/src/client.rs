@@ -176,8 +176,8 @@ impl ClusterClient {
             // sub-millisecond round trips this client sees, a
             // thread-per-shard fan-out costs more in spawn overhead
             // than it saves (measured in serve_bench) — callers wanting
-            // node-level parallelism run concurrent `ingest` calls,
-            // which pipeline over the shared per-node connections.
+            // node-level parallelism run concurrent `ingest` calls, each
+            // on a connection of its own from the node's client.
             let mut stale = false;
             for (shard, chunk) in by_shard {
                 match self.send_failover(&map, shard, |c| c.ingest(timestamp_micros, &chunk)) {
@@ -324,9 +324,9 @@ impl ClusterClient {
                 }
             }
         };
-        // The pool-map lock is released before the call: requests
-        // pipeline over the shared per-node connection, they do not
-        // serialize on the map.
+        // The pool-map lock is released before the call: concurrent
+        // requests to a node each take a connection of their own from
+        // its client; they do not serialize on the map.
         op(&client)
     }
 }

@@ -26,14 +26,14 @@
 //! - [`server`]: [`server::NetServer`] — an acceptor plus, per
 //!   connection, one blocking reader thread that answers every frame it
 //!   reads and writes the replies itself, after the engine lock is
-//!   released, so the serve reactor never parks a worker on I/O and a
-//!   stalled or dead peer blocks only its own reader, for at most the
-//!   write timeout. Overload is a *reply*
+//!   released, so a stalled or dead peer blocks only its own reader, for
+//!   at most the write timeout. Overload is a *reply*
 //!   ([`wire::WireStatus::Overloaded`]), not a dropped connection.
-//! - [`client`]: [`client::Client`] — a pooled, pipelined client:
-//!   correlation ids let many requests share one connection, responses
-//!   are matched by id, and `Overloaded`/`Backpressure` replies retry
-//!   with exponential backoff.
+//! - [`client`]: [`client::Client`] — a pool of idle connections: a
+//!   call takes one, writes its frame and reads its own reply on the
+//!   caller's thread, the reply must echo the request's correlation id,
+//!   and `Overloaded`/`Backpressure` replies retry with exponential
+//!   backoff.
 
 #![warn(missing_docs)]
 

@@ -3,11 +3,10 @@
 //!
 //! ## Why a connection is a thread
 //!
-//! The serve reactor has no I/O poller: actors must never block a
-//! worker, but a socket read or write *is* a block. So each connection
-//! lives on an OS thread of its own, which ticks a receive timeout so
-//! shutdown and stall detection stay responsive. It submits every query
-//! frame decoded from one read before it waits on the first
+//! A socket read or write blocks the thread that makes it, so each
+//! connection lives on an OS thread of its own, which ticks a receive
+//! timeout so shutdown and stall detection stay responsive. It submits
+//! every query frame decoded from one read before it waits on the first
 //! ([`PlacementService::submit`]), so a pipelining peer's frames share a
 //! pass; while it waits it runs the engine's passes itself whenever the
 //! engine lock is free, so on an idle engine a query is answered without

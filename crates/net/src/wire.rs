@@ -347,7 +347,10 @@ pub fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Frame, usize), 
 
 /// Validates a header already known to span `HEADER_LEN` bytes and
 /// returns the total frame length plus a payload-less [`Frame`].
-fn parse_header(bytes: &[u8], max_payload: usize) -> Result<(usize, Frame), DecodeError> {
+pub(crate) fn parse_header(
+    bytes: &[u8],
+    max_payload: usize,
+) -> Result<(usize, Frame), DecodeError> {
     let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
     if magic != MAGIC {
         return Err(DecodeError::BadMagic(magic));

@@ -1,8 +1,8 @@
 //! Connection-churn hardening: a thousand connect/query/disconnect
 //! cycles against a live server must return every transport gauge to its
 //! baseline and leave no connection thread behind. Plus a reconnect
-//! storm proving the client pool replaces dead connections without
-//! leaking state tied to the old ones.
+//! storm proving a client outlives its server's restart: calls fail fast
+//! while it is down and succeed from the first one after it is back.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -74,14 +74,13 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// Connection threads of any server in this process still alive. Linux
 /// keeps the first 15 bytes of a thread's name, so `geomancy-net-read-N`
-/// and `geomancy-net-write-N` show up as `geomancy-net-re` and
-/// `geomancy-net-wr`.
+/// shows up as `geomancy-net-re`.
 #[cfg(target_os = "linux")]
 fn connection_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("list this process's threads")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("geomancy-net-re") || comm.starts_with("geomancy-net-wr"))
+        .filter(|comm| comm.starts_with("geomancy-net-re"))
         .count()
 }
 
@@ -118,7 +117,7 @@ fn wait_for_baseline(server: &NetServer, svc: &PlacementService, what: &str) {
 /// 1,000 connect/query/disconnect cycles, alternating a polite client
 /// (full handshake, reads its reply) with a rude one (fires a query and
 /// vanishes without reading). Afterwards: zero live connections, no
-/// reader or writer thread left, and zero pending admissions.
+/// connection thread left, and zero pending admissions.
 #[test]
 fn thousand_cycle_churn_returns_gauges_to_baseline() {
     const CYCLES: usize = 1_000;
@@ -146,7 +145,7 @@ fn thousand_cycle_churn_returns_gauges_to_baseline() {
             drop(c);
         } else {
             // Rude peer: one query on a raw socket, then gone. The reply
-            // hits a dead socket; the writer must exit, not linger.
+            // hits a dead socket; its connection thread must exit, not linger.
             use std::io::Write;
             let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
             let frame = geomancy_net::Frame::new(
@@ -171,9 +170,9 @@ fn thousand_cycle_churn_returns_gauges_to_baseline() {
 }
 
 /// Reconnect storm: the server dies under a pooled client and comes back
-/// on the same port. The pool must replace every dead connection on use
-/// — full health restored, no permanently dead slots, and the pool never
-/// grows or shrinks.
+/// on the same port. While it is down every call fails fast; once it is
+/// back the very first call succeeds, because an idle connection the
+/// server closed costs a redial, not an error.
 #[test]
 fn reconnect_storm_restores_full_pool_health() {
     let _serial = serial();
@@ -194,43 +193,33 @@ fn reconnect_storm_restores_full_pool_health() {
         },
     )
     .expect("connect");
-    assert_eq!(c.pool_health(), (4, 4));
     c.query_many(&[query()]).expect("server A answers");
 
-    // Kill the server; every pooled connection dies underneath the client.
+    // Kill the server; every pooled connection dies underneath the
+    // client, and nothing listens on the port.
     server.shutdown();
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        // Dead connections surface as errors, marking pool slots dead.
-        if c.query_many(&[query()]).is_err() && c.pool_health().0 == 0 {
-            break;
-        }
+    for _ in 0..8 {
+        let started = Instant::now();
         assert!(
-            Instant::now() < deadline,
-            "pool never noticed the server died: health {:?}",
-            c.pool_health()
+            c.query_many(&[query()]).is_err(),
+            "a call answered with no server up"
         );
-        std::thread::sleep(Duration::from_millis(5));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a call hung {:?} with no server up",
+            started.elapsed()
+        );
     }
-    assert_eq!(c.pool_health(), (0, 4), "pool must keep its dead slots");
 
-    // Same port, new server: the pool must heal itself lazily, slot by
-    // slot, replacing (never resurrecting) each dead connection.
+    // Same port, new server: the first call is answered.
     let server =
         NetServer::start(addr, Arc::clone(&svc), NetConfig::default()).expect("rebind same port");
-    let deadline = Instant::now() + DEADLINE;
-    while c.pool_health().0 < 4 {
-        let _ = c.query_many(&[query()]);
-        assert!(
-            Instant::now() < deadline,
-            "pool never healed: health {:?}",
-            c.pool_health()
-        );
-    }
-    assert_eq!(c.pool_health(), (4, 4), "every slot replaced and live");
-    // And the healed pool actually works end to end.
+    let ds = c
+        .query_many(&[query()])
+        .expect("first call after the rebind");
+    assert_eq!(ds.len(), 1);
     for _ in 0..8 {
-        let ds = c.query_many(&[query()]).expect("healed pool answers");
+        let ds = c.query_many(&[query()]).expect("rebound server answers");
         assert_eq!(ds.len(), 1);
     }
 

@@ -32,16 +32,15 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
 }
 
 /// Connection threads still alive in this process. Linux keeps the first
-/// 15 bytes of a thread's name, so `geomancy-net-read-N` and
-/// `geomancy-net-write-N` show up as `geomancy-net-re` and
-/// `geomancy-net-wr`. This file holds one test, so every such thread is
+/// 15 bytes of a thread's name, so `geomancy-net-read-N` shows up as
+/// `geomancy-net-re`. This file holds one test, so every such thread is
 /// this test's server's.
 #[cfg(target_os = "linux")]
 fn connection_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("list this process's threads")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("geomancy-net-re") || comm.starts_with("geomancy-net-wr"))
+        .filter(|comm| comm.starts_with("geomancy-net-re"))
         .count()
 }
 
@@ -51,7 +50,7 @@ fn connection_threads() -> usize {
 }
 
 /// 200 connect/query/disconnect cycles; afterwards the server reports
-/// zero live connections and no reader or writer thread is left.
+/// zero live connections and no connection thread is left.
 #[test]
 fn connection_churn_leaves_no_residue() {
     const CYCLES: usize = 200;
