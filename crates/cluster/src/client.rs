@@ -313,20 +313,76 @@ impl ClusterClient {
                 format!("node {node} has no address in the map"),
             )));
         };
-        let client = {
-            let mut conns = self.conns.lock().expect("conn lock");
-            match conns.get(&node) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(Client::connect(addr.as_str(), self.config.clone())?);
-                    conns.insert(node, Arc::clone(&c));
-                    c
-                }
+        // Dial outside the pool-map lock, so a slow node stalls only its
+        // own callers; a racing dial to the same node loses to the first
+        // one inserted.
+        let pooled = self.conns.lock().expect("conn lock").get(&node).cloned();
+        let client = match pooled {
+            Some(c) => c,
+            None => {
+                let c = Arc::new(Client::connect(addr.as_str(), self.config.clone())?);
+                let mut conns = self.conns.lock().expect("conn lock");
+                Arc::clone(conns.entry(node).or_insert(c))
             }
         };
         // The pool-map lock is released before the call: concurrent
         // requests to a node each take a connection of their own from
         // its client; they do not serialize on the map.
         op(&client)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::map::bootstrap_map;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    /// While a dial to one node hangs, a call to another node dials and
+    /// runs at once: the pool map is not held across a dial. Node 1's
+    /// listener never accepts and its accept queue is full, so the kernel
+    /// drops every further SYN to it.
+    #[test]
+    fn a_hanging_dial_to_one_node_does_not_stall_another() {
+        let full = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let full_addr = full.local_addr().unwrap();
+        let mut queued = Vec::new();
+        while let Ok(stream) = TcpStream::connect_timeout(&full_addr, Duration::from_millis(200)) {
+            queued.push(stream);
+            if queued.len() > 4096 {
+                eprintln!("the accept queue never filled: no dial hangs on this host");
+                return;
+            }
+        }
+        let open = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peers = [
+            (1, full_addr.to_string()),
+            (2, open.local_addr().unwrap().to_string()),
+        ];
+        let client = Arc::new(ClusterClient::from_map(
+            bootstrap_map(&peers, 2, 1),
+            ClientConfig {
+                pool_size: 1,
+                request_timeout_millis: 2_000,
+                ..ClientConfig::default()
+            },
+        ));
+        let hanging = {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || client.with_node(1, |_| Ok(())).is_err())
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        client.with_node(2, |_| Ok(())).expect("node 2 dials");
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "the call to node 2 waited {took:?} on node 1's dial"
+        );
+        assert!(
+            hanging.join().unwrap(),
+            "node 1's dial fails by its timeout"
+        );
     }
 }

@@ -946,7 +946,8 @@ impl ClusterNode {
     pub fn start(config: ClusterNodeConfig) -> Result<ClusterNode, ClusterNodeError> {
         let core = Arc::new(ClusterCore::open(&config, Arc::new(WallClock::new()))?);
 
-        // Seal hook: runs on the checkpointer thread in the absorb
+        // Seal hook: runs on the thread that runs the checkpoint cycle
+        // (a `checkpoint_now` caller or the cadence thread), in the absorb
         // window, while the sealed segment file still exists.
         // Read the bytes synchronously (the record count comes with the
         // seal: nothing is decoded here), hand them to the shipper thread,

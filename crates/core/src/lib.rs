@@ -7,14 +7,14 @@
 //! figures. It is policy only: no reactor, channel or lock. The paper's
 //! Interface Daemon, which brokers telemetry into the ReplayDB, is
 //! `geomancy-serve`'s `PlacementService` (sharded ingest, WALs, and a
-//! trainer thread that fits this crate's engine).
+//! trainer that fits this crate's engine).
 //!
 //! ## Architecture (paper §V-A)
 //!
 //! ```text
 //! target system (geomancy-sim)      geomancy-serve (the Interface Daemon)
 //!  ├─ monitoring agents ──batches──▶ PlacementService: shards ─▶ ReplayDB
-//!  │                                                             │ trainer thread
+//!  │                                                             │ trainer
 //!  │                                                             ▼
 //!  └─ control agents   ◀──layouts── Action Checker ◀──────── DRL engine (this crate)
 //! ```

@@ -94,8 +94,8 @@ pub struct ClientConfig {
     pub pool_size: usize,
     /// Cap on a received frame's payload, bytes.
     pub max_payload: usize,
-    /// How long one request waits for its reply, milliseconds; each
-    /// socket write of a request may block as long.
+    /// How long one request waits for its reply, milliseconds; a dial
+    /// and each socket write of a request may block as long.
     pub request_timeout_millis: u64,
     /// Backoff policy for `Overloaded`/`Backpressure` replies.
     pub retry: RetryConfig,
@@ -481,10 +481,12 @@ fn wrong_epoch(payload: &[u8]) -> NetError {
     }
 }
 
-/// Opens one connection with the request timeout on both directions.
+/// Opens one connection, within the request timeout, with that timeout
+/// on both directions.
 fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<BufReader<TcpStream>, NetError> {
-    let stream = TcpStream::connect(addr)?;
-    let timeout = Some(Duration::from_millis(config.request_timeout_millis.max(1)));
+    let timeout = Duration::from_millis(config.request_timeout_millis.max(1));
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let timeout = Some(timeout);
     stream.set_nodelay(true)?;
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;

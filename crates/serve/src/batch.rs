@@ -33,9 +33,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::{DrlEngine, PlacementQuery};
 use geomancy_runtime::TimeSource;
 use geomancy_sim::record::{DeviceId, FileId};
@@ -177,7 +177,7 @@ struct Submission {
     /// accounting.
     enqueued_micros: u64,
     /// Holds two: at most one hand-off, then the answer.
-    tx: Sender<Wake>,
+    tx: SyncSender<Wake>,
     /// Set once its caller was handed the lock.
     handed: bool,
 }
@@ -257,7 +257,7 @@ impl BatchEngine {
     /// several to share a pass; a full queue makes it serve a pass first.
     /// On a down engine the ticket is answered `ServiceDown` at once.
     pub(crate) fn submit(&self, requests: Vec<PlacementRequest>) -> Ticket {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = sync_channel(2);
         let enqueued_micros = self.time.now_micros();
         let mut queue = self.lock_queue();
         while !queue.down && queue.subs.len() >= self.capacity {

@@ -1,41 +1,47 @@
-//! Background checkpointing: seal the shard WALs, absorb the sealed
-//! segments into the cold [`geomancy_store::PagedStore`], then trim the
-//! shards' in-memory hot tails.
+//! Checkpointing: seal the shard WALs, absorb the sealed segments into
+//! the cold [`geomancy_store::PagedStore`], then trim the shards' in-memory
+//! hot tails.
 //!
-//! The checkpointer is one OS thread, `geomancy-checkpointer`. Requests
-//! queue on a bounded channel; each cycle is one blocking function that
-//! seals each shard in turn ([`ShardSet::seal`], which first flushes the
-//! shard's stage, so a segment holds every record acked before it). A
-//! failed shard ends the cycle with [`CheckpointError::Down`] before
-//! anything is absorbed. The trims ([`ShardSet::trim`]) run only after
-//! the absorb commits, so the hot-tail bound never costs a record.
+//! The checkpointer's state sits behind a lock its callers take turns
+//! holding: [`Checkpointer::checkpoint_now`] runs the cycle on the calling
+//! thread. A cycle is one blocking function that seals each shard in turn
+//! ([`ShardSet::seal`], which first flushes the shard's stage, so a
+//! segment holds every record acked before the call). A failed shard ends
+//! the cycle with [`CheckpointError::Down`] before anything is absorbed.
+//! The trims ([`ShardSet::trim`]) run only after the absorb commits, so
+//! the hot-tail bound never costs a record. A panic inside a cycle (in
+//! the seal hook, say) is caught under the lock and takes the
+//! checkpointer down: that call and every later one answer `Down`.
 //!
-//! The cadence reads the service's clock, so a simulated-time service
-//! checkpoints on simulated cadence. Queued requests go first; ticks that
-//! fall during cycles collapse into one catch-up cycle. Dropping the
-//! [`Checkpointer`] joins the thread once the queued cycles have run.
-//! Crash-safety is the store's: a kill anywhere in a cycle leaves sealed
-//! segments that startup absorption replays exactly once.
+//! Only a cadence (`StoreSettings::checkpoint_every_micros`) has a
+//! thread, `geomancy-checkpointer`, which runs a cycle whenever the
+//! service's clock passes the next deadline, so a simulated-time service
+//! checkpoints on simulated cadence. Ticks that fall during a cycle
+//! collapse into one. Dropping the [`Checkpointer`] stops the thread and
+//! joins it once its running cycle has committed. Crash-safety is the
+//! store's: a kill anywhere in a cycle leaves sealed segments that
+//! startup absorption replays exactly once.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use geomancy_runtime::TimeSource;
 use geomancy_store::{AbsorbReport, SharedPagedStore};
 
 use crate::metrics::ServeMetrics;
 use crate::service::{SealHook, StoreSettings};
 use crate::shard::ShardSet;
-use crate::trainer::REQUEST_CAPACITY;
+use crate::trainer::CycleLock;
 
 /// Why a checkpoint cycle failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The checkpointer has shut down, or a shard it seals has failed.
+    /// A shard the cycle seals has failed, or a panic inside a cycle
+    /// took the checkpointer down.
     Down,
     /// The store rejected the absorption (I/O failure, corruption).
     Store(String),
@@ -52,20 +58,18 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One cycle: a blocking caller's reply channel, `None` for a tick.
-type Request = Option<Sender<Result<AbsorbReport, CheckpointError>>>;
-
-/// Handle to the checkpointer thread.
+/// Handle to the checkpointer: its state, and the cadence thread.
 #[derive(Debug)]
 pub struct Checkpointer {
-    /// `None` only while dropping: closing it ends the thread.
-    requests: Option<Sender<Request>>,
-    thread: Option<JoinHandle<()>>,
+    state: Arc<CycleLock<CheckpointLoop>>,
+    /// The cadence thread's stop channel and handle; `None` without a
+    /// cadence, and while dropping.
+    cadence: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl Checkpointer {
-    /// Starts the checkpointer thread over `shards`, checkpointing every
-    /// `settings.checkpoint_every_micros` of `time` (if nonzero).
+    /// The checkpointer over `shards`, with a thread that checkpoints
+    /// every `settings.checkpoint_every_micros` of `time` (if nonzero).
     pub(crate) fn spawn(
         time: Arc<dyn TimeSource>,
         shards: &Arc<ShardSet>,
@@ -75,63 +79,70 @@ impl Checkpointer {
         metrics: Arc<ServeMetrics>,
         seal_hook: Option<SealHook>,
     ) -> Self {
-        let checkpoints = CheckpointLoop {
+        let state = Arc::new(CycleLock::new(CheckpointLoop {
             shards: Arc::clone(shards),
             store,
             wal_dir,
-            time,
-            every_micros: settings.checkpoint_every_micros,
             hot_tail: settings.hot_tail,
             metrics,
             seal_hook,
-        };
-        let (requests, inbox) = bounded(REQUEST_CAPACITY);
-        let thread = std::thread::Builder::new()
-            .name("geomancy-checkpointer".to_string())
-            .spawn(move || checkpoints.run(&inbox))
-            .expect("spawn checkpointer thread");
-        Checkpointer {
-            requests: Some(requests),
-            thread: Some(thread),
-        }
+        }));
+        let every = settings.checkpoint_every_micros;
+        let cadence = (every > 0).then(|| {
+            let (stop, stopped) = channel::<()>();
+            let state = Arc::clone(&state);
+            let thread = std::thread::Builder::new()
+                .name("geomancy-checkpointer".to_string())
+                .spawn(move || {
+                    let mut deadline = time.now_micros().saturating_add(every);
+                    let until = |deadline: u64| {
+                        Duration::from_micros(deadline.saturating_sub(time.now_micros()))
+                    };
+                    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(until(deadline))
+                    {
+                        let now = time.now_micros();
+                        // A simulated clock may not have got there yet.
+                        if now >= deadline {
+                            deadline = now.saturating_add(every);
+                            let _ = state.run(CheckpointError::Down, |c| c.cycle());
+                        }
+                    }
+                })
+                .expect("spawn checkpointer thread");
+            (stop, thread)
+        });
+        Checkpointer { state, cadence }
     }
 
-    /// Runs one checkpoint cycle and blocks until it commits (or turns
-    /// out to be empty). Returns what the cycle absorbed.
+    /// Runs one checkpoint cycle on the calling thread, after any cycle
+    /// already running, and returns once it commits (or turns out to be
+    /// empty). Returns what the cycle absorbed.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Down`] after shutdown or when a shard has
-    /// failed,
+    /// [`CheckpointError::Down`] when a shard has failed or a cycle
+    /// panicked,
     /// [`CheckpointError::Store`] if the absorption failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
-        let (reply, rx) = bounded(1);
-        (self.requests.as_ref().expect("open until drop"))
-            .send(Some(reply))
-            .map_err(|_| CheckpointError::Down)?;
-        rx.recv().map_err(|_| CheckpointError::Down)?
+        self.state.run(CheckpointError::Down, |c| c.cycle())
     }
 }
 
 impl Drop for Checkpointer {
-    /// Joins the thread after it has run every queued cycle.
+    /// Stops the cadence thread and joins it after its running cycle.
     fn drop(&mut self) {
-        drop(self.requests.take());
-        if let Some(thread) = self.thread.take() {
+        if let Some((stop, thread)) = self.cadence.take() {
+            drop(stop);
             let _ = thread.join();
         }
     }
 }
 
-/// The checkpointer thread's state.
+/// The checkpointer's state.
 struct CheckpointLoop {
     shards: Arc<ShardSet>,
     store: SharedPagedStore,
     wal_dir: PathBuf,
-    /// The service's clock, which paces the cadence.
-    time: Arc<dyn TimeSource>,
-    /// Cadence in `time` microseconds (0 = explicit requests only).
-    every_micros: u64,
     hot_tail: usize,
     metrics: Arc<ServeMetrics>,
     /// Sees each sealed segment before absorption deletes it.
@@ -139,34 +150,6 @@ struct CheckpointLoop {
 }
 
 impl CheckpointLoop {
-    /// Serves requests, and due ticks while none is queued, until close.
-    fn run(self, inbox: &Receiver<Request>) {
-        let every = self.every_micros;
-        let mut deadline = self.time.now_micros().saturating_add(every);
-        loop {
-            let request = if every == 0 {
-                let Ok(request) = inbox.recv() else { return };
-                request
-            } else {
-                let wait = deadline.saturating_sub(self.time.now_micros());
-                match inbox.recv_timeout(Duration::from_micros(wait)) {
-                    Ok(request) => request,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                    Err(RecvTimeoutError::Timeout) => {
-                        let now = self.time.now_micros();
-                        if now < deadline {
-                            continue; // a simulated clock has not got there yet
-                        }
-                        deadline = now.saturating_add(every);
-                        None
-                    }
-                }
-            };
-            let outcome = self.cycle();
-            let _ = request.map(|reply| reply.send(outcome));
-        }
-    }
-
     /// Seal → seal hook → absorb under the store write lock → gauges →
     /// trim the hot tails. Returns what the cycle absorbed.
     fn cycle(&self) -> Result<AbsorbReport, CheckpointError> {
@@ -232,13 +215,13 @@ mod tests {
             .collect()
     }
 
-    /// Shutdown in `PlacementService::shutdown`'s order — the
-    /// checkpointer first, then the shards — on another thread, while
-    /// cycle A is held in its seal hook and B is queued behind it: once
-    /// the hook lets go, both callers are answered, shutdown returns, and
-    /// every record is in pages.
+    /// A caller that arrives while another's cycle is held in its seal
+    /// hook waits its turn at the lock: once the hook lets go, both are
+    /// answered, and shutdown in `PlacementService::shutdown`'s order
+    /// (the checkpointer, then the shards) returns with every record in
+    /// pages.
     #[test]
-    fn shutdown_answers_a_checkpoint_queued_behind_a_running_one() {
+    fn concurrent_checkpoints_are_all_answered_and_shutdown_absorbs_every_record() {
         let base = std::env::temp_dir()
             .join("geomancy_serve_checkpoint_unit")
             .join(format!("shutdown-{}", std::process::id()));
@@ -255,16 +238,17 @@ mod tests {
         shards.ingest(0, &records(300)).unwrap();
         let (store, _) = PagedStore::open(base.join("store"), StoreConfig::default()).unwrap();
         let store = store.into_shared();
-        let (entered_tx, entered) = bounded(16);
-        let (gate, held) = bounded::<()>(1);
+        let (entered_tx, entered) = std::sync::mpsc::sync_channel(16);
+        let (gate, held) = std::sync::mpsc::channel::<()>();
+        let held = std::sync::Mutex::new(held);
         let hook = SealHook(Arc::new(
             move |_: usize, _: u64, _: u64, _: &std::path::Path| {
                 let _ = entered_tx.try_send(());
-                let _ = held.recv();
+                let _ = held.lock().unwrap().recv();
             },
         ));
         let settings = StoreSettings::default();
-        let checkpointer = Checkpointer::spawn(
+        let checkpointer = Arc::new(Checkpointer::spawn(
             Arc::new(WallClock::new()),
             &shards,
             Arc::clone(&store),
@@ -272,39 +256,27 @@ mod tests {
             wal_dir,
             metrics,
             Some(hook),
-        );
-        // Queues a cycle as a blocking caller would, returning its answer
-        // channel instead of waiting on it.
-        let submit = || {
-            let (reply, answer) = bounded(1);
-            let requests = checkpointer.requests.as_ref().unwrap();
-            requests.send(Some(reply)).unwrap();
-            answer
+        ));
+        let caller = || {
+            let checkpointer = Arc::clone(&checkpointer);
+            std::thread::spawn(move || {
+                checkpointer
+                    .checkpoint_now()
+                    .map(|report| report.records_absorbed)
+            })
         };
-        let rx_a = submit();
+        let a = caller();
         entered
             .recv_timeout(Duration::from_secs(10))
             .expect("cycle A reaches its seal hook");
-        let rx_b = submit();
-        let (stopped_tx, stopped) = bounded(1);
-        let shutdown = std::thread::spawn(move || {
-            drop(checkpointer);
-            let tails = shards.take_hot_tails();
-            let _ = stopped_tx.send(tails.len());
-        });
-        assert!(
-            stopped.recv_timeout(Duration::from_millis(50)).is_err(),
-            "shutdown waits for the held cycle"
-        );
+        let b = caller();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!b.is_finished(), "B waits for the held cycle");
         drop(gate);
-        assert_eq!(stopped.recv_timeout(Duration::from_secs(30)), Ok(2));
-        shutdown.join().unwrap();
-        let absorbed = |rx: Receiver<Result<AbsorbReport, CheckpointError>>| {
-            rx.try_recv()
-                .map(|outcome| outcome.map(|r| r.records_absorbed))
-        };
-        assert_eq!(absorbed(rx_a), Some(Ok(300)));
-        assert_eq!(absorbed(rx_b), Some(Ok(0)), "nothing was ingested after A");
+        assert_eq!(a.join().unwrap(), Ok(300));
+        assert_eq!(b.join().unwrap(), Ok(0), "nothing was ingested after A");
+        drop(Arc::try_unwrap(checkpointer).expect("sole owner"));
+        assert_eq!(shards.take_hot_tails().len(), 2);
         assert_eq!(store.read().total_records(), 300);
         std::fs::remove_dir_all(&base).ok();
     }

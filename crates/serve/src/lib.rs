@@ -18,19 +18,19 @@
 //!        │ flush thread, every few ms     └─────────▲─────────┘
 //!        ▼        ▼        ▼                        │ hot-swap
 //!    WAL → hot WAL → hot WAL → hot        ┌─────────┴─────────┐
-//!        seals │       │ snapshots        │ trainer (thread)  │
+//!        seals │       │ snapshots        │ trainer (a lock)  │
 //!              ▼       └────────────────► │ merge → retrain → │
-//!    checkpointer (thread):               │ publish epoch N+1 │
+//!    checkpointer (a lock):               │ publish epoch N+1 │
 //!    absorb → cold pages → trim           └───────────────────┘
 //! ```
 //!
-//! The shards are data behind one lock each, written by the threads that
-//! ingest; the query engine runs on the threads that submit to it; the
-//! trainer and, with a WAL, the flush thread and, with a cold store, the
-//! checkpointer are one thread each, so neither a fit nor an absorb nor a
-//! WAL write holds up an ack or a decision. Shutdown is the
-//! checkpointer's and trainer's joins (queued cycles finish) followed by
-//! a last flush of every stage.
+//! The shards, the query engine, the trainer and the checkpointer are
+//! each data behind a lock, run by the threads that call them (ingest,
+//! submit, `retrain_now`, `checkpoint_now`); no fit or absorb holds a
+//! lock an ack or a decision takes. Only background work has a thread:
+//! WAL flush, ingest-triggered retrains, the checkpoint cadence. Shutdown
+//! joins them (each finishes its cycle, and a trigger rung before the
+//! join) and then flushes every stage.
 //!
 //! - **Sharded ingest** ([`shard`]): records route by
 //!   [`geomancy_sim::record::FileId::stable_hash`], so one file's history
@@ -46,12 +46,12 @@
 //!   empty, so batches grow with load and an idle engine answers on the
 //!   caller's own thread.
 //! - **Hot-swap training** ([`trainer`]): retraining runs on shard
-//!   *snapshots* taken shard by shard, on its own thread, and
-//!   publishes finished models through an atomic epoch pointer; serving
-//!   never blocks on training and no decision ever sees a half-swapped
-//!   model.
-//! - **Checkpointing** ([`checkpoint`]): on a cadence or on demand, the
-//!   checkpointer thread seals every shard WAL, absorbs the segments into
+//!   *snapshots* taken shard by shard, on its caller's thread or the
+//!   ingest trigger's, and publishes finished models through an atomic
+//!   epoch pointer; serving never blocks on training and no decision
+//!   ever sees a half-swapped model.
+//! - **Checkpointing** ([`checkpoint`]): on demand or on a cadence, a
+//!   checkpoint cycle seals every shard WAL, absorbs the segments into
 //!   the cold paged store, and only then trims the shards' hot tails.
 //! - **Admission control** ([`service`]): over a global or per-shard
 //!   pending-request watermark, a submission sheds at once with

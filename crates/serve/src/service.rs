@@ -1,15 +1,15 @@
 //! [`PlacementService`]: the public face of the serving layer, wiring the
-//! ingest shards, the batched query engine, and the background trainer
-//! together behind one handle.
+//! ingest shards, the batched query engine, the trainer and the
+//! checkpointer together behind one handle.
 //!
 //! The shards are data behind one lock each, written by the threads that
-//! ingest; the query engine runs on its callers' threads; the trainer,
-//! and with a WAL the flush thread and with a store the checkpointer, are
-//! one thread each, so the service's thread count does not grow with its
-//! shards. (Its one-worker [`geomancy_runtime::Reactor`] hosts no actor;
-//! it stays for the callers of [`PlacementService::reactor`], which read
-//! its clock and statistics.) Every query is a ticket its caller waits
-//! on ([`PlacementService::submit`], then [`PendingQuery::wait`]). In
+//! ingest; the query engine and the retrain and checkpoint cycles run on
+//! their callers' threads. Only background work has a thread (WAL flush,
+//! ingest trigger, checkpoint cadence), so the service's thread count
+//! does not grow with its shards. (Its one-worker
+//! [`geomancy_runtime::Reactor`] hosts no actor; it stays for the callers
+//! of [`PlacementService::reactor`], which read its clock and
+//! statistics.) Every query is a ticket its caller waits on ([`PlacementService::submit`], then [`PendingQuery::wait`]). In
 //! front of the query path sits a cross-shard admission controller: when
 //! the service is over its global or per-shard pending-request watermark,
 //! a submission sheds with [`QueryError::Overloaded`] instead of letting
@@ -126,9 +126,9 @@ pub struct ServeConfig {
     /// after the checkpointer seals it and *before* absorption deletes it
     /// — the window in which a cluster node reads the bytes for WAL
     /// shipping. `records` is the shard's own count of what it sealed, so
-    /// the hook never decodes the segment. It runs on the checkpointer
-    /// thread and delays that cycle's absorb: keep it to a file read plus
-    /// a channel send.
+    /// the hook never decodes the segment. It runs on the cycle's thread
+    /// (a `checkpoint_now` caller's, or the cadence's) and delays that
+    /// cycle's absorb: keep it to a file read plus a channel send.
     pub seal_hook: Option<SealHook>,
 }
 
@@ -178,8 +178,8 @@ pub struct PlacementService {
     slot: Arc<ModelSlot>,
     metrics: Arc<ServeMetrics>,
     /// Ingest high-water mark in simulated microseconds; stamps query
-    /// times so identical request shapes coalesce, and doubles as a
-    /// publishable [`TimeSource`] a test can drive the reactor with.
+    /// times so identical request shapes coalesce, and is the service's
+    /// clock under [`PlacementService::start_with_clock`].
     telemetry: SharedSimClock,
     /// Records ingested at the last auto-retrain trigger.
     last_retrain_at: AtomicU64,
@@ -197,9 +197,9 @@ struct Admitted {
 }
 
 impl PlacementService {
-    /// Starts the service, timed by the wall clock: `config.shards` ingest
-    /// shards, the query engine, the trainer thread and, with a WAL, the
-    /// flush thread and, with a store, the checkpointer thread.
+    /// Starts the service, timed by the wall clock. Only background work
+    /// starts a thread: a WAL's flush, [`ServeConfig::retrain_every_records`]
+    /// and a nonzero [`StoreSettings::checkpoint_every_micros`].
     ///
     /// # Panics
     ///
@@ -298,6 +298,7 @@ impl PlacementService {
             Arc::clone(&slot),
             Arc::clone(&metrics),
             store.clone(),
+            config.retrain_every_records.is_some(),
         );
         let checkpointer = (store.as_ref().zip(config.store.as_ref())).map(|(store, settings)| {
             Checkpointer::spawn(
@@ -503,9 +504,9 @@ impl PlacementService {
         }
     }
 
-    /// Runs a retrain cycle now and waits for its model to publish;
-    /// returns the published epoch (unchanged when nothing was ingested
-    /// since the last published model — see [`Trainer::retrain_now`]).
+    /// Runs a retrain cycle on this thread; returns its published epoch
+    /// (unchanged when nothing was ingested since the last published
+    /// model — see [`Trainer::retrain_now`]).
     ///
     /// # Errors
     ///
@@ -517,14 +518,14 @@ impl PlacementService {
             .retrain_now()
     }
 
-    /// Runs one checkpoint cycle now — seal every shard WAL, absorb the
-    /// segments into the cold store, trim the hot tails — and blocks
-    /// until the store commit lands. Returns what was absorbed.
+    /// Runs one checkpoint cycle on this thread — seal every shard WAL,
+    /// absorb the segments into the cold store, trim the hot tails — and
+    /// returns what the store commit absorbed.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Down`] when the service runs without a store
-    /// (or after shutdown) or a shard has failed,
+    /// [`CheckpointError::Down`] when the service runs without a store,
+    /// a shard has failed or a cycle panicked,
     /// [`CheckpointError::Store`] if the absorption failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         self.checkpointer
@@ -576,10 +577,10 @@ impl PlacementService {
         snap
     }
 
-    /// Orderly shutdown: the checkpointer and trainer threads finish
-    /// their queued cycles, the flush thread writes every stage to its
-    /// WAL, and the reactor stops. Every query was answered before its
-    /// caller let go of the service. Returns each shard's hot tail (the
+    /// Orderly shutdown: the cadence and trigger threads finish their
+    /// cycles, the flush thread writes every stage to its WAL, and the
+    /// reactor stops. Every call returned before its caller let go of the
+    /// service. Returns each shard's hot tail (the
     /// records no checkpoint has trimmed), oldest first, in shard order.
     pub fn shutdown(mut self) -> Vec<Vec<StoredRecord>> {
         drop(self.checkpointer.take());

@@ -26,11 +26,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use geomancy_replaydb::wal::{list_segments, recover_for_append, segment_path, shard_path};
 use geomancy_replaydb::{StoredRecord, WalWriter};
 use geomancy_sim::record::{AccessRecord, FileId};
@@ -393,7 +393,7 @@ pub(crate) struct WalFlusher(Option<(Sender<()>, JoinHandle<()>)>);
 
 impl WalFlusher {
     pub(crate) fn spawn(shards: Arc<ShardSet>) -> Self {
-        let (stop, stopped) = bounded::<()>(1);
+        let (stop, stopped) = channel::<()>();
         let thread = std::thread::Builder::new()
             .name("geomancy-wal-flush".to_string())
             .spawn(move || {

@@ -1,5 +1,5 @@
-//! Background retraining: delta-snapshot the shards, fit off to the side,
-//! publish through the [`ModelSlot`].
+//! Retraining: delta-snapshot the shards, fit, publish through the
+//! [`ModelSlot`].
 //!
 //! Serving never blocks on training: the trainer works on *copies* of new
 //! shard records, and the only synchronization with the query engine is
@@ -8,19 +8,20 @@
 //! [`TrainedMeta`] alongside every published model), so retrain cost
 //! scales with the *delta*, not the history.
 //!
-//! ## One thread, one blocking cycle
+//! ## One lock, one blocking cycle
 //!
-//! The trainer is a dedicated OS thread, `geomancy-trainer`: a fit never
-//! holds a thread the query engine or ingest needs. Requests queue on a
-//! bounded channel and run one at a time. A cycle calls
-//! [`ShardSet::snapshot`] on each shard in turn, which flushes that
-//! shard's stage under its lock first, so a cycle observes every record
-//! acked before it was requested. A failed shard answers no snapshot: the
-//! cycle is abandoned ([`TrainError::TrainerDown`] to its caller) and the
-//! thread moves on to the next request.
+//! The trainer's state sits behind a lock its callers take turns
+//! holding: [`Trainer::retrain_now`] runs the cycle on the calling
+//! thread. A cycle calls [`ShardSet::snapshot`] on each shard in turn,
+//! which flushes that shard's stage under its lock first, so a cycle
+//! observes every record acked before the call. A failed shard answers
+//! no snapshot, and a panic inside a cycle takes the trainer down for
+//! good: both answer [`TrainError::TrainerDown`].
 //!
-//! Dropping the [`Trainer`] closes the request channel and joins the
-//! thread once the queued cycles have run.
+//! Only the ingest trigger (`ServeConfig::retrain_every_records`) has a
+//! thread, `geomancy-trainer`, woken by a one-slot doorbell: rings
+//! coalesce, and one that arrives mid-cycle earns exactly one follow-up,
+//! which runs before the dropped [`Trainer`]'s join returns.
 //!
 //! ## Policy: one fit path
 //!
@@ -32,11 +33,12 @@
 //! validation MAE exceeds `REGRESSION_FACTOR` (2) × the previous cycle's,
 //! a fresh engine on the retained history then the delta.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::{DrlConfig, DrlEngine, RetrainOutcome};
 use geomancy_replaydb::StoredRecord;
 use geomancy_sim::record::AccessRecord;
@@ -61,16 +63,13 @@ const REPLAY_CAPACITY: usize = 8192;
 /// factor is thrown away for a from-scratch fit.
 const REGRESSION_FACTOR: f64 = 2.0;
 
-/// Cycle requests that may queue behind the running one (here and in
-/// the checkpointer).
-pub(crate) const REQUEST_CAPACITY: usize = 16;
-
 /// Why a retrain cycle produced no model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainError {
     /// The cycle's records (delta plus replay) are too few to train on.
     NotEnoughData,
-    /// The trainer has shut down.
+    /// A shard the cycle snapshots has failed, or a panic inside a cycle
+    /// took the trainer down.
     TrainerDown,
 }
 
@@ -103,109 +102,128 @@ pub struct TrainedMeta {
     pub validation_mae: f64,
 }
 
-/// One queued cycle: a reply channel for a blocking caller, `None` for a
-/// fire-and-forget request.
-type Request = Option<Sender<Result<u64, TrainError>>>;
+/// A cycle's state behind the lock its callers take turns holding (here
+/// and in the checkpointer). A panic inside a cycle is caught under the
+/// lock and takes the state down: that call and every later one answer
+/// the `down` error instead, and the panic never reaches the caller.
+pub(crate) struct CycleLock<S>(Mutex<Option<S>>);
 
-/// Handle to the trainer thread.
+impl<S> CycleLock<S> {
+    pub(crate) fn new(state: S) -> Self {
+        CycleLock(Mutex::new(Some(state)))
+    }
+
+    /// Runs `cycle` on the state, on the calling thread.
+    pub(crate) fn run<T, E>(
+        &self,
+        down: E,
+        cycle: impl FnOnce(&mut S) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(live) = state.as_mut() else {
+            return Err(down);
+        };
+        catch_unwind(AssertUnwindSafe(|| cycle(live))).unwrap_or_else(|_| {
+            *state = None;
+            Err(down)
+        })
+    }
+}
+
+impl<S> std::fmt::Debug for CycleLock<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CycleLock(..)")
+    }
+}
+
+/// Handle to the trainer: its state, and the ingest trigger's thread.
 #[derive(Debug)]
 pub struct Trainer {
-    /// `None` only while dropping: closing it lets the thread finish the
-    /// queued cycles and exit.
-    requests: Option<Sender<Request>>,
-    /// Whether an async (fire-and-forget) retrain request is already
-    /// queued. [`Trainer::request_retrain`] only enqueues when it flips
-    /// this false→true, so a burst of ingest-driven triggers coalesces to
-    /// at most one queued cycle instead of piling up stale back-to-back
-    /// cycles when a retrain takes longer than the trigger interval.
-    async_queued: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    state: Arc<CycleLock<TrainLoop>>,
+    /// The ingest trigger's one-slot doorbell and the thread it wakes;
+    /// `None` without a trigger, and while dropping.
+    trigger: Option<(SyncSender<()>, JoinHandle<()>)>,
 }
 
 impl Trainer {
-    /// Starts the trainer thread over `shards`. `cold` (the service's
-    /// paged store, when one is configured) backs the replay sample with
-    /// pre-trim history.
+    /// The trainer over `shards`. `cold` (the service's paged store, when
+    /// one is configured) backs the replay sample with pre-trim history.
+    /// With `triggered`, it starts the thread that
+    /// [`Trainer::request_retrain`] wakes.
     pub(crate) fn spawn(
         drl: DrlConfig,
         shards: &Arc<ShardSet>,
         slot: Arc<ModelSlot>,
         metrics: Arc<ServeMetrics>,
         cold: Option<SharedPagedStore>,
+        triggered: bool,
     ) -> Self {
-        Trainer::start(TrainLoop {
+        let train = TrainLoop {
             shards: Arc::clone(shards),
             drl,
             slot,
             metrics,
-            async_queued: Arc::new(AtomicBool::new(false)),
             watermarks: vec![0; shards.len()],
             master: None,
             history: Vec::new(),
             last_val_mae: None,
             cold,
-        })
+        };
+        Trainer::start(train, triggered)
     }
 
-    fn start(train: TrainLoop) -> Self {
-        let (requests, inbox) = bounded(REQUEST_CAPACITY);
-        let async_queued = Arc::clone(&train.async_queued);
-        let thread = std::thread::Builder::new()
-            .name("geomancy-trainer".to_string())
-            .spawn(move || train.run(&inbox))
-            .expect("spawn trainer thread");
-        Trainer {
-            requests: Some(requests),
-            async_queued,
-            thread: Some(thread),
-        }
+    fn start(train: TrainLoop, triggered: bool) -> Self {
+        let state = Arc::new(CycleLock::new(train));
+        let trigger = triggered.then(|| {
+            let (bell, rung) = sync_channel::<()>(1);
+            let state = Arc::clone(&state);
+            let thread = std::thread::Builder::new()
+                .name("geomancy-trainer".to_string())
+                .spawn(move || {
+                    // A rung bell outlives its sender: the last cycle runs
+                    // before `recv` reports the close.
+                    while rung.recv().is_ok() {
+                        let _ = state.run(TrainError::TrainerDown, TrainLoop::cycle);
+                    }
+                })
+                .expect("spawn trainer thread");
+            (bell, thread)
+        });
+        Trainer { state, trigger }
     }
 
-    fn requests(&self) -> &Sender<Request> {
-        self.requests.as_ref().expect("open until drop")
-    }
-
-    /// Runs one retrain cycle and blocks until its model is published;
-    /// returns the published epoch. With no record ingested since the
-    /// last published model the cycle is a no-op that returns that
-    /// model's epoch.
+    /// Runs one retrain cycle on the calling thread, after any cycle
+    /// already running, and returns once its model is published; returns
+    /// the published epoch. With no record ingested since the last
+    /// published model the cycle is a no-op that returns that model's
+    /// epoch.
     ///
     /// # Errors
     ///
     /// [`TrainError::NotEnoughData`] with a too-small telemetry window
     /// (nothing published yet, or a delta too small to split),
-    /// [`TrainError::TrainerDown`] after shutdown or when a shard has
-    /// failed.
+    /// [`TrainError::TrainerDown`] when a shard has failed or a cycle
+    /// panicked.
     pub fn retrain_now(&self) -> Result<u64, TrainError> {
-        let (reply, rx) = bounded(1);
-        self.requests()
-            .send(Some(reply))
-            .map_err(|_| TrainError::TrainerDown)?;
-        rx.recv().map_err(|_| TrainError::TrainerDown)?
+        self.state.run(TrainError::TrainerDown, TrainLoop::cycle)
     }
 
-    /// Queues a retrain cycle without waiting for it. Requests coalesce:
-    /// while one async cycle is already queued, further requests are
-    /// no-ops (the queued cycle will train on the newer data anyway).
-    pub fn request_retrain(&self) {
-        if self
-            .async_queued
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-            && self.requests().try_send(None).is_err()
-        {
-            // Queue full or trainer gone: give the next trigger its chance.
-            self.async_queued.store(false, Ordering::Release);
+    /// Rings the trigger thread's doorbell without waiting for the cycle.
+    /// Rings coalesce: while one is pending, more are no-ops (its cycle
+    /// trains on the newer data anyway).
+    pub(crate) fn request_retrain(&self) {
+        if let Some((bell, _)) = &self.trigger {
+            let _ = bell.try_send(());
         }
     }
 }
 
 impl Drop for Trainer {
-    /// Closes the request channel and joins the thread after it has run
-    /// every queued cycle.
+    /// Closes the doorbell and joins the trigger thread after it has run
+    /// a rung bell's cycle.
     fn drop(&mut self) {
-        drop(self.requests.take());
-        if let Some(thread) = self.thread.take() {
+        if let Some((bell, thread)) = self.trigger.take() {
+            drop(bell);
             let _ = thread.join();
         }
     }
@@ -266,13 +284,12 @@ fn sample_replay(
     out
 }
 
-/// The trainer thread's state.
+/// The trainer's state.
 struct TrainLoop {
     shards: Arc<ShardSet>,
     drl: DrlConfig,
     slot: Arc<ModelSlot>,
     metrics: Arc<ServeMetrics>,
-    async_queued: Arc<AtomicBool>,
     /// Per-shard applied-record counts the master has trained through.
     /// Advanced only when a cycle publishes, so records a failed cycle
     /// pulled are redelivered to the next one.
@@ -293,22 +310,6 @@ struct TrainLoop {
 }
 
 impl TrainLoop {
-    /// Serves cycle requests in order until the channel closes.
-    fn run(mut self, inbox: &Receiver<Request>) {
-        while let Ok(reply) = inbox.recv() {
-            // Clear the coalescing flag before the cycle trains so a
-            // trigger arriving mid-cycle earns one follow-up cycle over
-            // newer data.
-            if reply.is_none() {
-                self.async_queued.store(false, Ordering::Release);
-            }
-            let outcome = self.cycle();
-            if let Some(reply) = reply {
-                let _ = reply.send(outcome);
-            }
-        }
-    }
-
     /// Snapshot → merge → fit ([`TrainLoop::train`]) → publish a fork
     /// with its watermark metadata.
     fn cycle(&mut self) -> Result<u64, TrainError> {
@@ -442,7 +443,6 @@ mod tests {
             drl: DrlConfig::default(),
             slot,
             metrics: Arc::new(ServeMetrics::new(n)),
-            async_queued: Arc::new(AtomicBool::new(false)),
             watermarks: vec![0; n],
             master,
             history: Vec::new(),
@@ -457,15 +457,7 @@ mod tests {
     ) -> (Trainer, Arc<ServeMetrics>) {
         let train = train_loop(shards, master);
         let metrics = Arc::clone(&train.metrics);
-        (Trainer::start(train), metrics)
-    }
-
-    /// Queues a cycle as a blocking caller would, returning its answer
-    /// channel instead of waiting on it.
-    fn submit(trainer: &Trainer) -> Receiver<Result<u64, TrainError>> {
-        let (reply, answer) = bounded(1);
-        trainer.requests().send(Some(reply)).unwrap();
-        answer
+        (Trainer::start(train, false), metrics)
     }
 
     /// `count` empty memory-only shards.
@@ -484,17 +476,21 @@ mod tests {
         assert_eq!(trainer.retrain_now(), Err(TrainError::TrainerDown));
     }
 
-    /// Abandoning a cycle over a failed shard leaves the cycles queued
-    /// behind it to run (and fail) instead of stranding them.
+    /// Concurrent callers over a failed shard take turns at the lock and
+    /// are all answered `TrainerDown`; none is stranded.
     #[test]
-    fn abandoned_cycle_drains_the_queue() {
+    fn concurrent_cycles_over_a_failed_shard_are_all_answered() {
         let shards = shards(2);
         shards.fail(1);
-        let (trainer, _metrics) = spawn_trainer(&shards, None);
-        let queued: Vec<_> = (0..3).map(|_| submit(&trainer)).collect();
-        for (k, answer) in queued.iter().enumerate() {
+        let trainer = Arc::new(spawn_trainer(&shards, None).0);
+        let (answers, answered) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let (trainer, answers) = (Arc::clone(&trainer), answers.clone());
+            std::thread::spawn(move || answers.send(trainer.retrain_now()));
+        }
+        for k in 0..3 {
             assert_eq!(
-                answer.recv_timeout(Duration::from_secs(10)),
+                answered.recv_timeout(Duration::from_secs(10)),
                 Ok(Err(TrainError::TrainerDown)),
                 "cycle {k} must report TrainerDown, not strand"
             );
@@ -569,7 +565,7 @@ mod tests {
         let mut train = train_loop(&shards, None);
         train.drl.seed = 7;
         let slot = Arc::clone(&train.slot);
-        let trainer = Trainer::start(train);
+        let trainer = Trainer::start(train, false);
         assert_eq!(trainer.retrain_now(), Ok(1));
         let (epoch, mut published) = slot.take().expect("a published model");
         assert_eq!(epoch, 1);
@@ -607,7 +603,7 @@ mod tests {
         // No warm step's validation MAE stays under twice this.
         train.last_val_mae = Some(1e-9);
         let (slot, metrics) = (Arc::clone(&train.slot), Arc::clone(&train.metrics));
-        let trainer = Trainer::start(train);
+        let trainer = Trainer::start(train, false);
         assert_eq!(trainer.retrain_now(), Ok(2));
         let snap = metrics.snapshot();
         assert_eq!((snap.warm_starts, snap.full_retrains), (0, 1));
@@ -649,8 +645,8 @@ mod tests {
         }
     }
 
-    /// A fit runs on the trainer's own thread: a query submitted while a
-    /// long fit is in progress is answered before the fit ends.
+    /// A fit holds no lock the query path takes: a query submitted while
+    /// a long fit is in progress is answered before the fit ends.
     #[test]
     fn a_query_is_answered_mid_fit() {
         let service = Arc::new(PlacementService::start(slow_fit_config()));
@@ -686,11 +682,10 @@ mod tests {
             .shutdown();
     }
 
-    /// Shutdown in `PlacementService::shutdown`'s order — the trainer
-    /// first, then the shards — with a cycle queued behind a running one:
-    /// it returns, and both callers are answered.
-    #[test]
-    fn shutdown_answers_a_cycle_queued_behind_a_running_one() {
+    /// `count` records of the slow-fit config's two shards, their
+    /// metrics, and a trainer over them (with the ingest trigger's thread
+    /// when `triggered`).
+    fn slow_trainer(count: u64, triggered: bool) -> (Arc<ShardSet>, Arc<ServeMetrics>, Trainer) {
         let config = slow_fit_config();
         let metrics = Arc::new(ServeMetrics::new(config.shards));
         let shards = Arc::new(ShardSet::open(
@@ -700,31 +695,74 @@ mod tests {
             0,
             &[],
         ));
-        shards.ingest(0, &records(0, 300)).unwrap();
+        shards.ingest(0, &records(0, count)).unwrap();
         let slot = Arc::new(ModelSlot::new());
-        let trainer = Trainer::spawn(config.drl, &shards, slot, Arc::clone(&metrics), None);
-        let rx_a = submit(&trainer);
+        let trainer = Trainer::spawn(
+            config.drl,
+            &shards,
+            slot,
+            Arc::clone(&metrics),
+            None,
+            triggered,
+        );
+        (shards, metrics, trainer)
+    }
+
+    /// A caller that arrives while another's cycle fits waits its turn at
+    /// the lock: both are answered, and shutdown in
+    /// `PlacementService::shutdown`'s order (the trainer, then the shards)
+    /// returns with every record applied.
+    #[test]
+    fn concurrent_callers_are_all_answered_and_shutdown_applies_every_record() {
+        let (shards, metrics, trainer) = slow_trainer(300, false);
+        let trainer = Arc::new(trainer);
+        let caller = || {
+            let trainer = Arc::clone(&trainer);
+            std::thread::spawn(move || trainer.retrain_now())
+        };
+        let a = caller();
         wait_until("cycle A to start its fit", || {
             metrics.snapshot().retrain_records > 0
         });
-        let rx_b = submit(&trainer);
-        let (stopped_tx, stopped) = bounded(1);
-        let shutdown = std::thread::spawn(move || {
-            drop(trainer);
-            let tails = shards.take_hot_tails();
-            let _ = stopped_tx.send(tails.iter().map(Vec::len).sum::<usize>());
-        });
+        let b = caller();
+        assert_eq!(a.join().unwrap(), Ok(1));
         assert_eq!(
-            stopped.recv_timeout(Duration::from_secs(120)),
-            Ok(300),
-            "shutdown returned with every record applied"
-        );
-        shutdown.join().unwrap();
-        assert_eq!(rx_a.try_recv(), Some(Ok(1)));
-        assert_eq!(
-            rx_b.try_recv(),
-            Some(Ok(1)),
+            b.join().unwrap(),
+            Ok(1),
             "nothing was ingested after A, so B answers A's epoch"
+        );
+        drop(Arc::try_unwrap(trainer).expect("sole owner"));
+        let tails = shards.take_hot_tails();
+        assert_eq!(tails.iter().map(Vec::len).sum::<usize>(), 300);
+    }
+
+    /// Triggers that arrive while a triggered cycle fits coalesce into one
+    /// follow-up, which runs before the dropped trainer's join returns.
+    #[test]
+    fn triggers_mid_cycle_earn_one_follow_up_before_the_join() {
+        let (shards, metrics, trainer) = slow_trainer(300, true);
+        trainer.request_retrain();
+        wait_until("the triggered fit to start", || {
+            metrics.snapshot().retrain_records > 0
+        });
+        shards.ingest(1_000_000, &records(300, 300)).unwrap();
+        for _ in 0..3 {
+            trainer.request_retrain();
+        }
+        let (dropped_tx, dropped) = sync_channel(1);
+        let dropper = std::thread::spawn(move || {
+            drop(trainer);
+            let _ = dropped_tx.send(());
+        });
+        dropped
+            .recv_timeout(Duration::from_secs(120))
+            .expect("dropping the trainer returned");
+        dropper.join().unwrap();
+        let snap = metrics.snapshot();
+        assert_eq!(
+            (snap.retrains, snap.retrain_records),
+            (2, 600),
+            "one cycle, then one follow-up over the records ingested mid-cycle"
         );
     }
 
@@ -740,7 +778,7 @@ mod tests {
         wait_until("the triggered fit to start", || {
             service.metrics().retrain_records > 0
         });
-        let (dropped_tx, dropped) = bounded(1);
+        let (dropped_tx, dropped) = sync_channel(1);
         let dropper = std::thread::spawn(move || {
             drop(service);
             let _ = dropped_tx.send(());

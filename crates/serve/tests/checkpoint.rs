@@ -1,14 +1,15 @@
-//! Integration tests of the checkpointer thread: shard WALs seal into
+//! Integration tests of the checkpointer: shard WALs seal into
 //! segments, the cold store absorbs them exactly once, hot tails trim,
 //! and — the reason the subsystem exists — WAL disk usage stays bounded
-//! under sustained ingest instead of growing with history. A cycle never
-//! holds a reactor worker, and dropping the service mid-cycle returns.
+//! under sustained ingest instead of growing with history. A cycle holds
+//! nothing the query path needs, and dropping the service mid-cycle
+//! returns.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use geomancy_core::drl::DrlConfig;
 use geomancy_serve::{
     CheckpointError, PlacementRequest, PlacementService, SealHook, ServeConfig, StoreSettings,
@@ -277,13 +278,15 @@ fn shard_dying_mid_seal_reports_down_and_drains_queued_cycles() {
 }
 
 /// A seal hook that reports each call on the first receiver, then blocks
-/// until the returned gate sender is dropped.
-fn gated_hook() -> (SealHook, Receiver<()>, Sender<()>) {
-    let (entered_tx, entered) = bounded(16);
-    let (gate, held) = bounded::<()>(1);
+/// until the returned gate sender is dropped. (A `Receiver` is not
+/// `Sync`, and a hook must be: the hook holds it in a `Mutex`.)
+fn gated_hook() -> (SealHook, Receiver<()>, SyncSender<()>) {
+    let (entered_tx, entered) = sync_channel(16);
+    let (gate, held) = sync_channel::<()>(1);
+    let held = Mutex::new(held);
     let hook = SealHook(Arc::new(move |_: usize, _: u64, _: u64, _: &Path| {
         let _ = entered_tx.try_send(());
-        let _ = held.recv();
+        let _ = held.lock().unwrap().recv();
     }));
     (hook, entered, gate)
 }
@@ -319,7 +322,7 @@ fn checkpoint_does_not_hold_a_reactor_worker() {
     entered
         .recv_timeout(Duration::from_secs(30))
         .expect("the checkpoint reaches its seal hook");
-    let (answered_tx, answered) = bounded(1);
+    let (answered_tx, answered) = sync_channel(1);
     {
         let service = Arc::clone(&service);
         let request = PlacementRequest {
@@ -346,8 +349,8 @@ fn checkpoint_does_not_hold_a_reactor_worker() {
 }
 
 /// Dropping a service without `shutdown()` while a cadence cycle is held
-/// in its seal hook returns once the hook lets go: the reactor stops,
-/// then the checkpointer's join waits out the cycle.
+/// in its seal hook returns once the hook lets go: the cadence thread's
+/// join waits out the cycle.
 #[test]
 fn dropping_a_service_mid_checkpoint_returns() {
     let base = temp_base("drop");
@@ -362,7 +365,7 @@ fn dropping_a_service_mid_checkpoint_returns() {
     entered
         .recv_timeout(Duration::from_secs(30))
         .expect("a cadence checkpoint reaches its seal hook");
-    let (dropped_tx, dropped) = bounded(1);
+    let (dropped_tx, dropped) = sync_channel(1);
     let dropper = std::thread::spawn(move || {
         drop(service);
         let _ = dropped_tx.send(());
