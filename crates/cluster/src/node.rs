@@ -947,8 +947,9 @@ impl ClusterNode {
         let core = Arc::new(ClusterCore::open(&config, Arc::new(WallClock::new()))?);
 
         // Seal hook: runs on the thread that runs the checkpoint cycle
-        // (a `checkpoint_now` caller or the cadence thread), in the absorb
-        // window, while the sealed segment file still exists.
+        // (a `checkpoint_now` caller or the cadence thread), once the
+        // checkpoint has committed, while the sealed segment file still
+        // exists.
         // Read the bytes synchronously (the record count comes with the
         // seal: nothing is decoded here), hand them to the shipper thread,
         // return.

@@ -153,9 +153,8 @@ impl WalWriter {
     /// **Durability contract:** an append hands its frames to the kernel
     /// but does *not* fsync — they survive a process crash, but a power
     /// loss or kernel panic may still lose them. Callers that need the
-    /// stronger guarantee call this; [`WalWriter::seal_to`] does, so a
-    /// segment's contents are on disk before the store ever considers
-    /// absorbing them.
+    /// stronger guarantee call this, or sync a segment's file before a
+    /// store commit records it absorbed, as the checkpoint does.
     ///
     /// # Errors
     ///
@@ -165,36 +164,40 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Seals this log into `segment` and starts a fresh, empty log at the
-    /// same path: fsync the pending frames ([`WalWriter::sync`]), rename
-    /// the file to `segment`, fsync the parent directory so the rename
-    /// itself is durable, then reopen a new file. Returns the number of
-    /// entries appended through this writer since it was opened or last
-    /// sealed.
+    /// Cuts this log into `segment` (a rename, so the segment reads as
+    /// the log did) and starts a fresh, empty log at the same path.
+    /// Nothing is fsynced: returns the segment's file for the caller to
+    /// sync, and the rename is durable once the directory is fsynced.
     ///
-    /// The serving layer's checkpointer calls this, under the lock of the
-    /// shard that owns the log, to rotate the WAL; renaming rather than
-    /// copying means the sealed segment is byte-identical to the WAL and
-    /// readable with [`read_segment`] and [`recover`].
+    /// # Errors
+    ///
+    /// Returns an I/O error if the rename or reopen fails.
+    pub fn cut_to(&mut self, segment: impl AsRef<Path>) -> Result<File, PersistError> {
+        std::fs::rename(&self.path, segment.as_ref())?;
+        let fresh = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
+        self.appended = 0;
+        Ok(std::mem::replace(&mut self.file, fresh))
+    }
+
+    /// [`WalWriter::cut_to`], durably: fsync the pending frames first and
+    /// the parent directory after. Returns the number of entries appended
+    /// through this writer since it was opened or last cut.
     ///
     /// # Errors
     ///
     /// Returns an I/O error if the sync, rename, or reopen fails.
     pub fn seal_to(&mut self, segment: impl AsRef<Path>) -> Result<u64, PersistError> {
         self.sync()?;
-        std::fs::rename(&self.path, segment.as_ref())?;
+        let sealed = self.appended;
+        self.cut_to(segment)?;
         if let Some(dir) = self.path.parent() {
-            // Make the rename durable: fsync the directory holding both
-            // names. Without this, a crash can roll the rename back and
-            // resurrect an already-absorbed segment as the live WAL.
+            // Without this, a crash can roll the rename back and resurrect
+            // an already-absorbed segment as the live WAL.
             File::open(dir)?.sync_all()?;
         }
-        self.file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        let sealed = self.appended;
-        self.appended = 0;
         Ok(sealed)
     }
 }
@@ -211,7 +214,7 @@ pub fn shard_path(dir: impl AsRef<Path>, shard: usize) -> PathBuf {
 /// Path of shard `shard`'s sealed WAL segment `seq` inside `dir`
 /// (`shard-<i>.seg-<seq>`).
 ///
-/// Segments are WAL files frozen by [`WalWriter::seal_to`]: same format,
+/// Segments are WAL files frozen by [`WalWriter::cut_to`]: same format,
 /// same recovery. Sequence numbers start at 1 and increase monotonically
 /// per shard; the store's manifest records the highest absorbed sequence
 /// so recovery can tell an orphaned (already-absorbed) segment from one
@@ -315,9 +318,7 @@ fn committed_prefix(bytes: &[u8]) -> Result<usize, PersistError> {
 
 /// Appends the committed frames of the log or sealed segment at `path` to
 /// `frames` — verified, still packed, [`FRAME_LEN`] bytes each, oldest
-/// first — and returns how many there were. This is the checkpointer's
-/// reader: the store sorts and pages the record images where they lie, and
-/// nothing is decoded.
+/// first — and returns how many there were: startup recovery's reader.
 ///
 /// # Errors
 ///

@@ -1,17 +1,18 @@
-//! Checkpointing: seal the shard WALs, absorb the sealed segments into
-//! the cold [`geomancy_store::PagedStore`], then trim the shards' in-memory
-//! hot tails.
+//! Checkpointing: cut the shard WALs into segments, page the runs they
+//! cut from memory into the cold [`geomancy_store::PagedStore`], then
+//! trim the shards' in-memory hot tails.
 //!
 //! The checkpointer's state sits behind a lock its callers take turns
 //! holding: [`Checkpointer::checkpoint_now`] runs the cycle on the calling
-//! thread. A cycle is one blocking function that seals each shard in turn
+//! thread. A cycle is one blocking function. It seals each shard in turn
 //! ([`ShardSet::seal`], which first flushes the shard's stage, so a
-//! segment holds every record acked before the call). A failed shard ends
-//! the cycle with [`CheckpointError::Down`] before anything is absorbed.
-//! The trims ([`ShardSet::trim`]) run only after the absorb commits, so
-//! the hot-tail bound never costs a record. A panic inside a cycle (in
-//! the seal hook, say) is caught under the lock and takes the
-//! checkpointer down: that call and every later one answer `Down`.
+//! segment holds every record acked before the call, and returns the run
+//! it cut); the store pages and commits the runs from memory
+//! ([`geomancy_store::PagedStore::absorb_runs`]); then the seal hook sees
+//! each segment, the segments are deleted and the hot tails trim
+//! ([`ShardSet::trim`]). A cycle that fails or panics (in the seal hook,
+//! say) takes the checkpointer down: that call answers its error and every
+//! later one `Down`, and its segments are left to startup recovery.
 //!
 //! Only a cadence (`StoreSettings::checkpoint_every_micros`) has a
 //! thread, `geomancy-checkpointer`, which runs a cycle whenever the
@@ -29,6 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use geomancy_replaydb::wal::segment_path;
 use geomancy_runtime::TimeSource;
 use geomancy_store::{AbsorbReport, SharedPagedStore};
 
@@ -40,10 +42,10 @@ use crate::trainer::CycleLock;
 /// Why a checkpoint cycle failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// A shard the cycle seals has failed, or a panic inside a cycle
+    /// A shard the cycle seals has failed, or a failed or panicked cycle
     /// took the checkpointer down.
     Down,
-    /// The store rejected the absorption (I/O failure, corruption).
+    /// The store failed to page or commit the cycle's runs.
     Store(String),
 }
 
@@ -86,6 +88,7 @@ impl Checkpointer {
             hot_tail: settings.hot_tail,
             metrics,
             seal_hook,
+            down: false,
         }));
         let every = settings.checkpoint_every_micros;
         let cadence = (every > 0).then(|| {
@@ -120,9 +123,9 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Down`] when a shard has failed or a cycle
-    /// panicked,
-    /// [`CheckpointError::Store`] if the absorption failed.
+    /// [`CheckpointError::Down`] when a shard has failed or an earlier
+    /// cycle failed or panicked,
+    /// [`CheckpointError::Store`] if paging or committing failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         self.state.run(CheckpointError::Down, |c| c.cycle())
     }
@@ -145,37 +148,41 @@ struct CheckpointLoop {
     wal_dir: PathBuf,
     hot_tail: usize,
     metrics: Arc<ServeMetrics>,
-    /// Sees each sealed segment before absorption deletes it.
+    /// Sees each segment after the commit synced it, before it is deleted.
     seal_hook: Option<SealHook>,
+    /// Set by a failed cycle: its segments are left to startup recovery.
+    down: bool,
 }
 
 impl CheckpointLoop {
-    /// Seal → seal hook → absorb under the store write lock → gauges →
-    /// trim the hot tails. Returns what the cycle absorbed.
-    fn cycle(&self) -> Result<AbsorbReport, CheckpointError> {
-        // `(shard, seq, records)` of each segment cut.
-        let mut sealed: Vec<(usize, u64, u64)> = Vec::new();
+    /// One cycle, unless a failed one took the checkpointer down.
+    fn cycle(&mut self) -> Result<AbsorbReport, CheckpointError> {
+        let cycle = match self.down {
+            true => Err(CheckpointError::Down),
+            false => self.seal_and_absorb(),
+        };
+        self.down = cycle.is_err();
+        cycle
+    }
+
+    /// Seal → page and commit under the store write lock → gauges → seal
+    /// hook → delete the segments → trim the hot tails. Returns what the
+    /// cycle absorbed.
+    fn seal_and_absorb(&self) -> Result<AbsorbReport, CheckpointError> {
+        let mut runs = Vec::new();
         for shard in 0..self.shards.len() {
-            let (seq, records) = self.shards.seal(shard).ok_or(CheckpointError::Down)?;
-            if seq > 0 {
-                sealed.push((shard, seq, records));
+            let run = self.shards.seal(shard).ok_or(CheckpointError::Down)?;
+            if run.seq > 0 {
+                runs.push(run);
             }
         }
-        if sealed.is_empty() {
+        if runs.is_empty() {
             return Ok(AbsorbReport::default());
-        }
-        // Show every sealed segment to the shipping hook *before* the
-        // absorb deletes it: its bytes are the unit of replication.
-        if let Some(hook) = &self.seal_hook {
-            for &(shard, seq, records) in &sealed {
-                let path = geomancy_replaydb::wal::segment_path(&self.wal_dir, shard, seq);
-                (hook.0)(shard, seq, records, &path);
-            }
         }
         let started = Instant::now();
         let mut store = self.store.write();
-        let report = store
-            .absorb_segments(&self.wal_dir, self.shards.len(), None)
+        let mut report = store
+            .absorb_runs(&self.wal_dir, &mut runs)
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
         let (m, micros) = (&self.metrics, started.elapsed().as_micros() as u64);
         m.last_checkpoint_micros.store(micros, Relaxed);
@@ -184,6 +191,18 @@ impl CheckpointLoop {
         m.store_pages.store(store.page_count() as u64, Relaxed);
         m.store_cold_bytes.store(store.cold_bytes(), Relaxed);
         drop(store);
+        // Committed and synced: the shipping hook sees every segment before
+        // any is deleted. One whose unlink fails is an orphan the next
+        // startup deletes unreplayed.
+        let paths = (runs.iter()).map(|run| segment_path(&self.wal_dir, run.shard, run.seq));
+        for (run, path) in runs.iter().zip(paths.clone()) {
+            if let Some(hook) = &self.seal_hook {
+                (hook.0)(run.shard, run.seq, run.records.len() as u64, &path);
+            }
+        }
+        report.orphans_left += paths
+            .filter(|path| std::fs::remove_file(path).is_err())
+            .count();
         // The records are durable in the cold store: now the hot copies go.
         for shard in 0..self.shards.len() {
             self.shards.trim(shard, self.hot_tail);
@@ -198,9 +217,10 @@ mod tests {
     use geomancy_runtime::WallClock;
     use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
     use geomancy_store::{PagedStore, StoreConfig};
+    use std::sync::mpsc::{Receiver, SyncSender};
 
-    fn records(count: u64) -> Vec<AccessRecord> {
-        (0..count)
+    fn records(numbers: std::ops::Range<u64>) -> Vec<AccessRecord> {
+        numbers
             .map(|n| AccessRecord {
                 access_number: n,
                 fid: FileId(n % 17),
@@ -215,16 +235,22 @@ mod tests {
             .collect()
     }
 
-    /// A caller that arrives while another's cycle is held in its seal
-    /// hook waits its turn at the lock: once the hook lets go, both are
-    /// answered, and shutdown in `PlacementService::shutdown`'s order
-    /// (the checkpointer, then the shards) returns with every record in
-    /// pages.
-    #[test]
-    fn concurrent_checkpoints_are_all_answered_and_shutdown_absorbs_every_record() {
+    /// Two WAL shards, a store, and a checkpointer keeping `hot_tail`
+    /// records whose seal hook reports each call on `entered`, then
+    /// blocks until `gate` is dropped.
+    struct Rig {
+        base: PathBuf,
+        shards: Arc<ShardSet>,
+        store: SharedPagedStore,
+        checkpointer: Arc<Checkpointer>,
+        entered: Receiver<()>,
+        gate: SyncSender<()>,
+    }
+
+    fn rig(name: &str, hot_tail: usize) -> Rig {
         let base = std::env::temp_dir()
             .join("geomancy_serve_checkpoint_unit")
-            .join(format!("shutdown-{}", std::process::id()));
+            .join(format!("{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
         let metrics = Arc::new(ServeMetrics::new(2));
         let wal_dir = base.join("wal");
@@ -235,11 +261,10 @@ mod tests {
             0,
             &[],
         ));
-        shards.ingest(0, &records(300)).unwrap();
         let (store, _) = PagedStore::open(base.join("store"), StoreConfig::default()).unwrap();
         let store = store.into_shared();
         let (entered_tx, entered) = std::sync::mpsc::sync_channel(16);
-        let (gate, held) = std::sync::mpsc::channel::<()>();
+        let (gate, held) = std::sync::mpsc::sync_channel::<()>(1);
         let held = std::sync::Mutex::new(held);
         let hook = SealHook(Arc::new(
             move |_: usize, _: u64, _: u64, _: &std::path::Path| {
@@ -247,7 +272,10 @@ mod tests {
                 let _ = held.lock().unwrap().recv();
             },
         ));
-        let settings = StoreSettings::default();
+        let settings = StoreSettings {
+            hot_tail,
+            ..StoreSettings::default()
+        };
         let checkpointer = Arc::new(Checkpointer::spawn(
             Arc::new(WallClock::new()),
             &shards,
@@ -257,27 +285,78 @@ mod tests {
             metrics,
             Some(hook),
         ));
-        let caller = || {
-            let checkpointer = Arc::clone(&checkpointer);
-            std::thread::spawn(move || {
-                checkpointer
-                    .checkpoint_now()
-                    .map(|report| report.records_absorbed)
-            })
-        };
-        let a = caller();
-        entered
+        Rig {
+            base,
+            shards,
+            store,
+            checkpointer,
+            entered,
+            gate,
+        }
+    }
+
+    /// A `checkpoint_now` on its own thread, answering the records it
+    /// absorbed.
+    fn caller(
+        checkpointer: &Arc<Checkpointer>,
+    ) -> std::thread::JoinHandle<Result<u64, CheckpointError>> {
+        let checkpointer = Arc::clone(checkpointer);
+        std::thread::spawn(move || {
+            checkpointer
+                .checkpoint_now()
+                .map(|report| report.records_absorbed)
+        })
+    }
+
+    /// A caller that arrives while another's cycle is held in its seal
+    /// hook waits its turn at the lock: once the hook lets go, both are
+    /// answered, and shutdown in `PlacementService::shutdown`'s order
+    /// (the checkpointer, then the shards) returns with every record in
+    /// pages.
+    #[test]
+    fn concurrent_checkpoints_are_all_answered_and_shutdown_absorbs_every_record() {
+        let rig = rig("shutdown", StoreSettings::default().hot_tail);
+        rig.shards.ingest(0, &records(0..300)).unwrap();
+        let a = caller(&rig.checkpointer);
+        rig.entered
             .recv_timeout(Duration::from_secs(10))
             .expect("cycle A reaches its seal hook");
-        let b = caller();
+        let b = caller(&rig.checkpointer);
         std::thread::sleep(Duration::from_millis(20));
         assert!(!b.is_finished(), "B waits for the held cycle");
-        drop(gate);
+        drop(rig.gate);
         assert_eq!(a.join().unwrap(), Ok(300));
         assert_eq!(b.join().unwrap(), Ok(0), "nothing was ingested after A");
-        drop(Arc::try_unwrap(checkpointer).expect("sole owner"));
-        assert_eq!(shards.take_hot_tails().len(), 2);
-        assert_eq!(store.read().total_records(), 300);
-        std::fs::remove_dir_all(&base).ok();
+        drop(Arc::try_unwrap(rig.checkpointer).expect("sole owner"));
+        assert_eq!(rig.shards.take_hot_tails().len(), 2);
+        assert_eq!(rig.store.read().total_records(), 300);
+        std::fs::remove_dir_all(&rig.base).ok();
+    }
+
+    /// Records acked while a cycle is held in its seal hook are in the
+    /// active WALs, not in the cycle's runs: the trim after that cycle
+    /// must keep them in the hot tails, however short `hot_tail` is, for
+    /// the next seal to copy. After the next checkpoint each record is in
+    /// the store exactly once.
+    #[test]
+    fn records_acked_during_a_cycle_survive_its_trim_and_are_absorbed_once() {
+        let rig = rig("trim", 16);
+        rig.shards.ingest(0, &records(0..300)).unwrap();
+        let a = caller(&rig.checkpointer);
+        rig.entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("cycle A reaches its seal hook");
+        rig.shards.ingest(1, &records(300..500)).unwrap();
+        rig.shards.flush_all();
+        drop(rig.gate);
+        assert_eq!(a.join().unwrap(), Ok(300));
+        assert_eq!(caller(&rig.checkpointer).join().unwrap(), Ok(200));
+        let store = rig.store.read();
+        let mut stored: Vec<u64> = (store.recent(1000).unwrap().iter())
+            .map(|r| r.access_number)
+            .collect();
+        stored.sort_unstable();
+        assert_eq!(stored, (0..500).collect::<Vec<u64>>());
+        std::fs::remove_dir_all(&rig.base).ok();
     }
 }

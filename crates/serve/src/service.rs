@@ -123,12 +123,12 @@ pub struct ServeConfig {
     /// Stable cluster node id reported in metrics (0 = single-node).
     pub node_id: u64,
     /// Called with each sealed WAL segment `(shard, seq, records, path)`
-    /// after the checkpointer seals it and *before* absorption deletes it
-    /// — the window in which a cluster node reads the bytes for WAL
-    /// shipping. `records` is the shard's own count of what it sealed, so
-    /// the hook never decodes the segment. It runs on the cycle's thread
-    /// (a `checkpoint_now` caller's, or the cadence's) and delays that
-    /// cycle's absorb: keep it to a file read plus a channel send.
+    /// after the checkpoint's commit synced it and the WAL directory, and
+    /// *before* any segment of the cycle is deleted — the window in which
+    /// a cluster node reads the bytes for WAL shipping. `records` is the
+    /// run's own count, so the hook never decodes the segment. It runs on
+    /// the cycle's thread (a `checkpoint_now` caller's, or the cadence's),
+    /// outside the store lock: keep it to a file read plus a channel send.
     pub seal_hook: Option<SealHook>,
 }
 
@@ -331,8 +331,8 @@ impl PlacementService {
     /// Ingest: stages each record on its shard and returns, without
     /// waiting on a queue or a write. The ack means the records are
     /// staged in memory; they reach the shard WALs within
-    /// [`crate::shard::FLUSH_PERIOD`] and are fsynced at the next seal
-    /// (see [`crate::shard`]).
+    /// [`crate::shard::FLUSH_PERIOD`] and are fsynced before the next
+    /// checkpoint's manifest commits (see [`crate::shard`]).
     ///
     /// # Errors
     ///
@@ -518,15 +518,15 @@ impl PlacementService {
             .retrain_now()
     }
 
-    /// Runs one checkpoint cycle on this thread — seal every shard WAL,
-    /// absorb the segments into the cold store, trim the hot tails — and
-    /// returns what the store commit absorbed.
+    /// Runs one checkpoint cycle on this thread — cut every shard WAL,
+    /// page the runs it cut into the cold store and commit them, trim the
+    /// hot tails — and returns what the store commit absorbed.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Down`] when the service runs without a store,
-    /// a shard has failed or a cycle panicked,
-    /// [`CheckpointError::Store`] if the absorption failed.
+    /// a shard has failed or an earlier cycle failed or panicked,
+    /// [`CheckpointError::Store`] if paging or committing failed.
     pub fn checkpoint_now(&self) -> Result<AbsorbReport, CheckpointError> {
         self.checkpointer
             .as_ref()

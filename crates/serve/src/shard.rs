@@ -12,8 +12,8 @@
 //! WAL (`shard-<i>.wal`, one `write_all` per shard) within
 //! [`FLUSH_PERIOD`], when the service's `geomancy-wal-flush` thread moves
 //! every stage, or at once when a stage reaches [`STAGE_BOUND`] records,
-//! written by the ingest that crossed it. They are fsynced when the
-//! checkpointer seals the WAL. A process crash can lose the staged
+//! written by the ingest that crossed it. They are fsynced before the
+//! checkpoint's manifest commits. A process crash can lose the staged
 //! window, never a frame written before the write it interrupted.
 //!
 //! Records move stage → WAL → hot tail, so the hot tail never holds a
@@ -34,6 +34,7 @@ use std::time::Duration;
 use geomancy_replaydb::wal::{list_segments, recover_for_append, segment_path, shard_path};
 use geomancy_replaydb::{StoredRecord, WalWriter};
 use geomancy_sim::record::{AccessRecord, FileId};
+use geomancy_store::SealedRun;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::metrics::ServeMetrics;
@@ -97,7 +98,8 @@ struct Shard {
     hot: Vec<StoredRecord>,
     /// `None` for a memory-only shard.
     wal: Option<WalWriter>,
-    /// Records in the active WAL: a seal of none cuts no segment.
+    /// Records in the active WAL, the newest of the hot tail: a seal of
+    /// none cuts no segment, and a trim keeps them all.
     wal_records: u64,
     /// Sequence number of the next sealed segment: above both the last
     /// on disk and the store's absorbed floor, so a fresh segment is never
@@ -324,27 +326,34 @@ impl ShardSet {
         }
     }
 
-    /// Flushes shard `shard`, then seals its WAL into the next numbered,
-    /// fsynced segment ([`WalWriter::seal_to`]), which therefore holds
-    /// every record acked before the call. Returns `(seq, records)`;
-    /// `seq == 0` when the WAL held nothing (or the shard is memory-only)
-    /// and no segment was cut. `None` if the shard has failed, or fails
-    /// now.
-    pub fn seal(&self, shard: usize) -> Option<(u64, u64)> {
+    /// Flushes shard `shard`, then cuts its WAL, unsynced, into the next
+    /// numbered segment ([`WalWriter::cut_to`]), which therefore holds
+    /// every record acked before the call. Returns the run it cut, copied
+    /// from the hot tail; `seq == 0` when the WAL held nothing (or the
+    /// shard is memory-only) and no segment was cut. `None` if the shard
+    /// has failed, or fails now.
+    pub fn seal(&self, shard: usize) -> Option<SealedRun> {
         let mut guard = self.shards[shard].lock();
         let s = &mut *guard;
         if !s.flush(shard, &self.metrics) {
             return None;
         }
-        let (Some(wal), Some(dir), true) = (&mut s.wal, &self.wal_dir, s.wal_records > 0) else {
-            return Some((0, 0));
+        let mut run = SealedRun {
+            shard,
+            ..SealedRun::default()
         };
-        if wal.seal_to(segment_path(dir, shard, s.next_seq)).is_err() {
+        let (Some(wal), Some(dir), true) = (&mut s.wal, &self.wal_dir, s.wal_records > 0) else {
+            return Some(run);
+        };
+        let Ok(file) = wal.cut_to(segment_path(dir, shard, s.next_seq)) else {
             s.failed = true;
             return None;
-        }
+        };
+        let cut = std::mem::take(&mut s.wal_records) as usize;
+        (run.seq, run.file) = (s.next_seq, Some(file));
+        run.records = s.hot[s.hot.len() - cut..].to_vec();
         s.next_seq += 1;
-        Some((s.next_seq - 1, std::mem::take(&mut s.wal_records)))
+        Some(run)
     }
 
     /// Flushes shard `shard`, then returns what it applied after the
@@ -364,12 +373,13 @@ impl ShardSet {
     }
 
     /// Flushes shard `shard`, then drops all but the newest `keep` records
-    /// of its hot tail: the checkpointer calls this once the records'
-    /// segments have committed to the cold store.
+    /// of its hot tail, and none of the active WAL's: the checkpointer,
+    /// the only caller of [`ShardSet::seal`], calls this once what it
+    /// sealed has committed to the cold store.
     pub fn trim(&self, shard: usize, keep: usize) {
         let mut s = self.shards[shard].lock();
         s.flush(shard, &self.metrics);
-        let excess = s.hot.len().saturating_sub(keep);
+        let excess = s.hot.len().saturating_sub(keep.max(s.wal_records as usize));
         s.hot.drain(..excess);
     }
 

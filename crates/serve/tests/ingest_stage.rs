@@ -9,7 +9,8 @@
 //!   each producer's records in the order it sent them and timestamps
 //!   non-decreasing;
 //! - each seal's segment, with the shard's earlier segments, holds every
-//!   record acked before the seal was called;
+//!   record acked before the seal was called, and the run the seal
+//!   returned is that segment's records, in order;
 //! - each snapshot delta is exactly the slice of the shard's stream
 //!   between its watermark and the count it reports.
 //!
@@ -28,6 +29,7 @@ use geomancy_replaydb::StoredRecord;
 use geomancy_serve::shard::{ShardSet, SnapshotDelta, FLUSH_PERIOD, STAGE_BOUND};
 use geomancy_serve::{shard_of, PlacementService, ServeConfig, ServeMetrics};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
+use geomancy_store::SealedRun;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,7 +96,8 @@ struct Observed {
 /// One [`ShardSet::seal`] call.
 struct SealSeen {
     shard: usize,
-    answer: Option<(u64, u64)>,
+    /// The run it returned, without its segment's file.
+    answer: Option<SealedRun>,
     /// Each producer's acked record count just before the call.
     acked_before: [u64; PRODUCERS as usize],
 }
@@ -128,7 +131,7 @@ fn control(
                 let before = [0, 1].map(|p| acked[p].load(Ordering::Acquire));
                 seen.seals.push(SealSeen {
                     shard,
-                    answer: set.seal(shard),
+                    answer: set.seal(shard).map(|run| SealedRun { file: None, ..run }),
                     acked_before: before,
                 });
             }
@@ -232,14 +235,23 @@ fn run_model(seed: u64) {
         // or the shard's last earlier one when it cut none).
         let mut through = 0;
         for seal in seen.seals.iter().filter(|s| s.shard == shard) {
-            let (seq, records) = seal.answer.expect("no shard fails");
+            let run = seal.answer.as_ref().expect("no shard fails");
+            let (seq, records) = (run.seq, run.records.len());
+            assert_eq!(run.shard, shard);
             if seq > 0 {
                 assert!(seq > through, "segment numbers increase");
                 through = seq;
                 let sealed = ends.iter().find(|e| e.0 == seq).map(|e| e.1);
                 let previous = ends.iter().take_while(|e| e.0 < seq).last();
-                let want = sealed.map(|end| end - previous.map_or(0, |e| e.1));
-                assert_eq!(want, Some(records as usize), "segment {seq} length");
+                let start = previous.map_or(0, |e| e.1);
+                let want = sealed.map(|end| end - start);
+                assert_eq!(want, Some(records), "segment {seq} length");
+                assert!(
+                    run.records[..] == stream[start..start + records],
+                    "the run of segment {seq} of shard {shard} is not its records"
+                );
+            } else {
+                assert!(run.records.is_empty(), "a seal that cut nothing");
             }
             let end = ends.iter().find(|e| e.0 == through).map_or(0, |e| e.1);
             for s in &stream[end..] {

@@ -66,6 +66,15 @@ pub struct PageSpan {
     pub count: u32,
 }
 
+impl PageSpan {
+    /// Counts one more record at `ts`.
+    fn widen(&mut self, ts: u64) {
+        self.min_ts = self.min_ts.min(ts);
+        self.max_ts = self.max_ts.max(ts);
+        self.count += 1;
+    }
+}
+
 /// Bytes per row of the index log.
 pub const ROW_LEN: usize = 40;
 /// Row kinds in the index log.
@@ -97,8 +106,9 @@ pub struct TimeIndex {
     /// Index-log rows of the pages added since the last
     /// [`TimeIndex::mark_saved`].
     unsaved: Vec<u8>,
-    /// Reused by [`TimeIndex::add_page`]: `(device, timestamp)` per record.
-    scratch: Vec<(u32, u64)>,
+    /// Reused by [`TimeIndex::add_page`]: one page's device spans, in
+    /// ascending id order.
+    scratch: Vec<(u32, PageSpan)>,
 }
 
 impl TimeIndex {
@@ -143,31 +153,31 @@ impl TimeIndex {
     pub fn add_page(&mut self, page: u32, images: &[u8]) {
         assert_eq!(page as usize, self.pages.len(), "pages are append-only");
         assert!(!images.is_empty(), "pages are never empty");
-        let images = images.chunks_exact(RECORD_LEN);
-        let timestamps = images.clone().map(image_timestamp);
-        let whole = PageSpan {
+        // One pass: the page's span, and each device's in the scratch,
+        // kept in ascending id order by inserting a device where it sorts.
+        let empty = PageSpan {
             page,
-            min_ts: timestamps.clone().min().expect("not empty"),
-            max_ts: timestamps.max().expect("not empty"),
-            count: images.len() as u32,
+            min_ts: u64::MAX,
+            max_ts: 0,
+            count: 0,
         };
-        // Sorted, the `(device, timestamp)` pairs fall into one run per
-        // device in ascending id order, each run's ends its time span.
+        let mut whole = empty;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        scratch.extend(images.map(|i| (image_fsid(i).0, image_timestamp(i))));
-        scratch.sort_unstable();
-        let runs = scratch.chunk_by(|a, b| a.0 == b.0);
+        for image in images.chunks_exact(RECORD_LEN) {
+            let (dev, ts) = (image_fsid(image).0, image_timestamp(image));
+            whole.widen(ts);
+            let at = scratch
+                .binary_search_by_key(&dev, |&(d, _)| d)
+                .unwrap_or_else(|at| {
+                    scratch.insert(at, (dev, empty));
+                    at
+                });
+            scratch[at].1.widen(ts);
+        }
         self.unsaved
-            .extend_from_slice(&encode_row(ROW_PAGE, runs.clone().count() as u64, &whole));
-        for run in runs {
-            let span = PageSpan {
-                page,
-                min_ts: run[0].1,
-                max_ts: run[run.len() - 1].1,
-                count: run.len() as u32,
-            };
-            let dev = run[0].0;
+            .extend_from_slice(&encode_row(ROW_PAGE, scratch.len() as u64, &whole));
+        for &(dev, span) in &scratch {
             self.unsaved
                 .extend_from_slice(&encode_row(ROW_DEVICE, dev.into(), &span));
             self.by_device.entry(DeviceId(dev)).or_default().push(span);
@@ -422,6 +432,58 @@ mod tests {
             TimeIndex::load(&log[..3 * ROW_LEN]).unwrap().page_count(),
             1
         );
+    }
+
+    /// The rows a page's group had when they came from sorting its
+    /// `(device, timestamp)` pairs: one run per device, in id order.
+    fn sorted_rows(page: u32, images: &[u8]) -> Vec<u8> {
+        let mut pairs: Vec<(u32, u64)> = (images.chunks_exact(RECORD_LEN))
+            .map(|i| (image_fsid(i).0, image_timestamp(i)))
+            .collect();
+        let span = |min_ts, max_ts, count| PageSpan {
+            page,
+            min_ts,
+            max_ts,
+            count,
+        };
+        let ts = pairs.iter().map(|p| p.1);
+        let whole = span(
+            ts.clone().min().unwrap(),
+            ts.max().unwrap(),
+            pairs.len() as u32,
+        );
+        pairs.sort_unstable();
+        let runs = pairs.chunk_by(|a, b| a.0 == b.0);
+        let mut rows = encode_row(ROW_PAGE, runs.clone().count() as u64, &whole).to_vec();
+        for run in runs {
+            let device = span(run[0].1, run[run.len() - 1].1, run.len() as u32);
+            rows.extend(encode_row(ROW_DEVICE, run[0].0.into(), &device));
+        }
+        rows
+    }
+
+    /// The one-pass rows equal the sort-based rows, byte for byte, on
+    /// random pages of 1–40 devices with sparse ids and repeated
+    /// timestamps.
+    #[test]
+    fn one_pass_rows_match_the_sorted_rows() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut index = TimeIndex::new();
+        for page in 0..300u32 {
+            let devices: Vec<u32> = (0..rng.gen_range(1..=40))
+                .map(|_| rng.gen_range(0..1000))
+                .collect();
+            let images: Vec<u8> = (0..rng.gen_range(1..=250))
+                .flat_map(|_| {
+                    let dev = devices[rng.gen_range(0..devices.len())];
+                    image(rng.gen_range(0..500), rng.gen_range(0..50), dev)
+                })
+                .collect();
+            index.add_page(page, &images);
+            assert_eq!(index.unsaved(), sorted_rows(page, &images), "page {page}");
+            index.mark_saved();
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! append-only file of fixed-size binary pages with per-page and
 //! per-device timestamp indexes, read via positioned `pread` through a
 //! small in-process page cache, and filled by checkpointing the serving
-//! layer's WAL segments ([`PagedStore::absorb_segments`]).
+//! layer's sealed WAL runs from memory ([`PagedStore::absorb_runs`]), or
+//! its segments from disk at recovery ([`PagedStore::absorb_segments`]).
 //!
 //! Three layers:
 //!
@@ -32,7 +33,7 @@ pub mod tiered;
 
 pub use manifest::Manifest;
 pub use store::{
-    AbsorbReport, FaultPoint, PagedStore, RecoveryReport, SharedPagedStore, StoreConfig,
+    AbsorbReport, FaultPoint, PagedStore, RecoveryReport, SealedRun, SharedPagedStore, StoreConfig,
 };
 pub use tiered::TieredDb;
 

@@ -18,18 +18,26 @@
 //!
 //! ## Crash-safe checkpoint ordering
 //!
-//! [`PagedStore::absorb_segments`] drains sealed WAL segments in four
-//! ordered steps — append pages (built from the segments' verified frames
-//! without decoding a record, written with one positioned write), fsync
-//! pages + append and fsync their
-//! index rows, commit manifest (atomic rename), delete segments. A crash
-//! between any two steps recovers exactly-once: before the manifest commit
-//! the new pages and rows are truncated away and the segments replay in
-//! full; after it the segments are recorded as absorbed and are deleted,
-//! not replayed. The [`FaultPoint`] hook lets tests kill the pipeline at
-//! each boundary and prove that argument. The last step cannot fail the
-//! absorb: a segment whose unlink fails (or a crash loses) is an orphan
-//! the next absorb deletes.
+//! A checkpoint ([`PagedStore::absorb_runs`]) pages the runs the shards
+//! cut, from memory; recovery ([`PagedStore::absorb_segments`]) reads the
+//! segments a crash left into runs. Either merges them by `(timestamp,
+//! access_number)`, ties to the lower shard, appends the pages with one
+//! write and their index rows, then waits once for the fdatasync of each
+//! new segment, of the pages and of the index, and one fsync of the WAL
+//! directory, all issued together; commits the manifest (atomic rename,
+//! the only commit point); and deletes the segments. Every sync precedes
+//! the rename: the manifest commits the pages' and index's lengths; a
+//! segment was cut by an unsynced rename, which, rolled back after the
+//! manifest records the segment absorbed, would replay it as the live
+//! WAL; and the seal hook ships a segment once the commit returns, so it
+//! must be durable on its primary. A crash between any two steps recovers
+//! exactly-once: before the manifest commit the new pages and rows are
+//! truncated away and the segments replay in full; after it the segments
+//! are recorded as absorbed and are deleted, not replayed. The
+//! [`FaultPoint`] hook lets tests kill the pipeline at each boundary and
+//! prove that argument. The last step cannot fail the absorb: a segment
+//! whose unlink fails (or a crash loses) is an orphan the next recovery
+//! deletes.
 //!
 //! ## Queries over overlapping pages
 //!
@@ -97,21 +105,22 @@ pub struct RecoveryReport {
     pub index_rebuilt: bool,
 }
 
-/// Where [`PagedStore::absorb_segments`] is killed, for crash-injection
+/// Where an absorb or import is killed, for crash-injection
 /// tests. Each point simulates a crash *after* the named step completed
 /// and before the next began.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
     /// Pages appended to `pages.bin`; index and manifest untouched.
     AfterPageWrite,
-    /// Pages fsynced, their index rows appended and fsynced; manifest
-    /// not committed.
+    /// Index rows appended; pages, index, segments and WAL directory
+    /// synced; manifest not committed.
     AfterIndexWrite,
     /// Manifest committed; absorbed segments not yet deleted.
     AfterManifestCommit,
 }
 
-/// Summary of one [`PagedStore::absorb_segments`] run.
+/// Summary of one [`PagedStore::absorb_runs`] or
+/// [`PagedStore::absorb_segments`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbsorbReport {
     /// Segments replayed into pages this run.
@@ -160,17 +169,73 @@ impl PageCache {
     }
 }
 
-/// The frames of the segments a checkpoint absorbs; the buffers are kept
-/// for the next checkpoint, so a steady cadence allocates per page added,
-/// not per record.
+/// One shard's WAL segment as a checkpoint cut it: its records, in
+/// memory, and its file, not yet fdatasynced.
 #[derive(Debug, Default)]
-struct SegmentFrames {
-    /// The segments' verified frames, end to end.
-    frames: Vec<u8>,
-    /// `(timestamp, access_number, frame index)` per frame of `frames`:
-    /// sorted, it is the order records are paged in (the index breaks
-    /// ties as a stable sort of the frames would).
-    order: Vec<(u64, u64, usize)>,
+pub struct SealedRun {
+    /// The shard that cut it.
+    pub shard: usize,
+    /// The segment's sequence number; 0 when nothing was cut.
+    pub seq: u64,
+    /// The segment's records, oldest first.
+    pub records: Vec<StoredRecord>,
+    /// The segment's file, which the commit syncs (`None`: nothing to).
+    pub file: Option<File>,
+}
+
+/// A record as a run holds it: decoded (a checkpoint's run), or a
+/// verified WAL frame (recovery's), whose image is copied as it is.
+trait Paged {
+    /// The order pages hold records in: `(timestamp, access_number)`.
+    fn key(&self) -> (u64, u64);
+    /// Writes the record's image into its page slot.
+    fn pack(&self, slot: &mut [u8]);
+}
+
+impl Paged for StoredRecord {
+    fn key(&self) -> (u64, u64) {
+        (self.timestamp_micros, self.record.access_number)
+    }
+    fn pack(&self, slot: &mut [u8]) {
+        pack_record(slot, 0, self);
+    }
+}
+
+impl Paged for [u8; FRAME_LEN] {
+    fn key(&self) -> (u64, u64) {
+        (image_timestamp(self), image_access_number(self))
+    }
+    fn pack(&self, slot: &mut [u8]) {
+        slot.copy_from_slice(&self[..RECORD_LEN]);
+    }
+}
+
+/// Stable-sorts `run` into page order, unless it is in order already.
+fn in_order<T: Paged>(run: &mut [T]) {
+    if !run.is_sorted_by_key(T::key) {
+        run.sort_by_key(T::key);
+    }
+}
+
+/// The merged stream of `runs`, each in page order: one k-way merge,
+/// ties to the earlier run.
+fn merged<'a, T: Paged>(runs: &[&'a [T]]) -> impl Iterator<Item = &'a T> {
+    let mut rest: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    std::iter::from_fn(move || {
+        let mut best = 0;
+        for k in 1..rest.len() {
+            if rest[k][0].key() < rest[best][0].key() {
+                best = k;
+            }
+        }
+        let (next, tail) = rest.get(best)?.split_first()?;
+        if tail.is_empty() {
+            rest.remove(best);
+        } else {
+            rest[best] = tail;
+        }
+        Some(next)
+    })
 }
 
 /// The paged cold store. Writers need `&mut self`; queries take `&self`
@@ -188,8 +253,8 @@ pub struct PagedStore {
     /// Bytes of `index.log` written: everything but `index.unsaved()`.
     index_len: u64,
     manifest: Manifest,
-    /// Reused by [`PagedStore::absorb_segments`].
-    segments: SegmentFrames,
+    /// Reused by [`PagedStore::absorb_segments`]: the segments' frames.
+    frames: Vec<u8>,
     /// Reused by `write_pages`: the pages being built, end to end.
     page_buf: Vec<u8>,
     cache: Mutex<PageCache>,
@@ -301,7 +366,7 @@ impl PagedStore {
                 index_file,
                 index_len,
                 manifest,
-                segments: SegmentFrames::default(),
+                frames: Vec::new(),
                 page_buf: Vec::new(),
                 cache: Mutex::new(PageCache::default()),
                 preads: AtomicU64::new(0),
@@ -376,24 +441,21 @@ impl PagedStore {
     /// Returns an I/O error if a page write fails.
     pub fn append_records(&mut self, records: &[StoredRecord]) -> Result<u32, StoreError> {
         debug_assert!(
-            records.windows(2).all(|w| {
-                (w[0].timestamp_micros, w[0].record.access_number)
-                    <= (w[1].timestamp_micros, w[1].record.access_number)
-            }),
+            records.is_sorted_by_key(StoredRecord::key),
             "append_records requires (timestamp, access_number) order"
         );
-        self.write_pages(records.len(), |slot, i| pack_record(slot, 0, &records[i]))
+        self.write_pages(records.len(), records.iter())
     }
 
-    /// The one page-building path: lays `n` record images out as sealed
-    /// pages (`fill(slot, i)` writes the `i`-th image into its slot),
-    /// appends them all to `pages.bin` with one positioned write, then
-    /// indexes them — so a failed write leaves the index describing only
-    /// what is in the file. Returns the number of pages added.
-    fn write_pages(
+    /// The one page-building path: packs the `n` records of `records` as
+    /// sealed pages, appends them all to `pages.bin` with one positioned
+    /// write, then indexes them — so a failed write leaves the index
+    /// describing only what is in the file. Returns the number of pages
+    /// added.
+    fn write_pages<'a, T: Paged + 'a>(
         &mut self,
         n: usize,
-        mut fill: impl FnMut(&mut [u8], usize),
+        mut records: impl Iterator<Item = &'a T>,
     ) -> Result<u32, StoreError> {
         let page_size = self.config.page_size;
         let capacity = page_capacity(page_size);
@@ -405,8 +467,8 @@ impl PagedStore {
         buf.resize(n.div_ceil(capacity) * page_size, 0);
         for (p, page) in buf.chunks_exact_mut(page_size).enumerate() {
             let slots = page[images(p)].chunks_exact_mut(RECORD_LEN);
-            for (slot, i) in slots.zip(p * capacity..) {
-                fill(slot, i);
+            for (slot, record) in slots.zip(&mut records) {
+                record.pack(slot);
             }
             seal_page(page, images(p).len() / RECORD_LEN);
         }
@@ -423,34 +485,42 @@ impl PagedStore {
         Ok(self.pages - first)
     }
 
-    /// Commits everything appended so far: fsync the pages, append their
-    /// rows to the index log and fsync it, then atomically commit the
-    /// manifest (optionally updating the per-shard absorbed-segment
-    /// floors). On return the appended records are durable.
+    /// Commits everything appended so far: append the pages' rows to the
+    /// index log, fdatasync the pages and the index at once, then
+    /// atomically commit the manifest (optionally updating the per-shard
+    /// absorbed-segment floors). On return the appended records are
+    /// durable.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error from any of the three steps; the store is
-    /// safe to reopen regardless of where it failed (the manifest rename
-    /// is the only commit point).
+    /// Returns an I/O error from any of the steps; the store is safe to
+    /// reopen regardless of where it failed (the manifest rename is the
+    /// only commit point).
     pub fn commit(&mut self, absorbed: Option<Vec<u64>>) -> Result<(), StoreError> {
-        self.commit_until(absorbed, None)
+        self.commit_until(absorbed, &[], None, None)
     }
 
-    /// [`PagedStore::commit`], stopped after the step `fault` names so the
-    /// crash tests can kill it at each boundary. The index rows written
-    /// are only those of the pages appended since the last commit.
+    /// [`PagedStore::commit`], which also fdatasyncs the files of `runs`
+    /// and fsyncs `wal_dir`, all at once with the pages and the index,
+    /// and is stopped after the step `fault` names so the crash tests
+    /// can kill it at each boundary. The index rows written are only
+    /// those of the pages appended since the last commit.
     fn commit_until(
         &mut self,
         absorbed: Option<Vec<u64>>,
+        runs: &[SealedRun],
+        wal_dir: Option<&Path>,
         fault: Option<FaultPoint>,
     ) -> Result<(), StoreError> {
         if fault == Some(FaultPoint::AfterPageWrite) {
             return Ok(());
         }
-        self.file.sync_data()?;
         write_all_at(&self.index_file, self.index.unsaved(), self.index_len)?;
-        self.index_file.sync_data()?;
+        let wal_dir = wal_dir.map(File::open).transpose()?;
+        let segments = runs.iter().filter_map(|run| run.file.as_ref());
+        let data = [&self.file, &self.index_file].into_iter().chain(segments);
+        let dir = wal_dir.iter().map(|dir| (dir, true));
+        sync_at_once(data.map(|file| (file, false)).chain(dir))?;
         self.index_len += self.index.unsaved().len() as u64;
         self.index.mark_saved();
         if fault == Some(FaultPoint::AfterIndexWrite) {
@@ -474,16 +544,60 @@ impl PagedStore {
         &self.manifest.absorbed
     }
 
+    /// Pages the runs a checkpoint cut, from memory, and commits them
+    /// (see the module docs for the order). `runs` come in shard order;
+    /// deleting their segments is the caller's, after this returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error from a page write or any step of the commit;
+    /// the store is then safe to reopen, and the segments replay.
+    pub fn absorb_runs(
+        &mut self,
+        wal_dir: &Path,
+        runs: &mut [SealedRun],
+    ) -> Result<AbsorbReport, StoreError> {
+        let mut absorbed = self.manifest.absorbed.clone();
+        for run in runs.iter_mut() {
+            in_order(&mut run.records);
+            absorbed.resize(absorbed.len().max(run.shard + 1), 0);
+            absorbed[run.shard] = run.seq.max(absorbed[run.shard]);
+        }
+        let records: Vec<&[StoredRecord]> = runs.iter().map(|run| &run.records[..]).collect();
+        Ok(AbsorbReport {
+            segments_absorbed: runs.len(),
+            records_absorbed: records.iter().map(|run| run.len() as u64).sum(),
+            pages_added: self.page_runs(&records, absorbed, runs, wal_dir, None)?,
+            ..AbsorbReport::default()
+        })
+    }
+
+    /// Pages the merge of `runs` and commits it with the floors
+    /// `absorbed`, syncing the files of `segments`. Returns the pages
+    /// added.
+    fn page_runs<T: Paged>(
+        &mut self,
+        runs: &[&[T]],
+        absorbed: Vec<u64>,
+        segments: &[SealedRun],
+        wal_dir: &Path,
+        fault: Option<FaultPoint>,
+    ) -> Result<u32, StoreError> {
+        let n = runs.iter().map(|run| run.len()).sum();
+        let pages = self.write_pages(n, merged(runs))?;
+        self.commit_until(Some(absorbed), segments, Some(wal_dir), fault)?;
+        Ok(pages)
+    }
+
     /// Drains sealed WAL segments from `wal_dir` into the store — the
-    /// checkpointer's core, and the recovery path at open (one call with
-    /// no fault absorbs whatever a crash left behind).
+    /// recovery path at open (one call with no fault absorbs whatever a
+    /// crash left behind).
     ///
     /// For each of `shards` shards: segments with `seq` at or below the
     /// manifest's absorbed floor are deleted unreplayed (they committed
-    /// in a previous run); the rest are read and verified frame by frame
-    /// into one reused buffer, put in `(timestamp, access_number)` order by
-    /// sorting small keys, copied image by image into pages, and
-    /// committed, after which the consumed segments are deleted.
+    /// in a previous run); the rest are read and verified into one reused
+    /// buffer, a run per shard, paged (images copied, not decoded) and
+    /// committed as [`PagedStore::absorb_runs`] does, then deleted.
     ///
     /// `fault` kills the pipeline at the named boundary (see
     /// [`FaultPoint`]) for crash-injection tests; production passes
@@ -499,21 +613,13 @@ impl PagedStore {
         shards: usize,
         fault: Option<FaultPoint>,
     ) -> Result<AbsorbReport, StoreError> {
-        // The frame buffers leave `self` for the call: paging reads them
-        // while it writes the rest of the store.
-        let mut segments = std::mem::take(&mut self.segments);
-        let report = self.absorb_frames(&mut segments, wal_dir, shards, fault, |path| {
-            std::fs::remove_file(path)
-        });
-        self.segments = segments;
-        report
+        self.absorb_from_disk(wal_dir, shards, fault, |path| std::fs::remove_file(path))
     }
 
-    /// [`PagedStore::absorb_segments`] with the buffers it reuses and the
-    /// call that deletes a segment (a test passes one that fails).
-    fn absorb_frames(
+    /// [`PagedStore::absorb_segments`] with the call that deletes a
+    /// segment (a test passes one that fails).
+    fn absorb_from_disk(
         &mut self,
-        SegmentFrames { frames, order }: &mut SegmentFrames,
         wal_dir: &Path,
         shards: usize,
         fault: Option<FaultPoint>,
@@ -524,7 +630,12 @@ impl PagedStore {
         if absorbed.len() < shards {
             absorbed.resize(shards, 0);
         }
+        // The frame buffer leaves `self` for the call: paging reads it
+        // while it writes the rest of the store.
+        let mut frames = std::mem::take(&mut self.frames);
         frames.clear();
+        // Shard `i`'s run is frames `bounds[i]..bounds[i + 1]`.
+        let mut bounds = vec![0];
         let mut consumed: Vec<PathBuf> = Vec::new();
         for (shard, floor) in absorbed.iter_mut().enumerate().take(shards) {
             for (seq, path) in rwal::list_segments(wal_dir, shard)? {
@@ -537,29 +648,25 @@ impl PagedStore {
                     }
                     continue;
                 }
-                report.records_absorbed += rwal::read_segment(&path, frames)?;
+                report.records_absorbed += rwal::read_segment(&path, &mut frames)?;
                 report.segments_absorbed += 1;
                 *floor = seq;
                 consumed.push(path);
             }
+            let read = frames.as_chunks_mut::<FRAME_LEN>().0;
+            in_order(&mut read[bounds[shard]..]);
+            bounds.push(read.len());
         }
-        if frames.is_empty() {
-            // Nothing to absorb; only commit if orphan floors moved (they
-            // did not — floors only move when a segment replays), so this
-            // is a pure no-op apart from orphan deletion.
-            return Ok(report);
-        }
-        order.clear();
-        let keys = frames.chunks_exact(FRAME_LEN).enumerate();
-        order.extend(keys.map(|(i, f)| (image_timestamp(f), image_access_number(f), i)));
-        // The merge sort, not `sort_unstable`: each segment is a run
-        // already in order, and merging a few runs is most of the way there.
-        order.sort();
-        report.pages_added = self.write_pages(order.len(), |slot, i| {
-            slot.copy_from_slice(&frames[order[i].2 * FRAME_LEN..][..RECORD_LEN]);
-        })?;
-        self.commit_until(Some(absorbed), fault)?;
-        if fault.is_some() {
+        let read = frames.as_chunks::<FRAME_LEN>().0;
+        let runs: Vec<_> = bounds.windows(2).map(|w| &read[w[0]..w[1]]).collect();
+        let paged = match report.records_absorbed {
+            // Nothing to absorb: no floor moved that needs committing.
+            0 => Ok(0),
+            _ => self.page_runs(&runs, absorbed, &[], wal_dir, fault),
+        };
+        self.frames = frames;
+        report.pages_added = paged?;
+        if fault.is_some() || report.records_absorbed == 0 {
             return Ok(report);
         }
         // Committed: the records are in pages and the floors make these
@@ -607,7 +714,9 @@ impl PagedStore {
             return Ok(Vec::new());
         }
         order.sort_by(|a, b| b.max_ts.cmp(&a.max_ts).then(b.page.cmp(&a.page)));
-        let mut collected: Vec<StoredRecord> = Vec::new();
+        // Keyed by `(timestamp, access_number, page, slot)`: records that
+        // tie on both come back in the order they were paged in.
+        let mut collected: Vec<((u64, u64, u32, usize), AccessRecord)> = Vec::new();
         let mut threshold: Option<u64> = None;
         for span in &order {
             if let Some(t) = threshold {
@@ -616,20 +725,23 @@ impl PagedStore {
                 }
             }
             let page = self.read_page(span.page)?;
-            collected.extend(page.iter().filter(|s| keep(s)).copied());
+            let kept = page.iter().enumerate().filter(|(_, s)| keep(s));
+            collected.extend(kept.map(|(slot, s)| {
+                let (ts, number) = s.key();
+                ((ts, number, span.page, slot), s.record)
+            }));
             if collected.len() >= x {
-                collected.sort_by_key(|s| {
-                    std::cmp::Reverse((s.timestamp_micros, s.record.access_number))
-                });
-                // Dropping past x is safe: a dropped record is older than
-                // the current x-th newest, and the threshold only rises.
-                collected.truncate(x);
-                threshold = Some(collected[x - 1].timestamp_micros);
+                // Keep the newest x. Dropping the rest is safe: a dropped
+                // record is older than the x-th newest, and the threshold
+                // only rises.
+                let cut = collected.len() - x;
+                collected.select_nth_unstable_by_key(cut, |&(key, _)| key);
+                threshold = Some(collected[cut].0 .0);
+                collected.drain(..cut);
             }
         }
-        collected.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
-        let start = collected.len().saturating_sub(x);
-        Ok(collected[start..].iter().map(|s| s.record).collect())
+        collected.sort_unstable_by_key(|&(key, _)| key);
+        Ok(collected.iter().map(|&(_, record)| record).collect())
     }
 
     /// The `x` most recent records overall, oldest of them first.
@@ -838,8 +950,9 @@ impl PagedStore {
 
     /// Appends `records` (sorted internally) and commits them in the same
     /// crash-safe order as [`PagedStore::absorb_segments`]: append pages,
-    /// fsync + append index rows, commit manifest (optionally updating the
-    /// per-shard absorbed floors). The catch-up apply path on a follower.
+    /// append index rows, fdatasync both, commit manifest (optionally
+    /// updating the per-shard absorbed floors). The catch-up apply path on
+    /// a follower.
     /// Returns the number of pages added.
     ///
     /// `fault` kills the pipeline at the named boundary for
@@ -860,9 +973,31 @@ impl PagedStore {
         let mut sorted: Vec<StoredRecord> = records.to_vec();
         sorted.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
         let added = self.append_records(&sorted)?;
-        self.commit_until(absorbed, fault)?;
+        self.commit_until(absorbed, &[], None, fault)?;
         Ok(added)
     }
+}
+
+/// Syncs every `(file, is_directory)` at once — each on a scoped thread
+/// but the first, on this one — and returns the first error once all have
+/// returned. A directory gets `fsync`, a file `fdatasync`.
+fn sync_at_once<'a>(files: impl Iterator<Item = (&'a File, bool)>) -> std::io::Result<()> {
+    let sync = |(file, dir): (&File, bool)| {
+        if dir {
+            file.sync_all()
+        } else {
+            file.sync_data()
+        }
+    };
+    let mut files = files;
+    let first = files.next();
+    std::thread::scope(|scope| {
+        let others: Vec<_> = files.map(|f| scope.spawn(move || sync(f))).collect();
+        let mine = first.map_or(Ok(()), sync);
+        (others.into_iter()).fold(mine, |result, other| {
+            result.and(other.join().expect("a sync thread panicked"))
+        })
+    })
 }
 
 /// Positioned read: `pread` on unix, seek-and-read elsewhere.
@@ -1108,26 +1243,35 @@ mod tests {
     fn absorbed_segments_match_replaydb_and_append_records_byte_for_byte() {
         // Six checkpoints of three shards' segments over a skewed file
         // population, each shard lagging the next so that consecutive
-        // checkpoints overlap in time: the store built from the segments'
-        // frames must answer like a ReplayDb, and be the same bytes on
-        // disk as one built by `append_records` on the decoded records.
+        // checkpoints overlap in time. Shard 1's first batch of a round
+        // ties shard 0's 31st on `(timestamp, access_number)`, and every
+        // seventh batch holds its access numbers descending. Three stores
+        // take the same checkpoints: the runs from memory (`absorb_runs`),
+        // the same segments recovered from disk (`absorb_segments`), and
+        // `append_records` of the decoded, merged stream. They must be the
+        // same bytes on disk, and answer like a ReplayDb.
         use geomancy_replaydb::codec::unpack_record;
         use geomancy_replaydb::WalWriter;
         const SHARDS: usize = 3;
         let dir = temp_store("absorb-contract");
-        let (wal_dir, by_frames, by_records) = (dir.join("wal"), dir.join("a"), dir.join("b"));
+        let wal_dir = dir.join("wal");
+        let [by_runs, by_frames, by_records] = ["runs", "frames", "records"].map(|d| dir.join(d));
         std::fs::create_dir_all(&wal_dir).unwrap();
-        let (mut absorbed, _) = PagedStore::open(&by_frames, small_config()).unwrap();
-        let (mut appended, _) = PagedStore::open(&by_records, small_config()).unwrap();
+        let open = |dir: &Path| PagedStore::open(dir, small_config()).unwrap().0;
+        let (mut paged, mut absorbed, mut appended) =
+            (open(&by_runs), open(&by_frames), open(&by_records));
         let mut wals: Vec<WalWriter> = (0..SHARDS)
             .map(|shard| WalWriter::open(rwal::shard_path(&wal_dir, shard)).unwrap())
             .collect();
         let mut all: Vec<StoredRecord> = Vec::new();
         let (mut n, mut seed) = (0u64, 0x9e37_79b9u64);
         for round in 1..=6u64 {
+            let mut runs: Vec<SealedRun> = Vec::new();
+            let mut tied: Vec<u64> = Vec::new();
             for (shard, wal) in wals.iter_mut().enumerate() {
+                let mut run: Vec<StoredRecord> = Vec::new();
                 for batch in 0..40u64 {
-                    let records: Vec<AccessRecord> = (0..10)
+                    let mut records: Vec<AccessRecord> = (0..10)
                         .map(|_| {
                             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                             let u = (seed >> 40) as f64 / (1u64 << 24) as f64;
@@ -1136,11 +1280,34 @@ mod tests {
                             stored(0, n, fid, (fid % 5) as u32).record
                         })
                         .collect();
+                    match (shard, batch) {
+                        (0, 30) => tied = records.iter().map(|r| r.access_number).collect(),
+                        (1, 0) => {
+                            for (record, &number) in records.iter_mut().zip(&tied) {
+                                record.access_number = number;
+                            }
+                        }
+                        _ => {}
+                    }
+                    if batch % 7 == 3 {
+                        records.reverse();
+                    }
                     let ts = round * 50 + shard as u64 * 30 + batch;
                     wal.append_batch(ts, &records).unwrap();
+                    run.extend(records.iter().map(|&record| StoredRecord {
+                        timestamp_micros: ts,
+                        record,
+                    }));
                 }
-                wal.seal_to(rwal::segment_path(&wal_dir, shard, round))
+                let file = wal
+                    .cut_to(rwal::segment_path(&wal_dir, shard, round))
                     .unwrap();
+                runs.push(SealedRun {
+                    shard,
+                    seq: round,
+                    records: run,
+                    file: Some(file),
+                });
             }
             let mut frames = Vec::new();
             for shard in 0..SHARDS {
@@ -1150,23 +1317,24 @@ mod tests {
             let mut decoded: Vec<StoredRecord> = (frames.chunks_exact(FRAME_LEN))
                 .map(|frame| unpack_record(frame, 0))
                 .collect();
-            decoded.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+            decoded.sort_by_key(StoredRecord::key);
+            let from_memory = paged.absorb_runs(&wal_dir, &mut runs).unwrap();
             let report = absorbed.absorb_segments(&wal_dir, SHARDS, None).unwrap();
             assert_eq!(report.records_absorbed, decoded.len() as u64);
+            assert_eq!(from_memory.records_absorbed, decoded.len() as u64);
             let pages = appended.append_records(&decoded).unwrap();
             appended.commit(Some(vec![round; SHARDS])).unwrap();
             assert_eq!(report.pages_added, pages);
+            assert_eq!(from_memory.pages_added, pages);
             all.extend(decoded);
         }
         assert!(absorbed.page_count() > 100);
         for file in [PAGES_FILE, INDEX_FILE, MANIFEST_FILE] {
-            assert_eq!(
-                std::fs::read(by_frames.join(file)).unwrap(),
-                std::fs::read(by_records.join(file)).unwrap(),
-                "{file}"
-            );
+            let bytes = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
+            assert!(bytes(&by_frames) == bytes(&by_records), "{file} from disk");
+            assert!(bytes(&by_runs) == bytes(&by_records), "{file} from memory");
         }
-        all.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        all.sort_by_key(StoredRecord::key);
         assert_matches_replaydb(&absorbed, &all);
         // And after a reopen, which loads the index from its log.
         drop(absorbed);
@@ -1197,9 +1365,7 @@ mod tests {
         };
         seal(&mut wal, 1);
         let refuse = |_: &Path| Err(std::io::Error::other("unlink refused"));
-        let report = store
-            .absorb_frames(&mut SegmentFrames::default(), &wal_dir, 1, None, refuse)
-            .unwrap();
+        let report = store.absorb_from_disk(&wal_dir, 1, None, refuse).unwrap();
         assert_eq!((report.records_absorbed, report.orphans_left), (100, 1));
         assert_eq!(store.absorbed(), [1]);
         assert_eq!(rwal::list_segments(&wal_dir, 0).unwrap().len(), 1);
