@@ -1,7 +1,6 @@
 //! §VIII overhead study as a single table: training time, prediction time,
 //! ReplayDB ingest, and the full retrain-and-layout cycle, measured inline
-//! (Criterion gives the rigorous versions; this prints the paper-style
-//! summary in seconds).
+//! and printed as the paper's summary, in seconds.
 //!
 //! Run with `cargo run -p geomancy-bench --bin overheads --release`.
 

@@ -14,9 +14,8 @@
 //! | `fig6`   | Experiment 3: adapting to a new workload | §VIII, Figure 6 |
 //! | `ablations` | design-choice ablations called out in DESIGN.md | — |
 //!
-//! Criterion microbenches (`cargo bench -p geomancy-bench`) cover the §VIII
-//! overhead study (train/predict time) plus simulator, ReplayDB, and policy
-//! costs.
+//! `overheads` times the §VIII overhead study (train/predict time, ReplayDB
+//! ingest and the retrain-and-layout cycle).
 //!
 //! Every binary honors `GEOMANCY_FAST=1` to shrink workloads for smoke
 //! testing, and writes machine-readable JSON next to its stdout report

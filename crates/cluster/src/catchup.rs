@@ -140,7 +140,7 @@ pub fn build_chunk(
         .map(|(records, _)| records.last().expect("nonempty").timestamp_micros)
         .min();
     let mut merged: Vec<StoredRecord> = parts.into_iter().flat_map(|(r, _)| r).collect();
-    merged.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+    merged.sort_by_key(StoredRecord::key);
     if let Some(b) = boundary {
         merged.retain(|s| s.timestamp_micros <= b);
     }

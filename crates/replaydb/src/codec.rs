@@ -138,20 +138,10 @@ pub fn unpack_access(buf: &[u8], at: usize) -> AccessRecord {
 }
 
 /// The ingest timestamp of the packed record at the start of `image` —
-/// with the three readers below, what sorting and indexing a record needs,
-/// read where it lies instead of through [`unpack_record`].
+/// with the reader below, what indexing a record needs, read where it
+/// lies instead of through [`unpack_record`].
 pub fn image_timestamp(image: &[u8]) -> u64 {
     get_u64(image, 0)
-}
-
-/// The access number of the packed record at the start of `image`.
-pub fn image_access_number(image: &[u8]) -> u64 {
-    get_u64(image, 8)
-}
-
-/// The file id of the packed record at the start of `image`.
-pub fn image_fid(image: &[u8]) -> FileId {
-    FileId(get_u64(image, 16))
 }
 
 /// The device id of the packed record at the start of `image`.
@@ -184,8 +174,6 @@ mod tests {
         assert_eq!(unpack_record(&buf, 8), s);
         let image = &buf[8..];
         assert_eq!(image_timestamp(image), s.timestamp_micros);
-        assert_eq!(image_access_number(image), s.record.access_number);
-        assert_eq!(image_fid(image), s.record.fid);
         assert_eq!(image_fsid(image), s.record.fsid);
         // Exactly RECORD_LEN bytes were written: the guard bytes survive.
         assert!(buf[..8].iter().all(|&b| b == 0xAA));

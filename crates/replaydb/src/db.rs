@@ -22,6 +22,14 @@ pub struct StoredRecord {
     pub record: AccessRecord,
 }
 
+impl StoredRecord {
+    /// The order every merged stream, page and query answer holds records
+    /// in: `(timestamp_micros, access_number)`.
+    pub fn key(&self) -> (u64, u64) {
+        (self.timestamp_micros, self.record.access_number)
+    }
+}
+
 /// A layout change applied by Geomancy, indexed by timestamp.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayoutEvent {
@@ -101,7 +109,7 @@ impl ReplayDb {
             stored.extend(shard.records.iter().copied());
             events.extend(shard.layout_events.iter().cloned());
         }
-        stored.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        stored.sort_by_key(StoredRecord::key);
         events.sort_by_key(|e| e.timestamp_micros);
         let mut db = ReplayDb::new();
         for s in stored {

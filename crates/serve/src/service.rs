@@ -329,8 +329,10 @@ impl PlacementService {
     }
 
     /// Ingest: stages each record on its shard and returns, without
-    /// waiting on a queue or a write. The ack means the records are
-    /// staged in memory; they reach the shard WALs within
+    /// waiting on a queue or a write. It holds one shard's lock at a
+    /// time, so it waits only for the shards it routes to (a seal in
+    /// progress there), never for the others. The ack means the records
+    /// are staged in memory; they reach the shard WALs within
     /// [`crate::shard::FLUSH_PERIOD`] and are fsynced before the next
     /// checkpoint's manifest commits (see [`crate::shard`]).
     ///

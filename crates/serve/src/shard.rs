@@ -35,7 +35,7 @@ use geomancy_replaydb::wal::{list_segments, recover_for_append, segment_path, sh
 use geomancy_replaydb::{StoredRecord, WalWriter};
 use geomancy_sim::record::{AccessRecord, FileId};
 use geomancy_store::SealedRun;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::metrics::ServeMetrics;
 
@@ -226,9 +226,12 @@ impl ShardSet {
     }
 
     /// Stages each record on its shard, stamped `timestamp_micros`
-    /// clamped per shard. Takes every shard's lock, in index order, for
-    /// one pass over the records; a stage that reaches [`STAGE_BOUND`] is
-    /// then written by this thread.
+    /// clamped per shard. Routes the records first, then takes the lock
+    /// of each shard they route to, one at a time in index order, so it
+    /// never holds two: a seal on one shard delays only the calls that
+    /// route to it, and they wait holding no other shard's lock. A stage
+    /// that reaches [`STAGE_BOUND`] is written by this thread before it
+    /// lets go of that shard's lock.
     ///
     /// # Errors
     ///
@@ -243,68 +246,42 @@ impl ShardSet {
         records: &[AccessRecord],
     ) -> Result<(), Backpressure> {
         let n = self.shards.len();
-        // Each guard, the timestamp the call stamps on its shard, and its
-        // stage length before the call.
-        let mut locked: Vec<(MutexGuard<'_, Shard>, u64, usize)> = (self.shards.iter())
-            .map(|shard| {
-                let shard = shard.lock();
-                let ts = timestamp_micros.max(shard.last_ts);
-                let staged = shard.stage.len();
-                (shard, ts, staged)
-            })
-            .collect();
-        let refused = if locked.iter().any(|(shard, ..)| shard.failed) {
-            (records.iter().map(|r| shard_of(r.fid, n)))
-                .filter(|&i| locked[i].0.failed)
-                .min()
-        } else {
-            None
-        };
-        let cut = refused.unwrap_or(n);
-        for &record in records {
-            let i = shard_of(record.fid, n);
-            if i < cut {
-                let (shard, ts, _) = &mut locked[i];
-                let timestamp_micros = *ts;
-                shard.stage.push(StoredRecord {
-                    timestamp_micros,
-                    record,
-                });
-            }
+        // Each shard's records, as indices in arrival order, so a record's
+        // shard is computed once. Room for twice an even share spares the
+        // pushes their reallocations without sizing every list to the
+        // whole batch.
+        let share = 2 * records.len().div_ceil(n);
+        let mut routed: Vec<Vec<usize>> = (0..n).map(|_| Vec::with_capacity(share)).collect();
+        for (k, record) in records.iter().enumerate() {
+            routed[shard_of(record.fid, n)].push(k);
         }
-        let (mut batches, mut staged, mut over_bound) = (0u64, 0u64, false);
-        for (i, (shard, ts, before)) in locked.iter_mut().enumerate() {
+        let (mut batches, mut staged, mut refused) = (0u64, 0u64, None);
+        for (i, mine) in routed.iter().enumerate() {
+            if mine.is_empty() {
+                continue;
+            }
+            let mut shard = self.shards[i].lock();
+            if shard.failed {
+                refused = Some(i);
+                break;
+            }
+            let timestamp_micros = timestamp_micros.max(shard.last_ts);
+            shard.last_ts = timestamp_micros;
+            shard.stage.extend(mine.iter().map(|&k| StoredRecord {
+                timestamp_micros,
+                record: records[k],
+            }));
+            batches += 1;
+            staged += mine.len() as u64;
             let len = shard.stage.len();
-            if len > *before {
-                batches += 1;
-                staged += (len - *before) as u64;
-                shard.last_ts = *ts;
-                if shard.wal.is_none() {
-                    // Nothing to write: the records go to the hot tail now.
-                    shard.flush(i, &self.metrics);
-                } else {
-                    self.metrics.queue_depth[i].store(len, Relaxed);
-                    over_bound |= len >= STAGE_BOUND;
-                }
+            if shard.wal.is_none() || len >= STAGE_BOUND {
+                // A memory-only shard has nothing to write, so its records
+                // go to the hot tail now; a full stage is written now.
+                shard.flush(i, &self.metrics);
+            } else {
+                self.metrics.queue_depth[i].store(len, Relaxed);
             }
         }
-        drop(locked);
-        if over_bound {
-            for (i, shard) in self.shards.iter().enumerate() {
-                let mut shard = shard.lock();
-                if shard.stage.len() >= STAGE_BOUND {
-                    shard.flush(i, &self.metrics);
-                }
-            }
-        }
-        // Sub-batches dropped: one per shard from `cut` up the call routes to.
-        let dropped_batches = refused.map_or(0, |_| {
-            let mut routed = vec![false; n];
-            for r in records {
-                routed[shard_of(r.fid, n)] = true;
-            }
-            routed[cut..].iter().filter(|&&r| r).count() as u64
-        });
         let m = &self.metrics;
         let _guard = m.accounting();
         m.ingest_batches.fetch_add(batches, Relaxed);
@@ -312,7 +289,8 @@ impl ShardSet {
         let Some(shard) = refused else {
             return Ok(());
         };
-        m.dropped_batches.fetch_add(dropped_batches, Relaxed);
+        let sub_batches = routed.iter().filter(|mine| !mine.is_empty()).count() as u64;
+        m.dropped_batches.fetch_add(sub_batches - batches, Relaxed);
         m.dropped_records
             .fetch_add(records.len() as u64 - staged, Relaxed);
         Err(Backpressure { shard })
@@ -509,6 +487,41 @@ mod tests {
         let memory = Arc::new(ServeMetrics::new(2));
         open(2, &memory).ingest(0, &[rec(0, a), rec(1, b)]).unwrap();
         assert_eq!(memory.snapshot().queue_depth, [0, 0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An ingest takes only the locks of the shards it routes to, one at
+    /// a time: a lock held on another shard (a seal in progress) does not
+    /// delay it.
+    #[test]
+    fn ingest_does_not_wait_on_a_shard_it_does_not_route_to() {
+        let dir = std::env::temp_dir()
+            .join("geomancy_serve_shard_unit")
+            .join(format!("one-lock-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let metrics = Arc::new(ServeMetrics::new(2));
+        let set = Arc::new(ShardSet::open(2, Some(dir.clone()), metrics, 0, &[]));
+        let held = set.shards[1].lock();
+        let (done, returned) = channel();
+        let ingester = {
+            let set = Arc::clone(&set);
+            std::thread::spawn(move || {
+                let result = set.ingest(7, &[rec(0, fid_on(0, 2))]);
+                done.send(result).unwrap();
+            })
+        };
+        let answer = returned.recv_timeout(Duration::from_secs(5));
+        // Let go before asserting, so an ingest that waits finishes.
+        drop(held);
+        ingester.join().unwrap();
+        assert_eq!(
+            answer,
+            Ok(Ok(())),
+            "an ingest routed to shard 0 waited on shard 1's lock"
+        );
+        let stage = &set.shards[0].lock().stage;
+        assert_eq!(stage.len(), 1);
+        assert_eq!(stage[0].timestamp_micros, 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -237,7 +237,7 @@ fn warm_step_regressed(prev_mae: Option<f64>, mae: f64, diverged: bool) -> bool 
 
 /// Orders records as the shards' merged stream.
 fn sort_stream(records: &mut [StoredRecord]) {
-    records.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+    records.sort_by_key(StoredRecord::key);
 }
 
 /// The one fit every cycle runs: `engine`'s §V-E window over `older`

@@ -20,12 +20,12 @@
 //! ```
 //!
 //! Records are packed by [`geomancy_replaydb::codec`], 64 bytes each — the
-//! image a WAL frame carries, so a checkpoint copies a record from its
-//! segment into its page without decoding it, and [`seal_page`] is the one
-//! place a page's header is written. Pages are
-//! immutable once written — the store is append-only, and the final
-//! partial page of a checkpoint is sealed as-is (internal fragmentation
-//! is accepted in exchange for never rewriting a page in place).
+//! image a WAL frame carries, so a record has one binary image from its
+//! WAL frame to its page — and [`seal_page`] is the one place a page's
+//! header is written. Pages are immutable once written — the store is
+//! append-only, and the final partial page of a checkpoint is sealed as-is
+//! (internal fragmentation is accepted in exchange for never rewriting a
+//! page in place).
 
 use geomancy_replaydb::codec::{
     checksum, get_u16, get_u64, image_timestamp, put_u16, put_u64, unpack_record, RECORD_LEN,

@@ -19,25 +19,25 @@
 //! ## Crash-safe checkpoint ordering
 //!
 //! A checkpoint ([`PagedStore::absorb_runs`]) pages the runs the shards
-//! cut, from memory; recovery ([`PagedStore::absorb_segments`]) reads the
-//! segments a crash left into runs. Either merges them by `(timestamp,
-//! access_number)`, ties to the lower shard, appends the pages with one
-//! write and their index rows, then waits once for the fdatasync of each
-//! new segment, of the pages and of the index, and one fsync of the WAL
-//! directory, all issued together; commits the manifest (atomic rename,
-//! the only commit point); and deletes the segments. Every sync precedes
-//! the rename: the manifest commits the pages' and index's lengths; a
-//! segment was cut by an unsynced rename, which, rolled back after the
-//! manifest records the segment absorbed, would replay it as the live
-//! WAL; and the seal hook ships a segment once the commit returns, so it
-//! must be durable on its primary. A crash between any two steps recovers
-//! exactly-once: before the manifest commit the new pages and rows are
-//! truncated away and the segments replay in full; after it the segments
-//! are recorded as absorbed and are deleted, not replayed. The
-//! [`FaultPoint`] hook lets tests kill the pipeline at each boundary and
-//! prove that argument. The last step cannot fail the absorb: a segment
-//! whose unlink fails (or a crash loses) is an orphan the next recovery
-//! deletes.
+//! cut, from memory; recovery ([`PagedStore::absorb_segments`]) decodes
+//! each segment a crash left into a run of its own. Either merges the
+//! runs by `(timestamp, access_number)`, ties to the lower shard and then
+//! the older segment, appends the pages with one write and their index
+//! rows, then waits once for the fdatasync of each new segment, of the
+//! pages and of the index, and one fsync of the WAL directory, all issued
+//! together; commits the manifest (atomic rename, the only commit point);
+//! and deletes the segments. Every sync precedes the rename: the manifest
+//! commits the pages' and index's lengths; a segment was cut by an
+//! unsynced rename, which, rolled back after the manifest records the
+//! segment absorbed, would replay it as the live WAL; and the seal hook
+//! ships a segment once the commit returns, so it must be durable on its
+//! primary. A crash between any two steps recovers exactly-once: before
+//! the manifest commit the new pages and rows are truncated away and the
+//! segments replay in full; after it the segments are recorded as
+//! absorbed and are deleted, not replayed. The [`FaultPoint`] hook lets
+//! tests kill the pipeline at each boundary and prove that argument. The
+//! last step cannot fail the absorb: a segment whose unlink fails (or a
+//! crash loses) is an orphan the next recovery deletes.
 //!
 //! ## Queries over overlapping pages
 //!
@@ -55,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use geomancy_replaydb::codec::{image_access_number, image_timestamp, pack_record, RECORD_LEN};
+use geomancy_replaydb::codec::{pack_record, unpack_record, RECORD_LEN};
 use geomancy_replaydb::wal::{self as rwal, FRAME_LEN};
 use geomancy_replaydb::StoredRecord;
 use geomancy_sim::record::{AccessRecord, DeviceId};
@@ -183,44 +183,17 @@ pub struct SealedRun {
     pub file: Option<File>,
 }
 
-/// A record as a run holds it: decoded (a checkpoint's run), or a
-/// verified WAL frame (recovery's), whose image is copied as it is.
-trait Paged {
-    /// The order pages hold records in: `(timestamp, access_number)`.
-    fn key(&self) -> (u64, u64);
-    /// Writes the record's image into its page slot.
-    fn pack(&self, slot: &mut [u8]);
-}
-
-impl Paged for StoredRecord {
-    fn key(&self) -> (u64, u64) {
-        (self.timestamp_micros, self.record.access_number)
-    }
-    fn pack(&self, slot: &mut [u8]) {
-        pack_record(slot, 0, self);
-    }
-}
-
-impl Paged for [u8; FRAME_LEN] {
-    fn key(&self) -> (u64, u64) {
-        (image_timestamp(self), image_access_number(self))
-    }
-    fn pack(&self, slot: &mut [u8]) {
-        slot.copy_from_slice(&self[..RECORD_LEN]);
-    }
-}
-
 /// Stable-sorts `run` into page order, unless it is in order already.
-fn in_order<T: Paged>(run: &mut [T]) {
-    if !run.is_sorted_by_key(T::key) {
-        run.sort_by_key(T::key);
+fn in_order(run: &mut [StoredRecord]) {
+    if !run.is_sorted_by_key(StoredRecord::key) {
+        run.sort_by_key(StoredRecord::key);
     }
 }
 
 /// The merged stream of `runs`, each in page order: one k-way merge,
 /// ties to the earlier run.
-fn merged<'a, T: Paged>(runs: &[&'a [T]]) -> impl Iterator<Item = &'a T> {
-    let mut rest: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+fn merged<'a>(runs: &[&'a [StoredRecord]]) -> impl Iterator<Item = &'a StoredRecord> {
+    let mut rest: Vec<&[StoredRecord]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
     std::iter::from_fn(move || {
         let mut best = 0;
         for k in 1..rest.len() {
@@ -253,8 +226,6 @@ pub struct PagedStore {
     /// Bytes of `index.log` written: everything but `index.unsaved()`.
     index_len: u64,
     manifest: Manifest,
-    /// Reused by [`PagedStore::absorb_segments`]: the segments' frames.
-    frames: Vec<u8>,
     /// Reused by `write_pages`: the pages being built, end to end.
     page_buf: Vec<u8>,
     cache: Mutex<PageCache>,
@@ -366,7 +337,6 @@ impl PagedStore {
                 index_file,
                 index_len,
                 manifest,
-                frames: Vec::new(),
                 page_buf: Vec::new(),
                 cache: Mutex::new(PageCache::default()),
                 preads: AtomicU64::new(0),
@@ -452,10 +422,10 @@ impl PagedStore {
     /// write, then indexes them — so a failed write leaves the index
     /// describing only what is in the file. Returns the number of pages
     /// added.
-    fn write_pages<'a, T: Paged + 'a>(
+    fn write_pages<'a>(
         &mut self,
         n: usize,
-        mut records: impl Iterator<Item = &'a T>,
+        mut records: impl Iterator<Item = &'a StoredRecord>,
     ) -> Result<u32, StoreError> {
         let page_size = self.config.page_size;
         let capacity = page_capacity(page_size);
@@ -468,7 +438,7 @@ impl PagedStore {
         for (p, page) in buf.chunks_exact_mut(page_size).enumerate() {
             let slots = page[images(p)].chunks_exact_mut(RECORD_LEN);
             for (slot, record) in slots.zip(&mut records) {
-                record.pack(slot);
+                pack_record(slot, 0, record);
             }
             seal_page(page, images(p).len() / RECORD_LEN);
         }
@@ -575,9 +545,9 @@ impl PagedStore {
     /// Pages the merge of `runs` and commits it with the floors
     /// `absorbed`, syncing the files of `segments`. Returns the pages
     /// added.
-    fn page_runs<T: Paged>(
+    fn page_runs(
         &mut self,
-        runs: &[&[T]],
+        runs: &[&[StoredRecord]],
         absorbed: Vec<u64>,
         segments: &[SealedRun],
         wal_dir: &Path,
@@ -595,9 +565,9 @@ impl PagedStore {
     ///
     /// For each of `shards` shards: segments with `seq` at or below the
     /// manifest's absorbed floor are deleted unreplayed (they committed
-    /// in a previous run); the rest are read and verified into one reused
-    /// buffer, a run per shard, paged (images copied, not decoded) and
-    /// committed as [`PagedStore::absorb_runs`] does, then deleted.
+    /// in a previous run); the rest are read, verified and decoded, a run
+    /// per segment, then paged and committed as
+    /// [`PagedStore::absorb_runs`] does, and deleted.
     ///
     /// `fault` kills the pipeline at the named boundary (see
     /// [`FaultPoint`]) for crash-injection tests; production passes
@@ -630,12 +600,10 @@ impl PagedStore {
         if absorbed.len() < shards {
             absorbed.resize(shards, 0);
         }
-        // The frame buffer leaves `self` for the call: paging reads it
-        // while it writes the rest of the store.
-        let mut frames = std::mem::take(&mut self.frames);
-        frames.clear();
-        // Shard `i`'s run is frames `bounds[i]..bounds[i + 1]`.
-        let mut bounds = vec![0];
+        // One run per live segment, in shard then sequence order, so the
+        // merge's ties go to the lower shard and then the older segment.
+        let mut frames = Vec::new();
+        let mut runs: Vec<Vec<StoredRecord>> = Vec::new();
         let mut consumed: Vec<PathBuf> = Vec::new();
         for (shard, floor) in absorbed.iter_mut().enumerate().take(shards) {
             for (seq, path) in rwal::list_segments(wal_dir, shard)? {
@@ -648,24 +616,24 @@ impl PagedStore {
                     }
                     continue;
                 }
+                frames.clear();
                 report.records_absorbed += rwal::read_segment(&path, &mut frames)?;
+                let mut run: Vec<StoredRecord> = (frames.chunks_exact(FRAME_LEN))
+                    .map(|frame| unpack_record(frame, 0))
+                    .collect();
+                in_order(&mut run);
+                runs.push(run);
                 report.segments_absorbed += 1;
                 *floor = seq;
                 consumed.push(path);
             }
-            let read = frames.as_chunks_mut::<FRAME_LEN>().0;
-            in_order(&mut read[bounds[shard]..]);
-            bounds.push(read.len());
         }
-        let read = frames.as_chunks::<FRAME_LEN>().0;
-        let runs: Vec<_> = bounds.windows(2).map(|w| &read[w[0]..w[1]]).collect();
-        let paged = match report.records_absorbed {
+        let runs: Vec<&[StoredRecord]> = runs.iter().map(Vec::as_slice).collect();
+        report.pages_added = match report.records_absorbed {
             // Nothing to absorb: no floor moved that needs committing.
-            0 => Ok(0),
-            _ => self.page_runs(&runs, absorbed, &[], wal_dir, fault),
+            0 => 0,
+            _ => self.page_runs(&runs, absorbed, &[], wal_dir, fault)?,
         };
-        self.frames = frames;
-        report.pages_added = paged?;
         if fault.is_some() || report.records_absorbed == 0 {
             return Ok(report);
         }
@@ -810,7 +778,7 @@ impl PagedStore {
                     .copied(),
             );
         }
-        hits.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        hits.sort_by_key(StoredRecord::key);
         Ok(hits.into_iter().map(|s| s.record).collect())
     }
 
@@ -836,7 +804,7 @@ impl PagedStore {
                     .copied(),
             );
         }
-        hits.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        hits.sort_by_key(StoredRecord::key);
         Ok(hits)
     }
 
@@ -883,7 +851,7 @@ impl PagedStore {
         let mut skipped_newer = false;
         for span in &spans {
             if limit != 0 && hits.len() >= limit {
-                hits.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+                hits.sort_by_key(StoredRecord::key);
                 let cutoff = hits[limit - 1].timestamp_micros;
                 if span.min_ts > cutoff {
                     // Every record in this span is strictly newer than the
@@ -900,7 +868,7 @@ impl PagedStore {
                     .copied(),
             );
         }
-        hits.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        hits.sort_by_key(StoredRecord::key);
         let mut more = skipped_newer;
         if limit != 0 && hits.len() > limit {
             let cutoff = hits[limit - 1].timestamp_micros;
@@ -971,7 +939,7 @@ impl PagedStore {
         fault: Option<FaultPoint>,
     ) -> Result<u32, StoreError> {
         let mut sorted: Vec<StoredRecord> = records.to_vec();
-        sorted.sort_by_key(|s| (s.timestamp_micros, s.record.access_number));
+        sorted.sort_by_key(StoredRecord::key);
         let added = self.append_records(&sorted)?;
         self.commit_until(absorbed, &[], None, fault)?;
         Ok(added)
@@ -1245,11 +1213,15 @@ mod tests {
         // population, each shard lagging the next so that consecutive
         // checkpoints overlap in time. Shard 1's first batch of a round
         // ties shard 0's 31st on `(timestamp, access_number)`, and every
-        // seventh batch holds its access numbers descending. Three stores
-        // take the same checkpoints: the runs from memory (`absorb_runs`),
-        // the same segments recovered from disk (`absorb_segments`), and
-        // `append_records` of the decoded, merged stream. They must be the
-        // same bytes on disk, and answer like a ReplayDb.
+        // seventh batch holds its access numbers descending. In the last
+        // round each shard cuts two segments, and the second one's first
+        // batch repeats the timestamp and access numbers of the first
+        // one's last batch: recovery merges two segments of one shard
+        // across a tie. Three stores take the same checkpoints: the runs
+        // from memory (`absorb_runs`), the same segments recovered from
+        // disk (`absorb_segments`), and `append_records` of the decoded,
+        // merged stream. They must be the same bytes on disk, and answer
+        // like a ReplayDb.
         use geomancy_replaydb::codec::unpack_record;
         use geomancy_replaydb::WalWriter;
         const SHARDS: usize = 3;
@@ -1267,9 +1239,11 @@ mod tests {
         let (mut n, mut seed) = (0u64, 0x9e37_79b9u64);
         for round in 1..=6u64 {
             let mut runs: Vec<SealedRun> = Vec::new();
-            let mut tied: Vec<u64> = Vec::new();
+            let (mut tied, mut crossing) = (Vec::new(), Vec::new());
+            // Batches after which a shard cuts a segment.
+            let cuts: &[u64] = if round == 6 { &[19, 39] } else { &[39] };
             for (shard, wal) in wals.iter_mut().enumerate() {
-                let mut run: Vec<StoredRecord> = Vec::new();
+                let (mut run, mut seq) = (Vec::new(), round);
                 for batch in 0..40u64 {
                     let mut records: Vec<AccessRecord> = (0..10)
                         .map(|_| {
@@ -1289,41 +1263,56 @@ mod tests {
                         }
                         _ => {}
                     }
+                    let opens_segment = batch > 0 && cuts.contains(&(batch - 1));
+                    if opens_segment {
+                        for (record, &number) in records.iter_mut().zip(&crossing) {
+                            record.access_number = number;
+                        }
+                    }
                     if batch % 7 == 3 {
                         records.reverse();
                     }
-                    let ts = round * 50 + shard as u64 * 30 + batch;
+                    let ts = round * 50 + shard as u64 * 30 + batch - opens_segment as u64;
                     wal.append_batch(ts, &records).unwrap();
                     run.extend(records.iter().map(|&record| StoredRecord {
                         timestamp_micros: ts,
                         record,
                     }));
+                    if cuts.contains(&batch) {
+                        crossing = records.iter().map(|r| r.access_number).collect();
+                        let file = wal
+                            .cut_to(rwal::segment_path(&wal_dir, shard, seq))
+                            .unwrap();
+                        runs.push(SealedRun {
+                            shard,
+                            seq,
+                            records: std::mem::take(&mut run),
+                            file: Some(file),
+                        });
+                        seq += 1;
+                    }
                 }
-                let file = wal
-                    .cut_to(rwal::segment_path(&wal_dir, shard, round))
-                    .unwrap();
-                runs.push(SealedRun {
-                    shard,
-                    seq: round,
-                    records: run,
-                    file: Some(file),
-                });
             }
             let mut frames = Vec::new();
-            for shard in 0..SHARDS {
-                rwal::read_segment(rwal::segment_path(&wal_dir, shard, round), &mut frames)
-                    .unwrap();
+            for run in &runs {
+                rwal::read_segment(
+                    rwal::segment_path(&wal_dir, run.shard, run.seq),
+                    &mut frames,
+                )
+                .unwrap();
             }
+            let floor = runs.last().unwrap().seq;
             let mut decoded: Vec<StoredRecord> = (frames.chunks_exact(FRAME_LEN))
                 .map(|frame| unpack_record(frame, 0))
                 .collect();
             decoded.sort_by_key(StoredRecord::key);
             let from_memory = paged.absorb_runs(&wal_dir, &mut runs).unwrap();
             let report = absorbed.absorb_segments(&wal_dir, SHARDS, None).unwrap();
+            assert_eq!(report.segments_absorbed, runs.len());
             assert_eq!(report.records_absorbed, decoded.len() as u64);
             assert_eq!(from_memory.records_absorbed, decoded.len() as u64);
             let pages = appended.append_records(&decoded).unwrap();
-            appended.commit(Some(vec![round; SHARDS])).unwrap();
+            appended.commit(Some(vec![floor; SHARDS])).unwrap();
             assert_eq!(report.pages_added, pages);
             assert_eq!(from_memory.pages_added, pages);
             all.extend(decoded);

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use geomancy_replaydb::codec::{
-    checksum, image_fid, image_fsid, image_timestamp, put_u32, put_u64, RECORD_LEN,
+    checksum, image_fsid, image_timestamp, put_u32, put_u64, unpack_record, RECORD_LEN,
 };
 use geomancy_replaydb::{list_segments, segment_path, shard_path, WalWriter};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
@@ -462,7 +462,8 @@ fn index_log_with_file_rows(store_dir: &Path) -> Vec<u8> {
                 .entry(image_fsid(image).0.into())
                 .or_default()
                 .push(ts);
-            keys[1].entry(image_fid(image).0).or_default().push(ts);
+            let fid = unpack_record(image, 0).record.fid.0;
+            keys[1].entry(fid).or_default().push(ts);
         }
         let all: Vec<u64> = images.map(image_timestamp).collect();
         let rows = (keys[0].len() + keys[1].len()) as u64;
