@@ -34,8 +34,8 @@ use geomancy_cluster::{
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetError, NetServer, WireStatus};
 use geomancy_serve::{
-    prepare_belle2, run_belle2_load, AdmissionConfig, LoadConfig, LoadReport, PlacementRequest,
-    PlacementService, QueryError, QueryMode, ServeConfig,
+    prepare_belle2, run_belle2_load, LoadConfig, LoadReport, PlacementRequest, PlacementService,
+    QueryError, QueryMode, ServeConfig,
 };
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
@@ -804,10 +804,7 @@ fn run_cluster_mode(load: &LoadConfig, fast: bool, reference: &Reference) -> Clu
 /// than dropping the connection.
 fn overload_roundtrips() -> bool {
     let service = Arc::new(PlacementService::start(ServeConfig {
-        admission: AdmissionConfig {
-            max_pending_requests: Some(0),
-            ..AdmissionConfig::default()
-        },
+        max_pending_requests: Some(0),
         ..serve_config(256)
     }));
     let server = NetServer::start("127.0.0.1:0", Arc::clone(&service), NetConfig::default())

@@ -1,6 +1,13 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
+//!
+//! Every lookup goes through a typed getter, which records the key it
+//! looked up; once a command has read its options it calls
+//! [`Args::reject_unread`], so an option it does not take (misspelt,
+//! retired, or meant for another mode) fails the command instead of
+//! being silently ignored.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
@@ -11,7 +18,9 @@ pub struct Args {
     /// First positional argument (the subcommand).
     pub command: Option<String>,
     /// `--key value` pairs; a flag without a value maps to `"true"`.
-    pub options: BTreeMap<String, String>,
+    options: BTreeMap<String, String>,
+    /// Keys the getters have looked up, present or not.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from argument parsing or typed lookups.
@@ -23,6 +32,8 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// A required option is missing.
     Missing(String),
+    /// An option the command did not read.
+    Unread(String),
     /// An option's value failed to parse.
     Invalid {
         /// Option name.
@@ -40,6 +51,7 @@ impl std::fmt::Display for ArgError {
             ArgError::Duplicate(k) => write!(f, "option --{k} given more than once"),
             ArgError::UnexpectedPositional(v) => write!(f, "unexpected argument {v:?}"),
             ArgError::Missing(k) => write!(f, "missing required option --{k}"),
+            ArgError::Unread(k) => write!(f, "option --{k} is not read by this command"),
             ArgError::Invalid {
                 key,
                 value,
@@ -83,12 +95,36 @@ impl Args {
         Ok(args)
     }
 
+    /// Looks `key` up and records that the command read it.
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.options.get(key)
+    }
+
+    /// Fails naming the first option (in name order) that no getter has
+    /// looked up. A command calls it once it has read every option it
+    /// takes and before it does any work.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Unread`] for an option the command did not
+    /// read.
+    pub fn reject_unread(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self.options.keys().find(|key| !read.contains(*key)) {
+            Some(key) => Err(ArgError::Unread(key.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Optional string option.
+    pub fn str_opt(&self, key: &str) -> Option<String> {
+        self.get(key).cloned()
+    }
+
     /// String option with a default.
     pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.options
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.str_opt(key).unwrap_or_else(|| default.to_string())
     }
 
     /// Required string option.
@@ -97,9 +133,7 @@ impl Args {
     ///
     /// Returns [`ArgError::Missing`] when absent.
     pub fn str_required(&self, key: &str) -> Result<String, ArgError> {
-        self.options
-            .get(key)
-            .cloned()
+        self.str_opt(key)
             .ok_or_else(|| ArgError::Missing(key.to_string()))
     }
 
@@ -109,8 +143,7 @@ impl Args {
     ///
     /// Returns [`ArgError::Invalid`] when present but unparsable.
     pub fn u64_opt(&self, key: &str) -> Result<Option<u64>, ArgError> {
-        self.options
-            .get(key)
+        self.get(key)
             .map(|v| {
                 v.parse().map_err(|_| ArgError::Invalid {
                     key: key.to_string(),
@@ -141,7 +174,7 @@ impl Args {
     where
         T: FromStr + PartialOrd + Display,
     {
-        let Some(v) = self.options.get(key) else {
+        let Some(v) = self.get(key) else {
             return Ok(default);
         };
         match v.parse() {
@@ -160,7 +193,7 @@ impl Args {
     ///
     /// Returns [`ArgError::Invalid`] when present but not a boolean.
     pub fn flag(&self, key: &str) -> Result<bool, ArgError> {
-        match self.options.get(key) {
+        match self.get(key) {
             None => Ok(false),
             Some(v) => v.parse().map_err(|_| ArgError::Invalid {
                 key: key.to_string(),
@@ -248,6 +281,21 @@ mod tests {
             args.str_required("nope"),
             Err(ArgError::Missing("nope".into()))
         );
+    }
+
+    #[test]
+    fn options_no_getter_read_are_rejected() {
+        let args = parse(&["x", "--seed", "7", "--bogus", "1", "--verbose"]).unwrap();
+        assert_eq!(args.u64_or("seed", 0), Ok(7));
+        assert!(!args.flag("quiet").unwrap());
+        assert_eq!(args.reject_unread(), Err(ArgError::Unread("bogus".into())));
+        assert_eq!(args.str_opt("bogus").as_deref(), Some("1"));
+        assert_eq!(
+            args.reject_unread(),
+            Err(ArgError::Unread("verbose".into()))
+        );
+        assert!(args.flag("verbose").unwrap());
+        assert_eq!(args.reject_unread(), Ok(()));
     }
 
     #[test]

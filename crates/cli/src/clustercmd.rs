@@ -70,8 +70,8 @@ fn parse_peers(spec: &str) -> Result<Vec<(u64, String)>, Box<dyn Error>> {
 /// The seed addresses a client verb dials: `--peers` if given (the
 /// addresses alone), else a single `--addr`.
 fn seed_addrs(args: &Args) -> Result<Vec<String>, Box<dyn Error>> {
-    if let Some(spec) = args.options.get("peers") {
-        return Ok(parse_peers(spec)?.into_iter().map(|(_, a)| a).collect());
+    if let Some(spec) = args.str_opt("peers") {
+        return Ok(parse_peers(&spec)?.into_iter().map(|(_, a)| a).collect());
     }
     Ok(vec![args.str_required("addr")?])
 }
@@ -80,18 +80,17 @@ fn seed_addrs(args: &Args) -> Result<Vec<String>, Box<dyn Error>> {
 /// one cluster node until SIGTERM/Ctrl-C.
 fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
     let node_id = args
-        .options
-        .get("node-id")
+        .str_opt("node-id")
         .ok_or("cluster node mode requires --node-id (or use --info/--send/--place)")?
         .parse::<u64>()
         .map_err(|_| "--node-id expects an integer")?;
     let peers = parse_peers(
-        args.options
-            .get("peers")
+        &args
+            .str_opt("peers")
             .ok_or("cluster node mode requires --peers ID=HOST:PORT,...")?,
     )?;
-    let listen = match args.options.get("listen") {
-        Some(l) => l.clone(),
+    let listen = match args.str_opt("listen") {
+        Some(l) => l,
         None => peers
             .iter()
             .find(|(id, _)| *id == node_id)
@@ -118,6 +117,7 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
         rejoin: args.flag("join")?,
         catch_up_max_records: args.int_in("catch-up-batch", 4096, 1..=u32::MAX)?,
     };
+    args.reject_unread()?;
     let rejoining = config.rejoin;
     let node = ClusterNode::start(config).map_err(|e| format!("start node: {e}"))?;
     sig::install();
@@ -160,7 +160,9 @@ fn run_node(args: &Args) -> Result<(), Box<dyn Error>> {
 /// `geomancy cluster --info --addr HOST:PORT`: print the node's current
 /// cluster map — the CI smoke polls this for the post-kill epoch bump.
 fn info(args: &Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.str_required("addr")?;
+    let addr = args.str_required("addr");
+    args.reject_unread()?;
+    let addr = addr?;
     let client = Client::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("connect {addr}: {e}"))?;
     let map = client
@@ -189,7 +191,9 @@ fn info(args: &Args) -> Result<(), Box<dyn Error>> {
 /// preferred ring owner — the CI smoke polls this after a rejoin until
 /// the demotion flip settles every shard back where it belongs.
 fn rebalance_status(args: &Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.str_required("addr")?;
+    let addr = args.str_required("addr");
+    args.reject_unread()?;
+    let addr = addr?;
     let client = Client::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("connect {addr}: {e}"))?;
     let map = client
@@ -229,8 +233,7 @@ fn rebalance_status(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 /// Builds the routed client from the seed addresses.
-fn routed_client(args: &Args) -> Result<ClusterClient, Box<dyn Error>> {
-    let seeds = seed_addrs(args)?;
+fn routed_client(seeds: Vec<String>) -> Result<ClusterClient, Box<dyn Error>> {
     ClusterClient::connect(&seeds, ClientConfig::default())
         .map_err(|e| format!("no seed answered ({seeds:?}): {e}").into())
 }
@@ -241,7 +244,10 @@ fn send(args: &Args) -> Result<(), Box<dyn Error>> {
     let records = args.u64_or("records", 300)?;
     let files = args.u64_or("files", 4)?;
     let batch = args.u64_or("batch", 32)?.max(1);
-    let client = routed_client(args)?;
+    let retrain = args.flag("retrain")?;
+    let seeds = seed_addrs(args);
+    args.reject_unread()?;
+    let client = routed_client(seeds?)?;
     println!(
         "routing {records} records over {files} files (epoch {})",
         client.map().epoch
@@ -261,7 +267,7 @@ fn send(args: &Args) -> Result<(), Box<dyn Error>> {
         "acked {sent} records across the cluster (final epoch {})",
         client.map().epoch
     );
-    if args.flag("retrain")? {
+    if retrain {
         // Retrain is a per-node verb, not a routed one: ask every node
         // in the map so each trains on what it ingested.
         for n in &client.map().nodes {
@@ -282,7 +288,9 @@ fn place(args: &Args) -> Result<(), Box<dyn Error>> {
     let count = args.u64_or("count", 8)?.max(1);
     let files = args.u64_or("files", 4)?;
     let bytes = args.u64_or("bytes", 1_000_000)?;
-    let client = routed_client(args)?;
+    let seeds = seed_addrs(args);
+    args.reject_unread()?;
+    let client = routed_client(seeds?)?;
     let requests: Vec<PlacementRequest> = (0..count)
         .map(|i| PlacementRequest {
             fid: FileId(i % files.max(1)),

@@ -58,8 +58,8 @@ COMMANDS:
                   --seed N            workload seed (default 42)
                   --max-batch N       max requests fused per pass (default 256);
                                       a pass takes what is queued, never waits
-                  --queue-capacity N  query engine queue depth (default 1024)
-                  --max-pending N     shed queries above N in flight (default off)
+                  --max-pending N     the one overload bound: shed queries
+                                      above N in flight (default off)
                   --retrains N        mid-load retrain cycles (default 1)
                   --per-file          per-file baseline (no batched submissions)
                   --wal-dir PATH      per-shard write-ahead log directory
@@ -69,7 +69,7 @@ COMMANDS:
                                       1000; 0 = only on demand)
                   --hot-tail N        in-memory records kept per shard
                                       after a checkpoint (default 4096)
-                  --page-size-kib N   store page size (default 16)
+                  --page-size-kib N   store page size, 4 to 64 (default 16)
                   --cache-pages N     store page-cache capacity (default 64)
                   --json-out PATH     write the load report as JSON
                   --strict            exit nonzero on zero decisions,
@@ -78,9 +78,6 @@ COMMANDS:
                   --listen ADDR       bind HOST:PORT and serve the wire
                                       protocol until SIGTERM/Ctrl-C
                   --retrain-every N   auto-retrain after N ingested records
-                  --shard-pending B   per-shard pending bounds: one integer
-                                      for all shards, or a comma list with
-                                      one bound per shard
     ingest      Ship synthetic telemetry to a running --listen server
                   --addr HOST:PORT    server to talk to (required)
                   --records N         records to send (default 300)
@@ -187,6 +184,10 @@ pub fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
         early_retrain_on_drift: false,
     };
     let policy_name = args.str_or("policy", "geomancy");
+    let report = args.flag("report")?;
+    let save_db = args.str_opt("save-db");
+    let trace = args.str_opt("trace");
+    args.reject_unread()?;
     let mut policy = make_policy(&policy_name, seed)?;
     println!(
         "running {} for {} runs (seed {seed}, {} files)…",
@@ -207,22 +208,22 @@ pub fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     for (mount, fraction) in &result.usage_fraction {
         println!("  {mount:>7}: {:.1} %", fraction * 100.0);
     }
-    if args.flag("report")? {
+    if report {
         let report = geomancy_core::report::PerformanceReport::build(&result.db, 4_000, 8);
         println!("\n{}", report.render());
     }
-    if let Some(path) = args.options.get("save-db") {
-        geomancy_replaydb::save(&result.db, path)?;
+    if let Some(path) = save_db {
+        geomancy_replaydb::save(&result.db, &path)?;
         println!("wrote ReplayDB snapshot to {path}");
     }
-    if let Some(path) = args.options.get("trace") {
+    if let Some(path) = trace {
         // Re-derive records from the series is lossy; export the per-access
         // series as CSV of (access, throughput) instead.
         let mut out = String::from("access_number,throughput_bytes_per_sec\n");
         for p in &result.series {
             out.push_str(&format!("{},{:.0}\n", p.access_number, p.throughput));
         }
-        std::fs::write(path, out)?;
+        std::fs::write(&path, out)?;
         println!("wrote throughput series to {path}");
     }
     Ok(())
@@ -234,7 +235,10 @@ pub fn simulate(args: &Args) -> Result<(), Box<dyn Error>> {
 ///
 /// Returns an error when the trace cannot be read or is empty.
 pub fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
-    let path = args.str_required("trace")?;
+    // A misspelt `--trace` is named as an unread option, not as missing.
+    let path = args.str_required("trace");
+    args.reject_unread()?;
+    let path = path?;
     let records = geomancy_trace::io::load_csv(&path)?;
     if records.is_empty() {
         return Err(format!("trace {path} holds no records").into());
@@ -281,6 +285,7 @@ pub fn analyze(args: &Args) -> Result<(), Box<dyn Error>> {
 /// Returns an error for bad options.
 pub fn models(args: &Args) -> Result<(), Box<dyn Error>> {
     let z = args.u64_or("z", Z as u64)? as usize;
+    args.reject_unread()?;
     println!("Table I architectures at Z = {z}:");
     for id in ModelId::all() {
         let mut rng = seeded_rng(0);
@@ -318,6 +323,9 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
         .iter()
         .find(|m| m.name().eq_ignore_ascii_case(&mount_name))
         .ok_or_else(|| format!("unknown mount {mount_name:?}"))?;
+    let seed = args.u64_or("seed", 0)?;
+    let checkpoint = args.str_opt("checkpoint");
+    args.reject_unread()?;
 
     println!("gathering {per_mount} records from {mount}…");
     let mut system = bluesky_system(7);
@@ -350,7 +358,7 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
     let window = if id.is_recurrent() { timesteps } else { 1 };
     let ds = forecasting_dataset(&records, window, 4, 0);
     let split = DataSplit::split_60_20_20(ds.inputs.clone(), ds.targets.clone());
-    let mut rng = seeded_rng(args.u64_or("seed", 0)?);
+    let mut rng = seeded_rng(seed);
     let mut net = build_model(id, Z, timesteps, &mut rng);
     println!(
         "training {id}: {} ({} params, {epochs} epochs)…",
@@ -376,11 +384,11 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
         report.training_time.as_secs_f64(),
         report.prediction_time.as_secs_f64() * 1e3,
     );
-    if let Some(path) = args.options.get("checkpoint") {
+    if let Some(path) = checkpoint {
         // The architecture travels as its spec so the checkpoint is portable.
         let spec = model_spec(id, Z, timesteps);
         let json = spec.checkpoint(&net).to_json()?;
-        std::fs::write(path, json)?;
+        std::fs::write(&path, json)?;
         println!("checkpoint written to {path}");
     }
     Ok(())
@@ -395,7 +403,7 @@ pub fn train_model(args: &Args) -> Result<(), Box<dyn Error>> {
 /// `--strict` — a run that served no decisions, dropped ingest batches,
 /// or stamped an invalid model epoch on a decision.
 pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
-    use geomancy_serve::{AdmissionConfig, LoadConfig, PlacementService, QueryMode, ServeConfig};
+    use geomancy_serve::{LoadConfig, PlacementService, QueryMode, ServeConfig};
     use geomancy_sim::record::DeviceId;
     use std::sync::Arc;
 
@@ -407,22 +415,18 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let serve_config = ServeConfig {
         shards,
-        queue_capacity: args.u64_or("queue-capacity", 1024)? as usize,
         max_batch: if mode == QueryMode::PerFile {
             1
         } else {
             args.int_in("max-batch", 256, 1..=usize::MAX)?
         },
-        wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
+        wal_dir: args.str_opt("wal-dir").map(std::path::PathBuf::from),
         store: crate::netcmd::store_settings(args)?,
         // The six Bluesky mounts.
         candidates: (0..6).map(DeviceId).collect(),
         drl: crate::netcmd::served_drl(args)?,
         retrain_every_records: None,
-        admission: AdmissionConfig {
-            max_pending_requests: args.u64_opt("max-pending")?,
-            ..AdmissionConfig::default()
-        },
+        max_pending_requests: args.u64_opt("max-pending")?,
         ..ServeConfig::default()
     };
     let load_config = LoadConfig {
@@ -441,8 +445,7 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
             ops => geomancy_serve::AccessMix::Zipfian {
                 ops_per_run: ops as usize,
                 exponent: args
-                    .options
-                    .get("zipf-exponent")
+                    .str_opt("zipf-exponent")
                     .map(|v| v.parse::<f64>())
                     .transpose()
                     .map_err(|_| "--zipf-exponent expects a number")?
@@ -450,6 +453,9 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
             },
         },
     };
+    let json_out = args.str_opt("json-out");
+    let strict = args.flag("strict")?;
+    args.reject_unread()?;
     let service = Arc::new(PlacementService::start(serve_config));
     println!(
         "serving BELLE II load: {} shards, {} clients, mode {:?}, {} kernels…",
@@ -485,11 +491,11 @@ pub fn serve(args: &Args) -> Result<(), Box<dyn Error>> {
         report.metrics.coalesced_decisions,
         report.epochs_seen,
     );
-    if let Some(path) = args.options.get("json-out") {
-        std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
+    if let Some(path) = json_out {
+        std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
         println!("report written to {path}");
     }
-    if args.flag("strict")? {
+    if strict {
         if report.decisions == 0 {
             return Err("strict: no placement decisions were served".into());
         }

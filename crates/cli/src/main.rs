@@ -28,8 +28,8 @@ fn main() {
         Some("analyze") => commands::analyze(&parsed),
         Some("models") => commands::models(&parsed),
         Some("train") => commands::train_model(&parsed),
-        Some("serve") => match parsed.options.get("listen") {
-            Some(listen) => netcmd::serve_listen(&parsed, &listen.clone()),
+        Some("serve") => match parsed.str_opt("listen") {
+            Some(listen) => netcmd::serve_listen(&parsed, &listen),
             None => commands::serve(&parsed),
         },
         Some("ingest") => netcmd::ingest(&parsed),

@@ -8,8 +8,7 @@ use std::sync::Arc;
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetServer};
 use geomancy_serve::{
-    AdmissionConfig, MetricsSnapshot, PlacementRequest, PlacementService, ServeConfig,
-    StoreSettings,
+    MetricsSnapshot, PlacementRequest, PlacementService, ServeConfig, StoreSettings,
 };
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
@@ -52,16 +51,17 @@ pub(crate) mod sig {
 /// checkpointed into it every `--checkpoint-every-ms` (0 = only on
 /// demand) and the in-memory hot tail trimmed to `--hot-tail` records.
 pub(crate) fn store_settings(args: &Args) -> Result<Option<StoreSettings>, Box<dyn Error>> {
-    let Some(dir) = args.options.get("store-dir") else {
+    let Some(dir) = args.str_opt("store-dir") else {
         return Ok(None);
     };
-    if !args.options.contains_key("wal-dir") {
+    if args.str_opt("wal-dir").is_none() {
         return Err("--store-dir requires --wal-dir (the WAL feeds the store)".into());
     }
     let defaults = StoreSettings::default();
     Ok(Some(StoreSettings {
         dir: std::path::PathBuf::from(dir),
-        page_size: args.u64_or("page-size-kib", 16)? as usize * 1024,
+        // The store takes 4 to 64 KiB pages.
+        page_size: args.int_in("page-size-kib", 16, 4..=64)? * 1024,
         cache_pages: args.u64_or("cache-pages", defaults.cache_pages as u64)? as usize,
         checkpoint_every_micros: args.u64_or("checkpoint-every-ms", 1000)? * 1000,
         hot_tail: args.u64_or("hot-tail", defaults.hot_tail as u64)? as usize,
@@ -81,51 +81,24 @@ pub(crate) fn served_drl(args: &Args) -> Result<DrlConfig, Box<dyn Error>> {
     })
 }
 
-/// Builds the service the listener fronts, from the same options the
-/// in-process `serve` load mode uses.
-fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
-    let shards = args.int_in("shards", 4, 1..=usize::MAX)?;
-    let per_shard_pending = match args.options.get("shard-pending") {
-        None => Vec::new(),
-        // Either one bound applied to every shard, or a full
-        // comma-separated list (one bound per shard).
-        Some(spec) => {
-            let bounds: Vec<u64> = spec
-                .split(',')
-                .map(|t| t.trim().parse::<u64>())
-                .collect::<Result<_, _>>()
-                .map_err(|_| format!("--shard-pending expects integers, got {spec:?}"))?;
-            match bounds.len() {
-                1 => vec![bounds[0]; shards],
-                n if n == shards => bounds,
-                n => {
-                    return Err(
-                        format!("--shard-pending names {n} bounds for {shards} shards").into(),
-                    )
-                }
-            }
-        }
-    };
-    let store = store_settings(args)?;
-    Ok(Arc::new(PlacementService::start(ServeConfig {
-        shards,
-        store,
-        queue_capacity: args.u64_or("queue-capacity", 1024)? as usize,
+/// The config of the service the listener fronts, from the same options
+/// the in-process `serve` load mode uses.
+fn listen_config(args: &Args) -> Result<ServeConfig, Box<dyn Error>> {
+    Ok(ServeConfig {
+        shards: args.int_in("shards", 4, 1..=usize::MAX)?,
+        store: store_settings(args)?,
         max_batch: args.int_in("max-batch", 256, 1..=usize::MAX)?,
-        wal_dir: args.options.get("wal-dir").map(std::path::PathBuf::from),
+        wal_dir: args.str_opt("wal-dir").map(std::path::PathBuf::from),
         candidates: (0..6).map(DeviceId).collect(),
         drl: served_drl(args)?,
         retrain_every_records: match args.u64_or("retrain-every", 0)? {
             0 => None,
             n => Some(n),
         },
-        admission: AdmissionConfig {
-            max_pending_requests: args.u64_opt("max-pending")?,
-            per_shard_pending,
-        },
+        max_pending_requests: args.u64_opt("max-pending")?,
         node_id: args.u64_or("node-id", 0)?,
         ..ServeConfig::default()
-    })))
+    })
 }
 
 /// `geomancy serve --listen ADDR`: run the placement service behind a
@@ -135,7 +108,9 @@ fn build_service(args: &Args) -> Result<Arc<PlacementService>, Box<dyn Error>> {
 ///
 /// Returns an error for bad options or a failed bind.
 pub fn serve_listen(args: &Args, listen: &str) -> Result<(), Box<dyn Error>> {
-    let service = build_service(args)?;
+    let config = listen_config(args)?;
+    args.reject_unread()?;
+    let service = Arc::new(PlacementService::start(config));
     let server = NetServer::start(listen, Arc::clone(&service), NetConfig::default())?;
     sig::install();
     println!(
@@ -187,10 +162,14 @@ pub(crate) fn synthetic_record(n: u64, files: u64) -> AccessRecord {
 ///
 /// Returns an error for bad options or transport failures.
 pub fn ingest(args: &Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.str_required("addr")?;
+    // A misspelt `--addr` is named as an unread option, not as missing.
+    let addr = args.str_required("addr");
     let records = args.u64_or("records", 300)?;
     let files = args.u64_or("files", 4)?;
     let batch = args.u64_or("batch", 32)?.max(1);
+    let retrain = args.flag("retrain")?;
+    args.reject_unread()?;
+    let addr = addr?;
     let client = Client::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("connect {addr}: {e}"))?;
 
@@ -208,7 +187,7 @@ pub fn ingest(args: &Args) -> Result<(), Box<dyn Error>> {
         batches += 1;
     }
     println!("ingested {sent} records in {batches} batches to {addr}");
-    if args.flag("retrain")? {
+    if retrain {
         let epoch = client.retrain().map_err(|e| format!("retrain: {e}"))?;
         println!("retrained: model epoch {epoch} published");
     }
@@ -222,17 +201,20 @@ pub fn ingest(args: &Args) -> Result<(), Box<dyn Error>> {
 ///
 /// Returns an error for bad options or transport failures.
 pub fn query(args: &Args) -> Result<(), Box<dyn Error>> {
-    let addr = args.str_required("addr")?;
+    let addr = args.str_required("addr");
     let count = args.u64_or("count", 8)?.max(1);
     let files = args.u64_or("files", 4)?;
     let bytes = args.u64_or("bytes", 1_000_000)?;
+    let (json, metrics) = (args.flag("json")?, args.flag("metrics")?);
+    args.reject_unread()?;
+    let addr = addr?;
+    if json && !metrics {
+        return Err("--json requires --metrics".into());
+    }
     let client = Client::connect(addr.as_str(), ClientConfig::default())
         .map_err(|e| format!("connect {addr}: {e}"))?;
 
-    if args.flag("json")? {
-        if !args.flag("metrics")? {
-            return Err("--json requires --metrics".into());
-        }
+    if json {
         // Machine-readable mode: emit the metrics object alone, with
         // no synthetic queries and no prose around it.
         let m = client.metrics().map_err(|e| format!("metrics: {e}"))?;
@@ -268,11 +250,11 @@ pub fn query(args: &Args) -> Result<(), Box<dyn Error>> {
             d.unique_rows,
         );
     }
-    if args.flag("metrics")? {
+    if metrics {
         let m = client.metrics().map_err(|e| format!("metrics: {e}"))?;
         println!(
-            "server metrics (node {}): {} decisions, offered/admitted/shed {}/{}/{}, shard sheds {:?}",
-            m.node_id, m.decisions, m.queries_offered, m.queries_admitted, m.queries_shed, m.shard_shed
+            "server metrics (node {}): {} decisions, offered/admitted/shed {}/{}/{}",
+            m.node_id, m.decisions, m.queries_offered, m.queries_admitted, m.queries_shed
         );
         println!("transport: {} live connections", m.net_connections_live);
         println!("server kernel backend: {}", m.kernel_backend);
@@ -301,19 +283,6 @@ pub fn query(args: &Args) -> Result<(), Box<dyn Error>> {
 /// every vector, then the backend string — so a counter added to the
 /// table shows up here with no edit.
 fn metrics_json(m: &MetricsSnapshot) -> String {
-    // The only string value is the kernel backend name, a fixed
-    // identifier — escape the JSON specials anyway so a future backend
-    // name cannot produce invalid output.
-    let backend: String = m
-        .kernel_backend
-        .chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
     let mut fields: Vec<String> = m
         .scalars()
         .map(|(name, value)| format!("\"{name}\":{value}"))
@@ -323,7 +292,9 @@ fn metrics_json(m: &MetricsSnapshot) -> String {
         let values: Vec<String> = values.iter().map(u64::to_string).collect();
         fields.push(format!("\"{name}\":[{}]", values.join(",")));
     }
-    fields.push(format!("\"kernel_backend\":\"{backend}\""));
+    // serde_json escapes what a future backend name could hold.
+    let backend = serde_json::to_string(&m.kernel_backend).expect("a string serializes");
+    fields.push(format!("\"kernel_backend\":{backend}"));
     format!("{{{}}}", fields.join(","))
 }
 

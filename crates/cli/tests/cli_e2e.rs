@@ -145,6 +145,45 @@ fn bad_serve_options_name_the_option() {
         for (option, value) in [("max-pending", "abc"), ("shards", "0"), ("max-batch", "0")] {
             rejects_option(serve, option, value);
         }
+        // `--page-size-kib` is read only with a store to size.
+        let dir = std::env::temp_dir().join("geomancy_cli_e2e_page_size");
+        let (wal, store) = (dir.join("wal"), dir.join("store"));
+        let with_store = [
+            serve,
+            &[
+                "--wal-dir",
+                wal.to_str().unwrap(),
+                "--store-dir",
+                store.to_str().unwrap(),
+            ],
+        ]
+        .concat();
+        for value in ["0", "1000"] {
+            rejects_option(&with_store, "page-size-kib", value);
+        }
+        assert!(!dir.exists(), "a refused command created its store");
+    }
+}
+
+/// An option the command does not read fails it before it starts work,
+/// naming the option: a script passing a retired bound learns of it
+/// instead of running without it.
+#[test]
+fn options_a_command_does_not_read_are_refused() {
+    for (args, option) in [
+        (&["serve", "--queue-capacity", "8"][..], "--queue-capacity"),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--shard-pending", "5"],
+            "--shard-pending",
+        ),
+        (&["ingest", "--bogus", "1"], "--bogus"),
+    ] {
+        let out = geomancy().args(args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(option), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     }
 }
 

@@ -99,7 +99,8 @@ pub struct ClusterNodeConfig {
     /// Template for the embedded placement service. `shards`,
     /// `node_id`, `wal_dir`, the store directory, and `seal_hook` are
     /// overridden by the cluster layer; everything else (DRL config,
-    /// batching, admission, checkpoint cadence) is honored.
+    /// batching, the `max_pending_requests` overload bound, checkpoint
+    /// cadence) is honored.
     pub serve: ServeConfig,
     /// Transport settings for the node's listener.
     pub net: NetConfig,

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetServer, RetryConfig};
-use geomancy_serve::{AdmissionConfig, PlacementRequest, PlacementService, ServeConfig};
+use geomancy_serve::{PlacementRequest, PlacementService, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -36,7 +36,6 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
 fn trained_service() -> Arc<PlacementService> {
     let svc = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
-        queue_capacity: 64,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -44,7 +43,6 @@ fn trained_service() -> Arc<PlacementService> {
             smoothing_window: 4,
             ..DrlConfig::default()
         },
-        admission: AdmissionConfig::default(),
         ..ServeConfig::default()
     }));
     for i in 0..300u64 {
@@ -95,11 +93,7 @@ fn wait_for_baseline(server: &NetServer, svc: &PlacementService, what: &str) {
     let deadline = Instant::now() + DEADLINE;
     loop {
         let m = svc.metrics();
-        if server.live_connections() == 0
-            && connection_threads() == 0
-            && m.pending_requests == 0
-            && m.pending_per_shard.iter().all(|&p| p == 0)
-        {
+        if server.live_connections() == 0 && connection_threads() == 0 && m.pending_requests == 0 {
             return;
         }
         assert!(

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetError, NetServer, RetryConfig, WireStatus};
-use geomancy_serve::{AdmissionConfig, Decision, PlacementRequest, PlacementService, ServeConfig};
+use geomancy_serve::{Decision, PlacementRequest, PlacementService, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -28,10 +28,9 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
     }
 }
 
-fn service(admission: AdmissionConfig) -> Arc<PlacementService> {
+fn service(max_pending_requests: Option<u64>) -> Arc<PlacementService> {
     Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
-        queue_capacity: 64,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -39,7 +38,7 @@ fn service(admission: AdmissionConfig) -> Arc<PlacementService> {
             smoothing_window: 4,
             ..DrlConfig::default()
         },
-        admission,
+        max_pending_requests,
         ..ServeConfig::default()
     }))
 }
@@ -56,7 +55,7 @@ fn client(server: &NetServer) -> Client {
 /// after readiness, ingest, retrain, solo and batched queries, metrics.
 #[test]
 fn full_protocol_over_loopback() {
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     let server = start(&svc);
     let c = client(&server);
 
@@ -118,7 +117,7 @@ fn full_protocol_over_loopback() {
     assert_eq!(m.ingested_records, 300);
     assert_eq!(m.queries_offered, m.queries_admitted + m.queries_shed);
     assert_eq!(m.decisions, 17);
-    assert_eq!(m.pending_per_shard.len(), 2);
+    assert_eq!(m.queue_depth.len(), 2);
 
     assert!(
         server
@@ -137,10 +136,7 @@ fn full_protocol_over_loopback() {
 /// sockets).
 #[test]
 fn overload_is_a_status_not_a_reset() {
-    let svc = service(AdmissionConfig {
-        max_pending_requests: Some(0),
-        ..AdmissionConfig::default()
-    });
+    let svc = service(Some(0));
     // Publish a model so overload is the only obstacle.
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
@@ -194,10 +190,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
     } else {
         400_000
     };
-    let svc = service(AdmissionConfig {
-        max_pending_requests: Some(PARK + 1_000),
-        ..AdmissionConfig::default()
-    });
+    let svc = service(Some(PARK + 1_000));
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -273,7 +266,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let m = svc.metrics();
-        if m.pending_requests == 0 && m.pending_per_shard.iter().all(|&p| p == 0) {
+        if m.pending_requests == 0 {
             break;
         }
         assert!(
@@ -291,7 +284,7 @@ fn killed_client_leaks_nothing_and_neighbors_survive() {
 /// closes — the peer learns *why*, instead of seeing a bare reset.
 #[test]
 fn oversized_frame_gets_too_large_then_close() {
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     let server = NetServer::start(
         "127.0.0.1:0",
         Arc::clone(&svc),
@@ -329,7 +322,7 @@ fn half_closed_peer_still_gets_its_query_replies() {
     use std::io::{Read, Write};
     const QUERIES: usize = 4;
     const RUNS: usize = 20;
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -382,7 +375,7 @@ fn half_closed_peer_still_gets_its_query_replies() {
 /// clients in flight get answers or clean disconnects, never hangs.
 #[test]
 fn shutdown_drains_cleanly_under_traffic() {
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -432,7 +425,7 @@ fn shutdown_drains_cleanly_under_traffic() {
 fn a_deaf_peer_stalls_only_its_own_writer() {
     const STALL_MILLIS: u64 = 300;
     const DRAIN_MILLIS: u64 = 5_000;
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -536,7 +529,7 @@ fn a_deaf_peer_stalls_only_its_own_writer() {
 #[test]
 fn shutdown_is_bounded_while_a_reader_writes_to_a_deaf_peer() {
     const DRAIN_MILLIS: u64 = 500;
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -756,7 +749,7 @@ fn a_trickling_reply_times_out_on_schedule() {
 /// dialled.
 #[test]
 fn concurrent_callers_on_one_client_get_their_own_replies() {
-    let svc = service(AdmissionConfig::default());
+    let svc = service(None);
     for i in 0..300u64 {
         svc.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }

@@ -269,7 +269,8 @@ fn metrics_frame_roundtrips_every_named_value() {
 
 /// What makes "add a counter" a one-line change: a peer that names more
 /// than this build knows is decoded with the extras skipped, and a peer
-/// that names less leaves the missing field zero.
+/// that names less leaves the missing field zero. The extras include the
+/// per-shard admission vectors an older server still sends.
 #[test]
 fn metrics_frame_skips_unknown_names_and_zeroes_missing_ones() {
     let snap = filled_snapshot();
@@ -278,6 +279,8 @@ fn metrics_frame_skips_unknown_names_and_zeroes_missing_ones() {
 
     scalars.insert(3, ("a_counter_from_the_future", 77));
     vectors.insert(1, ("a_histogram_from_the_future", vec![1, 2, 3, 4]));
+    vectors.insert(1, ("pending_per_shard", vec![0, 3]));
+    vectors.insert(2, ("shard_shed", vec![5, 0]));
     let newer = metrics_frame(&scalars, &vectors, b"avx2_fma");
     assert_eq!(wire::decode_metrics_resp(&newer).unwrap(), snap);
 

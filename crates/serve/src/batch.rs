@@ -6,8 +6,10 @@
 //!
 //! Clients submit either one request ([`crate::PlacementService::query`])
 //! or a whole slice ([`crate::PlacementService::query_many`]); each
-//! submission joins one queue of at most `queue_capacity`, and its caller
-//! waits for the answer. A caller that finds the engine lock free runs a
+//! submission joins one queue, and its caller waits for the answer. The
+//! queue has no bound of its own: every queued submission is held by a
+//! caller waiting on it, and the service's one overload bound (the
+//! pending-request watermark) sheds before a submission gets here. A caller that finds the engine lock free runs a
 //! pass on its own thread: it takes whole submissions until it holds
 //! `max_batch` requests or the queue is empty and answers them in one
 //! fused pass. Nothing waits on a clock: an idle engine answers a lone
@@ -203,10 +205,9 @@ struct Queue {
 /// A queued submission's place and reply channel.
 pub(crate) type Ticket = (u64, Receiver<Wake>);
 
-/// The query engine: a bounded queue in front of the engine lock.
+/// The query engine: a queue in front of the engine lock.
 pub struct BatchEngine {
     queue: Mutex<Queue>,
-    capacity: usize,
     core: Mutex<Core>,
     time: Arc<dyn TimeSource>,
 }
@@ -227,13 +228,11 @@ impl BatchEngine {
         telemetry: SharedSimClock,
         metrics: Arc<ServeMetrics>,
         time: Arc<dyn TimeSource>,
-        queue_capacity: usize,
     ) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         assert!(!candidates.is_empty(), "need candidate devices");
         BatchEngine {
             queue: Mutex::default(),
-            capacity: queue_capacity.max(1),
             core: Mutex::new(Core {
                 engine: None,
                 epoch: 0,
@@ -254,25 +253,17 @@ impl BatchEngine {
     }
 
     /// Queues `requests` without serving them, so one caller can queue
-    /// several to share a pass; a full queue makes it serve a pass first.
-    /// On a down engine the ticket is answered `ServiceDown` at once.
+    /// several to share a pass. On a down engine the ticket is answered
+    /// `ServiceDown` at once.
     pub(crate) fn submit(&self, requests: Vec<PlacementRequest>) -> Ticket {
         let (tx, rx) = sync_channel(2);
-        let enqueued_micros = self.time.now_micros();
-        let mut queue = self.lock_queue();
-        while !queue.down && queue.subs.len() >= self.capacity {
-            // Full: wait for the lock and serve a pass (place 0 is long
-            // answered), as what is queued may be this caller's own.
-            drop(queue);
-            self.combine(0, true);
-            queue = self.lock_queue();
-        }
         let sub = Submission {
             requests,
-            enqueued_micros,
+            enqueued_micros: self.time.now_micros(),
             tx,
             handed: false,
         };
+        let mut queue = self.lock_queue();
         if queue.down {
             sub.answer(Err(QueryError::ServiceDown));
             return (0, rx);

@@ -9,7 +9,7 @@
 //!            ingest (records)                placement requests
 //!                 │                                 │
 //!        ┌────────┴────────┐              admission controller
-//!        │ shard map        │             (watermarks → shed)
+//!        │ shard map        │             (one watermark → shed)
 //!        │ fid.stable_hash  │              ┌─────────┴─────────┐
 //!        ▼        ▼        ▼              │ batched query     │
 //!    shard 0   shard 1   shard N-1        │ engine (a lock)   │
@@ -53,11 +53,11 @@
 //! - **Checkpointing** ([`checkpoint`]): on demand or on a cadence, a
 //!   checkpoint cycle seals every shard WAL, absorbs the segments into
 //!   the cold paged store, and only then trims the shards' hot tails.
-//! - **Admission control** ([`service`]): over a global or per-shard
-//!   pending-request watermark, a submission sheds at once with
-//!   [`QueryError::Overloaded`] — and the [`metrics`] snapshot is
-//!   coherent, so `queries_offered == queries_admitted + queries_shed`
-//!   holds in every observation, mirroring ingest's
+//! - **Admission control** ([`service`]): over the one pending-request
+//!   watermark ([`ServeConfig::max_pending_requests`]), a submission
+//!   sheds at once with [`QueryError::Overloaded`] — and the [`metrics`]
+//!   snapshot is coherent, so `queries_offered == queries_admitted +
+//!   queries_shed` holds in every observation, mirroring ingest's
 //!   `ingested + dropped == offered`.
 //!
 //! [`PlacementService`] wires it all together; [`load`] drives the whole
@@ -80,8 +80,6 @@ pub use load::{
     prepare_belle2, run_belle2_load, AccessMix, LoadConfig, LoadReport, PreparedLoad, QueryMode,
 };
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use service::{
-    AdmissionConfig, PendingQuery, PlacementService, SealHook, ServeConfig, StoreSettings,
-};
+pub use service::{PendingQuery, PlacementService, SealHook, ServeConfig, StoreSettings};
 pub use shard::{shard_of, Backpressure};
 pub use trainer::{TrainError, TrainedMeta, Trainer};

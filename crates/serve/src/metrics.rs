@@ -53,13 +53,6 @@ macro_rules! scalar_metrics {
             /// stages on the shard, zeroed when its stage is flushed; 0
             /// for a memory-only shard). Gauge.
             pub queue_depth: Vec<AtomicUsize>,
-            /// Per-shard slice of `pending_requests` (requests map to
-            /// shards by the queried file's hash, the same map ingest
-            /// uses). Gauge.
-            pub pending_per_shard: Vec<AtomicU64>,
-            /// Requests shed because one of their target shards was over
-            /// its per-shard pending bound (a subset of `queries_shed`).
-            pub shard_shed: Vec<AtomicU64>,
             /// Decision latency histogram; bucket `i` counts latencies in
             /// `[2^i, 2^(i+1))` microseconds (bucket 0 is `< 2 µs`, the
             /// last bucket is open-ended).
@@ -76,8 +69,6 @@ macro_rules! scalar_metrics {
                 ServeMetrics {
                     $($name: AtomicU64::new(0),)*
                     queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-                    pending_per_shard: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-                    shard_shed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
                     latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
                     accounting_enter: AtomicU64::new(0),
                     accounting_exit: AtomicU64::new(0),
@@ -85,18 +76,11 @@ macro_rules! scalar_metrics {
             }
 
             fn read_all(&self) -> MetricsSnapshot {
-                let load_all =
-                    |v: &[AtomicU64]| v.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+                let relaxed = Ordering::Relaxed;
                 MetricsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
-                    queue_depth: self
-                        .queue_depth
-                        .iter()
-                        .map(|d| d.load(Ordering::Relaxed))
-                        .collect(),
-                    pending_per_shard: load_all(&self.pending_per_shard),
-                    shard_shed: load_all(&self.shard_shed),
-                    latency_us: load_all(&self.latency_us),
+                    $($name: self.$name.load(relaxed),)*
+                    queue_depth: self.queue_depth.iter().map(|d| d.load(relaxed)).collect(),
+                    latency_us: self.latency_us.iter().map(|b| b.load(relaxed)).collect(),
                     engine_queue: 0,
                     net_connections_live: 0,
                     kernel_backend: geomancy_nn::matrix::kernels::backend_name().to_string(),
@@ -113,10 +97,6 @@ macro_rules! scalar_metrics {
             )*
             /// See [`ServeMetrics::queue_depth`].
             pub queue_depth: Vec<usize>,
-            /// See [`ServeMetrics::pending_per_shard`].
-            pub pending_per_shard: Vec<u64>,
-            /// See [`ServeMetrics::shard_shed`].
-            pub shard_shed: Vec<u64>,
             /// See [`ServeMetrics::latency_us`].
             pub latency_us: Vec<u64>,
             /// Query-engine queue depth at snapshot time (gauge; filled
@@ -305,14 +285,12 @@ impl ServeMetrics {
 impl MetricsSnapshot {
     /// The per-shard and per-bucket vectors as `(name, values)`, the
     /// vector half of the named view [`MetricsSnapshot::scalars`] opens.
-    pub fn vectors(&self) -> [(&'static str, Vec<u64>); 4] {
+    pub fn vectors(&self) -> [(&'static str, Vec<u64>); 2] {
         [
             (
                 "queue_depth",
                 self.queue_depth.iter().map(|&d| d as u64).collect(),
             ),
-            ("pending_per_shard", self.pending_per_shard.clone()),
-            ("shard_shed", self.shard_shed.clone()),
             ("latency_us", self.latency_us.clone()),
         ]
     }
@@ -322,8 +300,6 @@ impl MetricsSnapshot {
     pub fn set_vector(&mut self, name: &str, values: Vec<u64>) -> bool {
         match name {
             "queue_depth" => self.queue_depth = values.into_iter().map(|d| d as usize).collect(),
-            "pending_per_shard" => self.pending_per_shard = values,
-            "shard_shed" => self.shard_shed = values,
             "latency_us" => self.latency_us = values,
             _ => return false,
         }

@@ -9,13 +9,15 @@
 //! does not grow with its shards. (Its one-worker
 //! [`geomancy_runtime::Reactor`] hosts no actor; it stays for the callers
 //! of [`PlacementService::reactor`], which read its clock and
-//! statistics.) Every query is a ticket its caller waits on ([`PlacementService::submit`], then [`PendingQuery::wait`]). In
-//! front of the query path sits a cross-shard admission controller: when
-//! the service is over its global or per-shard pending-request watermark,
-//! a submission sheds with [`QueryError::Overloaded`] instead of letting
-//! queues grow without bound — and every shed request is accounted
-//! (`queries_offered == queries_admitted + queries_shed`), mirroring the
-//! ingest side's `ingested + dropped == offered`.
+//! statistics.) Every query is a ticket its caller waits on
+//! ([`PlacementService::submit`], then [`PendingQuery::wait`]). In front
+//! of the query path sits one overload bound: when admitting a submission
+//! would take the requests in flight past
+//! [`ServeConfig::max_pending_requests`], it sheds with
+//! [`QueryError::Overloaded`] instead of letting the queue grow without
+//! bound — and every shed request is accounted (`queries_offered ==
+//! queries_admitted + queries_shed`), mirroring the ingest side's
+//! `ingested + dropped == offered`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,28 +36,6 @@ use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::shard::{Backpressure, ShardSet, WalFlusher};
 use crate::trainer::{TrainError, TrainedMeta, Trainer};
-
-/// Watermarks for the cross-shard admission controller. Disabled by
-/// default: every field `None`/zero/empty admits everything.
-#[derive(Debug, Clone, Default)]
-pub struct AdmissionConfig {
-    /// Shed when admitting would push the in-flight request count past
-    /// this bound.
-    pub max_pending_requests: Option<u64>,
-    /// Per-shard pending bounds, one entry per ingest shard (requests map
-    /// to shards by the queried file's [`crate::shard_of`] hash): a
-    /// submission sheds when any shard it targets would exceed its own
-    /// bound, so one hot shard sheds without starving queries aimed at
-    /// the others. Empty disables per-shard admission; a non-empty vector
-    /// must have exactly `shards` entries.
-    pub per_shard_pending: Vec<u64>,
-}
-
-impl AdmissionConfig {
-    fn enabled(&self) -> bool {
-        self.max_pending_requests.is_some() || !self.per_shard_pending.is_empty()
-    }
-}
 
 /// Cold-store settings: where checkpointed history pages live and how the
 /// checkpointer behaves. Requires [`ServeConfig::wal_dir`] to be set —
@@ -94,12 +74,10 @@ impl Default for StoreSettings {
 /// Configuration of a [`PlacementService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Ingest shards (each with its own lock, stage and WAL).
-    pub shards: usize,
-    /// Bounded depth of the query engine's queue, in submissions. Ingest
-    /// has no queue: an ack stages the records on their shards (see
+    /// Ingest shards (each with its own lock, stage and WAL). Ingest has
+    /// no queue: an ack stages the records on their shards (see
     /// [`crate::shard`] for when they reach the WAL).
-    pub queue_capacity: usize,
+    pub shards: usize,
     /// Maximum placement requests fused into one forward pass: the engine
     /// fuses the submissions already queued when it turns to them, up to
     /// this many requests, and never waits for more. 1 disables coalescing
@@ -114,8 +92,13 @@ pub struct ServeConfig {
     /// Auto-retrain after this many newly ingested records (`None`
     /// retrains only on explicit [`PlacementService::retrain_now`]).
     pub retrain_every_records: Option<u64>,
-    /// Admission-control watermarks for the query path.
-    pub admission: AdmissionConfig,
+    /// The query path's overload bound: a submission sheds with
+    /// [`QueryError::Overloaded`] when admitting it would push the
+    /// requests in flight past this many. One submission larger than a
+    /// nonzero bound is admitted while nothing is in flight, so a
+    /// retrying client cannot livelock; `Some(0)` sheds everything.
+    /// `None` admits everything.
+    pub max_pending_requests: Option<u64>,
     /// Cold paged store + background checkpointer; `None` keeps shard
     /// WALs growing unboundedly (the pre-store behavior). Requires
     /// `wal_dir`.
@@ -150,13 +133,12 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: 4,
-            queue_capacity: 1024,
             max_batch: 256,
             wal_dir: None,
             candidates: (0..4).map(DeviceId).collect(),
             drl: DrlConfig::default(),
             retrain_every_records: None,
-            admission: AdmissionConfig::default(),
+            max_pending_requests: None,
             store: None,
             node_id: 0,
             seal_hook: None,
@@ -184,16 +166,7 @@ pub struct PlacementService {
     /// Records ingested at the last auto-retrain trigger.
     last_retrain_at: AtomicU64,
     retrain_every_records: Option<u64>,
-    admission: AdmissionConfig,
-}
-
-/// Receipt for an admitted submission: what [`PlacementService::admit`]
-/// charged to the pending gauges, so the release after the answer
-/// subtracts exactly the same amounts.
-struct Admitted {
-    total: u64,
-    /// Per-shard request counts; empty when per-shard admission is off.
-    per_shard: Vec<u64>,
+    max_pending_requests: Option<u64>,
 }
 
 impl PlacementService {
@@ -203,8 +176,16 @@ impl PlacementService {
     ///
     /// # Panics
     ///
-    /// Panics on a zero shard count, zero `max_batch`, empty candidate
-    /// list, or an unopenable WAL directory.
+    /// Panics on:
+    /// - a zero shard count, a zero `max_batch` or an empty candidate
+    ///   list;
+    /// - a [`ServeConfig::store`] without a [`ServeConfig::wal_dir`];
+    /// - a WAL directory that cannot be created;
+    /// - a cold store that fails to open, or a failed start-up absorb of
+    ///   the WAL segments a crashed checkpoint left behind;
+    /// - a shard WAL that fails to open, recover or list its segments;
+    /// - a thread (the reactor's worker, or one of the background threads
+    ///   above) that the OS refuses to spawn.
     pub fn start(config: ServeConfig) -> Self {
         let telemetry = SharedSimClock::new();
         PlacementService::start_inner(config, None, telemetry)
@@ -214,6 +195,10 @@ impl PlacementService {
     /// and the telemetry clock: the checkpoint cadence then comes due only
     /// when simulated time is published past it (by ingest timestamps or
     /// by the test directly).
+    ///
+    /// # Panics
+    ///
+    /// As [`PlacementService::start`].
     pub fn start_with_clock(config: ServeConfig, clock: SharedSimClock) -> Self {
         let time: Arc<dyn TimeSource> = Arc::new(clock.clone());
         PlacementService::start_inner(config, Some(time), clock)
@@ -224,11 +209,6 @@ impl PlacementService {
         time: Option<Arc<dyn TimeSource>>,
         telemetry: SharedSimClock,
     ) -> Self {
-        assert!(
-            config.admission.per_shard_pending.is_empty()
-                || config.admission.per_shard_pending.len() == config.shards,
-            "per_shard_pending must have one bound per shard"
-        );
         let metrics = Arc::new(ServeMetrics::new(config.shards));
         metrics.node_id.store(config.node_id, Ordering::Relaxed);
         let mut reactor_config = ReactorConfig {
@@ -290,7 +270,6 @@ impl PlacementService {
             telemetry.clone(),
             Arc::clone(&metrics),
             reactor.time(),
-            config.queue_capacity,
         );
         let trainer = Trainer::spawn(
             config.drl.clone(),
@@ -324,7 +303,7 @@ impl PlacementService {
             telemetry,
             last_retrain_at: AtomicU64::new(0),
             retrain_every_records: config.retrain_every_records,
-            admission: config.admission,
+            max_pending_requests: config.max_pending_requests,
         }
     }
 
@@ -372,99 +351,38 @@ impl PlacementService {
         }
     }
 
-    /// The watermark rule shared by the global and per-shard bounds: a
-    /// single submission larger than a nonzero bound is judged against
-    /// current occupancy instead (one oversized batch may overshoot the
-    /// watermark while the service is quiet) — otherwise it could never
-    /// be admitted and a retrying client would livelock. `max == 0` stays
-    /// a hard shed-everything switch.
-    fn bound_breached(pending: u64, incoming: u64, max: u64) -> bool {
-        if incoming > max && max > 0 {
-            pending > 0
-        } else {
-            pending + incoming > max
+    /// Runs the admission controller for a submission of `n` requests:
+    /// over the watermark, the call sheds; otherwise every offered request
+    /// is accounted and charged to the pending gauge, which the
+    /// [`PendingQuery`] releases once answered. A submission larger than
+    /// a nonzero bound is judged against current occupancy instead (one
+    /// oversized batch may overshoot the watermark while the service is
+    /// quiet) — otherwise it could never be admitted and a retrying client
+    /// would livelock. A bound of 0 stays a hard shed-everything switch.
+    fn admit(&self, n: u64) -> Result<(), QueryError> {
+        let metrics = &self.metrics;
+        let shed = self.max_pending_requests.is_some_and(|max| {
+            let pending = metrics.pending_requests.load(Ordering::Relaxed);
+            match n > max && max > 0 {
+                true => pending > 0,
+                false => pending + n > max,
+            }
+        });
+        {
+            let _guard = metrics.accounting();
+            metrics.queries_offered.fetch_add(n, Ordering::Relaxed);
+            match shed {
+                true => &metrics.queries_shed,
+                false => &metrics.queries_admitted,
+            }
+            .fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Whether admitting `incoming` more requests (distributed over the
-    /// shards as `per_shard`, when per-shard admission is on) would cross
-    /// a watermark.
-    fn over_watermarks(&self, incoming: u64, per_shard: &[u64]) -> bool {
-        if let Some(max) = self.admission.max_pending_requests {
-            let pending = self.metrics.pending_requests.load(Ordering::Relaxed);
-            if PlacementService::bound_breached(pending, incoming, max) {
-                return true;
-            }
-        }
-        self.breached_shards(per_shard).next().is_some()
-    }
-
-    /// Shards whose per-shard bound the submission would breach.
-    fn breached_shards<'a>(&'a self, per_shard: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-        self.admission
-            .per_shard_pending
-            .iter()
-            .zip(per_shard)
-            .enumerate()
-            .filter(|(k, (&max, &incoming))| {
-                incoming > 0
-                    && PlacementService::bound_breached(
-                        self.metrics.pending_per_shard[*k].load(Ordering::Relaxed),
-                        incoming,
-                        max,
-                    )
-            })
-            .map(|(k, _)| k)
-    }
-
-    /// Runs the admission controller for one submission: over the
-    /// watermarks, the call sheds; otherwise every offered request is
-    /// accounted and charged to the pending gauges. The [`PendingQuery`]
-    /// holding the returned receipt releases it once answered.
-    fn admit(&self, requests: &[PlacementRequest]) -> Result<Admitted, QueryError> {
-        let n = requests.len() as u64;
-        let per_shard: Vec<u64> = if self.admission.per_shard_pending.is_empty() {
-            Vec::new()
-        } else {
-            let mut counts = vec![0u64; self.shards.len()];
-            for req in requests {
-                counts[crate::shard::shard_of(req.fid, self.shards.len())] += 1;
-            }
-            counts
-        };
-        if self.admission.enabled() && self.over_watermarks(n, &per_shard) {
-            let _guard = self.metrics.accounting();
-            self.metrics.queries_offered.fetch_add(n, Ordering::Relaxed);
-            self.metrics.queries_shed.fetch_add(n, Ordering::Relaxed);
-            for k in self.breached_shards(&per_shard) {
-                self.metrics.shard_shed[k].fetch_add(per_shard[k], Ordering::Relaxed);
-            }
+        if shed {
             return Err(QueryError::Overloaded);
         }
-        {
-            let _guard = self.metrics.accounting();
-            self.metrics.queries_offered.fetch_add(n, Ordering::Relaxed);
-            self.metrics
-                .queries_admitted
-                .fetch_add(n, Ordering::Relaxed);
-        }
-        let pending = self
-            .metrics
-            .pending_requests
-            .fetch_add(n, Ordering::Relaxed)
-            + n;
-        self.metrics
-            .pending_peak
-            .fetch_max(pending, Ordering::Relaxed);
-        for (k, &count) in per_shard.iter().enumerate() {
-            if count > 0 {
-                self.metrics.pending_per_shard[k].fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        Ok(Admitted {
-            total: n,
-            per_shard,
-        })
+        let pending = metrics.pending_requests.fetch_add(n, Ordering::Relaxed) + n;
+        metrics.pending_peak.fetch_max(pending, Ordering::Relaxed);
+        Ok(())
     }
 
     /// One placement decision (the per-file baseline path).
@@ -494,11 +412,12 @@ impl PlacementService {
     /// queues `requests` without waiting, so a caller with several (a
     /// reader's pipelined frames) queues them all to share one pass.
     pub fn submit(&self, requests: Vec<PlacementRequest>) -> PendingQuery<'_> {
-        let queued = if requests.is_empty() {
+        let n = requests.len() as u64;
+        let queued = if n == 0 {
             Ok(None)
         } else {
-            self.admit(&requests)
-                .map(|admitted| Some((self.engine.submit(requests), admitted)))
+            self.admit(n)
+                .map(|()| Some((self.engine.submit(requests), n)))
         };
         PendingQuery {
             service: self,
@@ -567,15 +486,12 @@ impl PlacementService {
     }
 
     /// Coherent point-in-time copy of the service counters, with live
-    /// gauges (engine queue depth) filled in.
+    /// gauges (engine queue depth) filled in. It takes no store lock: the
+    /// store gauges are set at start and by each checkpoint's commit, so
+    /// a metrics or health request never waits out an absorb.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.engine_queue = self.engine.queue_len();
-        if let Some(store) = &self.store {
-            let store = store.read();
-            snap.store_pages = store.page_count() as u64;
-            snap.store_cold_bytes = store.cold_bytes();
-        }
         snap
     }
 
@@ -599,8 +515,9 @@ impl PlacementService {
 /// and returns its admission charge.
 pub struct PendingQuery<'a> {
     service: &'a PlacementService,
-    /// Ticket and admission receipt; `Ok(None)` when empty or waited.
-    queued: Result<Option<(Ticket, Admitted)>, QueryError>,
+    /// Ticket and the requests admitted with it; `Ok(None)` when empty
+    /// or waited.
+    queued: Result<Option<(Ticket, u64)>, QueryError>,
 }
 
 impl PendingQuery<'_> {
@@ -615,17 +532,12 @@ impl PendingQuery<'_> {
 
     /// Waits for the ticket's answer, then returns the admission charge
     /// to the pending gauges.
-    fn finish(&self, (ticket, admitted): (Ticket, Admitted)) -> Result<Vec<Decision>, QueryError> {
+    fn finish(&self, (ticket, n): (Ticket, u64)) -> Result<Vec<Decision>, QueryError> {
         let result = self.service.engine.wait(&ticket);
-        let metrics = &self.service.metrics;
-        metrics
+        self.service
+            .metrics
             .pending_requests
-            .fetch_sub(admitted.total, Ordering::Relaxed);
-        for (k, &count) in admitted.per_shard.iter().enumerate() {
-            if count > 0 {
-                metrics.pending_per_shard[k].fetch_sub(count, Ordering::Relaxed);
-            }
-        }
+            .fetch_sub(n, Ordering::Relaxed);
         result
     }
 }
@@ -960,32 +872,6 @@ mod tests {
             .expect("published");
         behind.join().unwrap();
         dropper.join().unwrap();
-        assert_eq!(service.metrics().pending_requests, 0);
-        shutdown(service);
-    }
-
-    /// A full queue pushes back on the submitter, as a full mailbox did:
-    /// with the engine parked and `queue_capacity` submissions queued, the
-    /// next submitter is held until the engine moves again, and then
-    /// every submission is answered.
-    #[test]
-    fn a_full_queue_pushes_back_on_the_submitter() {
-        let service = ready_with(ServeConfig {
-            queue_capacity: 2,
-            ..test_config()
-        });
-        let parked = service.engine.park();
-        let queued = [slice(0, 1), slice(1, 1)].map(|s| service.submit(s));
-        let late = {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || service.query_many(&slice(2, 1)))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        assert!(!late.is_finished(), "a full queue must hold the submitter");
-        assert_eq!(service.metrics().engine_queue, 2);
-        drop(parked);
-        assert_eq!(late.join().unwrap().expect("model is published").len(), 1);
-        assert!(queued.map(PendingQuery::wait).iter().all(Result::is_ok));
         assert_eq!(service.metrics().pending_requests, 0);
         shutdown(service);
     }

@@ -348,6 +348,37 @@ fn checkpoint_does_not_hold_a_reactor_worker() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A metrics request takes no store lock: with the store's write lock
+/// held, as a checkpoint's absorb holds it, `metrics()` on another thread
+/// still answers, with the gauges the last commit set.
+#[test]
+fn metrics_do_not_wait_on_the_store_lock() {
+    let base = temp_base("metrics");
+    let service = Arc::new(PlacementService::start(config(&base, 50)));
+    for n in 0..100u64 {
+        service.ingest(n, &[rec(n, n % 17, 0)]).unwrap();
+    }
+    service.checkpoint_now().expect("checkpoint commits");
+    let pages = service.metrics().store_pages;
+    assert!(pages > 0);
+    let held = service.store().expect("service runs with a store").write();
+    let (tx, rx) = sync_channel(1);
+    let reader = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let _ = tx.send(service.metrics().store_pages);
+        })
+    };
+    let answer = rx.recv_timeout(Duration::from_secs(5));
+    drop(held);
+    reader.join().unwrap();
+    assert_eq!(answer, Ok(pages), "metrics() waited on the store lock");
+    Arc::try_unwrap(service)
+        .unwrap_or_else(|_| panic!("sole owner"))
+        .shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// Dropping a service without `shutdown()` while a cadence cycle is held
 /// in its seal hook returns once the hook lets go: the cadence thread's
 /// join waits out the cycle.

@@ -8,10 +8,10 @@
 //!   whose epoch the decision carries;
 //! - the admission gauge drains to zero, and requests did share rows.
 //!
-//! It runs twice: with a small queue and the default batch, where passes
-//! fuse several submissions, and with a one-deep queue and a four-request
-//! batch, where nearly every submission meets a full queue and every
-//! pass ends in a hand-off of the lock.
+//! It runs twice: with the default batch, where passes fuse several
+//! submissions, and with a four-request batch, where most submissions
+//! fill a pass of their own and nearly every pass ends in a hand-off of
+//! the lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,16 +85,14 @@ fn slice(t: u64, i: u64) -> Vec<PlacementRequest> {
 #[test]
 fn combined_passes_answer_every_submission_once_on_the_stamped_model() {
     let models: Vec<DrlEngine> = (0..MODELS).map(|k| model(k as u32, k + 1)).collect();
-    // Small, so submitters also meet a full queue.
-    run(&models, 8, ServeConfig::default().max_batch);
-    run(&models, 1, 4);
+    run(&models, ServeConfig::default().max_batch);
+    run(&models, 4);
 }
 
-fn run(models: &[DrlEngine], queue_capacity: usize, max_batch: usize) {
+fn run(models: &[DrlEngine], max_batch: usize) {
     let candidates: Vec<DeviceId> = (0..3).map(DeviceId).collect();
     let service = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
-        queue_capacity,
         max_batch,
         candidates: candidates.clone(),
         ..ServeConfig::default()

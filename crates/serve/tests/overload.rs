@@ -15,9 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use geomancy_core::drl::DrlConfig;
-use geomancy_serve::{
-    AdmissionConfig, PlacementRequest, PlacementService, QueryError, ServeConfig,
-};
+use geomancy_serve::{PlacementRequest, PlacementService, QueryError, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -38,10 +36,9 @@ fn rec(n: u64, fid: u64) -> AccessRecord {
     }
 }
 
-fn config(admission: AdmissionConfig) -> ServeConfig {
+fn config(max_pending_requests: u64) -> ServeConfig {
     ServeConfig {
         shards: 2,
-        queue_capacity: 4,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -49,15 +46,15 @@ fn config(admission: AdmissionConfig) -> ServeConfig {
             smoothing_window: 4,
             ..DrlConfig::default()
         },
-        admission,
+        max_pending_requests: Some(max_pending_requests),
         ..ServeConfig::default()
     }
 }
 
-/// Starts a small service with the given admission config, ingests
-/// enough telemetry and publishes a model.
-fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
-    let service = PlacementService::start(config(admission));
+/// Starts a small service with the given pending-request watermark,
+/// ingests enough telemetry and publishes a model.
+fn ready_service(max_pending_requests: u64) -> Arc<PlacementService> {
+    let service = PlacementService::start(config(max_pending_requests));
     for i in 0..300u64 {
         service.ingest(i * 1_000_000, &[rec(i, i % 4)]).unwrap();
     }
@@ -69,10 +66,7 @@ fn ready_service(admission: AdmissionConfig) -> Arc<PlacementService> {
 /// counted.
 #[test]
 fn zero_watermark_sheds_every_request() {
-    let service = ready_service(AdmissionConfig {
-        max_pending_requests: Some(0),
-        ..AdmissionConfig::default()
-    });
+    let service = ready_service(0);
     for _ in 0..50 {
         let err = service
             .query(PlacementRequest {
@@ -97,10 +91,7 @@ fn zero_watermark_sheds_every_request() {
 /// batch it is allowed to send.
 #[test]
 fn oversized_submission_admitted_when_quiet() {
-    let service = ready_service(AdmissionConfig {
-        max_pending_requests: Some(4),
-        ..AdmissionConfig::default()
-    });
+    let service = ready_service(4);
     let requests: Vec<PlacementRequest> = (0..16)
         .map(|i| PlacementRequest {
             fid: FileId(i % 4),
@@ -126,10 +117,7 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
     const ITERS: u64 = 60;
     const BURST: u64 = 16;
     const WATERMARK: u64 = 48;
-    let service = ready_service(AdmissionConfig {
-        max_pending_requests: Some(WATERMARK),
-        ..AdmissionConfig::default()
-    });
+    let service = ready_service(WATERMARK);
 
     // Ingest pressure while queries run.
     let ingest_offered = Arc::new(AtomicU64::new(0));
@@ -229,46 +217,4 @@ fn overload_soak_sheds_are_fully_accounted_and_latency_bounded() {
         stored as u64, snap.ingested_records,
         "every ingested record is in a shard"
     );
-}
-
-/// Per-shard pending bounds: a hard bound (0) on one shard sheds only the
-/// submissions that target it — queries aimed at the other shard keep
-/// flowing, so one hot shard cannot starve the rest of the service.
-#[test]
-fn per_shard_bound_sheds_hot_shard_without_starving_others() {
-    use geomancy_serve::shard_of;
-    // Files guaranteed to map to shard 0 ("hot") and shard 1 ("cool").
-    let hot_fid = (0u64..).find(|&f| shard_of(FileId(f), 2) == 0).unwrap();
-    let cool_fid = (0u64..).find(|&f| shard_of(FileId(f), 2) == 1).unwrap();
-    let service = ready_service(AdmissionConfig {
-        per_shard_pending: vec![0, 1_000],
-        ..AdmissionConfig::default()
-    });
-    let hot = PlacementRequest {
-        fid: FileId(hot_fid),
-        read_bytes: 1_000_000,
-        write_bytes: 0,
-    };
-    let cool = PlacementRequest {
-        fid: FileId(cool_fid),
-        read_bytes: 1_000_000,
-        write_bytes: 0,
-    };
-    for _ in 0..20 {
-        assert_eq!(service.query(hot).unwrap_err(), QueryError::Overloaded);
-        service.query(cool).expect("cool shard stays admitted");
-    }
-    // A mixed submission touching the hot shard sheds as a unit.
-    assert_eq!(
-        service.query_many(&[hot, cool]).unwrap_err(),
-        QueryError::Overloaded
-    );
-    let snap = service.metrics();
-    assert_eq!(snap.queries_offered, 42);
-    assert_eq!(snap.queries_admitted, 20);
-    assert_eq!(snap.queries_shed, 22);
-    assert_eq!(snap.shard_shed, vec![21, 0], "only the hot shard shed");
-    assert_eq!(snap.pending_per_shard, vec![0, 0], "gauges drain to zero");
-    assert_eq!(snap.decisions, 20);
-    Arc::try_unwrap(service).expect("sole owner").shutdown();
 }

@@ -46,7 +46,6 @@ const SHARDS: usize = 4;
 fn start(wal_dir: Option<PathBuf>) -> PlacementService {
     PlacementService::start(ServeConfig {
         shards: SHARDS,
-        queue_capacity: 64,
         wal_dir,
         ..ServeConfig::default()
     })

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use geomancy_core::drl::DrlConfig;
 use geomancy_net::{Client, ClientConfig, NetConfig, NetServer};
-use geomancy_serve::{AdmissionConfig, PlacementRequest, PlacementService, ServeConfig};
+use geomancy_serve::{PlacementRequest, PlacementService, ServeConfig};
 use geomancy_sim::record::{AccessRecord, DeviceId, FileId};
 
 fn rec(n: u64, fid: u64) -> AccessRecord {
@@ -56,7 +56,6 @@ fn connection_churn_leaves_no_residue() {
     const CYCLES: usize = 200;
     let svc = Arc::new(PlacementService::start(ServeConfig {
         shards: 2,
-        queue_capacity: 64,
         max_batch: 32,
         candidates: vec![DeviceId(0), DeviceId(1)],
         drl: DrlConfig {
@@ -64,7 +63,6 @@ fn connection_churn_leaves_no_residue() {
             smoothing_window: 4,
             ..DrlConfig::default()
         },
-        admission: AdmissionConfig::default(),
         ..ServeConfig::default()
     }));
     for i in 0..300u64 {
